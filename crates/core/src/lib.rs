@@ -65,4 +65,4 @@ pub use logrec::{LogOp, LogRecord, Segment, SegmentEnvelope, WireError};
 pub use rebuild::{HarvestReport, RebuildImage};
 pub use recovery::{RecoveryEngine, RecoveryReport};
 pub use remote_target::{LoopbackTarget, RemoteError, RemoteTarget, StoreAck};
-pub use wire::{WireRemote, WireRemoteStats};
+pub use wire::{RemoteFaultStats, WireRemote};

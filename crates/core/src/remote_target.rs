@@ -84,11 +84,19 @@ pub trait RemoteTarget {
 
 /// In-process remote target with perfect availability and zero latency.
 /// Verifies chain continuity exactly like the real server.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LoopbackTarget {
     segments: BTreeMap<u64, SegmentEnvelope>,
     last_head: Option<Digest>,
     reachable: bool,
+}
+
+impl Default for LoopbackTarget {
+    /// [`LoopbackTarget::new`]: empty and *reachable* (a derived default
+    /// would start partitioned).
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LoopbackTarget {
@@ -167,7 +175,8 @@ mod tests {
 
     #[test]
     fn stores_and_fetches() {
-        let mut t = LoopbackTarget::new();
+        // The default target is `new()`: reachable, not born partitioned.
+        let mut t = LoopbackTarget::default();
         t.store_segment(envelope(0, Digest::ZERO, digest(1)), 100)
             .unwrap();
         let fetched = t.fetch_segment(0).unwrap();

@@ -12,12 +12,12 @@
 //! the device's `SecureSession` before it got here; the wire never carries
 //! plaintext log data.
 //!
-//! Network faults are expressed as *link conditions*, not injected results:
+//! Network faults are expressed as *link conditions*, not injected results
+//! (in parentheses, the `rssd-faults` `PartitionMode` each one renders):
 //!
 //! * [`WireRemote::set_uplink_down`] blackholes frames; the transport
 //!   exhausts its stall budget and the offload engine sees
-//!   [`RemoteError::Unreachable`] — exactly what `FaultyRemote`'s `Refuse`
-//!   mode used to fake.
+//!   [`RemoteError::Unreachable`] (`Refuse`).
 //! * With [`WireRemote::set_store_and_forward`], a down link instead acks
 //!   and buffers at the edge; [`WireRemote::heal`] replays the buffer over
 //!   the restored wire in order (`QueueForReplay`).
@@ -36,22 +36,31 @@ use rssd_net::{LinkConfig, NvmeOeEndpoint, SharedLink, TransferStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Wire-level fault/outcome counters, mirroring `RemoteFaultStats` so the
-/// scenario matrix can score wire-expressed faults with the same
-/// invariants.
+/// What the link conditions did to the offload stream — the counters the
+/// scenario matrix scores partition cells by.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[must_use]
-pub struct WireRemoteStats {
+pub struct RemoteFaultStats {
     /// Transfers that exhausted the stall budget with store-and-forward
     /// disabled: surfaced to the engine as [`RemoteError::Unreachable`].
-    pub transfers_refused: u64,
+    pub offloads_refused: u64,
     /// Envelopes acked at the edge and buffered while the link was down.
-    pub relay_acked: u64,
+    pub offloads_queued: u64,
     /// Buffered envelopes successfully replayed over the healed wire.
-    pub relay_replayed: u64,
+    pub offloads_replayed: u64,
     /// Envelopes the collector acked in transport but lost before
     /// durability.
-    pub ingest_dropped: u64,
+    pub offloads_dropped: u64,
+}
+
+impl RemoteFaultStats {
+    /// Merges another wire's counters (fleet view across array members).
+    pub fn merge(&mut self, other: &RemoteFaultStats) {
+        self.offloads_refused += other.offloads_refused;
+        self.offloads_queued += other.offloads_queued;
+        self.offloads_replayed += other.offloads_replayed;
+        self.offloads_dropped += other.offloads_dropped;
+    }
 }
 
 /// A [`RemoteTarget`] whose every segment crosses the simulated NVMe-oE
@@ -65,12 +74,11 @@ pub struct WireRemoteStats {
 pub struct WireRemote<R: RemoteTarget> {
     fabric: NvmeOeEndpoint,
     remote: R,
-    max_stall_rounds: u32,
     /// Store-and-forward buffer: `(envelope, enqueue_ns)` in arrival order.
     relay: VecDeque<(SegmentEnvelope, u64)>,
     relay_enabled: bool,
     ingest_drop: bool,
-    stats: WireRemoteStats,
+    stats: RemoteFaultStats,
 }
 
 impl<R: RemoteTarget> WireRemote<R> {
@@ -96,17 +104,11 @@ impl<R: RemoteTarget> WireRemote<R> {
         WireRemote {
             fabric,
             remote,
-            max_stall_rounds: Self::DEFAULT_MAX_STALL_ROUNDS,
             relay: VecDeque::new(),
             relay_enabled: false,
             ingest_drop: false,
-            stats: WireRemoteStats::default(),
+            stats: RemoteFaultStats::default(),
         }
-    }
-
-    /// Overrides the stall budget.
-    pub fn set_max_stall_rounds(&mut self, rounds: u32) {
-        self.max_stall_rounds = rounds.max(1);
     }
 
     /// Takes the uplink down (`true`) or restores it (`false`). While
@@ -148,7 +150,7 @@ impl<R: RemoteTarget> WireRemote<R> {
             match self.transfer_and_store(&envelope, now_ns) {
                 Ok(_) => {
                     replayed += 1;
-                    self.stats.relay_replayed += 1;
+                    self.stats.offloads_replayed += 1;
                 }
                 Err(_) => {
                     self.relay.push_front((envelope, now_ns));
@@ -160,7 +162,7 @@ impl<R: RemoteTarget> WireRemote<R> {
     }
 
     /// Wire-level fault/outcome counters.
-    pub fn stats(&self) -> WireRemoteStats {
+    pub fn stats(&self) -> RemoteFaultStats {
         self.stats
     }
 
@@ -209,7 +211,7 @@ impl<R: RemoteTarget> WireRemote<R> {
                 segment_seq,
                 envelope.to_wire_bytes(),
                 now_ns,
-                self.max_stall_rounds,
+                Self::DEFAULT_MAX_STALL_ROUNDS,
             )
             .map_err(|_| RemoteError::Unreachable)?;
         let delivered = SegmentEnvelope::from_wire_bytes(delivered)
@@ -218,7 +220,7 @@ impl<R: RemoteTarget> WireRemote<R> {
             // The transport acked; the collector lost the segment before
             // durability. The device unpins its local copy believing the
             // evidence is safe — the gap emerges at verification time.
-            self.stats.ingest_dropped += 1;
+            self.stats.offloads_dropped += 1;
             return Ok(StoreAck {
                 segment_seq,
                 durable_at_ns: arrival_ns,
@@ -240,7 +242,7 @@ impl<R: RemoteTarget> RemoteTarget for WireRemote<R> {
             Err(RemoteError::Unreachable) if self.relay_enabled => {
                 // Edge relay: ack now (by move — no clone), deliver after
                 // heal.
-                self.stats.relay_acked += 1;
+                self.stats.offloads_queued += 1;
                 self.relay.push_back((envelope, now_ns));
                 Ok(StoreAck {
                     segment_seq,
@@ -248,7 +250,7 @@ impl<R: RemoteTarget> RemoteTarget for WireRemote<R> {
                 })
             }
             Err(RemoteError::Unreachable) => {
-                self.stats.transfers_refused += 1;
+                self.stats.offloads_refused += 1;
                 Err(RemoteError::Unreachable)
             }
             Err(other) => Err(other),
@@ -348,7 +350,7 @@ mod tests {
         wired.set_uplink_down(true);
         let err = wired.store_segment(chain(1).remove(0), 0).unwrap_err();
         assert_eq!(err, RemoteError::Unreachable);
-        assert_eq!(wired.stats().transfers_refused, 1);
+        assert_eq!(wired.stats().offloads_refused, 1);
         assert!(wired.stored_segments().is_empty());
         assert!(
             wired.uplink().frames_blackholed() > 0,
@@ -372,7 +374,7 @@ mod tests {
             assert_eq!(ack.durable_at_ns, i as u64, "edge ack carries no wire time");
         }
         assert_eq!(wired.queued_segments(), 3);
-        assert_eq!(wired.stats().relay_acked, 3);
+        assert_eq!(wired.stats().offloads_queued, 3);
         assert!(
             wired.inner().stored_segments().is_empty(),
             "nothing crossed"
@@ -382,7 +384,7 @@ mod tests {
         assert_eq!(wired.fetch_segment(1).unwrap(), envs[1]);
 
         assert_eq!(wired.heal(), 3);
-        assert_eq!(wired.stats().relay_replayed, 3);
+        assert_eq!(wired.stats().offloads_replayed, 3);
         assert_eq!(wired.queued_segments(), 0);
         assert_eq!(wired.inner().stored_segments(), vec![0, 1, 2]);
         assert!(
@@ -399,7 +401,7 @@ mod tests {
         wired.store_segment(envs[0].clone(), 0).unwrap();
         wired.set_ingest_drop(false);
         wired.store_segment(envs[1].clone(), 1).unwrap();
-        assert_eq!(wired.stats().ingest_dropped, 1);
+        assert_eq!(wired.stats().offloads_dropped, 1);
         // Segment 0 vanished after a genuine-looking ack; the hole is only
         // observable downstream (verification / rebuild walk).
         assert_eq!(wired.stored_segments(), vec![1]);
@@ -484,7 +486,6 @@ mod tests {
         #[test]
         fn dead_uplink_stalls_writes_instead_of_dropping_evidence() {
             let mut d = device(LinkConfig::datacenter_10g());
-            d.remote_mut().set_max_stall_rounds(1);
             d.remote_mut().set_uplink_down(true);
             let mut stalled = false;
             // Fill the small device; with the remote unreachable the pinned
@@ -502,7 +503,7 @@ mod tests {
             }
             assert!(stalled, "dead wire must surface as backpressure");
             assert!(d.offload_stats().offload_failures > 0);
-            assert!(d.remote().stats().transfers_refused > 0);
+            assert!(d.remote().stats().offloads_refused > 0);
             assert!(d.remote().inner().stored_segments().is_empty());
         }
     }

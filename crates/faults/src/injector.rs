@@ -15,10 +15,10 @@
 //! harnesses, the attack actors and `RssdArray` unchanged — faults are a
 //! wrapper, never a special code path in the device.
 
-use crate::remote::{PartitionMode, RemoteFaultStats};
+use crate::remote::PartitionMode;
 use crate::schedule::{FaultEvent, FaultSchedule};
 use crate::target::{FaultError, FaultTarget, PowerRestoreReport};
-use rssd_core::{HistoryAudit, OffloadStats};
+use rssd_core::{HistoryAudit, OffloadStats, RemoteFaultStats};
 use rssd_flash::SimClock;
 use rssd_obs::SinkHandle;
 use rssd_ssd::{BlockDevice, CommandResult, DeviceError, IoCommand};
@@ -147,8 +147,6 @@ impl<D: FaultTarget> FaultInjector<D> {
         Ok(report)
     }
 
-    /// Fires every event due at the current op counter. Returns `true` when
-    /// a power cut landed (the caller must fail the op with `PowerLoss`).
     fn trace_fault(&self, name: &str, at_op: u64, extra: Option<(&str, String)>) {
         if !self.sink.is_enabled() {
             return;
@@ -161,6 +159,8 @@ impl<D: FaultTarget> FaultInjector<D> {
             .instant("faults", name, self.inner.clock().now_ns(), &args);
     }
 
+    /// Fires every event due at the current op counter. Returns `true` when
+    /// a power cut landed (the caller must fail the op with `PowerLoss`).
     fn fire_due_events(&mut self) -> bool {
         while let Some(event) = self.events.get(self.next_event).copied() {
             if event.at_op() > self.ops_executed {
@@ -384,14 +384,18 @@ impl<D: FaultTarget> FaultTarget for FaultInjector<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::remote::FaultyRemote;
     use crate::target::scenario_member;
-    use rssd_core::{LoopbackTarget, RssdDevice};
+    use rssd_core::{LoopbackTarget, RssdDevice, WireRemote};
+    use rssd_net::LinkConfig;
 
-    type Dut = RssdDevice<FaultyRemote<LoopbackTarget>>;
+    type Dut = RssdDevice<WireRemote<LoopbackTarget>>;
 
     fn dut() -> Dut {
-        scenario_member(1)
+        scenario_member(
+            1,
+            false,
+            WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal()),
+        )
     }
 
     fn page(b: u8) -> Vec<u8> {

@@ -14,11 +14,14 @@
 //!   wrapper that executes a schedule, so faults compose under the NVMe
 //!   controller, the replay harnesses, the attack actors and `RssdArray`
 //!   unchanged.
-//! * [`FaultyRemote`] / [`PermissiveTarget`] ([`remote`]) — network-fault
-//!   wrappers for the remote half of the codesign.
+//! * [`PartitionMode`] / [`PermissiveTarget`] ([`remote`]) — what a
+//!   partition window does to offloads, and the naive collector the
+//!   chain-gap cells run against. There is one offload pipeline: the
+//!   NVMe-oE wire (`rssd_core::WireRemote`), on which every mode is a link
+//!   condition.
 //! * [`FaultTarget`] ([`target`]) — the fault surface of a device under
 //!   test (crash/recover, partition/heal, kill/revive, chain audit),
-//!   implemented for bare devices and arrays, faulted or direct.
+//!   implemented for bare devices and arrays.
 //! * [`ScenarioMatrix`] ([`scenario`]) — composes workload profile ×
 //!   attack actor × fault schedule × topology into named cells, runs each
 //!   under a seed, and scores every cell ([`Scorecard`]): detection
@@ -36,8 +39,8 @@
 //!    surface as verification failures, never as a silently shorter
 //!    history.
 //! 3. **Fault-free cells lose nothing** — with the `none` schedule, every
-//!    cell recovers 100% of attacked data, byte-identical to the direct
-//!    (wrapper-free) pipeline.
+//!    cell recovers 100% of attacked data, and over an ideal link scores
+//!    byte-identically to an injector-free device on a plain loopback.
 
 pub mod injector;
 pub mod remote;
@@ -46,15 +49,17 @@ pub mod schedule;
 pub mod target;
 
 pub use injector::{FaultInjector, TornBatch};
-pub use remote::{FaultyRemote, PartitionMode, PermissiveTarget, RemoteFaultStats};
+pub use remote::{PartitionMode, PermissiveTarget};
 pub use scenario::{
     ActorKind, FaultPlan, MatrixSummary, Scenario, ScenarioMatrix, Scorecard, Topology,
 };
 pub use schedule::{FaultEvent, FaultSchedule};
 pub use target::{
-    scenario_member, scenario_member_durable, scenario_member_durable_with, scenario_member_with,
-    FaultError, FaultRemote, FaultTarget, PowerRestoreReport,
+    restore_power_healing_link, scenario_member, FaultError, FaultRemote, FaultTarget,
+    PowerRestoreReport,
 };
 
-// Re-exported so scorecard consumers can match verdicts without another dep.
+// Re-exported so scorecard consumers can match verdicts, and fault-surface
+// implementors can name the wire's counters, without another dep.
+pub use rssd_core::RemoteFaultStats;
 pub use rssd_detect::Verdict;

@@ -23,22 +23,22 @@
 //!    of every victim page, data-loss accounting, and the evidence-chain
 //!    verdict.
 //!
-//! The same generic runner also drives an injector-free device over plain
-//! [`LoopbackTarget`]s ([`run_direct`](Scenario::run_direct)) — the
-//! pre-existing happy path — which is what pins the harness: a `none`
-//! schedule must produce a byte-identical scorecard in both pipelines.
+//! There is one offload pipeline: every cell's members offload over the
+//! simulated NVMe-oE wire ([`WireRemote`]), and the cell's partition plan
+//! is a set of link conditions on it ([`Scenario::run_with`]). The same
+//! generic runner ([`Scenario::run_on`]) also drives any other
+//! [`FaultTarget`] a test builds itself — an injector-free device over a
+//! plain `LoopbackTarget` is the oracle that pins the harness: a `none`
+//! schedule over an ideal link must produce a byte-identical scorecard.
 
 use crate::injector::FaultInjector;
-use crate::remote::{FaultyRemote, PartitionMode, PermissiveTarget};
+use crate::remote::{PartitionMode, PermissiveTarget};
 use crate::schedule::{FaultEvent, FaultSchedule};
-use crate::target::{
-    scenario_member, scenario_member_durable, scenario_member_durable_with, scenario_member_with,
-    FaultError, FaultRemote, FaultTarget,
-};
+use crate::target::{restore_power_healing_link, scenario_member, FaultError, FaultTarget};
 use rssd_array::RssdArray;
 use rssd_attacks::{ClassicRansomware, FileTable, GcAttack, TimingAttack, TrimAttack};
 use rssd_bench::BenchRow;
-use rssd_core::{LoopbackTarget, PostAttackAnalyzer, RssdDevice, WireRemote};
+use rssd_core::{PostAttackAnalyzer, WireRemote};
 use rssd_detect::Verdict;
 use rssd_flash::SimClock;
 use rssd_net::{LinkConfig, SharedLink};
@@ -85,8 +85,7 @@ pub enum Topology {
     /// A striped array whose members all offload through **one shared
     /// NVMe-oE uplink** to a common remote: N devices funnel into a single
     /// wire, so concurrent offloads queue behind each other's serialization
-    /// time. Only runnable through the wire pipeline
-    /// ([`Scenario::run_wire`] / [`Scenario::run`]).
+    /// time.
     SharedUplink {
         /// Member count.
         shards: usize,
@@ -103,6 +102,18 @@ impl Topology {
             Topology::MultiQueue { queues, depth } => format!("mq{queues}x{depth}"),
             Topology::Array { shards, .. } => format!("array{shards}"),
             Topology::SharedUplink { shards, .. } => format!("uplink{shards}"),
+        }
+    }
+
+    /// The link [`Scenario::run`] cables this topology's members with:
+    /// [`LinkConfig::ideal`] — a wire that consumes no nanoseconds, so the
+    /// scorecards are those of a function-call offload — except for
+    /// [`Topology::SharedUplink`], whose whole point is contention on a
+    /// real 10 GbE wire.
+    pub fn link(&self) -> LinkConfig {
+        match self {
+            Topology::SharedUplink { .. } => LinkConfig::datacenter_10g(),
+            _ => LinkConfig::ideal(),
         }
     }
 
@@ -280,15 +291,6 @@ impl FaultPlan {
     }
 }
 
-/// Builds one cell member honoring the plan's durability requirement.
-fn plan_member<R: FaultRemote>(plan: FaultPlan, device_id: u64) -> RssdDevice<R> {
-    if plan.needs_spill() {
-        scenario_member_durable(device_id)
-    } else {
-        scenario_member(device_id)
-    }
-}
-
 /// One cell of the scenario matrix.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -316,172 +318,64 @@ impl Scenario {
         )
     }
 
-    /// Runs the cell through the fault pipeline: members over
-    /// [`FaultyRemote`]<[`PermissiveTarget`]> wrapped in a
-    /// [`FaultInjector`].
+    /// Runs the cell untraced over its topology's own link
+    /// ([`Topology::link`]).
     ///
     /// # Errors
     ///
-    /// [`FaultError`] when the harness itself cannot proceed (never for a
-    /// fault the schedule injected — those are scored, not errored).
+    /// See [`Scenario::run_with`].
     pub fn run(&self) -> Result<Scorecard, FaultError> {
-        self.run_traced(SinkHandle::disabled())
+        self.run_with(self.topology.link(), SinkHandle::disabled())
     }
 
-    /// [`Scenario::run`] with a trace sink installed across the whole cell
-    /// stack (NAND, FTL, offload engine, fault injector, detection
-    /// verdict). With a disabled sink this *is* `run()`; with a recording
-    /// one the scorecard is byte-identical — sink identity is not
-    /// simulation state, which the determinism proptests pin.
-    pub fn run_traced(&self, sink: SinkHandle) -> Result<Scorecard, FaultError> {
-        type Remote = FaultyRemote<PermissiveTarget>;
-        match self.topology {
-            Topology::Bare | Topology::MultiQueue { .. } => {
-                let device: RssdDevice<Remote> = plan_member(self.plan, 1);
-                run_cell_traced(
-                    FaultInjector::new(device, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
-            }
-            Topology::Array {
-                shards,
-                stripe_pages,
-            } => {
-                let members: Vec<RssdDevice<Remote>> = (0..shards as u64)
-                    .map(|i| plan_member(self.plan, i))
-                    .collect();
-                let array = RssdArray::new(members, stripe_pages, SimClock::new());
-                run_cell_traced(
-                    FaultInjector::new(array, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
-            }
-            // A shared uplink only exists on the wire.
-            Topology::SharedUplink { .. } => {
-                self.run_wire_traced(LinkConfig::datacenter_10g(), sink)
-            }
-        }
-    }
-
-    /// Runs the cell through the **wire pipeline**: members over
-    /// [`WireRemote`]<[`PermissiveTarget`]> wrapped in a [`FaultInjector`],
-    /// so every offloaded segment crosses the simulated NVMe-oE fabric with
-    /// `link`'s bandwidth/propagation/loss, and the cell's partition plan
-    /// becomes link blackouts and collector drops instead of injected
-    /// results. [`Topology::SharedUplink`] members offload through clones
-    /// of one [`SharedLink`]; other topologies get private uplinks.
+    /// Runs the cell: members over [`WireRemote`]<[`PermissiveTarget`]>
+    /// wrapped in a [`FaultInjector`], so every offloaded segment crosses
+    /// the simulated NVMe-oE fabric with `link`'s bandwidth/propagation/
+    /// loss, and the cell's partition plan becomes link blackouts and
+    /// collector drops. [`Topology::SharedUplink`] members offload through
+    /// clones of one [`SharedLink`]; other topologies get private uplinks.
     ///
-    /// With [`LinkConfig::ideal`] this pipeline is byte-identical to
-    /// [`Scenario::run`] for fault-free cells — the equivalence suite's
-    /// anchor.
+    /// `sink` is installed across the whole cell stack (NAND, FTL, offload
+    /// engine, wire, fault injector, detection verdict). A recording sink
+    /// leaves the scorecard byte-identical to a disabled one — sink
+    /// identity is not simulation state, which the determinism proptests
+    /// pin.
     ///
     /// # Errors
     ///
     /// [`FaultError`] when the harness itself cannot proceed (never for a
     /// fault the schedule injected — those are scored, not errored).
-    pub fn run_wire(&self, link: LinkConfig) -> Result<Scorecard, FaultError> {
-        self.run_wire_traced(link, SinkHandle::disabled())
-    }
-
-    /// [`Scenario::run_wire`] with a trace sink; the wire pipeline
-    /// additionally records link-loss and retransmission instants from the
-    /// NVMe-oE fabric.
-    pub fn run_wire_traced(
-        &self,
-        link: LinkConfig,
-        sink: SinkHandle,
-    ) -> Result<Scorecard, FaultError> {
-        type Remote = WireRemote<PermissiveTarget>;
-        let durable = self.plan.needs_spill();
-        let member = move |id: u64, remote: Remote| {
-            if durable {
-                scenario_member_durable_with(id, remote)
-            } else {
-                scenario_member_with(id, remote)
-            }
+    pub fn run_with(&self, link: LinkConfig, sink: SinkHandle) -> Result<Scorecard, FaultError> {
+        let member = |id: u64, remote| scenario_member(id, self.plan.needs_spill(), remote);
+        let private = || WireRemote::new(PermissiveTarget::new(), link);
+        let array = |members, stripe_pages| {
+            FaultInjector::new(
+                RssdArray::new(members, stripe_pages, SimClock::new()),
+                &FaultSchedule::none(),
+            )
         };
         match self.topology {
-            Topology::Bare | Topology::MultiQueue { .. } => {
-                let device = member(1, WireRemote::new(PermissiveTarget::new(), link));
-                run_cell_traced(
-                    FaultInjector::new(device, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
-            }
+            Topology::Bare | Topology::MultiQueue { .. } => self.run_on(
+                &mut FaultInjector::new(member(1, private()), &FaultSchedule::none()),
+                sink,
+            ),
             Topology::Array {
                 shards,
                 stripe_pages,
             } => {
-                let members: Vec<RssdDevice<Remote>> = (0..shards as u64)
-                    .map(|i| member(i, WireRemote::new(PermissiveTarget::new(), link)))
-                    .collect();
-                let array = RssdArray::new(members, stripe_pages, SimClock::new());
-                run_cell_traced(
-                    FaultInjector::new(array, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
+                let members = (0..shards as u64).map(|i| member(i, private())).collect();
+                self.run_on(&mut array(members, stripe_pages), sink)
             }
             Topology::SharedUplink {
                 shards,
                 stripe_pages,
             } => {
                 let uplink = SharedLink::new(link);
-                let members: Vec<RssdDevice<Remote>> = (0..shards as u64)
-                    .map(|i| {
-                        member(
-                            i,
-                            WireRemote::with_uplink(PermissiveTarget::new(), uplink.clone(), link),
-                        )
-                    })
-                    .collect();
-                let array = RssdArray::new(members, stripe_pages, SimClock::new());
-                run_cell_traced(
-                    FaultInjector::new(array, &FaultSchedule::none()),
-                    self,
-                    sink,
-                )
+                let shared =
+                    || WireRemote::with_uplink(PermissiveTarget::new(), uplink.clone(), link);
+                let members = (0..shards as u64).map(|i| member(i, shared())).collect();
+                self.run_on(&mut array(members, stripe_pages), sink)
             }
-        }
-    }
-
-    /// Runs the cell through the pre-existing direct pipeline: plain
-    /// [`LoopbackTarget`] remotes, no injector, no wrappers. Only valid for
-    /// [`FaultPlan::None`] — this is the differential baseline that pins
-    /// the harness against the repo's established behavior.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::Scenario`] when the cell has a fault plan, or any
-    /// harness failure.
-    pub fn run_direct(&self) -> Result<Scorecard, FaultError> {
-        if self.plan != FaultPlan::None {
-            return Err(FaultError::Scenario(
-                "the direct pipeline cannot inject faults; use run()".to_string(),
-            ));
-        }
-        if matches!(self.topology, Topology::SharedUplink { .. }) {
-            return Err(FaultError::Scenario(
-                "a shared uplink only exists on the wire; use run_wire()".to_string(),
-            ));
-        }
-        match self.topology {
-            Topology::Bare | Topology::MultiQueue { .. } => {
-                let device: RssdDevice<LoopbackTarget> = scenario_member(1);
-                run_cell(device, self)
-            }
-            Topology::Array {
-                shards,
-                stripe_pages,
-            } => {
-                let members: Vec<RssdDevice<LoopbackTarget>> =
-                    (0..shards as u64).map(scenario_member).collect();
-                run_cell(RssdArray::new(members, stripe_pages, SimClock::new()), self)
-            }
-            Topology::SharedUplink { .. } => unreachable!("rejected above"),
         }
     }
 }
@@ -872,22 +766,6 @@ impl MatrixSummary {
     }
 }
 
-/// Brings a cut device back. Recovery walks the remote evidence chain, so
-/// if the cut landed inside an open partition window the first attempt
-/// fails on the unreachable store — a real operator restores the network
-/// before power-cycling the array, so the helper heals the link and
-/// retries once. (A schedule that *dropped* offloads and crashed after
-/// post-gap segments landed leaves the device unrecoverable by policy —
-/// recovery refuses to resume over a holed chain — and the error
-/// propagates.)
-fn restore_power_with_link<D: FaultTarget>(device: &mut D) -> Result<(), FaultError> {
-    if device.power_restore().is_err() {
-        device.heal_partition();
-        let _ = device.power_restore()?;
-    }
-    Ok(())
-}
-
 /// Replays `records` with resume-across-power-cuts: an abort caused by a
 /// scheduled cut restores power and continues from the next record; any
 /// other abort is a harness failure.
@@ -912,7 +790,7 @@ fn replay_resilient<D: FaultTarget>(
             ref aborted @ ReplayOutcome::Aborted { ref error, .. } => {
                 match error {
                     DeviceError::PowerLoss => {
-                        restore_power_with_link(device)?;
+                        restore_power_healing_link(device)?;
                         *interruptions += 1;
                     }
                     // Writes aimed at a dead member while the benign phase
@@ -954,182 +832,187 @@ fn attack_once<D: FaultTarget>(
     Ok(outcome.victim_lpas)
 }
 
-/// The generic cell runner — same code for the faulted and direct
-/// pipelines; only the device type differs.
-fn run_cell<D: FaultTarget>(device: D, scenario: &Scenario) -> Result<Scorecard, FaultError> {
-    run_cell_traced(device, scenario, SinkHandle::disabled())
-}
+impl Scenario {
+    /// The generic cell runner: the four phases of the module docs against
+    /// any [`FaultTarget`], with `sink` installed on the device stack
+    /// before the first command. [`Scenario::run_with`] calls it on the
+    /// wire topologies it builds; the differential tests call it on a
+    /// `LoopbackTarget` oracle they build themselves.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::Scenario`] when the cell has a fault plan but `device`
+    /// cannot arm schedules (it is not behind a [`FaultInjector`]), or on
+    /// any harness failure.
+    pub fn run_on<D: FaultTarget>(
+        &self,
+        device: &mut D,
+        sink: SinkHandle,
+    ) -> Result<Scorecard, FaultError> {
+        device.set_trace_sink(sink.clone());
+        let profile = TraceProfile::by_name(self.profile)
+            .ok_or_else(|| FaultError::Scenario(format!("unknown profile {}", self.profile)))?;
+        let logical_pages = device.logical_pages();
+        let page_size = device.page_size();
+        let (queues, depth) = self.topology.queue_shape();
+        let mut interruptions = 0u64;
 
-/// [`run_cell`] with a trace sink installed on the device stack before the
-/// first command.
-fn run_cell_traced<D: FaultTarget>(
-    mut device: D,
-    scenario: &Scenario,
-    sink: SinkHandle,
-) -> Result<Scorecard, FaultError> {
-    device.set_trace_sink(sink.clone());
-    let profile = TraceProfile::by_name(scenario.profile)
-        .ok_or_else(|| FaultError::Scenario(format!("unknown profile {}", scenario.profile)))?;
-    let logical_pages = device.logical_pages();
-    let page_size = device.page_size();
-    let (queues, depth) = scenario.topology.queue_shape();
-    let mut interruptions = 0u64;
+        // Phase 1: benign prefix through the queue layer.
+        let records: Vec<IoRecord> = profile
+            .workload(logical_pages, page_size, self.seed)
+            .take(BENIGN_RECORDS)
+            .collect();
+        replay_resilient(device, records, queues, depth, &mut interruptions)?;
+        device.clock().advance(PHASE_GAP_NS);
 
-    // Phase 1: benign prefix through the queue layer.
-    let records: Vec<IoRecord> = profile
-        .workload(logical_pages, page_size, scenario.seed)
-        .take(BENIGN_RECORDS)
-        .collect();
-    replay_resilient(&mut device, records, queues, depth, &mut interruptions)?;
-    device.clock().advance(PHASE_GAP_NS);
+        // Phase 2: the hostage corpus.
+        let victims = FileTable::populate(device, CORPUS_FILES, PAGES_PER_FILE, self.seed)
+            .map_err(|e| FaultError::Scenario(format!("corpus population failed: {e}")))?;
+        device.clock().advance(PHASE_GAP_NS);
+        let attack_start = device.clock().now_ns();
 
-    // Phase 2: the hostage corpus.
-    let victims = FileTable::populate(&mut device, CORPUS_FILES, PAGES_PER_FILE, scenario.seed)
-        .map_err(|e| FaultError::Scenario(format!("corpus population failed: {e}")))?;
-    device.clock().advance(PHASE_GAP_NS);
-    let attack_start = device.clock().now_ns();
+        // Phase 3: arm the fault plan against the attack window and attack.
+        let est = self
+            .actor
+            .ops_estimate(victims.total_pages(), logical_pages);
+        let schedule = self
+            .plan
+            .resolve(device.ops_count(), est, self.topology.shards());
+        let armed = device.arm_schedule(&schedule);
+        if !armed && !schedule.is_none() {
+            return Err(FaultError::Scenario(
+                "cell has a fault plan but the device cannot arm schedules".to_string(),
+            ));
+        }
 
-    // Phase 3: arm the fault plan against the attack window and attack.
-    let est = scenario
-        .actor
-        .ops_estimate(victims.total_pages(), logical_pages);
-    let schedule = scenario
-        .plan
-        .resolve(device.ops_count(), est, scenario.topology.shards());
-    let armed = device.arm_schedule(&schedule);
-    if !armed && !schedule.is_none() {
-        return Err(FaultError::Scenario(
-            "cell has a fault plan but the device cannot arm schedules".to_string(),
-        ));
-    }
-
-    let victim_lpas: Vec<u64>;
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match attack_once(&mut device, scenario.actor, &victims, scenario.seed) {
-            Ok(lpas) => {
-                victim_lpas = lpas;
-                break;
-            }
-            Err(DeviceError::PowerLoss) if attempts < MAX_ATTACK_ATTEMPTS => {
-                restore_power_with_link(&mut device)?;
-                interruptions += 1;
-            }
-            Err(DeviceError::ShardFailed { .. }) if attempts < MAX_ATTACK_ATTEMPTS => {
-                // The defender rebuilds the dead member to the pre-attack
-                // point; the attacker (persistent malware) retries.
-                device.revive_dead_shards(Some(attack_start))?;
-                interruptions += 1;
-            }
-            Err(e) => {
-                return Err(FaultError::Scenario(format!(
-                    "attack aborted on unexplained error after {attempts} attempts: {e}"
-                )))
+        let victim_lpas: Vec<u64>;
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            match attack_once(device, self.actor, &victims, self.seed) {
+                Ok(lpas) => {
+                    victim_lpas = lpas;
+                    break;
+                }
+                Err(DeviceError::PowerLoss) if attempts < MAX_ATTACK_ATTEMPTS => {
+                    restore_power_healing_link(device)?;
+                    interruptions += 1;
+                }
+                Err(DeviceError::ShardFailed { .. }) if attempts < MAX_ATTACK_ATTEMPTS => {
+                    // The defender rebuilds the dead member to the pre-attack
+                    // point; the attacker (persistent malware) retries.
+                    device.revive_dead_shards(Some(attack_start))?;
+                    interruptions += 1;
+                }
+                Err(e) => {
+                    return Err(FaultError::Scenario(format!(
+                        "attack aborted on unexplained error after {attempts} attempts: {e}"
+                    )))
+                }
             }
         }
-    }
 
-    // Phase 4: heal, settle, revive, audit, score. Scoring drives reads
-    // through the same device, so whatever the schedule still holds (a cut
-    // past the attack's actual op count — the estimate is rough) must not
-    // fire mid-measurement: disarm first.
-    let _ = device.arm_schedule(&FaultSchedule::none());
-    device.heal_partition();
-    if device.flush().is_err() {
-        // flush only fails with PowerLoss here, when a cut fired right at
-        // the attack's last op; restore and retry once.
-        restore_power_with_link(&mut device)?;
-        interruptions += 1;
-        let _ = device.flush();
-    }
-    let revived = device.revive_dead_shards(if scenario.actor == ActorKind::None {
-        None
-    } else {
-        Some(attack_start)
-    })? as u64;
-
-    let audit = device.history_audit();
-    let analysis = PostAttackAnalyzer::new().analyze(&audit.records, audit.verified);
-    if sink.is_enabled() {
-        sink.instant(
-            "detect",
-            "verdict",
-            device.clock().now_ns(),
-            &[
-                ("verdict", format!("{:?}", analysis.verdict)),
-                ("score", format!("{:.3}", analysis.score)),
-                ("attack_class", analysis.attack_class.to_string()),
-            ],
-        );
-    }
-
-    // Recovery scoring: can the defender produce every victim page's
-    // pre-attack content — via point-in-time recovery, or because a rebuild
-    // already put it back?
-    let mut expected: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
-    for (fi, file) in victims.files().iter().enumerate() {
-        for (pi, lpa) in file.lpas().enumerate() {
-            expected.insert(lpa, (fi, pi as u64));
+        // Phase 4: heal, settle, revive, audit, score. Scoring drives reads
+        // through the same device, so whatever the schedule still holds (a cut
+        // past the attack's actual op count — the estimate is rough) must not
+        // fire mid-measurement: disarm first.
+        let _ = device.arm_schedule(&FaultSchedule::none());
+        device.heal_partition();
+        if device.flush().is_err() {
+            // flush only fails with PowerLoss here, when a cut fired right at
+            // the attack's last op; restore and retry once.
+            restore_power_healing_link(device)?;
+            interruptions += 1;
+            let _ = device.flush();
         }
-    }
-    let mut distinct_victims: Vec<u64> = victim_lpas
-        .iter()
-        .copied()
-        .filter(|l| expected.contains_key(l))
-        .collect();
-    distinct_victims.sort_unstable();
-    distinct_victims.dedup();
-    let mut recovered = 0u64;
-    for &lpa in &distinct_victims {
-        let (fi, pi) = expected[&lpa];
-        let want = victims.files()[fi].expected_page(pi, page_size);
-        let via_recovery = device
-            .recover_as_of(lpa, attack_start)
-            .is_some_and(|data| data == want);
-        let via_content = via_recovery || device.read_page(lpa).is_ok_and(|data| data == want);
-        if via_content {
-            recovered += 1;
-        }
-    }
-    let victim_count = distinct_victims.len() as u64;
-    let recovery_fraction = if victim_count == 0 {
-        1.0
-    } else {
-        recovered as f64 / victim_count as f64
-    };
+        let revived = device.revive_dead_shards(if self.actor == ActorKind::None {
+            None
+        } else {
+            Some(attack_start)
+        })? as u64;
 
-    let offload = device.offload_totals();
-    let remote_faults = device.remote_fault_totals();
-    let attacked = scenario.actor != ActorKind::None;
-    Ok(Scorecard {
-        cell: scenario.cell_id(),
-        seed: scenario.seed,
-        verdict: analysis.verdict,
-        detection_score: analysis.score,
-        attack_class: analysis.attack_class.to_string(),
-        true_positive: attacked && analysis.verdict != Verdict::Benign,
-        false_positive: !attacked && analysis.verdict != Verdict::Benign,
-        victim_pages: victim_count,
-        recovered_pages: recovered,
-        recovery_fraction,
-        data_loss_bytes: (victim_count - recovered) * page_size as u64,
-        chain_verified: audit.verified,
-        chain_gap_detected: !audit.verified,
-        records_audited: audit.records.len() as u64,
-        power_cuts: device.power_cut_count(),
-        torn_batches: device.torn_batch_count(),
-        attack_interruptions: interruptions,
-        shards_revived: revived,
-        segments_offloaded: offload.segments_offloaded,
-        offload_failures: offload.offload_failures,
-        segments_spilled: offload.segments_spilled,
-        spill_replayed: offload.spill_replayed,
-        offloads_queued: remote_faults.offloads_queued,
-        offloads_replayed: remote_faults.offloads_replayed,
-        offloads_dropped: remote_faults.offloads_dropped,
-        skipped_events: device.skipped_event_count(),
-    })
+        let audit = device.history_audit();
+        let analysis = PostAttackAnalyzer::new().analyze(&audit.records, audit.verified);
+        if sink.is_enabled() {
+            sink.instant(
+                "detect",
+                "verdict",
+                device.clock().now_ns(),
+                &[
+                    ("verdict", format!("{:?}", analysis.verdict)),
+                    ("score", format!("{:.3}", analysis.score)),
+                    ("attack_class", analysis.attack_class.to_string()),
+                ],
+            );
+        }
+
+        // Recovery scoring: can the defender produce every victim page's
+        // pre-attack content — via point-in-time recovery, or because a rebuild
+        // already put it back?
+        let mut expected: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
+        for (fi, file) in victims.files().iter().enumerate() {
+            for (pi, lpa) in file.lpas().enumerate() {
+                expected.insert(lpa, (fi, pi as u64));
+            }
+        }
+        let mut distinct_victims: Vec<u64> = victim_lpas
+            .iter()
+            .copied()
+            .filter(|l| expected.contains_key(l))
+            .collect();
+        distinct_victims.sort_unstable();
+        distinct_victims.dedup();
+        let mut recovered = 0u64;
+        for &lpa in &distinct_victims {
+            let (fi, pi) = expected[&lpa];
+            let want = victims.files()[fi].expected_page(pi, page_size);
+            let via_recovery = device
+                .recover_as_of(lpa, attack_start)
+                .is_some_and(|data| data == want);
+            let via_content = via_recovery || device.read_page(lpa).is_ok_and(|data| data == want);
+            if via_content {
+                recovered += 1;
+            }
+        }
+        let victim_count = distinct_victims.len() as u64;
+        let recovery_fraction = if victim_count == 0 {
+            1.0
+        } else {
+            recovered as f64 / victim_count as f64
+        };
+
+        let offload = device.offload_totals();
+        let remote_faults = device.remote_fault_totals();
+        let attacked = self.actor != ActorKind::None;
+        Ok(Scorecard {
+            cell: self.cell_id(),
+            seed: self.seed,
+            verdict: analysis.verdict,
+            detection_score: analysis.score,
+            attack_class: analysis.attack_class.to_string(),
+            true_positive: attacked && analysis.verdict != Verdict::Benign,
+            false_positive: !attacked && analysis.verdict != Verdict::Benign,
+            victim_pages: victim_count,
+            recovered_pages: recovered,
+            recovery_fraction,
+            data_loss_bytes: (victim_count - recovered) * page_size as u64,
+            chain_verified: audit.verified,
+            chain_gap_detected: !audit.verified,
+            records_audited: audit.records.len() as u64,
+            power_cuts: device.power_cut_count(),
+            torn_batches: device.torn_batch_count(),
+            attack_interruptions: interruptions,
+            shards_revived: revived,
+            segments_offloaded: offload.segments_offloaded,
+            offload_failures: offload.offload_failures,
+            segments_spilled: offload.segments_spilled,
+            spill_replayed: offload.spill_replayed,
+            offloads_queued: remote_faults.offloads_queued,
+            offloads_replayed: remote_faults.offloads_replayed,
+            offloads_dropped: remote_faults.offloads_dropped,
+            skipped_events: device.skipped_event_count(),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -6,20 +6,19 @@
 //! revive shards, audit its evidence chain, and answer point-in-time
 //! recovery queries. Implementations exist for a bare
 //! [`RssdDevice`] and for an [`RssdArray`] of them, over any remote that
-//! implements [`FaultRemote`] — which includes the plain
-//! [`LoopbackTarget`] (partitions unsupported, everything else works), so
-//! the *same generic harness* runs both the faulted and the direct
-//! ("existing behavior") configurations the differential tests compare.
+//! implements [`FaultRemote`]: the NVMe-oE wire ([`WireRemote`], the one
+//! production path) and the plain [`LoopbackTarget`] (only visible
+//! unreachability; the oracle the differential tests compare the wire to).
 
-use crate::remote::{FaultyRemote, PartitionMode, PermissiveTarget, RemoteFaultStats};
+use crate::remote::PartitionMode;
 use crate::schedule::FaultSchedule;
 use rssd_array::{ArrayError, RssdArray, ShardStatus};
 use rssd_core::{
-    HistoryAudit, LoopbackTarget, OffloadStats, RemoteTarget, RssdConfig, RssdDevice, WireRemote,
+    HistoryAudit, LoopbackTarget, OffloadStats, RemoteFaultStats, RemoteTarget, RssdConfig,
+    RssdDevice, WireRemote,
 };
 use rssd_flash::{FlashGeometry, NandStats, NandTiming, SimClock};
 use rssd_ftl::FtlStats;
-use rssd_net::LinkConfig;
 use rssd_ssd::{BlockDevice, LatencyStats};
 use serde::{Deserialize, Serialize};
 
@@ -74,14 +73,11 @@ pub struct PowerRestoreReport {
     pub versions_indexed: u64,
 }
 
-/// A remote target the scenario harness knows how to construct and
-/// partition. [`FaultyRemote`] gives real windows; the plain stores
-/// implement the control surface as a no-op (`false`) so the same generic
-/// code drives the direct, wrapper-free configuration.
+/// A remote target the scenario harness knows how to partition and to
+/// replace. [`WireRemote`] gives real windows; the plain loopback can only
+/// model visible unreachability, which is all the fault-free oracle runs
+/// need.
 pub trait FaultRemote: RemoteTarget + Sized {
-    /// A fresh, empty store of this kind (replacement shards get one).
-    fn fresh() -> Self;
-
     /// Opens a partition window; `false` when unsupported by this remote.
     fn set_partition(&mut self, mode: PartitionMode) -> bool;
 
@@ -93,13 +89,15 @@ pub trait FaultRemote: RemoteTarget + Sized {
     fn fault_stats(&self) -> RemoteFaultStats {
         RemoteFaultStats::default()
     }
+
+    /// An empty remote of the same kind, cabled like this one: same link
+    /// configuration, fresh *private* uplink. What a replacement shard is
+    /// plugged into — a new drive is recabled, not spliced into the dead
+    /// one's wire.
+    fn replacement(&self) -> Self;
 }
 
 impl FaultRemote for LoopbackTarget {
-    fn fresh() -> Self {
-        LoopbackTarget::new()
-    }
-
     fn set_partition(&mut self, mode: PartitionMode) -> bool {
         // The plain loopback can only model visible unreachability.
         match mode {
@@ -115,51 +113,14 @@ impl FaultRemote for LoopbackTarget {
         self.set_reachable(true);
         0
     }
-}
 
-impl FaultRemote for PermissiveTarget {
-    fn fresh() -> Self {
-        PermissiveTarget::new()
-    }
-
-    fn set_partition(&mut self, mode: PartitionMode) -> bool {
-        match mode {
-            PartitionMode::Refuse => {
-                self.set_reachable(false);
-                true
-            }
-            PartitionMode::QueueForReplay | PartitionMode::DropSilently => false,
-        }
-    }
-
-    fn heal(&mut self) -> u64 {
-        self.set_reachable(true);
-        0
+    fn replacement(&self) -> Self {
+        LoopbackTarget::new()
     }
 }
 
-impl<R: RemoteTarget + FaultRemote> FaultRemote for FaultyRemote<R> {
-    fn fresh() -> Self {
-        FaultyRemote::new(R::fresh())
-    }
-
-    fn set_partition(&mut self, mode: PartitionMode) -> bool {
-        self.partition(mode);
-        true
-    }
-
-    fn heal(&mut self) -> u64 {
-        FaultyRemote::heal(self)
-    }
-
-    fn fault_stats(&self) -> RemoteFaultStats {
-        FaultyRemote::fault_stats(self)
-    }
-}
-
-/// The wire expression of the fault matrix: every [`PartitionMode`] maps
-/// onto a link condition of the NVMe-oE fabric instead of an injected
-/// result, so chain gaps and replay are emergent protocol behavior.
+/// Every [`PartitionMode`] is a link condition of the NVMe-oE fabric, so
+/// chain gaps and replay are emergent protocol behavior (DESIGN.md §8):
 ///
 /// * `Refuse` → uplink blackout, no edge relay: transfers exhaust their
 ///   stall budget and surface `Unreachable`.
@@ -167,11 +128,7 @@ impl<R: RemoteTarget + FaultRemote> FaultRemote for FaultyRemote<R> {
 ///   relay; heal replays the buffer over the restored wire.
 /// * `DropSilently` → the link is fine but the collector acks and loses
 ///   segments before durability.
-impl<R: RemoteTarget + FaultRemote> FaultRemote for WireRemote<R> {
-    fn fresh() -> Self {
-        WireRemote::new(R::fresh(), LinkConfig::datacenter_10g())
-    }
-
+impl<R: RemoteTarget + Default> FaultRemote for WireRemote<R> {
     fn set_partition(&mut self, mode: PartitionMode) -> bool {
         match mode {
             PartitionMode::Refuse => {
@@ -192,84 +149,76 @@ impl<R: RemoteTarget + FaultRemote> FaultRemote for WireRemote<R> {
     }
 
     fn fault_stats(&self) -> RemoteFaultStats {
-        let s = self.stats();
-        RemoteFaultStats {
-            offloads_refused: s.transfers_refused,
-            offloads_queued: s.relay_acked,
-            offloads_replayed: s.relay_replayed,
-            offloads_dropped: s.ingest_dropped,
-        }
+        self.stats()
+    }
+
+    fn replacement(&self) -> Self {
+        WireRemote::new(R::default(), self.uplink().config())
     }
 }
 
 /// The geometry scenario members (and their replacements) are built with.
-pub(crate) const MEMBER_CAPACITY_BYTES: u64 = 4 * 1024 * 1024;
+const MEMBER_CAPACITY_BYTES: u64 = 4 * 1024 * 1024;
 
 /// The geometry of *durable* members (spill-enabled cells): one capacity
 /// step larger than [`MEMBER_CAPACITY_BYTES`] so the reserved spill blocks
 /// come out of extra flash, not out of the allocator pool the baseline
 /// members run their workloads in.
-pub(crate) const DURABLE_MEMBER_CAPACITY_BYTES: u64 = 8 * 1024 * 1024;
+const DURABLE_MEMBER_CAPACITY_BYTES: u64 = 8 * 1024 * 1024;
 
 /// NAND blocks durable members reserve as an evidence-spill region.
-pub(crate) const MEMBER_SPILL_BLOCKS: u32 = 3;
+const MEMBER_SPILL_BLOCKS: u32 = 3;
 
-/// Builds one scenario member: a small RSSD on its own clock over a fresh
-/// remote of kind `R`. Used both by the harness to assemble topologies and
-/// by [`FaultTarget::revive_dead_shards`] to construct replacements, so the
-/// two always agree on geometry. The offload segment is kept small (4
-/// retained pages) so the window of pending, fault-vulnerable retention is
-/// tight — the scenario matrix measures exactly what that window costs.
-pub fn scenario_member<R: FaultRemote>(device_id: u64) -> RssdDevice<R> {
-    scenario_member_with(device_id, R::fresh())
-}
-
-/// [`scenario_member`] with an explicit, caller-built remote — used by the
-/// shared-uplink topology, where every member's [`WireRemote`] must be
-/// constructed over a clone of the *same* [`SharedLink`](rssd_net::SharedLink)
-/// so their offloads queue behind each other on one wire. Replacement
-/// shards built via [`FaultTarget::revive_dead_shards`] still use
-/// [`scenario_member`], i.e. a fresh private uplink: a replacement drive
-/// gets recabled, not spliced into the dead one's wire.
-pub fn scenario_member_with<R: RemoteTarget>(device_id: u64, remote: R) -> RssdDevice<R> {
-    RssdDevice::new(
-        FlashGeometry::with_capacity(MEMBER_CAPACITY_BYTES),
-        NandTiming::instant(),
-        SimClock::new(),
-        RssdConfig {
-            device_id,
-            segment_pages: 4,
-            ..RssdConfig::default()
-        },
-        remote,
-    )
-}
-
-/// A *durable* scenario member: same small segments as [`scenario_member`],
-/// plus an FTL-reserved evidence-spill region so sealed segments survive a
-/// power cut that lands inside a remote outage. Used by fault plans whose
-/// whole point is the outage × cut product ([`FaultPlan::needs_spill`]).
+/// Builds one scenario member: a small RSSD on its own clock over `remote`.
+/// The one builder the harness, [`FaultTarget::revive_dead_shards`] and
+/// `rssd-fleet` all use, so members and their replacements always agree on
+/// geometry. The offload segment is kept small (4 retained pages) so the
+/// window of pending, fault-vulnerable retention is tight — the scenario
+/// matrix measures exactly what that window costs.
+///
+/// With `spill` the member is *durable*: an FTL-reserved evidence-spill
+/// region lets sealed segments survive a power cut that lands inside a
+/// remote outage. Fault plans whose whole point is the outage × cut
+/// product ask for it ([`FaultPlan::needs_spill`]).
 ///
 /// [`FaultPlan::needs_spill`]: crate::FaultPlan::needs_spill
-pub fn scenario_member_durable<R: FaultRemote>(device_id: u64) -> RssdDevice<R> {
-    scenario_member_durable_with(device_id, R::fresh())
-}
-
-/// [`scenario_member_durable`] with an explicit, caller-built remote (the
-/// shared-uplink analogue of [`scenario_member_with`]).
-pub fn scenario_member_durable_with<R: RemoteTarget>(device_id: u64, remote: R) -> RssdDevice<R> {
+pub fn scenario_member<R: RemoteTarget>(device_id: u64, spill: bool, remote: R) -> RssdDevice<R> {
+    let (capacity_bytes, spill_blocks) = if spill {
+        (DURABLE_MEMBER_CAPACITY_BYTES, MEMBER_SPILL_BLOCKS)
+    } else {
+        (MEMBER_CAPACITY_BYTES, 0)
+    };
     RssdDevice::new(
-        FlashGeometry::with_capacity(DURABLE_MEMBER_CAPACITY_BYTES),
+        FlashGeometry::with_capacity(capacity_bytes),
         NandTiming::instant(),
         SimClock::new(),
         RssdConfig {
             device_id,
             segment_pages: 4,
-            spill_blocks: MEMBER_SPILL_BLOCKS,
+            spill_blocks,
             ..RssdConfig::default()
         },
         remote,
     )
+}
+
+/// Brings a cut device back. Recovery walks the remote evidence chain, so
+/// if the cut landed inside an open partition window the first attempt
+/// fails on the unreachable store — a real operator restores the network
+/// before power-cycling the array, so this heals the link and retries
+/// once.
+///
+/// # Errors
+///
+/// The second attempt's failure: a schedule that *dropped* offloads and
+/// crashed after post-gap segments landed leaves the device unrecoverable
+/// by policy — recovery refuses to resume over a holed chain.
+pub fn restore_power_healing_link<D: FaultTarget>(device: &mut D) -> Result<(), FaultError> {
+    if device.power_restore().is_err() {
+        device.heal_partition();
+        let _ = device.power_restore()?;
+    }
+    Ok(())
 }
 
 /// The full fault surface of a device under test.
@@ -486,7 +435,15 @@ impl<R: FaultRemote> FaultTarget for RssdArray<RssdDevice<R>> {
             if self.shard_status(shard) != ShardStatus::Degraded {
                 continue;
             }
-            let replacement: RssdDevice<R> = scenario_member(1000 + shard as u64);
+            // The replacement is provisioned like the members it joins.
+            let sibling = (0..self.shard_count()).find_map(|s| self.shard(s)).ok_or(
+                FaultError::Unsupported("replacing a shard with no live sibling to model it on"),
+            )?;
+            let replacement = scenario_member(
+                1000 + shard as u64,
+                sibling.spill_capacity_bytes() > 0,
+                sibling.remote().replacement(),
+            );
             self.begin_rebuild(shard, replacement, restore_before_ns)
                 .map_err(FaultError::Array)?;
             loop {

@@ -15,15 +15,20 @@
 
 use proptest::prelude::*;
 use rssd_array::RssdArray;
-use rssd_core::RssdDevice;
-use rssd_faults::{
-    scenario_member, FaultInjector, FaultSchedule, FaultTarget, FaultyRemote, PermissiveTarget,
-};
+use rssd_core::{RssdDevice, WireRemote};
+use rssd_faults::{scenario_member, FaultInjector, FaultSchedule, FaultTarget, PermissiveTarget};
 use rssd_flash::SimClock;
+use rssd_net::LinkConfig;
 use rssd_ssd::{BlockDevice, DeviceError};
 use std::collections::HashMap;
 
-type Remote = FaultyRemote<PermissiveTarget>;
+fn member(device_id: u64) -> RssdDevice<WireRemote<PermissiveTarget>> {
+    scenario_member(
+        device_id,
+        false,
+        WireRemote::new(PermissiveTarget::new(), LinkConfig::ideal()),
+    )
+}
 
 fn page(b: u8, size: usize) -> Vec<u8> {
     vec![b; size]
@@ -92,7 +97,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0u64..64, 0u8..255), 1..120),
         cut in 0u64..140,
     ) {
-        let device: RssdDevice<Remote> = scenario_member(1);
+        let device = member(1);
         let span = device.logical_pages();
         let injector = FaultInjector::new(device, &FaultSchedule::power_cut(cut));
         check_crash_consistency(injector, &ops, span);
@@ -103,8 +108,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0u64..256, 0u8..255), 1..100),
         cut in 0u64..120,
     ) {
-        let members: Vec<RssdDevice<Remote>> = (0..4).map(scenario_member).collect();
-        let array = RssdArray::new(members, 4, SimClock::new());
+        let array = RssdArray::new((0..4).map(member).collect(), 4, SimClock::new());
         let span = array.logical_pages();
         let injector = FaultInjector::new(array, &FaultSchedule::power_cut(cut));
         check_crash_consistency(injector, &ops, span);
@@ -117,7 +121,7 @@ proptest! {
         cut2 in 0u64..40,
     ) {
         use rssd_faults::FaultEvent;
-        let device: RssdDevice<Remote> = scenario_member(1);
+        let device = member(1);
         let span = device.logical_pages();
         let schedule = FaultSchedule::new(
             "two_cuts",

@@ -268,6 +268,33 @@ fn seeded_plans_score_rather_than_error() {
     assert!(scored >= 5, "most seeded cells must produce scorecards");
 }
 
+/// The one cell shape on which the deleted injected-result wrapper and the
+/// wire disagreed: a power cut, then a shard death *inside* a
+/// `DropSilently` window. On the wire a lossy collector is not a dead link
+/// — fetches keep flowing while it drops — so `fail_shard`'s salvage of the
+/// dying member succeeds and the cell recovers what the salvage covers.
+#[test]
+fn shard_death_inside_a_drop_window_still_salvages() {
+    use rssd_faults::{ActorKind, FaultPlan, Scenario, Topology};
+    let card = Scenario {
+        profile: "mail",
+        actor: ActorKind::Classic,
+        plan: FaultPlan::Seeded { seed: 0 },
+        topology: Topology::Array {
+            shards: 3,
+            stripe_pages: 4,
+        },
+        seed: 346,
+    }
+    .run()
+    .expect("scored, not errored");
+    assert_eq!(card.cell, "mail/classic/seeded_0/array3");
+    assert_eq!(card.recovered_pages, 97);
+    assert_eq!(card.records_audited, 809);
+    assert!(card.chain_gap_detected, "the drops are never silent");
+    assert!(card.offloads_dropped > 0);
+}
+
 #[test]
 fn matrix_is_deterministic_per_seed() {
     let cell = &ScenarioMatrix::curated().cells[2]; // classic + power cut

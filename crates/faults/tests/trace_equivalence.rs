@@ -1,7 +1,7 @@
 //! Observer inertness, pinned as properties: attaching a **recording**
 //! trace sink to a scenario must be byte-invisible in every simulated
 //! result — same [`Scorecard`](rssd_faults::Scorecard), same serialized
-//! JSON — bare, behind the full fault pipeline, and over the NVMe-oE wire.
+//! JSON — bare, under live fault plans, and over a real (slow, lossy) link.
 //! The dual-timeline tracer is read-only by construction; these tests make
 //! that construction a contract.
 
@@ -30,8 +30,7 @@ proptest! {
     // budget.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Bare topology, no faults: the plain pipeline with and without a
-    /// recording sink.
+    /// Bare topology, no faults, with and without a recording sink.
     #[test]
     fn recording_sink_is_invisible_bare(
         profile in profiles(),
@@ -47,7 +46,9 @@ proptest! {
         };
         let untraced = scenario.run().expect("untraced run");
         let sink = SinkHandle::recording();
-        let traced = scenario.run_traced(sink.clone()).expect("traced run");
+        let traced = scenario
+            .run_with(scenario.topology.link(), sink.clone())
+            .expect("traced run");
         prop_assert_eq!(&untraced, &traced, "recording sink perturbed the scorecard");
         prop_assert_eq!(untraced.to_json(), traced.to_json());
         prop_assert!(!sink.take_events().is_empty(), "recording sink saw nothing");
@@ -81,7 +82,7 @@ proptest! {
         // the property is that the observer changes *nothing* — success,
         // scorecard, or the exact failure.
         let untraced = scenario.run();
-        let traced = scenario.run_traced(SinkHandle::recording());
+        let traced = scenario.run_with(scenario.topology.link(), SinkHandle::recording());
         match (untraced, traced) {
             (Ok(u), Ok(t)) => {
                 prop_assert_eq!(&u, &t, "sink perturbed the faulted pipeline");
@@ -99,8 +100,8 @@ proptest! {
         }
     }
 
-    /// Over the simulated NVMe-oE wire, where the sink additionally sees
-    /// link losses and retransmissions.
+    /// Over a link that costs time and loses frames, where the sink
+    /// additionally sees link losses and retransmissions.
     #[test]
     fn recording_sink_is_invisible_over_the_wire(
         actor in actors(),
@@ -119,9 +120,11 @@ proptest! {
         } else {
             LinkConfig::datacenter_10g()
         };
-        let untraced = scenario.run_wire(link).expect("untraced wire run");
+        let untraced = scenario
+            .run_with(link, SinkHandle::disabled())
+            .expect("untraced wire run");
         let traced = scenario
-            .run_wire_traced(link, SinkHandle::recording())
+            .run_with(link, SinkHandle::recording())
             .expect("traced wire run");
         prop_assert_eq!(&untraced, &traced, "sink perturbed the wire pipeline");
         prop_assert_eq!(untraced.to_json(), traced.to_json());

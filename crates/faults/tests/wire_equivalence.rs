@@ -2,18 +2,20 @@
 //! loss, routing offload through the simulated NVMe-oE stack must be
 //! *invisible* — byte-identical durable state, chain records, recovery and
 //! harvest results to the direct `RemoteTarget` path, bare and behind the
-//! `FaultInjector`, and byte-identical scenario scorecards including the
-//! partition cells (whose faults the wire pipeline expresses as link
-//! blackouts and collector drops instead of injected results).
+//! `FaultInjector`.
 //!
 //! This is what licenses the wire model: every nanosecond and every
 //! failure a real link adds is then a *measured departure* from a pinned
-//! baseline, not an artifact of a second code path.
+//! baseline, not an artifact of a second code path. The curated cells'
+//! complete scorecards — whose partition faults are link blackouts and
+//! collector drops — are pinned against a golden file recorded when the
+//! injected-result pipeline they were first scored on was deleted.
 
 use proptest::prelude::*;
 use rssd_core::{LoopbackTarget, RebuildImage, RemoteTarget, RssdConfig, RssdDevice, WireRemote};
 use rssd_faults::{
-    ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget, Scenario, Topology,
+    ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget, Scenario, ScenarioMatrix,
+    Topology,
 };
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_net::LinkConfig;
@@ -329,37 +331,19 @@ proptest! {
     }
 }
 
-/// Every bare curated cell — including the partition cells whose faults the
-/// wire pipeline expresses as link blackouts (`PartitionQueue`) and
-/// collector drops (`PartitionDrop`) — must score byte-identically over an
-/// ideal link: these are the PR-4 scorecards, reproduced with the faults as
-/// emergent link conditions.
+/// Every curated cell's full 26-field scorecard, byte for byte, against the
+/// lines `Scenario::run()` produced at the last commit that still had an
+/// injected-result pipeline to compare the wire to (`BENCH_scenarios.json`
+/// carries only 16 of the fields). A deliberate scoring change regenerates
+/// the file; anything else that moves a byte here is a regression.
 #[test]
-fn ideal_wire_scorecards_match_fault_pipeline_byte_for_byte() {
-    let cells = [
-        ("hm", ActorKind::None, FaultPlan::None, 11),
-        ("hm", ActorKind::Classic, FaultPlan::None, 12),
-        ("hm", ActorKind::Classic, FaultPlan::PowerCutMidAttack, 13),
-        ("hm", ActorKind::Classic, FaultPlan::PartitionQueue, 14),
-        ("hm", ActorKind::Trim, FaultPlan::PartitionDrop, 15),
-    ];
-    for (profile, actor, plan, seed) in cells {
-        let cell = Scenario {
-            profile,
-            actor,
-            plan,
-            topology: Topology::Bare,
-            seed,
-        };
-        let injected = cell.run().expect("fault pipeline");
-        let wired = cell.run_wire(LinkConfig::ideal()).expect("wire pipeline");
-        assert_eq!(
-            injected.to_json(),
-            wired.to_json(),
-            "{}: wire-expressed faults must reproduce the injected scorecard",
-            cell.cell_id()
-        );
-        assert_eq!(injected, wired);
+fn curated_scorecards_match_the_golden_file_byte_for_byte() {
+    let golden = include_str!("golden/curated_scorecards.jsonl");
+    let cells = ScenarioMatrix::curated().cells;
+    assert_eq!(golden.lines().count(), cells.len(), "one line per cell");
+    for (cell, want) in cells.iter().zip(golden.lines()) {
+        let got = cell.run().expect("curated cell").to_json();
+        assert_eq!(got, want, "{} drifted from its golden line", cell.cell_id());
     }
 }
 

@@ -13,7 +13,7 @@ use rssd_compress::shannon_entropy;
 use rssd_core::{OffloadStats, PostAttackAnalyzer, WireRemote};
 use rssd_detect::{Verdict, WriteObservation};
 use rssd_faults::{
-    scenario_member_durable_with, scenario_member_with, FaultEvent, FaultInjector, FaultSchedule,
+    restore_power_healing_link, scenario_member, FaultEvent, FaultInjector, FaultSchedule,
     FaultTarget, PartitionMode, PermissiveTarget,
 };
 use rssd_flash::{NandStats, SimClock};
@@ -198,12 +198,13 @@ pub fn run_member_instrumented(
     let compromised = config.member_compromised(member);
     let faulted = config.member_faulted(member);
     let degraded = config.member_degraded(member);
-    let build = |device_id: u64, remote: WireRemote<PermissiveTarget>| {
-        if degraded {
-            scenario_member_durable_with(device_id, remote)
-        } else {
-            scenario_member_with(device_id, remote)
-        }
+    // Degraded members ride their outage on spill-enabled hardware.
+    let build = |device_id: u64| {
+        scenario_member(
+            device_id,
+            degraded,
+            WireRemote::new(PermissiveTarget::new(), config.link),
+        )
     };
     let sink = if obs.trace {
         SinkHandle::recording().with_track_prefix(&format!("m{member}/"))
@@ -218,10 +219,7 @@ pub fn run_member_instrumented(
 
     let outcome = match kind {
         MemberKind::Bare => {
-            let device = build(
-                member as u64 * DEVICE_ID_STRIDE,
-                WireRemote::new(PermissiveTarget::new(), config.link),
-            );
+            let device = build(member as u64 * DEVICE_ID_STRIDE);
             run_on(
                 config,
                 member,
@@ -241,12 +239,7 @@ pub fn run_member_instrumented(
             stripe_pages,
         } => {
             let members = (0..shards)
-                .map(|s| {
-                    build(
-                        member as u64 * DEVICE_ID_STRIDE + s as u64,
-                        WireRemote::new(PermissiveTarget::new(), config.link),
-                    )
-                })
+                .map(|s| build(member as u64 * DEVICE_ID_STRIDE + s as u64))
                 .collect();
             let array = RssdArray::new(members, stripe_pages, SimClock::new());
             run_on(
@@ -386,7 +379,7 @@ fn run_on<D: FaultTarget>(
                 }
                 match error {
                     DeviceError::PowerLoss => {
-                        if !restore_power(&mut device) {
+                        if restore_power_healing_link(&mut device).is_err() {
                             // Unrecoverable: the schedule silently dropped
                             // acknowledged offloads and then cut power, so
                             // recovery refuses the holed history. The member
@@ -422,7 +415,7 @@ fn run_on<D: FaultTarget>(
     // flush the log, rebuild any member the schedule killed.
     let _ = device.arm_schedule(&FaultSchedule::none());
     device.heal_partition();
-    if device.flush().is_err() && restore_power(&mut device) {
+    if device.flush().is_err() && restore_power_healing_link(&mut device).is_ok() {
         let _ = device.flush();
     }
     let revived = device.revive_dead_shards(None).map_err(|e| FleetError {
@@ -620,18 +613,6 @@ fn observe_stream(records: &[IoRecord], page_size: usize) -> Vec<WriteObservatio
         }
     }
     out
-}
-
-/// Power restore with the link-heal fallback: a restore that fails because
-/// the uplink is partitioned heals the partition and retries once. Returns
-/// `false` when the member cannot come back at all — recovery refuses a
-/// holed history after a silent-drop partition lost acknowledged offloads.
-fn restore_power<D: FaultTarget>(device: &mut D) -> bool {
-    if device.power_restore().is_ok() {
-        return true;
-    }
-    device.heal_partition();
-    device.power_restore().is_ok()
 }
 
 #[cfg(test)]

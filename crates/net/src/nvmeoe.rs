@@ -245,6 +245,9 @@ pub struct NvmeOeEndpoint {
     /// Trace sink for `link_loss` / `retransmission` instants on the
     /// `wire/uplink` track. Disabled by default.
     sink: SinkHandle,
+    /// Latest timestamp already on the `wire/uplink` track (observer
+    /// state only; see [`Self::trace_uplink`]).
+    traced_until_ns: u64,
 }
 
 impl NvmeOeEndpoint {
@@ -285,6 +288,7 @@ impl NvmeOeEndpoint {
             rttvar_ns: 0,
             stats: TransferStats::default(),
             sink: SinkHandle::disabled(),
+            traced_until_ns: 0,
         }
     }
 
@@ -295,6 +299,18 @@ impl NvmeOeEndpoint {
     /// retransmissions never outnumber observed losses.
     pub fn set_trace_sink(&mut self, sink: SinkHandle) {
         self.sink = sink;
+    }
+
+    /// Emits an instant on the `wire/uplink` track, stamped no earlier than
+    /// the latest one already there. A stalled transfer's timers run ahead
+    /// of the device clock, and a failed transfer charges the device
+    /// nothing (only acks carry time), so the next attempt can start
+    /// *before* the last one gave up — but the track renders one clock,
+    /// which never steps backwards.
+    fn trace_uplink(&mut self, name: &'static str, at_ns: u64, args: &[(&str, String)]) {
+        self.traced_until_ns = self.traced_until_ns.max(at_ns);
+        self.sink
+            .instant("wire/uplink", name, self.traced_until_ns, args);
     }
 
     /// Overrides the initial retransmission timeout and resets the RTT
@@ -465,8 +481,7 @@ impl NvmeOeEndpoint {
                 if round > 0 {
                     self.stats.retransmissions += 1;
                     if self.sink.is_enabled() {
-                        self.sink.instant(
-                            "wire/uplink",
+                        self.trace_uplink(
                             "retransmission",
                             t,
                             &[
@@ -490,8 +505,7 @@ impl NvmeOeEndpoint {
                     last_arrival = last_arrival.max(arrival);
                     progressed = true;
                 } else if self.sink.is_enabled() {
-                    self.sink.instant(
-                        "wire/uplink",
+                    self.trace_uplink(
                         "link_loss",
                         t,
                         &[
@@ -517,8 +531,7 @@ impl NvmeOeEndpoint {
             );
             let ack_arrival = self.to_device.transmit(&ack_frame, last_arrival);
             if ack_arrival.is_none() && self.sink.is_enabled() {
-                self.sink.instant(
-                    "wire/uplink",
+                self.trace_uplink(
                     "link_loss",
                     last_arrival,
                     &[
@@ -753,6 +766,25 @@ mod tests {
         // Each stalled round waits out one RTO on the simulated clock.
         assert!(err.gave_up_at_ns >= 3 * NvmeOeEndpoint::DEFAULT_RTO_NS);
         assert_eq!(fabric.stats().segments, 0);
+    }
+
+    #[test]
+    fn uplink_track_never_steps_backwards_across_failed_transfers() {
+        // Two attempts from the same device instant (a failed transfer
+        // charges the device clock nothing): the second one's instants must
+        // not land before the first one's timers gave up.
+        let mut fabric = NvmeOeEndpoint::new(LinkConfig::datacenter_10g());
+        let sink = SinkHandle::recording();
+        fabric.set_trace_sink(sink.clone());
+        fabric.set_link_down(true);
+        for seq in 0..2 {
+            fabric
+                .try_transfer_segment(seq, Bytes::from(vec![7u8; 10]), 0, 3)
+                .unwrap_err();
+        }
+        let stamps: Vec<u64> = sink.take_events().iter().map(|e| e.sim_ns).collect();
+        assert!(stamps.len() >= 6, "every round of both attempts was traced");
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! tear batches at the same prefix.
 
 use proptest::prelude::*;
-use rssd_repro::core::{LogRecord, LoopbackTarget, RssdConfig, RssdDevice};
-use rssd_repro::faults::{FaultInjector, FaultSchedule, FaultTarget, FaultyRemote};
+use rssd_repro::core::{LogRecord, LoopbackTarget, RssdConfig, RssdDevice, WireRemote};
+use rssd_repro::faults::{FaultInjector, FaultSchedule, FaultTarget};
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
+use rssd_repro::net::LinkConfig;
 use rssd_repro::ssd::{BlockDevice, CommandResult, IoCommand, PlainSsd};
 
 const LPAS: u64 = 16;
@@ -190,7 +191,7 @@ proptest! {
                     NandTiming::mlc_default(),
                     SimClock::new(),
                     RssdConfig { segment_pages: 4, ..RssdConfig::default() },
-                    FaultyRemote::new(LoopbackTarget::new()),
+                    WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal()),
                 ),
                 &FaultSchedule::power_cut(cut_at),
             )
