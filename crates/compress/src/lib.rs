@@ -161,14 +161,7 @@ fn sampled_stats(data: &[u8]) -> (f64, f64) {
         }
         i += stride;
     }
-    let total = f64::from(samples);
-    let mut bits = 0.0f64;
-    for &count in &hist {
-        if count > 0 {
-            let p = f64::from(count) / total;
-            bits -= p * p.log2();
-        }
-    }
+    let bits = entropy::entropy_of_counts(&hist, u64::from(samples));
     let run_fraction = if pairs == 0 {
         0.0
     } else {
@@ -228,7 +221,7 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, DecompressError> {
     let out = match codec {
         Codec::Store => payload.to_vec(),
         Codec::Rle => rle::decode(payload)?,
-        Codec::Lz77 => lz::decode(payload)?,
+        Codec::Lz77 => lz::decode(payload, expected)?,
     };
     if out.len() != expected {
         return Err(DecompressError::LengthMismatch {
@@ -246,6 +239,28 @@ pub fn ratio(original_len: usize, frame_len: usize) -> f64 {
         return 1.0;
     }
     original_len as f64 / frame_len as f64
+}
+
+/// Test data shaped like the write path's pages — `kind % 4` picks zero,
+/// text-like, small-integer records or uniform noise; `seed` perturbs it.
+#[cfg(test)]
+pub(crate) fn shaped_bytes(kind: u8, seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    (0..len)
+        .map(|i| match kind % 4 {
+            0 => 0,
+            1 => b"the quick brown fox jumps over the lazy dog\n"[(next() % 44) as usize],
+            2 if i % 16 < 4 => next() as u8,
+            2 => 0,
+            _ => next() as u8,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -316,6 +331,21 @@ mod tests {
             decompress(&frame),
             Err(DecompressError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_length_header_is_a_mismatch_not_a_reservation() {
+        let text = b"the quick brown fox jumps over the lazy dog. ".repeat(100);
+        let mut frame = compress(Codec::Lz77, &text);
+        assert_eq!(frame[0], Codec::Lz77.id());
+        frame[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decompress(&frame),
+            Err(DecompressError::LengthMismatch {
+                expected: u32::MAX as usize,
+                actual: text.len()
+            })
+        );
     }
 
     #[test]

@@ -268,19 +268,134 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
     }
 }
 
+/// Most output bytes one payload byte can stand for: the densest sequence
+/// is token + distance + length extension (4 bytes) expanding to
+/// `MIN_MATCH + NIB_EXT + 255 = 274` bytes.
+const MAX_EXPANSION: usize = 69;
+/// Longest match a sequence can encode (see [`MAX_EXPANSION`]).
+const MAX_DECODED_MATCH: usize = MIN_MATCH + NIB_EXT + 255;
+const _: () = assert!(MAX_DECODED_MATCH <= 4 * MAX_EXPANSION);
+/// Width of the decoder's block copies, and the slack it keeps reserved past
+/// the bytes it has promised so a final block may overstore.
+const WIDE: usize = 16;
+
+/// Copies 16 bytes.
+///
+/// # Safety
+///
+/// `src..src+16` readable, `dst..dst+16` writable, not overlapping.
+#[inline(always)]
+unsafe fn copy16(src: *const u8, dst: *mut u8) {
+    std::ptr::copy_nonoverlapping(src, dst, WIDE);
+}
+
+/// Appends `len` bytes to the output at `base + op`, copied from `dist`
+/// bytes back — the LZ match copy, which must behave like a byte-by-byte
+/// forward copy when the ranges overlap (`dist < len` repeats a pattern).
+/// May overstore up to `WIDE - 1` bytes past `op + len`.
+///
+/// # Safety
+///
+/// `1 <= dist <= op`, every byte of `base..base+op` initialised, and
+/// `base..base + op + len + WIDE` writable.
+#[inline(always)]
+unsafe fn copy_match(base: *mut u8, op: usize, dist: usize, len: usize) {
+    let dst = base.add(op);
+    let src = dst.sub(dist) as *const u8;
+    if dist >= WIDE {
+        // Each step reads 16 bytes that end at or before the byte it starts
+        // writing (src + k + 16 <= dst + k), so a step never overlaps itself,
+        // and taking the steps in order lets later ones read what earlier
+        // ones wrote — exactly the forward byte copy.
+        let mut k = 0usize;
+        while k < len {
+            copy16(src.add(k), dst.add(k));
+            k += WIDE;
+        }
+    } else {
+        for k in 0..len {
+            *dst.add(k) = *src.add(k);
+        }
+    }
+}
+
 /// Decodes an LZ77 payload produced by [`encode`].
+///
+/// `size_hint` is the decoded length the caller expects (the frame header's
+/// original length). It only sizes the output reservation — clamped to what
+/// `payload` could possibly expand to, so a hostile header cannot force a
+/// large allocation — and never changes what is decoded: a wrong hint costs
+/// a reallocation, not an error.
 ///
 /// # Errors
 ///
 /// Returns [`DecompressError::Corrupt`] on truncated sequences, zero
 /// distances, or back-references past the start of the output.
-pub fn decode(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
-    let mut out = Vec::with_capacity(payload.len() * 2);
+pub fn decode(payload: &[u8], size_hint: usize) -> Result<Vec<u8>, DecompressError> {
+    // A short sequence (neither nibble extended) reads at most the token,
+    // 14 literals and the distance, and writes at most 14 literals plus an
+    // 18-byte match — with block copies, one block and then two more.
+    const FAST_IN: usize = 1 + WIDE;
+    const FAST_OUT: usize = 3 * WIDE;
+
+    let reserve = size_hint.min(payload.len().saturating_mul(MAX_EXPANSION));
+    let mut out: Vec<u8> = Vec::with_capacity(reserve + WIDE);
+    // The loop writes through `base` and tracks the logical length in `op`;
+    // `out.len()` is only brought up to date when the buffer must grow and on
+    // success. Invariant: `op <= cap`, and `base..base+op` is initialised.
+    let mut base = out.as_mut_ptr();
+    let mut cap = out.capacity();
+    let mut op = 0usize;
+    // Makes room for `extra` more bytes at `op`, reallocating if needed.
+    macro_rules! ensure {
+        ($extra:expr) => {
+            if cap - op < $extra {
+                // SAFETY: the first `op` bytes are initialised and op <= cap.
+                unsafe { out.set_len(op) };
+                out.reserve($extra);
+                base = out.as_mut_ptr();
+                cap = out.capacity();
+            }
+        };
+    }
+
+    let n = payload.len();
+    let ip = payload.as_ptr();
     let mut i = 0usize;
-    while i < payload.len() {
+    while i < n {
         let token = payload[i];
+        let lit_nib = (token >> 4) as usize;
+        let match_nib = (token & 0x0F) as usize;
+        if lit_nib != NIB_EXT && match_nib != NIB_EXT && n - i >= FAST_IN && cap - op >= FAST_OUT {
+            // Short sequence with room to spare on both sides: no length
+            // extensions to parse, and `FAST_IN` puts the end of the payload
+            // past this sequence's distance, so a match must follow.
+            // SAFETY: i + 17 <= n covers the 16-byte literal block read at
+            // i + 1 and the distance at i + 1 + lit_nib (<= i + 15);
+            // op + 48 <= cap covers the literal block written at op and the
+            // two match blocks written from op + lit_nib (<= op + 14). The
+            // match copy's `dist <= op` is checked just before it.
+            unsafe {
+                copy16(ip.add(i + 1), base.add(op));
+                op += lit_nib;
+                i += 1 + lit_nib;
+                let dist = u16::from_le(ip.add(i).cast::<u16>().read_unaligned()) as usize;
+                i += 2;
+                if dist == 0 {
+                    return Err(DecompressError::Corrupt("match distance of zero"));
+                }
+                if dist > op {
+                    return Err(DecompressError::Corrupt("match distance before start"));
+                }
+                let len = match_nib + MIN_MATCH;
+                copy_match(base, op, dist, len);
+                op += len;
+            }
+            continue;
+        }
+
         i += 1;
-        let mut lit_len = (token >> 4) as usize;
+        let mut lit_len = lit_nib;
         if lit_len == NIB_EXT {
             loop {
                 let b = *payload
@@ -293,22 +408,26 @@ pub fn decode(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
                 }
             }
         }
-        if i + lit_len > payload.len() {
+        if lit_len > n - i {
             return Err(DecompressError::Corrupt("truncated literal run"));
         }
-        out.extend_from_slice(&payload[i..i + lit_len]);
+        ensure!(lit_len);
+        // SAFETY: i + lit_len <= n was just checked; `ensure` made
+        // op + lit_len <= cap; payload and output never alias.
+        unsafe { std::ptr::copy_nonoverlapping(ip.add(i), base.add(op), lit_len) };
+        op += lit_len;
         i += lit_len;
-        if i == payload.len() {
+        if i == n {
             // Terminating sequence: literals only.
             break;
         }
-        if i + 2 > payload.len() {
+        if n - i < 2 {
             return Err(DecompressError::Corrupt("truncated match token"));
         }
         let dist = u16::from_le_bytes([payload[i], payload[i + 1]]) as usize;
         i += 2;
-        let mut len = (token & 0x0F) as usize + MIN_MATCH;
-        if token & 0x0F == NIB_EXT as u8 {
+        let mut len = match_nib + MIN_MATCH;
+        if match_nib == NIB_EXT {
             let b = *payload
                 .get(i)
                 .ok_or(DecompressError::Corrupt("truncated match length"))?;
@@ -318,26 +437,180 @@ pub fn decode(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
         if dist == 0 {
             return Err(DecompressError::Corrupt("match distance of zero"));
         }
-        if dist > out.len() {
+        if dist > op {
             return Err(DecompressError::Corrupt("match distance before start"));
         }
-        let start = out.len() - dist;
-        if dist >= len {
-            out.extend_from_within(start..start + len);
-        } else {
-            // Overlapping copies are the LZ idiom for runs: byte-wise.
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        }
+        debug_assert!(len <= MAX_DECODED_MATCH);
+        ensure!(len + WIDE);
+        // SAFETY: 1 <= dist <= op checked above; `ensure` made
+        // op + len + WIDE <= cap.
+        unsafe { copy_match(base, op, dist, len) };
+        op += len;
     }
+    // SAFETY: the first `op` bytes are initialised and op <= cap.
+    unsafe { out.set_len(op) };
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Decodes with an exact-or-absent size hint, as `decompress` would.
+    fn decode(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
+        super::decode(payload, usize::MAX)
+    }
+
+    /// The safe, index-checked decoder this module shipped before the
+    /// wide-copy one: the differential oracle.
+    fn decode_reference(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
+        let mut out = Vec::with_capacity(payload.len() * 2);
+        let mut i = 0usize;
+        while i < payload.len() {
+            let token = payload[i];
+            i += 1;
+            let mut lit_len = (token >> 4) as usize;
+            if lit_len == NIB_EXT {
+                loop {
+                    let b = *payload
+                        .get(i)
+                        .ok_or(DecompressError::Corrupt("truncated literal length"))?;
+                    i += 1;
+                    lit_len += b as usize;
+                    if b != 255 {
+                        break;
+                    }
+                }
+            }
+            if i + lit_len > payload.len() {
+                return Err(DecompressError::Corrupt("truncated literal run"));
+            }
+            out.extend_from_slice(&payload[i..i + lit_len]);
+            i += lit_len;
+            if i == payload.len() {
+                // Terminating sequence: literals only.
+                break;
+            }
+            if i + 2 > payload.len() {
+                return Err(DecompressError::Corrupt("truncated match token"));
+            }
+            let dist = u16::from_le_bytes([payload[i], payload[i + 1]]) as usize;
+            i += 2;
+            let mut len = (token & 0x0F) as usize + MIN_MATCH;
+            if token & 0x0F == NIB_EXT as u8 {
+                let b = *payload
+                    .get(i)
+                    .ok_or(DecompressError::Corrupt("truncated match length"))?;
+                i += 1;
+                len += b as usize;
+            }
+            if dist == 0 {
+                return Err(DecompressError::Corrupt("match distance of zero"));
+            }
+            if dist > out.len() {
+                return Err(DecompressError::Corrupt("match distance before start"));
+            }
+            let start = out.len() - dist;
+            if dist >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // Overlapping copies are the LZ idiom for runs: byte-wise.
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Mixtures of the shapes the encoder meets, so payloads hold every
+    /// sequence kind.
+    fn shaped_input(kinds: &[u8], seed: u64, chunk: usize) -> Vec<u8> {
+        kinds
+            .iter()
+            .zip(seed..)
+            .flat_map(|(&kind, seed)| crate::shaped_bytes(kind, seed, chunk))
+            .collect()
+    }
+
+    proptest! {
+        // The decoder writes through raw pointers: run more cases than the
+        // default 64.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // On honest payloads and on truncated, bit-flipped and byte-spliced
+        // ones, the wide-copy decoder and the safe oracle agree exactly —
+        // same bytes or same error — whatever the size hint says.
+        #[test]
+        fn wide_decoder_matches_the_safe_oracle_on_hostile_payloads(
+            kinds in proptest::collection::vec(any::<u8>(), 1..6),
+            seed in any::<u64>(),
+            chunk in 1usize..1500,
+            cut in any::<u32>(),
+            flips in proptest::collection::vec(any::<u32>(), 1..4),
+            splice_at in any::<u32>(),
+            splice in proptest::collection::vec(any::<u8>(), 1..24),
+            hint in prop_oneof![Just(0usize), Just(1usize), Just(u32::MAX as usize), 0usize..20_000],
+        ) {
+            let data = shaped_input(&kinds, seed, chunk);
+            let payload = encode(&data);
+            prop_assert_eq!(super::decode(&payload, data.len()).unwrap(), &data[..]);
+            prop_assert_eq!(super::decode(&payload, hint).unwrap(), &data[..]);
+
+            let mut mutants = vec![payload[..cut as usize % payload.len()].to_vec()];
+            let mut flipped = payload.clone();
+            for flip in &flips {
+                let bit = *flip as usize % (payload.len() * 8);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            mutants.push(flipped);
+            let at = splice_at as usize % (payload.len() + 1);
+            let mut inserted = payload.clone();
+            inserted.splice(at..at, splice.iter().copied());
+            mutants.push(inserted);
+            let mut overwritten = payload.clone();
+            let end = (at + splice.len()).min(payload.len());
+            overwritten[at..end].copy_from_slice(&splice[..end - at]);
+            mutants.push(overwritten);
+
+            for mutant in &mutants {
+                let expected = decode_reference(mutant);
+                prop_assert_eq!(&super::decode(mutant, data.len()), &expected);
+                prop_assert_eq!(&super::decode(mutant, hint), &expected);
+            }
+        }
+
+        #[test]
+        fn wide_decoder_is_total_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            hint in 0usize..5000,
+        ) {
+            prop_assert_eq!(super::decode(&bytes, hint), decode_reference(&bytes));
+        }
+    }
+
+    #[test]
+    fn hostile_size_hint_reserves_no_more_than_the_payload_could_expand_to() {
+        let data = b"abcdabcdabcdabcd some literals then abcdabcd".repeat(8);
+        let payload = encode(&data);
+        let decoded = super::decode(&payload, u32::MAX as usize).unwrap();
+        assert_eq!(decoded, data);
+        assert!(
+            decoded.capacity() <= payload.len() * MAX_EXPANSION + WIDE,
+            "reserved {} for a {}-byte payload",
+            decoded.capacity(),
+            payload.len()
+        );
+        // The bound is the format's: the densest sequence there is.
+        // One literal, then token + distance + extension standing for 274.
+        let run = [0x1Fu8, b'x', 1, 0, 255];
+        assert_eq!(
+            super::decode(&run, 0).unwrap(),
+            vec![b'x'; 1 + MAX_DECODED_MATCH]
+        );
+    }
 
     #[test]
     fn empty_round_trip() {

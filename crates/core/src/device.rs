@@ -278,6 +278,12 @@ pub struct RssdDevice<R: RemoteTarget> {
     next_segment_seq: u64,
     /// Device-RAM index of offloaded old versions per LPA (newest last).
     remote_index: HashMap<u64, Vec<RemoteVersion>>,
+    /// The sealed segment most recently opened to serve a recovery lookup,
+    /// with the wire image it was opened from. Consecutive victims usually
+    /// had their pre-attack versions sealed into the same segment; a lookup
+    /// whose envelope is byte-equal to this one skips the verify + decrypt +
+    /// decompress + parse. Controller RAM: dies with a crash.
+    opened: Option<(SegmentEnvelope, Segment)>,
     /// Last host read time per LPA (read-before-overwrite evidence).
     recent_reads: HashMap<u64, u64>,
     read_window_ns: u64,
@@ -361,6 +367,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
             pending_retained: 0,
             next_segment_seq: 0,
             remote_index: HashMap::new(),
+            opened: None,
             recent_reads: HashMap::new(),
             read_window_ns: Self::READ_WINDOW_NS,
             latency: LatencyStats::new(),
@@ -390,9 +397,10 @@ impl<R: RemoteTarget> RssdDevice<R> {
     }
 
     /// Simulated power loss. Everything in controller RAM is dropped: the
-    /// pending log tail and its retention pins, the read-correlation window
-    /// and the remote version index. Flash contents — every host write that
-    /// was acknowledged — and the remote store are durable and survive.
+    /// pending log tail and its retention pins, the read-correlation window,
+    /// the remote version index and the last opened segment. Flash contents —
+    /// every host write that was acknowledged — and the remote store are
+    /// durable and survive.
     /// All I/O fails with [`DeviceError::PowerLoss`] until [`Self::recover`]
     /// runs.
     ///
@@ -440,6 +448,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         self.pending_retained = 0;
         self.recent_reads.clear();
         self.remote_index.clear();
+        self.opened = None;
         if !self.crashed {
             // A second crash() while already down destroys nothing further;
             // keep the report of the cut that did the damage.
@@ -506,11 +515,14 @@ impl<R: RemoteTarget> RssdDevice<R> {
                 records += 1;
                 if record.old_data.is_some() {
                     versions += 1;
-                    index.entry(record.lpa).or_default().push(RemoteVersion {
-                        segment_seq,
-                        invalidated_at_ns: record.at_ns,
-                        record_seq: record.seq,
-                    });
+                    index
+                        .entry(record.meta.lpa)
+                        .or_default()
+                        .push(RemoteVersion {
+                            segment_seq,
+                            invalidated_at_ns: record.meta.at_ns,
+                            record_seq: record.meta.seq,
+                        });
                 }
             },
         )?;
@@ -540,10 +552,9 @@ impl<R: RemoteTarget> RssdDevice<R> {
             if envelope.prev_chain_head() != head {
                 break; // does not extend the recovered chain: unusable tail
             }
-            let Ok(segment) = open_envelope(&self.session, &envelope) else {
+            let Ok((segment, raw_len)) = open_envelope(&self.session, &envelope) else {
                 break;
             };
-            let raw_bytes = segment.to_bytes().len() as u64;
             let Segment {
                 mut records, links, ..
             } = segment;
@@ -563,7 +574,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
                 records,
                 links,
                 retained_pages: retained,
-                raw_bytes,
+                raw_bytes: raw_len as u64,
                 spilled: true,
             });
         }
@@ -776,13 +787,13 @@ impl<R: RemoteTarget> RssdDevice<R> {
             &chain_key,
             &self.session,
             &mut self.remote,
-            |_seq, record| out.push(record),
+            |_seq, record| out.push(record.into_owned()),
         )?;
         // Staged (sealed but not yet acknowledged) segments, in queue order.
         let mut staged_records = 0usize;
         for seg in &self.staged {
-            let inputs: Vec<Vec<u8>> = seg.records.iter().map(|r| r.chain_bytes()).collect();
-            HashChain::verify_from(&chain_key, head, &inputs, &seg.links).map_err(|e| {
+            let images = chain_images(&seg.records);
+            HashChain::verify_from(&chain_key, head, &images, &seg.links).map_err(|e| {
                 format!(
                     "chain gap: staged segment {} does not extend the verified \
                      prefix ({e}) — acknowledged offloads were lost upstream \
@@ -794,8 +805,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
             staged_records += seg.records.len();
         }
         // Pending tail.
-        let inputs: Vec<Vec<u8>> = self.pending.iter().map(|r| r.chain_bytes()).collect();
-        HashChain::verify_from(&chain_key, head, &inputs, &self.pending_links)
+        let images = chain_images(&self.pending);
+        HashChain::verify_from(&chain_key, head, &images, &self.pending_links)
             .map_err(|e| format!("pending tail: {e}"))?;
         // The accounting check compares against the in-RAM chain length,
         // which is stale (it still counts the lost volatile tail) while the
@@ -833,12 +844,12 @@ impl<R: RemoteTarget> RssdDevice<R> {
             &chain_key,
             &self.session,
             &mut self.remote,
-            |_seq, record| records.push(record),
+            |_seq, record| records.push(record.into_owned()),
         );
         if failure.is_none() {
             for seg in &self.staged {
-                let inputs: Vec<Vec<u8>> = seg.records.iter().map(|r| r.chain_bytes()).collect();
-                match HashChain::verify_from(&chain_key, head, &inputs, &seg.links) {
+                let images = chain_images(&seg.records);
+                match HashChain::verify_from(&chain_key, head, &images, &seg.links) {
                     Ok(()) => {
                         head = seg.envelope.chain_head();
                         records.extend(seg.records.iter().cloned());
@@ -855,8 +866,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
             }
         }
         if failure.is_none() {
-            let inputs: Vec<Vec<u8>> = self.pending.iter().map(|r| r.chain_bytes()).collect();
-            match HashChain::verify_from(&chain_key, head, &inputs, &self.pending_links) {
+            let images = chain_images(&self.pending);
+            match HashChain::verify_from(&chain_key, head, &images, &self.pending_links) {
                 Ok(()) => records.extend(self.pending.iter().cloned()),
                 Err(e) => failure = Some(format!("pending tail: {e}")),
             }
@@ -952,25 +963,33 @@ impl<R: RemoteTarget> RssdDevice<R> {
                 // envelope (whether the segment is RAM-only or spilled to
                 // NAND) — open it locally, no remote involved.
                 let envelope = self.staged[queue_index].envelope.clone();
-                let segment = open_envelope(&self.session, &envelope).ok()?;
-                segment
-                    .records
-                    .into_iter()
-                    .find(|r| r.seq == record_seq)
-                    .and_then(|r| r.old_data)
+                self.preimage_in(envelope, record_seq)
             }
-            (_, Source::Remote(v)) => self.fetch_remote_version(v),
+            (_, Source::Remote(v)) => {
+                // The fetch is issued on every lookup, memo or not: a
+                // partitioned remote still refuses, and a store that no
+                // longer returns the bytes the memo was opened from misses
+                // it and faces authentication again.
+                let envelope = self.remote.fetch_segment(v.segment_seq).ok()?;
+                self.preimage_in(envelope, v.record_seq)
+            }
         }
     }
 
-    fn fetch_remote_version(&mut self, v: RemoteVersion) -> Option<Vec<u8>> {
-        let envelope = self.remote.fetch_segment(v.segment_seq).ok()?;
-        let segment = open_envelope(&self.session, &envelope).ok()?;
+    /// The retained pre-image that record `record_seq` carries inside
+    /// `envelope`, opening the envelope unless it is byte-equal to the one
+    /// opened last (see the `opened` field).
+    fn preimage_in(&mut self, envelope: SegmentEnvelope, record_seq: u64) -> Option<Vec<u8>> {
+        if !matches!(&self.opened, Some((memo, _)) if *memo == envelope) {
+            let (segment, _) = open_envelope(&self.session, &envelope).ok()?;
+            self.opened = Some((envelope, segment));
+        }
+        let (_, segment) = self.opened.as_ref()?;
         segment
             .records
-            .into_iter()
-            .find(|r| r.seq == v.record_seq)
-            .and_then(|r| r.old_data)
+            .iter()
+            .find(|r| r.seq == record_seq)
+            .and_then(|r| r.old_data.clone())
     }
 
     fn log_operation(
@@ -991,7 +1010,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
             read_before,
             old_data: None,
         };
-        let link = self.chain.append(&record.chain_bytes());
+        let link = self.chain.append(&record.chain_image());
         if old_page_index.is_some() {
             self.pending_retained += 1;
         }
@@ -1465,15 +1484,32 @@ enum Source {
     Remote(RemoteVersion),
 }
 
-pub(crate) fn open_envelope(
+/// Authenticates, deciphers and decompresses an envelope's payload: the
+/// serialized segment, ready for [`Segment::from_bytes`] or
+/// [`crate::SegmentView::parse`].
+pub(crate) fn open_envelope_bytes(
     session: &SecureSession,
     envelope: &SegmentEnvelope,
-) -> Result<Segment, WireError> {
+) -> Result<Vec<u8>, WireError> {
     let compressed = session
         .open(envelope.segment_seq(), envelope.sealed_payload())
         .map_err(|_| WireError::BadPayload)?;
-    let raw = rssd_compress::decompress(&compressed).map_err(|_| WireError::BadPayload)?;
-    Segment::from_bytes(&raw)
+    rssd_compress::decompress(&compressed).map_err(|_| WireError::BadPayload)
+}
+
+/// Opens an envelope into an owned segment, also returning the serialized
+/// (decompressed) length `OffloadStats::raw_bytes` accounts in.
+pub(crate) fn open_envelope(
+    session: &SecureSession,
+    envelope: &SegmentEnvelope,
+) -> Result<(Segment, usize), WireError> {
+    let raw = open_envelope_bytes(session, envelope)?;
+    Ok((Segment::from_bytes(&raw)?, raw.len()))
+}
+
+/// The fixed-size chain images `HashChain::verify_from` walks.
+fn chain_images(records: &[LogRecord]) -> Vec<[u8; LogRecord::CHAIN_IMAGE_LEN]> {
+    records.iter().map(LogRecord::chain_image).collect()
 }
 
 impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
@@ -1583,6 +1619,8 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rebuild::RebuildImage;
+    use crate::recovery::RecoveryEngine;
     use crate::remote_target::LoopbackTarget;
 
     fn device() -> RssdDevice<LoopbackTarget> {
@@ -2181,5 +2219,234 @@ mod tests {
         // The pre-image lives only in the sealed (spilled) segment now, and
         // recovery opens it locally — no uplink required.
         assert_eq!(d.recover_page(3).unwrap(), page(1));
+    }
+
+    /// A store whose copy of one segment goes bad after the fact: fetches
+    /// of segment `corrupt` come back with one payload byte flipped.
+    struct RottingStore {
+        inner: LoopbackTarget,
+        corrupt: Option<u64>,
+    }
+
+    impl RemoteTarget for RottingStore {
+        fn store_segment(
+            &mut self,
+            envelope: SegmentEnvelope,
+            now_ns: u64,
+        ) -> Result<crate::remote_target::StoreAck, crate::remote_target::RemoteError> {
+            self.inner.store_segment(envelope, now_ns)
+        }
+
+        fn fetch_segment(
+            &mut self,
+            segment_seq: u64,
+        ) -> Result<SegmentEnvelope, crate::remote_target::RemoteError> {
+            let clean = self.inner.fetch_segment(segment_seq)?;
+            if self.corrupt != Some(segment_seq) {
+                return Ok(clean);
+            }
+            let mut payload = clean.sealed_payload().to_vec();
+            payload[0] ^= 1;
+            Ok(SegmentEnvelope::new(
+                clean.device_id(),
+                clean.segment_seq(),
+                clean.prev_chain_head(),
+                clean.chain_head(),
+                clean.record_count(),
+                &payload,
+            ))
+        }
+
+        fn stored_segments(&self) -> Vec<u64> {
+            self.inner.stored_segments()
+        }
+    }
+
+    /// Eight pages written, then overwritten after `cut`, all offloaded:
+    /// every pre-image sits in remote segment(s), several per segment.
+    fn overwrite_all_then_flush<R: RemoteTarget>(d: &mut RssdDevice<R>) -> u64 {
+        for lpa in 0..8u64 {
+            d.write_page(lpa, page(lpa as u8)).unwrap();
+        }
+        d.clock().advance(1_000);
+        let cut = d.clock().now_ns();
+        for lpa in 0..8u64 {
+            d.write_page(lpa, page(0xEE)).unwrap();
+        }
+        d.flush_log().unwrap();
+        cut
+    }
+
+    #[test]
+    fn memoised_segment_faces_authentication_again_when_the_store_changes_it() {
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 8,
+                ..RssdConfig::default()
+            },
+            RottingStore {
+                inner: LoopbackTarget::new(),
+                corrupt: None,
+            },
+        );
+        let cut = overwrite_all_then_flush(&mut d);
+        for lpa in 0..4u64 {
+            assert_eq!(d.recover_page_before(lpa, cut).unwrap(), page(lpa as u8));
+        }
+        let (memo, _) = d.opened.as_ref().expect("lookups opened a segment");
+        let memoised = memo.segment_seq();
+        assert!(
+            d.remote_index[&4].iter().any(|v| v.segment_seq == memoised),
+            "page 4's pre-image shares the memoised segment"
+        );
+        d.remote_mut().corrupt = Some(memoised);
+        assert_eq!(
+            d.recover_page_before(4, cut),
+            None,
+            "a changed wire image must miss the memo and fail its MAC"
+        );
+        // The store heals: the same lookup is served again.
+        d.remote_mut().corrupt = None;
+        assert_eq!(d.recover_page_before(4, cut).unwrap(), page(4));
+    }
+
+    #[test]
+    fn memoised_segment_is_still_unreachable_behind_a_dead_uplink() {
+        use crate::wire::WireRemote;
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 8,
+                ..RssdConfig::default()
+            },
+            WireRemote::new(LoopbackTarget::new(), rssd_net::LinkConfig::ideal()),
+        );
+        let cut = overwrite_all_then_flush(&mut d);
+        assert_eq!(d.recover_page_before(0, cut).unwrap(), page(0));
+        assert!(d.opened.is_some());
+        d.remote_mut().set_uplink_down(true);
+        for lpa in 0..8u64 {
+            assert_eq!(
+                d.recover_page_before(lpa, cut),
+                None,
+                "the fetch is issued (and refused) before the memo is consulted"
+            );
+        }
+        d.remote_mut().set_uplink_down(false);
+        assert_eq!(d.recover_page_before(1, cut).unwrap(), page(1));
+    }
+
+    #[test]
+    fn crash_drops_the_opened_segment_with_the_rest_of_controller_ram() {
+        let mut d = device();
+        let cut = overwrite_all_then_flush(&mut d);
+        assert_eq!(d.recover_page_before(2, cut).unwrap(), page(2));
+        assert!(d.opened.is_some());
+        let _ = d.crash();
+        assert!(d.opened.is_none(), "the memo is RAM");
+        let _ = d.recover().unwrap();
+        assert!(
+            d.opened.is_none(),
+            "recovery walks the store, it opens no memo"
+        );
+        assert_eq!(d.recover_page_before(2, cut).unwrap(), page(2));
+    }
+
+    /// A seeded history on a fresh device: prefill, a phase of overwrites
+    /// (cut-off times are sampled here, while every page has held content
+    /// continuously), then a phase of overwrites, trims and rewrites.
+    /// Everything is offloaded at the end. Returns the sampled cut-offs.
+    fn seeded_history(seed: u64) -> (RssdDevice<LoopbackTarget>, Vec<u64>) {
+        const LPAS: u64 = 24;
+        let mut d = device();
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for lpa in 0..LPAS {
+            d.write_page(lpa, page(next() as u8)).unwrap();
+        }
+        let mut cuts = Vec::new();
+        for i in 0..60 {
+            d.clock().advance(1 + next() % 1_000);
+            if i % 12 == 0 {
+                cuts.push(d.clock().now_ns());
+                d.clock().advance(1);
+            }
+            d.write_page(next() % LPAS, page(next() as u8)).unwrap();
+        }
+        d.clock().advance(1);
+        cuts.push(d.clock().now_ns());
+        for _ in 0..90 {
+            d.clock().advance(1 + next() % 1_000);
+            let lpa = next() % LPAS;
+            if next() % 4 == 0 {
+                d.trim_page(lpa).unwrap();
+            } else {
+                d.write_page(lpa, page(next() as u8)).unwrap();
+            }
+        }
+        d.flush_log().unwrap();
+        (d, cuts)
+    }
+
+    #[test]
+    fn memo_changes_the_cost_of_a_restore_not_its_results() {
+        for seed in [3u64, 17, 4242] {
+            // Every lookup equals an independent harvest of the same store.
+            let (mut d, cuts) = seeded_history(seed);
+            let keys = d.escrow_keys();
+            let image = RebuildImage::harvest(&keys, d.remote_mut()).unwrap();
+            let mut served = 0;
+            for &cut in &cuts {
+                for lpa in 0..24u64 {
+                    let got = d.recover_page_before(lpa, cut);
+                    assert_eq!(
+                        got.as_deref(),
+                        image.version_before(lpa, cut),
+                        "seed {seed} lpa {lpa} cut {cut}"
+                    );
+                    served += usize::from(got.is_some());
+                }
+            }
+            assert!(served > 24, "seed {seed}: the history retains versions");
+
+            // A restore with the memo equals one that forgets it before
+            // every lookup: same pages, same chain, same NAND and offload
+            // traffic.
+            let (mut with_memo, cuts) = seeded_history(seed);
+            let (mut without, _) = seeded_history(seed);
+            let cut = cuts[cuts.len() / 2];
+            let victims: Vec<u64> = (0..24).collect();
+            let report = RecoveryEngine::new().restore_before(&mut with_memo, &victims, cut);
+            let mut restored = 0u64;
+            for &lpa in &victims {
+                without.opened = None;
+                if let Some(data) = without.recover_page_before(lpa, cut) {
+                    without.write_page(lpa, data).unwrap();
+                    restored += 1;
+                }
+            }
+            assert_eq!(report.pages_restored, restored);
+            assert!(restored > 0);
+            assert_eq!(with_memo.chain_head(), without.chain_head());
+            assert_eq!(with_memo.nand_stats(), without.nand_stats());
+            assert_eq!(with_memo.offload_stats(), without.offload_stats());
+            assert_eq!(with_memo.clock().now_ns(), without.clock().now_ns());
+            for &lpa in &victims {
+                assert_eq!(
+                    with_memo.read_page(lpa).unwrap(),
+                    without.read_page(lpa).unwrap()
+                );
+            }
+        }
     }
 }

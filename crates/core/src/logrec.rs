@@ -75,24 +75,39 @@ impl LogRecord {
         f64::from(self.entropy_mil) / 1000.0
     }
 
-    /// Canonical bytes covered by the evidence chain MAC. Excludes
-    /// `old_data` (see field docs) so the tag is stable whether or not the
-    /// content has been attached yet.
-    pub fn chain_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40);
-        out.push(self.op.id());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.at_ns.to_le_bytes());
-        out.extend_from_slice(&self.lpa.to_le_bytes());
-        out.extend_from_slice(&self.old_page_index.unwrap_or(u64::MAX).to_le_bytes());
-        out.extend_from_slice(&self.entropy_mil.to_le_bytes());
-        out.push(u8::from(self.read_before));
+    /// Size of [`LogRecord::chain_image`].
+    pub const CHAIN_IMAGE_LEN: usize = 1 + 8 + 8 + 8 + 8 + 2 + 1;
+
+    /// Canonical bytes covered by the evidence chain MAC, as a fixed-size
+    /// image (no allocation — the chain walkers build one per record).
+    /// Excludes `old_data` (see field docs) so the tag is stable whether or
+    /// not the content has been attached yet.
+    pub fn chain_image(&self) -> [u8; Self::CHAIN_IMAGE_LEN] {
+        let mut out = [0u8; Self::CHAIN_IMAGE_LEN];
+        out[0] = self.op.id();
+        out[1..9].copy_from_slice(&self.seq.to_le_bytes());
+        out[9..17].copy_from_slice(&self.at_ns.to_le_bytes());
+        out[17..25].copy_from_slice(&self.lpa.to_le_bytes());
+        out[25..33].copy_from_slice(&self.old_page_index.unwrap_or(u64::MAX).to_le_bytes());
+        out[33..35].copy_from_slice(&self.entropy_mil.to_le_bytes());
+        out[35] = u8::from(self.read_before);
         out
     }
 
-    /// Full wire encoding (chain bytes + optional content).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.chain_bytes();
+    /// [`LogRecord::chain_image`] as a vector.
+    pub fn chain_bytes(&self) -> Vec<u8> {
+        self.chain_image().to_vec()
+    }
+
+    /// Length of the full wire encoding.
+    fn wire_len(&self) -> usize {
+        Self::CHAIN_IMAGE_LEN + 4 + self.old_data.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Appends the full wire encoding (chain image + optional content) to
+    /// `out`.
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.chain_image());
         match &self.old_data {
             None => out.extend_from_slice(&u32::MAX.to_le_bytes()),
             Some(data) => {
@@ -100,6 +115,12 @@ impl LogRecord {
                 out.extend_from_slice(data);
             }
         }
+    }
+
+    /// Full wire encoding (chain image + optional content).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_into(&mut out);
         out
     }
 
@@ -110,7 +131,34 @@ impl LogRecord {
     ///
     /// Returns [`WireError`] on truncation or unknown fields.
     pub fn from_bytes(data: &[u8]) -> Result<(Self, usize), WireError> {
-        const FIXED: usize = 1 + 8 + 8 + 8 + 8 + 2 + 1 + 4;
+        let (view, consumed) = RecordView::parse(data)?;
+        Ok((view.into_owned(), consumed))
+    }
+}
+
+/// One log record decoded in place: the metadata by value, the retained
+/// pre-image still borrowed from the bytes it was parsed from. Consumers that
+/// only read metadata (detection, the crash-recovery index) never copy the
+/// 4 KiB pre-images; those that keep the content call
+/// [`RecordView::into_owned`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct RecordView<'a> {
+    /// Every field but the content; `meta.old_data` is always `None`.
+    pub meta: LogRecord,
+    /// The retained content of the old page version, if the record carries
+    /// one.
+    pub old_data: Option<&'a [u8]>,
+}
+
+impl<'a> RecordView<'a> {
+    /// Decodes one record from the front of `data`, returning the view and
+    /// the number of bytes consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on truncation or unknown fields.
+    pub fn parse(data: &'a [u8]) -> Result<(Self, usize), WireError> {
+        const FIXED: usize = LogRecord::CHAIN_IMAGE_LEN + 4;
         if data.len() < FIXED {
             return Err(WireError::Truncated);
         }
@@ -126,24 +174,35 @@ impl LogRecord {
             (None, FIXED)
         } else {
             let len = len_raw as usize;
-            if data.len() < FIXED + len {
+            if data.len() - FIXED < len {
                 return Err(WireError::Truncated);
             }
-            (Some(data[FIXED..FIXED + len].to_vec()), FIXED + len)
+            (Some(&data[FIXED..FIXED + len]), FIXED + len)
         };
         Ok((
-            LogRecord {
-                seq,
-                at_ns,
-                op,
-                lpa,
-                old_page_index: (old_raw != u64::MAX).then_some(old_raw),
-                entropy_mil,
-                read_before,
+            RecordView {
+                meta: LogRecord {
+                    seq,
+                    at_ns,
+                    op,
+                    lpa,
+                    old_page_index: (old_raw != u64::MAX).then_some(old_raw),
+                    entropy_mil,
+                    read_before,
+                    old_data: None,
+                },
                 old_data,
             },
             consumed,
         ))
+    }
+
+    /// The owned record: metadata plus a copy of the content.
+    pub fn into_owned(self) -> LogRecord {
+        LogRecord {
+            old_data: self.old_data.map(<[u8]>::to_vec),
+            ..self.meta
+        }
     }
 }
 
@@ -184,18 +243,22 @@ pub struct Segment {
 
 impl Segment {
     /// Serializes records + links (the plaintext that gets compressed,
-    /// sealed and shipped).
+    /// sealed and shipped) into one exactly sized buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let len = 12
+            + self.records.iter().map(LogRecord::wire_len).sum::<usize>()
+            + self.links.len() * 40;
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&self.segment_seq.to_le_bytes());
         out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
         for r in &self.records {
-            out.extend_from_slice(&r.to_bytes());
+            r.write_into(&mut out);
         }
         for l in &self.links {
             out.extend_from_slice(&l.seq.to_le_bytes());
             out.extend_from_slice(l.tag.as_bytes());
         }
+        debug_assert_eq!(out.len(), len);
         out
     }
 
@@ -205,6 +268,29 @@ impl Segment {
     ///
     /// Returns [`WireError`] on malformed input.
     pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
+        SegmentView::parse(data).map(SegmentView::into_owned)
+    }
+}
+
+/// A [`Segment`] decoded in place: record metadata and links by value, the
+/// pre-images borrowed from the serialized bytes (see [`RecordView`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct SegmentView<'a> {
+    /// Monotone per-device segment number.
+    pub segment_seq: u64,
+    /// Records in chain order.
+    pub records: Vec<RecordView<'a>>,
+    /// Chain links, one per record.
+    pub links: Vec<ChainLink>,
+}
+
+impl<'a> SegmentView<'a> {
+    /// Decodes the serialization [`Segment::to_bytes`] produces.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on malformed input.
+    pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         if data.len() < 12 {
             return Err(WireError::Truncated);
         }
@@ -219,7 +305,7 @@ impl Segment {
         let mut offset = 12;
         let mut records = Vec::with_capacity(count);
         for _ in 0..count {
-            let (rec, used) = LogRecord::from_bytes(&data[offset..])?;
+            let (rec, used) = RecordView::parse(&data[offset..])?;
             records.push(rec);
             offset += used;
         }
@@ -236,11 +322,24 @@ impl Segment {
             });
             offset += 40;
         }
-        Ok(Segment {
+        Ok(SegmentView {
             segment_seq,
             records,
             links,
         })
+    }
+
+    /// The owned segment: every pre-image copied out.
+    pub fn into_owned(self) -> Segment {
+        Segment {
+            segment_seq: self.segment_seq,
+            records: self
+                .records
+                .into_iter()
+                .map(RecordView::into_owned)
+                .collect(),
+            links: self.links,
+        }
     }
 }
 
@@ -469,6 +568,34 @@ mod tests {
         };
         let decoded = Segment::from_bytes(&seg.to_bytes()).unwrap();
         assert_eq!(decoded, seg);
+    }
+
+    #[test]
+    fn segment_view_borrows_the_pre_images_it_would_otherwise_copy() {
+        let mut chain = HashChain::new(b"k");
+        let records: Vec<LogRecord> = (0..5).map(|i| record(i, i % 2 == 0)).collect();
+        let links: Vec<ChainLink> = records
+            .iter()
+            .map(|r| chain.append(&r.chain_image()))
+            .collect();
+        let seg = Segment {
+            segment_seq: 9,
+            records,
+            links,
+        };
+        let mut bytes = b"prefix".to_vec();
+        bytes.extend_from_slice(&seg.to_bytes());
+        let view = SegmentView::parse(&bytes[6..]).unwrap();
+        let span = bytes.as_ptr_range();
+        for (viewed, owned) in view.records.iter().zip(&seg.records) {
+            assert_eq!(viewed.meta.chain_image(), owned.chain_image());
+            assert_eq!(viewed.meta.old_data, None);
+            assert_eq!(viewed.old_data, owned.old_data.as_deref());
+            if let Some(data) = viewed.old_data {
+                assert!(span.contains(&data.as_ptr()), "borrowed, not copied");
+            }
+        }
+        assert_eq!(view.into_owned(), seg);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! retention offloads them — not data that existed nowhere but the lost
 //! flash.
 
-use crate::device::open_envelope;
-use crate::logrec::{LogOp, LogRecord};
+use crate::device::open_envelope_bytes;
+use crate::logrec::{LogOp, RecordView, SegmentView};
 use crate::remote_target::RemoteTarget;
 use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
 use rssd_net::SecureSession;
@@ -34,8 +34,10 @@ use std::collections::HashMap;
 
 /// Walks every segment stored on `remote` in chain order, verifying
 /// continuity and per-record HMAC links, and hands each decoded record
-/// (with the sequence of the segment that carried it) to `sink`. Returns
-/// the verified chain head. Shared by
+/// (with the sequence of the segment that carried it) to `sink` as a view
+/// borrowing the decompressed segment — a sink that keeps the pre-image
+/// copies it once, one that reads metadata copies nothing. Returns the
+/// verified chain head. Shared by
 /// [`RssdDevice::verified_history`](crate::RssdDevice::verified_history)
 /// (which appends its pending tail afterwards),
 /// [`RssdDevice::recover`](crate::RssdDevice::recover) (which rebuilds the
@@ -45,7 +47,7 @@ pub(crate) fn walk_verified_segments<R: RemoteTarget>(
     chain_key: &[u8],
     session: &SecureSession,
     remote: &mut R,
-    sink: impl FnMut(u64, LogRecord),
+    sink: impl FnMut(u64, RecordView<'_>),
 ) -> Result<Digest, String> {
     match walk_segments_tolerant(chain_key, session, remote, sink) {
         (head, None) => Ok(head),
@@ -64,7 +66,7 @@ pub(crate) fn walk_segments_tolerant<R: RemoteTarget>(
     chain_key: &[u8],
     session: &SecureSession,
     remote: &mut R,
-    mut sink: impl FnMut(u64, LogRecord),
+    mut sink: impl FnMut(u64, RecordView<'_>),
 ) -> (Digest, Option<String>) {
     let mut head = Digest::ZERO;
     for seq in remote.stored_segments() {
@@ -72,7 +74,11 @@ pub(crate) fn walk_segments_tolerant<R: RemoteTarget>(
             Ok(envelope) => envelope,
             Err(e) => return (head, Some(format!("fetch segment {seq}: {e}"))),
         };
-        let segment = match open_envelope(session, &envelope) {
+        let raw = match open_envelope_bytes(session, &envelope) {
+            Ok(raw) => raw,
+            Err(e) => return (head, Some(format!("open segment {seq}: {e}"))),
+        };
+        let segment = match SegmentView::parse(&raw) {
             Ok(segment) => segment,
             Err(e) => return (head, Some(format!("open segment {seq}: {e}"))),
         };
@@ -82,8 +88,12 @@ pub(crate) fn walk_segments_tolerant<R: RemoteTarget>(
                 Some(format!("segment {seq} does not extend the chain")),
             );
         }
-        let inputs: Vec<Vec<u8>> = segment.records.iter().map(|r| r.chain_bytes()).collect();
-        if let Err(e) = HashChain::verify_from(chain_key, head, &inputs, &segment.links) {
+        let images: Vec<_> = segment
+            .records
+            .iter()
+            .map(|r| r.meta.chain_image())
+            .collect();
+        if let Err(e) = HashChain::verify_from(chain_key, head, &images, &segment.links) {
             return (head, Some(format!("segment {seq}: {e}")));
         }
         head = envelope.chain_head();
@@ -164,9 +174,10 @@ impl RebuildImage {
         // (Offloaded history is a prefix of the log, so the creating write
         // is always in the prefix when its invalidation is.)
         let mut content_written_at: HashMap<u64, u64> = HashMap::new();
-        walk_verified_segments(&chain_key, &session, remote, |_seq, record| {
+        walk_verified_segments(&chain_key, &session, remote, |_seq, view| {
+            let record = &view.meta;
             report.records += 1;
-            if let Some(data) = &record.old_data {
+            if let Some(data) = view.old_data {
                 report.versions += 1;
                 versions
                     .entry(record.lpa)
@@ -175,7 +186,7 @@ impl RebuildImage {
                         created_at_ns: content_written_at.get(&record.lpa).copied().unwrap_or(0),
                         invalidated_at_ns: record.at_ns,
                         record_seq: record.seq,
-                        data: data.clone(),
+                        data: data.to_vec(),
                     });
             }
             match record.op {

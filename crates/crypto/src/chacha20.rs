@@ -65,54 +65,96 @@ impl ChaCha20 {
     /// identical stream (same keystream, same position), only the host cost
     /// changes.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
+        let ptr = data.as_mut_ptr();
+        // SAFETY: source and destination are the same `data.len()` bytes,
+        // exclusively borrowed for the call.
+        unsafe { self.xor_stream(ptr, ptr, data.len()) }
+    }
+
+    /// Appends `src` XOR keystream to `out`: the one-pass spelling of "copy,
+    /// then [`apply_keystream`](Self::apply_keystream) the copy". Same
+    /// stream, same position afterwards.
+    pub fn apply_keystream_into(&mut self, src: &[u8], out: &mut Vec<u8>) {
+        out.reserve(src.len());
+        // SAFETY: the reserve leaves at least `src.len()` writable bytes past
+        // `out.len()`; `src` cannot alias them (`out` is exclusively
+        // borrowed); `xor_stream` writes every one of those bytes before the
+        // length is advanced over them.
+        unsafe {
+            let dst = out.as_mut_ptr().add(out.len());
+            self.xor_stream(src.as_ptr(), dst, src.len());
+            out.set_len(out.len() + src.len());
+        }
+    }
+
+    /// Writes `src[k] ^ keystream` to `dst[k]` for `k in 0..len`, advancing
+    /// the stream by `len` bytes.
+    ///
+    /// # Safety
+    ///
+    /// `src` must be readable and `dst` writable for `len` bytes, and the two
+    /// ranges must be either identical (in place) or disjoint.
+    unsafe fn xor_stream(&mut self, src: *const u8, dst: *mut u8, len: usize) {
+        /// `dst[k] = src[k] ^ keystream[k]` over a buffered partial block.
+        ///
+        /// # Safety
+        ///
+        /// `src`/`dst` valid for `keystream.len()` bytes (caller's contract).
+        unsafe fn xor_bytes(src: *const u8, dst: *mut u8, keystream: &[u8]) {
+            for (k, ks) in keystream.iter().enumerate() {
+                *dst.add(k) = *src.add(k) ^ ks;
+            }
+        }
+
         let mut i = 0usize;
         // Drain a partially consumed buffered block first.
         if self.keystream_pos < 64 {
-            let n = (64 - self.keystream_pos).min(data.len());
-            let ks = &self.keystream[self.keystream_pos..self.keystream_pos + n];
-            for (byte, k) in data[..n].iter_mut().zip(ks) {
-                *byte ^= k;
-            }
+            let n = (64 - self.keystream_pos).min(len);
+            // SAFETY: n <= len.
+            xor_bytes(
+                src,
+                dst,
+                &self.keystream[self.keystream_pos..self.keystream_pos + n],
+            );
             self.keystream_pos += n;
             i = n;
         }
-        // Four blocks at a time on SSE hosts: the block functions for
-        // counters c..c+3 are independent, so they run in parallel lanes.
+        // Eight blocks at a time on AVX2 hosts: the block functions for
+        // counters c..c+7 are independent, so they run in parallel lanes.
         #[cfg(target_arch = "x86_64")]
-        if self.keystream_pos == 64 && sse::available() {
-            while data.len() - i >= 256 {
-                // SAFETY: `available` confirmed ssse3; the slice is 256 bytes.
-                unsafe { sse::xor_four_blocks(&self.state, &mut data[i..i + 256]) };
-                self.state[12] = self.state[12].wrapping_add(4);
-                i += 256;
+        if len - i >= 512 && avx2::available() {
+            while len - i >= 512 {
+                // SAFETY: `available` confirmed avx2; i + 512 <= len.
+                avx2::xor_eight_blocks(&self.state, src.add(i), dst.add(i));
+                self.state[12] = self.state[12].wrapping_add(8);
+                i += 512;
             }
         }
         // Whole blocks: XOR block-function words directly into the data.
-        while data.len() - i >= 64 {
+        while len - i >= 64 {
             let words = self.next_block_words();
-            for (w, chunk) in words.iter().zip(data[i..i + 64].chunks_exact_mut(4)) {
-                let x = u32::from_le_bytes(chunk.as_ref().try_into().expect("4 bytes")) ^ w;
-                chunk.copy_from_slice(&x.to_le_bytes());
+            for (k, w) in words.iter().enumerate() {
+                // SAFETY: i + 4k + 4 <= i + 64 <= len; unaligned accesses.
+                let x = u32::from_le(src.add(i + 4 * k).cast::<u32>().read_unaligned()) ^ w;
+                dst.add(i + 4 * k).cast::<u32>().write_unaligned(x.to_le());
             }
             i += 64;
         }
         // Tail shorter than a block: buffer one block and consume part of it.
-        if i < data.len() {
+        if i < len {
             self.refill();
-            let n = data.len() - i;
-            for (byte, k) in data[i..].iter_mut().zip(&self.keystream[..n]) {
-                *byte ^= k;
-            }
+            let n = len - i;
+            // SAFETY: i + n == len.
+            xor_bytes(src.add(i), dst.add(i), &self.keystream[..n]);
             self.keystream_pos = n;
         }
     }
 
     /// Convenience: encrypt a buffer, returning a new vector (one allocation,
-    /// ciphered in place).
+    /// ciphered as it is filled).
     pub fn encrypt(key: &[u8; 32], nonce: &[u8; 12], plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len());
-        out.extend_from_slice(plaintext);
-        ChaCha20::new(key, nonce).apply_keystream(&mut out);
+        ChaCha20::new(key, nonce).apply_keystream_into(plaintext, &mut out);
         out
     }
 
@@ -189,57 +231,62 @@ impl ChaCha20 {
     }
 }
 
-/// Four-lane ChaCha20 block function on SSE registers.
+/// Eight-lane ChaCha20 block function on AVX2 registers.
 ///
-/// Each of the sixteen state words is held in a 128-bit register whose four
-/// lanes belong to four consecutive block counters; the twenty rounds are the
-/// same arithmetic as the scalar path, and a 4x4 transpose at the end turns
+/// Each of the sixteen state words is held in a 256-bit register whose eight
+/// lanes belong to eight consecutive block counters; the twenty rounds are the
+/// same arithmetic as the scalar path, and two 8x8 transposes at the end turn
 /// the lane-major words back into the sequential keystream. Output is
-/// bit-identical to four scalar block invocations.
+/// bit-identical to eight scalar block invocations.
 #[cfg(target_arch = "x86_64")]
-mod sse {
+mod avx2 {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// Whether the CPU has the byte-shuffle rotates this path uses.
+    /// Whether the CPU supports this path (the feature-detection macro caches
+    /// the CPUID lookup).
     #[inline]
     pub fn available() -> bool {
-        is_x86_feature_detected!("ssse3")
+        is_x86_feature_detected!("avx2")
     }
 
-    /// XORs the keystream blocks for counters `state[12]..state[12]+3` into
-    /// `data`.
+    /// Writes `src ^ keystream` for the eight blocks with counters
+    /// `state[12]..state[12]+7` (wrapping) to `dst`.
     ///
     /// # Safety
     ///
-    /// The caller must have checked [`available`]; `data` must be exactly 256
-    /// bytes.
-    #[target_feature(enable = "sse2,ssse3")]
-    pub unsafe fn xor_four_blocks(state: &[u32; 16], data: &mut [u8]) {
-        debug_assert_eq!(data.len(), 256);
-        // Per-lane rotate-left by 16 and 8 as byte shuffles.
-        let rot16 = _mm_set_epi8(13, 12, 15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2);
-        let rot8 = _mm_set_epi8(14, 13, 12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3);
+    /// The caller must have checked [`available`]; `src` must be readable and
+    /// `dst` writable for 512 bytes, the two ranges identical or disjoint.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn xor_eight_blocks(state: &[u32; 16], src: *const u8, dst: *mut u8) {
+        // Per-lane rotate-left by 16 and 8 as byte shuffles (the shuffle works
+        // within each 128-bit half, so the 16-byte pattern is repeated).
+        let rot16 = _mm256_broadcastsi128_si256(_mm_set_epi8(
+            13, 12, 15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2,
+        ));
+        let rot8 = _mm256_broadcastsi128_si256(_mm_set_epi8(
+            14, 13, 12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3,
+        ));
 
-        let mut init = [_mm_setzero_si128(); 16];
+        let mut init = [_mm256_setzero_si256(); 16];
         for (vec, word) in init.iter_mut().zip(state.iter()) {
-            *vec = _mm_set1_epi32(*word as i32);
+            *vec = _mm256_set1_epi32(*word as i32);
         }
-        init[12] = _mm_add_epi32(init[12], _mm_set_epi32(3, 2, 1, 0));
+        init[12] = _mm256_add_epi32(init[12], _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0));
         let mut v = init;
 
         macro_rules! qr {
             ($a:expr, $b:expr, $c:expr, $d:expr) => {
-                v[$a] = _mm_add_epi32(v[$a], v[$b]);
-                v[$d] = _mm_shuffle_epi8(_mm_xor_si128(v[$d], v[$a]), rot16);
-                v[$c] = _mm_add_epi32(v[$c], v[$d]);
-                let t = _mm_xor_si128(v[$b], v[$c]);
-                v[$b] = _mm_or_si128(_mm_slli_epi32(t, 12), _mm_srli_epi32(t, 20));
-                v[$a] = _mm_add_epi32(v[$a], v[$b]);
-                v[$d] = _mm_shuffle_epi8(_mm_xor_si128(v[$d], v[$a]), rot8);
-                v[$c] = _mm_add_epi32(v[$c], v[$d]);
-                let t = _mm_xor_si128(v[$b], v[$c]);
-                v[$b] = _mm_or_si128(_mm_slli_epi32(t, 7), _mm_srli_epi32(t, 25));
+                v[$a] = _mm256_add_epi32(v[$a], v[$b]);
+                v[$d] = _mm256_shuffle_epi8(_mm256_xor_si256(v[$d], v[$a]), rot16);
+                v[$c] = _mm256_add_epi32(v[$c], v[$d]);
+                let t = _mm256_xor_si256(v[$b], v[$c]);
+                v[$b] = _mm256_or_si256(_mm256_slli_epi32(t, 12), _mm256_srli_epi32(t, 20));
+                v[$a] = _mm256_add_epi32(v[$a], v[$b]);
+                v[$d] = _mm256_shuffle_epi8(_mm256_xor_si256(v[$d], v[$a]), rot8);
+                v[$c] = _mm256_add_epi32(v[$c], v[$d]);
+                let t = _mm256_xor_si256(v[$b], v[$c]);
+                v[$b] = _mm256_or_si256(_mm256_slli_epi32(t, 7), _mm256_srli_epi32(t, 25));
             };
         }
         for _ in 0..10 {
@@ -253,25 +300,47 @@ mod sse {
             qr!(3, 4, 9, 14);
         }
         for (vec, start) in v.iter_mut().zip(init.iter()) {
-            *vec = _mm_add_epi32(*vec, *start);
+            *vec = _mm256_add_epi32(*vec, *start);
         }
 
         // Transpose word-major lanes back to block-major chunks: block j's
-        // words 4g..4g+3 live in lane j of v[4g..4g+4].
-        for g in 0..4 {
-            let t0 = _mm_unpacklo_epi32(v[4 * g], v[4 * g + 1]);
-            let t1 = _mm_unpacklo_epi32(v[4 * g + 2], v[4 * g + 3]);
-            let t2 = _mm_unpackhi_epi32(v[4 * g], v[4 * g + 1]);
-            let t3 = _mm_unpackhi_epi32(v[4 * g + 2], v[4 * g + 3]);
-            let rows = [
-                _mm_unpacklo_epi64(t0, t1),
-                _mm_unpackhi_epi64(t0, t1),
-                _mm_unpacklo_epi64(t2, t3),
-                _mm_unpackhi_epi64(t2, t3),
+        // words 8h..8h+7 live in lane j of v[8h..8h+8].
+        for h in 0..2 {
+            let w = &v[8 * h..8 * h + 8];
+            // 32-bit then 64-bit interleaves transpose each 4x4 quadrant
+            // within the 128-bit halves…
+            let t0 = _mm256_unpacklo_epi32(w[0], w[1]);
+            let t1 = _mm256_unpackhi_epi32(w[0], w[1]);
+            let t2 = _mm256_unpacklo_epi32(w[2], w[3]);
+            let t3 = _mm256_unpackhi_epi32(w[2], w[3]);
+            let t4 = _mm256_unpacklo_epi32(w[4], w[5]);
+            let t5 = _mm256_unpackhi_epi32(w[4], w[5]);
+            let t6 = _mm256_unpacklo_epi32(w[6], w[7]);
+            let t7 = _mm256_unpackhi_epi32(w[6], w[7]);
+            // u[q] = words 0..3 of blocks q | q+4, u[q + 4] = words 4..7.
+            let u = [
+                _mm256_unpacklo_epi64(t0, t2),
+                _mm256_unpackhi_epi64(t0, t2),
+                _mm256_unpacklo_epi64(t1, t3),
+                _mm256_unpackhi_epi64(t1, t3),
+                _mm256_unpacklo_epi64(t4, t6),
+                _mm256_unpackhi_epi64(t4, t6),
+                _mm256_unpacklo_epi64(t5, t7),
+                _mm256_unpackhi_epi64(t5, t7),
             ];
-            for (j, row) in rows.into_iter().enumerate() {
-                let p = data.as_mut_ptr().add(j * 64 + g * 16).cast::<__m128i>();
-                _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), row));
+            // …and a 128-bit permute pairs the halves into whole rows.
+            for q in 0..4 {
+                let rows = [
+                    (q, _mm256_permute2x128_si256(u[q], u[q + 4], 0x20)),
+                    (q + 4, _mm256_permute2x128_si256(u[q], u[q + 4], 0x31)),
+                ];
+                for (block, row) in rows {
+                    // SAFETY: block < 8 and h < 2, so the 32 bytes at
+                    // block * 64 + h * 32 end at or before byte 512.
+                    let offset = block * 64 + h * 32;
+                    let text = _mm256_loadu_si256(src.add(offset).cast());
+                    _mm256_storeu_si256(dst.add(offset).cast(), _mm256_xor_si256(text, row));
+                }
             }
         }
     }
@@ -358,23 +427,66 @@ d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e",
 
     #[test]
     fn wide_and_narrow_applications_match() {
-        // A single wide application takes the four-block SIMD path where the
+        // A single wide application takes the eight-block SIMD path where the
         // host has it; 64-byte chunked applications always take the scalar
-        // block path. The streams must be identical.
+        // block path. Splitting at unaligned points makes the eight-block,
+        // single-block, buffered-drain and tail paths all cross. The streams
+        // must be identical.
         let key = [0x42u8; 32];
         let nonce = [7u8; 12];
-        let data: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
-
-        let mut wide = data.clone();
-        ChaCha20::new(&key, &nonce).apply_keystream(&mut wide);
+        let data: Vec<u8> = (0..4097).map(|i| (i % 251) as u8).collect();
 
         let mut narrow = data.clone();
         let mut cipher = ChaCha20::new(&key, &nonce);
         for chunk in narrow.chunks_mut(64) {
             cipher.apply_keystream(chunk);
         }
+        assert_ne!(narrow, data);
+
+        let mut wide = data.clone();
+        ChaCha20::new(&key, &nonce).apply_keystream(&mut wide);
         assert_eq!(wide, narrow);
-        assert_ne!(wide, data);
+
+        for split in [1usize, 63, 65, 511, 513, 1000, 2049, 3583, 4096] {
+            let mut in_place = data.clone();
+            let mut cipher = ChaCha20::new(&key, &nonce);
+            let (a, b) = in_place.split_at_mut(split);
+            cipher.apply_keystream(a);
+            cipher.apply_keystream(b);
+            assert_eq!(in_place, narrow, "in place, split at {split}");
+
+            let mut appended = b"prefix".to_vec();
+            let mut cipher = ChaCha20::new(&key, &nonce);
+            cipher.apply_keystream_into(&data[..split], &mut appended);
+            cipher.apply_keystream_into(&data[split..], &mut appended);
+            assert_eq!(&appended[..6], b"prefix");
+            assert_eq!(&appended[6..], &narrow[..], "appended, split at {split}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_matches_scalar_blocks() {
+        if !avx2::available() {
+            return;
+        }
+        // The second counter wraps inside the eight lanes.
+        for counter in [0u32, 1, u32::MAX - 3] {
+            let mut cipher = ChaCha20::with_counter(&[0x5Au8; 32], &[9u8; 12], counter);
+            let text: Vec<u8> = (0..512u32).map(|i| (i as u8).wrapping_mul(29)).collect();
+            let mut simd = vec![0u8; 512];
+            // SAFETY: availability checked above; both buffers are 512 bytes
+            // and disjoint.
+            unsafe { avx2::xor_eight_blocks(&cipher.state, text.as_ptr(), simd.as_mut_ptr()) };
+            let mut scalar = Vec::with_capacity(512);
+            for block in text.chunks_exact(64) {
+                for (w, chunk) in cipher.next_block_words().iter().zip(block.chunks_exact(4)) {
+                    let x = u32::from_le_bytes(chunk.try_into().expect("4 bytes")) ^ w;
+                    scalar.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+            assert_eq!(simd, scalar, "counter {counter}");
+        }
     }
 
     #[test]

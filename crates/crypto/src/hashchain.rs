@@ -78,7 +78,10 @@ impl std::error::Error for ChainVerifyError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct HashChain {
-    key: Vec<u8>,
+    /// HMAC context keyed once at construction and cloned per link, so a
+    /// link costs the message and digest compressions only — not the two
+    /// key-pad blocks again.
+    mac: HmacSha256,
     head: Digest,
     next_seq: u64,
 }
@@ -86,18 +89,14 @@ pub struct HashChain {
 impl HashChain {
     /// Creates an empty chain keyed with `key`, with the all-zero genesis tag.
     pub fn new(key: &[u8]) -> Self {
-        HashChain {
-            key: key.to_vec(),
-            head: Digest::ZERO,
-            next_seq: 0,
-        }
+        Self::resume(key, Digest::ZERO, 0)
     }
 
     /// Resumes a chain from a known head (used when the local log wraps and
     /// earlier links have been offloaded remotely).
     pub fn resume(key: &[u8], head: Digest, next_seq: u64) -> Self {
         HashChain {
-            key: key.to_vec(),
+            mac: HmacSha256::new(key),
             head,
             next_seq,
         }
@@ -105,7 +104,7 @@ impl HashChain {
 
     /// Appends a record, returning the new link.
     pub fn append(&mut self, record: &[u8]) -> ChainLink {
-        let tag = Self::link_tag(&self.key, &self.head, record);
+        let tag = Self::keyed_link_tag(&self.mac, &self.head, record);
         let link = ChainLink {
             seq: self.next_seq,
             tag,
@@ -138,7 +137,12 @@ impl HashChain {
 
     /// Computes a single link tag.
     pub fn link_tag(key: &[u8], prev: &Digest, record: &[u8]) -> Digest {
-        let mut mac = HmacSha256::new(key);
+        Self::keyed_link_tag(&HmacSha256::new(key), prev, record)
+    }
+
+    /// One link under an already keyed (message-free) HMAC context.
+    fn keyed_link_tag(keyed: &HmacSha256, prev: &Digest, record: &[u8]) -> Digest {
+        let mut mac = keyed.clone();
         mac.update(prev.as_bytes());
         mac.update(record);
         mac.finalize()
@@ -178,8 +182,9 @@ impl HashChain {
                 actual: records.len(),
             });
         }
+        let keyed = HmacSha256::new(key);
         for (record, link) in records.iter().zip(links) {
-            let expected = Self::link_tag(key, &head, record.as_ref());
+            let expected = Self::keyed_link_tag(&keyed, &head, record.as_ref());
             if expected != link.tag {
                 return Err(ChainVerifyError::TagMismatch { seq: link.seq });
             }
@@ -192,6 +197,7 @@ impl HashChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn build(records: &[&[u8]]) -> (HashChain, Vec<ChainLink>) {
         let mut chain = HashChain::new(b"k");
@@ -291,5 +297,43 @@ mod tests {
     fn chain_error_display() {
         let e = ChainVerifyError::TagMismatch { seq: 7 };
         assert!(e.to_string().contains("sequence 7"));
+    }
+
+    proptest! {
+        // The keyed-midstate links are plain RFC 2104 HMACs over
+        // `prev || record`, link by link, on both the append and the
+        // verify side.
+        #[test]
+        fn midstate_links_equal_one_shot_hmac(
+            key in proptest::collection::vec(any::<u8>(), 0..100),
+            records in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..150),
+                1..12,
+            ),
+            resume_at in 0usize..12,
+        ) {
+            let mut chain = HashChain::new(&key);
+            let mut prev = Digest::ZERO;
+            let mut links = Vec::new();
+            for record in &records {
+                let mut message = prev.as_bytes().to_vec();
+                message.extend_from_slice(record);
+                let link = chain.append(record);
+                prop_assert_eq!(link.tag, HmacSha256::mac(&key, &message));
+                prop_assert_eq!(link.tag, HashChain::link_tag(&key, &prev, record));
+                prev = link.tag;
+                links.push(link);
+            }
+            prop_assert!(HashChain::verify_sequence(&key, &records, &links).is_ok());
+            let at = resume_at % records.len();
+            let head = if at == 0 { Digest::ZERO } else { links[at - 1].tag };
+            prop_assert!(HashChain::verify_from(&key, head, &records[at..], &links[at..]).is_ok());
+            let mut bad = links.clone();
+            bad[at].tag = Digest::ZERO;
+            prop_assert_eq!(
+                HashChain::verify_sequence(&key, &records, &bad),
+                Err(ChainVerifyError::TagMismatch { seq: at as u64 })
+            );
+        }
     }
 }

@@ -9,6 +9,10 @@ const BLOCK_SIZE: usize = 64;
 
 /// Incremental HMAC-SHA-256.
 ///
+/// Keying runs the two pad-block compressions once; a keyed context that has
+/// absorbed no message yet can be cloned to MAC many messages under one key
+/// without repeating them (the evidence chain does this per link).
+///
 /// # Examples
 ///
 /// ```
@@ -20,8 +24,10 @@ const BLOCK_SIZE: usize = 64;
 /// ```
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
+    /// Hash state after the `key ^ ipad` block, absorbing the message.
     inner: Sha256,
-    opad_key: [u8; BLOCK_SIZE],
+    /// Hash state after the `key ^ opad` block, awaiting the inner digest.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -42,10 +48,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Feeds message bytes.
@@ -56,8 +61,7 @@ impl HmacSha256 {
     /// Finalizes and returns the 32-byte tag.
     pub fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(inner_digest.as_bytes());
         outer.finalize()
     }

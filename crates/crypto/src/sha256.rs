@@ -177,14 +177,17 @@ impl Sha256 {
     /// Consumes the hasher and returns the final digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0u8]);
+        // Padding: 0x80, zeros, then 64-bit big-endian length — written
+        // straight into the block buffer (`update` keeps `buffer_len < 64`).
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            self.compress_blocks(&block);
+            block = [0u8; 64];
         }
-        // Manual length append: bypass update's total_len accounting.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress_blocks(&block);
 
         let mut out = [0u8; 32];
@@ -418,6 +421,33 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn finalize_pads_like_fips_180_4_at_every_buffer_fill() {
+        // Reference: pad the message by hand and run the scalar rounds.
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 31 % 251) as u8).collect();
+        for len in 0..=data.len() {
+            let mut padded = data[..len].to_vec();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
+            let mut scalar = Sha256::new();
+            for block in padded.chunks_exact(64) {
+                scalar.compress(block.try_into().expect("64 bytes"));
+            }
+            let mut expected = [0u8; 32];
+            for (i, word) in scalar.state.iter().enumerate() {
+                expected[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            assert_eq!(
+                Sha256::digest(&data[..len]),
+                Digest(expected),
+                "length {len}"
+            );
         }
     }
 

@@ -135,10 +135,10 @@ impl SecureSession {
         if diff != 0 {
             return Err(SessionError::BadTag);
         }
+        // Authenticated: decipher straight into the output, one pass.
         let nonce = self.keys.segment_nonce(self.enc_id, segment_seq);
         let mut out = Vec::with_capacity(ciphertext.len());
-        out.extend_from_slice(ciphertext);
-        ChaCha20::new(&self.enc_key, &nonce).apply_keystream(&mut out);
+        ChaCha20::new(&self.enc_key, &nonce).apply_keystream_into(ciphertext, &mut out);
         Ok(out)
     }
 }

@@ -129,15 +129,17 @@ impl RemoteLogServer {
         let Ok(raw) = rssd_compress::decompress(&compressed) else {
             return;
         };
-        let Ok(segment) = rssd_core::Segment::from_bytes(&raw) else {
+        // Detection reads record metadata only: the pre-images stay where
+        // they were decompressed.
+        let Ok(segment) = rssd_core::SegmentView::parse(&raw) else {
             return;
         };
         for record in &segment.records {
-            if record.op == LogOp::Read {
+            if record.meta.op == LogOp::Read {
                 continue;
             }
             self.ensemble
-                .observe(&PostAttackAnalyzer::observation(record));
+                .observe(&PostAttackAnalyzer::observation(&record.meta));
             self.report.records_analyzed += 1;
         }
         self.report.verdict = self.ensemble.verdict();
