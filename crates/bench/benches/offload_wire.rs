@@ -3,11 +3,13 @@
 //!
 //! Each configuration runs the *same* write/overwrite workload on an RSSD
 //! device whose evidence offload travels through the full simulated
-//! NVMe-oE stack ([`WireRemote`]) over a different link. Because the
-//! device's clock absorbs every acknowledged transfer's wire time,
-//! throughput differences between rows are the link model itself —
-//! serialization, propagation, and go-back-N retransmission on lossy
-//! links — not harness noise.
+//! NVMe-oE stack ([`WireRemote`]) over a different link. Transfers
+//! overlap host I/O — a segment ships when it seals and retires when the
+//! device clock passes its ack — so what a slow link costs the host is
+//! the staging window filling up (throttled writes) and the final flush
+//! waiting out the acks in flight, not a round trip per segment: host
+//! kIOPS stay near the ideal link's while offload MB/s and the end of
+//! simulated time still show the link.
 //!
 //! Recovery-window integrity is scored against a golden direct-path
 //! device running the identical workload: `recovery_ok` is 1.0 iff the

@@ -27,8 +27,10 @@ pub enum OffloadHealth {
     /// No backlog, no recent failures: segments ship as they seal.
     #[default]
     Healthy,
-    /// Sealed segments are staged locally (remote slow or unreachable), but
-    /// backlog pressure is low; host I/O is unaffected.
+    /// Sealed segments are staged locally — shipped with their acks still
+    /// in flight (the normal state on any link that takes time), or held
+    /// back because the remote is unreachable — but backlog pressure is
+    /// low; host I/O is unaffected.
     Buffering,
     /// Backlog pressure is high (or failures persistent): writes pay a
     /// backlog-proportional simulated latency penalty — admission control.
@@ -147,6 +149,10 @@ struct RemoteVersion {
 /// A sealed segment awaiting remote acknowledgement. The envelope *is* the
 /// wire image (refcounted `Bytes`), built exactly once at seal time and
 /// reused verbatim by every ship retry, the NAND spill, and crash replay.
+///
+/// A segment stays staged from its seal until the device clock has passed
+/// its ack: first unshipped, then in flight (`acked_at_ns` set — the remote
+/// holds it, the device does not know yet), then retired.
 #[derive(Clone, Debug)]
 struct StagedSegment {
     envelope: SegmentEnvelope,
@@ -160,6 +166,9 @@ struct StagedSegment {
     /// Persisted to the NAND spill region: the evidence survives a power
     /// cut, and the retained pre-image pins have been released.
     spilled: bool,
+    /// Shipped: the transfer succeeded and its ack reaches the device at
+    /// this simulated time. `None` while the segment has yet to cross.
+    acked_at_ns: Option<u64>,
 }
 
 /// What a power cut destroyed. The flash contents (every acknowledged host
@@ -257,9 +266,10 @@ pub struct RssdDevice<R: RemoteTarget> {
     pending: Vec<LogRecord>,
     pending_links: Vec<ChainLink>,
     /// Sealed segments awaiting remote acknowledgement, FIFO in chain
-    /// order. Spilled segments always form a prefix of this queue, so a
-    /// power cut truncates the staged history cleanly at the last spilled
-    /// segment — never a hole in the middle of the chain.
+    /// order. Shipped segments (ack in flight) form a prefix of this queue
+    /// and spilled ones a prefix of the unshipped rest; both are durable,
+    /// so a power cut truncates the staged history cleanly at the last
+    /// durable segment — never a hole in the middle of the chain.
     staged: std::collections::VecDeque<StagedSegment>,
     /// Offload health-state machine (see [`OffloadHealth`]).
     health: OffloadHealth,
@@ -409,6 +419,11 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// real controller's pin table is RAM too. They are *detectably* lost —
     /// the remote chain head shows exactly where the durable log ends.
     ///
+    /// A segment that was shipped but whose ack had not yet reached the
+    /// device is *not* lost: the store holds it, [`Self::recover`] indexes
+    /// it from there, and only its pins go (with the pin table). The device
+    /// never heard that ack, so [`OffloadStats`] never counts the segment.
+    ///
     /// Returns the report of the cut that did the damage; crashing an
     /// already-crashed device destroys nothing further and returns the
     /// original report (see [`Self::last_crash_report`]).
@@ -423,18 +438,31 @@ impl<R: RemoteTarget> RssdDevice<R> {
             }
         }
         // Staged segments: a spilled one is durable on NAND (its wire image
-        // replays at recovery — nothing lost); a RAM-only one dies with its
-        // pins exactly like the pending tail.
+        // replays at recovery — nothing lost, pins long released); a shipped
+        // one is durable in the store, which recovery indexes it from, and
+        // only the pins its ack would have released go with the pin table;
+        // a RAM-only one dies with its pins exactly like the pending tail.
         for seg in &self.staged {
+            if let (Some(acked_at_ns), true) = (seg.acked_at_ns, self.sink.is_enabled()) {
+                self.sink.instant(
+                    "offload",
+                    "segment_ack_lost",
+                    self.ftl.clock().now_ns(),
+                    &[
+                        ("segment_seq", seg.envelope.segment_seq().to_string()),
+                        ("acked_at_ns", acked_at_ns.to_string()),
+                    ],
+                );
+            }
             if seg.spilled {
                 continue;
             }
-            lost_records += seg.records.len() as u64;
-            for rec in &seg.records {
-                if let Some(idx) = rec.old_page_index {
-                    self.ftl.unpin_page(geometry.page_from_index(idx));
-                    preimages += 1;
-                }
+            for idx in seg.records.iter().filter_map(|rec| rec.old_page_index) {
+                self.ftl.unpin_page(geometry.page_from_index(idx));
+            }
+            if seg.acked_at_ns.is_none() {
+                lost_records += seg.records.len() as u64;
+                preimages += seg.retained_pages;
             }
         }
         let report = CrashReport {
@@ -576,6 +604,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
                 retained_pages: retained,
                 raw_bytes: raw_len as u64,
                 spilled: true,
+                acked_at_ns: None,
             });
         }
 
@@ -615,9 +644,22 @@ impl<R: RemoteTarget> RssdDevice<R> {
         self.health
     }
 
-    /// Sealed segments staged locally awaiting remote acknowledgement.
+    /// Sealed segments staged locally awaiting remote acknowledgement —
+    /// still to be shipped, or shipped with the ack in flight.
     pub fn staged_segments(&self) -> usize {
         self.staged.len()
+    }
+
+    /// Staged segments the remote does not hold yet. One whose ack is in
+    /// flight is the store's to answer for, not this queue's.
+    fn unshipped(&self) -> impl Iterator<Item = &StagedSegment> {
+        self.staged.iter().filter(|seg| seg.acked_at_ns.is_none())
+    }
+
+    /// Flash pages pinned against GC because a record still waiting for its
+    /// ack (pending, or staged and neither spilled nor retired) names them.
+    pub fn pinned_pages(&self) -> u64 {
+        self.ftl.pinned_pages()
     }
 
     /// Bytes of the NAND spill region currently holding staged evidence.
@@ -789,9 +831,10 @@ impl<R: RemoteTarget> RssdDevice<R> {
             &mut self.remote,
             |_seq, record| out.push(record.into_owned()),
         )?;
-        // Staged (sealed but not yet acknowledged) segments, in queue order.
+        // Staged segments that have yet to cross, in queue order. One whose
+        // ack is still in flight was just walked in the store.
         let mut staged_records = 0usize;
-        for seg in &self.staged {
+        for seg in self.unshipped() {
             let images = chain_images(&seg.records);
             HashChain::verify_from(&chain_key, head, &images, &seg.links).map_err(|e| {
                 format!(
@@ -821,7 +864,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
                 self.chain.len()
             ));
         }
-        for seg in &self.staged {
+        for seg in self.unshipped() {
             out.extend(seg.records.iter().cloned());
         }
         out.extend(self.pending.iter().cloned());
@@ -847,7 +890,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
             |_seq, record| records.push(record.into_owned()),
         );
         if failure.is_none() {
-            for seg in &self.staged {
+            for seg in self.unshipped() {
                 let images = chain_images(&seg.records);
                 match HashChain::verify_from(&chain_key, head, &images, &seg.links) {
                     Ok(()) => {
@@ -1079,9 +1122,14 @@ impl<R: RemoteTarget> RssdDevice<R> {
         self.profiler.exit();
     }
 
-    /// Is a deferred background retry due for the staged backlog?
+    /// Is a deferred background retry due for the unshipped backlog?
+    /// Segments whose acks are in flight want time, not another attempt
+    /// (they are a prefix of the queue, so the back tells).
     fn staged_retry_due(&self) -> bool {
-        !self.staged.is_empty() && self.ftl.clock().now_ns() >= self.next_retry_at_ns
+        self.staged
+            .back()
+            .is_some_and(|seg| seg.acked_at_ns.is_none())
+            && self.ftl.clock().now_ns() >= self.next_retry_at_ns
     }
 
     /// Seals the pending tail into a staged segment: attaches retained
@@ -1168,6 +1216,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
             retained_pages,
             raw_bytes: raw.len() as u64,
             spilled: false,
+            acked_at_ns: None,
         });
         self.stats.segments_sealed += 1;
         self.prev_segment_head = chain_head;
@@ -1176,11 +1225,19 @@ impl<R: RemoteTarget> RssdDevice<R> {
         self.update_health();
     }
 
-    /// Ships the staged backlog FIFO. `forced` ignores the retry backoff.
-    /// On a ship failure the unshipped tail is spilled to the NAND region
-    /// (if configured), the backoff doubles, and the health state is
-    /// recomputed — the error is returned for forced callers that need it.
+    /// Works the staged backlog: retires every segment whose ack the device
+    /// clock has passed, ships the unshipped rest FIFO at the current time,
+    /// and leaves the acks to land while the host carries on — offloading
+    /// overlaps host I/O, and what a slow uplink costs the host is the
+    /// staging window filling up (the health machine), not a round trip
+    /// per segment. `forced` ignores the retry backoff and then *waits*:
+    /// the clock advances to the last outstanding ack, so a forced drain
+    /// that returns `Ok` leaves nothing staged. On a ship failure the
+    /// unshipped tail is spilled to the NAND region (if configured) and the
+    /// backoff doubles — the error is returned for forced callers that
+    /// need it.
     fn drain_staged(&mut self, forced: bool) -> Result<(), RemoteError> {
+        self.retire_acked();
         if self.staged.is_empty() {
             self.update_health();
             return Ok(());
@@ -1191,44 +1248,40 @@ impl<R: RemoteTarget> RssdDevice<R> {
             self.update_health();
             return Ok(());
         }
-        while let Some(front) = self.staged.front() {
-            let envelope = front.envelope.clone();
+        let shipped = self.ship_unshipped();
+        if forced {
+            if let Some(last_ack) = self.staged.iter().filter_map(|seg| seg.acked_at_ns).max() {
+                self.ftl.clock().advance_to(last_ack);
+            }
+        }
+        // Off the wire acks land at `now`: what was just shipped retires in
+        // the same call.
+        self.retire_acked();
+        self.update_health();
+        shipped
+    }
+
+    /// Ships every unshipped staged segment, in order, at the current time.
+    /// A delivered segment stays staged with the time its ack reaches the
+    /// device; the clock does not move. Stops at the first failure: that
+    /// segment and everything behind it stay unshipped (sealed images
+    /// intact — no re-read, no re-compress, no re-seal) and are made
+    /// locally durable.
+    fn ship_unshipped(&mut self) -> Result<(), RemoteError> {
+        let now = self.ftl.clock().now_ns();
+        for i in 0..self.staged.len() {
+            if self.staged[i].acked_at_ns.is_some() {
+                continue;
+            }
+            let envelope = self.staged[i].envelope.clone();
             let segment_seq = envelope.segment_seq();
-            let sealed_len = envelope.sealed_payload().len() as u64;
-            let now = self.ftl.clock().now_ns();
+            let sealed_len = envelope.sealed_payload().len();
             match self.remote.store_segment(envelope, now) {
                 Ok(ack) => {
-                    // The ack's durability time carries any wire latency
-                    // (serialization, propagation, retransmission) back
-                    // onto the device timeline: offloading over a slow
-                    // link costs simulated nanoseconds the host can
-                    // observe. Loopback acks land at `now`, so this is a
-                    // no-op off the wire.
-                    self.ftl.clock().advance_to(ack.durable_at_ns);
-                    let seg = self.staged.pop_front().expect("front exists");
-                    let geometry = self.ftl.geometry();
-                    // Durable remotely: unpin (unless the spill already
-                    // released the pins), index, account.
-                    for rec in &seg.records {
-                        if let Some(idx) = rec.old_page_index {
-                            if !seg.spilled {
-                                self.ftl.unpin_page(geometry.page_from_index(idx));
-                            }
-                            self.remote_index
-                                .entry(rec.lpa)
-                                .or_default()
-                                .push(RemoteVersion {
-                                    segment_seq,
-                                    invalidated_at_ns: rec.at_ns,
-                                    record_seq: rec.seq,
-                                });
-                        }
-                    }
-                    self.stats.segments_offloaded += 1;
-                    self.stats.records_offloaded += seg.records.len() as u64;
-                    self.stats.retained_pages_offloaded += seg.retained_pages;
-                    self.stats.raw_bytes += seg.raw_bytes;
-                    self.stats.sealed_bytes += sealed_len;
+                    // The ack's durability time carries the wire latency
+                    // (serialization, propagation, retransmission); the
+                    // segment retires once the device clock gets there.
+                    self.staged[i].acked_at_ns = Some(ack.durable_at_ns);
                     self.consecutive_failures = 0;
                     self.retry_backoff_ns = Self::RETRY_BACKOFF_BASE_NS;
                     self.next_retry_at_ns = 0;
@@ -1243,18 +1296,9 @@ impl<R: RemoteTarget> RssdDevice<R> {
                                 ("sealed_bytes", sealed_len.to_string()),
                             ],
                         );
-                        self.sink.instant(
-                            "offload",
-                            "segment_ack",
-                            ack.durable_at_ns,
-                            &[("segment_seq", segment_seq.to_string())],
-                        );
                     }
                 }
                 Err(e) => {
-                    // Conservative: the segment stays staged (sealed image
-                    // intact — no re-read, no re-compress, no re-seal) and
-                    // the whole unshipped tail is made locally durable.
                     self.stats.offload_failures += 1;
                     self.consecutive_failures += 1;
                     if self.sink.is_enabled() {
@@ -1275,23 +1319,78 @@ impl<R: RemoteTarget> RssdDevice<R> {
                     self.next_retry_at_ns = now + self.retry_backoff_ns;
                     self.retry_backoff_ns =
                         (self.retry_backoff_ns * 2).min(Self::RETRY_BACKOFF_CAP_NS);
-                    self.update_health();
                     return Err(e);
                 }
             }
         }
-        // Fully drained: everything is durable remotely, so the local
-        // spill copies are dead weight — reclaim the region.
-        if self.ftl.spill_used_bytes() > 0 {
-            let _ = self.ftl.spill_reset();
-        }
-        self.update_health();
         Ok(())
     }
 
-    /// Persists every not-yet-spilled staged segment to the NAND spill
-    /// region, in FIFO order (spilled segments always form a queue
-    /// prefix). A spilled segment's evidence is durable across a power
+    /// Retires, FIFO, every shipped segment whose ack the device clock has
+    /// passed: durable remotely *and known to be*, so its pins are released
+    /// (unless the spill already did), its versions indexed and its bytes
+    /// accounted. A later segment acked earlier waits its turn behind the
+    /// front. Runs on entry to every host command and around every drain.
+    fn retire_acked(&mut self) {
+        let now = self.ftl.clock().now_ns();
+        let geometry = self.ftl.geometry();
+        let mut retired = false;
+        while let Some(acked_at_ns) = self.staged.front().and_then(|seg| seg.acked_at_ns) {
+            if acked_at_ns > now {
+                break;
+            }
+            let seg = self.staged.pop_front().expect("front exists");
+            let segment_seq = seg.envelope.segment_seq();
+            for rec in &seg.records {
+                if let Some(idx) = rec.old_page_index {
+                    if !seg.spilled {
+                        self.ftl.unpin_page(geometry.page_from_index(idx));
+                    }
+                    self.remote_index
+                        .entry(rec.lpa)
+                        .or_default()
+                        .push(RemoteVersion {
+                            segment_seq,
+                            invalidated_at_ns: rec.at_ns,
+                            record_seq: rec.seq,
+                        });
+                }
+            }
+            self.stats.segments_offloaded += 1;
+            self.stats.records_offloaded += seg.records.len() as u64;
+            self.stats.retained_pages_offloaded += seg.retained_pages;
+            self.stats.raw_bytes += seg.raw_bytes;
+            self.stats.sealed_bytes += seg.envelope.sealed_payload().len() as u64;
+            if self.sink.is_enabled() {
+                // Stamped when the device acts on the ack, so the track
+                // stays on the device clock; the arrival rides along.
+                self.sink.instant(
+                    "offload",
+                    "segment_ack",
+                    now,
+                    &[
+                        ("segment_seq", segment_seq.to_string()),
+                        ("acked_at_ns", acked_at_ns.to_string()),
+                    ],
+                );
+            }
+            retired = true;
+        }
+        if !retired {
+            return;
+        }
+        // Fully drained: everything is durable remotely, so the local
+        // spill copies are dead weight — reclaim the region.
+        if self.staged.is_empty() && self.ftl.spill_used_bytes() > 0 {
+            let _ = self.ftl.spill_reset();
+        }
+        self.update_health();
+    }
+
+    /// Persists every unshipped, not-yet-spilled staged segment to the
+    /// NAND spill region, in FIFO order (a segment whose ack is in flight
+    /// is already durable in the store; behind those, spilled segments form
+    /// a prefix). A spilled segment's evidence is durable across a power
     /// cut, so its retained pre-image pins are released — the same
     /// release point a successful offload would have used. Stops at the
     /// first failure (region full): those segments stay RAM-staged with
@@ -1302,7 +1401,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         }
         let geometry = self.ftl.geometry();
         for i in 0..self.staged.len() {
-            if self.staged[i].spilled {
+            if self.staged[i].spilled || self.staged[i].acked_at_ns.is_some() {
                 continue;
             }
             let wire = self.staged[i].envelope.wire().clone();
@@ -1357,6 +1456,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         if self.crashed {
             return Err(DeviceError::PowerLoss);
         }
+        self.retire_acked();
         // Admission control along the degradation slope. Stalled gets one
         // forced drain first — with a frozen backlog the only way out is an
         // attempt, and a healed link recovers on the very next write.
@@ -1442,6 +1542,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         if self.crashed {
             return Err(DeviceError::PowerLoss);
         }
+        self.retire_acked();
         let start = self.ftl.clock().now_ns();
         self.recent_reads.insert(lpa, start);
         let (data, ticket) = self.ftl.read_async(lpa)?;
@@ -1466,6 +1567,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         if self.crashed {
             return Err(DeviceError::PowerLoss);
         }
+        self.retire_acked();
         // Enhanced trim: host semantics preserved (reads return zeroes), but
         // the trimmed version is retained and logged like any overwrite.
         // Pure mapping-table work: no flash op, no simulated time.

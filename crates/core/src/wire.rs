@@ -68,8 +68,8 @@ impl RemoteFaultStats {
 ///
 /// The inner target receives exactly the bytes the wire delivered — decoded
 /// back into a [`SegmentEnvelope`] — at the simulated time the transfer
-/// completed, so offload acks carry real network latency back to the
-/// device clock.
+/// completed, so an offload's ack carries real network latency: it is
+/// when the device may retire the segment.
 #[derive(Clone, Debug)]
 pub struct WireRemote<R: RemoteTarget> {
     fabric: NvmeOeEndpoint,
@@ -420,13 +420,27 @@ mod tests {
     mod device_over_wire {
         use super::*;
         use crate::config::RssdConfig;
-        use crate::device::RssdDevice;
+        use crate::device::{OffloadHealth, RssdDevice};
         use rssd_flash::{FlashGeometry, NandTiming, SimClock};
         use rssd_ssd::{BlockDevice, DeviceError};
 
         fn device(link: LinkConfig) -> RssdDevice<WireRemote<LoopbackTarget>> {
+            device_on(FlashGeometry::small_test(), link)
+        }
+
+        /// 256 blocks: a WAN window's worth of pinned pre-images stays far
+        /// below the pinned-block watermark, which on the 32-block test
+        /// geometry would seal early on nearly every write.
+        fn roomy_device(link: LinkConfig) -> RssdDevice<WireRemote<LoopbackTarget>> {
+            device_on(FlashGeometry::with_capacity(64 << 20), link)
+        }
+
+        fn device_on(
+            geometry: FlashGeometry,
+            link: LinkConfig,
+        ) -> RssdDevice<WireRemote<LoopbackTarget>> {
             RssdDevice::new(
-                FlashGeometry::small_test(),
+                geometry,
                 NandTiming::instant(),
                 SimClock::new(),
                 RssdConfig {
@@ -481,6 +495,133 @@ mod tests {
                 "slow uplink must cost the device clock: slow {slow_now} \
                  fast {fast_now} wire {min_wire_ns}"
             );
+        }
+
+        /// Overwrites 16 pages round-robin: every write after the first
+        /// lap retains a pre-image, so a segment seals every 8 writes.
+        fn overwrite_laps(
+            d: &mut RssdDevice<WireRemote<LoopbackTarget>>,
+            writes: std::ops::Range<u64>,
+        ) {
+            for i in writes {
+                d.write_page(i % 16, page((i % 251) as u8)).unwrap();
+            }
+        }
+
+        #[test]
+        fn acks_in_flight_overlap_host_writes_and_retire_when_the_clock_gets_there() {
+            let mut d = roomy_device(LinkConfig::wan_cloud());
+            overwrite_laps(&mut d, 0..80);
+            // Instant NAND: nothing has moved the clock, so every segment
+            // sealed so far is shipped, stored remotely — and unacknowledged.
+            assert_eq!(d.clock().now_ns(), 0, "shipping costs the host nothing");
+            let in_flight = d.staged_segments();
+            assert!(in_flight >= 8, "{in_flight} segments in flight");
+            assert_eq!(d.remote().inner().stored_segments().len(), in_flight);
+            assert_eq!(d.offload_stats().segments_offloaded, 0);
+            assert_eq!(d.offload_health(), OffloadHealth::Buffering);
+            assert!(d.pinned_pages() > 0, "pins are held until the ack");
+            // Pre-images inside an in-flight segment are still served.
+            assert_eq!(d.recover_page(0).unwrap(), page(48));
+
+            // One WAN round trip later the next host command retires them,
+            // FIFO, without a forced drain.
+            d.clock().advance(1_000_000_000);
+            assert_eq!(d.read_page(0).unwrap(), page(64));
+            assert_eq!(d.staged_segments(), 0);
+            assert_eq!(d.offload_stats().segments_offloaded, in_flight as u64);
+            assert_eq!(d.offload_health(), OffloadHealth::Healthy);
+            assert_eq!(d.clock().now_ns(), 1_000_000_000, "and still no charge");
+            assert_eq!(d.recover_page(0).unwrap(), page(48));
+        }
+
+        #[test]
+        fn flush_waits_for_every_ack_in_flight() {
+            let mut d = roomy_device(LinkConfig::wan_cloud());
+            overwrite_laps(&mut d, 0..80);
+            assert!(d.staged_segments() > 0);
+            d.flush_log().unwrap();
+            // `Ok` means acknowledged, on the device clock: nothing staged,
+            // nothing pinned, and at least one WAN round trip gone by.
+            assert_eq!(d.staged_segments(), 0);
+            assert_eq!(d.pending_records(), 0);
+            assert_eq!(d.pinned_pages(), 0);
+            let stats = d.offload_stats();
+            assert_eq!(stats.segments_offloaded, stats.segments_sealed);
+            assert!(d.clock().now_ns() >= 2 * LinkConfig::wan_cloud().propagation_delay_ns);
+        }
+
+        #[test]
+        fn wan_replay_seals_what_the_ideal_link_seals() {
+            // Regression: with acks in flight the staged queue is non-empty
+            // on every write; were that alone to count as "a retry is due",
+            // each write would re-enter the offload path and seal a
+            // one-record segment.
+            let replay = |link: LinkConfig| {
+                let mut d = roomy_device(link);
+                overwrite_laps(&mut d, 0..2_000);
+                d.flush_log().unwrap();
+                d.offload_stats()
+            };
+            let ideal = replay(LinkConfig::ideal());
+            let wan = replay(LinkConfig::wan_cloud());
+            assert!(wan.throttled_writes > 0, "the window filled: {wan:?}");
+            assert_eq!(wan.records_offloaded, ideal.records_offloaded);
+            // Same script, same thresholds; only the pinned-block watermark
+            // (pins are held until the ack) may seal a segment early.
+            assert!(
+                wan.segments_sealed.abs_diff(ideal.segments_sealed) <= ideal.segments_sealed / 50,
+                "wan sealed {} segments, ideal {}",
+                wan.segments_sealed,
+                ideal.segments_sealed
+            );
+        }
+
+        #[test]
+        fn history_with_acks_outstanding_counts_each_segment_once() {
+            let mut ideal = roomy_device(LinkConfig::ideal());
+            let mut wan = roomy_device(LinkConfig::wan_cloud());
+            for d in [&mut ideal, &mut wan] {
+                overwrite_laps(d, 0..100);
+            }
+            assert!(wan.staged_segments() > 0, "acks outstanding");
+            assert!(wan.pending_records() > 0, "and a pending tail");
+            // A shipped segment is in the store *and* in the staged queue;
+            // walking both would double-count it and cry "chain gap".
+            let history = wan.verified_history().expect("verifies mid-flight");
+            assert_eq!(wan.clock().now_ns(), 0, "reading history is free");
+            assert_eq!(history.len() as u64, wan.chain_len());
+            // Record for record what the ideal link retired long ago — the
+            // store's copy, pre-images attached.
+            assert_eq!(history, ideal.verified_history().unwrap());
+            let audit = wan.audit_history();
+            assert!(audit.verified, "{:?}", audit.failure);
+            assert_eq!(audit.records, history);
+        }
+
+        #[test]
+        fn power_cut_with_acks_in_flight_loses_only_the_unshipped_tail() {
+            let mut d = roomy_device(LinkConfig::wan_cloud());
+            overwrite_laps(&mut d, 0..100);
+            let in_flight = d.staged_segments() as u64;
+            let pending = d.pending_records() as u64;
+            assert!(in_flight > 0 && pending > 0);
+            let report = d.crash();
+            // The store holds every shipped segment: only the pending tail
+            // (and its pre-images) died, and the pin table went with it.
+            assert_eq!(report.pending_records_lost, pending);
+            assert_eq!(report.pending_preimages_lost, pending);
+            assert_eq!(d.pinned_pages(), 0);
+            let recovery = d.recover().unwrap();
+            assert_eq!(recovery.segments_walked, in_flight);
+            assert_eq!(recovery.resumed_seq, report.chain_len_at_crash - pending);
+            assert_eq!(d.staged_segments(), 0, "the lost acks are not waited for");
+            // Indexed from the store: every shipped pre-image is back.
+            assert_eq!(d.recover_page(0).unwrap(), page(64));
+            overwrite_laps(&mut d, 100..140);
+            d.flush_log().unwrap();
+            assert_eq!(d.pinned_pages(), 0);
+            assert_eq!(d.verified_history().unwrap().len() as u64, d.chain_len());
         }
 
         #[test]

@@ -3,9 +3,10 @@
 //!
 //! # Examples
 //!
-//! A frame's arrival time is the sender's serialization time (it queues
-//! behind earlier frames) plus the propagation delay — both in simulated
-//! nanoseconds on the shared clock:
+//! A frame's arrival time is the sender's serialization time (it takes the
+//! earliest idle gap on the wire at or after the moment it is offered) plus
+//! the propagation delay — both in simulated nanoseconds on the shared
+//! clock:
 //!
 //! ```
 //! use bytes::Bytes;
@@ -95,13 +96,23 @@ impl Default for LinkConfig {
 }
 
 /// A unidirectional simulated link. Frames are serialized at the configured
-/// bandwidth (the sender side is busy until the last bit leaves) and arrive
+/// bandwidth (the wire is reserved until the last bit leaves) and arrive
 /// after the propagation delay — unless the deterministic loss pattern eats
 /// them.
+///
+/// Senders are simulated one whole transfer at a time, so offers do not
+/// arrive in time order: a go-back-N transfer that waits out an RTO books
+/// its retransmission round in the future, and the next segment's first
+/// round is then offered *before* it. The wire was idle in between, so the
+/// link keeps the reserved serialization intervals and gives each frame the
+/// earliest idle gap it fits in — a transfer sleeping on a timer does not
+/// hold the wire against the traffic behind it.
 #[derive(Clone, Debug)]
 pub struct SimLink {
     config: LinkConfig,
-    busy_until_ns: u64,
+    /// Reserved serialization intervals `[start, end)`: sorted, disjoint,
+    /// touching ones merged, at most [`Self::MAX_RESERVED`] of them.
+    reserved: Vec<(u64, u64)>,
     frames_offered: u64,
     frames_dropped: u64,
     frames_blackholed: u64,
@@ -110,11 +121,19 @@ pub struct SimLink {
 }
 
 impl SimLink {
+    /// Reserved intervals kept. A go-back-N round is one merged burst, a
+    /// transfer a handful of rounds and the offload engine stages at most a
+    /// few dozen segments, so the live ones fit with room to spare. Past
+    /// the cap the two *earliest* are fused, idle gap included: that never
+    /// double-books the wire, and it only closes a gap no current sender
+    /// can still reach.
+    const MAX_RESERVED: usize = 64;
+
     /// Creates an idle link.
     pub fn new(config: LinkConfig) -> Self {
         SimLink {
             config,
-            busy_until_ns: 0,
+            reserved: Vec::new(),
             frames_offered: 0,
             frames_dropped: 0,
             frames_blackholed: 0,
@@ -164,9 +183,50 @@ impl SimLink {
         self.bytes_carried
     }
 
-    /// Time the sender finishes serializing its latest frame.
+    /// Time the last bit of the latest reservation leaves the sender: the
+    /// wire is idle from here on (zero on a link that has reserved nothing —
+    /// an ideal one never does).
     pub fn busy_until_ns(&self) -> u64 {
-        self.busy_until_ns
+        self.reserved.last().map_or(0, |&(_, end)| end)
+    }
+
+    /// Reserves the earliest idle `len_ns` of wire at or after `now_ns` and
+    /// returns when it ends. Offers arriving in time order only ever find
+    /// room behind the last reservation — `max(busy_until, now) + len`,
+    /// the scalar horizon this list replaced. A frame that takes no time
+    /// (an ideal link's) reserves nothing.
+    fn reserve(&mut self, now_ns: u64, len_ns: u64) -> u64 {
+        let mut start = now_ns;
+        let mut at = 0;
+        for (i, &(busy_from, busy_until)) in self.reserved.iter().enumerate() {
+            if busy_until > start {
+                if start < busy_from && start + len_ns <= busy_from {
+                    break;
+                }
+                start = busy_until;
+            }
+            at = i + 1;
+        }
+        let end = start + len_ns;
+        if len_ns == 0 {
+            return end;
+        }
+        let joins_prev = at > 0 && self.reserved[at - 1].1 == start;
+        let joins_next = at < self.reserved.len() && self.reserved[at].0 == end;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.reserved[at - 1].1 = self.reserved[at].1;
+                self.reserved.remove(at);
+            }
+            (true, false) => self.reserved[at - 1].1 = end,
+            (false, true) => self.reserved[at].0 = start,
+            (false, false) => self.reserved.insert(at, (start, end)),
+        }
+        if self.reserved.len() > Self::MAX_RESERVED {
+            self.reserved[1].0 = self.reserved[0].0;
+            self.reserved.remove(0);
+        }
+        end
     }
 
     /// Offers `frame` to the wire at time `now_ns`. Returns the arrival time
@@ -174,9 +234,8 @@ impl SimLink {
     /// (sender bandwidth is consumed either way, as on a real wire).
     pub fn transmit(&mut self, frame: &EthernetFrame, now_ns: u64) -> Option<u64> {
         self.frames_offered += 1;
-        let start = self.busy_until_ns.max(now_ns);
         let serialize_ns = serialize_ns(frame.wire_bytes(), self.config.bandwidth_bytes_per_sec);
-        self.busy_until_ns = start + serialize_ns;
+        let sent_ns = self.reserve(now_ns, serialize_ns);
 
         if self.down {
             self.frames_blackholed += 1;
@@ -189,7 +248,7 @@ impl SimLink {
             return None;
         }
         self.bytes_carried += frame.wire_bytes() as u64;
-        Some(self.busy_until_ns + self.config.propagation_delay_ns)
+        Some(sent_ns + self.config.propagation_delay_ns)
     }
 }
 
@@ -257,7 +316,8 @@ impl SharedLink {
         self.lock().bytes_carried()
     }
 
-    /// Time the shared sender side frees up.
+    /// Time the shared wire goes idle for good; see
+    /// [`SimLink::busy_until_ns`].
     pub fn busy_until_ns(&self) -> u64 {
         self.lock().busy_until_ns()
     }
@@ -330,7 +390,7 @@ mod tests {
     fn ideal_link_consumes_no_time() {
         let mut link = SimLink::new(LinkConfig::ideal());
         assert_eq!(link.transmit(&frame(8986), 7_000), Some(7_000));
-        assert_eq!(link.busy_until_ns(), 7_000);
+        assert_eq!(link.busy_until_ns(), 0, "no time taken, no wire reserved");
     }
 
     #[test]
@@ -373,6 +433,119 @@ mod tests {
         shared.set_down(true);
         assert_eq!(a.transmit(&frame(86), 0), None);
         assert_eq!(shared.frames_blackholed(), 1);
+    }
+
+    /// 1 ns per wire byte, no propagation, no loss: arrival = end of the
+    /// frame's reservation.
+    fn ns_per_byte() -> SimLink {
+        SimLink::new(LinkConfig {
+            bandwidth_bytes_per_sec: 1_000_000_000,
+            propagation_delay_ns: 0,
+            loss_period: 0,
+        })
+    }
+
+    #[test]
+    fn a_frame_takes_the_idle_gap_a_sleeping_transfer_left() {
+        let mut link = ns_per_byte();
+        // A transfer's first round, then — one RTO later — its retransmission.
+        assert_eq!(link.transmit(&frame(86), 0), Some(100));
+        assert_eq!(link.transmit(&frame(86), 5_000), Some(5_100));
+        // The next segment's first round finds the wire idle in between...
+        assert_eq!(link.transmit(&frame(86), 200), Some(300));
+        assert_eq!(
+            link.transmit(&frame(86), 200),
+            Some(400),
+            "and queues there"
+        );
+        // ...a frame the rest of the gap cannot hold goes behind the
+        // retransmission, and one offered mid-reservation waits it out.
+        assert_eq!(link.transmit(&frame(4_886), 400), Some(10_000));
+        assert_eq!(link.transmit(&frame(86), 50), Some(200));
+        assert_eq!(link.busy_until_ns(), 10_000);
+        assert_eq!(link.reserved, vec![(0, 400), (5_000, 10_000)]);
+    }
+
+    #[test]
+    fn ideal_link_takes_zero_time_in_any_order() {
+        let mut link = SimLink::new(LinkConfig::ideal());
+        for now in [7_000, 9_000, 8_000, 100, 9_000, 8_500] {
+            assert_eq!(link.transmit(&frame(8_986), now), Some(now));
+        }
+        assert!(link.reserved.is_empty(), "nothing to wait for, ever");
+    }
+
+    #[test]
+    fn reservation_list_stays_bounded_without_double_booking() {
+        let mut link = ns_per_byte();
+        let isolated = 10 * SimLink::MAX_RESERVED as u64;
+        for i in 0..isolated {
+            assert_eq!(link.transmit(&frame(86), i * 1_000), Some(i * 1_000 + 100));
+            assert!(link.reserved.len() <= SimLink::MAX_RESERVED);
+        }
+        assert_eq!(link.reserved.len(), SimLink::MAX_RESERVED);
+        // The oldest reservations were fused, idle gaps and all: an offer
+        // from that far back is pushed past the fused stretch, never onto
+        // wire time already sold.
+        let (fused_from, fused_until) = link.reserved[0];
+        assert_eq!(fused_from, 0);
+        assert_eq!(link.transmit(&frame(86), 150), Some(fused_until + 100));
+        // Recent gaps are still there to be used.
+        let recent = (isolated - 1) * 1_000;
+        assert_eq!(link.transmit(&frame(86), recent - 500), Some(recent - 400));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn no_two_reservations_overlap(
+            offers in proptest::collection::vec((0u64..50_000, 0usize..3_000), 1..300),
+        ) {
+            let mut link = ns_per_byte();
+            let mut granted: Vec<(u64, u64)> = Vec::new();
+            for (now, len) in offers {
+                let f = frame(len);
+                let end = link.transmit(&f, now).expect("lossless");
+                let start = end - f.wire_bytes() as u64;
+                proptest::prop_assert!(start >= now, "sent before it was offered");
+                for &(s, e) in &granted {
+                    proptest::prop_assert!(end <= s || e <= start, "wire time sold twice");
+                }
+                granted.push((start, end));
+                proptest::prop_assert!(link.reserved.len() <= SimLink::MAX_RESERVED);
+                // Non-empty, sorted, disjoint, touching ones merged.
+                proptest::prop_assert!(link.reserved.iter().all(|&(s, e)| s < e));
+                proptest::prop_assert!(link.reserved.windows(2).all(|w| w[0].1 < w[1].0));
+            }
+        }
+
+        #[test]
+        fn offers_in_time_order_reproduce_the_scalar_horizon(
+            offers in proptest::collection::vec((0u64..4_000, 0usize..9_000), 1..300),
+            bandwidth in proptest::prop_oneof![
+                proptest::strategy::Just(u64::MAX),
+                proptest::strategy::Just(1_250_000_000u64),
+                proptest::strategy::Just(125_000_000u64),
+                1u64..2_000_000_000,
+            ],
+        ) {
+            let mut link = SimLink::new(LinkConfig {
+                bandwidth_bytes_per_sec: bandwidth,
+                propagation_delay_ns: 700,
+                loss_period: 0,
+            });
+            // The model this list replaced: one busy-until horizon.
+            let mut busy_until = 0u64;
+            let mut now = 0u64;
+            for (gap, len) in offers {
+                now += gap;
+                let f = frame(len);
+                busy_until = busy_until.max(now) + serialize_ns(f.wire_bytes(), bandwidth);
+                proptest::prop_assert_eq!(link.transmit(&f, now), Some(busy_until + 700));
+                if bandwidth != u64::MAX {
+                    proptest::prop_assert_eq!(link.busy_until_ns(), busy_until);
+                }
+            }
+        }
     }
 
     #[test]

@@ -302,11 +302,11 @@ impl NvmeOeEndpoint {
     }
 
     /// Emits an instant on the `wire/uplink` track, stamped no earlier than
-    /// the latest one already there. A stalled transfer's timers run ahead
-    /// of the device clock, and a failed transfer charges the device
-    /// nothing (only acks carry time), so the next attempt can start
-    /// *before* the last one gave up — but the track renders one clock,
-    /// which never steps backwards.
+    /// the latest one already there. A transfer is simulated whole, its
+    /// timers running ahead of the device clock, and the device neither
+    /// waits for an ack nor is charged for a failure — so the next
+    /// transfer can start *before* the last one's final round. The track
+    /// renders one clock, which never steps backwards.
     fn trace_uplink(&mut self, name: &'static str, at_ns: u64, args: &[(&str, String)]) {
         self.traced_until_ns = self.traced_until_ns.max(at_ns);
         self.sink

@@ -10,9 +10,18 @@
 //! retained (recoverable) versions, and the evidence-chain records modulo
 //! their `at_ns` stamps — and, behind a `FaultInjector`, that power cuts
 //! tear batches at the same prefix.
+//!
+//! The overlapped offload is the same kind of change one layer out: acks
+//! land while the host carries on, where the device used to stand still
+//! for a round trip per segment. It, too, may change only *when* — pinned
+//! here against a device that is forced to wait out every ack right after
+//! the seal, on the same link.
 
 use proptest::prelude::*;
-use rssd_repro::core::{LogRecord, LoopbackTarget, RssdConfig, RssdDevice, WireRemote};
+use rssd_repro::core::{
+    LogRecord, LoopbackTarget, OffloadHealth, OffloadStats, RemoteTarget, RssdConfig, RssdDevice,
+    WireRemote,
+};
 use rssd_repro::faults::{FaultInjector, FaultSchedule, FaultTarget};
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_repro::net::LinkConfig;
@@ -75,6 +84,83 @@ fn mk_plain() -> PlainSsd {
         NandTiming::mlc_default(),
         SimClock::new(),
     )
+}
+
+type WiredRssd = RssdDevice<WireRemote<LoopbackTarget>>;
+
+fn mk_wired(link: LinkConfig) -> WiredRssd {
+    RssdDevice::new(
+        FlashGeometry::small_test(),
+        NandTiming::mlc_default(),
+        SimClock::new(),
+        RssdConfig {
+            segment_pages: 4,
+            ..RssdConfig::default()
+        },
+        WireRemote::new(LoopbackTarget::new(), link),
+    )
+}
+
+/// Links on which an ack takes long enough to matter: a WAN, a WAN that
+/// also drops frames (RTO rounds, acks out of order), a thin pipe, and a
+/// lossy machine-room link.
+fn slow_links() -> impl Strategy<Value = LinkConfig> {
+    prop_oneof![
+        proptest::strategy::Just(LinkConfig::wan_cloud()),
+        proptest::strategy::Just(LinkConfig {
+            loss_period: 3,
+            ..LinkConfig::wan_cloud()
+        }),
+        proptest::strategy::Just(LinkConfig {
+            bandwidth_bytes_per_sec: 1_000_000,
+            propagation_delay_ns: 0,
+            loss_period: 0,
+        }),
+        proptest::strategy::Just(LinkConfig::lossy(2)),
+    ]
+}
+
+/// Runs `ops` in `chunk`-sized batches. With `wait_out_every_ack` the
+/// device is flushed whenever a batch left anything staged — the seal has
+/// just emptied the pending tail, so the flush seals nothing and only waits
+/// for the acks: the synchronous offload, one round trip per seal.
+fn run_wired(
+    device: &mut WiredRssd,
+    ops: &[Op],
+    chunk: usize,
+    wait_out_every_ack: bool,
+) -> Vec<CommandResult> {
+    let page_size = device.page_size();
+    let mut results = Vec::with_capacity(ops.len());
+    for batch in ops.chunks(chunk.max(1)) {
+        let commands: Vec<IoCommand> = batch.iter().map(|op| op.command(page_size)).collect();
+        results.extend(device.submit_batch(commands));
+        if wait_out_every_ack && device.staged_segments() > 0 {
+            device.flush_log().expect("live link");
+        }
+    }
+    results
+}
+
+/// Every stored envelope, in order: the store's contents byte for byte.
+fn stored_images(device: &mut WiredRssd) -> Vec<Vec<u8>> {
+    let seqs = device.remote().stored_segments();
+    seqs.into_iter()
+        .map(|seq| {
+            let envelope = device.remote_mut().fetch_segment(seq).expect("stored");
+            envelope.to_wire_bytes().to_vec()
+        })
+        .collect()
+}
+
+/// Offload counters with the two fields overlap is allowed to change
+/// (health now, worst health ever) blanked.
+fn counters(stats: OffloadStats) -> OffloadStats {
+    OffloadStats {
+        health: OffloadHealth::Healthy,
+        health_peak: OffloadHealth::Healthy,
+        ..stats
+    }
 }
 
 /// The serial model: every command blocks before the next is issued.
@@ -155,6 +241,89 @@ proptest! {
                 piped_dev.recover_page(lpa),
                 "retention diverged at lpa {}", lpa
             );
+        }
+    }
+
+    /// Overlapped offload ≡ a forced drain after every seal, on the same
+    /// link, when the host leaves the device time to hear each ack before
+    /// its next batch: the two arms then enter every batch at the same
+    /// instant in the same state, and everything durable must match to the
+    /// byte — contents, retained versions, chain head, every sealed segment
+    /// in the store, every offload counter. What is left to differ is the
+    /// clock *between* batches (the overlapped arm never runs ahead),
+    /// latencies, and health.
+    #[test]
+    fn overlapped_offload_equals_forced_drain_in_lockstep(
+        (ops, chunk, link, gap_ns) in (ops(), 1usize..9, slow_links(), 0u64..2_000_000)
+    ) {
+        let mut forced = mk_wired(link);
+        let mut overlapped = mk_wired(link);
+        let page_size = forced.page_size();
+        let mut forced_results = Vec::new();
+        let mut overlapped_results = Vec::new();
+        for batch in ops.chunks(chunk) {
+            prop_assert!(overlapped.clock().now_ns() <= forced.clock().now_ns());
+            let start = forced.clock().now_ns() + gap_ns;
+            forced.clock().advance_to(start);
+            overlapped.clock().advance_to(start);
+            let commands = |batch: &[Op]| batch.iter().map(|op| op.command(page_size)).collect();
+            forced_results.extend(forced.submit_batch(commands(batch)));
+            overlapped_results.extend(overlapped.submit_batch(commands(batch)));
+            if forced.staged_segments() > 0 {
+                forced.flush_log().expect("live link");
+            }
+        }
+        prop_assert_eq!(&forced_results, &overlapped_results);
+        forced.flush_log().expect("forced flush");
+        overlapped.flush_log().expect("overlapped flush");
+
+        prop_assert_eq!(forced.chain_head(), overlapped.chain_head());
+        prop_assert_eq!(forced.chain_len(), overlapped.chain_len());
+        prop_assert_eq!(stored_images(&mut forced), stored_images(&mut overlapped));
+        prop_assert_eq!(counters(forced.offload_stats()), counters(overlapped.offload_stats()));
+        prop_assert_eq!(forced.ftl_stats(), overlapped.ftl_stats());
+        prop_assert_eq!(
+            forced.verified_history().expect("forced history"),
+            overlapped.verified_history().expect("overlapped history")
+        );
+        for lpa in 0..LPAS {
+            prop_assert_eq!(forced.recover_page(lpa), overlapped.recover_page(lpa));
+            prop_assert_eq!(forced.read_page(lpa).unwrap(), overlapped.read_page(lpa).unwrap());
+        }
+    }
+
+    /// The same two arms left to run free — acks pile up in flight, the
+    /// staging window throttles, retirements trail the seals by round
+    /// trips: results, contents, retained versions and the evidence chain's
+    /// records (modulo `at_ns`) are still those of the synchronous offload,
+    /// and the host never waits longer for them.
+    #[test]
+    fn overlapped_offload_changes_only_time(
+        (ops, chunk, link) in (ops(), 1usize..33, slow_links())
+    ) {
+        let mut forced = mk_wired(link);
+        let forced_results = run_wired(&mut forced, &ops, chunk, true);
+        let mut overlapped = mk_wired(link);
+        let overlapped_results = run_wired(&mut overlapped, &ops, chunk, false);
+        prop_assert_eq!(&forced_results, &overlapped_results);
+        prop_assert!(overlapped.clock().now_ns() <= forced.clock().now_ns());
+
+        forced.flush_log().expect("forced flush");
+        overlapped.flush_log().expect("overlapped flush");
+        prop_assert_eq!(overlapped.staged_segments(), 0);
+        let forced_history = forced.verified_history().expect("forced history");
+        let overlapped_history = overlapped.verified_history().expect("overlapped history");
+        prop_assert_eq!(forced_history.len(), overlapped_history.len());
+        for (f, o) in forced_history.iter().zip(&overlapped_history) {
+            prop_assert_eq!(record_shape(f), record_shape(o), "log record diverged");
+        }
+        let (f, o) = (forced.offload_stats(), overlapped.offload_stats());
+        prop_assert_eq!(f.records_offloaded, o.records_offloaded);
+        prop_assert_eq!(f.retained_pages_offloaded, o.retained_pages_offloaded);
+        prop_assert_eq!(o.segments_offloaded, o.segments_sealed);
+        for lpa in 0..LPAS {
+            prop_assert_eq!(forced.recover_page(lpa), overlapped.recover_page(lpa));
+            prop_assert_eq!(forced.read_page(lpa).unwrap(), overlapped.read_page(lpa).unwrap());
         }
     }
 

@@ -17,8 +17,9 @@ fails the build unless the device-internal parallelism holds:
 Also sanity-checks BENCH_array_scaling.json's 1 -> 4 shard monotonicity,
 BENCH_offload_wire.json's link physics (datacenter out-runs WAN, lossy
 links pay in retransmissions, recovery-window integrity holds on every
-link), and BENCH_fleet.json's fleet-scale surface (simulated results
-byte-identical across worker counts, detection recall and zero false
+link, and - offload overlapping host I/O - the WAN rows keep >= 0.9x the
+ideal link's host kIOPS), and BENCH_fleet.json's fleet-scale surface
+(simulated results byte-identical across worker counts, detection recall and zero false
 positives at every fleet size, a sim-throughput floor at 256 members, and
 core-aware worker-pool scaling), and BENCH_degradation.json's offload
 health slope (Throttled throughput strictly between Stalled and Healthy
@@ -194,6 +195,16 @@ def check_offload_wire() -> list[str]:
     if rows["wan_cloud"]["sim_end_ms"] <= rows["dc_10g"]["sim_end_ms"]:
         failures.append("WAN propagation is not landing on the device "
                         "timeline (wan sim_end <= datacenter sim_end)")
+    # Offload overlaps host I/O: a WAN costs the host the staging window,
+    # not a round trip per segment.
+    ideal = rows["ideal"]["host_kiops"]
+    for config in ("wan_cloud", "wan_loss2"):
+        kiops = rows[config]["host_kiops"]
+        if kiops < 0.9 * ideal:
+            failures.append(
+                f"{config}: {kiops:.3f} host kIOPS is below 0.9x the ideal "
+                f"link's {ideal:.3f} - acks are being waited for in the "
+                "foreground again")
     for config in ("dc_10g_loss2", "dc_10g_loss20", "wan_loss2"):
         if rows[config]["retransmissions"] <= 0:
             failures.append(f"{config}: lossy link shows zero retransmissions "

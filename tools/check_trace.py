@@ -19,7 +19,13 @@ Checks, per trace file:
   of a (segment, fragment) is preceded by at least as many data-frame
   losses of that same (segment, fragment) — retransmissions never appear
   out of thin air (ack losses may add unpaired losses; that is the
-  asymmetry of the go-back-to-retry protocol, and it is allowed).
+  asymmetry of the go-back-to-retry protocol, and it is allowed);
+* the offload pairing invariant: on every track, each segment_transfer
+  span is closed by exactly one segment_ack with the same segment_seq
+  (the device acting on the ack, never before the arrival carried in
+  acked_at_ns) or, when a power cut got there first, by one
+  segment_ack_lost - no ack without a transfer, no second transfer of a
+  segment whose ack is still in flight, nothing left in flight at the end.
 
 Exit 0 with a summary line when every file passes, exit 1 listing every
 violation otherwise.
@@ -60,6 +66,9 @@ def check_trace(path: Path) -> tuple[list[str], str]:
     # Wire pairing state, per track: (segment, fragment) -> pending loss
     # count not yet consumed by a retransmission.
     data_losses: dict[tuple, int] = {}
+    # Offload pairing state: (track, segment) -> event index of the
+    # segment_transfer whose ack is still in flight.
+    in_flight: dict[tuple, int] = {}
     spans = instants = 0
 
     for index, ev in enumerate(events):
@@ -114,6 +123,30 @@ def check_trace(path: Path) -> tuple[list[str], str]:
                     f"on {track!r} without a preceding data-frame loss")
             else:
                 data_losses[frag] -= 1
+        # Offload pairing: a transfer opens, exactly one ack closes.
+        elif name == "segment_transfer":
+            seg = (track, args.get("segment_seq"))
+            if seg in in_flight:
+                failures.append(
+                    f"{where}: segment {seg[1]} on {track!r} transferred "
+                    f"again while its ack is still in flight")
+            in_flight[seg] = index
+        elif name in ("segment_ack", "segment_ack_lost"):
+            seg = (track, args.get("segment_seq"))
+            if in_flight.pop(seg, None) is None:
+                failures.append(
+                    f"{where}: {name} for segment {seg[1]} on {track!r} "
+                    f"closes no segment_transfer")
+            arrival_us = float(args.get("acked_at_ns", 0)) / 1000
+            if name == "segment_ack" and ts + 0.001 < arrival_us:
+                failures.append(
+                    f"{where}: segment {seg[1]} on {track!r} retired at "
+                    f"{ts} us, before its ack arrives ({arrival_us} us)")
+
+    for (track, seq), index in in_flight.items():
+        failures.append(
+            f"{path}: event {index} (segment_transfer): segment {seq} on "
+            f"{track!r} is never acknowledged")
 
     if not tracks:
         failures.append(f"{path}: no named tracks - empty or metadata-free trace")
@@ -140,7 +173,7 @@ def main() -> None:
         sys.exit(1)
     print("trace gate: OK (" + "; ".join(summaries) +
           " - monotone per track, spans well-formed, dual timeline intact, "
-          "retransmissions paired with losses)")
+          "retransmissions paired with losses, transfers paired with acks)")
 
 
 if __name__ == "__main__":
