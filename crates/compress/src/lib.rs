@@ -139,12 +139,15 @@ const GATE_RLE_RUN_FRACTION: f64 = 0.75;
 /// Sampled statistics of a payload: (entropy estimate in bits/byte,
 /// fraction of sampled adjacent byte pairs that are equal).
 ///
-/// Deterministic: a fixed stride over the buffer, no randomness.
+/// Deterministic: a fixed stride over the buffer, no randomness. The stride
+/// is odd: `len / 4096` is a power of two on page-aligned input, and an even
+/// stride over data with a power-of-two period (16-byte records, say) would
+/// only ever visit one phase of it.
 fn sampled_stats(data: &[u8]) -> (f64, f64) {
     if data.is_empty() {
         return (0.0, 0.0);
     }
-    let stride = (data.len() / GATE_SAMPLE_TARGET).max(1);
+    let stride = (data.len() / GATE_SAMPLE_TARGET) | 1;
     let mut hist = [0u32; 256];
     let mut samples = 0u32;
     let mut pairs = 0u32;
@@ -212,24 +215,43 @@ pub fn compress_adaptive_into(data: &[u8], out: &mut Vec<u8>) {
 /// Returns a [`DecompressError`] if the frame is truncated, names an unknown
 /// codec, fails to decode, or decodes to the wrong length.
 pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, DecompressError> {
+    let mut out = Vec::new();
+    decompress_into(frame, &mut out)?;
+    Ok(out)
+}
+
+/// Like [`decompress`], but appends the decoded bytes to `out` — several
+/// frames decode back to back into one buffer. On error `out` is left as it
+/// was passed in.
+///
+/// # Errors
+///
+/// As [`decompress`].
+pub fn decompress_into(frame: &[u8], out: &mut Vec<u8>) -> Result<(), DecompressError> {
     if frame.len() < FRAME_HEADER {
         return Err(DecompressError::Truncated);
     }
     let codec = Codec::from_id(frame[0]).ok_or(DecompressError::UnknownCodec(frame[0]))?;
     let expected = u32::from_le_bytes(frame[1..5].try_into().expect("4 bytes")) as usize;
     let payload = &frame[FRAME_HEADER..];
-    let out = match codec {
-        Codec::Store => payload.to_vec(),
-        Codec::Rle => rle::decode(payload)?,
-        Codec::Lz77 => lz::decode(payload, expected)?,
+    let start = out.len();
+    let decoded = match codec {
+        Codec::Store => {
+            out.extend_from_slice(payload);
+            Ok(())
+        }
+        Codec::Rle => rle::decode_into(payload, out),
+        Codec::Lz77 => lz::decode_into(payload, expected, out),
     };
-    if out.len() != expected {
-        return Err(DecompressError::LengthMismatch {
-            expected,
-            actual: out.len(),
-        });
+    let actual = out.len() - start;
+    let checked = match decoded {
+        Ok(()) if actual != expected => Err(DecompressError::LengthMismatch { expected, actual }),
+        decoded => decoded,
+    };
+    if checked.is_err() {
+        out.truncate(start);
     }
-    Ok(out)
+    checked
 }
 
 /// Compression ratio achieved by a frame: `original / compressed` (>= 1.0 is
@@ -366,6 +388,36 @@ mod tests {
         let frame = compress_adaptive(&page);
         assert_eq!(frame[0], Codec::Store.id());
         assert_eq!(decompress(&frame).unwrap(), page);
+    }
+
+    #[test]
+    fn gate_samples_every_phase_of_page_aligned_records() {
+        // 32 pages of 16-byte records, 4 random bytes then 12 zeros: a
+        // stride of len / 4096 = 32 would land on a random byte every time
+        // and store a block that is three-quarters zeros.
+        let block = shaped_bytes(2, 7, 32 * 4096);
+        let (bits, _) = sampled_stats(&block);
+        assert!(bits < GATE_STORE_ENTROPY_BITS, "sampled {bits} bits/byte");
+        let frame = compress_adaptive(&block);
+        assert_ne!(frame[0], Codec::Store.id());
+        assert!(frame.len() < block.len() / 2, "frame {} bytes", frame.len());
+        assert_eq!(decompress(&frame).unwrap(), block);
+    }
+
+    #[test]
+    fn decompress_into_appends_and_restores_the_buffer_on_error() {
+        let text = b"the quick brown fox jumps over the lazy dog. ".repeat(20);
+        for codec in [Codec::Store, Codec::Rle, Codec::Lz77] {
+            let frame = compress(codec, &text);
+            let mut out = b"prefix".to_vec();
+            decompress_into(&frame, &mut out).unwrap();
+            assert_eq!(&out[..6], b"prefix");
+            assert_eq!(&out[6..], &text[..]);
+            // Cut the frame short: whatever was decoded is rolled back.
+            let mut out = b"prefix".to_vec();
+            assert!(decompress_into(&frame[..frame.len() - 3], &mut out).is_err());
+            assert_eq!(out, b"prefix");
+        }
     }
 
     #[test]

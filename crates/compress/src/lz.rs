@@ -332,6 +332,23 @@ unsafe fn copy_match(base: *mut u8, op: usize, dist: usize, len: usize) {
 /// Returns [`DecompressError::Corrupt`] on truncated sequences, zero
 /// distances, or back-references past the start of the output.
 pub fn decode(payload: &[u8], size_hint: usize) -> Result<Vec<u8>, DecompressError> {
+    let mut out = Vec::new();
+    decode_into(payload, size_hint, &mut out)?;
+    Ok(out)
+}
+
+/// Like [`decode`], but appends the decoded bytes to `out`; what `out`
+/// already holds is neither read nor reachable by a back-reference. On
+/// error `out` may hold a partial decode past its original length.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_into(
+    payload: &[u8],
+    size_hint: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), DecompressError> {
     // A short sequence (neither nibble extended) reads at most the token,
     // 14 literals and the distance, and writes at most 14 literals plus an
     // 18-byte match — with block copies, one block and then two more.
@@ -339,13 +356,16 @@ pub fn decode(payload: &[u8], size_hint: usize) -> Result<Vec<u8>, DecompressErr
     const FAST_OUT: usize = 3 * WIDE;
 
     let reserve = size_hint.min(payload.len().saturating_mul(MAX_EXPANSION));
-    let mut out: Vec<u8> = Vec::with_capacity(reserve + WIDE);
+    out.reserve(reserve + WIDE);
     // The loop writes through `base` and tracks the logical length in `op`;
     // `out.len()` is only brought up to date when the buffer must grow and on
-    // success. Invariant: `op <= cap`, and `base..base+op` is initialised.
+    // success. Invariant: `start <= op <= cap`, and `base..base+op` is
+    // initialised. This frame's output begins at `start`: a match may reach
+    // back `op - start` bytes and no further.
+    let start = out.len();
     let mut base = out.as_mut_ptr();
     let mut cap = out.capacity();
-    let mut op = 0usize;
+    let mut op = start;
     // Makes room for `extra` more bytes at `op`, reallocating if needed.
     macro_rules! ensure {
         ($extra:expr) => {
@@ -374,7 +394,7 @@ pub fn decode(payload: &[u8], size_hint: usize) -> Result<Vec<u8>, DecompressErr
             // i + 1 and the distance at i + 1 + lit_nib (<= i + 15);
             // op + 48 <= cap covers the literal block written at op and the
             // two match blocks written from op + lit_nib (<= op + 14). The
-            // match copy's `dist <= op` is checked just before it.
+            // match copy's `dist <= op - start` is checked just before it.
             unsafe {
                 copy16(ip.add(i + 1), base.add(op));
                 op += lit_nib;
@@ -384,7 +404,7 @@ pub fn decode(payload: &[u8], size_hint: usize) -> Result<Vec<u8>, DecompressErr
                 if dist == 0 {
                     return Err(DecompressError::Corrupt("match distance of zero"));
                 }
-                if dist > op {
+                if dist > op - start {
                     return Err(DecompressError::Corrupt("match distance before start"));
                 }
                 let len = match_nib + MIN_MATCH;
@@ -437,19 +457,19 @@ pub fn decode(payload: &[u8], size_hint: usize) -> Result<Vec<u8>, DecompressErr
         if dist == 0 {
             return Err(DecompressError::Corrupt("match distance of zero"));
         }
-        if dist > op {
+        if dist > op - start {
             return Err(DecompressError::Corrupt("match distance before start"));
         }
         debug_assert!(len <= MAX_DECODED_MATCH);
         ensure!(len + WIDE);
-        // SAFETY: 1 <= dist <= op checked above; `ensure` made
+        // SAFETY: 1 <= dist <= op - start checked above; `ensure` made
         // op + len + WIDE <= cap.
         unsafe { copy_match(base, op, dist, len) };
         op += len;
     }
     // SAFETY: the first `op` bytes are initialised and op <= cap.
     unsafe { out.set_len(op) };
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -579,6 +599,18 @@ mod tests {
                 let expected = decode_reference(mutant);
                 prop_assert_eq!(&super::decode(mutant, data.len()), &expected);
                 prop_assert_eq!(&super::decode(mutant, hint), &expected);
+                // Appended behind other bytes: the same decode, and a
+                // back-reference cannot reach the bytes already there.
+                let mut appended = splice.clone();
+                let result = decode_into(mutant, hint, &mut appended);
+                prop_assert_eq!(&appended[..splice.len()], &splice[..]);
+                match expected {
+                    Ok(bytes) => {
+                        prop_assert_eq!(result, Ok(()));
+                        prop_assert_eq!(&appended[splice.len()..], &bytes[..]);
+                    }
+                    Err(e) => prop_assert_eq!(result, Err(e)),
+                }
             }
         }
 

@@ -48,10 +48,21 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
 /// Returns [`DecompressError::Corrupt`] on an odd-length payload or a zero
 /// run count.
 pub fn decode(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
+    let mut out = Vec::new();
+    decode_into(payload, &mut out)?;
+    Ok(out)
+}
+
+/// Like [`decode`], but appends the decoded bytes to `out`. On error `out`
+/// may hold a partial decode past its original length.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_into(payload: &[u8], out: &mut Vec<u8>) -> Result<(), DecompressError> {
     if payload.len() % 2 != 0 {
         return Err(DecompressError::Corrupt("rle payload has odd length"));
     }
-    let mut out = Vec::new();
     for pair in payload.chunks_exact(2) {
         let (count, byte) = (pair[0], pair[1]);
         if count == 0 {
@@ -59,7 +70,7 @@ pub fn decode(payload: &[u8]) -> Result<Vec<u8>, DecompressError> {
         }
         out.extend(std::iter::repeat(byte).take(count as usize));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The RSSD device.
 
 use crate::config::RssdConfig;
-use crate::logrec::{LogOp, LogRecord, Segment, SegmentEnvelope, WireError};
+use crate::logrec::{LogOp, LogRecord, OpenDepth, Segment, SegmentEnvelope, WireError};
 use crate::remote_target::{RemoteError, RemoteTarget};
 use rssd_compress::shannon_entropy;
 use rssd_crypto::{ChainLink, DeviceKeys, Digest, HashChain, KeyPurpose};
@@ -539,9 +539,10 @@ impl<R: RemoteTarget> RssdDevice<R> {
             &chain_key,
             &self.session,
             &mut self.remote,
+            OpenDepth::Metadata,
             |segment_seq, record| {
                 records += 1;
-                if record.old_data.is_some() {
+                if record.retained_len.is_some() {
                     versions += 1;
                     index
                         .entry(record.meta.lpa)
@@ -817,6 +818,13 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// but never reached the store surfaces here as a chain gap instead of
     /// silently shortening the history.
     ///
+    /// The records are metadata only (`old_data: None`): every sealed
+    /// segment is authenticated whole, but only its metadata block is
+    /// deciphered and decompressed. Page content comes back via
+    /// [`recover_page`](BlockDevice::recover_page) /
+    /// [`Self::recover_page_before`] or a
+    /// [`RebuildImage`](crate::RebuildImage).
+    ///
     /// # Errors
     ///
     /// Returns an error string describing the first verification failure —
@@ -829,7 +837,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
             &chain_key,
             &self.session,
             &mut self.remote,
-            |_seq, record| out.push(record.into_owned()),
+            OpenDepth::Metadata,
+            |_seq, record| out.push(record.meta),
         )?;
         // Staged segments that have yet to cross, in queue order. One whose
         // ack is still in flight was just walked in the store.
@@ -876,6 +885,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// (if any) reported instead of discarding the trustworthy records.
     /// This is the investigator's entry point after a fault — detection can
     /// still run over the verified prefix while the gap itself is evidence.
+    /// Like [`Self::verified_history`], the records are metadata only;
+    /// content via `recover_page*` / [`RebuildImage`](crate::RebuildImage).
     ///
     /// Call after [`Self::recover`] when the device has crashed; while
     /// crashed the accounting check is skipped (the in-RAM chain length is
@@ -887,7 +898,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
             &chain_key,
             &self.session,
             &mut self.remote,
-            |_seq, record| records.push(record.into_owned()),
+            OpenDepth::Metadata,
+            |_seq, record| records.push(record.meta),
         );
         if failure.is_none() {
             for seg in self.unshipped() {
@@ -1182,7 +1194,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
             segment.records.len() as u32,
         );
         self.profiler.enter("compress");
-        rssd_compress::compress_adaptive_into(&raw, &mut wire);
+        Segment::compress_into(&raw, &mut wire);
         self.profiler.exit();
         self.session
             .seal_in_place(segment.segment_seq, &mut wire, SegmentEnvelope::WIRE_HEADER);
@@ -1586,26 +1598,13 @@ enum Source {
     Remote(RemoteVersion),
 }
 
-/// Authenticates, deciphers and decompresses an envelope's payload: the
-/// serialized segment, ready for [`Segment::from_bytes`] or
-/// [`crate::SegmentView::parse`].
-pub(crate) fn open_envelope_bytes(
-    session: &SecureSession,
-    envelope: &SegmentEnvelope,
-) -> Result<Vec<u8>, WireError> {
-    let compressed = session
-        .open(envelope.segment_seq(), envelope.sealed_payload())
-        .map_err(|_| WireError::BadPayload)?;
-    rssd_compress::decompress(&compressed).map_err(|_| WireError::BadPayload)
-}
-
-/// Opens an envelope into an owned segment, also returning the serialized
-/// (decompressed) length `OffloadStats::raw_bytes` accounts in.
-pub(crate) fn open_envelope(
+/// Opens an envelope in full into an owned segment, also returning the
+/// serialized (decompressed) length `OffloadStats::raw_bytes` accounts in.
+fn open_envelope(
     session: &SecureSession,
     envelope: &SegmentEnvelope,
 ) -> Result<(Segment, usize), WireError> {
-    let raw = open_envelope_bytes(session, envelope)?;
+    let raw = envelope.open(session, OpenDepth::Full)?;
     Ok((Segment::from_bytes(&raw)?, raw.len()))
 }
 
@@ -1830,10 +1829,14 @@ mod tests {
         for w in history.windows(2) {
             assert!(w[0].seq < w[1].seq);
         }
-        // Overwrites carried retained data after offload.
+        // The history is metadata only, offloaded or not ...
+        assert!(history.iter().all(|r| r.old_data.is_none()));
         assert!(history
             .iter()
-            .any(|r| r.op == LogOp::Write && r.old_data.is_some()));
+            .any(|r| r.op == LogOp::Write && r.old_page_index.is_some()));
+        // ... and the overwritten content comes back through recovery.
+        assert_eq!(d.recover_page(4).unwrap(), page(24), "offloaded");
+        assert_eq!(d.recover_page(0).unwrap(), page(25), "pending");
     }
 
     #[test]
@@ -2324,7 +2327,7 @@ mod tests {
     }
 
     /// A store whose copy of one segment goes bad after the fact: fetches
-    /// of segment `corrupt` come back with one payload byte flipped.
+    /// of segment `corrupt` come back with one pre-image byte flipped.
     struct RottingStore {
         inner: LoopbackTarget,
         corrupt: Option<u64>,
@@ -2347,8 +2350,11 @@ mod tests {
             if self.corrupt != Some(segment_seq) {
                 return Ok(clean);
             }
+            // The last ciphertext byte: deep in the pre-image frame, past
+            // anything a metadata open deciphers.
             let mut payload = clean.sealed_payload().to_vec();
-            payload[0] ^= 1;
+            let last = payload.len() - rssd_net::session::TAG_LEN - 1;
+            payload[last] ^= 1;
             Ok(SegmentEnvelope::new(
                 clean.device_id(),
                 clean.segment_seq(),
@@ -2377,6 +2383,45 @@ mod tests {
         }
         d.flush_log().unwrap();
         cut
+    }
+
+    #[test]
+    fn a_rotten_pre_image_fails_every_reader_however_far_it_opens() {
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 8,
+                ..RssdConfig::default()
+            },
+            RottingStore {
+                inner: LoopbackTarget::new(),
+                corrupt: None,
+            },
+        );
+        let _ = overwrite_all_then_flush(&mut d);
+        let clean = d.verified_history().expect("clean store verifies");
+        assert_eq!(d.audit_history().records, clean);
+        d.remote_mut().corrupt = Some(0);
+
+        // The metadata readers decipher none of the flipped frame and still
+        // refuse the segment: the tag covers every sealed byte.
+        let err = d.verified_history().unwrap_err();
+        assert!(err.contains("open segment 0"), "{err}");
+        let audit = d.audit_history();
+        assert!(!audit.verified);
+        assert!(audit.records.is_empty(), "nothing past the rot is trusted");
+        let keys = d.escrow_keys();
+        let err = RebuildImage::harvest(&keys, d.remote_mut()).unwrap_err();
+        assert!(err.contains("open segment 0"), "{err}");
+        let _ = d.crash();
+        let err = d.recover().unwrap_err();
+        assert!(err.contains("open segment 0"), "{err}");
+
+        d.remote_mut().corrupt = None;
+        let _ = d.recover().expect("healed store recovers");
+        assert_eq!(d.verified_history().unwrap(), clean);
     }
 
     #[test]

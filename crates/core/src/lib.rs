@@ -61,7 +61,9 @@ pub use config::RssdConfig;
 pub use device::{
     CrashRecovery, CrashReport, HistoryAudit, OffloadHealth, OffloadStats, RssdDevice,
 };
-pub use logrec::{LogOp, LogRecord, RecordView, Segment, SegmentEnvelope, SegmentView, WireError};
+pub use logrec::{
+    LogOp, LogRecord, OpenDepth, RecordView, Segment, SegmentEnvelope, SegmentView, WireError,
+};
 pub use rebuild::{HarvestReport, RebuildImage};
 pub use recovery::{RecoveryEngine, RecoveryReport};
 pub use remote_target::{LoopbackTarget, RemoteError, RemoteTarget, StoreAck};

@@ -13,6 +13,7 @@
 
 use bytes::Bytes;
 use rssd_crypto::{ChainLink, Digest};
+use rssd_net::SecureSession;
 use serde::{Deserialize, Serialize};
 
 /// Operation class of a log record.
@@ -64,8 +65,11 @@ pub struct LogRecord {
     /// Was this LPA read within the correlation window before the write?
     pub read_before: bool,
     /// Retained content of the old page version. Absent in the in-device
-    /// chain (integrity of content is protected by the segment MAC instead);
-    /// attached when the record is packed for offload.
+    /// chain (integrity of content is protected by the segment MAC instead)
+    /// and in every history the device returns — those are metadata only;
+    /// content comes back via `recover_page*` or a `RebuildImage`. Attached
+    /// only while the record is packed for offload, and by a full open of a
+    /// sealed segment ([`OpenDepth::Full`]).
     pub old_data: Option<Vec<u8>>,
 }
 
@@ -99,29 +103,22 @@ impl LogRecord {
         self.chain_image().to_vec()
     }
 
-    /// Length of the full wire encoding.
-    fn wire_len(&self) -> usize {
-        Self::CHAIN_IMAGE_LEN + 4 + self.old_data.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Appends the full wire encoding (chain image + optional content) to
-    /// `out`.
-    pub fn write_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.chain_image());
-        match &self.old_data {
-            None => out.extend_from_slice(&u32::MAX.to_le_bytes()),
-            Some(data) => {
-                out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                out.extend_from_slice(data);
-            }
-        }
-    }
-
-    /// Full wire encoding (chain image + optional content).
+    /// Standalone encoding of one record: its 40-byte metadata entry (chain
+    /// image, then the content's length as a `u32`, `u32::MAX` for none)
+    /// followed by the content.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        self.write_into(&mut out);
+        let mut out =
+            Vec::with_capacity(RecordView::ENTRY_LEN + self.old_data.as_ref().map_or(0, Vec::len));
+        self.write_entry(&mut out);
+        out.extend_from_slice(self.old_data.as_deref().unwrap_or_default());
         out
+    }
+
+    /// Appends the record's metadata entry to `out`.
+    fn write_entry(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.chain_image());
+        let retained_len = self.old_data.as_ref().map_or(u32::MAX, |d| d.len() as u32);
+        out.extend_from_slice(&retained_len.to_le_bytes());
     }
 
     /// Decodes one record from the front of `data`, returning it and the
@@ -131,70 +128,66 @@ impl LogRecord {
     ///
     /// Returns [`WireError`] on truncation or unknown fields.
     pub fn from_bytes(data: &[u8]) -> Result<(Self, usize), WireError> {
-        let (view, consumed) = RecordView::parse(data)?;
-        Ok((view.into_owned(), consumed))
+        if data.len() < RecordView::ENTRY_LEN {
+            return Err(WireError::Truncated);
+        }
+        let (entry, rest) = data.split_at(RecordView::ENTRY_LEN);
+        let mut view = RecordView::parse_entry(entry)?;
+        let len = view.retained_len.map_or(0, |len| len as usize);
+        let content = rest.get(..len).ok_or(WireError::Truncated)?;
+        view.old_data = view.retained_len.map(|_| content);
+        Ok((view.into_owned(), RecordView::ENTRY_LEN + len))
     }
 }
 
 /// One log record decoded in place: the metadata by value, the retained
-/// pre-image still borrowed from the bytes it was parsed from. Consumers that
-/// only read metadata (detection, the crash-recovery index) never copy the
-/// 4 KiB pre-images; those that keep the content call
-/// [`RecordView::into_owned`].
+/// pre-image — when the reader opened the segment that far — still borrowed
+/// from the bytes it was parsed from. Consumers that only read metadata
+/// (the history walks, detection, the crash-recovery index) never decipher,
+/// decompress or copy a pre-image; those that keep the content copy it once.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecordView<'a> {
     /// Every field but the content; `meta.old_data` is always `None`.
     pub meta: LogRecord,
-    /// The retained content of the old page version, if the record carries
-    /// one.
+    /// Length of the retained content the record carries in its segment's
+    /// pre-image region, if it carries one.
+    pub retained_len: Option<u32>,
+    /// The retained content of the old page version: `Some` exactly when the
+    /// record carries one *and* the segment was opened in full
+    /// ([`OpenDepth::Full`]).
     pub old_data: Option<&'a [u8]>,
 }
 
-impl<'a> RecordView<'a> {
-    /// Decodes one record from the front of `data`, returning the view and
-    /// the number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on truncation or unknown fields.
-    pub fn parse(data: &'a [u8]) -> Result<(Self, usize), WireError> {
-        const FIXED: usize = LogRecord::CHAIN_IMAGE_LEN + 4;
-        if data.len() < FIXED {
-            return Err(WireError::Truncated);
-        }
-        let op = LogOp::from_id(data[0]).ok_or(WireError::UnknownOp(data[0]))?;
-        let seq = u64::from_le_bytes(data[1..9].try_into().expect("8"));
-        let at_ns = u64::from_le_bytes(data[9..17].try_into().expect("8"));
-        let lpa = u64::from_le_bytes(data[17..25].try_into().expect("8"));
-        let old_raw = u64::from_le_bytes(data[25..33].try_into().expect("8"));
-        let entropy_mil = u16::from_le_bytes(data[33..35].try_into().expect("2"));
-        let read_before = data[35] != 0;
-        let len_raw = u32::from_le_bytes(data[36..40].try_into().expect("4"));
-        let (old_data, consumed) = if len_raw == u32::MAX {
-            (None, FIXED)
-        } else {
-            let len = len_raw as usize;
-            if data.len() - FIXED < len {
-                return Err(WireError::Truncated);
-            }
-            (Some(&data[FIXED..FIXED + len]), FIXED + len)
-        };
-        Ok((
-            RecordView {
-                meta: LogRecord {
-                    seq,
-                    at_ns,
-                    op,
-                    lpa,
-                    old_page_index: (old_raw != u64::MAX).then_some(old_raw),
-                    entropy_mil,
-                    read_before,
-                    old_data: None,
-                },
-                old_data,
+impl RecordView<'_> {
+    /// Size of one record's entry in a segment's metadata block: the chain
+    /// image and a `u32` content length (`u32::MAX`: no content).
+    pub const ENTRY_LEN: usize = LogRecord::CHAIN_IMAGE_LEN + 4;
+
+    /// Decodes one [`Self::ENTRY_LEN`]-byte metadata entry.
+    fn parse_entry(entry: &[u8]) -> Result<RecordView<'static>, WireError> {
+        debug_assert_eq!(entry.len(), Self::ENTRY_LEN);
+        let op = LogOp::from_id(entry[0]).ok_or(WireError::UnknownOp(entry[0]))?;
+        let seq = u64::from_le_bytes(entry[1..9].try_into().expect("8"));
+        let at_ns = u64::from_le_bytes(entry[9..17].try_into().expect("8"));
+        let lpa = u64::from_le_bytes(entry[17..25].try_into().expect("8"));
+        let old_raw = u64::from_le_bytes(entry[25..33].try_into().expect("8"));
+        let entropy_mil = u16::from_le_bytes(entry[33..35].try_into().expect("2"));
+        let read_before = entry[35] != 0;
+        let len_raw = u32::from_le_bytes(entry[36..40].try_into().expect("4"));
+        Ok(RecordView {
+            meta: LogRecord {
+                seq,
+                at_ns,
+                op,
+                lpa,
+                old_page_index: (old_raw != u64::MAX).then_some(old_raw),
+                entropy_mil,
+                read_before,
+                old_data: None,
             },
-            consumed,
-        ))
+            retained_len: (len_raw != u32::MAX).then_some(len_raw),
+            old_data: None,
+        })
     }
 
     /// The owned record: metadata plus a copy of the content.
@@ -213,7 +206,8 @@ pub enum WireError {
     Truncated,
     /// Unknown [`LogOp`] id.
     UnknownOp(u8),
-    /// Segment payload failed to decompress or decrypt.
+    /// Segment payload failed to authenticate or decompress, or carries
+    /// bytes its own lengths do not account for.
     BadPayload,
 }
 
@@ -229,6 +223,19 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// How far a reader opens a sealed segment. Either way the one HMAC tag is
+/// verified over *every* sealed byte first; the depth decides how much is
+/// then deciphered, decompressed and parsed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpenDepth {
+    /// The metadata block only — record metadata, content lengths and chain
+    /// links, 80 bytes a record. What the evidence walks read.
+    Metadata,
+    /// The metadata block and the pre-images behind it. What restores and
+    /// rebuilds read.
+    Full,
+}
+
 /// A batch of consecutive log records plus their chain links, as packed for
 /// offload.
 #[derive(Clone, Debug, PartialEq)]
@@ -242,38 +249,78 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Serializes records + links (the plaintext that gets compressed,
-    /// sealed and shipped) into one exactly sized buffer.
+    /// Serialized size of one chain link: `seq u64 | tag 32 B`.
+    const LINK_LEN: usize = 8 + 32;
+
+    /// Size of the metadata block that leads a serialized segment of
+    /// `count` records: `segment_seq u64 | count u32`, one
+    /// [`RecordView::ENTRY_LEN`]-byte entry per record, one
+    /// [`Self::LINK_LEN`]-byte chain link per record.
+    const fn metadata_len(count: usize) -> usize {
+        12 + count * (RecordView::ENTRY_LEN + Self::LINK_LEN)
+    }
+
+    /// Serializes the segment, metadata first: the metadata block (see
+    /// `metadata_len`), then every retained pre-image back to back in
+    /// record order — one exactly sized buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let len = 12
-            + self.records.iter().map(LogRecord::wire_len).sum::<usize>()
-            + self.links.len() * 40;
+        let len = Self::metadata_len(self.records.len())
+            + self
+                .records
+                .iter()
+                .map(|r| r.old_data.as_ref().map_or(0, Vec::len))
+                .sum::<usize>();
         let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&self.segment_seq.to_le_bytes());
         out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
         for r in &self.records {
-            r.write_into(&mut out);
+            r.write_entry(&mut out);
         }
         for l in &self.links {
             out.extend_from_slice(&l.seq.to_le_bytes());
             out.extend_from_slice(l.tag.as_bytes());
         }
+        for data in self.records.iter().filter_map(|r| r.old_data.as_deref()) {
+            out.extend_from_slice(data);
+        }
         debug_assert_eq!(out.len(), len);
         out
     }
 
-    /// Decodes a segment.
+    /// Appends to `out` the plaintext a sealed payload carries for `raw`, a
+    /// segment serialized by [`Segment::to_bytes`]: the metadata block and
+    /// the pre-images as two [`rssd_compress::compress_adaptive`] frames,
+    /// the first behind its `u32` length — `[len | metadata frame |
+    /// pre-image frame]` — so a reader can stop after the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw` is shorter than the metadata block its own record
+    /// count announces (it did not come from [`Segment::to_bytes`]).
+    pub fn compress_into(raw: &[u8], out: &mut Vec<u8>) {
+        let count = u32::from_le_bytes(raw[8..12].try_into().expect("4")) as usize;
+        let (metadata, preimages) = raw.split_at(Self::metadata_len(count));
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        rssd_compress::compress_adaptive_into(metadata, out);
+        let frame_len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&frame_len.to_le_bytes());
+        rssd_compress::compress_adaptive_into(preimages, out);
+    }
+
+    /// Decodes a segment serialized by [`Segment::to_bytes`].
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] on malformed input.
     pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
-        SegmentView::parse(data).map(SegmentView::into_owned)
+        SegmentView::parse(data, OpenDepth::Full).map(SegmentView::into_owned)
     }
 }
 
 /// A [`Segment`] decoded in place: record metadata and links by value, the
-/// pre-images borrowed from the serialized bytes (see [`RecordView`]).
+/// pre-images — under [`OpenDepth::Full`] — borrowed from the serialized
+/// bytes (see [`RecordView`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SegmentView<'a> {
     /// Monotone per-device segment number.
@@ -285,43 +332,52 @@ pub struct SegmentView<'a> {
 }
 
 impl<'a> SegmentView<'a> {
-    /// Decodes the serialization [`Segment::to_bytes`] produces.
+    /// Decodes what [`SegmentEnvelope::open`] returned at the same `depth`:
+    /// the whole serialization [`Segment::to_bytes`] produces
+    /// ([`OpenDepth::Full`]) or its metadata block alone
+    /// ([`OpenDepth::Metadata`], every `old_data` left `None`).
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] on malformed input.
-    pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
+    /// [`WireError::Truncated`] when `data` is shorter than its record count
+    /// and content lengths require, [`WireError::BadPayload`] when it is
+    /// longer, [`WireError::UnknownOp`] on an unknown record class.
+    pub fn parse(data: &'a [u8], depth: OpenDepth) -> Result<Self, WireError> {
         if data.len() < 12 {
             return Err(WireError::Truncated);
         }
         let segment_seq = u64::from_le_bytes(data[..8].try_into().expect("8"));
         let count = u32::from_le_bytes(data[8..12].try_into().expect("4")) as usize;
-        // Every record is at least 40 bytes and every link exactly 40, so a
-        // count the remaining bytes cannot possibly hold is malformed input
-        // (and must not drive preallocation).
-        if count > data.len().saturating_sub(12) / 80 {
+        // A count the bytes cannot possibly hold is malformed input (and
+        // must not drive preallocation).
+        if count > (data.len() - 12) / (RecordView::ENTRY_LEN + Segment::LINK_LEN) {
             return Err(WireError::Truncated);
         }
-        let mut offset = 12;
+        let (metadata, mut preimages) = data.split_at(Segment::metadata_len(count));
+        let (entries, link_bytes) = metadata[12..].split_at(count * RecordView::ENTRY_LEN);
         let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (rec, used) = RecordView::parse(&data[offset..])?;
-            records.push(rec);
-            offset += used;
-        }
-        let mut links = Vec::with_capacity(count);
-        for _ in 0..count {
-            if data.len() < offset + 40 {
-                return Err(WireError::Truncated);
+        for entry in entries.chunks_exact(RecordView::ENTRY_LEN) {
+            let mut record = RecordView::parse_entry(entry)?;
+            if let (OpenDepth::Full, Some(len)) = (depth, record.retained_len) {
+                if preimages.len() < len as usize {
+                    return Err(WireError::Truncated);
+                }
+                let (content, rest) = preimages.split_at(len as usize);
+                record.old_data = Some(content);
+                preimages = rest;
             }
-            let seq = u64::from_le_bytes(data[offset..offset + 8].try_into().expect("8"));
-            let tag: [u8; 32] = data[offset + 8..offset + 40].try_into().expect("32");
-            links.push(ChainLink {
-                seq,
-                tag: Digest::from_bytes(tag),
-            });
-            offset += 40;
+            records.push(record);
         }
+        if !preimages.is_empty() {
+            return Err(WireError::BadPayload);
+        }
+        let links = link_bytes
+            .chunks_exact(Segment::LINK_LEN)
+            .map(|link| ChainLink {
+                seq: u64::from_le_bytes(link[..8].try_into().expect("8")),
+                tag: Digest::from_bytes(link[8..].try_into().expect("32")),
+            })
+            .collect();
         Ok(SegmentView {
             segment_seq,
             records,
@@ -460,6 +516,53 @@ impl SegmentEnvelope {
         &self.wire[Self::WIRE_HEADER..]
     }
 
+    /// Opens the sealed payload to `depth` and returns the plaintext for
+    /// [`SegmentView::parse`] at the same depth. The tag is verified over
+    /// every sealed byte whatever the depth — a bit flipped in a pre-image
+    /// fails a metadata open too; [`OpenDepth::Metadata`] then deciphers and
+    /// decompresses the metadata frame alone, [`OpenDepth::Full`] both
+    /// frames, back to back into the one buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadPayload`] when the payload fails authentication or a
+    /// frame fails to decompress, [`WireError::Truncated`] when it is too
+    /// short for the frame length it announces.
+    pub fn open(&self, session: &SecureSession, depth: OpenDepth) -> Result<Vec<u8>, WireError> {
+        let authenticated = session
+            .verify(self.segment_seq(), self.sealed_payload())
+            .map_err(|_| WireError::BadPayload)?;
+        let decipher = |len: usize| {
+            authenticated
+                .decipher_prefix(len)
+                .map_err(|_| WireError::Truncated)
+        };
+        // Plaintext: `[u32 metadata frame length | metadata frame |
+        // pre-image frame]` (see `Segment::compress_into`).
+        let metadata_end = |plain: &[u8]| {
+            let len = plain.get(..4).ok_or(WireError::Truncated)?;
+            (u32::from_le_bytes(len.try_into().expect("4")) as usize)
+                .checked_add(4)
+                .filter(|end| *end <= authenticated.len())
+                .ok_or(WireError::Truncated)
+        };
+        let mut raw = Vec::new();
+        match depth {
+            OpenDepth::Metadata => {
+                let plain = decipher(metadata_end(&decipher(4)?)?)?;
+                rssd_compress::decompress_into(&plain[4..], &mut raw)
+            }
+            OpenDepth::Full => {
+                let plain = decipher(authenticated.len())?;
+                let (metadata, preimages) = plain.split_at(metadata_end(&plain)?);
+                rssd_compress::decompress_into(&metadata[4..], &mut raw)
+                    .and_then(|()| rssd_compress::decompress_into(preimages, &mut raw))
+            }
+        }
+        .map_err(|_| WireError::BadPayload)?;
+        Ok(raw)
+    }
+
     /// Wire size in bytes.
     pub fn wire_bytes(&self) -> usize {
         self.wire.len()
@@ -585,17 +688,57 @@ mod tests {
         };
         let mut bytes = b"prefix".to_vec();
         bytes.extend_from_slice(&seg.to_bytes());
-        let view = SegmentView::parse(&bytes[6..]).unwrap();
+        let view = SegmentView::parse(&bytes[6..], OpenDepth::Full).unwrap();
         let span = bytes.as_ptr_range();
         for (viewed, owned) in view.records.iter().zip(&seg.records) {
             assert_eq!(viewed.meta.chain_image(), owned.chain_image());
             assert_eq!(viewed.meta.old_data, None);
             assert_eq!(viewed.old_data, owned.old_data.as_deref());
+            assert_eq!(
+                viewed.retained_len,
+                owned.old_data.as_ref().map(|d| d.len() as u32)
+            );
             if let Some(data) = viewed.old_data {
                 assert!(span.contains(&data.as_ptr()), "borrowed, not copied");
             }
         }
         assert_eq!(view.into_owned(), seg);
+    }
+
+    #[test]
+    fn metadata_block_parses_alone_to_the_same_metadata() {
+        let records: Vec<LogRecord> = (0..5).map(|i| record(i, i % 2 == 0)).collect();
+        let links = records
+            .iter()
+            .map(|r| ChainLink {
+                seq: r.seq,
+                tag: Digest::from_bytes([r.seq as u8; 32]),
+            })
+            .collect();
+        let seg = Segment {
+            segment_seq: 9,
+            records,
+            links,
+        };
+        let bytes = seg.to_bytes();
+        let block = &bytes[..Segment::metadata_len(5)];
+        let full = SegmentView::parse(&bytes, OpenDepth::Full).unwrap();
+        let metadata = SegmentView::parse(block, OpenDepth::Metadata).unwrap();
+        assert_eq!(metadata.segment_seq, full.segment_seq);
+        assert_eq!(metadata.links, full.links);
+        for (m, f) in metadata.records.iter().zip(&full.records) {
+            assert_eq!((&m.meta, m.retained_len), (&f.meta, f.retained_len));
+            assert_eq!(m.old_data, None);
+        }
+        // Each depth takes exactly its own bytes.
+        assert_eq!(
+            SegmentView::parse(&bytes, OpenDepth::Metadata),
+            Err(WireError::BadPayload)
+        );
+        assert_eq!(
+            SegmentView::parse(block, OpenDepth::Full),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]
@@ -608,12 +751,47 @@ mod tests {
                 tag: Digest::ZERO,
             }],
         };
+        let mut bytes = seg.to_bytes();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                Segment::from_bytes(&bytes[..cut]),
+                Err(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        bytes.push(0);
+        assert_eq!(Segment::from_bytes(&bytes), Err(WireError::BadPayload));
+    }
+
+    #[test]
+    fn hostile_counts_and_lengths_are_typed_errors_not_allocations() {
+        let seg = Segment {
+            segment_seq: 1,
+            records: vec![record(0, true), record(1, true)],
+            links: vec![
+                ChainLink {
+                    seq: 0,
+                    tag: Digest::ZERO
+                };
+                2
+            ],
+        };
         let bytes = seg.to_bytes();
-        assert_eq!(
-            Segment::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(WireError::Truncated)
-        );
-        assert_eq!(Segment::from_bytes(&[1, 2]), Err(WireError::Truncated));
+        // A record count the input cannot hold.
+        let mut lying = bytes.clone();
+        lying[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        for depth in [OpenDepth::Metadata, OpenDepth::Full] {
+            assert_eq!(SegmentView::parse(&lying, depth), Err(WireError::Truncated));
+        }
+        // Content lengths that sum past the pre-image region.
+        let len_at = 12 + RecordView::ENTRY_LEN + LogRecord::CHAIN_IMAGE_LEN;
+        let mut lying = bytes.clone();
+        lying[len_at..len_at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        assert_eq!(Segment::from_bytes(&lying), Err(WireError::Truncated));
+        // ... or short of it.
+        let mut lying = bytes;
+        lying[len_at..len_at + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(Segment::from_bytes(&lying), Err(WireError::BadPayload));
     }
 
     #[test]

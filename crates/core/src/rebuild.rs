@@ -25,31 +25,32 @@
 //! retention offloads them — not data that existed nowhere but the lost
 //! flash.
 
-use crate::device::open_envelope_bytes;
-use crate::logrec::{LogOp, RecordView, SegmentView};
+use crate::logrec::{LogOp, OpenDepth, RecordView, SegmentView};
 use crate::remote_target::RemoteTarget;
 use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
 use rssd_net::SecureSession;
 use std::collections::HashMap;
 
-/// Walks every segment stored on `remote` in chain order, verifying
-/// continuity and per-record HMAC links, and hands each decoded record
-/// (with the sequence of the segment that carried it) to `sink` as a view
-/// borrowing the decompressed segment — a sink that keeps the pre-image
-/// copies it once, one that reads metadata copies nothing. Returns the
-/// verified chain head. Shared by
-/// [`RssdDevice::verified_history`](crate::RssdDevice::verified_history)
-/// (which appends its pending tail afterwards),
+/// Walks every segment stored on `remote` in chain order, authenticating
+/// each sealed payload whole and verifying continuity and per-record HMAC
+/// links, and hands each decoded record (with the sequence of the segment
+/// that carried it) to `sink`. Segments are opened to `depth`: the evidence
+/// walks — [`RssdDevice::verified_history`](crate::RssdDevice::verified_history)
+/// (which appends its pending tail afterwards) and
 /// [`RssdDevice::recover`](crate::RssdDevice::recover) (which rebuilds the
-/// crashed controller's remote version index) and
-/// [`RebuildImage::harvest`] (which has no device left to ask).
+/// crashed controller's remote version index) — read
+/// [`OpenDepth::Metadata`] and never decipher a pre-image;
+/// [`RebuildImage::harvest`] (which has no device left to ask) reads
+/// [`OpenDepth::Full`] and copies each pre-image once, out of the view that
+/// borrows the decompressed segment. Returns the verified chain head.
 pub(crate) fn walk_verified_segments<R: RemoteTarget>(
     chain_key: &[u8],
     session: &SecureSession,
     remote: &mut R,
+    depth: OpenDepth,
     sink: impl FnMut(u64, RecordView<'_>),
 ) -> Result<Digest, String> {
-    match walk_segments_tolerant(chain_key, session, remote, sink) {
+    match walk_segments_tolerant(chain_key, session, remote, depth, sink) {
         (head, None) => Ok(head),
         (_, Some(failure)) => Err(failure),
     }
@@ -66,6 +67,7 @@ pub(crate) fn walk_segments_tolerant<R: RemoteTarget>(
     chain_key: &[u8],
     session: &SecureSession,
     remote: &mut R,
+    depth: OpenDepth,
     mut sink: impl FnMut(u64, RecordView<'_>),
 ) -> (Digest, Option<String>) {
     let mut head = Digest::ZERO;
@@ -74,11 +76,11 @@ pub(crate) fn walk_segments_tolerant<R: RemoteTarget>(
             Ok(envelope) => envelope,
             Err(e) => return (head, Some(format!("fetch segment {seq}: {e}"))),
         };
-        let raw = match open_envelope_bytes(session, &envelope) {
+        let raw = match envelope.open(session, depth) {
             Ok(raw) => raw,
             Err(e) => return (head, Some(format!("open segment {seq}: {e}"))),
         };
-        let segment = match SegmentView::parse(&raw) {
+        let segment = match SegmentView::parse(&raw, depth) {
             Ok(segment) => segment,
             Err(e) => return (head, Some(format!("open segment {seq}: {e}"))),
         };
@@ -174,7 +176,8 @@ impl RebuildImage {
         // (Offloaded history is a prefix of the log, so the creating write
         // is always in the prefix when its invalidation is.)
         let mut content_written_at: HashMap<u64, u64> = HashMap::new();
-        walk_verified_segments(&chain_key, &session, remote, |_seq, view| {
+        let depth = OpenDepth::Full;
+        walk_verified_segments(&chain_key, &session, remote, depth, |_seq, view| {
             let record = &view.meta;
             report.records += 1;
             if let Some(data) = view.old_data {

@@ -1,9 +1,14 @@
 //! Property tests for the log wire formats and the offload round trip.
 
 use proptest::prelude::*;
-use rssd_core::{LogOp, LogRecord, Segment, SegmentEnvelope};
+use rssd_core::{
+    LogOp, LogRecord, LoopbackTarget, OpenDepth, RemoteTarget, RssdConfig, RssdDevice, Segment,
+    SegmentEnvelope, SegmentView, WireError,
+};
 use rssd_crypto::{ChainLink, DeviceKeys, Digest, HashChain};
+use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_net::SecureSession;
+use rssd_ssd::BlockDevice;
 
 fn arb_record() -> impl Strategy<Value = LogRecord> {
     (
@@ -28,6 +33,31 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
                 old_data,
             },
         )
+}
+
+fn arb_segment(max_records: usize) -> impl Strategy<Value = Segment> {
+    (
+        proptest::collection::vec(arb_record(), 0..max_records),
+        any::<u64>(),
+    )
+        .prop_map(|(records, segment_seq)| {
+            let mut chain = HashChain::new(b"prop-key");
+            let links = records
+                .iter()
+                .map(|r| chain.append(&r.chain_image()))
+                .collect();
+            Segment {
+                segment_seq,
+                records,
+                links,
+            }
+        })
+}
+
+/// An envelope around `plaintext` sealed as the payload of `segment_seq`.
+fn envelope_of(session: &SecureSession, segment_seq: u64, plaintext: &[u8]) -> SegmentEnvelope {
+    let sealed = session.seal(segment_seq, plaintext);
+    SegmentEnvelope::new(1, segment_seq, Digest::ZERO, Digest::ZERO, 0, &sealed)
 }
 
 proptest! {
@@ -97,8 +127,9 @@ proptest! {
         let head = Digest::from_bytes([head_byte; 32]);
 
         // Naive compose: each stage allocates and copies.
-        let compressed = rssd_compress::compress_adaptive(&raw);
-        let sealed = session.seal(segment_seq, &compressed);
+        let mut plaintext = Vec::new();
+        Segment::compress_into(&raw, &mut plaintext);
+        let sealed = session.seal(segment_seq, &plaintext);
         let naive =
             SegmentEnvelope::new(device_id, segment_seq, prev, head, record_count, &sealed);
 
@@ -107,7 +138,7 @@ proptest! {
         SegmentEnvelope::write_wire_header(
             &mut wire, device_id, segment_seq, &prev, &head, record_count,
         );
-        rssd_compress::compress_adaptive_into(&raw, &mut wire);
+        Segment::compress_into(&raw, &mut wire);
         session.seal_in_place(segment_seq, &mut wire, SegmentEnvelope::WIRE_HEADER);
         let zero_copy = SegmentEnvelope::from_wire_image(wire).unwrap();
 
@@ -115,12 +146,177 @@ proptest! {
         prop_assert_eq!(&zero_copy.to_wire_bytes(), &naive.to_wire_bytes());
         prop_assert_eq!(&zero_copy, &naive);
 
-        // The sealed image opens back to the exact records that went in.
-        let opened = session
-            .open(segment_seq, zero_copy.sealed_payload())
-            .expect("self-sealed payload opens");
-        let decompressed = rssd_compress::decompress(&opened).expect("valid frame");
-        prop_assert_eq!(Segment::from_bytes(&decompressed).unwrap(), segment);
+        // The sealed image opens back to the exact bytes and records that
+        // went in.
+        let opened = zero_copy.open(&session, OpenDepth::Full).expect("self-sealed payload opens");
+        prop_assert_eq!(&opened, &raw);
+        prop_assert_eq!(Segment::from_bytes(&opened).unwrap(), segment);
+    }
+
+    /// A metadata open reads what a full open reads of every record —
+    /// metadata, content length, chain link — and none of the content.
+    #[test]
+    fn metadata_open_agrees_with_full_open(segment in arb_segment(20), seed in any::<u64>()) {
+        let session = SecureSession::new(&DeviceKeys::for_simulation(seed), 0);
+        let mut plaintext = Vec::new();
+        Segment::compress_into(&segment.to_bytes(), &mut plaintext);
+        let envelope = envelope_of(&session, segment.segment_seq, &plaintext);
+
+        let raw = envelope.open(&session, OpenDepth::Full).unwrap();
+        let full = SegmentView::parse(&raw, OpenDepth::Full).unwrap();
+        let block = envelope.open(&session, OpenDepth::Metadata).unwrap();
+        prop_assert_eq!(&block[..], &raw[..block.len()]);
+        let metadata = SegmentView::parse(&block, OpenDepth::Metadata).unwrap();
+
+        prop_assert_eq!(metadata.segment_seq, segment.segment_seq);
+        prop_assert_eq!(&metadata.links, &segment.links);
+        prop_assert_eq!(&metadata.links, &full.links);
+        prop_assert_eq!(metadata.records.len(), segment.records.len());
+        for ((m, f), owned) in metadata.records.iter().zip(&full.records).zip(&segment.records) {
+            prop_assert_eq!(&m.meta, &f.meta);
+            prop_assert_eq!(m.retained_len, f.retained_len);
+            prop_assert_eq!(m.retained_len, owned.old_data.as_ref().map(|d| d.len() as u32));
+            prop_assert_eq!(m.old_data, None);
+            prop_assert_eq!(f.old_data, owned.old_data.as_deref());
+        }
+        prop_assert_eq!(full.into_owned(), segment);
+    }
+
+    /// Torn or hostile sealed payloads — correctly keyed or not — come back
+    /// as typed errors at either depth: never a panic, never a buffer larger
+    /// than what the honest payload decodes to.
+    #[test]
+    fn hostile_sealed_payloads_are_typed_errors(
+        segment in arb_segment(4),
+        flip in any::<u32>(),
+        lie in any::<u32>(),
+    ) {
+        let session = SecureSession::new(&DeviceKeys::for_simulation(3), 0);
+        let seq = segment.segment_seq;
+        let raw = segment.to_bytes();
+        let mut plaintext = Vec::new();
+        Segment::compress_into(&raw, &mut plaintext);
+        let metadata_end = 4 + u32::from_le_bytes(plaintext[..4].try_into().unwrap()) as usize;
+        let depths = [OpenDepth::Metadata, OpenDepth::Full];
+
+        // Every truncation of both frames, under a valid tag (a device that
+        // lost power mid-assembly, say). The metadata reader never looks
+        // past the first frame; the full reader needs both whole.
+        for cut in 0..plaintext.len() {
+            let torn = envelope_of(&session, seq, &plaintext[..cut]);
+            let full = torn.open(&session, OpenDepth::Full);
+            prop_assert!(
+                matches!(full, Err(WireError::Truncated | WireError::BadPayload)),
+                "full open of a payload cut at {}: {:?}", cut, full
+            );
+            let metadata = torn.open(&session, OpenDepth::Metadata);
+            if cut < metadata_end {
+                prop_assert!(
+                    matches!(metadata, Err(WireError::Truncated | WireError::BadPayload)),
+                    "metadata open of a payload cut at {}: {:?}", cut, metadata
+                );
+            } else {
+                prop_assert_eq!(metadata.as_deref(), Ok(&raw[..metadata.as_ref().unwrap().len()]));
+            }
+        }
+
+        // A frame length past the payload.
+        let mut overlong = plaintext.clone();
+        let past = (plaintext.len() as u32 - 3).saturating_add(lie % 1024);
+        overlong[..4].copy_from_slice(&past.to_le_bytes());
+        let mut unbounded = plaintext.clone();
+        unbounded[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        for plaintext in [&overlong, &unbounded] {
+            let envelope = envelope_of(&session, seq, plaintext);
+            for depth in depths {
+                prop_assert_eq!(envelope.open(&session, depth), Err(WireError::Truncated));
+            }
+        }
+
+        // A record count, or content lengths, the frames cannot hold:
+        // well-formed frames around a lying metadata block.
+        let mut big_count = raw.clone();
+        big_count[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut lying = vec![big_count];
+        if !segment.records.is_empty() {
+            let mut long_content = raw.clone();
+            long_content[12 + 36..12 + 40].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+            lying.push(long_content);
+        }
+        let (_, preimages) = raw.split_at(12 + 80 * segment.records.len());
+        for raw in &lying {
+            let metadata = &raw[..raw.len() - preimages.len()];
+            let mut plaintext = (metadata.len() as u32 + 5).to_le_bytes().to_vec();
+            plaintext.extend_from_slice(&rssd_compress::compress(rssd_compress::Codec::Store, metadata));
+            plaintext.extend_from_slice(&rssd_compress::compress_adaptive(preimages));
+            let envelope = envelope_of(&session, seq, &plaintext);
+            let opened = envelope.open(&session, OpenDepth::Full).expect("frames are well formed");
+            prop_assert!(opened.capacity() <= 2 * raw.len() + 64);
+            prop_assert_eq!(SegmentView::parse(&opened, OpenDepth::Full), Err(WireError::Truncated));
+        }
+        // (A lying count fails a metadata reader the same way; lying content
+        // lengths it never follows.)
+        let envelope = envelope_of(&session, seq, &{
+            let mut plaintext = (lying[0].len() as u32 + 5).to_le_bytes().to_vec();
+            plaintext.extend_from_slice(&rssd_compress::compress(rssd_compress::Codec::Store, &lying[0]));
+            plaintext
+        });
+        let opened = envelope.open(&session, OpenDepth::Metadata).expect("frame is well formed");
+        prop_assert_eq!(SegmentView::parse(&opened, OpenDepth::Metadata), Err(WireError::Truncated));
+
+        // One bit flipped anywhere in the sealed payload — the length, either
+        // frame, the tag — or a cut without re-sealing: the tag check fails
+        // before anything is deciphered, whatever the depth.
+        let clean = envelope_of(&session, seq, &plaintext);
+        let mut sealed = clean.sealed_payload().to_vec();
+        let bit = flip as usize % (sealed.len() * 8);
+        sealed[bit / 8] ^= 1 << (bit % 8);
+        let cut = &clean.sealed_payload()[..flip as usize % clean.sealed_payload().len()];
+        for sealed in [&sealed[..], cut] {
+            let envelope = SegmentEnvelope::new(1, seq, Digest::ZERO, Digest::ZERO, 0, sealed);
+            for depth in depths {
+                prop_assert_eq!(envelope.open(&session, depth), Err(WireError::BadPayload));
+            }
+        }
+    }
+
+    /// `verified_history` — a metadata walk — returns exactly the records a
+    /// full open of every stored segment yields, pre-images stripped.
+    #[test]
+    fn verified_history_is_the_full_walk_with_the_content_stripped(
+        ops in proptest::collection::vec((0u64..12, any::<u8>(), 0u8..8), 1..120),
+    ) {
+        let mut device = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig { segment_pages: 4, ..RssdConfig::default() },
+            LoopbackTarget::new(),
+        );
+        for (lpa, byte, kind) in ops {
+            match kind {
+                0 => { device.trim_page(lpa).unwrap(); }
+                1 | 2 => { let _ = device.read_page(lpa); }
+                _ => device.write_page(lpa, vec![byte; 4096]).unwrap(),
+            }
+        }
+        device.flush_log().unwrap();
+        let history = device.verified_history().expect("clean history verifies");
+        prop_assert_eq!(&device.audit_history().records, &history);
+
+        let session = SecureSession::new(&device.escrow_keys(), 0);
+        let mut walked = Vec::new();
+        let mut contents = 0usize;
+        for seq in device.remote().stored_segments() {
+            let envelope = device.remote_mut().fetch_segment(seq).unwrap();
+            let raw = envelope.open(&session, OpenDepth::Full).unwrap();
+            for mut record in Segment::from_bytes(&raw).unwrap().records {
+                contents += usize::from(record.old_data.take().is_some());
+                walked.push(record);
+            }
+        }
+        prop_assert_eq!(&history, &walked);
+        prop_assert_eq!(contents as u64, device.offload_stats().retained_pages_offloaded);
     }
 
     #[test]

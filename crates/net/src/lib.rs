@@ -30,4 +30,4 @@ pub use nic::{Nic, NicError, NicStats};
 pub use nvmeoe::{
     Capsule, CapsuleKind, NvmeOeEndpoint, ProtocolError, TransferStalled, TransferStats,
 };
-pub use session::{SecureSession, SessionError};
+pub use session::{Authenticated, SecureSession, SessionError};

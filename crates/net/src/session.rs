@@ -13,7 +13,7 @@ pub const TAG_LEN: usize = 32;
 /// Session failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionError {
-    /// Message shorter than a tag.
+    /// Message shorter than a tag, or than the prefix asked of it.
     Truncated,
     /// Authentication tag mismatch: tampered or mis-keyed.
     BadTag,
@@ -22,7 +22,7 @@ pub enum SessionError {
 impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SessionError::Truncated => write!(f, "sealed message shorter than tag"),
+            SessionError::Truncated => write!(f, "sealed message truncated"),
             SessionError::BadTag => write!(f, "authentication tag mismatch"),
         }
     }
@@ -112,14 +112,20 @@ impl SecureSession {
         buf.extend_from_slice(mac.finalize().as_bytes());
     }
 
-    /// Verifies and decrypts a sealed message.
+    /// Authenticates a sealed message — the tag is checked over *every*
+    /// ciphertext byte — and returns a handle that deciphers as much of it
+    /// as the caller goes on to read.
     ///
     /// # Errors
     ///
     /// [`SessionError::Truncated`] if shorter than a tag;
     /// [`SessionError::BadTag`] if authentication fails (any bit flipped in
     /// transit, a replayed segment number, or a wrong key).
-    pub fn open(&self, segment_seq: u64, sealed: &[u8]) -> Result<Vec<u8>, SessionError> {
+    pub fn verify<'a>(
+        &'a self,
+        segment_seq: u64,
+        sealed: &'a [u8],
+    ) -> Result<Authenticated<'a>, SessionError> {
         if sealed.len() < TAG_LEN {
             return Err(SessionError::Truncated);
         }
@@ -135,10 +141,64 @@ impl SecureSession {
         if diff != 0 {
             return Err(SessionError::BadTag);
         }
-        // Authenticated: decipher straight into the output, one pass.
-        let nonce = self.keys.segment_nonce(self.enc_id, segment_seq);
-        let mut out = Vec::with_capacity(ciphertext.len());
-        ChaCha20::new(&self.enc_key, &nonce).apply_keystream_into(ciphertext, &mut out);
+        Ok(Authenticated {
+            enc_key: &self.enc_key,
+            nonce: self.keys.segment_nonce(self.enc_id, segment_seq),
+            ciphertext,
+        })
+    }
+
+    /// Verifies and decrypts a sealed message.
+    ///
+    /// # Errors
+    ///
+    /// As [`verify`](Self::verify).
+    pub fn open(&self, segment_seq: u64, sealed: &[u8]) -> Result<Vec<u8>, SessionError> {
+        let authenticated = self.verify(segment_seq, sealed)?;
+        authenticated.decipher_prefix(authenticated.len())
+    }
+}
+
+/// A sealed message whose tag [`SecureSession::verify`] has checked over the
+/// whole ciphertext. Only this handle deciphers, so no plaintext byte is ever
+/// produced from an unauthenticated message; a reader that needs the front
+/// of the plaintext pays the cipher for the front alone.
+#[derive(Clone, Copy)]
+pub struct Authenticated<'a> {
+    enc_key: &'a [u8; 32],
+    nonce: [u8; 12],
+    ciphertext: &'a [u8],
+}
+
+impl std::fmt::Debug for Authenticated<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Authenticated")
+            .field("len", &self.ciphertext.len())
+            .finish()
+    }
+}
+
+impl Authenticated<'_> {
+    /// Plaintext length of the message.
+    pub fn len(&self) -> usize {
+        self.ciphertext.len()
+    }
+
+    /// `true` for a sealed empty message.
+    pub fn is_empty(&self) -> bool {
+        self.ciphertext.is_empty()
+    }
+
+    /// Deciphers the first `len` plaintext bytes (ChaCha20 is a stream
+    /// cipher: a prefix of the ciphertext deciphers on its own).
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Truncated`] if the message is shorter than `len`.
+    pub fn decipher_prefix(&self, len: usize) -> Result<Vec<u8>, SessionError> {
+        let prefix = self.ciphertext.get(..len).ok_or(SessionError::Truncated)?;
+        let mut out = Vec::with_capacity(len);
+        ChaCha20::new(self.enc_key, &self.nonce).apply_keystream_into(prefix, &mut out);
         Ok(out)
     }
 }
@@ -229,6 +289,35 @@ mod tests {
         assert_eq!(&buf[..11], b"HEADERBYTES", "prefix untouched");
         assert_eq!(&buf[11..], &s.seal(7, b"retained pages")[..]);
         assert_eq!(s.open(7, &buf[11..]).unwrap(), b"retained pages");
+    }
+
+    #[test]
+    fn verified_prefix_matches_the_front_of_a_full_open() {
+        let s = session();
+        let plaintext: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let sealed = s.seal(3, &plaintext);
+        let authenticated = s.verify(3, &sealed).unwrap();
+        assert_eq!(authenticated.len(), plaintext.len());
+        // Across ChaCha block (64 B) and wide-kernel (512 B) boundaries.
+        for len in [0, 1, 4, 63, 64, 65, 511, 512, 513, 1000] {
+            assert_eq!(
+                authenticated.decipher_prefix(len).unwrap(),
+                &plaintext[..len],
+                "prefix of {len}"
+            );
+        }
+        assert_eq!(
+            authenticated.decipher_prefix(1001),
+            Err(SessionError::Truncated)
+        );
+    }
+
+    #[test]
+    fn verify_rejects_a_flip_past_the_prefix_a_reader_wants() {
+        let s = session();
+        let mut sealed = s.seal(3, &[7u8; 1000]);
+        sealed[900] ^= 1;
+        assert_eq!(s.verify(3, &sealed).err(), Some(SessionError::BadTag));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! the object store, and runs the offloaded detection ensemble over the
 //! decrypted records.
 
-use rssd_core::{LogOp, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope, StoreAck};
+use rssd_core::{
+    LogOp, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope, SegmentView,
+    StoreAck,
+};
 use rssd_crypto::{DeviceKeys, Digest};
 use rssd_detect::{Ensemble, Verdict};
 use rssd_net::{LinkConfig, NvmeOeEndpoint, SecureSession, TransferStats};
@@ -22,6 +25,9 @@ pub struct ServerReport {
     pub segments_stored: u64,
     /// Segments rejected for chain discontinuity.
     pub segments_rejected: u64,
+    /// Segments stored and acknowledged whose payload then failed
+    /// authentication or parsing: held as evidence, invisible to detection.
+    pub segments_unreadable: u64,
     /// Records fed to the detection ensemble.
     pub records_analyzed: u64,
     /// Current detection verdict.
@@ -117,21 +123,20 @@ impl RemoteLogServer {
         format!("segments/{seq:016x}")
     }
 
-    /// Feeds the decrypted records of a stored segment to the detection
-    /// ensemble.
+    /// Feeds the records of a stored segment to the detection ensemble.
+    /// Detection reads record metadata only: the payload is authenticated
+    /// whole, but the pre-images are neither deciphered nor decompressed. A
+    /// segment that fails to authenticate or parse feeds nothing and is
+    /// counted in [`ServerReport::segments_unreadable`].
     fn analyze_segment(&mut self, envelope: &SegmentEnvelope) {
-        let Ok(compressed) = self
-            .session
-            .open(envelope.segment_seq(), envelope.sealed_payload())
-        else {
-            return;
-        };
-        let Ok(raw) = rssd_compress::decompress(&compressed) else {
-            return;
-        };
-        // Detection reads record metadata only: the pre-images stay where
-        // they were decompressed.
-        let Ok(segment) = rssd_core::SegmentView::parse(&raw) else {
+        let depth = OpenDepth::Metadata;
+        let raw = envelope.open(&self.session, depth);
+        let parsed = raw
+            .as_deref()
+            .map_err(|&e| e)
+            .and_then(|raw| SegmentView::parse(raw, depth));
+        let Ok(segment) = parsed else {
+            self.report.segments_unreadable += 1;
             return;
         };
         for record in &segment.records {
@@ -325,6 +330,63 @@ mod tests {
             out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
         }
         out
+    }
+
+    #[test]
+    fn unreadable_segment_is_stored_acked_and_counted() {
+        // Sealed segments from a real device, replayed into a server by
+        // hand so one can be damaged on the way.
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 8,
+                ..RssdConfig::default()
+            },
+            LoopbackTarget::new(),
+        );
+        for i in 0..40u64 {
+            d.write_page(i % 4, vec![(i % 7) as u8; 4096]).unwrap();
+        }
+        d.flush_log().unwrap();
+        let mut source = d.into_remote();
+        let seqs = source.stored_segments();
+        assert!(seqs.len() >= 3);
+
+        let mut server = RemoteLogServer::datacenter(&keys());
+        for &seq in &seqs {
+            let clean = source.fetch_segment(seq).unwrap();
+            let before = server.report();
+            if seq != seqs[1] {
+                server.store_segment(clean, 0).unwrap();
+                let after = server.report();
+                assert_eq!(after.segments_unreadable, before.segments_unreadable);
+                assert!(after.records_analyzed > before.records_analyzed);
+                continue;
+            }
+            // One bit of the last pre-image byte: nothing detection reads,
+            // but under the tag like every other sealed byte.
+            let mut payload = clean.sealed_payload().to_vec();
+            let last = payload.len() - rssd_net::session::TAG_LEN - 1;
+            payload[last] ^= 1;
+            let damaged = SegmentEnvelope::new(
+                clean.device_id(),
+                clean.segment_seq(),
+                clean.prev_chain_head(),
+                clean.chain_head(),
+                clean.record_count(),
+                &payload,
+            );
+            let ack = server.store_segment(damaged.clone(), 0).unwrap();
+            assert_eq!(ack.segment_seq, seq);
+            let after = server.report();
+            assert_eq!(after.segments_unreadable, before.segments_unreadable + 1);
+            assert_eq!(after.records_analyzed, before.records_analyzed);
+            assert_eq!(after.segments_stored, before.segments_stored + 1);
+            assert_eq!(server.fetch_segment(seq).unwrap(), damaged);
+        }
+        assert_eq!(server.report().segments_unreadable, 1);
     }
 
     #[test]

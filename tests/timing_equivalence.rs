@@ -306,11 +306,21 @@ proptest! {
         let mut overlapped = mk_wired(link);
         let overlapped_results = run_wired(&mut overlapped, &ops, chunk, false);
         prop_assert_eq!(&forced_results, &overlapped_results);
-        prop_assert!(overlapped.clock().now_ns() <= forced.clock().now_ns());
+        let (forced_done, overlapped_done) = (forced.clock().now_ns(), overlapped.clock().now_ns());
 
         forced.flush_log().expect("forced flush");
         overlapped.flush_log().expect("overlapped flush");
         prop_assert_eq!(overlapped.staged_segments(), 0);
+        // The arms' records differ in `at_ns`, a segment's compressed size
+        // follows its bytes, and on a link-bound run more sealed bytes
+        // finish later whoever sends them: the clocks are comparable when
+        // the two arms put the same sizes on the wire.
+        let sealed_sizes = |device: &mut WiredRssd| -> Vec<usize> {
+            stored_images(device).iter().map(Vec::len).collect()
+        };
+        if sealed_sizes(&mut forced) == sealed_sizes(&mut overlapped) {
+            prop_assert!(overlapped_done <= forced_done);
+        }
         let forced_history = forced.verified_history().expect("forced history");
         let overlapped_history = overlapped.verified_history().expect("overlapped history");
         prop_assert_eq!(forced_history.len(), overlapped_history.len());
