@@ -12,12 +12,6 @@ pub struct RssdConfig {
     /// Build and offload a segment once this many retained pages are
     /// buffered.
     pub segment_pages: usize,
-    /// Also offload whenever the pinned fraction of blocks exceeds this
-    /// (capacity-pressure trigger — the GC attack pushes on this).
-    pub pinned_fraction_watermark: f64,
-    /// Log host reads into the evidence chain (metadata only). Costs log
-    /// volume, buys read-before-overwrite evidence for forensics.
-    pub log_reads: bool,
     /// NAND blocks reserved as a durable evidence-spill region: sealed
     /// segments stage here while the remote is unreachable, so evidence
     /// survives a power cut mid-outage. Zero (the default) disables the
@@ -31,8 +25,6 @@ impl Default for RssdConfig {
             device_id: 1,
             key_seed: 0x5553_5344, // "USSD"
             segment_pages: 64,
-            pinned_fraction_watermark: 0.25,
-            log_reads: true,
             spill_blocks: 0,
         }
     }
@@ -47,12 +39,6 @@ impl RssdConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.segment_pages == 0 {
             return Err("segment_pages must be at least 1".to_string());
-        }
-        if !(0.0..1.0).contains(&self.pinned_fraction_watermark) {
-            return Err(format!(
-                "pinned_fraction_watermark {} outside [0, 1)",
-                self.pinned_fraction_watermark
-            ));
         }
         Ok(())
     }
@@ -71,15 +57,6 @@ mod tests {
     fn rejects_zero_segment() {
         let c = RssdConfig {
             segment_pages: 0,
-            ..RssdConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_bad_watermark() {
-        let c = RssdConfig {
-            pinned_fraction_watermark: 1.5,
             ..RssdConfig::default()
         };
         assert!(c.validate().is_err());

@@ -1,10 +1,14 @@
-//! The RSSD device.
+//! The RSSD device: the block path — write/read/trim, logging, retention,
+//! the pending log tail — and the orchestration of the two machines it owns,
+//! the offload engine (`offload.rs`) and the evidence reader (`evidence.rs`).
 
 use crate::config::RssdConfig;
-use crate::logrec::{LogOp, LogRecord, OpenDepth, Segment, SegmentEnvelope, WireError};
+use crate::evidence::EvidenceReader;
+use crate::logrec::{LogOp, LogRecord};
+use crate::offload::{Batch, OffloadEngine};
 use crate::remote_target::{RemoteError, RemoteTarget};
 use rssd_compress::shannon_entropy;
-use rssd_crypto::{ChainLink, DeviceKeys, Digest, HashChain, KeyPurpose};
+use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
 use rssd_flash::{FlashGeometry, NandArray, NandTiming, SimClock};
 use rssd_ftl::{Ftl, FtlConfig, FtlError, FtlStats, InvalidateCause};
 use rssd_net::SecureSession;
@@ -13,163 +17,8 @@ use rssd_ssd::{BlockDevice, CommandOutcome, CommandResult, DeviceError, IoComman
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Offload-path health: a hysteresis state machine over backlog depth
-/// (RAM-staged segments, spill-region occupancy) and consecutive ship
-/// failures. The device degrades along this slope instead of falling off a
-/// cliff when the remote disappears: `Healthy` ships inline, `Buffering`
-/// stages sealed segments locally, `Throttled` charges writes a
-/// backlog-proportional latency penalty, and only `Stalled` refuses writes
-/// outright — after one last drain attempt.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-pub enum OffloadHealth {
-    /// No backlog, no recent failures: segments ship as they seal.
-    #[default]
-    Healthy,
-    /// Sealed segments are staged locally — shipped with their acks still
-    /// in flight (the normal state on any link that takes time), or held
-    /// back because the remote is unreachable — but backlog pressure is
-    /// low; host I/O is unaffected.
-    Buffering,
-    /// Backlog pressure is high (or failures persistent): writes pay a
-    /// backlog-proportional simulated latency penalty — admission control.
-    Throttled,
-    /// Backlog is essentially full: writes are refused with
-    /// [`DeviceError::Stalled`] after a final drain attempt.
-    Stalled,
-}
-
-impl OffloadHealth {
-    /// Stable lowercase label (trace events, metrics, bench rows).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OffloadHealth::Healthy => "healthy",
-            OffloadHealth::Buffering => "buffering",
-            OffloadHealth::Throttled => "throttled",
-            OffloadHealth::Stalled => "stalled",
-        }
-    }
-
-    /// Numeric severity (0 = healthy … 3 = stalled), for metrics gauges.
-    pub fn severity(self) -> u8 {
-        match self {
-            OffloadHealth::Healthy => 0,
-            OffloadHealth::Buffering => 1,
-            OffloadHealth::Throttled => 2,
-            OffloadHealth::Stalled => 3,
-        }
-    }
-}
-
-impl std::fmt::Display for OffloadHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Offload-path counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[must_use]
-pub struct OffloadStats {
-    /// Segments durably acknowledged by the remote.
-    pub segments_offloaded: u64,
-    /// Log records shipped.
-    pub records_offloaded: u64,
-    /// Retained page versions shipped (and unpinned locally).
-    pub retained_pages_offloaded: u64,
-    /// Plaintext bytes before compression.
-    pub raw_bytes: u64,
-    /// Sealed bytes after compress+encrypt+MAC (what crossed the wire).
-    pub sealed_bytes: u64,
-    /// Offload attempts that failed (remote unreachable); data stayed
-    /// pinned locally.
-    pub offload_failures: u64,
-    /// Host writes that had to wait for a synchronous offload because the
-    /// device was full of pinned data (backpressure, not data loss).
-    pub sync_offloads: u64,
-    /// Segments sealed (compress + encrypt + MAC). Each segment is sealed
-    /// exactly once, however many ship attempts it takes: the gap between
-    /// this and `segments_offloaded` is the staged backlog, and this never
-    /// increases on a retry.
-    pub segments_sealed: u64,
-    /// Sealed segments persisted to the NAND spill region while the remote
-    /// was unreachable (evidence made locally durable mid-outage).
-    pub segments_spilled: u64,
-    /// Spilled segments replayed from NAND by crash recovery.
-    pub spill_replayed: u64,
-    /// Writes admitted under `Throttled` (each paid a latency penalty).
-    pub throttled_writes: u64,
-    /// Total simulated latency charged to throttled writes.
-    pub throttle_penalty_ns: u64,
-    /// Current offload health state (fleet merge keeps the most degraded).
-    pub health: OffloadHealth,
-    /// Worst health state the device has ever been in — latches across
-    /// heals, so a post-outage snapshot still shows how far the device
-    /// degraded (fleet merge keeps the most degraded).
-    pub health_peak: OffloadHealth,
-}
-
-impl OffloadStats {
-    /// Effective compression ratio achieved on the offload path.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.sealed_bytes == 0 {
-            return 1.0;
-        }
-        self.raw_bytes as f64 / self.sealed_bytes as f64
-    }
-
-    /// Merges another device's offload counters into this one — the fleet
-    /// view an array front end reports across its member devices.
-    pub fn merge(&mut self, other: &OffloadStats) {
-        self.segments_offloaded += other.segments_offloaded;
-        self.records_offloaded += other.records_offloaded;
-        self.retained_pages_offloaded += other.retained_pages_offloaded;
-        self.raw_bytes += other.raw_bytes;
-        self.sealed_bytes += other.sealed_bytes;
-        self.offload_failures += other.offload_failures;
-        self.sync_offloads += other.sync_offloads;
-        self.segments_sealed += other.segments_sealed;
-        self.segments_spilled += other.segments_spilled;
-        self.spill_replayed += other.spill_replayed;
-        self.throttled_writes += other.throttled_writes;
-        self.throttle_penalty_ns += other.throttle_penalty_ns;
-        self.health = self.health.max(other.health);
-        self.health_peak = self.health_peak.max(other.health_peak);
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct RemoteVersion {
-    segment_seq: u64,
-    invalidated_at_ns: u64,
-    record_seq: u64,
-}
-
-/// A sealed segment awaiting remote acknowledgement. The envelope *is* the
-/// wire image (refcounted `Bytes`), built exactly once at seal time and
-/// reused verbatim by every ship retry, the NAND spill, and crash replay.
-///
-/// A segment stays staged from its seal until the device clock has passed
-/// its ack: first unshipped, then in flight (`acked_at_ns` set — the remote
-/// holds it, the device does not know yet), then retired.
-#[derive(Clone, Debug)]
-struct StagedSegment {
-    envelope: SegmentEnvelope,
-    /// The segment's records with `old_data` stripped (the pre-images live
-    /// inside the sealed envelope; these drive chain verification and the
-    /// recovery index).
-    records: Vec<LogRecord>,
-    links: Vec<ChainLink>,
-    retained_pages: u64,
-    raw_bytes: u64,
-    /// Persisted to the NAND spill region: the evidence survives a power
-    /// cut, and the retained pre-image pins have been released.
-    spilled: bool,
-    /// Shipped: the transfer succeeded and its ack reaches the device at
-    /// this simulated time. `None` while the segment has yet to cross.
-    acked_at_ns: Option<u64>,
-}
+pub use crate::evidence::HistoryAudit;
+pub use crate::offload::{OffloadHealth, OffloadStats};
 
 /// What a power cut destroyed. The flash contents (every acknowledged host
 /// write) and the remote store survive; everything in controller RAM — the
@@ -230,20 +79,15 @@ impl CrashRecovery {
     }
 }
 
-/// A fault-tolerant read of the operation history: the longest verifiable
-/// prefix of the evidence chain plus the pending tail when it still extends
-/// that prefix. Unlike [`RssdDevice::verified_history`], a gap or tamper
-/// does not discard the trustworthy prefix — it is reported alongside.
-#[derive(Clone, Debug)]
-#[must_use]
-pub struct HistoryAudit {
-    /// Chain-verified records, in chain order.
-    pub records: Vec<LogRecord>,
-    /// `true` when the full history verified end to end and every appended
-    /// record is accounted for.
-    pub verified: bool,
-    /// Description of the first verification failure or detected gap.
-    pub failure: Option<String>,
+/// How a host command reached the device: alone — the clock advances to
+/// its flash completion before its log record is stamped, and the background
+/// offload thresholds are tested after it — or inside a batch, which
+/// dispatches everything from its start time and tests the thresholds once,
+/// at its end (sync backpressure offloads never wait for a batch boundary).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Submission {
+    Scalar,
+    Batched,
 }
 
 /// The ransomware-aware SSD: conservative retention + hardware-assisted
@@ -260,53 +104,21 @@ pub struct RssdDevice<R: RemoteTarget> {
     config: RssdConfig,
     keys: DeviceKeys,
     chain: HashChain,
-    session: SecureSession,
     remote: R,
-    /// Records not yet offloaded, in chain order.
-    pending: Vec<LogRecord>,
-    pending_links: Vec<ChainLink>,
-    /// Sealed segments awaiting remote acknowledgement, FIFO in chain
-    /// order. Shipped segments (ack in flight) form a prefix of this queue
-    /// and spilled ones a prefix of the unshipped rest; both are durable,
-    /// so a power cut truncates the staged history cleanly at the last
-    /// durable segment — never a hole in the middle of the chain.
-    staged: std::collections::VecDeque<StagedSegment>,
-    /// Offload health-state machine (see [`OffloadHealth`]).
-    health: OffloadHealth,
-    /// Ship failures since the last acknowledged segment.
-    consecutive_failures: u32,
-    /// Background ship attempts are deferred until this simulated time
-    /// (capped exponential backoff). Forced attempts (flush, sync
-    /// backpressure, stalled-write drains) always go through.
-    next_retry_at_ns: u64,
-    /// Current backoff step, doubled per failure up to the cap.
-    retry_backoff_ns: u64,
-    /// Chain head before the first pending record.
-    prev_segment_head: Digest,
-    /// Pending records whose old page is pinned locally.
-    pending_retained: usize,
-    next_segment_seq: u64,
-    /// Device-RAM index of offloaded old versions per LPA (newest last).
-    remote_index: HashMap<u64, Vec<RemoteVersion>>,
-    /// The sealed segment most recently opened to serve a recovery lookup,
-    /// with the wire image it was opened from. Consecutive victims usually
-    /// had their pre-attack versions sealed into the same segment; a lookup
-    /// whose envelope is byte-equal to this one skips the verify + decrypt +
-    /// decompress + parse. Controller RAM: dies with a crash.
-    opened: Option<(SegmentEnvelope, Segment)>,
+    /// Records not yet sealed into a segment; the old pages they name are
+    /// pinned on flash.
+    pending: Batch,
+    /// Sealed segments from seal to ack, and the health of that path.
+    engine: OffloadEngine,
+    /// Reads sealed segments back: history, version index, lookups.
+    evidence: EvidenceReader,
     /// Last host read time per LPA (read-before-overwrite evidence).
     recent_reads: HashMap<u64, u64>,
-    read_window_ns: u64,
     latency: LatencyStats,
-    stats: OffloadStats,
     /// Power lost: volatile state dropped, I/O refused until [`Self::recover`].
     crashed: bool,
     /// What the most recent crash destroyed (see [`Self::crash`]).
     last_crash: CrashReport,
-    /// Trace sink for offload lifecycle events on the `offload` track.
-    sink: SinkHandle,
-    /// Host-side profiler; offload work is charged to the `wire` phase.
-    profiler: ProfilerHandle,
 }
 
 impl<R: RemoteTarget> RssdDevice<R> {
@@ -315,26 +127,20 @@ impl<R: RemoteTarget> RssdDevice<R> {
 
     /// Soft cap on RAM-staged sealed segments; the backlog-pressure
     /// denominator when no spill region is configured.
-    pub const RAM_STAGE_SOFT_CAP: usize = 32;
+    pub const RAM_STAGE_SOFT_CAP: usize = OffloadEngine::RAM_STAGE_SOFT_CAP;
     /// Initial background-retry backoff after a ship failure (10 ms).
-    pub const RETRY_BACKOFF_BASE_NS: u64 = 10_000_000;
+    pub const RETRY_BACKOFF_BASE_NS: u64 = OffloadEngine::RETRY_BACKOFF_BASE_NS;
     /// Backoff ceiling across a sustained outage (5 s).
-    pub const RETRY_BACKOFF_CAP_NS: u64 = 5_000_000_000;
+    pub const RETRY_BACKOFF_CAP_NS: u64 = OffloadEngine::RETRY_BACKOFF_CAP_NS;
     /// Simulated latency a `Throttled` write pays per staged segment —
     /// admission control's slope (40 µs per backlogged segment). Tuned so
     /// a mid-outage device still delivers ≥ 25 % of healthy throughput
     /// (the degradation bench gates this) while the slope stays steep
     /// enough that hosts feel the backlog long before the Stalled cliff.
     pub const THROTTLE_PENALTY_PER_STAGED_NS: u64 = 40_000;
-    /// Backlog pressure at which `Throttled` engages / releases.
-    const THROTTLE_ENTER: f64 = 0.50;
-    const THROTTLE_EXIT: f64 = 0.35;
-    /// Backlog pressure at which `Stalled` engages / releases.
-    const STALL_ENTER: f64 = 0.92;
-    const STALL_EXIT: f64 = 0.70;
-    /// Consecutive ship failures that force `Throttled` regardless of
-    /// backlog depth (a persistently failing wire deserves the slope too).
-    const THROTTLE_FAILURE_STREAK: u32 = 16;
+    /// Also offload whenever the pinned fraction of blocks exceeds this
+    /// (capacity-pressure trigger — the GC attack pushes on this).
+    const PINNED_FRACTION_WATERMARK: f64 = 0.25;
 
     /// Builds an RSSD over fresh NAND.
     ///
@@ -358,34 +164,18 @@ impl<R: RemoteTarget> RssdDevice<R> {
             },
         );
         let keys = DeviceKeys::for_simulation(config.key_seed);
-        let chain_key = keys.derive(KeyPurpose::EvidenceChain, 0);
-        let session = SecureSession::new(&keys, 0);
         RssdDevice {
             ftl,
-            keys,
-            chain: HashChain::new(&chain_key),
-            session,
+            chain: HashChain::new(&keys.derive(KeyPurpose::EvidenceChain, 0)),
             remote,
-            pending: Vec::new(),
-            pending_links: Vec::new(),
-            staged: std::collections::VecDeque::new(),
-            health: OffloadHealth::Healthy,
-            consecutive_failures: 0,
-            next_retry_at_ns: 0,
-            retry_backoff_ns: Self::RETRY_BACKOFF_BASE_NS,
-            prev_segment_head: Digest::ZERO,
-            pending_retained: 0,
-            next_segment_seq: 0,
-            remote_index: HashMap::new(),
-            opened: None,
+            pending: Batch::default(),
+            engine: OffloadEngine::new(SecureSession::new(&keys, 0), config.device_id),
+            evidence: EvidenceReader::new(&keys),
             recent_reads: HashMap::new(),
-            read_window_ns: Self::READ_WINDOW_NS,
             latency: LatencyStats::new(),
-            stats: OffloadStats::default(),
             crashed: false,
             last_crash: CrashReport::default(),
-            sink: SinkHandle::disabled(),
-            profiler: ProfilerHandle::disabled(),
+            keys,
             config,
         }
     }
@@ -397,13 +187,13 @@ impl<R: RemoteTarget> RssdDevice<R> {
     pub fn set_trace_sink(&mut self, sink: SinkHandle) {
         self.ftl.set_trace_sink(sink.clone());
         self.remote.set_trace_sink(sink.clone());
-        self.sink = sink;
+        self.engine.sink = sink;
     }
 
     /// Installs a phase profiler: segment sealing, compression and wire
     /// transfer time is charged to the `wire` phase.
     pub fn set_profiler(&mut self, profiler: ProfilerHandle) {
-        self.profiler = profiler;
+        self.engine.profiler = profiler;
     }
 
     /// Simulated power loss. Everything in controller RAM is dropped: the
@@ -428,55 +218,16 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// already-crashed device destroys nothing further and returns the
     /// original report (see [`Self::last_crash_report`]).
     pub fn crash(&mut self) -> CrashReport {
-        let geometry = self.ftl.geometry();
-        let mut preimages = 0u64;
-        let mut lost_records = self.pending.len() as u64;
-        for rec in &self.pending {
-            if let Some(idx) = rec.old_page_index {
-                self.ftl.unpin_page(geometry.page_from_index(idx));
-                preimages += 1;
-            }
-        }
-        // Staged segments: a spilled one is durable on NAND (its wire image
-        // replays at recovery — nothing lost, pins long released); a shipped
-        // one is durable in the store, which recovery indexes it from, and
-        // only the pins its ack would have released go with the pin table;
-        // a RAM-only one dies with its pins exactly like the pending tail.
-        for seg in &self.staged {
-            if let (Some(acked_at_ns), true) = (seg.acked_at_ns, self.sink.is_enabled()) {
-                self.sink.instant(
-                    "offload",
-                    "segment_ack_lost",
-                    self.ftl.clock().now_ns(),
-                    &[
-                        ("segment_seq", seg.envelope.segment_seq().to_string()),
-                        ("acked_at_ns", acked_at_ns.to_string()),
-                    ],
-                );
-            }
-            if seg.spilled {
-                continue;
-            }
-            for idx in seg.records.iter().filter_map(|rec| rec.old_page_index) {
-                self.ftl.unpin_page(geometry.page_from_index(idx));
-            }
-            if seg.acked_at_ns.is_none() {
-                lost_records += seg.records.len() as u64;
-                preimages += seg.retained_pages;
-            }
-        }
+        self.pending.unpin(&mut self.ftl);
+        let (staged_records, staged_preimages) = self.engine.power_cut(&mut self.ftl);
         let report = CrashReport {
-            pending_records_lost: lost_records,
-            pending_preimages_lost: preimages,
+            pending_records_lost: self.pending.records.len() as u64 + staged_records,
+            pending_preimages_lost: self.pending.retained + staged_preimages,
             chain_len_at_crash: self.chain.len(),
         };
-        self.pending.clear();
-        self.pending_links.clear();
-        self.staged.clear();
-        self.pending_retained = 0;
+        self.pending = Batch::default();
         self.recent_reads.clear();
-        self.remote_index.clear();
-        self.opened = None;
+        self.evidence = EvidenceReader::new(&self.keys); // index and memo are RAM
         if !self.crashed {
             // A second crash() while already down destroys nothing further;
             // keep the report of the cut that did the damage.
@@ -499,12 +250,13 @@ impl<R: RemoteTarget> RssdDevice<R> {
     }
 
     /// Post-crash recovery: walks the remote evidence chain (verifying it
-    /// end to end), rebuilds the remote version index, and resumes the
-    /// evidence chain *at the durable head* — the sequence right after the
-    /// last offloaded record. The lost pending tail is never resequenced or
-    /// re-signed, so any verifier (including the remote store's continuity
-    /// check) only ever sees one continuation of any chain head: a crash
-    /// cannot fork the chain, only truncate its volatile tail.
+    /// end to end), rebuilds the remote version index, replays the NAND
+    /// spill region, and resumes the evidence chain *at the durable head* —
+    /// the sequence right after the last offloaded or spilled record. The
+    /// lost pending tail is never resequenced or re-signed, so any verifier
+    /// (including the remote store's continuity check) only ever sees one
+    /// continuation of any chain head: a crash cannot fork the chain, only
+    /// truncate its volatile tail.
     ///
     /// # Errors
     ///
@@ -523,138 +275,49 @@ impl<R: RemoteTarget> RssdDevice<R> {
         // (telemetry is persisted): a store with fewer segments than the
         // device was acknowledged for lost offloads in transit.
         let stored = self.remote.stored_segments().len() as u64;
-        if self.stats.segments_offloaded > stored {
+        let acked = self.engine.stats.segments_offloaded;
+        if acked > stored {
             return Err(format!(
-                "chain gap: device was acknowledged {} offloaded segments but \
+                "chain gap: device was acknowledged {acked} offloaded segments but \
                  the store holds {stored} — acknowledged offloads were lost in \
-                 transit; refusing to resume over a holed history",
-                self.stats.segments_offloaded
+                 transit; refusing to resume over a holed history"
             ));
         }
-        let chain_key = self.keys.derive(KeyPurpose::EvidenceChain, 0);
-        let mut index: HashMap<u64, Vec<RemoteVersion>> = HashMap::new();
-        let mut records = 0u64;
-        let mut versions = 0u64;
-        let head = crate::rebuild::walk_verified_segments(
-            &chain_key,
-            &self.session,
-            &mut self.remote,
-            OpenDepth::Metadata,
-            |segment_seq, record| {
-                records += 1;
-                if record.retained_len.is_some() {
-                    versions += 1;
-                    index
-                        .entry(record.meta.lpa)
-                        .or_default()
-                        .push(RemoteVersion {
-                            segment_seq,
-                            invalidated_at_ns: record.meta.at_ns,
-                            record_seq: record.meta.seq,
-                        });
-                }
-            },
-        )?;
+        let (head, mut records, index) = self.evidence.walk_store(&mut self.remote)?;
         let segments = self.remote.stored_segments();
-
-        // Replay the NAND spill region: sealed segments that were staged
-        // mid-outage survived the power cut on real flash. Entries already
-        // acknowledged remotely are skipped; the rest are re-staged in
-        // order, each verified to extend the recovered chain head, so the
-        // backlog drains exactly as if the cut never happened.
-        let mut head = head;
-        let mut records_total = records;
-        let mut versions_total = versions;
-        let last_remote_seq = segments.last().copied();
-        let mut staged = std::collections::VecDeque::new();
-        let spill_entries = self
-            .ftl
-            .spill_scan()
-            .map_err(|e| format!("spill region unreadable: {e}"))?;
-        for bytes in spill_entries {
-            let Some(envelope) = SegmentEnvelope::from_wire_image(bytes) else {
-                break;
-            };
-            if last_remote_seq.is_some_and(|s| envelope.segment_seq() <= s) {
-                continue; // acked before the cut; the remote copy is canonical
-            }
-            if envelope.prev_chain_head() != head {
-                break; // does not extend the recovered chain: unusable tail
-            }
-            let Ok((segment, raw_len)) = open_envelope(&self.session, &envelope) else {
-                break;
-            };
-            let Segment {
-                mut records, links, ..
-            } = segment;
-            let mut retained = 0u64;
-            for rec in &mut records {
-                if rec.old_page_index.is_some() {
-                    retained += 1;
-                    versions_total += 1;
-                }
-                rec.old_data = None;
-            }
-            records_total += records.len() as u64;
-            head = envelope.chain_head();
-            self.stats.spill_replayed += 1;
-            staged.push_back(StagedSegment {
-                envelope,
-                records,
-                links,
-                retained_pages: retained,
-                raw_bytes: raw_len as u64,
-                spilled: true,
-                acked_at_ns: None,
-            });
+        let head = self
+            .engine
+            .replay_spill(&mut self.ftl, head, segments.last().copied())?;
+        self.evidence.index = index;
+        for seg in self.engine.unshipped() {
+            self.evidence.index_sealed(seg);
+            records += seg.batch.records.len() as u64;
         }
-
-        let next_segment_seq = staged
-            .back()
-            .map(|s: &StagedSegment| s.envelope.segment_seq() + 1)
-            .or(last_remote_seq.map(|s| s + 1))
-            .unwrap_or(0);
-        let segments_walked = segments.len() as u64 + staged.len() as u64;
-        self.staged = staged;
-        self.remote_index = index;
-        self.prev_segment_head = head;
-        self.chain = HashChain::resume(&chain_key, head, records_total);
-        self.next_segment_seq = next_segment_seq;
+        let chain_key = self.keys.derive(KeyPurpose::EvidenceChain, 0);
+        self.chain = HashChain::resume(&chain_key, head, records);
         self.crashed = false;
-        self.consecutive_failures = 0;
-        self.retry_backoff_ns = Self::RETRY_BACKOFF_BASE_NS;
-        self.next_retry_at_ns = 0;
-        self.update_health();
         Ok(CrashRecovery {
-            segments_walked,
-            records_indexed: records_total,
-            versions_indexed: versions_total,
-            resumed_seq: records_total,
+            segments_walked: (segments.len() + self.engine.staged_segments()) as u64,
+            records_indexed: records,
+            versions_indexed: self.evidence.index.values().map(|v| v.len() as u64).sum(),
+            resumed_seq: records,
         })
     }
 
     /// Offload-path counters.
     pub fn offload_stats(&self) -> OffloadStats {
-        let mut stats = self.stats;
-        stats.health = self.health;
-        stats
+        self.engine.stats
     }
 
     /// Current offload health state.
     pub fn offload_health(&self) -> OffloadHealth {
-        self.health
+        self.engine.stats.health
     }
 
     /// Sealed segments staged locally awaiting remote acknowledgement —
     /// still to be shipped, or shipped with the ack in flight.
     pub fn staged_segments(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Staged segments the remote does not hold yet. One whose ack is in
-    /// flight is the store's to answer for, not this queue's.
-    fn unshipped(&self) -> impl Iterator<Item = &StagedSegment> {
-        self.staged.iter().filter(|seg| seg.acked_at_ns.is_none())
+        self.engine.staged_segments()
     }
 
     /// Flash pages pinned against GC because a record still waiting for its
@@ -677,68 +340,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// region exists, RAM-staged depth against the soft cap otherwise
     /// (whichever is higher — a full spill with a RAM tail is still full).
     pub fn backlog_pressure(&self) -> f64 {
-        let ram = self.staged.iter().filter(|s| !s.spilled).count() as f64
-            / Self::RAM_STAGE_SOFT_CAP as f64;
-        let capacity = self.ftl.spill_capacity_bytes();
-        let spill = if capacity == 0 {
-            0.0
-        } else {
-            self.ftl.spill_used_bytes() as f64 / capacity as f64
-        };
-        ram.max(spill)
-    }
-
-    /// Recomputes the health state from backlog pressure and the failure
-    /// streak, with hysteresis on the downward transitions, and emits a
-    /// trace instant when the state changes.
-    fn update_health(&mut self) {
-        let pressure = self.backlog_pressure();
-        let streak = self.consecutive_failures;
-        let raw = if pressure >= Self::STALL_ENTER {
-            OffloadHealth::Stalled
-        } else if pressure >= Self::THROTTLE_ENTER || streak >= Self::THROTTLE_FAILURE_STREAK {
-            OffloadHealth::Throttled
-        } else if !self.staged.is_empty() || streak > 0 {
-            OffloadHealth::Buffering
-        } else {
-            OffloadHealth::Healthy
-        };
-        let current = self.health;
-        // Escalations apply immediately; de-escalations wait for the exit
-        // threshold so the state doesn't flap around a boundary.
-        let next = if raw >= current {
-            raw
-        } else {
-            match current {
-                OffloadHealth::Stalled if pressure > Self::STALL_EXIT => current,
-                OffloadHealth::Throttled
-                    if pressure >= Self::THROTTLE_EXIT
-                        && streak < Self::THROTTLE_FAILURE_STREAK =>
-                {
-                    current
-                }
-                _ => raw,
-            }
-        };
-        if next != current {
-            self.health = next;
-            self.stats.health = next;
-            self.stats.health_peak = self.stats.health_peak.max(next);
-            if self.sink.is_enabled() {
-                self.sink.instant(
-                    "offload",
-                    "health_transition",
-                    self.ftl.clock().now_ns(),
-                    &[
-                        ("from", current.as_str().to_string()),
-                        ("to", next.as_str().to_string()),
-                        ("pressure", format!("{pressure:.3}")),
-                        ("staged", self.staged.len().to_string()),
-                        ("consecutive_failures", streak.to_string()),
-                    ],
-                );
-            }
-        }
+        self.engine.backlog_pressure(&self.ftl)
     }
 
     /// Per-request latency distribution.
@@ -768,7 +370,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
 
     /// Records buffered locally awaiting offload.
     pub fn pending_records(&self) -> usize {
-        self.pending.len()
+        self.pending.records.len()
     }
 
     /// Access to the remote target (the "investigator's console" — not part
@@ -805,18 +407,36 @@ impl<R: RemoteTarget> RssdDevice<R> {
     ///
     /// Propagates [`RemoteError`] if the remote is unreachable.
     pub fn flush_log(&mut self) -> Result<(), RemoteError> {
-        if self.pending.is_empty() && self.staged.is_empty() {
-            return Ok(());
-        }
-        self.offload_segment()
+        self.offload(true)
     }
 
-    /// The full verified operation history: every offloaded segment plus
-    /// the pending tail, chain-verified end to end. Additionally checks
-    /// that every record the device ever appended is accounted for
-    /// (offloaded or pending) — an offload that was acknowledged in transit
-    /// but never reached the store surfaces here as a chain gap instead of
-    /// silently shortening the history.
+    /// The full verified operation history: this *is*
+    /// [`Self::audit_history`] with the failure as the `Err` — a history
+    /// that does not verify yields no records here.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error string describing the first verification failure —
+    /// a non-verifying history means tampering, remote corruption, or lost
+    /// acknowledged offloads, and is itself forensic signal.
+    pub fn verified_history(&mut self) -> Result<Vec<LogRecord>, String> {
+        let audit = self.audit_history();
+        match audit.failure {
+            None => Ok(audit.records),
+            Some(failure) => Err(failure),
+        }
+    }
+
+    /// Fault-tolerant history read: every offloaded segment, every staged
+    /// one and the pending tail, chain-verified end to end — the longest
+    /// verified prefix is returned with the first failure (if any) reported
+    /// beside it instead of discarding the trustworthy records. This is the
+    /// investigator's entry point after a fault: detection can still run
+    /// over the verified prefix while the gap itself is evidence.
+    /// Additionally checks that every record the device ever appended is
+    /// accounted for (offloaded, staged or pending) — an offload that was
+    /// acknowledged in transit but never reached the store surfaces here as
+    /// a chain gap instead of silently shortening the history.
     ///
     /// The records are metadata only (`old_data: None`): every sealed
     /// segment is authenticated whole, but only its metadata block is
@@ -825,228 +445,44 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// [`Self::recover_page_before`] or a
     /// [`RebuildImage`](crate::RebuildImage).
     ///
-    /// # Errors
-    ///
-    /// Returns an error string describing the first verification failure —
-    /// a non-verifying history means tampering, remote corruption, or lost
-    /// acknowledged offloads, and is itself forensic signal.
-    pub fn verified_history(&mut self) -> Result<Vec<LogRecord>, String> {
-        let chain_key = self.keys.derive(KeyPurpose::EvidenceChain, 0);
-        let mut out = Vec::new();
-        let mut head = crate::rebuild::walk_verified_segments(
-            &chain_key,
-            &self.session,
-            &mut self.remote,
-            OpenDepth::Metadata,
-            |_seq, record| out.push(record.meta),
-        )?;
-        // Staged segments that have yet to cross, in queue order. One whose
-        // ack is still in flight was just walked in the store.
-        let mut staged_records = 0usize;
-        for seg in self.unshipped() {
-            let images = chain_images(&seg.records);
-            HashChain::verify_from(&chain_key, head, &images, &seg.links).map_err(|e| {
-                format!(
-                    "chain gap: staged segment {} does not extend the verified \
-                     prefix ({e}) — acknowledged offloads were lost upstream \
-                     or the staged links were tampered with",
-                    seg.envelope.segment_seq()
-                )
-            })?;
-            head = seg.envelope.chain_head();
-            staged_records += seg.records.len();
-        }
-        // Pending tail.
-        let images = chain_images(&self.pending);
-        HashChain::verify_from(&chain_key, head, &images, &self.pending_links)
-            .map_err(|e| format!("pending tail: {e}"))?;
-        // The accounting check compares against the in-RAM chain length,
-        // which is stale (it still counts the lost volatile tail) while the
-        // device sits crashed: a crash truncation is a documented loss, not
-        // transit loss, so the check only applies to a running device.
-        let accounted = (out.len() + staged_records + self.pending.len()) as u64;
-        if !self.crashed && accounted != self.chain.len() {
-            return Err(format!(
-                "chain gap: device appended {} records but only {accounted} are \
-                 accounted for (offloaded + staged + pending) — acknowledged \
-                 offloads were lost in transit",
-                self.chain.len()
-            ));
-        }
-        for seg in self.unshipped() {
-            out.extend(seg.records.iter().cloned());
-        }
-        out.extend(self.pending.iter().cloned());
-        Ok(out)
-    }
-
-    /// Fault-tolerant history read: the longest chain-verified prefix plus
-    /// the pending tail when it extends that prefix, with the first failure
-    /// (if any) reported instead of discarding the trustworthy records.
-    /// This is the investigator's entry point after a fault — detection can
-    /// still run over the verified prefix while the gap itself is evidence.
-    /// Like [`Self::verified_history`], the records are metadata only;
-    /// content via `recover_page*` / [`RebuildImage`](crate::RebuildImage).
-    ///
     /// Call after [`Self::recover`] when the device has crashed; while
-    /// crashed the accounting check is skipped (the in-RAM chain length is
-    /// stale).
+    /// crashed the accounting check is skipped: the in-RAM chain length is
+    /// stale (it still counts the lost volatile tail), and a crash
+    /// truncation is a documented loss, not transit loss.
     pub fn audit_history(&mut self) -> HistoryAudit {
-        let chain_key = self.keys.derive(KeyPurpose::EvidenceChain, 0);
-        let mut records: Vec<LogRecord> = Vec::new();
-        let (mut head, mut failure) = crate::rebuild::walk_segments_tolerant(
-            &chain_key,
-            &self.session,
-            &mut self.remote,
-            OpenDepth::Metadata,
-            |_seq, record| records.push(record.meta),
-        );
-        if failure.is_none() {
-            for seg in self.unshipped() {
-                let images = chain_images(&seg.records);
-                match HashChain::verify_from(&chain_key, head, &images, &seg.links) {
-                    Ok(()) => {
-                        head = seg.envelope.chain_head();
-                        records.extend(seg.records.iter().cloned());
-                    }
-                    Err(e) => {
-                        failure = Some(format!(
-                            "chain gap: staged segment {} does not extend the \
-                             verified prefix ({e})",
-                            seg.envelope.segment_seq()
-                        ));
-                        break;
-                    }
-                }
-            }
-        }
-        if failure.is_none() {
-            let images = chain_images(&self.pending);
-            match HashChain::verify_from(&chain_key, head, &images, &self.pending_links) {
-                Ok(()) => records.extend(self.pending.iter().cloned()),
-                Err(e) => failure = Some(format!("pending tail: {e}")),
-            }
-        }
-        if failure.is_none() && !self.crashed && records.len() as u64 != self.chain.len() {
-            failure = Some(format!(
-                "chain gap: device appended {} records but only {} are accounted for",
-                self.chain.len(),
-                records.len()
-            ));
-        }
-        HistoryAudit {
-            verified: failure.is_none(),
-            failure,
-            records,
-        }
+        let appended = (!self.crashed).then(|| self.chain.len());
+        self.evidence
+            .audit(&mut self.remote, &self.engine, &self.pending, appended)
     }
 
     /// Recovers the newest retained pre-image of `lpa` that was valid
     /// strictly before `before_ns` (point-in-time recovery). Looks in the
     /// local pending log first, then the remote store.
     pub fn recover_page_before(&mut self, lpa: u64, before_ns: u64) -> Option<Vec<u8>> {
-        // A version invalidated at time t was valid until t; the version
-        // valid just before `before_ns` is the one with the smallest
-        // invalidation (time, seq) key at or after before_ns.
-        self.recover_version(lpa, |key, best| {
-            key.0 >= before_ns && best.map_or(true, |b| key < b)
-        })
+        self.recover_version(lpa, Some(before_ns))
     }
 
     /// Recovers the newest retained pre-image of `lpa` (the version the most
     /// recent overwrite/trim destroyed). Ordering follows the evidence
     /// chain's sequence numbers, the device's total operation order.
     pub fn recover_newest(&mut self, lpa: u64) -> Option<Vec<u8>> {
-        self.recover_version(lpa, |key, best| best.map_or(true, |b| key > b))
+        self.recover_version(lpa, None)
     }
 
-    fn recover_version(
-        &mut self,
-        lpa: u64,
-        better: impl Fn((u64, u64), Option<(u64, u64)>) -> bool,
-    ) -> Option<Vec<u8>> {
-        let mut best: Option<((u64, u64), Source)> = None;
-        for (i, rec) in self.pending.iter().enumerate() {
-            if rec.lpa == lpa && rec.old_page_index.is_some() {
-                let key = (rec.at_ns, rec.seq);
-                if better(key, best.as_ref().map(|(b, _)| *b)) {
-                    best = Some((key, Source::Pending(i)));
-                }
-            }
-        }
-        for (qi, seg) in self.staged.iter().enumerate() {
-            for rec in &seg.records {
-                if rec.lpa == lpa && rec.old_page_index.is_some() {
-                    let key = (rec.at_ns, rec.seq);
-                    if better(key, best.as_ref().map(|(b, _)| *b)) {
-                        best = Some((
-                            key,
-                            Source::Staged {
-                                queue_index: qi,
-                                record_seq: rec.seq,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        if let Some(versions) = self.remote_index.get(&lpa) {
-            for v in versions {
-                let key = (v.invalidated_at_ns, v.record_seq);
-                if better(key, best.as_ref().map(|(b, _)| *b)) {
-                    best = Some((key, Source::Remote(*v)));
-                }
-            }
-        }
-        match best? {
-            (_, Source::Pending(i)) => {
-                let page_index = self.pending[i].old_page_index.expect("filtered");
-                let ppa = self.ftl.geometry().page_from_index(page_index);
-                self.ftl
-                    .read_physical_background(ppa)
-                    .ok()
-                    .map(|(data, _)| data)
-            }
-            (
-                _,
-                Source::Staged {
-                    queue_index,
-                    record_seq,
-                },
-            ) => {
-                // The pre-image lives inside the staged segment's sealed
-                // envelope (whether the segment is RAM-only or spilled to
-                // NAND) — open it locally, no remote involved.
-                let envelope = self.staged[queue_index].envelope.clone();
-                self.preimage_in(envelope, record_seq)
-            }
-            (_, Source::Remote(v)) => {
-                // The fetch is issued on every lookup, memo or not: a
-                // partitioned remote still refuses, and a store that no
-                // longer returns the bytes the memo was opened from misses
-                // it and faces authentication again.
-                let envelope = self.remote.fetch_segment(v.segment_seq).ok()?;
-                self.preimage_in(envelope, v.record_seq)
-            }
-        }
+    fn recover_version(&mut self, lpa: u64, before_ns: Option<u64>) -> Option<Vec<u8>> {
+        self.evidence.recover_version(
+            lpa,
+            before_ns,
+            &self.pending,
+            &self.engine,
+            &mut self.ftl,
+            &mut self.remote,
+        )
     }
+}
 
-    /// The retained pre-image that record `record_seq` carries inside
-    /// `envelope`, opening the envelope unless it is byte-equal to the one
-    /// opened last (see the `opened` field).
-    fn preimage_in(&mut self, envelope: SegmentEnvelope, record_seq: u64) -> Option<Vec<u8>> {
-        if !matches!(&self.opened, Some((memo, _)) if *memo == envelope) {
-            let (segment, _) = open_envelope(&self.session, &envelope).ok()?;
-            self.opened = Some((envelope, segment));
-        }
-        let (_, segment) = self.opened.as_ref()?;
-        segment
-            .records
-            .iter()
-            .find(|r| r.seq == record_seq)
-            .and_then(|r| r.old_data.clone())
-    }
-
+/// The block path: logging, retention, and what a host command triggers.
+impl<R: RemoteTarget> RssdDevice<R> {
     fn log_operation(
         &mut self,
         op: LogOp,
@@ -1066,430 +502,97 @@ impl<R: RemoteTarget> RssdDevice<R> {
             old_data: None,
         };
         let link = self.chain.append(&record.chain_image());
-        if old_page_index.is_some() {
-            self.pending_retained += 1;
-        }
-        self.pending.push(record);
-        self.pending_links.push(link);
+        self.pending.push(record, link);
     }
 
     fn absorb_stale_events(&mut self, entropy_mil: u16, read_before: bool) {
         for event in self.ftl.drain_stale_events() {
-            match event.cause {
-                InvalidateCause::Overwrite => {
-                    self.ftl.pin_page(event.ppa);
-                    let idx = self.ftl.geometry().page_index(event.ppa);
-                    self.log_operation(
-                        LogOp::Write,
-                        event.lpa,
-                        Some(idx),
-                        entropy_mil,
-                        read_before,
-                    );
-                }
-                InvalidateCause::Trim => {
-                    self.ftl.pin_page(event.ppa);
-                    let idx = self.ftl.geometry().page_index(event.ppa);
-                    self.log_operation(LogOp::Trim, event.lpa, Some(idx), 0, false);
-                }
+            let (op, entropy_mil, read_before) = match event.cause {
+                InvalidateCause::Overwrite => (LogOp::Write, entropy_mil, read_before),
+                InvalidateCause::Trim => (LogOp::Trim, 0, false),
                 // Migrated content survives at its new location.
-                InvalidateCause::GcMigration => {}
-            }
+                InvalidateCause::GcMigration => continue,
+            };
+            self.ftl.pin_page(event.ppa);
+            let idx = self.ftl.geometry().page_index(event.ppa);
+            self.log_operation(op, event.lpa, Some(idx), entropy_mil, read_before);
         }
     }
 
     fn should_offload(&self) -> bool {
-        self.pending_retained >= self.config.segment_pages
-            || self.pending.len() >= self.config.segment_pages * 8
-            || self.ftl.pinned_block_fraction() > self.config.pinned_fraction_watermark
+        self.pending.retained >= self.config.segment_pages as u64
+            || self.pending.records.len() >= self.config.segment_pages * 8
+            || self.ftl.pinned_block_fraction() > Self::PINNED_FRACTION_WATERMARK
     }
 
-    /// Forced offload: seals whatever is pending and attempts to drain the
-    /// staged backlog regardless of the retry backoff. Used by flushes,
-    /// sync backpressure, and the stalled-write drain.
-    fn offload_segment(&mut self) -> Result<(), RemoteError> {
-        if self.pending.is_empty() && self.staged.is_empty() {
+    /// Background offload, if a threshold was crossed or a deferred retry
+    /// has come due. Failures are tolerated (the sealed segment stays staged
+    /// — and spilled to NAND if configured); retries honor the backoff.
+    fn offload_if_due(&mut self) {
+        if self.should_offload() || self.engine.retry_due(self.ftl.clock().now_ns()) {
+            let _ = self.offload(false);
+        }
+    }
+
+    /// The one way an offload starts: seals whatever is pending (evidence
+    /// leaves the volatile tail at the same op boundary whether or not the
+    /// wire is up) and works the staged backlog. `forced` — flushes, sync
+    /// backpressure, the stalled-write drain — tries the wire whatever the
+    /// retry backoff and waits for every ack; a background offload defers
+    /// to the backoff, so a dead link is not hammered on every threshold.
+    fn offload(&mut self, forced: bool) -> Result<(), RemoteError> {
+        if self.pending.records.is_empty() && self.engine.staged_segments() == 0 {
             return Ok(());
         }
-        self.profiler.enter("wire");
-        let result = {
-            self.seal_pending();
-            self.drain_staged(true)
-        };
-        self.profiler.exit();
+        self.engine.profiler.enter("wire");
+        let chain_head = self.chain.head();
+        if let Some(seg) = self
+            .engine
+            .seal(&mut self.pending, chain_head, &mut self.ftl)
+        {
+            self.evidence.index_sealed(seg);
+        }
+        let result = self.engine.drain(&mut self.ftl, &mut self.remote, forced);
+        self.engine.profiler.exit();
         result
     }
 
-    /// Background offload: seals pending work (evidence leaves the volatile
-    /// pending tail at the same op boundary whether or not the wire is up)
-    /// but defers the ship attempt while the retry backoff is armed, so a
-    /// dead link is not hammered on every threshold crossing.
-    fn offload_segment_background(&mut self) {
-        if self.pending.is_empty() && self.staged.is_empty() {
-            return;
-        }
-        self.profiler.enter("wire");
-        self.seal_pending();
-        let _ = self.drain_staged(false);
-        self.profiler.exit();
-    }
-
-    /// Is a deferred background retry due for the unshipped backlog?
-    /// Segments whose acks are in flight want time, not another attempt
-    /// (they are a prefix of the queue, so the back tells).
-    fn staged_retry_due(&self) -> bool {
-        self.staged
-            .back()
-            .is_some_and(|seg| seg.acked_at_ns.is_none())
-            && self.ftl.clock().now_ns() >= self.next_retry_at_ns
-    }
-
-    /// Seals the pending tail into a staged segment: attaches retained
-    /// pre-images via background reads, builds the wire image once
-    /// (header + compress + seal in place), and advances the segment
-    /// cursor. This is the *only* place a segment is serialized or sealed;
-    /// every retry, spill, and replay reuses the refcounted image.
-    fn seal_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        // Attach retained contents via background reads. These dispatch
-        // onto the unit pipelines — the offload engine genuinely occupies
-        // planes and channels, which is RSSD's real (small, bounded)
-        // foreground overhead — but nothing blocks on them.
-        let geometry = self.ftl.geometry();
-        let mut retained_pages = 0u64;
-        for rec in &mut self.pending {
-            if let Some(idx) = rec.old_page_index {
-                let ppa = geometry.page_from_index(idx);
-                let (data, _) = self
-                    .ftl
-                    .read_physical_offload(ppa)
-                    .expect("pinned page readable");
-                rec.old_data = Some(data);
-                retained_pages += 1;
-            }
-        }
-
-        let segment = Segment {
-            segment_seq: self.next_segment_seq,
-            records: std::mem::take(&mut self.pending),
-            links: std::mem::take(&mut self.pending_links),
-        };
-        let raw = segment.to_bytes();
-        // Zero-copy assembly: build the envelope's wire image directly in
-        // one buffer — header, then the compressed payload appended in
-        // place, then sealed in place. The resulting `Bytes` is shared by
-        // refcount through capsules, frames, retransmissions, the NAND
-        // spill and the remote store; nothing downstream re-serializes or
-        // copies it.
-        let chain_head = self.chain.head();
-        let mut wire = Vec::with_capacity(SegmentEnvelope::WIRE_HEADER + raw.len() / 2 + 64);
-        SegmentEnvelope::write_wire_header(
-            &mut wire,
-            self.config.device_id,
-            segment.segment_seq,
-            &self.prev_segment_head,
-            &chain_head,
-            segment.records.len() as u32,
-        );
-        self.profiler.enter("compress");
-        Segment::compress_into(&raw, &mut wire);
-        self.profiler.exit();
-        self.session
-            .seal_in_place(segment.segment_seq, &mut wire, SegmentEnvelope::WIRE_HEADER);
-        let envelope = SegmentEnvelope::from_wire_image(wire)
-            .expect("header plus sealed payload is a complete wire image");
-        if self.sink.is_enabled() {
-            self.sink.instant(
-                "offload",
-                "segment_sealed",
-                self.ftl.clock().now_ns(),
-                &[
-                    ("segment_seq", segment.segment_seq.to_string()),
-                    ("records", segment.records.len().to_string()),
-                    ("raw_bytes", raw.len().to_string()),
-                    ("sealed_bytes", envelope.sealed_payload().len().to_string()),
-                ],
-            );
-        }
-        let Segment {
-            mut records, links, ..
-        } = segment;
-        // The pre-images now live inside the sealed envelope; the RAM copy
-        // of the records goes back to metadata-only.
-        for rec in &mut records {
-            rec.old_data = None;
-        }
-        self.staged.push_back(StagedSegment {
-            envelope,
-            records,
-            links,
-            retained_pages,
-            raw_bytes: raw.len() as u64,
-            spilled: false,
-            acked_at_ns: None,
-        });
-        self.stats.segments_sealed += 1;
-        self.prev_segment_head = chain_head;
-        self.pending_retained = 0;
-        self.next_segment_seq += 1;
-        self.update_health();
-    }
-
-    /// Works the staged backlog: retires every segment whose ack the device
-    /// clock has passed, ships the unshipped rest FIFO at the current time,
-    /// and leaves the acks to land while the host carries on — offloading
-    /// overlaps host I/O, and what a slow uplink costs the host is the
-    /// staging window filling up (the health machine), not a round trip
-    /// per segment. `forced` ignores the retry backoff and then *waits*:
-    /// the clock advances to the last outstanding ack, so a forced drain
-    /// that returns `Ok` leaves nothing staged. On a ship failure the
-    /// unshipped tail is spilled to the NAND region (if configured) and the
-    /// backoff doubles — the error is returned for forced callers that
-    /// need it.
-    fn drain_staged(&mut self, forced: bool) -> Result<(), RemoteError> {
-        self.retire_acked();
-        if self.staged.is_empty() {
-            self.update_health();
-            return Ok(());
-        }
-        if !forced && self.ftl.clock().now_ns() < self.next_retry_at_ns {
-            // Deferred, not failed: make the backlog durable while waiting.
-            self.spill_staged_tail();
-            self.update_health();
-            return Ok(());
-        }
-        let shipped = self.ship_unshipped();
-        if forced {
-            if let Some(last_ack) = self.staged.iter().filter_map(|seg| seg.acked_at_ns).max() {
-                self.ftl.clock().advance_to(last_ack);
-            }
-        }
-        // Off the wire acks land at `now`: what was just shipped retires in
-        // the same call.
-        self.retire_acked();
-        self.update_health();
-        shipped
-    }
-
-    /// Ships every unshipped staged segment, in order, at the current time.
-    /// A delivered segment stays staged with the time its ack reaches the
-    /// device; the clock does not move. Stops at the first failure: that
-    /// segment and everything behind it stay unshipped (sealed images
-    /// intact — no re-read, no re-compress, no re-seal) and are made
-    /// locally durable.
-    fn ship_unshipped(&mut self) -> Result<(), RemoteError> {
-        let now = self.ftl.clock().now_ns();
-        for i in 0..self.staged.len() {
-            if self.staged[i].acked_at_ns.is_some() {
-                continue;
-            }
-            let envelope = self.staged[i].envelope.clone();
-            let segment_seq = envelope.segment_seq();
-            let sealed_len = envelope.sealed_payload().len();
-            match self.remote.store_segment(envelope, now) {
-                Ok(ack) => {
-                    // The ack's durability time carries the wire latency
-                    // (serialization, propagation, retransmission); the
-                    // segment retires once the device clock gets there.
-                    self.staged[i].acked_at_ns = Some(ack.durable_at_ns);
-                    self.consecutive_failures = 0;
-                    self.retry_backoff_ns = Self::RETRY_BACKOFF_BASE_NS;
-                    self.next_retry_at_ns = 0;
-                    if self.sink.is_enabled() {
-                        self.sink.span(
-                            "offload",
-                            "segment_transfer",
-                            now,
-                            ack.durable_at_ns,
-                            &[
-                                ("segment_seq", segment_seq.to_string()),
-                                ("sealed_bytes", sealed_len.to_string()),
-                            ],
-                        );
-                    }
-                }
-                Err(e) => {
-                    self.stats.offload_failures += 1;
-                    self.consecutive_failures += 1;
-                    if self.sink.is_enabled() {
-                        self.sink.instant(
-                            "offload",
-                            "offload_failed",
-                            now,
-                            &[
-                                ("segment_seq", segment_seq.to_string()),
-                                (
-                                    "consecutive_failures",
-                                    self.consecutive_failures.to_string(),
-                                ),
-                            ],
-                        );
-                    }
-                    self.spill_staged_tail();
-                    self.next_retry_at_ns = now + self.retry_backoff_ns;
-                    self.retry_backoff_ns =
-                        (self.retry_backoff_ns * 2).min(Self::RETRY_BACKOFF_CAP_NS);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Retires, FIFO, every shipped segment whose ack the device clock has
-    /// passed: durable remotely *and known to be*, so its pins are released
-    /// (unless the spill already did), its versions indexed and its bytes
-    /// accounted. A later segment acked earlier waits its turn behind the
-    /// front. Runs on entry to every host command and around every drain.
-    fn retire_acked(&mut self) {
-        let now = self.ftl.clock().now_ns();
-        let geometry = self.ftl.geometry();
-        let mut retired = false;
-        while let Some(acked_at_ns) = self.staged.front().and_then(|seg| seg.acked_at_ns) {
-            if acked_at_ns > now {
-                break;
-            }
-            let seg = self.staged.pop_front().expect("front exists");
-            let segment_seq = seg.envelope.segment_seq();
-            for rec in &seg.records {
-                if let Some(idx) = rec.old_page_index {
-                    if !seg.spilled {
-                        self.ftl.unpin_page(geometry.page_from_index(idx));
-                    }
-                    self.remote_index
-                        .entry(rec.lpa)
-                        .or_default()
-                        .push(RemoteVersion {
-                            segment_seq,
-                            invalidated_at_ns: rec.at_ns,
-                            record_seq: rec.seq,
-                        });
-                }
-            }
-            self.stats.segments_offloaded += 1;
-            self.stats.records_offloaded += seg.records.len() as u64;
-            self.stats.retained_pages_offloaded += seg.retained_pages;
-            self.stats.raw_bytes += seg.raw_bytes;
-            self.stats.sealed_bytes += seg.envelope.sealed_payload().len() as u64;
-            if self.sink.is_enabled() {
-                // Stamped when the device acts on the ack, so the track
-                // stays on the device clock; the arrival rides along.
-                self.sink.instant(
-                    "offload",
-                    "segment_ack",
-                    now,
-                    &[
-                        ("segment_seq", segment_seq.to_string()),
-                        ("acked_at_ns", acked_at_ns.to_string()),
-                    ],
-                );
-            }
-            retired = true;
-        }
-        if !retired {
-            return;
-        }
-        // Fully drained: everything is durable remotely, so the local
-        // spill copies are dead weight — reclaim the region.
-        if self.staged.is_empty() && self.ftl.spill_used_bytes() > 0 {
-            let _ = self.ftl.spill_reset();
-        }
-        self.update_health();
-    }
-
-    /// Persists every unshipped, not-yet-spilled staged segment to the
-    /// NAND spill region, in FIFO order (a segment whose ack is in flight
-    /// is already durable in the store; behind those, spilled segments form
-    /// a prefix). A spilled segment's evidence is durable across a power
-    /// cut, so its retained pre-image pins are released — the same
-    /// release point a successful offload would have used. Stops at the
-    /// first failure (region full): those segments stay RAM-staged with
-    /// their pins held, the conservative fallback.
-    fn spill_staged_tail(&mut self) {
-        if self.ftl.spill_capacity_bytes() == 0 {
-            return;
-        }
-        let geometry = self.ftl.geometry();
-        for i in 0..self.staged.len() {
-            if self.staged[i].spilled || self.staged[i].acked_at_ns.is_some() {
-                continue;
-            }
-            let wire = self.staged[i].envelope.wire().clone();
-            if self.ftl.spill_append(&wire).is_err() {
-                break;
-            }
-            self.staged[i].spilled = true;
-            self.stats.segments_spilled += 1;
-            for rec in &self.staged[i].records {
-                if let Some(idx) = rec.old_page_index {
-                    self.ftl.unpin_page(geometry.page_from_index(idx));
-                }
-            }
-            if self.sink.is_enabled() {
-                self.sink.instant(
-                    "offload",
-                    "segment_spilled",
-                    self.ftl.clock().now_ns(),
-                    &[
-                        (
-                            "segment_seq",
-                            self.staged[i].envelope.segment_seq().to_string(),
-                        ),
-                        ("wire_bytes", wire.len().to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    fn read_before(&self, lpa: u64, now: u64) -> bool {
-        self.recent_reads
-            .get(&lpa)
-            .is_some_and(|&t| now.saturating_sub(t) <= self.read_window_ns)
-    }
-
     /// Write path shared by the scalar and batched interfaces, returning
-    /// the flash completion time. With `defer_offload` the background
-    /// offload-threshold check is skipped so a batch can coalesce it into
-    /// one check (the sync-offload backpressure loop still runs —
-    /// correctness never waits for a batch boundary). With `block` the
-    /// clock advances to the completion before the log record is stamped —
-    /// the scalar semantics; the batched path leaves the clock still and
-    /// dispatches everything from the batch's start time.
+    /// the flash completion time.
     fn write_page_inner(
         &mut self,
         lpa: u64,
         data: Vec<u8>,
-        defer_offload: bool,
-        block: bool,
+        submission: Submission,
     ) -> Result<u64, DeviceError> {
         if self.crashed {
             return Err(DeviceError::PowerLoss);
         }
-        self.retire_acked();
+        self.engine.retire_acked(&mut self.ftl);
         // Admission control along the degradation slope. Stalled gets one
         // forced drain first — with a frozen backlog the only way out is an
         // attempt, and a healed link recovers on the very next write.
-        match self.health {
+        match self.engine.stats.health {
             OffloadHealth::Stalled => {
-                let _ = self.offload_segment();
-                if self.health == OffloadHealth::Stalled {
+                let _ = self.offload(true);
+                if self.engine.stats.health == OffloadHealth::Stalled {
                     return Err(DeviceError::Stalled);
                 }
             }
             OffloadHealth::Throttled => {
-                let penalty = Self::THROTTLE_PENALTY_PER_STAGED_NS * self.staged.len() as u64;
+                let penalty =
+                    Self::THROTTLE_PENALTY_PER_STAGED_NS * self.engine.staged_segments() as u64;
                 self.ftl.clock().advance(penalty);
-                self.stats.throttled_writes += 1;
-                self.stats.throttle_penalty_ns += penalty;
+                self.engine.stats.throttled_writes += 1;
+                self.engine.stats.throttle_penalty_ns += penalty;
             }
             _ => {}
         }
         let start = self.ftl.clock().now_ns();
         let entropy_mil = (shannon_entropy(&data) * 1000.0) as u16;
-        let read_before = self.read_before(lpa, start);
+        let last_read = self.recent_reads.get(&lpa);
+        let read_before =
+            last_read.is_some_and(|&t| start.saturating_sub(t) <= Self::READ_WINDOW_NS);
 
         let mut sync_tried = 0u32;
         let mut payload = Some(data);
@@ -1506,9 +609,9 @@ impl<R: RemoteTarget> RssdDevice<R> {
                     // absorb it the device stalls instead.
                     payload = reclaimed;
                     sync_tried += 1;
-                    self.stats.sync_offloads += 1;
+                    self.engine.stats.sync_offloads += 1;
                     let pinned_before = self.ftl.pinned_pages();
-                    let shipped = self.offload_segment().is_ok();
+                    let shipped = self.offload(true).is_ok();
                     if !shipped && self.ftl.pinned_pages() >= pinned_before {
                         // Neither the wire nor the spill freed anything.
                         return Err(DeviceError::Stalled);
@@ -1521,25 +624,19 @@ impl<R: RemoteTarget> RssdDevice<R> {
                 Err((e, _)) => return Err(e.into()),
             }
         };
-        if block {
+        if submission == Submission::Scalar {
             self.ftl.clock().advance_to(ticket.done_ns);
         }
 
-        let had_old = {
-            // Absorb events; detect whether an old version was retained so
-            // fresh writes still get a metadata-only log record.
-            let before = self.chain.next_seq();
-            self.absorb_stale_events(entropy_mil, read_before);
-            self.chain.next_seq() != before
-        };
-        if !had_old {
+        // Absorb events; a fresh write (no old version was retained) still
+        // gets a metadata-only log record.
+        let before = self.chain.next_seq();
+        self.absorb_stale_events(entropy_mil, read_before);
+        if self.chain.next_seq() == before {
             self.log_operation(LogOp::Write, lpa, None, entropy_mil, read_before);
         }
-        if !defer_offload && (self.should_offload() || self.staged_retry_due()) {
-            // Background offload: failures are tolerated (the sealed
-            // segment stays staged — and spilled to NAND if configured)
-            // and retries honor the adaptive backoff.
-            self.offload_segment_background();
+        if submission == Submission::Scalar {
+            self.offload_if_due();
         }
         self.latency.record(ticket.done_ns.saturating_sub(start));
         Ok(ticket.done_ns)
@@ -1548,69 +645,49 @@ impl<R: RemoteTarget> RssdDevice<R> {
     fn read_page_inner(
         &mut self,
         lpa: u64,
-        defer_offload: bool,
-        block: bool,
+        submission: Submission,
     ) -> Result<(Vec<u8>, u64), DeviceError> {
         if self.crashed {
             return Err(DeviceError::PowerLoss);
         }
-        self.retire_acked();
+        self.engine.retire_acked(&mut self.ftl);
         let start = self.ftl.clock().now_ns();
         self.recent_reads.insert(lpa, start);
         let (data, ticket) = self.ftl.read_async(lpa)?;
-        if block {
+        if submission == Submission::Scalar {
             self.ftl.clock().advance_to(ticket.done_ns);
         }
         let out = match data {
             Some(data) => data,
             None => vec![0u8; self.page_size()],
         };
-        if self.config.log_reads {
-            self.log_operation(LogOp::Read, lpa, None, 0, false);
-            if !defer_offload && self.pending.len() >= self.config.segment_pages * 8 {
-                self.offload_segment_background();
-            }
+        // Host reads join the evidence chain, metadata only: it costs log
+        // volume and buys read-before-overwrite evidence for forensics.
+        self.log_operation(LogOp::Read, lpa, None, 0, false);
+        if submission == Submission::Scalar
+            && self.pending.records.len() >= self.config.segment_pages * 8
+        {
+            let _ = self.offload(false);
         }
         self.latency.record(ticket.done_ns.saturating_sub(start));
         Ok((out, ticket.done_ns))
     }
 
-    fn trim_page_inner(&mut self, lpa: u64, defer_offload: bool) -> Result<u64, DeviceError> {
+    fn trim_page_inner(&mut self, lpa: u64, submission: Submission) -> Result<u64, DeviceError> {
         if self.crashed {
             return Err(DeviceError::PowerLoss);
         }
-        self.retire_acked();
+        self.engine.retire_acked(&mut self.ftl);
         // Enhanced trim: host semantics preserved (reads return zeroes), but
         // the trimmed version is retained and logged like any overwrite.
         // Pure mapping-table work: no flash op, no simulated time.
         self.ftl.trim(lpa)?;
         self.absorb_stale_events(0, false);
-        if !defer_offload && self.should_offload() {
-            self.offload_segment_background();
+        if submission == Submission::Scalar && self.should_offload() {
+            let _ = self.offload(false);
         }
         Ok(self.ftl.clock().now_ns())
     }
-}
-
-enum Source {
-    Pending(usize),
-    Staged { queue_index: usize, record_seq: u64 },
-    Remote(RemoteVersion),
-}
-
-/// Opens an envelope in full into an owned segment, also returning the
-/// serialized (decompressed) length `OffloadStats::raw_bytes` accounts in.
-fn open_envelope(
-    session: &SecureSession,
-    envelope: &SegmentEnvelope,
-) -> Result<(Segment, usize), WireError> {
-    let raw = envelope.open(session, OpenDepth::Full)?;
-    Ok((Segment::from_bytes(&raw)?, raw.len()))
-}
-
-/// The fixed-size chain images `HashChain::verify_from` walks.
-fn chain_images(records: &[LogRecord]) -> Vec<[u8; LogRecord::CHAIN_IMAGE_LEN]> {
-    records.iter().map(LogRecord::chain_image).collect()
 }
 
 impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
@@ -1631,15 +708,17 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
     }
 
     fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        self.write_page_inner(lpa, data, false, true).map(|_| ())
+        self.write_page_inner(lpa, data, Submission::Scalar)
+            .map(|_| ())
     }
 
     fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        self.read_page_inner(lpa, false, true).map(|(data, _)| data)
+        self.read_page_inner(lpa, Submission::Scalar)
+            .map(|(data, _)| data)
     }
 
     fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.trim_page_inner(lpa, false).map(|_| ())
+        self.trim_page_inner(lpa, Submission::Scalar).map(|_| ())
     }
 
     /// Native batched entry point: executes the commands in order with the
@@ -1666,17 +745,17 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
         for command in commands {
             let dispatched = self.ftl.clock().now_ns();
             let (result, done) = match command {
-                IoCommand::Read { lpa } => match self.read_page_inner(lpa, true, false) {
+                IoCommand::Read { lpa } => match self.read_page_inner(lpa, Submission::Batched) {
                     Ok((data, done)) => (Ok(CommandOutcome::Read(data)), done),
                     Err(e) => (Err(e), dispatched),
                 },
                 IoCommand::Write { lpa, data } => {
-                    match self.write_page_inner(lpa, data, true, false) {
+                    match self.write_page_inner(lpa, data, Submission::Batched) {
                         Ok(done) => (Ok(CommandOutcome::Written), done),
                         Err(e) => (Err(e), dispatched),
                     }
                 }
-                IoCommand::Trim { lpa } => match self.trim_page_inner(lpa, true) {
+                IoCommand::Trim { lpa } => match self.trim_page_inner(lpa, Submission::Batched) {
                     Ok(done) => (Ok(CommandOutcome::Trimmed), done),
                     Err(e) => (Err(e), dispatched),
                 },
@@ -1688,12 +767,10 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
             horizon = horizon.max(done);
             results.push((result, done));
         }
-        if self.should_offload() || self.staged_retry_due() {
-            // One coalesced background offload for the whole batch (the
-            // seal covers everything pending in a single segment, so one
-            // call settles any threshold crossed above).
-            self.offload_segment_background();
-        }
+        // One coalesced background offload for the whole batch (the seal
+        // covers everything pending in a single segment, so one call
+        // settles any threshold crossed above).
+        self.offload_if_due();
         self.ftl.clock().advance_to(horizon);
         results
     }
@@ -1702,11 +779,9 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
         if self.crashed {
             return Err(DeviceError::PowerLoss);
         }
-        match self.flush_log() {
-            Ok(()) => Ok(()),
-            // Conservative retention holds the data; flush is best-effort.
-            Err(_) => Ok(()),
-        }
+        // Conservative retention holds the data; flush is best-effort.
+        let _ = self.flush_log();
+        Ok(())
     }
 
     fn recover_page(&mut self, lpa: u64) -> Option<Vec<u8>> {
@@ -1720,6 +795,7 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logrec::{OpenDepth, SegmentEnvelope};
     use crate::rebuild::RebuildImage;
     use crate::recovery::RecoveryEngine;
     use crate::remote_target::LoopbackTarget;
@@ -2311,6 +1387,91 @@ mod tests {
         assert_eq!(d.recover_page(0).unwrap(), page(52));
         let history = d.verified_history().unwrap();
         assert_eq!(history.len() as u64, d.chain_len());
+
+        // Replay re-staged the spilled segments from their metadata blocks
+        // alone; what they account as raw bytes is still the length of the
+        // whole serialization, as for a segment that never left RAM.
+        let session = SecureSession::new(&d.escrow_keys(), 0);
+        let mut serialized = 0u64;
+        for seq in d.remote().stored_segments() {
+            let envelope = d.remote_mut().fetch_segment(seq).unwrap();
+            serialized += envelope.open(&session, OpenDepth::Full).unwrap().len() as u64;
+        }
+        assert_eq!(d.offload_stats().raw_bytes, serialized);
+    }
+
+    #[test]
+    fn recovery_stops_at_the_first_damaged_spill_entry() {
+        type Damage = fn(&SegmentEnvelope) -> Vec<u8>;
+        let cases: [(&str, Damage); 4] = [
+            ("shorter than an envelope header", |_| vec![0xAB; 40]),
+            ("random bytes", |_| {
+                let mut x = 0x9E37_79B9_7F4A_7C15u64;
+                let mut bytes = Vec::new();
+                while bytes.len() < 600 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    bytes.extend_from_slice(&x.to_le_bytes());
+                }
+                bytes
+            }),
+            ("one payload bit flipped", |real| {
+                let mut wire = real.wire().to_vec();
+                wire[SegmentEnvelope::WIRE_HEADER + 9] ^= 0x10;
+                wire
+            }),
+            ("a header that extends some other chain", |real| {
+                let mut wire = real.wire().to_vec();
+                wire[16] ^= 1; // first byte of `prev_chain_head`
+                wire
+            }),
+        ];
+        for (what, damage) in cases {
+            let mut d = spill_device();
+            for i in 0..20u64 {
+                d.write_page(i % 4, page(i as u8)).unwrap();
+            }
+            d.flush_log().unwrap();
+            let durable = d.chain_len();
+            d.remote_mut().set_reachable(false);
+            for i in 20..60u64 {
+                d.write_page(i % 4, page(i as u8)).unwrap();
+            }
+            assert!(d.flush_log().is_err());
+            let spilled: Vec<SegmentEnvelope> = d
+                .engine
+                .unshipped()
+                .map(|seg| seg.envelope.clone())
+                .collect();
+            assert!(spilled.len() >= 4, "{what}: {} spilled", spilled.len());
+            assert_eq!(d.offload_stats().segments_spilled, spilled.len() as u64);
+            let _ = d.crash();
+
+            // What the power cut left in the region: two good entries, the
+            // damaged third, and a good fourth stranded behind it.
+            d.ftl.spill_reset().unwrap();
+            d.ftl.spill_append(spilled[0].wire()).unwrap();
+            d.ftl.spill_append(spilled[1].wire()).unwrap();
+            d.ftl.spill_append(&damage(&spilled[2])).unwrap();
+            d.ftl.spill_append(spilled[3].wire()).unwrap();
+
+            d.remote_mut().set_reachable(true);
+            let recovery = d.recover().expect(what);
+            assert_eq!(d.offload_stats().spill_replayed, 2, "{what}");
+            assert_eq!(d.staged_segments(), 2, "{what}");
+            assert_eq!(d.chain_head(), spilled[1].chain_head(), "{what}");
+            let replayed = u64::from(spilled[0].record_count() + spilled[1].record_count());
+            assert_eq!(recovery.resumed_seq, durable + replayed, "{what}");
+            assert_eq!(d.chain_len(), durable + replayed, "{what}");
+
+            // The device carries on from the last good head.
+            d.write_page(0, page(0xEE)).unwrap();
+            d.flush_log().expect(what);
+            assert_eq!(d.staged_segments(), 0, "{what}");
+            let history = d.verified_history().expect(what);
+            assert_eq!(history.len() as u64, d.chain_len(), "{what}");
+        }
     }
 
     #[test]
@@ -2443,10 +1604,12 @@ mod tests {
         for lpa in 0..4u64 {
             assert_eq!(d.recover_page_before(lpa, cut).unwrap(), page(lpa as u8));
         }
-        let (memo, _) = d.opened.as_ref().expect("lookups opened a segment");
+        let (memo, _) = d.evidence.opened.as_ref().expect("lookups opened");
         let memoised = memo.segment_seq();
         assert!(
-            d.remote_index[&4].iter().any(|v| v.segment_seq == memoised),
+            d.evidence.index[&4]
+                .iter()
+                .any(|v| v.segment_seq == memoised),
             "page 4's pre-image shares the memoised segment"
         );
         d.remote_mut().corrupt = Some(memoised);
@@ -2475,7 +1638,7 @@ mod tests {
         );
         let cut = overwrite_all_then_flush(&mut d);
         assert_eq!(d.recover_page_before(0, cut).unwrap(), page(0));
-        assert!(d.opened.is_some());
+        assert!(d.evidence.opened.is_some());
         d.remote_mut().set_uplink_down(true);
         for lpa in 0..8u64 {
             assert_eq!(
@@ -2493,12 +1656,12 @@ mod tests {
         let mut d = device();
         let cut = overwrite_all_then_flush(&mut d);
         assert_eq!(d.recover_page_before(2, cut).unwrap(), page(2));
-        assert!(d.opened.is_some());
+        assert!(d.evidence.opened.is_some());
         let _ = d.crash();
-        assert!(d.opened.is_none(), "the memo is RAM");
+        assert!(d.evidence.opened.is_none(), "the memo is RAM");
         let _ = d.recover().unwrap();
         assert!(
-            d.opened.is_none(),
+            d.evidence.opened.is_none(),
             "recovery walks the store, it opens no memo"
         );
         assert_eq!(d.recover_page_before(2, cut).unwrap(), page(2));
@@ -2576,7 +1739,7 @@ mod tests {
             let report = RecoveryEngine::new().restore_before(&mut with_memo, &victims, cut);
             let mut restored = 0u64;
             for &lpa in &victims {
-                without.opened = None;
+                without.evidence.opened = None;
                 if let Some(data) = without.recover_page_before(lpa, cut) {
                     without.write_page(lpa, data).unwrap();
                     restored += 1;

@@ -15,13 +15,15 @@
 //! * **Enhanced trim** — trim commands remap rather than release: reads
 //!   return zeroes (host semantics preserved) while the trimmed data joins
 //!   the retained log, neutralizing the trimming attack.
-//! * **Hardware-isolated NVMe-oE offload** ([`device`], via [`rssd_net`]) —
+//! * **Hardware-isolated NVMe-oE offload** (the private `offload` module,
+//!   via [`rssd_net`]; see [`OffloadStats`], [`OffloadHealth`]) —
 //!   retained pages and log records leave the device compressed
 //!   ([`rssd_compress`]) and encrypted+MAC'd ([`rssd_net::SecureSession`])
 //!   toward a [`RemoteTarget`], expanding retention capacity from the SSD's
 //!   spare area to the remote budget (Figure 2's 200+ days).
 //! * **Zero-data-loss recovery** ([`recovery`]) and **trusted post-attack
-//!   analysis** ([`analysis`]) over the combined local + remote log.
+//!   analysis** ([`analysis`]) over the combined local + remote log, as
+//!   the private `evidence` module reads it back (see [`HistoryAudit`]).
 //! * **Remote-assisted rebuild** ([`rebuild`]) — when the local half of the
 //!   codesign is lost entirely, [`RebuildImage`] reconstructs every
 //!   retained page version from the surviving remote evidence chain (the
@@ -50,7 +52,9 @@
 pub mod analysis;
 pub mod config;
 pub mod device;
+mod evidence;
 pub mod logrec;
+mod offload;
 pub mod rebuild;
 pub mod recovery;
 pub mod remote_target;

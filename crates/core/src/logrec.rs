@@ -264,23 +264,32 @@ impl Segment {
     /// `metadata_len`), then every retained pre-image back to back in
     /// record order — one exactly sized buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let len = Self::metadata_len(self.records.len())
-            + self
-                .records
+        Self::serialize(self.segment_seq, &self.records, &self.links)
+    }
+
+    /// [`Segment::to_bytes`] over borrowed parts: the offload engine seals
+    /// its pending batch without assembling an owned `Segment`.
+    pub(crate) fn serialize(
+        segment_seq: u64,
+        records: &[LogRecord],
+        links: &[ChainLink],
+    ) -> Vec<u8> {
+        let len = Self::metadata_len(records.len())
+            + records
                 .iter()
                 .map(|r| r.old_data.as_ref().map_or(0, Vec::len))
                 .sum::<usize>();
         let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(&self.segment_seq.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
-        for r in &self.records {
+        out.extend_from_slice(&segment_seq.to_le_bytes());
+        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for r in records {
             r.write_entry(&mut out);
         }
-        for l in &self.links {
+        for l in links {
             out.extend_from_slice(&l.seq.to_le_bytes());
             out.extend_from_slice(l.tag.as_bytes());
         }
-        for data in self.records.iter().filter_map(|r| r.old_data.as_deref()) {
+        for data in records.iter().filter_map(|r| r.old_data.as_deref()) {
             out.extend_from_slice(data);
         }
         debug_assert_eq!(out.len(), len);
@@ -405,7 +414,7 @@ impl<'a> SegmentView<'a> {
 /// Backed by its own canonical wire image — one reference-counted buffer
 /// `[84-byte header | sealed payload]` built exactly once at seal time.
 /// Construction *is* serialization: [`SegmentEnvelope::to_wire_bytes`] and
-/// `clone()` are refcount bumps, and [`SegmentEnvelope::from_wire_bytes`]
+/// `clone()` are refcount bumps, and [`SegmentEnvelope::from_wire_image`]
 /// adopts a received buffer without copying. Field reads decode from the
 /// header in place (a few little-endian loads).
 #[derive(Clone, PartialEq, Eq)]
@@ -470,20 +479,13 @@ impl SegmentEnvelope {
     }
 
     /// Adopts a fully assembled wire image (header + sealed payload) without
-    /// copying. Returns `None` if shorter than the header.
+    /// copying — the seal path's last step and the receive path's first.
+    /// Returns `None` if shorter than [`SegmentEnvelope::WIRE_HEADER`]. The
+    /// sealed payload is *not* authenticated here — tampering is caught by
+    /// the secure session's MAC when the payload is opened.
     pub fn from_wire_image(wire: impl Into<Bytes>) -> Option<SegmentEnvelope> {
         let wire = wire.into();
         (wire.len() >= Self::WIRE_HEADER).then_some(SegmentEnvelope { wire })
-    }
-
-    /// Decodes the canonical wire encoding — an alias of
-    /// [`SegmentEnvelope::from_wire_image`], kept for the receive-path
-    /// reading: `None` if `data` is shorter than
-    /// [`SegmentEnvelope::WIRE_HEADER`]. The sealed payload is *not*
-    /// authenticated here — tampering is caught by the secure session's MAC
-    /// when the payload is opened.
-    pub fn from_wire_bytes(data: impl Into<Bytes>) -> Option<SegmentEnvelope> {
-        Self::from_wire_image(data)
     }
 
     /// Originating device.
@@ -830,7 +832,7 @@ mod tests {
         assert_eq!(envelope.sealed_payload(), &[1, 2, 3, 4, 5]);
         let wire = envelope.to_wire_bytes();
         assert_eq!(wire.len(), envelope.wire_bytes());
-        assert_eq!(SegmentEnvelope::from_wire_bytes(wire).unwrap(), envelope);
+        assert_eq!(SegmentEnvelope::from_wire_image(wire).unwrap(), envelope);
     }
 
     #[test]
@@ -879,7 +881,7 @@ mod tests {
     #[test]
     fn envelope_wire_rejects_short_input() {
         assert!(
-            SegmentEnvelope::from_wire_bytes(&[0u8; SegmentEnvelope::WIRE_HEADER - 1][..])
+            SegmentEnvelope::from_wire_image(&[0u8; SegmentEnvelope::WIRE_HEADER - 1][..])
                 .is_none()
         );
         let empty = SegmentEnvelope::new(
@@ -891,7 +893,7 @@ mod tests {
             &[],
         );
         // A header with no payload is the minimum valid envelope.
-        let decoded = SegmentEnvelope::from_wire_bytes(empty.to_wire_bytes()).unwrap();
+        let decoded = SegmentEnvelope::from_wire_image(empty.to_wire_bytes()).unwrap();
         assert!(decoded.sealed_payload().is_empty());
     }
 }

@@ -25,86 +25,12 @@
 //! retention offloads them — not data that existed nowhere but the lost
 //! flash.
 
-use crate::logrec::{LogOp, OpenDepth, RecordView, SegmentView};
+use crate::evidence::walk_segments;
+use crate::logrec::{LogOp, OpenDepth, RecordView};
 use crate::remote_target::RemoteTarget;
-use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
+use rssd_crypto::{DeviceKeys, KeyPurpose};
 use rssd_net::SecureSession;
 use std::collections::HashMap;
-
-/// Walks every segment stored on `remote` in chain order, authenticating
-/// each sealed payload whole and verifying continuity and per-record HMAC
-/// links, and hands each decoded record (with the sequence of the segment
-/// that carried it) to `sink`. Segments are opened to `depth`: the evidence
-/// walks — [`RssdDevice::verified_history`](crate::RssdDevice::verified_history)
-/// (which appends its pending tail afterwards) and
-/// [`RssdDevice::recover`](crate::RssdDevice::recover) (which rebuilds the
-/// crashed controller's remote version index) — read
-/// [`OpenDepth::Metadata`] and never decipher a pre-image;
-/// [`RebuildImage::harvest`] (which has no device left to ask) reads
-/// [`OpenDepth::Full`] and copies each pre-image once, out of the view that
-/// borrows the decompressed segment. Returns the verified chain head.
-pub(crate) fn walk_verified_segments<R: RemoteTarget>(
-    chain_key: &[u8],
-    session: &SecureSession,
-    remote: &mut R,
-    depth: OpenDepth,
-    sink: impl FnMut(u64, RecordView<'_>),
-) -> Result<Digest, String> {
-    match walk_segments_tolerant(chain_key, session, remote, depth, sink) {
-        (head, None) => Ok(head),
-        (_, Some(failure)) => Err(failure),
-    }
-}
-
-/// The fault-tolerant walk underneath [`walk_verified_segments`]: stops at
-/// the first verification failure instead of erroring, returning the head
-/// of the verified prefix and the failure (if any). Records are only ever
-/// delivered to `sink` from fully verified segments, so everything sunk is
-/// trustworthy even when the walk stops early. Used directly by
-/// [`RssdDevice::audit_history`](crate::RssdDevice::audit_history), which
-/// must keep the verified prefix as evidence while reporting the gap.
-pub(crate) fn walk_segments_tolerant<R: RemoteTarget>(
-    chain_key: &[u8],
-    session: &SecureSession,
-    remote: &mut R,
-    depth: OpenDepth,
-    mut sink: impl FnMut(u64, RecordView<'_>),
-) -> (Digest, Option<String>) {
-    let mut head = Digest::ZERO;
-    for seq in remote.stored_segments() {
-        let envelope = match remote.fetch_segment(seq) {
-            Ok(envelope) => envelope,
-            Err(e) => return (head, Some(format!("fetch segment {seq}: {e}"))),
-        };
-        let raw = match envelope.open(session, depth) {
-            Ok(raw) => raw,
-            Err(e) => return (head, Some(format!("open segment {seq}: {e}"))),
-        };
-        let segment = match SegmentView::parse(&raw, depth) {
-            Ok(segment) => segment,
-            Err(e) => return (head, Some(format!("open segment {seq}: {e}"))),
-        };
-        if envelope.prev_chain_head() != head {
-            return (
-                head,
-                Some(format!("segment {seq} does not extend the chain")),
-            );
-        }
-        let images: Vec<_> = segment
-            .records
-            .iter()
-            .map(|r| r.meta.chain_image())
-            .collect();
-        if let Err(e) = HashChain::verify_from(chain_key, head, &images, &segment.links) {
-            return (head, Some(format!("segment {seq}: {e}")));
-        }
-        head = envelope.chain_head();
-        for record in segment.records {
-            sink(seq, record);
-        }
-    }
-    (head, None)
-}
 
 /// One retained page version recovered from the remote store, keyed by the
 /// moment the on-device original was invalidated.
@@ -176,8 +102,7 @@ impl RebuildImage {
         // (Offloaded history is a prefix of the log, so the creating write
         // is always in the prefix when its invalidation is.)
         let mut content_written_at: HashMap<u64, u64> = HashMap::new();
-        let depth = OpenDepth::Full;
-        walk_verified_segments(&chain_key, &session, remote, depth, |_seq, view| {
+        let sink = |_seq, view: RecordView<'_>| {
             let record = &view.meta;
             report.records += 1;
             if let Some(data) = view.old_data {
@@ -202,7 +127,8 @@ impl RebuildImage {
                 }
                 LogOp::Read => {}
             }
-        })?;
+        };
+        walk_segments(&chain_key, &session, remote, OpenDepth::Full, sink)?;
         report.segments = remote.stored_segments().len() as u64;
         for list in versions.values_mut() {
             list.sort_by_key(|v| (v.invalidated_at_ns, v.record_seq));

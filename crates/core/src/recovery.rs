@@ -55,22 +55,9 @@ impl RecoveryEngine {
         victim_lpas: &[u64],
         attack_start_ns: u64,
     ) -> RecoveryReport {
-        let start = device.clock().now_ns();
-        let mut report = RecoveryReport::default();
-        for &lpa in victim_lpas {
-            match device.recover_page_before(lpa, attack_start_ns) {
-                Some(data) => {
-                    report.bytes_restored += data.len() as u64;
-                    device
-                        .write_page(lpa, data)
-                        .expect("restore write must succeed");
-                    report.pages_restored += 1;
-                }
-                None => report.pages_unrecoverable += 1,
-            }
-        }
-        report.duration_ns = device.clock().now_ns().saturating_sub(start);
-        report
+        Self::restore(device, victim_lpas, |device, lpa| {
+            device.recover_page_before(lpa, attack_start_ns)
+        })
     }
 
     /// Restores each victim page to its newest retained pre-image (used when
@@ -80,10 +67,18 @@ impl RecoveryEngine {
         device: &mut RssdDevice<R>,
         victim_lpas: &[u64],
     ) -> RecoveryReport {
+        Self::restore(device, victim_lpas, RssdDevice::recover_newest)
+    }
+
+    fn restore<R: RemoteTarget>(
+        device: &mut RssdDevice<R>,
+        victim_lpas: &[u64],
+        lookup: impl Fn(&mut RssdDevice<R>, u64) -> Option<Vec<u8>>,
+    ) -> RecoveryReport {
         let start = device.clock().now_ns();
         let mut report = RecoveryReport::default();
         for &lpa in victim_lpas {
-            match device.recover_newest(lpa) {
+            match lookup(device, lpa) {
                 Some(data) => {
                     report.bytes_restored += data.len() as u64;
                     device

@@ -196,9 +196,8 @@ impl<R: RemoteTarget> WireRemote<R> {
     /// delivered into the inner target at the delivery time.
     ///
     /// Zero-copy end to end: the envelope *is* its wire image, so handing
-    /// the fabric `to_wire_bytes()` is a refcount bump (every transfer
-    /// attempt used to re-serialize a full clone of the envelope), and the
-    /// delivered bytes are adopted back into an envelope without copying.
+    /// the fabric `to_wire_bytes()` is a refcount bump, and the delivered
+    /// bytes are adopted back into an envelope without copying.
     fn transfer_and_store(
         &mut self,
         envelope: &SegmentEnvelope,
@@ -214,7 +213,7 @@ impl<R: RemoteTarget> WireRemote<R> {
                 Self::DEFAULT_MAX_STALL_ROUNDS,
             )
             .map_err(|_| RemoteError::Unreachable)?;
-        let delivered = SegmentEnvelope::from_wire_bytes(delivered)
+        let delivered = SegmentEnvelope::from_wire_image(delivered)
             .expect("reliable fabric delivers the encoded envelope intact");
         if self.ingest_drop {
             // The transport acked; the collector lost the segment before

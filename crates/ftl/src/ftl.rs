@@ -530,12 +530,17 @@ impl Ftl {
             if magic != SPILL_MAGIC {
                 break;
             }
-            let len =
-                u64::from_le_bytes(head[8..16].try_into().expect("page >= 16 bytes")) as usize;
-            let pages_needed = (SPILL_HEADER_BYTES + len).div_ceil(page_size) as u64;
-            if cursor + pages_needed > capacity_pages {
+            // The length is whatever the NAND holds: one that overflows, or
+            // runs past the region, ends the scan — it must size nothing.
+            let len = u64::from_le_bytes(head[8..16].try_into().expect("page >= 16 bytes"));
+            let Some(pages_needed) = len
+                .checked_add(SPILL_HEADER_BYTES as u64)
+                .map(|total| total.div_ceil(page_size as u64))
+                .filter(|pages| *pages <= capacity_pages - cursor)
+            else {
                 break;
-            }
+            };
+            let len = len as usize;
             let mut image = head;
             for i in 1..pages_needed {
                 let (data, _) = self.nand.read_background(self.spill_ppa(cursor + i))?;
@@ -1007,6 +1012,61 @@ mod tests {
         // Region is reusable after the erase.
         ftl.spill_append(&a).unwrap();
         assert_eq!(ftl.spill_scan().unwrap(), vec![a]);
+    }
+
+    /// Programs `head` as the first page of a frame at the spill cursor,
+    /// behind the intact entries — what a torn or hostile region holds.
+    fn plant_spill_head(ftl: &mut Ftl, magic: u64, len: u64) {
+        let mut head = vec![0u8; ftl.geometry.page_size];
+        head[..8].copy_from_slice(&magic.to_le_bytes());
+        head[8..16].copy_from_slice(&len.to_le_bytes());
+        let ppa = ftl.spill_ppa(ftl.spill_cursor);
+        let oob = PageOob {
+            lpa: u64::MAX,
+            timestamp_ns: 0,
+            seq: 0,
+        };
+        let _ = ftl.nand.program_async(ppa, head, oob).unwrap();
+    }
+
+    #[test]
+    fn spill_scan_stops_cleanly_at_a_length_running_past_the_region() {
+        let capacity = spill_ftl().spill_capacity_bytes();
+        for len in [
+            capacity,
+            capacity + 1,
+            u64::MAX - 15,
+            u64::MAX - 7,
+            u64::MAX,
+        ] {
+            let mut ftl = spill_ftl();
+            let intact = vec![0x5Au8; 6000];
+            ftl.spill_append(&intact).unwrap();
+            let used = ftl.spill_used_bytes();
+            plant_spill_head(&mut ftl, SPILL_MAGIC, len);
+            // The frame announces more than the region (or a usize) holds:
+            // everything before it is returned, nothing is sized by it.
+            assert_eq!(ftl.spill_scan().unwrap(), vec![intact], "len {len}");
+            assert_eq!(ftl.spill_used_bytes(), used, "cursor stops before it");
+        }
+        // The same head with the wrong magic is not a frame at all.
+        let mut ftl = spill_ftl();
+        plant_spill_head(&mut ftl, !SPILL_MAGIC, 10);
+        assert!(ftl.spill_scan().unwrap().is_empty());
+    }
+
+    #[test]
+    fn spill_scan_reports_a_tail_cut_mid_frame_as_a_typed_error() {
+        let mut ftl = spill_ftl();
+        ftl.spill_append(&[7u8; 100]).unwrap();
+        // A three-page frame whose power was cut after the first page.
+        let page_size = ftl.geometry.page_size as u64;
+        plant_spill_head(&mut ftl, SPILL_MAGIC, 2 * page_size);
+        let err = ftl.spill_scan().unwrap_err();
+        assert!(
+            matches!(err, FtlError::Nand(NandError::ReadOnErased(_))),
+            "{err:?}"
+        );
     }
 
     #[test]

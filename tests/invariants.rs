@@ -36,7 +36,6 @@ fn mk_rssd() -> RssdDevice<LoopbackTarget> {
         SimClock::new(),
         RssdConfig {
             segment_pages: 8,
-            log_reads: false,
             ..RssdConfig::default()
         },
         LoopbackTarget::new(),
