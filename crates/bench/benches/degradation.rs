@@ -5,8 +5,8 @@
 //! bench measures host-visible write throughput in each health state the
 //! device passes through, then heals the wire and times the backlog
 //! drain. A second device crashes *inside* the outage and recovers by
-//! replaying the NAND spill region. The claims the regression gate pins
-//! (`tools/check_bench_regression.py check_degradation`):
+//! replaying the NAND spill region. The claims, asserted here, once,
+//! before `BENCH_degradation.json` is written:
 //!
 //! * Throttled throughput sits **strictly between** Stalled and Healthy —
 //!   admission control is a slope, not a cliff — and stays ≥ 25 % of
@@ -364,7 +364,8 @@ fn print_slope() {
          and the healed wire drains every sealed segment.\n"
     );
 
-    // The claims the regression gate pins (tools/check_bench_regression.py).
+    // The slope claims (the drain, spill and evidence-loss claims are
+    // asserted where `run_slope` and `run_crash_replay` build their rows).
     assert!(
         throttled < healthy,
         "Throttled ({throttled:.2} kIOPS) must cost throughput vs Healthy ({healthy:.2} kIOPS)"

@@ -189,7 +189,8 @@ fn print_sweep() {
          retransmissions; neither is allowed to cost evidence.\n"
     );
 
-    // The claims the regression gate pins (tools/check_bench_regression.py).
+    // The link-physics claims, asserted here, once, before the summary is
+    // written.
     assert!(
         by_name["dc_10g"].offload_mbps > by_name["wan_cloud"].offload_mbps,
         "datacenter link must out-run the WAN"
@@ -207,6 +208,17 @@ fn print_sweep() {
         by_name["wan_cloud"].sim_end_ms > by_name["dc_10g"].sim_end_ms,
         "WAN propagation must land on the device timeline"
     );
+    // Offload overlaps host I/O: a WAN costs the host the staging window,
+    // not a round trip per segment.
+    let ideal = by_name["ideal"].host_kiops;
+    for name in ["wan_cloud", "wan_loss2"] {
+        let kiops = by_name[name].host_kiops;
+        assert!(
+            kiops >= 0.9 * ideal,
+            "{name}: {kiops:.3} host kIOPS is below 0.9x the ideal link's {ideal:.3} — \
+             acks are being waited for in the foreground again"
+        );
+    }
 
     match write_bench_json("offload_wire", &rows) {
         Ok(path) => println!("wrote {}", path.display()),

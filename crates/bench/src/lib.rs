@@ -9,7 +9,6 @@ use rssd_array::RssdArray;
 use rssd_core::{LoopbackTarget, RssdConfig, RssdDevice};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_ssd::{FlashGuardSsd, PlainSsd, RetentionMode, RetentionSsd};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Geometry used by most benches: 32 MiB, 4 KiB pages (scaled-down stand-in
@@ -118,88 +117,67 @@ fn json_number(v: f64) -> String {
     }
 }
 
-/// Writes `BENCH_<name>.json` at the workspace root: the bench's summary
-/// rows (p50/p99/throughput per configuration) as data, so the perf
-/// trajectory can be tracked across PRs instead of scraped from stdout.
-/// Returns the path written.
+/// Renders a bench's summary rows (p50/p99/throughput per configuration)
+/// as the body of its `BENCH_<name>.json`. Every value comes off the
+/// simulated clock, so the text is a pure function of the tree — CI gates
+/// the checked-in files byte for byte.
+pub fn render_bench_json(name: &str, rows: &[BenchRow]) -> String {
+    let rows = rows
+        .iter()
+        .map(|row| {
+            let metrics = row
+                .metrics
+                .iter()
+                .map(|(k, v)| format!("\"{}\": {}", json_escape(k), json_number(*v)))
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!(
+                "    {{\"config\": \"{}\", {metrics}}}",
+                json_escape(&row.config)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    format!(
+        "{{\n  \"bench\": \"{}\",\n  \"rows\": [\n{rows}\n  ]\n}}\n",
+        json_escape(name)
+    )
+}
+
+/// The workspace root of the checkout this process was launched from: the
+/// nearest ancestor of the running package's manifest directory that holds
+/// a `Cargo.lock`. Resolved when the bench runs (cargo exports
+/// `CARGO_MANIFEST_DIR` to `cargo bench`/`test`/`run` processes), not when
+/// it was compiled — a binary built in one checkout and run from a copy of
+/// it must write the copy's files, not the original's.
+fn workspace_root() -> std::io::Result<PathBuf> {
+    let start = match std::env::var_os("CARGO_MANIFEST_DIR") {
+        Some(dir) => PathBuf::from(dir),
+        None => std::env::current_dir()?,
+    };
+    start
+        .ancestors()
+        .find(|dir| dir.join("Cargo.lock").is_file())
+        .map(Path::to_path_buf)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("no Cargo.lock at or above {}", start.display()),
+            )
+        })
+}
+
+/// Writes [`render_bench_json`]'s text to `BENCH_<name>.json` at the
+/// workspace root, so the simulated-time record is data tracked across PRs
+/// instead of scraped from stdout. Returns the path written.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from creating or writing the file.
+/// Propagates I/O errors from locating the workspace root or writing the
+/// file.
 pub fn write_bench_json(name: &str, rows: &[BenchRow]) -> std::io::Result<PathBuf> {
-    write_bench_json_impl(name, rows, None)
-}
-
-/// Like [`write_bench_json`], with a `"profile"` section carrying the
-/// host-side phase breakdown the bench's [`ProfilerHandle`] collected:
-/// per-phase self-milliseconds and percent of the profiled span. The
-/// self-time accounting guarantees the percentages sum to 100 (the CI
-/// regression gate re-checks that from the JSON).
-///
-/// [`ProfilerHandle`]: rssd_obs::ProfilerHandle
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing the file.
-pub fn write_bench_json_with_profile(
-    name: &str,
-    rows: &[BenchRow],
-    profile: &rssd_obs::ProfileBreakdown,
-) -> std::io::Result<PathBuf> {
-    write_bench_json_impl(name, rows, Some(profile))
-}
-
-fn write_bench_json_impl(
-    name: &str,
-    rows: &[BenchRow],
-    profile: Option<&rssd_obs::ProfileBreakdown>,
-) -> std::io::Result<PathBuf> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{name}.json"));
-    let mut out = std::fs::File::create(&path)?;
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"bench\": \"{}\",", json_escape(name))?;
-    let rows_comma = if profile.is_some() { "," } else { "" };
-    writeln!(out, "  \"rows\": [")?;
-    for (i, row) in rows.iter().enumerate() {
-        let metrics = row
-            .metrics
-            .iter()
-            .map(|(k, v)| format!("\"{}\": {}", json_escape(k), json_number(*v)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"config\": \"{}\", {metrics}}}{comma}",
-            json_escape(&row.config)
-        )?;
-    }
-    writeln!(out, "  ]{rows_comma}")?;
-    if let Some(profile) = profile {
-        writeln!(out, "  \"profile\": {{")?;
-        writeln!(
-            out,
-            "    \"total_ms\": {},",
-            json_number(profile.total_ns as f64 / 1e6)
-        )?;
-        writeln!(out, "    \"phases\": [")?;
-        let phases: Vec<(&str, u64)> = profile.iter().collect();
-        for (i, (phase, ns)) in phases.iter().enumerate() {
-            let comma = if i + 1 == phases.len() { "" } else { "," };
-            writeln!(
-                out,
-                "      {{\"phase\": \"{}\", \"self_ms\": {}, \"pct\": {}}}{comma}",
-                json_escape(phase),
-                json_number(*ns as f64 / 1e6),
-                json_number(profile.phase_pct(phase))
-            )?;
-        }
-        writeln!(out, "    ]")?;
-        writeln!(out, "  }}")?;
-    }
-    writeln!(out, "}}")?;
+    let path = workspace_root()?.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, render_bench_json(name, rows))?;
     Ok(path)
 }
 
@@ -242,39 +220,13 @@ mod tests {
                 metrics: vec![("p50_us", 2.5), ("p99_us", f64::NAN), ("kiops", 300.0)],
             },
         ];
-        let path = write_bench_json("selftest", &rows).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        let body = render_bench_json("selftest", &rows);
         assert!(body.contains("\"bench\": \"selftest\""));
         assert!(body.contains("\"config\": \"a_qd1\""));
         assert!(body.contains("\"kiops\": 300.000000"));
         assert!(body.contains("\"p99_us\": null"), "NaN must become null");
         // No trailing comma before the closing bracket.
         assert!(!body.contains(",\n  ]"));
-    }
-
-    #[test]
-    fn bench_json_profile_section_is_well_formed() {
-        use std::collections::BTreeMap;
-        let mut phases = BTreeMap::new();
-        phases.insert("nand_timing".to_string(), 3_000_000u64);
-        phases.insert("other".to_string(), 1_000_000u64);
-        let profile = rssd_obs::ProfileBreakdown {
-            phases,
-            total_ns: 4_000_000,
-        };
-        let rows = vec![BenchRow {
-            config: "qd32".to_string(),
-            metrics: vec![("kiops", 100.0)],
-        }];
-        let path = write_bench_json_with_profile("profsection", &rows, &profile).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert!(body.contains("\"profile\": {"));
-        assert!(body.contains("\"total_ms\": 4.000000"));
-        assert!(
-            body.contains("\"phase\": \"nand_timing\", \"self_ms\": 3.000000, \"pct\": 75.000000")
-        );
-        assert!(!body.contains(",\n    ]"), "no trailing comma in phases");
+        assert!(body.ends_with("  ]\n}\n"));
     }
 }

@@ -276,6 +276,15 @@ mod tests {
         assert!(obs.profile.total_ns > 0);
         let phase_sum: u64 = obs.profile.phases.values().sum();
         assert_eq!(phase_sum, obs.profile.total_ns, "self-times sum to total");
+        for phase in [
+            "arbitration",
+            "nand_timing",
+            "completion_sort",
+            "stats",
+            "detect",
+        ] {
+            assert!(obs.profile.phase_ns(phase) > 0, "{phase} never accrued");
+        }
         assert!(
             obs.events.iter().any(|e| e.track.starts_with("m0/")),
             "member tracks carry the member prefix"

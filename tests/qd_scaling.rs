@@ -7,10 +7,12 @@
 //! throughput — for the plain SSD and for RSSD — and RSSD must no longer
 //! be byte-identical in time to plain (its overhead is real, small and
 //! bounded). Also asserts the histogram satellite: queue latency p50 < p99
-//! at depth.
+//! at depth, and that a profiler and a recording trace sink riding the QD32
+//! replay change nothing simulated while every hot-loop phase accrues.
 
 use rssd_repro::bench_support::{bench_geometry, mk_plain, mk_rssd};
 use rssd_repro::flash::{NandTiming, SimClock};
+use rssd_repro::obs::{ProfilerHandle, SinkHandle};
 use rssd_repro::ssd::{BlockDevice, NvmeController};
 use rssd_repro::trace::{replay_queued, IoRecord, PayloadKind, WorkloadBuilder};
 
@@ -124,4 +126,55 @@ fn rssd_overhead_is_real_and_bounded() {
         any_differs,
         "rssd and plain rows must no longer all be identical"
     );
+}
+
+#[test]
+fn observers_do_not_perturb_the_qd32_replay_and_every_phase_accrues() {
+    let replay = |profiler: ProfilerHandle, sink: SinkHandle| {
+        let mut device = mk_rssd(bench_geometry(), NandTiming::mlc_default(), SimClock::new());
+        device.set_profiler(profiler.clone());
+        device.set_trace_sink(sink.clone());
+        let mut controller = NvmeController::with_arbitration_burst(device, 32);
+        controller.set_profiler(profiler);
+        controller.set_trace_sink(sink);
+        let queue = controller.create_queue_pair(32);
+        let records = workload(controller.device().logical_pages());
+        let _ = replay_queued(&mut controller, queue, records);
+        let device = controller.device();
+        (device.clock().now_ns(), device.nand_stats().clone())
+    };
+
+    let bare = replay(ProfilerHandle::disabled(), SinkHandle::disabled());
+    let (profiler, sink) = (ProfilerHandle::enabled(), SinkHandle::recording());
+    let observed = replay(profiler.clone(), sink.clone());
+    assert_eq!(
+        bare, observed,
+        "tracing/profiling changed the simulated end time or the NAND counters"
+    );
+    assert!(
+        !sink.take_events().is_empty(),
+        "recording sink saw no events from a full replay"
+    );
+
+    // Self-time accounting partitions the span, and each instrumented site
+    // in the hot loop (controller rounds, offload seal and ship) is live.
+    let profile = profiler.finish();
+    let pct_sum: f64 = profile.iter().map(|(p, _)| profile.phase_pct(p)).sum();
+    assert!(
+        (pct_sum - 100.0).abs() < 1e-6,
+        "phase percentages must sum to 100, got {pct_sum}"
+    );
+    for phase in [
+        "arbitration",
+        "nand_timing",
+        "completion_sort",
+        "stats",
+        "wire",
+        "compress",
+    ] {
+        assert!(
+            profile.phase_ns(phase) > 0,
+            "phase {phase} never accrued: a profiler.enter site is gone from the hot loop"
+        );
+    }
 }
