@@ -876,8 +876,11 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
     }
 
     /// Point-in-time recovery across the whole array: the version of `lpa`
-    /// valid just before `before_ns`, wherever it lives — a live member's
-    /// local+remote index, or a failed member's salvaged image.
+    /// valid at `before_ns`, wherever it lives — a live member's
+    /// local+remote index, or a failed member's salvaged image. The arms
+    /// pick the source; the rule is one (see
+    /// [`RssdDevice::recover_page_before`]), so a shard answers the same
+    /// for its offloaded history before and after it dies.
     pub fn recover_before(&mut self, lpa: u64, before_ns: u64) -> Option<Vec<u8>> {
         if lpa >= self.layout.logical_pages() {
             return None;

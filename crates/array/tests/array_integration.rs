@@ -340,6 +340,44 @@ fn recover_before_spans_live_and_failed_shards() {
 }
 
 #[test]
+fn recover_before_answers_the_same_from_a_live_shard_and_from_its_salvage() {
+    // A flushed history with every shape the point-in-time rule has to tell
+    // apart: overwrites, a trim and a rewrite after it, pages born late.
+    let mut array = rssd_array(3, NandTiming::instant());
+    let clock = array.clock().clone();
+    let mut cuts = vec![clock.now_ns()];
+    for round in 0..4u8 {
+        for lpa in 0..36u64 {
+            match (round, lpa % 4) {
+                (0, 3) => {} // born in round 2
+                (1, 1) => array.trim_page(lpa).unwrap(),
+                (3, 2) => {} // last overwritten in round 2
+                _ => array.write_page(lpa, page(round << 6 | lpa as u8)).unwrap(),
+            }
+        }
+        cuts.push(clock.now_ns()); // the nanosecond of the round's last write
+        clock.advance(500);
+        cuts.push(clock.now_ns());
+        clock.advance(500);
+    }
+    array.flush().unwrap();
+
+    let answers = |array: &mut RssdArray<RssdDevice<LoopbackTarget>>| -> Vec<_> {
+        let lookups = (0..36u64).flat_map(|lpa| cuts.iter().map(move |&cut| (lpa, cut)));
+        lookups
+            .map(|(lpa, cut)| (lpa, cut, array.recover_before(lpa, cut)))
+            .collect()
+    };
+    let live = answers(&mut array);
+    assert!(live.iter().any(|(_, _, found)| found.is_some()));
+    assert!(live.iter().any(|(_, _, found)| found.is_none()));
+    for shard in 0..3 {
+        let _ = array.fail_shard(shard).unwrap();
+        assert_eq!(answers(&mut array), live, "after shard {shard} died");
+    }
+}
+
+#[test]
 fn multi_host_fanout_replay_drives_the_array() {
     use rssd_ssd::{NvmeController, QueueId};
     use rssd_trace::{replay_fanout, WorkloadBuilder};

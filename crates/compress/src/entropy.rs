@@ -93,82 +93,6 @@ pub(crate) fn entropy_of_counts<C: Copy + Into<u64>>(counts: &[C; 256], total: u
     entropy
 }
 
-/// Streaming entropy estimator that can absorb data in chunks, as the
-/// detection engine sees pages arrive segment by segment.
-///
-/// # Examples
-///
-/// ```
-/// use rssd_compress::EntropyEstimator;
-///
-/// let mut est = EntropyEstimator::new();
-/// est.update(b"hello ");
-/// est.update(b"world");
-/// assert!(est.bits_per_byte() > 2.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct EntropyEstimator {
-    counts: [u64; 256],
-    total: u64,
-}
-
-impl Default for EntropyEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EntropyEstimator {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        EntropyEstimator {
-            counts: [0u64; 256],
-            total: 0,
-        }
-    }
-
-    /// Absorbs `data` into the histogram.
-    pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.counts[b as usize] += 1;
-        }
-        self.total += data.len() as u64;
-    }
-
-    /// Total bytes absorbed.
-    pub fn total_bytes(&self) -> u64 {
-        self.total
-    }
-
-    /// Current entropy estimate in bits per byte (`0.0` when empty).
-    pub fn bits_per_byte(&self) -> f64 {
-        entropy_of_counts(&self.counts, self.total)
-    }
-
-    /// Chi-squared statistic against the uniform distribution. Ciphertext
-    /// tracks the uniform expectation closely (statistic near 256); text and
-    /// binaries deviate by orders of magnitude.
-    pub fn chi_squared_uniform(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let expected = self.total as f64 / 256.0;
-        self.counts
-            .iter()
-            .map(|&c| {
-                let d = c as f64 - expected;
-                d * d / expected
-            })
-            .sum()
-    }
-
-    /// Resets the histogram.
-    pub fn reset(&mut self) {
-        self.counts = [0u64; 256];
-        self.total = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,12 +148,6 @@ mod tests {
                     shannon_entropy_reference(&page).to_bits(),
                     "kind {} len {}", kind % 4, len
                 );
-                let mut streamed = EntropyEstimator::new();
-                streamed.update(&page);
-                prop_assert_eq!(
-                    streamed.bits_per_byte().to_bits(),
-                    shannon_entropy_reference(&page).to_bits()
-                );
             }
         }
     }
@@ -237,7 +155,6 @@ mod tests {
     #[test]
     fn empty_is_zero() {
         assert_eq!(shannon_entropy(&[]), 0.0);
-        assert_eq!(EntropyEstimator::new().bits_per_byte(), 0.0);
     }
 
     #[test]
@@ -255,37 +172,5 @@ mod tests {
     fn two_symbols_is_one_bit() {
         let data: Vec<u8> = (0..1024).map(|i| (i % 2) as u8).collect();
         assert!((shannon_entropy(&data) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn streaming_matches_oneshot() {
-        let data = b"some moderately compressible english text, repeated a bit";
-        let mut est = EntropyEstimator::new();
-        est.update(&data[..10]);
-        est.update(&data[10..]);
-        assert!((est.bits_per_byte() - shannon_entropy(data)).abs() < 1e-12);
-        assert_eq!(est.total_bytes(), data.len() as u64);
-    }
-
-    #[test]
-    fn chi_squared_separates_uniform_from_text() {
-        let mut uniform = EntropyEstimator::new();
-        let data: Vec<u8> = (0..65536).map(|i| (i % 256) as u8).collect();
-        uniform.update(&data);
-
-        let mut text = EntropyEstimator::new();
-        text.update(&b"english text ".repeat(5000));
-
-        assert!(uniform.chi_squared_uniform() < 1.0);
-        assert!(text.chi_squared_uniform() > 10_000.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut est = EntropyEstimator::new();
-        est.update(b"abc");
-        est.reset();
-        assert_eq!(est.total_bytes(), 0);
-        assert_eq!(est.bits_per_byte(), 0.0);
     }
 }

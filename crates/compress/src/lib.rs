@@ -28,7 +28,7 @@ pub mod entropy;
 pub mod lz;
 pub mod rle;
 
-pub use entropy::{shannon_entropy, EntropyEstimator};
+pub use entropy::shannon_entropy;
 
 use serde::{Deserialize, Serialize};
 

@@ -283,7 +283,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
                  transit; refusing to resume over a holed history"
             ));
         }
-        let (head, mut records, index) = self.evidence.walk_store(&mut self.remote)?;
+        let (head, mut records, index) = self.evidence.walk_store(&mut self.remote, None)?;
         let segments = self.remote.stored_segments();
         let head = self
             .engine
@@ -299,7 +299,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         Ok(CrashRecovery {
             segments_walked: (segments.len() + self.engine.staged_segments()) as u64,
             records_indexed: records,
-            versions_indexed: self.evidence.index.values().map(|v| v.len() as u64).sum(),
+            versions_indexed: self.evidence.index.version_count(),
             resumed_seq: records,
         })
     }
@@ -455,9 +455,14 @@ impl<R: RemoteTarget> RssdDevice<R> {
             .audit(&mut self.remote, &self.engine, &self.pending, appended)
     }
 
-    /// Recovers the newest retained pre-image of `lpa` that was valid
-    /// strictly before `before_ns` (point-in-time recovery). Looks in the
-    /// local pending log first, then the remote store.
+    /// Point-in-time recovery: the retained pre-image of `lpa` that was
+    /// valid at `before_ns` — of every version the pending tail still pins
+    /// on flash or a sealed segment carries (staged locally or stored
+    /// remotely), ranked together, the first invalidated at or after
+    /// `before_ns`, and only if its content had been written by then. `None`
+    /// when the page held nothing at that time (not written yet, or sitting
+    /// trimmed). Both ends are inclusive: a cut-off in the very nanosecond
+    /// of a write selects what that write left.
     pub fn recover_page_before(&mut self, lpa: u64, before_ns: u64) -> Option<Vec<u8>> {
         self.recover_version(lpa, Some(before_ns))
     }

@@ -1,10 +1,12 @@
 //! The evidence reader: everything that reads sealed segments back — the
 //! one walk over the remote store ([`walk_segments`]) and, on top of it, the
-//! device-side [`EvidenceReader`]: history, version index, opened-segment memo.
+//! device-side [`EvidenceReader`]: history, and page versions looked up
+//! through the one index and rule of [`crate::versions`].
 
 use crate::logrec::{LogRecord, OpenDepth, RecordView, SegmentEnvelope, SegmentView};
 use crate::offload::{Batch, OffloadEngine, StagedSegment};
 use crate::remote_target::RemoteTarget;
+use crate::versions::{Located, OpenedSegment, VersionIndex};
 use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
@@ -13,15 +15,15 @@ use std::collections::HashMap;
 /// Walks every segment stored on `remote` in chain order, authenticating
 /// each sealed payload whole and verifying continuity and per-record HMAC
 /// links, and hands each decoded record (with the sequence of the segment
-/// that carried it) to `sink`. Segments are opened to `depth`: the evidence
-/// walks — the device's history audit and
-/// [`RssdDevice::recover`](crate::RssdDevice::recover) (which rebuilds the
-/// crashed controller's version index) — read [`OpenDepth::Metadata`] and
-/// never decipher a pre-image;
-/// [`RebuildImage::harvest`](crate::RebuildImage::harvest) (which has no
-/// device left to ask) reads [`OpenDepth::Full`] and copies each pre-image
-/// once, out of the view that borrows the decompressed segment. Returns the
-/// verified chain head.
+/// that carried it) to `sink`. The evidence walks — the device's history
+/// audit and [`RssdDevice::recover`](crate::RssdDevice::recover) (which
+/// rebuilds the crashed controller's version index) — pass no `opened`:
+/// segments are opened to [`OpenDepth::Metadata`] and no pre-image is ever
+/// deciphered. [`RebuildImage::harvest`](crate::RebuildImage::harvest)
+/// (which has no device left to ask) passes the map to keep every segment's
+/// pre-images in, by segment sequence: segments are opened to
+/// [`OpenDepth::Full`] and the plaintext each open produced is kept as it
+/// is, not copied out of. Returns the verified chain head.
 ///
 /// # Errors
 ///
@@ -33,9 +35,13 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
     chain_key: &[u8],
     session: &SecureSession,
     remote: &mut R,
-    depth: OpenDepth,
+    mut opened: Option<&mut HashMap<u64, OpenedSegment>>,
     mut sink: impl FnMut(u64, RecordView<'_>),
 ) -> Result<Digest, String> {
+    let depth = match opened {
+        Some(_) => OpenDepth::Full,
+        None => OpenDepth::Metadata,
+    };
     let mut head = Digest::ZERO;
     for seq in remote.stored_segments() {
         let envelope = remote
@@ -57,8 +63,13 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
         HashChain::verify_from(chain_key, head, &images, &segment.links)
             .map_err(|e| format!("segment {seq}: {e}"))?;
         head = envelope.chain_head();
+        let kept = opened.as_deref_mut();
+        let kept = kept.map(|opened| (opened, OpenedSegment::table(&segment)));
         for record in segment.records {
             sink(seq, record);
+        }
+        if let Some((opened, table)) = kept {
+            opened.insert(seq, OpenedSegment::keep(raw, table));
         }
     }
     Ok(head)
@@ -81,24 +92,6 @@ pub struct HistoryAudit {
     pub failure: Option<String>,
 }
 
-/// Where one retained page version was sealed.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SealedVersion {
-    pub(crate) segment_seq: u64,
-    invalidated_at_ns: u64,
-    record_seq: u64,
-}
-
-pub(crate) type VersionIndex = HashMap<u64, Vec<SealedVersion>>;
-
-fn index_version(index: &mut VersionIndex, segment_seq: u64, rec: &LogRecord) {
-    index.entry(rec.lpa).or_default().push(SealedVersion {
-        segment_seq,
-        invalidated_at_ns: rec.at_ns,
-        record_seq: rec.seq,
-    });
-}
-
 #[derive(Debug)]
 pub(crate) struct EvidenceReader {
     chain_key: [u8; 32],
@@ -108,11 +101,11 @@ pub(crate) struct EvidenceReader {
     /// whether that segment is still staged is the offload engine's to say.
     pub(crate) index: VersionIndex,
     /// The sealed segment most recently opened to serve a recovery lookup —
-    /// its wire image and the plaintext that opened from. Consecutive
+    /// its wire image and the pre-images that opened from. Consecutive
     /// victims usually had their pre-attack versions sealed into the same
     /// segment; a lookup whose envelope is byte-equal to this one skips the
     /// verify + decrypt + decompress. Controller RAM: dies with a crash.
-    pub(crate) opened: Option<(SegmentEnvelope, Vec<u8>)>,
+    pub(crate) opened: Option<(SegmentEnvelope, OpenedSegment)>,
 }
 
 impl EvidenceReader {
@@ -120,39 +113,34 @@ impl EvidenceReader {
         EvidenceReader {
             chain_key: keys.derive(KeyPurpose::EvidenceChain, 0),
             session: SecureSession::new(keys, 0),
-            index: HashMap::new(),
+            index: VersionIndex::default(),
             opened: None,
         }
     }
 
-    /// Indexes the retained versions sealed in `seg`.
+    /// Folds the records sealed in `seg` into the index.
     pub(crate) fn index_sealed(&mut self, seg: &StagedSegment) {
-        let retained = seg
-            .batch
-            .records
-            .iter()
-            .filter(|r| r.old_page_index.is_some());
-        for rec in retained {
-            index_version(&mut self.index, seg.envelope.segment_seq(), rec);
+        for rec in &seg.batch.records {
+            let retained = rec.old_page_index.is_some();
+            self.index.fold(seg.envelope.segment_seq(), rec, retained);
         }
     }
 
-    /// Crash recovery's remote half: walks the store, verifying it end to
-    /// end. Returns the verified chain head, the records walked and the
-    /// version index, to install once the recovery can no longer fail.
+    /// Walks the store, verifying it end to end, and indexes it — for crash
+    /// recovery, which installs the index once it can no longer fail, and
+    /// for a harvest, which also keeps the segments `opened`. Returns the
+    /// verified chain head, the records walked and the version index.
     pub(crate) fn walk_store(
         &self,
         remote: &mut impl RemoteTarget,
+        opened: Option<&mut HashMap<u64, OpenedSegment>>,
     ) -> Result<(Digest, u64, VersionIndex), String> {
-        let (mut records, mut index) = (0, HashMap::new());
+        let (mut records, mut index) = (0, VersionIndex::default());
         let sink = |segment_seq, record: RecordView<'_>| {
             records += 1;
-            if record.retained_len.is_some() {
-                index_version(&mut index, segment_seq, &record.meta);
-            }
+            index.fold(segment_seq, &record.meta, record.retained_len.is_some());
         };
-        let depth = OpenDepth::Metadata;
-        let head = walk_segments(&self.chain_key, &self.session, remote, depth, sink)?;
+        let head = walk_segments(&self.chain_key, &self.session, remote, opened, sink)?;
         Ok((head, records, index))
     }
 
@@ -171,8 +159,7 @@ impl EvidenceReader {
     ) -> HistoryAudit {
         let mut records: Vec<LogRecord> = Vec::new();
         let sink = |_seq, record: RecordView<'_>| records.push(record.meta);
-        let depth = OpenDepth::Metadata;
-        let walked = walk_segments(&self.chain_key, &self.session, remote, depth, sink);
+        let walked = walk_segments(&self.chain_key, &self.session, remote, None, sink);
         let local = engine
             .unshipped()
             .map(|seg| (Some(&seg.envelope), &seg.batch))
@@ -213,9 +200,9 @@ impl EvidenceReader {
         }
     }
 
-    /// The retained pre-image of `lpa` that was valid just before
-    /// `before_ns` (`None`: the newest), looked for in the `pending` tail
-    /// (still pinned on flash) and among the sealed versions (opened from
+    /// The retained pre-image of `lpa` that was valid at `before_ns`
+    /// (`None`: the newest), chosen by the index among the versions the
+    /// `pending` tail still pins on flash and the sealed ones (opened from
     /// the engine's staged copy while there is one, else fetched remotely).
     pub(crate) fn recover_version(
         &mut self,
@@ -226,37 +213,16 @@ impl EvidenceReader {
         ftl: &mut Ftl,
         remote: &mut impl RemoteTarget,
     ) -> Option<Vec<u8>> {
-        enum Source {
-            Pending(u64),
-            Sealed(SealedVersion),
-        }
-        let pending = pending.records.iter().filter(|r| r.lpa == lpa);
-        let pending =
-            pending.filter_map(|r| Some(((r.at_ns, r.seq), Source::Pending(r.old_page_index?))));
-        let sealed = self.index.get(&lpa).into_iter().flatten();
-        let sealed = sealed.map(|v| ((v.invalidated_at_ns, v.record_seq), Source::Sealed(*v)));
-        // Keyed by invalidation (time, seq) — the chain's sequence numbers
-        // are the device's total operation order. A version invalidated at
-        // time t was valid until t: the one valid just before `before_ns`
-        // has the smallest key at or after it; the newest, the largest key.
-        let mut best: Option<((u64, u64), Source)> = None;
-        for (key, source) in pending.chain(sealed) {
-            let incumbent = best.as_ref().map(|(b, _)| *b);
-            let better = match before_ns {
-                Some(before_ns) => key.0 >= before_ns && incumbent.map_or(true, |b| key < b),
-                None => incumbent.map_or(true, |b| key > b),
-            };
-            if better {
-                best = Some((key, source));
-            }
-        }
-        match best?.1 {
-            Source::Pending(page_index) => {
+        match self.index.locate(lpa, before_ns, &pending.records)? {
+            Located::Pinned(page_index) => {
                 let ppa = ftl.geometry().page_from_index(page_index);
                 ftl.read_physical_background(ppa).ok().map(|(data, _)| data)
             }
-            Source::Sealed(v) => {
-                let envelope = match engine.staged_envelope(v.segment_seq) {
+            Located::Sealed {
+                segment_seq,
+                record_seq,
+            } => {
+                let envelope = match engine.staged_envelope(segment_seq) {
                     // The pre-image lives inside the staged segment's
                     // sealed envelope (RAM-only, spilled to NAND or in
                     // flight) — open it locally, no remote involved.
@@ -265,25 +231,15 @@ impl EvidenceReader {
                     // partitioned remote still refuses, and a store that no
                     // longer returns the bytes the memo was opened from
                     // misses it and faces authentication again.
-                    None => remote.fetch_segment(v.segment_seq).ok()?,
+                    None => remote.fetch_segment(segment_seq).ok()?,
                 };
-                self.preimage_in(envelope, v.record_seq)
+                if !matches!(&self.opened, Some((memo, _)) if *memo == envelope) {
+                    let opened = OpenedSegment::open(&envelope, &self.session).ok()?;
+                    self.opened = Some((envelope, opened));
+                }
+                let (_, opened) = self.opened.as_ref()?;
+                opened.preimage(record_seq).map(<[u8]>::to_vec)
             }
         }
-    }
-
-    /// The retained pre-image that record `record_seq` carries inside
-    /// `envelope`, opening the envelope unless it is byte-equal to the one
-    /// opened last (see the `opened` field). Only the page asked for is
-    /// copied out of the opened plaintext.
-    fn preimage_in(&mut self, envelope: SegmentEnvelope, record_seq: u64) -> Option<Vec<u8>> {
-        if !matches!(&self.opened, Some((memo, _)) if *memo == envelope) {
-            let raw = envelope.open(&self.session, OpenDepth::Full).ok()?;
-            self.opened = Some((envelope, raw));
-        }
-        let (_, raw) = self.opened.as_ref()?;
-        let segment = SegmentView::parse(raw, OpenDepth::Full).ok()?;
-        let record = segment.records.iter().find(|r| r.meta.seq == record_seq)?;
-        record.old_data.map(<[u8]>::to_vec)
     }
 }

@@ -58,6 +58,7 @@ mod offload;
 pub mod rebuild;
 pub mod recovery;
 pub mod remote_target;
+mod versions;
 pub mod wire;
 
 pub use analysis::{AnalysisReport, AttackClass, PostAttackAnalyzer};

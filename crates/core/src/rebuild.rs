@@ -25,28 +25,11 @@
 //! retention offloads them — not data that existed nowhere but the lost
 //! flash.
 
-use crate::evidence::walk_segments;
-use crate::logrec::{LogOp, OpenDepth, RecordView};
+use crate::evidence::EvidenceReader;
 use crate::remote_target::RemoteTarget;
-use rssd_crypto::{DeviceKeys, KeyPurpose};
-use rssd_net::SecureSession;
+use crate::versions::{Located, OpenedSegment, VersionIndex};
+use rssd_crypto::DeviceKeys;
 use std::collections::HashMap;
-
-/// One retained page version recovered from the remote store, keyed by the
-/// moment the on-device original was invalidated.
-#[derive(Clone, Debug)]
-struct HarvestedVersion {
-    /// Clock time the version's content was written (the version did not
-    /// exist before this).
-    created_at_ns: u64,
-    /// Clock time the version was invalidated (overwritten or trimmed).
-    invalidated_at_ns: u64,
-    /// Evidence-chain sequence of the invalidating record (total order
-    /// tie-breaker for same-timestamp operations).
-    record_seq: u64,
-    /// The retained page content.
-    data: Vec<u8>,
-}
 
 /// Counters describing one harvest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,11 +46,14 @@ pub struct HarvestReport {
 }
 
 /// The rebuildable state of a lost device, reconstructed entirely from its
-/// remote retention store.
-#[derive(Clone, Debug)]
+/// remote retention store: the device's own version index and point-in-time
+/// rule (the private `versions` module), over a harvested store instead of a
+/// live one.
+#[derive(Clone, Debug, Default)]
 pub struct RebuildImage {
-    /// Versions per LPA, sorted ascending by (invalidated_at_ns, record_seq).
-    versions: HashMap<u64, Vec<HarvestedVersion>>,
+    index: VersionIndex,
+    /// The pre-images of every segment walked, by segment sequence.
+    segments: HashMap<u64, OpenedSegment>,
     report: HarvestReport,
 }
 
@@ -76,10 +62,7 @@ impl RebuildImage {
     /// to when its remote store fails verification (a tampered chain must
     /// not launder data into recovery).
     pub fn empty() -> Self {
-        RebuildImage {
-            versions: HashMap::new(),
-            report: HarvestReport::default(),
-        }
+        Self::default()
     }
 
     /// Walks every segment stored on `remote`, verifies the evidence chain
@@ -92,49 +75,20 @@ impl RebuildImage {
     /// that does not verify means remote tampering, and rebuilding from it
     /// would launder the tamper into "recovered" data.
     pub fn harvest<R: RemoteTarget>(keys: &DeviceKeys, remote: &mut R) -> Result<Self, String> {
-        let chain_key = keys.derive(KeyPurpose::EvidenceChain, 0);
-        let session = SecureSession::new(keys, 0);
-        let mut versions: HashMap<u64, Vec<HarvestedVersion>> = HashMap::new();
-        let mut report = HarvestReport::default();
-        // Creation time of each page's *current* content while walking the
-        // log in chain order: a retained version's content was written by
-        // the last Write record for that LPA before the invalidating one.
-        // (Offloaded history is a prefix of the log, so the creating write
-        // is always in the prefix when its invalidation is.)
-        let mut content_written_at: HashMap<u64, u64> = HashMap::new();
-        let sink = |_seq, view: RecordView<'_>| {
-            let record = &view.meta;
-            report.records += 1;
-            if let Some(data) = view.old_data {
-                report.versions += 1;
-                versions
-                    .entry(record.lpa)
-                    .or_default()
-                    .push(HarvestedVersion {
-                        created_at_ns: content_written_at.get(&record.lpa).copied().unwrap_or(0),
-                        invalidated_at_ns: record.at_ns,
-                        record_seq: record.seq,
-                        data: data.to_vec(),
-                    });
-            }
-            match record.op {
-                LogOp::Write => {
-                    content_written_at.insert(record.lpa, record.at_ns);
-                }
-                // A trim leaves the page with no content until rewritten.
-                LogOp::Trim => {
-                    content_written_at.remove(&record.lpa);
-                }
-                LogOp::Read => {}
-            }
+        let mut segments = HashMap::new();
+        let (_, records, index) =
+            EvidenceReader::new(keys).walk_store(remote, Some(&mut segments))?;
+        let report = HarvestReport {
+            segments: segments.len() as u64,
+            records,
+            versions: index.version_count(),
+            lpas_covered: index.lpas().len() as u64,
         };
-        walk_segments(&chain_key, &session, remote, OpenDepth::Full, sink)?;
-        report.segments = remote.stored_segments().len() as u64;
-        for list in versions.values_mut() {
-            list.sort_by_key(|v| (v.invalidated_at_ns, v.record_seq));
-        }
-        report.lpas_covered = versions.len() as u64;
-        Ok(RebuildImage { versions, report })
+        Ok(RebuildImage {
+            index,
+            segments,
+            report,
+        })
     }
 
     /// Harvest counters.
@@ -144,38 +98,42 @@ impl RebuildImage {
 
     /// Logical pages with at least one retained version, ascending.
     pub fn lpas(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.versions.keys().copied().collect();
-        out.sort_unstable();
-        out
+        self.index.lpas()
     }
 
     /// `true` when `lpa` has at least one retained version.
     pub fn covers(&self, lpa: u64) -> bool {
-        self.versions.contains_key(&lpa)
+        self.index.covers(lpa)
     }
 
     /// The newest retained version of `lpa` (the content the most recent
     /// logged overwrite/trim destroyed), if any.
     pub fn newest(&self, lpa: u64) -> Option<&[u8]> {
-        self.versions
-            .get(&lpa)
-            .and_then(|list| list.last())
-            .map(|v| v.data.as_slice())
+        self.version(lpa, None)
     }
 
-    /// The version of `lpa` that was valid at `before_ns`: written strictly
-    /// before it and invalidated at or after it. `None` when the page held
-    /// no content at that time — never written yet, or sitting trimmed —
-    /// so a point-in-time rebuild cannot resurrect content created *after*
-    /// the cut-off (a page born mid-attack must come back empty, not
-    /// holding mid-attack data).
+    /// The version of `lpa` that was valid at `before_ns`, by the rule a
+    /// live device answers
+    /// [`recover_page_before`](crate::RssdDevice::recover_page_before)
+    /// with: invalidated at or after it, and written at or before it. `None`
+    /// when the page held no content at that time — never written yet, or
+    /// sitting trimmed — so a point-in-time rebuild cannot resurrect content
+    /// created *after* the cut-off (a page born mid-attack must come back
+    /// empty, not holding mid-attack data).
     pub fn version_before(&self, lpa: u64, before_ns: u64) -> Option<&[u8]> {
-        self.versions.get(&lpa).and_then(|list| {
-            list.iter()
-                .find(|v| v.invalidated_at_ns >= before_ns)
-                .filter(|v| v.created_at_ns < before_ns)
-                .map(|v| v.data.as_slice())
-        })
+        self.version(lpa, Some(before_ns))
+    }
+
+    fn version(&self, lpa: u64, at_ns: Option<u64>) -> Option<&[u8]> {
+        // No device, no pending tail: every version the index knows is sealed.
+        let Located::Sealed {
+            segment_seq,
+            record_seq,
+        } = self.index.locate(lpa, at_ns, &[])?
+        else {
+            return None;
+        };
+        self.segments.get(&segment_seq)?.preimage(record_seq)
     }
 }
 

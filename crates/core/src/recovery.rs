@@ -17,7 +17,8 @@ pub struct RecoveryReport {
     /// Pages successfully restored.
     pub pages_restored: u64,
     /// Pages for which no retained version existed (must be zero for RSSD —
-    /// that is the zero-data-loss claim).
+    /// that is the zero-data-loss claim), or whose restore write the device
+    /// refused.
     pub pages_unrecoverable: u64,
     /// Bytes restored.
     pub bytes_restored: u64,
@@ -78,12 +79,16 @@ impl RecoveryEngine {
         let start = device.clock().now_ns();
         let mut report = RecoveryReport::default();
         for &lpa in victim_lpas {
-            match lookup(device, lpa) {
-                Some(data) => {
-                    report.bytes_restored += data.len() as u64;
-                    device
-                        .write_page(lpa, data)
-                        .expect("restore write must succeed");
+            // A restore write the device refuses — stalled on its own
+            // offload backlog mid-outage, or down after a power cut — leaves
+            // the page as unrecovered as one with no retained version.
+            let restored = lookup(device, lpa).and_then(|data| {
+                let len = data.len() as u64;
+                device.write_page(lpa, data).ok().map(|()| len)
+            });
+            match restored {
+                Some(len) => {
+                    report.bytes_restored += len;
                     report.pages_restored += 1;
                 }
                 None => report.pages_unrecoverable += 1,
@@ -187,6 +192,56 @@ mod tests {
         assert_eq!(report.pages_unrecoverable, 1);
         assert_eq!(report.pages_restored, 0);
         assert_eq!(report.recovery_rate(), 0.0);
+    }
+
+    #[test]
+    fn a_refused_restore_write_is_counted_not_a_panic() {
+        // Stalled: the uplink dies with the device one segment short of the
+        // refusal, every victim's pre-image still pinned on flash.
+        let clock = SimClock::new();
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            clock.clone(),
+            RssdConfig {
+                segment_pages: 1,
+                ..RssdConfig::default()
+            },
+            LoopbackTarget::new(),
+        );
+        d.write_page(0, page(0)).unwrap();
+        clock.advance(1_000);
+        let attack_start = clock.now_ns();
+        d.remote_mut().set_reachable(false);
+        let mut i = 0u8;
+        while d.write_page(0, page(i)).is_ok() {
+            i += 1;
+        }
+        assert_eq!(d.offload_health(), crate::OffloadHealth::Stalled);
+        let report = RecoveryEngine::new().restore_before(&mut d, &[0, 1], attack_start);
+        assert_eq!(report.pages_restored, 0);
+        assert_eq!(
+            report.pages_unrecoverable, 2,
+            "one refused, one never written"
+        );
+        assert_eq!(report.bytes_restored, 0);
+        // The uplink heals: the same restore goes through.
+        d.remote_mut().set_reachable(true);
+        let report = RecoveryEngine::new().restore_before(&mut d, &[0], attack_start);
+        assert_eq!((report.pages_restored, report.pages_unrecoverable), (1, 0));
+        assert_eq!(d.read_page(0).unwrap(), page(0));
+
+        // Power lost: the version index went with the controller RAM, so
+        // until `recover()` the lookup already comes back empty — and a
+        // write would be refused with `PowerLoss` if it got that far.
+        let mut d = device(clock.clone());
+        d.write_page(3, page(1)).unwrap();
+        d.write_page(3, page(2)).unwrap();
+        d.flush_log().unwrap();
+        let _ = d.crash();
+        let report = RecoveryEngine::new().restore_newest(&mut d, &[3]);
+        assert_eq!((report.pages_restored, report.pages_unrecoverable), (0, 1));
+        assert_eq!(report.bytes_restored, 0);
     }
 
     #[test]

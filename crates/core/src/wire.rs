@@ -5,7 +5,7 @@
 //! and the network stack. Where [`LoopbackTarget`](crate::LoopbackTarget)
 //! hands envelopes to the store by function call, `WireRemote` serializes
 //! them with [`SegmentEnvelope::to_wire_bytes`], fragments them into NVMe-oE
-//! capsules, and pushes them through `Nic` → `SimLink` → remote NIC with
+//! capsules, and pushes them frame by frame over the `SimLink` with
 //! go-back-N retransmission — so link bandwidth, propagation delay, loss and
 //! queueing consume real nanoseconds on the device's simulated timeline.
 //! The sealed payload inside the envelope was already encrypted and MAC'd by

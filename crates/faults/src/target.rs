@@ -266,7 +266,8 @@ pub trait FaultTarget: BlockDevice {
     fn history_audit(&mut self) -> HistoryAudit;
 
     /// Point-in-time recovery: the version of `lpa` valid just before
-    /// `before_ns`, wherever it lives.
+    /// `before_ns`, wherever it lives — the one point-in-time rule of
+    /// `rssd-core`, whichever implementor answers.
     fn recover_as_of(&mut self, lpa: u64, before_ns: u64) -> Option<Vec<u8>>;
 
     /// Offload counters (fleet-merged for arrays).

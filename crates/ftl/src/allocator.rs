@@ -173,14 +173,6 @@ impl BlockAllocator {
             .find(|&b| self.geometry.block_to_ppa(b).channel == channel)
     }
 
-    /// Does any active block for `stream` still have an unprogrammed page?
-    pub fn has_room(&self, stream: Stream) -> bool {
-        match stream {
-            Stream::Host => self.host_lanes.iter().any(Option::is_some),
-            Stream::Gc => self.gc_active.iter().any(Option::is_some),
-        }
-    }
-
     /// Returns an erased block (after GC) to the pool with its wear count.
     pub fn release_block(&mut self, block_index: u32, pe_cycles: u32) {
         self.free.insert((pe_cycles, block_index));

@@ -219,11 +219,6 @@ impl Ftl {
         self.allocator.free_blocks()
     }
 
-    /// Total stale (retained) pages on the device.
-    pub fn total_stale_pages(&self) -> u64 {
-        self.mapping.total_stale()
-    }
-
     /// Total valid pages on the device.
     pub fn total_valid_pages(&self) -> u64 {
         self.mapping.total_valid()

@@ -6,7 +6,6 @@
 //! in the loop**. This crate reproduces that path:
 //!
 //! * [`frame`] — Ethernet framing and MAC addressing.
-//! * [`nic`] — the controller-owned NIC: Tx/Rx rings, control registers.
 //! * [`link`] — a simulated link with bandwidth, propagation delay and
 //!   deterministic loss injection.
 //! * [`nvmeoe`] — the capsule protocol: sequencing, acknowledgement,
@@ -20,13 +19,11 @@
 
 pub mod frame;
 pub mod link;
-pub mod nic;
 pub mod nvmeoe;
 pub mod session;
 
 pub use frame::{EthernetFrame, MacAddr, ETHERTYPE_NVME_OE};
 pub use link::{LinkConfig, SharedLink, SimLink};
-pub use nic::{Nic, NicError, NicStats};
 pub use nvmeoe::{
     Capsule, CapsuleKind, NvmeOeEndpoint, ProtocolError, TransferStalled, TransferStats,
 };

@@ -27,7 +27,6 @@
 
 use crate::frame::{EthernetFrame, MacAddr, MAX_PAYLOAD};
 use crate::link::{LinkConfig, SharedLink, SimLink};
-use crate::nic::Nic;
 use bytes::Bytes;
 use rssd_obs::SinkHandle;
 use serde::{Deserialize, Serialize};
@@ -221,8 +220,8 @@ pub struct TransferStats {
     pub rto_timeouts: u64,
 }
 
-/// The device↔remote NVMe-oE fabric: both NICs, both link directions, and
-/// the reliable-delivery protocol between them.
+/// The device↔remote NVMe-oE fabric: both link directions and the
+/// reliable-delivery protocol between them.
 ///
 /// The transfer discipline is a batched go-back-N: all fragments of a
 /// segment are pipelined back-to-back, the receiver cumulative-acks the
@@ -230,13 +229,9 @@ pub struct TransferStats {
 /// timeout until the segment is complete.
 #[derive(Clone, Debug)]
 pub struct NvmeOeEndpoint {
-    device_nic: Nic,
-    remote_nic: Nic,
     to_remote: SharedLink,
     to_device: SimLink,
     next_seq: u64,
-    /// Initial retransmission timeout, used until the first RTT sample.
-    rto_ns: u64,
     /// Smoothed round-trip time (RFC 6298). Zero until the first sample.
     srtt_ns: u64,
     /// Round-trip time variance (RFC 6298).
@@ -278,12 +273,9 @@ impl NvmeOeEndpoint {
     /// private [`SimLink`] with `return_config`.
     pub fn with_uplink(uplink: SharedLink, return_config: LinkConfig) -> Self {
         NvmeOeEndpoint {
-            device_nic: Nic::new(MacAddr::DEVICE),
-            remote_nic: Nic::new(MacAddr::REMOTE),
             to_remote: uplink,
             to_device: SimLink::new(return_config),
             next_seq: 0,
-            rto_ns: Self::DEFAULT_RTO_NS,
             srtt_ns: 0,
             rttvar_ns: 0,
             stats: TransferStats::default(),
@@ -313,21 +305,13 @@ impl NvmeOeEndpoint {
             .instant("wire/uplink", name, self.traced_until_ns, args);
     }
 
-    /// Overrides the initial retransmission timeout and resets the RTT
-    /// estimator (the caller is asserting new link characteristics).
-    pub fn set_rto_ns(&mut self, rto_ns: u64) {
-        self.rto_ns = rto_ns.max(1);
-        self.srtt_ns = 0;
-        self.rttvar_ns = 0;
-    }
-
-    /// The retransmission timeout currently in force: the configured
-    /// initial RTO until the first RTT sample, then the RFC 6298 estimate
-    /// `SRTT + max(G, 4·RTTVAR)` clamped to
+    /// The retransmission timeout currently in force:
+    /// [`Self::DEFAULT_RTO_NS`] until the first RTT sample, then the RFC 6298
+    /// estimate `SRTT + max(G, 4·RTTVAR)` clamped to
     /// [[`Self::MIN_RTO_NS`], [`Self::MAX_RTO_NS`]].
     pub fn current_rto_ns(&self) -> u64 {
         if self.srtt_ns == 0 {
-            self.rto_ns
+            Self::DEFAULT_RTO_NS
         } else {
             (self.srtt_ns + Self::RTO_GRANULARITY_NS.max(4 * self.rttvar_ns))
                 .clamp(Self::MIN_RTO_NS, Self::MAX_RTO_NS)
@@ -380,16 +364,6 @@ impl NvmeOeEndpoint {
     /// Protocol statistics.
     pub fn stats(&self) -> TransferStats {
         self.stats
-    }
-
-    /// Device-side NIC counters.
-    pub fn device_nic_stats(&self) -> crate::nic::NicStats {
-        self.device_nic.stats()
-    }
-
-    /// Remote-side NIC counters.
-    pub fn remote_nic_stats(&self) -> crate::nic::NicStats {
-        self.remote_nic.stats()
     }
 
     /// Reliably transfers `segment_seq`/`payload` device → remote starting
@@ -473,7 +447,7 @@ impl NvmeOeEndpoint {
             // One round: pipeline every missing fragment.
             let mut last_arrival = t;
             let mut progressed = false;
-            for (i, cached) in frames.iter().enumerate() {
+            for (i, frame) in frames.iter().enumerate() {
                 if received[i].is_some() {
                     continue;
                 }
@@ -492,13 +466,7 @@ impl NvmeOeEndpoint {
                         );
                     }
                 }
-                self.device_nic
-                    .enqueue_tx(cached.clone())
-                    .expect("tx ring sized for batch");
-                let frame = self.device_nic.dequeue_tx().expect("just queued");
-                if let Some(arrival) = self.to_remote.transmit(&frame, t) {
-                    self.remote_nic.deliver_rx(frame).expect("rx ring sized");
-                    let frame = self.remote_nic.dequeue_rx().expect("just delivered");
+                if let Some(arrival) = self.to_remote.transmit(frame, t) {
                     let capsule = Capsule::from_wire(&frame.payload).expect("well-formed capsule");
                     debug_assert_eq!(capsule.kind, CapsuleKind::SegmentWrite);
                     received[i] = Some(capsule.payload);

@@ -4,51 +4,13 @@
 //! throughput between the plain SSD and RSSD; this collector keeps a
 //! log-linear histogram so million-request runs stay cheap.
 
+use rssd_obs::Histogram;
 use serde::{Deserialize, Serialize};
 
-/// Sub-bucket resolution: each power-of-two octave is split into
-/// 2^SUB_BUCKET_BITS linear sub-buckets, bounding the relative
-/// quantization error to ~1/16 (6%) — fine enough that p50 and p99
-/// genuinely differ whenever the distribution does. (The previous plain
-/// log₂ bucketing collapsed everything within a 2× band, which made
-/// p50 == p99 in every `qd_sweep` row.)
-const SUB_BUCKET_BITS: u32 = 4;
-const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
-/// Octaves above the exact linear range `0..SUB_BUCKETS`; covers all of
-/// `u64`.
-const OCTAVES: usize = 64 - SUB_BUCKET_BITS as usize;
-const BUCKETS: usize = SUB_BUCKETS + OCTAVES * SUB_BUCKETS;
-
-/// Maps a latency to its log-linear bucket. Values below `SUB_BUCKETS`
-/// are exact; above, the bucket is (octave of the value, top
-/// `SUB_BUCKET_BITS` bits after the leading one).
-fn bucket_index(latency_ns: u64) -> usize {
-    if latency_ns < SUB_BUCKETS as u64 {
-        return latency_ns as usize;
-    }
-    let exp = 63 - latency_ns.leading_zeros();
-    let sub = ((latency_ns >> (exp - SUB_BUCKET_BITS)) & (SUB_BUCKETS as u64 - 1)) as usize;
-    let octave = (exp - SUB_BUCKET_BITS) as usize;
-    SUB_BUCKETS + octave * SUB_BUCKETS + sub
-}
-
-/// Upper edge (inclusive) of a bucket — what the quantile queries report,
-/// so estimates are conservative (never below the true value's bucket).
-fn bucket_upper_edge(index: usize) -> u64 {
-    if index < SUB_BUCKETS {
-        return index as u64;
-    }
-    let octave = ((index - SUB_BUCKETS) / SUB_BUCKETS) as u32;
-    let sub = ((index - SUB_BUCKETS) % SUB_BUCKETS) as u64;
-    let exp = octave + SUB_BUCKET_BITS;
-    let width = 1u64 << (exp - SUB_BUCKET_BITS);
-    let lower = (1u64 << exp) + sub * width;
-    lower.saturating_add(width - 1)
-}
-
-/// Log-linear-bucketed latency histogram with exact mean/min/max:
-/// power-of-two octaves, 16 linear sub-buckets per octave (≤ 6%
-/// quantization error on quantiles).
+/// Latency histogram with exact mean/min/max — `rssd-obs`'s log-linear
+/// [`Histogram`] (power-of-two octaves, 16 linear sub-buckets per octave,
+/// ≤ 6% quantization error on quantiles) under the names the device and
+/// queue reports use.
 ///
 /// # Examples
 ///
@@ -61,87 +23,46 @@ fn bucket_upper_edge(index: usize) -> u64 {
 /// assert_eq!(stats.count(), 2);
 /// assert!(stats.mean_ns() > 1_000.0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[must_use]
-pub struct LatencyStats {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for LatencyStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct LatencyStats(Histogram);
 
 impl LatencyStats {
     /// Creates an empty collector.
     pub fn new() -> Self {
-        LatencyStats {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
+        Self::default()
     }
 
     /// Records one request latency in nanoseconds.
     pub fn record(&mut self, latency_ns: u64) {
-        self.buckets[bucket_index(latency_ns)] += 1;
-        self.count += 1;
-        self.sum_ns += u128::from(latency_ns);
-        self.min_ns = self.min_ns.min(latency_ns);
-        self.max_ns = self.max_ns.max(latency_ns);
+        self.0.record(latency_ns);
     }
 
     /// Number of recorded requests.
     pub fn count(&self) -> u64 {
-        self.count
+        self.0.count()
     }
 
     /// Mean latency (ns); 0 when empty.
     pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum_ns as f64 / self.count as f64
+        self.0.mean()
     }
 
     /// Minimum latency (ns); 0 when empty.
     pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min_ns
-        }
+        self.0.min()
     }
 
     /// Maximum latency (ns).
     pub fn max_ns(&self) -> u64 {
-        self.max_ns
+        self.0.max()
     }
 
     /// Approximate latency at `quantile` (e.g. `0.99`), resolved to the
     /// upper edge of the containing log-linear bucket (≤ ~6% above the true
-    /// quantile, never below its bucket).
+    /// quantile, never below its bucket, never past the observed extreme).
     pub fn quantile_ns(&self, quantile: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (quantile.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                // Never report past the observed extreme.
-                return bucket_upper_edge(i).min(self.max_ns);
-            }
-        }
-        self.max_ns
+        self.0.quantile(quantile)
     }
 
     /// Approximate latency at percentile `p` (e.g. `50.0`, `99.0`), resolved
@@ -153,13 +74,7 @@ impl LatencyStats {
 
     /// Merges another collector into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
+        self.0.merge(&other.0);
     }
 }
 
@@ -259,31 +174,6 @@ mod tests {
         // ≤ ~6% quantization error, conservative (upper edge).
         assert!((100_000..=107_000).contains(&p50), "{p50}");
         assert!((120_000..=128_000).contains(&p99), "{p99}");
-    }
-
-    #[test]
-    fn bucket_round_trip_is_conservative() {
-        for v in [
-            0u64,
-            1,
-            15,
-            16,
-            17,
-            1_000,
-            99_999,
-            1_000_000,
-            u64::MAX / 2,
-            u64::MAX,
-        ] {
-            let i = bucket_index(v);
-            let edge = bucket_upper_edge(i);
-            assert!(edge >= v, "upper edge below value: {v} -> {edge}");
-            if v >= 16 {
-                // Relative error bound of the log-linear scheme.
-                assert!(edge - v <= v / 16, "edge too far above {v}: {edge}");
-            }
-            assert!(i < BUCKETS);
-        }
     }
 
     #[test]

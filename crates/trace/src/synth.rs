@@ -85,13 +85,6 @@ impl DiurnalLoad {
         self
     }
 
-    /// Overrides the fundamental's weight (clamped to `0.0..=0.9` so the
-    /// rate never collapses to zero).
-    pub fn with_amplitude(mut self, amplitude: f64) -> Self {
-        self.amplitude = amplitude.clamp(0.0, 0.9);
-        self
-    }
-
     /// Overrides the cycle length (default: one simulated day).
     pub fn with_period_ns(mut self, period_ns: u64) -> Self {
         self.period_ns = period_ns.max(1);
