@@ -481,6 +481,24 @@ impl<D: BlockDevice> RssdArray<D> {
         )
     }
 
+    /// A scalar op is a member batch of one: `command` (addressed to array
+    /// page `lpa`) runs on its shard from the array's current time, and the
+    /// array clock advances to its completion.
+    fn execute_scalar(&mut self, lpa: u64, command: IoCommand) -> CommandResult {
+        self.check_range(lpa)?;
+        let (shard, local) = self.layout.locate(lpa);
+        let start = self.clock.now_ns();
+        let (mut results, end) = Self::execute_local(
+            &mut self.shards[shard],
+            shard,
+            vec![Self::to_local(command, local)],
+            self.page_size,
+            start,
+        );
+        self.clock.advance_to(end);
+        results.pop().expect("one command, one result").0
+    }
+
     /// Translates an array command to its member-local form.
     fn to_local(command: IoCommand, local: u64) -> IoCommand {
         match command {
@@ -510,54 +528,20 @@ impl<D: BlockDevice> BlockDevice for RssdArray<D> {
     }
 
     fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        self.check_range(lpa)?;
-        let (shard, local) = self.layout.locate(lpa);
-        let start = self.clock.now_ns();
-        let (mut results, end) = Self::execute_local(
-            &mut self.shards[shard],
-            shard,
-            vec![IoCommand::Write { lpa: local, data }],
-            self.page_size,
-            start,
-        );
-        self.clock.advance_to(end);
-        let (result, _) = results.pop().expect("one command, one result");
-        result.map(|_| ())
+        self.execute_scalar(lpa, IoCommand::Write { lpa, data })
+            .map(|_| ())
     }
 
     fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        self.check_range(lpa)?;
-        let (shard, local) = self.layout.locate(lpa);
-        let start = self.clock.now_ns();
-        let (mut results, end) = Self::execute_local(
-            &mut self.shards[shard],
-            shard,
-            vec![IoCommand::Read { lpa: local }],
-            self.page_size,
-            start,
-        );
-        self.clock.advance_to(end);
-        let (result, _) = results.pop().expect("one command, one result");
-        match result? {
+        match self.execute_scalar(lpa, IoCommand::Read { lpa })? {
             CommandOutcome::Read(data) => Ok(data),
             other => unreachable!("read completed as {other:?}"),
         }
     }
 
     fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.check_range(lpa)?;
-        let (shard, local) = self.layout.locate(lpa);
-        let start = self.clock.now_ns();
-        let (mut results, end) = Self::execute_local(
-            &mut self.shards[shard],
-            shard,
-            vec![IoCommand::Trim { lpa: local }],
-            self.page_size,
-            start,
-        );
-        self.clock.advance_to(end);
-        let (result, _) = results.pop().expect("one command, one result");
-        result.map(|_| ())
+        self.execute_scalar(lpa, IoCommand::Trim { lpa })
+            .map(|_| ())
     }
 
     fn flush(&mut self) -> Result<(), DeviceError> {

@@ -106,10 +106,19 @@ mod tests {
     use crate::actors::{ClassicRansomware, GcAttack, TimingAttack, TrimAttack};
     use rssd_core::{LoopbackTarget, RssdConfig, RssdDevice};
     use rssd_flash::{FlashGeometry, NandTiming, SimClock};
-    use rssd_ssd::{FlashGuardConfig, FlashGuardSsd, PlainSsd, RetentionMode, RetentionSsd};
+    use rssd_ssd::{flashguard, PlainSsd, RetentionMode, RetentionSsd};
 
     fn geometry() -> FlashGeometry {
         FlashGeometry::small_test()
+    }
+
+    fn flashguard() -> RetentionSsd {
+        RetentionSsd::new(
+            geometry(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RetentionMode::ReadThenOverwrite,
+        )
     }
 
     fn rssd() -> RssdDevice<LoopbackTarget> {
@@ -176,9 +185,9 @@ mod tests {
 
     #[test]
     fn flashguard_defeated_by_timing_attack() {
-        let mut d = FlashGuardSsd::new(geometry(), NandTiming::instant(), SimClock::new());
+        let mut d = flashguard();
         let table = FileTable::populate(&mut d, 4, 4, 7).unwrap();
-        let window = FlashGuardConfig::default().suspect_window_ns;
+        let window = flashguard::SUSPECT_WINDOW_NS;
         let attack = TimingAttack::new(1, 2, window + 1);
         let outcome = attack.execute(&mut d, &table, |_| Ok(())).unwrap();
         let result = evaluate_recovery(&mut d, &table, &outcome);
@@ -187,7 +196,7 @@ mod tests {
 
     #[test]
     fn flashguard_defeated_by_trim_attack() {
-        let mut d = FlashGuardSsd::new(geometry(), NandTiming::instant(), SimClock::new());
+        let mut d = flashguard();
         let table = FileTable::populate(&mut d, 4, 4, 7).unwrap();
         let outcome = TrimAttack::new(1, false).execute(&mut d, &table).unwrap();
         let result = evaluate_recovery(&mut d, &table, &outcome);
@@ -197,7 +206,7 @@ mod tests {
     #[test]
     fn flashguard_survives_classic_and_gc() {
         for flood in [false, true] {
-            let mut d = FlashGuardSsd::new(geometry(), NandTiming::instant(), SimClock::new());
+            let mut d = flashguard();
             let table = FileTable::populate(&mut d, 4, 4, 7).unwrap();
             let outcome = if flood {
                 GcAttack::new(1, 2).execute(&mut d, &table).unwrap()

@@ -11,7 +11,7 @@ use rssd_attacks::{
 };
 use rssd_bench::{bench_geometry, mk_flashguard, mk_retention, mk_rssd};
 use rssd_flash::{NandTiming, SimClock};
-use rssd_ssd::{BlockDevice, FlashGuardConfig, RetentionMode};
+use rssd_ssd::{flashguard, BlockDevice, RetentionMode};
 
 fn survival(model: &str, attack: &str) -> f64 {
     let g = bench_geometry();
@@ -23,7 +23,7 @@ fn survival(model: &str, attack: &str) -> f64 {
         let outcome = match attack {
             "classic" => ClassicRansomware::new(1).execute(&mut d, &table).unwrap(),
             "gc" => GcAttack::new(1, 5).execute(&mut d, &table).unwrap(),
-            "timing" => TimingAttack::new(1, 4, FlashGuardConfig::default().suspect_window_ns + 1)
+            "timing" => TimingAttack::new(1, 4, flashguard::SUSPECT_WINDOW_NS + 1)
                 .execute(&mut d, &table, |_| Ok(()))
                 .unwrap(),
             "trim" => TrimAttack::new(1, false).execute(&mut d, &table).unwrap(),

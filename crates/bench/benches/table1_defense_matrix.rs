@@ -15,7 +15,7 @@ use rssd_attacks::{
 };
 use rssd_bench::{bench_geometry, mk_flashguard, mk_plain, mk_retention, mk_rssd};
 use rssd_flash::{NandTiming, SimClock};
-use rssd_ssd::{BlockDevice, FlashGuardConfig, RetentionMode};
+use rssd_ssd::{flashguard, BlockDevice, RetentionMode};
 
 const FILES: usize = 24;
 const PAGES_PER_FILE: u64 = 8;
@@ -50,10 +50,8 @@ impl Attack {
             match self {
                 Attack::Classic => ClassicRansomware::new(1).execute(device, victims),
                 Attack::Gc => GcAttack::new(1, 5).execute(device, victims),
-                Attack::Timing => {
-                    TimingAttack::new(1, 4, FlashGuardConfig::default().suspect_window_ns + 1)
-                        .execute(device, victims, |_| Ok(()))
-                }
+                Attack::Timing => TimingAttack::new(1, 4, flashguard::SUSPECT_WINDOW_NS + 1)
+                    .execute(device, victims, |_| Ok(())),
                 Attack::Trimming => TrimAttack::new(1, false).execute(device, victims),
             }
             .expect("attack runs to completion");

@@ -8,7 +8,7 @@
 use rssd_array::RssdArray;
 use rssd_core::{LoopbackTarget, RssdConfig, RssdDevice};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
-use rssd_ssd::{FlashGuardSsd, PlainSsd, RetentionMode, RetentionSsd};
+use rssd_ssd::{PlainSsd, RetentionMode, RetentionSsd};
 use std::path::{Path, PathBuf};
 
 /// Geometry used by most benches: 32 MiB, 4 KiB pages (scaled-down stand-in
@@ -23,15 +23,12 @@ pub fn mk_plain(geometry: FlashGeometry, timing: NandTiming, clock: SimClock) ->
 }
 
 /// A FlashGuard-style SSD on `clock`.
-pub fn mk_flashguard(
-    geometry: FlashGeometry,
-    timing: NandTiming,
-    clock: SimClock,
-) -> FlashGuardSsd {
-    FlashGuardSsd::new(geometry, timing, clock)
+pub fn mk_flashguard(geometry: FlashGeometry, timing: NandTiming, clock: SimClock) -> RetentionSsd {
+    mk_retention(geometry, timing, clock, RetentionMode::ReadThenOverwrite)
 }
 
-/// A LocalSSD / LocalSSD+Compression baseline on `clock`.
+/// A local-retention SSD (LocalSSD, LocalSSD+Compression or FlashGuard, per
+/// `mode`) on `clock`.
 pub fn mk_retention(
     geometry: FlashGeometry,
     timing: NandTiming,

@@ -766,52 +766,6 @@ impl MatrixSummary {
     }
 }
 
-/// Replays `records` with resume-across-power-cuts: an abort caused by a
-/// scheduled cut restores power and continues from the next record; any
-/// other abort is a harness failure.
-fn replay_resilient<D: FaultTarget>(
-    device: &mut D,
-    records: Vec<IoRecord>,
-    queues: usize,
-    depth: usize,
-    interruptions: &mut u64,
-) -> Result<(), FaultError> {
-    let mut remaining = records;
-    loop {
-        let outcome = {
-            let mut controller = NvmeController::new(&mut *device);
-            let qids: Vec<QueueId> = (0..queues)
-                .map(|_| controller.create_queue_pair(depth))
-                .collect();
-            replay_fanout(&mut controller, &qids, remaining.clone())
-        };
-        match outcome {
-            ReplayOutcome::Completed(_) => return Ok(()),
-            ref aborted @ ReplayOutcome::Aborted { ref error, .. } => {
-                match error {
-                    DeviceError::PowerLoss => {
-                        restore_power_healing_link(device)?;
-                        *interruptions += 1;
-                    }
-                    // Writes aimed at a dead member while the benign phase
-                    // runs degraded: skip the record, like a stalled write.
-                    DeviceError::ShardFailed { .. } => *interruptions += 1,
-                    other => {
-                        return Err(FaultError::Scenario(format!(
-                            "benign replay aborted on unexplained error: {other}"
-                        )))
-                    }
-                }
-                let issued = aborted.resume_index().min(remaining.len());
-                remaining = remaining.split_off(issued);
-                if remaining.is_empty() {
-                    return Ok(());
-                }
-            }
-        }
-    }
-}
-
 /// Runs one attack attempt, returning the destroyed pages on success.
 fn attack_once<D: FaultTarget>(
     device: &mut D,
@@ -862,7 +816,20 @@ impl Scenario {
             .workload(logical_pages, page_size, self.seed)
             .take(BENIGN_RECORDS)
             .collect();
-        replay_resilient(device, records, queues, depth, &mut interruptions)?;
+        // No fault is armed yet (phase 3 arms the plan), so any abort here
+        // is a harness failure, not something to ride out.
+        let benign = {
+            let mut controller = NvmeController::new(&mut *device);
+            let qids: Vec<QueueId> = (0..queues)
+                .map(|_| controller.create_queue_pair(depth))
+                .collect();
+            replay_fanout(&mut controller, &qids, records)
+        };
+        if let ReplayOutcome::Aborted { error, .. } = benign {
+            return Err(FaultError::Scenario(format!(
+                "benign replay aborted on unexplained error: {error}"
+            )));
+        }
         device.clock().advance(PHASE_GAP_NS);
 
         // Phase 2: the hostage corpus.

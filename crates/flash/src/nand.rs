@@ -384,15 +384,7 @@ impl NandArray {
     ///
     /// Same conditions as [`Self::read`].
     pub fn read_async(&mut self, ppa: Ppa) -> Result<(Vec<u8>, PageOob, OpTicket), NandError> {
-        self.check_address(ppa)?;
-        let block_idx = self.geometry.block_index(ppa) as usize;
-        let block = &self.blocks[block_idx];
-        if block.state == BlockState::Bad {
-            return Err(NandError::BadBlock(ppa));
-        }
-        let (data, oob) = block.pages[ppa.page as usize]
-            .as_ref()
-            .ok_or(NandError::ReadOnErased(ppa))?;
+        let (data, oob) = self.programmed_page(ppa)?;
         let out = (data.to_vec(), *oob);
 
         let (ticket, covered) = self.pipelines.dispatch_read(
@@ -418,16 +410,7 @@ impl NandArray {
     ///
     /// Same conditions as [`Self::read`].
     pub fn read_oob(&mut self, ppa: Ppa) -> Result<PageOob, NandError> {
-        self.check_address(ppa)?;
-        let block_idx = self.geometry.block_index(ppa) as usize;
-        let block = &self.blocks[block_idx];
-        if block.state == BlockState::Bad {
-            return Err(NandError::BadBlock(ppa));
-        }
-        let (_, oob) = block.pages[ppa.page as usize]
-            .as_ref()
-            .ok_or(NandError::ReadOnErased(ppa))?;
-        let oob = *oob;
+        let oob = self.programmed_page(ppa)?.1;
 
         // Cell read without the data transfer (OOB bytes are negligible).
         let (ticket, covered) = self.pipelines.dispatch_read(
@@ -507,9 +490,8 @@ impl NandArray {
     /// containing `ppa`, in page order (no latency charged; helper for GC
     /// victim scanning, which real FTLs do from in-DRAM summaries).
     pub fn block_oobs(&self, ppa: Ppa) -> Result<Vec<(u32, PageOob)>, NandError> {
-        self.check_address(ppa)?;
-        let block = &self.blocks[self.geometry.block_index(ppa) as usize];
-        Ok(block
+        Ok(self
+            .block_of(ppa)?
             .pages
             .iter()
             .enumerate()
@@ -530,14 +512,7 @@ impl NandArray {
         &mut self,
         ppa: Ppa,
     ) -> Result<(Vec<u8>, PageOob, OpTicket), NandError> {
-        self.check_address(ppa)?;
-        let block = &self.blocks[self.geometry.block_index(ppa) as usize];
-        if block.state == BlockState::Bad {
-            return Err(NandError::BadBlock(ppa));
-        }
-        let (data, oob) = block.pages[ppa.page as usize]
-            .as_ref()
-            .ok_or(NandError::ReadOnErased(ppa))?;
+        let (data, oob) = self.programmed_page(ppa)?;
         let out = (data.to_vec(), *oob);
         let (ticket, covered) = self.pipelines.dispatch_read(
             ppa.channel,
@@ -564,24 +539,17 @@ impl NandArray {
     ///
     /// Same conditions as [`Self::read`].
     pub fn read_background(&mut self, ppa: Ppa) -> Result<(Vec<u8>, PageOob), NandError> {
-        self.check_address(ppa)?;
-        let block = &self.blocks[self.geometry.block_index(ppa) as usize];
-        if block.state == BlockState::Bad {
-            return Err(NandError::BadBlock(ppa));
-        }
-        let (data, oob) = block.pages[ppa.page as usize]
-            .as_ref()
-            .ok_or(NandError::ReadOnErased(ppa))?;
+        let (data, oob) = self.programmed_page(ppa)?;
+        let out = (data.to_vec(), *oob);
         self.stats.record_background_read();
-        Ok((data.to_vec(), *oob))
+        Ok(out)
     }
 
     /// OOB metadata of `ppa` without charging latency (FTLs keep this in a
     /// DRAM summary; the simulator reads it straight from the model).
     pub fn peek_oob(&self, ppa: Ppa) -> Result<Option<PageOob>, NandError> {
-        self.check_address(ppa)?;
-        let block = &self.blocks[self.geometry.block_index(ppa) as usize];
-        Ok(block.pages[ppa.page as usize].as_ref().map(|(_, oob)| *oob))
+        let slot = &self.block_of(ppa)?.pages[ppa.page as usize];
+        Ok(slot.as_ref().map(|(_, oob)| *oob))
     }
 
     /// Global write sequence counter value (next program gets this number).
@@ -610,6 +578,26 @@ impl NandArray {
         (0..self.geometry.channels)
             .min_by_key(|&ch| self.pipelines.channel_next_free_ns(ch))
             .unwrap_or(0)
+    }
+
+    /// The block holding `ppa`, or `AddressOutOfRange`.
+    #[inline]
+    fn block_of(&self, ppa: Ppa) -> Result<&Block, NandError> {
+        self.check_address(ppa)?;
+        Ok(&self.blocks[self.geometry.block_index(ppa) as usize])
+    }
+
+    /// The one place a read looks its page up — borrowed, never copied:
+    /// `AddressOutOfRange`, then `BadBlock`, then `ReadOnErased`.
+    #[inline]
+    fn programmed_page(&self, ppa: Ppa) -> Result<&(Box<[u8]>, PageOob), NandError> {
+        let block = self.block_of(ppa)?;
+        if block.state == BlockState::Bad {
+            return Err(NandError::BadBlock(ppa));
+        }
+        block.pages[ppa.page as usize]
+            .as_ref()
+            .ok_or(NandError::ReadOnErased(ppa))
     }
 
     fn check_address(&self, ppa: Ppa) -> Result<(), NandError> {

@@ -1,5 +1,8 @@
 //! A FlashGuard-style defense (Huang et al., CCS'17), reproduced as the
-//! hardware baseline for Table 1 and the attack-validation experiment (E7).
+//! hardware baseline for Table 1 and the attack-validation experiment (E7):
+//! [`RetentionMode::ReadThenOverwrite`](crate::RetentionMode) of
+//! [`RetentionSsd`](crate::RetentionSsd). This module is the mode's home —
+//! its admission predicate and its two numbers.
 //!
 //! FlashGuard leverages the same intrinsic flash property as RSSD — stale
 //! pages physically persist — but retains *selectively*: a stale page is
@@ -16,252 +19,42 @@
 //! * **Trimming attack** — defeated: trimmed pages are not overwrites at
 //!   all, so nothing is retained and the trim physically releases the data.
 
-use crate::device::{BlockDevice, DeviceError};
-use crate::queue::LatencyStats;
-use rssd_flash::{FlashGeometry, NandArray, NandTiming, Ppa, SimClock};
-use rssd_ftl::{Ftl, FtlConfig, FtlStats, InvalidateCause};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use rssd_ftl::InvalidateCause;
 
-/// FlashGuard tuning parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlashGuardConfig {
-    /// An overwrite within this window after a read of the same LPA is
-    /// flagged as a suspected encryption and retained.
-    pub suspect_window_ns: u64,
-    /// Suspects older than this are released (FlashGuard's bounded
-    /// retention, ~20 days in the paper's configuration).
-    pub max_retention_ns: u64,
-}
+/// An overwrite within this window after a read of the same LPA is flagged
+/// as a suspected encryption and retained. 10 simulated minutes: generous
+/// for a foreground encryptor.
+pub const SUSPECT_WINDOW_NS: u64 = 600 * 1_000_000_000;
+/// Suspects older than this are released (FlashGuard's bounded retention,
+/// ~20 days in the paper's configuration).
+pub const MAX_RETENTION_NS: u64 = 20 * 86_400 * 1_000_000_000;
 
-impl Default for FlashGuardConfig {
-    fn default() -> Self {
-        FlashGuardConfig {
-            // 10 simulated minutes: generous for a foreground encryptor.
-            suspect_window_ns: 600 * 1_000_000_000,
-            // 20 simulated days.
-            max_retention_ns: 20 * 86_400 * 1_000_000_000,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Suspect {
-    lpa: u64,
-    ppa: Ppa,
-    invalidated_at_ns: u64,
-}
-
-/// Selective-retention SSD in the style of FlashGuard.
-#[derive(Debug)]
-pub struct FlashGuardSsd {
-    ftl: Ftl,
-    config: FlashGuardConfig,
-    /// Last host read time per LPA (the read-before-overwrite correlator).
-    last_read_ns: HashMap<u64, u64>,
-    /// Retained suspects in admission order.
-    suspects: BTreeMap<u64, Suspect>,
-    by_lpa: HashMap<u64, Vec<u64>>,
-    next_id: u64,
-    budget_bytes: u64,
-    used_bytes: u64,
-    released_suspects: u64,
-    latency: LatencyStats,
-}
-
-impl FlashGuardSsd {
-    /// Builds a FlashGuard-style SSD with the default configuration.
-    pub fn new(geometry: FlashGeometry, timing: NandTiming, clock: SimClock) -> Self {
-        Self::with_config(geometry, timing, clock, FlashGuardConfig::default())
-    }
-
-    /// Builds a FlashGuard-style SSD with an explicit configuration.
-    pub fn with_config(
-        geometry: FlashGeometry,
-        timing: NandTiming,
-        clock: SimClock,
-        config: FlashGuardConfig,
-    ) -> Self {
-        let nand = NandArray::with_clock(geometry, timing, clock);
-        let ftl = Ftl::new(nand, FtlConfig::default());
-        let spare = geometry.capacity_bytes() - ftl.logical_pages() * geometry.page_size as u64;
-        FlashGuardSsd {
-            ftl,
-            config,
-            last_read_ns: HashMap::new(),
-            suspects: BTreeMap::new(),
-            by_lpa: HashMap::new(),
-            next_id: 0,
-            budget_bytes: (spare as f64 * 0.70) as u64,
-            used_bytes: 0,
-            released_suspects: 0,
-            latency: LatencyStats::new(),
-        }
-    }
-
-    /// Number of currently retained suspect pages.
-    pub fn suspect_pages(&self) -> u64 {
-        self.suspects.len() as u64
-    }
-
-    /// Suspects released due to ageing or budget pressure.
-    pub fn released_suspects(&self) -> u64 {
-        self.released_suspects
-    }
-
-    /// Per-request latency distribution.
-    pub fn latency(&self) -> &LatencyStats {
-        &self.latency
-    }
-
-    /// FTL statistics.
-    pub fn ftl_stats(&self) -> &FtlStats {
-        self.ftl.stats()
-    }
-
-    fn absorb_stale_events(&mut self) {
-        let now = self.ftl.clock().now_ns();
-        for event in self.ftl.drain_stale_events() {
-            if event.cause != InvalidateCause::Overwrite {
-                // Trims and GC migrations are never suspects: the trimming
-                // attack walks straight through this gap.
-                continue;
-            }
-            let suspicious = self.last_read_ns.get(&event.lpa).is_some_and(|&read_ns| {
-                now.saturating_sub(read_ns) <= self.config.suspect_window_ns
-            });
-            if suspicious {
-                self.ftl.pin_page(event.ppa);
-                let id = self.next_id;
-                self.next_id += 1;
-                self.suspects.insert(
-                    id,
-                    Suspect {
-                        lpa: event.lpa,
-                        ppa: event.ppa,
-                        invalidated_at_ns: event.invalidated_at_ns,
-                    },
-                );
-                self.by_lpa.entry(event.lpa).or_default().push(id);
-                self.used_bytes += self.ftl.geometry().page_size as u64;
-            }
-        }
-        self.expire_and_enforce(now);
-    }
-
-    fn expire_and_enforce(&mut self, now: u64) {
-        // Age out old suspects, then enforce the budget oldest-first.
-        let expired: Vec<u64> = self
-            .suspects
-            .iter()
-            .take_while(|(_, s)| {
-                now.saturating_sub(s.invalidated_at_ns) > self.config.max_retention_ns
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired {
-            self.release(id);
-        }
-        while self.used_bytes > self.budget_bytes {
-            let Some((&id, _)) = self.suspects.iter().next() else {
-                break;
-            };
-            self.release(id);
-        }
-    }
-
-    fn release(&mut self, id: u64) {
-        if let Some(s) = self.suspects.remove(&id) {
-            self.ftl.unpin_page(s.ppa);
-            if let Some(ids) = self.by_lpa.get_mut(&s.lpa) {
-                ids.retain(|&i| i != id);
-            }
-            self.used_bytes -= self.ftl.geometry().page_size as u64;
-            self.released_suspects += 1;
-        }
-    }
-}
-
-impl BlockDevice for FlashGuardSsd {
-    fn model_name(&self) -> &str {
-        "FlashGuard"
-    }
-
-    fn page_size(&self) -> usize {
-        self.ftl.geometry().page_size
-    }
-
-    fn logical_pages(&self) -> u64 {
-        self.ftl.logical_pages()
-    }
-
-    fn clock(&self) -> &SimClock {
-        self.ftl.clock()
-    }
-
-    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        let start = self.ftl.clock().now_ns();
-        let mut evictions_tried = 0u32;
-        loop {
-            match self.ftl.write(lpa, data.clone()) {
-                Ok(()) => break,
-                Err(rssd_ftl::FtlError::DeviceFull) if evictions_tried < 8 => {
-                    evictions_tried += 1;
-                    let relief = self.ftl.geometry().block_bytes();
-                    let target = self.used_bytes.saturating_sub(relief);
-                    while self.used_bytes > target {
-                        let Some((&id, _)) = self.suspects.iter().next() else {
-                            break;
-                        };
-                        self.release(id);
-                    }
-                }
-                Err(rssd_ftl::FtlError::DeviceFull) => return Err(DeviceError::Stalled),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.absorb_stale_events();
-        let end = self.ftl.clock().now_ns();
-        self.latency.record(end - start);
-        Ok(())
-    }
-
-    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        let start = self.ftl.clock().now_ns();
-        self.last_read_ns.insert(lpa, start);
-        let out = match self.ftl.read(lpa)? {
-            Some(data) => data,
-            None => vec![0u8; self.page_size()],
-        };
-        let end = self.ftl.clock().now_ns();
-        self.latency.record(end - start);
-        Ok(out)
-    }
-
-    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.ftl.trim(lpa)?;
-        self.absorb_stale_events();
-        Ok(())
-    }
-
-    fn recover_page(&mut self, lpa: u64) -> Option<Vec<u8>> {
-        let ids = self.by_lpa.get(&lpa)?;
-        let &id = ids.last()?;
-        let suspect = self.suspects.get(&id)?;
-        self.ftl.read_physical(suspect.ppa).ok().map(|(d, _)| d)
-    }
+/// The admission predicate: is a page invalidated by `cause` at `now_ns`,
+/// whose LPA the host last read at `last_read_ns`, a suspected encryption?
+/// Trims and GC migrations never are — the trimming attack walks straight
+/// through that gap, the timing attack through the window.
+pub(crate) fn suspects(cause: InvalidateCause, last_read_ns: Option<&u64>, now_ns: u64) -> bool {
+    cause == InvalidateCause::Overwrite
+        && last_read_ns.is_some_and(|&read_ns| now_ns.saturating_sub(read_ns) <= SUSPECT_WINDOW_NS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockDevice, DeviceError, RetentionMode, RetentionSsd};
+    use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 
-    fn ssd() -> FlashGuardSsd {
-        FlashGuardSsd::new(
+    fn ssd_on(clock: SimClock) -> RetentionSsd {
+        RetentionSsd::new(
             FlashGeometry::small_test(),
             NandTiming::instant(),
-            SimClock::new(),
+            clock,
+            RetentionMode::ReadThenOverwrite,
         )
+    }
+
+    fn ssd() -> RetentionSsd {
+        ssd_on(SimClock::new())
     }
 
     #[test]
@@ -270,7 +63,7 @@ mod tests {
         d.write_page(3, vec![1; 4096]).unwrap();
         d.read_page(3).unwrap(); // ransomware reads plaintext
         d.write_page(3, vec![2; 4096]).unwrap(); // writes ciphertext
-        assert_eq!(d.suspect_pages(), 1);
+        assert_eq!(d.report().retained_pages, 1);
         assert_eq!(d.recover_page(3).unwrap(), vec![1; 4096]);
     }
 
@@ -279,24 +72,24 @@ mod tests {
         let mut d = ssd();
         d.write_page(3, vec![1; 4096]).unwrap();
         d.write_page(3, vec![2; 4096]).unwrap(); // no preceding read
-        assert_eq!(d.suspect_pages(), 0);
+        assert_eq!(d.report().retained_pages, 0);
         assert_eq!(d.recover_page(3), None);
     }
 
     #[test]
     fn timing_attack_evades_retention() {
         let clock = SimClock::new();
-        let mut d = FlashGuardSsd::new(
-            FlashGeometry::small_test(),
-            NandTiming::instant(),
-            clock.clone(),
-        );
+        let mut d = ssd_on(clock.clone());
         d.write_page(3, vec![1; 4096]).unwrap();
         d.read_page(3).unwrap();
         // Attacker waits past the correlation window before writing back.
-        clock.advance(FlashGuardConfig::default().suspect_window_ns + 1);
+        clock.advance(SUSPECT_WINDOW_NS + 1);
         d.write_page(3, vec![2; 4096]).unwrap();
-        assert_eq!(d.suspect_pages(), 0, "timing attack must evade FlashGuard");
+        assert_eq!(
+            d.report().retained_pages,
+            0,
+            "timing attack must evade FlashGuard"
+        );
         assert_eq!(d.recover_page(3), None);
     }
 
@@ -306,7 +99,7 @@ mod tests {
         d.write_page(3, vec![1; 4096]).unwrap();
         d.read_page(3).unwrap();
         d.trim_page(3).unwrap(); // trim instead of overwrite
-        assert_eq!(d.suspect_pages(), 0, "trim must evade FlashGuard");
+        assert_eq!(d.report().retained_pages, 0, "trim must evade FlashGuard");
         assert_eq!(d.recover_page(3), None);
     }
 
@@ -317,7 +110,7 @@ mod tests {
         d.write_page(0, vec![1; 4096]).unwrap();
         d.read_page(0).unwrap();
         d.write_page(0, vec![2; 4096]).unwrap();
-        assert_eq!(d.suspect_pages(), 1);
+        assert_eq!(d.report().retained_pages, 1);
         // GC attack: flood the device with fresh data to force collection.
         let logical = d.logical_pages();
         for round in 0..4u8 {
@@ -328,27 +121,27 @@ mod tests {
                 }
             }
         }
-        assert_eq!(d.suspect_pages(), 1, "suspect must survive the flood");
+        assert_eq!(
+            d.report().retained_pages,
+            1,
+            "suspect must survive the flood"
+        );
         assert_eq!(d.recover_page(0).unwrap(), vec![1; 4096]);
     }
 
     #[test]
     fn suspects_age_out() {
         let clock = SimClock::new();
-        let mut d = FlashGuardSsd::new(
-            FlashGeometry::small_test(),
-            NandTiming::instant(),
-            clock.clone(),
-        );
+        let mut d = ssd_on(clock.clone());
         d.write_page(3, vec![1; 4096]).unwrap();
         d.read_page(3).unwrap();
         d.write_page(3, vec![2; 4096]).unwrap();
-        assert_eq!(d.suspect_pages(), 1);
-        clock.advance(FlashGuardConfig::default().max_retention_ns + 1);
+        assert_eq!(d.report().retained_pages, 1);
+        clock.advance(MAX_RETENTION_NS + 1);
         // Any subsequent operation triggers expiry.
         d.write_page(4, vec![0; 4096]).unwrap();
-        assert_eq!(d.suspect_pages(), 0);
-        assert_eq!(d.released_suspects(), 1);
+        assert_eq!(d.report().retained_pages, 0);
+        assert_eq!(d.report().evicted_pages, 1);
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! SSD device models over the FTL.
 //!
 //! This crate exposes the host-facing block interface ([`BlockDevice`]) and
-//! implements the device models the paper evaluates against:
+//! implements the two local device models the paper evaluates against:
 //!
 //! * [`PlainSsd`] — an unprotected SSD: stale data is reclaimed by GC as
 //!   usual; ransomware-encrypted originals are gone after collection.
-//! * [`RetentionSsd`] — the *LocalSSD* / *LocalSSD+Compression* baselines of
-//!   Figure 2: conservatively retain all stale data locally, evicting the
-//!   oldest retained pages when the retention budget (the device's spare
-//!   capacity, optionally stretched by compression) fills up.
-//! * [`FlashGuardSsd`] — a FlashGuard-style defense: retain only pages whose
-//!   overwrite looks like encryption (the logical page was read shortly
-//!   before being overwritten). Defends the GC attack (suspects are pinned
-//!   regardless of capacity pressure) but is defeated by the timing attack
-//!   (spacing read and overwrite beyond its correlation window) and by the
-//!   trimming attack (trimmed pages are not considered suspects).
+//! * [`RetentionSsd`] — local retention: the baselines of Table 1 and
+//!   Figure 2 that keep stale data on the device itself, as three
+//!   [`RetentionMode`]s.
+//!   *LocalSSD* / *LocalSSD+Compression* (Figure 2) conservatively retain all
+//!   stale data, evicting the oldest retained pages when the retention
+//!   budget (the device's spare capacity, optionally stretched by
+//!   compression) fills up; the *FlashGuard*-style mode ([`flashguard`])
+//!   retains only pages whose overwrite looks like encryption (the logical
+//!   page was read shortly before being overwritten). The first two lose to
+//!   the GC attack; the third defends it (suspects are pinned regardless of
+//!   capacity pressure) but is defeated by the timing attack (spacing read
+//!   and overwrite beyond its correlation window) and by the trimming attack
+//!   (trimmed pages are not considered suspects).
 //!
 //! RSSD itself lives in `rssd-core` and builds on the same primitives.
 //!
@@ -36,7 +39,6 @@ pub mod queue;
 pub mod retention;
 
 pub use device::{BlockDevice, DeviceError};
-pub use flashguard::{FlashGuardConfig, FlashGuardSsd};
 pub use nvme::{
     CommandId, CommandOutcome, CommandResult, Completion, CompletionQueue, IoCommand,
     NvmeController, QueueError, QueueId, QueuePairStats, SubmissionQueue,

@@ -1,30 +1,39 @@
-//! The *LocalSSD* and *LocalSSD+Compression* baselines (Figure 2).
+//! The one local-retention device: the *LocalSSD* and
+//! *LocalSSD+Compression* baselines (Figure 2) and the FlashGuard-style
+//! selective defense (Table 1) are three [`RetentionMode`]s of
+//! [`RetentionSsd`].
 //!
-//! These models retain **all** stale data locally — the most conservative
-//! policy possible without a network path. Their weakness is exactly what
-//! the paper quantifies: retention is bounded by the device's spare
-//! capacity, so under sustained writes (or a deliberate GC attack) the
-//! oldest retained data must be evicted, after which it is unrecoverable.
-//! Compression stretches the budget by roughly the achievable ratio but
-//! does not change the asymptote.
+//! Every mode pays for what it retains from the device's own spare capacity,
+//! so retention is bounded by it: under sustained writes (or a deliberate GC
+//! attack) the oldest retained data must be evicted, after which it is
+//! unrecoverable. Compression stretches the budget by roughly the achievable
+//! ratio but does not change the asymptote; retaining selectively (see
+//! [`crate::flashguard`]) protects the budget from floods but lets the
+//! timing and trimming attacks walk past the filter. The modes differ in
+//! exactly three places below: **what is admitted**, **how it is stored**
+//! and **when it is let go**.
 
 use crate::device::{BlockDevice, DeviceError};
+use crate::flashguard;
 use crate::queue::LatencyStats;
 use rssd_flash::{FlashGeometry, NandArray, NandTiming, Ppa, SimClock};
-use rssd_ftl::{Ftl, FtlConfig, FtlStats, InvalidateCause};
+use rssd_ftl::{Ftl, FtlConfig, FtlError, FtlStats, InvalidateCause};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
-/// How retained pages are stored locally.
+/// Which stale pages are retained locally, and how.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RetentionMode {
-    /// Stale pages stay pinned in place (LocalSSD): each costs a full
+    /// Every stale page stays pinned in place (LocalSSD): each costs a full
     /// physical page of spare capacity.
     RetainAll,
-    /// Stale pages are repacked into a compressed retention store and the
-    /// originals released to GC (LocalSSD+Compression): each costs its
+    /// Every stale page is repacked into a compressed retention store and
+    /// the original released to GC (LocalSSD+Compression): each costs its
     /// compressed size.
     Compressed,
+    /// Only an overwrite of a recently read page is retained, pinned in
+    /// place and for a bounded time (FlashGuard; see [`crate::flashguard`]).
+    ReadThenOverwrite,
 }
 
 /// Aggregate retention behaviour, reported to the Figure 2 bench.
@@ -33,7 +42,8 @@ pub enum RetentionMode {
 pub struct RetentionReport {
     /// Stale pages currently retained.
     pub retained_pages: u64,
-    /// Pages evicted (lost) because the budget filled.
+    /// Pages let go (lost): evicted because the budget filled or, in the
+    /// selective mode, aged out.
     pub evicted_pages: u64,
     /// Sum of retention durations of evicted pages (ns), for the average.
     pub evicted_retention_ns_sum: u128,
@@ -69,8 +79,9 @@ struct Retained {
     storage: Storage,
 }
 
-/// An SSD that conservatively retains every stale page locally, evicting the
-/// oldest once its spare-capacity budget fills.
+/// An SSD that retains stale pages locally — all of them or only suspected
+/// encryptions, per its [`RetentionMode`] — evicting the oldest once its
+/// spare-capacity budget fills.
 #[derive(Debug)]
 pub struct RetentionSsd {
     ftl: Ftl,
@@ -80,9 +91,11 @@ pub struct RetentionSsd {
     /// Per-LPA admission ids, newest last (recovery index).
     by_lpa: HashMap<u64, Vec<u64>>,
     next_id: u64,
+    /// Last host read time per LPA — the selective mode's
+    /// read-before-overwrite correlator; empty in the other modes.
+    last_read_ns: HashMap<u64, u64>,
     report: RetentionReport,
     latency: LatencyStats,
-    name: &'static str,
 }
 
 impl RetentionSsd {
@@ -108,15 +121,12 @@ impl RetentionSsd {
             retained: BTreeMap::new(),
             by_lpa: HashMap::new(),
             next_id: 0,
+            last_read_ns: HashMap::new(),
             report: RetentionReport {
                 budget_bytes,
                 ..RetentionReport::default()
             },
             latency: LatencyStats::new(),
-            name: match mode {
-                RetentionMode::RetainAll => "LocalSSD",
-                RetentionMode::Compressed => "LocalSSD+Compression",
-            },
         }
     }
 
@@ -141,25 +151,33 @@ impl RetentionSsd {
         self.ftl.stats()
     }
 
+    /// **What is admitted**: every overwritten or trimmed page, or only the
+    /// overwrites the FlashGuard predicate suspects.
     fn absorb_stale_events(&mut self) {
+        let now = self.ftl.clock().now_ns();
         for event in self.ftl.drain_stale_events() {
-            match event.cause {
-                InvalidateCause::Overwrite | InvalidateCause::Trim => {
-                    self.retain(event.lpa, event.ppa, event.invalidated_at_ns);
-                }
+            let admitted = match self.mode {
                 // Migrated data survives at its new location; nothing lost.
-                InvalidateCause::GcMigration => {}
+                RetentionMode::RetainAll | RetentionMode::Compressed => {
+                    event.cause != InvalidateCause::GcMigration
+                }
+                RetentionMode::ReadThenOverwrite => {
+                    flashguard::suspects(event.cause, self.last_read_ns.get(&event.lpa), now)
+                }
+            };
+            if admitted {
+                self.retain(event.lpa, event.ppa, event.invalidated_at_ns);
             }
         }
         self.enforce_budget();
     }
 
+    /// **How it is stored**: pinned in place, or repacked compressed.
     fn retain(&mut self, lpa: u64, ppa: Ppa, invalidated_at_ns: u64) {
-        let page_size = self.ftl.geometry().page_size as u64;
         let (storage, cost_bytes) = match self.mode {
-            RetentionMode::RetainAll => {
+            RetentionMode::RetainAll | RetentionMode::ReadThenOverwrite => {
                 self.ftl.pin_page(ppa);
-                (Storage::InPlace(ppa), page_size)
+                (Storage::InPlace(ppa), self.page_size() as u64)
             }
             RetentionMode::Compressed => {
                 // Repack: read the stale page, keep only the compressed blob,
@@ -189,35 +207,52 @@ impl RetentionSsd {
         self.report.used_bytes += cost_bytes;
     }
 
+    /// **When it is let go**: the selective mode first ages its suspects
+    /// out; then every mode evicts oldest-first down to the budget.
     fn enforce_budget(&mut self) {
+        if self.mode == RetentionMode::ReadThenOverwrite {
+            let now = self.ftl.clock().now_ns();
+            while self.retained.first_key_value().is_some_and(|(_, r)| {
+                now.saturating_sub(r.invalidated_at_ns) > flashguard::MAX_RETENTION_NS
+            }) {
+                self.evict_oldest(now);
+            }
+        }
         self.evict_down_to(self.report.budget_bytes);
     }
 
     fn evict_down_to(&mut self, target_bytes: u64) {
         let now = self.ftl.clock().now_ns();
-        while self.report.used_bytes > target_bytes {
-            let Some((&id, _)) = self.retained.iter().next() else {
-                break;
-            };
-            let entry = self.retained.remove(&id).expect("present");
-            if let Storage::InPlace(ppa) = entry.storage {
-                self.ftl.unpin_page(ppa);
-            }
-            if let Some(ids) = self.by_lpa.get_mut(&entry.lpa) {
-                ids.retain(|&i| i != id);
-            }
-            self.report.used_bytes -= entry.cost_bytes;
-            self.report.retained_pages -= 1;
-            self.report.evicted_pages += 1;
-            self.report.evicted_retention_ns_sum +=
-                u128::from(now.saturating_sub(entry.invalidated_at_ns));
+        while self.report.used_bytes > target_bytes && self.evict_oldest(now) {}
+    }
+
+    /// Lets the oldest retained page go; `false` when nothing is retained.
+    fn evict_oldest(&mut self, now: u64) -> bool {
+        let Some((id, entry)) = self.retained.pop_first() else {
+            return false;
+        };
+        if let Storage::InPlace(ppa) = entry.storage {
+            self.ftl.unpin_page(ppa);
         }
+        if let Some(ids) = self.by_lpa.get_mut(&entry.lpa) {
+            ids.retain(|&i| i != id);
+        }
+        self.report.used_bytes -= entry.cost_bytes;
+        self.report.retained_pages -= 1;
+        self.report.evicted_pages += 1;
+        self.report.evicted_retention_ns_sum +=
+            u128::from(now.saturating_sub(entry.invalidated_at_ns));
+        true
     }
 }
 
 impl BlockDevice for RetentionSsd {
     fn model_name(&self) -> &str {
-        self.name
+        match self.mode {
+            RetentionMode::RetainAll => "LocalSSD",
+            RetentionMode::Compressed => "LocalSSD+Compression",
+            RetentionMode::ReadThenOverwrite => "FlashGuard",
+        }
     }
 
     fn page_size(&self) -> usize {
@@ -234,24 +269,28 @@ impl BlockDevice for RetentionSsd {
 
     fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
         let start = self.ftl.clock().now_ns();
-        let mut evictions_tried = 0u32;
-        loop {
-            match self.ftl.write(lpa, data.clone()) {
-                Ok(()) => break,
-                Err(rssd_ftl::FtlError::DeviceFull) if evictions_tried < 8 => {
+        let mut payload = Some(data);
+        let mut relief_tried = 0u32;
+        let ticket = loop {
+            let buf = payload.take().ok_or(DeviceError::Stalled)?;
+            match self.ftl.write_async_reclaim(lpa, buf) {
+                Ok(ticket) => break ticket,
+                Err((FtlError::DeviceFull, reclaimed)) if relief_tried < 8 => {
                     // Capacity exhausted while retention holds pins: evict
                     // the oldest retained pages (a block's worth) so GC can
-                    // breathe, then retry. This is precisely the lever the
-                    // GC attack pulls — forced early eviction is data loss.
-                    evictions_tried += 1;
+                    // breathe, then retry with the buffer the FTL handed
+                    // back. This is precisely the lever the GC attack pulls
+                    // — forced early eviction is data loss.
+                    payload = reclaimed;
+                    relief_tried += 1;
                     let relief = self.ftl.geometry().block_bytes();
-                    let target = self.report.used_bytes.saturating_sub(relief);
-                    self.evict_down_to(target);
+                    self.evict_down_to(self.report.used_bytes.saturating_sub(relief));
                 }
-                Err(rssd_ftl::FtlError::DeviceFull) => return Err(DeviceError::Stalled),
-                Err(e) => return Err(e.into()),
+                Err((FtlError::DeviceFull, _)) => return Err(DeviceError::Stalled),
+                Err((e, _)) => return Err(e.into()),
             }
-        }
+        };
+        self.ftl.clock().advance_to(ticket.done_ns);
         self.absorb_stale_events();
         let end = self.ftl.clock().now_ns();
         self.latency.record(end - start);
@@ -260,6 +299,9 @@ impl BlockDevice for RetentionSsd {
 
     fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
         let start = self.ftl.clock().now_ns();
+        if self.mode == RetentionMode::ReadThenOverwrite {
+            self.last_read_ns.insert(lpa, start);
+        }
         let out = match self.ftl.read(lpa)? {
             Some(data) => data,
             None => vec![0u8; self.page_size()],

@@ -11,9 +11,7 @@ use rssd_repro::attacks::{
 };
 use rssd_repro::core::{LoopbackTarget, RssdConfig, RssdDevice};
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
-use rssd_repro::ssd::{
-    BlockDevice, FlashGuardConfig, FlashGuardSsd, PlainSsd, RetentionMode, RetentionSsd,
-};
+use rssd_repro::ssd::{flashguard, BlockDevice, PlainSsd, RetentionMode, RetentionSsd};
 
 const FILES: usize = 16;
 const PAGES: u64 = 8;
@@ -23,8 +21,11 @@ fn attack_device<D: BlockDevice>(mut device: D, attack: &str) -> (String, f64) {
     let outcome = match attack {
         "classic" => ClassicRansomware::new(1).execute(&mut device, &victims),
         "gc-flood" => GcAttack::new(1, 4).execute(&mut device, &victims),
-        "timing" => TimingAttack::new(1, 4, FlashGuardConfig::default().suspect_window_ns + 1)
-            .execute(&mut device, &victims, |_| Ok(())),
+        "timing" => TimingAttack::new(1, 4, flashguard::SUSPECT_WINDOW_NS + 1).execute(
+            &mut device,
+            &victims,
+            |_| Ok(()),
+        ),
         "trimming" => TrimAttack::new(1, false).execute(&mut device, &victims),
         other => panic!("unknown attack {other}"),
     }
@@ -52,7 +53,10 @@ fn main() {
             let clock = SimClock::new();
             let (model_name, fraction) = match model {
                 "plain" => attack_device(PlainSsd::new(geometry, timing, clock), attack),
-                "flashguard" => attack_device(FlashGuardSsd::new(geometry, timing, clock), attack),
+                "flashguard" => attack_device(
+                    RetentionSsd::new(geometry, timing, clock, RetentionMode::ReadThenOverwrite),
+                    attack,
+                ),
                 "localssd" => attack_device(
                     RetentionSsd::new(geometry, timing, clock, RetentionMode::RetainAll),
                     attack,

@@ -14,7 +14,7 @@ use rssd_repro::detect::Verdict;
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_repro::remote::RemoteLogServer;
 use rssd_repro::ssd::{
-    BlockDevice, CommandId, CommandOutcome, FlashGuardConfig, IoCommand, NvmeController,
+    flashguard, BlockDevice, CommandId, CommandOutcome, IoCommand, NvmeController,
 };
 use rssd_repro::trace::{replay_queued, TraceProfile};
 
@@ -127,7 +127,7 @@ fn timing_attack_detected_remotely_despite_rate_limiting() {
     let _ = replay_queued(&mut controller, background_queue, background);
     drop(controller);
 
-    let attack = TimingAttack::new(4, 4, FlashGuardConfig::default().suspect_window_ns * 2);
+    let attack = TimingAttack::new(4, 4, flashguard::SUSPECT_WINDOW_NS * 2);
     let outcome = attack.execute(&mut device, &victims, |_| Ok(())).unwrap();
     device.flush_log().unwrap();
 
