@@ -481,24 +481,6 @@ impl<D: BlockDevice> RssdArray<D> {
         )
     }
 
-    /// A scalar op is a member batch of one: `command` (addressed to array
-    /// page `lpa`) runs on its shard from the array's current time, and the
-    /// array clock advances to its completion.
-    fn execute_scalar(&mut self, lpa: u64, command: IoCommand) -> CommandResult {
-        self.check_range(lpa)?;
-        let (shard, local) = self.layout.locate(lpa);
-        let start = self.clock.now_ns();
-        let (mut results, end) = Self::execute_local(
-            &mut self.shards[shard],
-            shard,
-            vec![Self::to_local(command, local)],
-            self.page_size,
-            start,
-        );
-        self.clock.advance_to(end);
-        results.pop().expect("one command, one result").0
-    }
-
     /// Translates an array command to its member-local form.
     fn to_local(command: IoCommand, local: u64) -> IoCommand {
         match command {
@@ -507,6 +489,29 @@ impl<D: BlockDevice> RssdArray<D> {
             IoCommand::Trim { .. } => IoCommand::Trim { lpa: local },
             IoCommand::Flush => IoCommand::Flush,
         }
+    }
+
+    /// A `Flush` is a barrier across every reachable member, in parallel
+    /// time.
+    fn flush_members(&mut self) -> Result<(), DeviceError> {
+        let start = self.clock.now_ns();
+        let mut end = start;
+        let mut first_err = None;
+        for state in &mut self.shards {
+            match state {
+                ShardState::Live(device) | ShardState::Rebuilding { device, .. } => {
+                    device.clock().advance_to(start);
+                    if let (Err(e), None) = (device.flush(), first_err.as_ref()) {
+                        first_err = Some(e);
+                    }
+                    end = end.max(device.clock().now_ns());
+                }
+                // A failed member has nothing buffered to flush.
+                ShardState::Degraded(_) => {}
+            }
+        }
+        self.clock.advance_to(end);
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -527,45 +532,6 @@ impl<D: BlockDevice> BlockDevice for RssdArray<D> {
         &self.clock
     }
 
-    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        self.execute_scalar(lpa, IoCommand::Write { lpa, data })
-            .map(|_| ())
-    }
-
-    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        match self.execute_scalar(lpa, IoCommand::Read { lpa })? {
-            CommandOutcome::Read(data) => Ok(data),
-            other => unreachable!("read completed as {other:?}"),
-        }
-    }
-
-    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.execute_scalar(lpa, IoCommand::Trim { lpa })
-            .map(|_| ())
-    }
-
-    fn flush(&mut self) -> Result<(), DeviceError> {
-        // Barrier across every reachable member, in parallel time.
-        let start = self.clock.now_ns();
-        let mut end = start;
-        let mut first_err = None;
-        for state in &mut self.shards {
-            match state {
-                ShardState::Live(device) | ShardState::Rebuilding { device, .. } => {
-                    device.clock().advance_to(start);
-                    if let (Err(e), None) = (device.flush(), first_err.as_ref()) {
-                        first_err = Some(e);
-                    }
-                    end = end.max(device.clock().now_ns());
-                }
-                // A failed member has nothing buffered to flush.
-                ShardState::Degraded(_) => {}
-            }
-        }
-        self.clock.advance_to(end);
-        first_err.map_or(Ok(()), Err)
-    }
-
     /// Splits the batch per shard (preserving per-shard command order) and
     /// dispatches the sub-batches through each member's native
     /// `submit_batch_timed`, so member-level pipelining and batching
@@ -582,7 +548,7 @@ impl<D: BlockDevice> BlockDevice for RssdArray<D> {
             match command.lpa() {
                 None => {
                     self.dispatch(&mut pending, &mut results);
-                    let flushed = self.flush().map(|()| CommandOutcome::Flushed);
+                    let flushed = self.flush_members().map(|()| CommandOutcome::Flushed);
                     results[slot] = Some((flushed, self.clock.now_ns()));
                 }
                 Some(lpa) => {

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use rssd_array::{RssdArray, StripeLayout};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
-use rssd_ssd::{BlockDevice, CommandResult, DeviceError, IoCommand, PlainSsd};
+use rssd_ssd::{BlockDevice, CommandResult, IoCommand, PlainSsd};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
@@ -48,17 +48,19 @@ impl BlockDevice for OrderProbe {
     fn clock(&self) -> &SimClock {
         self.inner.clock()
     }
-    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        self.log.lock().unwrap().push((self.shard, 'w', lpa));
-        self.inner.write_page(lpa, data)
-    }
-    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        self.log.lock().unwrap().push((self.shard, 'r', lpa));
-        self.inner.read_page(lpa)
-    }
-    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.log.lock().unwrap().push((self.shard, 't', lpa));
-        self.inner.trim_page(lpa)
+    fn submit_batch_timed(&mut self, commands: Vec<IoCommand>) -> Vec<(CommandResult, u64)> {
+        let mut log = self.log.lock().unwrap();
+        for command in &commands {
+            let (kind, lpa) = match command {
+                IoCommand::Write { lpa, .. } => ('w', *lpa),
+                IoCommand::Read { lpa } => ('r', *lpa),
+                IoCommand::Trim { lpa } => ('t', *lpa),
+                IoCommand::Flush => continue,
+            };
+            log.push((self.shard, kind, lpa));
+        }
+        drop(log);
+        self.inner.submit_batch_timed(commands)
     }
 }
 

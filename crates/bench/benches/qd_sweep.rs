@@ -1,27 +1,37 @@
 //! Queue-depth sweep: the performance knob the NVMe-style multi-queue host
 //! interface adds, now riding real device-internal parallelism.
 //!
-//! Replays the same mixed 4 KiB workload against the plain SSD and RSSD at
-//! queue depth 1, 8 and 32 (arbitration burst = depth, so one round batches
-//! a full window). Each batch dispatches onto the flash unit pipelines —
-//! writes stripe across the 4 channels, commands complete out of order as
-//! units free up — so throughput must scale with depth (QD32 ≥ 2× QD1,
-//! asserted here, once, on the rows this bench writes; the tier-1
-//! `qd_scaling` test pins the same claim on a smaller replay). Reports
-//! host-visible queue latency (mean/p50/p99 from the log-linear histogram),
-//! simulated completion time, throughput, per-channel utilization
-//! (busy_ns / wall_ns), and for RSSD the overhead delta versus plain —
-//! RSSD's offload reads occupy real units, so its cost is visible at
-//! depth and hidden in idle windows at QD1.
+//! Replays the same mixed 4 KiB workload against the plain SSD, RSSD and the
+//! three local-retention baselines at queue depth 1, 8 and 32 (arbitration
+//! burst = depth, so one round batches a full window). Every model runs the
+//! one block path (`rssd_ssd::execute_batch`), so the rows differ by what
+//! each model's policy hooks add and by nothing else. Each batch dispatches
+//! onto the flash unit pipelines — writes stripe across the 4 channels,
+//! commands complete out of order as units free up — so throughput must
+//! scale with depth (QD32 ≥ 2× QD1, asserted here, once, on the rows this
+//! bench writes; the tier-1 `qd_scaling` test pins the same claim on a
+//! smaller replay). Reports host-visible queue latency (mean/p50/p99 from
+//! the log-linear histogram), simulated completion time, throughput,
+//! per-channel utilization (busy_ns / wall_ns), and for every protected
+//! model the overhead delta versus plain, asserted non-negative at every
+//! depth: a hook can only add work. RSSD's offload reads occupy real units,
+//! so its cost is visible at depth and hidden in idle windows at QD1;
+//! pinning in place (LocalSSD, FlashGuard) costs no flash time until GC
+//! pressure; LocalSSD+Compression pays a blocking repack read per retained
+//! page.
 
 use criterion::{criterion_group, Criterion};
-use rssd_bench::{bench_geometry, mk_plain, mk_rssd, rule, write_bench_json, BenchRow};
+use rssd_bench::{
+    bench_geometry, mk_plain, mk_retention, mk_rssd, rule, write_bench_json, BenchRow,
+};
 use rssd_flash::{NandStats, NandTiming, SimClock};
-use rssd_ssd::{BlockDevice, NvmeController, QueuePairStats};
+use rssd_ssd::{BlockDevice, NvmeController, QueuePairStats, RetentionMode};
 use rssd_trace::{replay_queued, IoRecord, PayloadKind, WorkloadBuilder};
 
 const OPS: usize = 4_000;
 const DEPTHS: [usize; 3] = [1, 8, 32];
+/// `plain` first: the rows after it are measured against it.
+const MODELS: [&str; 5] = ["plain", "rssd", "localssd", "localssd_comp", "flashguard"];
 
 fn workload(logical_pages: u64) -> Vec<IoRecord> {
     // Warm-up fill so reads hit mapped pages, then a mixed random workload.
@@ -81,40 +91,49 @@ fn run_at_depth<D: BlockDevice>(
     }
 }
 
+fn run_model(model: &str, depth: usize) -> SweepRun {
+    let (g, timing) = (bench_geometry(), NandTiming::mlc_default());
+    let retention = |mode| {
+        run_at_depth(mk_retention(g, timing, SimClock::new(), mode), depth, |d| {
+            d.nand_stats().clone()
+        })
+    };
+    match model {
+        "plain" => run_at_depth(mk_plain(g, timing, SimClock::new()), depth, |d| {
+            d.nand_stats().clone()
+        }),
+        "rssd" => run_at_depth(mk_rssd(g, timing, SimClock::new()), depth, |d| {
+            d.nand_stats().clone()
+        }),
+        "localssd" => retention(RetentionMode::RetainAll),
+        "localssd_comp" => retention(RetentionMode::Compressed),
+        "flashguard" => retention(RetentionMode::ReadThenOverwrite),
+        other => unreachable!("no such model: {other}"),
+    }
+}
+
 fn print_sweep() {
     println!(
-        "\n=== qd_sweep: queue-depth sweep, plain vs RSSD (MLC timing, 4-channel pipelines) ==="
+        "\n=== qd_sweep: queue-depth sweep, plain vs protected models (MLC timing, 4-channel pipelines) ==="
     );
     println!(
-        "{:<8} {:>4} {:>12} {:>12} {:>12} {:>12} {:>12} {:>10}",
+        "{:<14} {:>4} {:>12} {:>12} {:>12} {:>12} {:>12} {:>10}",
         "Model", "QD", "mean (µs)", "p50 (µs)", "p99 (µs)", "kIOPS", "sim end (ms)", "chan util"
     );
-    println!("{}", rule(90));
-    let g = bench_geometry();
+    println!("{}", rule(96));
     let mut rows = Vec::new();
     let mut kiops: Vec<(String, usize, f64)> = Vec::new();
     let mut latency_spreads = false;
     for &depth in &DEPTHS {
         let mut plain_tput = 0.0;
-        for model in ["plain", "rssd"] {
-            let run = match model {
-                "plain" => run_at_depth(
-                    mk_plain(g, NandTiming::mlc_default(), SimClock::new()),
-                    depth,
-                    |d| d.nand_stats().clone(),
-                ),
-                _ => run_at_depth(
-                    mk_rssd(g, NandTiming::mlc_default(), SimClock::new()),
-                    depth,
-                    |d| d.nand_stats().clone(),
-                ),
-            };
+        for model in MODELS {
+            let run = run_model(model, depth);
             let tput = run.throughput_kiops();
             let p50_us = run.stats.latency.percentile_ns(50.0) as f64 / 1000.0;
             let p99_us = run.stats.latency.percentile_ns(99.0) as f64 / 1000.0;
             latency_spreads |= p50_us < p99_us;
             println!(
-                "{:<8} {:>4} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.2} {:>9.0}%",
+                "{:<14} {:>4} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.2} {:>9.0}%",
                 model,
                 depth,
                 run.stats.latency.mean_ns() / 1000.0,
@@ -136,14 +155,16 @@ fn print_sweep() {
                 plain_tput = tput;
             } else {
                 // The measured overhead delta vs the plain row at the same
-                // depth: positive = RSSD is slower (its offload engine
-                // occupying units), near-zero at QD1 where the occupation
-                // hides in idle windows.
-                let overhead_pct = if plain_tput > 0.0 {
-                    (plain_tput - tput) / plain_tput * 100.0
-                } else {
-                    0.0
-                };
+                // depth: positive = the protected model is slower (RSSD's
+                // offload engine occupying units; near-zero at QD1 where
+                // the occupation hides in idle windows). Never negative:
+                // the models share the block path, and a hook only adds.
+                assert!(
+                    tput <= plain_tput,
+                    "{model} must not out-run plain at QD{depth} \
+                     ({tput:.3} vs {plain_tput:.3} kIOPS)"
+                );
+                let overhead_pct = (plain_tput - tput) / plain_tput * 100.0;
                 metrics.push(("overhead_vs_plain_pct", overhead_pct));
             }
             rows.push(BenchRow {
@@ -160,10 +181,10 @@ fn print_sweep() {
 
     // The acceptance gates, asserted before the summary is written so a
     // violated claim cannot be re-baselined into the file: throughput must
-    // rise with depth for each model, QD32 must reach 2× QD1 on the
+    // rise with depth for every model, QD32 must reach 2× QD1 on the
     // 4-channel default geometry, the rssd rows must not be byte-identical
     // to plain, and the log-linear histogram must resolve p50 from p99.
-    for model in ["plain", "rssd"] {
+    for model in MODELS {
         let series: Vec<(usize, f64)> = kiops
             .iter()
             .filter(|(m, _, _)| m == model)

@@ -10,10 +10,13 @@ use crate::remote_target::{RemoteError, RemoteTarget};
 use rssd_compress::shannon_entropy;
 use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
 use rssd_flash::{FlashGeometry, NandArray, NandTiming, SimClock};
-use rssd_ftl::{Ftl, FtlConfig, FtlError, FtlStats, InvalidateCause};
+use rssd_ftl::{Ftl, FtlConfig, FtlStats, InvalidateCause};
 use rssd_net::SecureSession;
 use rssd_obs::{ProfilerHandle, SinkHandle};
-use rssd_ssd::{BlockDevice, CommandOutcome, CommandResult, DeviceError, IoCommand, LatencyStats};
+use rssd_ssd::{
+    execute_batch, BlockDevice, BlockPolicy, CommandOutcome, CommandResult, DeviceError, IoCommand,
+    LatencyStats,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -77,17 +80,6 @@ impl CrashRecovery {
         self.versions_indexed += other.versions_indexed;
         self.resumed_seq += other.resumed_seq;
     }
-}
-
-/// How a host command reached the device: alone — the clock advances to
-/// its flash completion before its log record is stamped, and the background
-/// offload thresholds are tested after it — or inside a batch, which
-/// dispatches everything from its start time and tests the thresholds once,
-/// at its end (sync backpressure offloads never wait for a batch boundary).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Submission {
-    Scalar,
-    Batched,
 }
 
 /// The ransomware-aware SSD: conservative retention + hardware-assisted
@@ -561,19 +553,28 @@ impl<R: RemoteTarget> RssdDevice<R> {
         self.engine.profiler.exit();
         result
     }
+}
 
-    /// Write path shared by the scalar and batched interfaces, returning
-    /// the flash completion time.
-    fn write_page_inner(
-        &mut self,
-        lpa: u64,
-        data: Vec<u8>,
-        submission: Submission,
-    ) -> Result<u64, DeviceError> {
+/// What RSSD adds to the block path — every hook of the policy does work.
+impl<R: RemoteTarget> BlockPolicy for RssdDevice<R> {
+    /// A write's `(entropy_mil, read_before)` log metadata.
+    type Note = (u16, bool);
+
+    fn parts(&mut self) -> (&mut Ftl, &mut LatencyStats) {
+        (&mut self.ftl, &mut self.latency)
+    }
+
+    fn admit(&mut self, command: &IoCommand) -> Result<Self::Note, DeviceError> {
         if self.crashed {
             return Err(DeviceError::PowerLoss);
         }
-        self.engine.retire_acked(&mut self.ftl);
+        if !matches!(command, IoCommand::Flush) {
+            // (The drain a flush forces retires the landed acks itself.)
+            self.engine.retire_acked(&mut self.ftl);
+        }
+        let IoCommand::Write { lpa, data } = command else {
+            return Ok(Self::Note::default());
+        };
         // Admission control along the degradation slope. Stalled gets one
         // forced drain first — with a frozen backlog the only way out is an
         // attempt, and a healed link recovers on the very next write.
@@ -593,105 +594,67 @@ impl<R: RemoteTarget> RssdDevice<R> {
             }
             _ => {}
         }
-        let start = self.ftl.clock().now_ns();
-        let entropy_mil = (shannon_entropy(&data) * 1000.0) as u16;
-        let last_read = self.recent_reads.get(&lpa);
-        let read_before =
-            last_read.is_some_and(|&t| start.saturating_sub(t) <= Self::READ_WINDOW_NS);
+        let now = self.ftl.clock().now_ns();
+        let entropy_mil = (shannon_entropy(data) * 1000.0) as u16;
+        let read_before = self
+            .recent_reads
+            .get(lpa)
+            .is_some_and(|&t| now.saturating_sub(t) <= Self::READ_WINDOW_NS);
+        Ok((entropy_mil, read_before))
+    }
 
-        let mut sync_tried = 0u32;
-        let mut payload = Some(data);
-        let ticket = loop {
-            let buf = payload.take().expect("payload present on every attempt");
-            match self.ftl.write_async_reclaim(lpa, buf) {
-                Ok(ticket) => break ticket,
-                Err((FtlError::DeviceFull, reclaimed)) if sync_tried < 4 => {
-                    // Backpressure: synchronously offload pinned data, then
-                    // retry with the reclaimed buffer — `DeviceFull` is
-                    // raised before the NAND consumes the payload, so no
-                    // clone is ever needed. RSSD never *drops* retained
-                    // data — if neither the remote nor the spill region can
-                    // absorb it the device stalls instead.
-                    payload = reclaimed;
-                    sync_tried += 1;
-                    self.engine.stats.sync_offloads += 1;
-                    let pinned_before = self.ftl.pinned_pages();
-                    let shipped = self.offload(true).is_ok();
-                    if !shipped && self.ftl.pinned_pages() >= pinned_before {
-                        // Neither the wire nor the spill freed anything.
-                        return Err(DeviceError::Stalled);
-                    }
-                    if payload.is_none() {
-                        return Err(DeviceError::Stalled);
-                    }
-                }
-                Err((FtlError::DeviceFull, _)) => return Err(DeviceError::Stalled),
-                Err((e, _)) => return Err(e.into()),
+    /// Backpressure: synchronously offload pinned data. RSSD never *drops*
+    /// retained data — if neither the remote nor the spill region can
+    /// absorb it the device stalls instead.
+    fn relieve(&mut self, attempt: u32) -> bool {
+        if attempt >= 4 {
+            return false;
+        }
+        self.engine.stats.sync_offloads += 1;
+        let pinned_before = self.ftl.pinned_pages();
+        let shipped = self.offload(true).is_ok();
+        // Otherwise neither the wire nor the spill freed anything.
+        shipped || self.ftl.pinned_pages() < pinned_before
+    }
+
+    fn committed(&mut self, lpa: u64, outcome: &CommandOutcome, note: Self::Note) {
+        let (entropy_mil, read_before) = note;
+        match outcome {
+            CommandOutcome::Read(_) => {
+                self.recent_reads.insert(lpa, self.ftl.clock().now_ns());
+                // Host reads join the evidence chain, metadata only: it
+                // costs log volume and buys read-before-overwrite evidence
+                // for forensics.
+                self.log_operation(LogOp::Read, lpa, None, 0, false);
             }
-        };
-        if submission == Submission::Scalar {
-            self.ftl.clock().advance_to(ticket.done_ns);
+            CommandOutcome::Written => {
+                // Absorb events; a fresh write (no old version was
+                // retained) still gets a metadata-only log record.
+                let before = self.chain.next_seq();
+                self.absorb_stale_events(entropy_mil, read_before);
+                if self.chain.next_seq() == before {
+                    self.log_operation(LogOp::Write, lpa, None, entropy_mil, read_before);
+                }
+            }
+            // Enhanced trim: host semantics preserved (reads return
+            // zeroes), but the trimmed version is retained and logged like
+            // any overwrite.
+            CommandOutcome::Trimmed => self.absorb_stale_events(0, false),
+            CommandOutcome::Flushed => {}
         }
-
-        // Absorb events; a fresh write (no old version was retained) still
-        // gets a metadata-only log record.
-        let before = self.chain.next_seq();
-        self.absorb_stale_events(entropy_mil, read_before);
-        if self.chain.next_seq() == before {
-            self.log_operation(LogOp::Write, lpa, None, entropy_mil, read_before);
-        }
-        if submission == Submission::Scalar {
-            self.offload_if_due();
-        }
-        self.latency.record(ticket.done_ns.saturating_sub(start));
-        Ok(ticket.done_ns)
     }
 
-    fn read_page_inner(
-        &mut self,
-        lpa: u64,
-        submission: Submission,
-    ) -> Result<(Vec<u8>, u64), DeviceError> {
-        if self.crashed {
-            return Err(DeviceError::PowerLoss);
-        }
-        self.engine.retire_acked(&mut self.ftl);
-        let start = self.ftl.clock().now_ns();
-        self.recent_reads.insert(lpa, start);
-        let (data, ticket) = self.ftl.read_async(lpa)?;
-        if submission == Submission::Scalar {
-            self.ftl.clock().advance_to(ticket.done_ns);
-        }
-        let out = match data {
-            Some(data) => data,
-            None => vec![0u8; self.page_size()],
-        };
-        // Host reads join the evidence chain, metadata only: it costs log
-        // volume and buys read-before-overwrite evidence for forensics.
-        self.log_operation(LogOp::Read, lpa, None, 0, false);
-        if submission == Submission::Scalar
-            && self.pending.records.len() >= self.config.segment_pages * 8
-        {
-            let _ = self.offload(false);
-        }
-        self.latency.record(ticket.done_ns.saturating_sub(start));
-        Ok((out, ticket.done_ns))
+    /// Conservative retention holds the data; flush is best-effort.
+    fn barrier(&mut self) {
+        let _ = self.flush_log();
     }
 
-    fn trim_page_inner(&mut self, lpa: u64, submission: Submission) -> Result<u64, DeviceError> {
-        if self.crashed {
-            return Err(DeviceError::PowerLoss);
-        }
-        self.engine.retire_acked(&mut self.ftl);
-        // Enhanced trim: host semantics preserved (reads return zeroes), but
-        // the trimmed version is retained and logged like any overwrite.
-        // Pure mapping-table work: no flash op, no simulated time.
-        self.ftl.trim(lpa)?;
-        self.absorb_stale_events(0, false);
-        if submission == Submission::Scalar && self.should_offload() {
-            let _ = self.offload(false);
-        }
-        Ok(self.ftl.clock().now_ns())
+    /// One coalesced background offload for the whole batch (the seal
+    /// covers everything pending in a single segment, so one call settles
+    /// any threshold crossed above). Synchronous backpressure offloads — a
+    /// full device mid batch — never wait for it.
+    fn batch_end(&mut self) {
+        self.offload_if_due();
     }
 }
 
@@ -712,81 +675,8 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
         self.ftl.clock()
     }
 
-    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        self.write_page_inner(lpa, data, Submission::Scalar)
-            .map(|_| ())
-    }
-
-    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        self.read_page_inner(lpa, Submission::Scalar)
-            .map(|(data, _)| data)
-    }
-
-    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.trim_page_inner(lpa, Submission::Scalar).map(|_| ())
-    }
-
-    /// Native batched entry point: executes the commands in order with the
-    /// same logging, retention and backpressure semantics as the scalar
-    /// methods, but pipelined and amortized:
-    ///
-    /// * every flash operation is *dispatched* onto the device's unit
-    ///   pipelines (writes stripe across channels, reads ride the units
-    ///   their pages live on), completion times come back per command and
-    ///   out of order, and the clock advances once — to the batch's latest
-    ///   completion — when the batch returns;
-    /// * instead of testing the offload thresholds (and potentially
-    ///   sealing, compressing and shipping a segment) after every command,
-    ///   the whole batch is covered by a single threshold check and at most
-    ///   one coalesced segment flush. Synchronous backpressure offloads (a
-    ///   full device mid batch) still happen immediately; only the
-    ///   *background* flush is deferred.
-    ///
-    /// Host-visible state — contents, retained versions, the evidence
-    /// chain — is identical to the scalar loop; only timing differs.
     fn submit_batch_timed(&mut self, commands: Vec<IoCommand>) -> Vec<(CommandResult, u64)> {
-        let mut results = Vec::with_capacity(commands.len());
-        let mut horizon = self.ftl.clock().now_ns();
-        for command in commands {
-            let dispatched = self.ftl.clock().now_ns();
-            let (result, done) = match command {
-                IoCommand::Read { lpa } => match self.read_page_inner(lpa, Submission::Batched) {
-                    Ok((data, done)) => (Ok(CommandOutcome::Read(data)), done),
-                    Err(e) => (Err(e), dispatched),
-                },
-                IoCommand::Write { lpa, data } => {
-                    match self.write_page_inner(lpa, data, Submission::Batched) {
-                        Ok(done) => (Ok(CommandOutcome::Written), done),
-                        Err(e) => (Err(e), dispatched),
-                    }
-                }
-                IoCommand::Trim { lpa } => match self.trim_page_inner(lpa, Submission::Batched) {
-                    Ok(done) => (Ok(CommandOutcome::Trimmed), done),
-                    Err(e) => (Err(e), dispatched),
-                },
-                IoCommand::Flush => match self.flush() {
-                    Ok(()) => (Ok(CommandOutcome::Flushed), self.ftl.clock().now_ns()),
-                    Err(e) => (Err(e), dispatched),
-                },
-            };
-            horizon = horizon.max(done);
-            results.push((result, done));
-        }
-        // One coalesced background offload for the whole batch (the seal
-        // covers everything pending in a single segment, so one call
-        // settles any threshold crossed above).
-        self.offload_if_due();
-        self.ftl.clock().advance_to(horizon);
-        results
-    }
-
-    fn flush(&mut self) -> Result<(), DeviceError> {
-        if self.crashed {
-            return Err(DeviceError::PowerLoss);
-        }
-        // Conservative retention holds the data; flush is best-effort.
-        let _ = self.flush_log();
-        Ok(())
+        execute_batch(self, commands)
     }
 
     fn recover_page(&mut self, lpa: u64) -> Option<Vec<u8>> {
@@ -1005,6 +895,21 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_reads_leave_no_controller_state() {
+        // The host controls the address: a refused read must not cost RAM.
+        let mut d = device();
+        let base = d.logical_pages();
+        for k in 0..10_000u64 {
+            assert!(matches!(
+                d.read_page(base + k),
+                Err(DeviceError::OutOfRange { lpa, .. }) if lpa == base + k
+            ));
+        }
+        assert!(d.recent_reads.is_empty());
+        assert_eq!(d.chain_len(), 0);
+    }
+
+    #[test]
     fn batched_submission_matches_scalar_semantics() {
         let commands = |n: u64| -> Vec<IoCommand> {
             let mut cmds = Vec::new();
@@ -1044,8 +949,8 @@ mod tests {
 
     #[test]
     fn batch_coalesces_background_offload_flushes() {
-        // 64 overwrites with segment_pages=8: the scalar path seals a
-        // segment every ~8 retained pages, the batched path at most once.
+        // 64 overwrites with segment_pages=8: batches of one seal a segment
+        // every ~8 retained pages, one batch of 64 at most once.
         let fill = |d: &mut RssdDevice<LoopbackTarget>| {
             for i in 0..16u64 {
                 d.write_page(i % 4, page(i as u8)).unwrap();

@@ -2,13 +2,14 @@
 //! [`FaultSchedule`] against the device it wraps.
 //!
 //! The injector maintains the **operation counter** fault schedules are
-//! keyed by: every command it forwards (scalar or batched) increments it,
-//! and before each command it fires the events that have come due —
-//! partition windows open and heal, shards die, and power cuts land. A cut
-//! that falls inside a `submit_batch` **tears the batch**: the prefix
-//! before the cut executes through the device's native batched path and
-//! persists; the suffix completes with [`DeviceError::PowerLoss`], exactly
-//! like commands that were in flight when a real capacitor ran dry.
+//! keyed by: every command it forwards increments it, and before each
+//! command it fires the events that have come due — partition windows open
+//! and heal, shards die, and power cuts land. A cut that falls inside a
+//! `submit_batch` **tears the batch**: the prefix before the cut executes
+//! through the device's batched path and persists; the suffix completes
+//! with [`DeviceError::PowerLoss`], exactly like commands that were in
+//! flight when a real capacitor ran dry. A scalar call is a batch of one:
+//! it either runs or is cut whole, and never counts as torn.
 //!
 //! Because the injector is itself a [`BlockDevice`] (and a
 //! [`FaultTarget`]), it composes under the NVMe controller, the replay
@@ -198,16 +199,6 @@ impl<D: FaultTarget> FaultInjector<D> {
         }
         false
     }
-
-    fn pre_op(&mut self) -> Result<(), DeviceError> {
-        if self.powered_off {
-            return Err(DeviceError::PowerLoss);
-        }
-        if self.fire_due_events() {
-            return Err(DeviceError::PowerLoss);
-        }
-        Ok(())
-    }
 }
 
 impl<D: FaultTarget> BlockDevice for FaultInjector<D> {
@@ -225,34 +216,6 @@ impl<D: FaultTarget> BlockDevice for FaultInjector<D> {
 
     fn clock(&self) -> &SimClock {
         self.inner.clock()
-    }
-
-    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        self.pre_op()?;
-        let result = self.inner.write_page(lpa, data);
-        self.ops_executed += 1;
-        result
-    }
-
-    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        self.pre_op()?;
-        let result = self.inner.read_page(lpa);
-        self.ops_executed += 1;
-        result
-    }
-
-    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.pre_op()?;
-        let result = self.inner.trim_page(lpa);
-        self.ops_executed += 1;
-        result
-    }
-
-    fn flush(&mut self) -> Result<(), DeviceError> {
-        self.pre_op()?;
-        let result = self.inner.flush();
-        self.ops_executed += 1;
-        result
     }
 
     /// Forwards the batch through the wrapped device's native (pipelined)

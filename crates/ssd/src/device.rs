@@ -83,11 +83,12 @@ impl From<FtlError> for DeviceError {
 /// however privileged) sees. Everything underneath — mapping, retention,
 /// logging, network offload — is hardware-isolated device state.
 ///
-/// Hosts normally drive a device through the NVMe-style queue layer
-/// ([`NvmeController`](crate::NvmeController)), which funnels every
-/// arbitration round through [`submit_batch`](Self::submit_batch); the
-/// scalar methods remain the single-command compatibility path (and the
-/// default implementation of the batched one).
+/// There is one way to submit I/O:
+/// [`submit_batch_timed`](Self::submit_batch_timed), which the NVMe-style
+/// queue layer ([`NvmeController`](crate::NvmeController)) drives once per
+/// arbitration round. Every other submission method is provided on top of
+/// it, and a scalar call is a batch of one — same code, same clock rule,
+/// same log stamps as one command on a depth-1 queue.
 pub trait BlockDevice {
     /// Human-readable model name (used in experiment tables).
     fn model_name(&self) -> &str;
@@ -101,61 +102,27 @@ pub trait BlockDevice {
     /// Handle to the simulation clock driving this device.
     fn clock(&self) -> &SimClock;
 
-    /// Writes one logical page.
+    /// Executes a batch of queued commands in order, returning `(result,
+    /// completion_time_ns)` per command, in submission order.
     ///
-    /// # Errors
+    /// The batch is *dispatched* onto the device's unit pipelines: commands
+    /// on independent channels/chips/planes overlap, completion times come
+    /// back out of order relative to submission, and the device clock
+    /// advances once — to the batch's latest completion — when the batch
+    /// returns (the "caller blocks on a completion" rule of the timing
+    /// model). FTL-backed models implement this with
+    /// [`execute_batch`](crate::execute_batch).
     ///
-    /// Implementations return [`DeviceError`] on invalid addresses, size
-    /// mismatches, or unreclaimable capacity exhaustion.
-    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError>;
+    /// Implementations must return exactly `commands.len()` results.
+    /// Completion times must be on the device's [`SimClock`] timeline and
+    /// at or after the clock value at the corresponding command's dispatch.
+    /// How a command list is cut into batches may change only time: page
+    /// contents, retained versions and the order of the evidence chain must
+    /// not depend on it.
+    fn submit_batch_timed(&mut self, commands: Vec<IoCommand>) -> Vec<(CommandResult, u64)>;
 
-    /// Reads one logical page; unmapped pages read as zeroes (the behaviour
-    /// of a real SSD after trim/deallocate).
-    ///
-    /// # Errors
-    ///
-    /// Implementations return [`DeviceError`] on invalid addresses.
-    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError>;
-
-    /// Trims (deallocates) one logical page.
-    ///
-    /// # Errors
-    ///
-    /// Implementations return [`DeviceError`] on invalid addresses.
-    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError>;
-
-    /// Flushes any buffered state (a barrier; default no-op).
-    ///
-    /// # Errors
-    ///
-    /// Implementations may surface deferred write-back failures here.
-    fn flush(&mut self) -> Result<(), DeviceError> {
-        Ok(())
-    }
-
-    /// Executes one queued command via the scalar methods.
-    fn execute(&mut self, command: IoCommand) -> CommandResult {
-        match command {
-            IoCommand::Read { lpa } => self.read_page(lpa).map(CommandOutcome::Read),
-            IoCommand::Write { lpa, data } => {
-                self.write_page(lpa, data).map(|()| CommandOutcome::Written)
-            }
-            IoCommand::Trim { lpa } => self.trim_page(lpa).map(|()| CommandOutcome::Trimmed),
-            IoCommand::Flush => self.flush().map(|()| CommandOutcome::Flushed),
-        }
-    }
-
-    /// Executes a batch of queued commands, returning one result per
-    /// command, in order.
-    ///
-    /// The default implementation strips the completion times off
-    /// [`submit_batch_timed`](Self::submit_batch_timed), so a device only
-    /// ever overrides the timed entry point.
-    ///
-    /// Implementations must preserve command order and must return exactly
-    /// `commands.len()` results; host-visible semantics (page contents,
-    /// retained versions, the evidence chain) must be identical to the
-    /// scalar loop.
+    /// [`submit_batch_timed`](Self::submit_batch_timed) without the
+    /// completion times.
     fn submit_batch(&mut self, commands: Vec<IoCommand>) -> Vec<CommandResult> {
         self.submit_batch_timed(commands)
             .into_iter()
@@ -163,32 +130,54 @@ pub trait BlockDevice {
             .collect()
     }
 
-    /// Executes a batch of queued commands, returning `(result,
-    /// completion_time_ns)` per command, in submission order — the entry
-    /// point the NVMe controller drives.
+    /// Executes one command as a batch of one.
+    fn execute(&mut self, command: IoCommand) -> CommandResult {
+        let (result, _) = self
+            .submit_batch_timed(vec![command])
+            .pop()
+            .expect("one result per command");
+        result
+    }
+
+    /// Writes one logical page.
     ///
-    /// The default implementation is the scalar loop (each command blocks,
-    /// its completion time is the clock after it), so every [`BlockDevice`]
-    /// works under the queue layer unchanged. Devices that model internal
-    /// parallelism override this to *dispatch* the whole batch onto their
-    /// unit pipelines: commands on independent channels/chips/planes
-    /// overlap, completion times come back out of order relative to
-    /// submission, and the device clock advances once — to the batch's
-    /// latest completion — when the batch returns (the "caller blocks on a
-    /// completion" rule of the timing model).
+    /// # Errors
     ///
-    /// Completion times must be on the device's [`SimClock`] timeline and
-    /// at or after the clock value at the corresponding command's dispatch;
-    /// host-visible semantics must be identical to the scalar loop — only
-    /// timing may differ.
-    fn submit_batch_timed(&mut self, commands: Vec<IoCommand>) -> Vec<(CommandResult, u64)> {
-        commands
-            .into_iter()
-            .map(|c| {
-                let result = self.execute(c);
-                (result, self.clock().now_ns())
-            })
-            .collect()
+    /// [`DeviceError`] on invalid addresses, size mismatches, or
+    /// unreclaimable capacity exhaustion.
+    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
+        self.execute(IoCommand::Write { lpa, data }).map(|_| ())
+    }
+
+    /// Reads one logical page; unmapped pages read as zeroes (the behaviour
+    /// of a real SSD after trim/deallocate).
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError`] on invalid addresses.
+    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
+        match self.execute(IoCommand::Read { lpa })? {
+            CommandOutcome::Read(data) => Ok(data),
+            other => unreachable!("read completed as {other:?}"),
+        }
+    }
+
+    /// Trims (deallocates) one logical page.
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError`] on invalid addresses.
+    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
+        self.execute(IoCommand::Trim { lpa }).map(|_| ())
+    }
+
+    /// Flushes any buffered state (a barrier).
+    ///
+    /// # Errors
+    ///
+    /// Implementations may surface deferred write-back failures here.
+    fn flush(&mut self) -> Result<(), DeviceError> {
+        self.execute(IoCommand::Flush).map(|_| ())
     }
 
     /// Best-effort recovery of the newest *retained* pre-attack version of
@@ -309,32 +298,5 @@ mod tests {
                 Some(DeviceError::OutOfRange { lpa, .. }) if lpa == bad
             ));
         }
-    }
-
-    #[test]
-    fn default_submit_batch_matches_scalar_loop() {
-        let mk = || {
-            PlainSsd::new(
-                FlashGeometry::small_test(),
-                NandTiming::instant(),
-                SimClock::new(),
-            )
-        };
-        let commands = vec![
-            IoCommand::Write {
-                lpa: 0,
-                data: vec![1; 4096],
-            },
-            IoCommand::Read { lpa: 0 },
-            IoCommand::Trim { lpa: 0 },
-            IoCommand::Read { lpa: 0 },
-            IoCommand::Flush,
-        ];
-        let mut batched = mk();
-        let batch_results = batched.submit_batch(commands.clone());
-        let mut scalar = mk();
-        let scalar_results: Vec<_> = commands.into_iter().map(|c| scalar.execute(c)).collect();
-        assert_eq!(batch_results, scalar_results);
-        assert_eq!(batch_results[1], Ok(CommandOutcome::Read(vec![1; 4096])));
     }
 }

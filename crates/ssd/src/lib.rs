@@ -1,7 +1,10 @@
 //! SSD device models over the FTL.
 //!
-//! This crate exposes the host-facing block interface ([`BlockDevice`]) and
-//! implements the two local device models the paper evaluates against:
+//! This crate exposes the host-facing block interface ([`BlockDevice`]),
+//! the one timed block path under every FTL-backed model
+//! ([`execute_batch`], which a model customises through its
+//! [`BlockPolicy`] hooks — see [`exec`]) and the two local device models
+//! the paper evaluates against:
 //!
 //! * [`PlainSsd`] — an unprotected SSD: stale data is reclaimed by GC as
 //!   usual; ransomware-encrypted originals are gone after collection.
@@ -19,12 +22,16 @@
 //!   and overwrite beyond its correlation window) and by the trimming attack
 //!   (trimmed pages are not considered suspects).
 //!
-//! RSSD itself lives in `rssd-core` and builds on the same primitives.
+//! RSSD itself lives in `rssd-core` and is a third policy over the same
+//! executor, so every comparison between the models is timed by the same
+//! code.
 //!
 //! Hosts drive any of these models through the NVMe-style multi-queue
 //! interface in [`nvme`]: fixed-depth submission/completion queue pairs
 //! arbitrated round-robin by an [`NvmeController`], with batched execution
-//! through [`BlockDevice::submit_batch`] (see the module docs).
+//! through [`BlockDevice::submit_batch_timed`] (see the module docs). The
+//! scalar [`BlockDevice`] methods submit a batch of one through the same
+//! path.
 //!
 //! The **hardware-isolation structure** of the paper is expressed in the
 //! types: hosts (and attack actors) only ever hold `&mut dyn BlockDevice` /
@@ -32,6 +39,7 @@
 //! NIC are private fields no host-side code can reach.
 
 pub mod device;
+pub mod exec;
 pub mod flashguard;
 pub mod nvme;
 pub mod plain;
@@ -39,6 +47,7 @@ pub mod queue;
 pub mod retention;
 
 pub use device::{BlockDevice, DeviceError};
+pub use exec::{execute_batch, BlockPolicy};
 pub use nvme::{
     CommandId, CommandOutcome, CommandResult, Completion, CompletionQueue, IoCommand,
     NvmeController, QueueError, QueueId, QueuePairStats, SubmissionQueue,

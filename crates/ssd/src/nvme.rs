@@ -17,9 +17,10 @@
 //!   RSSD amortizes evidence-chain bookkeeping and offload flushes across
 //!   the batch.
 //!
-//! Queue depth is the host's performance knob: a depth-1 pair degenerates to
-//! the scalar [`BlockDevice`] methods, while deeper pairs batch commands
-//! per arbitration round (see the `qd_sweep` bench).
+//! Queue depth is the host's performance knob: a depth-1 pair submits
+//! batches of one — exactly what the scalar [`BlockDevice`] methods do —
+//! while deeper pairs batch commands per arbitration round (see the
+//! `qd_sweep` bench).
 //!
 //! # Examples
 //!

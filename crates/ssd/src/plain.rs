@@ -1,6 +1,7 @@
 //! The unprotected baseline SSD.
 
-use crate::device::{BlockDevice, DeviceError};
+use crate::device::BlockDevice;
+use crate::exec::{execute_batch, BlockPolicy};
 use crate::nvme::{CommandOutcome, CommandResult, IoCommand};
 use crate::queue::LatencyStats;
 use rssd_flash::{FlashGeometry, NandArray, NandTiming, SimClock};
@@ -72,77 +73,21 @@ impl BlockDevice for PlainSsd {
         self.ftl.clock()
     }
 
-    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        let start = self.ftl.clock().now_ns();
-        self.ftl.write(lpa, data)?;
-        // Unprotected: discard stale events, nothing is pinned or retained.
-        self.ftl.drain_stale_events();
-        let end = self.ftl.clock().now_ns();
-        self.latency.record(end - start);
-        Ok(())
-    }
-
-    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        let start = self.ftl.clock().now_ns();
-        let out = match self.ftl.read(lpa)? {
-            Some(data) => data,
-            None => vec![0u8; self.page_size()],
-        };
-        let end = self.ftl.clock().now_ns();
-        self.latency.record(end - start);
-        Ok(out)
-    }
-
-    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.ftl.trim(lpa)?;
-        self.ftl.drain_stale_events();
-        Ok(())
-    }
-
-    /// Pipelined batch execution: every command is *dispatched* onto the
-    /// flash unit pipelines (writes stripe across channels, reads ride the
-    /// units their pages live on), completion times come back per command,
-    /// and the clock advances once — to the batch's latest completion —
-    /// when the batch returns. Host-visible state is identical to the
-    /// scalar loop; only timing differs.
     fn submit_batch_timed(&mut self, commands: Vec<IoCommand>) -> Vec<(CommandResult, u64)> {
-        let mut out = Vec::with_capacity(commands.len());
-        let mut horizon = self.ftl.clock().now_ns();
-        for command in commands {
-            let dispatched = self.ftl.clock().now_ns();
-            let (result, done) = match command {
-                IoCommand::Read { lpa } => match self.ftl.read_async(lpa) {
-                    Ok((data, ticket)) => {
-                        self.latency.record(ticket.latency_ns(dispatched));
-                        let page = data.unwrap_or_else(|| vec![0u8; self.ftl.geometry().page_size]);
-                        (Ok(CommandOutcome::Read(page)), ticket.done_ns)
-                    }
-                    Err(e) => (Err(e.into()), dispatched),
-                },
-                IoCommand::Write { lpa, data } => match self.ftl.write_async(lpa, data) {
-                    Ok(ticket) => {
-                        self.latency.record(ticket.latency_ns(dispatched));
-                        // Unprotected: discard stale events, nothing is
-                        // pinned or retained.
-                        self.ftl.drain_stale_events();
-                        (Ok(CommandOutcome::Written), ticket.done_ns)
-                    }
-                    Err(e) => (Err(e.into()), dispatched),
-                },
-                IoCommand::Trim { lpa } => match self.ftl.trim(lpa) {
-                    Ok(()) => {
-                        self.ftl.drain_stale_events();
-                        (Ok(CommandOutcome::Trimmed), dispatched)
-                    }
-                    Err(e) => (Err(e.into()), dispatched),
-                },
-                IoCommand::Flush => (Ok(CommandOutcome::Flushed), dispatched),
-            };
-            horizon = horizon.max(done);
-            out.push((result, done));
-        }
-        self.ftl.clock().advance_to(horizon);
-        out
+        execute_batch(self, commands)
+    }
+}
+
+impl BlockPolicy for PlainSsd {
+    type Note = ();
+
+    fn parts(&mut self) -> (&mut Ftl, &mut LatencyStats) {
+        (&mut self.ftl, &mut self.latency)
+    }
+
+    /// Unprotected: discard stale events, nothing is pinned or retained.
+    fn committed(&mut self, _lpa: u64, _outcome: &CommandOutcome, (): ()) {
+        self.ftl.drain_stale_events();
     }
 }
 

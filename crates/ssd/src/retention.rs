@@ -13,11 +13,13 @@
 //! exactly three places below: **what is admitted**, **how it is stored**
 //! and **when it is let go**.
 
-use crate::device::{BlockDevice, DeviceError};
+use crate::device::BlockDevice;
+use crate::exec::{execute_batch, BlockPolicy};
 use crate::flashguard;
+use crate::nvme::{CommandOutcome, CommandResult, IoCommand};
 use crate::queue::LatencyStats;
 use rssd_flash::{FlashGeometry, NandArray, NandTiming, Ppa, SimClock};
-use rssd_ftl::{Ftl, FtlConfig, FtlError, FtlStats, InvalidateCause};
+use rssd_ftl::{Ftl, FtlConfig, FtlStats, InvalidateCause};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -151,6 +153,11 @@ impl RetentionSsd {
         self.ftl.stats()
     }
 
+    /// Raw NAND statistics (per-channel utilization in the depth sweep).
+    pub fn nand_stats(&self) -> &rssd_flash::NandStats {
+        self.ftl.nand_stats()
+    }
+
     /// **What is admitted**: every overwritten or trimmed page, or only the
     /// overwrites the FlashGuard predicate suspects.
     fn absorb_stale_events(&mut self) {
@@ -267,54 +274,8 @@ impl BlockDevice for RetentionSsd {
         self.ftl.clock()
     }
 
-    fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-        let start = self.ftl.clock().now_ns();
-        let mut payload = Some(data);
-        let mut relief_tried = 0u32;
-        let ticket = loop {
-            let buf = payload.take().ok_or(DeviceError::Stalled)?;
-            match self.ftl.write_async_reclaim(lpa, buf) {
-                Ok(ticket) => break ticket,
-                Err((FtlError::DeviceFull, reclaimed)) if relief_tried < 8 => {
-                    // Capacity exhausted while retention holds pins: evict
-                    // the oldest retained pages (a block's worth) so GC can
-                    // breathe, then retry with the buffer the FTL handed
-                    // back. This is precisely the lever the GC attack pulls
-                    // — forced early eviction is data loss.
-                    payload = reclaimed;
-                    relief_tried += 1;
-                    let relief = self.ftl.geometry().block_bytes();
-                    self.evict_down_to(self.report.used_bytes.saturating_sub(relief));
-                }
-                Err((FtlError::DeviceFull, _)) => return Err(DeviceError::Stalled),
-                Err((e, _)) => return Err(e.into()),
-            }
-        };
-        self.ftl.clock().advance_to(ticket.done_ns);
-        self.absorb_stale_events();
-        let end = self.ftl.clock().now_ns();
-        self.latency.record(end - start);
-        Ok(())
-    }
-
-    fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-        let start = self.ftl.clock().now_ns();
-        if self.mode == RetentionMode::ReadThenOverwrite {
-            self.last_read_ns.insert(lpa, start);
-        }
-        let out = match self.ftl.read(lpa)? {
-            Some(data) => data,
-            None => vec![0u8; self.page_size()],
-        };
-        let end = self.ftl.clock().now_ns();
-        self.latency.record(end - start);
-        Ok(out)
-    }
-
-    fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-        self.ftl.trim(lpa)?;
-        self.absorb_stale_events();
-        Ok(())
+    fn submit_batch_timed(&mut self, commands: Vec<IoCommand>) -> Vec<(CommandResult, u64)> {
+        execute_batch(self, commands)
     }
 
     fn recover_page(&mut self, lpa: u64) -> Option<Vec<u8>> {
@@ -328,9 +289,42 @@ impl BlockDevice for RetentionSsd {
     }
 }
 
+impl BlockPolicy for RetentionSsd {
+    type Note = ();
+
+    fn parts(&mut self) -> (&mut Ftl, &mut LatencyStats) {
+        (&mut self.ftl, &mut self.latency)
+    }
+
+    /// Capacity exhausted while retention holds pins: evict the oldest
+    /// retained pages (a block's worth) so GC can breathe. This is
+    /// precisely the lever the GC attack pulls — forced early eviction is
+    /// data loss.
+    fn relieve(&mut self, attempt: u32) -> bool {
+        if attempt >= 8 {
+            return false;
+        }
+        let relief = self.ftl.geometry().block_bytes();
+        self.evict_down_to(self.report.used_bytes.saturating_sub(relief));
+        true
+    }
+
+    fn committed(&mut self, lpa: u64, outcome: &CommandOutcome, (): ()) {
+        match outcome {
+            CommandOutcome::Read(_) => {
+                if self.mode == RetentionMode::ReadThenOverwrite {
+                    self.last_read_ns.insert(lpa, self.ftl.clock().now_ns());
+                }
+            }
+            _ => self.absorb_stale_events(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeviceError;
 
     fn ssd(mode: RetentionMode) -> RetentionSsd {
         RetentionSsd::new(
@@ -437,6 +431,20 @@ mod tests {
             }
         }
         assert!(d.report().evicted_pages > 0, "budget pressure must evict");
+    }
+
+    #[test]
+    fn out_of_range_reads_leave_no_correlator_state() {
+        // The host controls the address: a refused read must not cost RAM.
+        let mut d = ssd(RetentionMode::ReadThenOverwrite);
+        let base = d.logical_pages();
+        for k in 0..10_000u64 {
+            assert!(matches!(
+                d.read_page(base + k),
+                Err(DeviceError::OutOfRange { lpa, .. }) if lpa == base + k
+            ));
+        }
+        assert!(d.last_read_ns.is_empty());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! pairs at once — records spread round-robin across the pairs, the way a
 //! multi-host front end drives a striped array (each arbitration round then
 //! carries commands from every host, which an `RssdArray` splits per shard
-//! and executes in parallel). [`replay`] is the scalar-compatible wrapper —
-//! a depth-1 queue pair over a borrowed device — preserving the historical
-//! one-command-at-a-time semantics.
+//! and executes in parallel). [`replay`] is the depth-1 wrapper — a
+//! depth-1 queue pair over a borrowed device, one command per batch, which
+//! is also what the scalar [`BlockDevice`] methods submit.
 
 use crate::record::{synthesize_page, IoOp, IoRecord};
 use rssd_ssd::{
@@ -337,7 +337,7 @@ mod tests {
     use crate::record::PayloadKind;
     use crate::synth::WorkloadBuilder;
     use rssd_flash::{FlashGeometry, NandTiming, SimClock};
-    use rssd_ssd::PlainSsd;
+    use rssd_ssd::{CommandResult, PlainSsd};
 
     fn device() -> PlainSsd {
         PlainSsd::new(
@@ -500,15 +500,13 @@ mod tests {
         fn clock(&self) -> &SimClock {
             self.inner.clock()
         }
-        fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-            self.write_times.push(self.inner.clock().now_ns());
-            self.inner.write_page(lpa, data)
-        }
-        fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-            self.inner.read_page(lpa)
-        }
-        fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-            self.inner.trim_page(lpa)
+        fn submit_batch_timed(&mut self, commands: Vec<IoCommand>) -> Vec<(CommandResult, u64)> {
+            let now = self.inner.clock().now_ns();
+            let writes = commands
+                .iter()
+                .filter(|c| matches!(c, IoCommand::Write { .. }));
+            self.write_times.extend(writes.map(|_| now));
+            self.inner.submit_batch_timed(commands)
         }
     }
 
@@ -547,17 +545,18 @@ mod tests {
         fn clock(&self) -> &SimClock {
             self.0.clock()
         }
-        fn write_page(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), DeviceError> {
-            self.0.write_page(lpa, data)
-        }
-        fn read_page(&mut self, lpa: u64) -> Result<Vec<u8>, DeviceError> {
-            Err(DeviceError::OutOfRange {
-                lpa,
-                logical_pages: 0,
-            })
-        }
-        fn trim_page(&mut self, lpa: u64) -> Result<(), DeviceError> {
-            self.0.trim_page(lpa)
+        fn submit_batch_timed(&mut self, commands: Vec<IoCommand>) -> Vec<(CommandResult, u64)> {
+            let results = commands.into_iter().map(|command| match command {
+                IoCommand::Read { lpa } => {
+                    let refused = DeviceError::OutOfRange {
+                        lpa,
+                        logical_pages: 0,
+                    };
+                    (Err(refused), self.0.clock().now_ns())
+                }
+                other => (self.0.execute(other), self.0.clock().now_ns()),
+            });
+            results.collect()
         }
     }
 

@@ -1,9 +1,11 @@
 //! Batch/scalar equivalence: submitting commands through an NVMe queue pair
-//! (which executes them via `BlockDevice::submit_batch`, including RSSD's
-//! native batched override) must leave the device — logical contents,
-//! retained/recoverable versions, the evidence chain — and the per-command
-//! results identical to running the same commands through the scalar
-//! methods one at a time.
+//! (which executes each arbitration round as one
+//! `BlockDevice::submit_batch_timed` call) must leave the device — logical
+//! contents, retained/recoverable versions, the evidence chain — and the
+//! per-command results identical to running the same commands through the
+//! scalar methods one at a time. A scalar call is a batch of one through
+//! the same executor, so the property left to state is: batch size changes
+//! nothing a host or investigator can observe.
 //!
 //! Instant NAND timing keeps the simulation clock at zero so log-record
 //! timestamps cannot mask a divergence; what may legitimately differ is
@@ -114,7 +116,7 @@ fn run_queued<D: BlockDevice>(device: D, ops: &[Op]) -> (Vec<CommandResult>, D) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// RSSD: the native batched override (coalesced offload flushes) must
+    /// RSSD: a round's batch (one coalesced offload flush at its end) must
     /// be indistinguishable from the scalar loop in everything a host or
     /// investigator can observe.
     #[test]
@@ -148,8 +150,8 @@ proptest! {
         }
     }
 
-    /// Baselines without an override run the default scalar-loop batch —
-    /// the queue layer itself must not perturb them either.
+    /// The unprotected baseline runs the same executor under the empty
+    /// policy — the queue layer must not perturb it either.
     #[test]
     fn plain_queue_pair_equals_scalar_loop(ops in ops()) {
         let mut scalar_dev = mk_plain();

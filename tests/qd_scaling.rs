@@ -4,16 +4,17 @@
 //!
 //! On the default 4-channel geometry with MLC timing, a QD32 replay must
 //! finish in enough parallel overlap to deliver at least 2× the QD1
-//! throughput — for the plain SSD and for RSSD — and RSSD must no longer
-//! be byte-identical in time to plain (its overhead is real, small and
-//! bounded). Also asserts the histogram satellite: queue latency p50 < p99
+//! throughput — for the plain SSD, for RSSD and for every local-retention
+//! mode, which all run the one pipelined block path — and RSSD must no
+//! longer be byte-identical in time to plain (its overhead is real, small
+//! and bounded). Also asserts the histogram satellite: queue latency p50 < p99
 //! at depth, and that a profiler and a recording trace sink riding the QD32
 //! replay change nothing simulated while every hot-loop phase accrues.
 
-use rssd_repro::bench_support::{bench_geometry, mk_plain, mk_rssd};
+use rssd_repro::bench_support::{bench_geometry, mk_plain, mk_retention, mk_rssd};
 use rssd_repro::flash::{NandTiming, SimClock};
 use rssd_repro::obs::{ProfilerHandle, SinkHandle};
-use rssd_repro::ssd::{BlockDevice, NvmeController};
+use rssd_repro::ssd::{BlockDevice, NvmeController, RetentionMode};
 use rssd_repro::trace::{replay_queued, IoRecord, PayloadKind, WorkloadBuilder};
 
 const OPS: usize = 1_200;
@@ -64,16 +65,25 @@ fn qd32_doubles_qd1_throughput_on_the_default_geometry() {
         "the acceptance gate names the 4-channel default"
     );
 
-    for model in ["plain", "rssd"] {
+    for model in ["plain", "rssd", "localssd", "localssd_comp", "flashguard"] {
+        let retention = |mode, depth| {
+            run_at_depth(
+                mk_retention(g, NandTiming::mlc_default(), SimClock::new(), mode),
+                depth,
+            )
+        };
         let run = |depth| match model {
             "plain" => run_at_depth(
                 mk_plain(g, NandTiming::mlc_default(), SimClock::new()),
                 depth,
             ),
-            _ => run_at_depth(
+            "rssd" => run_at_depth(
                 mk_rssd(g, NandTiming::mlc_default(), SimClock::new()),
                 depth,
             ),
+            "localssd" => retention(RetentionMode::RetainAll, depth),
+            "localssd_comp" => retention(RetentionMode::Compressed, depth),
+            _ => retention(RetentionMode::ReadThenOverwrite, depth),
         };
         let (c1, end1, _, _) = run(1);
         let (c32, end32, p50, p99) = run(32);

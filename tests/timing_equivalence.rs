@@ -1,15 +1,16 @@
 //! Pipelined-vs-serial timing-model equivalence.
 //!
-//! The device-internal parallelism refactor changed *when* operations
-//! complete, and nothing else: the pipelined batch paths (`submit_batch` /
-//! `submit_batch_timed`) must return byte-identical data and leave
-//! byte-identical durable state to the serial model — the scalar methods,
-//! which block on every command — on real (MLC) NAND timing, where the two
-//! schedules genuinely diverge. Only timestamps and latencies may differ,
-//! so the comparison covers per-command results, logical contents,
-//! retained (recoverable) versions, and the evidence-chain records modulo
-//! their `at_ns` stamps — and, behind a `FaultInjector`, that power cuts
-//! tear batches at the same prefix.
+//! How a command list is cut into batches changes *when* operations
+//! complete, and nothing else: any batch size must return byte-identical
+//! data and leave byte-identical durable state to the serial model — one
+//! command per batch, which is what the scalar methods submit — on real
+//! (MLC) NAND timing, where the two schedules genuinely diverge. Only
+//! timestamps and latencies may differ, so the comparison covers
+//! per-command results, logical contents, retained (recoverable) versions,
+//! and the evidence-chain records modulo their `at_ns` stamps — and, behind
+//! a `FaultInjector`, that power cuts tear batches at the same prefix. The
+//! last test pins the other half: a scalar call *is* a batch of one, on
+//! every `BlockDevice` in the tree, to the nanosecond and the chain head.
 //!
 //! The overlapped offload is the same kind of change one layer out: acks
 //! land while the host carries on, where the device used to stand still
@@ -18,14 +19,17 @@
 //! the seal, on the same link.
 
 use proptest::prelude::*;
+use rssd_repro::bench_support::mk_array;
 use rssd_repro::core::{
     LogRecord, LoopbackTarget, OffloadHealth, OffloadStats, RemoteTarget, RssdConfig, RssdDevice,
     WireRemote,
 };
-use rssd_repro::faults::{FaultInjector, FaultSchedule, FaultTarget};
+use rssd_repro::faults::{FaultEvent, FaultInjector, FaultSchedule, FaultTarget, PartitionMode};
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_repro::net::LinkConfig;
-use rssd_repro::ssd::{BlockDevice, CommandResult, IoCommand, PlainSsd};
+use rssd_repro::ssd::{
+    BlockDevice, CommandOutcome, CommandResult, IoCommand, PlainSsd, RetentionMode, RetentionSsd,
+};
 
 const LPAS: u64 = 16;
 
@@ -163,7 +167,8 @@ fn counters(stats: OffloadStats) -> OffloadStats {
     }
 }
 
-/// The serial model: every command blocks before the next is issued.
+/// The serial model: every command blocks before the next is issued (a
+/// batch of one each).
 fn run_serial<D: BlockDevice>(device: &mut D, ops: &[Op]) -> Vec<CommandResult> {
     let page_size = device.page_size();
     ops.iter()
@@ -404,4 +409,157 @@ proptest! {
             );
         }
     }
+}
+
+/// `op` through the scalar method that names it.
+fn run_scalar_method<D: BlockDevice>(device: &mut D, op: &Op) -> CommandResult {
+    match *op {
+        Op::Write(lpa, byte) => device
+            .write_page(lpa, vec![byte; device.page_size()])
+            .map(|()| CommandOutcome::Written),
+        Op::Read(lpa) => device.read_page(lpa).map(CommandOutcome::Read),
+        Op::Trim(lpa) => device.trim_page(lpa).map(|()| CommandOutcome::Trimmed),
+        Op::Flush => device.flush().map(|()| CommandOutcome::Flushed),
+    }
+}
+
+/// Runs one op list through the scalar methods on one device and through
+/// `submit_batch_timed(vec![cmd])` on its twin: same results, same clock
+/// after every op, same `state` at the end. `settle` runs on both after
+/// every op (the injector's power restore).
+fn assert_scalar_is_batch_of_one<D: BlockDevice>(
+    mk: impl Fn() -> D,
+    settle: impl Fn(&mut D),
+    state: impl Fn(&D) -> String,
+) {
+    let out_of_range = mk().logical_pages() + 7;
+    let ops = [
+        Op::Write(0, 1),
+        Op::Write(1, 2),
+        Op::Write(0, 3),
+        Op::Read(0),
+        Op::Write(2, 4),
+        Op::Trim(1),
+        Op::Read(1),
+        Op::Flush,
+        Op::Write(0, 5),
+        Op::Read(out_of_range),
+        Op::Write(3, 6),
+        Op::Write(1, 7),
+        Op::Read(3),
+        Op::Trim(0),
+        Op::Write(0, 8),
+        Op::Write(out_of_range, 9),
+        Op::Read(0),
+        Op::Write(2, 10),
+        Op::Trim(out_of_range),
+        Op::Flush,
+        Op::Read(2),
+    ];
+    let (mut scalar, mut batched) = (mk(), mk());
+    let model = scalar.model_name().to_string();
+    for (i, op) in ops.iter().enumerate() {
+        let scalar_result = run_scalar_method(&mut scalar, op);
+        let mut completed = batched.submit_batch_timed(vec![op.command(batched.page_size())]);
+        assert_eq!(completed.len(), 1, "{model}: one result per command");
+        let (batched_result, done_ns) = completed.pop().expect("one result");
+        assert_eq!(
+            scalar_result, batched_result,
+            "{model}: result of op {i} {op:?}"
+        );
+        assert_eq!(
+            scalar.clock().now_ns(),
+            batched.clock().now_ns(),
+            "{model}: clock after op {i} {op:?}"
+        );
+        assert!(
+            done_ns <= batched.clock().now_ns(),
+            "{model}: op {i} done in the future"
+        );
+        settle(&mut scalar);
+        settle(&mut batched);
+    }
+    assert_eq!(state(&scalar), state(&batched), "{model}: device state");
+}
+
+/// No settling between ops.
+fn nothing<D>(_: &mut D) {}
+
+fn rssd_state<R: RemoteTarget>(d: &RssdDevice<R>) -> String {
+    format!(
+        "{:?} {} {:?} {:?} {:?}",
+        d.chain_head(),
+        d.chain_len(),
+        d.ftl_stats(),
+        d.offload_stats(),
+        d.latency()
+    )
+}
+
+#[test]
+fn a_scalar_call_is_a_batch_of_one_on_every_block_device() {
+    let (geometry, timing) = (FlashGeometry::small_test(), NandTiming::mlc_default());
+
+    assert_scalar_is_batch_of_one(mk_plain, nothing, |d| {
+        format!("{:?} {:?}", d.ftl_stats(), d.latency())
+    });
+    for mode in [
+        RetentionMode::RetainAll,
+        RetentionMode::Compressed,
+        RetentionMode::ReadThenOverwrite,
+    ] {
+        assert_scalar_is_batch_of_one(
+            || RetentionSsd::new(geometry, timing, SimClock::new(), mode),
+            nothing,
+            |d| format!("{:?} {:?} {:?}", d.report(), d.ftl_stats(), d.latency()),
+        );
+    }
+    assert_scalar_is_batch_of_one(mk_rssd, nothing, rssd_state);
+    assert_scalar_is_batch_of_one(
+        || mk_array(3, geometry, timing, 2),
+        nothing,
+        |a| {
+            let heads: Vec<_> = (0..a.shard_count())
+                .map(|i| a.shard(i).expect("live member").chain_head())
+                .collect();
+            format!(
+                "{heads:?} {} {:?} {:?}",
+                a.chain_len(),
+                a.ftl_stats(),
+                a.offload_stats()
+            )
+        },
+    );
+    // Under faults: a partition window opens and heals, then power is cut —
+    // every event fires at the same op either way, and a cut batch of one
+    // persisted no prefix, so neither arm records a torn batch.
+    let schedule = FaultSchedule::new(
+        "partition then cut",
+        vec![
+            FaultEvent::PartitionStart {
+                at_op: 2,
+                mode: PartitionMode::Refuse,
+            },
+            FaultEvent::PartitionHeal { at_op: 9 },
+            FaultEvent::PowerCut { at_op: 13 },
+        ],
+    );
+    assert_scalar_is_batch_of_one(
+        || FaultInjector::new(mk_wired(LinkConfig::ideal()), &schedule),
+        |f| {
+            if f.powered_off() {
+                let _ = f.restore_power().expect("link healed before the cut");
+            }
+        },
+        |f| {
+            assert_eq!(f.power_cuts(), 1, "the cut fired");
+            assert_eq!(f.skipped_events(), 0);
+            format!(
+                "{} {:?} {}",
+                f.ops_count(),
+                f.torn_batches(),
+                rssd_state(f.inner())
+            )
+        },
+    );
 }
