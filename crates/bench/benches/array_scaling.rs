@@ -11,8 +11,7 @@
 //! Writes `BENCH_array_scaling.json` with p50/p99/throughput per
 //! configuration — simulated time only, so CI gates the file's bytes.
 
-use criterion::{criterion_group, Criterion};
-use rssd_bench::{mk_array, rule, write_bench_json, BenchRow};
+use rssd_bench::{mk_array, publish, BenchRow};
 use rssd_flash::{FlashGeometry, NandTiming};
 use rssd_ssd::{BlockDevice, NvmeController, QueueId, QueuePairStats};
 use rssd_trace::{replay_fanout, IoRecord, PayloadKind, WorkloadBuilder};
@@ -65,74 +64,44 @@ fn run_with_shards(shards: usize) -> (QueuePairStats, u64) {
     (merged, end_ns)
 }
 
-fn print_scaling() {
-    println!(
-        "\n=== array_scaling: aggregate throughput vs shard count (RSSD members, MLC timing) ==="
-    );
-    println!(
-        "{:<8} {:>10} {:>12} {:>12} {:>14} {:>12}",
-        "Shards", "completed", "p50 (µs)", "p99 (µs)", "kIOPS (sim)", "sim end (ms)"
-    );
-    println!("{}", rule(74));
-    let mut rows = Vec::new();
-    let mut kiops_by_count = Vec::new();
-    for &shards in &SHARD_COUNTS {
-        let (stats, end_ns) = run_with_shards(shards);
-        let kiops = stats.completed as f64 / (end_ns as f64 / 1e9) / 1e3;
-        println!(
-            "{:<8} {:>10} {:>12.1} {:>12.1} {:>14.1} {:>12.2}",
-            shards,
-            stats.completed,
-            stats.latency.percentile_ns(50.0) as f64 / 1000.0,
-            stats.latency.percentile_ns(99.0) as f64 / 1000.0,
-            kiops,
-            end_ns as f64 / 1e6,
-        );
-        rows.push(BenchRow {
-            config: format!("{shards}_shards"),
-            metrics: vec![
-                ("completed", stats.completed as f64),
-                ("p50_us", stats.latency.percentile_ns(50.0) as f64 / 1000.0),
-                ("p99_us", stats.latency.percentile_ns(99.0) as f64 / 1000.0),
-                ("throughput_kiops", kiops),
-                ("sim_end_ms", end_ns as f64 / 1e6),
-            ],
-        });
-        kiops_by_count.push((shards, kiops));
-    }
+fn main() {
+    let rows: Vec<BenchRow> = SHARD_COUNTS
+        .into_iter()
+        .map(|shards| {
+            let (stats, end_ns) = run_with_shards(shards);
+            BenchRow::new(
+                format!("{shards}_shards"),
+                vec![
+                    ("completed", stats.completed as f64),
+                    ("p50_us", stats.latency.percentile_ns(50.0) as f64 / 1000.0),
+                    ("p99_us", stats.latency.percentile_ns(99.0) as f64 / 1000.0),
+                    (
+                        "throughput_kiops",
+                        stats.completed as f64 / (end_ns as f64 / 1e9) / 1e3,
+                    ),
+                    ("sim_end_ms", end_ns as f64 / 1e6),
+                ],
+            )
+        })
+        .collect();
     // The acceptance gate: more shards must mean more aggregate throughput
     // over the 1 → 4 range (8 documents the tail of the curve).
-    for pair in kiops_by_count.windows(2) {
-        let ((a_shards, a), (b_shards, b)) = (pair[0], pair[1]);
-        if b_shards <= 4 {
+    for (pair, shards) in rows.windows(2).zip(&SHARD_COUNTS[1..]) {
+        let (a, b) = (&pair[0], &pair[1]);
+        if *shards <= 4 {
             assert!(
-                b > a,
-                "throughput must scale: {a_shards} shards {a:.1} kIOPS vs \
-                 {b_shards} shards {b:.1} kIOPS"
+                b.get("throughput_kiops") > a.get("throughput_kiops"),
+                "throughput must scale: {} {:.1} kIOPS vs {} {:.1} kIOPS",
+                a.config,
+                a.get("throughput_kiops"),
+                b.config,
+                b.get("throughput_kiops")
             );
         }
     }
-    match write_bench_json("array_scaling", &rows) {
-        Ok(path) => println!("(summary written to {})", path.display()),
-        Err(e) => eprintln!("(could not write BENCH_array_scaling.json: {e})"),
-    }
-}
-
-fn bench_shard_counts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("array_scaling");
-    group.sample_size(10);
-    for &shards in &SHARD_COUNTS {
-        group.bench_function(&format!("{shards}_shards"), |b| {
-            b.iter(|| run_with_shards(shards))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_shard_counts);
-
-fn main() {
-    print_scaling();
-    benches();
-    criterion::Criterion::default().final_summary();
+    publish(
+        "array_scaling",
+        "array_scaling: aggregate throughput vs shard count (RSSD members, MLC timing)",
+        &rows,
+    );
 }

@@ -16,8 +16,7 @@
 //! * zero evidence loss in both runs — the chain verifies end to end and
 //!   `segments_sealed == segments_offloaded`, outage, crash and all.
 
-use criterion::{criterion_group, Criterion};
-use rssd_bench::{rule, write_bench_json, BenchRow};
+use rssd_bench::{cell, flag, publish, BenchRow};
 use rssd_core::{LoopbackTarget, OffloadHealth, RssdConfig, RssdDevice};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_ssd::{BlockDevice, DeviceError};
@@ -156,9 +155,9 @@ fn ramp_to(
 }
 
 fn phase_row(label: &str, run: &PhaseRun, health: OffloadHealth) -> BenchRow {
-    BenchRow {
-        config: label.to_string(),
-        metrics: vec![
+    BenchRow::new(
+        label,
+        vec![
             ("write_kiops", run.kiops),
             ("accepted", run.accepted),
             ("refused", run.refused),
@@ -167,13 +166,12 @@ fn phase_row(label: &str, run: &PhaseRun, health: OffloadHealth) -> BenchRow {
             ("backlog_pressure", run.pressure_end),
             ("health_severity", f64::from(health.severity())),
         ],
-    }
+    )
 }
 
 /// The main slope run: healthy baseline, outage ramp, throttled window,
-/// stalled refusals, heal and drain. Returns the bench rows plus the
-/// (healthy, throttled, stalled) throughputs for the gate assertions.
-fn run_slope(rows: &mut Vec<BenchRow>) -> (f64, f64, f64) {
+/// stalled refusals, heal and drain.
+fn run_slope(rows: &mut Vec<BenchRow>) {
     let mut device = spill_device();
     let mut writer = Writer::new(device.page_size());
 
@@ -196,9 +194,9 @@ fn run_slope(rows: &mut Vec<BenchRow>) -> (f64, f64, f64) {
     let ramp_start = device.clock().now_ns();
     let buffer_ops = ramp_to(&mut device, &mut writer, OffloadHealth::Throttled);
     let ramp_ns = device.clock().now_ns() - ramp_start;
-    rows.push(BenchRow {
-        config: "buffering_ramp".to_string(),
-        metrics: vec![
+    rows.push(BenchRow::new(
+        "buffering_ramp",
+        vec![
             (
                 "write_kiops",
                 if ramp_ns == 0 {
@@ -214,7 +212,7 @@ fn run_slope(rows: &mut Vec<BenchRow>) -> (f64, f64, f64) {
             ("backlog_pressure", device.backlog_pressure()),
             ("health_severity", 2.0),
         ],
-    });
+    ));
 
     // --- Throttled: admission control charges a backlog-proportional
     // penalty but keeps accepting writes.
@@ -254,11 +252,11 @@ fn run_slope(rows: &mut Vec<BenchRow>) -> (f64, f64, f64) {
         && device.spill_used_bytes() == 0
         && stats.segments_sealed == stats.segments_offloaded;
     let chain_ok = device.verified_history().is_ok();
-    rows.push(BenchRow {
-        config: "drain".to_string(),
-        metrics: vec![
+    rows.push(BenchRow::new(
+        "drain",
+        vec![
             ("drain_ms", drain_ns as f64 / 1e6),
-            ("drain_complete", if drain_complete { 1.0 } else { 0.0 }),
+            ("drain_complete", flag(drain_complete)),
             ("staged_after", device.staged_segments() as f64),
             ("spill_bytes_after", device.spill_used_bytes() as f64),
             ("segments_sealed", stats.segments_sealed as f64),
@@ -268,18 +266,16 @@ fn run_slope(rows: &mut Vec<BenchRow>) -> (f64, f64, f64) {
                 (stats.segments_sealed - stats.segments_offloaded) as f64,
             ),
             ("segments_spilled", stats.segments_spilled as f64),
-            ("chain_verified", if chain_ok { 1.0 } else { 0.0 }),
+            ("chain_verified", flag(chain_ok)),
             (
                 "health_severity",
                 f64::from(device.offload_health().severity()),
             ),
         ],
-    });
+    ));
     assert!(drain_complete, "post-heal drain left residue");
     assert!(chain_ok, "outage + drain forked the evidence chain");
     assert_eq!(device.offload_health(), OffloadHealth::Healthy);
-
-    (healthy.kiops, throttled.kiops, stalled.kiops)
 }
 
 /// A power cut *inside* the outage: sealed evidence rides the NAND spill
@@ -301,9 +297,9 @@ fn run_crash_replay(rows: &mut Vec<BenchRow>) {
     device.flush_log().expect("post-recovery flush");
     let stats = device.offload_stats();
     let chain_ok = device.verified_history().is_ok();
-    rows.push(BenchRow {
-        config: "crash_replay".to_string(),
-        metrics: vec![
+    rows.push(BenchRow::new(
+        "crash_replay",
+        vec![
             ("segments_spilled", spilled as f64),
             ("spill_replayed", stats.spill_replayed as f64),
             ("segments_walked", recovery.segments_walked as f64),
@@ -312,9 +308,9 @@ fn run_crash_replay(rows: &mut Vec<BenchRow>) {
                 (stats.segments_sealed - stats.segments_offloaded) as f64,
             ),
             ("spill_bytes_after", device.spill_used_bytes() as f64),
-            ("chain_verified", if chain_ok { 1.0 } else { 0.0 }),
+            ("chain_verified", flag(chain_ok)),
         ],
-    });
+    ));
     assert!(
         stats.spill_replayed > 0,
         "recovery must replay the spilled evidence"
@@ -326,46 +322,17 @@ fn run_crash_replay(rows: &mut Vec<BenchRow>) {
     assert!(chain_ok, "spill replay forked the evidence chain");
 }
 
-fn print_slope() {
-    println!("\n=== degradation: write throughput along the offload health slope ===");
+fn main() {
     let mut rows = Vec::new();
-    let (healthy, throttled, stalled) = run_slope(&mut rows);
+    run_slope(&mut rows);
     run_crash_replay(&mut rows);
 
-    println!(
-        "{:<16} {:>11} {:>9} {:>8} {:>10} {:>8} {:>9}",
-        "Phase", "write kIOPS", "accepted", "refused", "sim ms", "staged", "pressure"
-    );
-    println!("{}", rule(78));
-    for row in &rows {
-        let get = |k: &str| {
-            row.metrics
-                .iter()
-                .find(|(n, _)| *n == k)
-                .map_or(f64::NAN, |(_, v)| *v)
-        };
-        if row.config == "drain" || row.config == "crash_replay" {
-            continue;
-        }
-        println!(
-            "{:<16} {:>11.2} {:>9.0} {:>8.0} {:>10.2} {:>8.0} {:>9.2}",
-            row.config,
-            get("write_kiops"),
-            get("accepted"),
-            get("refused"),
-            get("sim_ms"),
-            get("staged_segments"),
-            get("backlog_pressure"),
-        );
-    }
-    println!(
-        "Degradation is a slope, not a cliff: Throttled admits writes at a\n\
-         backlog-proportional penalty, Stalled refuses rather than drops,\n\
-         and the healed wire drains every sealed segment.\n"
-    );
-
-    // The slope claims (the drain, spill and evidence-loss claims are
-    // asserted where `run_slope` and `run_crash_replay` build their rows).
+    // Degradation is a slope, not a cliff: Throttled admits writes at a
+    // backlog-proportional penalty and Stalled refuses rather than drops
+    // (the drain, spill and evidence-loss claims are asserted where
+    // `run_slope` and `run_crash_replay` build their rows).
+    let kiops = |phase: &str| cell(&rows, phase, "write_kiops");
+    let (healthy, throttled, stalled) = (kiops("healthy"), kiops("throttled"), kiops("stalled"));
     assert!(
         throttled < healthy,
         "Throttled ({throttled:.2} kIOPS) must cost throughput vs Healthy ({healthy:.2} kIOPS)"
@@ -379,28 +346,9 @@ fn print_slope() {
         "Throttled ({throttled:.2} kIOPS) fell under 25 % of Healthy ({healthy:.2} kIOPS)"
     );
 
-    match write_bench_json("degradation", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write bench json: {e}"),
-    }
-}
-
-fn bench_degradation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("degradation");
-    group.sample_size(10);
-    group.bench_function("slope_outage_heal_drain", |b| {
-        b.iter(|| {
-            let mut rows = Vec::new();
-            run_slope(&mut rows)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_degradation);
-
-fn main() {
-    print_slope();
-    benches();
-    criterion::Criterion::default().final_summary();
+    publish(
+        "degradation",
+        "degradation: write throughput along the offload health slope, post-heal drain, crash replay",
+        &rows,
+    );
 }

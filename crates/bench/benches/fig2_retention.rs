@@ -10,8 +10,7 @@
 //! divided by the *measured* sealed offload bytes per day, capped at the
 //! figure's 240-day axis.
 
-use criterion::{criterion_group, Criterion};
-use rssd_bench::{bench_geometry, mk_retention, mk_rssd, NS_PER_DAY};
+use rssd_bench::{bench_geometry, mk_retention, mk_rssd, publish, BenchRow, NS_PER_DAY};
 use rssd_flash::{NandTiming, SimClock};
 use rssd_ssd::{BlockDevice, RetentionMode};
 use rssd_trace::{replay, TraceProfile};
@@ -57,38 +56,36 @@ fn rssd_retention_days(profile: &TraceProfile) -> f64 {
     (budget / sealed_per_day).min(FIGURE_CAP_DAYS)
 }
 
-fn print_figure() {
-    println!("\n=== E2 / Figure 2: data retention time (days) ===");
-    println!(
-        "{:<10} {:>10} {:>16} {:>8}",
-        "Trace", "LocalSSD", "LocalSSD+Comp", "RSSD"
-    );
+fn main() {
+    let mut rows = Vec::new();
     for profile in TraceProfile::all() {
         let local = local_retention_days(&profile, RetentionMode::RetainAll);
         let comp = local_retention_days(&profile, RetentionMode::Compressed);
         let rssd = rssd_retention_days(&profile);
-        println!(
-            "{:<10} {:>10.1} {:>16.1} {:>8.1}",
-            profile.name, local, comp, rssd
+        // Paper shape: LocalSSD a few days, compression buys more, RSSD 200+.
+        assert!(
+            rssd >= comp && comp >= local,
+            "{}: retention must order RSSD {rssd:.1} ≥ LocalSSD+Compression {comp:.1} ≥ \
+             LocalSSD {local:.1} days",
+            profile.name
         );
+        assert!(
+            rssd >= 200.0,
+            "{}: RSSD retains {rssd:.1} days, under the paper's 200+",
+            profile.name
+        );
+        rows.push(BenchRow::new(
+            profile.name,
+            vec![
+                ("localssd_days", local),
+                ("localssd_comp_days", comp),
+                ("rssd_days", rssd),
+            ],
+        ));
     }
-    println!("Paper shape: LocalSSD a few days, compression ~2x, RSSD 200+ days.\n");
-}
-
-fn bench_retention(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig2");
-    group.sample_size(10);
-    let profile = TraceProfile::by_name("wdev").unwrap();
-    group.bench_function("wdev_localssd_sim", |b| {
-        b.iter(|| local_retention_days(&profile, RetentionMode::RetainAll))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_retention);
-
-fn main() {
-    print_figure();
-    benches();
-    criterion::Criterion::default().final_summary();
+    publish(
+        "e2_retention",
+        "E2 / Figure 2: data retention time (days)",
+        &rows,
+    );
 }

@@ -15,8 +15,7 @@
 //! so the sweep runs at `FleetConfig`'s default. How fast the host gets
 //! through a fleet is `benchmark/`'s `fleet_mixed` workload, not this file.
 
-use criterion::{criterion_group, Criterion};
-use rssd_bench::{rule, write_bench_json, BenchRow};
+use rssd_bench::{publish, BenchRow};
 use rssd_fleet::{Fleet, FleetConfig};
 
 const FLEET_SIZES: [usize; 3] = [16, 64, 256];
@@ -36,28 +35,10 @@ fn config(members: usize) -> FleetConfig {
     }
 }
 
-fn print_sweep() {
-    println!("fleet sweep: sizes {FLEET_SIZES:?}");
-    println!("{}", rule(76));
-    println!(
-        "{:>8} {:>12} {:>12} {:>14} {:>8} {:>6} {:>10}",
-        "members", "total ops", "sim IOPS", "sim end (ms)", "recall", "fp", "verdict"
-    );
-    println!("{}", rule(76));
-
+fn main() {
     let mut rows = Vec::new();
-    for &members in &FLEET_SIZES {
+    for members in FLEET_SIZES {
         let report = Fleet::new(config(members)).run().expect("fleet run failed");
-        println!(
-            "{:>8} {:>12} {:>12.2} {:>14.2} {:>8.2} {:>6} {:>10?}",
-            members,
-            report.total_ops,
-            report.simulated_iops(),
-            report.sim_end_ns as f64 / 1e6,
-            report.detection_recall(),
-            report.false_positives,
-            report.fleet_verdict,
-        );
         assert!(
             report.detection_recall() >= 0.9,
             "fleet{members}: per-member audits must catch compromised members (recall {:.2})",
@@ -67,9 +48,9 @@ fn print_sweep() {
             report.false_positives, 0,
             "fleet{members}: clean members falsely flagged"
         );
-        rows.push(BenchRow {
-            config: format!("fleet{members}"),
-            metrics: vec![
+        rows.push(BenchRow::new(
+            format!("fleet{members}"),
+            vec![
                 ("members", members as f64),
                 ("total_ops", report.total_ops as f64),
                 ("sim_iops", report.simulated_iops()),
@@ -80,29 +61,11 @@ fn print_sweep() {
                 ("false_positives", report.false_positives as f64),
                 ("fleet_score", report.fleet_score),
             ],
-        });
+        ));
     }
-    println!("{}", rule(76));
-
-    match write_bench_json("fleet", &rows) {
-        Ok(path) => println!("(summary written to {})", path.display()),
-        Err(e) => eprintln!("(could not write BENCH_fleet.json: {e})"),
-    }
-}
-
-fn bench_fleet(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fleet");
-    group.sample_size(10);
-    group.bench_function("fleet16", |b| {
-        b.iter(|| Fleet::new(config(16)).run().expect("fleet run"))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_fleet);
-
-fn main() {
-    print_sweep();
-    benches();
-    criterion::Criterion::default().final_summary();
+    publish(
+        "fleet",
+        "fleet: simulated makespan, IOPS and detection vs fleet size",
+        &rows,
+    );
 }

@@ -1,13 +1,14 @@
 //! **Ablation**: design choices DESIGN.md calls out.
 //!
 //! 1. GC victim-selection policy (greedy vs cost-benefit) under skewed trace
-//!    replay — WAF and erase counts.
-//! 2. Offload segment size — compression ratio and segments/offload volume
-//!    trade-off (larger segments compress better and amortize acks, but
-//!    hold pins longer).
+//!    replay — WAF and erase counts. Asserted: the default (greedy) wears
+//!    the device no more than the alternative on this trace.
+//! 2. Offload segment size — compression ratio and segment count (larger
+//!    segments compress better and amortize acks, but hold pins longer).
+//!    Asserted: the ratio does not fall and the count does fall as segments
+//!    grow.
 
-use criterion::{criterion_group, Criterion};
-use rssd_bench::bench_geometry;
+use rssd_bench::{bench_geometry, publish, BenchRow};
 use rssd_core::{LoopbackTarget, RssdConfig, RssdDevice};
 use rssd_flash::{NandArray, NandTiming, SimClock};
 use rssd_ftl::{Ftl, FtlConfig, GcPolicy};
@@ -16,7 +17,7 @@ use rssd_trace::{IoOp, TraceProfile};
 
 const OPS: usize = 25_000;
 
-fn run_policy(policy: GcPolicy) -> (f64, u64) {
+fn policy_row(label: &str, policy: GcPolicy) -> BenchRow {
     let g = bench_geometry();
     let nand = NandArray::with_clock(g, NandTiming::instant(), SimClock::new());
     let mut ftl = Ftl::new(
@@ -43,13 +44,18 @@ fn run_policy(policy: GcPolicy) -> (f64, u64) {
         }
         ftl.drain_stale_events();
     }
-    (ftl.stats().write_amplification(), ftl.nand_stats().erases())
+    BenchRow::new(
+        label,
+        vec![
+            ("waf", ftl.stats().write_amplification()),
+            ("erases", ftl.nand_stats().erases() as f64),
+        ],
+    )
 }
 
-fn run_segment_size(segment_pages: usize) -> (f64, u64) {
-    let g = bench_geometry();
+fn segment_size_row(segment_pages: usize) -> BenchRow {
     let mut d = RssdDevice::new(
-        g,
+        bench_geometry(),
         NandTiming::instant(),
         SimClock::new(),
         RssdConfig {
@@ -66,42 +72,42 @@ fn run_segment_size(segment_pages: usize) -> (f64, u64) {
     let _ = rssd_trace::replay(&mut d, records);
     d.flush_log().unwrap();
     let stats = d.offload_stats();
-    (stats.compression_ratio(), stats.segments_offloaded)
+    BenchRow::new(
+        format!("segment_{segment_pages}_pages"),
+        vec![
+            ("compression_ratio", stats.compression_ratio()),
+            ("segments", stats.segments_offloaded as f64),
+        ],
+    )
 }
-
-fn print_tables() {
-    println!("\n=== Ablation A: GC victim-selection policy (usr trace, {OPS} ops) ===");
-    println!("{:<14} {:>8} {:>10}", "Policy", "WAF", "Erases");
-    for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
-        let (waf, erases) = run_policy(policy);
-        println!("{:<14} {:>8.3} {:>10}", format!("{policy:?}"), waf, erases);
-    }
-
-    println!("\n=== Ablation B: offload segment size (src trace) ===");
-    println!(
-        "{:<16} {:>12} {:>10}",
-        "Segment pages", "Comp ratio", "Segments"
-    );
-    for pages in [8usize, 32, 128] {
-        let (ratio, segments) = run_segment_size(pages);
-        println!("{:<16} {:>12.2}x {:>9}", pages, ratio, segments);
-    }
-    println!();
-}
-
-fn bench_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gc_ablation");
-    group.sample_size(10);
-    group.bench_function("greedy_usr_trace", |b| {
-        b.iter(|| run_policy(GcPolicy::Greedy))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_ablation);
 
 fn main() {
-    print_tables();
-    benches();
-    criterion::Criterion::default().final_summary();
+    let mut rows = vec![
+        policy_row("gc_greedy", GcPolicy::Greedy),
+        policy_row("gc_cost_benefit", GcPolicy::CostBenefit),
+    ];
+    for metric in ["waf", "erases"] {
+        assert!(
+            rows[0].get(metric) <= rows[1].get(metric),
+            "greedy must not out-wear cost-benefit on the usr trace ({metric})"
+        );
+    }
+
+    let sizes: Vec<BenchRow> = [8, 32, 128].into_iter().map(segment_size_row).collect();
+    for pair in sizes.windows(2) {
+        let (small, large) = (&pair[0], &pair[1]);
+        assert!(
+            large.get("compression_ratio") >= small.get("compression_ratio")
+                && large.get("segments") < small.get("segments"),
+            "{} → {}: larger segments must compress no worse into fewer segments",
+            small.config,
+            large.config
+        );
+    }
+    rows.extend(sizes);
+    publish(
+        "gc_ablation",
+        "Ablation: GC victim-selection policy (usr trace), offload segment size (src trace)",
+        &rows,
+    );
 }

@@ -1,12 +1,15 @@
 //! **E8 — Figure 1 datapath**: NVMe-oE offload microbenchmarks.
 //!
-//! Measures segment-transfer goodput vs. segment size on datacenter and
-//! WAN links (with and without loss), achieved compression ratio per trace
-//! payload mix, and the compress+seal CPU cost per page.
+//! Records segment-transfer goodput vs. segment size on datacenter and WAN
+//! links (with and without loss), and the achieved compression ratio per
+//! payload class. Asserted: goodput on the clean 10 GbE link rises with
+//! segment size (per-segment costs amortize), and ciphertext-like (random)
+//! pages leave at ≈ 1.0× — the offload never inflates what it cannot
+//! compress. What compress + seal cost the host per page is `benchmark/`'s
+//! `compress.*` / `crypto.*` layers, not this file.
 
-use criterion::{criterion_group, Criterion};
-use rssd_crypto::DeviceKeys;
-use rssd_net::{LinkConfig, NvmeOeEndpoint, SecureSession};
+use rssd_bench::{publish, BenchRow};
+use rssd_net::{LinkConfig, NvmeOeEndpoint};
 use rssd_trace::{synthesize_page, PayloadKind};
 
 fn goodput_gbps(link: LinkConfig, segment_bytes: usize) -> f64 {
@@ -16,81 +19,60 @@ fn goodput_gbps(link: LinkConfig, segment_bytes: usize) -> f64 {
     segment_bytes as f64 / done_ns as f64 // bytes/ns == GB/s
 }
 
-fn print_report() {
-    println!("\n=== E8: NVMe-oE offload path ===");
-    println!("-- segment goodput (GB/s) --");
-    println!(
-        "{:<12} {:>10} {:>10} {:>12}",
-        "Segment", "10GbE", "WAN", "10GbE+loss"
-    );
-    for &size in &[4 * 1024usize, 64 * 1024, 1024 * 1024, 8 * 1024 * 1024] {
-        println!(
-            "{:<12} {:>10.3} {:>10.3} {:>12.3}",
-            format!("{} KiB", size / 1024),
-            goodput_gbps(LinkConfig::datacenter_10g(), size),
-            goodput_gbps(LinkConfig::wan_cloud(), size),
-            goodput_gbps(LinkConfig::lossy(50), size),
-        );
+/// Raw over packed bytes for 256 synthesized 4 KiB pages of `kind`.
+fn compression_ratio(kind: PayloadKind) -> f64 {
+    let (mut raw, mut packed) = (0usize, 0usize);
+    for i in 0..256u64 {
+        let page = synthesize_page(kind, i, 4096);
+        raw += page.len();
+        packed += rssd_compress::compress_adaptive(&page).len();
     }
-
-    println!("-- compression ratio by payload class (4 KiB pages, 256 pages) --");
-    for kind in [
-        PayloadKind::Zero,
-        PayloadKind::Text,
-        PayloadKind::Binary,
-        PayloadKind::Random,
-    ] {
-        let mut raw = 0usize;
-        let mut packed = 0usize;
-        for i in 0..256u64 {
-            let page = synthesize_page(kind, i, 4096);
-            let frame = rssd_compress::compress_adaptive(&page);
-            raw += page.len();
-            packed += frame.len();
-        }
-        println!(
-            "{:<10} {:>8.2}x",
-            format!("{kind:?}"),
-            raw as f64 / packed as f64
-        );
-    }
-    println!("Paper: retained pages leave compressed+encrypted; ciphertext ~1x.\n");
+    raw as f64 / packed as f64
 }
-
-fn bench_offload(c: &mut Criterion) {
-    let mut group = c.benchmark_group("offload_path");
-    group.sample_size(20);
-
-    group.bench_function("transfer_1mib_datacenter", |b| {
-        let payload = bytes::Bytes::from(vec![0u8; 1024 * 1024]);
-        b.iter(|| {
-            let mut fabric = NvmeOeEndpoint::new(LinkConfig::datacenter_10g());
-            fabric.transfer_segment(0, payload.clone(), 0)
-        })
-    });
-
-    group.bench_function("compress_seal_64_pages", |b| {
-        let keys = DeviceKeys::for_simulation(1);
-        let session = SecureSession::new(&keys, 0);
-        let pages: Vec<Vec<u8>> = (0..64u64)
-            .map(|i| synthesize_page(PayloadKind::Text, i, 4096))
-            .collect();
-        b.iter(|| {
-            let mut blob = Vec::new();
-            for p in &pages {
-                blob.extend_from_slice(p);
-            }
-            let compressed = rssd_compress::compress_adaptive(&blob);
-            session.seal(0, &compressed)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_offload);
 
 fn main() {
-    print_report();
-    benches();
-    criterion::Criterion::default().final_summary();
+    let mut rows: Vec<BenchRow> = [4usize, 64, 1024, 8192]
+        .into_iter()
+        .map(|kib| {
+            let goodput = |link| goodput_gbps(link, kib * 1024);
+            BenchRow::new(
+                format!("{kib}_kib"),
+                vec![
+                    ("dc_10g_gbps", goodput(LinkConfig::datacenter_10g())),
+                    ("wan_gbps", goodput(LinkConfig::wan_cloud())),
+                    ("dc_10g_loss2_gbps", goodput(LinkConfig::lossy(50))),
+                ],
+            )
+        })
+        .collect();
+    for pair in rows.windows(2) {
+        let (small, large) = (&pair[0], &pair[1]);
+        assert!(
+            large.get("dc_10g_gbps") > small.get("dc_10g_gbps"),
+            "10 GbE goodput must rise with segment size: {} → {}",
+            small.config,
+            large.config
+        );
+    }
+
+    for (label, kind) in [
+        ("zero", PayloadKind::Zero),
+        ("text", PayloadKind::Text),
+        ("binary", PayloadKind::Binary),
+        ("random", PayloadKind::Random),
+    ] {
+        let ratio = compression_ratio(kind);
+        if kind == PayloadKind::Random {
+            assert!(
+                (ratio - 1.0).abs() < 0.01,
+                "ciphertext-like pages must leave at ≈ 1.0×, got {ratio:.4}×"
+            );
+        }
+        rows.push(BenchRow::new(label, vec![("compression_ratio", ratio)]));
+    }
+    publish(
+        "e8_offload_path",
+        "E8: NVMe-oE offload path — segment goodput (GB/s), compression ratio by payload class",
+        &rows,
+    );
 }

@@ -18,8 +18,7 @@
 //! through the wire reproduces the direct harvest. A lossy link must pay
 //! in retransmissions and nanoseconds, never in evidence.
 
-use criterion::{criterion_group, Criterion};
-use rssd_bench::{bench_geometry, mk_rssd, rule, write_bench_json, BenchRow};
+use rssd_bench::{bench_geometry, cell, flag, mk_rssd, publish, BenchRow};
 use rssd_core::{LoopbackTarget, RebuildImage, RssdConfig, RssdDevice, WireRemote};
 use rssd_flash::{NandTiming, SimClock};
 use rssd_net::LinkConfig;
@@ -76,18 +75,9 @@ fn run_workload<D: BlockDevice>(device: &mut D) {
     }
 }
 
-struct WireRun {
-    offload_mbps: f64,
-    host_kiops: f64,
-    sim_end_ms: f64,
-    segments: f64,
-    retransmissions: f64,
-    recovery_ok: f64,
-}
-
 /// Runs the workload over `link` and scores it against `golden`, the
 /// direct-path device that ran the same workload.
-fn run_wire(link: LinkConfig, golden: &mut RssdDevice<LoopbackTarget>) -> WireRun {
+fn wire_row(name: &str, link: LinkConfig, golden: &mut RssdDevice<LoopbackTarget>) -> BenchRow {
     let mut device = wired_device(link);
     run_workload(&mut device);
     device.flush_log().expect("flush retention log");
@@ -116,21 +106,24 @@ fn run_wire(link: LinkConfig, golden: &mut RssdDevice<LoopbackTarget>) -> WireRu
     }
 
     let sim_s = sim_end_ns as f64 / 1e9;
-    WireRun {
-        offload_mbps: xfer.payload_bytes as f64 / 1e6 / sim_s,
-        host_kiops: ops as f64 / sim_s / 1e3,
-        sim_end_ms: sim_end_ns as f64 / 1e6,
-        segments: xfer.segments as f64,
-        retransmissions: xfer.retransmissions as f64,
-        recovery_ok: if ok { 1.0 } else { 0.0 },
-    }
+    BenchRow::new(
+        name,
+        vec![
+            ("offload_mbps", xfer.payload_bytes as f64 / 1e6 / sim_s),
+            ("host_kiops", ops as f64 / sim_s / 1e3),
+            ("sim_end_ms", sim_end_ns as f64 / 1e6),
+            ("segments", xfer.segments as f64),
+            ("retransmissions", xfer.retransmissions as f64),
+            ("recovery_ok", flag(ok)),
+        ],
+    )
 }
 
-fn print_sweep() {
+fn main() {
     // Bandwidth × loss grid: the two link classes from DESIGN.md §8, each
     // clean and with a deterministic 2% frame-loss pattern, plus the
     // ideal-link differential baseline and a heavy-loss datacenter point.
-    let configs: Vec<(&str, LinkConfig)> = vec![
+    let configs: [(&str, LinkConfig); 6] = [
         ("ideal", LinkConfig::ideal()),
         ("dc_10g", LinkConfig::datacenter_10g()),
         ("dc_10g_loss2", LinkConfig::lossy(50)),
@@ -150,69 +143,41 @@ fn print_sweep() {
     run_workload(&mut golden);
     golden.flush_log().expect("flush golden log");
 
-    println!("\n=== offload_wire: link bandwidth x loss vs offload path ===");
-    println!(
-        "{:<14} {:>12} {:>10} {:>11} {:>9} {:>8} {:>9}",
-        "Link", "offload MB/s", "host kIOPS", "sim end ms", "segments", "retrans", "recovery"
-    );
-    println!("{}", rule(78));
+    let rows: Vec<BenchRow> = configs
+        .into_iter()
+        .map(|(name, link)| wire_row(name, link, &mut golden))
+        .collect();
+    let cell = |config: &str, metric: &str| cell(&rows, config, metric);
 
-    let mut rows = Vec::new();
-    let mut by_name = std::collections::HashMap::new();
-    for (name, link) in configs {
-        let run = run_wire(link, &mut golden);
-        println!(
-            "{:<14} {:>12.1} {:>10.1} {:>11.2} {:>9.0} {:>8.0} {:>9}",
-            name,
-            run.offload_mbps,
-            run.host_kiops,
-            run.sim_end_ms,
-            run.segments,
-            run.retransmissions,
-            if run.recovery_ok == 1.0 { "ok" } else { "FAIL" },
-        );
-        rows.push(BenchRow {
-            config: name.to_string(),
-            metrics: vec![
-                ("offload_mbps", run.offload_mbps),
-                ("host_kiops", run.host_kiops),
-                ("sim_end_ms", run.sim_end_ms),
-                ("segments", run.segments),
-                ("retransmissions", run.retransmissions),
-                ("recovery_ok", run.recovery_ok),
-            ],
-        });
-        by_name.insert(name, run);
-    }
-    println!(
-        "Slower links cost host-visible nanoseconds and lossy links cost\n\
-         retransmissions; neither is allowed to cost evidence.\n"
-    );
-
-    // The link-physics claims, asserted here, once, before the summary is
-    // written.
+    // The link-physics claims: slower links cost host-visible nanoseconds
+    // and lossy links cost retransmissions; neither may cost evidence.
     assert!(
-        by_name["dc_10g"].offload_mbps > by_name["wan_cloud"].offload_mbps,
+        cell("dc_10g", "offload_mbps") > cell("wan_cloud", "offload_mbps"),
         "datacenter link must out-run the WAN"
     );
-    assert!(
-        by_name["dc_10g_loss2"].retransmissions > 0.0
-            && by_name["dc_10g_loss20"].retransmissions > 0.0
-            && by_name["wan_loss2"].retransmissions > 0.0,
-        "lossy links must pay in retransmissions"
-    );
-    for (name, run) in &by_name {
-        assert_eq!(run.recovery_ok, 1.0, "{name}: recovery window corrupted");
+    for lossy in ["dc_10g_loss2", "dc_10g_loss20", "wan_loss2"] {
+        assert!(
+            cell(lossy, "retransmissions") > 0.0,
+            "{lossy}: lossy links must pay in retransmissions"
+        );
+    }
+    for row in &rows {
+        assert_eq!(
+            row.get("recovery_ok"),
+            1.0,
+            "{}: recovery window corrupted",
+            row.config
+        );
     }
     assert!(
-        by_name["wan_cloud"].sim_end_ms > by_name["dc_10g"].sim_end_ms,
+        cell("wan_cloud", "sim_end_ms") > cell("dc_10g", "sim_end_ms"),
         "WAN propagation must land on the device timeline"
     );
     // Offload overlaps host I/O: a WAN costs the host the staging window,
     // not a round trip per segment.
-    let ideal = by_name["ideal"].host_kiops;
+    let ideal = cell("ideal", "host_kiops");
     for name in ["wan_cloud", "wan_loss2"] {
-        let kiops = by_name[name].host_kiops;
+        let kiops = cell(name, "host_kiops");
         assert!(
             kiops >= 0.9 * ideal,
             "{name}: {kiops:.3} host kIOPS is below 0.9x the ideal link's {ideal:.3} — \
@@ -220,31 +185,9 @@ fn print_sweep() {
         );
     }
 
-    match write_bench_json("offload_wire", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write bench json: {e}"),
-    }
-}
-
-fn bench_wire(c: &mut Criterion) {
-    let mut group = c.benchmark_group("offload_wire");
-    group.sample_size(10);
-
-    group.bench_function("workload_2k_writes_datacenter", |b| {
-        b.iter(|| {
-            let mut device = wired_device(LinkConfig::datacenter_10g());
-            run_workload(&mut device);
-            device.flush_log().expect("flush");
-            device.clock().now_ns()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_wire);
-
-fn main() {
-    print_sweep();
-    benches();
-    criterion::Criterion::default().final_summary();
+    publish(
+        "offload_wire",
+        "offload_wire: link bandwidth x loss vs offload path",
+        &rows,
+    );
 }

@@ -1,20 +1,35 @@
 //! **E3**: the "<1 % impact on local storage performance" claim.
 //!
 //! Replays fio-like microbenchmark patterns (4 KiB random/sequential
-//! read/write) and a mixed trace against the plain SSD and RSSD with the
-//! realistic MLC timing model, and compares mean request latency. RSSD's
-//! logging is metadata-only on the write path and its offload reads are
-//! background-scheduled, so the overhead should be ~0 — matching the paper.
+//! read/write), a mix, and one trace profile against the plain SSD and RSSD
+//! with the realistic MLC timing model, and compares mean request latency.
+//! RSSD's logging is metadata-only on the write path and its offload reads
+//! are background-scheduled, so the overhead should be ~0 — matching the
+//! paper. Asserted on every row: `overhead_pct < 1.0`.
 
-use criterion::{criterion_group, Criterion};
-use rssd_bench::{bench_geometry, mk_plain, mk_rssd};
+use rssd_bench::{bench_geometry, mk_plain, mk_rssd, publish, BenchRow};
 use rssd_flash::{NandTiming, SimClock};
 use rssd_ssd::BlockDevice;
 use rssd_trace::{replay, IoRecord, PayloadKind, TraceProfile, WorkloadBuilder};
 
 const OPS: usize = 4_000;
+const WORKLOADS: [&str; 6] = [
+    "randwrite",
+    "randread",
+    "seqwrite",
+    "seqread",
+    "mixed",
+    "trace:src",
+];
 
-fn pattern(name: &str, logical_pages: u64) -> Vec<IoRecord> {
+fn workload(name: &str, logical_pages: u64, page_size: usize) -> Vec<IoRecord> {
+    if name == "trace:src" {
+        return TraceProfile::by_name("src")
+            .unwrap()
+            .workload(logical_pages, page_size, 5)
+            .take(OPS)
+            .collect();
+    }
     let builder = WorkloadBuilder::new(logical_pages)
         .seed(11)
         .ops_per_second(5_000.0)
@@ -35,84 +50,43 @@ fn pattern(name: &str, logical_pages: u64) -> Vec<IoRecord> {
     records
 }
 
-fn mean_latency<D: BlockDevice>(
-    device: &mut D,
-    records: Vec<IoRecord>,
-    latency: impl Fn(&D) -> f64,
-) -> f64 {
-    let _ = replay(device, records);
-    latency(device)
+/// Replays `name` on `device`; `mean_ns` reads the device's own mean
+/// request latency afterwards (an inherent method on each model).
+fn mean_latency_us<D: BlockDevice>(mut device: D, name: &str, mean_ns: impl Fn(&D) -> f64) -> f64 {
+    let records = workload(name, device.logical_pages(), device.page_size());
+    let _ = replay(&mut device, records);
+    mean_ns(&device) / 1000.0
 }
-
-fn print_comparison() {
-    println!("\n=== E3: storage performance overhead (MLC timing) ===");
-    println!(
-        "{:<10} {:>14} {:>14} {:>10}",
-        "Pattern", "Plain (µs)", "RSSD (µs)", "Overhead"
-    );
-    let g = bench_geometry();
-    for name in ["randwrite", "randread", "seqwrite", "seqread", "mixed"] {
-        let mut plain = mk_plain(g, NandTiming::mlc_default(), SimClock::new());
-        let recs = pattern(name, plain.logical_pages());
-        let plain_lat = mean_latency(&mut plain, recs, |d| d.latency().mean_ns());
-        let mut rssd = mk_rssd(g, NandTiming::mlc_default(), SimClock::new());
-        let recs = pattern(name, rssd.logical_pages());
-        let rssd_lat = mean_latency(&mut rssd, recs, |d| d.latency().mean_ns());
-        let overhead = (rssd_lat - plain_lat) / plain_lat * 100.0;
-        println!(
-            "{:<10} {:>14.1} {:>14.1} {:>9.2}%",
-            name,
-            plain_lat / 1000.0,
-            rssd_lat / 1000.0,
-            overhead
-        );
-    }
-    // Trace-driven comparison on one profile.
-    let profile = TraceProfile::by_name("src").unwrap();
-    let mut plain = mk_plain(g, NandTiming::mlc_default(), SimClock::new());
-    let recs: Vec<IoRecord> = profile
-        .workload(plain.logical_pages(), plain.page_size(), 5)
-        .take(OPS)
-        .collect();
-    let _ = replay(&mut plain, recs.clone());
-    let mut rssd = mk_rssd(g, NandTiming::mlc_default(), SimClock::new());
-    let _ = replay(&mut rssd, recs);
-    let (p, r) = (plain.latency().mean_ns(), rssd.latency().mean_ns());
-    println!(
-        "{:<10} {:>14.1} {:>14.1} {:>9.2}%",
-        "trace:src",
-        p / 1000.0,
-        r / 1000.0,
-        (r - p) / p * 100.0
-    );
-    println!("Paper claim: < 1% overhead.\n");
-}
-
-fn bench_write_path(c: &mut Criterion) {
-    let g = bench_geometry();
-    let mut group = c.benchmark_group("perf_overhead");
-    group.sample_size(10);
-    group.bench_function("plain_4k_randwrite", |b| {
-        b.iter(|| {
-            let mut d = mk_plain(g, NandTiming::mlc_default(), SimClock::new());
-            let recs = pattern("randwrite", d.logical_pages());
-            let _ = replay(&mut d, recs);
-        })
-    });
-    group.bench_function("rssd_4k_randwrite", |b| {
-        b.iter(|| {
-            let mut d = mk_rssd(g, NandTiming::mlc_default(), SimClock::new());
-            let recs = pattern("randwrite", d.logical_pages());
-            let _ = replay(&mut d, recs);
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_write_path);
 
 fn main() {
-    print_comparison();
-    benches();
-    criterion::Criterion::default().final_summary();
+    let (g, timing) = (bench_geometry(), NandTiming::mlc_default());
+    let mut rows = Vec::new();
+    for name in WORKLOADS {
+        let plain = mean_latency_us(mk_plain(g, timing, SimClock::new()), name, |d| {
+            d.latency().mean_ns()
+        });
+        let rssd = mean_latency_us(mk_rssd(g, timing, SimClock::new()), name, |d| {
+            d.latency().mean_ns()
+        });
+        // Recorded unclamped. `trace:src` reads −0.01 %: an overhead cannot
+        // be negative, and the mechanism is not yet named — ROADMAP 2(i).
+        let overhead_pct = (rssd - plain) / plain * 100.0;
+        assert!(
+            overhead_pct < 1.0,
+            "{name}: RSSD costs {overhead_pct:.2} % mean latency, the paper claims < 1 %"
+        );
+        rows.push(BenchRow::new(
+            name,
+            vec![
+                ("plain_mean_us", plain),
+                ("rssd_mean_us", rssd),
+                ("overhead_pct", overhead_pct),
+            ],
+        ));
+    }
+    publish(
+        "e3_overhead",
+        "E3: storage performance overhead (MLC timing; paper claim: < 1 %)",
+        &rows,
+    );
 }

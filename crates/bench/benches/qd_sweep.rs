@@ -20,10 +20,7 @@
 //! pressure; LocalSSD+Compression pays a blocking repack read per retained
 //! page.
 
-use criterion::{criterion_group, Criterion};
-use rssd_bench::{
-    bench_geometry, mk_plain, mk_retention, mk_rssd, rule, write_bench_json, BenchRow,
-};
+use rssd_bench::{bench_geometry, cell, mk_plain, mk_retention, mk_rssd, publish, BenchRow};
 use rssd_flash::{NandStats, NandTiming, SimClock};
 use rssd_ssd::{BlockDevice, NvmeController, QueuePairStats, RetentionMode};
 use rssd_trace::{replay_queued, IoRecord, PayloadKind, WorkloadBuilder};
@@ -112,41 +109,23 @@ fn run_model(model: &str, depth: usize) -> SweepRun {
     }
 }
 
-fn print_sweep() {
-    println!(
-        "\n=== qd_sweep: queue-depth sweep, plain vs protected models (MLC timing, 4-channel pipelines) ==="
-    );
-    println!(
-        "{:<14} {:>4} {:>12} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "Model", "QD", "mean (µs)", "p50 (µs)", "p99 (µs)", "kIOPS", "sim end (ms)", "chan util"
-    );
-    println!("{}", rule(96));
+fn main() {
     let mut rows = Vec::new();
-    let mut kiops: Vec<(String, usize, f64)> = Vec::new();
-    let mut latency_spreads = false;
     for &depth in &DEPTHS {
         let mut plain_tput = 0.0;
         for model in MODELS {
             let run = run_model(model, depth);
             let tput = run.throughput_kiops();
-            let p50_us = run.stats.latency.percentile_ns(50.0) as f64 / 1000.0;
-            let p99_us = run.stats.latency.percentile_ns(99.0) as f64 / 1000.0;
-            latency_spreads |= p50_us < p99_us;
-            println!(
-                "{:<14} {:>4} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.2} {:>9.0}%",
-                model,
-                depth,
-                run.stats.latency.mean_ns() / 1000.0,
-                p50_us,
-                p99_us,
-                tput,
-                run.end_ns as f64 / 1e6,
-                run.utilization_avg() * 100.0,
-            );
             let mut metrics = vec![
                 ("mean_us", run.stats.latency.mean_ns() / 1000.0),
-                ("p50_us", p50_us),
-                ("p99_us", p99_us),
+                (
+                    "p50_us",
+                    run.stats.latency.percentile_ns(50.0) as f64 / 1000.0,
+                ),
+                (
+                    "p99_us",
+                    run.stats.latency.percentile_ns(99.0) as f64 / 1000.0,
+                ),
                 ("throughput_kiops", tput),
                 ("sim_end_ms", run.end_ns as f64 / 1e6),
                 ("chan_util_avg", run.utilization_avg()),
@@ -167,100 +146,46 @@ fn print_sweep() {
                 let overhead_pct = (plain_tput - tput) / plain_tput * 100.0;
                 metrics.push(("overhead_vs_plain_pct", overhead_pct));
             }
-            rows.push(BenchRow {
-                config: format!("{model}_qd{depth}"),
-                metrics,
-            });
-            kiops.push((model.to_string(), depth, tput));
+            rows.push(BenchRow::new(format!("{model}_qd{depth}"), metrics));
         }
     }
-    println!(
-        "(queue latency: submission→completion incl. queueing; deeper queues \
-         batch onto the unit pipelines and complete out of order)"
-    );
 
-    // The acceptance gates, asserted before the summary is written so a
-    // violated claim cannot be re-baselined into the file: throughput must
-    // rise with depth for every model, QD32 must reach 2× QD1 on the
-    // 4-channel default geometry, the rssd rows must not be byte-identical
-    // to plain, and the log-linear histogram must resolve p50 from p99.
+    // The acceptance gates: throughput must rise with depth for every
+    // model, QD32 must reach 2× QD1 on the 4-channel default geometry, the
+    // rssd rows must not be byte-identical to plain, and the log-linear
+    // histogram must resolve p50 from p99.
+    let kiops =
+        |model: &str, depth: usize| cell(&rows, &format!("{model}_qd{depth}"), "throughput_kiops");
     for model in MODELS {
-        let series: Vec<(usize, f64)> = kiops
-            .iter()
-            .filter(|(m, _, _)| m == model)
-            .map(|&(_, d, t)| (d, t))
-            .collect();
-        for pair in series.windows(2) {
-            let ((a_depth, a), (b_depth, b)) = (pair[0], pair[1]);
+        for pair in DEPTHS.windows(2) {
+            let (a, b) = (kiops(model, pair[0]), kiops(model, pair[1]));
             assert!(
                 b > a,
                 "{model}: throughput must rise with depth: \
-                 QD{a_depth} {a:.1} vs QD{b_depth} {b:.1} kIOPS"
+                 QD{} {a:.1} vs QD{} {b:.1} kIOPS",
+                pair[0],
+                pair[1]
             );
         }
-        let qd1 = series.first().expect("qd1 row").1;
-        let qd32 = series.last().expect("qd32 row").1;
+        let (qd1, qd32) = (kiops(model, 1), kiops(model, 32));
         assert!(
             qd32 >= 2.0 * qd1,
             "{model}: QD32 must deliver ≥ 2× QD1 (got {qd1:.1} → {qd32:.1} kIOPS)"
         );
     }
-    let plain32 = kiops
-        .iter()
-        .find(|(m, d, _)| m == "plain" && *d == 32)
-        .unwrap()
-        .2;
-    let rssd32 = kiops
-        .iter()
-        .find(|(m, d, _)| m == "rssd" && *d == 32)
-        .unwrap()
-        .2;
     assert!(
-        (plain32 - rssd32).abs() > f64::EPSILON,
+        (kiops("plain", 32) - kiops("rssd", 32)).abs() > f64::EPSILON,
         "rssd rows must differ from plain at depth (overhead is real)"
     );
     assert!(
-        latency_spreads,
+        rows.iter().any(|row| row.get("p50_us") < row.get("p99_us")),
         "p50 == p99 in every row: the latency histogram has collapsed to octave resolution"
     );
 
-    match write_bench_json("qd_sweep", &rows) {
-        Ok(path) => println!("(summary written to {})", path.display()),
-        Err(e) => eprintln!("(could not write BENCH_qd_sweep.json: {e})"),
-    }
-}
-
-fn bench_depths(c: &mut Criterion) {
-    let g = bench_geometry();
-    let mut group = c.benchmark_group("qd_sweep");
-    group.sample_size(10);
-    for &depth in &DEPTHS {
-        group.bench_function(&format!("plain_qd{depth}"), |b| {
-            b.iter(|| {
-                run_at_depth(
-                    mk_plain(g, NandTiming::mlc_default(), SimClock::new()),
-                    depth,
-                    |_| NandStats::default(),
-                )
-            })
-        });
-        group.bench_function(&format!("rssd_qd{depth}"), |b| {
-            b.iter(|| {
-                run_at_depth(
-                    mk_rssd(g, NandTiming::mlc_default(), SimClock::new()),
-                    depth,
-                    |_| NandStats::default(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_depths);
-
-fn main() {
-    print_sweep();
-    benches();
-    criterion::Criterion::default().final_summary();
+    publish(
+        "qd_sweep",
+        "qd_sweep: queue-depth sweep, plain vs protected models (MLC timing, 4-channel pipelines; \
+         queue latency = submission→completion incl. queueing)",
+        &rows,
+    );
 }

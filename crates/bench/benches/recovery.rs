@@ -1,19 +1,20 @@
 //! **E5**: "fast data recovery after attacks".
 //!
-//! Encrypts an increasing number of victim pages, then measures recovery:
-//! simulated device time and recovered fraction, including recovery that
-//! must pull offloaded segments back from the remote target.
+//! Encrypts (or trims) an increasing number of victim pages, then measures
+//! recovery: simulated device time and restored pages, including recovery
+//! that must pull offloaded segments back from the remote target. A last
+//! row runs the operator's pipeline — verify the history, analyze it,
+//! restore the analyzer's own victim list. Asserted on every row: zero
+//! unrecoverable pages, every victim restored, restored content verifies.
 
-use criterion::{criterion_group, Criterion};
 use rssd_attacks::{ClassicRansomware, FileTable, TrimAttack};
-use rssd_bench::{bench_geometry, mk_rssd};
-use rssd_core::{PostAttackAnalyzer, RecoveryEngine};
+use rssd_bench::{bench_geometry, flag, mk_rssd, publish, BenchRow};
+use rssd_core::{AttackClass, PostAttackAnalyzer, RecoveryEngine};
 use rssd_flash::{NandTiming, SimClock};
 
-fn run_recovery(victim_pages: u64, trim_instead: bool) -> (f64, u64) {
-    let g = bench_geometry();
+fn recovery_row(label: &str, victim_pages: u64, trim_instead: bool) -> BenchRow {
     let clock = SimClock::new();
-    let mut d = mk_rssd(g, NandTiming::mlc_default(), clock.clone());
+    let mut d = mk_rssd(bench_geometry(), NandTiming::mlc_default(), clock.clone());
     let files = (victim_pages / 8).max(1) as usize;
     let table = FileTable::populate(&mut d, files, 8, 7).unwrap();
     clock.advance(1_000_000);
@@ -28,36 +29,26 @@ fn run_recovery(victim_pages: u64, trim_instead: bool) -> (f64, u64) {
     let report = RecoveryEngine::new().restore_before(&mut d, &outcome.victim_lpas, attack_start);
     assert_eq!(
         report.pages_unrecoverable, 0,
-        "zero data loss must hold at {victim_pages} pages"
+        "{label}: zero data loss must hold at {victim_pages} pages"
     );
+    assert_eq!(report.pages_restored, victim_pages, "{label}: every victim");
     let (intact, total) = table.verify_intact(&mut d);
-    assert_eq!(intact, total, "restored content must verify");
-    (report.duration_ns as f64 / 1e6, report.pages_restored)
+    assert_eq!(intact, total, "{label}: restored content must verify");
+    BenchRow::new(
+        label,
+        vec![
+            ("victim_pages", victim_pages as f64),
+            ("recovery_sim_ms", report.duration_ns as f64 / 1e6),
+            ("pages_restored", report.pages_restored as f64),
+            ("pages_unrecoverable", report.pages_unrecoverable as f64),
+        ],
+    )
 }
 
-fn print_table() {
-    println!("\n=== E5: recovery time after attack (RSSD, MLC timing) ===");
-    println!(
-        "{:<16} {:>12} {:>18} {:>14}",
-        "Attack", "Victim pages", "Recovery (sim ms)", "Restored"
-    );
-    for &pages in &[64u64, 256, 512] {
-        let (ms, restored) = run_recovery(pages, false);
-        println!(
-            "{:<16} {:>12} {:>18.2} {:>14}",
-            "classic", pages, ms, restored
-        );
-    }
-    let (ms, restored) = run_recovery(256, true);
-    println!(
-        "{:<16} {:>12} {:>18.2} {:>14}",
-        "trimming", 256, ms, restored
-    );
-
-    // Full pipeline: analyze → recover, as an operator would.
-    let g = bench_geometry();
+/// Full pipeline: analyze → recover, as an operator would.
+fn pipeline_row() -> BenchRow {
     let clock = SimClock::new();
-    let mut d = mk_rssd(g, NandTiming::mlc_default(), clock.clone());
+    let mut d = mk_rssd(bench_geometry(), NandTiming::mlc_default(), clock.clone());
     let table = FileTable::populate(&mut d, 16, 8, 7).unwrap();
     clock.advance(1_000_000);
     let outcome = ClassicRansomware::new(9).execute(&mut d, &table).unwrap();
@@ -65,27 +56,37 @@ fn print_table() {
     let report = PostAttackAnalyzer::new().analyze(&history, true);
     let recovery =
         RecoveryEngine::new().restore_before(&mut d, &report.victim_lpas, outcome.start_ns);
-    println!(
-        "pipeline: analyze({} records) -> classify {} -> restore {}/{} pages",
-        report.records_examined,
-        report.attack_class,
+    let classified_classic = report.attack_class == AttackClass::Classic;
+    assert!(classified_classic, "pipeline: {}", report.attack_class);
+    assert_eq!(recovery.pages_unrecoverable, 0, "pipeline: zero data loss");
+    assert_eq!(
         recovery.pages_restored,
-        report.victim_lpas.len()
+        report.victim_lpas.len() as u64,
+        "pipeline: every page the analyzer named"
     );
-    println!("Paper claim: fast recovery, zero data loss.\n");
+    BenchRow::new(
+        "pipeline",
+        vec![
+            ("records_analyzed", report.records_examined as f64),
+            ("classified_classic", flag(classified_classic)),
+            ("victim_pages", report.victim_lpas.len() as f64),
+            ("pages_restored", recovery.pages_restored as f64),
+            ("pages_unrecoverable", recovery.pages_unrecoverable as f64),
+        ],
+    )
 }
-
-fn bench_recovery(c: &mut Criterion) {
-    let mut group = c.benchmark_group("recovery");
-    group.sample_size(10);
-    group.bench_function("classic_256_pages", |b| b.iter(|| run_recovery(256, false)));
-    group.finish();
-}
-
-criterion_group!(benches, bench_recovery);
 
 fn main() {
-    print_table();
-    benches();
-    criterion::Criterion::default().final_summary();
+    let rows = vec![
+        recovery_row("classic_64", 64, false),
+        recovery_row("classic_256", 256, false),
+        recovery_row("classic_512", 512, false),
+        recovery_row("trimming_256", 256, true),
+        pipeline_row(),
+    ];
+    publish(
+        "e5_recovery",
+        "E5: recovery time after attack (RSSD, MLC timing; paper claim: fast recovery, zero data loss)",
+        &rows,
+    );
 }

@@ -1,9 +1,11 @@
 //! Shared helpers for the RSSD benchmark harness.
 //!
 //! One bench target per paper artifact (see DESIGN.md §3 and
-//! EXPERIMENTS.md). Every bench prints the reproduced table/figure rows to
-//! stdout before running its criterion timings, so `cargo bench` output *is*
-//! the reproduction record.
+//! EXPERIMENTS.md), every one the same plain `main`: **measure** a
+//! `Vec<BenchRow>` off the simulated clock, **assert** the claim the rows
+//! back, then [`publish`] — which prints the rows as an aligned table and
+//! writes the same rows to `BENCH_<name>.json`. The table and the file
+//! cannot disagree, no host clock is read, and CI gates every file's bytes.
 
 use rssd_array::RssdArray;
 use rssd_core::{LoopbackTarget, RssdConfig, RssdDevice};
@@ -86,11 +88,6 @@ pub fn mk_array(
 /// Nanoseconds per simulated day.
 pub const NS_PER_DAY: f64 = 86_400e9;
 
-/// Formats a one-line separator for bench tables.
-pub fn rule(width: usize) -> String {
-    "-".repeat(width)
-}
-
 /// One configuration's summary metrics in a bench's machine-readable
 /// output.
 #[derive(Clone, Debug)]
@@ -99,6 +96,45 @@ pub struct BenchRow {
     pub config: String,
     /// Metric name → value pairs, emitted in order.
     pub metrics: Vec<(&'static str, f64)>,
+}
+
+impl BenchRow {
+    /// A row labelled `config` carrying `metrics` in order.
+    pub fn new(config: impl Into<String>, metrics: Vec<(&'static str, f64)>) -> Self {
+        BenchRow {
+            config: config.into(),
+            metrics,
+        }
+    }
+
+    /// The value of `metric` in this row.
+    ///
+    /// # Panics
+    ///
+    /// When the row has no such metric — a bench asserting on a column it
+    /// never measured is a bug in the bench.
+    pub fn get(&self, metric: &str) -> f64 {
+        self.metrics
+            .iter()
+            .find(|(name, _)| *name == metric)
+            .unwrap_or_else(|| panic!("row {} has no metric {metric}", self.config))
+            .1
+    }
+}
+
+/// The value of `metric` in the row labelled `config`.
+///
+/// # Panics
+///
+/// When no row carries that label, or the row lacks the metric.
+pub fn cell(rows: &[BenchRow], config: &str, metric: &str) -> f64 {
+    let row = rows.iter().find(|row| row.config == config);
+    row.unwrap_or_else(|| panic!("no row {config}")).get(metric)
+}
+
+/// A yes/no cell as the number a [`BenchRow`] carries: 1.0 or 0.0.
+pub fn flag(yes: bool) -> f64 {
+    f64::from(u8::from(yes))
 }
 
 fn json_escape(s: &str) -> String {
@@ -112,6 +148,74 @@ fn json_number(v: f64) -> String {
     } else {
         "null".to_string()
     }
+}
+
+/// [`json_number`] as a table cell: the same six decimals, trailing zeros
+/// dropped.
+fn table_number(v: f64) -> String {
+    let text = json_number(v);
+    if text.contains('.') {
+        text.trim_end_matches('0').trim_end_matches('.').to_string()
+    } else {
+        text
+    }
+}
+
+/// Renders `rows` as aligned text. Consecutive rows whose metric names agree
+/// position by position share one block under one header (a row may stop
+/// short of the block's widest row; its missing cells print `-`); a row
+/// that names different metrics starts a new block.
+pub fn render_table(rows: &[BenchRow]) -> String {
+    let mut out = String::new();
+    let mut rest = rows;
+    while let Some(first) = rest.first() {
+        let mut header: Vec<&str> = first.metrics.iter().map(|(name, _)| *name).collect();
+        let mut len = 0;
+        for row in rest {
+            let names = row.metrics.iter().map(|(name, _)| *name);
+            if !names.clone().zip(&header).all(|(a, b)| a == *b) {
+                break;
+            }
+            if row.metrics.len() > header.len() {
+                header = names.collect();
+            }
+            len += 1;
+        }
+        let (block, tail) = rest.split_at(len);
+        rest = tail;
+
+        let mut lines: Vec<Vec<String>> = vec![std::iter::once("config")
+            .chain(header.iter().copied())
+            .map(str::to_string)
+            .collect()];
+        for row in block {
+            let mut cells = vec![row.config.clone()];
+            cells.extend(row.metrics.iter().map(|(_, v)| table_number(*v)));
+            cells.resize(header.len() + 1, "-".to_string());
+            lines.push(cells);
+        }
+        let widths: Vec<usize> = (0..=header.len())
+            .map(|col| {
+                lines
+                    .iter()
+                    .map(|l| l[col].chars().count())
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        for cells in &lines {
+            let mut line = format!("{:<w$}", cells[0], w = widths[0]);
+            for (cell, w) in cells.iter().zip(&widths).skip(1) {
+                line.push_str(&format!("  {cell:>w$}"));
+            }
+            out.push_str(line.trim_end());
+            out.push('\n');
+        }
+        if !rest.is_empty() {
+            out.push('\n');
+        }
+    }
+    out
 }
 
 /// Renders a bench's summary rows (p50/p99/throughput per configuration)
@@ -176,6 +280,23 @@ pub fn write_bench_json(name: &str, rows: &[BenchRow]) -> std::io::Result<PathBu
     let path = workspace_root()?.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, render_bench_json(name, rows))?;
     Ok(path)
+}
+
+/// The one way a bench reports: prints `rows` under `title` as
+/// [`render_table`] lays them out, then writes the same rows to
+/// `BENCH_<name>.json`. Call it after the bench's claims are asserted, so a
+/// violated claim cannot be re-baselined into the file.
+///
+/// # Panics
+///
+/// When the file cannot be written: a reproduction record that silently
+/// failed to record would pass the byte gate on stale bytes.
+pub fn publish(name: &str, title: &str, rows: &[BenchRow]) {
+    println!("\n=== {title} ===");
+    print!("{}", render_table(rows));
+    let path = write_bench_json(name, rows)
+        .unwrap_or_else(|e| panic!("could not write BENCH_{name}.json: {e}"));
+    println!("(rows written to {})", path.display());
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The device's view of the remote side of the codesign.
 
-use crate::logrec::SegmentEnvelope;
+use crate::logrec::{SegmentEnvelope, WireError};
 use rssd_crypto::Digest;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -16,6 +16,15 @@ pub enum RemoteError {
         /// Head the envelope claimed to extend.
         got: Digest,
     },
+    /// The remote refused the segment: its sealed payload failed to
+    /// authenticate or parse, so nothing was stored or acknowledged. The
+    /// device still holds the sealed image and re-sends it.
+    Unreadable {
+        /// The refused segment.
+        segment_seq: u64,
+        /// Why the payload could not be read.
+        cause: WireError,
+    },
     /// No stored segment with that sequence number.
     NoSuchSegment(u64),
     /// The remote is unreachable; the device must keep data pinned locally
@@ -28,6 +37,9 @@ impl std::fmt::Display for RemoteError {
         match self {
             RemoteError::ChainDiscontinuity { .. } => {
                 write!(f, "segment does not extend the stored evidence chain")
+            }
+            RemoteError::Unreadable { segment_seq, cause } => {
+                write!(f, "segment {segment_seq} refused: {cause}")
             }
             RemoteError::NoSuchSegment(seq) => write!(f, "no stored segment {seq}"),
             RemoteError::Unreachable => write!(f, "remote target unreachable"),

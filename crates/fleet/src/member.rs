@@ -9,8 +9,7 @@
 
 use crate::config::{member_seed, FleetConfig, MemberKind};
 use rssd_array::RssdArray;
-use rssd_compress::shannon_entropy;
-use rssd_core::{OffloadStats, PostAttackAnalyzer, WireRemote};
+use rssd_core::{LogOp, OffloadStats, PostAttackAnalyzer, WireRemote};
 use rssd_detect::{Verdict, WriteObservation};
 use rssd_faults::{
     restore_power_healing_link, scenario_member, FaultEvent, FaultInjector, FaultSchedule,
@@ -21,11 +20,10 @@ use rssd_ftl::FtlStats;
 use rssd_obs::{MetricsRegistry, ProfileBreakdown, ProfilerHandle, SinkHandle, TraceEvent};
 use rssd_ssd::{BlockDevice, DeviceError, LatencyStats, NvmeController, QueueId, QueuePairStats};
 use rssd_trace::{
-    replay_fanout, synthesize_page, DiurnalLoad, IoOp, IoRecord, PayloadKind, ReplayOutcome,
-    ReplayStats, TraceProfile, Zipf,
+    replay_fanout, DiurnalLoad, IoRecord, PayloadKind, ReplayOutcome, ReplayStats, TraceProfile,
+    Zipf,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Hostage corpus pages every member writes after its benign prefix. Sized
@@ -41,8 +39,6 @@ const ATTACK_TICK_NS: u64 = 2_000_000;
 const QUEUES: usize = 2;
 /// Depth of each queue pair.
 const QUEUE_DEPTH: usize = 8;
-/// Read-before-overwrite correlation window for the host-side monitor.
-const READ_WINDOW_NS: u64 = 600 * 1_000_000_000;
 /// Device ids leave room for array shards: member m's shard s gets
 /// `m * DEVICE_ID_STRIDE + s`.
 const DEVICE_ID_STRIDE: u64 = 16;
@@ -124,7 +120,8 @@ pub struct MemberOutcome {
     /// so the registry folds into [`FleetReport`](crate::FleetReport)
     /// without weakening its byte-identical determinism contract.
     pub metrics: MetricsRegistry,
-    /// Host-side detector observations, in issue order.
+    /// Detector observations from the member's audited evidence log, in
+    /// chain order.
     pub observations: Vec<WriteObservation>,
 }
 
@@ -313,9 +310,6 @@ fn run_on<D: FaultTarget>(
         });
         schedule = FaultSchedule::new("degraded", events);
     }
-    profiler.enter("detect");
-    let observations = observe_stream(&records, device.page_size());
-    profiler.exit();
     let mut device = FaultInjector::new(device, &schedule);
     device.set_trace_sink(sink.clone());
     if sink.is_enabled() {
@@ -420,6 +414,14 @@ fn run_on<D: FaultTarget>(
     profiler.enter("detect");
     let audit = device.history_audit();
     let analysis = PostAttackAnalyzer::new().analyze(&audit.records, audit.verified);
+    // The fleet detector sees what the device logged: every non-read
+    // record's entropy, validity and read-before flag, in chain order.
+    let observations = audit
+        .records
+        .iter()
+        .filter(|record| record.op != LogOp::Read)
+        .map(PostAttackAnalyzer::observation)
+        .collect();
     profiler.exit();
     let sim_end_ns = device.clock().now_ns();
     if sink.is_enabled() {
@@ -563,51 +565,6 @@ fn synthesize_stream(
     records
 }
 
-/// Reconstructs the detector observations a log-backed host monitor would
-/// derive from the member's submitted stream: entropy of each written
-/// payload, overwrite-of-valid tracking, read-before-overwrite correlation
-/// within [`READ_WINDOW_NS`], and trims of valid pages.
-fn observe_stream(records: &[IoRecord], page_size: usize) -> Vec<WriteObservation> {
-    let mut valid: HashSet<u64> = HashSet::new();
-    let mut recent_reads: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::new();
-    for record in records {
-        match record.op {
-            IoOp::Read => {
-                recent_reads.insert(record.lpa, record.at_ns);
-            }
-            IoOp::Write => {
-                let entropy = shannon_entropy(&synthesize_page(
-                    record.payload,
-                    record.payload_seed,
-                    page_size,
-                ));
-                for page in 0..u64::from(record.pages) {
-                    let lpa = record.lpa + page;
-                    let read_before = recent_reads
-                        .get(&lpa)
-                        .is_some_and(|&t| record.at_ns.saturating_sub(t) <= READ_WINDOW_NS);
-                    out.push(if valid.contains(&lpa) {
-                        WriteObservation::overwrite(record.at_ns, lpa, entropy, read_before)
-                    } else {
-                        WriteObservation::fresh_write(record.at_ns, lpa, entropy)
-                    });
-                    valid.insert(lpa);
-                }
-            }
-            IoOp::Trim => {
-                for page in 0..u64::from(record.pages) {
-                    let lpa = record.lpa + page;
-                    if valid.remove(&lpa) {
-                        out.push(WriteObservation::trim(record.at_ns, lpa));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,21 +684,5 @@ mod tests {
         // A healthy wire never degrades past Buffering (transient staging
         // between seal and ack).
         assert!(a.metrics.gauge("offload.health.max").unwrap() <= 1.0);
-    }
-
-    #[test]
-    fn observe_stream_tracks_validity_and_reads() {
-        let records = vec![
-            IoRecord::write(0, 5, PayloadKind::Text, 1),
-            IoRecord::read(10, 5),
-            IoRecord::write(20, 5, PayloadKind::Random, 2),
-            IoRecord::trim(30, 5),
-            IoRecord::trim(40, 6), // never valid: no observation
-        ];
-        let obs = observe_stream(&records, 4096);
-        assert_eq!(obs.len(), 3);
-        assert!(!obs[0].overwrote_valid);
-        assert!(obs[1].overwrote_valid && obs[1].read_before_overwrite);
-        assert!(obs[2].is_trim);
     }
 }

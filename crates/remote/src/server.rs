@@ -2,9 +2,10 @@
 //!
 //! Receives segment envelopes over the simulated NVMe-oE fabric, enforces
 //! evidence-chain continuity (a device — or an attacker spoofing one —
-//! cannot silently rewind or skip history), stores the sealed payloads in
-//! the object store, and runs the offloaded detection ensemble over the
-//! decrypted records.
+//! cannot silently rewind or skip history), authenticates each sealed
+//! payload *before* acknowledging it (the ack lets the device unpin), stores
+//! the sealed payloads in the object store, and runs the offloaded detection
+//! ensemble over the decrypted record metadata.
 
 use rssd_core::{
     LogOp, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope, SegmentView,
@@ -23,11 +24,10 @@ use crate::object_store::{ObjectStore, ObjectStoreConfig};
 pub struct ServerReport {
     /// Segments accepted and stored.
     pub segments_stored: u64,
-    /// Segments rejected for chain discontinuity.
+    /// Segments refused — for chain discontinuity, or because the sealed
+    /// payload failed to authenticate or parse — and so neither stored nor
+    /// acknowledged.
     pub segments_rejected: u64,
-    /// Segments stored and acknowledged whose payload then failed
-    /// authentication or parsing: held as evidence, invisible to detection.
-    pub segments_unreadable: u64,
     /// Records fed to the detection ensemble.
     pub records_analyzed: u64,
     /// Current detection verdict.
@@ -123,22 +123,9 @@ impl RemoteLogServer {
         format!("segments/{seq:016x}")
     }
 
-    /// Feeds the records of a stored segment to the detection ensemble.
-    /// Detection reads record metadata only: the payload is authenticated
-    /// whole, but the pre-images are neither deciphered nor decompressed. A
-    /// segment that fails to authenticate or parse feeds nothing and is
-    /// counted in [`ServerReport::segments_unreadable`].
-    fn analyze_segment(&mut self, envelope: &SegmentEnvelope) {
-        let depth = OpenDepth::Metadata;
-        let raw = envelope.open(&self.session, depth);
-        let parsed = raw
-            .as_deref()
-            .map_err(|&e| e)
-            .and_then(|raw| SegmentView::parse(raw, depth));
-        let Ok(segment) = parsed else {
-            self.report.segments_unreadable += 1;
-            return;
-        };
+    /// Feeds an authenticated segment's records to the detection ensemble.
+    /// Detection reads record metadata only.
+    fn analyze_segment(&mut self, segment: &SegmentView<'_>) {
         for record in &segment.records {
             if record.meta.op == LogOp::Read {
                 continue;
@@ -170,6 +157,26 @@ impl RemoteTarget for RemoteLogServer {
                 });
             }
         }
+        // The ack is the device's licence to unpin, so authenticate before
+        // anything is stored: the payload is verified whole, then only the
+        // metadata block is deciphered and parsed (pre-images stay sealed).
+        // A refused segment stays staged on the device and is re-sent.
+        let depth = OpenDepth::Metadata;
+        let raw = envelope.open(&self.session, depth);
+        let parsed = raw
+            .as_deref()
+            .map_err(|&e| e)
+            .and_then(|raw| SegmentView::parse(raw, depth));
+        let segment = match parsed {
+            Ok(segment) => segment,
+            Err(cause) => {
+                self.report.segments_rejected += 1;
+                return Err(RemoteError::Unreadable {
+                    segment_seq: envelope.segment_seq(),
+                    cause,
+                });
+            }
+        };
         // Transfer over the fabric (unless the wire was modeled upstream),
         // then persist. The envelope, the fabric payload, and the stored
         // object all share one refcounted wire image.
@@ -191,7 +198,7 @@ impl RemoteTarget for RemoteLogServer {
         self.segment_index.push(envelope.segment_seq());
         self.report.segments_stored += 1;
         self.report.ingest_time_ns += durable_at_ns.saturating_sub(now_ns);
-        self.analyze_segment(&envelope);
+        self.analyze_segment(&segment);
         Ok(StoreAck {
             segment_seq: envelope.segment_seq(),
             durable_at_ns,
@@ -332,10 +339,9 @@ mod tests {
         out
     }
 
-    #[test]
-    fn unreadable_segment_is_stored_acked_and_counted() {
-        // Sealed segments from a real device, replayed into a server by
-        // hand so one can be damaged on the way.
+    /// Sealed segments from a real device (at least three), in chain order,
+    /// to replay into a server by hand.
+    fn sealed_segments() -> Vec<SegmentEnvelope> {
         let mut d = RssdDevice::new(
             FlashGeometry::small_test(),
             NandTiming::instant(),
@@ -351,73 +357,83 @@ mod tests {
         }
         d.flush_log().unwrap();
         let mut source = d.into_remote();
-        let seqs = source.stored_segments();
-        assert!(seqs.len() >= 3);
+        let segments: Vec<SegmentEnvelope> = source
+            .stored_segments()
+            .into_iter()
+            .map(|seq| source.fetch_segment(seq).unwrap())
+            .collect();
+        assert!(segments.len() >= 3);
+        segments
+    }
 
+    #[test]
+    fn unreadable_segment_is_refused_and_the_clean_resend_accepted() {
+        let segments = sealed_segments();
         let mut server = RemoteLogServer::datacenter(&keys());
-        for &seq in &seqs {
-            let clean = source.fetch_segment(seq).unwrap();
-            let before = server.report();
-            if seq != seqs[1] {
-                server.store_segment(clean, 0).unwrap();
-                let after = server.report();
-                assert_eq!(after.segments_unreadable, before.segments_unreadable);
-                assert!(after.records_analyzed > before.records_analyzed);
-                continue;
-            }
-            // One bit of the last pre-image byte: nothing detection reads,
-            // but under the tag like every other sealed byte.
-            let mut payload = clean.sealed_payload().to_vec();
-            let last = payload.len() - rssd_net::session::TAG_LEN - 1;
-            payload[last] ^= 1;
-            let damaged = SegmentEnvelope::new(
-                clean.device_id(),
-                clean.segment_seq(),
-                clean.prev_chain_head(),
-                clean.chain_head(),
-                clean.record_count(),
-                &payload,
-            );
-            let ack = server.store_segment(damaged.clone(), 0).unwrap();
-            assert_eq!(ack.segment_seq, seq);
-            let after = server.report();
-            assert_eq!(after.segments_unreadable, before.segments_unreadable + 1);
-            assert_eq!(after.records_analyzed, before.records_analyzed);
-            assert_eq!(after.segments_stored, before.segments_stored + 1);
-            assert_eq!(server.fetch_segment(seq).unwrap(), damaged);
+        server.store_segment(segments[0].clone(), 0).unwrap();
+
+        // One bit of the last pre-image byte: nothing detection reads, but
+        // under the tag like every other sealed byte.
+        let clean = &segments[1];
+        let seq = clean.segment_seq();
+        let mut payload = clean.sealed_payload().to_vec();
+        let last = payload.len() - rssd_net::session::TAG_LEN - 1;
+        payload[last] ^= 1;
+        let damaged = SegmentEnvelope::new(
+            clean.device_id(),
+            seq,
+            clean.prev_chain_head(),
+            clean.chain_head(),
+            clean.record_count(),
+            &payload,
+        );
+        let (before, store_before) = (server.report(), server.store_stats());
+        assert_eq!(
+            server.store_segment(damaged, 0),
+            Err(RemoteError::Unreadable {
+                segment_seq: seq,
+                cause: rssd_core::WireError::BadPayload,
+            }),
+            "a segment the server cannot authenticate must not be acked"
+        );
+        let refused = server.report();
+        assert_eq!(refused.segments_rejected, before.segments_rejected + 1);
+        assert_eq!(refused.segments_stored, before.segments_stored);
+        assert_eq!(refused.records_analyzed, before.records_analyzed);
+        assert!(!server.stored_segments().contains(&seq));
+        assert_eq!(server.store_stats(), store_before, "nothing was put");
+
+        // The chain head did not advance, so the device's retry — the clean
+        // copy it still holds — and everything after it are accepted.
+        for segment in &segments[1..] {
+            server.store_segment(segment.clone(), 0).unwrap();
         }
-        assert_eq!(server.report().segments_unreadable, 1);
+        let done = server.report();
+        assert_eq!(done.segments_stored, segments.len() as u64);
+        assert_eq!(done.segments_rejected, before.segments_rejected + 1);
+        assert!(done.records_analyzed > before.records_analyzed);
+        assert_eq!(server.fetch_segment(seq).unwrap(), *clean);
     }
 
     #[test]
     fn chain_discontinuity_rejected() {
+        let segments = sealed_segments();
         let mut server = RemoteLogServer::datacenter(&keys());
-        let env = |seq: u64, prev: Digest, head: Digest| {
-            SegmentEnvelope::new(1, seq, prev, head, 0, &[0; 40])
-        };
-        let d1 = Digest::from_bytes([1; 32]);
-        server.store_segment(env(0, Digest::ZERO, d1), 0).unwrap();
-        let err = server
-            .store_segment(env(1, Digest::from_bytes([9; 32]), d1), 0)
-            .unwrap_err();
+        server.store_segment(segments[0].clone(), 0).unwrap();
+        // Skipping a segment is a hole in the history.
+        let err = server.store_segment(segments[2].clone(), 0).unwrap_err();
         assert!(matches!(err, RemoteError::ChainDiscontinuity { .. }));
         assert_eq!(server.report().segments_rejected, 1);
     }
 
     #[test]
     fn fetch_round_trips_envelope() {
+        let segments = sealed_segments();
         let mut server = RemoteLogServer::datacenter(&keys());
-        let envelope = SegmentEnvelope::new(
-            7,
-            3,
-            Digest::ZERO,
-            Digest::from_bytes([2; 32]),
-            5,
-            &[9; 100],
-        );
-        server.store_segment(envelope.clone(), 0).unwrap();
-        assert_eq!(server.fetch_segment(3).unwrap(), envelope);
-        assert_eq!(server.stored_segments(), vec![3]);
+        let seq = segments[0].segment_seq();
+        server.store_segment(segments[0].clone(), 0).unwrap();
+        assert_eq!(server.fetch_segment(seq).unwrap(), segments[0]);
+        assert_eq!(server.stored_segments(), vec![seq]);
         assert!(matches!(
             server.fetch_segment(99),
             Err(RemoteError::NoSuchSegment(99))
@@ -428,7 +444,7 @@ mod tests {
     fn partition_returns_unreachable() {
         let mut server = RemoteLogServer::datacenter(&keys());
         server.set_reachable(false);
-        let envelope = SegmentEnvelope::new(1, 0, Digest::ZERO, Digest::ZERO, 0, &[]);
+        let envelope = sealed_segments().swap_remove(0);
         assert_eq!(
             server.store_segment(envelope, 0),
             Err(RemoteError::Unreachable)
