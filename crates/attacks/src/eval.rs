@@ -4,7 +4,6 @@ use crate::actors::AttackOutcome;
 use crate::fs::FileTable;
 use rssd_ssd::BlockDevice;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Table 1's recovery grades (●, ◗, ❍ in the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,33 +58,20 @@ pub fn evaluate_recovery<D: BlockDevice + ?Sized>(
     outcome: &AttackOutcome,
 ) -> DefenseOutcome {
     let page_size = device.page_size();
-    // Map each victim LPA to its expected original content.
-    let mut expected: HashMap<u64, (usize, u64)> = HashMap::new(); // lpa -> (file idx, page idx)
-    for (fi, file) in victims.files().iter().enumerate() {
-        for (pi, lpa) in file.lpas().enumerate() {
-            expected.insert(lpa, (fi, pi as u64));
-        }
-    }
-
     let mut recovered = 0u64;
     let mut victim_pages = 0u64;
     for &lpa in &outcome.victim_lpas {
-        let Some(&(fi, pi)) = expected.get(&lpa) else {
+        let Some(want) = victims.expected(lpa, page_size) else {
             continue;
         };
         victim_pages += 1;
-        let want = victims.files()[fi].expected_page(pi, page_size);
         if device.recover_page(lpa) == Some(want) {
             recovered += 1;
         }
     }
 
-    let grade = if victim_pages == 0 || recovered == victim_pages {
-        if recovered == 0 && victim_pages > 0 {
-            RecoveryGrade::Unrecoverable
-        } else {
-            RecoveryGrade::Full
-        }
+    let grade = if recovered == victim_pages {
+        RecoveryGrade::Full
     } else if recovered > 0 {
         RecoveryGrade::Partial
     } else {

@@ -26,7 +26,7 @@ pub struct FileMeta {
 
 impl FileMeta {
     /// LPAs covered by this file.
-    pub fn lpas(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn lpas(&self) -> std::ops::Range<u64> {
         self.start_lpa..self.start_lpa + self.pages
     }
 
@@ -71,6 +71,13 @@ impl FileTable {
     /// Every LPA belonging to any file.
     pub fn all_lpas(&self) -> Vec<u64> {
         self.files.iter().flat_map(|f| f.lpas()).collect()
+    }
+
+    /// Known-good content of `lpa`, when a file of this table covers it —
+    /// what recovery of a hostage page is graded against.
+    pub fn expected(&self, lpa: u64, page_size: usize) -> Option<Vec<u8>> {
+        let file = self.files.iter().find(|f| f.lpas().contains(&lpa))?;
+        Some(file.expected_page(lpa - file.start_lpa, page_size))
     }
 
     /// Next free LPA after the allocated extents.
@@ -194,6 +201,8 @@ mod tests {
     fn corruption_detected() {
         let mut d = device();
         let table = FileTable::populate(&mut d, 2, 4, 7).unwrap();
+        assert_eq!(table.expected(5, 4096), d.read_page(5).ok());
+        assert_eq!(table.expected(8, 4096), None, "past the last extent");
         d.write_page(0, vec![0xFF; 4096]).unwrap();
         let (intact, total) = table.verify_intact(&mut d);
         assert_eq!((intact, total), (7, 8));

@@ -7,7 +7,7 @@
 //! attack window, the set of victim pages, and the per-detector evidence.
 
 use crate::logrec::{LogOp, LogRecord};
-use rssd_detect::{Ensemble, Verdict, WriteObservation};
+use rssd_detect::{Ensemble, Verdict, WriteObservation, CIPHERTEXT_BITS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -63,9 +63,6 @@ pub struct AnalysisReport {
     /// Did the evidence chain verify end to end?
     pub chain_verified: bool,
 }
-
-/// Entropy (bits/byte) above which an overwrite is treated as encryption.
-const CIPHERTEXT_BITS: f64 = 7.2;
 
 /// Reconstructs observations and classifies attacks from verified history.
 #[derive(Debug, Default)]

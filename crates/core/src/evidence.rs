@@ -15,7 +15,9 @@ use std::collections::HashMap;
 /// Walks every segment stored on `remote` in chain order, authenticating
 /// each sealed payload whole and verifying continuity and per-record HMAC
 /// links, and hands each decoded record (with the sequence of the segment
-/// that carried it) to `sink`. The evidence walks — the device's history
+/// that carried it) to `sink`. The header's `chain_head` must be the last
+/// link the walk recomputed — the authenticated payload vouches for the
+/// header, never the reverse. The evidence walks — the device's history
 /// audit and [`RssdDevice::recover`](crate::RssdDevice::recover) (which
 /// rebuilds the crashed controller's version index) — pass no `opened`:
 /// segments are opened to [`OpenDepth::Metadata`] and no pre-image is ever
@@ -62,7 +64,14 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
             .collect();
         HashChain::verify_from(chain_key, head, &images, &segment.links)
             .map_err(|e| format!("segment {seq}: {e}"))?;
-        head = envelope.chain_head();
+        // The header is outside the sealed payload; the links just verified
+        // are inside it, so the last of them is the head the header may name.
+        head = segment.links.last().map_or(head, |link| link.tag);
+        if envelope.chain_head() != head {
+            return Err(format!(
+                "segment {seq}: header chain head is not its last verified link"
+            ));
+        }
         let kept = opened.as_deref_mut();
         let kept = kept.map(|opened| (opened, OpenedSegment::table(&segment)));
         for record in segment.records {

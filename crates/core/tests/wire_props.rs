@@ -2,13 +2,14 @@
 
 use proptest::prelude::*;
 use rssd_core::{
-    LogOp, LogRecord, LoopbackTarget, OpenDepth, RemoteTarget, RssdConfig, RssdDevice, Segment,
-    SegmentEnvelope, SegmentView, WireError,
+    LogOp, LogRecord, LoopbackTarget, OpenDepth, RebuildImage, RemoteError, RemoteTarget,
+    RssdConfig, RssdDevice, Segment, SegmentEnvelope, SegmentView, StoreAck, WireError,
 };
 use rssd_crypto::{ChainLink, DeviceKeys, Digest, HashChain};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_net::SecureSession;
 use rssd_ssd::BlockDevice;
+use std::collections::BTreeMap;
 
 fn arb_record() -> impl Strategy<Value = LogRecord> {
     (
@@ -352,4 +353,131 @@ fn digest_zero_is_distinct_from_any_real_tag() {
     let mut chain = HashChain::new(b"k");
     let link = chain.append(b"x");
     assert_ne!(link.tag, Digest::ZERO);
+}
+
+/// A store that keeps whatever it is handed — a collector the adversary
+/// controls — and lets a test rewrite a stored header.
+#[derive(Default)]
+struct Shelf(BTreeMap<u64, SegmentEnvelope>);
+
+impl RemoteTarget for Shelf {
+    fn store_segment(
+        &mut self,
+        envelope: SegmentEnvelope,
+        now_ns: u64,
+    ) -> Result<StoreAck, RemoteError> {
+        let segment_seq = envelope.segment_seq();
+        self.0.insert(segment_seq, envelope);
+        Ok(StoreAck {
+            segment_seq,
+            durable_at_ns: now_ns,
+        })
+    }
+
+    fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
+        let stored = self.0.get(&segment_seq).cloned();
+        stored.ok_or(RemoteError::NoSuchSegment(segment_seq))
+    }
+
+    fn stored_segments(&self) -> Vec<u64> {
+        self.0.keys().copied().collect()
+    }
+}
+
+impl Shelf {
+    /// Rewrites the header's `chain_head` of stored segment `seq` and
+    /// nothing else: previous head and sealed payload stay as sealed.
+    fn forge_head(&mut self, seq: u64) {
+        let honest = &self.0[&seq];
+        let forged = SegmentEnvelope::new(
+            honest.device_id(),
+            seq,
+            honest.prev_chain_head(),
+            Digest::from_bytes([0xAB; 32]),
+            honest.record_count(),
+            honest.sealed_payload(),
+        );
+        self.0.insert(seq, forged);
+    }
+}
+
+/// A device whose whole history — overwrites, so every segment carries
+/// retained pre-images — is flushed to its [`Shelf`].
+fn shelved_device() -> RssdDevice<Shelf> {
+    let mut device = RssdDevice::new(
+        FlashGeometry::small_test(),
+        NandTiming::instant(),
+        SimClock::new(),
+        RssdConfig {
+            segment_pages: 4,
+            ..RssdConfig::default()
+        },
+        Shelf::default(),
+    );
+    for round in 0..4u8 {
+        for lpa in 0..8u64 {
+            device
+                .write_page(lpa, vec![round ^ lpa as u8; 4096])
+                .unwrap();
+        }
+    }
+    device.flush_log().unwrap();
+    device
+}
+
+/// The header sits outside the sealed payload, so nothing authenticates it
+/// but the walk: a header naming any head other than its segment's last
+/// link is refused by every reader, at that segment, and an honest store
+/// still walks to the head the device holds.
+#[test]
+fn forged_header_head_is_refused_by_every_reader() {
+    let mut honest = shelved_device();
+    let keys = honest.escrow_keys();
+    let stored = honest.remote().stored_segments();
+    assert!(stored.len() >= 3, "need a middle segment: {stored:?}");
+    let history = honest.verified_history().expect("honest store verifies");
+    let head = honest.chain_head();
+    let image = RebuildImage::harvest(&keys, honest.remote_mut()).expect("honest store harvests");
+    assert_eq!(image.report().segments, stored.len() as u64);
+    assert_eq!(image.report().records, history.len() as u64);
+    let _ = honest.crash();
+    let recovery = honest.recover().expect("honest store recovers");
+    assert_eq!(recovery.segments_walked, stored.len() as u64);
+    assert_eq!(recovery.records_indexed, history.len() as u64);
+    assert_eq!(recovery.versions_indexed, image.report().versions);
+    assert_eq!(
+        honest.chain_head(),
+        head,
+        "recovery resumes at the same head"
+    );
+
+    for seq in [stored[stored.len() / 2], stored[stored.len() - 1]] {
+        let named = format!("segment {seq}:");
+        let mut device = shelved_device();
+        device.remote_mut().forge_head(seq);
+
+        let refused = RebuildImage::harvest(&keys, device.remote_mut()).map(|image| image.report());
+        assert!(
+            refused.as_ref().is_err_and(|e| e.contains(&named)),
+            "harvest over a forged head at {seq}: {refused:?}"
+        );
+        let audit = device.audit_history();
+        assert!(!audit.verified, "audit over a forged head at {seq}");
+        assert!(
+            audit.failure.as_ref().is_some_and(|f| f.contains(&named)),
+            "the audit names the segment: {:?}",
+            audit.failure
+        );
+        assert!(
+            audit.records.len() < history.len() && history.starts_with(&audit.records),
+            "only the verified prefix is evidence"
+        );
+        assert!(device.verified_history().is_err());
+        let _ = device.crash();
+        let refused = device.recover();
+        assert!(
+            refused.as_ref().is_err_and(|e| e.contains(&named)),
+            "recover over a forged head at {seq}: {refused:?}"
+        );
+    }
 }

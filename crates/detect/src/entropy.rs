@@ -4,6 +4,11 @@ use crate::observation::WriteObservation;
 use crate::Detector;
 use std::collections::VecDeque;
 
+/// Entropy (bits/byte) at or above which an overwrite is treated as
+/// ciphertext: the one threshold the detectors' verdict and the post-attack
+/// analyzer's victim list both use.
+pub const CIPHERTEXT_BITS: f64 = 7.2;
+
 /// Flags when a large fraction of recent overwrites carry near-ciphertext
 /// entropy. Fast against classic ransomware; evadable by rate-limiting
 /// (which dilutes the window) — that gap is the timing attack.
@@ -17,9 +22,9 @@ pub struct EntropyDetector {
 }
 
 impl EntropyDetector {
-    /// Sliding window of 256 overwrites, ciphertext threshold 7.2 bits/byte.
+    /// Sliding window of 256 overwrites, threshold [`CIPHERTEXT_BITS`].
     pub fn new() -> Self {
-        Self::with_params(256, 7.2, 32)
+        Self::with_params(256, CIPHERTEXT_BITS, 32)
     }
 
     /// Explicit window length, entropy threshold, and minimum samples before

@@ -28,7 +28,7 @@ pub mod pattern;
 pub mod timing;
 
 pub use ensemble::{Ensemble, Verdict};
-pub use entropy::EntropyDetector;
+pub use entropy::{EntropyDetector, CIPHERTEXT_BITS};
 pub use observation::{merge_time_ordered, WriteObservation};
 pub use pattern::{OverwriteCorrelator, TrimSurgeDetector};
 pub use timing::TimingProfiler;

@@ -30,7 +30,7 @@ pub struct TimingProfiler {
 impl TimingProfiler {
     /// Saturates at 10 % coverage, 64-page noise floor.
     pub fn new() -> Self {
-        Self::with_params(0.10, 64, 7.2)
+        Self::with_params(0.10, 64, crate::CIPHERTEXT_BITS)
     }
 
     /// Explicit saturation coverage, noise floor, and entropy threshold.

@@ -129,11 +129,6 @@ impl<D: FaultTarget> FaultInjector<D> {
         &mut self.inner
     }
 
-    /// Unwraps the injector.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-
     /// Brings the device back after a cut: the wrapped device crashes
     /// (dropping volatile state) and recovers from flash plus the remote
     /// evidence chain, then the injector resumes executing commands (and

@@ -22,6 +22,8 @@
 //! * [`FaultTarget`] ([`target`]) — the fault surface of a device under
 //!   test (crash/recover, partition/heal, kill/revive, chain audit),
 //!   implemented for bare devices and arrays.
+//! * [`cell`] — the staged runner under every cell and every fleet member:
+//!   build → arm → ride → settle → audit, each stage written once.
 //! * [`ScenarioMatrix`] ([`scenario`]) — composes workload profile ×
 //!   attack actor × fault schedule × topology into named cells, runs each
 //!   under a seed, and scores every cell ([`Scorecard`]): detection
@@ -42,6 +44,7 @@
 //!    cell recovers 100% of attacked data, and over an ideal link scores
 //!    byte-identically to an injector-free device on a plain loopback.
 
+pub mod cell;
 pub mod injector;
 pub mod remote;
 pub mod scenario;
@@ -51,7 +54,8 @@ pub mod target;
 pub use injector::{FaultInjector, TornBatch};
 pub use remote::{PartitionMode, PermissiveTarget};
 pub use scenario::{
-    ActorKind, FaultPlan, MatrixSummary, Scenario, ScenarioMatrix, Scorecard, Topology,
+    corpus_pages, next_phase_ns, ActorKind, FaultPlan, MatrixSummary, Scenario, ScenarioMatrix,
+    Scorecard, Topology,
 };
 pub use schedule::{FaultEvent, FaultSchedule};
 pub use target::{

@@ -23,30 +23,31 @@
 //!    of every victim page, data-loss accounting, and the evidence-chain
 //!    verdict.
 //!
-//! There is one offload pipeline: every cell's members offload over the
-//! simulated NVMe-oE wire ([`WireRemote`]), and the cell's partition plan
-//! is a set of link conditions on it ([`Scenario::run_with`]). The same
-//! generic runner ([`Scenario::run_on`]) also drives any other
-//! [`FaultTarget`] a test builds itself — an injector-free device over a
-//! plain `LoopbackTarget` is the oracle that pins the harness: a `none`
-//! schedule over an ideal link must produce a byte-identical scorecard.
+//! The phases are made of the stages of [`crate::cell`], which the fleet's
+//! members run too: [`Scenario::run_with`] has [`cell::build`] construct the
+//! topology's members over the simulated NVMe-oE wire
+//! ([`WireRemote`](rssd_core::WireRemote) — the one offload pipeline; the
+//! cell's partition plan is a set of link conditions on it), phase 1 is a
+//! [`cell::ride`] with nothing armed, and phase 4 is [`cell::settle`] then
+//! [`cell::audit`]. The same generic runner ([`Scenario::run_on`]) also
+//! drives any other [`FaultTarget`] a test builds itself — an injector-free
+//! device over a plain `LoopbackTarget` is the oracle that pins the
+//! harness: a `none` schedule over an ideal link must produce a
+//! byte-identical scorecard.
 
+use crate::cell::{self, CellBody};
 use crate::injector::FaultInjector;
-use crate::remote::{PartitionMode, PermissiveTarget};
+use crate::remote::PartitionMode;
 use crate::schedule::{FaultEvent, FaultSchedule};
-use crate::target::{restore_power_healing_link, scenario_member, FaultError, FaultTarget};
-use rssd_array::RssdArray;
+use crate::target::{restore_power_healing_link, FaultError, FaultTarget};
 use rssd_attacks::{ClassicRansomware, FileTable, GcAttack, TimingAttack, TrimAttack};
 use rssd_bench::BenchRow;
-use rssd_core::{PostAttackAnalyzer, WireRemote};
 use rssd_detect::Verdict;
-use rssd_flash::SimClock;
-use rssd_net::{LinkConfig, SharedLink};
-use rssd_obs::SinkHandle;
-use rssd_ssd::{DeviceError, NvmeController, QueueId};
-use rssd_trace::{replay_fanout, IoRecord, ReplayOutcome, TraceProfile};
+use rssd_net::LinkConfig;
+use rssd_obs::{ProfilerHandle, SinkHandle};
+use rssd_ssd::DeviceError;
+use rssd_trace::{IoRecord, TraceProfile};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Files in the hostage corpus. Sized so the victim set (files × pages)
 /// sits well clear of the long-horizon profiler's 64-page noise floor and
@@ -62,6 +63,25 @@ const BENIGN_RECORDS: usize = 240;
 const PHASE_GAP_NS: u64 = 1_000_000_000;
 /// Attack attempts before the harness declares the cell stuck.
 const MAX_ATTACK_ATTEMPTS: u32 = 4;
+
+/// Pages of hostage corpus the harness plants on a device of
+/// `logical_pages`: the matrix's victim set, capped at a quarter of a
+/// device too small for it. What a synthesized stream (the fleet's) writes
+/// where a cell calls [`FileTable::populate`].
+#[must_use]
+pub fn corpus_pages(logical_pages: u64) -> u64 {
+    (CORPUS_FILES as u64 * PAGES_PER_FILE)
+        .min(logical_pages / 4)
+        .max(1)
+}
+
+/// When the workload phase after one that ended at `ns` starts: the gap a
+/// cell advances its clock by, for a stream that carries its own arrival
+/// times.
+#[must_use]
+pub fn next_phase_ns(ns: u64) -> u64 {
+    ns + PHASE_GAP_NS
+}
 
 /// How the host drives the device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,7 +137,8 @@ impl Topology {
         }
     }
 
-    fn queue_shape(&self) -> (usize, usize) {
+    /// Queue pairs and their depth: how [`cell::ride`] drives the device.
+    pub(crate) fn queue_shape(&self) -> (usize, usize) {
         match self {
             Topology::Bare => (1, 1),
             Topology::MultiQueue { queues, depth } => (*queues, *depth),
@@ -125,7 +146,9 @@ impl Topology {
         }
     }
 
-    fn shards(&self) -> usize {
+    /// Member devices behind the controller (1 unless an array).
+    #[must_use]
+    pub fn shards(&self) -> usize {
         match self {
             Topology::Array { shards, .. } | Topology::SharedUplink { shards, .. } => *shards,
             _ => 1,
@@ -328,55 +351,47 @@ impl Scenario {
         self.run_with(self.topology.link(), SinkHandle::disabled())
     }
 
-    /// Runs the cell: members over [`WireRemote`]<[`PermissiveTarget`]>
-    /// wrapped in a [`FaultInjector`], so every offloaded segment crosses
-    /// the simulated NVMe-oE fabric with `link`'s bandwidth/propagation/
-    /// loss, and the cell's partition plan becomes link blackouts and
-    /// collector drops. [`Topology::SharedUplink`] members offload through
-    /// clones of one [`SharedLink`]; other topologies get private uplinks.
+    /// Runs the cell on the members [`cell::build`] constructs for its
+    /// topology, so every offloaded segment crosses the simulated NVMe-oE
+    /// fabric with `link`'s bandwidth/propagation/loss, and the cell's
+    /// partition plan becomes link blackouts and collector drops. A lone
+    /// device is numbered 1, array members from 0.
     ///
     /// `sink` is installed across the whole cell stack (NAND, FTL, offload
-    /// engine, wire, fault injector, detection verdict). A recording sink
-    /// leaves the scorecard byte-identical to a disabled one — sink
-    /// identity is not simulation state, which the determinism proptests
-    /// pin.
+    /// engine, wire, fault injector, queue layer, detection verdict). A
+    /// recording sink leaves the scorecard byte-identical to a disabled one
+    /// — sink identity is not simulation state, which the determinism
+    /// proptests pin.
     ///
     /// # Errors
     ///
     /// [`FaultError`] when the harness itself cannot proceed (never for a
     /// fault the schedule injected — those are scored, not errored).
     pub fn run_with(&self, link: LinkConfig, sink: SinkHandle) -> Result<Scorecard, FaultError> {
-        let member = |id: u64, remote| scenario_member(id, self.plan.needs_spill(), remote);
-        let private = || WireRemote::new(PermissiveTarget::new(), link);
-        let array = |members, stripe_pages| {
-            FaultInjector::new(
-                RssdArray::new(members, stripe_pages, SimClock::new()),
-                &FaultSchedule::none(),
-            )
-        };
-        match self.topology {
-            Topology::Bare | Topology::MultiQueue { .. } => self.run_on(
-                &mut FaultInjector::new(member(1, private()), &FaultSchedule::none()),
+        cell::build(
+            self.topology,
+            self.plan.needs_spill(),
+            link,
+            |shard| shard.map_or(1, |s| s as u64),
+            MatrixCell {
+                scenario: self,
                 sink,
-            ),
-            Topology::Array {
-                shards,
-                stripe_pages,
-            } => {
-                let members = (0..shards as u64).map(|i| member(i, private())).collect();
-                self.run_on(&mut array(members, stripe_pages), sink)
-            }
-            Topology::SharedUplink {
-                shards,
-                stripe_pages,
-            } => {
-                let uplink = SharedLink::new(link);
-                let shared =
-                    || WireRemote::with_uplink(PermissiveTarget::new(), uplink.clone(), link);
-                let members = (0..shards as u64).map(|i| member(i, shared())).collect();
-                self.run_on(&mut array(members, stripe_pages), sink)
-            }
-        }
+            },
+        )
+    }
+}
+
+/// [`Scenario::run_on`] as the body [`cell::build`] runs.
+struct MatrixCell<'a> {
+    scenario: &'a Scenario,
+    sink: SinkHandle,
+}
+
+impl CellBody for MatrixCell<'_> {
+    type Output = Result<Scorecard, FaultError>;
+
+    fn run<D: FaultTarget>(self, device: &mut FaultInjector<D>) -> Self::Output {
+        self.scenario.run_on(device, self.sink)
     }
 }
 
@@ -648,15 +663,10 @@ impl ScenarioMatrix {
     }
 }
 
-/// Aggregate rollup over a set of scenario [`Scorecard`]s — the matrix's
-/// merge API, so examples and harnesses fold cell results through one
-/// audited path instead of hand-summing fields (which drifts the moment a
-/// counter is added).
-///
-/// [`MatrixSummary::absorb`] folds one card in; [`MatrixSummary::merge`]
-/// combines two summaries. Both are associative with
-/// `MatrixSummary::default()` as identity, so a summary built per-shard,
-/// per-thread, or per-cell folds to the same totals in any grouping.
+/// Aggregate rollup over a set of scenario [`Scorecard`]s, so examples and
+/// harnesses fold cell results through one audited path
+/// ([`MatrixSummary::absorb`]) instead of hand-summing fields (which drifts
+/// the moment a counter is added).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[must_use]
 pub struct MatrixSummary {
@@ -664,26 +674,14 @@ pub struct MatrixSummary {
     pub cells: u64,
     /// Cards whose cell ran an attack actor.
     pub attacked_cells: u64,
-    /// Attacked cards flagged above benign.
-    pub true_positives: u64,
     /// Benign cards flagged (false alarms).
     pub false_positives: u64,
     /// Victim pages across all cards.
     pub victim_pages: u64,
     /// Recovered victim pages across all cards.
     pub recovered_pages: u64,
-    /// Bytes of victim data no card's defender could produce.
-    pub data_loss_bytes: u64,
     /// Power cuts fired across all cards.
     pub power_cuts: u64,
-    /// Batches torn mid-execution across all cards.
-    pub torn_batches: u64,
-    /// Attack interruptions absorbed across all cards.
-    pub attack_interruptions: u64,
-    /// Array members revived across all cards.
-    pub shards_revived: u64,
-    /// Segments durably offloaded across all cards.
-    pub segments_offloaded: u64,
     /// Offloads dropped by silent partitions across all cards.
     pub offloads_dropped: u64,
     /// Cards whose chain had a *detected* gap.
@@ -704,16 +702,10 @@ impl MatrixSummary {
         if card.victim_pages > 0 || card.true_positive {
             self.attacked_cells += 1;
         }
-        self.true_positives += u64::from(card.true_positive);
         self.false_positives += u64::from(card.false_positive);
         self.victim_pages += card.victim_pages;
         self.recovered_pages += card.recovered_pages;
-        self.data_loss_bytes += card.data_loss_bytes;
         self.power_cuts += card.power_cuts;
-        self.torn_batches += card.torn_batches;
-        self.attack_interruptions += card.attack_interruptions;
-        self.shards_revived += card.shards_revived;
-        self.segments_offloaded += card.segments_offloaded;
         self.offloads_dropped += card.offloads_dropped;
         self.chain_gaps_detected += u64::from(card.chain_gap_detected);
         self.silent_chain_gaps += u64::from(card.chain_verified == card.chain_gap_detected);
@@ -722,27 +714,6 @@ impl MatrixSummary {
             self.fault_free_attacked += 1;
             self.fault_free_recovered += u64::from(card.recovery_fraction == 1.0);
         }
-    }
-
-    /// Combines another summary into this one (fleet-of-matrices rollup).
-    pub fn merge(&mut self, other: &MatrixSummary) {
-        self.cells += other.cells;
-        self.attacked_cells += other.attacked_cells;
-        self.true_positives += other.true_positives;
-        self.false_positives += other.false_positives;
-        self.victim_pages += other.victim_pages;
-        self.recovered_pages += other.recovered_pages;
-        self.data_loss_bytes += other.data_loss_bytes;
-        self.power_cuts += other.power_cuts;
-        self.torn_batches += other.torn_batches;
-        self.attack_interruptions += other.attack_interruptions;
-        self.shards_revived += other.shards_revived;
-        self.segments_offloaded += other.segments_offloaded;
-        self.offloads_dropped += other.offloads_dropped;
-        self.chain_gaps_detected += other.chain_gaps_detected;
-        self.silent_chain_gaps += other.silent_chain_gaps;
-        self.fault_free_attacked += other.fault_free_attacked;
-        self.fault_free_recovered += other.fault_free_recovered;
     }
 
     /// Merged recovery fraction over every victim page (1.0 when no card
@@ -808,28 +779,21 @@ impl Scenario {
             .ok_or_else(|| FaultError::Scenario(format!("unknown profile {}", self.profile)))?;
         let logical_pages = device.logical_pages();
         let page_size = device.page_size();
-        let (queues, depth) = self.topology.queue_shape();
         let mut interruptions = 0u64;
 
-        // Phase 1: benign prefix through the queue layer.
+        // Phase 1: benign prefix through the queue layer. No fault is armed
+        // yet (phase 3 arms the plan), so the ride is a single pass.
         let records: Vec<IoRecord> = profile
             .workload(logical_pages, page_size, self.seed)
             .take(BENIGN_RECORDS)
             .collect();
-        // No fault is armed yet (phase 3 arms the plan), so any abort here
-        // is a harness failure, not something to ride out.
-        let benign = {
-            let mut controller = NvmeController::new(&mut *device);
-            let qids: Vec<QueueId> = (0..queues)
-                .map(|_| controller.create_queue_pair(depth))
-                .collect();
-            replay_fanout(&mut controller, &qids, records)
-        };
-        if let ReplayOutcome::Aborted { error, .. } = benign {
-            return Err(FaultError::Scenario(format!(
-                "benign replay aborted on unexplained error: {error}"
-            )));
-        }
+        let _ = cell::ride(
+            device,
+            self.topology,
+            records,
+            &sink,
+            &ProfilerHandle::disabled(),
+        )?;
         device.clock().advance(PHASE_GAP_NS);
 
         // Phase 2: the hostage corpus.
@@ -852,7 +816,7 @@ impl Scenario {
             ));
         }
 
-        let victim_lpas: Vec<u64>;
+        let mut victim_lpas: Vec<u64>;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -879,60 +843,26 @@ impl Scenario {
             }
         }
 
-        // Phase 4: heal, settle, revive, audit, score. Scoring drives reads
-        // through the same device, so whatever the schedule still holds (a cut
-        // past the attack's actual op count — the estimate is rough) must not
-        // fire mid-measurement: disarm first.
-        let _ = device.arm_schedule(&FaultSchedule::none());
-        device.heal_partition();
-        if device.flush().is_err() {
-            // flush only fails with PowerLoss here, when a cut fired right at
-            // the attack's last op; restore and retry once.
-            restore_power_healing_link(device)?;
-            interruptions += 1;
-            let _ = device.flush();
-        }
-        let revived = device.revive_dead_shards(if self.actor == ActorKind::None {
-            None
-        } else {
-            Some(attack_start)
-        })? as u64;
-
-        let audit = device.history_audit();
-        let analysis = PostAttackAnalyzer::new().analyze(&audit.records, audit.verified);
-        if sink.is_enabled() {
-            sink.instant(
-                "detect",
-                "verdict",
-                device.clock().now_ns(),
-                &[
-                    ("verdict", format!("{:?}", analysis.verdict)),
-                    ("score", format!("{:.3}", analysis.score)),
-                    ("attack_class", analysis.attack_class.to_string()),
-                ],
-            );
-        }
+        // Phase 4: settle, audit, score. Scoring drives reads through the
+        // same device, so whatever the schedule still holds (a cut past the
+        // attack's actual op count — the estimate is rough) must not fire
+        // mid-measurement: settle disarms first.
+        let cutoff = (self.actor != ActorKind::None).then_some(attack_start);
+        let settled = cell::settle(device, cutoff)?;
+        interruptions += u64::from(settled.restored?);
+        let (audit, analysis) = cell::audit(device, &sink);
 
         // Recovery scoring: can the defender produce every victim page's
         // pre-attack content — via point-in-time recovery, or because a rebuild
         // already put it back?
-        let mut expected: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
-        for (fi, file) in victims.files().iter().enumerate() {
-            for (pi, lpa) in file.lpas().enumerate() {
-                expected.insert(lpa, (fi, pi as u64));
-            }
-        }
-        let mut distinct_victims: Vec<u64> = victim_lpas
-            .iter()
-            .copied()
-            .filter(|l| expected.contains_key(l))
-            .collect();
-        distinct_victims.sort_unstable();
-        distinct_victims.dedup();
-        let mut recovered = 0u64;
-        for &lpa in &distinct_victims {
-            let (fi, pi) = expected[&lpa];
-            let want = victims.files()[fi].expected_page(pi, page_size);
+        victim_lpas.sort_unstable();
+        victim_lpas.dedup();
+        let (mut victim_count, mut recovered) = (0u64, 0u64);
+        for &lpa in &victim_lpas {
+            let Some(want) = victims.expected(lpa, page_size) else {
+                continue;
+            };
+            victim_count += 1;
             let via_recovery = device
                 .recover_as_of(lpa, attack_start)
                 .is_some_and(|data| data == want);
@@ -941,7 +871,6 @@ impl Scenario {
                 recovered += 1;
             }
         }
-        let victim_count = distinct_victims.len() as u64;
         let recovery_fraction = if victim_count == 0 {
             1.0
         } else {
@@ -969,7 +898,7 @@ impl Scenario {
             power_cuts: device.power_cut_count(),
             torn_batches: device.torn_batch_count(),
             attack_interruptions: interruptions,
-            shards_revived: revived,
+            shards_revived: settled.revived as u64,
             segments_offloaded: offload.segments_offloaded,
             offload_failures: offload.offload_failures,
             segments_spilled: offload.segments_spilled,
@@ -1023,50 +952,6 @@ mod summary_tests {
             offloads_dropped: 1,
             skipped_events: 0,
         }
-    }
-
-    #[test]
-    fn default_is_identity_for_merge() {
-        let mut s = MatrixSummary::default();
-        s.absorb(&card("text/none/none/bare", 8, 8, true, false));
-        let mut left = s;
-        left.merge(&MatrixSummary::default());
-        let mut right = MatrixSummary::default();
-        right.merge(&s);
-        assert_eq!(left, s);
-        assert_eq!(right, s);
-    }
-
-    #[test]
-    fn merge_is_associative_and_matches_absorb_order() {
-        let cards = [
-            card("text/overwrite/none/bare", 8, 8, true, false),
-            card("media/none/cuts/array", 0, 0, true, false),
-            card("sql/trim/drop/array", 6, 4, false, true),
-        ];
-        // One summary absorbing everything...
-        let mut whole = MatrixSummary::default();
-        for c in &cards {
-            whole.absorb(c);
-        }
-        // ...equals per-card summaries merged in either grouping.
-        let parts: Vec<MatrixSummary> = cards
-            .iter()
-            .map(|c| {
-                let mut s = MatrixSummary::default();
-                s.absorb(c);
-                s
-            })
-            .collect();
-        let mut left = parts[0];
-        left.merge(&parts[1]);
-        left.merge(&parts[2]);
-        let mut tail = parts[1];
-        tail.merge(&parts[2]);
-        let mut right = parts[0];
-        right.merge(&tail);
-        assert_eq!(left, whole);
-        assert_eq!(right, whole);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! RNG stream. The fleet's worker pool is therefore free to execute members
 //! in any order on any thread without changing a single byte of the result.
 
+use rssd_faults::Topology;
 use rssd_net::LinkConfig;
 use serde::{Deserialize, Serialize};
 
@@ -40,31 +41,6 @@ pub fn member_seed(fleet_seed: u64, member: usize) -> u64 {
 /// consuming draws from the member's workload RNG stream.
 pub(crate) fn member_unit(member_seed: u64, tag: u64) -> f64 {
     (splitmix(member_seed ^ splitmix(tag)) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// What kind of device a fleet member is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MemberKind {
-    /// A single bare RSSD device behind its own NVMe-oE uplink.
-    Bare,
-    /// A small striped array; every shard has its own private uplink.
-    Array {
-        /// Member devices in the array.
-        shards: usize,
-        /// Stripe width in pages.
-        stripe_pages: u64,
-    },
-}
-
-impl MemberKind {
-    /// Short label for scorecards ("bare", "array3", ...).
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            MemberKind::Bare => "bare".to_string(),
-            MemberKind::Array { shards, .. } => format!("array{shards}"),
-        }
-    }
 }
 
 /// Fleet shape and per-member workload policy.
@@ -132,25 +108,22 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// A default-policy fleet of `members` members.
+    /// What member `id` is under this config's mix rule: a single device
+    /// behind its own NVMe-oE uplink, or a small striped array whose shards
+    /// each have a private one. Either way the member's host drives two
+    /// queue pairs of depth 8 (an array's shape is [`Topology::Array`]'s).
     #[must_use]
-    pub fn new(members: usize) -> Self {
-        FleetConfig {
-            members,
-            ..FleetConfig::default()
-        }
-    }
-
-    /// The device kind of member `id` under this config's mix rule.
-    #[must_use]
-    pub fn member_kind(&self, member: usize) -> MemberKind {
+    pub fn member_topology(&self, member: usize) -> Topology {
         if self.array_every > 0 && self.array_shards > 1 && (member + 1) % self.array_every == 0 {
-            MemberKind::Array {
+            Topology::Array {
                 shards: self.array_shards,
                 stripe_pages: self.stripe_pages.max(1),
             }
         } else {
-            MemberKind::Bare
+            Topology::MultiQueue {
+                queues: 2,
+                depth: 8,
+            }
         }
     }
 
@@ -201,10 +174,10 @@ mod tests {
     #[test]
     fn array_mix_rule() {
         let cfg = FleetConfig::default();
-        assert_eq!(cfg.member_kind(0), MemberKind::Bare);
+        assert_eq!(cfg.member_topology(0).shards(), 1);
         assert_eq!(
-            cfg.member_kind(7),
-            MemberKind::Array {
+            cfg.member_topology(7),
+            Topology::Array {
                 shards: 3,
                 stripe_pages: 4
             }
@@ -213,7 +186,7 @@ mod tests {
             array_every: 0,
             ..cfg
         };
-        assert_eq!(no_arrays.member_kind(7), MemberKind::Bare);
+        assert_eq!(no_arrays.member_topology(7).shards(), 1);
     }
 
     #[test]

@@ -63,7 +63,7 @@ mod member;
 mod report;
 mod run;
 
-pub use config::{member_seed, FleetConfig, MemberKind};
+pub use config::{member_seed, FleetConfig};
 pub use member::{
     run_member, run_member_instrumented, FleetError, MemberObs, MemberOutcome, MemberScorecard,
     ObsOptions,

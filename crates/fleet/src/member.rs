@@ -1,5 +1,5 @@
-//! One fleet member: device construction, tenant workload, attack overlay,
-//! replay, and per-member scoring.
+//! One fleet member: tenant workload, attack overlay, fault schedule and
+//! per-member scoring, on the staged cell runner of [`rssd_faults::cell`].
 //!
 //! A member is fully share-nothing: it owns its simulated clock, its NVMe-oE
 //! uplink, its fault injector, and its RNG stream, all derived from
@@ -7,38 +7,23 @@
 //! no shared state, which is what lets the fleet execute members on any
 //! worker thread in any order and still merge to a byte-identical report.
 
-use crate::config::{member_seed, FleetConfig, MemberKind};
-use rssd_array::RssdArray;
-use rssd_core::{LogOp, OffloadStats, PostAttackAnalyzer, WireRemote};
+use crate::config::{member_seed, FleetConfig};
+use rssd_core::{LogOp, OffloadStats, PostAttackAnalyzer};
 use rssd_detect::{Verdict, WriteObservation};
+use rssd_faults::cell::{self, CellBody};
 use rssd_faults::{
-    restore_power_healing_link, scenario_member, FaultEvent, FaultInjector, FaultSchedule,
-    FaultTarget, PartitionMode, PermissiveTarget,
+    corpus_pages, next_phase_ns, FaultInjector, FaultSchedule, FaultTarget, PartitionMode, Topology,
 };
-use rssd_flash::{NandStats, SimClock};
+use rssd_flash::NandStats;
 use rssd_ftl::FtlStats;
-use rssd_obs::{MetricsRegistry, ProfileBreakdown, ProfilerHandle, SinkHandle, TraceEvent};
-use rssd_ssd::{BlockDevice, DeviceError, LatencyStats, NvmeController, QueueId, QueuePairStats};
-use rssd_trace::{
-    replay_fanout, DiurnalLoad, IoRecord, PayloadKind, ReplayOutcome, ReplayStats, TraceProfile,
-    Zipf,
-};
+use rssd_obs::{ProfileBreakdown, ProfilerHandle, SinkHandle, TraceEvent};
+use rssd_ssd::{BlockDevice, LatencyStats, QueuePairStats};
+use rssd_trace::{DiurnalLoad, IoRecord, PayloadKind, ReplayStats, TraceProfile, Zipf};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Hostage corpus pages every member writes after its benign prefix. Sized
-/// like the scenario harness's victim set: well clear of the long-horizon
-/// profiler's 64-page noise floor and of its coverage saturation point, so
-/// detection does not hinge on workload-seed luck.
-const CORPUS_PAGES: u64 = 128;
-/// Simulated gap between workload phases.
-const PHASE_GAP_NS: u64 = 1_000_000_000;
 /// Attack cadence: one victim page read-encrypt-overwritten per tick.
 const ATTACK_TICK_NS: u64 = 2_000_000;
-/// Queue pairs each member's host drives.
-const QUEUES: usize = 2;
-/// Depth of each queue pair.
-const QUEUE_DEPTH: usize = 8;
 /// Device ids leave room for array shards: member m's shard s gets
 /// `m * DEVICE_ID_STRIDE + s`.
 const DEVICE_ID_STRIDE: u64 = 16;
@@ -115,11 +100,6 @@ pub struct MemberOutcome {
     pub queues: QueuePairStats,
     /// Replay accounting (stitched across fault interruptions).
     pub replay: ReplayStats,
-    /// Typed metrics derived from the member's simulated run. Every value
-    /// is a deterministic function of simulated state (never wall clock),
-    /// so the registry folds into [`FleetReport`](crate::FleetReport)
-    /// without weakening its byte-identical determinism contract.
-    pub metrics: MetricsRegistry,
     /// Detector observations from the member's audited evidence log, in
     /// chain order.
     pub observations: Vec<WriteObservation>,
@@ -161,9 +141,9 @@ pub struct MemberObs {
 ///
 /// The run is a pure function of `(config minus workers, member)`: build
 /// the device, synthesize the tenant's stream (benign prefix, hostage
-/// corpus, optional ransomware overlay), replay it through the NVMe queue
-/// layer under the member's fault schedule, then audit the evidence chain
-/// and score the member.
+/// corpus, optional ransomware overlay), ride it through the NVMe queue
+/// layer under the member's fault schedule, then settle the device, audit
+/// the evidence chain and score the member.
 ///
 /// # Errors
 ///
@@ -188,19 +168,6 @@ pub fn run_member_instrumented(
     member: usize,
     obs: ObsOptions,
 ) -> Result<(MemberOutcome, MemberObs), FleetError> {
-    let mseed = member_seed(config.seed, member);
-    let kind = config.member_kind(member);
-    let compromised = config.member_compromised(member);
-    let faulted = config.member_faulted(member);
-    let degraded = config.member_degraded(member);
-    // Degraded members ride their outage on spill-enabled hardware.
-    let build = |device_id: u64| {
-        scenario_member(
-            device_id,
-            degraded,
-            WireRemote::new(PermissiveTarget::new(), config.link),
-        )
-    };
     let sink = if obs.trace {
         SinkHandle::recording().with_track_prefix(&format!("m{member}/"))
     } else {
@@ -211,48 +178,20 @@ pub fn run_member_instrumented(
     } else {
         ProfilerHandle::disabled()
     };
-
-    let outcome = match kind {
-        MemberKind::Bare => {
-            let device = build(member as u64 * DEVICE_ID_STRIDE);
-            run_on(
-                config,
-                member,
-                mseed,
-                kind,
-                compromised,
-                faulted,
-                degraded,
-                device,
-                1,
-                &sink,
-                &profiler,
-            )
-        }
-        MemberKind::Array {
-            shards,
-            stripe_pages,
-        } => {
-            let members = (0..shards)
-                .map(|s| build(member as u64 * DEVICE_ID_STRIDE + s as u64))
-                .collect();
-            let array = RssdArray::new(members, stripe_pages, SimClock::new());
-            run_on(
-                config,
-                member,
-                mseed,
-                kind,
-                compromised,
-                faulted,
-                degraded,
-                array,
-                shards,
-                &sink,
-                &profiler,
-            )
-        }
-    }?;
-
+    let first_id = member as u64 * DEVICE_ID_STRIDE;
+    let outcome = cell::build(
+        config.member_topology(member),
+        // Degraded members ride their outage on spill-enabled hardware.
+        config.member_degraded(member),
+        config.link,
+        |shard| first_id + shard.unwrap_or(0) as u64,
+        MemberBody {
+            config,
+            member,
+            sink: &sink,
+            profiler: &profiler,
+        },
+    )?;
     Ok((
         outcome,
         MemberObs {
@@ -262,241 +201,147 @@ pub fn run_member_instrumented(
     ))
 }
 
-/// The kind-generic member body: workload synthesis, fault-resilient
-/// replay, audit, scoring.
-#[allow(clippy::too_many_arguments)]
-fn run_on<D: FaultTarget>(
-    config: &FleetConfig,
+/// The member body [`cell::build`] runs on the member's device: what is
+/// about this member of the population — its tenant, its stream, its
+/// schedule, its scorecard — around the shared stages.
+struct MemberBody<'a> {
+    config: &'a FleetConfig,
     member: usize,
-    mseed: u64,
-    kind: MemberKind,
-    compromised: bool,
-    faulted: bool,
-    degraded: bool,
-    device: D,
-    shards: usize,
-    sink: &SinkHandle,
-    profiler: &ProfilerHandle,
-) -> Result<MemberOutcome, FleetError> {
-    let (tenant, profile) = assign_tenant(config, mseed);
-    profiler.enter("synthesis");
-    let records = synthesize_stream(
-        config,
-        mseed,
-        tenant,
-        &profile,
-        compromised,
-        device.logical_pages(),
-        device.page_size(),
-    );
-    profiler.exit();
-    let mut schedule = if faulted {
-        FaultSchedule::seeded(mseed, records.len() as u64, shards)
-    } else {
-        FaultSchedule::none()
-    };
-    if degraded {
-        // The sustained outage: the uplink blacks out (refused offloads,
-        // no relay) for the middle ~30 % of the replay. Sealed segments
-        // ride the spill region; the health machine degrades and recovers.
-        let total = records.len() as u64;
-        let mut events = schedule.events().to_vec();
-        events.push(FaultEvent::PartitionStart {
-            at_op: 7 * total / 20,
-            mode: PartitionMode::Refuse,
-        });
-        events.push(FaultEvent::PartitionHeal {
-            at_op: 13 * total / 20,
-        });
-        schedule = FaultSchedule::new("degraded", events);
-    }
-    let mut device = FaultInjector::new(device, &schedule);
-    device.set_trace_sink(sink.clone());
-    if sink.is_enabled() {
-        sink.instant(
-            "member",
-            "member_start",
-            device.clock().now_ns(),
-            &[
-                ("kind", kind.label()),
-                ("tenant", tenant.to_string()),
-                ("profile", profile.name.to_string()),
-                ("compromised", compromised.to_string()),
-                ("faulted", faulted.to_string()),
-                ("degraded", degraded.to_string()),
-                ("records", records.len().to_string()),
-            ],
-        );
-    }
+    sink: &'a SinkHandle,
+    profiler: &'a ProfilerHandle,
+}
 
-    let mut replay = ReplayStats::default();
-    let mut queues = QueuePairStats::default();
-    let mut interruptions = 0u64;
-    let mut remaining = records;
-    // The one fault-riding replay loop: an abort the member can ride out
-    // (power cut, dead shard) resumes after the aborting record. It needs no
-    // interruption budget — every abort has issued at least that record, so
-    // each pass strictly shortens `remaining`.
-    loop {
-        let outcome = {
-            let mut controller = NvmeController::new(&mut device);
-            controller.set_profiler(profiler.clone());
-            controller.set_trace_sink(sink.clone());
-            let qids: Vec<QueueId> = (0..QUEUES)
-                .map(|_| controller.create_queue_pair(QUEUE_DEPTH))
-                .collect();
-            let outcome = replay_fanout(&mut controller, &qids, remaining.clone());
-            for qid in &qids {
-                queues.merge(controller.stats(*qid));
-            }
-            outcome
-        };
-        replay.merge(&outcome.stats());
-        match outcome {
-            ReplayOutcome::Completed(_) => break,
-            ref aborted @ ReplayOutcome::Aborted { ref error, .. } => {
-                interruptions += 1;
-                if sink.is_enabled() {
-                    sink.instant(
-                        "member",
-                        "replay_interrupted",
-                        device.clock().now_ns(),
-                        &[
-                            ("error", error.to_string()),
-                            ("interruption", interruptions.to_string()),
-                        ],
-                    );
-                }
-                match error {
-                    DeviceError::PowerLoss => {
-                        if restore_power_healing_link(&mut device).is_err() {
-                            // Unrecoverable: the schedule silently dropped
-                            // acknowledged offloads and then cut power, so
-                            // recovery refuses the holed history. The member
-                            // stays down; the audit below flags the gap.
-                            remaining.clear();
-                        }
-                    }
-                    // A record aimed at a dead shard while the array runs
-                    // short-handed: skip it. (A stalled write — admission
-                    // refusal under a saturated outage backlog — never gets
-                    // here: the replay driver counts and skips it.)
-                    DeviceError::ShardFailed { .. } => {}
-                    other => {
-                        return Err(FleetError {
-                            member,
-                            detail: format!("replay aborted: {other}"),
-                        })
-                    }
-                }
-                let issued = aborted.resume_index().min(remaining.len());
-                remaining = remaining.split_off(issued);
-                if remaining.is_empty() {
-                    break;
-                }
-            }
-        }
-    }
+impl CellBody for MemberBody<'_> {
+    type Output = Result<MemberOutcome, FleetError>;
 
-    // Settle: disarm whatever the schedule still holds, heal partitions,
-    // flush the log, rebuild any member the schedule killed.
-    let _ = device.arm_schedule(&FaultSchedule::none());
-    device.heal_partition();
-    if device.flush().is_err() && restore_power_healing_link(&mut device).is_ok() {
-        let _ = device.flush();
-    }
-    let revived = device.revive_dead_shards(None).map_err(|e| FleetError {
-        member,
-        detail: format!("revive failed: {e}"),
-    })?;
-    let _ = revived;
-
-    profiler.enter("detect");
-    let audit = device.history_audit();
-    let analysis = PostAttackAnalyzer::new().analyze(&audit.records, audit.verified);
-    // The fleet detector sees what the device logged: every non-read
-    // record's entropy, validity and read-before flag, in chain order.
-    let observations = audit
-        .records
-        .iter()
-        .filter(|record| record.op != LogOp::Read)
-        .map(PostAttackAnalyzer::observation)
-        .collect();
-    profiler.exit();
-    let sim_end_ns = device.clock().now_ns();
-    if sink.is_enabled() {
-        sink.instant(
-            "member",
-            "member_done",
-            sim_end_ns,
-            &[
-                ("verdict", format!("{:?}", analysis.verdict)),
-                ("score", format!("{:.3}", analysis.score)),
-                ("ops", replay.records.to_string()),
-                ("interruptions", interruptions.to_string()),
-                ("chain_verified", audit.verified.to_string()),
-            ],
-        );
-    }
-
-    // Sim-derived metrics only: wall clock must never enter the registry,
-    // because the registry rides inside the deterministic outcome.
-    let offload = device.offload_totals();
-    let mut metrics = MetricsRegistry::new();
-    metrics.counter_add("member.runs", 1);
-    metrics.counter_add("member.ops", replay.records);
-    metrics.counter_add("member.interruptions", interruptions);
-    metrics.counter_add("member.power_cuts", device.power_cut_count());
-    metrics.counter_add("member.compromised", u64::from(compromised));
-    metrics.counter_add("member.degraded", u64::from(degraded));
-    metrics.counter_add(
-        "member.flagged",
-        u64::from(analysis.verdict != Verdict::Benign),
-    );
-    metrics.gauge_max("detect.score.max", analysis.score);
-    // The offload health surface: how far the fleet's worst member
-    // degraded, and what the outage cost in durable staging and admission
-    // control. All sim-derived, so the determinism contract holds.
-    metrics.gauge_max(
-        "offload.health.max",
-        f64::from(offload.health_peak.severity()),
-    );
-    metrics.counter_add("offload.failures", offload.offload_failures);
-    metrics.counter_add("offload.segments_spilled", offload.segments_spilled);
-    metrics.counter_add("offload.spill_replayed", offload.spill_replayed);
-    metrics.counter_add("offload.throttled_writes", offload.throttled_writes);
-    metrics.counter_add("offload.throttle_penalty_ns", offload.throttle_penalty_ns);
-    metrics.histogram_record("member.sim_end_ns", sim_end_ns);
-    metrics.histogram_record("member.records_audited", audit.records.len() as u64);
-
-    Ok(MemberOutcome {
-        scorecard: MemberScorecard {
+    fn run<D: FaultTarget>(self, device: &mut FaultInjector<D>) -> Self::Output {
+        let MemberBody {
+            config,
             member,
-            kind: kind.label(),
+            sink,
+            profiler,
+        } = self;
+        let fail = |what: &str, e| FleetError {
+            member,
+            detail: format!("{what}: {e}"),
+        };
+        let mseed = member_seed(config.seed, member);
+        let topology = config.member_topology(member);
+        let compromised = config.member_compromised(member);
+        let faulted = config.member_faulted(member);
+        let degraded = config.member_degraded(member);
+        let kind = match topology {
+            Topology::Array { .. } => topology.label(),
+            _ => "bare".to_string(),
+        };
+
+        let (tenant, profile) = assign_tenant(config, mseed);
+        profiler.enter("synthesis");
+        let records = synthesize_stream(
+            config,
+            mseed,
             tenant,
-            profile: profile.name.to_string(),
+            &profile,
             compromised,
-            faulted,
-            degraded,
-            verdict: analysis.verdict,
-            detection_score: analysis.score,
-            attack_class: analysis.attack_class.to_string(),
-            chain_verified: audit.verified,
-            records_audited: audit.records.len() as u64,
-            ops: replay.records,
-            sim_end_ns,
-            power_cuts: device.power_cut_count(),
-            interruptions,
-        },
-        nand: device.nand_totals(),
-        ftl: device.ftl_totals(),
-        offload,
-        latency: device.latency_totals(),
-        queues,
-        replay,
-        metrics,
-        observations,
-    })
+            device.logical_pages(),
+            device.page_size(),
+        );
+        profiler.exit();
+        let total = records.len() as u64;
+        let mut schedule = if faulted {
+            FaultSchedule::seeded(mseed, total, topology.shards())
+        } else {
+            FaultSchedule::none()
+        };
+        if degraded {
+            // The sustained outage: the uplink blacks out (refused offloads,
+            // no relay) for the middle ~30 % of the replay. Sealed segments
+            // ride the spill region; the health machine degrades and recovers.
+            let outage =
+                FaultSchedule::partition(PartitionMode::Refuse, 7 * total / 20, 13 * total / 20);
+            schedule =
+                FaultSchedule::new("degraded", [schedule.events(), outage.events()].concat());
+        }
+        device.arm(&schedule);
+        device.set_trace_sink(sink.clone());
+        if sink.is_enabled() {
+            sink.instant(
+                "member",
+                "member_start",
+                device.clock().now_ns(),
+                &[
+                    ("kind", kind.clone()),
+                    ("tenant", tenant.to_string()),
+                    ("profile", profile.name.to_string()),
+                    ("compromised", compromised.to_string()),
+                    ("faulted", faulted.to_string()),
+                    ("degraded", degraded.to_string()),
+                    ("records", total.to_string()),
+                ],
+            );
+        }
+
+        let ride =
+            cell::ride(device, topology, records, sink, profiler).map_err(|e| fail("replay", e))?;
+        // A member whose power could not be restored stays down; its audit
+        // flags the gap, so what `settle` reports needs no second reading.
+        let _ = cell::settle(device, None).map_err(|e| fail("revive", e))?;
+
+        profiler.enter("detect");
+        let (audit, analysis) = cell::audit(device, sink);
+        // The fleet detector sees what the device logged: every non-read
+        // record's entropy, validity and read-before flag, in chain order.
+        let observations = audit
+            .records
+            .iter()
+            .filter(|record| record.op != LogOp::Read)
+            .map(PostAttackAnalyzer::observation)
+            .collect();
+        profiler.exit();
+        let sim_end_ns = device.clock().now_ns();
+        if sink.is_enabled() {
+            sink.instant(
+                "member",
+                "member_done",
+                sim_end_ns,
+                &[
+                    ("verdict", format!("{:?}", analysis.verdict)),
+                    ("score", format!("{:.3}", analysis.score)),
+                    ("ops", ride.replay.records.to_string()),
+                    ("interruptions", ride.interruptions.to_string()),
+                    ("chain_verified", audit.verified.to_string()),
+                ],
+            );
+        }
+
+        Ok(MemberOutcome {
+            scorecard: MemberScorecard {
+                member,
+                kind,
+                tenant,
+                profile: profile.name.to_string(),
+                compromised,
+                faulted,
+                degraded,
+                verdict: analysis.verdict,
+                detection_score: analysis.score,
+                attack_class: analysis.attack_class.to_string(),
+                chain_verified: audit.verified,
+                records_audited: audit.records.len() as u64,
+                ops: ride.replay.records,
+                sim_end_ns,
+                power_cuts: device.power_cut_count(),
+                interruptions: ride.interruptions,
+            },
+            nand: device.nand_totals(),
+            ftl: device.ftl_totals(),
+            offload: device.offload_totals(),
+            latency: device.latency_totals(),
+            queues: ride.queues,
+            replay: ride.replay,
+            observations,
+        })
+    }
 }
 
 /// Zipf-samples the member's tenant and resolves the tenant's profile.
@@ -535,8 +380,8 @@ fn synthesize_stream(
     let benign_end = records.last().map_or(0, |r| r.at_ns);
 
     // The hostage corpus: known content in the hot region, journal-flushed.
-    let corpus_pages = CORPUS_PAGES.min(logical_pages / 4).max(1);
-    let mut at = benign_end + PHASE_GAP_NS;
+    let corpus_pages = corpus_pages(logical_pages);
+    let mut at = next_phase_ns(benign_end);
     for lpa in 0..corpus_pages {
         records.push(IoRecord::write(at, lpa, PayloadKind::Text, mseed ^ lpa));
         at += 1_000_000;
@@ -546,7 +391,7 @@ fn synthesize_stream(
         // Classic ransomware: read each hostage page, overwrite it with an
         // incompressible ciphertext, then trim-sweep the next stripe of
         // pages — fast cadence, the Figure-6 "classic" actor shape.
-        at += PHASE_GAP_NS;
+        at = next_phase_ns(at);
         for lpa in 0..corpus_pages {
             records.push(IoRecord::read(at, lpa));
             records.push(IoRecord::write(
@@ -568,6 +413,7 @@ fn synthesize_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rssd_core::OffloadHealth;
 
     fn small_config() -> FleetConfig {
         FleetConfig {
@@ -623,7 +469,7 @@ mod tests {
     fn array_member_merges_shard_stats() {
         let cfg = small_config();
         let id = (0..cfg.members)
-            .find(|&m| matches!(cfg.member_kind(m), MemberKind::Array { .. }))
+            .find(|&m| cfg.member_topology(m).shards() > 1)
             .expect("mix rule yields an array member");
         let outcome = run_member(&cfg, id).unwrap();
         assert_eq!(outcome.scorecard.kind, "array3");
@@ -640,7 +486,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let id = (0..cfg.members)
-            .find(|&m| cfg.member_compromised(m) && cfg.member_kind(m) == MemberKind::Bare)
+            .find(|&m| cfg.member_compromised(m) && cfg.member_topology(m).shards() == 1)
             .expect("some bare member compromised");
         assert!(cfg.member_degraded(id), "outage_fraction 1.0 degrades all");
         let outcome = run_member(&cfg, id).unwrap();
@@ -666,7 +512,7 @@ mod tests {
             "detection survives the degraded run"
         );
         assert!(
-            outcome.metrics.gauge("offload.health.max").unwrap_or(0.0) > 0.0,
+            outcome.offload.health_peak > OffloadHealth::Healthy,
             "the health machine left Healthy during the blackout"
         );
     }
@@ -683,6 +529,6 @@ mod tests {
         assert_eq!(a.offload.segments_spilled, 0);
         // A healthy wire never degrades past Buffering (transient staging
         // between seal and ack).
-        assert!(a.metrics.gauge("offload.health.max").unwrap() <= 1.0);
+        assert!(a.offload.health_peak <= OffloadHealth::Buffering);
     }
 }

@@ -36,11 +36,6 @@ pub struct FleetReport {
     /// Replay accounting merged across members (`end_ns` is the slowest
     /// member's simulated completion).
     pub replay: ReplayStats,
-    /// Typed metrics folded across every member under the merge discipline
-    /// (counters add, gauges take max, histograms merge). Every value is
-    /// sim-derived, so the registry participates in the `PartialEq`
-    /// determinism contract like any other stats surface.
-    pub metrics: rssd_obs::MetricsRegistry,
     /// Workload records issued across the fleet.
     pub total_ops: u64,
     /// Latest member-local simulated completion time. Members run

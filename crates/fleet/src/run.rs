@@ -8,7 +8,7 @@ use rssd_core::OffloadStats;
 use rssd_detect::{merge_time_ordered, Ensemble, Verdict};
 use rssd_flash::NandStats;
 use rssd_ftl::FtlStats;
-use rssd_obs::{MetricsRegistry, ProfileBreakdown, SinkHandle, TraceEvent};
+use rssd_obs::{ProfileBreakdown, SinkHandle, TraceEvent};
 use rssd_ssd::{LatencyStats, QueuePairStats};
 use rssd_trace::ReplayStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,12 +58,6 @@ impl Fleet {
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
         Fleet { config }
-    }
-
-    /// The fleet's configuration.
-    #[must_use]
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
     }
 
     /// Runs every member on the configured worker pool and merges the
@@ -144,7 +138,6 @@ impl Fleet {
         let mut latency = LatencyStats::new();
         let mut queues = QueuePairStats::default();
         let mut replay = ReplayStats::default();
-        let mut metrics = MetricsRegistry::new();
         let mut sim_end_ns = 0u64;
         let mut compromised_members = Vec::new();
         let mut detected_members = Vec::new();
@@ -161,7 +154,6 @@ impl Fleet {
             latency.merge(&outcome.latency);
             queues.merge(&outcome.queues);
             replay.merge(&outcome.replay);
-            metrics.merge(&outcome.metrics);
             let card = outcome.scorecard;
             sim_end_ns = sim_end_ns.max(card.sim_end_ns);
             let flagged = card.verdict != Verdict::Benign;
@@ -207,7 +199,6 @@ impl Fleet {
             queues,
             total_ops: replay.records,
             replay,
-            metrics,
             sim_end_ns,
             fleet_verdict: ensemble.verdict(),
             fleet_score: ensemble.score(),

@@ -1,5 +1,5 @@
 //! Observability for the RSSD simulation stack: dual-timeline structured
-//! tracing, a typed metrics registry, and host-side phase profiling.
+//! tracing, the log-linear [`Histogram`], and host-side phase profiling.
 //!
 //! Everything in this crate is **zero-cost when disabled**: the sink and
 //! profiler handles default to a disabled state whose emission paths are a
@@ -24,6 +24,6 @@ pub mod profile;
 pub mod trace;
 
 pub use chrome::export_chrome_trace;
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::Histogram;
 pub use profile::{ProfileBreakdown, ProfilerHandle};
 pub use trace::{SinkHandle, TraceEvent, TraceEventKind};

@@ -1,9 +1,7 @@
-//! Typed metrics: counters, gauges, and log-linear histograms, with the
-//! workspace's established `merge` discipline (associative, commutative,
-//! `Default` as identity) so fleet workers' registries fold into the
-//! member-id-ordered report merge like every other stats type.
-
-use std::collections::BTreeMap;
+//! The log-linear histogram behind every latency distribution in the
+//! workspace, with the established `merge` discipline (associative,
+//! commutative, `Default` as identity) so per-member distributions fold
+//! into the member-id-ordered report merge like every other stats type.
 
 /// Sub-bucket resolution bits: each power-of-two octave is split into 16
 /// linear sub-buckets, bounding the relative quantization error to 1/16
@@ -148,95 +146,6 @@ impl Histogram {
     }
 }
 
-/// A typed registry of named counters, gauges, and histograms.
-///
-/// Names are `BTreeMap` keys, so iteration (and therefore any derived
-/// output) is deterministic. The registry itself follows the merge
-/// discipline: counters add, gauges take the maximum, histograms merge
-/// elementwise — all deterministic functions of simulated state, which is
-/// what allows a registry to live inside `FleetReport` without weakening
-/// its byte-identical-across-workers contract.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `n` to counter `name` (creating it at 0).
-    pub fn counter_add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Current value of counter `name` (0 if absent).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets gauge `name` to the maximum of its current value and `value`
-    /// (high-watermark semantics, which is what makes gauge merge
-    /// order-independent).
-    pub fn gauge_max(&mut self, name: &str, value: f64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(f64::MIN);
-        *g = g.max(value);
-    }
-
-    /// Current value of gauge `name`.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Records `value` into histogram `name` (creating it empty).
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Histogram `name`, if any samples were recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Counter names and values, in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Folds `other` into `self` under the merge discipline: counters add,
-    /// gauges take max, histograms merge. `MetricsRegistry::default()` is
-    /// the identity.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, &v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, &v) in &other.gauges {
-            let g = self.gauges.entry(name.clone()).or_insert(f64::MIN);
-            *g = g.max(v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,38 +235,5 @@ mod tests {
         let mut ab = a.clone();
         ab.merge(&b);
         assert_eq!(ab, ba, "merge must be commutative");
-    }
-
-    #[test]
-    fn registry_merge_discipline() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("nand.programs", 10);
-        a.gauge_max("queue.depth", 8.0);
-        a.histogram_record("latency", 500);
-
-        let mut b = MetricsRegistry::new();
-        b.counter_add("nand.programs", 5);
-        b.counter_add("wire.retransmissions", 2);
-        b.gauge_max("queue.depth", 3.0);
-        b.histogram_record("latency", 700);
-
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.counter("nand.programs"), 15);
-        assert_eq!(merged.counter("wire.retransmissions"), 2);
-        assert_eq!(merged.gauge("queue.depth"), Some(8.0));
-        assert_eq!(merged.histogram("latency").unwrap().count(), 2);
-
-        // Identity.
-        let snapshot = merged.clone();
-        merged.merge(&MetricsRegistry::default());
-        assert_eq!(merged, snapshot);
-
-        // Commutativity.
-        let mut ba = b.clone();
-        ba.merge(&a);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(ab, ba);
     }
 }

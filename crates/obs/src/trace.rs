@@ -190,16 +190,6 @@ impl SinkHandle {
             .as_ref()
             .map_or_else(Vec::new, |b| std::mem::take(&mut b.borrow_mut().events))
     }
-
-    /// Exports the recorded events as Chrome trace-event JSON (see
-    /// [`crate::chrome::export_chrome_trace`]) without draining them.
-    #[must_use]
-    pub fn export_chrome_json(&self) -> String {
-        match &self.buffer {
-            None => crate::chrome::export_chrome_trace(&[]),
-            Some(b) => crate::chrome::export_chrome_trace(&b.borrow().events),
-        }
-    }
 }
 
 impl std::fmt::Debug for SinkHandle {

@@ -9,7 +9,7 @@
 
 use rssd_core::{
     LogOp, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope, SegmentView,
-    StoreAck,
+    StoreAck, WireError,
 };
 use rssd_crypto::{DeviceKeys, Digest};
 use rssd_detect::{Ensemble, Verdict};
@@ -163,10 +163,21 @@ impl RemoteTarget for RemoteLogServer {
         // A refused segment stays staged on the device and is re-sent.
         let depth = OpenDepth::Metadata;
         let raw = envelope.open(&self.session, depth);
+        // The header's head must be the last link of the authenticated
+        // payload: a header that names any other head would move `last_head`
+        // (and every later reader's running head) off the real chain.
         let parsed = raw
             .as_deref()
             .map_err(|&e| e)
-            .and_then(|raw| SegmentView::parse(raw, depth));
+            .and_then(|raw| SegmentView::parse(raw, depth))
+            .and_then(|segment| {
+                let last = segment.links.last().map(|link| link.tag);
+                if last.unwrap_or(envelope.prev_chain_head()) == envelope.chain_head() {
+                    Ok(segment)
+                } else {
+                    Err(WireError::BadPayload)
+                }
+            });
         let segment = match parsed {
             Ok(segment) => segment,
             Err(cause) => {
@@ -369,50 +380,60 @@ mod tests {
     #[test]
     fn unreadable_segment_is_refused_and_the_clean_resend_accepted() {
         let segments = sealed_segments();
-        let mut server = RemoteLogServer::datacenter(&keys());
-        server.store_segment(segments[0].clone(), 0).unwrap();
-
-        // One bit of the last pre-image byte: nothing detection reads, but
-        // under the tag like every other sealed byte.
         let clean = &segments[1];
         let seq = clean.segment_seq();
+        // One bit of the last pre-image byte: nothing detection reads, but
+        // under the tag like every other sealed byte.
         let mut payload = clean.sealed_payload().to_vec();
         let last = payload.len() - rssd_net::session::TAG_LEN - 1;
         payload[last] ^= 1;
-        let damaged = SegmentEnvelope::new(
-            clean.device_id(),
-            seq,
-            clean.prev_chain_head(),
-            clean.chain_head(),
-            clean.record_count(),
-            &payload,
-        );
-        let (before, store_before) = (server.report(), server.store_stats());
-        assert_eq!(
-            server.store_segment(damaged, 0),
-            Err(RemoteError::Unreadable {
-                segment_seq: seq,
-                cause: rssd_core::WireError::BadPayload,
-            }),
-            "a segment the server cannot authenticate must not be acked"
-        );
-        let refused = server.report();
-        assert_eq!(refused.segments_rejected, before.segments_rejected + 1);
-        assert_eq!(refused.segments_stored, before.segments_stored);
-        assert_eq!(refused.records_analyzed, before.records_analyzed);
-        assert!(!server.stored_segments().contains(&seq));
-        assert_eq!(server.store_stats(), store_before, "nothing was put");
+        let damaged = |head, payload: &[u8]| {
+            SegmentEnvelope::new(
+                clean.device_id(),
+                seq,
+                clean.prev_chain_head(),
+                head,
+                clean.record_count(),
+                payload,
+            )
+        };
+        for (what, damaged) in [
+            ("cannot authenticate", damaged(clean.chain_head(), &payload)),
+            // The payload as sealed; only the header names another head.
+            (
+                "does not end at the head its header names",
+                damaged(Digest::from_bytes([0xAB; 32]), clean.sealed_payload()),
+            ),
+        ] {
+            let mut server = RemoteLogServer::datacenter(&keys());
+            server.store_segment(segments[0].clone(), 0).unwrap();
+            let (before, store_before) = (server.report(), server.store_stats());
+            assert_eq!(
+                server.store_segment(damaged, 0),
+                Err(RemoteError::Unreadable {
+                    segment_seq: seq,
+                    cause: rssd_core::WireError::BadPayload,
+                }),
+                "a segment the server {what} must not be acked"
+            );
+            let refused = server.report();
+            assert_eq!(refused.segments_rejected, before.segments_rejected + 1);
+            assert_eq!(refused.segments_stored, before.segments_stored);
+            assert_eq!(refused.records_analyzed, before.records_analyzed);
+            assert!(!server.stored_segments().contains(&seq));
+            assert_eq!(server.store_stats(), store_before, "nothing was put");
 
-        // The chain head did not advance, so the device's retry — the clean
-        // copy it still holds — and everything after it are accepted.
-        for segment in &segments[1..] {
-            server.store_segment(segment.clone(), 0).unwrap();
+            // The chain head did not advance, so the device's retry — the
+            // clean copy it still holds — and everything after it are accepted.
+            for segment in &segments[1..] {
+                server.store_segment(segment.clone(), 0).unwrap();
+            }
+            let done = server.report();
+            assert_eq!(done.segments_stored, segments.len() as u64);
+            assert_eq!(done.segments_rejected, before.segments_rejected + 1);
+            assert!(done.records_analyzed > before.records_analyzed);
+            assert_eq!(server.fetch_segment(seq).unwrap(), *clean);
         }
-        let done = server.report();
-        assert_eq!(done.segments_stored, segments.len() as u64);
-        assert_eq!(done.segments_rejected, before.segments_rejected + 1);
-        assert!(done.records_analyzed > before.records_analyzed);
-        assert_eq!(server.fetch_segment(seq).unwrap(), *clean);
     }
 
     #[test]

@@ -46,18 +46,30 @@ impl TraceProfile {
     /// All twelve profiles, in Figure 2's x-axis order.
     pub fn all() -> Vec<TraceProfile> {
         vec![
-            Self::msr("hm", 9.0, 0.35, 0.95, 0.10, 2, 0.15, 0.45, 0.10),
-            Self::msr("src", 15.0, 0.43, 0.90, 0.15, 4, 0.30, 0.60, 0.05),
-            Self::msr("ts", 12.0, 0.38, 0.92, 0.12, 2, 0.20, 0.45, 0.10),
-            Self::msr("wdev", 7.0, 0.20, 0.97, 0.06, 2, 0.10, 0.50, 0.08),
-            Self::msr("rsrch", 11.0, 0.10, 0.93, 0.09, 2, 0.12, 0.40, 0.15),
-            Self::msr("stg", 13.0, 0.25, 0.90, 0.14, 4, 0.35, 0.40, 0.15),
-            Self::msr("usr", 20.0, 0.40, 0.88, 0.20, 3, 0.25, 0.35, 0.25),
-            Self::fiu("home", 5.0, 0.30, 0.95, 0.05, 2, 0.15, 0.50, 0.10),
-            Self::fiu("mail", 25.0, 0.45, 0.85, 0.25, 3, 0.20, 0.55, 0.10),
-            Self::fiu("online", 8.0, 0.55, 0.93, 0.08, 2, 0.15, 0.45, 0.12),
-            Self::fiu("web", 6.0, 0.60, 0.94, 0.06, 3, 0.30, 0.50, 0.10),
-            Self::fiu("webusers", 10.0, 0.50, 0.91, 0.10, 3, 0.25, 0.45, 0.12),
+            Self::row("msr", "hm", (9.0, 0.35, 0.95, 0.10, 2, 0.15, 0.45, 0.10)),
+            Self::row("msr", "src", (15.0, 0.43, 0.90, 0.15, 4, 0.30, 0.60, 0.05)),
+            Self::row("msr", "ts", (12.0, 0.38, 0.92, 0.12, 2, 0.20, 0.45, 0.10)),
+            Self::row("msr", "wdev", (7.0, 0.20, 0.97, 0.06, 2, 0.10, 0.50, 0.08)),
+            Self::row(
+                "msr",
+                "rsrch",
+                (11.0, 0.10, 0.93, 0.09, 2, 0.12, 0.40, 0.15),
+            ),
+            Self::row("msr", "stg", (13.0, 0.25, 0.90, 0.14, 4, 0.35, 0.40, 0.15)),
+            Self::row("msr", "usr", (20.0, 0.40, 0.88, 0.20, 3, 0.25, 0.35, 0.25)),
+            Self::row("fiu", "home", (5.0, 0.30, 0.95, 0.05, 2, 0.15, 0.50, 0.10)),
+            Self::row("fiu", "mail", (25.0, 0.45, 0.85, 0.25, 3, 0.20, 0.55, 0.10)),
+            Self::row(
+                "fiu",
+                "online",
+                (8.0, 0.55, 0.93, 0.08, 2, 0.15, 0.45, 0.12),
+            ),
+            Self::row("fiu", "web", (6.0, 0.60, 0.94, 0.06, 3, 0.30, 0.50, 0.10)),
+            Self::row(
+                "fiu",
+                "webusers",
+                (10.0, 0.50, 0.91, 0.10, 3, 0.25, 0.45, 0.12),
+            ),
         ]
     }
 
@@ -66,21 +78,27 @@ impl TraceProfile {
         Self::all().into_iter().find(|p| p.name == name)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn msr(
+    /// One row of the table: daily write GiB, read fraction, Zipf θ, working
+    /// set fraction, mean request pages, sequential fraction, text weight,
+    /// random weight.
+    fn row(
+        family: &'static str,
         name: &'static str,
-        daily_write_gib: f64,
-        read_fraction: f64,
-        zipf_theta: f64,
-        working_set_fraction: f64,
-        mean_request_pages: u32,
-        sequential_fraction: f64,
-        text_weight: f64,
-        random_weight: f64,
+        columns: (f64, f64, f64, f64, u32, f64, f64, f64),
     ) -> TraceProfile {
+        let (
+            daily_write_gib,
+            read_fraction,
+            zipf_theta,
+            working_set_fraction,
+            mean_request_pages,
+            sequential_fraction,
+            text_weight,
+            random_weight,
+        ) = columns;
         TraceProfile {
             name,
-            family: "msr",
+            family,
             daily_write_gib,
             read_fraction,
             trim_fraction: 0.0,
@@ -90,34 +108,6 @@ impl TraceProfile {
             sequential_fraction,
             text_weight,
             random_weight,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fiu(
-        name: &'static str,
-        daily_write_gib: f64,
-        read_fraction: f64,
-        zipf_theta: f64,
-        working_set_fraction: f64,
-        mean_request_pages: u32,
-        sequential_fraction: f64,
-        text_weight: f64,
-        random_weight: f64,
-    ) -> TraceProfile {
-        TraceProfile {
-            family: "fiu",
-            ..Self::msr(
-                name,
-                daily_write_gib,
-                read_fraction,
-                zipf_theta,
-                working_set_fraction,
-                mean_request_pages,
-                sequential_fraction,
-                text_weight,
-                random_weight,
-            )
         }
     }
 
