@@ -542,11 +542,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
             return Ok(());
         }
         self.engine.profiler.enter("wire");
-        let chain_head = self.chain.head();
-        if let Some(seg) = self
-            .engine
-            .seal(&mut self.pending, chain_head, &mut self.ftl)
-        {
+        if let Some(seg) = self.engine.seal(&mut self.pending, &mut self.ftl) {
             self.evidence.index_sealed(seg);
         }
         let result = self.engine.drain(&mut self.ftl, &mut self.remote, forced);
@@ -690,10 +686,10 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logrec::{OpenDepth, SegmentEnvelope};
     use crate::rebuild::RebuildImage;
     use crate::recovery::RecoveryEngine;
     use crate::remote_target::LoopbackTarget;
+    use crate::segment::{OpenDepth, SegmentEnvelope};
 
     fn device() -> RssdDevice<LoopbackTarget> {
         RssdDevice::new(
@@ -1305,15 +1301,65 @@ mod tests {
         let mut serialized = 0u64;
         for seq in d.remote().stored_segments() {
             let envelope = d.remote_mut().fetch_segment(seq).unwrap();
-            serialized += envelope.open(&session, OpenDepth::Full).unwrap().len() as u64;
+            serialized += envelope.open(&session, OpenDepth::Full).unwrap().raw_len() as u64;
         }
         assert_eq!(d.offload_stats().raw_bytes, serialized);
+    }
+
+    /// A device cut off mid-outage with four or more segments spilled, the
+    /// store holding everything before them: the crashed device, the chain
+    /// length the store accounts for, and the spilled wire images.
+    fn crashed_mid_outage() -> (RssdDevice<LoopbackTarget>, u64, Vec<SegmentEnvelope>) {
+        let mut d = spill_device();
+        for i in 0..20u64 {
+            d.write_page(i % 4, page(i as u8)).unwrap();
+        }
+        d.flush_log().unwrap();
+        let durable = d.chain_len();
+        d.remote_mut().set_reachable(false);
+        for i in 20..60u64 {
+            d.write_page(i % 4, page(i as u8)).unwrap();
+        }
+        assert!(d.flush_log().is_err());
+        let spilled: Vec<SegmentEnvelope> = d
+            .engine
+            .unshipped()
+            .map(|seg| seg.envelope.clone())
+            .collect();
+        assert!(spilled.len() >= 4, "{} spilled", spilled.len());
+        assert_eq!(d.offload_stats().segments_spilled, spilled.len() as u64);
+        let _ = d.crash();
+        d.remote_mut().set_reachable(true);
+        (d, durable, spilled)
+    }
+
+    /// What the power cut left in the spill region of a crashed `d`: two
+    /// good entries, `third` for the third, and a good fourth behind it.
+    fn leave_in_spill(
+        d: &mut RssdDevice<LoopbackTarget>,
+        spilled: &[SegmentEnvelope],
+        third: &[u8],
+    ) {
+        d.ftl.spill_reset().unwrap();
+        for entry in [
+            spilled[0].wire(),
+            spilled[1].wire(),
+            third,
+            spilled[3].wire(),
+        ] {
+            d.ftl.spill_append(entry).unwrap();
+        }
     }
 
     #[test]
     fn recovery_stops_at_the_first_damaged_spill_entry() {
         type Damage = fn(&SegmentEnvelope) -> Vec<u8>;
-        let cases: [(&str, Damage); 4] = [
+        fn flip(real: &SegmentEnvelope, at: usize, bit: u8) -> Vec<u8> {
+            let mut wire = real.wire().to_vec();
+            wire[at] ^= bit;
+            wire
+        }
+        let cases: [(&str, Damage); 6] = [
             ("shorter than an envelope header", |_| vec![0xAB; 40]),
             ("random bytes", |_| {
                 let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -1327,46 +1373,27 @@ mod tests {
                 bytes
             }),
             ("one payload bit flipped", |real| {
-                let mut wire = real.wire().to_vec();
-                wire[SegmentEnvelope::WIRE_HEADER + 9] ^= 0x10;
-                wire
+                flip(real, SegmentEnvelope::WIRE_HEADER + 9, 0x10)
             }),
+            // The payload as sealed under each of the next three; only the
+            // header, which no tag covers, has rotted.
             ("a header that extends some other chain", |real| {
-                let mut wire = real.wire().to_vec();
-                wire[16] ^= 1; // first byte of `prev_chain_head`
-                wire
+                flip(real, 16, 1) // first byte of `prev_chain_head`
             }),
+            ("a header that ends at some other head", |real| {
+                flip(real, 48, 1) // first byte of `chain_head`
+            }),
+            (
+                "a header that counts some other number of records",
+                |real| {
+                    flip(real, 80, 1) // first byte of `record_count`
+                },
+            ),
         ];
         for (what, damage) in cases {
-            let mut d = spill_device();
-            for i in 0..20u64 {
-                d.write_page(i % 4, page(i as u8)).unwrap();
-            }
-            d.flush_log().unwrap();
-            let durable = d.chain_len();
-            d.remote_mut().set_reachable(false);
-            for i in 20..60u64 {
-                d.write_page(i % 4, page(i as u8)).unwrap();
-            }
-            assert!(d.flush_log().is_err());
-            let spilled: Vec<SegmentEnvelope> = d
-                .engine
-                .unshipped()
-                .map(|seg| seg.envelope.clone())
-                .collect();
-            assert!(spilled.len() >= 4, "{what}: {} spilled", spilled.len());
-            assert_eq!(d.offload_stats().segments_spilled, spilled.len() as u64);
-            let _ = d.crash();
+            let (mut d, durable, spilled) = crashed_mid_outage();
+            leave_in_spill(&mut d, &spilled, &damage(&spilled[2]));
 
-            // What the power cut left in the region: two good entries, the
-            // damaged third, and a good fourth stranded behind it.
-            d.ftl.spill_reset().unwrap();
-            d.ftl.spill_append(spilled[0].wire()).unwrap();
-            d.ftl.spill_append(spilled[1].wire()).unwrap();
-            d.ftl.spill_append(&damage(&spilled[2])).unwrap();
-            d.ftl.spill_append(spilled[3].wire()).unwrap();
-
-            d.remote_mut().set_reachable(true);
             let recovery = d.recover().expect(what);
             assert_eq!(d.offload_stats().spill_replayed, 2, "{what}");
             assert_eq!(d.staged_segments(), 2, "{what}");
@@ -1381,6 +1408,32 @@ mod tests {
             assert_eq!(d.staged_segments(), 0, "{what}");
             let history = d.verified_history().expect(what);
             assert_eq!(history.len() as u64, d.chain_len(), "{what}");
+        }
+    }
+
+    /// Spill replay's arm of the header enumeration (the store readers' is
+    /// `wire_props.rs`'s, the log server's `rssd-remote`'s): all 608 one-bit
+    /// flips of header bytes 8‥84 of a spilled entry end the replay at that
+    /// entry, and all 64 of bytes 0‥8 (`device_id`, which the key binds)
+    /// change nothing.
+    #[test]
+    fn spill_replay_refuses_each_of_the_608_one_bit_flips_of_header_bytes_8_to_84() {
+        let (mut d, _, spilled) = crashed_mid_outage();
+        for bit in 0..SegmentEnvelope::WIRE_HEADER * 8 {
+            let mut flipped = spilled[2].wire().to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            leave_in_spill(&mut d, &spilled, &flipped);
+            let before = d.offload_stats().spill_replayed;
+            let _ = d
+                .recover()
+                .expect("a damaged entry truncates, it does not fail");
+            let replayed = d.offload_stats().spill_replayed - before;
+            let (expected, last) = if bit < 64 { (4, 3) } else { (2, 1) };
+            assert_eq!(replayed, expected, "bit {bit}");
+            assert_eq!(d.staged_segments() as u64, expected, "bit {bit}");
+            assert_eq!(d.chain_head(), spilled[last].chain_head(), "bit {bit}");
+            // Cut again: the spilled backlog is the region's to bring back.
+            let _ = d.crash();
         }
     }
 

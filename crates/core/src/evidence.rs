@@ -3,44 +3,43 @@
 //! device-side [`EvidenceReader`]: history, and page versions looked up
 //! through the one index and rule of [`crate::versions`].
 
-use crate::logrec::{LogRecord, OpenDepth, RecordView, SegmentEnvelope, SegmentView};
+use crate::logrec::LogRecord;
 use crate::offload::{Batch, OffloadEngine, StagedSegment};
 use crate::remote_target::RemoteTarget;
-use crate::versions::{Located, OpenedSegment, VersionIndex};
+use crate::segment::{OpenDepth, OpenedSegment, Preimages, SegmentEnvelope};
+use crate::versions::{Located, VersionIndex};
 use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
 use std::collections::HashMap;
 
-/// Walks every segment stored on `remote` in chain order, authenticating
-/// each sealed payload whole and verifying continuity and per-record HMAC
-/// links, and hands each decoded record (with the sequence of the segment
-/// that carried it) to `sink`. The header's `chain_head` must be the last
-/// link the walk recomputed — the authenticated payload vouches for the
-/// header, never the reverse. The evidence walks — the device's history
+/// Walks every segment stored on `remote` in chain order — each through the
+/// one door, [`SegmentEnvelope::open`], which authenticates the payload and
+/// holds the header against it — requiring each to extend the running head
+/// and its per-record HMAC links to verify, and hands each opened segment
+/// (with its sequence) to `sink`. The evidence walks — the device's history
 /// audit and [`RssdDevice::recover`](crate::RssdDevice::recover) (which
-/// rebuilds the crashed controller's version index) — pass no `opened`:
+/// rebuilds the crashed controller's version index) — pass no `kept`:
 /// segments are opened to [`OpenDepth::Metadata`] and no pre-image is ever
 /// deciphered. [`RebuildImage::harvest`](crate::RebuildImage::harvest)
 /// (which has no device left to ask) passes the map to keep every segment's
 /// pre-images in, by segment sequence: segments are opened to
-/// [`OpenDepth::Full`] and the plaintext each open produced is kept as it
-/// is, not copied out of. Returns the verified chain head.
+/// [`OpenDepth::Full`]. Returns the verified chain head.
 ///
 /// # Errors
 ///
 /// The walk stops at the first verification failure and describes it.
-/// Records are only ever delivered to `sink` from fully verified segments,
-/// so everything sunk is trustworthy even then — an audit keeps that
-/// verified prefix as evidence while reporting the gap.
+/// Only fully verified segments are ever delivered to `sink`, so everything
+/// sunk is trustworthy even then — an audit keeps that verified prefix as
+/// evidence while reporting the gap.
 pub(crate) fn walk_segments<R: RemoteTarget>(
     chain_key: &[u8],
     session: &SecureSession,
     remote: &mut R,
-    mut opened: Option<&mut HashMap<u64, OpenedSegment>>,
-    mut sink: impl FnMut(u64, RecordView<'_>),
+    mut kept: Option<&mut HashMap<u64, Preimages>>,
+    mut sink: impl FnMut(u64, &OpenedSegment),
 ) -> Result<Digest, String> {
-    let depth = match opened {
+    let depth = match kept {
         Some(_) => OpenDepth::Full,
         None => OpenDepth::Metadata,
     };
@@ -49,36 +48,24 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
         let envelope = remote
             .fetch_segment(seq)
             .map_err(|e| format!("fetch segment {seq}: {e}"))?;
-        let raw = envelope
+        let segment = envelope
             .open(session, depth)
             .map_err(|e| format!("open segment {seq}: {e}"))?;
-        let segment =
-            SegmentView::parse(&raw, depth).map_err(|e| format!("open segment {seq}: {e}"))?;
         if envelope.prev_chain_head() != head {
             return Err(format!("segment {seq} does not extend the chain"));
         }
         let images: Vec<_> = segment
-            .records
+            .records()
             .iter()
-            .map(|r| r.meta.chain_image())
+            .map(LogRecord::chain_image)
             .collect();
-        HashChain::verify_from(chain_key, head, &images, &segment.links)
+        HashChain::verify_from(chain_key, head, &images, segment.links())
             .map_err(|e| format!("segment {seq}: {e}"))?;
-        // The header is outside the sealed payload; the links just verified
-        // are inside it, so the last of them is the head the header may name.
-        head = segment.links.last().map_or(head, |link| link.tag);
-        if envelope.chain_head() != head {
-            return Err(format!(
-                "segment {seq}: header chain head is not its last verified link"
-            ));
-        }
-        let kept = opened.as_deref_mut();
-        let kept = kept.map(|opened| (opened, OpenedSegment::table(&segment)));
-        for record in segment.records {
-            sink(seq, record);
-        }
-        if let Some((opened, table)) = kept {
-            opened.insert(seq, OpenedSegment::keep(raw, table));
+        // The door held the header's head to the last of those links.
+        head = envelope.chain_head();
+        sink(seq, &segment);
+        if let Some(kept) = kept.as_deref_mut() {
+            kept.insert(seq, segment.into_preimages());
         }
     }
     Ok(head)
@@ -114,7 +101,7 @@ pub(crate) struct EvidenceReader {
     /// victims usually had their pre-attack versions sealed into the same
     /// segment; a lookup whose envelope is byte-equal to this one skips the
     /// verify + decrypt + decompress. Controller RAM: dies with a crash.
-    pub(crate) opened: Option<(SegmentEnvelope, OpenedSegment)>,
+    pub(crate) opened: Option<(SegmentEnvelope, Preimages)>,
 }
 
 impl EvidenceReader {
@@ -137,19 +124,22 @@ impl EvidenceReader {
 
     /// Walks the store, verifying it end to end, and indexes it — for crash
     /// recovery, which installs the index once it can no longer fail, and
-    /// for a harvest, which also keeps the segments `opened`. Returns the
-    /// verified chain head, the records walked and the version index.
+    /// for a harvest, which also has every segment's pre-images `kept`.
+    /// Returns the verified chain head, the records walked and the version
+    /// index.
     pub(crate) fn walk_store(
         &self,
         remote: &mut impl RemoteTarget,
-        opened: Option<&mut HashMap<u64, OpenedSegment>>,
+        kept: Option<&mut HashMap<u64, Preimages>>,
     ) -> Result<(Digest, u64, VersionIndex), String> {
         let (mut records, mut index) = (0, VersionIndex::default());
-        let sink = |segment_seq, record: RecordView<'_>| {
-            records += 1;
-            index.fold(segment_seq, &record.meta, record.retained_len.is_some());
+        let sink = |segment_seq, segment: &OpenedSegment| {
+            records += segment.records().len() as u64;
+            for (record, retained_len) in segment.records().iter().zip(segment.retained_len()) {
+                index.fold(segment_seq, record, retained_len.is_some());
+            }
         };
-        let head = walk_segments(&self.chain_key, &self.session, remote, opened, sink)?;
+        let head = walk_segments(&self.chain_key, &self.session, remote, kept, sink)?;
         Ok((head, records, index))
     }
 
@@ -167,30 +157,28 @@ impl EvidenceReader {
         appended: Option<u64>,
     ) -> HistoryAudit {
         let mut records: Vec<LogRecord> = Vec::new();
-        let sink = |_seq, record: RecordView<'_>| records.push(record.meta);
+        let sink = |_seq, segment: &OpenedSegment| records.extend_from_slice(segment.records());
         let walked = walk_segments(&self.chain_key, &self.session, remote, None, sink);
         let local = engine
             .unshipped()
-            .map(|seg| (Some(&seg.envelope), &seg.batch))
+            .map(|seg| (Some(seg.envelope.segment_seq()), &seg.batch))
             .chain([(None, pending)]);
         let verified = walked.and_then(|mut head| {
-            for (envelope, batch) in local {
+            for (staged_seq, batch) in local {
                 let images: Vec<_> = batch.records.iter().map(LogRecord::chain_image).collect();
                 HashChain::verify_from(&self.chain_key, head, &images, &batch.links).map_err(
-                    |e| match envelope {
-                        Some(envelope) => format!(
-                            "chain gap: staged segment {} does not extend the \
+                    |e| match staged_seq {
+                        Some(segment_seq) => format!(
+                            "chain gap: staged segment {segment_seq} does not extend the \
                              verified prefix ({e}) — acknowledged offloads were lost \
-                             upstream or the staged links were tampered with",
-                            envelope.segment_seq()
+                             upstream or the staged links were tampered with"
                         ),
                         None => format!("pending tail: {e}"),
                     },
                 )?;
-                records.extend(batch.records.iter().cloned());
-                if let Some(envelope) = envelope {
-                    head = envelope.chain_head();
-                }
+                records.extend_from_slice(&batch.records);
+                // By the links just verified, not by a header nobody opened.
+                head = batch.links.last().map_or(head, |link| link.tag);
             }
             match appended {
                 Some(appended) if records.len() as u64 != appended => Err(format!(
@@ -243,11 +231,11 @@ impl EvidenceReader {
                     None => remote.fetch_segment(segment_seq).ok()?,
                 };
                 if !matches!(&self.opened, Some((memo, _)) if *memo == envelope) {
-                    let opened = OpenedSegment::open(&envelope, &self.session).ok()?;
-                    self.opened = Some((envelope, opened));
+                    let opened = envelope.open(&self.session, OpenDepth::Full).ok()?;
+                    self.opened = Some((envelope, opened.into_preimages()));
                 }
-                let (_, opened) = self.opened.as_ref()?;
-                opened.preimage(record_seq).map(<[u8]>::to_vec)
+                let (_, preimages) = self.opened.as_ref()?;
+                preimages.get(record_seq).map(<[u8]>::to_vec)
             }
         }
     }

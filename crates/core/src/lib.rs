@@ -7,7 +7,9 @@
 //!
 //! * **Hardware-assisted logging** ([`logrec`]) — every storage operation is
 //!   appended, in arrival order, to a log whose records are chained with
-//!   HMACs ([`rssd_crypto::HashChain`]): the *trusted evidence chain*.
+//!   HMACs ([`rssd_crypto::HashChain`]): the *trusted evidence chain*. It
+//!   leaves the device in sealed segments ([`segment`]: one writer,
+//!   [`SegmentEnvelope::seal`], and one door, [`SegmentEnvelope::open`]).
 //! * **Conservative stale-data retention** — every page invalidated by an
 //!   overwrite or trim is pinned against garbage collection until it has
 //!   been offloaded remotely; nothing a ransomware encrypts or erases is
@@ -58,6 +60,7 @@ mod offload;
 pub mod rebuild;
 pub mod recovery;
 pub mod remote_target;
+pub mod segment;
 mod versions;
 pub mod wire;
 
@@ -66,10 +69,9 @@ pub use config::RssdConfig;
 pub use device::{
     CrashRecovery, CrashReport, HistoryAudit, OffloadHealth, OffloadStats, RssdDevice,
 };
-pub use logrec::{
-    LogOp, LogRecord, OpenDepth, RecordView, Segment, SegmentEnvelope, SegmentView, WireError,
-};
+pub use logrec::{LogOp, LogRecord, WireError};
 pub use rebuild::{HarvestReport, RebuildImage};
 pub use recovery::{RecoveryEngine, RecoveryReport};
 pub use remote_target::{LoopbackTarget, RemoteError, RemoteTarget, StoreAck};
+pub use segment::{OpenDepth, OpenedSegment, Preimages, SegmentBody, SegmentEnvelope};
 pub use wire::{RemoteFaultStats, WireRemote};

@@ -5,8 +5,9 @@
 //! retry backoff, the NAND spill, the health machine, the counters. Its
 //! methods borrow the [`Ftl`] and the [`RemoteTarget`] from the device.
 
-use crate::logrec::{LogRecord, OpenDepth, Segment, SegmentEnvelope, SegmentView};
+use crate::logrec::LogRecord;
 use crate::remote_target::{RemoteError, RemoteTarget};
+use crate::segment::{OpenDepth, SegmentBody, SegmentEnvelope};
 use rssd_crypto::{ChainLink, Digest};
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
@@ -360,66 +361,48 @@ impl OffloadEngine {
         self.next_retry_at_ns = 0;
     }
 
-    /// Seals the pending tail into a staged segment: attaches retained
-    /// pre-images via background reads, builds the wire image once
-    /// (header + compress + seal in place), and advances the segment
-    /// cursor. This is the *only* place a segment is serialized or sealed;
-    /// every retry, spill, and replay reuses the refcounted image.
-    /// `chain_head` is the evidence-chain head after the tail's last
-    /// record. Returns the segment just staged, `None` when nothing was
-    /// pending.
-    pub(crate) fn seal(
-        &mut self,
-        pending: &mut Batch,
-        chain_head: Digest,
-        ftl: &mut Ftl,
-    ) -> Option<&StagedSegment> {
+    /// Seals the pending tail into a staged segment: reads the retained
+    /// pre-images via background reads, has [`SegmentEnvelope::seal`] build
+    /// the wire image once, and advances the segment cursor. Every retry,
+    /// spill, and replay reuses the refcounted image. Returns the segment
+    /// just staged, `None` when nothing was pending.
+    pub(crate) fn seal(&mut self, pending: &mut Batch, ftl: &mut Ftl) -> Option<&StagedSegment> {
         if pending.records.is_empty() {
             return None;
         }
-        let mut batch = std::mem::take(pending);
-        // Attach retained contents via background reads. These dispatch
-        // onto the unit pipelines — the offload engine genuinely occupies
-        // planes and channels, which is RSSD's real (small, bounded)
-        // foreground overhead — but nothing blocks on them.
+        let batch = std::mem::take(pending);
+        // The background reads dispatch onto the unit pipelines — the
+        // offload engine genuinely occupies planes and channels, which is
+        // RSSD's real (small, bounded) foreground overhead — but nothing
+        // blocks on them.
         let geometry = ftl.geometry();
-        for rec in &mut batch.records {
-            if let Some(idx) = rec.old_page_index {
+        let mut preimages = Vec::with_capacity(batch.retained as usize * geometry.page_size);
+        let retained_len: Vec<Option<u32>> = batch
+            .records
+            .iter()
+            .map(|rec| {
+                let ppa = geometry.page_from_index(rec.old_page_index?);
                 let (data, _) = ftl
-                    .read_physical_offload(geometry.page_from_index(idx))
+                    .read_physical_offload(ppa)
                     .expect("pinned page readable");
-                rec.old_data = Some(data);
-            }
-        }
+                preimages.extend_from_slice(&data);
+                Some(data.len() as u32)
+            })
+            .collect();
         let segment_seq = self.next_segment_seq;
-        let raw = Segment::serialize(segment_seq, &batch.records, &batch.links);
-        // The pre-images now live in `raw`, soon inside the sealed
-        // envelope; the RAM copy of the records goes back to metadata-only.
-        for rec in &mut batch.records {
-            rec.old_data = None;
-        }
-        // Zero-copy assembly: build the envelope's wire image directly in
-        // one buffer — header, then the compressed payload appended in
-        // place, then sealed in place. The resulting `Bytes` is shared by
-        // refcount through capsules, frames, retransmissions, the NAND
-        // spill and the remote store; nothing downstream re-serializes or
-        // copies it.
-        let mut wire = Vec::with_capacity(SegmentEnvelope::WIRE_HEADER + raw.len() / 2 + 64);
-        SegmentEnvelope::write_wire_header(
-            &mut wire,
+        let (envelope, raw_len) = SegmentEnvelope::seal(
+            &self.session,
+            &self.profiler,
             self.device_id,
             segment_seq,
-            &self.prev_segment_head,
-            &chain_head,
-            batch.records.len() as u32,
+            self.prev_segment_head,
+            SegmentBody {
+                records: &batch.records,
+                links: &batch.links,
+                retained_len: &retained_len,
+                preimages: &preimages,
+            },
         );
-        self.profiler.enter("compress");
-        Segment::compress_into(&raw, &mut wire);
-        self.profiler.exit();
-        self.session
-            .seal_in_place(segment_seq, &mut wire, SegmentEnvelope::WIRE_HEADER);
-        let envelope = SegmentEnvelope::from_wire_image(wire)
-            .expect("header plus sealed payload is a complete wire image");
         trace(
             &self.sink,
             "segment_sealed",
@@ -427,19 +410,19 @@ impl OffloadEngine {
             &[
                 ("segment_seq", &segment_seq),
                 ("records", &batch.records.len()),
-                ("raw_bytes", &raw.len()),
+                ("raw_bytes", &raw_len),
                 ("sealed_bytes", &envelope.sealed_payload().len()),
             ],
         );
+        self.prev_segment_head = envelope.chain_head();
         self.staged.push_back(StagedSegment {
             envelope,
             batch,
-            raw_bytes: raw.len() as u64,
+            raw_bytes: raw_len as u64,
             spilled: false,
             acked_at_ns: None,
         });
         self.stats.segments_sealed += 1;
-        self.prev_segment_head = chain_head;
         self.next_segment_seq += 1;
         self.update_health(ftl);
         self.staged.back()
@@ -660,11 +643,11 @@ impl OffloadEngine {
     /// segments that were staged mid-outage survived the power cut on real
     /// flash. Entries the store already holds (`stored_up_to`, its last
     /// segment) are skipped; the rest are re-staged in order, each
-    /// authenticated whole and required to extend `head` — the store's
-    /// verified chain head — so the backlog drains exactly as if the cut
-    /// never happened. Replay stops at the first entry that is damaged or
-    /// out of place. Returns the head after the last re-staged segment, or
-    /// an error when the spill region cannot be read.
+    /// required to extend `head` — the store's verified chain head — and
+    /// to pass [`SegmentEnvelope::open`], so the backlog drains exactly as
+    /// if the cut never happened. Replay stops at the first entry that is
+    /// damaged or out of place. Returns the head after the last re-staged
+    /// segment, or an error when the spill region cannot be read.
     pub(crate) fn replay_spill(
         &mut self,
         ftl: &mut Ftl,
@@ -684,26 +667,22 @@ impl OffloadEngine {
             if envelope.prev_chain_head() != head {
                 break; // does not extend the recovered chain: unusable tail
             }
-            // The tag is verified over every sealed byte; the pre-images
-            // stay sealed — the re-staged records are metadata only.
-            let Ok(metadata) = envelope.open(&self.session, OpenDepth::Metadata) else {
-                break;
-            };
-            let Ok(view) = SegmentView::parse(&metadata, OpenDepth::Metadata) else {
+            // The tag is verified over every sealed byte and the header
+            // held against the payload; the pre-images stay sealed — the
+            // re-staged records are metadata only.
+            let Ok(segment) = envelope.open(&self.session, OpenDepth::Metadata) else {
                 break;
             };
             let mut batch = Batch::default();
-            let mut preimage_bytes = 0u64;
-            for (record, link) in view.records.into_iter().zip(view.links) {
-                preimage_bytes += u64::from(record.retained_len.unwrap_or(0));
-                batch.push(record.meta, link);
+            for (record, link) in segment.records().iter().zip(segment.links()) {
+                batch.push(record.clone(), *link);
             }
             head = envelope.chain_head();
             self.stats.spill_replayed += 1;
             self.staged.push_back(StagedSegment {
                 envelope,
                 batch,
-                raw_bytes: metadata.len() as u64 + preimage_bytes,
+                raw_bytes: segment.raw_len() as u64,
                 spilled: true,
                 acked_at_ns: None,
             });
@@ -875,8 +854,7 @@ mod tests {
         }
 
         fn seal(&mut self) {
-            let head = self.chain.head();
-            self.engine.seal(&mut self.pending, head, &mut self.ftl);
+            self.engine.seal(&mut self.pending, &mut self.ftl);
         }
 
         /// A background drain `after_ns` from now; only an unreachable

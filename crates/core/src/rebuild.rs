@@ -27,7 +27,8 @@
 
 use crate::evidence::EvidenceReader;
 use crate::remote_target::RemoteTarget;
-use crate::versions::{Located, OpenedSegment, VersionIndex};
+use crate::segment::Preimages;
+use crate::versions::{Located, VersionIndex};
 use rssd_crypto::DeviceKeys;
 use std::collections::HashMap;
 
@@ -53,7 +54,7 @@ pub struct HarvestReport {
 pub struct RebuildImage {
     index: VersionIndex,
     /// The pre-images of every segment walked, by segment sequence.
-    segments: HashMap<u64, OpenedSegment>,
+    segments: HashMap<u64, Preimages>,
     report: HarvestReport,
 }
 
@@ -133,7 +134,7 @@ impl RebuildImage {
         else {
             return None;
         };
-        self.segments.get(&segment_seq)?.preimage(record_seq)
+        self.segments.get(&segment_seq)?.get(record_seq)
     }
 }
 
@@ -142,8 +143,8 @@ mod tests {
     use super::*;
     use crate::config::RssdConfig;
     use crate::device::RssdDevice;
-    use crate::logrec::SegmentEnvelope;
     use crate::remote_target::LoopbackTarget;
+    use crate::segment::SegmentEnvelope;
     use rssd_flash::{FlashGeometry, NandTiming, SimClock};
     use rssd_ssd::BlockDevice;
 

@@ -1,6 +1,7 @@
 //! The device's view of the remote side of the codesign.
 
-use crate::logrec::{SegmentEnvelope, WireError};
+use crate::logrec::WireError;
+use crate::segment::SegmentEnvelope;
 use rssd_crypto::Digest;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

@@ -1,16 +1,13 @@
 //! Retained page versions — owned here and nowhere else: the **index**
 //! ([`VersionIndex`]: one fold over log records in chain order, whoever
 //! feeds it — the device at seal time, crash recovery's metadata walk, a
-//! harvest's full walk), the **rule** ([`valid_at`]: the one function in the
-//! workspace that compares a cut-off with version times) and the **opened
-//! segment** ([`OpenedSegment`]: one sealed segment's pre-images as a single
-//! buffer, handed out as slices — the evidence reader keeps the one it opened
-//! last, a [`RebuildImage`](crate::RebuildImage) every one it walked).
+//! harvest's full walk) and the **rule** ([`valid_at`]: the one function in
+//! the workspace that compares a cut-off with version times). Where the
+//! index points — a record of a sealed segment — the content comes out of
+//! that segment's [`Preimages`](crate::segment::Preimages).
 
-use crate::logrec::{LogOp, LogRecord, OpenDepth, SegmentEnvelope, SegmentView, WireError};
-use rssd_net::SecureSession;
+use crate::logrec::{LogOp, LogRecord};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// One retained version of a page whose content lies in a sealed segment.
 #[derive(Clone, Copy, Debug)]
@@ -143,60 +140,6 @@ impl VersionIndex {
     /// Retained versions indexed, over all pages.
     pub(crate) fn version_count(&self) -> u64 {
         self.versions.values().map(|v| v.len() as u64).sum()
-    }
-}
-
-/// The pre-images of one sealed segment, opened: one exactly sized buffer
-/// (every pre-image back to back in record order) and, ascending by
-/// `record_seq`, where in it each record's content lies.
-#[derive(Clone, Debug)]
-pub(crate) struct OpenedSegment {
-    preimages: Vec<u8>,
-    table: Vec<(u64, Range<usize>)>,
-}
-
-impl OpenedSegment {
-    /// Authenticates and opens `envelope` in full.
-    pub(crate) fn open(
-        envelope: &SegmentEnvelope,
-        session: &SecureSession,
-    ) -> Result<Self, WireError> {
-        let raw = envelope.open(session, OpenDepth::Full)?;
-        let table = Self::table(&SegmentView::parse(&raw, OpenDepth::Full)?);
-        Ok(Self::keep(raw, table))
-    }
-
-    /// Where each pre-image of `segment` lies within its pre-image region.
-    pub(crate) fn table(segment: &SegmentView<'_>) -> Vec<(u64, Range<usize>)> {
-        let mut end = 0;
-        let retained = segment.records.iter().filter_map(|rec| {
-            let start = end;
-            end += rec.retained_len? as usize;
-            Some((rec.meta.seq, start..end))
-        });
-        retained.collect()
-    }
-
-    /// Keeps the pre-image region of `raw` — the plaintext of a full open,
-    /// which `table` was parsed from — in place: the metadata block ahead of
-    /// it (80 bytes a record, reads included) goes, the allocation is
-    /// trimmed to what is left.
-    pub(crate) fn keep(mut raw: Vec<u8>, table: Vec<(u64, Range<usize>)>) -> Self {
-        let len = table.last().map_or(0, |(_, range)| range.end);
-        raw.drain(..raw.len() - len);
-        raw.shrink_to_fit();
-        OpenedSegment {
-            preimages: raw,
-            table,
-        }
-    }
-
-    /// The pre-image record `record_seq` carries, if it carries one.
-    pub(crate) fn preimage(&self, record_seq: u64) -> Option<&[u8]> {
-        let at = self
-            .table
-            .binary_search_by_key(&record_seq, |(seq, _)| *seq);
-        Some(&self.preimages[self.table[at.ok()?].1.clone()])
     }
 }
 

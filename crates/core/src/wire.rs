@@ -30,8 +30,8 @@
 //! [`RemoteTarget`] trait inside the controller. The host-facing
 //! `BlockDevice` API exposes neither `WireRemote` nor any `rssd-net` type.
 
-use crate::logrec::SegmentEnvelope;
 use crate::remote_target::{RemoteError, RemoteTarget, StoreAck};
+use crate::segment::SegmentEnvelope;
 use rssd_net::{LinkConfig, NvmeOeEndpoint, SharedLink, TransferStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;

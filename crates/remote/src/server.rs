@@ -8,8 +8,8 @@
 //! ensemble over the decrypted record metadata.
 
 use rssd_core::{
-    LogOp, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope, SegmentView,
-    StoreAck, WireError,
+    LogOp, LogRecord, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope,
+    StoreAck,
 };
 use rssd_crypto::{DeviceKeys, Digest};
 use rssd_detect::{Ensemble, Verdict};
@@ -125,13 +125,10 @@ impl RemoteLogServer {
 
     /// Feeds an authenticated segment's records to the detection ensemble.
     /// Detection reads record metadata only.
-    fn analyze_segment(&mut self, segment: &SegmentView<'_>) {
-        for record in &segment.records {
-            if record.meta.op == LogOp::Read {
-                continue;
-            }
+    fn analyze_segment(&mut self, records: &[LogRecord]) {
+        for record in records.iter().filter(|record| record.op != LogOp::Read) {
             self.ensemble
-                .observe(&PostAttackAnalyzer::observation(&record.meta));
+                .observe(&PostAttackAnalyzer::observation(record));
             self.report.records_analyzed += 1;
         }
         self.report.verdict = self.ensemble.verdict();
@@ -157,28 +154,13 @@ impl RemoteTarget for RemoteLogServer {
                 });
             }
         }
-        // The ack is the device's licence to unpin, so authenticate before
-        // anything is stored: the payload is verified whole, then only the
-        // metadata block is deciphered and parsed (pre-images stay sealed).
-        // A refused segment stays staged on the device and is re-sent.
-        let depth = OpenDepth::Metadata;
-        let raw = envelope.open(&self.session, depth);
-        // The header's head must be the last link of the authenticated
-        // payload: a header that names any other head would move `last_head`
-        // (and every later reader's running head) off the real chain.
-        let parsed = raw
-            .as_deref()
-            .map_err(|&e| e)
-            .and_then(|raw| SegmentView::parse(raw, depth))
-            .and_then(|segment| {
-                let last = segment.links.last().map(|link| link.tag);
-                if last.unwrap_or(envelope.prev_chain_head()) == envelope.chain_head() {
-                    Ok(segment)
-                } else {
-                    Err(WireError::BadPayload)
-                }
-            });
-        let segment = match parsed {
+        // The ack is the device's licence to unpin, so open before anything is
+        // stored: the payload is verified whole and the header held against
+        // it — a header naming any other head would move `last_head` (and
+        // every later reader's running head) off the real chain — then only
+        // the metadata block is deciphered (pre-images stay sealed). A
+        // refused segment stays staged on the device and is re-sent.
+        let segment = match envelope.open(&self.session, OpenDepth::Metadata) {
             Ok(segment) => segment,
             Err(cause) => {
                 self.report.segments_rejected += 1;
@@ -209,7 +191,7 @@ impl RemoteTarget for RemoteLogServer {
         self.segment_index.push(envelope.segment_seq());
         self.report.segments_stored += 1;
         self.report.ingest_time_ns += durable_at_ns.saturating_sub(now_ns);
-        self.analyze_segment(&segment);
+        self.analyze_segment(segment.records());
         Ok(StoreAck {
             segment_seq: envelope.segment_seq(),
             durable_at_ns,
@@ -397,12 +379,18 @@ mod tests {
                 payload,
             )
         };
-        for (what, damaged) in [
-            ("cannot authenticate", damaged(clean.chain_head(), &payload)),
+        use rssd_core::WireError::{BadPayload, HeaderMismatch};
+        for (what, damaged, cause) in [
+            (
+                "cannot authenticate",
+                damaged(clean.chain_head(), &payload),
+                BadPayload,
+            ),
             // The payload as sealed; only the header names another head.
             (
                 "does not end at the head its header names",
                 damaged(Digest::from_bytes([0xAB; 32]), clean.sealed_payload()),
+                HeaderMismatch,
             ),
         ] {
             let mut server = RemoteLogServer::datacenter(&keys());
@@ -412,7 +400,7 @@ mod tests {
                 server.store_segment(damaged, 0),
                 Err(RemoteError::Unreadable {
                     segment_seq: seq,
-                    cause: rssd_core::WireError::BadPayload,
+                    cause,
                 }),
                 "a segment the server {what} must not be acked"
             );
@@ -433,6 +421,66 @@ mod tests {
             assert_eq!(done.segments_rejected, before.segments_rejected + 1);
             assert!(done.records_analyzed > before.records_analyzed);
             assert_eq!(server.fetch_segment(seq).unwrap(), *clean);
+        }
+    }
+
+    /// The log server's arm of the header enumeration (the store readers'
+    /// is `rssd-core`'s `wire_props.rs`): each of the 608 one-bit flips of
+    /// header bytes 8‥84 of a segment is refused — counted, nothing stored —
+    /// and the clean resend accepted; each of the 64 flips of bytes 0‥8
+    /// (`device_id`, which the key binds) is accepted like the clean image.
+    #[test]
+    fn the_server_refuses_each_of_the_608_one_bit_flips_of_header_bytes_8_to_84() {
+        let segments = sealed_segments();
+        let clean = &segments[1];
+        let mut server = RemoteLogServer::datacenter(&keys());
+        server.store_segment(segments[0].clone(), 0).unwrap();
+        for bit in 64..SegmentEnvelope::WIRE_HEADER * 8 {
+            let mut wire = clean.wire().to_vec();
+            wire[bit / 8] ^= 1 << (bit % 8);
+            let flipped = SegmentEnvelope::from_wire_image(wire).unwrap();
+            let (before, store_before) = (server.report(), server.store_stats());
+            let refused = server.store_segment(flipped, 0);
+            assert!(
+                matches!(
+                    refused,
+                    Err(RemoteError::Unreadable { .. } | RemoteError::ChainDiscontinuity { .. })
+                ),
+                "bit {bit}: {refused:?}"
+            );
+            let after = ServerReport {
+                segments_rejected: before.segments_rejected + 1,
+                ..before
+            };
+            assert_eq!(server.report(), after, "bit {bit}");
+            assert_eq!(
+                server.store_stats(),
+                store_before,
+                "bit {bit}: nothing was put"
+            );
+        }
+        assert_eq!(server.report().segments_rejected, 608);
+        assert_eq!(server.stored_segments(), [segments[0].segment_seq()]);
+        for segment in &segments[1..] {
+            server.store_segment(segment.clone(), 0).unwrap();
+        }
+        let accepted = server.report();
+
+        for bit in 0..64 {
+            let mut wire = clean.wire().to_vec();
+            wire[bit / 8] ^= 1 << (bit % 8);
+            let mut server = RemoteLogServer::datacenter(&keys());
+            server.store_segment(segments[0].clone(), 0).unwrap();
+            let renamed = SegmentEnvelope::from_wire_image(wire).unwrap();
+            server.store_segment(renamed, 0).expect("the key fits");
+            for segment in &segments[2..] {
+                server.store_segment(segment.clone(), 0).unwrap();
+            }
+            let report = ServerReport {
+                segments_rejected: 0,
+                ..accepted.clone()
+            };
+            assert_eq!(server.report(), report, "bit {bit}");
         }
     }
 
