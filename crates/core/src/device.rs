@@ -6,6 +6,7 @@ use crate::config::RssdConfig;
 use crate::evidence::EvidenceReader;
 use crate::logrec::{LogOp, LogRecord};
 use crate::offload::{Batch, OffloadEngine};
+use crate::pool;
 use crate::remote_target::{RemoteError, RemoteTarget};
 use rssd_compress::shannon_entropy;
 use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
@@ -259,6 +260,12 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// in-RAM chain) — recovering on top of a tampered or holed store
     /// would launder the loss into trusted state.
     pub fn recover(&mut self) -> Result<CrashRecovery, String> {
+        self.recover_on(pool::machine_workers())
+    }
+
+    /// [`Self::recover`], walking the store on `workers` — which its answer
+    /// does not depend on.
+    pub(crate) fn recover_on(&mut self, workers: usize) -> Result<CrashRecovery, String> {
         if !self.crashed {
             return Err("device is powered and running; nothing to recover".to_string());
         }
@@ -275,7 +282,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
                  transit; refusing to resume over a holed history"
             ));
         }
-        let (head, mut records, index) = self.evidence.walk_store(&mut self.remote, None)?;
+        let (head, mut records, index) =
+            self.evidence.walk_store(workers, &mut self.remote, None)?;
         let segments = self.remote.stored_segments();
         let head = self
             .engine
@@ -442,9 +450,20 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// stale (it still counts the lost volatile tail), and a crash
     /// truncation is a documented loss, not transit loss.
     pub fn audit_history(&mut self) -> HistoryAudit {
+        self.audit_history_on(pool::machine_workers())
+    }
+
+    /// [`Self::audit_history`], walking the store on `workers` — which its
+    /// answer does not depend on.
+    pub(crate) fn audit_history_on(&mut self, workers: usize) -> HistoryAudit {
         let appended = (!self.crashed).then(|| self.chain.len());
-        self.evidence
-            .audit(&mut self.remote, &self.engine, &self.pending, appended)
+        self.evidence.audit(
+            workers,
+            &mut self.remote,
+            &self.engine,
+            &self.pending,
+            appended,
+        )
     }
 
     /// Point-in-time recovery: the retained pre-image of `lpa` that was
@@ -1412,7 +1431,7 @@ mod tests {
     }
 
     /// Spill replay's arm of the header enumeration (the store readers' is
-    /// `wire_props.rs`'s, the log server's `rssd-remote`'s): all 608 one-bit
+    /// `evidence::tests`', the log server's `rssd-remote`'s): all 608 one-bit
     /// flips of header bytes 8‥84 of a spilled entry end the replay at that
     /// entry, and all 64 of bytes 0‥8 (`device_id`, which the key binds)
     /// change nothing.

@@ -5,6 +5,7 @@
 
 use crate::logrec::LogRecord;
 use crate::offload::{Batch, OffloadEngine, StagedSegment};
+use crate::pool;
 use crate::remote_target::RemoteTarget;
 use crate::segment::{OpenDepth, OpenedSegment, Preimages, SegmentEnvelope};
 use crate::versions::{Located, VersionIndex};
@@ -12,6 +13,10 @@ use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
 use std::collections::HashMap;
+
+/// Segments a walk fetches and opens at once: what bounds its in-flight
+/// memory (≈ 8 MiB of wire images and openings).
+const WINDOW: usize = 64;
 
 /// Walks every segment stored on `remote` in chain order — each through the
 /// one door, [`SegmentEnvelope::open`], which authenticates the payload and
@@ -26,13 +31,24 @@ use std::collections::HashMap;
 /// pre-images in, by segment sequence: segments are opened to
 /// [`OpenDepth::Full`]. Returns the verified chain head.
 ///
+/// One [`WINDOW`] at a time: the caller fetches it (nothing past a failed
+/// fetch), [`pool::map`] fans the door and each segment's link HMACs —
+/// verified from the segment's own `prev_chain_head`, which needs nothing
+/// from any other segment — over `workers`, and the caller merges in
+/// sequence order: continuity against the running head, then `sink`, then
+/// `kept`. Only continuity is sequential, so the answer is the same at any
+/// `workers`.
+///
 /// # Errors
 ///
-/// The walk stops at the first verification failure and describes it.
-/// Only fully verified segments are ever delivered to `sink`, so everything
-/// sunk is trustworthy even then — an audit keeps that verified prefix as
-/// evidence while reporting the gap.
+/// The walk stops at the first verification failure and describes it —
+/// per segment, a failed fetch, then a failed open, then a break in
+/// continuity, then a link that does not verify. Only fully verified
+/// segments are ever delivered to `sink`, so everything sunk is trustworthy
+/// even then — an audit keeps that verified prefix as evidence while
+/// reporting the gap.
 pub(crate) fn walk_segments<R: RemoteTarget>(
+    workers: usize,
     chain_key: &[u8],
     session: &SecureSession,
     remote: &mut R,
@@ -44,28 +60,54 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
         None => OpenDepth::Metadata,
     };
     let mut head = Digest::ZERO;
-    for seq in remote.stored_segments() {
-        let envelope = remote
-            .fetch_segment(seq)
-            .map_err(|e| format!("fetch segment {seq}: {e}"))?;
-        let segment = envelope
-            .open(session, depth)
-            .map_err(|e| format!("open segment {seq}: {e}"))?;
-        if envelope.prev_chain_head() != head {
-            return Err(format!("segment {seq} does not extend the chain"));
+    for window in remote.stored_segments().chunks(WINDOW) {
+        let mut fetched = Vec::with_capacity(window.len());
+        let mut fetch_failure = None;
+        for &seq in window {
+            match remote.fetch_segment(seq) {
+                Ok(envelope) => fetched.push((seq, envelope)),
+                Err(e) => {
+                    fetch_failure = Some(format!("fetch segment {seq}: {e}"));
+                    break;
+                }
+            }
         }
-        let images: Vec<_> = segment
-            .records()
-            .iter()
-            .map(LogRecord::chain_image)
-            .collect();
-        HashChain::verify_from(chain_key, head, &images, segment.links())
-            .map_err(|e| format!("segment {seq}: {e}"))?;
-        // The door held the header's head to the last of those links.
-        head = envelope.chain_head();
-        sink(seq, &segment);
-        if let Some(kept) = kept.as_deref_mut() {
-            kept.insert(seq, segment.into_preimages());
+        // Per segment: the open, and beside it the links' verdict — held
+        // back until the merge has checked continuity, which outranks it.
+        let opened = pool::map(workers, fetched.len(), |i| {
+            let (seq, envelope) = &fetched[i];
+            let segment = envelope
+                .open(session, depth)
+                .map_err(|e| format!("open segment {seq}: {e}"))?;
+            let images: Vec<_> = segment
+                .records()
+                .iter()
+                .map(LogRecord::chain_image)
+                .collect();
+            let links = HashChain::verify_from(
+                chain_key,
+                envelope.prev_chain_head(),
+                &images,
+                segment.links(),
+            )
+            .map_err(|e| format!("segment {seq}: {e}"));
+            Ok::<_, String>((segment, links))
+        });
+        for ((seq, envelope), opened) in fetched.iter().zip(opened) {
+            let (segment, links) = opened?;
+            if envelope.prev_chain_head() != head {
+                return Err(format!("segment {seq} does not extend the chain"));
+            }
+            links?;
+            // The door held the header's head to the last of those links.
+            head = envelope.chain_head();
+            sink(*seq, &segment);
+            if let Some(kept) = kept.as_deref_mut() {
+                kept.insert(*seq, segment.into_preimages());
+            }
+        }
+        if let Some(failure) = fetch_failure {
+            return Err(failure);
         }
     }
     Ok(head)
@@ -99,8 +141,9 @@ pub(crate) struct EvidenceReader {
     /// The sealed segment most recently opened to serve a recovery lookup —
     /// its wire image and the pre-images that opened from. Consecutive
     /// victims usually had their pre-attack versions sealed into the same
-    /// segment; a lookup whose envelope is byte-equal to this one skips the
-    /// verify + decrypt + decompress. Controller RAM: dies with a crash.
+    /// segment; a lookup whose envelope is byte-equal to this one (first
+    /// asked cheaply: is it the same allocation?) skips the verify +
+    /// decrypt + decompress. Controller RAM: dies with a crash.
     pub(crate) opened: Option<(SegmentEnvelope, Preimages)>,
 }
 
@@ -129,6 +172,7 @@ impl EvidenceReader {
     /// index.
     pub(crate) fn walk_store(
         &self,
+        workers: usize,
         remote: &mut impl RemoteTarget,
         kept: Option<&mut HashMap<u64, Preimages>>,
     ) -> Result<(Digest, u64, VersionIndex), String> {
@@ -139,7 +183,7 @@ impl EvidenceReader {
                 index.fold(segment_seq, record, retained_len.is_some());
             }
         };
-        let head = walk_segments(&self.chain_key, &self.session, remote, kept, sink)?;
+        let head = walk_segments(workers, &self.chain_key, &self.session, remote, kept, sink)?;
         Ok((head, records, index))
     }
 
@@ -151,6 +195,7 @@ impl EvidenceReader {
     /// record ever appended must be accounted for.
     pub(crate) fn audit(
         &self,
+        workers: usize,
         remote: &mut impl RemoteTarget,
         engine: &OffloadEngine,
         pending: &Batch,
@@ -158,7 +203,7 @@ impl EvidenceReader {
     ) -> HistoryAudit {
         let mut records: Vec<LogRecord> = Vec::new();
         let sink = |_seq, segment: &OpenedSegment| records.extend_from_slice(segment.records());
-        let walked = walk_segments(&self.chain_key, &self.session, remote, None, sink);
+        let walked = walk_segments(workers, &self.chain_key, &self.session, remote, None, sink);
         let local = engine
             .unshipped()
             .map(|seg| (Some(seg.envelope.segment_seq()), &seg.batch))
@@ -230,12 +275,352 @@ impl EvidenceReader {
                     // misses it and faces authentication again.
                     None => remote.fetch_segment(segment_seq).ok()?,
                 };
-                if !matches!(&self.opened, Some((memo, _)) if *memo == envelope) {
+                // The same view of one allocation is the same bytes (a
+                // `Bytes` view is immutable): compare the bytes only when
+                // the store handed back another allocation.
+                let memo_hit = |memo: &SegmentEnvelope| {
+                    std::ptr::eq(&**memo.wire(), &**envelope.wire()) || *memo == envelope
+                };
+                if !matches!(&self.opened, Some((memo, _)) if memo_hit(memo)) {
                     let opened = envelope.open(&self.session, OpenDepth::Full).ok()?;
                     self.opened = Some((envelope, opened.into_preimages()));
                 }
                 let (_, preimages) = self.opened.as_ref()?;
                 preimages.get(record_seq).map(<[u8]>::to_vec)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RssdConfig;
+    use crate::device::RssdDevice;
+    use crate::rebuild::RebuildImage;
+    use crate::remote_target::{RemoteError, StoreAck};
+    use crate::segment::SegmentBody;
+    use rssd_flash::{FlashGeometry, NandTiming, SimClock};
+    use rssd_obs::ProfilerHandle;
+    use rssd_ssd::BlockDevice;
+    use std::collections::BTreeMap;
+
+    /// A store that keeps whatever it is handed — a collector the adversary
+    /// controls — and can refuse to hand one segment back.
+    #[derive(Clone, Default)]
+    struct Shelf {
+        segments: BTreeMap<u64, SegmentEnvelope>,
+        refuse: Option<u64>,
+    }
+
+    impl RemoteTarget for Shelf {
+        fn store_segment(
+            &mut self,
+            envelope: SegmentEnvelope,
+            now_ns: u64,
+        ) -> Result<StoreAck, RemoteError> {
+            let segment_seq = envelope.segment_seq();
+            self.segments.insert(segment_seq, envelope);
+            Ok(StoreAck {
+                segment_seq,
+                durable_at_ns: now_ns,
+            })
+        }
+
+        fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
+            if self.refuse == Some(segment_seq) {
+                return Err(RemoteError::Unreachable);
+            }
+            let stored = self.segments.get(&segment_seq).cloned();
+            stored.ok_or(RemoteError::NoSuchSegment(segment_seq))
+        }
+
+        fn stored_segments(&self) -> Vec<u64> {
+            self.segments.keys().copied().collect()
+        }
+    }
+
+    /// A device whose whole history — `writes` of them over eight pages, a
+    /// microsecond apart, so every segment past the first carries retained
+    /// pre-images — is flushed to its [`Shelf`].
+    fn shelved_device(writes: u64, segment_pages: usize) -> RssdDevice<Shelf> {
+        let mut device = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages,
+                ..RssdConfig::default()
+            },
+            Shelf::default(),
+        );
+        for i in 0..writes {
+            device.clock().advance(1_000);
+            let fill = ((i / 8) ^ (i % 8)) as u8;
+            device.write_page(i % 8, vec![fill; 4096]).unwrap();
+        }
+        device.flush_log().unwrap();
+        device
+    }
+
+    /// A history of one segment per overwrite that fills two windows and
+    /// half a third.
+    fn three_window_device() -> RssdDevice<Shelf> {
+        let device = shelved_device(8 + 2 * WINDOW as u64 + WINDOW as u64 / 2, 1);
+        let stored = device.remote().stored_segments().len();
+        assert!(stored > 2 * WINDOW, "{stored} segments span three windows");
+        device
+    }
+
+    #[test]
+    fn every_reader_answers_alike_at_1_2_and_4_workers_over_three_windows() {
+        let answers = [1, 2, 4].map(|workers| {
+            let mut device = three_window_device();
+            let keys = device.escrow_keys();
+            let end_ns = device.clock().now_ns();
+            let image = RebuildImage::harvest_on(workers, &keys, device.remote_mut())
+                .expect("an honest store harvests");
+            let cutoffs = (0..=end_ns).step_by(5_000).map(Some).chain([None]);
+            let versions: Vec<Option<Vec<u8>>> = cutoffs
+                .flat_map(|at| (0..8).map(move |lpa| (lpa, at)))
+                .map(|(lpa, at)| match at {
+                    Some(at) => image.version_before(lpa, at).map(<[u8]>::to_vec),
+                    None => image.newest(lpa).map(<[u8]>::to_vec),
+                })
+                .collect();
+            assert!(versions.iter().flatten().count() > 8, "versions retained");
+            let audit = device.audit_history_on(workers);
+            assert!(audit.verified, "{:?}", audit.failure);
+            let _ = device.crash();
+            let recovered = device.recover_on(workers);
+            assert!(recovered.is_ok(), "{recovered:?}");
+            let head = device.chain_head();
+            (image.report(), versions, audit.records, recovered, head)
+        });
+        for (workers, answer) in [1, 2, 4].iter().zip(&answers) {
+            assert!(*answer == answers[0], "{workers} workers answer otherwise");
+        }
+    }
+
+    /// What a store can do to one stored segment.
+    #[derive(Clone, Copy, Debug)]
+    enum Damage {
+        /// A bit of the sealed payload flips.
+        FlipPayload,
+        /// The header names a head the payload does not end at.
+        ForgeHead,
+        /// The store loses the segment.
+        Remove,
+        /// The store refuses to hand the segment back.
+        RefuseFetch,
+        /// Resealed under the device's own session around a link the chain
+        /// key never made: it opens, and its links do not verify.
+        Relink,
+    }
+
+    fn damage(shelf: &mut Shelf, reader: &EvidenceReader, kind: Damage, seq: u64) {
+        let honest = shelf.segments[&seq].clone();
+        let rebuilt = |head: Digest, payload: &[u8]| {
+            let (device_id, prev, count) = (
+                honest.device_id(),
+                honest.prev_chain_head(),
+                honest.record_count(),
+            );
+            SegmentEnvelope::new(device_id, seq, prev, head, count, payload)
+        };
+        let damaged = match kind {
+            Damage::FlipPayload => {
+                let mut payload = honest.sealed_payload().to_vec();
+                payload[0] ^= 1;
+                rebuilt(honest.chain_head(), &payload)
+            }
+            Damage::ForgeHead => rebuilt(Digest::from_bytes([0xAB; 32]), honest.sealed_payload()),
+            Damage::Remove => {
+                shelf.segments.remove(&seq);
+                return;
+            }
+            Damage::RefuseFetch => {
+                shelf.refuse = Some(seq);
+                return;
+            }
+            Damage::Relink => {
+                let opened = honest.open(&reader.session, OpenDepth::Metadata).unwrap();
+                let mut links = opened.links().to_vec();
+                links[0].tag = Digest::from_bytes([0xCD; 32]);
+                let retained_len = vec![None; links.len()];
+                let body = SegmentBody {
+                    records: opened.records(),
+                    links: &links,
+                    retained_len: &retained_len,
+                    preimages: &[],
+                };
+                let profiler = ProfilerHandle::disabled();
+                let prev = honest.prev_chain_head();
+                let device_id = honest.device_id();
+                SegmentEnvelope::seal(&reader.session, &profiler, device_id, seq, prev, body).0
+            }
+        };
+        shelf.segments.insert(seq, damaged);
+    }
+
+    /// The verdict of a walk over `store` on `workers` and the sequences it
+    /// sank, at both depths — and a `Full` walk keeps what it sank.
+    fn walk(
+        store: &mut Shelf,
+        reader: &EvidenceReader,
+        workers: usize,
+    ) -> Vec<(Result<Digest, String>, Vec<u64>)> {
+        [None, Some(HashMap::new())]
+            .into_iter()
+            .map(|mut kept| {
+                let mut sunk = Vec::new();
+                let (key, session) = (&reader.chain_key, &reader.session);
+                let walked =
+                    walk_segments(workers, key, session, store, kept.as_mut(), |seq, _| {
+                        sunk.push(seq);
+                    });
+                if let Some(kept) = kept {
+                    let mut kept: Vec<u64> = kept.into_keys().collect();
+                    kept.sort_unstable();
+                    assert_eq!(kept, sunk, "a harvest keeps what it sank");
+                }
+                (walked, sunk)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_damaged_store_fails_alike_at_1_2_and_4_workers_in_the_first_middle_and_last_window() {
+        use Damage::*;
+        let device = three_window_device();
+        let reader = EvidenceReader::new(&device.escrow_keys());
+        let honest = device.remote().clone();
+        let stored = honest.stored_segments();
+        for i in [2, WINDOW + WINDOW / 2, stored.len() - 2] {
+            let (prev, seq, next) = (stored[i - 1], stored[i], stored[i + 1]);
+            // Each case: the damage, how the first failing segment — the
+            // one that decides — must be named, and the verified prefix.
+            let cases = [
+                (vec![(FlipPayload, seq)], format!("open segment {seq}: "), i),
+                (vec![(ForgeHead, seq)], format!("open segment {seq}: "), i),
+                (
+                    vec![(Remove, seq)],
+                    format!("segment {next} does not extend"),
+                    i,
+                ),
+                (
+                    vec![(RefuseFetch, seq)],
+                    format!("fetch segment {seq}: "),
+                    i,
+                ),
+                (vec![(Relink, seq)], format!("segment {seq}: "), i),
+                // An earlier segment outranks a later one, whatever fails
+                // there; within a segment a failed open outranks a break in
+                // continuity, which outranks a link that does not verify.
+                (
+                    vec![(Relink, seq), (FlipPayload, next)],
+                    format!("segment {seq}: "),
+                    i,
+                ),
+                (
+                    vec![(FlipPayload, seq), (RefuseFetch, next)],
+                    format!("open segment {seq}: "),
+                    i,
+                ),
+                (
+                    vec![(Remove, seq), (FlipPayload, next)],
+                    format!("open segment {next}: "),
+                    i,
+                ),
+                (
+                    vec![(Remove, prev), (Relink, seq)],
+                    format!("segment {seq} does not extend"),
+                    i - 1,
+                ),
+            ];
+            for (damages, named, verified) in cases {
+                let mut store = honest.clone();
+                for &(kind, seq) in &damages {
+                    damage(&mut store, &reader, kind, seq);
+                }
+                let sequential = walk(&mut store, &reader, 1);
+                for (walked, sunk) in &sequential {
+                    let failure = walked.as_ref().expect_err("the damage is found");
+                    assert!(failure.starts_with(&named), "{damages:?}: {failure}");
+                    assert_eq!(
+                        sunk[..],
+                        stored[..verified],
+                        "{damages:?}: the verified prefix"
+                    );
+                }
+                for workers in [2, 4] {
+                    let parallel = walk(&mut store, &reader, workers);
+                    assert_eq!(parallel, sequential, "{damages:?} at {workers} workers");
+                }
+            }
+        }
+    }
+
+    /// Enumerated, not sampled, at one worker and at two: over an honest
+    /// three-segment store, each of the 608 one-bit flips of header bytes
+    /// 8‥84 of the middle segment (`segment_seq`, both heads,
+    /// `record_count`) is refused — with an error naming the segment, never
+    /// a panic — by `harvest`, by `audit_history` (which keeps the verified
+    /// prefix) and by `recover`; each of the 64 flips of bytes 0‥8
+    /// (`device_id`, which the key binds and no reader reads) changes no
+    /// reader's answer. (Spill replay's arm is `device::tests`, the log
+    /// server's `rssd-remote`'s.)
+    #[test]
+    fn every_store_reader_refuses_all_608_header_flips_at_1_and_2_workers() {
+        let mut live = shelved_device(20, 4);
+        let keys = live.escrow_keys();
+        let stored = live.remote().stored_segments();
+        assert_eq!(stored.len(), 3, "{stored:?}");
+        let seq = stored[1];
+        let named = format!("segment {seq}");
+        let honest = live.remote_mut().fetch_segment(seq).unwrap();
+        let first = live.remote_mut().fetch_segment(stored[0]).unwrap();
+        let history = live.verified_history().expect("honest store verifies");
+        let harvest = |workers, store: &mut Shelf| {
+            RebuildImage::harvest_on(workers, &keys, store).map(|image| image.report())
+        };
+        let report = harvest(1, live.remote_mut()).expect("honest store harvests");
+        let mut crashed = shelved_device(20, 4);
+        let _ = crashed.crash();
+        let recovery = crashed.recover().expect("honest store recovers");
+        let _ = crashed.crash();
+
+        for bit in 0..SegmentEnvelope::WIRE_HEADER * 8 {
+            let mut wire = honest.wire().to_vec();
+            wire[bit / 8] ^= 1 << (bit % 8);
+            let flipped = SegmentEnvelope::from_wire_image(wire).unwrap();
+            live.remote_mut().segments.insert(seq, flipped.clone());
+            crashed.remote_mut().segments.insert(seq, flipped);
+            for workers in [1, 2] {
+                let harvested = harvest(workers, live.remote_mut());
+                let audit = live.audit_history_on(workers);
+                let recovered = crashed.recover_on(workers);
+                let arm = format!("bit {bit}, {workers} workers");
+                if bit < 64 {
+                    assert_eq!(harvested, Ok(report), "{arm}");
+                    assert!(audit.verified, "{arm}: {:?}", audit.failure);
+                    assert_eq!(audit.records, history, "{arm}");
+                    assert_eq!(recovered, Ok(recovery), "{arm}");
+                    let _ = crashed.crash();
+                    continue;
+                }
+                for refused in [harvested.err(), audit.failure, recovered.err()] {
+                    assert!(
+                        refused.as_ref().is_some_and(|e| e.contains(&named)),
+                        "{arm}: {refused:?}"
+                    );
+                }
+                assert!(!audit.verified, "{arm}");
+                assert_eq!(
+                    audit.records,
+                    history[..first.record_count() as usize],
+                    "{arm}: the verified prefix, and only it, is evidence"
+                );
             }
         }
     }

@@ -31,6 +31,10 @@
 //!   retained page version from the surviving remote evidence chain (the
 //!   foundation of `rssd-array`'s fleet-level fault tolerance).
 //!
+//! Every walk over the remote store opens its segments on the machine's
+//! cores through the one order-preserving worker pool, [`pool::map`], which
+//! `rssd-fleet` runs its members on too.
+//!
 //! # Examples
 //!
 //! ```
@@ -57,6 +61,7 @@ pub mod device;
 mod evidence;
 pub mod logrec;
 mod offload;
+pub mod pool;
 pub mod rebuild;
 pub mod recovery;
 pub mod remote_target;

@@ -26,6 +26,7 @@
 //! flash.
 
 use crate::evidence::EvidenceReader;
+use crate::pool;
 use crate::remote_target::RemoteTarget;
 use crate::segment::Preimages;
 use crate::versions::{Located, VersionIndex};
@@ -76,9 +77,19 @@ impl RebuildImage {
     /// that does not verify means remote tampering, and rebuilding from it
     /// would launder the tamper into "recovered" data.
     pub fn harvest<R: RemoteTarget>(keys: &DeviceKeys, remote: &mut R) -> Result<Self, String> {
+        Self::harvest_on(pool::machine_workers(), keys, remote)
+    }
+
+    /// [`Self::harvest`], walking the store on `workers` — which the image
+    /// does not depend on.
+    pub(crate) fn harvest_on<R: RemoteTarget>(
+        workers: usize,
+        keys: &DeviceKeys,
+        remote: &mut R,
+    ) -> Result<Self, String> {
         let mut segments = HashMap::new();
         let (_, records, index) =
-            EvidenceReader::new(keys).walk_store(remote, Some(&mut segments))?;
+            EvidenceReader::new(keys).walk_store(workers, remote, Some(&mut segments))?;
         let report = HarvestReport {
             segments: segments.len() as u64,
             records,

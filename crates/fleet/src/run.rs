@@ -1,19 +1,17 @@
-//! The fleet harness: a share-nothing worker pool over members and the
-//! member-id-ordered merge that makes worker count invisible in the result.
+//! The fleet harness: share-nothing members on `rssd-core`'s one worker
+//! pool ([`rssd_core::pool::map`]) and the member-id-ordered merge that
+//! makes worker count invisible in the result.
 
 use crate::config::FleetConfig;
-use crate::member::{run_member_instrumented, FleetError, MemberObs, MemberOutcome, ObsOptions};
+use crate::member::{run_member_instrumented, FleetError, MemberOutcome, ObsOptions};
 use crate::report::FleetReport;
-use rssd_core::OffloadStats;
+use rssd_core::{pool, OffloadStats};
 use rssd_detect::{merge_time_ordered, Ensemble, Verdict};
 use rssd_flash::NandStats;
 use rssd_ftl::FtlStats;
 use rssd_obs::{ProfileBreakdown, SinkHandle, TraceEvent};
 use rssd_ssd::{LatencyStats, QueuePairStats};
 use rssd_trace::ReplayStats;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
 
 /// Namespace stride separating members' logical pages in the fused
 /// detection stream: member `m`'s page `p` appears as `(m << 32) | p`, so
@@ -36,16 +34,17 @@ pub struct FleetObs {
 /// A parallel fleet of independent RSSD members.
 ///
 /// `Fleet` owns nothing but its [`FleetConfig`]; [`Fleet::run`] builds
-/// every member inside a worker thread, executes it to completion, and
-/// merges the outcomes **in member-id order** into a [`FleetReport`].
+/// every member on one of `workers` threads (the calling one among them),
+/// executes it to completion, and merges the outcomes **in member-id
+/// order** into a [`FleetReport`].
 ///
 /// # Determinism contract
 ///
 /// Member `m`'s entire run derives from `(config.seed, m)` — see
 /// [`member_seed`](crate::member_seed) — and no member shares state with
 /// another, so the only scheduling freedom worker threads have is the
-/// *order in which finished outcomes appear*. The merge removes that
-/// freedom by sorting on member id before folding. A run with
+/// *order in which members finish*. The pool removes that freedom: it
+/// hands every outcome back in the slot of its member id. A run with
 /// `workers = 8` is therefore byte-identical to the same config with
 /// `workers = 1`; the crate's property tests pin this.
 #[derive(Clone, Debug)]
@@ -83,35 +82,14 @@ impl Fleet {
     ///
     /// Same failure surface as [`Fleet::run`].
     pub fn run_instrumented(&self, obs: ObsOptions) -> Result<(FleetReport, FleetObs), FleetError> {
-        let members = self.config.members;
-        let workers = self.config.workers.clamp(1, members.max(1));
-        let next = AtomicUsize::new(0);
-        type MemberResult = Result<(MemberOutcome, MemberObs), FleetError>;
-        let results: Mutex<Vec<(usize, MemberResult)>> = Mutex::new(Vec::with_capacity(members));
-
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let id = next.fetch_add(1, Ordering::Relaxed);
-                    if id >= members {
-                        break;
-                    }
-                    let outcome = run_member_instrumented(&self.config, id, obs);
-                    results
-                        .lock()
-                        .expect("a fleet worker panicked while holding the results lock")
-                        .push((id, outcome));
-                });
-            }
+        // Members come back in id order; each one's own store walks run
+        // inline on its worker.
+        let outcomes = pool::map(self.config.workers, self.config.members, |id| {
+            run_member_instrumented(&self.config, id, obs)
         });
-
-        let mut outcomes = results
-            .into_inner()
-            .expect("a fleet worker panicked while holding the results lock");
-        outcomes.sort_by_key(|(id, _)| *id);
         let mut ordered = Vec::with_capacity(outcomes.len());
         let mut fleet_obs = FleetObs::default();
-        for (_, outcome) in outcomes {
+        for outcome in outcomes {
             let (outcome, member_obs) = outcome?;
             fleet_obs.profile.merge(&member_obs.profile);
             fleet_obs.events.extend(member_obs.events);

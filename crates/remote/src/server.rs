@@ -425,7 +425,7 @@ mod tests {
     }
 
     /// The log server's arm of the header enumeration (the store readers'
-    /// is `rssd-core`'s `wire_props.rs`): each of the 608 one-bit flips of
+    /// is `rssd-core`'s `evidence::tests`): each of the 608 one-bit flips of
     /// header bytes 8‥84 of a segment is refused — counted, nothing stored —
     /// and the clean resend accepted; each of the 64 flips of bytes 0‥8
     /// (`device_id`, which the key binds) is accepted like the clean image.
