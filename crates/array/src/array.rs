@@ -25,8 +25,10 @@
 //! For arrays of RSSD members, [`fail_shard`](RssdArray::fail_shard) models
 //! the total loss of one member's local half (controller, NAND, pending
 //! log). The member's hardware-isolated remote retention store survives;
-//! the array harvests it into a chain-verified
-//! [`RebuildImage`] and then:
+//! the array harvests it into a chain-verified [`RebuildImage`] — every
+//! retained page version indexed, every verified segment's sealed bytes
+//! kept and deciphered on the first read that lands in it, so the store
+//! itself can be let go — and then:
 //!
 //! * serves **degraded reads** of the failed shard from the image — the
 //!   newest retained version of each page (zeroes where nothing is
@@ -598,7 +600,8 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
 
     /// Kills member `shard`: its local half (controller, NAND, pinned pages,
     /// pending log) is gone. The member's remote retention store is
-    /// harvested into a chain-verified [`RebuildImage`] and the shard goes
+    /// harvested into a chain-verified [`RebuildImage`], which needs nothing
+    /// of the store afterwards (it is dropped here), and the shard goes
     /// degraded — reads served from the image, writes refused.
     ///
     /// A *rebuilding* shard can fail again (the double-failure case the

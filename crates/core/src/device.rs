@@ -283,7 +283,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
             ));
         }
         let (head, mut records, index) =
-            self.evidence.walk_store(workers, &mut self.remote, None)?;
+            self.evidence
+                .walk_store(workers, &mut self.remote, |_, _| ())?;
         let segments = self.remote.stored_segments();
         let head = self
             .engine
@@ -1586,8 +1587,8 @@ mod tests {
         for lpa in 0..4u64 {
             assert_eq!(d.recover_page_before(lpa, cut).unwrap(), page(lpa as u8));
         }
-        let (memo, _) = d.evidence.opened.as_ref().expect("lookups opened");
-        let memoised = memo.segment_seq();
+        let memo = d.evidence.opened.as_ref().expect("lookups opened");
+        let memoised = memo.envelope().segment_seq();
         assert!(
             d.evidence.index[&4]
                 .iter()

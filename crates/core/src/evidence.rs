@@ -7,37 +7,31 @@ use crate::logrec::LogRecord;
 use crate::offload::{Batch, OffloadEngine, StagedSegment};
 use crate::pool;
 use crate::remote_target::RemoteTarget;
-use crate::segment::{OpenDepth, OpenedSegment, Preimages, SegmentEnvelope};
+use crate::segment::{LazyPreimages, OpenDepth, OpenedSegment, SegmentEnvelope};
 use crate::versions::{Located, VersionIndex};
 use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
-use std::collections::HashMap;
 
 /// Segments a walk fetches and opens at once: what bounds its in-flight
-/// memory (≈ 8 MiB of wire images and openings).
+/// memory (the window's metadata openings; the wire images are the store's).
 const WINDOW: usize = 64;
 
 /// Walks every segment stored on `remote` in chain order — each through the
 /// one door, [`SegmentEnvelope::open`], which authenticates the payload and
 /// holds the header against it — requiring each to extend the running head
-/// and its per-record HMAC links to verify, and hands each opened segment
-/// (with its sequence) to `sink`. The evidence walks — the device's history
-/// audit and [`RssdDevice::recover`](crate::RssdDevice::recover) (which
-/// rebuilds the crashed controller's version index) — pass no `kept`:
-/// segments are opened to [`OpenDepth::Metadata`] and no pre-image is ever
-/// deciphered. [`RebuildImage::harvest`](crate::RebuildImage::harvest)
-/// (which has no device left to ask) passes the map to keep every segment's
-/// pre-images in, by segment sequence: segments are opened to
-/// [`OpenDepth::Full`]. Returns the verified chain head.
+/// and its per-record HMAC links to verify, and hands each verified segment
+/// (its sequence, its envelope and what it opened to) to `sink`. Every walk
+/// opens to [`OpenDepth::Metadata`]: no pre-image is deciphered here — a
+/// reader that wants one keeps the envelope and opens it when asked
+/// (`LazyPreimages`). Returns the verified chain head.
 ///
 /// One [`WINDOW`] at a time: the caller fetches it (nothing past a failed
 /// fetch), [`pool::map`] fans the door and each segment's link HMACs —
 /// verified from the segment's own `prev_chain_head`, which needs nothing
 /// from any other segment — over `workers`, and the caller merges in
-/// sequence order: continuity against the running head, then `sink`, then
-/// `kept`. Only continuity is sequential, so the answer is the same at any
-/// `workers`.
+/// sequence order: continuity against the running head, then `sink`. Only
+/// continuity is sequential, so the answer is the same at any `workers`.
 ///
 /// # Errors
 ///
@@ -52,13 +46,8 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
     chain_key: &[u8],
     session: &SecureSession,
     remote: &mut R,
-    mut kept: Option<&mut HashMap<u64, Preimages>>,
-    mut sink: impl FnMut(u64, &OpenedSegment),
+    mut sink: impl FnMut(u64, &SegmentEnvelope, &OpenedSegment),
 ) -> Result<Digest, String> {
-    let depth = match kept {
-        Some(_) => OpenDepth::Full,
-        None => OpenDepth::Metadata,
-    };
     let mut head = Digest::ZERO;
     for window in remote.stored_segments().chunks(WINDOW) {
         let mut fetched = Vec::with_capacity(window.len());
@@ -77,7 +66,7 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
         let opened = pool::map(workers, fetched.len(), |i| {
             let (seq, envelope) = &fetched[i];
             let segment = envelope
-                .open(session, depth)
+                .open(session, OpenDepth::Metadata)
                 .map_err(|e| format!("open segment {seq}: {e}"))?;
             let images: Vec<_> = segment
                 .records()
@@ -101,10 +90,7 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
             links?;
             // The door held the header's head to the last of those links.
             head = envelope.chain_head();
-            sink(*seq, &segment);
-            if let Some(kept) = kept.as_deref_mut() {
-                kept.insert(*seq, segment.into_preimages());
-            }
+            sink(*seq, envelope, &segment);
         }
         if let Some(failure) = fetch_failure {
             return Err(failure);
@@ -133,18 +119,17 @@ pub struct HistoryAudit {
 #[derive(Debug)]
 pub(crate) struct EvidenceReader {
     chain_key: [u8; 32],
-    session: SecureSession,
+    pub(crate) session: SecureSession,
     /// Device-RAM index of sealed old versions per LPA: every version the
     /// device sealed (or found sealed, at recovery) and in which segment —
     /// whether that segment is still staged is the offload engine's to say.
     pub(crate) index: VersionIndex,
-    /// The sealed segment most recently opened to serve a recovery lookup —
-    /// its wire image and the pre-images that opened from. Consecutive
-    /// victims usually had their pre-attack versions sealed into the same
-    /// segment; a lookup whose envelope is byte-equal to this one (first
-    /// asked cheaply: is it the same allocation?) skips the verify +
-    /// decrypt + decompress. Controller RAM: dies with a crash.
-    pub(crate) opened: Option<(SegmentEnvelope, Preimages)>,
+    /// The sealed segment the last recovery lookup landed in, opened at
+    /// most once. Consecutive victims usually had their pre-attack versions
+    /// sealed into the same segment; a lookup whose envelope is byte-equal
+    /// to this one (first asked cheaply: is it the same allocation?) skips
+    /// the verify + decrypt + decompress. Controller RAM: dies with a crash.
+    pub(crate) opened: Option<LazyPreimages>,
 }
 
 impl EvidenceReader {
@@ -167,23 +152,24 @@ impl EvidenceReader {
 
     /// Walks the store, verifying it end to end, and indexes it — for crash
     /// recovery, which installs the index once it can no longer fail, and
-    /// for a harvest, which also has every segment's pre-images `kept`.
-    /// Returns the verified chain head, the records walked and the version
-    /// index.
+    /// for a harvest, which also keeps every verified segment's envelope
+    /// (`keep`). Returns the verified chain head, the records walked and the
+    /// version index.
     pub(crate) fn walk_store(
         &self,
         workers: usize,
         remote: &mut impl RemoteTarget,
-        kept: Option<&mut HashMap<u64, Preimages>>,
+        mut keep: impl FnMut(u64, &SegmentEnvelope),
     ) -> Result<(Digest, u64, VersionIndex), String> {
         let (mut records, mut index) = (0, VersionIndex::default());
-        let sink = |segment_seq, segment: &OpenedSegment| {
+        let sink = |segment_seq, envelope: &SegmentEnvelope, segment: &OpenedSegment| {
             records += segment.records().len() as u64;
             for (record, retained_len) in segment.records().iter().zip(segment.retained_len()) {
                 index.fold(segment_seq, record, retained_len.is_some());
             }
+            keep(segment_seq, envelope);
         };
-        let head = walk_segments(workers, &self.chain_key, &self.session, remote, kept, sink)?;
+        let head = walk_segments(workers, &self.chain_key, &self.session, remote, sink)?;
         Ok((head, records, index))
     }
 
@@ -202,8 +188,8 @@ impl EvidenceReader {
         appended: Option<u64>,
     ) -> HistoryAudit {
         let mut records: Vec<LogRecord> = Vec::new();
-        let sink = |_seq, segment: &OpenedSegment| records.extend_from_slice(segment.records());
-        let walked = walk_segments(workers, &self.chain_key, &self.session, remote, None, sink);
+        let sink = |_, _: &_, segment: &OpenedSegment| records.extend_from_slice(segment.records());
+        let walked = walk_segments(workers, &self.chain_key, &self.session, remote, sink);
         let local = engine
             .unshipped()
             .map(|seg| (Some(seg.envelope.segment_seq()), &seg.batch))
@@ -278,15 +264,15 @@ impl EvidenceReader {
                 // The same view of one allocation is the same bytes (a
                 // `Bytes` view is immutable): compare the bytes only when
                 // the store handed back another allocation.
-                let memo_hit = |memo: &SegmentEnvelope| {
+                let memo_hit = |memo: &LazyPreimages| {
+                    let memo = memo.envelope();
                     std::ptr::eq(&**memo.wire(), &**envelope.wire()) || *memo == envelope
                 };
-                if !matches!(&self.opened, Some((memo, _)) if memo_hit(memo)) {
-                    let opened = envelope.open(&self.session, OpenDepth::Full).ok()?;
-                    self.opened = Some((envelope, opened.into_preimages()));
-                }
-                let (_, preimages) = self.opened.as_ref()?;
-                preimages.get(record_seq).map(<[u8]>::to_vec)
+                let memo = match self.opened.take() {
+                    Some(memo) if memo_hit(&memo) => self.opened.insert(memo),
+                    _ => self.opened.insert(LazyPreimages::new(envelope)),
+                };
+                memo.get(&self.session, record_seq).map(<[u8]>::to_vec)
             }
         }
     }
@@ -372,6 +358,21 @@ mod tests {
         device
     }
 
+    /// Every lookup the tests ask of a history that ends at `end_ns`: each
+    /// of the eight pages at every 5 µs cut-off, then its newest version.
+    fn lookups(end_ns: u64) -> impl Iterator<Item = (u64, Option<u64>)> {
+        let cutoffs = (0..=end_ns).step_by(5_000).map(Some).chain([None]);
+        cutoffs.flat_map(|at| (0..8).map(move |lpa| (lpa, at)))
+    }
+
+    /// What `image` answers `lookup`.
+    fn answer(image: &RebuildImage, (lpa, at): (u64, Option<u64>)) -> Option<Vec<u8>> {
+        match at {
+            Some(at) => image.version_before(lpa, at).map(<[u8]>::to_vec),
+            None => image.newest(lpa).map(<[u8]>::to_vec),
+        }
+    }
+
     #[test]
     fn every_reader_answers_alike_at_1_2_and_4_workers_over_three_windows() {
         let answers = [1, 2, 4].map(|workers| {
@@ -380,14 +381,7 @@ mod tests {
             let end_ns = device.clock().now_ns();
             let image = RebuildImage::harvest_on(workers, &keys, device.remote_mut())
                 .expect("an honest store harvests");
-            let cutoffs = (0..=end_ns).step_by(5_000).map(Some).chain([None]);
-            let versions: Vec<Option<Vec<u8>>> = cutoffs
-                .flat_map(|at| (0..8).map(move |lpa| (lpa, at)))
-                .map(|(lpa, at)| match at {
-                    Some(at) => image.version_before(lpa, at).map(<[u8]>::to_vec),
-                    None => image.newest(lpa).map(<[u8]>::to_vec),
-                })
-                .collect();
+            let versions: Vec<_> = lookups(end_ns).map(|at| answer(&image, at)).collect();
             assert!(versions.iter().flatten().count() > 8, "versions retained");
             let audit = device.audit_history_on(workers);
             assert!(audit.verified, "{:?}", audit.failure);
@@ -416,6 +410,52 @@ mod tests {
         /// Resealed under the device's own session around a link the chain
         /// key never made: it opens, and its links do not verify.
         Relink,
+        /// Resealed under the device's own session around a pre-image frame
+        /// that is not a frame: it authenticates, its metadata opens, and
+        /// its pre-images do not decode.
+        GarblePreimages,
+        /// Resealed likewise around a valid pre-image frame one byte short
+        /// of what the segment's `retained_len` add up to.
+        MiscountPreimages,
+    }
+
+    /// `honest`'s header and metadata frame around `preimage_frame`, sealed
+    /// under the device's own session: what only the key holder can make.
+    fn reseal_preimage_frame(
+        honest: &SegmentEnvelope,
+        reader: &EvidenceReader,
+        preimage_frame: &[u8],
+    ) -> SegmentEnvelope {
+        let seq = honest.segment_seq();
+        let opened = honest.open(&reader.session, OpenDepth::Metadata).unwrap();
+        let mut metadata = seq.to_le_bytes().to_vec();
+        metadata.extend_from_slice(&honest.record_count().to_le_bytes());
+        for (record, len) in opened.records().iter().zip(opened.retained_len()) {
+            metadata.extend_from_slice(&record.chain_image());
+            metadata.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes());
+        }
+        for link in opened.links() {
+            metadata.extend_from_slice(&link.seq.to_le_bytes());
+            metadata.extend_from_slice(link.tag.as_bytes());
+        }
+        let frame = rssd_compress::compress_adaptive(&metadata);
+        let mut plain = (frame.len() as u32).to_le_bytes().to_vec();
+        plain.extend_from_slice(&frame);
+        plain.extend_from_slice(preimage_frame);
+        let resealed = SegmentEnvelope::new(
+            honest.device_id(),
+            seq,
+            honest.prev_chain_head(),
+            honest.chain_head(),
+            honest.record_count(),
+            &reader.session.seal(seq, &plain),
+        );
+        assert_eq!(
+            resealed.open(&reader.session, OpenDepth::Metadata),
+            Ok(opened)
+        );
+        assert!(resealed.open(&reader.session, OpenDepth::Full).is_err());
+        resealed
     }
 
     fn damage(shelf: &mut Shelf, reader: &EvidenceReader, kind: Damage, seq: u64) {
@@ -459,34 +499,35 @@ mod tests {
                 let device_id = honest.device_id();
                 SegmentEnvelope::seal(&reader.session, &profiler, device_id, seq, prev, body).0
             }
+            Damage::GarblePreimages => reseal_preimage_frame(&honest, reader, &[0xFF; 16]),
+            Damage::MiscountPreimages => {
+                let opened = LazyPreimages::new(honest.clone());
+                let records = honest.open(&reader.session, OpenDepth::Metadata).unwrap();
+                let region: Vec<u8> = records
+                    .records()
+                    .iter()
+                    .filter_map(|record| opened.get(&reader.session, record.seq))
+                    .flatten()
+                    .copied()
+                    .collect();
+                let short = rssd_compress::compress_adaptive(&region[..region.len() - 1]);
+                reseal_preimage_frame(&honest, reader, &short)
+            }
         };
         shelf.segments.insert(seq, damaged);
     }
 
     /// The verdict of a walk over `store` on `workers` and the sequences it
-    /// sank, at both depths — and a `Full` walk keeps what it sank.
+    /// sank.
     fn walk(
         store: &mut Shelf,
         reader: &EvidenceReader,
         workers: usize,
-    ) -> Vec<(Result<Digest, String>, Vec<u64>)> {
-        [None, Some(HashMap::new())]
-            .into_iter()
-            .map(|mut kept| {
-                let mut sunk = Vec::new();
-                let (key, session) = (&reader.chain_key, &reader.session);
-                let walked =
-                    walk_segments(workers, key, session, store, kept.as_mut(), |seq, _| {
-                        sunk.push(seq);
-                    });
-                if let Some(kept) = kept {
-                    let mut kept: Vec<u64> = kept.into_keys().collect();
-                    kept.sort_unstable();
-                    assert_eq!(kept, sunk, "a harvest keeps what it sank");
-                }
-                (walked, sunk)
-            })
-            .collect()
+    ) -> (Result<Digest, String>, Vec<u64>) {
+        let mut sunk = Vec::new();
+        let (key, session) = (&reader.chain_key, &reader.session);
+        let walked = walk_segments(workers, key, session, store, |seq, _, _| sunk.push(seq));
+        (walked, sunk)
     }
 
     #[test]
@@ -544,20 +585,106 @@ mod tests {
                     damage(&mut store, &reader, kind, seq);
                 }
                 let sequential = walk(&mut store, &reader, 1);
-                for (walked, sunk) in &sequential {
-                    let failure = walked.as_ref().expect_err("the damage is found");
-                    assert!(failure.starts_with(&named), "{damages:?}: {failure}");
-                    assert_eq!(
-                        sunk[..],
-                        stored[..verified],
-                        "{damages:?}: the verified prefix"
-                    );
-                }
+                let (walked, sunk) = &sequential;
+                let failure = walked.as_ref().expect_err("the damage is found");
+                assert!(failure.starts_with(&named), "{damages:?}: {failure}");
+                assert_eq!(
+                    sunk[..],
+                    stored[..verified],
+                    "{damages:?}: the verified prefix"
+                );
                 for workers in [2, 4] {
                     let parallel = walk(&mut store, &reader, workers);
                     assert_eq!(parallel, sequential, "{damages:?} at {workers} workers");
                 }
             }
+        }
+    }
+
+    /// Once harvested, the image answers from what the walk verified: a
+    /// store that then tampers with one segment, loses another and is
+    /// dropped changes no answer — at any worker count, and although no
+    /// lookup had opened either segment before.
+    #[test]
+    fn a_harvested_image_answers_alike_after_its_store_is_damaged_and_dropped() {
+        for workers in [1, 2, 4] {
+            let mut device = three_window_device();
+            let keys = device.escrow_keys();
+            let reader = EvidenceReader::new(&keys);
+            let end_ns = device.clock().now_ns();
+            let honest = RebuildImage::harvest_on(workers, &keys, device.remote_mut())
+                .expect("an honest store harvests");
+            let mut store = device.remote().clone();
+            let image = RebuildImage::harvest_on(workers, &keys, &mut store)
+                .expect("an honest store harvests");
+            let (_, _, index) = reader.walk_store(1, &mut store, |_, _| ()).unwrap();
+            let stored = store.stored_segments();
+            let damaged = [
+                (Damage::FlipPayload, stored[WINDOW / 2]),
+                (Damage::Remove, stored[WINDOW + WINDOW / 2]),
+            ];
+            for (kind, seq) in damaged {
+                let answered_there = lookups(end_ns).any(|(lpa, at)| {
+                    matches!(index.locate(lpa, at, &[]),
+                        Some(Located::Sealed { segment_seq, .. }) if segment_seq == seq)
+                });
+                assert!(answered_there, "some lookup lands in segment {seq}");
+                damage(&mut store, &reader, kind, seq);
+            }
+            drop(store);
+            assert_eq!(image.report(), honest.report(), "{workers} workers");
+            for lookup in lookups(end_ns) {
+                assert_eq!(
+                    answer(&image, lookup),
+                    answer(&honest, lookup),
+                    "{workers} workers, {lookup:?}"
+                );
+            }
+        }
+    }
+
+    /// The one check a harvest leaves to the lookup: decoding pre-images
+    /// whose tag verified. A segment whose authenticated pre-image frame
+    /// does not decode, or does not hold what its lengths say, harvests
+    /// with the honest report; every version in it answers `None` — as the
+    /// live device's restore answers over the same store — and every other
+    /// version the honest bytes.
+    #[test]
+    fn authenticated_preimages_that_do_not_decode_answer_none_as_the_live_device_does() {
+        let mut device = shelved_device(40, 4);
+        let keys = device.escrow_keys();
+        let reader = EvidenceReader::new(&keys);
+        let end_ns = device.clock().now_ns();
+        let honest_store = device.remote().clone();
+        let honest = RebuildImage::harvest(&keys, device.remote_mut()).unwrap();
+        let (_, _, index) = reader
+            .walk_store(1, device.remote_mut(), |_, _| ())
+            .unwrap();
+        let stored = honest_store.stored_segments();
+        let seq = stored[stored.len() / 2];
+        for kind in [Damage::GarblePreimages, Damage::MiscountPreimages] {
+            damage(device.remote_mut(), &reader, kind, seq);
+            let image = RebuildImage::harvest(&keys, device.remote_mut())
+                .expect("an authenticated, linked store harvests");
+            assert_eq!(image.report(), honest.report(), "{kind:?}");
+            let mut lost = 0;
+            for lookup @ (lpa, at) in lookups(end_ns) {
+                let answered = answer(&image, lookup);
+                let live = match at {
+                    Some(at) => device.recover_page_before(lpa, at),
+                    None => device.recover_newest(lpa),
+                };
+                assert_eq!(answered, live, "{kind:?}, {lookup:?}");
+                match index.locate(lpa, at, &[]) {
+                    Some(Located::Sealed { segment_seq, .. }) if segment_seq == seq => {
+                        assert_eq!(answered, None, "{kind:?}, {lookup:?}");
+                        lost += 1;
+                    }
+                    _ => assert_eq!(answered, answer(&honest, lookup), "{kind:?}, {lookup:?}"),
+                }
+            }
+            assert!(lost > 0, "{kind:?}: some lookup lands in segment {seq}");
+            *device.remote_mut() = honest_store.clone();
         }
     }
 

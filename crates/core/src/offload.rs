@@ -923,15 +923,11 @@ mod tests {
 
                     let session = self.engine.session.clone();
                     let mut records = 0;
-                    let head = walk_segments(
-                        1,
-                        &self.chain_key,
-                        &session,
-                        &mut self.remote,
-                        None,
-                        |_, _| records += 1,
-                    )
-                    .expect("the store verifies");
+                    let head =
+                        walk_segments(1, &self.chain_key, &session, &mut self.remote, |_, _, _| {
+                            records += 1
+                        })
+                        .expect("the store verifies");
                     let stored_up_to = stored.checked_sub(1);
                     let head = self
                         .engine

@@ -8,9 +8,11 @@
 //!
 //! [`RebuildImage::harvest`] walks that surviving evidence chain with the
 //! escrowed device keys, verifies it end to end (a non-verifying chain is
-//! itself forensic signal and aborts the harvest), and indexes every
-//! retained page version by LPA. The image then answers the two questions a
-//! rebuild needs:
+//! itself forensic signal and aborts the harvest), indexes every retained
+//! page version by LPA and keeps each verified segment's sealed wire image.
+//! A segment's pre-images are deciphered and decompressed on the first
+//! lookup that lands in it, not before. The image then answers the two
+//! questions a rebuild needs:
 //!
 //! * [`newest`](RebuildImage::newest) — the most recent retained pre-image
 //!   of a page (degraded-mode reads while a replacement is being built), and
@@ -28,9 +30,10 @@
 use crate::evidence::EvidenceReader;
 use crate::pool;
 use crate::remote_target::RemoteTarget;
-use crate::segment::Preimages;
+use crate::segment::{LazyPreimages, SegmentEnvelope};
 use crate::versions::{Located, VersionIndex};
 use rssd_crypto::DeviceKeys;
+use rssd_net::SecureSession;
 use std::collections::HashMap;
 
 /// Counters describing one harvest.
@@ -54,8 +57,11 @@ pub struct HarvestReport {
 #[derive(Clone, Debug, Default)]
 pub struct RebuildImage {
     index: VersionIndex,
-    /// The pre-images of every segment walked, by segment sequence.
-    segments: HashMap<u64, Preimages>,
+    /// Every segment walked, by segment sequence: its verified wire image,
+    /// opened to its pre-images by the first lookup that lands in it.
+    segments: HashMap<u64, LazyPreimages>,
+    /// What opens them (`None` only in the empty image, which has none).
+    session: Option<SecureSession>,
     report: HarvestReport,
 }
 
@@ -69,7 +75,9 @@ impl RebuildImage {
 
     /// Walks every segment stored on `remote`, verifies the evidence chain
     /// end to end with the escrowed `keys`, and indexes all retained page
-    /// versions.
+    /// versions. Each segment's sealed bytes are kept as the store handed
+    /// them over — the image never fetches again — and opened to their
+    /// pre-images on the first lookup that needs them.
     ///
     /// # Errors
     ///
@@ -88,8 +96,11 @@ impl RebuildImage {
         remote: &mut R,
     ) -> Result<Self, String> {
         let mut segments = HashMap::new();
-        let (_, records, index) =
-            EvidenceReader::new(keys).walk_store(workers, remote, Some(&mut segments))?;
+        let keep = |seq, envelope: &SegmentEnvelope| {
+            segments.insert(seq, LazyPreimages::new(envelope.clone()));
+        };
+        let reader = EvidenceReader::new(keys);
+        let (_, records, index) = reader.walk_store(workers, remote, keep)?;
         let report = HarvestReport {
             segments: segments.len() as u64,
             records,
@@ -99,6 +110,7 @@ impl RebuildImage {
         Ok(RebuildImage {
             index,
             segments,
+            session: Some(reader.session),
             report,
         })
     }
@@ -119,7 +131,9 @@ impl RebuildImage {
     }
 
     /// The newest retained version of `lpa` (the content the most recent
-    /// logged overwrite/trim destroyed), if any.
+    /// logged overwrite/trim destroyed), if any. `None` too when the
+    /// segment holding it authenticated but its pre-images do not decode —
+    /// the answer a live device's restore gives over the same store.
     pub fn newest(&self, lpa: u64) -> Option<&[u8]> {
         self.version(lpa, None)
     }
@@ -145,7 +159,8 @@ impl RebuildImage {
         else {
             return None;
         };
-        self.segments.get(&segment_seq)?.get(record_seq)
+        let session = self.session.as_ref()?;
+        self.segments.get(&segment_seq)?.get(session, record_seq)
     }
 }
 
@@ -155,7 +170,6 @@ mod tests {
     use crate::config::RssdConfig;
     use crate::device::RssdDevice;
     use crate::remote_target::LoopbackTarget;
-    use crate::segment::SegmentEnvelope;
     use rssd_flash::{FlashGeometry, NandTiming, SimClock};
     use rssd_ssd::BlockDevice;
 

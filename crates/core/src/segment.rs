@@ -22,6 +22,7 @@ use rssd_crypto::{ChainLink, Digest};
 use rssd_net::SecureSession;
 use rssd_obs::ProfilerHandle;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Size of one record's entry in the metadata block.
 const ENTRY_LEN: usize = LogRecord::CHAIN_IMAGE_LEN + 4;
@@ -430,8 +431,8 @@ impl OpenedSegment {
     }
 
     /// The pre-image part on its own, records and links dropped: what a
-    /// harvest keeps of every segment it walks and a restore of the one it
-    /// opened last. Holds no content unless opened to [`OpenDepth::Full`].
+    /// lookup keeps of the segment it opened. Holds no content unless opened
+    /// to [`OpenDepth::Full`].
     pub fn into_preimages(self) -> Preimages {
         let mut end = 0;
         let retained = self.records.iter().zip(&self.retained_len);
@@ -462,5 +463,41 @@ impl Preimages {
             .table
             .binary_search_by_key(&record_seq, |(seq, _)| *seq);
         self.bytes.get(self.table[at.ok()?].1.clone())
+    }
+}
+
+/// A segment's pre-images, opened on demand and at most once: its sealed
+/// wire image and, once a lookup has landed in it, what that image opened
+/// to. What a harvest keeps of every segment its walk verified, and a
+/// restore of the segment it looked in last.
+#[derive(Clone, Debug)]
+pub(crate) struct LazyPreimages {
+    envelope: SegmentEnvelope,
+    /// `Some(None)`: the segment did not open, and no lookup in it answers.
+    opened: OnceLock<Option<Preimages>>,
+}
+
+impl LazyPreimages {
+    pub(crate) fn new(envelope: SegmentEnvelope) -> Self {
+        LazyPreimages {
+            envelope,
+            opened: OnceLock::new(),
+        }
+    }
+
+    /// The wire image the pre-images are opened from.
+    pub(crate) fn envelope(&self) -> &SegmentEnvelope {
+        &self.envelope
+    }
+
+    /// The pre-image record `record_seq` carries, if it carries one — the
+    /// first call opens the segment through the door under `session`.
+    /// `None` as well when it does not open: that answer, too, is kept.
+    pub(crate) fn get(&self, session: &SecureSession, record_seq: u64) -> Option<&[u8]> {
+        let opened = self.opened.get_or_init(|| {
+            let opened = self.envelope.open(session, OpenDepth::Full).ok()?;
+            Some(opened.into_preimages())
+        });
+        opened.as_ref()?.get(record_seq)
     }
 }
