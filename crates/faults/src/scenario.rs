@@ -686,9 +686,6 @@ pub struct MatrixSummary {
     pub offloads_dropped: u64,
     /// Cards whose chain had a *detected* gap.
     pub chain_gaps_detected: u64,
-    /// Cards whose chain neither verified nor flagged a gap — must stay 0
-    /// (the "no silent gaps" invariant).
-    pub silent_chain_gaps: u64,
     /// Fault-free attacked cards (the 100%-recovery obligation set).
     pub fault_free_attacked: u64,
     /// Fault-free attacked cards that recovered every victim page.
@@ -708,7 +705,6 @@ impl MatrixSummary {
         self.power_cuts += card.power_cuts;
         self.offloads_dropped += card.offloads_dropped;
         self.chain_gaps_detected += u64::from(card.chain_gap_detected);
-        self.silent_chain_gaps += u64::from(card.chain_verified == card.chain_gap_detected);
         let fault_free = card.cell.contains("/none/");
         if fault_free && card.victim_pages > 0 {
             self.fault_free_attacked += 1;
@@ -727,13 +723,10 @@ impl MatrixSummary {
     }
 
     /// The CI invariants, evaluated on merged counters: fault-free attacked
-    /// cells all recovered fully, no benign cell false-positived, and no
-    /// chain gap went unflagged.
+    /// cells all recovered fully, and no benign cell false-positived.
     #[must_use]
     pub fn invariants_hold(&self) -> bool {
-        self.fault_free_recovered == self.fault_free_attacked
-            && self.false_positives == 0
-            && self.silent_chain_gaps == 0
+        self.fault_free_recovered == self.fault_free_attacked && self.false_positives == 0
     }
 }
 
@@ -915,19 +908,19 @@ impl Scenario {
 mod summary_tests {
     use super::*;
 
-    fn card(cell: &str, victims: u64, recovered: u64, verified: bool, gap: bool) -> Scorecard {
+    fn card(cell: &str, victims: u64, recovered: u64, flagged: bool) -> Scorecard {
         Scorecard {
             cell: cell.to_string(),
             seed: 1,
-            verdict: if victims > 0 {
+            verdict: if flagged {
                 Verdict::Ransomware
             } else {
                 Verdict::Benign
             },
             detection_score: 0.0,
             attack_class: String::new(),
-            true_positive: victims > 0,
-            false_positive: false,
+            true_positive: flagged && victims > 0,
+            false_positive: flagged && victims == 0,
             victim_pages: victims,
             recovered_pages: recovered,
             recovery_fraction: if victims == 0 {
@@ -936,8 +929,8 @@ mod summary_tests {
                 recovered as f64 / victims as f64
             },
             data_loss_bytes: (victims - recovered) * 4096,
-            chain_verified: verified,
-            chain_gap_detected: gap,
+            chain_verified: true,
+            chain_gap_detected: false,
             records_audited: 10,
             power_cuts: 1,
             torn_batches: 0,
@@ -955,21 +948,22 @@ mod summary_tests {
     }
 
     #[test]
-    fn invariants_catch_silent_gap_and_lossy_fault_free_cell() {
+    fn invariants_catch_false_positive_and_lossy_fault_free_cell() {
         let mut clean = MatrixSummary::default();
-        clean.absorb(&card("text/overwrite/none/bare", 8, 8, true, false));
+        clean.absorb(&card("text/overwrite/none/bare", 8, 8, true));
         assert!(clean.invariants_hold());
         assert_eq!(clean.fault_free_attacked, 1);
         assert_eq!(clean.recovery_fraction(), 1.0);
 
-        // Chain neither verified nor flagged: silent gap, invariant fails.
-        let mut silent = MatrixSummary::default();
-        silent.absorb(&card("sql/trim/drop/array", 6, 6, false, false));
-        assert!(!silent.invariants_hold());
+        // Benign cell flagged: false-positive invariant fails.
+        let mut alarmed = MatrixSummary::default();
+        alarmed.absorb(&card("sql/none/drop/array", 0, 0, true));
+        assert_eq!(alarmed.false_positives, 1);
+        assert!(!alarmed.invariants_hold());
 
         // Fault-free cell that lost pages: recovery obligation fails.
         let mut lossy = MatrixSummary::default();
-        lossy.absorb(&card("media/random/none/bare", 8, 5, true, false));
+        lossy.absorb(&card("media/random/none/bare", 8, 5, true));
         assert!(!lossy.invariants_hold());
         assert!(lossy.recovery_fraction() < 1.0);
     }

@@ -3,12 +3,13 @@
 //! result — same [`Scorecard`](rssd_faults::Scorecard), same serialized
 //! JSON — bare, under live fault plans, and over a real (slow, lossy) link.
 //! The dual-timeline tracer is read-only by construction; these tests make
-//! that construction a contract.
+//! that construction a contract. Every trace they record must also keep the
+//! trace grammar ([`rssd_obs::check()`]).
 
 use proptest::prelude::*;
 use rssd_faults::{ActorKind, FaultPlan, Scenario, Topology};
 use rssd_net::LinkConfig;
-use rssd_obs::SinkHandle;
+use rssd_obs::{SinkHandle, TraceSummary};
 
 fn actors() -> impl Strategy<Value = ActorKind> {
     prop_oneof![
@@ -22,6 +23,25 @@ fn actors() -> impl Strategy<Value = ActorKind> {
 
 fn profiles() -> impl Strategy<Value = &'static str> {
     prop_oneof![Just("hm"), Just("src"), Just("mail")]
+}
+
+/// The grammar check over what `sink` recorded.
+fn checked(sink: &SinkHandle) -> Result<TraceSummary, TestCaseError> {
+    rssd_obs::check(&sink.take_events()).map_err(|v| TestCaseError::fail(v.to_string()))
+}
+
+/// [`checked`] for a cell that ran to the end: it offloaded, so a renamed
+/// emitter cannot pass the ack rules vacuously, and it settled, so no
+/// transfer is left in flight.
+fn checked_settled(sink: &SinkHandle) -> Result<TraceSummary, TestCaseError> {
+    let trace = checked(sink)?;
+    prop_assert!(trace.transfers_closed > 0, "no transfer closed: {trace:?}");
+    prop_assert_eq!(
+        trace.in_flight_at_end,
+        0,
+        "a settled cell left a transfer in flight"
+    );
+    Ok(trace)
 }
 
 proptest! {
@@ -51,7 +71,7 @@ proptest! {
             .expect("traced run");
         prop_assert_eq!(&untraced, &traced, "recording sink perturbed the scorecard");
         prop_assert_eq!(untraced.to_json(), traced.to_json());
-        prop_assert!(!sink.take_events().is_empty(), "recording sink saw nothing");
+        checked_settled(&sink)?;
     }
 
     /// Behind the FaultInjector with live fault plans: the sink rides the
@@ -82,17 +102,18 @@ proptest! {
         // the property is that the observer changes *nothing* — success,
         // scorecard, or the exact failure.
         let untraced = scenario.run();
-        let traced = scenario.run_with(scenario.topology.link(), SinkHandle::recording());
+        let sink = SinkHandle::recording();
+        let traced = scenario.run_with(scenario.topology.link(), sink.clone());
         match (untraced, traced) {
             (Ok(u), Ok(t)) => {
                 prop_assert_eq!(&u, &t, "sink perturbed the faulted pipeline");
                 prop_assert_eq!(u.to_json(), t.to_json());
+                checked_settled(&sink)?;
             }
-            (Err(u), Err(t)) => prop_assert_eq!(
-                u.to_string(),
-                t.to_string(),
-                "sink changed the failure mode"
-            ),
+            (Err(u), Err(t)) => {
+                prop_assert_eq!(u.to_string(), t.to_string(), "sink changed the failure mode");
+                checked(&sink)?;
+            }
             (u, t) => prop_assert!(
                 false,
                 "sink flipped run success: untraced {u:?} vs traced {t:?}"
@@ -123,10 +144,14 @@ proptest! {
         let untraced = scenario
             .run_with(link, SinkHandle::disabled())
             .expect("untraced wire run");
+        let sink = SinkHandle::recording();
         let traced = scenario
-            .run_with(link, SinkHandle::recording())
+            .run_with(link, sink.clone())
             .expect("traced wire run");
         prop_assert_eq!(&untraced, &traced, "sink perturbed the wire pipeline");
         prop_assert_eq!(untraced.to_json(), traced.to_json());
+        // Only the lossy link resends, and every resend answers a loss.
+        let trace = checked_settled(&sink)?;
+        prop_assert_eq!(trace.retransmissions_matched > 0, lossy, "{:?}", trace);
     }
 }

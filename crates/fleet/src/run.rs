@@ -241,7 +241,9 @@ mod tests {
         let plain = Fleet::new(cfg.clone()).run().unwrap();
         let (traced, obs) = Fleet::new(cfg).run_instrumented(ObsOptions::all()).unwrap();
         assert_eq!(plain, traced, "observers must not perturb the simulation");
-        assert!(!obs.events.is_empty());
+        let trace = rssd_obs::check(&obs.events).unwrap_or_else(|v| panic!("{v}"));
+        assert!(trace.transfers_closed > 0, "{trace:?}");
+        assert_eq!(trace.in_flight_at_end, 0, "every member settled");
         assert!(obs.profile.total_ns > 0);
         let phase_sum: u64 = obs.profile.phases.values().sum();
         assert_eq!(phase_sum, obs.profile.total_ns, "self-times sum to total");

@@ -9,7 +9,8 @@
 //!    fleet's seeds.
 //! 3. Observability is inert: a fleet run with a recording trace sink and
 //!    a live profiler produces a byte-identical [`FleetReport`] to the
-//!    bare run — observers read the simulation, they never steer it.
+//!    bare run — observers read the simulation, they never steer it. What
+//!    it records keeps the trace grammar ([`rssd_obs::check()`]).
 
 use proptest::prelude::*;
 use rssd_fleet::{member_seed, Fleet, FleetConfig, ObsOptions};
@@ -76,7 +77,10 @@ proptest! {
             .run_instrumented(ObsOptions::all())
             .unwrap();
         prop_assert_eq!(&bare, &observed, "recording sink/profiler changed the report");
-        prop_assert!(!obs.events.is_empty(), "recording sink saw no events");
+        let trace = rssd_obs::check(&obs.events)
+            .map_err(|v| TestCaseError::fail(v.to_string()))?;
+        prop_assert!(trace.transfers_closed > 0, "no transfer closed: {trace:?}");
+        prop_assert_eq!(trace.in_flight_at_end, 0, "a settled member left a transfer in flight");
         let phase_sum: u64 = obs.profile.phases.values().sum();
         prop_assert_eq!(phase_sum, obs.profile.total_ns, "profile must partition its span");
     }

@@ -51,26 +51,6 @@ pub struct EthernetFrame {
     pub payload: Bytes,
 }
 
-/// Error parsing a frame off the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameError {
-    /// Shorter than the 14-byte header.
-    Truncated,
-    /// Payload longer than [`MAX_PAYLOAD`].
-    Oversized(usize),
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Truncated => write!(f, "frame shorter than ethernet header"),
-            FrameError::Oversized(n) => write!(f, "payload of {n} bytes exceeds max"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
 impl EthernetFrame {
     /// Builds an NVMe-oE frame.
     ///
@@ -91,70 +71,11 @@ impl EthernetFrame {
     pub fn wire_bytes(&self) -> usize {
         14 + self.payload.len()
     }
-
-    /// Serializes to wire format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_bytes());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parses from wire format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError`] on truncated or oversized input.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, FrameError> {
-        if data.len() < 14 {
-            return Err(FrameError::Truncated);
-        }
-        if data.len() - 14 > MAX_PAYLOAD {
-            return Err(FrameError::Oversized(data.len() - 14));
-        }
-        Ok(EthernetFrame {
-            dst: MacAddr(data[0..6].try_into().expect("6 bytes")),
-            src: MacAddr(data[6..12].try_into().expect("6 bytes")),
-            ethertype: u16::from_be_bytes(data[12..14].try_into().expect("2 bytes")),
-            payload: Bytes::copy_from_slice(&data[14..]),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip() {
-        let f = EthernetFrame::nvme_oe(
-            MacAddr::REMOTE,
-            MacAddr::DEVICE,
-            Bytes::from_static(b"capsule"),
-        );
-        let parsed = EthernetFrame::from_bytes(&f.to_bytes()).unwrap();
-        assert_eq!(parsed, f);
-        assert_eq!(parsed.ethertype, ETHERTYPE_NVME_OE);
-    }
-
-    #[test]
-    fn truncated_rejected() {
-        assert_eq!(
-            EthernetFrame::from_bytes(&[0u8; 10]),
-            Err(FrameError::Truncated)
-        );
-    }
-
-    #[test]
-    fn oversized_rejected() {
-        let data = vec![0u8; 14 + MAX_PAYLOAD + 1];
-        assert!(matches!(
-            EthernetFrame::from_bytes(&data),
-            Err(FrameError::Oversized(_))
-        ));
-    }
 
     #[test]
     #[should_panic(expected = "payload exceeds jumbo MTU")]

@@ -750,9 +750,15 @@ mod tests {
                 .try_transfer_segment(seq, Bytes::from(vec![7u8; 10]), 0, 3)
                 .unwrap_err();
         }
-        let stamps: Vec<u64> = sink.take_events().iter().map(|e| e.sim_ns).collect();
-        assert!(stamps.len() >= 6, "every round of both attempts was traced");
-        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+        let trace = rssd_obs::check(&sink.take_events()).unwrap_or_else(|v| panic!("{v}"));
+        assert!(
+            trace.instants >= 6,
+            "every round of both attempts was traced"
+        );
+        assert_eq!(
+            trace.retransmissions_matched, 4,
+            "two resent rounds per attempt"
+        );
     }
 
     #[test]

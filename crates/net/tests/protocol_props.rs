@@ -5,9 +5,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use rssd_crypto::DeviceKeys;
-use rssd_net::{
-    Capsule, CapsuleKind, EthernetFrame, LinkConfig, MacAddr, NvmeOeEndpoint, SecureSession,
-};
+use rssd_net::{Capsule, CapsuleKind, LinkConfig, NvmeOeEndpoint, SecureSession};
 
 proptest! {
     #[test]
@@ -31,21 +29,6 @@ proptest! {
     fn capsule_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Must never panic, whatever the input.
         let _ = Capsule::from_wire(&Bytes::from(bytes));
-    }
-
-    #[test]
-    fn frame_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = EthernetFrame::from_bytes(&bytes);
-    }
-
-    #[test]
-    fn frame_round_trip(payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let f = EthernetFrame::nvme_oe(
-            MacAddr::REMOTE,
-            MacAddr::DEVICE,
-            bytes::Bytes::from(payload),
-        );
-        prop_assert_eq!(EthernetFrame::from_bytes(&f.to_bytes()).unwrap(), f);
     }
 
     #[test]

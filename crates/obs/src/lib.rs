@@ -1,5 +1,6 @@
 //! Observability for the RSSD simulation stack: dual-timeline structured
-//! tracing, the log-linear [`Histogram`], and host-side phase profiling.
+//! tracing and its grammar ([`check()`]), the log-linear [`Histogram`], and
+//! host-side phase profiling.
 //!
 //! Everything in this crate is **zero-cost when disabled**: the sink and
 //! profiler handles default to a disabled state whose emission paths are a
@@ -18,11 +19,13 @@
 //!
 //! See DESIGN.md §10 for the dual-timeline model and the export format.
 
+pub mod check;
 pub mod chrome;
 pub mod metrics;
 pub mod profile;
 pub mod trace;
 
+pub use check::{check, TraceRule, TraceSummary, TraceViolation};
 pub use chrome::export_chrome_trace;
 pub use metrics::Histogram;
 pub use profile::{ProfileBreakdown, ProfilerHandle};

@@ -26,20 +26,6 @@ impl PlainSsd {
         }
     }
 
-    /// Builds a plain SSD with an explicit FTL configuration.
-    pub fn with_config(
-        geometry: FlashGeometry,
-        timing: NandTiming,
-        clock: SimClock,
-        config: FtlConfig,
-    ) -> Self {
-        let nand = NandArray::with_clock(geometry, timing, clock);
-        PlainSsd {
-            ftl: Ftl::new(nand, config),
-            latency: LatencyStats::new(),
-        }
-    }
-
     /// Per-request latency distribution observed so far.
     pub fn latency(&self) -> &LatencyStats {
         &self.latency

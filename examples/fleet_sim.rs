@@ -10,7 +10,8 @@
 //!
 //! ```sh
 //! cargo run --example fleet_sim
-//! # dual-timeline trace for https://ui.perfetto.dev:
+//! # dual-timeline trace for https://ui.perfetto.dev, checked against the
+//! # trace grammar before it is written:
 //! cargo run --example fleet_sim -- --trace-out fleet_trace.json
 //! ```
 //!
@@ -18,7 +19,7 @@
 
 use rssd_repro::detect::Verdict;
 use rssd_repro::fleet::{Fleet, FleetConfig, ObsOptions};
-use rssd_repro::obs::export_chrome_trace;
+use rssd_repro::obs::{check, export_chrome_trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut trace_out = None;
@@ -128,9 +129,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     if let Some(path) = &trace_out {
+        let trace = check(&obs.events)?;
+        if trace.transfers_closed == 0 || trace.in_flight_at_end > 0 {
+            return Err(format!("every member offloads and settles, yet: {trace:?}").into());
+        }
         std::fs::write(path, export_chrome_trace(&obs.events))?;
         println!(
-            "trace:          {} events -> {path} (load in https://ui.perfetto.dev)",
+            "trace:          {} events -> {path} (load in https://ui.perfetto.dev); {trace:?}",
             obs.events.len()
         );
     }

@@ -9,11 +9,12 @@
 //! longer be byte-identical in time to plain (its overhead is real, small
 //! and bounded). Also asserts the histogram satellite: queue latency p50 < p99
 //! at depth, and that a profiler and a recording trace sink riding the QD32
-//! replay change nothing simulated while every hot-loop phase accrues.
+//! replay change nothing simulated while every hot-loop phase accrues and
+//! the recorded trace keeps its grammar.
 
 use rssd_repro::bench_support::{bench_geometry, mk_plain, mk_retention, mk_rssd};
 use rssd_repro::flash::{NandTiming, SimClock};
-use rssd_repro::obs::{ProfilerHandle, SinkHandle};
+use rssd_repro::obs::{check, ProfilerHandle, SinkHandle};
 use rssd_repro::ssd::{BlockDevice, NvmeController, RetentionMode};
 use rssd_repro::trace::{replay_queued, IoRecord, PayloadKind, WorkloadBuilder};
 
@@ -161,10 +162,9 @@ fn observers_do_not_perturb_the_qd32_replay_and_every_phase_accrues() {
         bare, observed,
         "tracing/profiling changed the simulated end time or the NAND counters"
     );
-    assert!(
-        !sink.take_events().is_empty(),
-        "recording sink saw no events from a full replay"
-    );
+    // The replay ends unsettled, so acks may still be in flight.
+    let trace = check(&sink.take_events()).unwrap_or_else(|v| panic!("{v}"));
+    assert!(trace.transfers_closed > 0, "{trace:?}");
 
     // Self-time accounting partitions the span, and each instrumented site
     // in the hot loop (controller rounds, offload seal and ship) is live.
