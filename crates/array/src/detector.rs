@@ -11,7 +11,7 @@
 //! visible. The fleet verdict is the binding one: a campaign that looks
 //! benign on every shard must still trip the aggregate.
 
-use rssd_detect::{merge_time_ordered, Ensemble, Verdict, WriteObservation};
+use rssd_detect::{Ensemble, Verdict, WriteObservation};
 
 /// Per-shard plus fleet-level detection state.
 #[derive(Debug)]
@@ -76,27 +76,6 @@ impl ArrayDetector {
     pub fn observe(&mut self, shard: usize, obs: &WriteObservation) {
         self.per_shard[shard].observe(obs);
         self.fleet.observe(obs);
-    }
-
-    /// Offline path: merges complete per-shard observation streams (e.g.
-    /// reconstructed from each member's evidence chain) into global time
-    /// order and feeds both levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the stream count differs from the shard count.
-    pub fn observe_streams(&mut self, streams: &[Vec<WriteObservation>]) {
-        assert_eq!(
-            streams.len(),
-            self.per_shard.len(),
-            "one stream per shard required"
-        );
-        for (shard, stream) in streams.iter().enumerate() {
-            self.per_shard[shard].observe_all(stream);
-        }
-        for obs in merge_time_ordered(streams) {
-            self.fleet.observe(&obs);
-        }
     }
 
     /// Verdict over the merged fleet-wide stream.
@@ -206,39 +185,6 @@ mod tests {
         assert_eq!(d.shard_verdict(0), Verdict::Benign);
         assert_eq!(d.fleet_verdict(), Verdict::Ransomware);
         assert_eq!(d.report().implicated_shards(), vec![1]);
-    }
-
-    #[test]
-    fn observe_streams_matches_streaming_observation() {
-        let shards = 4;
-        let mut streamed = ArrayDetector::new(shards);
-        striped_campaign(&mut streamed, shards, 20);
-
-        // Rebuild the same campaign as per-shard streams.
-        let mut streams: Vec<Vec<WriteObservation>> = vec![Vec::new(); shards];
-        let mut t = 0u64;
-        for round in 0..20usize {
-            for (shard, stream) in streams.iter_mut().enumerate() {
-                let lpa = (round * shards + shard) as u64;
-                stream.push(WriteObservation::overwrite(t, lpa, 7.9, false));
-                t += 1_000;
-                for k in 0..6u64 {
-                    stream.push(WriteObservation::fresh_write(
-                        t,
-                        1_000_000 + lpa * 8 + k,
-                        4.0,
-                    ));
-                    t += 1_000;
-                }
-            }
-        }
-        let mut offline = ArrayDetector::new(shards);
-        offline.observe_streams(&streams);
-        assert_eq!(offline.fleet_verdict(), streamed.fleet_verdict());
-        assert!((offline.fleet_score() - streamed.fleet_score()).abs() < 1e-12);
-        for shard in 0..shards {
-            assert_eq!(offline.shard_verdict(shard), streamed.shard_verdict(shard));
-        }
     }
 
     #[test]

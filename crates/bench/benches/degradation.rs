@@ -17,8 +17,9 @@
 //!   `segments_sealed == segments_offloaded`, outage, crash and all.
 
 use rssd_bench::{cell, flag, publish, BenchRow};
-use rssd_core::{LoopbackTarget, OffloadHealth, RssdConfig, RssdDevice};
+use rssd_core::{LoopbackTarget, OffloadHealth, RssdConfig, RssdDevice, WireRemote};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
+use rssd_net::LinkConfig;
 use rssd_ssd::{BlockDevice, DeviceError};
 
 /// Device capacity: 16 blocks, 3 of which form the spill region (192
@@ -36,7 +37,11 @@ const WORKING_SET_PAGES: u64 = 48;
 /// before this).
 const MAX_RAMP_OPS: usize = 2_000;
 
-fn spill_device() -> RssdDevice<LoopbackTarget> {
+/// The device under test: its remote sits behind an ideal wire, which costs
+/// no simulated time and is where the outage is cut.
+type Device = RssdDevice<WireRemote<LoopbackTarget>>;
+
+fn spill_device() -> Device {
     RssdDevice::new(
         FlashGeometry::with_capacity(CAPACITY_BYTES),
         NandTiming::default(),
@@ -46,7 +51,7 @@ fn spill_device() -> RssdDevice<LoopbackTarget> {
             spill_blocks: SPILL_BLOCKS,
             ..RssdConfig::default()
         },
-        LoopbackTarget::new(),
+        WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal()),
     )
 }
 
@@ -82,7 +87,7 @@ impl Writer {
         }
     }
 
-    fn write_next(&mut self, device: &mut RssdDevice<LoopbackTarget>) -> Result<(), DeviceError> {
+    fn write_next(&mut self, device: &mut Device) -> Result<(), DeviceError> {
         let lpa = self.version % WORKING_SET_PAGES;
         let data = page_fill(self.version + 1, self.page_size);
         let r = device.write_page(lpa, data).map(|_| ());
@@ -103,9 +108,9 @@ struct PhaseRun {
     pressure_end: f64,
 }
 
-fn measure<F>(device: &mut RssdDevice<LoopbackTarget>, mut step: F, ops: usize) -> PhaseRun
+fn measure<F>(device: &mut Device, mut step: F, ops: usize) -> PhaseRun
 where
-    F: FnMut(&mut RssdDevice<LoopbackTarget>) -> Result<(), DeviceError>,
+    F: FnMut(&mut Device) -> Result<(), DeviceError>,
 {
     let start = device.clock().now_ns();
     let mut accepted = 0u64;
@@ -136,11 +141,7 @@ where
 /// Writes until the device's health reaches at least `target`, returning
 /// how many writes the ramp took. Stalled refusals are tolerated only
 /// when ramping *to* Stalled.
-fn ramp_to(
-    device: &mut RssdDevice<LoopbackTarget>,
-    writer: &mut Writer,
-    target: OffloadHealth,
-) -> usize {
+fn ramp_to(device: &mut Device, writer: &mut Writer, target: OffloadHealth) -> usize {
     for op in 0..MAX_RAMP_OPS {
         if device.offload_health() >= target {
             return op;
@@ -190,7 +191,7 @@ fn run_slope(rows: &mut Vec<BenchRow>) {
     rows.push(phase_row("healthy", &healthy, device.offload_health()));
 
     // --- Outage begins: Buffering while the spill absorbs the backlog.
-    device.remote_mut().set_reachable(false);
+    device.remote_mut().set_uplink_down(true);
     let ramp_start = device.clock().now_ns();
     let buffer_ops = ramp_to(&mut device, &mut writer, OffloadHealth::Throttled);
     let ramp_ns = device.clock().now_ns() - ramp_start;
@@ -243,7 +244,7 @@ fn run_slope(rows: &mut Vec<BenchRow>) {
     );
 
     // --- Heal: the backlog drains, spill residue reclaimed, health green.
-    device.remote_mut().set_reachable(true);
+    device.remote_mut().set_uplink_down(false);
     let drain_start = device.clock().now_ns();
     device.flush_log().expect("post-heal drain");
     let drain_ns = device.clock().now_ns() - drain_start;
@@ -286,13 +287,13 @@ fn run_crash_replay(rows: &mut Vec<BenchRow>) {
     for _ in 0..WORKING_SET_PAGES {
         writer.write_next(&mut device).expect("prime write");
     }
-    device.remote_mut().set_reachable(false);
+    device.remote_mut().set_uplink_down(true);
     while device.offload_stats().segments_spilled < 6 {
         writer.write_next(&mut device).expect("outage write");
     }
     let spilled = device.offload_stats().segments_spilled;
     let _ = device.crash();
-    device.remote_mut().set_reachable(true);
+    device.remote_mut().set_uplink_down(false);
     let recovery = device.recover().expect("post-outage recovery");
     device.flush_log().expect("post-recovery flush");
     let stats = device.offload_stats();

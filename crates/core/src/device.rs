@@ -710,6 +710,7 @@ mod tests {
     use crate::recovery::RecoveryEngine;
     use crate::remote_target::LoopbackTarget;
     use crate::segment::{OpenDepth, SegmentEnvelope};
+    use crate::wire::WireRemote;
 
     fn device() -> RssdDevice<LoopbackTarget> {
         RssdDevice::new(
@@ -722,6 +723,25 @@ mod tests {
             },
             LoopbackTarget::new(),
         )
+    }
+
+    /// A device behind an ideal wire — the link an outage is a condition
+    /// of, and one that costs no simulated time.
+    fn wired(config: RssdConfig) -> RssdDevice<WireRemote<LoopbackTarget>> {
+        RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            config,
+            WireRemote::new(LoopbackTarget::new(), rssd_net::LinkConfig::ideal()),
+        )
+    }
+
+    fn wired_device() -> RssdDevice<WireRemote<LoopbackTarget>> {
+        wired(RssdConfig {
+            segment_pages: 8,
+            ..RssdConfig::default()
+        })
     }
 
     fn page(b: u8) -> Vec<u8> {
@@ -842,8 +862,8 @@ mod tests {
 
     #[test]
     fn unreachable_remote_keeps_data_pinned_not_lost() {
-        let mut d = device();
-        d.remote_mut().set_reachable(false);
+        let mut d = wired_device();
+        d.remote_mut().set_uplink_down(true);
         for i in 0..40u64 {
             d.write_page(i % 4, page(i as u8)).unwrap();
         }
@@ -853,7 +873,7 @@ mod tests {
         // at i=36, whose retained pre-image is the i=32 version.
         assert_eq!(d.recover_page(0).unwrap(), page(32));
         // Remote comes back: flush succeeds.
-        d.remote_mut().set_reachable(true);
+        d.remote_mut().set_uplink_down(false);
         d.flush_log().unwrap();
         assert!(d.offload_stats().segments_offloaded > 0);
     }
@@ -1165,24 +1185,18 @@ mod tests {
         assert_eq!(history[0].entropy_mil, 0);
     }
 
-    fn spill_device() -> RssdDevice<LoopbackTarget> {
-        RssdDevice::new(
-            FlashGeometry::small_test(),
-            NandTiming::instant(),
-            SimClock::new(),
-            RssdConfig {
-                segment_pages: 8,
-                spill_blocks: 2,
-                ..RssdConfig::default()
-            },
-            LoopbackTarget::new(),
-        )
+    fn spill_device() -> RssdDevice<WireRemote<LoopbackTarget>> {
+        wired(RssdConfig {
+            segment_pages: 8,
+            spill_blocks: 2,
+            ..RssdConfig::default()
+        })
     }
 
     #[test]
     fn retries_reuse_the_sealed_wire_image_without_resealing() {
-        let mut d = device();
-        d.remote_mut().set_reachable(false);
+        let mut d = wired_device();
+        d.remote_mut().set_uplink_down(true);
         for i in 0..20u64 {
             d.write_page(i % 4, page(i as u8)).unwrap();
         }
@@ -1205,7 +1219,7 @@ mod tests {
             "each retry is an attempt"
         );
         // Heal: every staged segment ships exactly once.
-        d.remote_mut().set_reachable(true);
+        d.remote_mut().set_uplink_down(false);
         d.flush_log().unwrap();
         let s = d.offload_stats();
         assert_eq!(s.segments_offloaded, s.segments_sealed);
@@ -1215,19 +1229,13 @@ mod tests {
 
     #[test]
     fn health_machine_degrades_under_outage_and_recovers_on_heal() {
-        let mut d = RssdDevice::new(
-            FlashGeometry::small_test(),
-            NandTiming::instant(),
-            SimClock::new(),
-            RssdConfig {
-                segment_pages: 1,
-                ..RssdConfig::default()
-            },
-            LoopbackTarget::new(),
-        );
+        let mut d = wired(RssdConfig {
+            segment_pages: 1,
+            ..RssdConfig::default()
+        });
         assert_eq!(d.offload_health(), OffloadHealth::Healthy);
         d.write_page(0, page(0)).unwrap();
-        d.remote_mut().set_reachable(false);
+        d.remote_mut().set_uplink_down(true);
         let mut seen = Vec::new();
         let mut stalled = false;
         for i in 1..=200u64 {
@@ -1257,7 +1265,7 @@ mod tests {
 
         // Heal: the very next write force-drains the backlog, is admitted,
         // and the machine returns to Healthy.
-        d.remote_mut().set_reachable(true);
+        d.remote_mut().set_uplink_down(false);
         d.write_page(0, page(0xFF)).unwrap();
         assert_eq!(d.offload_health(), OffloadHealth::Healthy);
         assert_eq!(d.staged_segments(), 0);
@@ -1279,7 +1287,7 @@ mod tests {
         d.flush_log().unwrap();
         let remote_before = d.offload_stats().segments_offloaded;
 
-        d.remote_mut().set_reachable(false);
+        d.remote_mut().set_uplink_down(true);
         for i in 20..60u64 {
             d.write_page(i % 4, page(i as u8)).unwrap();
         }
@@ -1294,7 +1302,7 @@ mod tests {
         let report = d.crash();
         assert_eq!(report.pending_records_lost, 0, "all evidence was spilled");
 
-        d.remote_mut().set_reachable(true);
+        d.remote_mut().set_uplink_down(false);
         let recovery = d.recover().unwrap();
         assert!(d.offload_stats().spill_replayed > 0, "spill replay ran");
         assert_eq!(d.chain_len(), chain_at_cut, "chain resumed unforked");
@@ -1329,14 +1337,18 @@ mod tests {
     /// A device cut off mid-outage with four or more segments spilled, the
     /// store holding everything before them: the crashed device, the chain
     /// length the store accounts for, and the spilled wire images.
-    fn crashed_mid_outage() -> (RssdDevice<LoopbackTarget>, u64, Vec<SegmentEnvelope>) {
+    fn crashed_mid_outage() -> (
+        RssdDevice<WireRemote<LoopbackTarget>>,
+        u64,
+        Vec<SegmentEnvelope>,
+    ) {
         let mut d = spill_device();
         for i in 0..20u64 {
             d.write_page(i % 4, page(i as u8)).unwrap();
         }
         d.flush_log().unwrap();
         let durable = d.chain_len();
-        d.remote_mut().set_reachable(false);
+        d.remote_mut().set_uplink_down(true);
         for i in 20..60u64 {
             d.write_page(i % 4, page(i as u8)).unwrap();
         }
@@ -1349,14 +1361,14 @@ mod tests {
         assert!(spilled.len() >= 4, "{} spilled", spilled.len());
         assert_eq!(d.offload_stats().segments_spilled, spilled.len() as u64);
         let _ = d.crash();
-        d.remote_mut().set_reachable(true);
+        d.remote_mut().set_uplink_down(false);
         (d, durable, spilled)
     }
 
     /// What the power cut left in the spill region of a crashed `d`: two
     /// good entries, `third` for the third, and a good fourth behind it.
     fn leave_in_spill(
-        d: &mut RssdDevice<LoopbackTarget>,
+        d: &mut RssdDevice<WireRemote<LoopbackTarget>>,
         spilled: &[SegmentEnvelope],
         third: &[u8],
     ) {
@@ -1461,7 +1473,7 @@ mod tests {
     fn spilled_segments_serve_recovery_without_the_remote() {
         let mut d = spill_device();
         d.write_page(3, page(1)).unwrap();
-        d.remote_mut().set_reachable(false);
+        d.remote_mut().set_uplink_down(true);
         d.write_page(3, page(2)).unwrap();
         let _ = d.flush_log(); // seals + spills; the wire attempt fails
         assert!(d.offload_stats().segments_spilled > 0);
@@ -1608,17 +1620,7 @@ mod tests {
 
     #[test]
     fn memoised_segment_is_still_unreachable_behind_a_dead_uplink() {
-        use crate::wire::WireRemote;
-        let mut d = RssdDevice::new(
-            FlashGeometry::small_test(),
-            NandTiming::instant(),
-            SimClock::new(),
-            RssdConfig {
-                segment_pages: 8,
-                ..RssdConfig::default()
-            },
-            WireRemote::new(LoopbackTarget::new(), rssd_net::LinkConfig::ideal()),
-        );
+        let mut d = wired_device();
         let cut = overwrite_all_then_flush(&mut d);
         assert_eq!(d.recover_page_before(0, cut).unwrap(), page(0));
         assert!(d.evidence.opened.is_some());

@@ -718,6 +718,10 @@ mod tests {
     #[derive(Clone)]
     struct ScriptedRemote {
         store: LoopbackTarget,
+        /// The scripted link is up: a store is attempted at all.
+        up: bool,
+        /// The head the last stored segment ended at.
+        head: Option<Digest>,
         /// The store refused a segment as not extending its chain.
         forked: bool,
     }
@@ -728,9 +732,19 @@ mod tests {
             envelope: SegmentEnvelope,
             now_ns: u64,
         ) -> Result<StoreAck, RemoteError> {
-            let stored = self.store.store_segment(envelope, now_ns);
-            self.forked |= matches!(stored, Err(RemoteError::ChainDiscontinuity { .. }));
-            stored.map(|ack| StoreAck {
+            if !self.up {
+                return Err(RemoteError::Unreachable);
+            }
+            if let Some(expected) = self.head.filter(|&h| h != envelope.prev_chain_head()) {
+                self.forked = true;
+                return Err(RemoteError::ChainDiscontinuity {
+                    expected,
+                    got: envelope.prev_chain_head(),
+                });
+            }
+            self.head = Some(envelope.chain_head());
+            let ack = self.store.store_segment(envelope, now_ns)?;
+            Ok(StoreAck {
                 durable_at_ns: now_ns + ACK_DELAY_NS,
                 ..ack
             })
@@ -831,6 +845,8 @@ mod tests {
                 engine: OffloadEngine::new(SecureSession::new(&keys, 0), 1),
                 remote: ScriptedRemote {
                     store: LoopbackTarget::new(),
+                    up: true,
+                    head: None,
                     forked: false,
                 },
                 writes: 0,
@@ -882,11 +898,11 @@ mod tests {
                     self.seal();
                 }
                 Step::ShipOk => {
-                    self.remote.store.set_reachable(true);
+                    self.remote.up = true;
                     self.background_drain(OffloadEngine::RETRY_BACKOFF_CAP_NS);
                 }
                 Step::ShipFail => {
-                    self.remote.store.set_reachable(false);
+                    self.remote.up = false;
                     self.background_drain(OffloadEngine::RETRY_BACKOFF_CAP_NS);
                 }
                 Step::DeferredDrain => self.background_drain(0),
@@ -895,7 +911,7 @@ mod tests {
                     self.engine.retire_acked(&mut self.ftl);
                 }
                 Step::SpillFull => {
-                    self.remote.store.set_reachable(false);
+                    self.remote.up = false;
                     for _ in 0..OUTAGE_BURST {
                         self.log(LogOp::Read, 0, None);
                         self.seal();
@@ -903,7 +919,7 @@ mod tests {
                     }
                 }
                 Step::HealForcedDrain => {
-                    self.remote.store.set_reachable(true);
+                    self.remote.up = true;
                     self.engine
                         .drain(&mut self.ftl, &mut self.remote, true)
                         .expect("a forced drain over a healed link");

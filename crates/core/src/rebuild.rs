@@ -343,8 +343,7 @@ mod tests {
             &payload,
         );
         // Rebuild the store with the tampered envelope (LoopbackTarget has
-        // no in-place mutation; store into a fresh one, chain check off by
-        // replaying in order with matching heads).
+        // no in-place mutation; store into a fresh one, in order).
         let mut tampered = LoopbackTarget::new();
         for s in remote.stored_segments() {
             let e = if s == seq {

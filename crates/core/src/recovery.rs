@@ -207,12 +207,12 @@ mod tests {
                 segment_pages: 1,
                 ..RssdConfig::default()
             },
-            LoopbackTarget::new(),
+            crate::WireRemote::new(LoopbackTarget::new(), rssd_net::LinkConfig::ideal()),
         );
         d.write_page(0, page(0)).unwrap();
         clock.advance(1_000);
         let attack_start = clock.now_ns();
-        d.remote_mut().set_reachable(false);
+        d.remote_mut().set_uplink_down(true);
         let mut i = 0u8;
         while d.write_page(0, page(i)).is_ok() {
             i += 1;
@@ -226,7 +226,7 @@ mod tests {
         );
         assert_eq!(report.bytes_restored, 0);
         // The uplink heals: the same restore goes through.
-        d.remote_mut().set_reachable(true);
+        d.remote_mut().set_uplink_down(false);
         let report = RecoveryEngine::new().restore_before(&mut d, &[0], attack_start);
         assert_eq!((report.pages_restored, report.pages_unrecoverable), (1, 0));
         assert_eq!(d.read_page(0).unwrap(), page(0));

@@ -59,19 +59,22 @@ pub struct StoreAck {
     pub durable_at_ns: u64,
 }
 
-/// The remote log store the device offloads to. [`LoopbackTarget`] provides
-/// an in-process implementation for tests;
+/// The remote log store the device offloads to. Two stores implement it:
+/// [`LoopbackTarget`], the in-process shelf the tests and the fault matrix
+/// run on, and the log server in `rssd-remote`, the one that authenticates
+/// a segment and checks that it extends the stored chain before it acks.
 /// [`WireRemote`](crate::wire::WireRemote) carries every segment over the
-/// simulated NVMe-oE fabric to whatever target it wraps (including the real
-/// log server in `rssd-remote`).
+/// simulated NVMe-oE fabric to whichever store it wraps, and its link is
+/// the one place a network outage happens.
 pub trait RemoteTarget {
-    /// Durably stores an envelope after verifying chain continuity.
+    /// Durably stores an envelope and acknowledges it; the ack is the
+    /// device's licence to unpin the segment's pre-images.
     ///
     /// # Errors
     ///
-    /// [`RemoteError::ChainDiscontinuity`] if the envelope does not extend
-    /// the stored chain; [`RemoteError::Unreachable`] on (simulated) network
-    /// failure.
+    /// What the store refused ([`RemoteError::ChainDiscontinuity`],
+    /// [`RemoteError::Unreadable`]) or, across a wire, that the link could
+    /// not carry it ([`RemoteError::Unreachable`]).
     fn store_segment(
         &mut self,
         envelope: SegmentEnvelope,
@@ -82,7 +85,8 @@ pub trait RemoteTarget {
     ///
     /// # Errors
     ///
-    /// [`RemoteError::NoSuchSegment`] when absent.
+    /// [`RemoteError::NoSuchSegment`] when absent;
+    /// [`RemoteError::Unreachable`] across a wire that is down.
     fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError>;
 
     /// Sequence numbers currently stored, in order.
@@ -95,44 +99,22 @@ pub trait RemoteTarget {
     fn set_trace_sink(&mut self, _sink: rssd_obs::SinkHandle) {}
 }
 
-/// In-process remote target with perfect availability and zero latency.
-/// Verifies chain continuity exactly like the real server.
-#[derive(Clone, Debug)]
+/// The in-process store: a shelf that keeps whatever arrives, acks at the
+/// time it was handed the segment, and refuses nothing. A gap or a fork in
+/// what it holds is refused where every reader meets it, by the store walk
+/// (`evidence::walk_segments`), which checks continuity on authenticated
+/// headers; the store that refuses at ingest is the log server. An outage
+/// is a condition of the link in front of it
+/// ([`WireRemote::set_uplink_down`](crate::wire::WireRemote::set_uplink_down)).
+#[derive(Clone, Debug, Default)]
 pub struct LoopbackTarget {
     segments: BTreeMap<u64, SegmentEnvelope>,
-    last_head: Option<Digest>,
-    reachable: bool,
-}
-
-impl Default for LoopbackTarget {
-    /// [`LoopbackTarget::new`]: empty and *reachable* (a derived default
-    /// would start partitioned).
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl LoopbackTarget {
-    /// Creates an empty, reachable target.
+    /// Creates an empty store.
     pub fn new() -> Self {
-        LoopbackTarget {
-            segments: BTreeMap::new(),
-            last_head: None,
-            reachable: true,
-        }
-    }
-
-    /// Simulates a network partition (offload attempts fail until restored).
-    pub fn set_reachable(&mut self, reachable: bool) {
-        self.reachable = reachable;
-    }
-
-    /// Total sealed bytes stored.
-    pub fn stored_bytes(&self) -> u64 {
-        self.segments
-            .values()
-            .map(|e| e.sealed_payload().len() as u64)
-            .sum()
+        Self::default()
     }
 }
 
@@ -142,18 +124,6 @@ impl RemoteTarget for LoopbackTarget {
         envelope: SegmentEnvelope,
         now_ns: u64,
     ) -> Result<StoreAck, RemoteError> {
-        if !self.reachable {
-            return Err(RemoteError::Unreachable);
-        }
-        if let Some(expected) = self.last_head {
-            if envelope.prev_chain_head() != expected {
-                return Err(RemoteError::ChainDiscontinuity {
-                    expected,
-                    got: envelope.prev_chain_head(),
-                });
-            }
-        }
-        self.last_head = Some(envelope.chain_head());
         let ack = StoreAck {
             segment_seq: envelope.segment_seq(),
             durable_at_ns: now_ns,
@@ -177,40 +147,22 @@ impl RemoteTarget for LoopbackTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn envelope(seq: u64, prev: Digest, head: Digest) -> SegmentEnvelope {
-        SegmentEnvelope::new(1, seq, prev, head, 0, &[seq as u8; 8])
-    }
-
-    fn digest(b: u8) -> Digest {
-        Digest::from_bytes([b; 32])
-    }
+    use crate::config::RssdConfig;
+    use crate::device::RssdDevice;
+    use crate::rebuild::RebuildImage;
+    use crate::wire::WireRemote;
+    use rssd_flash::{FlashGeometry, NandTiming, SimClock};
+    use rssd_net::LinkConfig;
+    use rssd_ssd::BlockDevice;
 
     #[test]
     fn stores_and_fetches() {
-        // The default target is `new()`: reachable, not born partitioned.
         let mut t = LoopbackTarget::default();
-        t.store_segment(envelope(0, Digest::ZERO, digest(1)), 100)
-            .unwrap();
-        let fetched = t.fetch_segment(0).unwrap();
-        assert_eq!(fetched.segment_seq(), 0);
+        let envelope = SegmentEnvelope::new(1, 0, Digest::ZERO, Digest::ZERO, 0, &[0; 8]);
+        let ack = t.store_segment(envelope.clone(), 100).unwrap();
+        assert_eq!(ack.durable_at_ns, 100);
+        assert_eq!(t.fetch_segment(0).unwrap(), envelope);
         assert_eq!(t.stored_segments(), vec![0]);
-        assert_eq!(t.stored_bytes(), 8);
-    }
-
-    #[test]
-    fn enforces_chain_continuity() {
-        let mut t = LoopbackTarget::new();
-        t.store_segment(envelope(0, Digest::ZERO, digest(1)), 0)
-            .unwrap();
-        // Extending from the stored head works.
-        t.store_segment(envelope(1, digest(1), digest(2)), 0)
-            .unwrap();
-        // A forged/rewound head is rejected.
-        let err = t
-            .store_segment(envelope(2, digest(9), digest(3)), 0)
-            .unwrap_err();
-        assert!(matches!(err, RemoteError::ChainDiscontinuity { .. }));
     }
 
     #[test]
@@ -221,14 +173,52 @@ mod tests {
 
     #[test]
     fn partition_is_simulated() {
-        let mut t = LoopbackTarget::new();
-        t.set_reachable(false);
-        assert_eq!(
-            t.store_segment(envelope(0, Digest::ZERO, digest(1)), 0),
-            Err(RemoteError::Unreachable)
+        // The shelf has no switch of its own: an outage is the wire's, and
+        // while it lasts what the shelf holds cannot be fetched either.
+        let mut wired = WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal());
+        let envelope = SegmentEnvelope::new(1, 0, Digest::ZERO, Digest::ZERO, 0, &[0; 8]);
+        wired.store_segment(envelope.clone(), 0).unwrap();
+        wired.set_uplink_down(true);
+        let next = SegmentEnvelope::new(1, 1, Digest::ZERO, Digest::ZERO, 0, &[1; 8]);
+        assert_eq!(wired.store_segment(next, 0), Err(RemoteError::Unreachable));
+        assert_eq!(wired.fetch_segment(0), Err(RemoteError::Unreachable));
+        assert_eq!(wired.inner().stored_segments(), vec![0]);
+        wired.set_uplink_down(false);
+        assert_eq!(wired.fetch_segment(0), Ok(envelope));
+    }
+
+    #[test]
+    fn loopback_stores_a_gap_and_walk_segments_names_it() {
+        let mut device = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 8,
+                ..RssdConfig::default()
+            },
+            LoopbackTarget::new(),
         );
-        t.set_reachable(true);
-        t.store_segment(envelope(0, Digest::ZERO, digest(1)), 0)
-            .unwrap();
+        for i in 0..40u64 {
+            device.write_page(i % 4, vec![(i % 7) as u8; 4096]).unwrap();
+        }
+        device.flush_log().unwrap();
+        let keys = device.escrow_keys();
+        let mut honest = device.into_remote();
+        let stored = honest.stored_segments();
+        assert!(stored.len() >= 3, "{stored:?}");
+        // Every segment but the second, handed over in order: the shelf
+        // acks the one past the hole as it acked the first.
+        let mut gapped = LoopbackTarget::new();
+        for &seq in [stored[0]].iter().chain(&stored[2..]) {
+            gapped
+                .store_segment(honest.fetch_segment(seq).unwrap(), 0)
+                .unwrap();
+        }
+        assert_eq!(gapped.stored_segments().len(), stored.len() - 1);
+        let refused = RebuildImage::harvest(&keys, &mut gapped).err();
+        let named = format!("segment {} does not extend the chain", stored[2]);
+        assert_eq!(refused, Some(named));
+        assert!(RebuildImage::harvest(&keys, &mut honest).is_ok());
     }
 }

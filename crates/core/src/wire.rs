@@ -2,22 +2,26 @@
 //! every segment envelope over the simulated NVMe-oE fabric.
 //!
 //! [`WireRemote`] is the controller-side bridge between the offload engine
-//! and the network stack. Where [`LoopbackTarget`](crate::LoopbackTarget)
-//! hands envelopes to the store by function call, `WireRemote` serializes
-//! them with [`SegmentEnvelope::to_wire_bytes`], fragments them into NVMe-oE
-//! capsules, and pushes them frame by frame over the `SimLink` with
-//! go-back-N retransmission — so link bandwidth, propagation delay, loss and
-//! queueing consume real nanoseconds on the device's simulated timeline.
+//! and the network stack. It wraps a store — the in-process
+//! [`LoopbackTarget`](crate::LoopbackTarget) or the log server in
+//! `rssd-remote` — and instead of handing it envelopes by function call
+//! serializes them with [`SegmentEnvelope::to_wire_bytes`], fragments them
+//! into NVMe-oE capsules, and pushes them frame by frame over the `SimLink`
+//! with go-back-N retransmission — so link bandwidth, propagation delay,
+//! loss and queueing consume real nanoseconds on the device's simulated
+//! timeline.
 //! The sealed payload inside the envelope was already encrypted and MAC'd by
 //! the device's `SecureSession` before it got here; the wire never carries
 //! plaintext log data.
 //!
-//! Network faults are expressed as *link conditions*, not injected results
-//! (in parentheses, the `rssd-faults` `PartitionMode` each one renders):
+//! Network faults exist only here, as *link conditions*, not injected
+//! results — no store has a reachability switch of its own (in
+//! parentheses, the `rssd-faults` `PartitionMode` each one renders):
 //!
 //! * [`WireRemote::set_uplink_down`] blackholes frames; the transport
 //!   exhausts its stall budget and the offload engine sees
-//!   [`RemoteError::Unreachable`] (`Refuse`).
+//!   [`RemoteError::Unreachable`] (`Refuse`). A fetch across the down link
+//!   is refused the same way.
 //! * With [`WireRemote::set_store_and_forward`], a down link instead acks
 //!   and buffers at the edge; [`WireRemote::heal`] replays the buffer over
 //!   the restored wire in order (`QueueForReplay`).
@@ -646,17 +650,5 @@ mod tests {
             assert!(d.remote().stats().offloads_refused > 0);
             assert!(d.remote().inner().stored_segments().is_empty());
         }
-    }
-
-    #[test]
-    fn chain_discontinuity_passes_through_the_wire() {
-        let mut wired = WireRemote::new(LoopbackTarget::new(), LinkConfig::datacenter_10g());
-        wired
-            .store_segment(envelope(0, Digest::ZERO, digest(1)), 0)
-            .unwrap();
-        let err = wired
-            .store_segment(envelope(1, digest(9), digest(2)), 1)
-            .unwrap_err();
-        assert!(matches!(err, RemoteError::ChainDiscontinuity { .. }));
     }
 }

@@ -54,11 +54,6 @@ impl Digest {
         }
         Some(Digest(out))
     }
-
-    /// Truncates the digest to a 64-bit fingerprint (for compact log records).
-    pub fn fingerprint64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("8 bytes"))
-    }
 }
 
 impl fmt::Display for Digest {
@@ -462,13 +457,6 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     fn digest_from_hex_rejects_bad_input() {
         assert!(Digest::from_hex("abc").is_none());
         assert!(Digest::from_hex(&"zz".repeat(32)).is_none());
-    }
-
-    #[test]
-    fn fingerprint_is_prefix() {
-        let d = Sha256::digest(b"fp");
-        let fp = d.fingerprint64();
-        assert_eq!(&fp.to_be_bytes(), &d.as_bytes()[..8]);
     }
 
     #[test]

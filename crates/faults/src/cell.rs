@@ -11,12 +11,11 @@
 //! [`FaultInjector::arm`] — a call, not a stage of its own.
 
 use crate::injector::FaultInjector;
-use crate::remote::PermissiveTarget;
 use crate::scenario::Topology;
 use crate::schedule::FaultSchedule;
 use crate::target::{restore_power_healing_link, scenario_member, FaultError, FaultTarget};
 use rssd_array::RssdArray;
-use rssd_core::{AnalysisReport, HistoryAudit, PostAttackAnalyzer, WireRemote};
+use rssd_core::{AnalysisReport, HistoryAudit, LoopbackTarget, PostAttackAnalyzer, WireRemote};
 use rssd_flash::SimClock;
 use rssd_net::{LinkConfig, SharedLink};
 use rssd_obs::{ProfilerHandle, SinkHandle};
@@ -36,7 +35,7 @@ pub trait CellBody {
 
 /// **Build**: the one place a [`Topology`] becomes devices. Every member is
 /// a [`scenario_member`] (spill-enabled when `spill`) over its own
-/// [`WireRemote`]<[`PermissiveTarget`]> cabled with `link` — clones of one
+/// [`WireRemote`]<[`LoopbackTarget`]> cabled with `link` — clones of one
 /// [`SharedLink`] for [`Topology::SharedUplink`] — numbered by `device_id`
 /// (`None` for a lone device, `Some(shard)` inside an array), and the whole
 /// device sits behind a [`FaultInjector`] with nothing armed.
@@ -48,7 +47,7 @@ pub fn build<B: CellBody>(
     body: B,
 ) -> B::Output {
     let member = |shard, remote| scenario_member(device_id(shard), spill, remote);
-    let private = || WireRemote::new(PermissiveTarget::new(), link);
+    let private = || WireRemote::new(LoopbackTarget::new(), link);
     let array = |members, stripe_pages| {
         FaultInjector::new(
             RssdArray::new(members, stripe_pages, SimClock::new()),
@@ -72,7 +71,7 @@ pub fn build<B: CellBody>(
             stripe_pages,
         } => {
             let uplink = SharedLink::new(link);
-            let shared = || WireRemote::with_uplink(PermissiveTarget::new(), uplink.clone(), link);
+            let shared = || WireRemote::with_uplink(LoopbackTarget::new(), uplink.clone(), link);
             let members = (0..shards).map(|s| member(Some(s), shared())).collect();
             body.run(&mut array(members, stripe_pages))
         }

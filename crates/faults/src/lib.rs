@@ -14,11 +14,10 @@
 //!   wrapper that executes a schedule, so faults compose under the NVMe
 //!   controller, the replay harnesses, the attack actors and `RssdArray`
 //!   unchanged.
-//! * [`PartitionMode`] / [`PermissiveTarget`] ([`remote`]) — what a
-//!   partition window does to offloads, and the naive collector the
-//!   chain-gap cells run against. There is one offload pipeline: the
-//!   NVMe-oE wire (`rssd_core::WireRemote`), on which every mode is a link
-//!   condition.
+//! * [`PartitionMode`] ([`remote`]) — what a partition window does to
+//!   offloads. There is one offload pipeline: the NVMe-oE wire
+//!   (`rssd_core::WireRemote`), on which every mode is a link condition,
+//!   in front of the in-process store (`rssd_core::LoopbackTarget`).
 //! * [`FaultTarget`] ([`target`]) — the fault surface of a device under
 //!   test (crash/recover, partition/heal, kill/revive, chain audit),
 //!   implemented for bare devices and arrays.
@@ -52,7 +51,7 @@ pub mod schedule;
 pub mod target;
 
 pub use injector::{FaultInjector, TornBatch};
-pub use remote::{PartitionMode, PermissiveTarget};
+pub use remote::PartitionMode;
 pub use scenario::{
     corpus_pages, next_phase_ns, ActorKind, FaultPlan, MatrixSummary, Scenario, ScenarioMatrix,
     Scorecard, Topology,

@@ -17,16 +17,8 @@
 //!   that the loss can never be *silent* downstream — the evidence chain
 //!   has a gap that `verified_history`, `audit_history` and
 //!   `RebuildImage::harvest` all refuse to paper over.
-//!
-//! [`PermissiveTarget`] is a store that skips the chain-continuity ingest
-//! check (a naive or compromised collector). Pairing it with a
-//! `DropSilently` window is how the gap-detection property is tested: the
-//! store accepts the post-gap segments, and verification — not ingest — is
-//! what catches the hole.
 
-use rssd_core::{RemoteError, RemoteTarget, SegmentEnvelope, StoreAck};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// What happens to offloads attempted during a partition window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -42,53 +34,11 @@ pub enum PartitionMode {
     DropSilently,
 }
 
-/// A remote store **without** the chain-continuity ingest check — a naive
-/// collector that accepts whatever arrives. Gaps and forks are caught at
-/// verification time (`verified_history` / `RebuildImage::harvest`), which
-/// is exactly the property the drop-window scenarios prove.
-#[derive(Clone, Debug, Default)]
-pub struct PermissiveTarget {
-    segments: BTreeMap<u64, SegmentEnvelope>,
-}
-
-impl PermissiveTarget {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl RemoteTarget for PermissiveTarget {
-    fn store_segment(
-        &mut self,
-        envelope: SegmentEnvelope,
-        now_ns: u64,
-    ) -> Result<StoreAck, RemoteError> {
-        let ack = StoreAck {
-            segment_seq: envelope.segment_seq(),
-            durable_at_ns: now_ns,
-        };
-        self.segments.insert(envelope.segment_seq(), envelope);
-        Ok(ack)
-    }
-
-    fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
-        self.segments
-            .get(&segment_seq)
-            .cloned()
-            .ok_or(RemoteError::NoSuchSegment(segment_seq))
-    }
-
-    fn stored_segments(&self) -> Vec<u64> {
-        self.segments.keys().copied().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::target::FaultRemote;
-    use rssd_core::{LoopbackTarget, WireRemote};
+    use rssd_core::{LoopbackTarget, RemoteError, RemoteTarget, SegmentEnvelope, WireRemote};
     use rssd_crypto::Digest;
     use rssd_net::LinkConfig;
 
@@ -154,7 +104,7 @@ mod tests {
 
     #[test]
     fn drop_mode_acks_and_destroys() {
-        let mut r = wired(PermissiveTarget::new());
+        let mut r = wired(LoopbackTarget::new());
         r.store_segment(envelope(0, 0, 1), 0).unwrap();
         assert!(r.set_partition(PartitionMode::DropSilently));
         r.store_segment(envelope(1, 1, 2), 0).unwrap();
@@ -167,14 +117,5 @@ mod tests {
         // verification (not ingest) must catch.
         assert_eq!(r.stored_segments(), vec![0, 2]);
         assert_eq!(r.fault_stats().offloads_dropped, 1);
-    }
-
-    #[test]
-    fn permissive_store_accepts_discontinuity() {
-        let mut p = PermissiveTarget::new();
-        p.store_segment(envelope(0, 0, 1), 0).unwrap();
-        // A gap the LoopbackTarget would refuse.
-        p.store_segment(envelope(5, 9, 10), 0).unwrap();
-        assert_eq!(p.stored_segments(), vec![0, 5]);
     }
 }

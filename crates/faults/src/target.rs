@@ -6,9 +6,8 @@
 //! revive shards, audit its evidence chain, and answer point-in-time
 //! recovery queries. Implementations exist for a bare
 //! [`RssdDevice`] and for an [`RssdArray`] of them, over any remote that
-//! implements [`FaultRemote`]: the NVMe-oE wire ([`WireRemote`], the one
-//! production path) and the plain [`LoopbackTarget`] (only visible
-//! unreachability; the oracle the differential tests compare the wire to).
+//! implements [`FaultRemote`]. Only the NVMe-oE wire ([`WireRemote`]) can
+//! open a partition window; the bare [`LoopbackTarget`] has no link to cut.
 
 use crate::remote::PartitionMode;
 use crate::schedule::FaultSchedule;
@@ -74,9 +73,8 @@ pub struct PowerRestoreReport {
 }
 
 /// A remote target the scenario harness knows how to partition and to
-/// replace. [`WireRemote`] gives real windows; the plain loopback can only
-/// model visible unreachability, which is all the fault-free oracle runs
-/// need.
+/// replace. A partition is a condition of a link, so [`WireRemote`] is the
+/// one implementation that opens windows.
 pub trait FaultRemote: RemoteTarget + Sized {
     /// Opens a partition window; `false` when unsupported by this remote.
     fn set_partition(&mut self, mode: PartitionMode) -> bool;
@@ -97,20 +95,14 @@ pub trait FaultRemote: RemoteTarget + Sized {
     fn replacement(&self) -> Self;
 }
 
+/// A store with no wire in front of it has no link to partition: it
+/// declines every mode.
 impl FaultRemote for LoopbackTarget {
-    fn set_partition(&mut self, mode: PartitionMode) -> bool {
-        // The plain loopback can only model visible unreachability.
-        match mode {
-            PartitionMode::Refuse => {
-                self.set_reachable(false);
-                true
-            }
-            PartitionMode::QueueForReplay | PartitionMode::DropSilently => false,
-        }
+    fn set_partition(&mut self, _mode: PartitionMode) -> bool {
+        false
     }
 
     fn heal(&mut self) -> u64 {
-        self.set_reachable(true);
         0
     }
 

@@ -17,18 +17,18 @@
 
 use proptest::prelude::*;
 use rssd_array::RssdArray;
-use rssd_core::{LogOp, RssdDevice, WireRemote};
-use rssd_faults::{scenario_member, FaultInjector, FaultSchedule, FaultTarget, PermissiveTarget};
+use rssd_core::{LogOp, LoopbackTarget, RssdDevice, WireRemote};
+use rssd_faults::{scenario_member, FaultInjector, FaultSchedule, FaultTarget};
 use rssd_flash::SimClock;
 use rssd_net::LinkConfig;
 use rssd_ssd::{BlockDevice, DeviceError};
 use std::collections::HashMap;
 
-fn member(device_id: u64) -> RssdDevice<WireRemote<PermissiveTarget>> {
+fn member(device_id: u64) -> RssdDevice<WireRemote<LoopbackTarget>> {
     scenario_member(
         device_id,
         false,
-        WireRemote::new(PermissiveTarget::new(), LinkConfig::ideal()),
+        WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal()),
     )
 }
 
@@ -214,7 +214,7 @@ fn wan_power_cut_at_every_op_index_loses_only_the_unshipped_tail() {
         let device = scenario_member(
             1,
             false,
-            WireRemote::new(PermissiveTarget::new(), LinkConfig::wan_cloud()),
+            WireRemote::new(LoopbackTarget::new(), LinkConfig::wan_cloud()),
         );
         let mut injector = FaultInjector::new(device, &FaultSchedule::power_cut(cut));
         let page_size = injector.page_size();

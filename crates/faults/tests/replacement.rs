@@ -5,21 +5,21 @@
 //! the array it joined looked like.
 
 use rssd_array::{RssdArray, ShardStatus};
-use rssd_core::{RssdDevice, WireRemote};
+use rssd_core::{LoopbackTarget, RssdDevice, WireRemote};
 use rssd_faults::{
-    scenario_member, ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget,
-    PermissiveTarget, Scenario, Topology,
+    scenario_member, ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget, Scenario,
+    Topology,
 };
 use rssd_flash::SimClock;
 use rssd_net::LinkConfig;
 use rssd_obs::SinkHandle;
 use rssd_ssd::BlockDevice;
 
-type Member = RssdDevice<WireRemote<PermissiveTarget>>;
+type Member = RssdDevice<WireRemote<LoopbackTarget>>;
 
 fn array3(spill: bool, link: LinkConfig) -> RssdArray<Member> {
     let members = (0..3)
-        .map(|i| scenario_member(i, spill, WireRemote::new(PermissiveTarget::new(), link)))
+        .map(|i| scenario_member(i, spill, WireRemote::new(LoopbackTarget::new(), link)))
         .collect();
     RssdArray::new(members, 4, SimClock::new())
 }

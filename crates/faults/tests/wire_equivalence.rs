@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 use rssd_core::{LoopbackTarget, RebuildImage, RemoteTarget, RssdConfig, RssdDevice, WireRemote};
 use rssd_faults::{
-    ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget, Scenario, ScenarioMatrix,
-    Topology,
+    ActorKind, FaultError, FaultInjector, FaultPlan, FaultSchedule, FaultTarget, Scenario,
+    ScenarioMatrix, Topology,
 };
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_net::LinkConfig;
@@ -49,10 +49,10 @@ fn wired_device() -> RssdDevice<WireRemote<LoopbackTarget>> {
     )
 }
 
-/// A spill-enabled device over a direct loopback remote: the configuration
-/// the outage-equivalence proptests run on both sides of the comparison,
-/// so the *only* differing variable is whether the remote was reachable.
-fn spill_device() -> RssdDevice<LoopbackTarget> {
+/// A spill-enabled device behind an ideal wire: the configuration the
+/// outage-equivalence tests run on both sides of the comparison, so the
+/// *only* differing variable is whether the uplink went down.
+fn spill_device() -> RssdDevice<WireRemote<LoopbackTarget>> {
     RssdDevice::new(
         FlashGeometry::with_capacity(CAPACITY),
         NandTiming::instant(),
@@ -62,7 +62,7 @@ fn spill_device() -> RssdDevice<LoopbackTarget> {
             spill_blocks: 3,
             ..RssdConfig::default()
         },
-        LoopbackTarget::new(),
+        WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal()),
     )
 }
 
@@ -219,13 +219,13 @@ proptest! {
             let b = apply(&mut outaged, op);
             prop_assert_eq!(a, b, "prefix op {:?} diverged", op);
         }
-        outaged.remote_mut().set_reachable(false);
+        outaged.remote_mut().set_uplink_down(true);
         for &op in &outage {
             let a = apply(&mut steady, op);
             let b = apply(&mut outaged, op);
             prop_assert_eq!(a, b, "outage op {:?} diverged at the host", op);
         }
-        outaged.remote_mut().set_reachable(true);
+        outaged.remote_mut().set_uplink_down(false);
         for &op in &suffix {
             let a = apply(&mut steady, op);
             let b = apply(&mut outaged, op);
@@ -270,7 +270,7 @@ proptest! {
         let mut outage_open = false;
         for (i, &op) in ops.iter().enumerate() {
             if i == outage_from {
-                outaged.inner_mut().remote_mut().set_reachable(false);
+                outaged.inner_mut().remote_mut().set_uplink_down(true);
                 outage_open = true;
             }
             let a = apply(&mut steady, op);
@@ -278,21 +278,22 @@ proptest! {
             prop_assert_eq!(&a, &b, "op {:?} diverged under outage + cut", op);
             if a == Err(DeviceError::PowerLoss) {
                 let ra = steady.restore_power().unwrap();
-                // The outaged device cannot walk a dead remote that holds
-                // evidence: recovery fails visibly, the operator restores
-                // the network, and the retry replays the spill region. (If
-                // nothing was ever offloaded the walk is empty and the
-                // first attempt succeeds — nothing to refuse over.)
+                // The outaged device cannot fetch what the store holds
+                // across a dead link: recovery fails visibly, the operator
+                // restores the network, and the retry replays the spill
+                // region. (If nothing was ever offloaded the walk fetches
+                // nothing and the first attempt succeeds — nothing to
+                // refuse over.)
                 let rb = match outaged.restore_power() {
                     Ok(r) => r,
                     Err(_) => {
-                        outaged.inner_mut().remote_mut().set_reachable(true);
+                        outaged.inner_mut().remote_mut().set_uplink_down(false);
                         outage_open = false;
                         outaged.restore_power().unwrap()
                     }
                 };
                 if outage_open {
-                    outaged.inner_mut().remote_mut().set_reachable(true);
+                    outaged.inner_mut().remote_mut().set_uplink_down(false);
                     outage_open = false;
                 }
                 // The cut cost both devices the same volatile tail.
@@ -302,7 +303,7 @@ proptest! {
         }
         if outage_open {
             // The cut landed past the op stream's end: heal without a crash.
-            outaged.inner_mut().remote_mut().set_reachable(true);
+            outaged.inner_mut().remote_mut().set_uplink_down(false);
         }
         steady.inner_mut().flush().unwrap();
         outaged.inner_mut().flush().unwrap();
@@ -329,6 +330,49 @@ proptest! {
             );
         }
     }
+}
+
+/// The refused arm of the proptest above, pinned by one fixed example: a
+/// power cut inside a wire outage, after segments reached the store, fails
+/// its first recovery on the fetch the walk cannot make across the dead
+/// link. Once the link heals, the retry replays the spill region and
+/// reports exactly what the never-outage device reported.
+#[test]
+fn a_cut_inside_a_wire_outage_fails_recovery_on_the_fetch_until_the_link_heals() {
+    let schedule = FaultSchedule::power_cut(40);
+    let mut steady = FaultInjector::new(spill_device(), &schedule);
+    let mut outaged = FaultInjector::new(spill_device(), &schedule);
+    for i in 0..60u64 {
+        if i == 24 {
+            assert!(outaged.inner().remote().inner().stored_segments().len() > 1);
+            outaged.inner_mut().remote_mut().set_uplink_down(true);
+        }
+        let op = Op::Write(i % 8, i as u8);
+        let a = apply(&mut steady, op);
+        assert_eq!(a, apply(&mut outaged, op), "write {i} diverged");
+        if a != Err(DeviceError::PowerLoss) {
+            continue;
+        }
+        let want = steady
+            .restore_power()
+            .expect("the steady store is reachable");
+        match outaged.restore_power() {
+            Err(FaultError::Recovery(e)) => {
+                assert!(e.starts_with("fetch segment "), "{e}");
+                assert!(e.ends_with(": remote target unreachable"), "{e}");
+            }
+            other => panic!("recovery across a dead link: {other:?}"),
+        }
+        outaged.inner_mut().remote_mut().set_uplink_down(false);
+        let got = outaged
+            .restore_power()
+            .expect("the healed link carries the walk");
+        assert!(got.segments_walked > 0, "{got:?}");
+        assert_eq!(got, want);
+        assert!(outaged.inner().offload_stats().spill_replayed > 0);
+        return;
+    }
+    panic!("the scheduled cut never fired");
 }
 
 /// Every curated cell's full 26-field scorecard, byte for byte, against the

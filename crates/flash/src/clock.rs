@@ -66,11 +66,6 @@ impl SimClock {
         self.now_ns.fetch_max(target_ns, Ordering::Relaxed);
         self.now_ns()
     }
-
-    /// Current time expressed in whole simulated days (floor).
-    pub fn now_days(&self) -> f64 {
-        self.now_ns() as f64 / NS_PER_DAY as f64
-    }
 }
 
 #[cfg(test)]
@@ -105,11 +100,5 @@ mod tests {
         assert_eq!(c.now_ns(), 1_000);
         c.advance_to(2_000);
         assert_eq!(c.now_ns(), 2_000);
-    }
-
-    #[test]
-    fn days_conversion() {
-        let c = SimClock::starting_at(NS_PER_DAY * 3 / 2);
-        assert!((c.now_days() - 1.5).abs() < 1e-12);
     }
 }

@@ -42,6 +42,6 @@ pub mod timing;
 
 pub use clock::SimClock;
 pub use geometry::{FlashGeometry, Ppa};
-pub use nand::{BlockState, NandArray, NandError, PageOob, PageState};
+pub use nand::{BlockState, NandArray, NandError, PageOob};
 pub use stats::NandStats;
 pub use timing::{NandTiming, OpTicket};

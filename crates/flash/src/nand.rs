@@ -22,15 +22,6 @@ pub struct PageOob {
     pub seq: u64,
 }
 
-/// State of one physical page.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PageState {
-    /// Erased and programmable.
-    Free,
-    /// Programmed and holding data.
-    Programmed,
-}
-
 /// State of one erase block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BlockState {
@@ -251,17 +242,6 @@ impl NandArray {
         Ok(self.blocks[self.geometry.block_index(ppa) as usize].pe_cycles)
     }
 
-    /// State of the page at `ppa`.
-    pub fn page_state(&self, ppa: Ppa) -> Result<PageState, NandError> {
-        self.check_address(ppa)?;
-        let block = &self.blocks[self.geometry.block_index(ppa) as usize];
-        Ok(if block.pages[ppa.page as usize].is_some() {
-            PageState::Programmed
-        } else {
-            PageState::Free
-        })
-    }
-
     /// Programs `data` + `oob` into the page at `ppa`, blocking (the clock
     /// advances to the completion). Returns the device-global sequence
     /// number assigned to this program.
@@ -402,31 +382,6 @@ impl NandArray {
         Ok((out.0, out.1, ticket))
     }
 
-    /// Reads only the OOB metadata of a programmed page (cheaper than a full
-    /// page read; used by log reconstruction). Charges read latency without
-    /// the data transfer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::read`].
-    pub fn read_oob(&mut self, ppa: Ppa) -> Result<PageOob, NandError> {
-        let oob = self.programmed_page(ppa)?.1;
-
-        // Cell read without the data transfer (OOB bytes are negligible).
-        let (ticket, covered) = self.pipelines.dispatch_read(
-            ppa.channel,
-            ppa.chip,
-            ppa.plane,
-            self.clock.now_ns(),
-            self.timing.read_ns,
-            0,
-        );
-        self.clock.advance_to(ticket.done_ns);
-        self.stats.record_read(self.timing.read_ns);
-        self.stats.record_channel_busy(ppa.channel, covered);
-        Ok(oob)
-    }
-
     /// Erases the block containing `ppa`, blocking (the clock advances to
     /// the completion), consuming one P/E cycle. The block becomes
     /// [`BlockState::Bad`] once its endurance budget is exhausted.
@@ -484,19 +439,6 @@ impl NandArray {
             );
         }
         Ok(ticket)
-    }
-
-    /// Iterates the OOB metadata of every programmed page in the block
-    /// containing `ppa`, in page order (no latency charged; helper for GC
-    /// victim scanning, which real FTLs do from in-DRAM summaries).
-    pub fn block_oobs(&self, ppa: Ppa) -> Result<Vec<(u32, PageOob)>, NandError> {
-        Ok(self
-            .block_of(ppa)?
-            .pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|(_, oob)| (i as u32, *oob)))
-            .collect())
     }
 
     /// Dispatches a *background* read onto the unit pipelines without
@@ -695,7 +637,7 @@ mod tests {
         assert_eq!(nand.block_state(base).unwrap(), BlockState::Full);
         nand.erase_block(base).unwrap();
         assert_eq!(nand.block_state(base).unwrap(), BlockState::Erased);
-        assert_eq!(nand.page_state(base).unwrap(), PageState::Free);
+        assert_eq!(nand.read(base), Err(NandError::ReadOnErased(base)));
         // Reprogrammable from page 0 again.
         nand.program(base, page(9), oob(9)).unwrap();
     }
@@ -840,22 +782,10 @@ mod tests {
             NandArray::with_clock(FlashGeometry::small_test(), NandTiming::instant(), clock);
         let ppa = Ppa::new(0, 0, 0, 0, 0);
         nand.program(ppa, page(1), oob(5)).unwrap();
-        let meta = nand.read_oob(ppa).unwrap();
+        let (_, meta) = nand.read(ppa).unwrap();
         assert_eq!(meta.lpa, 5);
         assert_eq!(meta.timestamp_ns, 1234);
         assert_eq!(meta.seq, 0);
-    }
-
-    #[test]
-    fn block_oobs_lists_programmed_pages() {
-        let mut nand = instant_array();
-        let base = Ppa::new(0, 0, 0, 0, 0);
-        nand.program(base, page(1), oob(10)).unwrap();
-        nand.program(base.with_page(1), page(2), oob(11)).unwrap();
-        let oobs = nand.block_oobs(base).unwrap();
-        assert_eq!(oobs.len(), 2);
-        assert_eq!(oobs[0].1.lpa, 10);
-        assert_eq!(oobs[1].1.lpa, 11);
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl MappingTable {
     pub fn total_valid(&self) -> u64 {
         self.valid_count.iter().map(|&c| u64::from(c)).sum()
     }
-
-    /// Total stale pages across the device.
-    pub fn total_stale(&self) -> u64 {
-        self.stale_count.iter().map(|&c| u64::from(c)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -219,6 +214,5 @@ mod tests {
         t.update(2, Ppa::new(0, 0, 0, 0, 1));
         t.update(1, Ppa::new(0, 0, 0, 0, 2));
         assert_eq!(t.total_valid(), 2);
-        assert_eq!(t.total_stale(), 1);
     }
 }

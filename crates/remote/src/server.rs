@@ -49,7 +49,6 @@ pub struct RemoteLogServer {
     last_head: Option<Digest>,
     segment_index: Vec<u64>,
     report: ServerReport,
-    reachable: bool,
     external_fabric: bool,
 }
 
@@ -66,7 +65,6 @@ impl RemoteLogServer {
             last_head: None,
             segment_index: Vec::new(),
             report: ServerReport::default(),
-            reachable: true,
             external_fabric: false,
         }
     }
@@ -83,11 +81,6 @@ impl RemoteLogServer {
     /// Convenience: WAN link + cloud object storage.
     pub fn cloud(keys: &DeviceKeys) -> Self {
         Self::new(LinkConfig::wan_cloud(), ObjectStoreConfig::cloud(), keys)
-    }
-
-    /// Simulates a network partition.
-    pub fn set_reachable(&mut self, reachable: bool) {
-        self.reachable = reachable;
     }
 
     /// Tells the server its envelopes already crossed a modeled wire
@@ -142,9 +135,6 @@ impl RemoteTarget for RemoteLogServer {
         envelope: SegmentEnvelope,
         now_ns: u64,
     ) -> Result<StoreAck, RemoteError> {
-        if !self.reachable {
-            return Err(RemoteError::Unreachable);
-        }
         if let Some(expected) = self.last_head {
             if envelope.prev_chain_head() != expected {
                 self.report.segments_rejected += 1;
@@ -199,9 +189,6 @@ impl RemoteTarget for RemoteLogServer {
     }
 
     fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
-        if !self.reachable {
-            return Err(RemoteError::Unreachable);
-        }
         let (bytes, _) = self
             .store
             .get(&Self::segment_key(segment_seq), 0)
@@ -288,6 +275,28 @@ mod tests {
         assert!(d.remote().transfer_stats().payload_bytes > 0);
         assert_eq!(d.remote().inner().transfer_stats().payload_bytes, 0);
         assert_eq!(d.recover_page(3).unwrap(), vec![1; 4096]);
+    }
+
+    #[test]
+    fn chain_discontinuity_passes_through_the_wire() {
+        // The server's refusal crosses the wire as itself: the wire carried
+        // the segment, so it is not an outage and nothing counts as refused.
+        let segments = sealed_segments();
+        let mut server = RemoteLogServer::datacenter(&keys());
+        server.set_external_fabric(true);
+        let mut wired = rssd_core::WireRemote::new(server, rssd_net::LinkConfig::datacenter_10g());
+        wired.store_segment(segments[0].clone(), 0).unwrap();
+        assert_eq!(
+            wired.store_segment(segments[2].clone(), 1),
+            Err(RemoteError::ChainDiscontinuity {
+                expected: segments[0].chain_head(),
+                got: segments[2].prev_chain_head(),
+            })
+        );
+        assert_eq!(wired.stats().offloads_refused, 0);
+        assert_eq!(wired.transfer_stats().segments, 2);
+        assert_eq!(wired.inner().report().segments_rejected, 1);
+        assert_eq!(wired.stored_segments(), [segments[0].segment_seq()]);
     }
 
     #[test]
@@ -507,17 +516,6 @@ mod tests {
             server.fetch_segment(99),
             Err(RemoteError::NoSuchSegment(99))
         ));
-    }
-
-    #[test]
-    fn partition_returns_unreachable() {
-        let mut server = RemoteLogServer::datacenter(&keys());
-        server.set_reachable(false);
-        let envelope = sealed_segments().swap_remove(0);
-        assert_eq!(
-            server.store_segment(envelope, 0),
-            Err(RemoteError::Unreachable)
-        );
     }
 
     #[test]

@@ -8,10 +8,13 @@ use rssd_repro::attacks::{
 };
 use rssd_repro::core::{
     AttackClass, LoopbackTarget, PostAttackAnalyzer, RecoveryEngine, RssdConfig, RssdDevice,
+    WireRemote,
 };
 use rssd_repro::crypto::DeviceKeys;
 use rssd_repro::detect::Verdict;
+use rssd_repro::faults::scenario_member;
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
+use rssd_repro::net::LinkConfig;
 use rssd_repro::remote::RemoteLogServer;
 use rssd_repro::ssd::{
     flashguard, BlockDevice, CommandId, CommandOutcome, IoCommand, NvmeController,
@@ -164,14 +167,33 @@ fn benign_trace_does_not_false_positive() {
     assert_eq!(report.attack_class, AttackClass::None);
 }
 
+/// The log server behind the one modeled wire, as the benchmark cables it:
+/// the server ingests at arrival time without a second fabric hop.
+fn wired_server(link: LinkConfig, key_seed: u64) -> WireRemote<RemoteLogServer> {
+    let mut server = RemoteLogServer::datacenter(&DeviceKeys::for_simulation(key_seed));
+    server.set_external_fabric(true);
+    WireRemote::new(server, link)
+}
+
 #[test]
 fn network_partition_preserves_data_and_heals() {
     let clock = SimClock::new();
-    let mut device = rssd_over_server(clock.clone());
+    let config = RssdConfig {
+        segment_pages: 16,
+        ..RssdConfig::default()
+    };
+    let remote = wired_server(LinkConfig::datacenter_10g(), config.key_seed);
+    let mut device = RssdDevice::new(
+        geometry(),
+        NandTiming::mlc_default(),
+        clock.clone(),
+        config,
+        remote,
+    );
     let victims = FileTable::populate(&mut device, 6, 8, 3).unwrap();
 
     // Partition the network, then attack.
-    device.remote_mut().set_reachable(false);
+    device.remote_mut().set_uplink_down(true);
     clock.advance(1_000_000);
     let outcome = ClassicRansomware::new(5)
         .execute(&mut device, &victims)
@@ -182,11 +204,47 @@ fn network_partition_preserves_data_and_heals() {
     assert_eq!(result.grade, RecoveryGrade::Full);
 
     // Network heals; the backlog offloads and stays recoverable.
-    device.remote_mut().set_reachable(true);
+    device.remote_mut().set_uplink_down(false);
     device.flush_log().unwrap();
     let result = evaluate_recovery(&mut device, &victims, &outcome);
     assert_eq!(result.grade, RecoveryGrade::Full);
-    assert!(device.remote().report().segments_stored > 0);
+    assert!(device.remote().inner().report().segments_stored > 0);
+}
+
+#[test]
+fn drop_against_strict_store_wedges_visibly_and_count_check_catches_it() {
+    // Against the log server, which checks continuity at ingest, a dropped
+    // segment manifests differently from the shelf's: post-heal offloads
+    // are refused (the server's expected head no longer matches), so the
+    // device accumulates visible failures — and if the pending tail is
+    // eventually shipped nowhere, verified_history's record accounting
+    // flags the discrepancy.
+    let key_seed = RssdConfig::default().key_seed;
+    let mut d = scenario_member(1, false, wired_server(LinkConfig::ideal(), key_seed));
+    let churn = |d: &mut RssdDevice<_>, rounds: u8| {
+        for round in 0..rounds {
+            for lpa in 0..16u64 {
+                d.write_page(lpa, vec![round ^ lpa as u8; 4096]).unwrap();
+            }
+        }
+    };
+    churn(&mut d, 2);
+    d.flush_log().unwrap();
+    d.remote_mut().set_ingest_drop(true);
+    churn(&mut d, 2);
+    d.flush_log().unwrap();
+    assert!(d.remote().stats().offloads_dropped > 0);
+    d.remote_mut().heal();
+    churn(&mut d, 1);
+    // The strict store refuses everything after the hole.
+    assert!(d.flush_log().is_err(), "post-gap offloads must be refused");
+    assert!(d.offload_stats().offload_failures > 0);
+    assert!(d.remote().inner().report().segments_rejected > 0);
+    let err = d.verified_history().unwrap_err();
+    assert!(
+        err.contains("chain gap") || err.contains("pending tail"),
+        "{err}"
+    );
 }
 
 #[test]

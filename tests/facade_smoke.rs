@@ -83,14 +83,14 @@ fn facade_reexports_reach_every_member_crate() {
 
 #[test]
 fn facade_reexports_the_fault_layer() {
-    use rssd_repro::core::WireRemote;
-    use rssd_repro::faults::{FaultInjector, FaultSchedule, PermissiveTarget};
+    use rssd_repro::core::{LoopbackTarget, WireRemote};
+    use rssd_repro::faults::{FaultInjector, FaultSchedule};
     use rssd_repro::net::LinkConfig;
 
     let device = rssd_repro::faults::scenario_member(
         1,
         false,
-        WireRemote::new(PermissiveTarget::new(), LinkConfig::ideal()),
+        WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal()),
     );
     let mut injector = FaultInjector::new(device, &FaultSchedule::power_cut(1));
     let page = vec![0x33u8; injector.page_size()];
