@@ -711,6 +711,7 @@ mod tests {
     use crate::remote_target::LoopbackTarget;
     use crate::segment::{OpenDepth, SegmentEnvelope};
     use crate::wire::WireRemote;
+    use std::collections::HashSet;
 
     fn device() -> RssdDevice<LoopbackTarget> {
         RssdDevice::new(
@@ -746,6 +747,49 @@ mod tests {
 
     fn page(b: u8) -> Vec<u8> {
         vec![b; 4096]
+    }
+
+    /// `{:?}` of a device prints no key material: not the evidence-chain
+    /// key, and not the hash states after its `key ^ ipad` and `key ^ opad`
+    /// blocks — the HMAC midstates, which forge a link as well as the key.
+    #[test]
+    fn debug_output_prints_neither_the_chain_key_nor_its_midstates() {
+        let mut d = device();
+        for i in 0..24u8 {
+            d.write_page(u64::from(i % 4), page(i)).unwrap();
+        }
+        d.flush_log().unwrap();
+        d.write_page(0, page(0xEE)).unwrap();
+        assert!(d.offload_stats().segments_offloaded > 0);
+        assert!(d.pending_records() > 0);
+
+        let printed = format!("{d:?}");
+        let key = d.escrow_keys().derive(KeyPurpose::EvidenceChain, 0);
+        assert!(
+            !printed.contains(&format!("{key:?}")),
+            "the chain key prints"
+        );
+        let numbers: HashSet<&str> = printed
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|token| !token.is_empty())
+            .collect();
+        for pad in [0x36u8, 0x5c] {
+            let mut block = [pad; 64];
+            for (byte, k) in block.iter_mut().zip(&key) {
+                *byte ^= k;
+            }
+            // A plain hasher's state is public: it prints its words.
+            let mut keyed = rssd_crypto::Sha256::new();
+            keyed.update(&block);
+            let state = format!("{keyed:?}");
+            let (_, words) = state
+                .split_once("state: [")
+                .expect("Sha256 prints its state");
+            let (words, _) = words.split_once(']').expect("eight words");
+            for word in words.split(", ") {
+                assert!(!numbers.contains(word), "midstate word {word} prints");
+            }
+        }
     }
 
     #[test]

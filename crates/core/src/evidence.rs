@@ -116,7 +116,6 @@ pub struct HistoryAudit {
     pub failure: Option<String>,
 }
 
-#[derive(Debug)]
 pub(crate) struct EvidenceReader {
     chain_key: [u8; 32],
     pub(crate) session: SecureSession,
@@ -130,6 +129,18 @@ pub(crate) struct EvidenceReader {
     /// to this one (first asked cheaply: is it the same allocation?) skips
     /// the verify + decrypt + decompress. Controller RAM: dies with a crash.
     pub(crate) opened: Option<LazyPreimages>,
+}
+
+impl std::fmt::Debug for EvidenceReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the chain key.
+        f.debug_struct("EvidenceReader")
+            .field("chain_key", &"<sealed>")
+            .field("session", &self.session)
+            .field("index", &self.index)
+            .field("opened", &self.opened)
+            .finish()
+    }
 }
 
 impl EvidenceReader {
@@ -349,10 +360,10 @@ mod tests {
         device
     }
 
-    /// A history of one segment per overwrite that fills two windows and
-    /// half a third.
+    /// A history of one segment per three overwrites — three links, the
+    /// last outside any pair — that fills two windows and half a third.
     fn three_window_device() -> RssdDevice<Shelf> {
-        let device = shelved_device(8 + 2 * WINDOW as u64 + WINDOW as u64 / 2, 1);
+        let device = shelved_device(8 + 3 * (2 * WINDOW as u64 + WINDOW as u64 / 2), 3);
         let stored = device.remote().stored_segments().len();
         assert!(stored > 2 * WINDOW, "{stored} segments span three windows");
         device
@@ -407,9 +418,10 @@ mod tests {
         Remove,
         /// The store refuses to hand the segment back.
         RefuseFetch,
-        /// Resealed under the device's own session around a link the chain
-        /// key never made: it opens, and its links do not verify.
-        Relink,
+        /// Resealed under the device's own session with its link at this
+        /// index one the chain key never made: it opens, and that link does
+        /// not verify.
+        Relink(usize),
         /// Resealed under the device's own session around a pre-image frame
         /// that is not a frame: it authenticates, its metadata opens, and
         /// its pre-images do not decode.
@@ -483,10 +495,10 @@ mod tests {
                 shelf.refuse = Some(seq);
                 return;
             }
-            Damage::Relink => {
+            Damage::Relink(forged) => {
                 let opened = honest.open(&reader.session, OpenDepth::Metadata).unwrap();
                 let mut links = opened.links().to_vec();
-                links[0].tag = Digest::from_bytes([0xCD; 32]);
+                links[forged].tag = Digest::from_bytes([0xCD; 32]);
                 let retained_len = vec![None; links.len()];
                 let body = SegmentBody {
                     records: opened.records(),
@@ -539,43 +551,50 @@ mod tests {
         let stored = honest.stored_segments();
         for i in [2, WINDOW + WINDOW / 2, stored.len() - 2] {
             let (prev, seq, next) = (stored[i - 1], stored[i], stored[i + 1]);
+            let links = honest.segments[&seq]
+                .open(&reader.session, OpenDepth::Metadata)
+                .unwrap()
+                .links()
+                .to_vec();
+            assert_eq!(links.len(), 3, "segment {seq}: an odd count of links");
+            let mismatch = |forged: usize| {
+                let n = links[forged].seq;
+                format!("segment {seq}: evidence chain tag mismatch at sequence {n}")
+            };
             // Each case: the damage, how the first failing segment — the
-            // one that decides — must be named, and the verified prefix.
+            // one that decides — must be named (the whole failure, or what
+            // precedes its detail), and the verified prefix.
             let cases = [
-                (vec![(FlipPayload, seq)], format!("open segment {seq}: "), i),
-                (vec![(ForgeHead, seq)], format!("open segment {seq}: "), i),
+                (vec![(FlipPayload, seq)], format!("open segment {seq}"), i),
+                (vec![(ForgeHead, seq)], format!("open segment {seq}"), i),
                 (
                     vec![(Remove, seq)],
-                    format!("segment {next} does not extend"),
+                    format!("segment {next} does not extend the chain"),
                     i,
                 ),
-                (
-                    vec![(RefuseFetch, seq)],
-                    format!("fetch segment {seq}: "),
-                    i,
-                ),
-                (vec![(Relink, seq)], format!("segment {seq}: "), i),
+                (vec![(RefuseFetch, seq)], format!("fetch segment {seq}"), i),
+                // The forged link is named wherever it sits: first of the
+                // first pair, its odd member, or alone after the pairs.
+                (vec![(Relink(0), seq)], mismatch(0), i),
+                (vec![(Relink(1), seq)], mismatch(1), i),
+                (vec![(Relink(2), seq)], mismatch(2), i),
                 // An earlier segment outranks a later one, whatever fails
                 // there; within a segment a failed open outranks a break in
                 // continuity, which outranks a link that does not verify.
-                (
-                    vec![(Relink, seq), (FlipPayload, next)],
-                    format!("segment {seq}: "),
-                    i,
-                ),
+                (vec![(Relink(1), seq), (FlipPayload, next)], mismatch(1), i),
                 (
                     vec![(FlipPayload, seq), (RefuseFetch, next)],
-                    format!("open segment {seq}: "),
+                    format!("open segment {seq}"),
                     i,
                 ),
                 (
                     vec![(Remove, seq), (FlipPayload, next)],
-                    format!("open segment {next}: "),
+                    format!("open segment {next}"),
                     i,
                 ),
                 (
-                    vec![(Remove, prev), (Relink, seq)],
-                    format!("segment {seq} does not extend"),
+                    vec![(Remove, prev), (Relink(0), seq)],
+                    format!("segment {seq} does not extend the chain"),
                     i - 1,
                 ),
             ];
@@ -587,7 +606,10 @@ mod tests {
                 let sequential = walk(&mut store, &reader, 1);
                 let (walked, sunk) = &sequential;
                 let failure = walked.as_ref().expect_err("the damage is found");
-                assert!(failure.starts_with(&named), "{damages:?}: {failure}");
+                assert!(
+                    *failure == named || failure.starts_with(&format!("{named}: ")),
+                    "{damages:?}: {failure}"
+                );
                 assert_eq!(
                     sunk[..],
                     stored[..verified],

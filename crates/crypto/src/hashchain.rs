@@ -13,8 +13,8 @@
 //! detect any insertion, deletion, reordering, or mutation — which is what
 //! makes the reconstructed I/O history admissible for forensics.
 
-use crate::hmac::HmacSha256;
-use crate::sha256::Digest;
+use crate::hmac::{HmacSha256, Midstates};
+use crate::sha256::{compress_blocks, compress_pair, state_digest, Digest};
 use serde::{Deserialize, Serialize};
 
 /// One link of the evidence chain: a sequence number plus the chained tag.
@@ -76,14 +76,24 @@ impl std::error::Error for ChainVerifyError {}
 /// let records: Vec<&[u8]> = vec![b"write lba=4 len=8", b"trim  lba=4 len=8"];
 /// HashChain::verify_sequence(b"device-evidence-key", &records, &[l0, l1]).unwrap();
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct HashChain {
-    /// HMAC context keyed once at construction and cloned per link, so a
-    /// link costs the message and digest compressions only — not the two
-    /// key-pad blocks again.
-    mac: HmacSha256,
+    /// The key's HMAC midstates, computed once at construction: a link costs
+    /// the message and digest compressions only — not the two key-pad
+    /// blocks again.
+    keyed: Midstates,
     head: Digest,
     next_seq: u64,
+}
+
+impl std::fmt::Debug for HashChain {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The midstates are key-equivalent: only the public position prints.
+        f.debug_struct("HashChain")
+            .field("head", &self.head)
+            .field("next_seq", &self.next_seq)
+            .finish_non_exhaustive()
+    }
 }
 
 impl HashChain {
@@ -96,7 +106,7 @@ impl HashChain {
     /// earlier links have been offloaded remotely).
     pub fn resume(key: &[u8], head: Digest, next_seq: u64) -> Self {
         HashChain {
-            mac: HmacSha256::new(key),
+            keyed: Midstates::new(key),
             head,
             next_seq,
         }
@@ -104,7 +114,7 @@ impl HashChain {
 
     /// Appends a record, returning the new link.
     pub fn append(&mut self, record: &[u8]) -> ChainLink {
-        let tag = Self::keyed_link_tag(&self.mac, &self.head, record);
+        let tag = link(&self.keyed, &self.head, record);
         let link = ChainLink {
             seq: self.next_seq,
             tag,
@@ -137,15 +147,7 @@ impl HashChain {
 
     /// Computes a single link tag.
     pub fn link_tag(key: &[u8], prev: &Digest, record: &[u8]) -> Digest {
-        Self::keyed_link_tag(&HmacSha256::new(key), prev, record)
-    }
-
-    /// One link under an already keyed (message-free) HMAC context.
-    fn keyed_link_tag(keyed: &HmacSha256, prev: &Digest, record: &[u8]) -> Digest {
-        let mut mac = keyed.clone();
-        mac.update(prev.as_bytes());
-        mac.update(record);
-        mac.finalize()
+        link(&Midstates::new(key), prev, record)
     }
 
     /// Verifies that `records`, starting from the zero genesis tag, reproduce
@@ -167,6 +169,12 @@ impl HashChain {
     /// (used for verifying one offloaded segment against the previous
     /// segment's final tag).
     ///
+    /// Links are recomputed two at a time: link `i + 1` is computed from
+    /// link `i`'s *stored* tag, so the two are independent and share the
+    /// SHA unit. Whenever link `i` verifies, that stored tag is the head
+    /// the one-at-a-time walk would have reached; when it does not, link
+    /// `i` is the one reported. Either way the answer is the serial walk's.
+    ///
     /// # Errors
     ///
     /// Same as [`Self::verify_sequence`].
@@ -182,15 +190,107 @@ impl HashChain {
                 actual: records.len(),
             });
         }
-        let keyed = HmacSha256::new(key);
-        for (record, link) in records.iter().zip(links) {
-            let expected = Self::keyed_link_tag(&keyed, &head, record.as_ref());
-            if expected != link.tag {
-                return Err(ChainVerifyError::TagMismatch { seq: link.seq });
+        let keyed = Midstates::new(key);
+        let check = |link: &ChainLink, tag: Digest| {
+            if tag == link.tag {
+                Ok(())
+            } else {
+                Err(ChainVerifyError::TagMismatch { seq: link.seq })
             }
-            head = expected;
+        };
+        let (record_pairs, link_pairs) = (records.chunks_exact(2), links.chunks_exact(2));
+        let odd = record_pairs
+            .remainder()
+            .first()
+            .zip(link_pairs.remainder().first());
+        for (records, links) in record_pairs.zip(link_pairs) {
+            let (first, second) = link_pair(
+                &keyed,
+                (&head, records[0].as_ref()),
+                (&links[0].tag, records[1].as_ref()),
+            );
+            check(&links[0], first)?;
+            check(&links[1], second)?;
+            head = second;
+        }
+        if let Some((record, last)) = odd {
+            check(last, link(&keyed, &head, record.as_ref()))?;
         }
         Ok(())
+    }
+}
+
+/// The inner hash's message after the key block, `prev ‖ record`, already
+/// padded: the buffer and how many of its blocks it fills — one or two
+/// (the 36-byte chain image takes two). `None` when the record does not fit
+/// in two.
+fn padded_message(prev: &Digest, record: &[u8]) -> Option<([u8; 128], usize)> {
+    let len = prev.as_bytes().len() + record.len();
+    // The 0x80 marker and the 64-bit length follow the message.
+    let blocks = (len + 9).div_ceil(64);
+    if blocks > 2 {
+        return None;
+    }
+    let mut message = [0u8; 128];
+    message[..32].copy_from_slice(prev.as_bytes());
+    message[32..len].copy_from_slice(record);
+    message[len] = 0x80;
+    // The key block ahead of the message counts toward its length.
+    let bits = (64 + len as u64) * 8;
+    message[blocks * 64 - 8..blocks * 64].copy_from_slice(&bits.to_be_bytes());
+    Some((message, blocks))
+}
+
+/// The outer hash's one block after the key block: the inner digest spelled
+/// by the final inner state, padded.
+fn outer_block(inner: &[u32; 8]) -> [u8; 64] {
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(state_digest(inner).as_bytes());
+    block[32] = 0x80;
+    block[56..].copy_from_slice(&((64 + 32) as u64 * 8).to_be_bytes());
+    block
+}
+
+/// One link, `HMAC(k, prev ‖ record)`, from the key's midstates: the
+/// message blocks on the stack and one outer block — three compressions
+/// for a chain image. A longer record takes the incremental HMAC.
+fn link(keyed: &Midstates, prev: &Digest, record: &[u8]) -> Digest {
+    let Some((message, blocks)) = padded_message(prev, record) else {
+        let mut mac = HmacSha256::from_midstates(keyed);
+        mac.update(prev.as_bytes());
+        mac.update(record);
+        return mac.finalize();
+    };
+    let mut inner = keyed.inner;
+    compress_blocks(&mut inner, &message[..blocks * 64]);
+    let mut outer = keyed.outer;
+    compress_blocks(&mut outer, &outer_block(&inner));
+    state_digest(&outer)
+}
+
+/// Two independent links, each [`link`]'s tag, on interleaved compressions
+/// when their messages fill the same number of blocks.
+fn link_pair(keyed: &Midstates, a: (&Digest, &[u8]), b: (&Digest, &[u8])) -> (Digest, Digest) {
+    match (padded_message(a.0, a.1), padded_message(b.0, b.1)) {
+        (Some((message_a, blocks)), Some((message_b, blocks_b))) if blocks == blocks_b => {
+            let (mut inner_a, mut inner_b) = (keyed.inner, keyed.inner);
+            let run = blocks * 64;
+            compress_pair(
+                &mut inner_a,
+                &message_a[..run],
+                &mut inner_b,
+                &message_b[..run],
+            );
+            let (mut outer_a, mut outer_b) = (keyed.outer, keyed.outer);
+            compress_pair(
+                &mut outer_a,
+                &outer_block(&inner_a),
+                &mut outer_b,
+                &outer_block(&inner_b),
+            );
+            (state_digest(&outer_a), state_digest(&outer_b))
+        }
+        _ => (link(keyed, a.0, a.1), link(keyed, b.0, b.1)),
     }
 }
 
@@ -198,6 +298,45 @@ impl HashChain {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The one-link-at-a-time loop `verify_from` ran before links were
+    /// paired, over a keyed HMAC context cloned per link: the oracle.
+    fn verify_from_reference<R: AsRef<[u8]>>(
+        key: &[u8],
+        mut head: Digest,
+        records: &[R],
+        links: &[ChainLink],
+    ) -> Result<(), ChainVerifyError> {
+        if records.len() != links.len() {
+            return Err(ChainVerifyError::LengthMismatch {
+                expected: links.len(),
+                actual: records.len(),
+            });
+        }
+        let keyed = HmacSha256::new(key);
+        for (record, link) in records.iter().zip(links) {
+            let mut mac = keyed.clone();
+            mac.update(head.as_bytes());
+            mac.update(record.as_ref());
+            let expected = mac.finalize();
+            if expected != link.tag {
+                return Err(ChainVerifyError::TagMismatch { seq: link.seq });
+            }
+            head = expected;
+        }
+        Ok(())
+    }
+
+    /// Record lengths on both sides of each layout boundary: one message
+    /// block (≤ 23 bytes after the 32-byte head), two (24‥87), and the
+    /// incremental fallback (≥ 88).
+    const RECORD_LENS: [usize; 7] = [0, 23, 24, 36, 87, 88, 150];
+
+    fn flipped(tag: Digest) -> Digest {
+        let mut bytes = *tag.as_bytes();
+        bytes[0] ^= 1;
+        Digest::from_bytes(bytes)
+    }
 
     fn build(records: &[&[u8]]) -> (HashChain, Vec<ChainLink>) {
         let mut chain = HashChain::new(b"k");
@@ -334,6 +473,84 @@ mod tests {
                 HashChain::verify_sequence(&key, &records, &bad),
                 Err(ChainVerifyError::TagMismatch { seq: at as u64 })
             );
+        }
+
+        // Every damage at every position of chains that mix the one-block,
+        // two-block and fallback layouts inside one pair: the paired
+        // verifier returns exactly the serial oracle's `Result`.
+        #[test]
+        fn pair_verifier_answers_as_the_serial_oracle(
+            key in proptest::collection::vec(any::<u8>(), 0..100),
+            start in proptest::option::of(any::<u8>()),
+            drawn in proptest::collection::vec((0..RECORD_LENS.len(), any::<u8>()), 0..10),
+        ) {
+            let start = start.map_or(Digest::ZERO, |fill| Digest::from_bytes([fill; 32]));
+            let records: Vec<Vec<u8>> = drawn
+                .iter()
+                .map(|&(len, fill)| (0..RECORD_LENS[len]).map(|i| fill ^ i as u8).collect())
+                .collect();
+            let first_seq = 100;
+            let mut chain = HashChain::resume(&key, start, first_seq);
+            let links: Vec<ChainLink> = records.iter().map(|r| chain.append(r)).collect();
+            let n = records.len();
+
+            let mut cases = vec![
+                ("honest".to_string(), start, records.clone(), links.clone()),
+                ("wrong start".to_string(), flipped(start), records.clone(), links.clone()),
+            ];
+            for at in 0..n {
+                let mut mutated = records.clone();
+                match mutated[at].first_mut() {
+                    Some(byte) => *byte ^= 1,
+                    None => mutated[at].push(0),
+                }
+                cases.push((format!("record {at} flipped"), start, mutated, links.clone()));
+                let mut forged = links.clone();
+                forged[at].tag = flipped(forged[at].tag);
+                cases.push((format!("tag {at} flipped"), start, records.clone(), forged));
+                let (mut fewer_records, mut fewer_links) = (records.clone(), links.clone());
+                fewer_records.remove(at);
+                fewer_links.remove(at);
+                cases.push((format!("link {at} dropped"), start, fewer_records, fewer_links.clone()));
+                cases.push((format!("links short at {at}"), start, records.clone(), fewer_links));
+                if at + 1 < n {
+                    let (mut swapped_records, mut swapped_links) = (records.clone(), links.clone());
+                    swapped_records.swap(at, at + 1);
+                    swapped_links.swap(at, at + 1);
+                    cases.push((format!("links {at}, {} swapped", at + 1), start, swapped_records, swapped_links));
+                    let mut both = links.clone();
+                    both[at].tag = flipped(both[at].tag);
+                    both[at + 1].tag = flipped(both[at + 1].tag);
+                    cases.push((format!("tags {at}, {} flipped", at + 1), start, records.clone(), both));
+                }
+            }
+            for (case, head, records, links) in &cases {
+                prop_assert_eq!(
+                    HashChain::verify_from(&key, *head, records, links),
+                    verify_from_reference(&key, *head, records, links),
+                    "{}", case
+                );
+            }
+            prop_assert!(HashChain::verify_from(&key, start, &records, &links).is_ok());
+
+            // A lone bad tag is named wherever it sits in its pair, and of
+            // two bad tags the lower: the first of a pair, when both are.
+            for at in 0..n {
+                let seq = first_seq + at as u64;
+                let mut forged = links.clone();
+                forged[at].tag = flipped(forged[at].tag);
+                prop_assert_eq!(
+                    HashChain::verify_from(&key, start, &records, &forged),
+                    Err(ChainVerifyError::TagMismatch { seq })
+                );
+                if at + 1 < n {
+                    forged[at + 1].tag = flipped(forged[at + 1].tag);
+                    prop_assert_eq!(
+                        HashChain::verify_from(&key, start, &records, &forged),
+                        Err(ChainVerifyError::TagMismatch { seq })
+                    );
+                }
+            }
         }
     }
 }

@@ -11,7 +11,8 @@ const BLOCK_SIZE: usize = 64;
 ///
 /// Keying runs the two pad-block compressions once; a keyed context that has
 /// absorbed no message yet can be cloned to MAC many messages under one key
-/// without repeating them (the evidence chain does this per link).
+/// without repeating them. The evidence chain keeps only the two resulting
+/// midstates and builds each link's blocks itself.
 ///
 /// # Examples
 ///
@@ -22,7 +23,7 @@ const BLOCK_SIZE: usize = 64;
 /// assert!(HmacSha256::verify(b"key", b"message", &tag));
 /// assert!(!HmacSha256::verify(b"key", b"tampered", &tag));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     /// Hash state after the `key ^ ipad` block, absorbing the message.
     inner: Sha256,
@@ -51,6 +52,14 @@ impl HmacSha256 {
         let mut outer = Sha256::new();
         outer.update(&opad);
         HmacSha256 { inner, outer }
+    }
+
+    /// A keyed context resumed from its [`Midstates`].
+    pub(crate) fn from_midstates(keyed: &Midstates) -> Self {
+        HmacSha256 {
+            inner: Sha256::resume(keyed.inner, BLOCK_SIZE as u64),
+            outer: Sha256::resume(keyed.outer, BLOCK_SIZE as u64),
+        }
     }
 
     /// Feeds message bytes.
@@ -82,6 +91,35 @@ impl HmacSha256 {
             diff |= a ^ b;
         }
         diff == 0
+    }
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The keyed hash states are key-equivalent: never print them.
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
+}
+
+/// The chaining states after the `key ^ ipad` and `key ^ opad` blocks: all
+/// an HMAC needs of its key, so as secret as the key. Deliberately not
+/// `Debug`.
+#[derive(Clone, Copy)]
+pub(crate) struct Midstates {
+    /// Where every message's inner hash starts.
+    pub(crate) inner: [u32; 8],
+    /// Where every inner digest's outer hash starts.
+    pub(crate) outer: [u32; 8],
+}
+
+impl Midstates {
+    /// `key`'s midstates: the two pad-block compressions, run once.
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let keyed = HmacSha256::new(key);
+        Midstates {
+            inner: keyed.inner.midstate(),
+            outer: keyed.outer.midstate(),
+        }
     }
 }
 

@@ -184,89 +184,134 @@ impl Sha256 {
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress_blocks(&block);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        state_digest(&self.state)
     }
 
-    /// Compresses a whole number of 64-byte blocks.
-    ///
-    /// Dispatches to the x86 SHA extensions when the CPU has them (the common
-    /// case for the machines this simulator profiles on) and to the portable
-    /// scalar rounds otherwise; both produce the same FIPS 180-4 digests.
+    /// A hasher standing at chaining state `state` after `absorbed` bytes, a
+    /// whole number of blocks: how a keyed HMAC resumes from a midstate.
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0);
+        Sha256 {
+            state,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: absorbed,
+        }
+    }
+
+    /// The chaining state — a midstate only between whole blocks.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buffer_len, 0);
+        self.state
+    }
+
     fn compress_blocks(&mut self, blocks: &[u8]) {
-        debug_assert_eq!(blocks.len() % 64, 0);
-        #[cfg(target_arch = "x86_64")]
-        if shani::available() {
-            // SAFETY: `available` confirmed the sha/ssse3/sse4.1 features at
-            // runtime, and the length is a multiple of the block size.
-            unsafe { shani::compress_blocks(&mut self.state, blocks) };
-            return;
-        }
-        for block in blocks.chunks_exact(64) {
-            let block: &[u8; 64] = block.try_into().expect("64 bytes");
-            self.compress(block);
-        }
+        compress_blocks(&mut self.state, blocks);
+    }
+}
+
+/// The digest a final chaining state spells, word by word big-endian.
+pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
+/// Compresses a whole number of 64-byte blocks into `state`.
+///
+/// Dispatches to the x86 SHA extensions when the CPU has them (the common
+/// case for the machines this simulator profiles on) and to the portable
+/// scalar rounds otherwise; both produce the same FIPS 180-4 digests.
+pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available` confirmed the sha/ssse3/sse4.1 features at
+        // runtime, and the length is a multiple of the block size.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    scalar_blocks(state, blocks);
+}
+
+/// Compresses two independent chaining states over block runs of equal
+/// length: `a_blocks` into `a`, `b_blocks` into `b`. Each round of one
+/// stream waits on the round before it, so one stream leaves the SHA unit
+/// idle between rounds; on the SHA extensions the two streams' rounds
+/// interleave and fill those gaps. The portable fallback is two scalar
+/// compressions. Same states out as two [`compress_blocks`] calls.
+pub(crate) fn compress_pair(a: &mut [u32; 8], a_blocks: &[u8], b: &mut [u32; 8], b_blocks: &[u8]) {
+    assert_eq!(a_blocks.len(), b_blocks.len(), "equal block runs");
+    debug_assert_eq!(a_blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: as in `compress_blocks`; both runs are the same whole
+        // number of blocks.
+        unsafe { shani::compress_pair(a, a_blocks, b, b_blocks) };
+        return;
+    }
+    scalar_blocks(a, a_blocks);
+    scalar_blocks(b, b_blocks);
+}
+
+/// The portable rounds over a whole number of blocks.
+fn scalar_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        scalar_rounds(state, block.try_into().expect("64 bytes"));
+    }
+}
+
+fn scalar_rounds(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    // One FIPS 180-4 round with the working variables passed in rotated
+    // roles: unrolling 8 at a time removes the per-round register shuffle
+    // (h=g; g=f; ...) without changing the arithmetic.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident,
+         $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = ($e & $f) ^ ((!$e) & $g);
+            let temp1 = $h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[$i])
+                .wrapping_add(w[$i]);
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+            $d = $d.wrapping_add(temp1);
+            $h = temp1.wrapping_add(s0.wrapping_add(maj));
+        };
+    }
+    let mut i = 0;
+    while i < 64 {
+        round!(a, b, c, d, e, f, g, h, i);
+        round!(h, a, b, c, d, e, f, g, i + 1);
+        round!(g, h, a, b, c, d, e, f, i + 2);
+        round!(f, g, h, a, b, c, d, e, i + 3);
+        round!(e, f, g, h, a, b, c, d, i + 4);
+        round!(d, e, f, g, h, a, b, c, i + 5);
+        round!(c, d, e, f, g, h, a, b, i + 6);
+        round!(b, c, d, e, f, g, h, a, i + 7);
+        i += 8;
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        // One FIPS 180-4 round with the working variables passed in rotated
-        // roles: unrolling 8 at a time removes the per-round register shuffle
-        // (h=g; g=f; ...) without changing the arithmetic.
-        macro_rules! round {
-            ($a:ident, $b:ident, $c:ident, $d:ident,
-             $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
-                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
-                let ch = ($e & $f) ^ ((!$e) & $g);
-                let temp1 = $h
-                    .wrapping_add(s1)
-                    .wrapping_add(ch)
-                    .wrapping_add(K[$i])
-                    .wrapping_add(w[$i]);
-                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
-                let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
-                $d = $d.wrapping_add(temp1);
-                $h = temp1.wrapping_add(s0.wrapping_add(maj));
-            };
-        }
-        let mut i = 0;
-        while i < 64 {
-            round!(a, b, c, d, e, f, g, h, i);
-            round!(h, a, b, c, d, e, f, g, i + 1);
-            round!(g, h, a, b, c, d, e, f, i + 2);
-            round!(f, g, h, a, b, c, d, e, i + 3);
-            round!(e, f, g, h, a, b, c, d, i + 4);
-            round!(d, e, f, g, h, a, b, c, i + 5);
-            round!(c, d, e, f, g, h, a, b, i + 6);
-            round!(b, c, d, e, f, g, h, a, i + 7);
-            i += 8;
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
 }
 
@@ -291,6 +336,96 @@ mod shani {
             && is_x86_feature_detected!("sse4.1")
     }
 
+    /// `$body` for each of the sixteen four-round groups, `$g` a literal:
+    /// with every schedule index a constant, the schedule chunks live in
+    /// registers instead of a stack array indexed at run time.
+    macro_rules! unrolled {
+        ($g:ident => $body:expr) => {
+            unrolled!(@ $g => $body; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+        };
+        (@ $g:ident => $body:expr; $($group:literal)*) => {
+            $({
+                let $g: usize = $group;
+                $body;
+            })*
+        };
+    }
+
+    // The helpers below are `unsafe` for their target features alone: each
+    // requires that the caller has checked [`available`].
+
+    /// `[a..d]`, `[e..h]` repacked into the ABEF/CDGH register layout.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn load_state(state: &[u32; 8]) -> [__m128i; 2] {
+        let tmp = _mm_loadu_si128(state.as_ptr().cast());
+        let hi = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let tmp = _mm_shuffle_epi32(tmp, 0xB1);
+        let hi = _mm_shuffle_epi32(hi, 0x1B);
+        [_mm_alignr_epi8(tmp, hi, 8), _mm_blend_epi16(hi, tmp, 0xF0)]
+    }
+
+    /// ABEF/CDGH unpacked back to `[a..d]`, `[e..h]`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn store_state(state: &mut [u32; 8], [abef, cdgh]: [__m128i; 2]) {
+        let tmp = _mm_shuffle_epi32(abef, 0x1B);
+        let hi = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(tmp, hi, 0xF0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(hi, tmp, 8),
+        );
+    }
+
+    /// A block's sixteen message words, each turned big-endian: the first
+    /// four schedule chunks `X_0..X_3`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn load_block(block: &[u8; 64]) -> [__m128i; 4] {
+        let be_mask = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
+        let at = block.as_ptr();
+        [
+            _mm_shuffle_epi8(_mm_loadu_si128(at.cast()), be_mask),
+            _mm_shuffle_epi8(_mm_loadu_si128(at.add(16).cast()), be_mask),
+            _mm_shuffle_epi8(_mm_loadu_si128(at.add(32).cast()), be_mask),
+            _mm_shuffle_epi8(_mm_loadu_si128(at.add(48).cast()), be_mask),
+        ]
+    }
+
+    /// Rounds `4g..4g+4` on `state`, then — while any are left — the next
+    /// schedule chunk into the slot `m` just consumed. `m` holds the chunks
+    /// `X_g..X_{g+3}`, rotating in place as the rounds consume them.
+    ///
+    /// Besides the features, `g` must be below 16: it indexes `K`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn four_rounds(state: &mut [__m128i; 2], m: &mut [__m128i; 4], g: usize) {
+        debug_assert!(g < 16);
+        let [abef, cdgh] = state;
+        let wk = _mm_add_epi32(m[g & 3], _mm_loadu_si128(K.as_ptr().add(g * 4).cast()));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        if g < 12 {
+            // Next schedule chunk, per the FIPS 180-4 recurrence:
+            // X_{g+4} = msg2(msg1(X_g, X_{g+1}) + (W[4g+9..4g+13]), X_{g+3})
+            let x0 = m[g & 3];
+            let x1 = m[(g + 1) & 3];
+            let x2 = m[(g + 2) & 3];
+            let x3 = m[(g + 3) & 3];
+            let partial = _mm_add_epi32(_mm_sha256msg1_epu32(x0, x1), _mm_alignr_epi8(x3, x2, 4));
+            m[g & 3] = _mm_sha256msg2_epu32(partial, x3);
+        }
+    }
+
+    /// The block's rounds added onto the state they started from.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn feed_forward(state: &mut [__m128i; 2], saved: [__m128i; 2]) {
+        state[0] = _mm_add_epi32(state[0], saved[0]);
+        state[1] = _mm_add_epi32(state[1], saved[1]);
+    }
+
     /// Compresses whole 64-byte blocks into `state`.
     ///
     /// # Safety
@@ -299,59 +434,48 @@ mod shani {
     /// a multiple of 64.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
-        // Byte shuffle turning each 32-bit lane big-endian.
-        let be_mask = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
-
-        // Repack [a,b,c,d],[e,f,g,h] into the ABEF/CDGH register layout.
-        let tmp = _mm_loadu_si128(state.as_ptr().cast());
-        let hi = _mm_loadu_si128(state.as_ptr().add(4).cast());
-        let tmp = _mm_shuffle_epi32(tmp, 0xB1);
-        let hi = _mm_shuffle_epi32(hi, 0x1B);
-        let mut abef = _mm_alignr_epi8(tmp, hi, 8);
-        let mut cdgh = _mm_blend_epi16(hi, tmp, 0xF0);
-
+        let mut s = load_state(state);
         for block in blocks.chunks_exact(64) {
-            let abef_save = abef;
-            let cdgh_save = cdgh;
-
-            // m holds the schedule chunks X_g..X_{g+3} (four words each),
-            // rotating in place as the rounds consume them.
-            let mut m = [
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().cast()), be_mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16).cast()), be_mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(32).cast()), be_mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(48).cast()), be_mask),
-            ];
-
-            for g in 0..16 {
-                let wk = _mm_add_epi32(m[g & 3], _mm_loadu_si128(K.as_ptr().add(g * 4).cast()));
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                let wk_hi = _mm_shuffle_epi32(wk, 0x0E);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, wk_hi);
-                if g < 12 {
-                    // Next schedule chunk, per the FIPS 180-4 recurrence:
-                    // X_{g+4} = msg2(msg1(X_g, X_{g+1}) + (W[4g+9..4g+13]), X_{g+3})
-                    let x0 = m[g & 3];
-                    let x1 = m[(g + 1) & 3];
-                    let x2 = m[(g + 2) & 3];
-                    let x3 = m[(g + 3) & 3];
-                    let partial =
-                        _mm_add_epi32(_mm_sha256msg1_epu32(x0, x1), _mm_alignr_epi8(x3, x2, 4));
-                    m[g & 3] = _mm_sha256msg2_epu32(partial, x3);
-                }
-            }
-
-            abef = _mm_add_epi32(abef, abef_save);
-            cdgh = _mm_add_epi32(cdgh, cdgh_save);
+            let saved = s;
+            let mut m = load_block(block.try_into().expect("64 bytes"));
+            unrolled!(g => four_rounds(&mut s, &mut m, g));
+            feed_forward(&mut s, saved);
         }
+        store_state(state, s);
+    }
 
-        // Unpack ABEF/CDGH back to [a..d],[e..h].
-        let tmp = _mm_shuffle_epi32(abef, 0x1B);
-        let hi = _mm_shuffle_epi32(cdgh, 0xB1);
-        let out_lo = _mm_blend_epi16(tmp, hi, 0xF0);
-        let out_hi = _mm_alignr_epi8(hi, tmp, 8);
-        _mm_storeu_si128(state.as_mut_ptr().cast(), out_lo);
-        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), out_hi);
+    /// Compresses `a_blocks` into `a` and `b_blocks` into `b`, the two
+    /// streams' rounds and schedule steps interleaved four rounds at a time:
+    /// neither stream's `sha256rnds2` depends on the other's, so each issues
+    /// while the other's is still in flight.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have checked [`available`], and both lengths must be
+    /// the same multiple of 64.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub unsafe fn compress_pair(
+        a: &mut [u32; 8],
+        a_blocks: &[u8],
+        b: &mut [u32; 8],
+        b_blocks: &[u8],
+    ) {
+        let (mut sa, mut sb) = (load_state(a), load_state(b));
+        for (block_a, block_b) in a_blocks.chunks_exact(64).zip(b_blocks.chunks_exact(64)) {
+            let (saved_a, saved_b) = (sa, sb);
+            let (mut ma, mut mb) = (
+                load_block(block_a.try_into().expect("64 bytes")),
+                load_block(block_b.try_into().expect("64 bytes")),
+            );
+            unrolled!(g => {
+                four_rounds(&mut sa, &mut ma, g);
+                four_rounds(&mut sb, &mut mb, g);
+            });
+            feed_forward(&mut sa, saved_a);
+            feed_forward(&mut sb, saved_b);
+        }
+        store_state(a, sa);
+        store_state(b, sb);
     }
 }
 
@@ -430,17 +554,11 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
                 padded.push(0);
             }
             padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
-            let mut scalar = Sha256::new();
-            for block in padded.chunks_exact(64) {
-                scalar.compress(block.try_into().expect("64 bytes"));
-            }
-            let mut expected = [0u8; 32];
-            for (i, word) in scalar.state.iter().enumerate() {
-                expected[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-            }
+            let mut scalar = H0;
+            scalar_blocks(&mut scalar, &padded);
             assert_eq!(
                 Sha256::digest(&data[..len]),
-                Digest(expected),
+                state_digest(&scalar),
                 "length {len}"
             );
         }
@@ -472,14 +590,44 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             return;
         }
         let blocks: Vec<u8> = (0..640u32).map(|i| (i as u8).wrapping_mul(37)).collect();
-        let mut scalar = Sha256::new();
-        for block in blocks.chunks_exact(64) {
-            let block: &[u8; 64] = block.try_into().expect("64 bytes");
-            scalar.compress(block);
-        }
+        let mut scalar = H0;
+        scalar_blocks(&mut scalar, &blocks);
         let mut state = H0;
         // SAFETY: availability checked above; length is 10 whole blocks.
         unsafe { shani::compress_blocks(&mut state, &blocks) };
-        assert_eq!(state, scalar.state);
+        assert_eq!(state, scalar);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn shani_pair_matches_scalar_rounds() {
+        if !shani::available() {
+            return;
+        }
+        let run = |salt: u32| -> Vec<u8> {
+            (0..256u32)
+                .map(|i| (i.wrapping_mul(37) ^ salt) as u8)
+                .collect()
+        };
+        let (run_a, run_b) = (run(0), run(0x5a));
+        let start_b = Sha256::digest(b"another starting state");
+        let start_b: [u32; 8] = std::array::from_fn(|i| {
+            u32::from_be_bytes(start_b.0[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
+        });
+        for blocks in 1..=4 {
+            let (a_blocks, b_blocks) = (&run_a[..blocks * 64], &run_b[..blocks * 64]);
+            let (mut shani_a, mut shani_b) = (H0, start_b);
+            // SAFETY: availability checked above; both runs are `blocks`
+            // whole blocks.
+            unsafe { shani::compress_pair(&mut shani_a, a_blocks, &mut shani_b, b_blocks) };
+            let (mut scalar_a, mut scalar_b) = (H0, start_b);
+            scalar_blocks(&mut scalar_a, a_blocks);
+            scalar_blocks(&mut scalar_b, b_blocks);
+            let (mut single_a, mut single_b) = (H0, start_b);
+            compress_blocks(&mut single_a, a_blocks);
+            compress_blocks(&mut single_b, b_blocks);
+            assert_eq!([shani_a, shani_b], [scalar_a, scalar_b], "{blocks} blocks");
+            assert_eq!([shani_a, shani_b], [single_a, single_b], "{blocks} blocks");
+        }
     }
 }
