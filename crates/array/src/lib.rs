@@ -1,5 +1,5 @@
-//! **rssd-array** — a striped multi-device RSSD array with fleet-wide
-//! detection and remote-assisted rebuild.
+//! **rssd-array** — a striped multi-device RSSD array with remote-assisted
+//! rebuild.
 //!
 //! The paper's RSSD is one device; its codesign (local flash plus a
 //! hardware-isolated remote retention store per device) is exactly what a
@@ -14,9 +14,9 @@
 //!   coalesced offload flushes) survive striping. Members run on their own
 //!   clocks, modeled as parallel: a batch costs its slowest shard, not the
 //!   sum.
-//! * [`ArrayDetector`] — per-shard detection for attribution plus a merged
-//!   fleet-wide stream for the binding verdict: a campaign spread thin
-//!   enough to look benign on every shard still trips the aggregate.
+//! * **No detector of its own.** The array's fused verdict is its merged,
+//!   chain-verified history (`rssd-faults`' `FaultTarget::history_audit`)
+//!   through [`PostAttackAnalyzer`](rssd_core::PostAttackAnalyzer).
 //! * **Remote-assisted rebuild** — [`RssdArray::fail_shard`] models losing
 //!   a member's entire local half; the surviving remote evidence chain is
 //!   harvested ([`rssd_core::RebuildImage`]) and serves degraded reads
@@ -51,9 +51,7 @@
 //! ```
 
 pub mod array;
-pub mod detector;
 pub mod layout;
 
 pub use array::{ArrayError, RebuildProgress, RssdArray, ShardStatus};
-pub use detector::{ArrayDetector, FleetReport};
 pub use layout::StripeLayout;

@@ -117,15 +117,6 @@ impl Ensemble {
         }
         sink.instant("detect", "verdict", sim_ns, &args);
     }
-
-    /// Resets all members.
-    pub fn reset(&mut self) {
-        self.entropy.reset();
-        self.correlator.reset();
-        self.trim_surge.reset();
-        self.timing.reset();
-        self.observations = 0;
-    }
 }
 
 impl Default for Ensemble {
@@ -137,6 +128,7 @@ impl Default for Ensemble {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge_time_ordered;
 
     #[test]
     fn benign_workload_stays_benign() {
@@ -217,14 +209,95 @@ mod tests {
         assert!(scores.iter().all(|(_, s)| *s == 0.0));
     }
 
-    #[test]
-    fn reset_returns_to_benign() {
+    // Fleet fusion: one ensemble per member's stream for attribution, and
+    // one over `merge_time_ordered` of all of them for the binding verdict.
+
+    fn ensemble_over(stream: &[WriteObservation]) -> Ensemble {
         let mut e = Ensemble::new();
-        for i in 0..500u64 {
-            e.observe(&WriteObservation::overwrite(i, i, 7.9, true));
+        e.observe_all(stream);
+        e
+    }
+
+    /// Streams whose own ensemble already reaches `Ransomware`.
+    fn implicated(streams: &[Vec<WriteObservation>]) -> Vec<usize> {
+        (0..streams.len())
+            .filter(|&s| ensemble_over(&streams[s]).verdict() == Verdict::Ransomware)
+            .collect()
+    }
+
+    /// A striped campaign: round-robin one encrypting overwrite per stream,
+    /// interleaved with benign traffic, thin enough that no single stream
+    /// crosses its detectors' noise floors.
+    fn striped_campaign(streams: usize, per_stream: usize) -> Vec<Vec<WriteObservation>> {
+        let mut out = vec![Vec::new(); streams];
+        let mut t = 0u64;
+        for round in 0..per_stream {
+            for (shard, stream) in out.iter_mut().enumerate() {
+                let lpa = (round * streams + shard) as u64;
+                // The attacker's one encrypting overwrite on this member...
+                stream.push(WriteObservation::overwrite(t, lpa, 7.9, false));
+                t += 1_000;
+                // ...hidden in ordinary traffic (fresh writes don't count
+                // toward the entropy window, keeping per-stream samples low).
+                for k in 0..6u64 {
+                    stream.push(WriteObservation::fresh_write(
+                        t,
+                        1_000_000 + lpa * 8 + k,
+                        4.0,
+                    ));
+                    t += 1_000;
+                }
+            }
         }
-        e.reset();
-        assert_eq!(e.verdict(), Verdict::Benign);
-        assert_eq!(e.observations(), 0);
+        out
+    }
+
+    #[test]
+    fn per_shard_benign_campaign_trips_the_fleet() {
+        let shards = 4;
+        // 20 encrypted overwrites per stream: under the entropy window's
+        // 32-sample floor and the timing profiler's 64-page floor per
+        // stream, but 80 fused — over both.
+        let streams = striped_campaign(shards, 20);
+        for (shard, stream) in streams.iter().enumerate() {
+            assert_eq!(
+                ensemble_over(stream).verdict(),
+                Verdict::Benign,
+                "stream {shard} must stay under its noise floors"
+            );
+        }
+        let fused = ensemble_over(&merge_time_ordered(&streams));
+        assert_eq!(
+            fused.verdict(),
+            Verdict::Ransomware,
+            "fused score {}",
+            fused.score()
+        );
+        assert!(implicated(&streams).is_empty());
+        assert_eq!(fused.observations(), (20 * shards * 7) as u64);
+    }
+
+    #[test]
+    fn concentrated_attack_is_attributed_to_its_shard() {
+        let mut streams = vec![Vec::new(); 3];
+        for i in 0..200u64 {
+            streams[1].push(WriteObservation::overwrite(i * 1_000, i, 7.9, true));
+        }
+        assert_eq!(ensemble_over(&streams[0]).verdict(), Verdict::Benign);
+        let fused = ensemble_over(&merge_time_ordered(&streams));
+        assert_eq!(fused.verdict(), Verdict::Ransomware);
+        assert_eq!(implicated(&streams), vec![1]);
+    }
+
+    #[test]
+    fn benign_fleet_stays_benign() {
+        let mut streams = vec![Vec::new(); 2];
+        for i in 0..2_000u64 {
+            streams[(i % 2) as usize].push(WriteObservation::fresh_write(i * 1_000, i, 4.0));
+        }
+        assert!(implicated(&streams).is_empty());
+        let fused = ensemble_over(&merge_time_ordered(&streams));
+        assert_eq!(fused.verdict(), Verdict::Benign);
+        assert_eq!(fused.observations(), 2_000);
     }
 }

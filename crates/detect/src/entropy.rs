@@ -14,28 +14,22 @@ pub const CIPHERTEXT_BITS: f64 = 7.2;
 /// (which dilutes the window) — that gap is the timing attack.
 #[derive(Clone, Debug)]
 pub struct EntropyDetector {
-    window: usize,
-    threshold_bits: f64,
     recent: VecDeque<bool>,
     high_count: usize,
-    min_samples: usize,
 }
 
 impl EntropyDetector {
-    /// Sliding window of 256 overwrites, threshold [`CIPHERTEXT_BITS`].
-    pub fn new() -> Self {
-        Self::with_params(256, CIPHERTEXT_BITS, 32)
-    }
+    /// Overwrites in the sliding window.
+    const WINDOW: usize = 256;
+    /// Overwrites seen before the detector will score.
+    const MIN_SAMPLES: usize = 32;
 
-    /// Explicit window length, entropy threshold, and minimum samples before
-    /// the detector will score.
-    pub fn with_params(window: usize, threshold_bits: f64, min_samples: usize) -> Self {
+    /// Sliding window of 256 overwrites, threshold [`CIPHERTEXT_BITS`],
+    /// silent below 32 samples.
+    pub fn new() -> Self {
         EntropyDetector {
-            window: window.max(1),
-            threshold_bits,
             recent: VecDeque::new(),
             high_count: 0,
-            min_samples: min_samples.max(1),
         }
     }
 }
@@ -55,26 +49,21 @@ impl Detector for EntropyDetector {
         if obs.is_trim || !obs.overwrote_valid {
             return;
         }
-        let high = obs.entropy_bits >= self.threshold_bits;
+        let high = obs.entropy_bits >= CIPHERTEXT_BITS;
         self.recent.push_back(high);
         if high {
             self.high_count += 1;
         }
-        if self.recent.len() > self.window && self.recent.pop_front() == Some(true) {
+        if self.recent.len() > Self::WINDOW && self.recent.pop_front() == Some(true) {
             self.high_count -= 1;
         }
     }
 
     fn score(&self) -> f64 {
-        if self.recent.len() < self.min_samples {
+        if self.recent.len() < Self::MIN_SAMPLES {
             return 0.0;
         }
         self.high_count as f64 / self.recent.len() as f64
-    }
-
-    fn reset(&mut self) {
-        self.recent.clear();
-        self.high_count = 0;
     }
 }
 
@@ -126,17 +115,10 @@ mod tests {
 
     #[test]
     fn window_slides() {
-        let mut d = EntropyDetector::with_params(50, 7.2, 10);
-        feed(&mut d, 50, 7.9); // fill with hot
-        feed(&mut d, 50, 1.0); // then cold pushes hot out
-        assert!(d.score() < 0.1, "score {}", d.score());
-    }
-
-    #[test]
-    fn reset_clears() {
         let mut d = EntropyDetector::new();
-        feed(&mut d, 100, 8.0);
-        d.reset();
+        feed(&mut d, EntropyDetector::WINDOW, 7.9); // fill with hot
+        assert!(d.score() > 0.9, "score {}", d.score());
+        feed(&mut d, EntropyDetector::WINDOW, 1.0); // then cold pushes hot out
         assert_eq!(d.score(), 0.0);
     }
 }

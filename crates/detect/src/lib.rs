@@ -44,7 +44,4 @@ pub trait Detector {
 
     /// Current suspicion score in `[0.0, 1.0]`.
     fn score(&self) -> f64;
-
-    /// Resets internal state.
-    fn reset(&mut self);
 }

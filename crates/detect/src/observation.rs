@@ -68,9 +68,9 @@ impl WriteObservation {
 /// order is preserved, so the merge is deterministic.
 ///
 /// This is the input side of fleet-level detection: a campaign that spreads
-/// its writes across N shards shows each per-shard detector only 1/N of the
-/// signal, while the merged stream carries all of it (see `ArrayDetector`
-/// in `rssd-array`).
+/// its writes across N members shows each member's detector only 1/N of the
+/// signal, while the merged stream carries all of it. `rssd-fleet` feeds an
+/// [`Ensemble`](crate::Ensemble) this merge of its members' audited logs.
 pub fn merge_time_ordered(streams: &[Vec<WriteObservation>]) -> Vec<WriteObservation> {
     let total = streams.iter().map(Vec::len).sum();
     let mut tagged: Vec<(u64, usize, usize)> = Vec::with_capacity(total);

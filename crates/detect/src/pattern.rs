@@ -9,25 +9,21 @@ use std::collections::VecDeque;
 /// pattern (the encryptor must read plaintext before writing ciphertext).
 #[derive(Clone, Debug)]
 pub struct OverwriteCorrelator {
-    window: usize,
     recent: VecDeque<bool>,
     correlated: usize,
-    min_samples: usize,
 }
 
 impl OverwriteCorrelator {
+    /// Overwrites in the sliding window.
+    const WINDOW: usize = 256;
+    /// Overwrites seen before the correlator will score.
+    const MIN_SAMPLES: usize = 32;
+
     /// Window of 256 overwrites, 32-sample warm-up.
     pub fn new() -> Self {
-        Self::with_params(256, 32)
-    }
-
-    /// Explicit window and warm-up.
-    pub fn with_params(window: usize, min_samples: usize) -> Self {
         OverwriteCorrelator {
-            window: window.max(1),
             recent: VecDeque::new(),
             correlated: 0,
-            min_samples: min_samples.max(1),
         }
     }
 }
@@ -51,21 +47,16 @@ impl Detector for OverwriteCorrelator {
         if obs.read_before_overwrite {
             self.correlated += 1;
         }
-        if self.recent.len() > self.window && self.recent.pop_front() == Some(true) {
+        if self.recent.len() > Self::WINDOW && self.recent.pop_front() == Some(true) {
             self.correlated -= 1;
         }
     }
 
     fn score(&self) -> f64 {
-        if self.recent.len() < self.min_samples {
+        if self.recent.len() < Self::MIN_SAMPLES {
             return 0.0;
         }
         self.correlated as f64 / self.recent.len() as f64
-    }
-
-    fn reset(&mut self) {
-        self.recent.clear();
-        self.correlated = 0;
     }
 }
 
@@ -73,23 +64,19 @@ impl Detector for OverwriteCorrelator {
 /// (encrypt to new locations, then trim the originals — or trim directly).
 #[derive(Clone, Debug)]
 pub struct TrimSurgeDetector {
-    window_ns: u64,
     trim_times: VecDeque<u64>,
-    surge_threshold: usize,
 }
 
 impl TrimSurgeDetector {
+    /// Simulated time a trim stays in the window.
+    const WINDOW_NS: u64 = 60_000_000_000;
+    /// Trims in the window at which the score saturates.
+    const SURGE_THRESHOLD: usize = 128;
+
     /// 60-simulated-second window, 128-trim surge threshold.
     pub fn new() -> Self {
-        Self::with_params(60_000_000_000, 128)
-    }
-
-    /// Explicit window and threshold.
-    pub fn with_params(window_ns: u64, surge_threshold: usize) -> Self {
         TrimSurgeDetector {
-            window_ns,
             trim_times: VecDeque::new(),
-            surge_threshold: surge_threshold.max(1),
         }
     }
 }
@@ -111,7 +98,7 @@ impl Detector for TrimSurgeDetector {
         }
         self.trim_times.push_back(obs.at_ns);
         while let Some(&front) = self.trim_times.front() {
-            if obs.at_ns.saturating_sub(front) > self.window_ns {
+            if obs.at_ns.saturating_sub(front) > Self::WINDOW_NS {
                 self.trim_times.pop_front();
             } else {
                 break;
@@ -120,11 +107,7 @@ impl Detector for TrimSurgeDetector {
     }
 
     fn score(&self) -> f64 {
-        (self.trim_times.len() as f64 / self.surge_threshold as f64).min(1.0)
-    }
-
-    fn reset(&mut self) {
-        self.trim_times.clear();
+        (self.trim_times.len() as f64 / Self::SURGE_THRESHOLD as f64).min(1.0)
     }
 }
 
@@ -185,19 +168,5 @@ mod tests {
             d.observe(&WriteObservation::overwrite(i, i, 8.0, true));
         }
         assert_eq!(d.score(), 0.0);
-    }
-
-    #[test]
-    fn resets_clear_state() {
-        let mut c = OverwriteCorrelator::new();
-        let mut t = TrimSurgeDetector::new();
-        for i in 0..200u64 {
-            c.observe(&WriteObservation::overwrite(i, i, 8.0, true));
-            t.observe(&WriteObservation::trim(i, i));
-        }
-        c.reset();
-        t.reset();
-        assert_eq!(c.score(), 0.0);
-        assert_eq!(t.score(), 0.0);
     }
 }

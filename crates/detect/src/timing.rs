@@ -16,31 +16,24 @@ use std::collections::HashSet;
 /// Cumulative encrypted-coverage profiler.
 #[derive(Clone, Debug)]
 pub struct TimingProfiler {
-    threshold_bits: f64,
     /// Distinct LPAs ever overwritten with high-entropy data.
     encrypted_lpas: HashSet<u64>,
     /// Distinct LPAs ever seen valid (written at all).
     seen_lpas: HashSet<u64>,
-    /// Coverage fraction at which the score saturates to 1.0.
-    saturation: f64,
-    /// Minimum distinct encrypted pages before scoring (noise floor).
-    min_encrypted: usize,
 }
 
 impl TimingProfiler {
-    /// Saturates at 10 % coverage, 64-page noise floor.
-    pub fn new() -> Self {
-        Self::with_params(0.10, 64, crate::CIPHERTEXT_BITS)
-    }
+    /// Coverage fraction at which the score saturates to 1.0.
+    const SATURATION: f64 = 0.10;
+    /// Minimum distinct encrypted pages before scoring (noise floor).
+    const MIN_ENCRYPTED: usize = 64;
 
-    /// Explicit saturation coverage, noise floor, and entropy threshold.
-    pub fn with_params(saturation: f64, min_encrypted: usize, threshold_bits: f64) -> Self {
+    /// Saturates at 10 % coverage, 64-page noise floor, threshold
+    /// [`CIPHERTEXT_BITS`](crate::CIPHERTEXT_BITS).
+    pub fn new() -> Self {
         TimingProfiler {
-            threshold_bits,
             encrypted_lpas: HashSet::new(),
             seen_lpas: HashSet::new(),
-            saturation: saturation.max(1e-6),
-            min_encrypted: min_encrypted.max(1),
         }
     }
 
@@ -66,7 +59,7 @@ impl Detector for TimingProfiler {
         if obs.is_trim {
             return;
         }
-        if obs.overwrote_valid && obs.entropy_bits >= self.threshold_bits {
+        if obs.overwrote_valid && obs.entropy_bits >= crate::CIPHERTEXT_BITS {
             self.encrypted_lpas.insert(obs.lpa);
         } else {
             // Page rewritten with benign data: no longer held hostage.
@@ -75,16 +68,11 @@ impl Detector for TimingProfiler {
     }
 
     fn score(&self) -> f64 {
-        if self.encrypted_lpas.len() < self.min_encrypted || self.seen_lpas.is_empty() {
+        if self.encrypted_lpas.len() < Self::MIN_ENCRYPTED || self.seen_lpas.is_empty() {
             return 0.0;
         }
         let coverage = self.encrypted_lpas.len() as f64 / self.seen_lpas.len() as f64;
-        (coverage / self.saturation).min(1.0)
-    }
-
-    fn reset(&mut self) {
-        self.encrypted_lpas.clear();
-        self.seen_lpas.clear();
+        (coverage / Self::SATURATION).min(1.0)
     }
 }
 
@@ -130,16 +118,17 @@ mod tests {
 
     #[test]
     fn benign_rewrite_clears_page() {
-        let mut d = TimingProfiler::with_params(0.10, 1, 7.2);
-        for i in 0..100u64 {
+        let mut d = TimingProfiler::new();
+        let encrypted = TimingProfiler::MIN_ENCRYPTED as u64;
+        for i in 0..1_000u64 {
             d.observe(&WriteObservation::fresh_write(i, i, 4.0));
         }
-        for i in 0..50u64 {
+        for i in 0..encrypted {
             d.observe(&WriteObservation::overwrite(i, i, 7.9, false));
         }
         assert!(d.score() > 0.0);
         // User restores files (low-entropy rewrites).
-        for i in 0..50u64 {
+        for i in 0..encrypted {
             d.observe(&WriteObservation::overwrite(i, i, 3.0, false));
         }
         assert_eq!(d.encrypted_pages(), 0);

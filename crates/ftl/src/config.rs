@@ -13,6 +13,18 @@ pub enum GcPolicy {
     CostBenefit,
 }
 
+/// Fraction of raw capacity reserved as over-provisioning (not exposed as
+/// logical capacity). Commodity SSDs use 7–28 %.
+pub(crate) const OVER_PROVISIONING: f64 = 0.20;
+/// Background GC starts when free blocks drop below this fraction of all
+/// blocks...
+pub(crate) const GC_LOW_WATERMARK: f64 = 0.08;
+/// ...and stops once they recover above this one.
+pub(crate) const GC_HIGH_WATERMARK: f64 = 0.16;
+/// Reserved blocks GC may always draw on for migrations (so GC can make
+/// progress even when the host-visible pool is exhausted).
+pub(crate) const GC_RESERVED_BLOCKS: u32 = 2;
+
 /// FTL tuning knobs.
 ///
 /// Built with struct-update syntax from [`FtlConfig::default`]:
@@ -21,100 +33,18 @@ pub enum GcPolicy {
 /// use rssd_ftl::{FtlConfig, GcPolicy};
 ///
 /// let config = FtlConfig {
-///     over_provisioning: 0.25,
 ///     gc_policy: GcPolicy::CostBenefit,
 ///     ..FtlConfig::default()
 /// };
-/// assert!(config.over_provisioning > 0.2);
+/// assert_eq!(config.spill_blocks, 0);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FtlConfig {
-    /// Fraction of raw capacity reserved as over-provisioning (not exposed
-    /// as logical capacity). Commodity SSDs use 7–28 %.
-    pub over_provisioning: f64,
-    /// Start background GC when free blocks drop below this fraction of all
-    /// blocks.
-    pub gc_low_watermark: f64,
-    /// Background GC stops once free blocks recover above this fraction.
-    pub gc_high_watermark: f64,
     /// Victim-selection policy.
     pub gc_policy: GcPolicy,
-    /// Reserved blocks GC may always draw on for migrations (so GC can make
-    /// progress even when the host-visible pool is exhausted).
-    pub gc_reserved_blocks: u32,
     /// Blocks reserved (from the top of the block range) as a durable
     /// evidence-spill region. They never enter the allocator's free pool,
     /// are never GC victims, and hold sealed segment images staged while
     /// the remote is unreachable. Zero disables the region.
     pub spill_blocks: u32,
-}
-
-impl Default for FtlConfig {
-    fn default() -> Self {
-        FtlConfig {
-            over_provisioning: 0.20,
-            gc_low_watermark: 0.08,
-            gc_high_watermark: 0.16,
-            gc_policy: GcPolicy::Greedy,
-            gc_reserved_blocks: 2,
-            spill_blocks: 0,
-        }
-    }
-}
-
-impl FtlConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..0.9).contains(&self.over_provisioning) {
-            return Err(format!(
-                "over_provisioning {} outside [0, 0.9)",
-                self.over_provisioning
-            ));
-        }
-        if !(0.0..1.0).contains(&self.gc_low_watermark)
-            || !(0.0..1.0).contains(&self.gc_high_watermark)
-        {
-            return Err("gc watermarks must lie in [0, 1)".to_string());
-        }
-        if self.gc_low_watermark >= self.gc_high_watermark {
-            return Err(format!(
-                "gc_low_watermark {} must be below gc_high_watermark {}",
-                self.gc_low_watermark, self.gc_high_watermark
-            ));
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_valid() {
-        FtlConfig::default().validate().unwrap();
-    }
-
-    #[test]
-    fn rejects_inverted_watermarks() {
-        let c = FtlConfig {
-            gc_low_watermark: 0.5,
-            gc_high_watermark: 0.2,
-            ..FtlConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_huge_over_provisioning() {
-        let c = FtlConfig {
-            over_provisioning: 0.95,
-            ..FtlConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
 }

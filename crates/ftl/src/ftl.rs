@@ -1,9 +1,11 @@
 //! The flash translation layer proper.
 
 use crate::allocator::{BlockAllocator, Stream};
-use crate::config::FtlConfig;
 #[cfg(test)]
 use crate::config::GcPolicy;
+use crate::config::{
+    FtlConfig, GC_HIGH_WATERMARK, GC_LOW_WATERMARK, GC_RESERVED_BLOCKS, OVER_PROVISIONING,
+};
 use crate::gc::{select_victim, Candidate};
 use crate::mapping::MappingTable;
 use crate::stats::FtlStats;
@@ -141,9 +143,8 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails validation.
+    /// Panics if `config.spill_blocks` would take half the device or more.
     pub fn new(nand: NandArray, config: FtlConfig) -> Self {
-        config.validate().expect("invalid FtlConfig");
         let geometry = nand.geometry();
         let total_blocks = geometry.total_blocks();
         assert!(
@@ -158,7 +159,7 @@ impl Ftl {
         let spill_blocks: Vec<u32> = (total_blocks - config.spill_blocks..total_blocks).collect();
         let spill_pages = spill_blocks.len() as u64 * u64::from(geometry.pages_per_block);
         let host_pages = geometry.total_pages() - spill_pages;
-        let logical_pages = (host_pages as f64 * (1.0 - config.over_provisioning)) as u64;
+        let logical_pages = (host_pages as f64 * (1.0 - OVER_PROVISIONING)) as u64;
         let mut allocator = BlockAllocator::new(geometry);
         for &b in &spill_blocks {
             allocator.retire_block(b);
@@ -571,8 +572,8 @@ impl Ftl {
     /// or no eligible victim remains. Returns the number of blocks erased.
     pub fn run_background_gc(&mut self) -> u32 {
         let total = self.geometry.total_blocks();
-        let low = (self.config.gc_low_watermark * f64::from(total)) as u32;
-        let high = (self.config.gc_high_watermark * f64::from(total)) as u32;
+        let low = (GC_LOW_WATERMARK * f64::from(total)) as u32;
+        let high = (GC_HIGH_WATERMARK * f64::from(total)) as u32;
         if self.allocator.free_blocks() > low {
             return 0;
         }
@@ -693,7 +694,7 @@ impl Ftl {
         loop {
             // Opening a fresh block is gated on the GC reserve; lanes with
             // an already-open block can always be used.
-            let can_open_new = self.allocator.free_blocks() > self.config.gc_reserved_blocks;
+            let can_open_new = self.allocator.free_blocks() > GC_RESERVED_BLOCKS;
             if let Some(ppa) = self.allocator.next_host_page(&self.nand, can_open_new) {
                 return Ok(ppa);
             }

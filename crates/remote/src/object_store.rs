@@ -49,10 +49,11 @@ pub struct ObjectStoreStats {
     pub stored_bytes: u64,
 }
 
-/// A bucketed key→blob store. Single-bucket helpers cover the common case.
-/// Blobs are refcounted [`Bytes`]: a PUT of an already-shared buffer (the
-/// offload wire image) stores a reference, and GETs hand back views, so
-/// segments are never deep-copied on the storage path.
+/// A key→blob store with no delete: what the retention store holds, it
+/// keeps (a second PUT of a key replaces its blob). Blobs are refcounted
+/// [`Bytes`]: a PUT of an already-shared buffer (the offload wire image)
+/// stores a reference, and GETs hand back views, so segments are never
+/// deep-copied on the storage path.
 #[derive(Clone, Debug, Default)]
 pub struct ObjectStore {
     config: ObjectStoreConfig,
@@ -95,35 +96,6 @@ impl ObjectStore {
         let cost = self.config.request_latency_ns + self.config.per_byte_ns * data.len() as u64;
         Some((data, now_ns + cost))
     }
-
-    /// Lists keys with the given prefix, in order.
-    pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.objects
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
-    /// Deletes an object; returns whether it existed.
-    pub fn delete(&mut self, key: &str) -> bool {
-        if let Some(old) = self.objects.remove(key) {
-            self.stats.stored_bytes -= old.len() as u64;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of stored objects.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -153,26 +125,6 @@ mod tests {
         s.put("k", vec![0; 100], 0);
         s.put("k", vec![0; 40], 0);
         assert_eq!(s.stats().stored_bytes, 40);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn list_by_prefix_in_order() {
-        let mut s = ObjectStore::new(ObjectStoreConfig::default());
-        s.put("seg/002", vec![], 0);
-        s.put("seg/001", vec![], 0);
-        s.put("other/x", vec![], 0);
-        assert_eq!(s.list("seg/"), vec!["seg/001", "seg/002"]);
-    }
-
-    #[test]
-    fn delete_frees_bytes() {
-        let mut s = ObjectStore::new(ObjectStoreConfig::default());
-        s.put("k", vec![0; 10], 0);
-        assert!(s.delete("k"));
-        assert!(!s.delete("k"));
-        assert_eq!(s.stats().stored_bytes, 0);
-        assert!(s.is_empty());
     }
 
     #[test]

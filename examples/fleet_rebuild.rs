@@ -1,6 +1,7 @@
-//! Fleet-level fault tolerance: lose one shard of a striped RSSD array
-//! mid-attack, serve degraded reads from the remote evidence chain, rebuild
-//! the shard from it, and verify zero data loss.
+//! Fleet-level fault tolerance: detect a campaign striped across an RSSD
+//! array from its evidence, lose one shard mid-attack, serve degraded reads
+//! from the remote evidence chain, rebuild the shard from it, and verify
+//! zero data loss.
 //!
 //! Timeline:
 //!
@@ -10,28 +11,31 @@
 //! 2. Ransomware (its own queue pair) read-encrypt-overwrites the whole
 //!    corpus. Per-shard retention pins every destroyed original and the
 //!    offload engine ships them to each member's remote store.
-//! 3. Shard 1 dies — controller, NAND, pending log, all of it. Its remote
+//! 3. Detection reads the evidence: each member's chain-verified log alone,
+//!    and the array's merged history as one. Only the merged history
+//!    carries the whole campaign.
+//! 4. Shard 1 dies — controller, NAND, pending log, all of it. Its remote
 //!    store survives; the array harvests a chain-verified rebuild image.
-//! 4. The ransomware keeps going (trim cleanup phase): commands to the dead
+//! 5. The ransomware keeps going (trim cleanup phase): commands to the dead
 //!    shard complete with `ShardFailed`, the survivors keep serving.
 //!    Degraded reads of shard 1 come from the remote image.
-//! 5. A replacement member is rebuilt incrementally to the pre-attack
+//! 6. A replacement member is rebuilt incrementally to the pre-attack
 //!    point in time, regions coming online as they are copied.
-//! 6. Verification: every corpus page, on every shard, is byte-identical
+//! 7. Verification: every corpus page, on every shard, is byte-identical
 //!    to its pre-attack content.
 //!
 //! ```sh
 //! cargo run --example fleet_rebuild
 //! ```
 
-use rssd_repro::array::{ArrayDetector, RssdArray, ShardStatus};
-use rssd_repro::compress::shannon_entropy;
-use rssd_repro::core::{LoopbackTarget, RssdConfig, RssdDevice};
-use rssd_repro::detect::{Verdict, WriteObservation};
+use rssd_repro::array::{RssdArray, ShardStatus};
+use rssd_repro::core::{LoopbackTarget, PostAttackAnalyzer, RssdConfig, RssdDevice};
+use rssd_repro::detect::Verdict;
+use rssd_repro::faults::FaultTarget;
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_repro::ssd::{BlockDevice, CommandId, DeviceError, IoCommand, NvmeController, QueueId};
 use rssd_repro::trace::{synthesize_page, PayloadKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 const SHARDS: usize = 3;
 const STRIPE_PAGES: u64 = 4;
@@ -53,46 +57,6 @@ fn mk_shard(device_id: u64) -> RssdDevice<LoopbackTarget> {
     )
 }
 
-/// Host-side bookkeeping that reconstructs detector observations from the
-/// command stream, attributed to the shard each page lives on.
-struct FleetMonitor {
-    detector: ArrayDetector,
-    valid: HashSet<u64>,
-    recent_reads: HashMap<u64, u64>,
-}
-
-impl FleetMonitor {
-    const READ_WINDOW_NS: u64 = 600 * 1_000_000_000;
-
-    fn observe(&mut self, shard: usize, now: u64, command: &IoCommand) {
-        match command {
-            IoCommand::Read { lpa } => {
-                self.recent_reads.insert(*lpa, now);
-            }
-            IoCommand::Write { lpa, data } => {
-                let read_before = self
-                    .recent_reads
-                    .get(lpa)
-                    .is_some_and(|&t| now.saturating_sub(t) <= Self::READ_WINDOW_NS);
-                let obs = if self.valid.contains(lpa) {
-                    WriteObservation::overwrite(now, *lpa, shannon_entropy(data), read_before)
-                } else {
-                    WriteObservation::fresh_write(now, *lpa, shannon_entropy(data))
-                };
-                self.detector.observe(shard, &obs);
-                self.valid.insert(*lpa);
-            }
-            IoCommand::Trim { lpa } => {
-                if self.valid.remove(lpa) {
-                    self.detector
-                        .observe(shard, &WriteObservation::trim(now, *lpa));
-                }
-            }
-            IoCommand::Flush => {}
-        }
-    }
-}
-
 /// One tenant's queue pair with monotonically recycled command ids.
 struct Tenant {
     queue: QueueId,
@@ -100,21 +64,7 @@ struct Tenant {
 }
 
 impl Tenant {
-    /// Submits one command; with `monitor` set, also feeds the fleet
-    /// detector the observation a log-backed monitor would reconstruct.
-    /// Pass `None` for commands known to be refused (a failed shard): a
-    /// refused command never executes, so no device ever logs it.
-    fn submit<D: BlockDevice>(
-        &mut self,
-        controller: &mut NvmeController<D>,
-        monitor: Option<&mut FleetMonitor>,
-        shard_of: impl Fn(u64) -> usize,
-        command: IoCommand,
-    ) {
-        let now = controller.device().clock().now_ns();
-        if let (Some(monitor), Some(lpa)) = (monitor, command.lpa()) {
-            monitor.observe(shard_of(lpa), now, &command);
-        }
+    fn submit<D: BlockDevice>(&mut self, controller: &mut NvmeController<D>, command: IoCommand) {
         let id = CommandId(self.next_id);
         self.next_id = self.next_id.wrapping_add(1);
         controller
@@ -133,11 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let layout = *array.layout();
     let shard_of = |lpa: u64| layout.locate(lpa).0;
     let clock = array.clock().clone();
-    let mut monitor = FleetMonitor {
-        detector: ArrayDetector::new(SHARDS),
-        valid: HashSet::new(),
-        recent_reads: HashMap::new(),
-    };
 
     // --- 1. The victim's corpus, striped across all three members.
     let mut controller = NvmeController::new(&mut array);
@@ -154,23 +99,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     for lpa in 0..CORPUS_PAGES {
         let data = originals[&lpa].clone();
-        victim.submit(
-            &mut controller,
-            Some(&mut monitor),
-            shard_of,
-            IoCommand::Write { lpa, data },
-        );
+        victim.submit(&mut controller, IoCommand::Write { lpa, data });
         if lpa % 32 == 31 {
             controller.run_to_idle();
             controller.drain_completions(victim.queue);
         }
     }
-    victim.submit(
-        &mut controller,
-        Some(&mut monitor),
-        shard_of,
-        IoCommand::Flush,
-    );
+    victim.submit(&mut controller, IoCommand::Flush);
     controller.run_to_idle();
     controller.drain_completions(victim.queue);
 
@@ -179,18 +114,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     clock.advance(3_600_000_000_000); // an hour later
     let attack_start = clock.now_ns();
     for lpa in 0..CORPUS_PAGES {
-        attacker.submit(
-            &mut controller,
-            Some(&mut monitor),
-            shard_of,
-            IoCommand::Read { lpa },
-        );
+        attacker.submit(&mut controller, IoCommand::Read { lpa });
         controller.run_to_idle();
         let ciphertext = synthesize_page(PayloadKind::Random, lpa ^ 0xdead, page_size);
         attacker.submit(
             &mut controller,
-            Some(&mut monitor),
-            shard_of,
             IoCommand::Write {
                 lpa,
                 data: ciphertext,
@@ -200,8 +128,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let edit = synthesize_page(PayloadKind::Text, scratch ^ 0x5a5a, page_size);
         victim.submit(
             &mut controller,
-            Some(&mut monitor),
-            shard_of,
             IoCommand::Write {
                 lpa: scratch,
                 data: edit,
@@ -214,17 +140,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // The victim's journal flushes — a barrier every filesystem issues —
     // which also ships every retained pre-image to the remote stores.
-    victim.submit(
-        &mut controller,
-        Some(&mut monitor),
-        shard_of,
-        IoCommand::Flush,
-    );
+    victim.submit(&mut controller, IoCommand::Flush);
     controller.run_to_idle();
     controller.drain_completions(victim.queue);
-
-    // --- 3. Shard 1 dies mid-attack.
     drop(controller);
+
+    // --- 3. Detection over the evidence, not the command stream. Each
+    // member's chain-verified log is analyzed alone; the array's merged
+    // history (every member's records in array addresses, time-ordered) is
+    // analyzed as one. It runs before shard 1 dies, because a dead member's
+    // pre-death records are not in `history_audit` (DESIGN.md §5).
+    let analyzer = PostAttackAnalyzer::new();
+    println!("detection over the evidence logs:");
+    for shard in 0..SHARDS {
+        let member = array.shard_mut(shard).expect("every shard is live");
+        let audit = member.audit_history();
+        let report = analyzer.analyze(&audit.records, audit.verified);
+        println!(
+            "  shard {shard}: score {:.2} → {:?}",
+            report.score, report.verdict
+        );
+    }
+    let audit = array.history_audit();
+    let fused = analyzer.analyze(&audit.records, audit.verified);
+    println!(
+        "  array:   score {:.2} → {:?} over {} records (chain verified: {})",
+        fused.score, fused.verdict, fused.records_examined, fused.chain_verified
+    );
+    assert!(fused.chain_verified);
+    assert_eq!(fused.verdict, Verdict::Ransomware);
+
+    // --- 4. Shard 1 dies mid-attack.
     let salvage = array.fail_shard(1).map_err(std::io::Error::other)?;
     println!(
         "shard 1 lost; salvaged from its remote store: {} segments, {} records, \
@@ -250,16 +196,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shard1_corpus.len()
     );
 
-    // --- 4. The ransomware is still running: trim cleanup over the corpus.
+    // --- 5. The ransomware is still running: trim cleanup over the corpus.
     let mut controller = NvmeController::new(&mut array);
     attacker.queue = controller.create_queue_pair(32);
     attacker.next_id = 0;
     let mut dead_shard_errors = 0u64;
     for lpa in 0..CORPUS_PAGES {
-        // Trims aimed at the dead shard never execute, so they must not be
-        // observed as executed operations either.
-        let observe = (shard_of(lpa) != 1).then_some(&mut monitor);
-        attacker.submit(&mut controller, observe, shard_of, IoCommand::Trim { lpa });
+        attacker.submit(&mut controller, IoCommand::Trim { lpa });
         controller.run_to_idle();
         for done in controller.drain_completions(attacker.queue) {
             if matches!(done.result, Err(DeviceError::ShardFailed { shard: 1 })) {
@@ -276,7 +219,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(dead_shard_errors, shard1_corpus.len() as u64);
 
-    // --- 5. Incremental rebuild of a replacement member, to the pre-attack
+    // --- 6. Incremental rebuild of a replacement member, to the pre-attack
     // point in time, while degraded reads keep flowing.
     array
         .begin_rebuild(1, mk_shard(9), Some(attack_start))
@@ -310,7 +253,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The rebuilt member slots back into the same geometry.
     assert_eq!(array.layout().shard_pages(), layout.shard_pages());
 
-    // --- 6. Fleet-wide recovery check: roll the surviving shards back to
+    // --- 7. Fleet-wide recovery check: roll the surviving shards back to
     // the pre-attack point too, then verify the whole corpus byte for byte.
     let mut restored_live = 0u64;
     for lpa in 0..CORPUS_PAGES {
@@ -335,18 +278,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shard1_corpus.len()
     );
     assert_eq!(intact, CORPUS_PAGES, "zero data loss across the fleet");
-
-    // --- Detection and merged fleet reporting.
-    let report = monitor.detector.report();
-    println!("fleet detection:");
-    for (shard, (verdict, score)) in report.shard_verdicts.iter().enumerate() {
-        println!("  shard {shard}: score {score:.2} → {verdict:?}");
-    }
-    println!(
-        "  fleet:   score {:.2} → {:?} over {} observations",
-        report.fleet_score, report.fleet_verdict, report.observations
-    );
-    assert_eq!(report.fleet_verdict, Verdict::Ransomware);
 
     // Merged fleet reporting rides the array's merge accessors — the same
     // interval-union-aware NandStats::merge the fleet harness uses — so the

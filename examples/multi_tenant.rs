@@ -21,7 +21,8 @@ use rssd_repro::trace::{synthesize_page, PayloadKind};
 use std::collections::{HashMap, HashSet};
 
 /// One tenant: a queue pair plus the host-side state a per-queue detector
-/// needs (what it wrote where, and when it last read each page).
+/// needs (what it wrote where, and when it last read each page). The
+/// evidence log records no queue id, so attribution to a queue stays here.
 struct Tenant {
     name: &'static str,
     queue: QueueId,
@@ -56,16 +57,14 @@ impl Tenant {
         command: IoCommand,
     ) {
         let now = controller.device().clock().now_ns();
-        const READ_WINDOW_NS: u64 = 600 * 1_000_000_000;
         match &command {
             IoCommand::Read { lpa } => {
                 self.recent_reads.insert(*lpa, now);
             }
             IoCommand::Write { lpa, data } => {
-                let read_before = self
-                    .recent_reads
-                    .get(lpa)
-                    .is_some_and(|&t| now.saturating_sub(t) <= READ_WINDOW_NS);
+                let read_before = self.recent_reads.get(lpa).is_some_and(|&t| {
+                    now.saturating_sub(t) <= RssdDevice::<LoopbackTarget>::READ_WINDOW_NS
+                });
                 let obs = if valid.contains(lpa) {
                     WriteObservation::overwrite(now, *lpa, shannon_entropy(data), read_before)
                 } else {

@@ -68,7 +68,6 @@ fn facade_reexports_reach_every_member_crate() {
     // One cheap, side-effect-free touch per re-exported crate, so a
     // missing re-export is a compile error pointing here.
     let _ = rssd_repro::array::StripeLayout::new(2, 4, 8);
-    let _ = rssd_repro::array::ArrayDetector::new(2);
     let _ = rssd_repro::attacks::ClassicRansomware::new(7);
     let _ = rssd_repro::compress::compress_adaptive(&[0u8; 64]);
     let _ = rssd_repro::crypto::Digest::ZERO;
