@@ -73,8 +73,8 @@ fn main() {
                 format!("{shards}_shards"),
                 vec![
                     ("completed", stats.completed as f64),
-                    ("p50_us", stats.latency.percentile_ns(50.0) as f64 / 1000.0),
-                    ("p99_us", stats.latency.percentile_ns(99.0) as f64 / 1000.0),
+                    ("p50_us", stats.latency.quantile_ns(0.5) as f64 / 1000.0),
+                    ("p99_us", stats.latency.quantile_ns(0.99) as f64 / 1000.0),
                     (
                         "throughput_kiops",
                         stats.completed as f64 / (end_ns as f64 / 1e9) / 1e3,

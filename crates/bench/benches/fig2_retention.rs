@@ -10,9 +10,9 @@
 //! divided by the *measured* sealed offload bytes per day, capped at the
 //! figure's 240-day axis.
 
-use rssd_bench::{bench_geometry, mk_retention, mk_rssd, publish, BenchRow, NS_PER_DAY};
+use rssd_bench::{bench_geometry, mk_rssd, publish, BenchRow, NS_PER_DAY};
 use rssd_flash::{NandTiming, SimClock};
-use rssd_ssd::{BlockDevice, RetentionMode};
+use rssd_ssd::{BlockDevice, RetentionMode, RetentionSsd};
 use rssd_trace::{replay, TraceProfile};
 
 const SIM_DAYS_LOCAL: f64 = 40.0;
@@ -23,7 +23,7 @@ const FIGURE_CAP_DAYS: f64 = 240.0;
 fn local_retention_days(profile: &TraceProfile, mode: RetentionMode) -> f64 {
     let g = bench_geometry();
     let clock = SimClock::new();
-    let mut device = mk_retention(g, NandTiming::instant(), clock.clone(), mode);
+    let mut device = RetentionSsd::new(g, NandTiming::instant(), clock.clone(), mode);
     let logical = device.logical_pages();
     let horizon_ns = (SIM_DAYS_LOCAL * NS_PER_DAY) as u64;
     let records = profile

@@ -38,8 +38,9 @@ fn policy_row(label: &str, policy: GcPolicy) -> BenchRow {
         for i in 0..u64::from(rec.pages) {
             let lpa = rec.lpa + i;
             if lpa < ftl.logical_pages() {
-                ftl.write(lpa, vec![(rec.payload_seed ^ i) as u8; g.page_size])
-                    .unwrap();
+                let data = vec![(rec.payload_seed ^ i) as u8; g.page_size];
+                let ticket = ftl.write_async(lpa, data).unwrap();
+                ftl.clock().advance_to(ticket.done_ns);
             }
         }
         ftl.drain_stale_events();

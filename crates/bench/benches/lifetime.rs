@@ -6,10 +6,10 @@
 //! Asserted per trace: RSSD's WAF ≤ 1.01 × plain's and its erases ≤ 1.05 ×
 //! plain's.
 
-use rssd_bench::{bench_geometry, mk_plain, mk_rssd, publish, BenchRow};
+use rssd_bench::{bench_geometry, mk_rssd, publish, BenchRow};
 use rssd_flash::{NandStats, NandTiming, SimClock};
 use rssd_ftl::FtlStats;
-use rssd_ssd::BlockDevice;
+use rssd_ssd::{BlockDevice, PlainSsd};
 use rssd_trace::{replay, TraceProfile};
 
 const OPS: usize = 30_000;
@@ -44,7 +44,7 @@ fn main() {
     let mut rows = Vec::new();
     for name in ["hm", "src", "usr", "mail"] {
         let profile = TraceProfile::by_name(name).unwrap();
-        let plain = wear(mk_plain(g, timing, SimClock::new()), &profile, |d| {
+        let plain = wear(PlainSsd::new(g, timing, SimClock::new()), &profile, |d| {
             (d.ftl_stats(), d.nand_stats())
         });
         let rssd = wear(mk_rssd(g, timing, SimClock::new()), &profile, |d| {

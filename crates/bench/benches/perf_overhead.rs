@@ -7,9 +7,9 @@
 //! are background-scheduled, so the overhead should be ~0 — matching the
 //! paper. Asserted on every row: `overhead_pct < 1.0`.
 
-use rssd_bench::{bench_geometry, mk_plain, mk_rssd, publish, BenchRow};
+use rssd_bench::{bench_geometry, mk_rssd, publish, BenchRow};
 use rssd_flash::{NandTiming, SimClock};
-use rssd_ssd::BlockDevice;
+use rssd_ssd::{BlockDevice, PlainSsd};
 use rssd_trace::{replay, IoRecord, PayloadKind, TraceProfile, WorkloadBuilder};
 
 const OPS: usize = 4_000;
@@ -62,7 +62,7 @@ fn main() {
     let (g, timing) = (bench_geometry(), NandTiming::mlc_default());
     let mut rows = Vec::new();
     for name in WORKLOADS {
-        let plain = mean_latency_us(mk_plain(g, timing, SimClock::new()), name, |d| {
+        let plain = mean_latency_us(PlainSsd::new(g, timing, SimClock::new()), name, |d| {
             d.latency().mean_ns()
         });
         let rssd = mean_latency_us(mk_rssd(g, timing, SimClock::new()), name, |d| {

@@ -20,10 +20,12 @@
 //! pressure; LocalSSD+Compression pays a blocking repack read per retained
 //! page.
 
-use rssd_bench::{bench_geometry, cell, mk_plain, mk_retention, mk_rssd, publish, BenchRow};
+use rssd_bench::{bench_geometry, cell, mk_rssd, publish, BenchRow};
 use rssd_flash::{NandStats, NandTiming, SimClock};
-use rssd_ssd::{BlockDevice, NvmeController, QueuePairStats, RetentionMode};
-use rssd_trace::{replay_queued, IoRecord, PayloadKind, WorkloadBuilder};
+use rssd_ssd::{
+    BlockDevice, NvmeController, PlainSsd, QueuePairStats, RetentionMode, RetentionSsd,
+};
+use rssd_trace::{replay_fanout, IoRecord, PayloadKind, WorkloadBuilder};
 
 const OPS: usize = 4_000;
 const DEPTHS: [usize; 3] = [1, 8, 32];
@@ -79,7 +81,7 @@ fn run_at_depth<D: BlockDevice>(
     let mut controller = NvmeController::with_arbitration_burst(device, depth);
     let queue = controller.create_queue_pair(depth);
     let records = workload(controller.device().logical_pages());
-    let _ = replay_queued(&mut controller, queue, records);
+    let _ = replay_fanout(&mut controller, &[queue], records);
     let end_ns = controller.device().clock().now_ns();
     SweepRun {
         stats: controller.stats(queue).clone(),
@@ -91,12 +93,14 @@ fn run_at_depth<D: BlockDevice>(
 fn run_model(model: &str, depth: usize) -> SweepRun {
     let (g, timing) = (bench_geometry(), NandTiming::mlc_default());
     let retention = |mode| {
-        run_at_depth(mk_retention(g, timing, SimClock::new(), mode), depth, |d| {
-            d.nand_stats().clone()
-        })
+        run_at_depth(
+            RetentionSsd::new(g, timing, SimClock::new(), mode),
+            depth,
+            |d| d.nand_stats().clone(),
+        )
     };
     match model {
-        "plain" => run_at_depth(mk_plain(g, timing, SimClock::new()), depth, |d| {
+        "plain" => run_at_depth(PlainSsd::new(g, timing, SimClock::new()), depth, |d| {
             d.nand_stats().clone()
         }),
         "rssd" => run_at_depth(mk_rssd(g, timing, SimClock::new()), depth, |d| {
@@ -118,13 +122,10 @@ fn main() {
             let tput = run.throughput_kiops();
             let mut metrics = vec![
                 ("mean_us", run.stats.latency.mean_ns() / 1000.0),
-                (
-                    "p50_us",
-                    run.stats.latency.percentile_ns(50.0) as f64 / 1000.0,
-                ),
+                ("p50_us", run.stats.latency.quantile_ns(0.5) as f64 / 1000.0),
                 (
                     "p99_us",
-                    run.stats.latency.percentile_ns(99.0) as f64 / 1000.0,
+                    run.stats.latency.quantile_ns(0.99) as f64 / 1000.0,
                 ),
                 ("throughput_kiops", tput),
                 ("sim_end_ms", run.end_ns as f64 / 1e6),

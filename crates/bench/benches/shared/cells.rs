@@ -6,9 +6,9 @@ use rssd_attacks::{
     evaluate_recovery, ClassicRansomware, DefenseOutcome, FileTable, GcAttack, TimingAttack,
     TrimAttack,
 };
-use rssd_bench::{bench_geometry, mk_flashguard, mk_plain, mk_retention, mk_rssd};
+use rssd_bench::{bench_geometry, mk_rssd};
 use rssd_flash::{NandTiming, SimClock};
-use rssd_ssd::{flashguard, BlockDevice, RetentionMode};
+use rssd_ssd::{flashguard, BlockDevice, PlainSsd, RetentionMode, RetentionSsd};
 
 const FILES: usize = 24;
 const PAGES_PER_FILE: u64 = 8;
@@ -60,10 +60,13 @@ fn attack_device<D: BlockDevice>(mut device: D, attack: Attack) -> DefenseOutcom
 pub fn run_cell(model: &str, attack: Attack) -> DefenseOutcome {
     let (g, timing, clock) = (bench_geometry(), NandTiming::instant(), SimClock::new());
     match model {
-        "PlainSSD" => attack_device(mk_plain(g, timing, clock), attack),
-        "FlashGuard" => attack_device(mk_flashguard(g, timing, clock), attack),
+        "PlainSSD" => attack_device(PlainSsd::new(g, timing, clock), attack),
+        "FlashGuard" => attack_device(
+            RetentionSsd::new(g, timing, clock, RetentionMode::ReadThenOverwrite),
+            attack,
+        ),
         "LocalSSD" => attack_device(
-            mk_retention(g, timing, clock, RetentionMode::RetainAll),
+            RetentionSsd::new(g, timing, clock, RetentionMode::RetainAll),
             attack,
         ),
         "RSSD" => attack_device(mk_rssd(g, timing, clock), attack),

@@ -10,34 +10,12 @@
 use rssd_array::RssdArray;
 use rssd_core::{LoopbackTarget, RssdConfig, RssdDevice};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
-use rssd_ssd::{PlainSsd, RetentionMode, RetentionSsd};
 use std::path::{Path, PathBuf};
 
 /// Geometry used by most benches: 32 MiB, 4 KiB pages (scaled-down stand-in
 /// for the 256 GiB device in the paper; see DESIGN.md on scaling).
 pub fn bench_geometry() -> FlashGeometry {
     FlashGeometry::with_capacity(32 * 1024 * 1024)
-}
-
-/// A plain (unprotected) SSD on `clock`.
-pub fn mk_plain(geometry: FlashGeometry, timing: NandTiming, clock: SimClock) -> PlainSsd {
-    PlainSsd::new(geometry, timing, clock)
-}
-
-/// A FlashGuard-style SSD on `clock`.
-pub fn mk_flashguard(geometry: FlashGeometry, timing: NandTiming, clock: SimClock) -> RetentionSsd {
-    mk_retention(geometry, timing, clock, RetentionMode::ReadThenOverwrite)
-}
-
-/// A local-retention SSD (LocalSSD, LocalSSD+Compression or FlashGuard, per
-/// `mode`) on `clock`.
-pub fn mk_retention(
-    geometry: FlashGeometry,
-    timing: NandTiming,
-    clock: SimClock,
-    mode: RetentionMode,
-) -> RetentionSsd {
-    RetentionSsd::new(geometry, timing, clock, mode)
 }
 
 /// An RSSD over an in-process remote target on `clock`.
@@ -308,19 +286,8 @@ mod tests {
     fn constructors_build_working_devices() {
         let g = bench_geometry();
         assert_eq!(g.capacity_bytes(), 32 * 1024 * 1024);
-        let mut plain = mk_plain(g, NandTiming::instant(), SimClock::new());
-        plain.write_page(0, vec![1; 4096]).unwrap();
         let mut rssd = mk_rssd(g, NandTiming::instant(), SimClock::new());
         rssd.write_page(0, vec![1; 4096]).unwrap();
-        let mut fg = mk_flashguard(g, NandTiming::instant(), SimClock::new());
-        fg.write_page(0, vec![1; 4096]).unwrap();
-        let mut loc = mk_retention(
-            g,
-            NandTiming::instant(),
-            SimClock::new(),
-            RetentionMode::Compressed,
-        );
-        loc.write_page(0, vec![1; 4096]).unwrap();
         let mut arr = mk_array(2, FlashGeometry::small_test(), NandTiming::instant(), 4);
         arr.write_page(0, vec![1; 4096]).unwrap();
         assert_eq!(arr.shard_count(), 2);

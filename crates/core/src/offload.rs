@@ -835,7 +835,8 @@ mod tests {
             let chain_key = keys.derive(KeyPurpose::EvidenceChain, 0);
             let mut ftl = Ftl::new(nand, config);
             for lpa in 0..Self::LPAS {
-                ftl.write(lpa, vec![0; 256]).unwrap();
+                let ticket = ftl.write_async(lpa, vec![0; 256]).unwrap();
+                ftl.clock().advance_to(ticket.done_ns);
             }
             Rig {
                 ftl,
@@ -888,7 +889,11 @@ mod tests {
                     // version.
                     self.writes += 1;
                     let data = vec![self.writes as u8; 256];
-                    self.ftl.write(self.writes % Self::LPAS, data).unwrap();
+                    let ticket = self
+                        .ftl
+                        .write_async(self.writes % Self::LPAS, data)
+                        .unwrap();
+                    self.ftl.clock().advance_to(ticket.done_ns);
                     let retained = self.ftl.drain_stale_events();
                     assert_eq!(retained.len(), 1);
                     assert_eq!(retained[0].cause, InvalidateCause::Overwrite);

@@ -56,36 +56,18 @@ impl RecoveryEngine {
         victim_lpas: &[u64],
         attack_start_ns: u64,
     ) -> RecoveryReport {
-        Self::restore(device, victim_lpas, |device, lpa| {
-            device.recover_page_before(lpa, attack_start_ns)
-        })
-    }
-
-    /// Restores each victim page to its newest retained pre-image (used when
-    /// the attack overwrote each page exactly once).
-    pub fn restore_newest<R: RemoteTarget>(
-        &self,
-        device: &mut RssdDevice<R>,
-        victim_lpas: &[u64],
-    ) -> RecoveryReport {
-        Self::restore(device, victim_lpas, RssdDevice::recover_newest)
-    }
-
-    fn restore<R: RemoteTarget>(
-        device: &mut RssdDevice<R>,
-        victim_lpas: &[u64],
-        lookup: impl Fn(&mut RssdDevice<R>, u64) -> Option<Vec<u8>>,
-    ) -> RecoveryReport {
         let start = device.clock().now_ns();
         let mut report = RecoveryReport::default();
         for &lpa in victim_lpas {
             // A restore write the device refuses — stalled on its own
             // offload backlog mid-outage, or down after a power cut — leaves
             // the page as unrecovered as one with no retained version.
-            let restored = lookup(device, lpa).and_then(|data| {
-                let len = data.len() as u64;
-                device.write_page(lpa, data).ok().map(|()| len)
-            });
+            let restored = device
+                .recover_page_before(lpa, attack_start_ns)
+                .and_then(|data| {
+                    let len = data.len() as u64;
+                    device.write_page(lpa, data).ok().map(|()| len)
+                });
             match restored {
                 Some(len) => {
                     report.bytes_restored += len;
@@ -187,8 +169,8 @@ mod tests {
     #[test]
     fn unrecoverable_counted_for_never_written_pages() {
         let clock = SimClock::new();
-        let mut d = device(clock);
-        let report = RecoveryEngine::new().restore_newest(&mut d, &[99]);
+        let mut d = device(clock.clone());
+        let report = RecoveryEngine::new().restore_before(&mut d, &[99], clock.now_ns());
         assert_eq!(report.pages_unrecoverable, 1);
         assert_eq!(report.pages_restored, 0);
         assert_eq!(report.recovery_rate(), 0.0);
@@ -239,7 +221,7 @@ mod tests {
         d.write_page(3, page(2)).unwrap();
         d.flush_log().unwrap();
         let _ = d.crash();
-        let report = RecoveryEngine::new().restore_newest(&mut d, &[3]);
+        let report = RecoveryEngine::new().restore_before(&mut d, &[3], clock.now_ns());
         assert_eq!((report.pages_restored, report.pages_unrecoverable), (0, 1));
         assert_eq!(report.bytes_restored, 0);
     }
@@ -248,7 +230,7 @@ mod tests {
     fn empty_victim_list_is_perfect() {
         let clock = SimClock::new();
         let mut d = device(clock);
-        let report = RecoveryEngine::new().restore_newest(&mut d, &[]);
+        let report = RecoveryEngine::new().restore_before(&mut d, &[], 0);
         assert_eq!(report.recovery_rate(), 1.0);
     }
 

@@ -80,7 +80,7 @@ impl<D: FaultTarget> FaultInjector<D> {
     /// the current counter) are dropped — that is the documented way to run
     /// fault-free phases first and arm an absolute-indexed schedule
     /// afterwards (see [`FaultSchedule::offset`]), so they do *not* count
-    /// as [`skipped_events`](Self::skipped_events) (which flags events the
+    /// as [`FaultTarget::skipped_event_count`] (which flags events the
     /// topology could not apply).
     pub fn arm(&mut self, schedule: &FaultSchedule) {
         self.events = schedule.events().to_vec();
@@ -94,29 +94,14 @@ impl<D: FaultTarget> FaultInjector<D> {
         }
     }
 
-    /// Commands executed (the schedule's clock).
-    pub fn ops_executed(&self) -> u64 {
-        self.ops_executed
-    }
-
-    /// `true` after a power cut until [`Self::restore_power`].
+    /// `true` after a power cut until [`FaultTarget::power_restore`].
     pub fn powered_off(&self) -> bool {
         self.powered_off
-    }
-
-    /// Power cuts fired so far.
-    pub fn power_cuts(&self) -> u64 {
-        self.power_cuts
     }
 
     /// Batches a power cut tore (prefix persisted, suffix lost).
     pub fn torn_batches(&self) -> &[TornBatch] {
         &self.torn_batches
-    }
-
-    /// Scheduled events that could not be applied to this topology.
-    pub fn skipped_events(&self) -> u64 {
-        self.skipped_events
     }
 
     /// The wrapped device.
@@ -127,20 +112,6 @@ impl<D: FaultTarget> FaultInjector<D> {
     /// Mutable access to the wrapped device.
     pub fn inner_mut(&mut self) -> &mut D {
         &mut self.inner
-    }
-
-    /// Brings the device back after a cut: the wrapped device crashes
-    /// (dropping volatile state) and recovers from flash plus the remote
-    /// evidence chain, then the injector resumes executing commands (and
-    /// firing the remaining schedule).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the device's recovery failure; the device stays down.
-    pub fn restore_power(&mut self) -> Result<PowerRestoreReport, FaultError> {
-        let report = self.inner.power_restore()?;
-        self.powered_off = false;
-        Ok(report)
     }
 
     fn trace_fault(&self, name: &str, at_op: u64, extra: Option<(&str, String)>) {
@@ -261,8 +232,15 @@ impl<D: FaultTarget> BlockDevice for FaultInjector<D> {
 }
 
 impl<D: FaultTarget> FaultTarget for FaultInjector<D> {
+    /// Brings the device back after a cut: the wrapped device crashes
+    /// (dropping volatile state) and recovers from flash plus the remote
+    /// evidence chain, then the injector resumes executing commands (and
+    /// firing the remaining schedule). On a recovery failure the device
+    /// stays down.
     fn power_restore(&mut self) -> Result<PowerRestoreReport, FaultError> {
-        self.restore_power()
+        let report = self.inner.power_restore()?;
+        self.powered_off = false;
+        Ok(report)
     }
 
     fn set_partition(&mut self, mode: PartitionMode) -> bool {
@@ -365,8 +343,8 @@ mod tests {
         let mut f = FaultInjector::new(dut(), &FaultSchedule::none());
         f.write_page(0, page(1)).unwrap();
         assert_eq!(f.read_page(0).unwrap(), page(1));
-        assert_eq!(f.ops_executed(), 2);
-        assert_eq!(f.power_cuts(), 0);
+        assert_eq!(f.ops_count(), 2);
+        assert_eq!(f.power_cut_count(), 0);
     }
 
     #[test]
@@ -382,11 +360,11 @@ mod tests {
         ));
         assert!(f.powered_off());
         assert!(matches!(f.read_page(0), Err(DeviceError::PowerLoss)));
-        let _ = f.restore_power().unwrap();
+        let _ = f.power_restore().unwrap();
         // Acked writes survived; the cut one never happened.
         assert_eq!(f.read_page(0).unwrap(), page(1));
         assert_eq!(f.read_page(3).unwrap(), page(0));
-        assert_eq!(f.power_cuts(), 1);
+        assert_eq!(f.power_cut_count(), 1);
     }
 
     #[test]
@@ -412,7 +390,7 @@ mod tests {
                 at_op: 2
             }]
         );
-        let _ = f.restore_power().unwrap();
+        let _ = f.power_restore().unwrap();
         assert_eq!(f.read_page(0).unwrap(), page(1), "prefix persisted");
         assert_eq!(f.read_page(1).unwrap(), page(2), "prefix persisted");
         assert_eq!(f.read_page(2).unwrap(), page(0), "suffix never executed");
@@ -438,7 +416,7 @@ mod tests {
         assert!(f.inner().offload_stats().offload_failures > 0);
         f.flush().unwrap(); // op 3: healed first, offload lands
         assert!(f.inner().offload_stats().segments_offloaded > 0);
-        assert_eq!(f.skipped_events(), 0);
+        assert_eq!(f.skipped_event_count(), 0);
     }
 
     #[test]
@@ -446,7 +424,7 @@ mod tests {
         // A shard death against a bare device cannot apply.
         let mut f = FaultInjector::new(dut(), &FaultSchedule::shard_death(1, 0));
         f.write_page(0, page(1)).unwrap();
-        assert_eq!(f.skipped_events(), 1);
+        assert_eq!(f.skipped_event_count(), 1);
     }
 
     #[test]
@@ -454,7 +432,7 @@ mod tests {
         let mut f = FaultInjector::new(dut(), &FaultSchedule::none());
         f.write_page(0, page(1)).unwrap();
         f.write_page(1, page(2)).unwrap();
-        f.arm(&FaultSchedule::power_cut(1).offset(f.ops_executed()));
+        f.arm(&FaultSchedule::power_cut(1).offset(f.ops_count()));
         f.write_page(2, page(3)).unwrap(); // op 2 — one more before the cut
         assert!(matches!(
             f.write_page(3, page(4)),

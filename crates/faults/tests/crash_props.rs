@@ -68,7 +68,7 @@ fn check_crash_consistency<D: FaultTarget>(
         }
     }
     if cut_seen {
-        let _ = injector.restore_power().expect("recovery must succeed");
+        let _ = injector.power_restore().expect("recovery must succeed");
     }
     // The checks below drive I/O through the injector too; a cut that had
     // not yet come due must not fire mid-verification.
@@ -141,7 +141,7 @@ proptest! {
                 _ => injector.trim_page(lpa),
             };
             if matches!(result, Err(DeviceError::PowerLoss)) {
-                let _ = injector.restore_power().expect("recovery");
+                let _ = injector.power_restore().expect("recovery");
             }
         }
         let audit = injector.history_audit();
@@ -257,7 +257,7 @@ fn wan_power_cut_at_every_op_index_loses_only_the_unshipped_tail() {
         }
         assert_eq!(cut_seen, cut < steps.len() as u64, "cut {cut}");
         if cut_seen {
-            let restored = injector.restore_power().expect("recovery must succeed");
+            let restored = injector.power_restore().expect("recovery must succeed");
             let device = injector.inner();
             let crash = device.last_crash_report();
             // Shipped segments are the store's, ack or no ack: recovery

@@ -173,12 +173,12 @@ proptest! {
             let b = apply(&mut wired, op);
             prop_assert_eq!(&a, &b, "op {:?} diverged under faults", op);
             if a == Err(DeviceError::PowerLoss) {
-                let ra = direct.restore_power().unwrap();
-                let rb = wired.restore_power().unwrap();
+                let ra = direct.power_restore().unwrap();
+                let rb = wired.power_restore().unwrap();
                 prop_assert_eq!(ra, rb, "recovery reports diverged");
             }
         }
-        prop_assert_eq!(direct.power_cuts(), wired.power_cuts());
+        prop_assert_eq!(direct.power_cut_count(), wired.power_cut_count());
         prop_assert_eq!(direct.torn_batches(), wired.torn_batches());
 
         let audit_direct = direct.history_audit();
@@ -277,19 +277,19 @@ proptest! {
             let b = apply(&mut outaged, op);
             prop_assert_eq!(&a, &b, "op {:?} diverged under outage + cut", op);
             if a == Err(DeviceError::PowerLoss) {
-                let ra = steady.restore_power().unwrap();
+                let ra = steady.power_restore().unwrap();
                 // The outaged device cannot fetch what the store holds
                 // across a dead link: recovery fails visibly, the operator
                 // restores the network, and the retry replays the spill
                 // region. (If nothing was ever offloaded the walk fetches
                 // nothing and the first attempt succeeds — nothing to
                 // refuse over.)
-                let rb = match outaged.restore_power() {
+                let rb = match outaged.power_restore() {
                     Ok(r) => r,
                     Err(_) => {
                         outaged.inner_mut().remote_mut().set_uplink_down(false);
                         outage_open = false;
-                        outaged.restore_power().unwrap()
+                        outaged.power_restore().unwrap()
                     }
                 };
                 if outage_open {
@@ -308,7 +308,7 @@ proptest! {
         steady.inner_mut().flush().unwrap();
         outaged.inner_mut().flush().unwrap();
 
-        prop_assert_eq!(steady.power_cuts(), outaged.power_cuts());
+        prop_assert_eq!(steady.power_cut_count(), outaged.power_cut_count());
         let audit_steady = steady.history_audit();
         let audit_outaged = outaged.history_audit();
         prop_assert!(audit_steady.verified, "steady chain must verify");
@@ -354,9 +354,9 @@ fn a_cut_inside_a_wire_outage_fails_recovery_on_the_fetch_until_the_link_heals()
             continue;
         }
         let want = steady
-            .restore_power()
+            .power_restore()
             .expect("the steady store is reachable");
-        match outaged.restore_power() {
+        match outaged.power_restore() {
             Err(FaultError::Recovery(e)) => {
                 assert!(e.starts_with("fetch segment "), "{e}");
                 assert!(e.ends_with(": remote target unreachable"), "{e}");
@@ -365,7 +365,7 @@ fn a_cut_inside_a_wire_outage_fails_recovery_on_the_fetch_until_the_link_heals()
         }
         outaged.inner_mut().remote_mut().set_uplink_down(false);
         let got = outaged
-            .restore_power()
+            .power_restore()
             .expect("the healed link carries the walk");
         assert!(got.segments_walked > 0, "{got:?}");
         assert_eq!(got, want);

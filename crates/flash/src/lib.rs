@@ -16,21 +16,25 @@
 //! * A **timing model** (read/program/erase latencies, per-channel bus
 //!   transfer) with genuine device-internal parallelism: per-channel bus
 //!   and per-plane cell pipelines, async dispatch (`*_async` returning
-//!   [`OpTicket`]s), and a clock that only advances when a caller blocks
-//!   on a completion.
+//!   [`OpTicket`]s), and a clock this crate never advances: a caller that
+//!   waits on a completion advances it to the ticket itself.
 //!
 //! # Examples
 //!
 //! ```
-//! use rssd_flash::{FlashGeometry, NandArray, PageOob, Ppa};
+//! use rssd_flash::{FlashGeometry, NandArray, NandTiming, PageOob, Ppa, SimClock};
 //!
 //! let geometry = FlashGeometry::small_test();
-//! let mut nand = NandArray::new(geometry);
+//! let clock = SimClock::new();
+//! let mut nand = NandArray::with_clock(geometry, NandTiming::mlc_default(), clock.clone());
 //! let ppa = Ppa::new(0, 0, 0, 0, 0);
 //! let oob = PageOob { lpa: 42, timestamp_ns: 0, seq: 0 };
-//! nand.program(ppa, vec![0xAB; geometry.page_size], oob)?;
-//! let (data, _oob) = nand.read(ppa)?;
+//! let (_seq, programmed) = nand.program_async(ppa, vec![0xAB; geometry.page_size], oob)?;
+//! let (data, _oob, read) = nand.read_async(ppa)?;
 //! assert_eq!(data[0], 0xAB);
+//! // Dispatch never moves the clock; a caller that waits advances it.
+//! assert_eq!(clock.now_ns(), 0);
+//! clock.advance_to(programmed.done_ns.max(read.done_ns));
 //! # Ok::<(), rssd_flash::NandError>(())
 //! ```
 

@@ -108,6 +108,17 @@ impl Block {
     }
 }
 
+/// The three read flavours: what a read occupies and how the stats count it.
+#[derive(Clone, Copy)]
+enum ReadKind {
+    /// A host or GC read: occupies its units, counted as a read.
+    Foreground,
+    /// An offload read: occupies its units, counted as a background read.
+    Background,
+    /// A forensic read: occupies nothing, counted as a background read.
+    Untimed,
+}
+
 /// The simulated NAND flash array.
 ///
 /// Enforces the physical constraints (erase-before-program, sequential
@@ -115,13 +126,11 @@ impl Block {
 /// simulated time on the per-channel/per-plane unit pipelines (see
 /// [`crate::timing`]).
 ///
-/// Every operation has two forms: the `*_async` form *dispatches* it — the
-/// state change commits immediately, the returned [`OpTicket`] says when
-/// the hardware would complete it, and the shared [`SimClock`] does **not**
-/// move — and the scalar form, which dispatches and then blocks (advances
-/// the clock to the ticket). Batched device paths use the async forms so
-/// independent channels, chips and planes overlap; scalar host paths keep
-/// the historical one-op-at-a-time timing.
+/// Every operation is a *dispatch*: the state change commits immediately,
+/// the returned [`OpTicket`] says when the hardware would complete it, and
+/// the shared [`SimClock`] does **not** move. Independent channels, chips
+/// and planes overlap; a caller that must wait for the hardware advances
+/// the clock to the ticket itself (DESIGN §7).
 #[derive(Clone, Debug)]
 pub struct NandArray {
     geometry: FlashGeometry,
@@ -138,11 +147,6 @@ pub struct NandArray {
 impl NandArray {
     /// Default P/E endurance budget per block (MLC-class).
     pub const DEFAULT_MAX_PE_CYCLES: u32 = 3_000;
-
-    /// Creates an erased array with default timing and a fresh clock.
-    pub fn new(geometry: FlashGeometry) -> Self {
-        Self::with_clock(geometry, NandTiming::default(), SimClock::new())
-    }
 
     /// Creates an erased array with explicit timing and a shared clock.
     pub fn with_clock(geometry: FlashGeometry, timing: NandTiming, clock: SimClock) -> Self {
@@ -242,29 +246,18 @@ impl NandArray {
         Ok(self.blocks[self.geometry.block_index(ppa) as usize].pe_cycles)
     }
 
-    /// Programs `data` + `oob` into the page at `ppa`, blocking (the clock
-    /// advances to the completion). Returns the device-global sequence
-    /// number assigned to this program.
+    /// Dispatches a program of `data` + `oob` into the page at `ppa` without
+    /// advancing the clock: the page state commits immediately, the ticket
+    /// says when the hardware completes (transfer staged on the channel
+    /// bus, cell phase on the plane — sibling planes overlap, multi-plane
+    /// style). Also returns the device-global sequence number assigned to
+    /// this program.
     ///
     /// # Errors
     ///
     /// Fails if the address is out of range, the payload is the wrong size,
     /// the block is bad, the page is already programmed, or programming is
     /// not at the block's write pointer.
-    pub fn program(&mut self, ppa: Ppa, data: Vec<u8>, oob: PageOob) -> Result<u64, NandError> {
-        let (seq, ticket) = self.program_async(ppa, data, oob)?;
-        self.clock.advance_to(ticket.done_ns);
-        Ok(seq)
-    }
-
-    /// Dispatches a program without advancing the clock: the page state
-    /// commits immediately, the ticket says when the hardware completes
-    /// (transfer staged on the channel bus, cell phase on the plane —
-    /// sibling planes overlap, multi-plane style).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::program`].
     pub fn program_async(
         &mut self,
         ppa: Ppa,
@@ -281,7 +274,7 @@ impl NandArray {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::program`].
+    /// Same conditions as [`Self::program_async`].
     pub fn program_async_after(
         &mut self,
         ppa: Ppa,
@@ -342,19 +335,6 @@ impl NandArray {
         Ok((seq, ticket))
     }
 
-    /// Reads the page at `ppa`, blocking (the clock advances to the
-    /// completion).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address is out of range, the block is bad, or the page is
-    /// erased.
-    pub fn read(&mut self, ppa: Ppa) -> Result<(Vec<u8>, PageOob), NandError> {
-        let (data, oob, ticket) = self.read_async(ppa)?;
-        self.clock.advance_to(ticket.done_ns);
-        Ok((data, oob))
-    }
-
     /// Dispatches a read without advancing the clock: returns the data (the
     /// simulator state is authoritative) plus the ticket for when the
     /// hardware would deliver it (cell phase on the plane, data out over
@@ -362,47 +342,21 @@ impl NandArray {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::read`].
+    /// Fails if the address is out of range, the block is bad, or the page is
+    /// erased.
     pub fn read_async(&mut self, ppa: Ppa) -> Result<(Vec<u8>, PageOob, OpTicket), NandError> {
-        let (data, oob) = self.programmed_page(ppa)?;
-        let out = (data.to_vec(), *oob);
-
-        let (ticket, covered) = self.pipelines.dispatch_read(
-            ppa.channel,
-            ppa.chip,
-            ppa.plane,
-            self.clock.now_ns(),
-            self.timing.read_ns,
-            self.timing.transfer_latency(self.geometry.page_size),
-        );
-        self.stats
-            .record_read(self.timing.read_latency(self.geometry.page_size));
-        self.stats.record_channel_busy(ppa.channel, covered);
-        self.trace_op("read", ppa, ticket, out.1.lpa);
-        Ok((out.0, out.1, ticket))
+        self.read_page(ppa, ReadKind::Foreground)
     }
 
-    /// Erases the block containing `ppa`, blocking (the clock advances to
-    /// the completion), consuming one P/E cycle. The block becomes
-    /// [`BlockState::Bad`] once its endurance budget is exhausted.
+    /// Dispatches a block erase without advancing the clock, consuming one
+    /// P/E cycle; the block becomes [`BlockState::Bad`] once its endurance
+    /// budget is exhausted. The plane's busy horizon orders the erase after
+    /// every dispatched read of the block's pages (they share the plane),
+    /// so GC can erase a victim while other channels keep serving the host.
     ///
     /// # Errors
     ///
     /// Fails if the address is out of range or the block is already bad.
-    pub fn erase_block(&mut self, ppa: Ppa) -> Result<(), NandError> {
-        let ticket = self.erase_block_async(ppa)?;
-        self.clock.advance_to(ticket.done_ns);
-        Ok(())
-    }
-
-    /// Dispatches a block erase without advancing the clock. The plane's
-    /// busy horizon orders it after every dispatched read of the block's
-    /// pages (they share the plane), so GC can erase a victim while other
-    /// channels keep serving the host.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::erase_block`].
     pub fn erase_block_async(&mut self, ppa: Ppa) -> Result<OpTicket, NandError> {
         self.check_address(ppa)?;
         let block_idx = self.geometry.block_index(ppa) as usize;
@@ -449,25 +403,12 @@ impl NandArray {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::read`].
+    /// Same conditions as [`Self::read_async`].
     pub fn read_background_async(
         &mut self,
         ppa: Ppa,
     ) -> Result<(Vec<u8>, PageOob, OpTicket), NandError> {
-        let (data, oob) = self.programmed_page(ppa)?;
-        let out = (data.to_vec(), *oob);
-        let (ticket, covered) = self.pipelines.dispatch_read(
-            ppa.channel,
-            ppa.chip,
-            ppa.plane,
-            self.clock.now_ns(),
-            self.timing.read_ns,
-            self.timing.transfer_latency(self.geometry.page_size),
-        );
-        self.stats.record_background_read();
-        self.stats.record_channel_busy(ppa.channel, covered);
-        self.trace_op("offload_read", ppa, ticket, out.1.lpa);
-        Ok((out.0, out.1, ticket))
+        self.read_page(ppa, ReadKind::Background)
     }
 
     /// Reads page data + OOB without charging any latency at all — no
@@ -479,12 +420,49 @@ impl NandArray {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::read`].
+    /// Same conditions as [`Self::read_async`].
     pub fn read_background(&mut self, ppa: Ppa) -> Result<(Vec<u8>, PageOob), NandError> {
+        let (data, oob, _) = self.read_page(ppa, ReadKind::Untimed)?;
+        Ok((data, oob))
+    }
+
+    /// The one read body: the page leaves the cell array here, through its
+    /// one copy. A timed read occupies the page's plane and channel; the
+    /// untimed one returns a zero-duration ticket at the current time.
+    fn read_page(
+        &mut self,
+        ppa: Ppa,
+        kind: ReadKind,
+    ) -> Result<(Vec<u8>, PageOob, OpTicket), NandError> {
         let (data, oob) = self.programmed_page(ppa)?;
-        let out = (data.to_vec(), *oob);
-        self.stats.record_background_read();
-        Ok(out)
+        let (data, oob) = (data.to_vec(), *oob);
+        let now = self.clock.now_ns();
+        let trace_name = match kind {
+            ReadKind::Untimed => {
+                self.stats.record_background_read();
+                return Ok((data, oob, OpTicket::instant(now)));
+            }
+            ReadKind::Foreground => {
+                self.stats
+                    .record_read(self.timing.read_latency(self.geometry.page_size));
+                "read"
+            }
+            ReadKind::Background => {
+                self.stats.record_background_read();
+                "offload_read"
+            }
+        };
+        let (ticket, covered) = self.pipelines.dispatch_read(
+            ppa.channel,
+            ppa.chip,
+            ppa.plane,
+            now,
+            self.timing.read_ns,
+            self.timing.transfer_latency(self.geometry.page_size),
+        );
+        self.stats.record_channel_busy(ppa.channel, covered);
+        self.trace_op(trace_name, ppa, ticket, oob.lpa);
+        Ok((data, oob, ticket))
     }
 
     /// OOB metadata of `ppa` without charging latency (FTLs keep this in a
@@ -497,14 +475,6 @@ impl NandArray {
     /// Global write sequence counter value (next program gets this number).
     pub fn next_seq(&self) -> u64 {
         self.seq_counter
-    }
-
-    /// Blocks until every dispatched operation has completed: advances the
-    /// clock to the pipelines' horizon and returns the new time. The batch
-    /// paths call this (or advance to their own max ticket) once per batch
-    /// — the only places the clock moves under pipelined execution.
-    pub fn sync(&mut self) -> u64 {
-        self.clock.advance_to(self.pipelines.horizon_ns())
     }
 
     /// Earliest time a new cell operation could start on `channel` (its
@@ -579,8 +549,8 @@ mod tests {
     fn program_read_round_trip() {
         let mut nand = instant_array();
         let ppa = Ppa::new(0, 0, 0, 0, 0);
-        nand.program(ppa, page(0xCD), oob(7)).unwrap();
-        let (data, meta) = nand.read(ppa).unwrap();
+        let _ = nand.program_async(ppa, page(0xCD), oob(7)).unwrap();
+        let (data, meta, _) = nand.read_async(ppa).unwrap();
         assert_eq!(data, page(0xCD));
         assert_eq!(meta.lpa, 7);
     }
@@ -589,8 +559,10 @@ mod tests {
     fn sequence_numbers_are_monotone() {
         let mut nand = instant_array();
         let ppa = Ppa::new(0, 0, 0, 0, 0);
-        let s0 = nand.program(ppa, page(1), oob(0)).unwrap();
-        let s1 = nand.program(ppa.with_page(1), page(2), oob(1)).unwrap();
+        let (s0, _) = nand.program_async(ppa, page(1), oob(0)).unwrap();
+        let (s1, _) = nand
+            .program_async(ppa.with_page(1), page(2), oob(1))
+            .unwrap();
         assert_eq!(s0 + 1, s1);
         assert_eq!(nand.next_seq(), 2);
     }
@@ -599,9 +571,9 @@ mod tests {
     fn no_overwrite_in_place() {
         let mut nand = instant_array();
         let ppa = Ppa::new(0, 0, 0, 0, 0);
-        nand.program(ppa, page(1), oob(0)).unwrap();
+        let _ = nand.program_async(ppa, page(1), oob(0)).unwrap();
         assert_eq!(
-            nand.program(ppa, page(2), oob(0)),
+            nand.program_async(ppa, page(2), oob(0)),
             Err(NandError::ProgramOnProgrammed(ppa))
         );
     }
@@ -611,7 +583,7 @@ mod tests {
         let mut nand = instant_array();
         let ppa = Ppa::new(0, 0, 0, 0, 3);
         assert_eq!(
-            nand.program(ppa, page(1), oob(0)),
+            nand.program_async(ppa, page(1), oob(0)),
             Err(NandError::NonSequentialProgram {
                 requested: ppa,
                 expected_page: 0
@@ -623,7 +595,7 @@ mod tests {
     fn read_erased_fails() {
         let mut nand = instant_array();
         let ppa = Ppa::new(0, 0, 0, 0, 0);
-        assert_eq!(nand.read(ppa), Err(NandError::ReadOnErased(ppa)));
+        assert_eq!(nand.read_async(ppa), Err(NandError::ReadOnErased(ppa)));
     }
 
     #[test]
@@ -631,15 +603,16 @@ mod tests {
         let mut nand = instant_array();
         let base = Ppa::new(0, 0, 0, 0, 0);
         for p in 0..8 {
-            nand.program(base.with_page(p), page(p as u8), oob(p as u64))
+            let _ = nand
+                .program_async(base.with_page(p), page(p as u8), oob(p as u64))
                 .unwrap();
         }
         assert_eq!(nand.block_state(base).unwrap(), BlockState::Full);
-        nand.erase_block(base).unwrap();
+        let _ = nand.erase_block_async(base).unwrap();
         assert_eq!(nand.block_state(base).unwrap(), BlockState::Erased);
-        assert_eq!(nand.read(base), Err(NandError::ReadOnErased(base)));
+        assert_eq!(nand.read_async(base), Err(NandError::ReadOnErased(base)));
         // Reprogrammable from page 0 again.
-        nand.program(base, page(9), oob(9)).unwrap();
+        let _ = nand.program_async(base, page(9), oob(9)).unwrap();
     }
 
     #[test]
@@ -647,13 +620,13 @@ mod tests {
         let mut nand = instant_array();
         nand.set_max_pe_cycles(2);
         let ppa = Ppa::new(0, 0, 0, 0, 0);
-        nand.erase_block(ppa).unwrap();
+        let _ = nand.erase_block_async(ppa).unwrap();
         assert_eq!(nand.pe_cycles(ppa).unwrap(), 1);
-        nand.erase_block(ppa).unwrap();
+        let _ = nand.erase_block_async(ppa).unwrap();
         assert_eq!(nand.block_state(ppa).unwrap(), BlockState::Bad);
-        assert_eq!(nand.erase_block(ppa), Err(NandError::BadBlock(ppa)));
+        assert_eq!(nand.erase_block_async(ppa), Err(NandError::BadBlock(ppa)));
         assert_eq!(
-            nand.program(ppa, page(0), oob(0)),
+            nand.program_async(ppa, page(0), oob(0)),
             Err(NandError::BadBlock(ppa))
         );
     }
@@ -663,7 +636,7 @@ mod tests {
         let mut nand = instant_array();
         let ppa = Ppa::new(0, 0, 0, 0, 0);
         assert_eq!(
-            nand.program(ppa, vec![0; 100], oob(0)),
+            nand.program_async(ppa, vec![0; 100], oob(0)),
             Err(NandError::WrongPageSize {
                 got: 100,
                 expected: 4096
@@ -675,30 +648,11 @@ mod tests {
     fn out_of_range_rejected() {
         let mut nand = instant_array();
         let ppa = Ppa::new(9, 0, 0, 0, 0);
-        assert_eq!(nand.read(ppa), Err(NandError::AddressOutOfRange(ppa)));
+        assert_eq!(nand.read_async(ppa), Err(NandError::AddressOutOfRange(ppa)));
     }
 
     #[test]
-    fn timing_advances_clock() {
-        let clock = SimClock::new();
-        let mut nand = NandArray::with_clock(
-            FlashGeometry::small_test(),
-            NandTiming::mlc_default(),
-            clock.clone(),
-        );
-        let ppa = Ppa::new(0, 0, 0, 0, 0);
-        nand.program(ppa, page(1), oob(0)).unwrap();
-        let after_program = clock.now_ns();
-        assert_eq!(
-            after_program,
-            NandTiming::mlc_default().program_latency(4096)
-        );
-        nand.read(ppa).unwrap();
-        assert!(clock.now_ns() > after_program);
-    }
-
-    #[test]
-    fn async_dispatch_leaves_clock_still_until_sync() {
+    fn async_dispatch_leaves_clock_still() {
         let clock = SimClock::new();
         let mut nand = NandArray::with_clock(
             FlashGeometry::small_test(),
@@ -716,8 +670,10 @@ mod tests {
         assert_eq!(clock.now_ns(), 0, "dispatch must not advance the clock");
         assert_eq!(a.done_ns, t.program_latency(4096));
         assert_eq!(b.done_ns, a.done_ns, "independent channels overlap");
-        let end = nand.sync();
-        assert_eq!(end, a.done_ns, "sync blocks on the horizon");
+        let _ = nand.read_background_async(Ppa::new(0, 0, 0, 0, 0)).unwrap();
+        let _ = nand.read_background(Ppa::new(1, 0, 0, 0, 0)).unwrap();
+        let _ = nand.erase_block_async(Ppa::new(1, 0, 0, 1, 0)).unwrap();
+        assert_eq!(clock.now_ns(), 0, "no operation advances the clock");
     }
 
     #[test]
@@ -764,8 +720,10 @@ mod tests {
             NandTiming::mlc_default(),
             SimClock::new(),
         );
-        nand.program(Ppa::new(0, 0, 0, 0, 0), page(1), oob(0))
+        let (_, ticket) = nand
+            .program_async(Ppa::new(0, 0, 0, 0, 0), page(1), oob(0))
             .unwrap();
+        nand.clock().advance_to(ticket.done_ns);
         let busy = nand.stats().channel_busy_ns();
         assert_eq!(busy.len(), 2);
         assert_eq!(busy[0], NandTiming::mlc_default().program_latency(4096));
@@ -781,8 +739,8 @@ mod tests {
         let mut nand =
             NandArray::with_clock(FlashGeometry::small_test(), NandTiming::instant(), clock);
         let ppa = Ppa::new(0, 0, 0, 0, 0);
-        nand.program(ppa, page(1), oob(5)).unwrap();
-        let (_, meta) = nand.read(ppa).unwrap();
+        let _ = nand.program_async(ppa, page(1), oob(5)).unwrap();
+        let (_, meta, _) = nand.read_async(ppa).unwrap();
         assert_eq!(meta.lpa, 5);
         assert_eq!(meta.timestamp_ns, 1234);
         assert_eq!(meta.seq, 0);
@@ -792,9 +750,9 @@ mod tests {
     fn stats_count_operations() {
         let mut nand = instant_array();
         let ppa = Ppa::new(0, 0, 0, 0, 0);
-        nand.program(ppa, page(1), oob(0)).unwrap();
-        nand.read(ppa).unwrap();
-        nand.erase_block(ppa).unwrap();
+        let _ = nand.program_async(ppa, page(1), oob(0)).unwrap();
+        let _ = nand.read_async(ppa).unwrap();
+        let _ = nand.erase_block_async(ppa).unwrap();
         assert_eq!(nand.stats().programs(), 1);
         assert_eq!(nand.stats().reads(), 1);
         assert_eq!(nand.stats().erases(), 1);

@@ -245,14 +245,6 @@ impl UnitPipelines {
             .unwrap_or(0)
     }
 
-    /// Completion horizon across every unit: when the whole device goes
-    /// idle.
-    pub(crate) fn horizon_ns(&self) -> u64 {
-        let bus = self.bus_busy_ns.iter().copied().max().unwrap_or(0);
-        let cell = self.plane_busy_ns.iter().copied().max().unwrap_or(0);
-        bus.max(cell)
-    }
-
     /// Extends the channel's busy coverage by `[start, done)`, returning
     /// the nanoseconds not already covered. Exact interval union over the
     /// retained windows (merging handles out-of-order dispatch, e.g. a GC
@@ -377,15 +369,6 @@ mod tests {
         let _ = p.dispatch_erase(0, 1, 0, 0, 1_000);
         let _ = p.dispatch_erase(0, 1, 1, 0, 1_000);
         assert_eq!(p.channel_next_free_ns(0), 1_000, "whole channel busy");
-    }
-
-    #[test]
-    fn horizon_is_the_device_idle_time() {
-        let mut p = pipelines();
-        assert_eq!(p.horizon_ns(), 0);
-        let _ = p.dispatch_program(0, 0, 0, 0, 100, 10);
-        let _ = p.dispatch_erase(1, 1, 1, 0, 5_000);
-        assert_eq!(p.horizon_ns(), 5_000);
     }
 
     #[test]

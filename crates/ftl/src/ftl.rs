@@ -1,8 +1,6 @@
 //! The flash translation layer proper.
 
 use crate::allocator::{BlockAllocator, Stream};
-#[cfg(test)]
-use crate::config::GcPolicy;
 use crate::config::{
     FtlConfig, GC_HIGH_WATERMARK, GC_LOW_WATERMARK, GC_RESERVED_BLOCKS, OVER_PROVISIONING,
 };
@@ -230,22 +228,6 @@ impl Ftl {
         self.pinned.len() as u64
     }
 
-    /// Writes one logical page, blocking (the clock advances to the
-    /// program's completion).
-    ///
-    /// # Errors
-    ///
-    /// * [`FtlError::LpaOutOfRange`] / [`FtlError::WrongPageSize`] on bad
-    ///   arguments.
-    /// * [`FtlError::DeviceFull`] when no space can be reclaimed because the
-    ///   retention policy has pinned every candidate block (this is the
-    ///   condition the GC attack drives baselines into).
-    pub fn write(&mut self, lpa: u64, data: Vec<u8>) -> Result<(), FtlError> {
-        let ticket = self.write_async(lpa, data)?;
-        self.clock().advance_to(ticket.done_ns);
-        Ok(())
-    }
-
     /// Dispatches one logical-page write onto the flash pipelines without
     /// advancing the clock: the mapping/stale-event state commits
     /// immediately, the ticket says when the program completes. Consecutive
@@ -256,7 +238,11 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::write`].
+    /// * [`FtlError::LpaOutOfRange`] / [`FtlError::WrongPageSize`] on bad
+    ///   arguments.
+    /// * [`FtlError::DeviceFull`] when no space can be reclaimed because the
+    ///   retention policy has pinned every candidate block (this is the
+    ///   condition the GC attack drives baselines into).
     pub fn write_async(&mut self, lpa: u64, data: Vec<u8>) -> Result<OpTicket, FtlError> {
         self.write_async_reclaim(lpa, data).map_err(|(e, _)| e)
     }
@@ -269,7 +255,7 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Self::write`]; the payload is `None` only when
+    /// Same conditions as [`Self::write_async`]; the payload is `None` only when
     /// the NAND consumed it before failing.
     #[allow(clippy::type_complexity)]
     pub fn write_async_reclaim(
@@ -314,26 +300,14 @@ impl Ftl {
         Ok(ticket)
     }
 
-    /// Reads one logical page, blocking (the clock advances to the read's
-    /// completion). `Ok(None)` means the page is unmapped (never written or
-    /// trimmed); the device layer renders it as zeroes.
+    /// Dispatches one logical-page read without advancing the clock.
+    /// `None` means the page is unmapped (never written or trimmed; the
+    /// device layer renders it as zeroes) and comes with a zero-duration
+    /// ticket (served from the mapping table, no flash involved).
     ///
     /// # Errors
     ///
     /// Returns [`FtlError::LpaOutOfRange`] or a NAND error.
-    pub fn read(&mut self, lpa: u64) -> Result<Option<Vec<u8>>, FtlError> {
-        let (data, ticket) = self.read_async(lpa)?;
-        self.clock().advance_to(ticket.done_ns);
-        Ok(data)
-    }
-
-    /// Dispatches one logical-page read without advancing the clock. An
-    /// unmapped page returns a zero-duration ticket (served from the
-    /// mapping table, no flash involved).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::read`].
     pub fn read_async(&mut self, lpa: u64) -> Result<(Option<Vec<u8>>, OpTicket), FtlError> {
         self.check_lpa(lpa)?;
         match self.mapping.lookup(lpa) {
@@ -364,14 +338,16 @@ impl Ftl {
         Ok(())
     }
 
-    /// Reads a physical page directly (data + OOB). Used by the offload
-    /// engine to ship pinned stale pages, and by recovery.
+    /// Dispatches a foreground read of a physical page (data + OOB) without
+    /// advancing the clock, like every FTL read: the ticket says when the
+    /// data is out. Used by a device that reads a stale page back on its
+    /// own timeline (the LocalSSD+Compression repack and its recovery).
     ///
     /// # Errors
     ///
     /// Propagates NAND errors (erased page, bad block, out of range).
-    pub fn read_physical(&mut self, ppa: Ppa) -> Result<(Vec<u8>, PageOob), FtlError> {
-        Ok(self.nand.read(ppa)?)
+    pub fn read_physical(&mut self, ppa: Ppa) -> Result<(Vec<u8>, PageOob, OpTicket), FtlError> {
+        Ok(self.nand.read_async(ppa)?)
     }
 
     /// Background physical read for the offload engine: dispatched onto the
@@ -737,7 +713,22 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GcPolicy;
     use rssd_flash::NandTiming;
+
+    /// Writes `lpa` and waits for its program, as a device model does.
+    fn write(ftl: &mut Ftl, lpa: u64, data: Vec<u8>) -> Result<(), FtlError> {
+        let ticket = ftl.write_async(lpa, data)?;
+        ftl.clock().advance_to(ticket.done_ns);
+        Ok(())
+    }
+
+    /// Reads `lpa` and waits for its data, as a device model does.
+    fn read(ftl: &mut Ftl, lpa: u64) -> Result<Option<Vec<u8>>, FtlError> {
+        let (data, ticket) = ftl.read_async(lpa)?;
+        ftl.clock().advance_to(ticket.done_ns);
+        Ok(data)
+    }
 
     fn small_ftl() -> Ftl {
         let nand = NandArray::with_clock(
@@ -755,37 +746,37 @@ mod tests {
     #[test]
     fn write_read_round_trip() {
         let mut ftl = small_ftl();
-        ftl.write(3, page(0x5A)).unwrap();
-        assert_eq!(ftl.read(3).unwrap().unwrap(), page(0x5A));
+        write(&mut ftl, 3, page(0x5A)).unwrap();
+        assert_eq!(read(&mut ftl, 3).unwrap().unwrap(), page(0x5A));
     }
 
     #[test]
     fn unwritten_reads_none() {
         let mut ftl = small_ftl();
-        assert_eq!(ftl.read(9).unwrap(), None);
+        assert_eq!(read(&mut ftl, 9).unwrap(), None);
     }
 
     #[test]
     fn overwrite_returns_new_data_and_emits_event() {
         let mut ftl = small_ftl();
-        ftl.write(3, page(1)).unwrap();
-        ftl.write(3, page(2)).unwrap();
-        assert_eq!(ftl.read(3).unwrap().unwrap(), page(2));
+        write(&mut ftl, 3, page(1)).unwrap();
+        write(&mut ftl, 3, page(2)).unwrap();
+        assert_eq!(read(&mut ftl, 3).unwrap().unwrap(), page(2));
         let events = ftl.drain_stale_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].lpa, 3);
         assert_eq!(events[0].cause, InvalidateCause::Overwrite);
         // Stale data still physically present at the old PPA.
-        let (old_data, _) = ftl.read_physical(events[0].ppa).unwrap();
+        let (old_data, _, _) = ftl.read_physical(events[0].ppa).unwrap();
         assert_eq!(old_data, page(1));
     }
 
     #[test]
     fn trim_unmaps_and_emits_event() {
         let mut ftl = small_ftl();
-        ftl.write(3, page(1)).unwrap();
+        write(&mut ftl, 3, page(1)).unwrap();
         ftl.trim(3).unwrap();
-        assert_eq!(ftl.read(3).unwrap(), None);
+        assert_eq!(read(&mut ftl, 3).unwrap(), None);
         let events = ftl.drain_stale_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].cause, InvalidateCause::Trim);
@@ -804,10 +795,13 @@ mod tests {
         let mut ftl = small_ftl();
         let lp = ftl.logical_pages();
         assert!(matches!(
-            ftl.write(lp, page(0)),
+            write(&mut ftl, lp, page(0)),
             Err(FtlError::LpaOutOfRange { .. })
         ));
-        assert!(matches!(ftl.read(lp), Err(FtlError::LpaOutOfRange { .. })));
+        assert!(matches!(
+            read(&mut ftl, lp),
+            Err(FtlError::LpaOutOfRange { .. })
+        ));
         assert!(matches!(ftl.trim(lp), Err(FtlError::LpaOutOfRange { .. })));
     }
 
@@ -815,7 +809,7 @@ mod tests {
     fn wrong_page_size_rejected() {
         let mut ftl = small_ftl();
         assert!(matches!(
-            ftl.write(0, vec![0; 10]),
+            write(&mut ftl, 0, vec![0; 10]),
             Err(FtlError::WrongPageSize { .. })
         ));
     }
@@ -827,13 +821,13 @@ mod tests {
         // 4 MiB device.
         for round in 0..200u32 {
             for lpa in 0..8u64 {
-                ftl.write(lpa, page((round % 251) as u8)).unwrap();
+                write(&mut ftl, lpa, page((round % 251) as u8)).unwrap();
             }
         }
         assert!(ftl.stats().gc_blocks_erased > 0, "GC should have run");
         for lpa in 0..8u64 {
             // Last round was 199, and 199 % 251 == 199.
-            assert_eq!(ftl.read(lpa).unwrap().unwrap(), page(199));
+            assert_eq!(read(&mut ftl, lpa).unwrap().unwrap(), page(199));
         }
         assert!(ftl.stats().write_amplification() >= 1.0);
     }
@@ -843,10 +837,13 @@ mod tests {
         let mut ftl = small_ftl();
         let logical = ftl.logical_pages();
         for lpa in 0..logical {
-            ftl.write(lpa, page((lpa % 256) as u8)).unwrap();
+            write(&mut ftl, lpa, page((lpa % 256) as u8)).unwrap();
         }
         for lpa in (0..logical).step_by(17) {
-            assert_eq!(ftl.read(lpa).unwrap().unwrap(), page((lpa % 256) as u8));
+            assert_eq!(
+                read(&mut ftl, lpa).unwrap().unwrap(),
+                page((lpa % 256) as u8)
+            );
         }
     }
 
@@ -856,14 +853,14 @@ mod tests {
         let logical = ftl.logical_pages();
         // Fill the device.
         for lpa in 0..logical {
-            ftl.write(lpa, page(1)).unwrap();
+            write(&mut ftl, lpa, page(1)).unwrap();
         }
         // Overwrite everything once, pinning every stale page as we go
         // (conservative retention).
         let mut pinned = Vec::new();
         let mut full_hits = 0u32;
         for lpa in 0..logical {
-            match ftl.write(lpa, page(2)) {
+            match write(&mut ftl, lpa, page(2)) {
                 Ok(()) => {}
                 Err(FtlError::DeviceFull) => {
                     full_hits += 1;
@@ -871,7 +868,7 @@ mod tests {
                     for ppa in pinned.drain(..) {
                         ftl.unpin_page(ppa);
                     }
-                    ftl.write(lpa, page(2)).unwrap();
+                    write(&mut ftl, lpa, page(2)).unwrap();
                 }
                 Err(e) => panic!("unexpected error {e}"),
             }
@@ -897,10 +894,10 @@ mod tests {
         let mut cold_lpa = 40u64;
         for i in 0..600u64 {
             if i % 8 == 3 {
-                ftl.write(cold_lpa, page(0xC0)).unwrap();
+                write(&mut ftl, cold_lpa, page(0xC0)).unwrap();
                 cold_lpa += 1;
             } else {
-                ftl.write(32 + (i % 5), page((i % 251) as u8)).unwrap();
+                write(&mut ftl, 32 + (i % 5), page((i % 251) as u8)).unwrap();
             }
         }
         assert!(ftl.stats().gc_pages_migrated > 0);
@@ -913,10 +910,10 @@ mod tests {
     #[test]
     fn stale_event_oob_carries_original_write_order() {
         let mut ftl = small_ftl();
-        ftl.write(1, page(1)).unwrap();
-        ftl.write(2, page(2)).unwrap();
-        ftl.write(1, page(3)).unwrap();
-        ftl.write(2, page(4)).unwrap();
+        write(&mut ftl, 1, page(1)).unwrap();
+        write(&mut ftl, 2, page(2)).unwrap();
+        write(&mut ftl, 1, page(3)).unwrap();
+        write(&mut ftl, 2, page(4)).unwrap();
         let events = ftl.drain_stale_events();
         assert_eq!(events.len(), 2);
         // LPA 1's original write (seq 0) precedes LPA 2's (seq 1).
@@ -939,19 +936,19 @@ mod tests {
         );
         for round in 0..150u32 {
             for lpa in 0..8u64 {
-                ftl.write(lpa, page(round as u8)).unwrap();
+                write(&mut ftl, lpa, page(round as u8)).unwrap();
             }
         }
         assert!(ftl.stats().gc_blocks_erased > 0);
         for lpa in 0..8u64 {
-            assert_eq!(ftl.read(lpa).unwrap().unwrap(), page(149));
+            assert_eq!(read(&mut ftl, lpa).unwrap().unwrap(), page(149));
         }
     }
 
     #[test]
     fn pin_unpin_idempotent() {
         let mut ftl = small_ftl();
-        ftl.write(0, page(1)).unwrap();
+        write(&mut ftl, 0, page(1)).unwrap();
         let ppa = ftl.lookup(0).unwrap();
         ftl.pin_page(ppa);
         ftl.pin_page(ppa);
@@ -966,8 +963,8 @@ mod tests {
     #[test]
     fn stats_track_host_ops() {
         let mut ftl = small_ftl();
-        ftl.write(0, page(1)).unwrap();
-        ftl.read(0).unwrap();
+        write(&mut ftl, 0, page(1)).unwrap();
+        read(&mut ftl, 0).unwrap();
         assert_eq!(ftl.stats().host_pages_written, 1);
         assert_eq!(ftl.stats().host_pages_read, 1);
     }
@@ -1074,7 +1071,7 @@ mod tests {
         // Heavy host churn with GC must never touch the spill region.
         for round in 0..200u32 {
             for lpa in 0..8u64 {
-                ftl.write(lpa, page((round % 251) as u8)).unwrap();
+                write(&mut ftl, lpa, page((round % 251) as u8)).unwrap();
             }
         }
         assert!(ftl.stats().gc_blocks_erased > 0, "GC should have run");
@@ -1104,7 +1101,7 @@ mod tests {
         let mut ftl = small_ftl();
         let logical = ftl.logical_pages();
         for lpa in 0..logical {
-            ftl.write(lpa, page(1)).unwrap();
+            write(&mut ftl, lpa, page(1)).unwrap();
         }
         // Pin every stale page so reclamation is impossible.
         let mut hit_full = false;
@@ -1133,7 +1130,7 @@ mod tests {
     fn pinned_block_fraction_reflects_pins() {
         let mut ftl = small_ftl();
         assert_eq!(ftl.pinned_block_fraction(), 0.0);
-        ftl.write(0, page(1)).unwrap();
+        write(&mut ftl, 0, page(1)).unwrap();
         let ppa = ftl.lookup(0).unwrap();
         ftl.pin_page(ppa);
         assert!(ftl.pinned_block_fraction() > 0.0);

@@ -24,12 +24,16 @@
 //!
 //! let nand = NandArray::with_clock(
 //!     FlashGeometry::small_test(),
-//!     NandTiming::instant(),
+//!     NandTiming::mlc_default(),
 //!     SimClock::new(),
 //! );
 //! let mut ftl = Ftl::new(nand, FtlConfig::default());
-//! ftl.write(0, vec![0xAA; 4096])?;
-//! assert_eq!(ftl.read(0)?.unwrap()[0], 0xAA);
+//! let written = ftl.write_async(0, vec![0xAA; 4096])?;
+//! // The FTL never moves the clock; a caller that waits advances it.
+//! ftl.clock().advance_to(written.done_ns);
+//! let (data, read) = ftl.read_async(0)?;
+//! ftl.clock().advance_to(read.done_ns);
+//! assert_eq!(data.unwrap()[0], 0xAA);
 //! # Ok::<(), rssd_ftl::FtlError>(())
 //! ```
 

@@ -65,13 +65,6 @@ impl LatencyStats {
         self.0.quantile(quantile)
     }
 
-    /// Approximate latency at percentile `p` (e.g. `50.0`, `99.0`), resolved
-    /// to the upper edge of the containing log-linear bucket — the form the
-    /// queue-depth sweep reports as p50/p99.
-    pub fn percentile_ns(&self, p: f64) -> u64 {
-        self.quantile_ns(p / 100.0)
-    }
-
     /// Merges another collector into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.0.merge(&other.0);
@@ -114,7 +107,7 @@ mod tests {
     }
 
     #[test]
-    fn percentile_matches_quantile_and_brackets_distribution() {
+    fn quantile_brackets_distribution() {
         let mut s = LatencyStats::new();
         // 99 requests at ~1µs, one at ~1ms: p50 sits in the 1µs bucket,
         // p99.9+ must reach the 1ms outlier's bucket.
@@ -122,19 +115,17 @@ mod tests {
             s.record(1_000);
         }
         s.record(1_000_000);
-        assert_eq!(s.percentile_ns(50.0), s.quantile_ns(0.5));
-        assert_eq!(s.percentile_ns(99.0), s.quantile_ns(0.99));
-        let p50 = s.percentile_ns(50.0);
+        let p50 = s.quantile_ns(0.5);
         assert!((1_000..2_048).contains(&p50), "p50 bucket edge, got {p50}");
-        let p100 = s.percentile_ns(100.0);
+        let p100 = s.quantile_ns(1.0);
         assert!(
             p100 >= 1_000_000,
             "tail percentile sees outlier, got {p100}"
         );
         // Degenerate inputs clamp instead of panicking.
-        assert_eq!(s.percentile_ns(-5.0), s.quantile_ns(0.0));
-        assert!(s.percentile_ns(250.0) >= p100);
-        assert_eq!(LatencyStats::new().percentile_ns(99.0), 0);
+        assert_eq!(s.quantile_ns(-0.05), s.quantile_ns(0.0));
+        assert!(s.quantile_ns(2.5) >= p100);
+        assert_eq!(LatencyStats::new().quantile_ns(0.99), 0);
     }
 
     #[test]
@@ -143,9 +134,9 @@ mod tests {
         for i in 1..=10_000u64 {
             s.record(i * 37);
         }
-        let ps: Vec<u64> = [1.0, 25.0, 50.0, 90.0, 99.0, 99.9]
+        let ps: Vec<u64> = [0.01, 0.25, 0.5, 0.9, 0.99, 0.999]
             .iter()
-            .map(|&p| s.percentile_ns(p))
+            .map(|&q| s.quantile_ns(q))
             .collect();
         for w in ps.windows(2) {
             assert!(w[0] <= w[1], "{ps:?}");
@@ -165,8 +156,8 @@ mod tests {
         for _ in 0..10 {
             s.record(120_000);
         }
-        let p50 = s.percentile_ns(50.0);
-        let p99 = s.percentile_ns(99.0);
+        let p50 = s.quantile_ns(0.5);
+        let p99 = s.quantile_ns(0.99);
         assert!(
             p50 < p99,
             "sub-bucketing must separate them: {p50} vs {p99}"

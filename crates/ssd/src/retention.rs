@@ -188,11 +188,13 @@ impl RetentionSsd {
             }
             RetentionMode::Compressed => {
                 // Repack: read the stale page, keep only the compressed blob,
-                // and leave the original unpinned for GC to reclaim.
-                let (data, _) = self
+                // and leave the original unpinned for GC to reclaim. The
+                // device waits for the read before it compresses.
+                let (data, _, ticket) = self
                     .ftl
                     .read_physical(ppa)
                     .expect("stale page still readable at invalidation time");
+                self.ftl.clock().advance_to(ticket.done_ns);
                 let frame = rssd_compress::compress_adaptive(&data);
                 let cost = frame.len() as u64;
                 (Storage::Compressed(frame), cost)
@@ -283,7 +285,11 @@ impl BlockDevice for RetentionSsd {
         let &id = ids.last()?;
         let entry = self.retained.get(&id)?;
         match &entry.storage {
-            Storage::InPlace(ppa) => self.ftl.read_physical(*ppa).ok().map(|(d, _)| d),
+            Storage::InPlace(ppa) => {
+                let (data, _, ticket) = self.ftl.read_physical(*ppa).ok()?;
+                self.ftl.clock().advance_to(ticket.done_ns);
+                Some(data)
+            }
             Storage::Compressed(frame) => rssd_compress::decompress(frame).ok(),
         }
     }

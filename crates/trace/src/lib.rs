@@ -14,9 +14,9 @@
 //! * [`synth`] — the generic workload generator.
 //! * [`profiles`] — the twelve named trace models of Figure 2.
 //! * [`mod@replay`] — drives any [`rssd_ssd::BlockDevice`] from a record
-//!   stream through the NVMe-style queue layer, at a configurable queue
-//!   depth ([`replay_queued`]), fanned out across several queue pairs
-//!   ([`replay_fanout`]), or scalar-compatibly ([`replay()`]).
+//!   stream through the NVMe-style queue layer, on one or more queue pairs
+//!   at their configured depth ([`replay_fanout`]), or scalar-compatibly
+//!   ([`replay()`]).
 
 pub mod profiles;
 pub mod record;
@@ -26,6 +26,6 @@ pub mod zipf;
 
 pub use profiles::TraceProfile;
 pub use record::{synthesize_page, IoOp, IoRecord, PayloadKind};
-pub use replay::{replay, replay_fanout, replay_queued, ReplayOutcome, ReplayStats};
+pub use replay::{replay, replay_fanout, ReplayOutcome, ReplayStats};
 pub use synth::{DiurnalLoad, Workload, WorkloadBuilder};
 pub use zipf::Zipf;

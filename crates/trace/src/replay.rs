@@ -1,16 +1,16 @@
 //! Replays record streams against a device through the NVMe-style queue
 //! layer.
 //!
-//! [`replay_queued`] is the primary entry point: it drives an
-//! [`NvmeController`] queue pair, keeping its submission ring as full as the
-//! trace allows, so the device sees real queue depth and can batch work per
-//! arbitration round. [`replay_fanout`] generalizes it to several queue
-//! pairs at once — records spread round-robin across the pairs, the way a
-//! multi-host front end drives a striped array (each arbitration round then
-//! carries commands from every host, which an `RssdArray` splits per shard
-//! and executes in parallel). [`replay`] is the depth-1 wrapper — a
-//! depth-1 queue pair over a borrowed device, one command per batch, which
-//! is also what the scalar [`BlockDevice`] methods submit.
+//! [`replay_fanout`] is the entry point: it drives one or more
+//! [`NvmeController`] queue pairs, keeping each submission ring as full as
+//! the trace allows, so the device sees real queue depth and can batch work
+//! per arbitration round. With several pairs, records spread round-robin
+//! across them, the way a multi-host front end drives a striped array (each
+//! arbitration round then carries commands from every host, which an
+//! `RssdArray` splits per shard and executes in parallel). [`replay`] is the
+//! depth-1 wrapper — a depth-1 queue pair over a borrowed device, one
+//! command per batch, which is also what the scalar [`BlockDevice`] methods
+//! submit.
 
 use crate::record::{synthesize_page, IoOp, IoRecord};
 use rssd_ssd::{
@@ -188,51 +188,29 @@ impl ReplayDriver {
 }
 
 /// Replays `records` against the device behind `controller` through the
-/// queue pair `queue`, pacing the simulation clock to each record's arrival
-/// time and synthesizing write payloads deterministically.
+/// queue pairs `queues`, pacing the simulation clock to each record's
+/// arrival time and synthesizing write payloads deterministically.
 ///
-/// The queue pair's depth is the replay's queue depth, and the device is
-/// work-conserving: commands already submitted are executed before the
-/// clock may jump to a later arrival, so queue depth builds up exactly
-/// when the device falls behind the trace's arrival rate (and those
-/// backlogged windows are what execute as batches). Stalled writes are
-/// counted and skipped (the workload's data is lost, as it would be on a
-/// wedged device); any other error stops submission and aborts — commands
-/// already submitted still complete before the abort is returned, as on a
-/// real device (their successes and errors land in the stats counters; only
-/// the *first* error is carried in [`ReplayOutcome::Aborted`]).
+/// Records fan out round-robin: each record (all of its pages) lands on one
+/// pair, every pair is kept as full as the trace allows, and each
+/// arbitration round carries commands from all of them — with several
+/// pairs, the multi-host shape; against an `RssdArray` device the round's
+/// batch is split per shard and the shards execute in parallel. A pair's
+/// depth is its queue depth, and the device is work-conserving: commands
+/// already submitted are executed before the clock may jump to a later
+/// arrival, so queue depth builds up exactly when the device falls behind
+/// the trace's arrival rate (and those backlogged windows are what execute
+/// as batches). Stalled writes are counted and skipped (the workload's data
+/// is lost, as it would be on a wedged device); any other error stops
+/// submission and aborts — commands already submitted still complete
+/// before the abort is returned, as on a real device (their successes and
+/// errors land in the stats counters; only the *first* error is carried in
+/// [`ReplayOutcome::Aborted`]).
 ///
 /// Other queue pairs on the same controller keep being arbitrated while
 /// this replay runs — that is how multi-tenant scenarios share a device.
-/// Completions left un-reaped on `queue` from before the replay are popped
+/// Completions left un-reaped on `queues` from before the replay are popped
 /// but ignored.
-///
-/// # Panics
-///
-/// Panics if `queue` does not exist on `controller`.
-pub fn replay_queued<D, I>(
-    controller: &mut NvmeController<D>,
-    queue: QueueId,
-    records: I,
-) -> ReplayOutcome
-where
-    D: BlockDevice,
-    I: IntoIterator<Item = IoRecord>,
-{
-    replay_fanout(controller, &[queue], records)
-}
-
-/// Replays `records` fanned out round-robin across several queue pairs of
-/// one controller — the multi-host shape: each record (all of its pages)
-/// lands on one pair, every pair is kept as full as the trace allows, and
-/// each arbitration round carries commands from all of them. Against an
-/// `RssdArray` device this is the scale-out pipeline: the round's batch is
-/// split per shard and the shards execute in parallel.
-///
-/// Semantics otherwise match [`replay_queued`] (which is the single-queue
-/// special case): the clock paces to arrivals work-conservingly, stalls are
-/// counted and skipped, the first non-stall error aborts after in-flight
-/// commands drain.
 ///
 /// # Panics
 ///
@@ -328,7 +306,7 @@ where
 {
     let mut controller = NvmeController::new(device);
     let queue = controller.create_queue_pair(1);
-    replay_queued(&mut controller, queue, records)
+    replay_fanout(&mut controller, &[queue], records)
 }
 
 #[cfg(test)]
@@ -451,7 +429,7 @@ mod tests {
         for depth in [2usize, 8, 32] {
             let mut controller = NvmeController::with_arbitration_burst(device(), depth);
             let queue = controller.create_queue_pair(depth);
-            let queued = replay_queued(&mut controller, queue, recs.clone()).expect_completed();
+            let queued = replay_fanout(&mut controller, &[queue], recs.clone()).expect_completed();
             assert_eq!(queued, scalar, "depth {depth}");
             let mut dev = controller.into_device();
             for lpa in 0..64u64 {
@@ -474,7 +452,7 @@ mod tests {
             .collect();
         let mut controller = NvmeController::new(device());
         let queue = controller.create_queue_pair(16);
-        let stats = replay_queued(&mut controller, queue, recs).expect_completed();
+        let stats = replay_fanout(&mut controller, &[queue], recs).expect_completed();
         assert_eq!(stats.pages_written, controller.stats(queue).completed);
         assert_eq!(controller.stats(queue).latency.count(), stats.pages_written);
         assert_eq!(controller.outstanding(queue), 0, "tail fully drained");
@@ -571,7 +549,7 @@ mod tests {
             .collect();
         let mut single = NvmeController::new(device());
         let q = single.create_queue_pair(8);
-        let single_stats = replay_queued(&mut single, q, recs.clone()).expect_completed();
+        let single_stats = replay_fanout(&mut single, &[q], recs.clone()).expect_completed();
 
         let mut fanned = NvmeController::new(device());
         let queues: Vec<QueueId> = (0..4).map(|_| fanned.create_queue_pair(8)).collect();
@@ -626,7 +604,7 @@ mod tests {
             IoRecord::read(10, 0), // aborts here, counted as issued
             IoRecord::write(20, 1, PayloadKind::Text, 2),
         ];
-        let outcome = replay_queued(&mut controller, queue, records.clone());
+        let outcome = replay_fanout(&mut controller, &[queue], records.clone());
         assert!(matches!(outcome, ReplayOutcome::Aborted { .. }));
         assert_eq!(outcome.resume_index(), 2);
         // Resuming from the index replays exactly the untouched tail.
@@ -649,7 +627,7 @@ mod tests {
             IoRecord::read(10, 0),
             IoRecord::write(20, 1, PayloadKind::Text, 2),
         ];
-        match replay_queued(&mut controller, queue, records) {
+        match replay_fanout(&mut controller, &[queue], records) {
             ReplayOutcome::Aborted {
                 stats,
                 record,

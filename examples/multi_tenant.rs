@@ -171,8 +171,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.writes,
             stats.reads,
             stats.trims,
-            stats.latency.percentile_ns(50.0),
-            stats.latency.percentile_ns(99.0),
+            stats.latency.quantile_ns(0.5),
+            stats.latency.quantile_ns(0.99),
             tenant.detector.score(),
             verdict,
         );

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "attacker encrypted 64 pages over {attack_writes} queue writes (queue p99 {p99} ns)",
         attack_writes = controller.stats(queue).writes - writes_before_attack,
-        p99 = controller.stats(queue).latency.percentile_ns(99.0),
+        p99 = controller.stats(queue).latency.quantile_ns(0.99),
     );
 
     // The host path ends here; recovery is the investigator's back channel.

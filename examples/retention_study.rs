@@ -8,7 +8,7 @@
 
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_repro::ssd::{BlockDevice, NvmeController, RetentionMode, RetentionSsd};
-use rssd_repro::trace::{replay_queued, TraceProfile};
+use rssd_repro::trace::{replay_fanout, TraceProfile};
 
 const NS_PER_DAY: f64 = 86_400e9;
 const SIM_DAYS: f64 = 30.0;
@@ -24,7 +24,7 @@ fn measure(profile: &TraceProfile, mode: RetentionMode) -> (f64, u64, u64) {
     // Drive the device as a host would: one NVMe queue pair at depth 8.
     let mut controller = NvmeController::new(&mut device);
     let queue = controller.create_queue_pair(8);
-    let _ = replay_queued(&mut controller, queue, records);
+    let _ = replay_fanout(&mut controller, &[queue], records);
     drop(controller);
     let report = device.report();
     let days = report

@@ -19,7 +19,7 @@ use rssd_repro::remote::RemoteLogServer;
 use rssd_repro::ssd::{
     flashguard, BlockDevice, CommandId, CommandOutcome, IoCommand, NvmeController,
 };
-use rssd_repro::trace::{replay_queued, TraceProfile};
+use rssd_repro::trace::{replay_fanout, TraceProfile};
 
 fn geometry() -> FlashGeometry {
     FlashGeometry::with_capacity(16 * 1024 * 1024)
@@ -127,7 +127,7 @@ fn timing_attack_detected_remotely_despite_rate_limiting() {
         .collect();
     let mut controller = NvmeController::new(&mut device);
     let background_queue = controller.create_queue_pair(8);
-    let _ = replay_queued(&mut controller, background_queue, background);
+    let _ = replay_fanout(&mut controller, &[background_queue], background);
     drop(controller);
 
     let attack = TimingAttack::new(4, 4, flashguard::SUSPECT_WINDOW_NS * 2);
@@ -153,7 +153,7 @@ fn benign_trace_does_not_false_positive() {
     // Benign traffic at a deep queue: batching must not skew detection.
     let mut controller = NvmeController::new(&mut device);
     let queue = controller.create_queue_pair(32);
-    let _ = replay_queued(&mut controller, queue, records);
+    let _ = replay_fanout(&mut controller, &[queue], records);
     drop(controller);
     device.flush_log().unwrap();
     assert_ne!(
@@ -263,7 +263,7 @@ fn evidence_chain_spans_trace_and_attack() {
         .collect();
     let mut controller = NvmeController::new(&mut device);
     let queue = controller.create_queue_pair(16);
-    let _ = replay_queued(&mut controller, queue, records);
+    let _ = replay_fanout(&mut controller, &[queue], records);
     drop(controller);
     clock.advance(1_000);
     ClassicRansomware::new(5)

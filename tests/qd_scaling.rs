@@ -12,11 +12,11 @@
 //! replay change nothing simulated while every hot-loop phase accrues and
 //! the recorded trace keeps its grammar.
 
-use rssd_repro::bench_support::{bench_geometry, mk_plain, mk_retention, mk_rssd};
+use rssd_repro::bench_support::{bench_geometry, mk_rssd};
 use rssd_repro::flash::{NandTiming, SimClock};
 use rssd_repro::obs::{check, ProfilerHandle, SinkHandle};
-use rssd_repro::ssd::{BlockDevice, NvmeController, RetentionMode};
-use rssd_repro::trace::{replay_queued, IoRecord, PayloadKind, WorkloadBuilder};
+use rssd_repro::ssd::{BlockDevice, NvmeController, PlainSsd, RetentionMode, RetentionSsd};
+use rssd_repro::trace::{replay_fanout, IoRecord, PayloadKind, WorkloadBuilder};
 
 const OPS: usize = 1_200;
 
@@ -43,14 +43,14 @@ fn run_at_depth<D: BlockDevice>(device: D, depth: usize) -> (u64, u64, u64, u64)
     let mut controller = NvmeController::with_arbitration_burst(device, depth);
     let queue = controller.create_queue_pair(depth);
     let records = workload(controller.device().logical_pages());
-    let _ = replay_queued(&mut controller, queue, records);
+    let _ = replay_fanout(&mut controller, &[queue], records);
     let end_ns = controller.device().clock().now_ns();
     let stats = controller.stats(queue);
     (
         stats.completed,
         end_ns,
-        stats.latency.percentile_ns(50.0),
-        stats.latency.percentile_ns(99.0),
+        stats.latency.quantile_ns(0.5),
+        stats.latency.quantile_ns(0.99),
     )
 }
 
@@ -69,13 +69,13 @@ fn qd32_doubles_qd1_throughput_on_the_default_geometry() {
     for model in ["plain", "rssd", "localssd", "localssd_comp", "flashguard"] {
         let retention = |mode, depth| {
             run_at_depth(
-                mk_retention(g, NandTiming::mlc_default(), SimClock::new(), mode),
+                RetentionSsd::new(g, NandTiming::mlc_default(), SimClock::new(), mode),
                 depth,
             )
         };
         let run = |depth| match model {
             "plain" => run_at_depth(
-                mk_plain(g, NandTiming::mlc_default(), SimClock::new()),
+                PlainSsd::new(g, NandTiming::mlc_default(), SimClock::new()),
                 depth,
             ),
             "rssd" => run_at_depth(
@@ -113,7 +113,7 @@ fn rssd_overhead_is_real_and_bounded() {
     let mut any_differs = false;
     for depth in [1usize, 32] {
         let (pc, pe, _, _) = run_at_depth(
-            mk_plain(g, NandTiming::mlc_default(), SimClock::new()),
+            PlainSsd::new(g, NandTiming::mlc_default(), SimClock::new()),
             depth,
         );
         let (rc, re, _, _) = run_at_depth(
@@ -150,7 +150,7 @@ fn observers_do_not_perturb_the_qd32_replay_and_every_phase_accrues() {
         controller.set_trace_sink(sink);
         let queue = controller.create_queue_pair(32);
         let records = workload(controller.device().logical_pages());
-        let _ = replay_queued(&mut controller, queue, records);
+        let _ = replay_fanout(&mut controller, &[queue], records);
         let device = controller.device();
         (device.clock().now_ns(), device.nand_stats().clone())
     };

@@ -548,12 +548,12 @@ fn a_scalar_call_is_a_batch_of_one_on_every_block_device() {
         || FaultInjector::new(mk_wired(LinkConfig::ideal()), &schedule),
         |f| {
             if f.powered_off() {
-                let _ = f.restore_power().expect("link healed before the cut");
+                let _ = f.power_restore().expect("link healed before the cut");
             }
         },
         |f| {
-            assert_eq!(f.power_cuts(), 1, "the cut fired");
-            assert_eq!(f.skipped_events(), 0);
+            assert_eq!(f.power_cut_count(), 1, "the cut fired");
+            assert_eq!(f.skipped_event_count(), 0);
             format!(
                 "{} {:?} {}",
                 f.ops_count(),
