@@ -440,9 +440,10 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// a chain gap instead of silently shortening the history.
     ///
     /// The records are metadata only (`old_data: None`): every sealed
-    /// segment is authenticated whole, but only its metadata block is
-    /// deciphered and decompressed. Page content comes back via
-    /// [`recover_page`](BlockDevice::recover_page) /
+    /// segment is authenticated whole — by this reader, or by a store that
+    /// holds its offload keys and verified it at ingest — but only its
+    /// metadata block is deciphered and decompressed. Page content comes
+    /// back via [`recover_page`](BlockDevice::recover_page) /
     /// [`Self::recover_page_before`] or a
     /// [`RebuildImage`](crate::RebuildImage).
     ///

@@ -24,7 +24,14 @@ const WINDOW: usize = 64;
 /// (its sequence, its envelope and what it opened to) to `sink`. Every walk
 /// opens to [`OpenDepth::Metadata`]: no pre-image is deciphered here — a
 /// reader that wants one keeps the envelope and opens it when asked
-/// (`LazyPreimages`). Returns the verified chain head.
+/// (`LazyPreimages`, which authenticates it itself). Returns the verified
+/// chain head.
+///
+/// A segment its store vouches for ([`RemoteTarget::fetch_vouched`]: the
+/// store authenticated these bytes under `session`'s keys at ingest) enters
+/// the same door less the tag recomputation
+/// ([`SegmentEnvelope::open_vouched`]); the header binding, the parse,
+/// continuity and every link under `chain_key` are checked alike.
 ///
 /// One [`WINDOW`] at a time: the caller fetches it (nothing past a failed
 /// fetch), [`pool::map`] fans the door and each segment's link HMACs —
@@ -53,8 +60,8 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
         let mut fetched = Vec::with_capacity(window.len());
         let mut fetch_failure = None;
         for &seq in window {
-            match remote.fetch_segment(seq) {
-                Ok(envelope) => fetched.push((seq, envelope)),
+            match remote.fetch_vouched(seq, session) {
+                Ok((envelope, vouched)) => fetched.push((seq, envelope, vouched)),
                 Err(e) => {
                     fetch_failure = Some(format!("fetch segment {seq}: {e}"));
                     break;
@@ -64,10 +71,13 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
         // Per segment: the open, and beside it the links' verdict — held
         // back until the merge has checked continuity, which outranks it.
         let opened = pool::map(workers, fetched.len(), |i| {
-            let (seq, envelope) = &fetched[i];
-            let segment = envelope
-                .open(session, OpenDepth::Metadata)
-                .map_err(|e| format!("open segment {seq}: {e}"))?;
+            let (seq, envelope, vouched) = &fetched[i];
+            let segment = if *vouched {
+                envelope.open_vouched(session)
+            } else {
+                envelope.open(session, OpenDepth::Metadata)
+            };
+            let segment = segment.map_err(|e| format!("open segment {seq}: {e}"))?;
             let images: Vec<_> = segment
                 .records()
                 .iter()
@@ -82,7 +92,7 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
             .map_err(|e| format!("segment {seq}: {e}"));
             Ok::<_, String>((segment, links))
         });
-        for ((seq, envelope), opened) in fetched.iter().zip(opened) {
+        for ((seq, envelope, _), opened) in fetched.iter().zip(opened) {
             let (segment, links) = opened?;
             if envelope.prev_chain_head() != head {
                 return Err(format!("segment {seq} does not extend the chain"));
@@ -295,6 +305,7 @@ mod tests {
     use crate::config::RssdConfig;
     use crate::device::RssdDevice;
     use crate::rebuild::RebuildImage;
+    use crate::recovery::RecoveryEngine;
     use crate::remote_target::{RemoteError, StoreAck};
     use crate::segment::SegmentBody;
     use rssd_flash::{FlashGeometry, NandTiming, SimClock};
@@ -303,11 +314,15 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// A store that keeps whatever it is handed — a collector the adversary
-    /// controls — and can refuse to hand one segment back.
+    /// controls — and can refuse to hand one segment back. With `vouch` it
+    /// vouches for every segment as a store that authenticated it at ingest
+    /// would, though it authenticated nothing: what a walk then still
+    /// checks is what the walk checks itself.
     #[derive(Clone, Default)]
     struct Shelf {
         segments: BTreeMap<u64, SegmentEnvelope>,
         refuse: Option<u64>,
+        vouch: bool,
     }
 
     impl RemoteTarget for Shelf {
@@ -330,6 +345,14 @@ mod tests {
             }
             let stored = self.segments.get(&segment_seq).cloned();
             stored.ok_or(RemoteError::NoSuchSegment(segment_seq))
+        }
+
+        fn fetch_vouched(
+            &mut self,
+            segment_seq: u64,
+            _session: &SecureSession,
+        ) -> Result<(SegmentEnvelope, bool), RemoteError> {
+            Ok((self.fetch_segment(segment_seq)?, self.vouch))
         }
 
         fn stored_segments(&self) -> Vec<u64> {
@@ -386,24 +409,36 @@ mod tests {
 
     #[test]
     fn every_reader_answers_alike_at_1_2_and_4_workers_over_three_windows() {
-        let answers = [1, 2, 4].map(|workers| {
-            let mut device = three_window_device();
-            let keys = device.escrow_keys();
-            let end_ns = device.clock().now_ns();
-            let image = RebuildImage::harvest_on(workers, &keys, device.remote_mut())
-                .expect("an honest store harvests");
-            let versions: Vec<_> = lookups(end_ns).map(|at| answer(&image, at)).collect();
-            assert!(versions.iter().flatten().count() > 8, "versions retained");
-            let audit = device.audit_history_on(workers);
-            assert!(audit.verified, "{:?}", audit.failure);
-            let _ = device.crash();
-            let recovered = device.recover_on(workers);
-            assert!(recovered.is_ok(), "{recovered:?}");
-            let head = device.chain_head();
-            (image.report(), versions, audit.records, recovered, head)
-        });
-        for (workers, answer) in [1, 2, 4].iter().zip(&answers) {
-            assert!(*answer == answers[0], "{workers} workers answer otherwise");
+        // Each worker count over a store that vouches and one that does not.
+        let arms: Vec<(usize, bool)> = [false, true]
+            .into_iter()
+            .flat_map(|vouch| [1, 2, 4].map(|workers| (workers, vouch)))
+            .collect();
+        let answers: Vec<_> = arms
+            .iter()
+            .map(|&(workers, vouch)| {
+                let mut device = three_window_device();
+                device.remote_mut().vouch = vouch;
+                let keys = device.escrow_keys();
+                let end_ns = device.clock().now_ns();
+                let image = RebuildImage::harvest_on(workers, &keys, device.remote_mut())
+                    .expect("an honest store harvests");
+                let versions: Vec<_> = lookups(end_ns).map(|at| answer(&image, at)).collect();
+                assert!(versions.iter().flatten().count() > 8, "versions retained");
+                let audit = device.audit_history_on(workers);
+                assert!(audit.verified, "{:?}", audit.failure);
+                let _ = device.crash();
+                let recovered = device.recover_on(workers);
+                assert!(recovered.is_ok(), "{recovered:?}");
+                let head = device.chain_head();
+                (image.report(), versions, audit.records, recovered, head)
+            })
+            .collect();
+        for ((workers, vouch), answer) in arms.iter().zip(&answers) {
+            assert!(
+                *answer == answers[0],
+                "{workers} workers, vouch {vouch}: answers otherwise"
+            );
         }
     }
 
@@ -412,6 +447,9 @@ mod tests {
     enum Damage {
         /// A bit of the sealed payload flips.
         FlipPayload,
+        /// A bit of the sealed pre-image frame flips: nothing a metadata
+        /// open deciphers, but under the tag.
+        FlipPreimage,
         /// The header names a head the payload does not end at.
         ForgeHead,
         /// The store loses the segment.
@@ -484,6 +522,17 @@ mod tests {
             Damage::FlipPayload => {
                 let mut payload = honest.sealed_payload().to_vec();
                 payload[0] ^= 1;
+                rebuilt(honest.chain_head(), &payload)
+            }
+            Damage::FlipPreimage => {
+                // The stream cipher keeps plaintext offsets: the pre-image
+                // frame starts behind the length word and the metadata frame.
+                let mut payload = honest.sealed_payload().to_vec();
+                let plain = reader.session.open(seq, &payload).unwrap();
+                let frame_len = u32::from_le_bytes(plain[..4].try_into().unwrap());
+                let preimage_frame = 4 + frame_len as usize;
+                assert!(preimage_frame < plain.len(), "segment {seq}: no pre-images");
+                payload[preimage_frame] ^= 1;
                 rebuilt(honest.chain_head(), &payload)
             }
             Damage::ForgeHead => rebuilt(Digest::from_bytes([0xAB; 32]), honest.sealed_payload()),
@@ -621,6 +670,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A vouch stands in for the tag and for nothing the reader checks
+    /// itself. Over a store that vouches for everything it holds: a forged
+    /// head or link is refused with exactly the unvouched walk's words. A
+    /// flipped pre-image byte, which only the tag covers, passes the
+    /// vouched walk (the unvouched one refuses it, so the tag really was
+    /// skipped) — and still never comes back: every version in that segment
+    /// answers `None`, from the harvested image and the live device alike,
+    /// and a restore counts the page unrecoverable, because whoever opens a
+    /// pre-image authenticates it.
+    #[test]
+    fn a_vouch_skips_the_tag_and_nothing_the_reader_checks_itself() {
+        use Damage::*;
+        let mut device = three_window_device();
+        let keys = device.escrow_keys();
+        let reader = EvidenceReader::new(&keys);
+        let end_ns = device.clock().now_ns();
+        let honest = device.remote().clone();
+        let stored = honest.stored_segments();
+        let middle = WINDOW + WINDOW / 2;
+        let seq = stored[middle];
+        let walk_as = |store: &Shelf, vouch| {
+            let mut store = Shelf {
+                vouch,
+                ..store.clone()
+            };
+            walk(&mut store, &reader, 2)
+        };
+        for kind in [ForgeHead, Relink(0), Relink(1), Relink(2)] {
+            let mut store = honest.clone();
+            damage(&mut store, &reader, kind, seq);
+            let refused = walk_as(&store, false);
+            assert!(refused.0.is_err(), "{kind:?}");
+            assert_eq!(walk_as(&store, true), refused, "{kind:?}");
+        }
+
+        let honest_image = RebuildImage::harvest(&keys, &mut honest.clone()).unwrap();
+        let (_, _, index) = reader
+            .walk_store(1, &mut honest.clone(), |_, _| ())
+            .unwrap();
+        damage(device.remote_mut(), &reader, FlipPreimage, seq);
+        let (refused, sunk) = walk_as(device.remote(), false);
+        let named = format!("open segment {seq}: ");
+        assert!(refused.unwrap_err().starts_with(&named));
+        assert_eq!(sunk[..], stored[..middle]);
+        let (walked, sunk) = walk_as(device.remote(), true);
+        assert!(walked.is_ok(), "{walked:?}");
+        assert_eq!(sunk, stored);
+
+        device.remote_mut().vouch = true;
+        let image = RebuildImage::harvest(&keys, device.remote_mut()).expect("a vouched harvest");
+        assert_eq!(image.report(), honest_image.report());
+        let mut lost = 0;
+        for lookup @ (lpa, at) in lookups(end_ns) {
+            let answered = answer(&image, lookup);
+            let live = match at {
+                Some(at) => device.recover_page_before(lpa, at),
+                None => device.recover_newest(lpa),
+            };
+            assert_eq!(answered, live, "{lookup:?}");
+            match index.locate(lpa, at, &[]) {
+                Some(Located::Sealed { segment_seq, .. }) if segment_seq == seq => {
+                    assert_eq!(answered, None, "{lookup:?}");
+                    if let Some(at) = at {
+                        let restore = RecoveryEngine::new().restore_before(&mut device, &[lpa], at);
+                        let counted = (restore.pages_restored, restore.pages_unrecoverable);
+                        assert_eq!(counted, (0, 1), "{lookup:?}");
+                    }
+                    lost += 1;
+                }
+                _ => assert_eq!(answered, answer(&honest_image, lookup), "{lookup:?}"),
+            }
+        }
+        assert!(lost > 0, "some lookup lands in segment {seq}");
     }
 
     /// Once harvested, the image answers from what the walk verified: a

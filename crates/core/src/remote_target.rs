@@ -3,6 +3,7 @@
 use crate::logrec::WireError;
 use crate::segment::SegmentEnvelope;
 use rssd_crypto::Digest;
+use rssd_net::SecureSession;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -62,7 +63,9 @@ pub struct StoreAck {
 /// The remote log store the device offloads to. Two stores implement it:
 /// [`LoopbackTarget`], the in-process shelf the tests and the fault matrix
 /// run on, and the log server in `rssd-remote`, the one that authenticates
-/// a segment and checks that it extends the stored chain before it acks.
+/// a segment and checks that it extends the stored chain before it acks —
+/// and so the one that vouches for what it hands back
+/// ([`Self::fetch_vouched`]).
 /// [`WireRemote`](crate::wire::WireRemote) carries every segment over the
 /// simulated NVMe-oE fabric to whichever store it wraps, and its link is
 /// the one place a network outage happens.
@@ -88,6 +91,25 @@ pub trait RemoteTarget {
     /// [`RemoteError::NoSuchSegment`] when absent;
     /// [`RemoteError::Unreachable`] across a wire that is down.
     fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError>;
+
+    /// [`Self::fetch_segment`], and whether the store vouches for the
+    /// envelope to a reader holding `session`: `true` means exactly that
+    /// the store opened these same bytes through
+    /// [`SegmentEnvelope::open`], under a session with `session`'s keys,
+    /// before it stored them — so a metadata walk may leave the tag to it
+    /// ([`SegmentEnvelope::open_vouched`]). An in-process property of the
+    /// store, never a message: the default vouches for nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::fetch_segment`].
+    fn fetch_vouched(
+        &mut self,
+        segment_seq: u64,
+        _session: &SecureSession,
+    ) -> Result<(SegmentEnvelope, bool), RemoteError> {
+        Ok((self.fetch_segment(segment_seq)?, false))
+    }
 
     /// Sequence numbers currently stored, in order.
     fn stored_segments(&self) -> Vec<u64>;

@@ -6,7 +6,9 @@
 //! payload. It has one writer, [`SegmentEnvelope::seal`], and one door,
 //! [`SegmentEnvelope::open`]: every reader gets an [`OpenedSegment`], whose
 //! only constructor has authenticated the payload *and* held the header —
-//! which the tag does not cover — against it.
+//! which the tag does not cover — against it. A metadata walk over a store
+//! that authenticated the payload at ingest enters the same door less the
+//! tag check ([`SegmentEnvelope::open_vouched`]).
 //!
 //! Sealed plaintext: `[u32 metadata frame length | metadata frame |
 //! pre-image frame]`, two [`rssd_compress::compress_adaptive`] frames, so a
@@ -19,7 +21,7 @@
 use crate::logrec::{LogRecord, WireError};
 use bytes::Bytes;
 use rssd_crypto::{ChainLink, Digest};
-use rssd_net::SecureSession;
+use rssd_net::{Authenticated, SecureSession};
 use rssd_obs::ProfilerHandle;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -34,9 +36,11 @@ const fn metadata_len(count: usize) -> usize {
     12 + count * (ENTRY_LEN + LINK_LEN)
 }
 
-/// How far a reader opens a sealed segment. Either way the one HMAC tag is
-/// verified over *every* sealed byte first; the depth decides how much is
-/// then deciphered, decompressed and parsed.
+/// How far a reader opens a sealed segment. Through [`SegmentEnvelope::open`]
+/// the one HMAC tag is verified over *every* sealed byte first, either way;
+/// the depth decides how much is then deciphered, decompressed and parsed.
+/// The one open that skips the tag, [`SegmentEnvelope::open_vouched`], reads
+/// `Metadata` only, and only from a store that verified the tag at ingest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpenDepth {
     /// The metadata block only — record metadata, content lengths and chain
@@ -164,7 +168,9 @@ impl SegmentEnvelope {
     }
 
     /// The one door. Verifies the tag over every sealed byte whatever the
-    /// depth — a bit flipped in a pre-image fails a metadata open too — then
+    /// depth — a bit flipped in a pre-image fails a metadata open too (the
+    /// one walk that leaves the tag to a store that verified it at ingest
+    /// goes through [`Self::open_vouched`], the same door less the tag) — then
     /// deciphers and decompresses the metadata frame and, at
     /// [`OpenDepth::Full`], the pre-image frame into a buffer of its own,
     /// parses, and holds the header against what it parsed: the payload's
@@ -191,6 +197,33 @@ impl SegmentEnvelope {
         let authenticated = session
             .verify(self.segment_seq(), self.sealed_payload())
             .map_err(|_| WireError::BadPayload)?;
+        self.open_authenticated(authenticated, depth)
+    }
+
+    /// The door for a segment its store vouched for
+    /// ([`RemoteTarget::fetch_vouched`](crate::RemoteTarget::fetch_vouched)):
+    /// [`Self::open`] to [`OpenDepth::Metadata`] without recomputing the
+    /// tag, which a holder of `session`'s keys verified over these same
+    /// bytes before it stored them. Everything else the door checks, it
+    /// checks; what it hands out carries no pre-image, so every pre-image a
+    /// reader gets back it authenticated itself.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::open`], but for a failed authentication.
+    pub fn open_vouched(&self, session: &SecureSession) -> Result<OpenedSegment, WireError> {
+        let authenticated = session
+            .vouched(self.segment_seq(), self.sealed_payload())
+            .map_err(|_| WireError::BadPayload)?;
+        self.open_authenticated(authenticated, OpenDepth::Metadata)
+    }
+
+    /// The door's body, behind the tag check (or the store's vouch for it).
+    fn open_authenticated(
+        &self,
+        authenticated: Authenticated<'_>,
+        depth: OpenDepth,
+    ) -> Result<OpenedSegment, WireError> {
         let decipher = |len: usize| {
             authenticated
                 .decipher_prefix(len)
@@ -393,9 +426,10 @@ impl std::fmt::Debug for SegmentEnvelope {
     }
 }
 
-/// A sealed segment, opened. [`SegmentEnvelope::open`] is the only
-/// constructor, so holding one *is* holding an authenticated payload and a
-/// header that payload vouches for.
+/// A sealed segment, opened. The door ([`SegmentEnvelope::open`], or
+/// [`SegmentEnvelope::open_vouched`] for a payload its store authenticated)
+/// is the only constructor, so holding one *is* holding an authenticated
+/// payload and a header that payload vouches for.
 #[derive(Debug, PartialEq)]
 pub struct OpenedSegment {
     records: Vec<LogRecord>,

@@ -36,7 +36,7 @@
 
 use crate::remote_target::{RemoteError, RemoteTarget, StoreAck};
 use crate::segment::SegmentEnvelope;
-use rssd_net::{LinkConfig, NvmeOeEndpoint, SharedLink, TransferStats};
+use rssd_net::{LinkConfig, NvmeOeEndpoint, SecureSession, SharedLink, TransferStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -196,6 +196,23 @@ impl<R: RemoteTarget> WireRemote<R> {
         &mut self.remote
     }
 
+    /// Where a read-back of `segment_seq` is answered: `Some` copy from the
+    /// edge relay, or `None` — the inner store's to answer across the link,
+    /// which a down link refuses. Read-back is bulk recovery traffic,
+    /// modeled as instantaneous (the recovery window is dominated by the
+    /// offload direction).
+    fn relayed(&self, segment_seq: u64) -> Result<Option<SegmentEnvelope>, RemoteError> {
+        let relayed = self
+            .relay
+            .iter()
+            .find(|(e, _)| e.segment_seq() == segment_seq);
+        match relayed {
+            Some((envelope, _)) => Ok(Some(envelope.clone())),
+            None if self.is_uplink_down() => Err(RemoteError::Unreachable),
+            None => Ok(None),
+        }
+    }
+
     /// Carries `envelope` over the fabric and stores whatever the wire
     /// delivered into the inner target at the delivery time.
     ///
@@ -261,19 +278,23 @@ impl<R: RemoteTarget> RemoteTarget for WireRemote<R> {
     }
 
     fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
-        // Read-back is bulk recovery traffic; we model it as instantaneous
-        // (the recovery window is dominated by the offload direction).
-        if let Some((envelope, _)) = self
-            .relay
-            .iter()
-            .find(|(e, _)| e.segment_seq() == segment_seq)
-        {
-            return Ok(envelope.clone());
+        match self.relayed(segment_seq)? {
+            Some(envelope) => Ok(envelope),
+            None => self.remote.fetch_segment(segment_seq),
         }
-        if self.is_uplink_down() {
-            return Err(RemoteError::Unreachable);
+    }
+
+    /// The inner store's vouch, but never for a segment the edge relay
+    /// answers: the device sealed it, and no store has opened it yet.
+    fn fetch_vouched(
+        &mut self,
+        segment_seq: u64,
+        session: &SecureSession,
+    ) -> Result<(SegmentEnvelope, bool), RemoteError> {
+        match self.relayed(segment_seq)? {
+            Some(envelope) => Ok((envelope, false)),
+            None => self.remote.fetch_vouched(segment_seq, session),
         }
-        self.remote.fetch_segment(segment_seq)
     }
 
     fn stored_segments(&self) -> Vec<u64> {

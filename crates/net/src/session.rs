@@ -126,26 +126,56 @@ impl SecureSession {
         segment_seq: u64,
         sealed: &'a [u8],
     ) -> Result<Authenticated<'a>, SessionError> {
-        if sealed.len() < TAG_LEN {
-            return Err(SessionError::Truncated);
-        }
-        let (ciphertext, tag_bytes) = sealed.split_at(sealed.len() - TAG_LEN);
+        let authenticated = self.strip_tag(segment_seq, sealed)?;
+        let tag_bytes = &sealed[authenticated.len()..];
         let mut mac = HmacSha256::new(&self.mac_key);
         mac.update(&segment_seq.to_le_bytes());
-        mac.update(ciphertext);
-        let expected = mac.finalize();
-        let mut diff = 0u8;
-        for (a, b) in expected.as_bytes().iter().zip(tag_bytes) {
-            diff |= a ^ b;
-        }
-        if diff != 0 {
+        mac.update(authenticated.ciphertext);
+        if !constant_time_eq(mac.finalize().as_bytes(), tag_bytes) {
             return Err(SessionError::BadTag);
         }
+        Ok(authenticated)
+    }
+
+    /// The handle [`verify`](Self::verify) returns, without recomputing the
+    /// tag: for a message that a holder of these same keys
+    /// ([`same_keys`](Self::same_keys)) already verified, byte for byte.
+    /// Nothing here checks that claim — the store that vouches makes it.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Truncated`] if shorter than a tag.
+    pub fn vouched<'a>(
+        &'a self,
+        segment_seq: u64,
+        sealed: &'a [u8],
+    ) -> Result<Authenticated<'a>, SessionError> {
+        self.strip_tag(segment_seq, sealed)
+    }
+
+    /// The deciphering handle over `sealed` less its tag.
+    fn strip_tag<'a>(
+        &'a self,
+        segment_seq: u64,
+        sealed: &'a [u8],
+    ) -> Result<Authenticated<'a>, SessionError> {
+        let end = sealed
+            .len()
+            .checked_sub(TAG_LEN)
+            .ok_or(SessionError::Truncated)?;
         Ok(Authenticated {
             enc_key: &self.enc_key,
             nonce: self.keys.segment_nonce(self.enc_id, segment_seq),
-            ciphertext,
+            ciphertext: &sealed[..end],
         })
+    }
+
+    /// `true` when `other` holds this session's keys (the nonces derive from
+    /// the cipher key): what one verifies and deciphers, the other would
+    /// alike. Constant time in the keys.
+    pub fn same_keys(&self, other: &SecureSession) -> bool {
+        constant_time_eq(&self.enc_key, &other.enc_key)
+            & constant_time_eq(&self.mac_key, &other.mac_key)
     }
 
     /// Verifies and decrypts a sealed message.
@@ -159,10 +189,18 @@ impl SecureSession {
     }
 }
 
+/// Compares two byte strings without branching on where they differ.
+fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
+    let diff = a.iter().zip(b).fold(0u8, |diff, (a, b)| diff | (a ^ b));
+    a.len() == b.len() && diff == 0
+}
+
 /// A sealed message whose tag [`SecureSession::verify`] has checked over the
-/// whole ciphertext. Only this handle deciphers, so no plaintext byte is ever
-/// produced from an unauthenticated message; a reader that needs the front
-/// of the plaintext pays the cipher for the front alone.
+/// whole ciphertext — or that a store holding the same keys checked before
+/// it stored it ([`SecureSession::vouched`]). Only this handle deciphers, so
+/// no plaintext byte is ever produced from an unauthenticated message; a
+/// reader that needs the front of the plaintext pays the cipher for the
+/// front alone.
 #[derive(Clone, Copy)]
 pub struct Authenticated<'a> {
     enc_key: &'a [u8; 32],
@@ -318,6 +356,34 @@ mod tests {
         let mut sealed = s.seal(3, &[7u8; 1000]);
         sealed[900] ^= 1;
         assert_eq!(s.verify(3, &sealed).err(), Some(SessionError::BadTag));
+    }
+
+    #[test]
+    fn a_vouched_handle_deciphers_what_a_verified_one_does_and_checks_no_tag() {
+        let s = session();
+        let sealed = s.seal(3, &[7u8; 100]);
+        let verified = s.verify(3, &sealed).unwrap().decipher_prefix(100);
+        assert_eq!(
+            s.vouched(3, &sealed).unwrap().decipher_prefix(100),
+            verified
+        );
+        let mut flipped = sealed.clone();
+        flipped[99] ^= 1;
+        assert!(s.vouched(3, &flipped).is_ok(), "the tag is the voucher's");
+        assert_eq!(
+            s.vouched(3, &sealed[..TAG_LEN - 1]).err(),
+            Some(SessionError::Truncated)
+        );
+    }
+
+    #[test]
+    fn same_keys_holds_for_the_same_hierarchy_and_epoch_only() {
+        let keys = DeviceKeys::for_simulation(1);
+        let s = SecureSession::new(&keys, 0);
+        assert!(s.same_keys(&SecureSession::new(&keys, 0)));
+        assert!(!s.same_keys(&SecureSession::new(&keys, 1)));
+        let other = DeviceKeys::for_simulation(2);
+        assert!(!s.same_keys(&SecureSession::new(&other, 0)));
     }
 
     #[test]

@@ -160,18 +160,16 @@ impl RemoteTarget for RemoteLogServer {
                 });
             }
         };
-        // Transfer over the fabric (unless the wire was modeled upstream),
-        // then persist. The envelope, the fabric payload, and the stored
-        // object all share one refcounted wire image.
+        // Transfer over the fabric (unless the wire was modeled upstream) for
+        // the arrival time, then persist the bytes just opened — the same
+        // refcounted wire image, never the fabric's copy of it — so every
+        // stored object passed the door (what `fetch_vouched` rests on).
         let wire = envelope.to_wire_bytes();
-        let (arrival_ns, wire) = if self.external_fabric {
-            (now_ns, wire)
+        let arrival_ns = if self.external_fabric {
+            now_ns
         } else {
-            let (arrival_ns, delivered) =
-                self.fabric
-                    .transfer_segment(envelope.segment_seq(), wire.clone(), now_ns);
-            debug_assert_eq!(delivered, wire, "fabric must deliver intact");
-            (arrival_ns, delivered)
+            let seq = envelope.segment_seq();
+            self.fabric.transfer_segment(seq, wire.clone(), now_ns).0
         };
         let durable_at_ns =
             self.store
@@ -194,6 +192,18 @@ impl RemoteTarget for RemoteLogServer {
             .get(&Self::segment_key(segment_seq), 0)
             .ok_or(RemoteError::NoSuchSegment(segment_seq))?;
         SegmentEnvelope::from_wire_image(bytes).ok_or(RemoteError::NoSuchSegment(segment_seq))
+    }
+
+    /// Every stored object passed the door under this server's session
+    /// before `put`, and `get` hands back the same immutable bytes: the
+    /// server vouches for each to a reader that holds its keys.
+    fn fetch_vouched(
+        &mut self,
+        segment_seq: u64,
+        session: &SecureSession,
+    ) -> Result<(SegmentEnvelope, bool), RemoteError> {
+        let envelope = self.fetch_segment(segment_seq)?;
+        Ok((envelope, self.session.same_keys(session)))
     }
 
     fn stored_segments(&self) -> Vec<u64> {
@@ -491,6 +501,77 @@ mod tests {
             };
             assert_eq!(server.report(), report, "bit {bit}");
         }
+    }
+
+    /// The server vouches for what it opened, to a reader holding the keys
+    /// it opened it under, and to no one else; in front of it the wire
+    /// never vouches for a segment its edge relay answers, and a down link
+    /// refuses the fetch as it refuses any other.
+    #[test]
+    fn the_server_vouches_to_its_own_keys_only_and_the_relay_never_does() {
+        let segments = sealed_segments();
+        let (first, second) = (segments[0].segment_seq(), segments[1].segment_seq());
+        let session = SecureSession::new(&keys(), 0);
+        let mut server = RemoteLogServer::datacenter(&keys());
+        server.set_external_fabric(true);
+        let mut wired = rssd_core::WireRemote::new(server, rssd_net::LinkConfig::datacenter_10g());
+        wired.store_segment(segments[0].clone(), 0).unwrap();
+        assert_eq!(
+            wired.fetch_vouched(first, &session),
+            Ok((segments[0].clone(), true))
+        );
+
+        // A server built from other keys, holding what a device with those
+        // keys sealed, vouches nothing to this reader — nor does this
+        // server to another epoch.
+        let other_keys = DeviceKeys::for_simulation(RssdConfig::default().key_seed + 1);
+        let mut other = RemoteLogServer::datacenter(&other_keys);
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                key_seed: RssdConfig::default().key_seed + 1,
+                ..RssdConfig::default()
+            },
+            LoopbackTarget::new(),
+        );
+        d.write_page(0, vec![1; 4096]).unwrap();
+        d.flush_log().unwrap();
+        let mut theirs = d.into_remote();
+        let seq = theirs.stored_segments()[0];
+        other
+            .store_segment(theirs.fetch_segment(seq).unwrap(), 0)
+            .unwrap();
+        assert_eq!(
+            other.fetch_vouched(seq, &session).map(|(_, v)| v),
+            Ok(false)
+        );
+        let own = SecureSession::new(&other_keys, 0);
+        assert_eq!(other.fetch_vouched(seq, &own).map(|(_, v)| v), Ok(true));
+        let epoch = SecureSession::new(&keys(), 1);
+        let vouched = wired.fetch_vouched(first, &epoch);
+        assert_eq!(vouched.map(|(_, v)| v), Ok(false));
+
+        wired.set_uplink_down(true);
+        wired.set_store_and_forward(true);
+        wired.store_segment(segments[1].clone(), 1).unwrap();
+        assert_eq!(wired.queued_segments(), 1);
+        assert_eq!(
+            wired.fetch_vouched(second, &session),
+            Ok((segments[1].clone(), false)),
+            "the relay's copy was opened by no store"
+        );
+        assert_eq!(
+            wired.fetch_vouched(first, &session),
+            Err(RemoteError::Unreachable)
+        );
+        assert_eq!(wired.heal(), 1);
+        assert_eq!(
+            wired.fetch_vouched(second, &session),
+            Ok((segments[1].clone(), true)),
+            "replayed, opened and stored"
+        );
     }
 
     #[test]
