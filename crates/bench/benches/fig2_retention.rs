@@ -10,7 +10,8 @@
 //! divided by the *measured* sealed offload bytes per day, capped at the
 //! figure's 240-day axis.
 
-use rssd_bench::{bench_geometry, mk_rssd, publish, BenchRow, NS_PER_DAY};
+use rssd_bench::{bench_geometry, mk_rssd, publish, BenchRow};
+use rssd_flash::clock::NS_PER_DAY;
 use rssd_flash::{NandTiming, SimClock};
 use rssd_ssd::{BlockDevice, RetentionMode, RetentionSsd};
 use rssd_trace::{replay, TraceProfile};
@@ -25,13 +26,13 @@ fn local_retention_days(profile: &TraceProfile, mode: RetentionMode) -> f64 {
     let clock = SimClock::new();
     let mut device = RetentionSsd::new(g, NandTiming::instant(), clock.clone(), mode);
     let logical = device.logical_pages();
-    let horizon_ns = (SIM_DAYS_LOCAL * NS_PER_DAY) as u64;
+    let horizon_ns = (SIM_DAYS_LOCAL * NS_PER_DAY as f64) as u64;
     let records = profile
         .workload(logical, device.page_size(), 42)
         .take_while(|r| r.at_ns < horizon_ns);
     let _ = replay(&mut device, records);
     match device.report().mean_retention_ns() {
-        Some(ns) => ns / NS_PER_DAY,
+        Some(ns) => ns / NS_PER_DAY as f64,
         // Nothing evicted within the horizon: retention exceeds it.
         None => SIM_DAYS_LOCAL,
     }
@@ -42,7 +43,7 @@ fn rssd_retention_days(profile: &TraceProfile) -> f64 {
     let clock = SimClock::new();
     let mut device = mk_rssd(g, NandTiming::instant(), clock.clone());
     let logical = device.logical_pages();
-    let horizon_ns = (SIM_DAYS_RSSD * NS_PER_DAY) as u64;
+    let horizon_ns = (SIM_DAYS_RSSD * NS_PER_DAY as f64) as u64;
     let records = profile
         .workload(logical, device.page_size(), 42)
         .take_while(|r| r.at_ns < horizon_ns);

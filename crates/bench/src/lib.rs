@@ -63,9 +63,6 @@ pub fn mk_array(
     RssdArray::new(members, stripe_pages, SimClock::new())
 }
 
-/// Nanoseconds per simulated day.
-pub const NS_PER_DAY: f64 = 86_400e9;
-
 /// One configuration's summary metrics in a bench's machine-readable
 /// output.
 #[derive(Clone, Debug)]

@@ -8,7 +8,6 @@
 //! encryption key) does not reveal the evidence-chain key.
 
 use crate::hmac::HmacSha256;
-use crate::sha256::Digest;
 use serde::{Deserialize, Serialize};
 
 /// What a derived key is used for. Each purpose yields an independent subkey.
@@ -32,22 +31,6 @@ impl KeyPurpose {
             KeyPurpose::EvidenceChain => b"rssd/evidence-chain/v1",
             KeyPurpose::Transport => b"rssd/transport/v1",
         }
-    }
-}
-
-/// Identifier for a derived key: purpose plus epoch (keys can be rotated).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct KeyId {
-    /// What the key is used for.
-    pub purpose: KeyPurpose,
-    /// Rotation epoch; epoch 0 is the key installed at provisioning.
-    pub epoch: u32,
-}
-
-impl KeyId {
-    /// Creates a key id at epoch 0.
-    pub fn initial(purpose: KeyPurpose) -> Self {
-        KeyId { purpose, epoch: 0 }
     }
 }
 
@@ -98,21 +81,6 @@ impl DeviceKeys {
         mac.update(&epoch.to_le_bytes());
         *mac.finalize().as_bytes()
     }
-
-    /// Derives the subkey named by `id`.
-    pub fn derive_id(&self, id: KeyId) -> [u8; 32] {
-        self.derive(id.purpose, id.epoch)
-    }
-
-    /// Derives a 96-bit nonce for a given segment sequence number, unique per
-    /// (purpose, epoch, segment).
-    pub fn segment_nonce(&self, id: KeyId, segment_seq: u64) -> [u8; 12] {
-        let mut mac = HmacSha256::new(&self.derive_id(id));
-        mac.update(b"rssd/segment-nonce/v1");
-        mac.update(&segment_seq.to_le_bytes());
-        let digest: Digest = mac.finalize();
-        digest.as_bytes()[..12].try_into().expect("12 bytes")
-    }
 }
 
 #[cfg(test)]
@@ -162,13 +130,6 @@ mod tests {
             a.derive(KeyPurpose::EvidenceChain, 0),
             b.derive(KeyPurpose::EvidenceChain, 0)
         );
-    }
-
-    #[test]
-    fn segment_nonces_unique_per_segment() {
-        let keys = DeviceKeys::for_simulation(42);
-        let id = KeyId::initial(KeyPurpose::OffloadEncryption);
-        assert_ne!(keys.segment_nonce(id, 0), keys.segment_nonce(id, 1));
     }
 
     #[test]

@@ -3,10 +3,7 @@
 //! RSSD offloads detection to the remote side: because the hardware-assisted
 //! log preserves every operation in time order, detectors can run on the
 //! remote server's ample compute, over arbitrarily long horizons, and with
-//! algorithms that can be upgraded without touching device firmware. The
-//! same detectors also serve as the in-device logic of the
-//! SSDInsider/RBlocker-style baselines in Table 1 — where their blind spots
-//! (rate-limited and trim-based attacks) become visible.
+//! algorithms that can be upgraded without touching device firmware.
 //!
 //! Detectors consume [`WriteObservation`]s — one per logged write/trim —
 //! and an [`Ensemble`] combines their votes:

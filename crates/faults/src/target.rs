@@ -422,7 +422,6 @@ impl<R: FaultRemote> FaultTarget for RssdArray<RssdDevice<R>> {
     }
 
     fn revive_dead_shards(&mut self, restore_before_ns: Option<u64>) -> Result<usize, FaultError> {
-        let shard_pages = self.layout().shard_pages();
         let mut revived = 0usize;
         for shard in 0..self.shard_count() {
             if self.shard_status(shard) != ShardStatus::Degraded {
@@ -437,16 +436,10 @@ impl<R: FaultRemote> FaultTarget for RssdArray<RssdDevice<R>> {
                 sibling.spill_capacity_bytes() > 0,
                 sibling.remote().replacement(),
             );
-            self.begin_rebuild(shard, replacement, restore_before_ns)
+            // One step over the whole shard: the rebuild is done on return.
+            let _ = self
+                .rebuild(shard, replacement, restore_before_ns)
                 .map_err(FaultError::Array)?;
-            loop {
-                let progress = self
-                    .rebuild_step(shard, shard_pages.max(1))
-                    .map_err(FaultError::Array)?;
-                if progress.done {
-                    break;
-                }
-            }
             revived += 1;
         }
         Ok(revived)

@@ -140,13 +140,13 @@ pub struct NandArray {
     pipelines: UnitPipelines,
     stats: NandStats,
     seq_counter: u64,
-    max_pe_cycles: u32,
     sink: SinkHandle,
 }
 
 impl NandArray {
-    /// Default P/E endurance budget per block (MLC-class).
-    pub const DEFAULT_MAX_PE_CYCLES: u32 = 3_000;
+    /// P/E endurance budget per block (MLC-class): a block's
+    /// `MAX_PE_CYCLES`-th erase wears it out.
+    pub const MAX_PE_CYCLES: u32 = 3_000;
 
     /// Creates an erased array with explicit timing and a shared clock.
     pub fn with_clock(geometry: FlashGeometry, timing: NandTiming, clock: SimClock) -> Self {
@@ -165,7 +165,6 @@ impl NandArray {
             ),
             stats: NandStats::for_channels(geometry.channels),
             seq_counter: 0,
-            max_pe_cycles: Self::DEFAULT_MAX_PE_CYCLES,
             sink: SinkHandle::disabled(),
         }
     }
@@ -200,11 +199,6 @@ impl NandArray {
                 ("page", ppa.page.to_string()),
             ],
         );
-    }
-
-    /// Overrides the per-block endurance budget (for wear-out tests).
-    pub fn set_max_pe_cycles(&mut self, cycles: u32) {
-        self.max_pe_cycles = cycles;
     }
 
     /// The configured geometry.
@@ -360,7 +354,6 @@ impl NandArray {
     pub fn erase_block_async(&mut self, ppa: Ppa) -> Result<OpTicket, NandError> {
         self.check_address(ppa)?;
         let block_idx = self.geometry.block_index(ppa) as usize;
-        let max_pe = self.max_pe_cycles;
         let block = &mut self.blocks[block_idx];
         if block.state == BlockState::Bad {
             return Err(NandError::BadBlock(ppa));
@@ -368,7 +361,7 @@ impl NandArray {
         block.pages.iter_mut().for_each(|p| *p = None);
         block.write_pointer = 0;
         block.pe_cycles += 1;
-        block.state = if block.pe_cycles >= max_pe {
+        block.state = if block.pe_cycles >= Self::MAX_PE_CYCLES {
             BlockState::Bad
         } else {
             BlockState::Erased
@@ -618,11 +611,15 @@ mod tests {
     #[test]
     fn erase_counts_wear_and_block_goes_bad() {
         let mut nand = instant_array();
-        nand.set_max_pe_cycles(2);
         let ppa = Ppa::new(0, 0, 0, 0, 0);
         let _ = nand.erase_block_async(ppa).unwrap();
         assert_eq!(nand.pe_cycles(ppa).unwrap(), 1);
+        for _ in 1..NandArray::MAX_PE_CYCLES - 1 {
+            let _ = nand.erase_block_async(ppa).unwrap();
+        }
+        assert_eq!(nand.block_state(ppa).unwrap(), BlockState::Erased);
         let _ = nand.erase_block_async(ppa).unwrap();
+        assert_eq!(nand.pe_cycles(ppa).unwrap(), NandArray::MAX_PE_CYCLES);
         assert_eq!(nand.block_state(ppa).unwrap(), BlockState::Bad);
         assert_eq!(nand.erase_block_async(ppa), Err(NandError::BadBlock(ppa)));
         assert_eq!(

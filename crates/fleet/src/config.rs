@@ -49,7 +49,10 @@ pub(crate) fn member_unit(member_seed: u64, tag: u64) -> f64 {
 /// can be described, compared, and reproduced exactly. `workers` is the
 /// only field that is *excluded* from the determinism contract: it sizes
 /// the host-side thread pool and must never change the merged
-/// [`FleetReport`](crate::FleetReport).
+/// [`FleetReport`](crate::FleetReport). What no caller varies — the tenant
+/// population, the member uplink and the array mix — is a constant of the
+/// type ([`FleetConfig::TENANTS`], [`FleetConfig::LINK`],
+/// [`FleetConfig::ARRAY_EVERY`], ...).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Fleet size in members (devices or small arrays).
@@ -58,17 +61,8 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Fleet seed; every member seed derives from it via [`member_seed`].
     pub seed: u64,
-    /// Tenant population sharing the fleet; tenant popularity over members
-    /// is Zipf-distributed with [`FleetConfig::zipf_theta`].
-    pub tenants: usize,
-    /// Skew of the tenant-popularity Zipf (0 = uniform).
-    pub zipf_theta: f64,
     /// Benign workload records each member replays before the corpus.
     pub ops_per_member: usize,
-    /// NVMe-oE uplink every member offloads evidence through.
-    pub link: LinkConfig,
-    /// Attach per-tenant diurnal load modulation to the benign streams.
-    pub diurnal: bool,
     /// Fraction of members running a ransomware actor after the corpus.
     pub compromised_fraction: f64,
     /// Fraction of members executing under a seeded fault schedule.
@@ -78,12 +72,6 @@ pub struct FleetConfig {
     /// middle ~30 % of its replay, exercising the offload health machine
     /// and the durable evidence spill at fleet scale.
     pub outage_fraction: f64,
-    /// Every `array_every`-th member is a small array (0 disables arrays).
-    pub array_every: usize,
-    /// Shards per array member.
-    pub array_shards: usize,
-    /// Stripe width of array members, in pages.
-    pub stripe_pages: u64,
 }
 
 impl Default for FleetConfig {
@@ -92,32 +80,41 @@ impl Default for FleetConfig {
             members: 16,
             workers: 1,
             seed: 7,
-            tenants: 24,
-            zipf_theta: 0.9,
             ops_per_member: 240,
-            link: LinkConfig::datacenter_10g(),
-            diurnal: true,
             compromised_fraction: 0.25,
             fault_fraction: 0.0,
             outage_fraction: 0.0,
-            array_every: 8,
-            array_shards: 3,
-            stripe_pages: 4,
         }
     }
 }
 
 impl FleetConfig {
-    /// What member `id` is under this config's mix rule: a single device
+    /// Tenant population sharing the fleet.
+    pub const TENANTS: usize = 24;
+    /// Skew of the Zipf over tenant popularity: a handful of hot tenants
+    /// own most members. Every tenant's benign stream is also phase-shifted
+    /// by its own diurnal curve ([`rssd_trace::DiurnalLoad`]).
+    pub const ZIPF_THETA: f64 = 0.9;
+    /// Every `ARRAY_EVERY`-th member is a small striped array.
+    pub const ARRAY_EVERY: usize = 8;
+    /// Shards per array member.
+    pub const ARRAY_SHARDS: usize = 3;
+    /// Stripe width of array members, in pages.
+    pub const STRIPE_PAGES: u64 = 4;
+    /// The NVMe-oE uplink every member (every shard of an array member)
+    /// offloads evidence through.
+    pub const LINK: LinkConfig = LinkConfig::datacenter_10g();
+
+    /// What member `id` is under the fleet's mix rule: a single device
     /// behind its own NVMe-oE uplink, or a small striped array whose shards
     /// each have a private one. Either way the member's host drives two
     /// queue pairs of depth 8 (an array's shape is [`Topology::Array`]'s).
     #[must_use]
-    pub fn member_topology(&self, member: usize) -> Topology {
-        if self.array_every > 0 && self.array_shards > 1 && (member + 1) % self.array_every == 0 {
+    pub fn member_topology(member: usize) -> Topology {
+        if (member + 1) % Self::ARRAY_EVERY == 0 {
             Topology::Array {
-                shards: self.array_shards,
-                stripe_pages: self.stripe_pages.max(1),
+                shards: Self::ARRAY_SHARDS,
+                stripe_pages: Self::STRIPE_PAGES,
             }
         } else {
             Topology::MultiQueue {
@@ -173,20 +170,14 @@ mod tests {
 
     #[test]
     fn array_mix_rule() {
-        let cfg = FleetConfig::default();
-        assert_eq!(cfg.member_topology(0).shards(), 1);
+        assert_eq!(FleetConfig::member_topology(0).shards(), 1);
         assert_eq!(
-            cfg.member_topology(7),
+            FleetConfig::member_topology(7),
             Topology::Array {
                 shards: 3,
                 stripe_pages: 4
             }
         );
-        let no_arrays = FleetConfig {
-            array_every: 0,
-            ..cfg
-        };
-        assert_eq!(no_arrays.member_topology(7).shards(), 1);
     }
 
     #[test]

@@ -66,7 +66,6 @@ mod run;
 pub use config::{member_seed, FleetConfig};
 pub use member::{
     run_member, run_member_instrumented, FleetError, MemberObs, MemberOutcome, MemberScorecard,
-    ObsOptions,
 };
 pub use report::FleetReport;
 pub use run::{Fleet, FleetObs};

@@ -105,26 +105,6 @@ pub struct MemberOutcome {
     pub observations: Vec<WriteObservation>,
 }
 
-/// What to collect alongside a member (or fleet) run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ObsOptions {
-    /// Record dual-timeline trace events into a per-member recording sink.
-    pub trace: bool,
-    /// Profile the host-side replay hot loop's phase breakdown.
-    pub profile: bool,
-}
-
-impl ObsOptions {
-    /// Collect everything.
-    #[must_use]
-    pub fn all() -> Self {
-        ObsOptions {
-            trace: true,
-            profile: true,
-        }
-    }
-}
-
 /// Host-side observability by-products of one member run: these live
 /// *outside* [`MemberOutcome`] because they are functions of the host
 /// (wall-clock phase times) or of the observer (trace buffers), not of the
@@ -150,15 +130,21 @@ pub struct MemberObs {
 /// [`FleetError`] when the member's replay aborts on an error the fault
 /// harness cannot absorb (anything but power loss and dead-shard refusals).
 pub fn run_member(config: &FleetConfig, member: usize) -> Result<MemberOutcome, FleetError> {
-    run_member_instrumented(config, member, ObsOptions::default()).map(|(outcome, _)| outcome)
+    run_observed(
+        config,
+        member,
+        SinkHandle::disabled(),
+        ProfilerHandle::disabled(),
+    )
+    .map(|(outcome, _)| outcome)
 }
 
-/// [`run_member`] with observability attached: when `obs.trace` is set a
-/// recording sink (tracks prefixed `m{member}/`) captures the member's
-/// dual-timeline events, and when `obs.profile` is set a phase profiler
-/// brackets the replay hot loop. The simulated outcome is byte-identical
-/// to [`run_member`]'s either way — observers never feed back into the
-/// simulation; the fleet's property tests pin this.
+/// [`run_member`] with observability attached: a phase profiler brackets
+/// the replay hot loop, and when `trace` is set a recording sink (tracks
+/// prefixed `m{member}/`) captures the member's dual-timeline events. The
+/// simulated outcome is byte-identical to [`run_member`]'s either way —
+/// observers never feed back into the simulation; the fleet's property
+/// tests pin this.
 ///
 /// # Errors
 ///
@@ -166,24 +152,29 @@ pub fn run_member(config: &FleetConfig, member: usize) -> Result<MemberOutcome, 
 pub fn run_member_instrumented(
     config: &FleetConfig,
     member: usize,
-    obs: ObsOptions,
+    trace: bool,
 ) -> Result<(MemberOutcome, MemberObs), FleetError> {
-    let sink = if obs.trace {
+    let sink = if trace {
         SinkHandle::recording().with_track_prefix(&format!("m{member}/"))
     } else {
         SinkHandle::disabled()
     };
-    let profiler = if obs.profile {
-        ProfilerHandle::enabled()
-    } else {
-        ProfilerHandle::disabled()
-    };
+    run_observed(config, member, sink, ProfilerHandle::enabled())
+}
+
+/// The one member run, with whatever observers the caller attached.
+fn run_observed(
+    config: &FleetConfig,
+    member: usize,
+    sink: SinkHandle,
+    profiler: ProfilerHandle,
+) -> Result<(MemberOutcome, MemberObs), FleetError> {
     let first_id = member as u64 * DEVICE_ID_STRIDE;
     let outcome = cell::build(
-        config.member_topology(member),
+        FleetConfig::member_topology(member),
         // Degraded members ride their outage on spill-enabled hardware.
         config.member_degraded(member),
-        config.link,
+        FleetConfig::LINK,
         |shard| first_id + shard.unwrap_or(0) as u64,
         MemberBody {
             config,
@@ -226,7 +217,7 @@ impl CellBody for MemberBody<'_> {
             detail: format!("{what}: {e}"),
         };
         let mseed = member_seed(config.seed, member);
-        let topology = config.member_topology(member);
+        let topology = FleetConfig::member_topology(member);
         let compromised = config.member_compromised(member);
         let faulted = config.member_faulted(member);
         let degraded = config.member_degraded(member);
@@ -235,7 +226,7 @@ impl CellBody for MemberBody<'_> {
             _ => "bare".to_string(),
         };
 
-        let (tenant, profile) = assign_tenant(config, mseed);
+        let (tenant, profile) = assign_tenant(mseed);
         profiler.enter("synthesis");
         let records = synthesize_stream(
             config,
@@ -345,19 +336,18 @@ impl CellBody for MemberBody<'_> {
 }
 
 /// Zipf-samples the member's tenant and resolves the tenant's profile.
-fn assign_tenant(config: &FleetConfig, mseed: u64) -> (usize, TraceProfile) {
+fn assign_tenant(mseed: u64) -> (usize, TraceProfile) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let tenants = config.tenants.max(1);
     let mut rng = StdRng::seed_from_u64(mseed);
-    let tenant = Zipf::new(tenants, config.zipf_theta).sample(&mut rng);
+    let tenant = Zipf::new(FleetConfig::TENANTS, FleetConfig::ZIPF_THETA).sample(&mut rng);
     let all = TraceProfile::all();
     let profile = all[tenant % all.len()].clone();
     (tenant, profile)
 }
 
 /// Builds the member's full record stream: benign prefix from the tenant's
-/// calibrated profile (with diurnal pacing when enabled), the hostage
+/// calibrated profile (paced by the tenant's diurnal phase), the hostage
 /// corpus, and — on compromised members — a classic read-encrypt-overwrite
 /// pass over the corpus followed by a trim sweep of the scratch tail.
 fn synthesize_stream(
@@ -369,14 +359,14 @@ fn synthesize_stream(
     logical_pages: u64,
     page_size: usize,
 ) -> Vec<IoRecord> {
-    let tenants = config.tenants.max(1);
-    let mut builder = profile.workload_builder(logical_pages, page_size, mseed);
-    if config.diurnal {
-        let curve =
-            DiurnalLoad::seeded(config.seed).with_phase_fraction(tenant as f64 / tenants as f64);
-        builder = builder.diurnal(curve);
-    }
-    let mut records: Vec<IoRecord> = builder.build().take(config.ops_per_member).collect();
+    let curve = DiurnalLoad::seeded(config.seed)
+        .with_phase_fraction(tenant as f64 / FleetConfig::TENANTS as f64);
+    let mut records: Vec<IoRecord> = profile
+        .workload_builder(logical_pages, page_size, mseed)
+        .diurnal(curve)
+        .build()
+        .take(config.ops_per_member)
+        .collect();
     let benign_end = records.last().map_or(0, |r| r.at_ns);
 
     // The hostage corpus: known content in the hot region, journal-flushed.
@@ -469,7 +459,7 @@ mod tests {
     fn array_member_merges_shard_stats() {
         let cfg = small_config();
         let id = (0..cfg.members)
-            .find(|&m| cfg.member_topology(m).shards() > 1)
+            .find(|&m| FleetConfig::member_topology(m).shards() > 1)
             .expect("mix rule yields an array member");
         let outcome = run_member(&cfg, id).unwrap();
         assert_eq!(outcome.scorecard.kind, "array3");
@@ -486,7 +476,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let id = (0..cfg.members)
-            .find(|&m| cfg.member_compromised(m) && cfg.member_topology(m).shards() == 1)
+            .find(|&m| cfg.member_compromised(m) && FleetConfig::member_topology(m).shards() == 1)
             .expect("some bare member compromised");
         assert!(cfg.member_degraded(id), "outage_fraction 1.0 degrades all");
         let outcome = run_member(&cfg, id).unwrap();

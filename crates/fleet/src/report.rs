@@ -21,8 +21,6 @@ use rssd_trace::ReplayStats;
 pub struct FleetReport {
     /// Fleet size the run simulated.
     pub members: usize,
-    /// Tenant population.
-    pub tenants: usize,
     /// NAND counters merged across every member (and shard).
     pub nand: NandStats,
     /// FTL counters merged across every member (and shard).

@@ -3,7 +3,7 @@
 //! makes worker count invisible in the result.
 
 use crate::config::FleetConfig;
-use crate::member::{run_member_instrumented, FleetError, MemberOutcome, ObsOptions};
+use crate::member::{run_member, run_member_instrumented, FleetError, MemberObs, MemberOutcome};
 use crate::report::FleetReport;
 use rssd_core::{pool, OffloadStats};
 use rssd_detect::{merge_time_ordered, Ensemble, Verdict};
@@ -67,26 +67,46 @@ impl Fleet {
     /// The lowest-id [`FleetError`] of any failed member; healthy members'
     /// work is discarded in that case (runs are cheap and deterministic).
     pub fn run(&self) -> Result<FleetReport, FleetError> {
-        self.run_instrumented(ObsOptions::default())
+        let member =
+            |id| run_member(&self.config, id).map(|outcome| (outcome, MemberObs::default()));
+        self.run_members(member, SinkHandle::disabled())
             .map(|(report, _)| report)
     }
 
     /// [`Fleet::run`] with observability attached: each worker collects its
-    /// members' trace events (tracks prefixed `m{id}/`, so member clocks
-    /// never interleave on one track) and host-side phase profiles, and the
-    /// merge folds them in member-id order — events concatenate, profiles
-    /// add per phase. The [`FleetReport`] itself is byte-identical to an
-    /// uninstrumented run; only the side-band [`FleetObs`] differs.
+    /// members' host-side phase profiles and, when `trace` is set, their
+    /// trace events (tracks prefixed `m{id}/`, so member clocks never
+    /// interleave on one track), and the merge folds them in member-id
+    /// order — events concatenate, profiles add per phase. The
+    /// [`FleetReport`] itself is byte-identical to an uninstrumented run;
+    /// only the side-band [`FleetObs`] differs.
     ///
     /// # Errors
     ///
     /// Same failure surface as [`Fleet::run`].
-    pub fn run_instrumented(&self, obs: ObsOptions) -> Result<(FleetReport, FleetObs), FleetError> {
+    pub fn run_instrumented(&self, trace: bool) -> Result<(FleetReport, FleetObs), FleetError> {
+        // Fleet-level events (the fused ensemble verdict) get their own
+        // unprefixed sink so they land on fleet-global tracks.
+        let fleet_sink = if trace {
+            SinkHandle::recording()
+        } else {
+            SinkHandle::disabled()
+        };
+        self.run_members(
+            |id| run_member_instrumented(&self.config, id, trace),
+            fleet_sink,
+        )
+    }
+
+    /// Runs `member` for every id on the worker pool, then merges.
+    fn run_members(
+        &self,
+        member: impl Fn(usize) -> Result<(MemberOutcome, MemberObs), FleetError> + Sync,
+        fleet_sink: SinkHandle,
+    ) -> Result<(FleetReport, FleetObs), FleetError> {
         // Members come back in id order; each one's own store walks run
         // inline on its worker.
-        let outcomes = pool::map(self.config.workers, self.config.members, |id| {
-            run_member_instrumented(&self.config, id, obs)
-        });
+        let outcomes = pool::map(self.config.workers, self.config.members, member);
         let mut ordered = Vec::with_capacity(outcomes.len());
         let mut fleet_obs = FleetObs::default();
         for outcome in outcomes {
@@ -95,13 +115,6 @@ impl Fleet {
             fleet_obs.events.extend(member_obs.events);
             ordered.push(outcome);
         }
-        // Fleet-level events (the fused ensemble verdict) get their own
-        // unprefixed sink so they land on fleet-global tracks.
-        let fleet_sink = if obs.trace {
-            SinkHandle::recording()
-        } else {
-            SinkHandle::disabled()
-        };
         let report = self.merge(ordered, &fleet_sink);
         fleet_obs.events.extend(fleet_sink.take_events());
         Ok((report, fleet_obs))
@@ -169,7 +182,6 @@ impl Fleet {
 
         FleetReport {
             members: self.config.members,
-            tenants: self.config.tenants,
             nand,
             ftl,
             offload,
@@ -239,7 +251,7 @@ mod tests {
     fn instrumentation_is_invisible_in_the_report() {
         let cfg = tiny();
         let plain = Fleet::new(cfg.clone()).run().unwrap();
-        let (traced, obs) = Fleet::new(cfg).run_instrumented(ObsOptions::all()).unwrap();
+        let (traced, obs) = Fleet::new(cfg).run_instrumented(true).unwrap();
         assert_eq!(plain, traced, "observers must not perturb the simulation");
         let trace = rssd_obs::check(&obs.events).unwrap_or_else(|v| panic!("{v}"));
         assert!(trace.transfers_closed > 0, "{trace:?}");

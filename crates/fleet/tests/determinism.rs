@@ -13,7 +13,7 @@
 //!    it records keeps the trace grammar ([`rssd_obs::check()`]).
 
 use proptest::prelude::*;
-use rssd_fleet::{member_seed, Fleet, FleetConfig, ObsOptions};
+use rssd_fleet::{member_seed, Fleet, FleetConfig};
 use std::collections::HashSet;
 
 proptest! {
@@ -27,7 +27,6 @@ proptest! {
         ops in 30usize..70,
         compromised_pct in 0u32..60,
         fault_pct in 0u32..30,
-        diurnal in any::<bool>(),
     ) {
         let base = FleetConfig {
             members,
@@ -35,7 +34,6 @@ proptest! {
             ops_per_member: ops,
             compromised_fraction: f64::from(compromised_pct) / 100.0,
             fault_fraction: f64::from(fault_pct) / 100.0,
-            diurnal,
             ..FleetConfig::default()
         };
         let one = Fleet::new(FleetConfig { workers: 1, ..base.clone() })
@@ -74,7 +72,7 @@ proptest! {
         };
         let bare = Fleet::new(config.clone()).run().unwrap();
         let (observed, obs) = Fleet::new(config)
-            .run_instrumented(ObsOptions::all())
+            .run_instrumented(true)
             .unwrap();
         prop_assert_eq!(&bare, &observed, "recording sink/profiler changed the report");
         let trace = rssd_obs::check(&obs.events)

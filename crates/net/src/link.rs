@@ -49,7 +49,7 @@ pub struct LinkConfig {
 
 impl LinkConfig {
     /// 10 GbE to a machine-room server: 1.25 GB/s, 50 µs one-way.
-    pub fn datacenter_10g() -> Self {
+    pub const fn datacenter_10g() -> Self {
         LinkConfig {
             bandwidth_bytes_per_sec: 1_250_000_000,
             propagation_delay_ns: 50_000,
@@ -86,12 +86,6 @@ impl LinkConfig {
             propagation_delay_ns: 0,
             loss_period: 0,
         }
-    }
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        Self::datacenter_10g()
     }
 }
 

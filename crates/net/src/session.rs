@@ -5,7 +5,7 @@
 //! controller; the host — and therefore any ransomware, however privileged —
 //! never observes plaintext log data or the keys.
 
-use rssd_crypto::{ChaCha20, DeviceKeys, HmacSha256, KeyId, KeyPurpose};
+use rssd_crypto::{ChaCha20, DeviceKeys, HmacSha256, KeyPurpose};
 
 /// Length of the appended authentication tag.
 pub const TAG_LEN: usize = 32;
@@ -32,6 +32,10 @@ impl std::error::Error for SessionError {}
 
 /// An encrypt-then-MAC session keyed from a [`DeviceKeys`] hierarchy.
 ///
+/// The session holds its two derived keys and nothing else: not the root,
+/// so a store holding a session (the log server does) keeps nothing from
+/// which the evidence-chain key derives.
+///
 /// # Examples
 ///
 /// ```
@@ -48,15 +52,12 @@ impl std::error::Error for SessionError {}
 pub struct SecureSession {
     enc_key: [u8; 32],
     mac_key: [u8; 32],
-    keys: DeviceKeys,
-    enc_id: KeyId,
 }
 
 impl std::fmt::Debug for SecureSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SecureSession")
             .field("keys", &"<sealed>")
-            .field("epoch", &self.enc_id.epoch)
             .finish()
     }
 }
@@ -64,20 +65,21 @@ impl std::fmt::Debug for SecureSession {
 impl SecureSession {
     /// Derives session keys at `epoch` from the device hierarchy.
     pub fn new(keys: &DeviceKeys, epoch: u32) -> Self {
-        let enc_id = KeyId {
-            purpose: KeyPurpose::OffloadEncryption,
-            epoch,
-        };
-        let mac_id = KeyId {
-            purpose: KeyPurpose::SegmentAuthentication,
-            epoch,
-        };
         SecureSession {
-            enc_key: keys.derive_id(enc_id),
-            mac_key: keys.derive_id(mac_id),
-            keys: keys.clone(),
-            enc_id,
+            enc_key: keys.derive(KeyPurpose::OffloadEncryption, epoch),
+            mac_key: keys.derive(KeyPurpose::SegmentAuthentication, epoch),
         }
+    }
+
+    /// The 96-bit nonce for segment `segment_seq`, unique per (cipher key,
+    /// segment): `HMAC(enc_key, label || seq)[..12]`.
+    fn nonce(&self, segment_seq: u64) -> [u8; 12] {
+        let mut mac = HmacSha256::new(&self.enc_key);
+        mac.update(b"rssd/segment-nonce/v1");
+        mac.update(&segment_seq.to_le_bytes());
+        mac.finalize().as_bytes()[..12]
+            .try_into()
+            .expect("12 bytes")
     }
 
     /// Encrypts `plaintext` under the per-segment nonce for `segment_seq`
@@ -103,7 +105,7 @@ impl SecureSession {
     ///
     /// Panics if `from > buf.len()`.
     pub fn seal_in_place(&self, segment_seq: u64, buf: &mut Vec<u8>, from: usize) {
-        let nonce = self.keys.segment_nonce(self.enc_id, segment_seq);
+        let nonce = self.nonce(segment_seq);
         buf.reserve(TAG_LEN);
         ChaCha20::new(&self.enc_key, &nonce).apply_keystream(&mut buf[from..]);
         let mut mac = HmacSha256::new(&self.mac_key);
@@ -165,7 +167,7 @@ impl SecureSession {
             .ok_or(SessionError::Truncated)?;
         Ok(Authenticated {
             enc_key: &self.enc_key,
-            nonce: self.keys.segment_nonce(self.enc_id, segment_seq),
+            nonce: self.nonce(segment_seq),
             ciphertext: &sealed[..end],
         })
     }
@@ -387,8 +389,25 @@ mod tests {
     }
 
     #[test]
+    fn sealed_bytes_are_pinned() {
+        // The wire image of one sealed message: nonce derivation, cipher
+        // and tag together. A change here moves every sealed byte.
+        let s = SecureSession::new(&DeviceKeys::for_simulation(7), 0);
+        let sealed = s.seal(42, b"evidence segment 42");
+        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "f189be47cfd8d6bd7b665618143fc4e52ac59a3ef2e1b367f7cb1063e74df471\
+             bc14a28d093e74ec8ac29258465995a157649f"
+        );
+    }
+
+    #[test]
     fn debug_never_leaks_keys() {
         let s = session();
-        assert!(format!("{s:?}").contains("sealed"));
+        let shown = format!("{s:?}");
+        assert!(shown.contains("sealed"));
+        assert!(!shown.contains(&format!("{:?}", s.enc_key)));
+        assert!(!shown.contains(&format!("{:?}", s.mac_key)));
     }
 }

@@ -105,7 +105,7 @@ impl RetentionSsd {
     /// the remainder is kept free so GC can still operate.
     pub const BUDGET_FRACTION: f64 = 0.70;
 
-    /// Builds a retention SSD. The retention budget defaults to
+    /// Builds a retention SSD. The retention budget is
     /// [`Self::BUDGET_FRACTION`] of the spare capacity.
     pub fn new(
         geometry: FlashGeometry,
@@ -130,12 +130,6 @@ impl RetentionSsd {
             },
             latency: LatencyStats::new(),
         }
-    }
-
-    /// Overrides the retention budget (for scaled experiments).
-    pub fn set_budget_bytes(&mut self, budget: u64) {
-        self.report.budget_bytes = budget;
-        self.enforce_budget();
     }
 
     /// Current retention behaviour counters.
@@ -376,31 +370,40 @@ mod tests {
     #[test]
     fn budget_eviction_loses_oldest() {
         let mut d = ssd(RetentionMode::RetainAll);
-        // Shrink the budget to two pages.
-        d.set_budget_bytes(2 * 4096);
-        d.write_page(1, vec![1; 4096]).unwrap();
-        d.write_page(1, vec![2; 4096]).unwrap(); // retains v1
-        d.write_page(2, vec![3; 4096]).unwrap();
-        d.write_page(2, vec![4; 4096]).unwrap(); // retains v3
-        d.write_page(1, vec![5; 4096]).unwrap(); // retains v2, evicts v1
+        // The budget holds `pages` whole pages, and no more.
+        let pages = d.report().budget_bytes / 4096;
+        assert!(pages >= 2, "budget of {pages} pages");
+        // LPA 0 leaves two stale versions (v1, then v2), every other LPA
+        // below `pages` one: `pages` retained, the budget full.
+        d.write_page(0, vec![1; 4096]).unwrap();
+        d.write_page(0, vec![2; 4096]).unwrap(); // retains v1
+        for lpa in 1..pages - 1 {
+            d.write_page(lpa, vec![3; 4096]).unwrap();
+            d.write_page(lpa, vec![4; 4096]).unwrap();
+        }
+        d.write_page(0, vec![5; 4096]).unwrap(); // retains v2
+        assert_eq!(d.report().retained_pages, pages);
+        assert_eq!(d.report().evicted_pages, 0);
+        d.write_page(pages - 1, vec![6; 4096]).unwrap();
+        d.write_page(pages - 1, vec![7; 4096]).unwrap(); // one over: evicts v1
         let report = d.report();
         assert_eq!(report.evicted_pages, 1);
-        assert_eq!(report.retained_pages, 2);
-        // LPA 1's oldest version is gone; newest retained is v2.
-        assert_eq!(d.recover_page(1).unwrap(), vec![2; 4096]);
+        assert_eq!(report.retained_pages, pages);
+        // LPA 0's oldest version is gone; newest retained is v2.
+        assert_eq!(d.recover_page(0).unwrap(), vec![2; 4096]);
         assert!(report.mean_retention_ns().is_some());
     }
 
     #[test]
     fn compressed_mode_stretches_budget() {
         // Highly compressible pages: compressed mode should retain many more
-        // than budget/page_size.
+        // than budget/page_size. Enough stale versions to fill the
+        // retain-all budget more than four times over.
         let mut all = ssd(RetentionMode::RetainAll);
         let mut comp = ssd(RetentionMode::Compressed);
-        let budget = 4 * 4096;
-        all.set_budget_bytes(budget);
-        comp.set_budget_bytes(budget);
-        for round in 0..20u8 {
+        let pages = all.report().budget_bytes / 4096;
+        let rounds = (5 * pages / 4 + 2) as u8;
+        for round in 0..rounds {
             for lpa in 0..4u64 {
                 all.write_page(lpa, vec![round; 4096]).unwrap();
                 comp.write_page(lpa, vec![round; 4096]).unwrap();

@@ -4,8 +4,7 @@ use crate::record::{IoOp, IoRecord, PayloadKind};
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const NS_PER_DAY: u64 = 86_400 * 1_000_000_000;
+use rssd_flash::clock::NS_PER_DAY;
 
 /// Diurnal load modulation: a seeded day-curve that scales the arrival
 /// rate over simulated time, so a tenant's traffic peaks during its
@@ -50,8 +49,6 @@ pub struct DiurnalLoad {
     phase_ns: u64,
     /// Phase of the second harmonic in nanoseconds.
     harmonic_phase_ns: u64,
-    /// Length of one cycle in nanoseconds.
-    period_ns: u64,
 }
 
 impl DiurnalLoad {
@@ -71,29 +68,17 @@ impl DiurnalLoad {
             harmonic: 0.05 + 0.15 * unit(2),
             phase_ns: mix(3) % NS_PER_DAY,
             harmonic_phase_ns: mix(4) % NS_PER_DAY,
-            period_ns: NS_PER_DAY,
         }
     }
 
-    /// Shifts the whole curve by `fraction` of a period (`0.0..1.0`) — the
+    /// Shifts the whole curve by `fraction` of a day (`0.0..1.0`) — the
     /// per-tenant offset: tenant *t* of *n* passes `t / n` so the fleet's
     /// peaks spread around the clock.
     pub fn with_phase_fraction(mut self, fraction: f64) -> Self {
-        let shift = (fraction.rem_euclid(1.0) * self.period_ns as f64) as u64;
-        self.phase_ns = (self.phase_ns + shift) % self.period_ns;
-        self.harmonic_phase_ns = (self.harmonic_phase_ns + shift) % self.period_ns;
+        let shift = (fraction.rem_euclid(1.0) * NS_PER_DAY as f64) as u64;
+        self.phase_ns = (self.phase_ns + shift) % NS_PER_DAY;
+        self.harmonic_phase_ns = (self.harmonic_phase_ns + shift) % NS_PER_DAY;
         self
-    }
-
-    /// Overrides the cycle length (default: one simulated day).
-    pub fn with_period_ns(mut self, period_ns: u64) -> Self {
-        self.period_ns = period_ns.max(1);
-        self
-    }
-
-    /// Length of one cycle in nanoseconds.
-    pub fn period_ns(&self) -> u64 {
-        self.period_ns
     }
 
     /// The instantaneous rate multiplier at simulated time `at_ns`: the
@@ -102,8 +87,8 @@ impl DiurnalLoad {
     /// never stops the stream entirely).
     pub fn rate_multiplier(&self, at_ns: u64) -> f64 {
         let turn = |t: u64, phase: u64, cycles: f64| {
-            let pos = (t % self.period_ns) as f64 / self.period_ns as f64;
-            let shift = phase as f64 / self.period_ns as f64;
+            let pos = (t % NS_PER_DAY) as f64 / NS_PER_DAY as f64;
+            let shift = phase as f64 / NS_PER_DAY as f64;
             (cycles * (pos + shift) * std::f64::consts::TAU).sin()
         };
         let m = 1.0
@@ -466,7 +451,7 @@ mod tests {
     fn diurnal_peaks_and_troughs_move_with_phase() {
         let curve = DiurnalLoad::seeded(7);
         let shifted = curve.with_phase_fraction(0.5);
-        let day = curve.period_ns();
+        let day = NS_PER_DAY;
         let mut diverged = false;
         for hour in 0..24u64 {
             let t = hour * day / 24;
@@ -481,19 +466,20 @@ mod tests {
 
     #[test]
     fn diurnal_mean_rate_is_close_to_flat() {
-        // Over many whole cycles the modulated stream must pace near the
+        // Over many whole days the modulated stream must pace near the
         // configured mean rate: the curve reshapes the day, not the volume.
-        let curve = DiurnalLoad::seeded(3).with_period_ns(1_000_000_000);
+        // At this rate 50 000 records span about five days.
+        let rate = 50_000.0 / (5.0 * 86_400.0);
         let recs = sample(
             WorkloadBuilder::new(1024)
                 .seed(8)
-                .ops_per_second(10_000.0)
-                .diurnal(curve),
+                .ops_per_second(rate)
+                .diurnal(DiurnalLoad::seeded(3)),
             50_000,
         );
         let span_s = recs.last().unwrap().at_ns as f64 / 1e9;
         let measured = recs.len() as f64 / span_s;
-        let ratio = measured / 10_000.0;
+        let ratio = measured / rate;
         assert!((0.7..1.4).contains(&ratio), "mean-rate ratio {ratio}");
     }
 

@@ -18,7 +18,7 @@
 //! [`Fleet`]: rssd_repro::fleet::Fleet
 
 use rssd_repro::detect::Verdict;
-use rssd_repro::fleet::{Fleet, FleetConfig, ObsOptions};
+use rssd_repro::fleet::{Fleet, FleetConfig};
 use rssd_repro::obs::{check, export_chrome_trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,13 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!(
         "fleet: {} members ({} tenants, zipf {}), {} workers, seed {}\n",
-        config.members, config.tenants, config.zipf_theta, config.workers, config.seed
+        config.members,
+        FleetConfig::TENANTS,
+        FleetConfig::ZIPF_THETA,
+        config.workers,
+        config.seed
     );
 
-    let (report, obs) = Fleet::new(config).run_instrumented(ObsOptions {
-        trace: trace_out.is_some(),
-        profile: true,
-    })?;
+    let (report, obs) = Fleet::new(config).run_instrumented(trace_out.is_some())?;
 
     println!(
         "{:>3} {:<7} {:>6} {:<10} {:>6} {:>6} {:>11} {:>6} {:>6}  chain",

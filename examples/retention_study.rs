@@ -6,18 +6,18 @@
 //! cargo run --release --example retention_study [trace]
 //! ```
 
+use rssd_repro::flash::clock::NS_PER_DAY;
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_repro::ssd::{BlockDevice, NvmeController, RetentionMode, RetentionSsd};
 use rssd_repro::trace::{replay_fanout, TraceProfile};
 
-const NS_PER_DAY: f64 = 86_400e9;
 const SIM_DAYS: f64 = 30.0;
 
 fn measure(profile: &TraceProfile, mode: RetentionMode) -> (f64, u64, u64) {
     let geometry = FlashGeometry::with_capacity(32 * 1024 * 1024);
     let clock = SimClock::new();
     let mut device = RetentionSsd::new(geometry, NandTiming::instant(), clock, mode);
-    let horizon = (SIM_DAYS * NS_PER_DAY) as u64;
+    let horizon = (SIM_DAYS * NS_PER_DAY as f64) as u64;
     let records = profile
         .workload(device.logical_pages(), device.page_size(), 42)
         .take_while(|r| r.at_ns < horizon);
@@ -29,7 +29,7 @@ fn measure(profile: &TraceProfile, mode: RetentionMode) -> (f64, u64, u64) {
     let report = device.report();
     let days = report
         .mean_retention_ns()
-        .map_or(SIM_DAYS, |ns| ns / NS_PER_DAY);
+        .map_or(SIM_DAYS, |ns| ns / NS_PER_DAY as f64);
     (days, report.retained_pages, report.evicted_pages)
 }
 
