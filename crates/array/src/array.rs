@@ -3,11 +3,11 @@
 //! [`RssdArray`] stripes one flat logical page space across N member
 //! devices ([`StripeLayout`]) and implements [`BlockDevice`] itself, so it
 //! drops behind the existing `NvmeController` — and every replay harness,
-//! attack actor and example — unchanged. [`submit_batch`](BlockDevice::submit_batch)
-//! is overridden to
-//! split each arbitration batch per shard and dispatch the sub-batches
-//! through the members' own `submit_batch`, so per-shard background work
-//! (RSSD's coalesced offload flushes) still amortizes across the batch.
+//! attack actor and example — unchanged. Its
+//! [`submit_batch_timed`](BlockDevice::submit_batch_timed) splits each
+//! arbitration batch per shard and dispatches the sub-batches through the
+//! members' own `submit_batch_timed`, so per-shard background work (RSSD's
+//! coalesced offload flushes) still amortizes across the batch.
 //!
 //! # Time model
 //!

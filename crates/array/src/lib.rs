@@ -9,7 +9,7 @@
 //!   logical page space and `(shard, local LPA)` homes.
 //! * [`RssdArray`] — implements [`BlockDevice`](rssd_ssd::BlockDevice), so
 //!   it drops behind the existing `NvmeController`, replay harnesses and
-//!   attack actors unchanged; `submit_batch` splits each batch per shard
+//!   attack actors unchanged; `submit_batch_timed` splits each batch per shard
 //!   and dispatches natively so member-level amortizations (RSSD's
 //!   coalesced offload flushes) survive striping. Members run on their own
 //!   clocks, modeled as parallel: a batch costs its slowest shard, not the

@@ -118,13 +118,6 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// Read-before-overwrite correlation window recorded in log metadata.
     pub const READ_WINDOW_NS: u64 = 600 * 1_000_000_000;
 
-    /// Soft cap on RAM-staged sealed segments; the backlog-pressure
-    /// denominator when no spill region is configured.
-    pub const RAM_STAGE_SOFT_CAP: usize = OffloadEngine::RAM_STAGE_SOFT_CAP;
-    /// Initial background-retry backoff after a ship failure (10 ms).
-    pub const RETRY_BACKOFF_BASE_NS: u64 = OffloadEngine::RETRY_BACKOFF_BASE_NS;
-    /// Backoff ceiling across a sustained outage (5 s).
-    pub const RETRY_BACKOFF_CAP_NS: u64 = OffloadEngine::RETRY_BACKOFF_CAP_NS;
     /// Simulated latency a `Throttled` write pays per staged segment —
     /// admission control's slope (40 µs per backlogged segment). Tuned so
     /// a mid-outage device still delivers ≥ 25 % of healthy throughput

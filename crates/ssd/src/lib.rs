@@ -49,8 +49,8 @@ pub mod retention;
 pub use device::{BlockDevice, DeviceError};
 pub use exec::{execute_batch, BlockPolicy};
 pub use nvme::{
-    CommandId, CommandOutcome, CommandResult, Completion, CompletionQueue, IoCommand,
-    NvmeController, QueueError, QueueId, QueuePairStats, SubmissionQueue,
+    CommandId, CommandOutcome, CommandResult, Completion, IoCommand, NvmeController, QueueError,
+    QueueId, QueuePairStats,
 };
 pub use plain::PlainSsd;
 pub use queue::LatencyStats;

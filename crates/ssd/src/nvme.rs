@@ -7,15 +7,16 @@
 //! contract:
 //!
 //! * [`IoCommand`] — one host command (`Read`/`Write`/`Trim`/`Flush`).
-//! * [`SubmissionQueue`] / [`CompletionQueue`] — fixed-depth rings, paired
-//!   per host context.
+//! * A queue pair per host context — a fixed-depth submission queue and
+//!   completion queue, made by [`NvmeController::create_queue_pair`].
 //! * [`NvmeController`] — owns the [`BlockDevice`] and round-robin
 //!   arbitrates across every queue pair, so several hosts (a victim VM and
 //!   an attacker VM, say) share one device. Commands pulled in an
-//!   arbitration round are executed through
-//!   [`BlockDevice::submit_batch`], which lets devices amortize work —
-//!   RSSD amortizes evidence-chain bookkeeping and offload flushes across
-//!   the batch.
+//!   arbitration round are executed as one
+//!   [`BlockDevice::submit_batch_timed`] call, which lets devices amortize
+//!   work — RSSD's batch-end hook
+//!   ([`BlockPolicy::batch_end`](crate::BlockPolicy::batch_end)) runs one
+//!   background offload check per batch.
 //!
 //! Queue depth is the host's performance knob: a depth-1 pair submits
 //! batches of one — exactly what the scalar [`BlockDevice`] methods do —
@@ -53,7 +54,11 @@
 use crate::device::{BlockDevice, DeviceError};
 use crate::queue::LatencyStats;
 use rssd_obs::{ProfilerHandle, SinkHandle};
-use std::collections::HashSet;
+use std::collections::VecDeque;
+
+/// Deepest queue pair: NVMe's largest queue size, and the number of
+/// distinct [`CommandId`]s.
+const MAX_QUEUE_DEPTH: usize = 1 << 16;
 
 /// One host I/O command — the unit of submission on a queue pair.
 ///
@@ -197,131 +202,12 @@ impl std::fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
-/// A fixed-capacity ring buffer (the storage shared by both queue kinds).
-#[derive(Debug)]
-struct Ring<T> {
-    slots: Vec<Option<T>>,
-    head: usize,
-    len: usize,
-}
-
-impl<T> Ring<T> {
-    fn new(depth: usize) -> Self {
-        assert!(depth > 0, "queue depth must be at least 1");
-        Ring {
-            slots: (0..depth).map(|_| None).collect(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn depth(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn free(&self) -> usize {
-        self.depth() - self.len
-    }
-
-    fn push(&mut self, item: T) -> Result<(), T> {
-        if self.len == self.depth() {
-            return Err(item);
-        }
-        let tail = (self.head + self.len) % self.depth();
-        self.slots[tail] = Some(item);
-        self.len += 1;
-        Ok(())
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let item = self.slots[self.head].take();
-        self.head = (self.head + 1) % self.depth();
-        self.len -= 1;
-        item
-    }
-}
-
 /// One submitted-but-not-yet-fetched command.
 #[derive(Debug)]
 struct SqEntry {
     id: CommandId,
     command: IoCommand,
     submitted_at_ns: u64,
-}
-
-/// The host→device half of a queue pair: a fixed-depth command ring.
-#[derive(Debug)]
-pub struct SubmissionQueue {
-    ring: Ring<SqEntry>,
-}
-
-impl SubmissionQueue {
-    fn new(depth: usize) -> Self {
-        SubmissionQueue {
-            ring: Ring::new(depth),
-        }
-    }
-
-    /// Configured depth.
-    pub fn depth(&self) -> usize {
-        self.ring.depth()
-    }
-
-    /// Commands waiting to be fetched by the controller.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// `true` when no commands are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.ring.len() == 0
-    }
-
-    /// Free submission slots.
-    pub fn free(&self) -> usize {
-        self.ring.free()
-    }
-}
-
-/// The device→host half of a queue pair: a fixed-depth completion ring.
-#[derive(Debug)]
-pub struct CompletionQueue {
-    ring: Ring<Completion>,
-}
-
-impl CompletionQueue {
-    fn new(depth: usize) -> Self {
-        CompletionQueue {
-            ring: Ring::new(depth),
-        }
-    }
-
-    /// Configured depth.
-    pub fn depth(&self) -> usize {
-        self.ring.depth()
-    }
-
-    /// Completions waiting to be reaped by the host.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// `true` when no completions are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.ring.len() == 0
-    }
-
-    /// Free completion slots.
-    pub fn free(&self) -> usize {
-        self.ring.free()
-    }
 }
 
 /// Per-queue-pair accounting: command mix, errors, and queue latency
@@ -364,25 +250,15 @@ impl QueuePairStats {
     }
 }
 
-/// A submission/completion ring pair plus its accounting.
+/// A submission/completion queue pair of `depth` entries each, plus its
+/// accounting. A round posts every command it fetches, so the ids
+/// outstanding on a pair are exactly the ids still in its `sq`.
 #[derive(Debug)]
 struct QueuePair {
-    sq: SubmissionQueue,
-    cq: CompletionQueue,
-    /// Command ids outstanding (submitted, completion not yet posted).
-    in_flight: HashSet<u16>,
+    depth: usize,
+    sq: VecDeque<SqEntry>,
+    cq: VecDeque<Completion>,
     stats: QueuePairStats,
-}
-
-impl QueuePair {
-    fn new(depth: usize) -> Self {
-        QueuePair {
-            sq: SubmissionQueue::new(depth),
-            cq: CompletionQueue::new(depth),
-            in_flight: HashSet::new(),
-            stats: QueuePairStats::default(),
-        }
-    }
 }
 
 /// The device-side command processor: owns the [`BlockDevice`] and
@@ -391,7 +267,8 @@ impl QueuePair {
 /// Each [`process_round`](Self::process_round) fetches up to the
 /// arbitration burst of commands from every queue pair (starting at a
 /// rotating offset so no queue is structurally favored), executes the whole
-/// fetch as one [`BlockDevice::submit_batch`] call, and posts completions.
+/// fetch as one [`BlockDevice::submit_batch_timed`] call, and posts
+/// completions in completion-time order.
 /// The batch is where devices amortize per-command overheads; the round-robin
 /// is what lets multiple tenants share a device without any host-side
 /// coordination.
@@ -466,52 +343,42 @@ impl<D: BlockDevice> NvmeController<D> {
         self.device
     }
 
-    /// Creates a submission/completion ring pair of `depth` entries each and
-    /// returns its id.
+    /// Creates a submission/completion queue pair of `depth` entries each
+    /// and returns its id.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is zero — a zero-depth pair could neither accept a
     /// submission nor post a completion, so every later operation on it
-    /// would fail in ways that are much harder to diagnose than this.
+    /// would fail in ways that are much harder to diagnose than this — or
+    /// above 65 536, NVMe's largest queue size and the number of distinct
+    /// [`CommandId`]s: a deeper pair would take more commands than a host
+    /// can name.
     pub fn create_queue_pair(&mut self, depth: usize) -> QueueId {
         assert!(
             depth > 0,
-            "queue pair depth must be at least 1 (a depth-0 ring can neither \
+            "queue pair depth must be at least 1 (a depth-0 pair can neither \
              accept submissions nor post completions)"
         );
+        assert!(
+            depth <= MAX_QUEUE_DEPTH,
+            "queue pair depth must be at most {MAX_QUEUE_DEPTH} (the command-id \
+             space), got {depth}"
+        );
         let id = QueueId(u16::try_from(self.queues.len()).expect("too many queue pairs"));
-        self.queues.push(QueuePair::new(depth));
+        self.queues.push(QueuePair {
+            depth,
+            sq: VecDeque::with_capacity(depth),
+            cq: VecDeque::with_capacity(depth),
+            stats: QueuePairStats::default(),
+        });
         id
-    }
-
-    /// Number of queue pairs.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
     }
 
     fn pair(&self, queue: QueueId) -> &QueuePair {
         self.queues
             .get(usize::from(queue.0))
             .unwrap_or_else(|| panic!("unknown queue {queue}"))
-    }
-
-    /// The submission queue of `queue`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown queue id.
-    pub fn submission_queue(&self, queue: QueueId) -> &SubmissionQueue {
-        &self.pair(queue).sq
-    }
-
-    /// The completion queue of `queue`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown queue id.
-    pub fn completion_queue(&self, queue: QueueId) -> &CompletionQueue {
-        &self.pair(queue).cq
     }
 
     /// Per-queue counters and queue-latency distribution.
@@ -523,13 +390,15 @@ impl<D: BlockDevice> NvmeController<D> {
         &self.pair(queue).stats
     }
 
-    /// Commands outstanding on `queue` (submitted, completion not posted).
+    /// Free submission slots of `queue`: how many more commands it accepts
+    /// before [`QueueError::SubmissionQueueFull`].
     ///
     /// # Panics
     ///
     /// Panics on an unknown queue id.
-    pub fn outstanding(&self, queue: QueueId) -> usize {
-        self.pair(queue).in_flight.len()
+    pub fn free_slots(&self, queue: QueueId) -> usize {
+        let pair = self.pair(queue);
+        pair.depth - pair.sq.len()
     }
 
     /// Submits one command.
@@ -537,7 +406,7 @@ impl<D: BlockDevice> NvmeController<D> {
     /// # Errors
     ///
     /// [`QueueError::UnknownQueue`] for a bad queue id,
-    /// [`QueueError::SubmissionQueueFull`] when the ring has no free slot
+    /// [`QueueError::SubmissionQueueFull`] when the pair has no free slot
     /// (reap completions and retry), and [`QueueError::CommandIdInFlight`]
     /// when `id` is still outstanding on this pair.
     pub fn submit(
@@ -551,10 +420,10 @@ impl<D: BlockDevice> NvmeController<D> {
             .queues
             .get_mut(usize::from(queue.0))
             .ok_or(QueueError::UnknownQueue { queue })?;
-        if pair.sq.ring.free() == 0 {
+        if pair.sq.len() == pair.depth {
             return Err(QueueError::SubmissionQueueFull { queue });
         }
-        if !pair.in_flight.insert(id.0) {
+        if pair.sq.iter().any(|entry| entry.id == id) {
             return Err(QueueError::CommandIdInFlight { queue, id });
         }
         match command {
@@ -564,14 +433,11 @@ impl<D: BlockDevice> NvmeController<D> {
             IoCommand::Flush => pair.stats.flushes += 1,
         }
         pair.stats.submitted += 1;
-        pair.sq
-            .ring
-            .push(SqEntry {
-                id,
-                command,
-                submitted_at_ns: now,
-            })
-            .unwrap_or_else(|_| unreachable!("free slot checked above"));
+        pair.sq.push_back(SqEntry {
+            id,
+            command,
+            submitted_at_ns: now,
+        });
         Ok(())
     }
 
@@ -585,8 +451,7 @@ impl<D: BlockDevice> NvmeController<D> {
             .get_mut(usize::from(queue.0))
             .unwrap_or_else(|| panic!("unknown queue {queue}"))
             .cq
-            .ring
-            .pop()
+            .pop_front()
     }
 
     /// Reaps every posted completion of `queue`.
@@ -604,9 +469,9 @@ impl<D: BlockDevice> NvmeController<D> {
 
     /// Runs one arbitration round: fetches up to the arbitration burst from
     /// each queue pair (bounded by that pair's free completion slots, so a
-    /// host that never reaps cannot overflow its own ring), executes the
-    /// fetch as one device batch, and posts completions. Returns the number
-    /// of commands executed.
+    /// host that never reaps cannot overflow its own completion queue),
+    /// executes the fetch as one device batch, and posts completions.
+    /// Returns the number of commands executed.
     pub fn process_round(&mut self) -> usize {
         let queue_count = self.queues.len();
         if queue_count == 0 {
@@ -622,12 +487,10 @@ impl<D: BlockDevice> NvmeController<D> {
             let pair = &mut self.queues[qi];
             let fetch = pair
                 .sq
-                .ring
                 .len()
-                .min(pair.cq.ring.free())
+                .min(pair.depth - pair.cq.len())
                 .min(self.arbitration_burst);
-            for _ in 0..fetch {
-                let entry = pair.sq.ring.pop().expect("len checked");
+            for entry in pair.sq.drain(..fetch) {
                 meta.push((qi, entry.id, entry.submitted_at_ns));
                 commands.push(entry.command);
             }
@@ -642,7 +505,7 @@ impl<D: BlockDevice> NvmeController<D> {
         let timed = self.device.submit_batch_timed(commands);
         self.profiler.exit();
         // A hard assert: a non-conforming override would otherwise silently
-        // drop completions and leak their in-flight command ids.
+        // drop completions: the host would wait forever for those commands.
         assert_eq!(
             timed.len(),
             executed,
@@ -691,16 +554,13 @@ impl<D: BlockDevice> NvmeController<D> {
             pair.stats
                 .latency
                 .record(p.completed_at_ns.saturating_sub(p.submitted_at_ns));
-            pair.in_flight.remove(&p.id.0);
-            pair.cq
-                .ring
-                .push(Completion {
-                    id: p.id,
-                    result: p.result,
-                    submitted_at_ns: p.submitted_at_ns,
-                    completed_at_ns: p.completed_at_ns,
-                })
-                .unwrap_or_else(|_| unreachable!("completion slot reserved at fetch"));
+            assert!(pair.cq.len() < pair.depth, "CQ slot reserved at fetch");
+            pair.cq.push_back(Completion {
+                id: p.id,
+                result: p.result,
+                submitted_at_ns: p.submitted_at_ns,
+                completed_at_ns: p.completed_at_ns,
+            });
         }
         self.profiler.exit();
         self.rounds += 1;
@@ -754,22 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_and_preserves_fifo() {
-        let mut r: Ring<u32> = Ring::new(3);
-        assert_eq!(r.pop(), None);
-        r.push(1).unwrap();
-        r.push(2).unwrap();
-        assert_eq!(r.pop(), Some(1));
-        r.push(3).unwrap();
-        r.push(4).unwrap();
-        assert_eq!(r.push(5), Err(5), "full at depth 3");
-        assert_eq!(r.pop(), Some(2));
-        assert_eq!(r.pop(), Some(3));
-        assert_eq!(r.pop(), Some(4));
-        assert_eq!(r.pop(), None);
-    }
-
-    #[test]
     fn submit_process_reap_round_trip() {
         let mut c = controller();
         let q = c.create_queue_pair(4);
@@ -782,12 +626,14 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(c.outstanding(q), 1);
+        assert_eq!(c.stats(q).submitted - c.stats(q).completed, 1);
+        assert_eq!(c.free_slots(q), 3);
         assert_eq!(c.run_to_idle(), 1);
         let done = c.pop_completion(q).unwrap();
         assert_eq!(done.id, CommandId(7));
         assert_eq!(done.result, Ok(CommandOutcome::Written));
-        assert_eq!(c.outstanding(q), 0);
+        assert_eq!(c.stats(q).submitted, c.stats(q).completed);
+        assert!(c.pop_completion(q).is_none());
     }
 
     #[test]
@@ -882,6 +728,27 @@ mod tests {
         // only fail later, deep inside the ring arithmetic.
         let mut c = controller();
         let _ = c.create_queue_pair(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue pair depth must be at most 65536")]
+    fn queue_pair_deeper_than_the_id_space_is_rejected() {
+        // Regression: a pair deeper than the 64 Ki command ids accepted
+        // more commands than a host can name, and a replay through it
+        // spun forever looking for a free id.
+        let mut c = controller();
+        let _ = c.create_queue_pair(65_537);
+    }
+
+    #[test]
+    fn queue_pair_as_deep_as_the_id_space_is_accepted() {
+        let mut c = controller();
+        let q = c.create_queue_pair(65_536);
+        assert_eq!(c.free_slots(q), 65_536);
+        c.submit(q, CommandId(u16::MAX), IoCommand::Flush).unwrap();
+        assert_eq!(c.free_slots(q), 65_535);
+        assert_eq!(c.run_to_idle(), 1);
+        assert_eq!(c.pop_completion(q).unwrap().id, CommandId(u16::MAX));
     }
 
     #[test]
@@ -1062,8 +929,8 @@ mod tests {
         }
         // With burst 1, one round executes exactly one command per queue.
         assert_eq!(c.process_round(), 2);
-        assert_eq!(c.completion_queue(a).len(), 1);
-        assert_eq!(c.completion_queue(b).len(), 1);
+        assert_eq!(c.drain_completions(a).len(), 1);
+        assert_eq!(c.drain_completions(b).len(), 1);
         assert_eq!(c.run_to_idle(), 4);
         assert_eq!(c.stats(a).completed, 3);
         assert_eq!(c.stats(b).completed, 3);
@@ -1080,7 +947,7 @@ mod tests {
         c.submit(q, CommandId(2), IoCommand::Flush).unwrap();
         c.submit(q, CommandId(3), IoCommand::Flush).unwrap();
         assert_eq!(c.process_round(), 0, "no CQ room, no fetch");
-        assert_eq!(c.submission_queue(q).len(), 2);
+        assert_eq!(c.free_slots(q), 0, "both stay in the submission queue");
         // Host reaps; the stalled commands then complete.
         assert_eq!(c.drain_completions(q).len(), 2);
         assert_eq!(c.run_to_idle(), 2);

@@ -134,9 +134,9 @@ impl ReplayDriver {
         }
     }
 
-    /// Allocates a command id unused among in-flight commands of `queue`
-    /// (queue depth is far below the 64 Ki id space, so the scan terminates
-    /// quickly).
+    /// Allocates a command id unused among in-flight commands of `queue`.
+    /// The scan terminates: it runs only when the pair has a free
+    /// submission slot, and no pair is deeper than the 64 Ki id space.
     fn alloc_id(&mut self, qi: usize, queue: QueueId) -> CommandId {
         while self.in_flight.contains_key(&(queue.0, self.next_id[qi])) {
             self.next_id[qi] = self.next_id[qi].wrapping_add(1);
@@ -266,7 +266,7 @@ where
                 IoOp::Trim => IoCommand::Trim { lpa },
             };
             // Make room: process and reap until a submission slot frees up.
-            while controller.submission_queue(queue).free() == 0 {
+            while controller.free_slots(queue) == 0 {
                 controller.process_round();
                 driver.reap(controller, queues);
                 if driver.abort.is_some() {
@@ -455,7 +455,12 @@ mod tests {
         let stats = replay_fanout(&mut controller, &[queue], recs).expect_completed();
         assert_eq!(stats.pages_written, controller.stats(queue).completed);
         assert_eq!(controller.stats(queue).latency.count(), stats.pages_written);
-        assert_eq!(controller.outstanding(queue), 0, "tail fully drained");
+        assert_eq!(
+            controller.stats(queue).submitted,
+            controller.stats(queue).completed,
+            "tail fully drained"
+        );
+        assert!(controller.pop_completion(queue).is_none());
     }
 
     /// Wraps a device and records the clock time at which each write
@@ -562,7 +567,8 @@ mod tests {
         // Every queue pair carried work and drained fully.
         for &queue in &queues {
             assert!(fanned.stats(queue).completed > 0, "{queue} idle");
-            assert_eq!(fanned.outstanding(queue), 0);
+            assert_eq!(fanned.stats(queue).submitted, fanned.stats(queue).completed);
+            assert!(fanned.pop_completion(queue).is_none());
         }
         let total: u64 = queues.iter().map(|&q| fanned.stats(q).completed).sum();
         assert_eq!(
@@ -589,9 +595,10 @@ mod tests {
             ReplayOutcome::Completed(_) => panic!("must abort on read failure"),
         }
         for &queue in &queues {
-            assert_eq!(controller.outstanding(queue), 0);
-            assert!(controller.submission_queue(queue).is_empty());
-            assert!(controller.completion_queue(queue).is_empty());
+            let stats = controller.stats(queue);
+            assert_eq!(stats.submitted, stats.completed);
+            assert_eq!(controller.free_slots(queue), 4, "submission queue empty");
+            assert!(controller.pop_completion(queue).is_none());
         }
     }
 
@@ -642,9 +649,10 @@ mod tests {
             ReplayOutcome::Completed(_) => panic!("must abort on read failure"),
         }
         // Nothing of the aborted replay may linger to execute later.
-        assert_eq!(controller.outstanding(queue), 0);
-        assert!(controller.submission_queue(queue).is_empty());
-        assert!(controller.completion_queue(queue).is_empty());
+        let stats = controller.stats(queue);
+        assert_eq!(stats.submitted, stats.completed);
+        assert_eq!(controller.free_slots(queue), 4, "submission queue empty");
+        assert!(controller.pop_completion(queue).is_none());
     }
 
     fn stats_sample(base: u64) -> ReplayStats {

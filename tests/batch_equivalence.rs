@@ -95,7 +95,7 @@ fn run_queued<D: BlockDevice>(device: D, ops: &[Op]) -> (Vec<CommandResult>, D) 
     let mut results = Vec::with_capacity(ops.len());
     let mut next_id: u16 = 0;
     for op in ops {
-        while controller.submission_queue(queue).free() == 0 {
+        while controller.free_slots(queue) == 0 {
             controller.process_round();
             for completion in controller.drain_completions(queue) {
                 results.push(completion.result);
