@@ -68,7 +68,8 @@ fn term(p: f64) -> f64 {
 /// Shannon entropy (bits per sample) of a 256-bin histogram holding `total`
 /// samples; `0.0` when empty. Terms are subtracted in byte-value order. A
 /// page-sized histogram looks its terms up instead of calling `log2` 256
-/// times — same terms, same order, same bits.
+/// times, and any other computes each distinct count's term once — same
+/// terms, same order, same bits.
 pub(crate) fn entropy_of_counts<C: Copy + Into<u64>>(counts: &[C; 256], total: u64) -> f64 {
     if total == 0 {
         return 0.0;
@@ -82,11 +83,19 @@ pub(crate) fn entropy_of_counts<C: Copy + Into<u64>>(counts: &[C; 256], total: u
             entropy -= terms[c.into() as usize];
         }
     } else {
+        // Bins often share a count (ciphertext spreads its samples evenly):
+        // a direct-mapped memo keyed by the count computes each distinct
+        // count's term once, and a collision only recomputes it.
         let n = total as f64;
+        let mut memo = [(0u64, 0.0f64); 256];
         for &c in counts {
             let c: u64 = c.into();
             if c > 0 {
-                entropy -= term(c as f64 / n);
+                let slot = &mut memo[c as usize % 256];
+                if slot.0 != c {
+                    *slot = (c, term(c as f64 / n));
+                }
+                entropy -= slot.1;
             }
         }
     }

@@ -20,8 +20,18 @@
 //! single pass, no chain walks. Incompressible stretches are strided over
 //! with LZ4-style skip acceleration so embedded ciphertext pages cost
 //! `O(sqrt(n))` searches rather than one per byte.
+//!
+//! The memory is one 128 KiB table per thread, kept across calls rather
+//! than allocated and zeroed for each frame (a seal encodes two, and a
+//! 720-byte metadata frame would otherwise pay for all 128 KiB). Each call
+//! takes a base from a running `u32` counter that then advances by the
+//! input length plus one, and stores `base + pos + 1` in a slot; a slot is a
+//! candidate only if it lies above the call's base, so what earlier calls
+//! left behind reads as empty. The table is zeroed only when the counter
+//! would wrap. The payload is, byte for byte, the one a zeroed table gives.
 
 use crate::DecompressError;
+use std::cell::RefCell;
 
 const WINDOW: usize = 32 * 1024;
 const MIN_MATCH: usize = 4;
@@ -171,6 +181,54 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// are left untouched — this is how the offload engine compresses directly
 /// into the envelope's wire buffer after the header.
 pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
+    HEADS.with(|heads| encode_with(data, out, &mut heads.borrow_mut()));
+}
+
+/// A thread's hash-head table, reused by every [`encode_into`] call on it.
+struct HeadTable {
+    /// `slots[h]`: `call_base + pos + 1` for the most recent position `pos`
+    /// whose 4-byte prefix hashed to `h`, where `call_base` is the base of
+    /// the call that stored it. A single candidate per bucket: any match of
+    /// length >= 4 shares its first four bytes with the candidate, so one
+    /// well-hashed slot finds the recent repeats that matter without chain
+    /// walks.
+    slots: Vec<u32>,
+    /// The next call's base. Every slot stored so far is below it.
+    base: u32,
+}
+
+impl HeadTable {
+    fn new() -> Self {
+        HeadTable {
+            slots: vec![0; HASH_SIZE],
+            base: 0,
+        }
+    }
+
+    /// Opens a call over `len` input bytes and returns the call's base. The
+    /// base then advances by `len + 1`, past every slot this call can
+    /// store, so a slot above a call's base was stored by that call. The
+    /// table is zeroed, and the base reset, only when the advance would
+    /// wrap `u32`.
+    fn begin(&mut self, len: usize) -> u32 {
+        let span = u32::try_from(len + 1).expect("LZ input under 4 GiB");
+        if self.base.checked_add(span).is_none() {
+            self.slots.fill(0);
+            self.base = 0;
+        }
+        let call_base = self.base;
+        self.base += span;
+        call_base
+    }
+}
+
+thread_local! {
+    static HEADS: RefCell<HeadTable> = RefCell::new(HeadTable::new());
+}
+
+/// [`encode_into`] over `heads`, whatever earlier calls left in it: the
+/// output is the one a zeroed table gives.
+fn encode_with(data: &[u8], out: &mut Vec<u8>, heads: &mut HeadTable) {
     let start = out.len();
     // Worst-case payload bound: a sequence's overhead beyond its literals is
     // token (1) + literal-length extension (1 + L/255, only when L >= 15) +
@@ -182,11 +240,8 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
     // overstores.
     let cap = data.len() + data.len() / 16 + 64;
     out.reserve(cap);
-    // head[h]: most recent position whose 4-byte prefix hashed to h (+1,
-    // 0 = none). A single candidate per bucket: any match of length >= 4
-    // shares its first four bytes with the candidate, so one well-hashed
-    // slot finds the recent repeats that matter without chain walks.
-    let mut head = vec![0u32; HASH_SIZE];
+    let call_base = heads.begin(data.len());
+    let head = &mut heads.slots[..];
 
     let mut pos = 0usize;
     let mut lit_start = 0usize;
@@ -202,21 +257,22 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
 
     while pos + MIN_MATCH <= data.len() {
         // SAFETY: the loop condition guarantees four readable bytes at `pos`;
-        // `hash_word` output is below HASH_SIZE by construction; a stored
-        // candidate is an earlier loop position, so it also has four
-        // readable bytes.
-        let (candidate, here) = unsafe {
+        // `hash_word` output is below HASH_SIZE by construction.
+        let (slot, here) = unsafe {
             let here = read_u32(data, pos);
             let h = hash_word(here);
             let slot = head.get_unchecked_mut(h);
-            let candidate = *slot as usize;
-            *slot = (pos + 1) as u32;
-            (candidate, here)
+            let stored = *slot;
+            *slot = call_base + pos as u32 + 1;
+            (stored, here)
         };
 
         let mut matched = false;
-        if candidate > 0 {
-            let cand_pos = candidate - 1;
+        // A slot above `call_base` was stored by this call (see
+        // `HeadTable::begin`), so it names an earlier loop position, which
+        // has four readable bytes.
+        if slot > call_base {
+            let cand_pos = (slot - call_base - 1) as usize;
             let dist = pos - cand_pos;
             // SAFETY: cand_pos was a previous value of `pos`, so
             // cand_pos + 4 <= data.len().
@@ -553,6 +609,59 @@ mod tests {
             .zip(seed..)
             .flat_map(|(&kind, seed)| crate::shaped_bytes(kind, seed, chunk))
             .collect()
+    }
+
+    /// The encoder as it ran before the head table was kept per thread: a
+    /// zeroed table for every call.
+    fn encode_fresh(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_with(data, &mut out, &mut HeadTable::new());
+        out
+    }
+
+    /// Raises this thread's head-table base to `base` (never lowers it: a
+    /// slot above the base would pass for the next call's own).
+    fn raise_thread_base(base: u32) {
+        HEADS.with(|heads| {
+            let mut heads = heads.borrow_mut();
+            assert!(base >= heads.base, "the base only moves up");
+            heads.base = base;
+        });
+    }
+
+    fn thread_base() -> u32 {
+        HEADS.with(|heads| heads.borrow().base)
+    }
+
+    proptest! {
+        // A sequence of calls on one thread shares its head table: each
+        // call's payload is the fresh-table payload, whatever the calls
+        // before it left in the table.
+        #[test]
+        fn reused_head_table_encodes_like_a_fresh_one(
+            calls in proptest::collection::vec(
+                (any::<u8>(), any::<u64>(), prop_oneof![0usize..16, 0usize..3000, 30_000usize..70_000]),
+                1..12,
+            ),
+        ) {
+            for (kind, seed, len) in calls {
+                let data = crate::shaped_bytes(kind, seed, len);
+                prop_assert_eq!(encode(&data), encode_fresh(&data), "kind {} len {}", kind % 4, len);
+            }
+        }
+    }
+
+    #[test]
+    fn head_table_base_wraps_to_a_zeroed_table() {
+        raise_thread_base(u32::MAX - 5000);
+        let mut wrapped = false;
+        for (i, len) in [1000usize, 4096, 0, 3, 4096, 1000].into_iter().enumerate() {
+            let before = thread_base();
+            let data = crate::shaped_bytes(i as u8, i as u64, len);
+            assert_eq!(encode(&data), encode_fresh(&data), "call {i}, len {len}");
+            wrapped |= thread_base() < before;
+        }
+        assert!(wrapped, "the base never wrapped");
     }
 
     proptest! {

@@ -83,36 +83,74 @@ impl IoRecord {
     }
 }
 
+/// The text kind's vocabulary, each word with its trailing space packed
+/// little-endian into a `u64` beside its length (word plus space).
+const TEXT_WORDS: [(u64, usize); 15] = [
+    pack_word("storage"),
+    pack_word("the"),
+    pack_word("ransom"),
+    pack_word("page"),
+    pack_word("and"),
+    pack_word("flash"),
+    pack_word("data"),
+    pack_word("of"),
+    pack_word("block"),
+    pack_word("request"),
+    pack_word("to"),
+    pack_word("file"),
+    pack_word("system"),
+    pack_word("with"),
+    pack_word("log"),
+];
+
+/// Packs `word` and one space into the low bytes of a `u64` (first byte
+/// lowest). A word plus its space must fit in eight bytes.
+const fn pack_word(word: &str) -> (u64, usize) {
+    let bytes = word.as_bytes();
+    assert!(
+        bytes.len() < 8,
+        "a text word plus its space fits in 8 bytes"
+    );
+    let mut packed = (b' ' as u64) << (8 * bytes.len());
+    let mut i = 0;
+    while i < bytes.len() {
+        packed |= (bytes[i] as u64) << (8 * i);
+        i += 1;
+    }
+    (packed, bytes.len() + 1)
+}
+
+/// Pre-mixes a page seed so adjacent seeds yield unrelated streams.
+fn premix(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministically synthesizes one page of content of the given kind.
 ///
 /// The same `(kind, seed, page_size)` always yields identical bytes, so
 /// recovery checks can re-derive expected contents without storing them.
 pub fn synthesize_page(kind: PayloadKind, seed: u64, page_size: usize) -> Vec<u8> {
-    // Pre-mix so adjacent seeds yield unrelated streams.
-    let seed = {
-        let mut z = seed.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
+    let seed = premix(seed);
     match kind {
         PayloadKind::Zero => vec![0u8; page_size],
         PayloadKind::Text => {
             // Repeating word-like fragments with seed-dependent variation:
-            // entropy ~2-4 bits/byte, compresses well.
-            const WORDS: &[&str] = &[
-                "storage", "the", "ransom", "page", "and", "flash", "data", "of", "block",
-                "request", "to", "file", "system", "with", "log",
-            ];
-            let mut out = Vec::with_capacity(page_size);
+            // entropy ~2-4 bits/byte, compresses well. Each word goes in with
+            // one 8-byte store of its packed bytes; the store's tail past the
+            // word is overwritten by the next word or truncated away.
+            let mut out = vec![0u8; page_size + 8];
+            let mut len = 0usize;
             let mut x = seed | 1;
-            while out.len() < page_size {
+            while len < page_size {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let w = WORDS[(x >> 33) as usize % WORDS.len()];
-                out.extend_from_slice(w.as_bytes());
-                out.push(b' ');
+                let (word, word_len) = TEXT_WORDS[(x >> 33) as usize % TEXT_WORDS.len()];
+                out[len..len + 8].copy_from_slice(&word.to_le_bytes());
+                len += word_len;
             }
             out.truncate(page_size);
             out
@@ -154,6 +192,43 @@ pub fn synthesize_page(kind: PayloadKind, seed: u64, page_size: usize) -> Vec<u8
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The text kind's byte-at-a-time body before the packed-word writer,
+    /// kept as its oracle. `seed` is the pre-mixed seed.
+    fn text_page_reference(seed: u64, page_size: usize) -> Vec<u8> {
+        const WORDS: &[&str] = &[
+            "storage", "the", "ransom", "page", "and", "flash", "data", "of", "block", "request",
+            "to", "file", "system", "with", "log",
+        ];
+        let mut out = Vec::with_capacity(page_size);
+        let mut x = seed | 1;
+        while out.len() < page_size {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let w = WORDS[(x >> 33) as usize % WORDS.len()];
+            out.extend_from_slice(w.as_bytes());
+            out.push(b' ');
+        }
+        out.truncate(page_size);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn packed_word_text_is_the_byte_at_a_time_text(
+            seed in any::<u64>(),
+            size in prop_oneof![0usize..64, 4080usize..4112, 0usize..20_000],
+        ) {
+            prop_assert_eq!(
+                synthesize_page(PayloadKind::Text, seed, size),
+                text_page_reference(premix(seed), size)
+            );
+        }
+    }
 
     #[test]
     fn synthesis_is_deterministic() {
