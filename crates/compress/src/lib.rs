@@ -110,15 +110,21 @@ pub fn compress(codec: Codec, data: &[u8]) -> Vec<u8> {
 /// The codec encodes straight into the buffer; only when it would expand the
 /// data is the attempt truncated away and the payload stored verbatim.
 pub fn compress_into(codec: Codec, data: &[u8], out: &mut Vec<u8>) {
+    frame_into(codec, data, out, |out| match codec {
+        Codec::Store => {}
+        Codec::Rle => rle::encode_into(data, out),
+        Codec::Lz77 => lz::encode_into(data, out),
+    });
+}
+
+/// [`compress_into`] with the payload appended by `payload`, which is to
+/// encode `data` with `codec`.
+fn frame_into(codec: Codec, data: &[u8], out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     let frame_start = out.len();
     out.push(codec.id());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     let payload_start = out.len();
-    match codec {
-        Codec::Store => {}
-        Codec::Rle => rle::encode_into(data, out),
-        Codec::Lz77 => lz::encode_into(data, out),
-    }
+    payload(out);
     if codec == Codec::Store || out.len() - payload_start >= data.len() {
         out.truncate(payload_start);
         out.extend_from_slice(data);
@@ -211,19 +217,85 @@ pub fn compress_adaptive(data: &[u8]) -> Vec<u8> {
 /// codec's frame is built in place; the rare RLE-vs-LZ contest (run-dominated
 /// pages, where both frames are tiny) uses a scratch frame for the loser.
 pub fn compress_adaptive_into(data: &[u8], out: &mut Vec<u8>) {
+    adaptive_into(data, out, |out| lz::encode_into(data, out));
+}
+
+/// [`compress_adaptive_into`] with the LZ77 payload, when the gate wants
+/// one, appended by `lz_payload`, which is to encode `data`.
+fn adaptive_into(data: &[u8], out: &mut Vec<u8>, lz_payload: impl FnOnce(&mut Vec<u8>)) {
     let (entropy_bits, run_fraction) = sampled_stats(data);
     if entropy_bits >= GATE_STORE_ENTROPY_BITS {
         compress_into(Codec::Store, data, out);
         return;
     }
     let frame_start = out.len();
-    compress_into(Codec::Lz77, data, out);
+    frame_into(Codec::Lz77, data, out, lz_payload);
     if run_fraction >= GATE_RLE_RUN_FRACTION {
         let rle_frame = compress(Codec::Rle, data);
         if rle_frame.len() < out.len() - frame_start {
             out.truncate(frame_start);
             out.extend_from_slice(&rle_frame);
         }
+    }
+}
+
+/// [`compress_adaptive`] fed in pieces: the frame's bytes arrive by
+/// [`FrameStream::push`] and the LZ77 encoder runs behind them, as far as
+/// its frontier rule lets it (see [`lz`]), so [`FrameStream::finish_into`]
+/// is left the tail, the gate and the fallbacks. The frame it appends is,
+/// byte for byte, [`compress_adaptive`] of every byte pushed since the last
+/// finish. The stream keeps its buffers and its own LZ head table from
+/// frame to frame.
+pub struct FrameStream {
+    data: Vec<u8>,
+    lz: lz::Stream,
+}
+
+impl Default for FrameStream {
+    fn default() -> Self {
+        FrameStream::new()
+    }
+}
+
+impl std::fmt::Debug for FrameStream {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameStream")
+            .field("pending", &self.data.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl FrameStream {
+    /// An empty stream.
+    pub fn new() -> Self {
+        FrameStream {
+            data: Vec::new(),
+            lz: lz::Stream::new(),
+        }
+    }
+
+    /// Appends `bytes` to the open frame and encodes what they settle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame grows past 1 GiB.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.data.extend_from_slice(bytes);
+        self.lz.push(&self.data);
+    }
+
+    /// Appends the frame of every byte pushed since the last finish to
+    /// `out` and opens the next frame, empty.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+        let (data, lz) = (&self.data, &mut self.lz);
+        adaptive_into(data, out, |out| lz.finish_into(data, out));
+        self.clear();
+    }
+
+    /// Drops the open frame: the next push opens a new one.
+    pub fn clear(&mut self) {
+        self.lz.discard();
+        self.data.clear();
     }
 }
 
@@ -545,6 +617,40 @@ mod tests {
                 let mut out = prefix.clone();
                 compress_into(codec, &data, &mut out);
                 prop_assert_eq!(&out[prefix.len()..], &compress(codec, &data)[..]);
+            }
+        }
+
+        // Any split of any mix of page kinds into pushes, frame after frame
+        // on one stream: each finish appends `compress_adaptive`'s frame.
+        #[test]
+        fn a_frame_stream_is_the_one_shot_encoder(
+            frames in proptest::collection::vec(
+                (
+                    proptest::collection::vec((any::<u8>(), any::<u64>(), prop_oneof![0usize..64, 0usize..5000, Just(4096usize)]), 0..48),
+                    proptest::collection::vec(any::<u32>(), 0..12),
+                ),
+                1..4,
+            ),
+            prefix in proptest::collection::vec(any::<u8>(), 0..8),
+        ) {
+            let mut stream = FrameStream::new();
+            for (pages, cuts) in frames {
+                let data: Vec<u8> = pages
+                    .iter()
+                    .flat_map(|&(kind, seed, len)| shaped_bytes(kind, seed, len))
+                    .collect();
+                let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+                cuts.push(data.len());
+                cuts.sort_unstable();
+                let mut at = 0;
+                for cut in cuts {
+                    stream.push(&data[at..cut]);
+                    at = cut;
+                }
+                let mut out = prefix.clone();
+                stream.finish_into(&mut out);
+                prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+                prop_assert_eq!(&out[prefix.len()..], &compress_adaptive(&data)[..], "{} bytes", data.len());
             }
         }
 

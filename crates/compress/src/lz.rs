@@ -21,14 +21,28 @@
 //! with LZ4-style skip acceleration so embedded ciphertext pages cost
 //! `O(sqrt(n))` searches rather than one per byte.
 //!
-//! The memory is one 128 KiB table per thread, kept across calls rather
-//! than allocated and zeroed for each frame (a seal encodes two, and a
-//! 720-byte metadata frame would otherwise pay for all 128 KiB). Each call
-//! takes a base from a running `u32` counter that then advances by the
-//! input length plus one, and stores `base + pos + 1` in a slot; a slot is a
-//! candidate only if it lies above the call's base, so what earlier calls
-//! left behind reads as empty. The table is zeroed only when the counter
-//! would wrap. The payload is, byte for byte, the one a zeroed table gives.
+//! The memory is one 128 KiB hash-head table, kept across frames rather
+//! than allocated and zeroed for each (a seal encodes two, and a 720-byte
+//! metadata frame would otherwise pay for all 128 KiB): one per thread for
+//! the one-shot calls, and one per stream. Each frame takes a base from
+//! its table's running `u32` counter and stores `base + pos + 1` in a slot;
+//! the counter then moves past the frame's last searched position plus
+//! `WINDOW`, so a slot an earlier frame left behind lies more than
+//! `WINDOW` below any position of this one and one unsigned test,
+//! `d - 1 < WINDOW` on the distance `d` it names, both rejects it and
+//! bounds the window. The table
+//! is zeroed only when the counter would wrap. The payload is, byte for
+//! byte, the one a zeroed table gives.
+//!
+//! A frame may also be fed in pieces, to a stream ([`crate::FrameStream`]
+//! drives one). The frontier rule: a position's encoding reads at most
+//! `MAX_MATCH` bytes ahead of it (a match's extension) and the
+//! short-sequence literal copy at most 16, so once `FRONTIER_LAG =
+//! MAX_MATCH + 8` more bytes have arrived behind a position, nothing that
+//! arrives later can change what is emitted there. A push encodes up to
+//! that frontier; the finish encodes the rest exactly as the one-shot
+//! [`encode_into`] would, which is the same loop run to the end of the
+//! data in one call.
 
 use crate::DecompressError;
 use std::cell::RefCell;
@@ -96,22 +110,6 @@ fn common_prefix(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
     len
 }
 
-/// Copies `len` bytes in eight-byte steps, overstoring up to seven bytes
-/// past `dst + len`.
-///
-/// # Safety
-///
-/// `src..src+len+7` must be readable and `dst..dst+len+7` writable, and the
-/// regions must not overlap.
-#[inline]
-unsafe fn wild_copy(dst: *mut u8, src: *const u8, len: usize) {
-    let mut i = 0usize;
-    while i < len {
-        std::ptr::copy_nonoverlapping(src.add(i), dst.add(i), 8);
-        i += 8;
-    }
-}
-
 /// Appends the payload-terminating literal-only sequence.
 fn emit_terminal(out: &mut Vec<u8>, literals: &[u8]) {
     let lit_len = literals.len();
@@ -134,7 +132,7 @@ fn emit_terminal(out: &mut Vec<u8>, literals: &[u8]) {
 /// # Safety
 ///
 /// The caller must have reserved capacity for the sequence at `base + op`
-/// (see the worst-case bound in [`encode`]).
+/// (see the worst-case bound in [`Frame::run`]).
 unsafe fn emit_long(
     base: *mut u8,
     mut op: usize,
@@ -179,21 +177,30 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 
 /// LZ77-encodes `data`, appending the payload to `out`. Existing contents
 /// are left untouched — this is how the offload engine compresses directly
-/// into the envelope's wire buffer after the header.
+/// into the envelope's wire buffer after the header. The frame is opened on
+/// this thread's head table and finished in the same call.
 pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
-    HEADS.with(|heads| encode_with(data, out, &mut heads.borrow_mut()));
+    HEADS.with(|heads| {
+        let heads = &mut heads.borrow_mut();
+        Frame::open(heads, data.len()).finish(data, heads, out);
+    });
 }
 
-/// A thread's hash-head table, reused by every [`encode_into`] call on it.
+thread_local! {
+    static HEADS: RefCell<HeadTable> = RefCell::new(HeadTable::new());
+}
+
+/// A hash-head table, reused by every frame encoded over it.
 struct HeadTable {
-    /// `slots[h]`: `call_base + pos + 1` for the most recent position `pos`
-    /// whose 4-byte prefix hashed to `h`, where `call_base` is the base of
-    /// the call that stored it. A single candidate per bucket: any match of
+    /// `slots[h]`: `frame_base + pos + 1` for the most recent position `pos`
+    /// whose 4-byte prefix hashed to `h`, where `frame_base` is the base of
+    /// the frame that stored it. A single candidate per bucket: any match of
     /// length >= 4 shares its first four bytes with the candidate, so one
     /// well-hashed slot finds the recent repeats that matter without chain
     /// walks.
     slots: Vec<u32>,
-    /// The next call's base. Every slot stored so far is below it.
+    /// The next frame's base: more than `WINDOW` above every slot stored so
+    /// far (a zeroed slot included).
     base: u32,
 }
 
@@ -201,126 +208,243 @@ impl HeadTable {
     fn new() -> Self {
         HeadTable {
             slots: vec![0; HASH_SIZE],
-            base: 0,
+            base: WINDOW as u32,
         }
     }
 
-    /// Opens a call over `len` input bytes and returns the call's base. The
-    /// base then advances by `len + 1`, past every slot this call can
-    /// store, so a slot above a call's base was stored by that call. The
-    /// table is zeroed, and the base reset, only when the advance would
-    /// wrap `u32`.
-    fn begin(&mut self, len: usize) -> u32 {
-        let span = u32::try_from(len + 1).expect("LZ input under 4 GiB");
+    /// Opens a frame of at most `max_len` bytes and returns its base. The
+    /// table is zeroed, and the base reset, only when the frame's slots or
+    /// the base after it could wrap `u32`.
+    fn open(&mut self, max_len: usize) -> u32 {
+        let span = u32::try_from(max_len + 1 + 2 * WINDOW).expect("LZ frame under 4 GiB");
         if self.base.checked_add(span).is_none() {
             self.slots.fill(0);
-            self.base = 0;
+            self.base = WINDOW as u32;
         }
-        let call_base = self.base;
-        self.base += span;
-        call_base
+        self.base
+    }
+
+    /// Closes `frame`: the next base lies more than `WINDOW` above every
+    /// slot it stored (each `frame.base + p + 1` for a position `p` below
+    /// `frame.pos`).
+    fn close(&mut self, frame: &Frame) {
+        self.base = frame.base + frame.pos as u32 + 1 + WINDOW as u32;
     }
 }
 
-thread_local! {
-    static HEADS: RefCell<HeadTable> = RefCell::new(HeadTable::new());
+/// Bytes that must follow a position before a push encodes it: see the
+/// module doc's frontier rule.
+const FRONTIER_LAG: usize = MAX_MATCH + 8;
+
+/// Where one frame's encode stands.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    /// The base this frame's slots are stored above.
+    base: u32,
+    /// The next position to search.
+    pos: usize,
+    /// Start of the literal run not yet emitted.
+    lit_start: usize,
+    /// Consecutive failed searches (skip acceleration).
+    miss_streak: usize,
 }
 
-/// [`encode_into`] over `heads`, whatever earlier calls left in it: the
-/// output is the one a zeroed table gives.
-fn encode_with(data: &[u8], out: &mut Vec<u8>, heads: &mut HeadTable) {
-    let start = out.len();
-    // Worst-case payload bound: a sequence's overhead beyond its literals is
-    // token (1) + literal-length extension (1 + L/255, only when L >= 15) +
-    // distance (2) + match-length extension (<= 1), while its match covers at
-    // least MIN_MATCH = 4 input bytes. Per sequence the payload therefore
-    // exceeds the input it covers by at most 1 + L/255 bytes, and sequences
-    // with that excess carry >= 15 literals, so the total overshoot is under
-    // n/16. The extra 64 covers the terminating sequence and wild-copy
-    // overstores.
-    let cap = data.len() + data.len() / 16 + 64;
-    out.reserve(cap);
-    let call_base = heads.begin(data.len());
-    let head = &mut heads.slots[..];
+impl Frame {
+    fn open(heads: &mut HeadTable, max_len: usize) -> Frame {
+        Frame {
+            base: heads.open(max_len),
+            pos: 0,
+            lit_start: 0,
+            miss_streak: 0,
+        }
+    }
 
-    let mut pos = 0usize;
-    let mut lit_start = 0usize;
-    let mut miss_streak = 0usize;
+    /// The encoder loop: searches every position from `self.pos` up to
+    /// `frontier` in `data` — the frame's bytes so far — and appends the
+    /// sequences it completes to `out`. The first position at or past the
+    /// frontier (a match may carry it there) is where the next call
+    /// resumes. Requires `frontier + MIN_MATCH <= data.len() + 1`: every
+    /// searched position has four bytes to hash.
+    fn run(&mut self, data: &[u8], frontier: usize, slots: &mut [u32], out: &mut Vec<u8>) {
+        // The loop's unchecked reads rely on both.
+        assert!(frontier == 0 || frontier + MIN_MATCH <= data.len() + 1);
+        assert_eq!(slots.len(), HASH_SIZE);
+        if self.pos >= frontier {
+            return;
+        }
+        let Frame {
+            base: frame_base,
+            mut pos,
+            mut lit_start,
+            mut miss_streak,
+        } = *self;
+        // Worst-case payload bound over the input this call can cover, from
+        // the pending literal run's start to the end of a match begun just
+        // below the frontier: a sequence's overhead beyond its literals is
+        // token (1) + literal-length extension (1 + L/255, only when
+        // L >= 15) + distance (2) + match-length extension (<= 1), while its
+        // match covers at least MIN_MATCH = 4 input bytes. Per sequence the
+        // payload therefore exceeds the input it covers by at most
+        // 1 + L/255 bytes, and sequences with that excess carry >= 15
+        // literals, so the total overshoot is under n/16. The extra 64
+        // covers the short path's literal overstore (below).
+        let covered = (frontier + MAX_MATCH).min(data.len()) - lit_start;
+        let start = out.len();
+        out.reserve(covered + covered / 16 + 64);
 
-    // The hot loop emits through a raw pointer: `out` never reallocates
-    // (capacity is the worst-case bound above, reserved after any existing
-    // contents), so `base` stays valid and `start + op` tracks the logical
-    // length until the final set_len.
-    // SAFETY: `start <= out.capacity()` after the reserve.
-    let base = unsafe { out.as_mut_ptr().add(start) };
-    let mut op = 0usize;
+        // The loop emits through a raw pointer: `out` never reallocates
+        // (capacity is the worst-case bound above, reserved after any
+        // existing contents), so `dst` stays valid and `start + op` tracks
+        // the logical length until the final set_len.
+        // SAFETY: `start <= out.capacity()` after the reserve.
+        let dst = unsafe { out.as_mut_ptr().add(start) };
+        let mut op = 0usize;
 
-    while pos + MIN_MATCH <= data.len() {
-        // SAFETY: the loop condition guarantees four readable bytes at `pos`;
-        // `hash_word` output is below HASH_SIZE by construction.
-        let (slot, here) = unsafe {
-            let here = read_u32(data, pos);
-            let h = hash_word(here);
-            let slot = head.get_unchecked_mut(h);
-            let stored = *slot;
-            *slot = call_base + pos as u32 + 1;
-            (stored, here)
-        };
-
-        let mut matched = false;
-        // A slot above `call_base` was stored by this call (see
-        // `HeadTable::begin`), so it names an earlier loop position, which
-        // has four readable bytes.
-        if slot > call_base {
-            let cand_pos = (slot - call_base - 1) as usize;
-            let dist = pos - cand_pos;
-            // SAFETY: cand_pos was a previous value of `pos`, so
-            // cand_pos + 4 <= data.len().
-            if dist <= WINDOW && unsafe { read_u32(data, cand_pos) } == here {
+        while pos < frontier {
+            // SAFETY: `pos < frontier` leaves four readable bytes at `pos`;
+            // `hash_word` output is below HASH_SIZE by construction.
+            let (stored, here) = unsafe {
+                let here = read_u32(data, pos);
+                let slot = slots.get_unchecked_mut(hash_word(here));
+                let stored = *slot;
+                *slot = frame_base + pos as u32 + 1;
+                (stored, here)
+            };
+            // The distance to the stored position. A slot another frame
+            // stored (or a zeroed one) lies more than WINDOW below
+            // `frame_base + pos + 1` (see `HeadTable::close`), so one
+            // unsigned test keeps exactly this frame's candidates within
+            // the window — each an earlier loop position, with four
+            // readable bytes.
+            let dist = (frame_base + pos as u32 + 1 - stored) as usize;
+            // SAFETY: `dist - 1 < WINDOW` makes the candidate an earlier
+            // position of this frame: `cand = pos - dist`, `cand + 4 <= len`.
+            if dist.wrapping_sub(1) < WINDOW && unsafe { read_u32(data, pos - dist) } == here {
+                let cand = pos - dist;
+                // The compare above proved the first four bytes.
                 let limit = (data.len() - pos).min(MAX_MATCH);
-                let len = common_prefix(data, cand_pos, pos, limit);
-                if len >= MIN_MATCH {
-                    let lit_len = pos - lit_start;
-                    // SAFETY: capacity was reserved for the worst case; the
-                    // wild copy's 7-byte overstore stays inside the slack,
-                    // and its source overread needs 8 readable bytes from
-                    // `lit_start + lit_len - len.min(8)`… gated below on
-                    // `pos + 8 <= data.len()` (literals end at `pos`).
-                    unsafe {
-                        if lit_len < NIB_EXT && len - MIN_MATCH < NIB_EXT && pos + 8 <= data.len() {
-                            *base.add(op) = ((lit_len as u8) << 4) | (len - MIN_MATCH) as u8;
-                            wild_copy(base.add(op + 1), data.as_ptr().add(lit_start), lit_len);
-                            op += 1 + lit_len;
-                            let d = (dist as u16).to_le_bytes();
-                            *base.add(op) = d[0];
-                            *base.add(op + 1) = d[1];
-                            op += 2;
-                        } else {
-                            op = emit_long(base, op, &data[lit_start..pos], dist, len);
-                        }
+                let len = MIN_MATCH
+                    + common_prefix(data, cand + MIN_MATCH, pos + MIN_MATCH, limit - MIN_MATCH);
+                let lit_len = pos - lit_start;
+                // SAFETY: capacity was reserved for the worst case. The
+                // short path copies a fixed 16 literal bytes as two 8-byte
+                // moves: the read `lit_start..lit_start + 16` is gated on
+                // the data below; the write `op + 1..op + 17` overstores at
+                // most 17 - 3 - lit_len <= 14 bytes past the sequence
+                // (token, literals, distance, ending at `op + 3 + lit_len`),
+                // inside the bound's 64 bytes of slack, and the distance
+                // overwrites its share of it.
+                unsafe {
+                    if lit_len < NIB_EXT
+                        && len - MIN_MATCH < NIB_EXT
+                        && lit_start + 16 <= data.len()
+                    {
+                        debug_assert!(start + op + 17 <= out.capacity());
+                        *dst.add(op) = ((lit_len as u8) << 4) | (len - MIN_MATCH) as u8;
+                        let src = data.as_ptr().add(lit_start);
+                        std::ptr::copy_nonoverlapping(src, dst.add(op + 1), 8);
+                        std::ptr::copy_nonoverlapping(src.add(8), dst.add(op + 9), 8);
+                        op += 1 + lit_len;
+                        let d = (dist as u16).to_le_bytes();
+                        *dst.add(op) = d[0];
+                        *dst.add(op + 1) = d[1];
+                        op += 2;
+                    } else {
+                        op = emit_long(dst, op, &data[lit_start..pos], dist, len);
                     }
-                    // Positions covered by the match are not inserted: the
-                    // head slot for the match's own prefix was just updated,
-                    // which is what the next occurrence will look up.
-                    pos += len;
-                    lit_start = pos;
-                    miss_streak = 0;
-                    matched = true;
                 }
+                // Positions covered by the match are not inserted: the head
+                // slot for the match's own prefix was just updated, which
+                // is what the next occurrence will look up.
+                pos += len;
+                lit_start = pos;
+                miss_streak = 0;
+            } else {
+                let step = (1 + (miss_streak >> SKIP_SHIFT)).min(MAX_STEP);
+                miss_streak += 1;
+                pos += step;
             }
         }
-        if !matched {
-            let step = (1 + (miss_streak >> SKIP_SHIFT)).min(MAX_STEP);
-            miss_streak += 1;
-            pos += step;
+        // SAFETY: `op` counts bytes written within the reserved capacity.
+        unsafe {
+            out.set_len(start + op);
+        }
+        *self = Frame {
+            base: frame_base,
+            pos,
+            lit_start,
+            miss_streak,
+        };
+    }
+
+    /// Encodes the rest of `data` — the positions left and the terminal
+    /// literal run — and closes the frame in `heads`.
+    fn finish(mut self, data: &[u8], heads: &mut HeadTable, out: &mut Vec<u8>) {
+        let frontier = (data.len() + 1).saturating_sub(MIN_MATCH);
+        self.run(data, frontier, &mut heads.slots, out);
+        if self.lit_start < data.len() {
+            emit_terminal(out, &data[self.lit_start..]);
+        }
+        heads.close(&self);
+    }
+}
+
+/// The longest frame a [`Stream`] takes.
+const STREAM_MAX: usize = 1 << 30;
+
+/// A resumable encoder: one frame at a time, fed in pieces, over a head
+/// table of its own. Each [`Stream::push`] and [`Stream::finish_into`] is
+/// handed all of the frame's bytes so far — what the previous call saw,
+/// extended — and the finished payload is the one [`encode_into`] gives
+/// for those bytes.
+pub(crate) struct Stream {
+    heads: HeadTable,
+    /// The open frame, if a push opened one.
+    frame: Option<Frame>,
+    /// The open frame's payload so far.
+    payload: Vec<u8>,
+}
+
+impl Stream {
+    pub(crate) fn new() -> Self {
+        Stream {
+            heads: HeadTable::new(),
+            frame: None,
+            payload: Vec::new(),
         }
     }
-    // SAFETY: `op` counts bytes written within the reserved capacity.
-    unsafe {
-        out.set_len(start + op);
+
+    /// Encodes every position of `data` whose encoding no later byte can
+    /// change: those `FRONTIER_LAG` or more bytes before its end.
+    pub(crate) fn push(&mut self, data: &[u8]) {
+        assert!(data.len() <= STREAM_MAX, "LZ stream frame over 1 GiB");
+        let heads = &mut self.heads;
+        let frame = self
+            .frame
+            .get_or_insert_with(|| Frame::open(heads, STREAM_MAX));
+        let frontier = data.len().saturating_sub(FRONTIER_LAG);
+        frame.run(data, frontier, &mut heads.slots, &mut self.payload);
     }
-    if lit_start < data.len() {
-        emit_terminal(out, &data[lit_start..]);
+
+    /// Finishes the frame over `data`, appends its payload to `out`, and
+    /// leaves the stream ready for the next frame.
+    pub(crate) fn finish_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        assert!(data.len() <= STREAM_MAX, "LZ stream frame over 1 GiB");
+        let frame = match self.frame.take() {
+            Some(frame) => frame,
+            None => Frame::open(&mut self.heads, data.len()),
+        };
+        frame.finish(data, &mut self.heads, &mut self.payload);
+        out.extend_from_slice(&self.payload);
+        self.payload.clear();
+    }
+
+    /// Drops the open frame.
+    pub(crate) fn discard(&mut self) {
+        if let Some(frame) = self.frame.take() {
+            self.heads.close(&frame);
+        }
+        self.payload.clear();
     }
 }
 
@@ -611,11 +735,86 @@ mod tests {
             .collect()
     }
 
-    /// The encoder as it ran before the head table was kept per thread: a
-    /// zeroed table for every call.
-    fn encode_fresh(data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_with(data, &mut out, &mut HeadTable::new());
+    /// The encoder loop as it ran before the trims (slot test, byte-0 match
+    /// extension, per-word literal copy) and before frames could be fed in
+    /// pieces, over a zeroed table per call: the payload oracle.
+    fn encode_reference(data: &[u8]) -> Vec<u8> {
+        /// Copies `len` bytes in eight-byte steps, overstoring up to seven
+        /// bytes past `dst + len`.
+        ///
+        /// # Safety
+        ///
+        /// `src..src+len+7` readable, `dst..dst+len+7` writable, disjoint.
+        unsafe fn wild_copy(dst: *mut u8, src: *const u8, len: usize) {
+            let mut i = 0usize;
+            while i < len {
+                std::ptr::copy_nonoverlapping(src.add(i), dst.add(i), 8);
+                i += 8;
+            }
+        }
+
+        let mut out: Vec<u8> = Vec::with_capacity(data.len() + data.len() / 16 + 64);
+        let call_base = 0u32;
+        let head = &mut vec![0u32; HASH_SIZE][..];
+        let mut pos = 0usize;
+        let mut lit_start = 0usize;
+        let mut miss_streak = 0usize;
+        let base = out.as_mut_ptr();
+        let mut op = 0usize;
+        while pos + MIN_MATCH <= data.len() {
+            // SAFETY: as in the shipped loop this one was.
+            let (slot, here) = unsafe {
+                let here = read_u32(data, pos);
+                let slot = head.get_unchecked_mut(hash_word(here));
+                let stored = *slot;
+                *slot = call_base + pos as u32 + 1;
+                (stored, here)
+            };
+            let mut matched = false;
+            if slot > call_base {
+                let cand_pos = (slot - call_base - 1) as usize;
+                let dist = pos - cand_pos;
+                // SAFETY: cand_pos was an earlier `pos`.
+                if dist <= WINDOW && unsafe { read_u32(data, cand_pos) } == here {
+                    let limit = (data.len() - pos).min(MAX_MATCH);
+                    let len = common_prefix(data, cand_pos, pos, limit);
+                    if len >= MIN_MATCH {
+                        let lit_len = pos - lit_start;
+                        // SAFETY: capacity reserved for the worst case.
+                        unsafe {
+                            if lit_len < NIB_EXT
+                                && len - MIN_MATCH < NIB_EXT
+                                && pos + 8 <= data.len()
+                            {
+                                *base.add(op) = ((lit_len as u8) << 4) | (len - MIN_MATCH) as u8;
+                                wild_copy(base.add(op + 1), data.as_ptr().add(lit_start), lit_len);
+                                op += 1 + lit_len;
+                                let d = (dist as u16).to_le_bytes();
+                                *base.add(op) = d[0];
+                                *base.add(op + 1) = d[1];
+                                op += 2;
+                            } else {
+                                op = emit_long(base, op, &data[lit_start..pos], dist, len);
+                            }
+                        }
+                        pos += len;
+                        lit_start = pos;
+                        miss_streak = 0;
+                        matched = true;
+                    }
+                }
+            }
+            if !matched {
+                let step = (1 + (miss_streak >> SKIP_SHIFT)).min(MAX_STEP);
+                miss_streak += 1;
+                pos += step;
+            }
+        }
+        // SAFETY: `op` bytes were written within the reserved capacity.
+        unsafe { out.set_len(op) };
+        if lit_start < data.len() {
+            emit_terminal(&mut out, &data[lit_start..]);
+        }
         out
     }
 
@@ -633,20 +832,74 @@ mod tests {
         HEADS.with(|heads| heads.borrow().base)
     }
 
+    /// Lengths where the frontier and the loop's bounds sit: empty, one
+    /// byte, either side of `FRONTIER_LAG`, a page either side, a 32-page
+    /// frame and a bit, and arbitrary ones.
+    fn frontier_len() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            0usize..2,
+            (FRONTIER_LAG - 1)..(FRONTIER_LAG + 2),
+            4095usize..4098,
+            Just(128 * 1024 + 3),
+            0usize..16,
+            0usize..3000,
+            30_000usize..70_000,
+        ]
+    }
+
     proptest! {
         // A sequence of calls on one thread shares its head table: each
-        // call's payload is the fresh-table payload, whatever the calls
-        // before it left in the table.
+        // call's payload is the fresh-table payload of the loop before the
+        // trims, whatever the calls before it left in the table.
         #[test]
         fn reused_head_table_encodes_like_a_fresh_one(
             calls in proptest::collection::vec(
-                (any::<u8>(), any::<u64>(), prop_oneof![0usize..16, 0usize..3000, 30_000usize..70_000]),
+                (any::<u8>(), any::<u64>(), frontier_len()),
                 1..12,
             ),
         ) {
             for (kind, seed, len) in calls {
                 let data = crate::shaped_bytes(kind, seed, len);
-                prop_assert_eq!(encode(&data), encode_fresh(&data), "kind {} len {}", kind % 4, len);
+                prop_assert_eq!(encode(&data), encode_reference(&data), "kind {} len {}", kind % 4, len);
+            }
+        }
+
+        // One stream, frame after frame, each fed at arbitrary split
+        // points (empty pushes included): every finished payload is the
+        // one-shot payload of its bytes, and so is one the stream dropped
+        // halfway and then encoded again.
+        #[test]
+        fn a_stream_fed_in_pieces_encodes_like_one_call(
+            frames in proptest::collection::vec(
+                (
+                    proptest::collection::vec((any::<u8>(), any::<u64>(), frontier_len()), 1..4),
+                    proptest::collection::vec(any::<u32>(), 0..8),
+                    any::<bool>(),
+                ),
+                1..4,
+            ),
+        ) {
+            let mut stream = Stream::new();
+            for (parts, cuts, drop_first) in frames {
+                let data: Vec<u8> = parts
+                    .iter()
+                    .flat_map(|&(kind, seed, len)| crate::shaped_bytes(kind, seed, len))
+                    .collect();
+                let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+                cuts.sort_unstable();
+                if drop_first {
+                    for &cut in &cuts {
+                        stream.push(&data[..cut]);
+                    }
+                    stream.discard();
+                }
+                for &cut in &cuts {
+                    stream.push(&data[..cut]);
+                }
+                let mut out = b"head".to_vec();
+                stream.finish_into(&data, &mut out);
+                prop_assert_eq!(&out[..4], b"head");
+                prop_assert_eq!(&out[4..], &encode_reference(&data)[..], "{} bytes, cuts {:?}", data.len(), cuts);
             }
         }
     }
@@ -658,7 +911,11 @@ mod tests {
         for (i, len) in [1000usize, 4096, 0, 3, 4096, 1000].into_iter().enumerate() {
             let before = thread_base();
             let data = crate::shaped_bytes(i as u8, i as u64, len);
-            assert_eq!(encode(&data), encode_fresh(&data), "call {i}, len {len}");
+            assert_eq!(
+                encode(&data),
+                encode_reference(&data),
+                "call {i}, len {len}"
+            );
             wrapped |= thread_base() < before;
         }
         assert!(wrapped, "the base never wrapped");

@@ -525,6 +525,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
                 InvalidateCause::GcMigration => continue,
             };
             self.ftl.pin_page(event.ppa);
+            self.engine
+                .pinned(&self.ftl, event.ppa, self.pending.retained);
             let idx = self.ftl.geometry().page_index(event.ppa);
             self.log_operation(op, event.lpa, Some(idx), entropy_mil, read_before);
         }
@@ -1781,5 +1783,100 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A host page of one of the shapes a pre-image frame mixes: zeros,
+    /// text, small-integer records or noise.
+    fn shaped_page(i: u64) -> Vec<u8> {
+        let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        (0..4096)
+            .map(|j| match i % 5 {
+                0 => 0,
+                1 => b"evidence chain of custody, sealed "[(next() % 34) as usize],
+                2 if j % 16 < 4 => next() as u8,
+                2 => 0,
+                3 => next() as u8,
+                _ => (j / 64) as u8 ^ (i as u8),
+            })
+            .collect()
+    }
+
+    /// Every wire image the store holds, in segment order.
+    fn stored_wire_images(d: &mut RssdDevice<LoopbackTarget>) -> Vec<Vec<u8>> {
+        d.remote
+            .stored_segments()
+            .into_iter()
+            .map(|seq| d.remote.fetch_segment(seq).unwrap().wire().to_vec())
+            .collect()
+    }
+
+    /// Overwrites enough pages of every shape to seal several segments,
+    /// some with a reread in between (read-before-overwrite records).
+    fn overwrite_script(d: &mut RssdDevice<LoopbackTarget>, from: u64, writes: u64) {
+        for i in from..from + writes {
+            let lpa = i % 12;
+            if i % 7 == 0 {
+                d.read_page(lpa).unwrap();
+            }
+            d.write_page(lpa, shaped_page(i)).unwrap();
+        }
+    }
+
+    /// Runs `script` on a fresh device twice — on this thread, where a
+    /// second core gives the pre-image frame a lane, and inside a pool item,
+    /// where it encodes inline at seal — and returns both stores' images.
+    /// The script is told whether its device has a lane.
+    fn on_lane_and_inline(
+        script: impl Fn(&mut RssdDevice<LoopbackTarget>, bool) + Sync,
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let mut lane = device();
+        script(&mut lane, pool::machine_workers() > 1);
+        let inline = pool::map(1, 1, |_| {
+            let mut d = device();
+            script(&mut d, false);
+            assert_eq!(d.engine.lane_pages(), None, "no lane inside a pool item");
+            stored_wire_images(&mut d)
+        });
+        let lane_images = stored_wire_images(&mut lane);
+        (lane_images, inline.into_iter().next().unwrap())
+    }
+
+    #[test]
+    fn a_frame_compressed_on_the_lane_seals_the_inline_bytes() {
+        let (lane, inline) = on_lane_and_inline(|d, on_lane| {
+            overwrite_script(d, 0, 200);
+            assert_eq!(d.engine.lane_pages().is_some(), on_lane);
+            d.flush_log().unwrap();
+        });
+        assert!(lane.len() >= 10, "{} segments", lane.len());
+        assert_eq!(lane, inline);
+    }
+
+    #[test]
+    fn a_power_cut_with_pushes_in_flight_leaves_the_next_seal_inline_equal() {
+        let (lane, inline) = on_lane_and_inline(|d, on_lane| {
+            overwrite_script(d, 0, 60);
+            d.flush_log().unwrap();
+            // Pages pinned since the last seal are on the lane (or in its
+            // chunk) when the power goes.
+            overwrite_script(d, 60, 5);
+            assert_eq!(
+                d.engine.lane_pages().is_some_and(|pages| pages > 0),
+                on_lane
+            );
+            let _ = d.crash();
+            assert_eq!(d.engine.lane_pages().unwrap_or(0), 0);
+            let _ = d.recover().unwrap();
+            overwrite_script(d, 100, 60);
+            d.flush_log().unwrap();
+        });
+        assert!(lane.len() >= 4, "{} segments", lane.len());
+        assert_eq!(lane, inline);
     }
 }

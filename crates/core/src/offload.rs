@@ -4,11 +4,24 @@
 //! and the remote store: the FIFO of sealed segments awaiting their ack, the
 //! retry backoff, the NAND spill, the health machine, the counters. Its
 //! methods borrow the [`Ftl`] and the [`RemoteTarget`] from the device.
+//!
+//! The pending tail's pre-image frame is compressed before the seal: a
+//! retained page's bytes are fixed once the page is pinned (GC never picks
+//! a block that holds a pinned page), so [`OffloadEngine::pinned`] hands
+//! them to a [`PreimageLane`], whose [`FrameStream`] encodes them on the
+//! device's second core while the host keeps writing, and the seal only
+//! waits for the last of it. The seal still dispatches its timed
+//! background reads of the same pages, so the simulated device does
+//! exactly the work it did when the seal compressed what those reads
+//! returned — and the frame is that frame, byte for byte.
 
 use crate::logrec::LogRecord;
+use crate::pool::Lane;
 use crate::remote_target::{RemoteError, RemoteTarget};
 use crate::segment::{OpenDepth, SegmentBody, SegmentEnvelope};
+use rssd_compress::FrameStream;
 use rssd_crypto::{ChainLink, Digest};
+use rssd_flash::Ppa;
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
 use rssd_obs::{ProfilerHandle, SinkHandle};
@@ -179,6 +192,135 @@ impl Batch {
     }
 }
 
+/// What the pre-image lane is asked to do with its frame.
+enum Job {
+    /// Append these pinned pages' bytes and encode what they settle.
+    Push(Vec<u8>),
+    /// Finish the frame into this buffer (whatever it held before) and
+    /// hand the buffer back.
+    Finish(Vec<u8>),
+    /// Drop the frame.
+    Discard,
+}
+
+/// The pending tail's pre-image frame, compressed on a [`Lane`] as its
+/// pages are pinned. The lane starts with the first frame that can use it
+/// (never inside a pool item, never on a one-core machine); a frame it did
+/// not see from its first page — and every frame of a device without a
+/// lane — is compressed inline at seal, from the bytes the seal reads back,
+/// into the same frame. A clone therefore carries no lane and no frame: it
+/// seals the bytes its original would have.
+#[derive(Default)]
+pub(crate) struct PreimageLane {
+    lane: Option<Lane<Job, Vec<u8>>>,
+    /// Pinned bytes not handed to the lane yet: it is woken once per
+    /// [`Self::CHUNK`] bytes, not once per page.
+    chunk: Vec<u8>,
+    /// Retained pages of the open frame the lane has been given (the chunk
+    /// included), first to last.
+    pages: u64,
+    /// The last frame the lane finished: its buffer goes back with the
+    /// next [`Job::Finish`].
+    frame: Vec<u8>,
+}
+
+impl PreimageLane {
+    /// Bytes the device gathers before it wakes the lane: waking a parked
+    /// thread costs the waker ≈ 4–5 µs on a 2-vCPU virtual machine, half
+    /// the ≈ 10 µs it takes to encode one 4 KiB page, so the lane is woken
+    /// once per four pages.
+    const CHUNK: usize = 16 * 1024;
+
+    /// The open frame's `nth` retained page (counting from 0) was pinned
+    /// with these bytes. The lane takes them only in order from the frame's
+    /// first page; a frame it missed the start of stays inline.
+    fn push(&mut self, nth: u64, bytes: &[u8]) {
+        if nth != self.pages {
+            return;
+        }
+        if self.lane.is_none() {
+            // The first page of a frame: a lane starts here or not at all.
+            self.lane = Lane::start(|| {
+                let mut stream = FrameStream::new();
+                move |job| match job {
+                    Job::Push(bytes) => {
+                        stream.push(&bytes);
+                        None
+                    }
+                    Job::Finish(mut frame) => {
+                        frame.clear();
+                        stream.finish_into(&mut frame);
+                        Some(frame)
+                    }
+                    Job::Discard => {
+                        stream.clear();
+                        None
+                    }
+                }
+            });
+        }
+        let Some(lane) = &self.lane else { return };
+        if self.chunk.capacity() == 0 {
+            self.chunk.reserve(Self::CHUNK);
+        }
+        self.chunk.extend_from_slice(bytes);
+        self.pages += 1;
+        if self.chunk.len() >= Self::CHUNK {
+            lane.send(Job::Push(std::mem::take(&mut self.chunk)));
+        }
+    }
+
+    /// The lane holds the whole pre-image frame of a tail of `retained`
+    /// retained pages, and is owed no other.
+    fn holds(&self, retained: u64) -> bool {
+        retained > 0 && self.pages == retained
+    }
+
+    /// Closes the open frame: the lane finishes it while the seal reads
+    /// its pages back, and the next push opens the next frame.
+    fn finish(&mut self) {
+        let lane = self.lane.as_ref().expect("a frame was pushed");
+        if !self.chunk.is_empty() {
+            lane.send(Job::Push(std::mem::take(&mut self.chunk)));
+        }
+        lane.send(Job::Finish(std::mem::take(&mut self.frame)));
+        self.pages = 0;
+    }
+
+    /// Waits for the frame [`Self::finish`] closed and appends it to `wire`.
+    fn append_finished(&mut self, wire: &mut Vec<u8>) {
+        let lane = self.lane.as_ref().expect("a frame was finished");
+        self.frame = lane.reply();
+        wire.extend_from_slice(&self.frame);
+    }
+
+    /// Drops the open frame, if any.
+    fn discard(&mut self) {
+        if self.pages > 0 {
+            self.chunk.clear();
+            if let Some(lane) = &self.lane {
+                lane.send(Job::Discard);
+            }
+            self.pages = 0;
+        }
+    }
+}
+
+impl Clone for PreimageLane {
+    fn clone(&self) -> Self {
+        PreimageLane::default()
+    }
+}
+
+impl std::fmt::Debug for PreimageLane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PreimageLane")
+            .field("running", &self.lane.is_some())
+            .field("pages", &self.pages)
+            .finish_non_exhaustive()
+    }
+}
+
 /// A sealed segment awaiting remote acknowledgement. The envelope *is* the
 /// wire image (refcounted `Bytes`), built exactly once at seal time and
 /// reused verbatim by every ship retry, the NAND spill, and crash replay.
@@ -230,6 +372,8 @@ pub(crate) struct OffloadEngine {
     pub(crate) sink: SinkHandle,
     /// Host-side profiler; offload work is charged to the `wire` phase.
     pub(crate) profiler: ProfilerHandle,
+    /// The pending tail's pre-image frame, compressing as it grows.
+    preimages: PreimageLane,
 }
 
 impl OffloadEngine {
@@ -260,7 +404,22 @@ impl OffloadEngine {
             stats: OffloadStats::default(),
             sink: SinkHandle::disabled(),
             profiler: ProfilerHandle::disabled(),
+            preimages: PreimageLane::default(),
         }
+    }
+
+    /// The pending tail just pinned `ppa`, its `nth` retained page
+    /// (counting from 0): its bytes go to the pre-image lane, read by
+    /// nothing (the seal's timed read of the page stays where it was).
+    pub(crate) fn pinned(&mut self, ftl: &Ftl, ppa: Ppa, nth: u64) {
+        let bytes = ftl.peek_page(ppa).expect("a pinned page is programmed");
+        self.preimages.push(nth, bytes);
+    }
+
+    /// Pages of the pending tail's frame on the lane, if a lane runs.
+    #[cfg(test)]
+    pub(crate) fn lane_pages(&self) -> Option<u64> {
+        self.preimages.lane.as_ref().map(|_| self.preimages.pages)
     }
 
     pub(crate) fn staged_segments(&self) -> usize {
@@ -374,9 +533,20 @@ impl OffloadEngine {
         // The background reads dispatch onto the unit pipelines — the
         // offload engine genuinely occupies planes and channels, which is
         // RSSD's real (small, bounded) foreground overhead — but nothing
-        // blocks on them.
+        // blocks on them. When the lane holds the frame, what they return
+        // is what it was handed (the pin invariant), and only a debug build
+        // keeps it, to check the frame against.
+        let streamed = self.preimages.holds(batch.retained);
+        if streamed {
+            self.preimages.finish();
+        }
+        let keep = !streamed || cfg!(debug_assertions);
         let geometry = ftl.geometry();
-        let mut preimages = Vec::with_capacity(batch.retained as usize * geometry.page_size);
+        let mut preimages = Vec::with_capacity(if keep {
+            batch.retained as usize * geometry.page_size
+        } else {
+            0
+        });
         let retained_len: Vec<Option<u32>> = batch
             .records
             .iter()
@@ -385,24 +555,49 @@ impl OffloadEngine {
                 let (data, _) = ftl
                     .read_physical_offload(ppa)
                     .expect("pinned page readable");
-                preimages.extend_from_slice(&data);
+                if keep {
+                    preimages.extend_from_slice(&data);
+                }
                 Some(data.len() as u32)
             })
             .collect();
         let segment_seq = self.next_segment_seq;
-        let (envelope, raw_len) = SegmentEnvelope::seal(
-            &self.session,
-            &self.profiler,
-            self.device_id,
-            segment_seq,
-            self.prev_segment_head,
-            SegmentBody {
-                records: &batch.records,
-                links: &batch.links,
-                retained_len: &retained_len,
-                preimages: &preimages,
-            },
-        );
+        let body = SegmentBody {
+            records: &batch.records,
+            links: &batch.links,
+            retained_len: &retained_len,
+            preimages: &preimages,
+        };
+        let (envelope, raw_len) = if streamed {
+            let lane = &mut self.preimages;
+            SegmentEnvelope::seal_framed(
+                &self.session,
+                &self.profiler,
+                self.device_id,
+                segment_seq,
+                self.prev_segment_head,
+                body,
+                |wire| {
+                    let at = wire.len();
+                    lane.append_finished(wire);
+                    debug_assert!(
+                        wire[at..] == rssd_compress::compress_adaptive(&preimages),
+                        "the lane's frame is the one-shot frame of the pages read back"
+                    );
+                },
+            )
+        } else {
+            // A frame the lane saw only part of is dropped.
+            self.preimages.discard();
+            SegmentEnvelope::seal(
+                &self.session,
+                &self.profiler,
+                self.device_id,
+                segment_seq,
+                self.prev_segment_head,
+                body,
+            )
+        };
         trace(
             &self.sink,
             "segment_sealed",
@@ -614,6 +809,8 @@ impl OffloadEngine {
     /// exactly like the pending tail. Returns the records and retained
     /// pre-images that died.
     pub(crate) fn power_cut(&mut self, ftl: &mut Ftl) -> (u64, u64) {
+        // The pending tail's frame is controller RAM too.
+        self.preimages.discard();
         let (mut records, mut preimages) = (0, 0);
         for seg in self.staged.drain(..) {
             if let Some(acked_at_ns) = seg.acked_at_ns {

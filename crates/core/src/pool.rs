@@ -1,11 +1,13 @@
 //! The one worker pool: the only place in the workspace that starts a
 //! thread. The evidence walk fans each window of segments over it and the
-//! fleet fans its members over it.
+//! fleet fans its members over it; a device's offload engine keeps one
+//! lane beside its own thread, where the pending tail's pre-image
+//! frame compresses while the host writes.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{mpsc, Mutex, OnceLock};
 use std::thread;
 
 thread_local! {
@@ -79,6 +81,100 @@ pub(crate) fn machine_workers() -> usize {
     *WORKERS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
+/// A persistent helper thread beside the thread that owns it: it runs
+/// `work` on each job sent, in order, and queues what a job answers for
+/// [`Lane::reply`], in order. Dropping the lane closes its queue and joins
+/// the thread once it has run what was sent.
+pub(crate) struct Lane<J: Send + 'static, R: Send + 'static> {
+    jobs: Option<mpsc::Sender<J>>,
+    /// Locked only by the lane's one owner: it keeps the lane, and the
+    /// device that owns one, `Sync`.
+    replies: Mutex<mpsc::Receiver<R>>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl<J: Send + 'static, R: Send + 'static> Lane<J, R> {
+    /// Starts a lane that runs the worker `make` builds, unless the machine
+    /// has one worker (there is no idle core to put it on) or the caller
+    /// runs inside a [`map`] item (the pool already counts every core):
+    /// then `None`, `make` is not called, and the caller does the work
+    /// itself.
+    pub(crate) fn start<W>(make: impl FnOnce() -> W) -> Option<Self>
+    where
+        W: FnMut(J) -> Option<R> + Send + 'static,
+    {
+        if machine_workers() <= 1 || IN_ITEM.with(Cell::get) {
+            return None;
+        }
+        let mut work = make();
+        let (jobs, inbox) = mpsc::channel::<J>();
+        let (outbox, replies) = mpsc::channel::<R>();
+        let thread = thread::spawn(move || {
+            while let Some(job) = recv_spinning(&inbox) {
+                if let Some(reply) = work(job) {
+                    if outbox.send(reply).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        Some(Lane {
+            jobs: Some(jobs),
+            replies: Mutex::new(replies),
+            thread: Some(thread),
+        })
+    }
+
+    /// Queues `job` behind the ones sent before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane died (a job panicked).
+    pub(crate) fn send(&self, job: J) {
+        self.jobs
+            .as_ref()
+            .expect("a lane's queue closes only when it drops")
+            .send(job)
+            .expect("the lane outlives its jobs");
+    }
+
+    /// Waits for the next answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane died before answering.
+    pub(crate) fn reply(&self) -> R {
+        recv_spinning(&self.replies.lock().expect("one owner waits on a lane"))
+            .expect("the lane answers the job that asks")
+    }
+}
+
+/// Polls before it sleeps: waking a parked thread costs more than a job's
+/// worth of work on a virtual machine, and the two threads of a lane hand
+/// each other work faster than that. `None` once every sender is gone.
+fn recv_spinning<T>(queue: &mpsc::Receiver<T>) -> Option<T> {
+    const POLLS: u32 = 1 << 12;
+    for _ in 0..POLLS {
+        match queue.try_recv() {
+            Ok(item) => return Some(item),
+            Err(mpsc::TryRecvError::Disconnected) => return None,
+            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    queue.recv().ok()
+}
+
+impl<J: Send + 'static, R: Send + 'static> Drop for Lane<J, R> {
+    fn drop(&mut self) {
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            // A lane that panicked has already failed its owner's last
+            // send or reply.
+            let _ = thread.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,5 +199,32 @@ mod tests {
         assert!(nested.into_iter().all(|inline| inline));
         // The caller's share ended: its next call fans out again.
         assert!(!IN_ITEM.with(Cell::get));
+    }
+
+    #[test]
+    fn a_lane_answers_in_order_and_none_starts_inside_an_item() {
+        if machine_workers() > 1 {
+            let mut total = 0u64;
+            let lane = Lane::start(|| {
+                move |n: u64| {
+                    total += n;
+                    (n == 0).then_some(total)
+                }
+            })
+            .expect("a second core, outside any item");
+            for n in [3, 4, 0, 5, 0] {
+                lane.send(n);
+            }
+            assert_eq!((lane.reply(), lane.reply()), (7, 12));
+            assert!(lane
+                .thread
+                .as_ref()
+                .is_some_and(|t| t.thread().id() != thread::current().id()));
+        }
+        let inside = map(2, 2, |_| {
+            Lane::start(|| -> fn(u64) -> Option<u64> { unreachable!("no lane, no worker") })
+                .is_none()
+        });
+        assert_eq!(inside, [true, true]);
     }
 }

@@ -116,20 +116,53 @@ impl SegmentEnvelope {
         prev_chain_head: Digest,
         body: SegmentBody<'_>,
     ) -> (SegmentEnvelope, usize) {
-        let SegmentBody {
-            records,
-            links,
-            retained_len,
-            preimages,
-        } = body;
-        assert_eq!(records.len(), links.len(), "one chain link per record");
-        assert_eq!(records.len(), retained_len.len(), "one length per record");
-        let retained: usize = retained_len.iter().flatten().map(|len| *len as usize).sum();
+        let preimages = body.preimages;
+        let retained: usize = body
+            .retained_len
+            .iter()
+            .flatten()
+            .map(|len| *len as usize)
+            .sum();
         assert_eq!(
             retained,
             preimages.len(),
             "the lengths account for the buffer"
         );
+        Self::seal_framed(
+            session,
+            profiler,
+            device_id,
+            segment_seq,
+            prev_chain_head,
+            body,
+            |wire| rssd_compress::compress_adaptive_into(preimages, wire),
+        )
+    }
+
+    /// [`Self::seal`] with the pre-image frame made elsewhere: `body`'s
+    /// pre-image buffer is not read, and `append_frame` appends the
+    /// [`compress_adaptive`](rssd_compress::compress_adaptive) frame of the
+    /// pre-images `body.retained_len` counts to the wire image. The offload
+    /// engine's lane encodes that frame while the host writes (see
+    /// [`OffloadEngine`](crate::offload)).
+    pub(crate) fn seal_framed(
+        session: &SecureSession,
+        profiler: &ProfilerHandle,
+        device_id: u64,
+        segment_seq: u64,
+        prev_chain_head: Digest,
+        body: SegmentBody<'_>,
+        append_frame: impl FnOnce(&mut Vec<u8>),
+    ) -> (SegmentEnvelope, usize) {
+        let SegmentBody {
+            records,
+            links,
+            retained_len,
+            preimages: _,
+        } = body;
+        assert_eq!(records.len(), links.len(), "one chain link per record");
+        assert_eq!(records.len(), retained_len.len(), "one length per record");
+        let preimage_len: usize = retained_len.iter().flatten().map(|len| *len as usize).sum();
         let mut metadata = Vec::with_capacity(metadata_len(records.len()));
         metadata.extend_from_slice(&segment_seq.to_le_bytes());
         metadata.extend_from_slice(&(records.len() as u32).to_le_bytes());
@@ -141,7 +174,7 @@ impl SegmentEnvelope {
             metadata.extend_from_slice(&link.seq.to_le_bytes());
             metadata.extend_from_slice(link.tag.as_bytes());
         }
-        let raw_len = metadata.len() + preimages.len();
+        let raw_len = metadata.len() + preimage_len;
 
         let chain_head = links.last().map_or(prev_chain_head, |link| link.tag);
         let mut wire = Vec::with_capacity(Self::WIRE_HEADER + raw_len / 2 + 64);
@@ -158,7 +191,7 @@ impl SegmentEnvelope {
         rssd_compress::compress_adaptive_into(&metadata, &mut wire);
         let frame_len = (wire.len() - Self::WIRE_HEADER - 4) as u32;
         wire[Self::WIRE_HEADER..Self::WIRE_HEADER + 4].copy_from_slice(&frame_len.to_le_bytes());
-        rssd_compress::compress_adaptive_into(preimages, &mut wire);
+        append_frame(&mut wire);
         profiler.exit();
         session.seal_in_place(segment_seq, &mut wire, Self::WIRE_HEADER);
         let envelope = SegmentEnvelope {

@@ -458,6 +458,18 @@ impl NandArray {
         Ok((data, oob, ticket))
     }
 
+    /// A programmed page's data without reading it: no latency, no pipeline
+    /// occupation, no count in the stats — the simulator's view of what a
+    /// controller already holds in its own buffers (the page it just
+    /// invalidated, say).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::read_async`].
+    pub fn peek_page(&self, ppa: Ppa) -> Result<&[u8], NandError> {
+        Ok(&self.programmed_page(ppa)?.0)
+    }
+
     /// OOB metadata of `ppa` without charging latency (FTLs keep this in a
     /// DRAM summary; the simulator reads it straight from the model).
     pub fn peek_oob(&self, ppa: Ppa) -> Result<Option<PageOob>, NandError> {

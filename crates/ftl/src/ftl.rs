@@ -374,6 +374,17 @@ impl Ftl {
         Ok(self.nand.read_background(ppa)?)
     }
 
+    /// A physical page's data as the model holds it, read by nothing: no
+    /// latency, no pipeline occupation, no count in the stats (see
+    /// [`NandArray::peek_page`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates NAND errors.
+    pub fn peek_page(&self, ppa: Ppa) -> Result<&[u8], FtlError> {
+        Ok(self.nand.peek_page(ppa)?)
+    }
+
     /// Is the physical page currently the valid version of its LPA?
     pub fn is_valid(&self, ppa: Ppa) -> bool {
         self.mapping.is_valid(ppa)
