@@ -23,7 +23,7 @@ const BENIGN_OPS: usize = 10_000;
 
 /// What the analyzer says today about each benign profile: (profile,
 /// verdict, victim pages). The verdict is asserted `0` (benign) where it is
-/// 0 today. ROADMAP 2(ii): four profiles are called ransomware (`2`) and
+/// 0 today. ROADMAP 12: four profiles are called ransomware (`2`) and
 /// every profile's random-payload overwrites land on the victim list —
 /// false positives pinned at their measured values, recorded, not fixed.
 const BENIGN_TODAY: [(&str, f64, f64); 12] = [

@@ -7,9 +7,8 @@
 //! attack window, the set of victim pages, and the per-detector evidence.
 
 use crate::logrec::{LogOp, LogRecord};
-use rssd_detect::{Ensemble, Verdict, WriteObservation, CIPHERTEXT_BITS};
+use rssd_detect::{Ensemble, Verdict, WriteObservation};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Which of the paper's attack models the history exhibits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -74,76 +73,54 @@ impl PostAttackAnalyzer {
         PostAttackAnalyzer
     }
 
-    /// Converts a log record into a detector observation.
-    pub fn observation(record: &LogRecord) -> WriteObservation {
-        match record.op {
-            LogOp::Trim => WriteObservation::trim(record.at_ns, record.lpa),
-            _ => WriteObservation {
-                at_ns: record.at_ns,
-                lpa: record.lpa,
-                entropy_bits: record.entropy_bits(),
+    /// The detectors' view of a history: one observation per logged write
+    /// or trim, in log order. Reads carry no payload and are dropped here —
+    /// the analyzer, the log server's ensemble and a fleet member's stream
+    /// all observe through this one path.
+    pub fn observations(history: &[LogRecord]) -> impl Iterator<Item = WriteObservation> + '_ {
+        history.iter().filter_map(|record| match record.op {
+            LogOp::Read => None,
+            LogOp::Trim => Some(WriteObservation::trim(record.at_ns, record.lpa)),
+            LogOp::Write => Some(WriteObservation {
                 overwrote_valid: record.old_page_index.is_some(),
                 read_before_overwrite: record.read_before,
-                is_trim: false,
-            },
-        }
+                ..WriteObservation::fresh_write(record.at_ns, record.lpa, record.entropy_bits())
+            }),
+        })
     }
 
     /// Analyzes a verified history (as returned by
     /// [`crate::RssdDevice::verified_history`]).
     pub fn analyze(&self, history: &[LogRecord], chain_verified: bool) -> AnalysisReport {
         let mut ensemble = Ensemble::new();
-        let mut victim_lpas: BTreeSet<u64> = BTreeSet::new();
-        let mut malicious_times: Vec<u64> = Vec::new();
-        let mut fresh_write_pages = 0u64;
-        let mut trimmed_victims = 0u64;
-
-        for record in history {
-            if record.op == LogOp::Read {
-                continue;
-            }
-            let obs = Self::observation(record);
+        // The classifier's counters over the operations attributed to the
+        // attack (trims and encrypting overwrites); the ensemble keeps the
+        // victim set.
+        let (mut malicious, mut trimmed_victims, mut fresh_write_pages) = (0u64, 0u64, 0u64);
+        let (mut first_ns, mut last_ns) = (u64::MAX, 0u64);
+        for obs in Self::observations(history) {
             ensemble.observe(&obs);
-
-            match record.op {
-                LogOp::Trim => {
-                    victim_lpas.insert(record.lpa);
-                    malicious_times.push(record.at_ns);
-                    trimmed_victims += 1;
-                }
-                LogOp::Write => {
-                    if record.old_page_index.is_some() && record.entropy_bits() >= CIPHERTEXT_BITS {
-                        victim_lpas.insert(record.lpa);
-                        malicious_times.push(record.at_ns);
-                    } else {
-                        // Benign rewrite releases the page from the victim
-                        // set (the user replaced the content themselves).
-                        victim_lpas.remove(&record.lpa);
-                        if record.old_page_index.is_none() {
-                            fresh_write_pages += 1;
-                        }
-                    }
-                }
-                LogOp::Read => unreachable!("filtered above"),
+            if obs.is_trim || obs.is_encrypting_overwrite() {
+                malicious += 1;
+                trimmed_victims += u64::from(obs.is_trim);
+                first_ns = first_ns.min(obs.at_ns);
+                last_ns = last_ns.max(obs.at_ns);
+            } else if !obs.overwrote_valid {
+                fresh_write_pages += 1;
             }
         }
 
         let verdict = ensemble.verdict();
-        let attack_start_ns = malicious_times.iter().copied().min();
-        let attack_end_ns = malicious_times.iter().copied().max();
+        let victim_lpas = ensemble.victims().sorted();
 
         let attack_class = if verdict == Verdict::Benign || victim_lpas.is_empty() {
             AttackClass::None
         } else if trimmed_victims as f64 >= 0.5 * victim_lpas.len() as f64 {
             AttackClass::TrimmingAttack
         } else {
-            let span_ns = attack_end_ns
-                .unwrap_or(0)
-                .saturating_sub(attack_start_ns.unwrap_or(0));
-            let span_hours = span_ns as f64 / 3.6e12;
-            let encrypted = malicious_times.len() as f64;
+            let span_hours = last_ns.saturating_sub(first_ns) as f64 / 3.6e12;
             let rate_per_hour = if span_hours > 0.0 {
-                encrypted / span_hours
+                malicious as f64 / span_hours
             } else {
                 f64::INFINITY
             };
@@ -168,9 +145,9 @@ impl PostAttackAnalyzer {
                 .into_iter()
                 .map(|(n, s)| (n.to_string(), s))
                 .collect(),
-            attack_start_ns,
-            attack_end_ns,
-            victim_lpas: victim_lpas.into_iter().collect(),
+            attack_start_ns: (malicious > 0).then_some(first_ns),
+            attack_end_ns: (malicious > 0).then_some(last_ns),
+            victim_lpas,
             records_examined: history.len() as u64,
             chain_verified,
         }

@@ -4,6 +4,7 @@ use crate::entropy::EntropyDetector;
 use crate::observation::WriteObservation;
 use crate::pattern::{OverwriteCorrelator, TrimSurgeDetector};
 use crate::timing::TimingProfiler;
+use crate::victims::VictimSet;
 use crate::Detector;
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +23,7 @@ pub enum Verdict {
 /// A weighted ensemble of the four detectors with a maximum-signal fallback:
 /// any single detector at full confidence forces a detection, because the
 /// attacks are designed so that each evades *most* detectors.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Ensemble {
     entropy: EntropyDetector,
     correlator: OverwriteCorrelator,
@@ -34,13 +35,7 @@ pub struct Ensemble {
 impl Ensemble {
     /// Builds the default ensemble.
     pub fn new() -> Self {
-        Ensemble {
-            entropy: EntropyDetector::new(),
-            correlator: OverwriteCorrelator::new(),
-            trim_surge: TrimSurgeDetector::new(),
-            timing: TimingProfiler::new(),
-            observations: 0,
-        }
+        Self::default()
     }
 
     /// Feeds one observation to every member.
@@ -57,6 +52,11 @@ impl Ensemble {
         for o in obs {
             self.observe(o);
         }
+    }
+
+    /// The victim set the timing profiler keeps (the analyzer's report).
+    pub fn victims(&self) -> &VictimSet {
+        &self.timing.victims
     }
 
     /// Observations consumed.
@@ -116,12 +116,6 @@ impl Ensemble {
             args.push((name, format!("{score:.3}")));
         }
         sink.instant("detect", "verdict", sim_ns, &args);
-    }
-}
-
-impl Default for Ensemble {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

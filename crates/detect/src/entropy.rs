@@ -4,15 +4,10 @@ use crate::observation::WriteObservation;
 use crate::Detector;
 use std::collections::VecDeque;
 
-/// Entropy (bits/byte) at or above which an overwrite is treated as
-/// ciphertext: the one threshold the detectors' verdict and the post-attack
-/// analyzer's victim list both use.
-pub const CIPHERTEXT_BITS: f64 = 7.2;
-
 /// Flags when a large fraction of recent overwrites carry near-ciphertext
 /// entropy. Fast against classic ransomware; evadable by rate-limiting
 /// (which dilutes the window) — that gap is the timing attack.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EntropyDetector {
     recent: VecDeque<bool>,
     high_count: usize,
@@ -24,19 +19,11 @@ impl EntropyDetector {
     /// Overwrites seen before the detector will score.
     const MIN_SAMPLES: usize = 32;
 
-    /// Sliding window of 256 overwrites, threshold [`CIPHERTEXT_BITS`],
-    /// silent below 32 samples.
+    /// Sliding window of 256 overwrites, each counted high when it is
+    /// [`WriteObservation::is_encrypting_overwrite`]; silent below 32
+    /// samples.
     pub fn new() -> Self {
-        EntropyDetector {
-            recent: VecDeque::new(),
-            high_count: 0,
-        }
-    }
-}
-
-impl Default for EntropyDetector {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -49,7 +36,7 @@ impl Detector for EntropyDetector {
         if obs.is_trim || !obs.overwrote_valid {
             return;
         }
-        let high = obs.entropy_bits >= CIPHERTEXT_BITS;
+        let high = obs.is_encrypting_overwrite();
         self.recent.push_back(high);
         if high {
             self.high_count += 1;

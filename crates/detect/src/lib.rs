@@ -17,18 +17,26 @@
 //! * [`TimingProfiler`] — cumulative long-horizon coverage tracking that
 //!   catches rate-limited ("timing attack") encryption which per-window
 //!   detectors miss.
+//!
+//! One rule says which pages an attack holds:
+//! [`WriteObservation::is_encrypting_overwrite`] is the one place
+//! [`CIPHERTEXT_BITS`] is compared, and the [`VictimSet`] the profiler keeps
+//! (exposed as [`Ensemble::victims`]) is the post-attack analyzer's victim
+//! list too.
 
 pub mod ensemble;
 pub mod entropy;
 pub mod observation;
 pub mod pattern;
 pub mod timing;
+pub mod victims;
 
 pub use ensemble::{Ensemble, Verdict};
-pub use entropy::{EntropyDetector, CIPHERTEXT_BITS};
-pub use observation::{merge_time_ordered, WriteObservation};
+pub use entropy::EntropyDetector;
+pub use observation::{merge_time_ordered, WriteObservation, CIPHERTEXT_BITS};
 pub use pattern::{OverwriteCorrelator, TrimSurgeDetector};
 pub use timing::TimingProfiler;
+pub use victims::VictimSet;
 
 /// A detector consumes observations and exposes a suspicion score in
 /// `[0.0, 1.0]`.

@@ -2,6 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Entropy (bits/byte) at or above which an overwrite's payload reads as
+/// ciphertext. It is compared in one place,
+/// [`WriteObservation::is_encrypting_overwrite`].
+pub const CIPHERTEXT_BITS: f64 = 7.2;
+
 /// One observed write or trim, as reconstructed from the hardware-assisted
 /// log (or observed inline by an in-device detector baseline).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -44,6 +49,12 @@ impl WriteObservation {
             read_before_overwrite: read_before,
             is_trim: false,
         }
+    }
+
+    /// Is this a write (not a trim) over a valid page whose payload reads as
+    /// ciphertext? The one victim predicate every detector path asks.
+    pub fn is_encrypting_overwrite(&self) -> bool {
+        self.overwrote_valid && !self.is_trim && self.entropy_bits >= CIPHERTEXT_BITS
     }
 
     /// A trim of a valid page.

@@ -10,15 +10,16 @@
 //! provides.
 
 use crate::observation::WriteObservation;
+use crate::victims::VictimSet;
 use crate::Detector;
 use std::collections::HashSet;
 
 /// Cumulative encrypted-coverage profiler.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TimingProfiler {
-    /// Distinct LPAs ever overwritten with high-entropy data.
-    encrypted_lpas: HashSet<u64>,
-    /// Distinct LPAs ever seen valid (written at all).
+    /// The victim set; the profiler reads its encrypted view.
+    pub(crate) victims: VictimSet,
+    /// Distinct LPAs ever written or trimmed.
     seen_lpas: HashSet<u64>,
 }
 
@@ -28,24 +29,15 @@ impl TimingProfiler {
     /// Minimum distinct encrypted pages before scoring (noise floor).
     const MIN_ENCRYPTED: usize = 64;
 
-    /// Saturates at 10 % coverage, 64-page noise floor, threshold
-    /// [`CIPHERTEXT_BITS`](crate::CIPHERTEXT_BITS).
+    /// Saturates at 10 % coverage, 64-page noise floor, a page counted
+    /// encrypted per [`WriteObservation::is_encrypting_overwrite`].
     pub fn new() -> Self {
-        TimingProfiler {
-            encrypted_lpas: HashSet::new(),
-            seen_lpas: HashSet::new(),
-        }
+        Self::default()
     }
 
-    /// Distinct pages flagged as encrypted so far.
+    /// Distinct pages an encrypting overwrite holds now.
     pub fn encrypted_pages(&self) -> usize {
-        self.encrypted_lpas.len()
-    }
-}
-
-impl Default for TimingProfiler {
-    fn default() -> Self {
-        Self::new()
+        self.victims.encrypted()
     }
 }
 
@@ -56,22 +48,15 @@ impl Detector for TimingProfiler {
 
     fn observe(&mut self, obs: &WriteObservation) {
         self.seen_lpas.insert(obs.lpa);
-        if obs.is_trim {
-            return;
-        }
-        if obs.overwrote_valid && obs.entropy_bits >= crate::CIPHERTEXT_BITS {
-            self.encrypted_lpas.insert(obs.lpa);
-        } else {
-            // Page rewritten with benign data: no longer held hostage.
-            self.encrypted_lpas.remove(&obs.lpa);
-        }
+        self.victims.observe(obs);
     }
 
     fn score(&self) -> f64 {
-        if self.encrypted_lpas.len() < Self::MIN_ENCRYPTED || self.seen_lpas.is_empty() {
+        let encrypted = self.victims.encrypted();
+        if encrypted < Self::MIN_ENCRYPTED || self.seen_lpas.is_empty() {
             return 0.0;
         }
-        let coverage = self.encrypted_lpas.len() as f64 / self.seen_lpas.len() as f64;
+        let coverage = encrypted as f64 / self.seen_lpas.len() as f64;
         (coverage / Self::SATURATION).min(1.0)
     }
 }

@@ -8,7 +8,7 @@
 //! worker thread in any order and still merge to a byte-identical report.
 
 use crate::config::{member_seed, FleetConfig};
-use rssd_core::{LogOp, OffloadStats, PostAttackAnalyzer};
+use rssd_core::{OffloadStats, PostAttackAnalyzer};
 use rssd_detect::{Verdict, WriteObservation};
 use rssd_faults::cell::{self, CellBody};
 use rssd_faults::{
@@ -280,14 +280,8 @@ impl CellBody for MemberBody<'_> {
 
         profiler.enter("detect");
         let (audit, analysis) = cell::audit(device, sink);
-        // The fleet detector sees what the device logged: every non-read
-        // record's entropy, validity and read-before flag, in chain order.
-        let observations = audit
-            .records
-            .iter()
-            .filter(|record| record.op != LogOp::Read)
-            .map(PostAttackAnalyzer::observation)
-            .collect();
+        // The fleet detector sees what the device logged, in chain order.
+        let observations = PostAttackAnalyzer::observations(&audit.records).collect();
         profiler.exit();
         let sim_end_ns = device.clock().now_ns();
         if sink.is_enabled() {

@@ -8,8 +8,7 @@
 //! ensemble over the decrypted record metadata.
 
 use rssd_core::{
-    LogOp, LogRecord, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope,
-    StoreAck,
+    LogRecord, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope, StoreAck,
 };
 use rssd_crypto::{DeviceKeys, Digest};
 use rssd_detect::{Ensemble, Verdict};
@@ -119,11 +118,10 @@ impl RemoteLogServer {
     /// Feeds an authenticated segment's records to the detection ensemble.
     /// Detection reads record metadata only.
     fn analyze_segment(&mut self, records: &[LogRecord]) {
-        for record in records.iter().filter(|record| record.op != LogOp::Read) {
-            self.ensemble
-                .observe(&PostAttackAnalyzer::observation(record));
-            self.report.records_analyzed += 1;
+        for obs in PostAttackAnalyzer::observations(records) {
+            self.ensemble.observe(&obs);
         }
+        self.report.records_analyzed = self.ensemble.observations();
         self.report.verdict = self.ensemble.verdict();
         self.report.score = self.ensemble.score();
     }

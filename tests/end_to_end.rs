@@ -7,8 +7,8 @@ use rssd_repro::attacks::{
     TrimAttack,
 };
 use rssd_repro::core::{
-    AttackClass, LoopbackTarget, PostAttackAnalyzer, RecoveryEngine, RssdConfig, RssdDevice,
-    WireRemote,
+    AnalysisReport, AttackClass, LoopbackTarget, PostAttackAnalyzer, RecoveryEngine, RssdConfig,
+    RssdDevice, WireRemote,
 };
 use rssd_repro::crypto::DeviceKeys;
 use rssd_repro::detect::Verdict;
@@ -40,6 +40,21 @@ fn rssd_over_server(clock: SimClock) -> RssdDevice<RemoteLogServer> {
     )
 }
 
+/// The log server's ensemble and the analyzer observe through one path, so
+/// once `flush_log` has shipped every record over an honest link, the
+/// server's running verdict and score equal the analyzer's over the
+/// verified history, to the bit.
+fn assert_one_derivation(device: &RssdDevice<RemoteLogServer>, report: &AnalysisReport) {
+    let server = device.remote().report();
+    assert_eq!(
+        (server.verdict, server.score.to_bits()),
+        (report.verdict, report.score.to_bits()),
+        "server {} vs analyzer {}",
+        server.score,
+        report.score
+    );
+}
+
 #[test]
 fn classic_attack_detected_analyzed_recovered_over_real_stack() {
     let clock = SimClock::new();
@@ -60,6 +75,7 @@ fn classic_attack_detected_analyzed_recovered_over_real_stack() {
     let report = PostAttackAnalyzer::new().analyze(&history, true);
     assert_eq!(report.attack_class, AttackClass::Classic);
     assert_eq!(report.victim_lpas.len() as u64, outcome.pages_encrypted);
+    assert_one_derivation(&device, &report);
 
     // Zero-data-loss recovery.
     let recovery = RecoveryEngine::new().restore_before(
@@ -90,6 +106,7 @@ fn trimming_attack_fully_recovered_and_classified() {
     let history = device.verified_history().unwrap();
     let report = PostAttackAnalyzer::new().analyze(&history, true);
     assert_eq!(report.attack_class, AttackClass::TrimmingAttack);
+    assert_one_derivation(&device, &report);
 
     let result = evaluate_recovery(&mut device, &victims, &outcome);
     assert_eq!(result.grade, RecoveryGrade::Full);
@@ -165,6 +182,7 @@ fn benign_trace_does_not_false_positive() {
     let history = device.verified_history().unwrap();
     let report = PostAttackAnalyzer::new().analyze(&history, true);
     assert_eq!(report.attack_class, AttackClass::None);
+    assert_one_derivation(&device, &report);
 }
 
 /// The log server behind the one modeled wire, as the benchmark cables it:
