@@ -47,7 +47,8 @@
 
 use crate::layout::StripeLayout;
 use rssd_core::{
-    CrashRecovery, CrashReport, HarvestReport, OffloadStats, RebuildImage, RemoteTarget, RssdDevice,
+    CrashRecovery, CrashReport, HarvestReport, HistoryAudit, LogRecord, OffloadStats, RebuildImage,
+    RemoteTarget, RssdDevice,
 };
 use rssd_flash::{NandStats, SimClock};
 use rssd_ftl::FtlStats;
@@ -205,6 +206,36 @@ enum ShardState<D> {
     },
 }
 
+impl<D> ShardState<D> {
+    /// The device answering for the shard: the member while live, the
+    /// replacement while rebuilding, none while degraded.
+    fn device(&self) -> Option<&D> {
+        match self {
+            ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } => Some(d),
+            ShardState::Degraded(_) => None,
+        }
+    }
+
+    /// [`Self::device`], mutably.
+    fn device_mut(&mut self) -> Option<&mut D> {
+        match self {
+            ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } => Some(d),
+            ShardState::Degraded(_) => None,
+        }
+    }
+}
+
+/// The evidence of the devices a shard has lost, in member-local
+/// addresses: every record their salvage walks verified, and the first
+/// salvage that failed verification. Only
+/// [`fail_shard`](RssdArray::fail_shard) writes it; it outlives every
+/// state change, crash and recovery.
+#[derive(Debug, Default)]
+struct Ledger {
+    records: Vec<LogRecord>,
+    failure: Option<String>,
+}
+
 /// Externally visible member state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardStatus {
@@ -241,6 +272,8 @@ pub struct RebuildProgress {
 #[derive(Debug)]
 pub struct RssdArray<D: BlockDevice> {
     shards: Vec<ShardState<D>>,
+    /// Per shard, what its lost devices left behind.
+    ledgers: Vec<Ledger>,
     layout: StripeLayout,
     clock: SimClock,
     page_size: usize,
@@ -283,6 +316,7 @@ impl<D: BlockDevice> RssdArray<D> {
         let layout = StripeLayout::new(shards.len(), stripe_pages, shard_pages);
         let model_name = format!("RssdArray[{}x{}]", shards.len(), shards[0].model_name());
         RssdArray {
+            ledgers: shards.iter().map(|_| Ledger::default()).collect(),
             shards: shards.into_iter().map(ShardState::Live).collect(),
             layout,
             clock,
@@ -322,21 +356,16 @@ impl<D: BlockDevice> RssdArray<D> {
         self.shards.iter().all(|s| matches!(s, ShardState::Live(_)))
     }
 
-    /// Shared access to a live member (the operator's console; `None` while
-    /// the member is failed or rebuilding).
+    /// The device answering for member `shard` (the operator's console):
+    /// the member while live, its replacement while rebuilding, `None`
+    /// while degraded.
     pub fn shard(&self, shard: usize) -> Option<&D> {
-        match &self.shards[shard] {
-            ShardState::Live(d) => Some(d),
-            _ => None,
-        }
+        self.shards[shard].device()
     }
 
-    /// Mutable access to a live member (fault injection, per-shard stats).
+    /// [`Self::shard`], mutably (fault injection, per-shard stats).
     pub fn shard_mut(&mut self, shard: usize) -> Option<&mut D> {
-        match &mut self.shards[shard] {
-            ShardState::Live(d) => Some(d),
-            _ => None,
-        }
+        self.shards[shard].device_mut()
     }
 
     fn check_range(&self, lpa: u64) -> Result<(), DeviceError> {
@@ -499,18 +528,13 @@ impl<D: BlockDevice> RssdArray<D> {
         let start = self.clock.now_ns();
         let mut end = start;
         let mut first_err = None;
-        for state in &mut self.shards {
-            match state {
-                ShardState::Live(device) | ShardState::Rebuilding { device, .. } => {
-                    device.clock().advance_to(start);
-                    if let (Err(e), None) = (device.flush(), first_err.as_ref()) {
-                        first_err = Some(e);
-                    }
-                    end = end.max(device.clock().now_ns());
-                }
-                // A failed member has nothing buffered to flush.
-                ShardState::Degraded(_) => {}
+        // A failed member has nothing buffered to flush.
+        for device in self.shards.iter_mut().filter_map(ShardState::device_mut) {
+            device.clock().advance_to(start);
+            if let (Err(e), None) = (device.flush(), first_err.as_ref()) {
+                first_err = Some(e);
             }
+            end = end.max(device.clock().now_ns());
         }
         self.clock.advance_to(end);
         first_err.map_or(Ok(()), Err)
@@ -602,47 +626,54 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
     /// pending log) is gone. The member's remote retention store is
     /// harvested into a chain-verified [`RebuildImage`], which needs nothing
     /// of the store afterwards (it is dropped here), and the shard goes
-    /// degraded — reads served from the image, writes refused.
+    /// degraded — reads served from the image, writes refused. The same
+    /// walk appends every record it verifies to the shard's ledger (a
+    /// failed walk, its verified prefix and the failure), so
+    /// [`audit_history`](Self::audit_history) keeps the lost device's
+    /// history; records still pending on the device die with it.
     ///
     /// A *rebuilding* shard can fail again (the double-failure case the
-    /// fault injector provokes): the replacement is lost and the shard
-    /// falls back to degraded service over its original salvage image —
-    /// progress is discarded, data is not.
+    /// fault injector provokes): the replacement is lost — its store walked
+    /// into the ledger alike — and the shard falls back to degraded service
+    /// over its original salvage image: progress is discarded, data is not.
     ///
     /// # Errors
     ///
     /// [`ArrayError::ShardNotLive`] when the shard is already degraded, or
-    /// [`ArrayError::SalvageFailed`] when the surviving evidence chain fails
-    /// verification (the shard still goes degraded, but over an empty
-    /// image: a tampered store must not launder data into recovery).
+    /// [`ArrayError::SalvageFailed`] when a live member's surviving evidence
+    /// chain fails verification (the shard still goes degraded, but over an
+    /// empty image: a tampered store must not launder data into recovery).
     pub fn fail_shard(&mut self, shard: usize) -> Result<HarvestReport, ArrayError> {
         self.check_shard(shard)?;
-        match self.shards[shard] {
-            ShardState::Live(_) => {
-                let ShardState::Live(device) = self.take_state(shard) else {
-                    unreachable!("liveness checked above")
-                };
-                let keys = device.escrow_keys();
-                let mut remote = device.into_remote();
-                let image = RebuildImage::harvest(&keys, &mut remote)
-                    .map_err(|detail| ArrayError::SalvageFailed { shard, detail })?;
-                let report = image.report();
-                self.shards[shard] = ShardState::Degraded(SalvagedShard { image });
-                Ok(report)
-            }
-            ShardState::Rebuilding { .. } => {
-                // Second failure mid-rebuild: the replacement dies too. The
-                // original salvage image still covers everything the first
-                // failure salvaged, so degraded reads keep flowing from it.
-                let ShardState::Rebuilding { salvage, .. } = self.take_state(shard) else {
-                    unreachable!("rebuilding state matched above")
-                };
-                let report = salvage.image.report();
-                self.shards[shard] = ShardState::Degraded(salvage);
-                Ok(report)
-            }
-            ShardState::Degraded(_) => Err(ArrayError::ShardNotLive { shard }),
+        if matches!(self.shards[shard], ShardState::Degraded(_)) {
+            return Err(ArrayError::ShardNotLive { shard });
         }
+        let (device, salvage) = match self.take_state(shard) {
+            ShardState::Live(device) => (device, None),
+            ShardState::Rebuilding {
+                device, salvage, ..
+            } => (device, Some(salvage)),
+            ShardState::Degraded(_) => unreachable!("degradedness checked above"),
+        };
+        let ledger = &mut self.ledgers[shard];
+        let keys = device.escrow_keys();
+        let mut remote = device.into_remote();
+        let harvested = RebuildImage::harvest_history(&keys, &mut remote, |records| {
+            ledger.records.extend_from_slice(records);
+        });
+        if let Err(detail) = &harvested {
+            ledger.failure.get_or_insert_with(|| detail.clone());
+        }
+        // A replacement's store holds nothing the original salvage needs.
+        let salvage = match salvage {
+            Some(salvage) => salvage,
+            None => SalvagedShard {
+                image: harvested.map_err(|detail| ArrayError::SalvageFailed { shard, detail })?,
+            },
+        };
+        let report = salvage.image.report();
+        self.shards[shard] = ShardState::Degraded(salvage);
+        Ok(report)
     }
 
     /// Simulated power loss of the whole enclosure: every reachable member
@@ -652,10 +683,8 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
     /// the fleet-summed crash report.
     pub fn crash(&mut self) -> CrashReport {
         let mut merged = CrashReport::default();
-        for state in &mut self.shards {
-            if let ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } = state {
-                merged.merge(&d.crash());
-            }
+        for device in self.shards.iter_mut().filter_map(ShardState::device_mut) {
+            merged.merge(&device.crash());
         }
         merged
     }
@@ -671,15 +700,13 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
     pub fn recover(&mut self) -> Result<CrashRecovery, ArrayError> {
         let mut merged = CrashRecovery::default();
         for (shard, state) in self.shards.iter_mut().enumerate() {
-            if let ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } = state {
-                if !d.is_crashed() {
-                    continue;
-                }
-                let r = d
-                    .recover()
-                    .map_err(|detail| ArrayError::MemberRecoveryFailed { shard, detail })?;
-                merged.merge(&r);
-            }
+            let Some(device) = state.device_mut().filter(|d| d.is_crashed()) else {
+                continue;
+            };
+            let r = device
+                .recover()
+                .map_err(|detail| ArrayError::MemberRecoveryFailed { shard, detail })?;
+            merged.merge(&r);
         }
         Ok(merged)
     }
@@ -848,26 +875,54 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
         }
     }
 
+    /// The array's history: per shard, its [ledger](Self::fail_shard) of
+    /// lost devices' verified records, then its current device's
+    /// [`audit_history`](RssdDevice::audit_history) when it has one — in
+    /// array addresses (local spaces overlap: shard 0's page 5 and shard
+    /// 1's page 5 are different array pages and must not collide in the
+    /// detectors' distinct-page sets), ordered by record time. Not
+    /// `verified` when a salvage or a member audit failed; `failure` names
+    /// the first such shard.
+    pub fn audit_history(&mut self) -> HistoryAudit {
+        let layout = self.layout;
+        let mut merged = HistoryAudit {
+            records: Vec::new(),
+            verified: true,
+            failure: None,
+        };
+        for (shard, (state, ledger)) in self.shards.iter_mut().zip(&self.ledgers).enumerate() {
+            let current = state.device_mut().map(RssdDevice::audit_history);
+            let failure = current.as_ref().and_then(|audit| audit.failure.as_ref());
+            if let (Some(failure), None) = (ledger.failure.as_ref().or(failure), &merged.failure) {
+                merged.verified = false;
+                merged.failure = Some(format!("shard {shard}: {failure}"));
+            }
+            let local = ledger.records.iter().cloned();
+            let records = local.chain(current.into_iter().flat_map(|audit| audit.records));
+            merged.records.extend(records.map(|mut r| {
+                if r.lpa < layout.shard_pages() {
+                    r.lpa = layout.array_lpa(shard, r.lpa);
+                }
+                r
+            }));
+        }
+        merged.records.sort_by_key(|r| r.at_ns);
+        merged
+    }
+
     /// Fleet-wide offload counters, merged across reachable members.
     pub fn offload_stats(&self) -> OffloadStats {
         let mut merged = OffloadStats::default();
-        for state in &self.shards {
-            if let ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } = state {
-                merged.merge(&d.offload_stats());
-            }
+        for device in self.shards.iter().filter_map(ShardState::device) {
+            merged.merge(&device.offload_stats());
         }
         merged
     }
 
     /// Total evidence-chain records across reachable members.
     pub fn chain_len(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|state| match state {
-                ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } => d.chain_len(),
-                ShardState::Degraded(_) => 0,
-            })
-            .sum()
+        let devices = self.shards.iter().filter_map(ShardState::device);
+        devices.map(RssdDevice::chain_len).sum()
     }
 
     /// Fleet-wide NAND counters, merged across reachable members via
@@ -876,10 +931,8 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
     /// homogeneous array.
     pub fn nand_stats(&self) -> NandStats {
         let mut merged = NandStats::default();
-        for state in &self.shards {
-            if let ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } = state {
-                merged.merge(d.nand_stats());
-            }
+        for device in self.shards.iter().filter_map(ShardState::device) {
+            merged.merge(device.nand_stats());
         }
         merged
     }
@@ -889,10 +942,8 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
     /// page-weighted aggregate.
     pub fn ftl_stats(&self) -> FtlStats {
         let mut merged = FtlStats::default();
-        for state in &self.shards {
-            if let ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } = state {
-                merged.merge(d.ftl_stats());
-            }
+        for device in self.shards.iter().filter_map(ShardState::device) {
+            merged.merge(device.ftl_stats());
         }
         merged
     }
@@ -901,10 +952,8 @@ impl<R: RemoteTarget> RssdArray<RssdDevice<R>> {
     /// members.
     pub fn latency(&self) -> LatencyStats {
         let mut merged = LatencyStats::new();
-        for state in &self.shards {
-            if let ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } = state {
-                merged.merge(d.latency());
-            }
+        for device in self.shards.iter().filter_map(ShardState::device) {
+            merged.merge(device.latency());
         }
         merged
     }

@@ -15,8 +15,9 @@
 //!   clocks, modeled as parallel: a batch costs its slowest shard, not the
 //!   sum.
 //! * **No detector of its own.** The array's fused verdict is its merged,
-//!   chain-verified history (`rssd-faults`' `FaultTarget::history_audit`)
-//!   through [`PostAttackAnalyzer`](rssd_core::PostAttackAnalyzer).
+//!   chain-verified history ([`RssdArray::audit_history`] — a dead
+//!   shard's salvaged records included) through
+//!   [`PostAttackAnalyzer`](rssd_core::PostAttackAnalyzer).
 //! * **Remote-assisted rebuild** — [`RssdArray::fail_shard`] models losing
 //!   a member's entire local half; the surviving remote evidence chain is
 //!   harvested ([`rssd_core::RebuildImage`]) and serves degraded reads

@@ -3,11 +3,14 @@
 //! (aggregate throughput must scale with shard count).
 
 use rssd_array::{ArrayError, RssdArray, ShardStatus};
-use rssd_core::{LoopbackTarget, RssdConfig, RssdDevice};
+use rssd_core::{
+    HistoryAudit, LogRecord, LoopbackTarget, RemoteError, RemoteTarget, RssdConfig, RssdDevice,
+    SegmentEnvelope, StoreAck,
+};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_ssd::{BlockDevice, DeviceError, IoCommand};
 
-fn rssd_shard(device_id: u64, timing: NandTiming) -> RssdDevice<LoopbackTarget> {
+fn rssd_member<R: RemoteTarget>(device_id: u64, timing: NandTiming, remote: R) -> RssdDevice<R> {
     RssdDevice::new(
         FlashGeometry::small_test(),
         timing,
@@ -17,8 +20,18 @@ fn rssd_shard(device_id: u64, timing: NandTiming) -> RssdDevice<LoopbackTarget> 
             segment_pages: 4,
             ..RssdConfig::default()
         },
-        LoopbackTarget::new(),
+        remote,
     )
+}
+
+fn rssd_shard(device_id: u64, timing: NandTiming) -> RssdDevice<LoopbackTarget> {
+    rssd_member(device_id, timing, LoopbackTarget::new())
+}
+
+/// `true` when `history` holds every one of `records`, in their order.
+fn holds_in_order(history: &[LogRecord], records: &[LogRecord]) -> bool {
+    let mut rest = history.iter();
+    records.iter().all(|record| rest.any(|r| r == record))
 }
 
 fn rssd_array(shards: usize, timing: NandTiming) -> RssdArray<RssdDevice<LoopbackTarget>> {
@@ -212,6 +225,8 @@ fn second_shard_death_mid_rebuild_is_survivable() {
     }
     array.flush().unwrap();
     let layout = *array.layout();
+    let shipped = array.audit_history();
+    assert!(shipped.verified, "{:?}", shipped.failure);
 
     let _ = array.fail_shard(0).unwrap();
     array
@@ -246,6 +261,94 @@ fn second_shard_death_mid_rebuild_is_survivable() {
         .rebuild(1, rssd_shard(8, NandTiming::instant()), None)
         .unwrap();
     assert!(array.is_fully_live());
+    // Both lost devices' records are still the array's history, beside the
+    // replacements' own.
+    let audit = array.audit_history();
+    assert!(audit.verified, "{:?}", audit.failure);
+    assert!(audit.records.len() > shipped.records.len());
+    assert!(holds_in_order(&audit.records, &shipped.records));
+}
+
+/// A store that hands one segment back with a flipped payload byte: what a
+/// salvage meets when the dead member's store was tampered with.
+#[derive(Debug, Default)]
+struct Tampering {
+    shelf: LoopbackTarget,
+    flip: Option<u64>,
+}
+
+impl RemoteTarget for Tampering {
+    fn store_segment(
+        &mut self,
+        envelope: SegmentEnvelope,
+        now_ns: u64,
+    ) -> Result<StoreAck, RemoteError> {
+        self.shelf.store_segment(envelope, now_ns)
+    }
+
+    fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
+        let stored = self.shelf.fetch_segment(segment_seq)?;
+        if self.flip != Some(segment_seq) {
+            return Ok(stored);
+        }
+        let mut payload = stored.sealed_payload().to_vec();
+        payload[0] ^= 0xFF;
+        Ok(SegmentEnvelope::new(
+            stored.device_id(),
+            segment_seq,
+            stored.prev_chain_head(),
+            stored.chain_head(),
+            stored.record_count(),
+            &payload,
+        ))
+    }
+
+    fn stored_segments(&self) -> Vec<u64> {
+        self.shelf.stored_segments()
+    }
+}
+
+#[test]
+fn a_tampered_salvage_fails_the_merged_audit_naming_its_shard() {
+    let members = (0..2)
+        .map(|i| rssd_member(i, NandTiming::instant(), Tampering::default()))
+        .collect();
+    let mut array = RssdArray::new(members, 4, SimClock::new());
+    for lpa in 0..16u64 {
+        array.write_page(lpa, page(lpa as u8)).unwrap();
+    }
+    for lpa in 0..16u64 {
+        array.write_page(lpa, page(0xEE)).unwrap();
+    }
+    array.flush().unwrap();
+    let survivor = array.shard_mut(0).unwrap().audit_history().records.len();
+
+    // The last stored segment comes back tampered with: the salvage keeps
+    // the verified prefix before it and reports the rest.
+    let remote = array.shard_mut(1).unwrap().remote_mut();
+    remote.flip = remote.stored_segments().last().copied();
+    assert!(matches!(
+        array.fail_shard(1),
+        Err(ArrayError::SalvageFailed { shard: 1, .. })
+    ));
+    let named = |audit: &HistoryAudit| {
+        !audit.verified
+            && audit
+                .failure
+                .as_deref()
+                .is_some_and(|f| f.contains("shard 1"))
+    };
+    let audit = array.audit_history();
+    assert!(named(&audit), "{:?}", audit.failure);
+    assert!(
+        audit.records.len() > survivor,
+        "the verified prefix is kept"
+    );
+
+    // The failure outlives the shard's rebuild.
+    let replacement = rssd_member(7, NandTiming::instant(), Tampering::default());
+    let _ = array.rebuild(1, replacement, None).unwrap();
+    assert!(named(&array.audit_history()));
 }
 
 #[test]

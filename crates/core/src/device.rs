@@ -277,7 +277,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
         }
         let (head, mut records, index) =
             self.evidence
-                .walk_store(workers, &mut self.remote, |_, _| ())?;
+                .walk_store(workers, &mut self.remote, |_, _, _| ())?;
         let segments = self.remote.stored_segments();
         let head = self
             .engine

@@ -174,13 +174,13 @@ impl EvidenceReader {
     /// Walks the store, verifying it end to end, and indexes it — for crash
     /// recovery, which installs the index once it can no longer fail, and
     /// for a harvest, which also keeps every verified segment's envelope
-    /// (`keep`). Returns the verified chain head, the records walked and the
-    /// version index.
+    /// and its records (`keep`). Returns the verified chain head, the records
+    /// walked and the version index.
     pub(crate) fn walk_store(
         &self,
         workers: usize,
         remote: &mut impl RemoteTarget,
-        mut keep: impl FnMut(u64, &SegmentEnvelope),
+        mut keep: impl FnMut(u64, &SegmentEnvelope, &[LogRecord]),
     ) -> Result<(Digest, u64, VersionIndex), String> {
         let (mut records, mut index) = (0, VersionIndex::default());
         let sink = |segment_seq, envelope: &SegmentEnvelope, segment: &OpenedSegment| {
@@ -188,7 +188,7 @@ impl EvidenceReader {
             for (record, retained_len) in segment.records().iter().zip(segment.retained_len()) {
                 index.fold(segment_seq, record, retained_len.is_some());
             }
-            keep(segment_seq, envelope);
+            keep(segment_seq, envelope, segment.records());
         };
         let head = walk_segments(workers, &self.chain_key, &self.session, remote, sink)?;
         Ok((head, records, index))
@@ -421,7 +421,7 @@ mod tests {
                 device.remote_mut().vouch = vouch;
                 let keys = device.escrow_keys();
                 let end_ns = device.clock().now_ns();
-                let image = RebuildImage::harvest_on(workers, &keys, device.remote_mut())
+                let image = RebuildImage::harvest_on(workers, &keys, device.remote_mut(), |_| ())
                     .expect("an honest store harvests");
                 let versions: Vec<_> = lookups(end_ns).map(|at| answer(&image, at)).collect();
                 assert!(versions.iter().flatten().count() > 8, "versions retained");
@@ -709,7 +709,7 @@ mod tests {
 
         let honest_image = RebuildImage::harvest(&keys, &mut honest.clone()).unwrap();
         let (_, _, index) = reader
-            .walk_store(1, &mut honest.clone(), |_, _| ())
+            .walk_store(1, &mut honest.clone(), |_, _, _| ())
             .unwrap();
         damage(device.remote_mut(), &reader, FlipPreimage, seq);
         let (refused, sunk) = walk_as(device.remote(), false);
@@ -758,12 +758,12 @@ mod tests {
             let keys = device.escrow_keys();
             let reader = EvidenceReader::new(&keys);
             let end_ns = device.clock().now_ns();
-            let honest = RebuildImage::harvest_on(workers, &keys, device.remote_mut())
+            let honest = RebuildImage::harvest_on(workers, &keys, device.remote_mut(), |_| ())
                 .expect("an honest store harvests");
             let mut store = device.remote().clone();
-            let image = RebuildImage::harvest_on(workers, &keys, &mut store)
+            let image = RebuildImage::harvest_on(workers, &keys, &mut store, |_| ())
                 .expect("an honest store harvests");
-            let (_, _, index) = reader.walk_store(1, &mut store, |_, _| ()).unwrap();
+            let (_, _, index) = reader.walk_store(1, &mut store, |_, _, _| ()).unwrap();
             let stored = store.stored_segments();
             let damaged = [
                 (Damage::FlipPayload, stored[WINDOW / 2]),
@@ -804,7 +804,7 @@ mod tests {
         let honest_store = device.remote().clone();
         let honest = RebuildImage::harvest(&keys, device.remote_mut()).unwrap();
         let (_, _, index) = reader
-            .walk_store(1, device.remote_mut(), |_, _| ())
+            .walk_store(1, device.remote_mut(), |_, _, _| ())
             .unwrap();
         let stored = honest_store.stored_segments();
         let seq = stored[stored.len() / 2];
@@ -855,7 +855,7 @@ mod tests {
         let first = live.remote_mut().fetch_segment(stored[0]).unwrap();
         let history = live.verified_history().expect("honest store verifies");
         let harvest = |workers, store: &mut Shelf| {
-            RebuildImage::harvest_on(workers, &keys, store).map(|image| image.report())
+            RebuildImage::harvest_on(workers, &keys, store, |_| ()).map(|image| image.report())
         };
         let report = harvest(1, live.remote_mut()).expect("honest store harvests");
         let mut crashed = shelved_device(20, 4);

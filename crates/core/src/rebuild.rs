@@ -28,6 +28,7 @@
 //! flash.
 
 use crate::evidence::EvidenceReader;
+use crate::logrec::LogRecord;
 use crate::pool;
 use crate::remote_target::RemoteTarget;
 use crate::segment::{LazyPreimages, SegmentEnvelope};
@@ -85,19 +86,36 @@ impl RebuildImage {
     /// that does not verify means remote tampering, and rebuilding from it
     /// would launder the tamper into "recovered" data.
     pub fn harvest<R: RemoteTarget>(keys: &DeviceKeys, remote: &mut R) -> Result<Self, String> {
-        Self::harvest_on(pool::machine_workers(), keys, remote)
+        Self::harvest_on(pool::machine_workers(), keys, remote, |_| ())
     }
 
-    /// [`Self::harvest`], walking the store on `workers` — which the image
-    /// does not depend on.
+    /// [`Self::harvest`], handing each verified segment's records to
+    /// `history` in chain order as the one walk authenticates them — a
+    /// failed harvest has handed over its verified prefix.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::harvest`].
+    pub fn harvest_history<R: RemoteTarget>(
+        keys: &DeviceKeys,
+        remote: &mut R,
+        history: impl FnMut(&[LogRecord]),
+    ) -> Result<Self, String> {
+        Self::harvest_on(pool::machine_workers(), keys, remote, history)
+    }
+
+    /// [`Self::harvest_history`], walking the store on `workers` — which
+    /// the image does not depend on.
     pub(crate) fn harvest_on<R: RemoteTarget>(
         workers: usize,
         keys: &DeviceKeys,
         remote: &mut R,
+        mut history: impl FnMut(&[LogRecord]),
     ) -> Result<Self, String> {
         let mut segments = HashMap::new();
-        let keep = |seq, envelope: &SegmentEnvelope| {
+        let keep = |seq, envelope: &SegmentEnvelope, records: &[LogRecord]| {
             segments.insert(seq, LazyPreimages::new(envelope.clone()));
+            history(records);
         };
         let reader = EvidenceReader::new(keys);
         let (_, records, index) = reader.walk_store(workers, remote, keep)?;

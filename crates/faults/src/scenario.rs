@@ -772,7 +772,7 @@ impl Scenario {
             .ok_or_else(|| FaultError::Scenario(format!("unknown profile {}", self.profile)))?;
         let logical_pages = device.logical_pages();
         let page_size = device.page_size();
-        let mut interruptions = 0u64;
+        let (mut interruptions, mut revived) = (0u64, 0usize);
 
         // Phase 1: benign prefix through the queue layer. No fault is armed
         // yet (phase 3 arms the plan), so the ride is a single pass.
@@ -825,7 +825,7 @@ impl Scenario {
                 Err(DeviceError::ShardFailed { .. }) if attempts < MAX_ATTACK_ATTEMPTS => {
                     // The defender rebuilds the dead member to the pre-attack
                     // point; the attacker (persistent malware) retries.
-                    device.revive_dead_shards(Some(attack_start))?;
+                    revived += device.revive_dead_shards(Some(attack_start))?;
                     interruptions += 1;
                 }
                 Err(e) => {
@@ -891,7 +891,7 @@ impl Scenario {
             power_cuts: device.power_cut_count(),
             torn_batches: device.torn_batch_count(),
             attack_interruptions: interruptions,
-            shards_revived: settled.revived as u64,
+            shards_revived: (revived + settled.revived) as u64,
             segments_offloaded: offload.segments_offloaded,
             offload_failures: offload.offload_failures,
             segments_spilled: offload.segments_spilled,

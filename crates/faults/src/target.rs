@@ -253,8 +253,9 @@ pub trait FaultTarget: BlockDevice {
         Ok(0)
     }
 
-    /// Chain-verified history audit (fleet-merged for arrays, ordered by
-    /// record time).
+    /// Chain-verified history audit (for arrays, every shard's history —
+    /// its lost devices' salvaged records, then its current device's —
+    /// merged and ordered by record time).
     fn history_audit(&mut self) -> HistoryAudit;
 
     /// Point-in-time recovery: the version of `lpa` valid just before
@@ -446,38 +447,7 @@ impl<R: FaultRemote> FaultTarget for RssdArray<RssdDevice<R>> {
     }
 
     fn history_audit(&mut self) -> HistoryAudit {
-        let layout = *self.layout();
-        let mut merged = HistoryAudit {
-            records: Vec::new(),
-            verified: true,
-            failure: None,
-        };
-        for shard in 0..self.shard_count() {
-            if let Some(member) = self.shard_mut(shard) {
-                let audit = member.audit_history();
-                if !audit.verified && merged.failure.is_none() {
-                    merged.verified = false;
-                    merged.failure = audit.failure.map(|f| format!("shard {shard}: {f}"));
-                }
-                // Members log member-local page addresses; translate back
-                // to array addresses so the merged stream has one namespace
-                // (local spaces overlap — shard 0's page 5 and shard 1's
-                // page 5 are different array pages and must not collide in
-                // the detectors' distinct-page sets).
-                merged
-                    .records
-                    .extend(audit.records.into_iter().map(|mut r| {
-                        if r.lpa < layout.shard_pages() {
-                            r.lpa = layout.array_lpa(shard, r.lpa);
-                        }
-                        r
-                    }));
-            }
-            // Degraded members carry no local device; their pre-death
-            // records live only in the (already consumed) salvage.
-        }
-        merged.records.sort_by_key(|r| r.at_ns);
-        merged
+        self.audit_history()
     }
 
     fn recover_as_of(&mut self, lpa: u64, before_ns: u64) -> Option<Vec<u8>> {

@@ -7,8 +7,8 @@
 use rssd_array::{RssdArray, ShardStatus};
 use rssd_core::{LoopbackTarget, RssdDevice, WireRemote};
 use rssd_faults::{
-    scenario_member, ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget, Scenario,
-    Topology,
+    scenario_member, ActorKind, FaultInjector, FaultPlan, FaultSchedule, FaultTarget,
+    PartitionMode, Scenario, Topology,
 };
 use rssd_flash::SimClock;
 use rssd_net::LinkConfig;
@@ -86,4 +86,39 @@ fn durable_array_survives_kill_and_revive() {
         array.shard(0).unwrap().logical_pages()
     );
     assert!(array.history_audit().verified, "replacement chain verifies");
+}
+
+#[test]
+fn a_replacement_mid_rebuild_is_partitioned_healed_and_counted_with_its_shard() {
+    let mut array = array3(false, LinkConfig::ideal());
+    let page_size = array.page_size();
+    for lpa in 0..48u64 {
+        array.write_page(lpa, vec![lpa as u8; page_size]).unwrap();
+    }
+    array.flush().unwrap();
+    array.kill_shard(1).expect("shard 1 dies");
+    let replacement = scenario_member(
+        9,
+        false,
+        WireRemote::new(LoopbackTarget::new(), LinkConfig::ideal()),
+    );
+    array.begin_rebuild(1, replacement, None).unwrap();
+    let progress = array.rebuild_step(1, 4).unwrap();
+    assert!(!progress.done, "shard 1 stays rebuilding");
+
+    // The partition reaches the replacement: its uplink goes down and the
+    // offloads its online region ships queue at the edge.
+    assert!(array.set_partition(PartitionMode::QueueForReplay));
+    let member = array.shard(1).expect("the replacement answers for shard 1");
+    assert!(member.remote().is_uplink_down());
+    let online = array.layout().array_lpa(1, 0);
+    for fill in 0..8u8 {
+        array.write_page(online, vec![fill; page_size]).unwrap();
+    }
+    array.flush().unwrap();
+    let queued = array.shard(1).unwrap().remote().stats().offloads_queued;
+    assert!(queued > 0, "the replacement offloaded into the partition");
+    assert_eq!(array.remote_fault_totals().offloads_queued, queued);
+    assert_eq!(array.heal_partition(), queued, "healing replays its queue");
+    assert!(!array.shard(1).unwrap().remote().is_uplink_down());
 }

@@ -290,7 +290,7 @@ fn shard_death_inside_a_drop_window_still_salvages() {
     .expect("scored, not errored");
     assert_eq!(card.cell, "mail/classic/seeded_0/array3");
     assert_eq!(card.recovered_pages, 97);
-    assert_eq!(card.records_audited, 809);
+    assert_eq!(card.records_audited, 1149);
     assert!(card.chain_gap_detected, "the drops are never silent");
     assert!(card.offloads_dropped > 0);
 }

@@ -15,7 +15,9 @@
 //!    and the array's merged history as one. Only the merged history
 //!    carries the whole campaign.
 //! 4. Shard 1 dies — controller, NAND, pending log, all of it. Its remote
-//!    store survives; the array harvests a chain-verified rebuild image.
+//!    store survives; the array harvests a chain-verified rebuild image and
+//!    keeps the dead member's verified records, so the merged analysis
+//!    reads the same after the death.
 //! 5. The ransomware keeps going (trim cleanup phase): commands to the dead
 //!    shard complete with `ShardFailed`, the survivors keep serving.
 //!    Degraded reads of shard 1 come from the remote image.
@@ -31,7 +33,6 @@
 use rssd_repro::array::{RssdArray, ShardStatus};
 use rssd_repro::core::{LoopbackTarget, PostAttackAnalyzer, RssdConfig, RssdDevice};
 use rssd_repro::detect::Verdict;
-use rssd_repro::faults::FaultTarget;
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_repro::ssd::{BlockDevice, CommandId, DeviceError, IoCommand, NvmeController, QueueId};
 use rssd_repro::trace::{synthesize_page, PayloadKind};
@@ -148,8 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Detection over the evidence, not the command stream. Each
     // member's chain-verified log is analyzed alone; the array's merged
     // history (every member's records in array addresses, time-ordered) is
-    // analyzed as one. It runs before shard 1 dies, because a dead member's
-    // pre-death records are not in `history_audit` (DESIGN.md §5).
+    // analyzed as one.
     let analyzer = PostAttackAnalyzer::new();
     println!("detection over the evidence logs:");
     for shard in 0..SHARDS {
@@ -161,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.score, report.verdict
         );
     }
-    let audit = array.history_audit();
+    let audit = array.audit_history();
     let fused = analyzer.analyze(&audit.records, audit.verified);
     println!(
         "  array:   score {:.2} → {:?} over {} records (chain verified: {})",
@@ -169,6 +169,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(fused.chain_verified);
     assert_eq!(fused.verdict, Verdict::Ransomware);
+    let records_before_death = audit.records.len();
 
     // --- 4. Shard 1 dies mid-attack.
     let salvage = array.fail_shard(1).map_err(std::io::Error::other)?;
@@ -178,6 +179,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         salvage.segments, salvage.records, salvage.versions, salvage.lpas_covered
     );
     assert_eq!(array.shard_status(1), ShardStatus::Degraded);
+
+    // The dead member's history is the salvage's verified records, so the
+    // merged analysis reads the same after the death.
+    let audit = array.audit_history();
+    let after = analyzer.analyze(&audit.records, audit.verified);
+    println!(
+        "  array after shard 1 died: score {:.2} → {:?} over {} records (chain verified: {})",
+        after.score, after.verdict, after.records_examined, after.chain_verified
+    );
+    assert!(after.chain_verified);
+    assert_eq!(after.verdict, Verdict::Ransomware);
+    assert_eq!(audit.records.len(), records_before_death);
 
     // Degraded reads of the dead shard come from the remote evidence chain
     // — and return the *pre-attack* content, because what the remote

@@ -19,7 +19,7 @@ use rssd_repro::remote::RemoteLogServer;
 use rssd_repro::ssd::{
     flashguard, BlockDevice, CommandId, CommandOutcome, IoCommand, NvmeController,
 };
-use rssd_repro::trace::{replay_fanout, TraceProfile};
+use rssd_repro::trace::{replay_fanout, synthesize_page, PayloadKind, TraceProfile};
 
 fn geometry() -> FlashGeometry {
     FlashGeometry::with_capacity(16 * 1024 * 1024)
@@ -182,6 +182,47 @@ fn benign_trace_does_not_false_positive() {
     let history = device.verified_history().unwrap();
     let report = PostAttackAnalyzer::new().analyze(&history, true);
     assert_eq!(report.attack_class, AttackClass::None);
+    assert_one_derivation(&device, &report);
+}
+
+/// A score the read-before bit alone carries, half-way: low-entropy
+/// overwrites, every other one preceded by a read of its page. No detector
+/// reaches the ensemble's max-signal floor, so a server that observed the
+/// writes without `read_before` would score 0 here and fail the comparison.
+#[test]
+fn a_half_correlated_history_scores_below_saturation_alike_on_both_paths() {
+    let clock = SimClock::new();
+    let mut device = rssd_over_server(clock.clone());
+    let page_size = device.page_size();
+    let text = |seed: u64| synthesize_page(PayloadKind::Text, seed, page_size);
+    for lpa in 0..64u64 {
+        device.write_page(lpa, text(lpa)).unwrap();
+    }
+    clock.advance(1_000_000);
+    for lpa in 0..64u64 {
+        if lpa % 2 == 0 {
+            device.read_page(lpa).unwrap();
+        }
+        device.write_page(lpa, text(lpa ^ 0x5a5a)).unwrap();
+    }
+    device.flush_log().unwrap();
+
+    let history = device.verified_history().unwrap();
+    let report = PostAttackAnalyzer::new().analyze(&history, true);
+    let member = |name: &str| {
+        report
+            .member_scores
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap()
+            .1
+    };
+    assert_eq!(member("overwrite-correlation"), 0.5);
+    assert!(
+        report.score > 0.0 && report.score < 0.9,
+        "unsaturated: {:?}",
+        report.member_scores
+    );
     assert_one_derivation(&device, &report);
 }
 
