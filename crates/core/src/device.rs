@@ -705,7 +705,7 @@ mod tests {
     use crate::rebuild::RebuildImage;
     use crate::recovery::RecoveryEngine;
     use crate::remote_target::LoopbackTarget;
-    use crate::segment::{OpenDepth, SegmentEnvelope};
+    use crate::segment::{OpenDepth, SegmentBody, SegmentEnvelope};
     use crate::wire::WireRemote;
     use std::collections::HashSet;
 
@@ -1807,76 +1807,128 @@ mod tests {
             .collect()
     }
 
-    /// Every wire image the store holds, in segment order.
-    fn stored_wire_images(d: &mut RssdDevice<LoopbackTarget>) -> Vec<Vec<u8>> {
-        d.remote
-            .stored_segments()
-            .into_iter()
-            .map(|seq| d.remote.fetch_segment(seq).unwrap().wire().to_vec())
-            .collect()
+    /// Where a device under test runs its pre-image stream.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Encoder {
+        /// A device on this thread: a helper thread when the machine has a
+        /// second core.
+        Here,
+        /// A device inside a pool item: the item's own thread.
+        InItem,
+        /// A device on this thread whose engine is swapped for its clone
+        /// every fifth write: the clone's stream misses the open frame's
+        /// pages so far, and the seal tops it up.
+        Cloned,
     }
 
     /// Overwrites enough pages of every shape to seal several segments,
     /// some with a reread in between (read-before-overwrite records).
-    fn overwrite_script(d: &mut RssdDevice<LoopbackTarget>, from: u64, writes: u64) {
+    fn overwrite_script(
+        d: &mut RssdDevice<LoopbackTarget>,
+        encoder: Encoder,
+        from: u64,
+        writes: u64,
+    ) {
         for i in from..from + writes {
             let lpa = i % 12;
             if i % 7 == 0 {
                 d.read_page(lpa).unwrap();
             }
+            if encoder == Encoder::Cloned && i % 5 == 0 {
+                d.engine = d.engine.clone();
+            }
             d.write_page(lpa, shaped_page(i)).unwrap();
         }
     }
 
-    /// Runs `script` on a fresh device twice — on this thread, where a
-    /// second core gives the pre-image frame a lane, and inside a pool item,
-    /// where it encodes inline at seal — and returns both stores' images.
-    /// The script is told whether its device has a lane.
-    fn on_lane_and_inline(
-        script: impl Fn(&mut RssdDevice<LoopbackTarget>, bool) + Sync,
-    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let mut lane = device();
-        script(&mut lane, pool::machine_workers() > 1);
-        let inline = pool::map(1, 1, |_| {
+    /// Opens every segment the store holds to its pre-images and seals what
+    /// it opened to again, through the public one-shot writer under the
+    /// device's session: each must come back byte for byte. Returns the
+    /// stored wire images, in segment order.
+    fn resealed_wire_images(d: &mut RssdDevice<LoopbackTarget>) -> Vec<Vec<u8>> {
+        let session = SecureSession::new(&d.escrow_keys(), 0);
+        let mut images = Vec::new();
+        for seq in d.remote().stored_segments() {
+            let envelope = d.remote_mut().fetch_segment(seq).unwrap();
+            let opened = envelope.open(&session, OpenDepth::Full).unwrap();
+            let records = opened.records().to_vec();
+            let links = opened.links().to_vec();
+            let retained_len = opened.retained_len().to_vec();
+            let raw_len = opened.raw_len();
+            let preimages = opened.into_preimages();
+            let bytes: Vec<u8> = records
+                .iter()
+                .filter_map(|record| preimages.get(record.seq))
+                .flatten()
+                .copied()
+                .collect();
+            let body = SegmentBody {
+                records: &records,
+                links: &links,
+                retained_len: &retained_len,
+                preimages: &bytes,
+            };
+            let profiler = ProfilerHandle::disabled();
+            let prev = envelope.prev_chain_head();
+            let device_id = envelope.device_id();
+            let (resealed, len) =
+                SegmentEnvelope::seal(&session, &profiler, device_id, seq, prev, body);
+            assert_eq!(
+                (resealed.wire(), len),
+                (envelope.wire(), raw_len),
+                "segment {seq}"
+            );
+            images.push(envelope.wire().to_vec());
+        }
+        images
+    }
+
+    /// Runs `script` on a fresh device with each [`Encoder`] and checks
+    /// that every device's stored segments re-seal to themselves and that
+    /// where the stream ran changed no byte. Returns how many segments the
+    /// store holds.
+    fn on_every_encoder(script: impl Fn(&mut RssdDevice<LoopbackTarget>, Encoder) + Sync) -> usize {
+        let run = |encoder| {
             let mut d = device();
-            script(&mut d, false);
-            assert_eq!(d.engine.lane_pages(), None, "no lane inside a pool item");
-            stored_wire_images(&mut d)
-        });
-        let lane_images = stored_wire_images(&mut lane);
-        (lane_images, inline.into_iter().next().unwrap())
+            script(&mut d, encoder);
+            let on_helper = d.engine.lane_pages().1;
+            (resealed_wire_images(&mut d), on_helper)
+        };
+        let (here, on_helper) = run(Encoder::Here);
+        assert_eq!(on_helper, Some(pool::machine_workers() > 1));
+        let in_item = pool::map(1, 1, |_| run(Encoder::InItem));
+        assert_eq!(in_item[0], (here.clone(), Some(false)), "inline in an item");
+        let (cloned, _) = run(Encoder::Cloned);
+        assert_eq!(cloned, here, "topped up at seal");
+        here.len()
     }
 
     #[test]
     fn a_frame_compressed_on_the_lane_seals_the_inline_bytes() {
-        let (lane, inline) = on_lane_and_inline(|d, on_lane| {
-            overwrite_script(d, 0, 200);
-            assert_eq!(d.engine.lane_pages().is_some(), on_lane);
+        let segments = on_every_encoder(|d, encoder| {
+            overwrite_script(d, encoder, 0, 200);
             d.flush_log().unwrap();
         });
-        assert!(lane.len() >= 10, "{} segments", lane.len());
-        assert_eq!(lane, inline);
+        assert!(segments >= 10, "{segments} segments");
     }
 
     #[test]
-    fn a_power_cut_with_pushes_in_flight_leaves_the_next_seal_inline_equal() {
-        let (lane, inline) = on_lane_and_inline(|d, on_lane| {
-            overwrite_script(d, 0, 60);
+    fn a_power_cut_with_pushes_in_flight_changes_no_sealed_byte() {
+        let segments = on_every_encoder(|d, encoder| {
+            overwrite_script(d, encoder, 0, 60);
             d.flush_log().unwrap();
             // Pages pinned since the last seal are on the lane (or in its
             // chunk) when the power goes.
-            overwrite_script(d, 60, 5);
-            assert_eq!(
-                d.engine.lane_pages().is_some_and(|pages| pages > 0),
-                on_lane
-            );
+            overwrite_script(d, encoder, 60, 5);
+            if encoder != Encoder::Cloned {
+                assert!(d.engine.lane_pages().0 > 0);
+            }
             let _ = d.crash();
-            assert_eq!(d.engine.lane_pages().unwrap_or(0), 0);
+            assert_eq!(d.engine.lane_pages().0, 0);
             let _ = d.recover().unwrap();
-            overwrite_script(d, 100, 60);
+            overwrite_script(d, encoder, 100, 60);
             d.flush_log().unwrap();
         });
-        assert!(lane.len() >= 4, "{} segments", lane.len());
-        assert_eq!(lane, inline);
+        assert!(segments >= 4, "{segments} segments");
     }
 }

@@ -5,15 +5,15 @@
 //! retry backoff, the NAND spill, the health machine, the counters. Its
 //! methods borrow the [`Ftl`] and the [`RemoteTarget`] from the device.
 //!
-//! The pending tail's pre-image frame is compressed before the seal: a
-//! retained page's bytes are fixed once the page is pinned (GC never picks
-//! a block that holds a pinned page), so [`OffloadEngine::pinned`] hands
-//! them to a [`PreimageLane`], whose [`FrameStream`] encodes them on the
-//! device's second core while the host keeps writing, and the seal only
-//! waits for the last of it. The seal still dispatches its timed
-//! background reads of the same pages, so the simulated device does
-//! exactly the work it did when the seal compressed what those reads
-//! returned — and the frame is that frame, byte for byte.
+//! The pending tail's pre-image frame has one encoder: a retained page's
+//! bytes are fixed once the page is pinned (GC never picks a block that
+//! holds a pinned page), so [`OffloadEngine::pinned`] hands them to a
+//! [`PreimageLane`], whose [`FrameStream`] encodes them as they come — on
+//! the device's second core while the host keeps writing when the machine
+//! has one, on the device's own thread otherwise — and the seal only waits
+//! for the last of it. The seal still dispatches its timed background reads
+//! of the same pages, so the simulated device does the work it always did;
+//! those reads carry time, not bytes.
 
 use crate::logrec::LogRecord;
 use crate::pool::Lane;
@@ -203,15 +203,16 @@ enum Job {
     Discard,
 }
 
-/// The pending tail's pre-image frame, compressed on a [`Lane`] as its
-/// pages are pinned. The lane starts with the first frame that can use it
-/// (never inside a pool item, never on a one-core machine); a frame it did
-/// not see from its first page — and every frame of a device without a
-/// lane — is compressed inline at seal, from the bytes the seal reads back,
-/// into the same frame. A clone therefore carries no lane and no frame: it
-/// seals the bytes its original would have.
+/// The pending tail's pre-image frame: the one encoder of every frame a
+/// device seals. Its [`FrameStream`] runs on a [`Lane`] — a core of its own
+/// when the machine has one to spare and the device is not a pool item,
+/// else the device's thread — and takes the frame's pages in order from the
+/// first, as they are pinned. A frame whose first pages it did not see (a
+/// clone starts with no lane and no frame) is topped up at seal, from the
+/// same pinned bytes.
 #[derive(Default)]
 pub(crate) struct PreimageLane {
+    /// Started with the first frame the device opens or seals.
     lane: Option<Lane<Job, Vec<u8>>>,
     /// Pinned bytes not handed to the lane yet: it is woken once per
     /// [`Self::CHUNK`] bytes, not once per page.
@@ -231,66 +232,62 @@ impl PreimageLane {
     /// once per four pages.
     const CHUNK: usize = 16 * 1024;
 
+    /// The lane, started on first use.
+    fn lane(&mut self) -> &mut Lane<Job, Vec<u8>> {
+        self.lane.get_or_insert_with(|| {
+            let mut stream = FrameStream::new();
+            Lane::start(move |job| match job {
+                Job::Push(bytes) => {
+                    stream.push(&bytes);
+                    None
+                }
+                Job::Finish(mut frame) => {
+                    frame.clear();
+                    stream.finish_into(&mut frame);
+                    Some(frame)
+                }
+                Job::Discard => {
+                    stream.clear();
+                    None
+                }
+            })
+        })
+    }
+
     /// The open frame's `nth` retained page (counting from 0) was pinned
     /// with these bytes. The lane takes them only in order from the frame's
-    /// first page; a frame it missed the start of stays inline.
+    /// first page; a page past a gap waits for the seal's top-up.
     fn push(&mut self, nth: u64, bytes: &[u8]) {
         if nth != self.pages {
             return;
         }
-        if self.lane.is_none() {
-            // The first page of a frame: a lane starts here or not at all.
-            self.lane = Lane::start(|| {
-                let mut stream = FrameStream::new();
-                move |job| match job {
-                    Job::Push(bytes) => {
-                        stream.push(&bytes);
-                        None
-                    }
-                    Job::Finish(mut frame) => {
-                        frame.clear();
-                        stream.finish_into(&mut frame);
-                        Some(frame)
-                    }
-                    Job::Discard => {
-                        stream.clear();
-                        None
-                    }
-                }
-            });
-        }
-        let Some(lane) = &self.lane else { return };
         if self.chunk.capacity() == 0 {
             self.chunk.reserve(Self::CHUNK);
         }
         self.chunk.extend_from_slice(bytes);
         self.pages += 1;
         if self.chunk.len() >= Self::CHUNK {
-            lane.send(Job::Push(std::mem::take(&mut self.chunk)));
+            let chunk = std::mem::take(&mut self.chunk);
+            self.lane().send(Job::Push(chunk));
         }
     }
 
-    /// The lane holds the whole pre-image frame of a tail of `retained`
-    /// retained pages, and is owed no other.
-    fn holds(&self, retained: u64) -> bool {
-        retained > 0 && self.pages == retained
-    }
-
-    /// Closes the open frame: the lane finishes it while the seal reads
-    /// its pages back, and the next push opens the next frame.
+    /// Closes the open frame: the lane finishes it while the seal builds
+    /// the metadata frame, and the next push opens the next frame.
     fn finish(&mut self) {
-        let lane = self.lane.as_ref().expect("a frame was pushed");
-        if !self.chunk.is_empty() {
-            lane.send(Job::Push(std::mem::take(&mut self.chunk)));
+        let chunk = std::mem::take(&mut self.chunk);
+        let frame = std::mem::take(&mut self.frame);
+        let lane = self.lane();
+        if !chunk.is_empty() {
+            lane.send(Job::Push(chunk));
         }
-        lane.send(Job::Finish(std::mem::take(&mut self.frame)));
+        lane.send(Job::Finish(frame));
         self.pages = 0;
     }
 
     /// Waits for the frame [`Self::finish`] closed and appends it to `wire`.
     fn append_finished(&mut self, wire: &mut Vec<u8>) {
-        let lane = self.lane.as_ref().expect("a frame was finished");
-        self.frame = lane.reply();
+        self.frame = self.lane().reply();
         wire.extend_from_slice(&self.frame);
     }
 
@@ -298,7 +295,7 @@ impl PreimageLane {
     fn discard(&mut self) {
         if self.pages > 0 {
             self.chunk.clear();
-            if let Some(lane) = &self.lane {
+            if let Some(lane) = &mut self.lane {
                 lane.send(Job::Discard);
             }
             self.pages = 0;
@@ -410,16 +407,21 @@ impl OffloadEngine {
 
     /// The pending tail just pinned `ppa`, its `nth` retained page
     /// (counting from 0): its bytes go to the pre-image lane, read by
-    /// nothing (the seal's timed read of the page stays where it was).
+    /// nothing (the seal's timed read of the page stays where it was). A
+    /// lane on the device's thread encodes here, so this is `compress` work.
     pub(crate) fn pinned(&mut self, ftl: &Ftl, ppa: Ppa, nth: u64) {
         let bytes = ftl.peek_page(ppa).expect("a pinned page is programmed");
+        self.profiler.enter("compress");
         self.preimages.push(nth, bytes);
+        self.profiler.exit();
     }
 
-    /// Pages of the pending tail's frame on the lane, if a lane runs.
+    /// Pages of the pending tail's frame on the lane, and whether the lane
+    /// runs on a helper thread (`None` before it starts).
     #[cfg(test)]
-    pub(crate) fn lane_pages(&self) -> Option<u64> {
-        self.preimages.lane.as_ref().map(|_| self.preimages.pages)
+    pub(crate) fn lane_pages(&self) -> (u64, Option<bool>) {
+        let lane = &self.preimages.lane;
+        (self.preimages.pages, lane.as_ref().map(Lane::on_helper))
     }
 
     pub(crate) fn staged_segments(&self) -> usize {
@@ -520,11 +522,12 @@ impl OffloadEngine {
         self.next_retry_at_ns = 0;
     }
 
-    /// Seals the pending tail into a staged segment: reads the retained
-    /// pre-images via background reads, has [`SegmentEnvelope::seal`] build
-    /// the wire image once, and advances the segment cursor. Every retry,
-    /// spill, and replay reuses the refcounted image. Returns the segment
-    /// just staged, `None` when nothing was pending.
+    /// Seals the pending tail into a staged segment: dispatches the timed
+    /// background reads of its retained pre-images, has the lane finish
+    /// their frame, has [`SegmentEnvelope::seal_framed`] build the wire image
+    /// once around it, and advances the segment cursor. Every retry, spill,
+    /// and replay reuses the refcounted image. Returns the segment just
+    /// staged, `None` when nothing was pending.
     pub(crate) fn seal(&mut self, pending: &mut Batch, ftl: &mut Ftl) -> Option<&StagedSegment> {
         if pending.records.is_empty() {
             return None;
@@ -533,71 +536,43 @@ impl OffloadEngine {
         // The background reads dispatch onto the unit pipelines — the
         // offload engine genuinely occupies planes and channels, which is
         // RSSD's real (small, bounded) foreground overhead — but nothing
-        // blocks on them. When the lane holds the frame, what they return
-        // is what it was handed (the pin invariant), and only a debug build
-        // keeps it, to check the frame against.
-        let streamed = self.preimages.holds(batch.retained);
-        if streamed {
-            self.preimages.finish();
-        }
-        let keep = !streamed || cfg!(debug_assertions);
+        // blocks on them, and they carry no bytes: the lane was handed each
+        // page when it was pinned, and a page it missed is peeked here (the
+        // pin invariant makes these the bytes the read would return).
         let geometry = ftl.geometry();
-        let mut preimages = Vec::with_capacity(if keep {
-            batch.retained as usize * geometry.page_size
-        } else {
-            0
-        });
+        let mut nth = 0;
         let retained_len: Vec<Option<u32>> = batch
             .records
             .iter()
             .map(|rec| {
                 let ppa = geometry.page_from_index(rec.old_page_index?);
-                let (data, _) = ftl
-                    .read_physical_offload(ppa)
+                let _ = ftl
+                    .dispatch_offload_read(ppa)
                     .expect("pinned page readable");
-                if keep {
-                    preimages.extend_from_slice(&data);
-                }
-                Some(data.len() as u32)
+                let bytes = ftl.peek_page(ppa).expect("a pinned page is programmed");
+                self.preimages.push(nth, bytes);
+                nth += 1;
+                Some(bytes.len() as u32)
             })
             .collect();
+        self.preimages.finish();
         let segment_seq = self.next_segment_seq;
         let body = SegmentBody {
             records: &batch.records,
             links: &batch.links,
             retained_len: &retained_len,
-            preimages: &preimages,
+            preimages: &[],
         };
-        let (envelope, raw_len) = if streamed {
-            let lane = &mut self.preimages;
-            SegmentEnvelope::seal_framed(
-                &self.session,
-                &self.profiler,
-                self.device_id,
-                segment_seq,
-                self.prev_segment_head,
-                body,
-                |wire| {
-                    let at = wire.len();
-                    lane.append_finished(wire);
-                    debug_assert!(
-                        wire[at..] == rssd_compress::compress_adaptive(&preimages),
-                        "the lane's frame is the one-shot frame of the pages read back"
-                    );
-                },
-            )
-        } else {
-            // A frame the lane saw only part of is dropped.
-            self.preimages.discard();
-            SegmentEnvelope::seal(
-                &self.session,
-                &self.profiler,
-                self.device_id,
-                segment_seq,
-                self.prev_segment_head,
-                body,
-            )
-        };
+        let lane = &mut self.preimages;
+        let (envelope, raw_len) = SegmentEnvelope::seal_framed(
+            &self.session,
+            &self.profiler,
+            self.device_id,
+            segment_seq,
+            self.prev_segment_head,
+            body,
+            |wire| lane.append_finished(wire),
+        );
         trace(
             &self.sink,
             "segment_sealed",
@@ -1235,14 +1210,19 @@ mod tests {
 
     /// Every sequence of the eight steps, to depth 6 (5 in an unoptimised
     /// build, where depth 6 takes minutes), with and without a spill
-    /// region: no sampling.
+    /// region: no sampling. Each explored state is a clone, which starts
+    /// its own pre-image lane at its first seal; the walk runs as a pool
+    /// item, so those lanes run on its thread and start none.
     #[test]
     fn health_machine_holds_its_invariants_on_every_path() {
         let depth = if cfg!(debug_assertions) { 5 } else { 6 };
         for spill_blocks in [0, 1] {
-            let mut seen = [false; 4];
-            explore(&Rig::new(spill_blocks), &mut Vec::new(), depth, &mut seen);
-            assert_eq!(seen, [true; 4], "every health state is reached");
+            let seen = crate::pool::map(1, 1, |_| {
+                let mut seen = [false; 4];
+                explore(&Rig::new(spill_blocks), &mut Vec::new(), depth, &mut seen);
+                seen
+            });
+            assert_eq!(seen, [[true; 4]], "every health state is reached");
         }
     }
 }

@@ -1,10 +1,11 @@
 //! The one worker pool: the only place in the workspace that starts a
 //! thread. The evidence walk fans each window of segments over it and the
 //! fleet fans its members over it; a device's offload engine keeps one
-//! lane beside its own thread, where the pending tail's pre-image
-//! frame compresses while the host writes.
+//! lane, where the pending tail's pre-image frame compresses — on a core of
+//! its own while the host writes when the machine has one to spare.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock};
@@ -81,32 +82,48 @@ pub(crate) fn machine_workers() -> usize {
     *WORKERS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// A persistent helper thread beside the thread that owns it: it runs
-/// `work` on each job sent, in order, and queues what a job answers for
-/// [`Lane::reply`], in order. Dropping the lane closes its queue and joins
-/// the thread once it has run what was sent.
+/// A worker beside the thread that owns it: it runs `work` on each job sent,
+/// in order, and queues what a job answers for [`Lane::reply`], in order.
+/// Where the worker runs is the lane's only decision: on a helper thread of
+/// its own when the machine has an idle core, else on the caller's thread,
+/// at [`Lane::send`]. Dropping a helper-thread lane closes its queue and
+/// joins the thread once it has run what was sent.
 pub(crate) struct Lane<J: Send + 'static, R: Send + 'static> {
-    jobs: Option<mpsc::Sender<J>>,
-    /// Locked only by the lane's one owner: it keeps the lane, and the
-    /// device that owns one, `Sync`.
-    replies: Mutex<mpsc::Receiver<R>>,
-    thread: Option<thread::JoinHandle<()>>,
+    runs: Runs<J, R>,
+}
+
+/// The two places a lane's worker runs.
+enum Runs<J, R> {
+    /// On a helper thread, fed through one queue and answering through
+    /// another, behind a lock never taken (its owner reads it by `&mut`):
+    /// it keeps the lane, and the device that owns one, `Sync`.
+    Helper {
+        jobs: Option<mpsc::Sender<J>>,
+        replies: Mutex<mpsc::Receiver<R>>,
+        thread: Option<thread::JoinHandle<()>>,
+    },
+    /// On the caller's thread, at each send, beside the answers it owes.
+    Caller {
+        work: Box<dyn FnMut(J) -> Option<R> + Send + Sync>,
+        replies: VecDeque<R>,
+    },
 }
 
 impl<J: Send + 'static, R: Send + 'static> Lane<J, R> {
-    /// Starts a lane that runs the worker `make` builds, unless the machine
-    /// has one worker (there is no idle core to put it on) or the caller
-    /// runs inside a [`map`] item (the pool already counts every core):
-    /// then `None`, `make` is not called, and the caller does the work
-    /// itself.
-    pub(crate) fn start<W>(make: impl FnOnce() -> W) -> Option<Self>
+    /// Starts a lane that runs `work`: on a helper thread, unless the
+    /// machine has one worker (there is no idle core to put it on) or the
+    /// caller runs inside a [`map`] item (the pool already counts every
+    /// core); then on the caller's thread.
+    pub(crate) fn start<W>(mut work: W) -> Self
     where
-        W: FnMut(J) -> Option<R> + Send + 'static,
+        W: FnMut(J) -> Option<R> + Send + Sync + 'static,
     {
         if machine_workers() <= 1 || IN_ITEM.with(Cell::get) {
-            return None;
+            let (work, replies) = (Box::new(work), VecDeque::new());
+            return Lane {
+                runs: Runs::Caller { work, replies },
+            };
         }
-        let mut work = make();
         let (jobs, inbox) = mpsc::channel::<J>();
         let (outbox, replies) = mpsc::channel::<R>();
         let thread = thread::spawn(move || {
@@ -118,34 +135,52 @@ impl<J: Send + 'static, R: Send + 'static> Lane<J, R> {
                 }
             }
         });
-        Some(Lane {
-            jobs: Some(jobs),
-            replies: Mutex::new(replies),
-            thread: Some(thread),
-        })
+        Lane {
+            runs: Runs::Helper {
+                jobs: Some(jobs),
+                replies: Mutex::new(replies),
+                thread: Some(thread),
+            },
+        }
     }
 
-    /// Queues `job` behind the ones sent before it.
+    /// Runs `job` behind the ones sent before it: queues it for the helper
+    /// thread, or runs it here.
     ///
     /// # Panics
     ///
     /// Panics if the lane died (a job panicked).
-    pub(crate) fn send(&self, job: J) {
-        self.jobs
-            .as_ref()
-            .expect("a lane's queue closes only when it drops")
-            .send(job)
-            .expect("the lane outlives its jobs");
+    pub(crate) fn send(&mut self, job: J) {
+        match &mut self.runs {
+            Runs::Helper { jobs, .. } => jobs
+                .as_ref()
+                .expect("a lane's queue closes only when it drops")
+                .send(job)
+                .expect("the lane outlives its jobs"),
+            Runs::Caller { work, replies } => replies.extend(work(job)),
+        }
     }
 
     /// Waits for the next answer.
     ///
     /// # Panics
     ///
-    /// Panics if the lane died before answering.
-    pub(crate) fn reply(&self) -> R {
-        recv_spinning(&self.replies.lock().expect("one owner waits on a lane"))
-            .expect("the lane answers the job that asks")
+    /// Panics if the lane died before answering, or, on the caller's
+    /// thread, if no job sent has answered.
+    pub(crate) fn reply(&mut self) -> R {
+        match &mut self.runs {
+            Runs::Helper { replies, .. } => {
+                recv_spinning(replies.get_mut().expect("never locked, so never poisoned"))
+            }
+            Runs::Caller { replies, .. } => replies.pop_front(),
+        }
+        .expect("the lane answers the job that asks")
+    }
+
+    /// The worker runs on a helper thread.
+    #[cfg(test)]
+    pub(crate) fn on_helper(&self) -> bool {
+        matches!(self.runs, Runs::Helper { .. })
     }
 }
 
@@ -166,11 +201,13 @@ fn recv_spinning<T>(queue: &mpsc::Receiver<T>) -> Option<T> {
 
 impl<J: Send + 'static, R: Send + 'static> Drop for Lane<J, R> {
     fn drop(&mut self) {
-        drop(self.jobs.take());
-        if let Some(thread) = self.thread.take() {
-            // A lane that panicked has already failed its owner's last
-            // send or reply.
-            let _ = thread.join();
+        if let Runs::Helper { jobs, thread, .. } = &mut self.runs {
+            drop(jobs.take());
+            if let Some(thread) = thread.take() {
+                // A lane that panicked has already failed its owner's last
+                // send or reply.
+                let _ = thread.join();
+            }
         }
     }
 }
@@ -201,30 +238,45 @@ mod tests {
         assert!(!IN_ITEM.with(Cell::get));
     }
 
+    /// A summing worker that answers with its running total, and the
+    /// thread it ran on, whenever it is sent a zero.
+    fn summing_lane() -> Lane<u64, (u64, thread::ThreadId)> {
+        let mut total = 0;
+        Lane::start(move |n: u64| {
+            total += n;
+            (n == 0).then(|| (total, thread::current().id()))
+        })
+    }
+
+    /// Sends the same jobs and returns the totals and the threads that
+    /// computed them.
+    fn run_summing(lane: &mut Lane<u64, (u64, thread::ThreadId)>) -> [(u64, thread::ThreadId); 2] {
+        for n in [3, 4, 0, 5, 0] {
+            lane.send(n);
+        }
+        [lane.reply(), lane.reply()]
+    }
+
     #[test]
-    fn a_lane_answers_in_order_and_none_starts_inside_an_item() {
+    fn a_lane_answers_in_order_on_a_helper_thread_or_inline_in_an_item() {
+        let here = thread::current().id();
         if machine_workers() > 1 {
-            let mut total = 0u64;
-            let lane = Lane::start(|| {
-                move |n: u64| {
-                    total += n;
-                    (n == 0).then_some(total)
-                }
-            })
-            .expect("a second core, outside any item");
-            for n in [3, 4, 0, 5, 0] {
-                lane.send(n);
-            }
-            assert_eq!((lane.reply(), lane.reply()), (7, 12));
-            assert!(lane
-                .thread
-                .as_ref()
-                .is_some_and(|t| t.thread().id() != thread::current().id()));
+            let mut lane = summing_lane();
+            let answers = run_summing(&mut lane);
+            assert_eq!(answers.map(|(total, _)| total), [7, 12]);
+            assert!(answers.iter().all(|(_, on)| *on != here), "a helper thread");
+            assert!(matches!(lane.runs, Runs::Helper { .. }));
         }
         let inside = map(2, 2, |_| {
-            Lane::start(|| -> fn(u64) -> Option<u64> { unreachable!("no lane, no worker") })
-                .is_none()
+            let item = thread::current().id();
+            let mut lane = summing_lane();
+            let answers = run_summing(&mut lane);
+            assert!(matches!(lane.runs, Runs::Caller { .. }), "no thread starts");
+            (
+                answers.map(|(total, _)| total),
+                answers.iter().all(|(_, on)| *on == item),
+            )
         });
-        assert_eq!(inside, [true, true]);
+        assert_eq!(inside, [([7, 12], true); 2]);
     }
 }

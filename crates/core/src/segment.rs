@@ -3,7 +3,9 @@
 //! A [`SegmentEnvelope`] is what crosses the NVMe-oE wire, lands in the NAND
 //! spill region and sits in the remote store: an 84-byte plaintext header
 //! (routing and continuity fields) around a compressed, encrypted, MAC'd
-//! payload. It has one writer, [`SegmentEnvelope::seal`], and one door,
+//! payload. It has one writer, [`SegmentEnvelope::seal`] (the offload
+//! engine seals through its body, `seal_framed`, handing it the pre-image
+//! frame its stream encoded as the pages were pinned), and one door,
 //! [`SegmentEnvelope::open`]: every reader gets an [`OpenedSegment`], whose
 //! only constructor has authenticated the payload *and* held the header —
 //! which the tag does not cover — against it. A metadata walk over a store
@@ -143,7 +145,8 @@ impl SegmentEnvelope {
     /// pre-image buffer is not read, and `append_frame` appends the
     /// [`compress_adaptive`](rssd_compress::compress_adaptive) frame of the
     /// pre-images `body.retained_len` counts to the wire image. The offload
-    /// engine's lane encodes that frame while the host writes (see
+    /// engine seals every segment this way, with the frame its stream
+    /// encoded as the pages were pinned (see
     /// [`OffloadEngine`](crate::offload)).
     pub(crate) fn seal_framed(
         session: &SecureSession,

@@ -392,23 +392,22 @@ impl NandArray {
     /// advancing the clock: the op occupies its plane and channel like any
     /// read (so it genuinely competes with foreground I/O for the units —
     /// the real, bounded cost of RSSD's offload engine), but nothing blocks
-    /// on it. Counted as a background read in the stats.
+    /// on it. Counted as a background read in the stats. It carries time,
+    /// not bytes: the page stays in the cell array, and a caller that wants
+    /// them already holds them (see [`Self::peek_page`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Self::read_async`].
-    pub fn read_background_async(
-        &mut self,
-        ppa: Ppa,
-    ) -> Result<(Vec<u8>, PageOob, OpTicket), NandError> {
-        self.read_page(ppa, ReadKind::Background)
+    pub fn dispatch_offload_read(&mut self, ppa: Ppa) -> Result<OpTicket, NandError> {
+        self.dispatch_read(ppa, ReadKind::Background)
     }
 
     /// Reads page data + OOB without charging any latency at all — no
     /// pipeline occupation, no clock movement. This is the investigator's
     /// / recovery path (post-incident forensics outside the device's
     /// foreground timeline); the *offload engine* uses
-    /// [`Self::read_background_async`], which does occupy units. Counted
+    /// [`Self::dispatch_offload_read`], which does occupy units. Counted
     /// separately in the stats.
     ///
     /// # Errors
@@ -419,21 +418,28 @@ impl NandArray {
         Ok((data, oob))
     }
 
-    /// The one read body: the page leaves the cell array here, through its
-    /// one copy. A timed read occupies the page's plane and channel; the
-    /// untimed one returns a zero-duration ticket at the current time.
+    /// A read that returns the page: it leaves the cell array here, through
+    /// its one copy.
     fn read_page(
         &mut self,
         ppa: Ppa,
         kind: ReadKind,
     ) -> Result<(Vec<u8>, PageOob, OpTicket), NandError> {
+        let ticket = self.dispatch_read(ppa, kind)?;
         let (data, oob) = self.programmed_page(ppa)?;
-        let (data, oob) = (data.to_vec(), *oob);
+        Ok((data.to_vec(), *oob, ticket))
+    }
+
+    /// The one read body: what a read costs, counts and traces. A timed
+    /// read occupies the page's plane and channel; the untimed one returns
+    /// a zero-duration ticket at the current time.
+    fn dispatch_read(&mut self, ppa: Ppa, kind: ReadKind) -> Result<OpTicket, NandError> {
+        let lpa = self.programmed_page(ppa)?.1.lpa;
         let now = self.clock.now_ns();
         let trace_name = match kind {
             ReadKind::Untimed => {
                 self.stats.record_background_read();
-                return Ok((data, oob, OpTicket::instant(now)));
+                return Ok(OpTicket::instant(now));
             }
             ReadKind::Foreground => {
                 self.stats
@@ -454,8 +460,8 @@ impl NandArray {
             self.timing.transfer_latency(self.geometry.page_size),
         );
         self.stats.record_channel_busy(ppa.channel, covered);
-        self.trace_op(trace_name, ppa, ticket, oob.lpa);
-        Ok((data, oob, ticket))
+        self.trace_op(trace_name, ppa, ticket, lpa);
+        Ok(ticket)
     }
 
     /// A programmed page's data without reading it: no latency, no pipeline
@@ -679,7 +685,7 @@ mod tests {
         assert_eq!(clock.now_ns(), 0, "dispatch must not advance the clock");
         assert_eq!(a.done_ns, t.program_latency(4096));
         assert_eq!(b.done_ns, a.done_ns, "independent channels overlap");
-        let _ = nand.read_background_async(Ppa::new(0, 0, 0, 0, 0)).unwrap();
+        let _ = nand.dispatch_offload_read(Ppa::new(0, 0, 0, 0, 0)).unwrap();
         let _ = nand.read_background(Ppa::new(1, 0, 0, 0, 0)).unwrap();
         let _ = nand.erase_block_async(Ppa::new(1, 0, 0, 1, 0)).unwrap();
         assert_eq!(clock.now_ns(), 0, "no operation advances the clock");

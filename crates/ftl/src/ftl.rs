@@ -350,17 +350,18 @@ impl Ftl {
         Ok(self.nand.read_async(ppa)?)
     }
 
-    /// Background physical read for the offload engine: dispatched onto the
-    /// unit pipelines (it occupies the page's plane and channel — the
-    /// small, bounded foreground perturbation the paper measures) but
-    /// nothing blocks on it and the clock does not move.
+    /// Background physical read for the offload engine, timing only:
+    /// dispatched onto the unit pipelines (it occupies the page's plane and
+    /// channel — the small, bounded foreground perturbation the paper
+    /// measures) but nothing blocks on it, the clock does not move and no
+    /// byte is copied. The engine already holds the page (see
+    /// [`Self::peek_page`]).
     ///
     /// # Errors
     ///
     /// Propagates NAND errors.
-    pub fn read_physical_offload(&mut self, ppa: Ppa) -> Result<(Vec<u8>, PageOob), FtlError> {
-        let (data, oob, _) = self.nand.read_background_async(ppa)?;
-        Ok((data, oob))
+    pub fn dispatch_offload_read(&mut self, ppa: Ppa) -> Result<OpTicket, FtlError> {
+        Ok(self.nand.dispatch_offload_read(ppa)?)
     }
 
     /// Zero-cost physical read for recovery and forensics (outside the

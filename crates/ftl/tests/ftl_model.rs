@@ -221,7 +221,7 @@ proptest! {
                 }
                 Dispatch::ReadPhysicalOffload(lpa) => {
                     if let Some(ppa) = ftl.lookup(lpa) {
-                        let _ = ftl.read_physical_offload(ppa).unwrap();
+                        let _ = ftl.dispatch_offload_read(ppa).unwrap();
                     }
                     None
                 }
