@@ -265,13 +265,13 @@ mod tests {
             let answers = run_summing(&mut lane);
             assert_eq!(answers.map(|(total, _)| total), [7, 12]);
             assert!(answers.iter().all(|(_, on)| *on != here), "a helper thread");
-            assert!(matches!(lane.runs, Runs::Helper { .. }));
+            assert!(lane.on_helper());
         }
         let inside = map(2, 2, |_| {
             let item = thread::current().id();
             let mut lane = summing_lane();
             let answers = run_summing(&mut lane);
-            assert!(matches!(lane.runs, Runs::Caller { .. }), "no thread starts");
+            assert!(!lane.on_helper(), "no thread starts");
             (
                 answers.map(|(total, _)| total),
                 answers.iter().all(|(_, on)| *on == item),
