@@ -11,9 +11,9 @@
 //! [`PreimageLane`], whose [`FrameStream`] encodes them as they come — on
 //! the device's second core while the host keeps writing when the machine
 //! has one, on the device's own thread otherwise — and the seal only waits
-//! for the last of it. The seal still dispatches its timed background reads
-//! of the same pages, so the simulated device does the work it always did;
-//! those reads carry time, not bytes.
+//! for the last of it. The seal dispatches timed background reads of the
+//! same pages — the offload engine's real cost on the planes and channels —
+//! and those reads carry time, not bytes.
 
 use crate::logrec::LogRecord;
 use crate::pool::Lane;
