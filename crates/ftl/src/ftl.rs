@@ -122,6 +122,8 @@ pub struct Ftl {
     pinned: HashSet<u64>,
     /// Pinned-page count per block (GC eligibility).
     pinned_per_block: Vec<u32>,
+    /// Blocks whose `pinned_per_block` is nonzero.
+    pinned_blocks: u32,
     /// Last invalidation time per block (cost-benefit age).
     last_invalidate_ns: Vec<u64>,
     stale_events: VecDeque<StaleEvent>,
@@ -169,6 +171,7 @@ impl Ftl {
             spill_cursor: 0,
             pinned: HashSet::new(),
             pinned_per_block: vec![0; geometry.total_blocks() as usize],
+            pinned_blocks: 0,
             last_invalidate_ns: vec![0; geometry.total_blocks() as usize],
             stale_events: VecDeque::new(),
             stats: FtlStats::default(),
@@ -401,7 +404,9 @@ impl Ftl {
     pub fn pin_page(&mut self, ppa: Ppa) {
         let idx = self.geometry.page_index(ppa);
         if self.pinned.insert(idx) {
-            self.pinned_per_block[self.geometry.block_index(ppa) as usize] += 1;
+            let count = &mut self.pinned_per_block[self.geometry.block_index(ppa) as usize];
+            self.pinned_blocks += u32::from(*count == 0);
+            *count += 1;
         }
     }
 
@@ -409,7 +414,9 @@ impl Ftl {
     pub fn unpin_page(&mut self, ppa: Ppa) {
         let idx = self.geometry.page_index(ppa);
         if self.pinned.remove(&idx) {
-            self.pinned_per_block[self.geometry.block_index(ppa) as usize] -= 1;
+            let count = &mut self.pinned_per_block[self.geometry.block_index(ppa) as usize];
+            *count -= 1;
+            self.pinned_blocks -= u32::from(*count == 0);
         }
     }
 
@@ -426,8 +433,7 @@ impl Ftl {
     /// Fraction of all blocks that currently contain at least one pinned
     /// page (capacity pressure signal for watermark-based eviction).
     pub fn pinned_block_fraction(&self) -> f64 {
-        let pinned_blocks = self.pinned_per_block.iter().filter(|&&c| c > 0).count();
-        pinned_blocks as f64 / self.geometry.total_blocks() as f64
+        f64::from(self.pinned_blocks) / self.geometry.total_blocks() as f64
     }
 
     /// Physical page at `page_off` pages into the spill region.
@@ -726,6 +732,7 @@ impl Ftl {
 mod tests {
     use super::*;
     use crate::config::GcPolicy;
+    use proptest::prelude::*;
     use rssd_flash::NandTiming;
 
     /// Writes `lpa` and waits for its program, as a device model does.
@@ -1146,5 +1153,33 @@ mod tests {
         let ppa = ftl.lookup(0).unwrap();
         ftl.pin_page(ppa);
         assert!(ftl.pinned_block_fraction() > 0.0);
+    }
+
+    proptest! {
+        /// The kept count of blocks holding a pin is the scan of the
+        /// per-block pin counts, after every pin and unpin — repeats of
+        /// either included.
+        #[test]
+        fn the_pinned_block_count_is_the_scan(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..96), 0..200),
+        ) {
+            let mut ftl = small_ftl();
+            let geometry = ftl.geometry();
+            // Pages of the first few blocks, so blocks fill and empty again.
+            for (pin, index) in ops {
+                let ppa = geometry.page_from_index(index);
+                if pin {
+                    ftl.pin_page(ppa);
+                } else {
+                    ftl.unpin_page(ppa);
+                }
+                let scanned = ftl.pinned_per_block.iter().filter(|&&c| c > 0).count();
+                prop_assert_eq!(ftl.pinned_blocks as usize, scanned);
+                prop_assert_eq!(
+                    ftl.pinned_block_fraction(),
+                    scanned as f64 / geometry.total_blocks() as f64
+                );
+            }
+        }
     }
 }
