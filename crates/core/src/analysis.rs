@@ -92,13 +92,26 @@ impl PostAttackAnalyzer {
     /// Analyzes a verified history (as returned by
     /// [`crate::RssdDevice::verified_history`]).
     pub fn analyze(&self, history: &[LogRecord], chain_verified: bool) -> AnalysisReport {
+        let records = history.len() as u64;
+        self.analyze_observed(Self::observations(history), records, chain_verified)
+    }
+
+    /// [`Self::analyze`] over a history's [`Self::observations`], for a
+    /// caller that keeps them too: `records_examined` is the history's
+    /// length.
+    pub fn analyze_observed(
+        &self,
+        observations: impl IntoIterator<Item = WriteObservation>,
+        records_examined: u64,
+        chain_verified: bool,
+    ) -> AnalysisReport {
         let mut ensemble = Ensemble::new();
         // The classifier's counters over the operations attributed to the
         // attack (trims and encrypting overwrites); the ensemble keeps the
         // victim set.
         let (mut malicious, mut trimmed_victims, mut fresh_write_pages) = (0u64, 0u64, 0u64);
         let (mut first_ns, mut last_ns) = (u64::MAX, 0u64);
-        for obs in Self::observations(history) {
+        for obs in observations {
             ensemble.observe(&obs);
             if obs.is_trim || obs.is_encrypting_overwrite() {
                 malicious += 1;
@@ -148,7 +161,7 @@ impl PostAttackAnalyzer {
             attack_start_ns: (malicious > 0).then_some(first_ns),
             attack_end_ns: (malicious > 0).then_some(last_ns),
             victim_lpas,
-            records_examined: history.len() as u64,
+            records_examined,
             chain_verified,
         }
     }

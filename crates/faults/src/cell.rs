@@ -16,6 +16,7 @@ use crate::schedule::FaultSchedule;
 use crate::target::{restore_power_healing_link, scenario_member, FaultError, FaultTarget};
 use rssd_array::RssdArray;
 use rssd_core::{AnalysisReport, HistoryAudit, LoopbackTarget, PostAttackAnalyzer, WireRemote};
+use rssd_detect::WriteObservation;
 use rssd_flash::SimClock;
 use rssd_net::{LinkConfig, SharedLink};
 use rssd_obs::{ProfilerHandle, SinkHandle};
@@ -210,11 +211,21 @@ pub fn settle<D: FaultTarget>(
     Ok(Settled { restored, revived })
 }
 
-/// **Audit**: the chain-verified history and the post-attack analysis of
-/// it, with the verdict traced as a `detect`/`verdict` instant.
-pub fn audit<D: FaultTarget>(device: &mut D, sink: &SinkHandle) -> (HistoryAudit, AnalysisReport) {
+/// **Audit**: the chain-verified history, the detectors' observations of it
+/// (made once, in chain order) and the post-attack analysis of those, with
+/// the verdict traced as a `detect`/`verdict` instant.
+pub fn audit<D: FaultTarget>(
+    device: &mut D,
+    sink: &SinkHandle,
+) -> (HistoryAudit, Vec<WriteObservation>, AnalysisReport) {
     let audit = device.history_audit();
-    let analysis = PostAttackAnalyzer::new().analyze(&audit.records, audit.verified);
+    let observations: Vec<_> = PostAttackAnalyzer::observations(&audit.records).collect();
+    let records = audit.records.len() as u64;
+    let analysis = PostAttackAnalyzer::new().analyze_observed(
+        observations.iter().copied(),
+        records,
+        audit.verified,
+    );
     if sink.is_enabled() {
         sink.instant(
             "detect",
@@ -227,5 +238,5 @@ pub fn audit<D: FaultTarget>(device: &mut D, sink: &SinkHandle) -> (HistoryAudit
             ],
         );
     }
-    (audit, analysis)
+    (audit, observations, analysis)
 }

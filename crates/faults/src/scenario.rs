@@ -843,7 +843,7 @@ impl Scenario {
         let cutoff = (self.actor != ActorKind::None).then_some(attack_start);
         let settled = cell::settle(device, cutoff)?;
         interruptions += u64::from(settled.restored?);
-        let (audit, analysis) = cell::audit(device, &sink);
+        let (audit, _, analysis) = cell::audit(device, &sink);
 
         // Recovery scoring: can the defender produce every victim page's
         // pre-attack content — via point-in-time recovery, or because a rebuild

@@ -8,7 +8,7 @@
 //! worker thread in any order and still merge to a byte-identical report.
 
 use crate::config::{member_seed, FleetConfig};
-use rssd_core::{OffloadStats, PostAttackAnalyzer};
+use rssd_core::OffloadStats;
 use rssd_detect::{Verdict, WriteObservation};
 use rssd_faults::cell::{self, CellBody};
 use rssd_faults::{
@@ -279,9 +279,9 @@ impl CellBody for MemberBody<'_> {
         let _ = cell::settle(device, None).map_err(|e| fail("revive", e))?;
 
         profiler.enter("detect");
-        let (audit, analysis) = cell::audit(device, sink);
-        // The fleet detector sees what the device logged, in chain order.
-        let observations = PostAttackAnalyzer::observations(&audit.records).collect();
+        // The fleet detector sees what the device logged, in chain order:
+        // the observations the audit's analysis was made of.
+        let (audit, observations, analysis) = cell::audit(device, sink);
         profiler.exit();
         let sim_end_ns = device.clock().now_ns();
         if sink.is_enabled() {

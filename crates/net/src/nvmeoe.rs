@@ -101,6 +101,9 @@ pub enum ProtocolError {
     /// this error existed an oversized payload had its length silently
     /// truncated instead of being rejected.)
     PayloadTooLarge(usize),
+    /// Receive-side: a well-formed capsule, but not the segment fragment
+    /// awaited under its sequence number.
+    Unexpected,
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -109,6 +112,7 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::BadMagic => write!(f, "bad capsule magic"),
             ProtocolError::Truncated => write!(f, "truncated capsule"),
             ProtocolError::UnknownKind(k) => write!(f, "unknown capsule kind {k}"),
+            ProtocolError::Unexpected => write!(f, "not the awaited segment fragment"),
             ProtocolError::PayloadTooLarge(len) => {
                 write!(
                     f,
@@ -198,6 +202,16 @@ impl Capsule {
             segment_seq,
             payload: data.slice(HEADER..HEADER + len),
         })
+    }
+
+    /// The payload, if this is fragment `seq` of segment `segment_seq`.
+    fn fragment_of(self, segment_seq: u64, seq: u64) -> Result<Bytes, ProtocolError> {
+        let awaited = (CapsuleKind::SegmentWrite, segment_seq, seq);
+        if (self.kind, self.segment_seq, self.seq) == awaited {
+            Ok(self.payload)
+        } else {
+            Err(ProtocolError::Unexpected)
+        }
     }
 }
 
@@ -410,6 +424,22 @@ impl NvmeOeEndpoint {
         now_ns: u64,
         max_stall_rounds: u32,
     ) -> Result<(u64, Bytes), TransferStalled> {
+        let as_sent = |frame: &EthernetFrame| frame.payload.clone();
+        self.transfer_received(segment_seq, payload, now_ns, max_stall_rounds, as_sent)
+    }
+
+    /// [`Self::try_transfer_segment`] with the bytes the remote reads of
+    /// each delivered frame given by `received_as` — on the simulated wire,
+    /// the frame's own payload. A delivered frame that does not parse as the
+    /// fragment sent under it is a loss, which go-back-N retransmits.
+    fn transfer_received(
+        &mut self,
+        segment_seq: u64,
+        payload: Bytes,
+        now_ns: u64,
+        max_stall_rounds: u32,
+        mut received_as: impl FnMut(&EthernetFrame) -> Bytes,
+    ) -> Result<(u64, Bytes), TransferStalled> {
         let fragment_count = if payload.is_empty() {
             1
         } else {
@@ -433,6 +463,7 @@ impl NvmeOeEndpoint {
                 )
             })
             .collect();
+        let first_seq = self.next_seq;
         self.next_seq += fragment_count as u64;
         let mut received: Vec<Option<Bytes>> = vec![None; fragment_count];
         let mut t = now_ns;
@@ -466,10 +497,16 @@ impl NvmeOeEndpoint {
                         );
                     }
                 }
-                if let Some(arrival) = self.to_remote.transmit(frame, t) {
-                    let capsule = Capsule::from_wire(&frame.payload).expect("well-formed capsule");
-                    debug_assert_eq!(capsule.kind, CapsuleKind::SegmentWrite);
-                    received[i] = Some(capsule.payload);
+                // A delivered frame that is not the fragment sent is lost
+                // as surely as one the link dropped.
+                let delivered = self.to_remote.transmit(frame, t).and_then(|arrival| {
+                    let capsule = Capsule::from_wire(&received_as(frame));
+                    let fragment =
+                        capsule.and_then(|c| c.fragment_of(segment_seq, first_seq + i as u64));
+                    Some((arrival, fragment.ok()?))
+                });
+                if let Some((arrival, fragment)) = delivered {
+                    received[i] = Some(fragment);
                     last_arrival = last_arrival.max(arrival);
                     progressed = true;
                 } else if self.sink.is_enabled() {
@@ -690,6 +727,70 @@ mod tests {
         let (_, delivered) = fabric.transfer_segment(1, Bytes::new(), 0);
         assert!(delivered.is_empty());
         assert_eq!(fabric.stats().segments, 1);
+    }
+
+    /// A delivered frame whose bytes arrive garbled — truncated, or another
+    /// capsule's — is a loss: the receive path returns a typed error, not a
+    /// panic, and go-back-N resends that fragment until it arrives whole.
+    #[test]
+    fn a_garbled_delivery_is_a_loss_that_go_back_n_retransmits() {
+        let payload = Bytes::from(
+            (0..3 * CAPSULE_PAYLOAD as u32)
+                .map(|i| i as u8)
+                .collect::<Vec<u8>>(),
+        );
+        let honest = NvmeOeEndpoint::new(LinkConfig::datacenter_10g())
+            .transfer_segment(9, payload.clone(), 0)
+            .0;
+        type Garble = fn(&Bytes) -> Bytes;
+        let garbles: [(Garble, ProtocolError); 3] = [
+            (|wire| wire.slice(..HEADER - 1), ProtocolError::Truncated),
+            (
+                |wire| {
+                    let mut bytes = wire.to_vec();
+                    bytes[0] ^= 0xFF;
+                    Bytes::from(bytes)
+                },
+                ProtocolError::BadMagic,
+            ),
+            (
+                |wire| {
+                    let mut bytes = wire.to_vec();
+                    bytes[5] ^= 1; // the capsule sequence number
+                    Bytes::from(bytes)
+                },
+                ProtocolError::Unexpected,
+            ),
+        ];
+        for (garble, error) in garbles {
+            let fragment = Capsule {
+                kind: CapsuleKind::SegmentWrite,
+                seq: 1,
+                segment_seq: 9,
+                payload: payload.slice(..8),
+            };
+            let parsed = Capsule::from_wire(&garble(&fragment.to_wire().unwrap()));
+            assert_eq!(parsed.and_then(|c| c.fragment_of(9, 1)), Err(error));
+            let mut fabric = NvmeOeEndpoint::new(LinkConfig::datacenter_10g());
+            let mut deliveries = 0;
+            let received_as = |frame: &EthernetFrame| {
+                deliveries += 1;
+                // The second fragment's first delivery arrives garbled.
+                if deliveries == 2 {
+                    garble(&frame.payload)
+                } else {
+                    frame.payload.clone()
+                }
+            };
+            let (done, delivered) = fabric
+                .transfer_received(9, payload.clone(), 0, u32::MAX, received_as)
+                .expect("a garbled delivery is retransmitted");
+            assert_eq!(delivered, payload);
+            let stats = fabric.stats();
+            assert_eq!(stats.retransmissions, 1, "one fragment resent");
+            assert_eq!(stats.rto_timeouts, 1, "after one timeout");
+            assert!(done > honest, "the resend costs time");
+        }
     }
 
     #[test]
