@@ -279,9 +279,12 @@ impl<R: RemoteTarget> RssdDevice<R> {
             self.evidence
                 .walk_store(workers, &mut self.remote, |_, _, _| ())?;
         let segments = self.remote.stored_segments();
-        let head = self
-            .engine
-            .replay_spill(&mut self.ftl, head, segments.last().copied())?;
+        let head = self.engine.replay_spill(
+            &mut self.ftl,
+            &self.evidence.chain,
+            head,
+            segments.last().copied(),
+        )?;
         self.evidence.index = index;
         for seg in self.engine.unshipped() {
             self.evidence.index_sealed(seg);
@@ -451,14 +454,9 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// [`Self::audit_history`], walking the store on `workers` — which its
     /// answer does not depend on.
     pub(crate) fn audit_history_on(&mut self, workers: usize) -> HistoryAudit {
-        let appended = (!self.crashed).then(|| self.chain.len());
-        self.evidence.audit(
-            workers,
-            &mut self.remote,
-            &self.engine,
-            &self.pending,
-            appended,
-        )
+        let live = (!self.crashed).then(|| (self.chain.len(), self.chain.head()));
+        self.evidence
+            .audit(workers, &mut self.remote, &self.engine, &self.pending, live)
     }
 
     /// Point-in-time recovery: the retained pre-image of `lpa` that was
@@ -512,8 +510,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
             read_before,
             old_data: None,
         };
-        let link = self.chain.append(&record.chain_image());
-        self.pending.push(record, link);
+        self.chain.append(&record.chain_image());
+        self.pending.push(record);
     }
 
     fn absorb_stale_events(&mut self, entropy_mil: u16, read_before: bool) {
@@ -558,7 +556,8 @@ impl<R: RemoteTarget> RssdDevice<R> {
             return Ok(());
         }
         self.engine.profiler.enter("wire");
-        if let Some(seg) = self.engine.seal(&mut self.pending, &mut self.ftl) {
+        let head = self.chain.head();
+        if let Some(seg) = self.engine.seal(&mut self.pending, head, &mut self.ftl) {
             self.evidence.index_sealed(seg);
         }
         let result = self.engine.drain(&mut self.ftl, &mut self.remote, forced);
@@ -702,6 +701,7 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evidence::tests::{resealed, Reseal};
     use crate::rebuild::RebuildImage;
     use crate::recovery::RecoveryEngine;
     use crate::remote_target::LoopbackTarget;
@@ -1448,7 +1448,7 @@ mod tests {
                 flip(real, SegmentEnvelope::WIRE_HEADER + 9, 0x10)
             }),
             // The payload as sealed under each of the next three; only the
-            // header, which no tag covers, has rotted.
+            // header, which the tag covers, has rotted.
             ("a header that extends some other chain", |real| {
                 flip(real, 16, 1) // first byte of `prev_chain_head`
             }),
@@ -1480,6 +1480,82 @@ mod tests {
             assert_eq!(d.staged_segments(), 0, "{what}");
             let history = d.verified_history().expect(what);
             assert_eq!(history.len() as u64, d.chain_len(), "{what}");
+        }
+    }
+
+    /// The audit chains what the store does not hold yet on from the walked
+    /// head: each unshipped staged segment's records to its envelope's
+    /// `chain_head`, then the pending tail's to the device's. Two records
+    /// swapped, one dropped or one's entropy edited in either is refused,
+    /// and the failure names the batch.
+    #[test]
+    fn the_audit_refuses_staged_and_pending_records_that_do_not_reach_their_heads() {
+        let mut d = spill_device();
+        for i in 0..20u64 {
+            d.write_page(i % 4, page(i as u8)).unwrap();
+        }
+        d.flush_log().unwrap();
+        d.remote_mut().set_uplink_down(true);
+        for i in 20..40u64 {
+            d.write_page(i % 4, page(i as u8)).unwrap();
+        }
+        assert!(d.flush_log().is_err());
+        for i in 40..43u64 {
+            d.write_page(i % 4, page(i as u8)).unwrap();
+        }
+        // Up again for the walk; nothing ships before the next offload.
+        d.remote_mut().set_uplink_down(false);
+        let staged = d.engine.unshipped().next().expect("a staged segment");
+        let staged = staged.envelope.segment_seq();
+        assert!(d.pending.records.len() >= 2);
+        assert!(d.audit_history().verified);
+        type Tamper = fn(&mut Vec<LogRecord>);
+        let tampers: [(&str, Tamper); 3] = [
+            ("swapped", |records| records.swap(0, 1)),
+            ("dropped", |records| drop(records.remove(0))),
+            ("edited", |records| records[0].entropy_mil ^= 1),
+        ];
+        fn first_staged<R: RemoteTarget>(d: &mut RssdDevice<R>) -> &mut Vec<LogRecord> {
+            &mut d.engine.unshipped_batches_mut().next().unwrap().records
+        }
+        for (what, tamper) in tampers {
+            let honest = first_staged(&mut d).clone();
+            tamper(first_staged(&mut d));
+            let audit = d.audit_history();
+            let failure = audit.failure.unwrap_or_default();
+            let named = format!("chain gap: staged segment {staged} does not extend");
+            assert!(failure.starts_with(&named), "staged, {what}: {failure}");
+            *first_staged(&mut d) = honest;
+
+            let honest = d.pending.records.clone();
+            tamper(&mut d.pending.records);
+            let audit = d.audit_history();
+            let failure = audit.failure.unwrap_or_default();
+            assert!(
+                failure.starts_with("pending tail: "),
+                "pending, {what}: {failure}"
+            );
+            d.pending.records = honest;
+            assert!(d.audit_history().verified, "{what}: restored");
+        }
+    }
+
+    /// Spill replay's arm of the resealed-records cases (the store readers'
+    /// are `evidence::tests`'): an entry a holder of the session keys, not
+    /// the chain key, opened, changed and sealed again opens, and the
+    /// replay ends there, because its records do not reach its head.
+    #[test]
+    fn spill_replay_refuses_records_resealed_without_the_chain_key() {
+        for how in Reseal::ALL {
+            let (mut d, durable, spilled) = crashed_mid_outage();
+            let session = SecureSession::new(&d.escrow_keys(), 0);
+            let third = resealed(&spilled[2], &session, how);
+            leave_in_spill(&mut d, &spilled, third.wire());
+            let recovery = d.recover().expect("a resealed entry truncates the replay");
+            assert_eq!(d.offload_stats().spill_replayed, 2, "{how:?}");
+            assert_eq!(d.chain_head(), spilled[1].chain_head(), "{how:?}");
+            let replayed = u64::from(spilled[0].record_count() + spilled[1].record_count());
+            assert_eq!(recovery.resumed_seq, durable + replayed, "{how:?}");
         }
     }
 
@@ -1852,7 +1928,6 @@ mod tests {
             let envelope = d.remote_mut().fetch_segment(seq).unwrap();
             let opened = envelope.open(&session, OpenDepth::Full).unwrap();
             let records = opened.records().to_vec();
-            let links = opened.links().to_vec();
             let retained_len = opened.retained_len().to_vec();
             let raw_len = opened.raw_len();
             let preimages = opened.into_preimages();
@@ -1864,7 +1939,7 @@ mod tests {
                 .collect();
             let body = SegmentBody {
                 records: &records,
-                links: &links,
+                chain_head: envelope.chain_head(),
                 retained_len: &retained_len,
                 preimages: &bytes,
             };

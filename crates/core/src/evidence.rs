@@ -9,7 +9,7 @@ use crate::pool;
 use crate::remote_target::RemoteTarget;
 use crate::segment::{LazyPreimages, OpenDepth, OpenedSegment, SegmentEnvelope};
 use crate::versions::{Located, VersionIndex};
-use rssd_crypto::{DeviceKeys, Digest, HashChain, KeyPurpose};
+use rssd_crypto::{ChainKey, DeviceKeys, Digest, KeyPurpose};
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
 
@@ -19,38 +19,40 @@ const WINDOW: usize = 64;
 
 /// Walks every segment stored on `remote` in chain order — each through the
 /// one door, [`SegmentEnvelope::open`], which authenticates the payload and
-/// holds the header against it — requiring each to extend the running head
-/// and its per-record HMAC links to verify, and hands each verified segment
-/// (its sequence, its envelope and what it opened to) to `sink`. Every walk
-/// opens to [`OpenDepth::Metadata`]: no pre-image is deciphered here — a
-/// reader that wants one keeps the envelope and opens it when asked
-/// (`LazyPreimages`, which authenticates it itself). Returns the verified
-/// chain head.
+/// the header's heads and count — requiring each to extend the running head
+/// and its records, chained under `chain` from its `prev_chain_head`, to
+/// reach its `chain_head`, and hands each verified segment (its sequence,
+/// its envelope and what it opened to) to `sink`. Every walk opens to
+/// [`OpenDepth::Metadata`]: no pre-image is deciphered here — a reader that
+/// wants one keeps the envelope and opens it when asked (`LazyPreimages`,
+/// which authenticates it itself). Returns the verified chain head.
 ///
 /// A segment its store vouches for ([`RemoteTarget::fetch_vouched`]: the
 /// store authenticated these bytes under `session`'s keys at ingest) enters
 /// the same door less the tag recomputation
 /// ([`SegmentEnvelope::open_vouched`]); the header binding, the parse,
-/// continuity and every link under `chain_key` are checked alike.
+/// continuity and the chain are checked alike.
 ///
 /// One [`WINDOW`] at a time: the caller fetches it (nothing past a failed
-/// fetch), [`pool::map`] fans the door and each segment's link HMACs —
-/// verified from the segment's own `prev_chain_head`, which needs nothing
-/// from any other segment — over `workers`, and the caller merges in
-/// sequence order: continuity against the running head, then `sink`. Only
-/// continuity is sequential, so the answer is the same at any `workers`.
+/// fetch), [`pool::map`] fans the door and the chain over `workers` two
+/// segments an item — each segment's run starts at its own
+/// `prev_chain_head`, which needs nothing from any other segment, so the
+/// two runs share the SHA unit ([`ChainKey::heads_after`]) — and the caller
+/// merges in sequence order: continuity against the running head, then
+/// `sink`. Only continuity is sequential, so the answer is the same at any
+/// `workers`.
 ///
 /// # Errors
 ///
 /// The walk stops at the first verification failure and describes it —
 /// per segment, a failed fetch, then a failed open, then a break in
-/// continuity, then a link that does not verify. Only fully verified
-/// segments are ever delivered to `sink`, so everything sunk is trustworthy
-/// even then — an audit keeps that verified prefix as evidence while
-/// reporting the gap.
+/// continuity, then records that do not reach the segment's head. Only
+/// fully verified segments are ever delivered to `sink`, so everything sunk
+/// is trustworthy even then — an audit keeps that verified prefix as
+/// evidence while reporting the gap.
 pub(crate) fn walk_segments<R: RemoteTarget>(
     workers: usize,
-    chain_key: &[u8],
+    chain: &ChainKey,
     session: &SecureSession,
     remote: &mut R,
     mut sink: impl FnMut(u64, &SegmentEnvelope, &OpenedSegment),
@@ -68,10 +70,7 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
                 }
             }
         }
-        // Per segment: the open, and beside it the links' verdict — held
-        // back until the merge has checked continuity, which outranks it.
-        let opened = pool::map(workers, fetched.len(), |i| {
-            let (seq, envelope, vouched) = &fetched[i];
+        let open = |(seq, envelope, vouched): &(u64, SegmentEnvelope, bool)| {
             let segment = if *vouched {
                 envelope.open_vouched(session)
             } else {
@@ -83,23 +82,48 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
                 .iter()
                 .map(LogRecord::chain_image)
                 .collect();
-            let links = HashChain::verify_from(
-                chain_key,
-                envelope.prev_chain_head(),
-                &images,
-                segment.links(),
-            )
-            .map_err(|e| format!("segment {seq}: {e}"));
-            Ok::<_, String>((segment, links))
+            Ok::<_, String>((segment, images))
+        };
+        // Per segment: the open, and beside it whether its records reach its
+        // head — held back until the merge has checked continuity, which
+        // outranks it.
+        let opened = pool::map(workers, fetched.len().div_ceil(2), |pair| {
+            let pair = &fetched[2 * pair..fetched.len().min(2 * pair + 2)];
+            let opened: Vec<_> = pair.iter().map(open).collect();
+            let runs: Vec<_> = pair
+                .iter()
+                .zip(&opened)
+                .filter_map(|((_, envelope, _), opened)| {
+                    let (_, images) = opened.as_ref().ok()?;
+                    Some((envelope.prev_chain_head(), images.as_slice()))
+                })
+                .collect();
+            let reached = match runs[..] {
+                [a, b] => {
+                    let (a, b) = chain.heads_after(a, b);
+                    vec![a, b]
+                }
+                _ => runs
+                    .iter()
+                    .map(|&(start, images)| chain.head_after(start, images))
+                    .collect(),
+            };
+            let mut reached = reached.into_iter();
+            let mut with_head = |(segment, _)| (segment, reached.next().expect("one per run"));
+            let opened = opened.into_iter().map(|opened| opened.map(&mut with_head));
+            opened.collect::<Vec<_>>()
         });
-        for ((seq, envelope, _), opened) in fetched.iter().zip(opened) {
-            let (segment, links) = opened?;
+        for ((seq, envelope, _), opened) in fetched.iter().zip(opened.into_iter().flatten()) {
+            let (segment, reached) = opened?;
             if envelope.prev_chain_head() != head {
                 return Err(format!("segment {seq} does not extend the chain"));
             }
-            links?;
-            // The door held the header's head to the last of those links.
-            head = envelope.chain_head();
+            if reached != envelope.chain_head() {
+                return Err(format!(
+                    "segment {seq}: its records do not reach its chain head"
+                ));
+            }
+            head = reached;
             sink(*seq, envelope, &segment);
         }
         if let Some(failure) = fetch_failure {
@@ -127,7 +151,7 @@ pub struct HistoryAudit {
 }
 
 pub(crate) struct EvidenceReader {
-    chain_key: [u8; 32],
+    pub(crate) chain: ChainKey,
     pub(crate) session: SecureSession,
     /// Device-RAM index of sealed old versions per LPA: every version the
     /// device sealed (or found sealed, at recovery) and in which segment —
@@ -143,9 +167,8 @@ pub(crate) struct EvidenceReader {
 
 impl std::fmt::Debug for EvidenceReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print the chain key.
         f.debug_struct("EvidenceReader")
-            .field("chain_key", &"<sealed>")
+            .field("chain", &self.chain)
             .field("session", &self.session)
             .field("index", &self.index)
             .field("opened", &self.opened)
@@ -156,7 +179,7 @@ impl std::fmt::Debug for EvidenceReader {
 impl EvidenceReader {
     pub(crate) fn new(keys: &DeviceKeys) -> Self {
         EvidenceReader {
-            chain_key: keys.derive(KeyPurpose::EvidenceChain, 0),
+            chain: ChainKey::new(&keys.derive(KeyPurpose::EvidenceChain, 0)),
             session: SecureSession::new(keys, 0),
             index: VersionIndex::default(),
             opened: None,
@@ -190,50 +213,61 @@ impl EvidenceReader {
             }
             keep(segment_seq, envelope, segment.records());
         };
-        let head = walk_segments(workers, &self.chain_key, &self.session, remote, sink)?;
+        let head = walk_segments(workers, &self.chain, &self.session, remote, sink)?;
         Ok((head, records, index))
     }
 
     /// The one history: every stored segment, then every batch the store
     /// does not hold yet — the engine's unshipped staged segments in queue
     /// order (one whose ack is in flight was just walked in the store),
-    /// then the `pending` tail — each required to extend the head the one
-    /// before it left. With `appended` (the device's chain length) every
-    /// record ever appended must be accounted for.
+    /// then the `pending` tail — each chained from the head the one before
+    /// it reached and required to reach its own: a staged segment its
+    /// envelope's `chain_head`, the pending tail the device's. With `live`
+    /// (the device's chain length and head) every record ever appended
+    /// must be accounted for; without it (a device that lost its RAM) the
+    /// pending tail, empty, has no head to reach.
     pub(crate) fn audit(
         &self,
         workers: usize,
         remote: &mut impl RemoteTarget,
         engine: &OffloadEngine,
         pending: &Batch,
-        appended: Option<u64>,
+        live: Option<(u64, Digest)>,
     ) -> HistoryAudit {
         let mut records: Vec<LogRecord> = Vec::new();
         let sink = |_, _: &_, segment: &OpenedSegment| records.extend_from_slice(segment.records());
-        let walked = walk_segments(workers, &self.chain_key, &self.session, remote, sink);
+        let walked = walk_segments(workers, &self.chain, &self.session, remote, sink);
         let local = engine
             .unshipped()
-            .map(|seg| (Some(seg.envelope.segment_seq()), &seg.batch))
-            .chain([(None, pending)]);
+            .map(|seg| {
+                (
+                    Some(seg.envelope.segment_seq()),
+                    &seg.batch,
+                    Some(seg.envelope.chain_head()),
+                )
+            })
+            .chain([(None, pending, live.map(|(_, head)| head))]);
         let verified = walked.and_then(|mut head| {
-            for (staged_seq, batch) in local {
+            for (staged_seq, batch, end) in local {
                 let images: Vec<_> = batch.records.iter().map(LogRecord::chain_image).collect();
-                HashChain::verify_from(&self.chain_key, head, &images, &batch.links).map_err(
-                    |e| match staged_seq {
+                let reached = self.chain.head_after(head, &images);
+                if end.is_some_and(|end| end != reached) {
+                    return Err(match staged_seq {
                         Some(segment_seq) => format!(
                             "chain gap: staged segment {segment_seq} does not extend the \
-                             verified prefix ({e}) — acknowledged offloads were lost \
-                             upstream or the staged links were tampered with"
+                             verified prefix — acknowledged offloads were lost upstream or \
+                             the staged records were tampered with"
                         ),
-                        None => format!("pending tail: {e}"),
-                    },
-                )?;
+                        None => "pending tail: its records do not reach the device's chain \
+                                 head"
+                            .to_string(),
+                    });
+                }
                 records.extend_from_slice(&batch.records);
-                // By the links just verified, not by a header nobody opened.
-                head = batch.links.last().map_or(head, |link| link.tag);
+                head = reached;
             }
-            match appended {
-                Some(appended) if records.len() as u64 != appended => Err(format!(
+            match live {
+                Some((appended, _)) if records.len() as u64 != appended => Err(format!(
                     "chain gap: device appended {appended} records but only {} are \
                      accounted for (offloaded + staged + pending) — acknowledged \
                      offloads were lost in transit",
@@ -300,7 +334,7 @@ impl EvidenceReader {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::RssdConfig;
     use crate::device::RssdDevice;
@@ -383,8 +417,8 @@ mod tests {
         device
     }
 
-    /// A history of one segment per three overwrites — three links, the
-    /// last outside any pair — that fills two windows and half a third.
+    /// A history of one segment per three overwrites — three records a
+    /// segment — that fills two windows and half a third.
     fn three_window_device() -> RssdDevice<Shelf> {
         let device = shelved_device(8 + 3 * (2 * WINDOW as u64 + WINDOW as u64 / 2), 3);
         let stored = device.remote().stored_segments().len();
@@ -442,6 +476,81 @@ mod tests {
         }
     }
 
+    /// What a holder of a device's session keys — a store, or whoever took
+    /// them from one — can do to a sealed segment without its chain key:
+    /// open it, change what it says, and seal it again with a good tag.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum Reseal {
+        /// The first two records trade places.
+        SwapRecords,
+        /// The first record and its pre-image are dropped, the count
+        /// made good.
+        DropRecord,
+        /// The first record's entropy is edited.
+        EditEntropy,
+        /// The header names another `chain_head`.
+        ReplaceHead,
+    }
+
+    impl Reseal {
+        pub(crate) const ALL: [Reseal; 4] = [
+            Reseal::SwapRecords,
+            Reseal::DropRecord,
+            Reseal::EditEntropy,
+            Reseal::ReplaceHead,
+        ];
+    }
+
+    /// `honest` opened under `session`, changed as `how` says and sealed
+    /// again through the one writer, behind the same `prev_chain_head`.
+    pub(crate) fn resealed(
+        honest: &SegmentEnvelope,
+        session: &SecureSession,
+        how: Reseal,
+    ) -> SegmentEnvelope {
+        let opened = honest.open(session, OpenDepth::Full).unwrap();
+        let mut records = opened.records().to_vec();
+        assert!(records.len() >= 2, "two records to swap");
+        let preimages = opened.into_preimages();
+        let mut contents: Vec<Option<Vec<u8>>> = records
+            .iter()
+            .map(|record| preimages.get(record.seq).map(<[u8]>::to_vec))
+            .collect();
+        let mut chain_head = honest.chain_head();
+        match how {
+            Reseal::SwapRecords => {
+                records.swap(0, 1);
+                contents.swap(0, 1);
+            }
+            Reseal::DropRecord => {
+                records.remove(0);
+                contents.remove(0);
+            }
+            Reseal::EditEntropy => records[0].entropy_mil ^= 1,
+            Reseal::ReplaceHead => chain_head = Digest::from_bytes([0xCD; 32]),
+        }
+        let retained_len: Vec<_> = contents
+            .iter()
+            .map(|content| content.as_ref().map(|bytes| bytes.len() as u32))
+            .collect();
+        let bytes: Vec<u8> = contents.into_iter().flatten().flatten().collect();
+        let body = SegmentBody {
+            records: &records,
+            chain_head,
+            retained_len: &retained_len,
+            preimages: &bytes,
+        };
+        let profiler = ProfilerHandle::disabled();
+        let (seq, prev) = (honest.segment_seq(), honest.prev_chain_head());
+        let resealed =
+            SegmentEnvelope::seal(session, &profiler, honest.device_id(), seq, prev, body).0;
+        assert!(
+            resealed.open(session, OpenDepth::Full).is_ok(),
+            "the door lets it in"
+        );
+        resealed
+    }
+
     /// What a store can do to one stored segment.
     #[derive(Clone, Copy, Debug)]
     enum Damage {
@@ -456,10 +565,10 @@ mod tests {
         Remove,
         /// The store refuses to hand the segment back.
         RefuseFetch,
-        /// Resealed under the device's own session with its link at this
-        /// index one the chain key never made: it opens, and that link does
-        /// not verify.
-        Relink(usize),
+        /// Resealed under the device's own session — what a store holding
+        /// the session keys, not the chain key, can make: it opens, and its
+        /// records do not reach its head.
+        Resealed(Reseal),
         /// Resealed under the device's own session around a pre-image frame
         /// that is not a frame: it authenticates, its metadata opens, and
         /// its pre-images do not decode.
@@ -467,6 +576,18 @@ mod tests {
         /// Resealed likewise around a valid pre-image frame one byte short
         /// of what the segment's `retained_len` add up to.
         MiscountPreimages,
+    }
+
+    /// `honest`'s metadata frame, as its seal compressed it.
+    fn metadata_frame(honest: &SegmentEnvelope, reader: &EvidenceReader) -> Vec<u8> {
+        let opened = honest.open(&reader.session, OpenDepth::Metadata).unwrap();
+        let mut metadata = honest.segment_seq().to_le_bytes().to_vec();
+        metadata.extend_from_slice(&honest.record_count().to_le_bytes());
+        for (record, len) in opened.records().iter().zip(opened.retained_len()) {
+            metadata.extend_from_slice(&record.chain_image());
+            metadata.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes());
+        }
+        rssd_compress::compress_adaptive(&metadata)
     }
 
     /// `honest`'s header and metadata frame around `preimage_frame`, sealed
@@ -478,27 +599,18 @@ mod tests {
     ) -> SegmentEnvelope {
         let seq = honest.segment_seq();
         let opened = honest.open(&reader.session, OpenDepth::Metadata).unwrap();
-        let mut metadata = seq.to_le_bytes().to_vec();
-        metadata.extend_from_slice(&honest.record_count().to_le_bytes());
-        for (record, len) in opened.records().iter().zip(opened.retained_len()) {
-            metadata.extend_from_slice(&record.chain_image());
-            metadata.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes());
-        }
-        for link in opened.links() {
-            metadata.extend_from_slice(&link.seq.to_le_bytes());
-            metadata.extend_from_slice(link.tag.as_bytes());
-        }
-        let frame = rssd_compress::compress_adaptive(&metadata);
+        let frame = metadata_frame(honest, reader);
         let mut plain = (frame.len() as u32).to_le_bytes().to_vec();
         plain.extend_from_slice(&frame);
         plain.extend_from_slice(preimage_frame);
-        let resealed = SegmentEnvelope::new(
+        let resealed = SegmentEnvelope::seal_plaintext(
+            &reader.session,
             honest.device_id(),
             seq,
             honest.prev_chain_head(),
             honest.chain_head(),
             honest.record_count(),
-            &reader.session.seal(seq, &plain),
+            &plain,
         );
         assert_eq!(
             resealed.open(&reader.session, OpenDepth::Metadata),
@@ -528,10 +640,12 @@ mod tests {
                 // The stream cipher keeps plaintext offsets: the pre-image
                 // frame starts behind the length word and the metadata frame.
                 let mut payload = honest.sealed_payload().to_vec();
-                let plain = reader.session.open(seq, &payload).unwrap();
-                let frame_len = u32::from_le_bytes(plain[..4].try_into().unwrap());
-                let preimage_frame = 4 + frame_len as usize;
-                assert!(preimage_frame < plain.len(), "segment {seq}: no pre-images");
+                let preimage_frame = 4 + metadata_frame(&honest, reader).len();
+                let tag = rssd_net::session::TAG_LEN;
+                assert!(
+                    preimage_frame < payload.len() - tag,
+                    "segment {seq}: no pre-images"
+                );
                 payload[preimage_frame] ^= 1;
                 rebuilt(honest.chain_head(), &payload)
             }
@@ -544,22 +658,7 @@ mod tests {
                 shelf.refuse = Some(seq);
                 return;
             }
-            Damage::Relink(forged) => {
-                let opened = honest.open(&reader.session, OpenDepth::Metadata).unwrap();
-                let mut links = opened.links().to_vec();
-                links[forged].tag = Digest::from_bytes([0xCD; 32]);
-                let retained_len = vec![None; links.len()];
-                let body = SegmentBody {
-                    records: opened.records(),
-                    links: &links,
-                    retained_len: &retained_len,
-                    preimages: &[],
-                };
-                let profiler = ProfilerHandle::disabled();
-                let prev = honest.prev_chain_head();
-                let device_id = honest.device_id();
-                SegmentEnvelope::seal(&reader.session, &profiler, device_id, seq, prev, body).0
-            }
+            Damage::Resealed(how) => resealed(&honest, &reader.session, how),
             Damage::GarblePreimages => reseal_preimage_frame(&honest, reader, &[0xFF; 16]),
             Damage::MiscountPreimages => {
                 let opened = LazyPreimages::new(honest.clone());
@@ -586,7 +685,7 @@ mod tests {
         workers: usize,
     ) -> (Result<Digest, String>, Vec<u64>) {
         let mut sunk = Vec::new();
-        let (key, session) = (&reader.chain_key, &reader.session);
+        let (key, session) = (&reader.chain, &reader.session);
         let walked = walk_segments(workers, key, session, store, |seq, _, _| sunk.push(seq));
         (walked, sunk)
     }
@@ -594,22 +693,16 @@ mod tests {
     #[test]
     fn a_damaged_store_fails_alike_at_1_2_and_4_workers_in_the_first_middle_and_last_window() {
         use Damage::*;
+        use Reseal::*;
         let device = three_window_device();
         let reader = EvidenceReader::new(&device.escrow_keys());
         let honest = device.remote().clone();
         let stored = honest.stored_segments();
         for i in [2, WINDOW + WINDOW / 2, stored.len() - 2] {
             let (prev, seq, next) = (stored[i - 1], stored[i], stored[i + 1]);
-            let links = honest.segments[&seq]
-                .open(&reader.session, OpenDepth::Metadata)
-                .unwrap()
-                .links()
-                .to_vec();
-            assert_eq!(links.len(), 3, "segment {seq}: an odd count of links");
-            let mismatch = |forged: usize| {
-                let n = links[forged].seq;
-                format!("segment {seq}: evidence chain tag mismatch at sequence {n}")
-            };
+            let count = honest.segments[&seq].record_count();
+            assert_eq!(count, 3, "segment {seq}: an odd count of records");
+            let unreached = format!("segment {seq}: its records do not reach its chain head");
             // Each case: the damage, how the first failing segment — the
             // one that decides — must be named (the whole failure, or what
             // precedes its detail), and the verified prefix.
@@ -622,15 +715,21 @@ mod tests {
                     i,
                 ),
                 (vec![(RefuseFetch, seq)], format!("fetch segment {seq}"), i),
-                // The forged link is named wherever it sits: first of the
-                // first pair, its odd member, or alone after the pairs.
-                (vec![(Relink(0), seq)], mismatch(0), i),
-                (vec![(Relink(1), seq)], mismatch(1), i),
-                (vec![(Relink(2), seq)], mismatch(2), i),
+                // Records resealed by a store without the chain key: the
+                // segment is named, whatever was done to it.
+                (vec![(Resealed(SwapRecords), seq)], unreached.clone(), i),
+                (vec![(Resealed(DropRecord), seq)], unreached.clone(), i),
+                (vec![(Resealed(EditEntropy), seq)], unreached.clone(), i),
+                (vec![(Resealed(ReplaceHead), seq)], unreached.clone(), i),
                 // An earlier segment outranks a later one, whatever fails
                 // there; within a segment a failed open outranks a break in
-                // continuity, which outranks a link that does not verify.
-                (vec![(Relink(1), seq), (FlipPayload, next)], mismatch(1), i),
+                // continuity, which outranks records that do not reach
+                // their head.
+                (
+                    vec![(Resealed(EditEntropy), seq), (FlipPayload, next)],
+                    unreached.clone(),
+                    i,
+                ),
                 (
                     vec![(FlipPayload, seq), (RefuseFetch, next)],
                     format!("open segment {seq}"),
@@ -642,7 +741,7 @@ mod tests {
                     i,
                 ),
                 (
-                    vec![(Remove, prev), (Relink(0), seq)],
+                    vec![(Remove, prev), (Resealed(SwapRecords), seq)],
                     format!("segment {seq} does not extend the chain"),
                     i - 1,
                 ),
@@ -699,13 +798,26 @@ mod tests {
             };
             walk(&mut store, &reader, 2)
         };
-        for kind in [ForgeHead, Relink(0), Relink(1), Relink(2)] {
+        for how in Reseal::ALL {
             let mut store = honest.clone();
-            damage(&mut store, &reader, kind, seq);
+            damage(&mut store, &reader, Resealed(how), seq);
             let refused = walk_as(&store, false);
-            assert!(refused.0.is_err(), "{kind:?}");
-            assert_eq!(walk_as(&store, true), refused, "{kind:?}");
+            assert!(refused.0.is_err(), "{how:?}");
+            assert_eq!(walk_as(&store, true), refused, "{how:?}");
         }
+        // A head forged without a good tag: the tag refuses it, and without
+        // the tag the chain does, at the same segment and prefix.
+        let mut store = honest.clone();
+        damage(&mut store, &reader, ForgeHead, seq);
+        let (tagless, sunk) = walk_as(&store, true);
+        let named = format!("segment {seq}: its records do not reach its chain head");
+        assert_eq!(tagless, Err(named));
+        assert_eq!(sunk[..], stored[..middle]);
+        let (tagged, sunk) = walk_as(&store, false);
+        assert!(tagged
+            .unwrap_err()
+            .starts_with(&format!("open segment {seq}: ")));
+        assert_eq!(sunk[..], stored[..middle]);
 
         let honest_image = RebuildImage::harvest(&keys, &mut honest.clone()).unwrap();
         let (_, _, index) = reader
@@ -831,6 +943,52 @@ mod tests {
             }
             assert!(lost > 0, "{kind:?}: some lookup lands in segment {seq}");
             *device.remote_mut() = honest_store.clone();
+        }
+    }
+
+    /// A store holds the session keys, not the chain key: whatever it
+    /// reseals — two records swapped, one dropped with the count made good,
+    /// one's entropy edited, or the header's `chain_head` replaced — opens,
+    /// and history, the audit (which keeps the verified prefix), a harvest
+    /// and `recover` each refuse it, naming the segment, at one worker and
+    /// at two. (Spill replay's arm is `device::tests`.)
+    #[test]
+    fn every_store_reader_refuses_records_resealed_without_the_chain_key() {
+        let honest = shelved_device(20, 4);
+        let keys = honest.escrow_keys();
+        let session = SecureSession::new(&keys, 0);
+        let stored = honest.remote().stored_segments();
+        assert_eq!(stored.len(), 3, "{stored:?}");
+        let (first, seq) = (stored[0], stored[1]);
+        let named = format!("segment {seq}: its records do not reach its chain head");
+        let prefix = honest.remote().segments[&first].record_count() as usize;
+        for how in Reseal::ALL {
+            let mut live = shelved_device(20, 4);
+            let history = live.verified_history().expect("honest store verifies");
+            let resealed = resealed(&live.remote().segments[&seq], &session, how);
+            live.remote_mut().segments.insert(seq, resealed.clone());
+            let mut crashed = shelved_device(20, 4);
+            crashed.remote_mut().segments.insert(seq, resealed);
+            let _ = crashed.crash();
+            assert_eq!(live.verified_history(), Err(named.clone()), "{how:?}");
+            for workers in [1, 2] {
+                let arm = format!("{how:?}, {workers} workers");
+                let harvested = RebuildImage::harvest_on(workers, &keys, live.remote_mut(), |_| ());
+                assert_eq!(
+                    harvested.map(|image| image.report()),
+                    Err(named.clone()),
+                    "{arm}"
+                );
+                let audit = live.audit_history_on(workers);
+                assert!(!audit.verified, "{arm}");
+                assert_eq!(audit.failure.as_ref(), Some(&named), "{arm}");
+                assert_eq!(
+                    audit.records,
+                    history[..prefix],
+                    "{arm}: the verified prefix"
+                );
+                assert_eq!(crashed.recover_on(workers), Err(named.clone()), "{arm}");
+            }
         }
     }
 

@@ -128,8 +128,8 @@ pub enum WireError {
     /// Segment payload failed to authenticate or decompress, or carries
     /// bytes its own lengths do not account for.
     BadPayload,
-    /// The segment's plaintext header names a sequence, record count or
-    /// chain head other than what its authenticated payload holds.
+    /// The segment's plaintext header names a sequence or record count
+    /// other than what its authenticated payload holds.
     HeaderMismatch,
 }
 
@@ -155,15 +155,15 @@ mod tests {
 
     use super::*;
     use crate::segment::{OpenDepth, SegmentBody, SegmentEnvelope};
-    use rssd_crypto::{ChainLink, DeviceKeys, Digest, HashChain};
+    use rssd_crypto::{ChainKey, DeviceKeys, Digest, HashChain};
     use rssd_net::SecureSession;
     use rssd_obs::ProfilerHandle;
 
     const SEQ: u64 = 9;
 
-    /// Records, their links and, beside them, each record's share of the
-    /// pre-image buffer and the buffer.
-    type Batch = (Vec<LogRecord>, Vec<ChainLink>, Vec<Option<u32>>, Vec<u8>);
+    /// Records, the chain head they reach from zero and, beside them, each
+    /// record's share of the pre-image buffer and the buffer.
+    type Batch = (Vec<LogRecord>, Digest, Vec<Option<u32>>, Vec<u8>);
 
     fn record(seq: u64) -> LogRecord {
         LogRecord {
@@ -186,19 +186,18 @@ mod tests {
     fn batch(n: u64) -> Batch {
         let mut chain = HashChain::new(b"k");
         let records: Vec<LogRecord> = (0..n).map(record).collect();
-        let links = records
-            .iter()
-            .map(|r| chain.append(&r.chain_image()))
-            .collect();
+        for r in &records {
+            chain.append(&r.chain_image());
+        }
         let retained_len = (0..n).map(|i| (i % 2 == 0).then_some(64)).collect();
         let preimages = (0..n).step_by(2).flat_map(|i| [0xA0 + i as u8; 64]);
-        (records, links, retained_len, preimages.collect())
+        (records, chain.head(), retained_len, preimages.collect())
     }
 
     fn seal(batch: &Batch) -> SegmentEnvelope {
         let body = SegmentBody {
             records: &batch.0,
-            links: &batch.1,
+            chain_head: batch.1,
             retained_len: &batch.2,
             preimages: &batch.3,
         };
@@ -207,16 +206,12 @@ mod tests {
     }
 
     /// The metadata block of `batch`, serialized by hand.
-    fn serialize((records, links, retained_len, _): &Batch) -> Vec<u8> {
+    fn serialize((records, _, retained_len, _): &Batch) -> Vec<u8> {
         let mut metadata = SEQ.to_le_bytes().to_vec();
         metadata.extend_from_slice(&(records.len() as u32).to_le_bytes());
         for (record, len) in records.iter().zip(retained_len) {
             metadata.extend_from_slice(&record.chain_image());
             metadata.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes());
-        }
-        for link in links {
-            metadata.extend_from_slice(&link.seq.to_le_bytes());
-            metadata.extend_from_slice(link.tag.as_bytes());
         }
         metadata
     }
@@ -229,8 +224,7 @@ mod tests {
         let mut plain = (frame.len() as u32).to_le_bytes().to_vec();
         plain.extend_from_slice(&frame);
         plain.extend_from_slice(&rssd_compress::compress_adaptive(region));
-        let sealed = session().seal(SEQ, &plain);
-        SegmentEnvelope::new(1, SEQ, Digest::ZERO, head, count, &sealed)
+        SegmentEnvelope::seal_plaintext(&session(), 1, SEQ, Digest::ZERO, head, count, &plain)
     }
 
     #[test]
@@ -256,7 +250,7 @@ mod tests {
         let honest = batch(2);
         let mut metadata = serialize(&honest);
         metadata[12] = 77;
-        let forged = compose(&metadata, &honest.3, honest.1[1].tag, 2);
+        let forged = compose(&metadata, &honest.3, honest.1, 2);
         for depth in [OpenDepth::Metadata, OpenDepth::Full] {
             assert_eq!(
                 forged.open(&session(), depth),
@@ -276,10 +270,9 @@ mod tests {
         let envelope = seal(&sealed);
         assert_eq!(envelope.segment_seq(), SEQ);
         assert_eq!(envelope.record_count(), 5);
-        assert_eq!(envelope.chain_head(), sealed.1[4].tag);
+        assert_eq!(envelope.chain_head(), sealed.1);
         let opened = envelope.open(&session(), OpenDepth::Full).unwrap();
         assert_eq!(opened.records(), sealed.0);
-        assert_eq!(opened.links(), sealed.1);
         assert_eq!(opened.retained_len(), sealed.2);
         let preimages = opened.into_preimages();
         for (record, content) in sealed.0.iter().step_by(2).zip(sealed.3.chunks(64)) {
@@ -290,7 +283,7 @@ mod tests {
         let empty = seal(&batch(0));
         assert_eq!(empty.chain_head(), empty.prev_chain_head());
         let opened = empty.open(&session(), OpenDepth::Full).unwrap();
-        assert!(opened.records().is_empty() && opened.links().is_empty());
+        assert!(opened.records().is_empty());
     }
 
     #[test]
@@ -300,7 +293,6 @@ mod tests {
         let full = envelope.open(&session(), OpenDepth::Full).unwrap();
         let metadata = envelope.open(&session(), OpenDepth::Metadata).unwrap();
         assert_eq!(metadata.records(), full.records());
-        assert_eq!(metadata.links(), full.links());
         assert_eq!(metadata.retained_len(), full.retained_len());
         assert_eq!(metadata.retained_len(), sealed.2);
         assert_eq!(
@@ -317,7 +309,7 @@ mod tests {
     #[test]
     fn segment_rejects_truncation() {
         let sealed = batch(1);
-        let head = sealed.1[0].tag;
+        let head = sealed.1;
         let (metadata, region) = (serialize(&sealed), sealed.3.clone());
         let both = [OpenDepth::Metadata, OpenDepth::Full];
         assert!(compose(&metadata, &region, head, 1)
@@ -362,7 +354,7 @@ mod tests {
     #[test]
     fn hostile_counts_and_lengths_are_typed_errors_not_allocations() {
         let sealed = batch(3);
-        let head = sealed.1[2].tag;
+        let head = sealed.1;
         let (metadata, region) = (serialize(&sealed), sealed.3.clone());
         // A record count the block cannot hold.
         let mut lying = metadata.clone();
@@ -388,13 +380,43 @@ mod tests {
         );
     }
 
+    /// The decoded records, chained under the key from the header's
+    /// `prev_chain_head`, reach its `chain_head`; with any record edited,
+    /// dropped or two swapped they reach another head.
     #[test]
-    fn decoded_links_verify_against_records() {
-        let opened = seal(&batch(4))
-            .open(&session(), OpenDepth::Metadata)
-            .unwrap();
-        let chain_inputs: Vec<Vec<u8>> = opened.records().iter().map(|r| r.chain_bytes()).collect();
-        HashChain::verify_sequence(b"k", &chain_inputs, opened.links()).unwrap();
+    fn decoded_records_chain_to_the_header_head() {
+        let envelope = seal(&batch(4));
+        let opened = envelope.open(&session(), OpenDepth::Metadata).unwrap();
+        let key = ChainKey::new(b"k");
+        let images: Vec<_> = opened.records().iter().map(|r| r.chain_bytes()).collect();
+        let start = envelope.prev_chain_head();
+        assert_eq!(key.head_after(start, &images), envelope.chain_head());
+        let mut edited = images.clone();
+        edited[1][0] ^= 1;
+        let mut swapped = images.clone();
+        swapped.swap(1, 2);
+        let dropped = [&images[..1], &images[2..]].concat();
+        for damaged in [edited, swapped, dropped] {
+            assert_ne!(key.head_after(start, &damaged), envelope.chain_head());
+        }
+    }
+
+    /// The layout that stored a link per record behind the entries is
+    /// refused with a typed error, even sealed under a valid tag.
+    #[test]
+    fn the_layout_with_stored_links_is_a_typed_error() {
+        let sealed = batch(3);
+        let mut chain = HashChain::new(b"k");
+        let mut with_links = serialize(&sealed);
+        for record in &sealed.0 {
+            let link = chain.append(&record.chain_image());
+            with_links.extend_from_slice(&link.seq.to_le_bytes());
+            with_links.extend_from_slice(link.tag.as_bytes());
+        }
+        let old = compose(&with_links, &sealed.3, sealed.1, 3);
+        for depth in [OpenDepth::Metadata, OpenDepth::Full] {
+            assert_eq!(old.open(&session(), depth), Err(WireError::BadPayload));
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::pool::Lane;
 use crate::remote_target::{RemoteError, RemoteTarget};
 use crate::segment::{OpenDepth, SegmentBody, SegmentEnvelope};
 use rssd_compress::FrameStream;
-use rssd_crypto::{ChainLink, Digest};
+use rssd_crypto::{ChainKey, Digest};
 use rssd_flash::Ppa;
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
@@ -164,23 +164,22 @@ fn trace(sink: &SinkHandle, name: &str, at_ns: u64, args: &[(&str, &dyn std::fmt
     }
 }
 
-/// Consecutive log records with their chain links, metadata only
-/// (`old_data: None`) — the one shape the device's pending tail, a staged
-/// segment and a history check share.
+/// Consecutive log records, metadata only (`old_data: None`) — the one
+/// shape the device's pending tail, a staged segment and a history check
+/// share. Their chain links are not kept: a check recomputes the run from
+/// the head before it to the head after it.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Batch {
     pub(crate) records: Vec<LogRecord>,
-    pub(crate) links: Vec<ChainLink>,
     /// Records that name a retained old page (pinned on flash until the
     /// batch's segment is acknowledged or spilled).
     pub(crate) retained: u64,
 }
 
 impl Batch {
-    pub(crate) fn push(&mut self, record: LogRecord, link: ChainLink) {
+    pub(crate) fn push(&mut self, record: LogRecord) {
         self.retained += u64::from(record.old_page_index.is_some());
         self.records.push(record);
-        self.links.push(link);
     }
 
     /// Releases the retention pin of every old page the batch names.
@@ -328,8 +327,8 @@ impl std::fmt::Debug for PreimageLane {
 #[derive(Clone, Debug)]
 pub(crate) struct StagedSegment {
     pub(crate) envelope: SegmentEnvelope,
-    /// The segment's records and links (the pre-images live inside the
-    /// envelope; these drive chain verification and the recovery index).
+    /// The segment's records (the pre-images live inside the envelope;
+    /// these drive chain verification and the recovery index).
     pub(crate) batch: Batch,
     raw_bytes: u64,
     /// Persisted to the NAND spill region: the evidence survives a power
@@ -434,6 +433,15 @@ impl OffloadEngine {
         self.staged.iter().filter(|seg| seg.acked_at_ns.is_none())
     }
 
+    /// The records of every unshipped staged segment, to tamper with.
+    #[cfg(test)]
+    pub(crate) fn unshipped_batches_mut(&mut self) -> impl Iterator<Item = &mut Batch> {
+        let staged = self.staged.iter_mut();
+        staged
+            .filter(|seg| seg.acked_at_ns.is_none())
+            .map(|seg| &mut seg.batch)
+    }
+
     /// The wire image of segment `segment_seq` while it is still staged:
     /// RAM-only, spilled or in flight, its pre-images open locally.
     pub(crate) fn staged_envelope(&self, segment_seq: u64) -> Option<&SegmentEnvelope> {
@@ -522,13 +530,19 @@ impl OffloadEngine {
         self.next_retry_at_ns = 0;
     }
 
-    /// Seals the pending tail into a staged segment: dispatches the timed
-    /// background reads of its retained pre-images, has the lane finish
-    /// their frame, has [`SegmentEnvelope::seal_framed`] build the wire image
-    /// once around it, and advances the segment cursor. Every retry, spill,
-    /// and replay reuses the refcounted image. Returns the segment just
-    /// staged, `None` when nothing was pending.
-    pub(crate) fn seal(&mut self, pending: &mut Batch, ftl: &mut Ftl) -> Option<&StagedSegment> {
+    /// Seals the pending tail, which ends at `chain_head`, into a staged
+    /// segment: dispatches the timed background reads of its retained
+    /// pre-images, has the lane finish their frame, has
+    /// [`SegmentEnvelope::seal_framed`] build the wire image once around it,
+    /// and advances the segment cursor. Every retry, spill, and replay
+    /// reuses the refcounted image. Returns the segment just staged, `None`
+    /// when nothing was pending.
+    pub(crate) fn seal(
+        &mut self,
+        pending: &mut Batch,
+        chain_head: Digest,
+        ftl: &mut Ftl,
+    ) -> Option<&StagedSegment> {
         if pending.records.is_empty() {
             return None;
         }
@@ -559,7 +573,7 @@ impl OffloadEngine {
         let segment_seq = self.next_segment_seq;
         let body = SegmentBody {
             records: &batch.records,
-            links: &batch.links,
+            chain_head,
             retained_len: &retained_len,
             preimages: &[],
         };
@@ -815,14 +829,17 @@ impl OffloadEngine {
     /// segments that were staged mid-outage survived the power cut on real
     /// flash. Entries the store already holds (`stored_up_to`, its last
     /// segment) are skipped; the rest are re-staged in order, each
-    /// required to extend `head` — the store's verified chain head — and
-    /// to pass [`SegmentEnvelope::open`], so the backlog drains exactly as
-    /// if the cut never happened. Replay stops at the first entry that is
-    /// damaged or out of place. Returns the head after the last re-staged
-    /// segment, or an error when the spill region cannot be read.
+    /// required to extend `head` — the store's verified chain head — to
+    /// pass [`SegmentEnvelope::open`], and to reach its header's
+    /// `chain_head` when its records are chained under `chain`, so the
+    /// backlog drains exactly as if the cut never happened. Replay stops at
+    /// the first entry that is damaged or out of place. Returns the head
+    /// after the last re-staged segment, or an error when the spill region
+    /// cannot be read.
     pub(crate) fn replay_spill(
         &mut self,
         ftl: &mut Ftl,
+        chain: &ChainKey,
         mut head: Digest,
         stored_up_to: Option<u64>,
     ) -> Result<Digest, String> {
@@ -845,9 +862,17 @@ impl OffloadEngine {
             let Ok(segment) = envelope.open(&self.session, OpenDepth::Metadata) else {
                 break;
             };
+            let images: Vec<_> = segment
+                .records()
+                .iter()
+                .map(LogRecord::chain_image)
+                .collect();
+            if chain.head_after(head, &images) != envelope.chain_head() {
+                break; // its records are not the run its heads enclose
+            }
             let mut batch = Batch::default();
-            for (record, link) in segment.records().iter().zip(segment.links()) {
-                batch.push(record.clone(), *link);
+            for record in segment.records() {
+                batch.push(record.clone());
             }
             head = envelope.chain_head();
             self.stats.spill_replayed += 1;
@@ -971,6 +996,7 @@ mod tests {
     struct Rig {
         ftl: Ftl,
         chain_key: [u8; 32],
+        verifier: ChainKey,
         chain: HashChain,
         pending: Batch,
         engine: OffloadEngine,
@@ -1013,6 +1039,7 @@ mod tests {
             Rig {
                 ftl,
                 chain: HashChain::new(&chain_key),
+                verifier: ChainKey::new(&chain_key),
                 chain_key,
                 pending: Batch::default(),
                 engine: OffloadEngine::new(SecureSession::new(&keys, 0), 1),
@@ -1038,12 +1065,13 @@ mod tests {
                 read_before: false,
                 old_data: None,
             };
-            let link = self.chain.append(&record.chain_image());
-            self.pending.push(record, link);
+            self.chain.append(&record.chain_image());
+            self.pending.push(record);
         }
 
         fn seal(&mut self) {
-            self.engine.seal(&mut self.pending, &mut self.ftl);
+            let head = self.chain.head();
+            self.engine.seal(&mut self.pending, head, &mut self.ftl);
         }
 
         /// A background drain `after_ns` from now; only an unreachable
@@ -1117,14 +1145,14 @@ mod tests {
                     let session = self.engine.session.clone();
                     let mut records = 0;
                     let head =
-                        walk_segments(1, &self.chain_key, &session, &mut self.remote, |_, _, _| {
+                        walk_segments(1, &self.verifier, &session, &mut self.remote, |_, _, _| {
                             records += 1
                         })
                         .expect("the store verifies");
                     let stored_up_to = stored.checked_sub(1);
                     let head = self
                         .engine
-                        .replay_spill(&mut self.ftl, head, stored_up_to)
+                        .replay_spill(&mut self.ftl, &self.verifier, head, stored_up_to)
                         .unwrap();
                     // Everything durable at the cut is back: spilled
                     // segments the store does not hold are re-staged (the

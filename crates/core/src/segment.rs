@@ -7,22 +7,26 @@
 //! engine seals through its body, `seal_framed`, handing it the pre-image
 //! frame its stream encoded as the pages were pinned), and one door,
 //! [`SegmentEnvelope::open`]: every reader gets an [`OpenedSegment`], whose
-//! only constructor has authenticated the payload *and* held the header —
-//! which the tag does not cover — against it. A metadata walk over a store
-//! that authenticated the payload at ingest enters the same door less the
-//! tag check ([`SegmentEnvelope::open_vouched`]).
+//! only constructor has authenticated the payload and the header behind
+//! `device_id` — both chain heads and the record count ride under the tag
+//! as associated data — and held the header's sequence and count against
+//! the payload's. A metadata walk over a store that authenticated the
+//! segment at ingest enters the same door less the tag check
+//! ([`SegmentEnvelope::open_vouched`]).
 //!
 //! Sealed plaintext: `[u32 metadata frame length | metadata frame |
 //! pre-image frame]`, two [`rssd_compress::compress_adaptive`] frames, so a
 //! reader can stop after the first. The metadata block is `segment_seq u64 |
 //! count u32`, then per record a 40-byte entry (the chain image and a `u32`
-//! content length, `u32::MAX` for none), then per record a 40-byte chain
-//! link (`seq u64 | tag 32 B`); the pre-image region is every retained
-//! pre-image back to back in record order.
+//! content length, `u32::MAX` for none); the pre-image region is every
+//! retained pre-image back to back in record order. No chain link is
+//! stored: the header's `prev_chain_head` and `chain_head` are the chain's
+//! only values in a segment, and a reader holding the chain key recomputes
+//! the run between them.
 
 use crate::logrec::{LogRecord, WireError};
 use bytes::Bytes;
-use rssd_crypto::{ChainLink, Digest};
+use rssd_crypto::Digest;
 use rssd_net::{Authenticated, SecureSession};
 use rssd_obs::ProfilerHandle;
 use std::ops::Range;
@@ -30,13 +34,16 @@ use std::sync::OnceLock;
 
 /// Size of one record's entry in the metadata block.
 const ENTRY_LEN: usize = LogRecord::CHAIN_IMAGE_LEN + 4;
-/// Size of one chain link in the metadata block.
-const LINK_LEN: usize = 8 + 32;
 
 /// Size of the metadata block of a segment of `count` records.
 const fn metadata_len(count: usize) -> usize {
-    12 + count * (ENTRY_LEN + LINK_LEN)
+    12 + count * ENTRY_LEN
 }
+
+/// Where the header bytes the tag covers begin: both chain heads and the
+/// record count (`segment_seq` enters the tag on its own; `device_id`, bound
+/// by the key, is the one field outside it).
+const BOUND_FROM: usize = 16;
 
 /// How far a reader opens a sealed segment. Through [`SegmentEnvelope::open`]
 /// the one HMAC tag is verified over *every* sealed byte first, either way;
@@ -45,8 +52,8 @@ const fn metadata_len(count: usize) -> usize {
 /// `Metadata` only, and only from a store that verified the tag at ingest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpenDepth {
-    /// The metadata block only — record metadata, content lengths and chain
-    /// links, 80 bytes a record. What the evidence walks read.
+    /// The metadata block only — record metadata and content lengths, 40
+    /// bytes a record. What the evidence walks read.
     Metadata,
     /// The metadata block and the pre-images behind it. What restores and
     /// rebuilds read.
@@ -54,15 +61,16 @@ pub enum OpenDepth {
 }
 
 /// What a segment seals, borrowed — the shape [`SegmentEnvelope::open`]
-/// hands back owned: consecutive log records (metadata only), their chain
-/// links, and beside them the retained pre-images, back to back in one
-/// buffer with each record's share of it.
+/// hands back owned: consecutive log records (metadata only), the chain
+/// head they end at, and beside them the retained pre-images, back to back
+/// in one buffer with each record's share of it.
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentBody<'a> {
     /// Records in chain order; their `old_data` is not read.
     pub records: &'a [LogRecord],
-    /// Chain links, one per record.
-    pub links: &'a [ChainLink],
+    /// The chain head after the last record (the head before the first, for
+    /// no records): the header's `chain_head`.
+    pub chain_head: Digest,
     /// Per record, the length of the retained content of the old page
     /// version it carries, if it carries one.
     pub retained_len: &'a [Option<u32>],
@@ -99,9 +107,10 @@ impl SegmentEnvelope {
     /// `profiler`), then ciphered and tagged in place under `session` — and
     /// adopts it: the resulting `Bytes` is shared by refcount through
     /// capsules, retransmissions, the NAND spill and the remote store, and
-    /// nothing downstream re-serializes or copies it. The header's
-    /// `chain_head` is the last of `body.links` (`prev_chain_head` itself
-    /// for an empty segment), so what `seal` writes, [`Self::open`] accepts.
+    /// nothing downstream re-serializes or copies it. The header carries
+    /// `prev_chain_head` and `body.chain_head` under the tag; nothing here
+    /// checks that the records chain from one to the other — the chain key
+    /// is not the session's.
     ///
     /// Returns the envelope and the length of the plaintext serialization it
     /// carries (what [`OpenedSegment::raw_len`] reads back).
@@ -159,11 +168,10 @@ impl SegmentEnvelope {
     ) -> (SegmentEnvelope, usize) {
         let SegmentBody {
             records,
-            links,
+            chain_head,
             retained_len,
             preimages: _,
         } = body;
-        assert_eq!(records.len(), links.len(), "one chain link per record");
         assert_eq!(records.len(), retained_len.len(), "one length per record");
         let preimage_len: usize = retained_len.iter().flatten().map(|len| *len as usize).sum();
         let mut metadata = Vec::with_capacity(metadata_len(records.len()));
@@ -173,13 +181,8 @@ impl SegmentEnvelope {
             metadata.extend_from_slice(&record.chain_image());
             metadata.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes());
         }
-        for link in links {
-            metadata.extend_from_slice(&link.seq.to_le_bytes());
-            metadata.extend_from_slice(link.tag.as_bytes());
-        }
         let raw_len = metadata.len() + preimage_len;
 
-        let chain_head = links.last().map_or(prev_chain_head, |link| link.tag);
         let mut wire = Vec::with_capacity(Self::WIRE_HEADER + raw_len / 2 + 64);
         Self::write_wire_header(
             &mut wire,
@@ -196,42 +199,43 @@ impl SegmentEnvelope {
         wire[Self::WIRE_HEADER..Self::WIRE_HEADER + 4].copy_from_slice(&frame_len.to_le_bytes());
         append_frame(&mut wire);
         profiler.exit();
-        session.seal_in_place(segment_seq, &mut wire, Self::WIRE_HEADER);
+        session.seal_in_place(segment_seq, &mut wire, BOUND_FROM, Self::WIRE_HEADER);
         let envelope = SegmentEnvelope {
             wire: Bytes::from(wire),
         };
         (envelope, raw_len)
     }
 
-    /// The one door. Verifies the tag over every sealed byte whatever the
-    /// depth — a bit flipped in a pre-image fails a metadata open too (the
-    /// one walk that leaves the tag to a store that verified it at ingest
-    /// goes through [`Self::open_vouched`], the same door less the tag) — then
-    /// deciphers and decompresses the metadata frame and, at
-    /// [`OpenDepth::Full`], the pre-image frame into a buffer of its own,
-    /// parses, and holds the header against what it parsed: the payload's
-    /// `segment_seq` and record count must be the header's, and the header's
-    /// `chain_head` the last link (an empty segment's: its
-    /// `prev_chain_head`). What is left to the caller is what needs state
-    /// the door does not have: that `prev_chain_head` continues the caller's
-    /// running head, and that the links verify under the chain key.
+    /// The one door. Verifies the tag over every sealed byte and the header
+    /// behind `device_id`, whatever the depth — a bit flipped in a pre-image
+    /// or a head fails a metadata open too (the one walk that leaves the tag
+    /// to a store that verified it at ingest goes through
+    /// [`Self::open_vouched`], the same door less the tag) — then deciphers
+    /// and decompresses the metadata frame and, at [`OpenDepth::Full`], the
+    /// pre-image frame into a buffer of its own, parses, and holds the
+    /// header against what it parsed: the payload's `segment_seq` and record
+    /// count must be the header's. What is left to the caller is what needs
+    /// what the door does not have: that `prev_chain_head` continues the
+    /// caller's running head, and that the records, chained under the chain
+    /// key from `prev_chain_head`, reach `chain_head`.
     ///
     /// # Errors
     ///
-    /// [`WireError::BadPayload`] when the payload fails authentication, a
-    /// frame fails to decompress, or bytes are left that the lengths do not
-    /// account for; [`WireError::Truncated`] when a frame, the metadata
-    /// block or the pre-image region is shorter than announced;
+    /// [`WireError::BadPayload`] when the payload or header fails
+    /// authentication, a frame fails to decompress, or bytes are left that
+    /// the lengths do not account for; [`WireError::Truncated`] when a frame,
+    /// the metadata block or the pre-image region is shorter than announced;
     /// [`WireError::UnknownOp`] on an unknown record class;
-    /// [`WireError::HeaderMismatch`] when the header names anything but
-    /// what the authenticated payload holds.
+    /// [`WireError::HeaderMismatch`] when the header names another sequence
+    /// or count than the authenticated payload holds.
     pub fn open(
         &self,
         session: &SecureSession,
         depth: OpenDepth,
     ) -> Result<OpenedSegment, WireError> {
+        let bound = &self.wire[BOUND_FROM..Self::WIRE_HEADER];
         let authenticated = session
-            .verify(self.segment_seq(), self.sealed_payload())
+            .verify(self.segment_seq(), bound, self.sealed_payload())
             .map_err(|_| WireError::BadPayload)?;
         self.open_authenticated(authenticated, depth)
     }
@@ -294,17 +298,16 @@ impl SegmentEnvelope {
         let count = u32::from_le_bytes(metadata[8..12].try_into().expect("4")) as usize;
         // A count the block cannot hold is malformed input (and must not
         // drive preallocation).
-        if count > (metadata.len() - 12) / (ENTRY_LEN + LINK_LEN) {
+        if count > (metadata.len() - 12) / ENTRY_LEN {
             return Err(WireError::Truncated);
         }
         if metadata.len() > metadata_len(count) {
             return Err(WireError::BadPayload);
         }
-        let (entries, link_bytes) = metadata[12..].split_at(count * ENTRY_LEN);
         let mut records = Vec::with_capacity(count);
         let mut retained_len = Vec::with_capacity(count);
         let mut preimage_bytes = 0usize;
-        for entry in entries.chunks_exact(ENTRY_LEN) {
+        for entry in metadata[12..].chunks_exact(ENTRY_LEN) {
             let (image, len) = entry.split_at(LogRecord::CHAIN_IMAGE_LEN);
             records.push(LogRecord::from_chain_image(image.try_into().expect("36"))?);
             let len = u32::from_le_bytes(len.try_into().expect("4"));
@@ -319,30 +322,46 @@ impl SegmentEnvelope {
                 WireError::BadPayload
             });
         }
-        let links: Vec<ChainLink> = link_bytes
-            .chunks_exact(LINK_LEN)
-            .map(|link| ChainLink {
-                seq: u64::from_le_bytes(link[..8].try_into().expect("8")),
-                tag: Digest::from_bytes(link[8..].try_into().expect("32")),
-            })
-            .collect();
-
-        // The header sits outside the tag: the payload vouches for it,
-        // never the reverse.
-        let last = links.last().map_or(self.prev_chain_head(), |link| link.tag);
-        if segment_seq != self.segment_seq()
-            || count as u64 != u64::from(self.record_count())
-            || last != self.chain_head()
-        {
+        if segment_seq != self.segment_seq() || count as u64 != u64::from(self.record_count()) {
             return Err(WireError::HeaderMismatch);
         }
         Ok(OpenedSegment {
             records,
             retained_len,
-            links,
             preimages,
             raw_len: metadata.len() + preimage_bytes,
         })
+    }
+
+    /// Seals `plaintext` — whatever it says — under `session` behind a
+    /// header of the caller's choosing, the header bound into the tag as
+    /// [`Self::seal`] binds it: what any holder of the session keys can make
+    /// (the log server is one), and so how tests forge segments that
+    /// authenticate. The door may accept the result; only a reader holding
+    /// the chain key can tell whether its records reach its `chain_head`.
+    pub fn seal_plaintext(
+        session: &SecureSession,
+        device_id: u64,
+        segment_seq: u64,
+        prev_chain_head: Digest,
+        chain_head: Digest,
+        record_count: u32,
+        plaintext: &[u8],
+    ) -> SegmentEnvelope {
+        let mut wire = Vec::with_capacity(Self::WIRE_HEADER + plaintext.len() + 32);
+        Self::write_wire_header(
+            &mut wire,
+            device_id,
+            segment_seq,
+            &prev_chain_head,
+            &chain_head,
+            record_count,
+        );
+        wire.extend_from_slice(plaintext);
+        session.seal_in_place(segment_seq, &mut wire, BOUND_FROM, Self::WIRE_HEADER);
+        SegmentEnvelope {
+            wire: Bytes::from(wire),
+        }
     }
 
     /// Builds an envelope around an already sealed payload under a header of
@@ -409,7 +428,8 @@ impl SegmentEnvelope {
         u64::from_le_bytes(self.wire[8..16].try_into().expect("8"))
     }
 
-    /// Evidence-chain head *before* this segment's first record.
+    /// Evidence-chain head *before* this segment's first record (under the
+    /// tag, like [`Self::chain_head`] and [`Self::record_count`]).
     pub fn prev_chain_head(&self) -> Digest {
         Digest::from_bytes(self.wire[16..48].try_into().expect("32"))
     }
@@ -465,12 +485,13 @@ impl std::fmt::Debug for SegmentEnvelope {
 /// A sealed segment, opened. The door ([`SegmentEnvelope::open`], or
 /// [`SegmentEnvelope::open_vouched`] for a payload its store authenticated)
 /// is the only constructor, so holding one *is* holding an authenticated
-/// payload and a header that payload vouches for.
+/// payload and header whose sequence and count agree. Whether its records
+/// chain from one of the header's heads to the other is the chain key
+/// holder's to say.
 #[derive(Debug, PartialEq)]
 pub struct OpenedSegment {
     records: Vec<LogRecord>,
     retained_len: Vec<Option<u32>>,
-    links: Vec<ChainLink>,
     /// Every pre-image back to back in record order — exactly sized under
     /// [`OpenDepth::Full`], empty under [`OpenDepth::Metadata`].
     preimages: Vec<u8>,
@@ -489,18 +510,13 @@ impl OpenedSegment {
         &self.retained_len
     }
 
-    /// Chain links, one per record.
-    pub fn links(&self) -> &[ChainLink] {
-        &self.links
-    }
-
     /// Length of the plaintext serialization — metadata block plus every
     /// pre-image — whatever the depth.
     pub fn raw_len(&self) -> usize {
         self.raw_len
     }
 
-    /// The pre-image part on its own, records and links dropped: what a
+    /// The pre-image part on its own, records dropped: what a
     /// lookup keeps of the segment it opened. Holds no content unless opened
     /// to [`OpenDepth::Full`].
     pub fn into_preimages(self) -> Preimages {

@@ -6,19 +6,21 @@ use rssd_core::{
     LogOp, LogRecord, LoopbackTarget, OpenDepth, RebuildImage, RemoteError, RemoteTarget,
     RssdConfig, RssdDevice, SegmentBody, SegmentEnvelope, StoreAck, WireError,
 };
-use rssd_crypto::{ChainLink, DeviceKeys, Digest, HashChain, Sha256};
+use rssd_crypto::{ChainKey, DeviceKeys, Digest, HashChain, Sha256};
 use rssd_flash::{FlashGeometry, NandTiming, SimClock};
 use rssd_net::SecureSession;
 use rssd_obs::ProfilerHandle;
 use rssd_ssd::BlockDevice;
 use std::collections::BTreeMap;
 
-/// What one segment seals: records, their links, and beside them the
-/// pre-images — back to back in one buffer, with each record's share of it.
+/// What one segment seals: records, the chain head they reach from the one
+/// before them, and beside them the pre-images — back to back in one
+/// buffer, with each record's share of it.
 #[derive(Clone, Debug)]
 struct Batch {
     records: Vec<LogRecord>,
-    links: Vec<ChainLink>,
+    start: Digest,
+    end: Digest,
     retained_len: Vec<Option<u32>>,
     preimages: Vec<u8>,
 }
@@ -34,13 +36,14 @@ impl Batch {
         for (record, seq) in records.iter_mut().zip(chain.next_seq()..) {
             record.seq = seq;
         }
-        let links = records
-            .iter()
-            .map(|r| chain.append(&r.chain_image()))
-            .collect();
+        let start = chain.head();
+        for record in &records {
+            chain.append(&record.chain_image());
+        }
         Batch {
             records,
-            links,
+            start,
+            end: chain.head(),
             retained_len: contents
                 .iter()
                 .map(|content| content.as_ref().map(|d| d.len() as u32))
@@ -52,7 +55,7 @@ impl Batch {
     fn body(&self) -> SegmentBody<'_> {
         SegmentBody {
             records: &self.records,
-            links: &self.links,
+            chain_head: self.end,
             retained_len: &self.retained_len,
             preimages: &self.preimages,
         }
@@ -68,22 +71,9 @@ impl Batch {
         })
     }
 
-    /// The chain head a segment of this batch ends at, begun at `prev`.
-    fn head(&self, prev: Digest) -> Digest {
-        self.links.last().map_or(prev, |link| link.tag)
-    }
-
     fn seal(&self, session: &SecureSession, segment_seq: u64) -> SegmentEnvelope {
         let profiler = ProfilerHandle::disabled();
-        SegmentEnvelope::seal(
-            session,
-            &profiler,
-            1,
-            segment_seq,
-            Digest::ZERO,
-            self.body(),
-        )
-        .0
+        SegmentEnvelope::seal(session, &profiler, 1, segment_seq, self.start, self.body()).0
     }
 
     /// The reference serialization of the metadata block, composed naively.
@@ -93,10 +83,6 @@ impl Batch {
         for (record, len) in self.records.iter().zip(&self.retained_len) {
             metadata.extend_from_slice(&record.chain_bytes());
             metadata.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes());
-        }
-        for link in &self.links {
-            metadata.extend_from_slice(&link.seq.to_le_bytes());
-            metadata.extend_from_slice(link.tag.as_bytes());
         }
         metadata
     }
@@ -118,13 +104,14 @@ impl Batch {
         segment_seq: u64,
         plaintext: &[u8],
     ) -> SegmentEnvelope {
-        SegmentEnvelope::new(
+        SegmentEnvelope::seal_plaintext(
+            session,
             1,
             segment_seq,
-            Digest::ZERO,
-            self.head(Digest::ZERO),
+            self.start,
+            self.end,
             self.records.len() as u32,
-            &session.seal(segment_seq, plaintext),
+            plaintext,
         )
     }
 }
@@ -196,21 +183,23 @@ proptest! {
         }
     }
 
-    /// `seal` ∘ `open` is the identity on (records, links, pre-images), and
-    /// what comes back still verifies as a chain.
+    /// `seal` ∘ `open` is the identity on (records, heads, pre-images), and
+    /// what comes back, chained from the header's first head, reaches its
+    /// second.
     #[test]
-    fn segment_round_trip_with_verified_links(batch in arb_batch(20), seed in any::<u64>(), segment_seq in any::<u64>()) {
+    fn segment_round_trip_with_a_verified_chain(batch in arb_batch(20), seed in any::<u64>(), segment_seq in any::<u64>()) {
         let session = session(seed);
         let envelope = batch.seal(&session, segment_seq);
         prop_assert_eq!(envelope.segment_seq(), segment_seq);
         prop_assert_eq!(envelope.record_count() as usize, batch.records.len());
-        prop_assert_eq!(envelope.chain_head(), batch.head(Digest::ZERO));
+        prop_assert_eq!(envelope.prev_chain_head(), batch.start);
+        prop_assert_eq!(envelope.chain_head(), batch.end);
         for depth in DEPTHS {
             let opened = envelope.open(&session, depth).expect("self-sealed payload opens");
             prop_assert_eq!(opened.records(), &batch.records[..]);
-            prop_assert_eq!(opened.links(), &batch.links[..]);
             let inputs: Vec<Vec<u8>> = opened.records().iter().map(|r| r.chain_bytes()).collect();
-            prop_assert!(HashChain::verify_sequence(b"prop-key", &inputs, opened.links()).is_ok());
+            let reached = ChainKey::new(b"prop-key").head_after(envelope.prev_chain_head(), &inputs);
+            prop_assert_eq!(reached, envelope.chain_head());
             prop_assert_eq!(opened.retained_len(), &batch.retained_len[..]);
             let preimages = opened.into_preimages();
             for (record, content) in batch.records.iter().zip(batch.contents()) {
@@ -247,9 +236,15 @@ proptest! {
         let prev = Digest::from_bytes([prev_byte; 32]);
 
         // Naive compose: each stage allocates and copies.
-        let sealed = session.seal(segment_seq, &batch.plaintext(segment_seq));
-        let count = batch.records.len() as u32;
-        let naive = SegmentEnvelope::new(device_id, segment_seq, prev, batch.head(prev), count, &sealed);
+        let mut header = device_id.to_le_bytes().to_vec();
+        header.extend_from_slice(&segment_seq.to_le_bytes());
+        header.extend_from_slice(prev.as_bytes());
+        header.extend_from_slice(batch.end.as_bytes());
+        header.extend_from_slice(&(batch.records.len() as u32).to_le_bytes());
+        let mut image = header.clone();
+        image.extend_from_slice(&batch.plaintext(segment_seq));
+        session.seal_in_place(segment_seq, &mut image, 16, header.len());
+        let naive = SegmentEnvelope::from_wire_image(image).unwrap();
 
         let profiler = ProfilerHandle::disabled();
         let (zero_copy, raw_len) =
@@ -265,8 +260,7 @@ proptest! {
     }
 
     /// A metadata open is a full open minus the pre-images: the same
-    /// records, content lengths, chain links and accounted length, and no
-    /// content.
+    /// records, content lengths and accounted length, and no content.
     #[test]
     fn metadata_open_agrees_with_full_open(batch in arb_batch(20), seed in any::<u64>()) {
         let session = session(seed);
@@ -275,7 +269,6 @@ proptest! {
         let metadata = envelope.open(&session, OpenDepth::Metadata).unwrap();
 
         prop_assert_eq!(metadata.records(), full.records());
-        prop_assert_eq!(metadata.links(), full.links());
         prop_assert_eq!(metadata.retained_len(), full.retained_len());
         prop_assert_eq!(metadata.raw_len(), full.raw_len());
         prop_assert_eq!(metadata.retained_len(), &batch.retained_len[..]);
@@ -373,6 +366,52 @@ proptest! {
         }
     }
 
+    /// A metadata block cut short, run long or garbled — then framed,
+    /// compressed and sealed under a good tag, as a holder of the session
+    /// keys can — opens to a typed answer at either depth, never a panic: a
+    /// cut is `Truncated`, bytes past the last entry `BadPayload`, and a
+    /// garbled block whatever it parses to, with as many records as its
+    /// header counts when it parses at all.
+    #[test]
+    fn truncated_extended_and_garbled_metadata_blocks_are_typed_errors(
+        batch in arb_batch(6),
+        seq in any::<u64>(),
+        at in any::<usize>(),
+        extra in proptest::collection::vec(any::<u8>(), 1..100),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..255), 1..4),
+    ) {
+        let session = session(5);
+        let metadata = batch.metadata(seq);
+        let sealed = |metadata: &[u8]| {
+            let frame = rssd_compress::compress_adaptive(metadata);
+            let mut plaintext = (frame.len() as u32).to_le_bytes().to_vec();
+            plaintext.extend_from_slice(&frame);
+            plaintext.extend_from_slice(&rssd_compress::compress_adaptive(&batch.preimages));
+            batch.envelope_of(&session, seq, &plaintext)
+        };
+        let cut = sealed(&metadata[..at % metadata.len()]);
+        let extended = sealed(&[&metadata[..], &extra].concat());
+        let mut garbled = metadata.clone();
+        for (at, mask) in flips {
+            let len = garbled.len();
+            garbled[at % len] ^= mask;
+        }
+        let garbled = sealed(&garbled);
+        for depth in DEPTHS {
+            prop_assert_eq!(cut.open(&session, depth), Err(WireError::Truncated));
+            prop_assert_eq!(extended.open(&session, depth), Err(WireError::BadPayload));
+            match garbled.open(&session, depth) {
+                Ok(opened) => prop_assert_eq!(opened.records().len(), batch.records.len()),
+                Err(
+                    WireError::Truncated
+                    | WireError::BadPayload
+                    | WireError::UnknownOp(_)
+                    | WireError::HeaderMismatch,
+                ) => {}
+            }
+        }
+    }
+
     /// `verified_history` — a metadata walk — returns exactly the records a
     /// full open of every stored segment yields.
     #[test]
@@ -412,9 +451,9 @@ proptest! {
 }
 
 /// The five kinds of record a segment carries, sealed under fixed keys: the
-/// wire image is, byte for byte, what the parent of the PR that gave the
-/// format one writer produced (`golden/sealed_segment.txt` was captured
-/// there, through the code `SegmentEnvelope::seal` replaced).
+/// wire image is, byte for byte, `golden/sealed_segment.txt` — the layout
+/// that stores no chain link, its heads and count under the tag. If this
+/// fails, bytes on the wire moved.
 #[test]
 fn the_sealed_wire_image_is_the_golden_one_byte_for_byte() {
     let keys = DeviceKeys::for_simulation(24);
@@ -463,8 +502,8 @@ fn the_sealed_wire_image_is_the_golden_one_byte_for_byte() {
     let session = SecureSession::new(&keys, 0);
     let profiler = ProfilerHandle::disabled();
     let (envelope, raw_len) = SegmentEnvelope::seal(&session, &profiler, 7, 3, prev, batch.body());
-    assert_eq!(raw_len, 12 + 5 * 80 + 3 * 4096);
-    assert_eq!(envelope.chain_head(), batch.head(prev));
+    assert_eq!(raw_len, 12 + 5 * 40 + 3 * 4096);
+    assert_eq!(envelope.chain_head(), batch.end);
     let image = format!(
         "len {}\nsha256 {}\n",
         envelope.wire_bytes(),
@@ -524,16 +563,22 @@ impl RemoteTarget for Shelf {
 
 impl Shelf {
     /// Rewrites the header's `chain_head` of stored segment `seq` and
-    /// nothing else: previous head and sealed payload stay as sealed.
-    fn forge_head(&mut self, seq: u64) {
+    /// nothing else — previous head, count and plaintext stay as sealed —
+    /// and, holding the session keys as a store may, makes the tag good
+    /// again.
+    fn forge_head(&mut self, seq: u64, session: &SecureSession) {
         let honest = &self.0[&seq];
-        let forged = SegmentEnvelope::new(
+        let bound = &honest.wire()[16..SegmentEnvelope::WIRE_HEADER];
+        let opened = session.verify(seq, bound, honest.sealed_payload()).unwrap();
+        let plaintext = opened.decipher_prefix(opened.len()).unwrap();
+        let forged = SegmentEnvelope::seal_plaintext(
+            session,
             honest.device_id(),
             seq,
             honest.prev_chain_head(),
             Digest::from_bytes([0xAB; 32]),
             honest.record_count(),
-            honest.sealed_payload(),
+            &plaintext,
         );
         self.0.insert(seq, forged);
     }
@@ -560,9 +605,10 @@ fn shelved_device(writes: u64) -> RssdDevice<Shelf> {
     device
 }
 
-/// The header sits outside the sealed payload, so nothing authenticates it
-/// but the door: a header naming any head other than its segment's last
-/// link is refused by every reader, at that segment, and an honest store
+/// The tag binds the header's heads, but a holder of the session keys —
+/// any store — can make a tag: only the chain key tells whether the records
+/// reach the head the header names. A header resealed to name another head
+/// opens, and is refused by every reader, at that segment; an honest store
 /// still walks to the head the device holds.
 #[test]
 fn forged_header_head_is_refused_by_every_reader() {
@@ -589,7 +635,13 @@ fn forged_header_head_is_refused_by_every_reader() {
     for seq in [stored[stored.len() / 2], stored[stored.len() - 1]] {
         let named = format!("segment {seq}:");
         let mut device = shelved_device(32);
-        device.remote_mut().forge_head(seq);
+        let session = SecureSession::new(&keys, 0);
+        device.remote_mut().forge_head(seq, &session);
+        let forged = device.remote_mut().fetch_segment(seq).unwrap();
+        assert!(
+            forged.open(&session, OpenDepth::Metadata).is_ok(),
+            "the door lets it in"
+        );
 
         let refused = RebuildImage::harvest(&keys, device.remote_mut()).map(|image| image.report());
         assert!(

@@ -220,6 +220,79 @@ impl HashChain {
     }
 }
 
+/// The chain key as a verifier holds it: ready to recompute a run of links
+/// from the head before it and say which head the run reaches. Nothing
+/// between two stored heads needs storing — a verifier compares what the
+/// run reaches with the head stored after it, and a reordered, dropped,
+/// inserted or edited record reaches another head.
+///
+/// # Examples
+///
+/// ```
+/// use rssd_crypto::{ChainKey, Digest, HashChain};
+///
+/// let mut chain = HashChain::new(b"device-evidence-key");
+/// chain.append(b"write lba=4 len=8");
+/// let after_first = chain.head();
+/// chain.append(b"trim  lba=4 len=8");
+///
+/// let key = ChainKey::new(b"device-evidence-key");
+/// let rest: [&[u8]; 1] = [b"trim  lba=4 len=8"];
+/// assert_eq!(key.head_after(after_first, &rest), chain.head());
+/// assert_ne!(key.head_after(Digest::ZERO, &rest), chain.head());
+/// ```
+#[derive(Clone)]
+pub struct ChainKey {
+    /// The key's HMAC midstates (key-equivalent).
+    keyed: Midstates,
+}
+
+impl std::fmt::Debug for ChainKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ChainKey(<sealed>)")
+    }
+}
+
+impl ChainKey {
+    /// The verifier of the chain keyed with `key`.
+    pub fn new(key: &[u8]) -> Self {
+        ChainKey {
+            keyed: Midstates::new(key),
+        }
+    }
+
+    /// The head the chain reaches from `head` over `records`, in order —
+    /// what [`HashChain::append`] leaves after appending them to a chain at
+    /// `head`.
+    pub fn head_after<R: AsRef<[u8]>>(&self, head: Digest, records: &[R]) -> Digest {
+        records.iter().fold(head, |head, record| {
+            link(&self.keyed, &head, record.as_ref())
+        })
+    }
+
+    /// [`Self::head_after`] of two independent runs, their links computed
+    /// side by side — one link of each at a time, on interleaved
+    /// compressions — while both last; the longer one finishes alone.
+    pub fn heads_after<R: AsRef<[u8]>, S: AsRef<[u8]>>(
+        &self,
+        (mut a, a_records): (Digest, &[R]),
+        (mut b, b_records): (Digest, &[S]),
+    ) -> (Digest, Digest) {
+        let both = a_records.len().min(b_records.len());
+        for (a_record, b_record) in a_records.iter().zip(b_records) {
+            (a, b) = link_pair(
+                &self.keyed,
+                (&a, a_record.as_ref()),
+                (&b, b_record.as_ref()),
+            );
+        }
+        (
+            self.head_after(a, &a_records[both..]),
+            self.head_after(b, &b_records[both..]),
+        )
+    }
+}
+
 /// The inner hash's message after the key block, `prev ‖ record`, already
 /// padded: the buffer and how many of its blocks it fills — one or two
 /// (the 36-byte chain image takes two). `None` when the record does not fit
@@ -439,6 +512,66 @@ mod tests {
     }
 
     proptest! {
+        // Two runs recomputed side by side reach each its own head — the one
+        // `append` left — whatever their lengths and record layouts; a
+        // damaged run reaches another.
+        #[test]
+        fn paired_runs_reach_the_heads_append_leaves(
+            key in proptest::collection::vec(any::<u8>(), 0..100),
+            runs in proptest::collection::vec(
+                (
+                    any::<u8>(),
+                    proptest::collection::vec((0..RECORD_LENS.len(), any::<u8>()), 0..9),
+                ),
+                2..3,
+            ),
+            damage_at in any::<usize>(),
+        ) {
+            let verifier = ChainKey::new(&key);
+            let runs: Vec<(Digest, Vec<Vec<u8>>, Digest)> = runs
+                .iter()
+                .map(|(start, drawn)| {
+                    let start = Digest::from_bytes([*start; 32]);
+                    let records: Vec<Vec<u8>> = drawn
+                        .iter()
+                        .map(|&(len, fill)| (0..RECORD_LENS[len]).map(|i| fill ^ i as u8).collect())
+                        .collect();
+                    let mut chain = HashChain::resume(&key, start, 0);
+                    for record in &records {
+                        chain.append(record);
+                    }
+                    (start, records, chain.head())
+                })
+                .collect();
+            let [(a, a_records, a_end), (b, b_records, b_end)] = &runs[..] else {
+                unreachable!("two runs drawn")
+            };
+            prop_assert_eq!(verifier.head_after(*a, a_records), *a_end);
+            prop_assert_eq!(verifier.head_after(*b, b_records), *b_end);
+            prop_assert_eq!(verifier.heads_after((*a, a_records), (*b, b_records)), (*a_end, *b_end));
+            prop_assert_eq!(verifier.heads_after((*b, b_records), (*a, a_records)), (*b_end, *a_end));
+            if !a_records.is_empty() {
+                let at = damage_at % a_records.len();
+                let mut edited = a_records.clone();
+                match edited[at].first_mut() {
+                    Some(byte) => *byte ^= 1,
+                    None => edited[at].push(0),
+                }
+                let (mut dropped, mut swapped) = (a_records.clone(), a_records.clone());
+                dropped.remove(at);
+                swapped.swap(at, (at + 1) % a_records.len());
+                let mut damaged = vec![edited, dropped];
+                if swapped != *a_records {
+                    damaged.push(swapped);
+                }
+                for records in &damaged {
+                    let (reached, other) = verifier.heads_after((*a, records), (*b, b_records));
+                    prop_assert_ne!(reached, *a_end);
+                    prop_assert_eq!(other, *b_end);
+                }
+            }
+        }
+
         // The keyed-midstate links are plain RFC 2104 HMACs over
         // `prev || record`, link by link, on both the append and the
         // verify side.

@@ -30,7 +30,7 @@ pub mod keys;
 pub mod sha256;
 
 pub use chacha20::ChaCha20;
-pub use hashchain::{ChainLink, ChainVerifyError, HashChain};
+pub use hashchain::{ChainKey, ChainLink, ChainVerifyError, HashChain};
 pub use hmac::HmacSha256;
 pub use keys::{DeviceKeys, KeyPurpose};
 pub use sha256::{Digest, Sha256};

@@ -5,7 +5,7 @@
 //! controller; the host — and therefore any ransomware, however privileged —
 //! never observes plaintext log data or the keys.
 
-use rssd_crypto::{ChaCha20, DeviceKeys, HmacSha256, KeyPurpose};
+use rssd_crypto::{ChaCha20, DeviceKeys, Digest, HmacSha256, KeyPurpose};
 
 /// Length of the appended authentication tag.
 pub const TAG_LEN: usize = 32;
@@ -83,7 +83,7 @@ impl SecureSession {
     }
 
     /// Encrypts `plaintext` under the per-segment nonce for `segment_seq`
-    /// and appends an HMAC tag over `(segment_seq || ciphertext)`.
+    /// and appends an HMAC tag over `segment_seq` and the ciphertext.
     ///
     /// The sealed image is built in a single allocation sized
     /// `plaintext.len() + TAG_LEN` and ciphered in place — no intermediate
@@ -91,49 +91,63 @@ impl SecureSession {
     pub fn seal(&self, segment_seq: u64, plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
-        self.seal_in_place(segment_seq, &mut out, 0);
+        self.seal_in_place(segment_seq, &mut out, 0, 0);
         out
     }
 
     /// Seals `buf[from..]` in place: the plaintext tail is ciphered where it
-    /// sits and the authentication tag is appended to `buf`. This is the
+    /// sits and the authentication tag is appended to `buf`. The tag also
+    /// covers `buf[bound..from]`, which stays in the clear — associated data,
+    /// such as the header fields a segment's readers route by. This is the
     /// zero-copy spelling of [`seal`](Self::seal) — callers that already
     /// assembled `[header | plaintext]` in one buffer seal the payload
     /// without ever materialising a separate ciphertext allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `from > buf.len()`.
-    pub fn seal_in_place(&self, segment_seq: u64, buf: &mut Vec<u8>, from: usize) {
+    /// Panics if `bound > from` or `from > buf.len()`.
+    pub fn seal_in_place(&self, segment_seq: u64, buf: &mut Vec<u8>, bound: usize, from: usize) {
         let nonce = self.nonce(segment_seq);
         buf.reserve(TAG_LEN);
         ChaCha20::new(&self.enc_key, &nonce).apply_keystream(&mut buf[from..]);
+        let (associated, ciphertext) = buf[bound..].split_at(from - bound);
+        let tag = self.tag(segment_seq, associated, ciphertext);
+        buf.extend_from_slice(tag.as_bytes());
+    }
+
+    /// `HMAC(mac_key, segment_seq || len(associated) || associated ||
+    /// ciphertext)`: the length keeps the associated data from sliding into
+    /// the ciphertext.
+    fn tag(&self, segment_seq: u64, associated: &[u8], ciphertext: &[u8]) -> Digest {
         let mut mac = HmacSha256::new(&self.mac_key);
         mac.update(&segment_seq.to_le_bytes());
-        mac.update(&buf[from..]);
-        buf.extend_from_slice(mac.finalize().as_bytes());
+        mac.update(&(associated.len() as u64).to_le_bytes());
+        mac.update(associated);
+        mac.update(ciphertext);
+        mac.finalize()
     }
 
     /// Authenticates a sealed message — the tag is checked over *every*
-    /// ciphertext byte — and returns a handle that deciphers as much of it
-    /// as the caller goes on to read.
+    /// ciphertext byte and the `associated` data it was sealed with — and
+    /// returns a handle that deciphers as much of it as the caller goes on
+    /// to read.
     ///
     /// # Errors
     ///
     /// [`SessionError::Truncated`] if shorter than a tag;
     /// [`SessionError::BadTag`] if authentication fails (any bit flipped in
-    /// transit, a replayed segment number, or a wrong key).
+    /// transit or in the associated data, a replayed segment number, or a
+    /// wrong key).
     pub fn verify<'a>(
         &'a self,
         segment_seq: u64,
+        associated: &[u8],
         sealed: &'a [u8],
     ) -> Result<Authenticated<'a>, SessionError> {
         let authenticated = self.strip_tag(segment_seq, sealed)?;
         let tag_bytes = &sealed[authenticated.len()..];
-        let mut mac = HmacSha256::new(&self.mac_key);
-        mac.update(&segment_seq.to_le_bytes());
-        mac.update(authenticated.ciphertext);
-        if !constant_time_eq(mac.finalize().as_bytes(), tag_bytes) {
+        let tag = self.tag(segment_seq, associated, authenticated.ciphertext);
+        if !constant_time_eq(tag.as_bytes(), tag_bytes) {
             return Err(SessionError::BadTag);
         }
         Ok(authenticated)
@@ -186,7 +200,7 @@ impl SecureSession {
     ///
     /// As [`verify`](Self::verify).
     pub fn open(&self, segment_seq: u64, sealed: &[u8]) -> Result<Vec<u8>, SessionError> {
-        let authenticated = self.verify(segment_seq, sealed)?;
+        let authenticated = self.verify(segment_seq, &[], sealed)?;
         authenticated.decipher_prefix(authenticated.len())
     }
 }
@@ -325,10 +339,40 @@ mod tests {
         let s = session();
         let mut buf = b"HEADERBYTES".to_vec();
         buf.extend_from_slice(b"retained pages");
-        s.seal_in_place(7, &mut buf, 11);
+        s.seal_in_place(7, &mut buf, 11, 11);
         assert_eq!(&buf[..11], b"HEADERBYTES", "prefix untouched");
         assert_eq!(&buf[11..], &s.seal(7, b"retained pages")[..]);
         assert_eq!(s.open(7, &buf[11..]).unwrap(), b"retained pages");
+    }
+
+    /// The bytes between `bound` and `from` stay in the clear and under the
+    /// tag: a flip there, or a verify that names other associated bytes,
+    /// fails as a flipped ciphertext byte does.
+    #[test]
+    fn associated_bytes_stay_clear_and_under_the_tag() {
+        let s = session();
+        let mut buf = b"HEADERBYTES".to_vec();
+        buf.extend_from_slice(b"retained pages");
+        s.seal_in_place(7, &mut buf, 6, 11);
+        assert_eq!(&buf[..11], b"HEADERBYTES", "prefix untouched");
+        let sealed = &buf[11..];
+        let opened = s.verify(7, b"BYTES", sealed).unwrap();
+        assert_eq!(opened.decipher_prefix(14).unwrap(), b"retained pages");
+        for associated in [&b"BYTEs"[..], b"", b"ERBYTES"] {
+            assert_eq!(
+                s.verify(7, associated, sealed).err(),
+                Some(SessionError::BadTag),
+                "{associated:?}"
+            );
+        }
+        // Moving a byte across the boundary changes the tag too.
+        let mut shifted = b"HEADERBYTE".to_vec();
+        shifted.extend_from_slice(b"Sretained pages");
+        s.seal_in_place(7, &mut shifted, 6, 10);
+        assert_ne!(
+            shifted[shifted.len() - TAG_LEN..],
+            buf[buf.len() - TAG_LEN..]
+        );
     }
 
     #[test]
@@ -336,7 +380,7 @@ mod tests {
         let s = session();
         let plaintext: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
         let sealed = s.seal(3, &plaintext);
-        let authenticated = s.verify(3, &sealed).unwrap();
+        let authenticated = s.verify(3, &[], &sealed).unwrap();
         assert_eq!(authenticated.len(), plaintext.len());
         // Across ChaCha block (64 B) and wide-kernel (512 B) boundaries.
         for len in [0, 1, 4, 63, 64, 65, 511, 512, 513, 1000] {
@@ -357,14 +401,14 @@ mod tests {
         let s = session();
         let mut sealed = s.seal(3, &[7u8; 1000]);
         sealed[900] ^= 1;
-        assert_eq!(s.verify(3, &sealed).err(), Some(SessionError::BadTag));
+        assert_eq!(s.verify(3, &[], &sealed).err(), Some(SessionError::BadTag));
     }
 
     #[test]
     fn a_vouched_handle_deciphers_what_a_verified_one_does_and_checks_no_tag() {
         let s = session();
         let sealed = s.seal(3, &[7u8; 100]);
-        let verified = s.verify(3, &sealed).unwrap().decipher_prefix(100);
+        let verified = s.verify(3, &[], &sealed).unwrap().decipher_prefix(100);
         assert_eq!(
             s.vouched(3, &sealed).unwrap().decipher_prefix(100),
             verified
@@ -397,8 +441,8 @@ mod tests {
         let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "f189be47cfd8d6bd7b665618143fc4e52ac59a3ef2e1b367f7cb1063e74df471\
-             bc14a28d093e74ec8ac29258465995a157649f"
+            "f189be47cfd8d6bd7b665618143fc4e52ac59adc7937be2b24f3dd7f78beb419\
+             0d6402eefff1f70b261c2753f58ee2f2f3431f"
         );
     }
 
