@@ -27,6 +27,7 @@
 use crate::logrec::{LogRecord, WireError};
 use bytes::Bytes;
 use rssd_crypto::Digest;
+use rssd_net::session::TAG_LEN;
 use rssd_net::{Authenticated, SecureSession};
 use rssd_obs::ProfilerHandle;
 use std::ops::Range;
@@ -348,7 +349,7 @@ impl SegmentEnvelope {
         record_count: u32,
         plaintext: &[u8],
     ) -> SegmentEnvelope {
-        let mut wire = Vec::with_capacity(Self::WIRE_HEADER + plaintext.len() + 32);
+        let mut wire = Vec::with_capacity(Self::WIRE_HEADER + plaintext.len() + TAG_LEN);
         Self::write_wire_header(
             &mut wire,
             device_id,

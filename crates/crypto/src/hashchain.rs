@@ -165,9 +165,9 @@ impl HashChain {
         Self::verify_from(key, Digest::ZERO, records, links)
     }
 
-    /// Verifies a chain continuation starting from an arbitrary prior head
-    /// (used for verifying one offloaded segment against the previous
-    /// segment's final tag).
+    /// [`Self::verify_sequence`] from an arbitrary prior head. (A reader of
+    /// sealed segments holds no links to compare: it recomputes the run
+    /// with [`ChainKey`] and compares the head it reaches.)
     ///
     /// Links are recomputed two at a time: link `i + 1` is computed from
     /// link `i`'s *stored* tag, so the two are independent and share the
@@ -178,7 +178,7 @@ impl HashChain {
     /// # Errors
     ///
     /// Same as [`Self::verify_sequence`].
-    pub fn verify_from<R: AsRef<[u8]>>(
+    fn verify_from<R: AsRef<[u8]>>(
         key: &[u8],
         mut head: Digest,
         records: &[R],
