@@ -701,7 +701,7 @@ impl<R: RemoteTarget> BlockDevice for RssdDevice<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evidence::tests::{resealed, Reseal};
+    use crate::evidence::reseal::{resealed, Reseal};
     use crate::rebuild::RebuildImage;
     use crate::recovery::RecoveryEngine;
     use crate::remote_target::LoopbackTarget;

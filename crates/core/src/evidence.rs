@@ -333,17 +333,101 @@ impl EvidenceReader {
     }
 }
 
+/// What a store holding the session keys can do to a segment, for the
+/// readers' tests here and in `device::tests`.
 #[cfg(test)]
-pub(crate) mod tests {
+pub(crate) mod reseal {
+    use crate::segment::{OpenDepth, SegmentBody, SegmentEnvelope};
+    use rssd_crypto::Digest;
+    use rssd_net::SecureSession;
+    use rssd_obs::ProfilerHandle;
+
+    /// What a holder of a device's session keys — a store, or whoever took
+    /// them from one — can do to a sealed segment without its chain key:
+    /// open it, change what it says, and seal it again with a good tag.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum Reseal {
+        /// The first two records trade places.
+        SwapRecords,
+        /// The first record and its pre-image are dropped, the count
+        /// made good.
+        DropRecord,
+        /// The first record's entropy is edited.
+        EditEntropy,
+        /// The header names another `chain_head`.
+        ReplaceHead,
+    }
+
+    impl Reseal {
+        pub(crate) const ALL: [Reseal; 4] = [
+            Reseal::SwapRecords,
+            Reseal::DropRecord,
+            Reseal::EditEntropy,
+            Reseal::ReplaceHead,
+        ];
+    }
+
+    /// `honest` opened under `session`, changed as `how` says and sealed
+    /// again through the one writer, behind the same `prev_chain_head`.
+    pub(crate) fn resealed(
+        honest: &SegmentEnvelope,
+        session: &SecureSession,
+        how: Reseal,
+    ) -> SegmentEnvelope {
+        let opened = honest.open(session, OpenDepth::Full).unwrap();
+        let mut records = opened.records().to_vec();
+        assert!(records.len() >= 2, "two records to swap");
+        let preimages = opened.into_preimages();
+        let mut contents: Vec<Option<Vec<u8>>> = records
+            .iter()
+            .map(|record| preimages.get(record.seq).map(<[u8]>::to_vec))
+            .collect();
+        let mut chain_head = honest.chain_head();
+        match how {
+            Reseal::SwapRecords => {
+                records.swap(0, 1);
+                contents.swap(0, 1);
+            }
+            Reseal::DropRecord => {
+                records.remove(0);
+                contents.remove(0);
+            }
+            Reseal::EditEntropy => records[0].entropy_mil ^= 1,
+            Reseal::ReplaceHead => chain_head = Digest::from_bytes([0xCD; 32]),
+        }
+        let retained_len: Vec<_> = contents
+            .iter()
+            .map(|content| content.as_ref().map(|bytes| bytes.len() as u32))
+            .collect();
+        let bytes: Vec<u8> = contents.into_iter().flatten().flatten().collect();
+        let body = SegmentBody {
+            records: &records,
+            chain_head,
+            retained_len: &retained_len,
+            preimages: &bytes,
+        };
+        let profiler = ProfilerHandle::disabled();
+        let (seq, prev) = (honest.segment_seq(), honest.prev_chain_head());
+        let resealed =
+            SegmentEnvelope::seal(session, &profiler, honest.device_id(), seq, prev, body).0;
+        assert!(
+            resealed.open(session, OpenDepth::Full).is_ok(),
+            "the door lets it in"
+        );
+        resealed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reseal::{resealed, Reseal};
     use super::*;
     use crate::config::RssdConfig;
     use crate::device::RssdDevice;
     use crate::rebuild::RebuildImage;
     use crate::recovery::RecoveryEngine;
     use crate::remote_target::{RemoteError, StoreAck};
-    use crate::segment::SegmentBody;
     use rssd_flash::{FlashGeometry, NandTiming, SimClock};
-    use rssd_obs::ProfilerHandle;
     use rssd_ssd::BlockDevice;
     use std::collections::BTreeMap;
 
@@ -474,81 +558,6 @@ pub(crate) mod tests {
                 "{workers} workers, vouch {vouch}: answers otherwise"
             );
         }
-    }
-
-    /// What a holder of a device's session keys — a store, or whoever took
-    /// them from one — can do to a sealed segment without its chain key:
-    /// open it, change what it says, and seal it again with a good tag.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(crate) enum Reseal {
-        /// The first two records trade places.
-        SwapRecords,
-        /// The first record and its pre-image are dropped, the count
-        /// made good.
-        DropRecord,
-        /// The first record's entropy is edited.
-        EditEntropy,
-        /// The header names another `chain_head`.
-        ReplaceHead,
-    }
-
-    impl Reseal {
-        pub(crate) const ALL: [Reseal; 4] = [
-            Reseal::SwapRecords,
-            Reseal::DropRecord,
-            Reseal::EditEntropy,
-            Reseal::ReplaceHead,
-        ];
-    }
-
-    /// `honest` opened under `session`, changed as `how` says and sealed
-    /// again through the one writer, behind the same `prev_chain_head`.
-    pub(crate) fn resealed(
-        honest: &SegmentEnvelope,
-        session: &SecureSession,
-        how: Reseal,
-    ) -> SegmentEnvelope {
-        let opened = honest.open(session, OpenDepth::Full).unwrap();
-        let mut records = opened.records().to_vec();
-        assert!(records.len() >= 2, "two records to swap");
-        let preimages = opened.into_preimages();
-        let mut contents: Vec<Option<Vec<u8>>> = records
-            .iter()
-            .map(|record| preimages.get(record.seq).map(<[u8]>::to_vec))
-            .collect();
-        let mut chain_head = honest.chain_head();
-        match how {
-            Reseal::SwapRecords => {
-                records.swap(0, 1);
-                contents.swap(0, 1);
-            }
-            Reseal::DropRecord => {
-                records.remove(0);
-                contents.remove(0);
-            }
-            Reseal::EditEntropy => records[0].entropy_mil ^= 1,
-            Reseal::ReplaceHead => chain_head = Digest::from_bytes([0xCD; 32]),
-        }
-        let retained_len: Vec<_> = contents
-            .iter()
-            .map(|content| content.as_ref().map(|bytes| bytes.len() as u32))
-            .collect();
-        let bytes: Vec<u8> = contents.into_iter().flatten().flatten().collect();
-        let body = SegmentBody {
-            records: &records,
-            chain_head,
-            retained_len: &retained_len,
-            preimages: &bytes,
-        };
-        let profiler = ProfilerHandle::disabled();
-        let (seq, prev) = (honest.segment_seq(), honest.prev_chain_head());
-        let resealed =
-            SegmentEnvelope::seal(session, &profiler, honest.device_id(), seq, prev, body).0;
-        assert!(
-            resealed.open(session, OpenDepth::Full).is_ok(),
-            "the door lets it in"
-        );
-        resealed
     }
 
     /// What a store can do to one stored segment.

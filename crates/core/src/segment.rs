@@ -215,10 +215,10 @@ impl SegmentEnvelope {
     /// and decompresses the metadata frame and, at [`OpenDepth::Full`], the
     /// pre-image frame into a buffer of its own, parses, and holds the
     /// header against what it parsed: the payload's `segment_seq` and record
-    /// count must be the header's. What is left to the caller is what needs
-    /// what the door does not have: that `prev_chain_head` continues the
-    /// caller's running head, and that the records, chained under the chain
-    /// key from `prev_chain_head`, reach `chain_head`.
+    /// count must be the header's. What is left to the caller needs state
+    /// and a key the door does not have: that `prev_chain_head` continues
+    /// the caller's running head, and that the records, chained under the
+    /// chain key from `prev_chain_head`, reach `chain_head`.
     ///
     /// # Errors
     ///
