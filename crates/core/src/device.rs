@@ -510,7 +510,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
             read_before,
             old_data: None,
         };
-        self.chain.append(&record.chain_image());
+        self.chain.absorb(&record.chain_image());
         self.pending.push(record);
     }
 
@@ -556,7 +556,9 @@ impl<R: RemoteTarget> RssdDevice<R> {
             return Ok(());
         }
         self.engine.profiler.enter("wire");
-        let head = self.chain.head();
+        // The chain's run ends where the pending tail does: a segment's head
+        // MACs exactly its records.
+        let head = self.chain.seal();
         if let Some(seg) = self.engine.seal(&mut self.pending, head, &mut self.ftl) {
             self.evidence.index_sealed(seg);
         }
@@ -860,6 +862,40 @@ mod tests {
         assert_eq!(d.chain_len(), 4);
     }
 
+    /// Every head the device seals is one HMAC under the chain key over the
+    /// head before it and its segment's chain images back to back, and the
+    /// device's own head is the last one sealed — here recomputed by hand.
+    #[test]
+    fn every_sealed_head_is_one_hmac_over_its_segment() {
+        let mut d = device();
+        for i in 0..40u64 {
+            d.write_page(i % 5, page(i as u8)).unwrap();
+            if i % 3 == 0 {
+                d.read_page(i % 5).unwrap();
+            }
+        }
+        d.flush_log().unwrap();
+        let keys = d.escrow_keys();
+        let chain_key = keys.derive(KeyPurpose::EvidenceChain, 0);
+        let session = rssd_net::SecureSession::new(&keys, 0);
+        let stored = d.remote().stored_segments();
+        assert!(stored.len() > 2, "{} segments", stored.len());
+        let mut head = Digest::ZERO;
+        for seq in stored {
+            let envelope = d.remote_mut().fetch_segment(seq).unwrap();
+            let opened = envelope.open(&session, OpenDepth::Metadata).unwrap();
+            assert!(opened.records().len() >= 2, "segment {seq}");
+            let mut message = head.as_bytes().to_vec();
+            for record in opened.records() {
+                message.extend_from_slice(&record.chain_image());
+            }
+            assert_eq!(envelope.prev_chain_head(), head, "segment {seq}");
+            head = rssd_crypto::HmacSha256::mac(&chain_key, &message);
+            assert_eq!(envelope.chain_head(), head, "segment {seq}");
+        }
+        assert_eq!(d.chain_head(), head);
+    }
+
     #[test]
     fn verified_history_round_trips() {
         let mut d = device();
@@ -1012,7 +1048,12 @@ mod tests {
         let batch_results = batched.submit_batch(commands(25));
 
         assert_eq!(scalar_results, batch_results);
-        assert_eq!(scalar.chain_head(), batched.chain_head());
+        // The same records in the same order. (Not the same head: a head
+        // MACs its segment, and the batch coalesced the background seals.)
+        assert_eq!(
+            scalar.verified_history().unwrap(),
+            batched.verified_history().unwrap()
+        );
         assert_eq!(scalar.chain_len(), batched.chain_len());
         for lpa in 0..5u64 {
             assert_eq!(

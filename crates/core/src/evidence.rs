@@ -34,13 +34,13 @@ const WINDOW: usize = 64;
 /// continuity and the chain are checked alike.
 ///
 /// One [`WINDOW`] at a time: the caller fetches it (nothing past a failed
-/// fetch), [`pool::map`] fans the door and the chain over `workers` two
-/// segments an item — each segment's run starts at its own
-/// `prev_chain_head`, which needs nothing from any other segment, so the
-/// two runs share the SHA unit ([`ChainKey::heads_after`]) — and the caller
-/// merges in sequence order: continuity against the running head, then
-/// `sink`. Only continuity is sequential, so the answer is the same at any
-/// `workers`.
+/// fetch), [`pool::map`] fans the door and the chain over `workers` one
+/// segment an item — each segment's run is one HMAC from its own
+/// `prev_chain_head` ([`ChainKey::head_after`]) over the chain images its
+/// metadata block stores, which needs nothing from any other segment — and
+/// the caller merges in sequence order: continuity against the running
+/// head, then `sink`. Only continuity is sequential, so the answer is the
+/// same at any `workers`.
 ///
 /// # Errors
 ///
@@ -70,50 +70,21 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
                 }
             }
         }
-        let open = |(seq, envelope, vouched): &(u64, SegmentEnvelope, bool)| {
+        // Per segment: the open, and beside it the head its records reach —
+        // held back until the merge has checked continuity, which outranks
+        // it.
+        let opened = pool::map(workers, fetched.len(), |at| {
+            let (seq, envelope, vouched) = &fetched[at];
             let segment = if *vouched {
                 envelope.open_vouched(session)
             } else {
                 envelope.open(session, OpenDepth::Metadata)
             };
             let segment = segment.map_err(|e| format!("open segment {seq}: {e}"))?;
-            let images: Vec<_> = segment
-                .records()
-                .iter()
-                .map(LogRecord::chain_image)
-                .collect();
-            Ok::<_, String>((segment, images))
-        };
-        // Per segment: the open, and beside it whether its records reach its
-        // head — held back until the merge has checked continuity, which
-        // outranks it.
-        let opened = pool::map(workers, fetched.len().div_ceil(2), |pair| {
-            let pair = &fetched[2 * pair..fetched.len().min(2 * pair + 2)];
-            let opened: Vec<_> = pair.iter().map(open).collect();
-            let runs: Vec<_> = pair
-                .iter()
-                .zip(&opened)
-                .filter_map(|((_, envelope, _), opened)| {
-                    let (_, images) = opened.as_ref().ok()?;
-                    Some((envelope.prev_chain_head(), images.as_slice()))
-                })
-                .collect();
-            let reached = match runs[..] {
-                [a, b] => {
-                    let (a, b) = chain.heads_after(a, b);
-                    vec![a, b]
-                }
-                _ => runs
-                    .iter()
-                    .map(|&(start, images)| chain.head_after(start, images))
-                    .collect(),
-            };
-            let mut reached = reached.into_iter();
-            let mut with_head = |(segment, _)| (segment, reached.next().expect("one per run"));
-            let opened = opened.into_iter().map(|opened| opened.map(&mut with_head));
-            opened.collect::<Vec<_>>()
+            let reached = chain.head_after(envelope.prev_chain_head(), segment.chain_images());
+            Ok::<_, String>((segment, reached))
         });
-        for ((seq, envelope, _), opened) in fetched.iter().zip(opened.into_iter().flatten()) {
+        for ((seq, envelope, _), opened) in fetched.iter().zip(opened) {
             let (segment, reached) = opened?;
             if envelope.prev_chain_head() != head {
                 return Err(format!("segment {seq} does not extend the chain"));
@@ -249,8 +220,8 @@ impl EvidenceReader {
             .chain([(None, pending, live.map(|(_, head)| head))]);
         let verified = walked.and_then(|mut head| {
             for (staged_seq, batch, end) in local {
-                let images: Vec<_> = batch.records.iter().map(LogRecord::chain_image).collect();
-                let reached = self.chain.head_after(head, &images);
+                let images = batch.records.iter().map(LogRecord::chain_image);
+                let reached = self.chain.head_after(head, images);
                 if end.is_some_and(|end| end != reached) {
                     return Err(match staged_seq {
                         Some(segment_seq) => format!(

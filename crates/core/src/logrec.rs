@@ -1,9 +1,10 @@
 //! The hardware-assisted log: its records.
 //!
 //! Every host-visible operation becomes a [`LogRecord`]. Records are chained
-//! (HMAC over the previous tag and the record's canonical bytes,
-//! [`LogRecord::chain_image`]) as they are appended, then sealed in batches
-//! into segments for offload — [`crate::segment`] owns that format.
+//! as they are appended — each record's canonical bytes,
+//! [`LogRecord::chain_image`], absorbed into the HMAC that the sealing
+//! segment's head finalizes — then sealed in batches into segments for
+//! offload; [`crate::segment`] owns that format.
 //!
 //! Serialization is a hand-rolled binary format (no serde data format crate
 //! is used in this workspace); every decoder is total — malformed input
@@ -187,7 +188,7 @@ mod tests {
         let mut chain = HashChain::new(b"k");
         let records: Vec<LogRecord> = (0..n).map(record).collect();
         for r in &records {
-            chain.append(&r.chain_image());
+            chain.absorb(&r.chain_image());
         }
         let retained_len = (0..n).map(|i| (i % 2 == 0).then_some(64)).collect();
         let preimages = (0..n).step_by(2).flat_map(|i| [0xA0 + i as u8; 64]);
@@ -388,7 +389,15 @@ mod tests {
         let envelope = seal(&batch(4));
         let opened = envelope.open(&session(), OpenDepth::Metadata).unwrap();
         let key = ChainKey::new(b"k");
-        let images: Vec<_> = opened.records().iter().map(|r| r.chain_bytes()).collect();
+        let images: Vec<_> = opened
+            .records()
+            .iter()
+            .map(LogRecord::chain_image)
+            .collect();
+        assert!(
+            opened.chain_images().eq(&images),
+            "the block stores the images"
+        );
         let start = envelope.prev_chain_head();
         assert_eq!(key.head_after(start, &images), envelope.chain_head());
         let mut edited = images.clone();

@@ -862,12 +862,7 @@ impl OffloadEngine {
             let Ok(segment) = envelope.open(&self.session, OpenDepth::Metadata) else {
                 break;
             };
-            let images: Vec<_> = segment
-                .records()
-                .iter()
-                .map(LogRecord::chain_image)
-                .collect();
-            if chain.head_after(head, &images) != envelope.chain_head() {
+            if chain.head_after(head, segment.chain_images()) != envelope.chain_head() {
                 break; // its records are not the run its heads enclose
             }
             let mut batch = Batch::default();
@@ -1065,12 +1060,12 @@ mod tests {
                 read_before: false,
                 old_data: None,
             };
-            self.chain.append(&record.chain_image());
+            self.chain.absorb(&record.chain_image());
             self.pending.push(record);
         }
 
         fn seal(&mut self) {
-            let head = self.chain.head();
+            let head = self.chain.seal();
             self.engine.seal(&mut self.pending, head, &mut self.ftl);
         }
 

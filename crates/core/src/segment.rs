@@ -36,9 +36,13 @@ use std::sync::OnceLock;
 /// Size of one record's entry in the metadata block.
 const ENTRY_LEN: usize = LogRecord::CHAIN_IMAGE_LEN + 4;
 
+/// Size of the metadata block's `segment_seq u64 | count u32` ahead of the
+/// entries.
+const BLOCK_HEAD: usize = 12;
+
 /// Size of the metadata block of a segment of `count` records.
 const fn metadata_len(count: usize) -> usize {
-    12 + count * ENTRY_LEN
+    BLOCK_HEAD + count * ENTRY_LEN
 }
 
 /// Where the header bytes the tag covers begin: both chain heads and the
@@ -292,14 +296,14 @@ impl SegmentEnvelope {
         }
         .map_err(|_| WireError::BadPayload)?;
 
-        if metadata.len() < 12 {
+        if metadata.len() < BLOCK_HEAD {
             return Err(WireError::Truncated);
         }
         let segment_seq = u64::from_le_bytes(metadata[..8].try_into().expect("8"));
         let count = u32::from_le_bytes(metadata[8..12].try_into().expect("4")) as usize;
         // A count the block cannot hold is malformed input (and must not
         // drive preallocation).
-        if count > (metadata.len() - 12) / ENTRY_LEN {
+        if count > (metadata.len() - BLOCK_HEAD) / ENTRY_LEN {
             return Err(WireError::Truncated);
         }
         if metadata.len() > metadata_len(count) {
@@ -308,7 +312,7 @@ impl SegmentEnvelope {
         let mut records = Vec::with_capacity(count);
         let mut retained_len = Vec::with_capacity(count);
         let mut preimage_bytes = 0usize;
-        for entry in metadata[12..].chunks_exact(ENTRY_LEN) {
+        for entry in metadata[BLOCK_HEAD..].chunks_exact(ENTRY_LEN) {
             let (image, len) = entry.split_at(LogRecord::CHAIN_IMAGE_LEN);
             records.push(LogRecord::from_chain_image(image.try_into().expect("36"))?);
             let len = u32::from_le_bytes(len.try_into().expect("4"));
@@ -331,6 +335,7 @@ impl SegmentEnvelope {
             retained_len,
             preimages,
             raw_len: metadata.len() + preimage_bytes,
+            metadata,
         })
     }
 
@@ -497,12 +502,24 @@ pub struct OpenedSegment {
     /// [`OpenDepth::Full`], empty under [`OpenDepth::Metadata`].
     preimages: Vec<u8>,
     raw_len: usize,
+    /// The metadata block as deciphered, which [`Self::chain_images`] reads.
+    metadata: Vec<u8>,
 }
 
 impl OpenedSegment {
     /// Records in chain order, metadata only (`old_data: None`).
     pub fn records(&self) -> &[LogRecord] {
         &self.records
+    }
+
+    /// The records' chain images in chain order, as the metadata block
+    /// stores them: what the evidence chain MACs, read where they lie.
+    pub fn chain_images(&self) -> impl Iterator<Item = &[u8; LogRecord::CHAIN_IMAGE_LEN]> {
+        let entries = self.metadata[BLOCK_HEAD..].chunks_exact(ENTRY_LEN);
+        entries.map(|entry| {
+            let image = &entry[..LogRecord::CHAIN_IMAGE_LEN];
+            image.try_into().expect("an entry opens with its image")
+        })
     }
 
     /// Per record, the length of the pre-image it carries in the segment,

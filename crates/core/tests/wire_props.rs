@@ -197,8 +197,8 @@ proptest! {
         for depth in DEPTHS {
             let opened = envelope.open(&session, depth).expect("self-sealed payload opens");
             prop_assert_eq!(opened.records(), &batch.records[..]);
-            let inputs: Vec<Vec<u8>> = opened.records().iter().map(|r| r.chain_bytes()).collect();
-            let reached = ChainKey::new(b"prop-key").head_after(envelope.prev_chain_head(), &inputs);
+            let inputs = opened.records().iter().map(LogRecord::chain_image);
+            let reached = ChainKey::new(b"prop-key").head_after(envelope.prev_chain_head(), inputs);
             prop_assert_eq!(reached, envelope.chain_head());
             prop_assert_eq!(opened.retained_len(), &batch.retained_len[..]);
             let preimages = opened.into_preimages();

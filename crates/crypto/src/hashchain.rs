@@ -1,36 +1,46 @@
 //! The trusted evidence chain primitive.
 //!
 //! RSSD's post-attack analysis depends on a *trusted evidence chain*: every
-//! storage operation the device receives is appended, in arrival order, to a
-//! chain of HMAC tags computed inside the (hardware-isolated) controller:
+//! storage operation the device receives is absorbed, in arrival order, into
+//! a chain of HMAC heads computed inside the (hardware-isolated) controller.
+//! The device seals its log in runs (a sealed segment is one), and a run's
+//! head is one HMAC over the head before it and the run's records:
 //!
 //! ```text
-//! tag_0 = HMAC(k, ZERO       || record_0)
-//! tag_i = HMAC(k, tag_{i-1}  || record_i)
+//! head_0 = ZERO
+//! head_s = HMAC(k, head_{s-1} || record_1 || ... || record_n)    (n ≥ 1)
 //! ```
 //!
-//! A verifier holding `k` and the ordered records can recompute the chain and
-//! detect any insertion, deletion, reordering, or mutation — which is what
-//! makes the reconstructed I/O history admissible for forensics.
+//! A run of no records leaves the head where it was. Every record of a chain
+//! has one length (the device's are 36-byte chain images), so the message
+//! splits into `head_{s-1}` and records one way only; HMAC is a PRF, so
+//! without `k` no other record list reaches the same head. A verifier
+//! holding `k`, the head before a run and the run's records recomputes the
+//! head after it and detects any insertion, deletion, reordering, or mutation
+//! — which is what makes the reconstructed I/O history admissible for
+//! forensics. What the chain gives up is a head per record: a failure names
+//! the run, not the record in it.
 
 use crate::hmac::{HmacSha256, Midstates};
-use crate::sha256::{compress_blocks, compress_pair, state_digest, Digest};
+use crate::sha256::Digest;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
-/// One link of the evidence chain: a sequence number plus the chained tag.
+/// One record's place in a chain that is never sealed: a sequence number
+/// plus the head the run reaches with that record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChainLink {
     /// Zero-based position of the record in the chain.
     pub seq: u64,
-    /// `HMAC(k, prev_tag || record)`.
+    /// `HMAC(k, head_before_run || record_1 || ... || record)`.
     pub tag: Digest,
 }
 
 /// Errors from [`HashChain::verify_sequence`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChainVerifyError {
-    /// The record at `seq` does not reproduce the recorded tag — it was
-    /// mutated, or an earlier record was inserted/removed/reordered.
+    /// The records up to `seq` do not reach the recorded head — that record
+    /// was mutated, or an earlier record was inserted/removed/reordered.
     TagMismatch {
         /// Sequence number of the first non-verifying link.
         seq: u64,
@@ -60,7 +70,9 @@ impl std::fmt::Display for ChainVerifyError {
 
 impl std::error::Error for ChainVerifyError {}
 
-/// An appendable chained-HMAC evidence chain.
+/// An appendable evidence chain: the open run's MAC, which every record is
+/// absorbed into (a 36-byte image costs about half a SHA-256 compression),
+/// finalized only when a head is asked for.
 ///
 /// # Examples
 ///
@@ -78,55 +90,91 @@ impl std::error::Error for ChainVerifyError {}
 /// ```
 #[derive(Clone)]
 pub struct HashChain {
-    /// The key's HMAC midstates, computed once at construction: a link costs
-    /// the message and digest compressions only — not the two key-pad
-    /// blocks again.
-    keyed: Midstates,
-    head: Digest,
+    key: ChainKey,
+    /// The head the open run started from: the last one sealed.
+    sealed: Digest,
+    /// The open run's MAC, `sealed` and every record absorbed since; `None`
+    /// while the run has no record, and the head is `sealed`.
+    run: Option<HmacSha256>,
+    /// The length every record of the chain has: its first record's.
+    record_len: Option<usize>,
     next_seq: u64,
 }
 
 impl std::fmt::Debug for HashChain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The midstates are key-equivalent: only the public position prints.
+        // The key and the run's MAC state are key-equivalent: only the
+        // public position prints.
         f.debug_struct("HashChain")
-            .field("head", &self.head)
+            .field("sealed", &self.sealed)
             .field("next_seq", &self.next_seq)
             .finish_non_exhaustive()
     }
 }
 
 impl HashChain {
-    /// Creates an empty chain keyed with `key`, with the all-zero genesis tag.
+    /// Creates an empty chain keyed with `key`, with the all-zero genesis head.
     pub fn new(key: &[u8]) -> Self {
         Self::resume(key, Digest::ZERO, 0)
     }
 
-    /// Resumes a chain from a known head (used when the local log wraps and
-    /// earlier links have been offloaded remotely).
+    /// Resumes a chain at a known head, with an empty run (used when the
+    /// device recovers at the durable head).
     pub fn resume(key: &[u8], head: Digest, next_seq: u64) -> Self {
         HashChain {
-            keyed: Midstates::new(key),
-            head,
+            key: ChainKey::new(key),
+            sealed: head,
+            run: None,
+            record_len: None,
             next_seq,
         }
     }
 
-    /// Appends a record, returning the new link.
-    pub fn append(&mut self, record: &[u8]) -> ChainLink {
-        let tag = link(&self.keyed, &self.head, record);
-        let link = ChainLink {
-            seq: self.next_seq,
-            tag,
-        };
-        self.head = tag;
+    /// Absorbs a record into the open run: the write path's append, which
+    /// computes no head.
+    ///
+    /// # Panics
+    ///
+    /// When `record` is not as long as the chain's first record: the head
+    /// MACs the records back to back, which split one way only when all
+    /// have one length.
+    pub fn absorb(&mut self, record: &[u8]) {
+        let len = *self.record_len.get_or_insert(record.len());
+        assert_eq!(record.len(), len, "every record of a chain has one length");
+        self.run
+            .get_or_insert_with(|| self.key.run_from(&self.sealed))
+            .update(record);
         self.next_seq += 1;
-        link
     }
 
-    /// Current chain head (tag of the most recent record, or `ZERO` if empty).
+    /// [`Self::absorb`], returning the record's link: its sequence and the
+    /// head the run reaches with it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::absorb`].
+    pub fn append(&mut self, record: &[u8]) -> ChainLink {
+        let seq = self.next_seq;
+        self.absorb(record);
+        ChainLink {
+            seq,
+            tag: self.head(),
+        }
+    }
+
+    /// Current chain head: the open run's MAC finalized, or the sealed head
+    /// while the run has no record.
     pub fn head(&self) -> Digest {
-        self.head
+        self.run.clone().map_or(self.sealed, HmacSha256::finalize)
+    }
+
+    /// Ends the open run: returns the head it reached ([`Self::head`]) and
+    /// starts the next run from it.
+    pub fn seal(&mut self) -> Digest {
+        if let Some(run) = self.run.take() {
+            self.sealed = run.finalize();
+        }
+        self.sealed
     }
 
     /// Sequence number the next appended record will receive.
@@ -145,42 +193,16 @@ impl HashChain {
         self.next_seq == 0
     }
 
-    /// Computes a single link tag.
-    pub fn link_tag(key: &[u8], prev: &Digest, record: &[u8]) -> Digest {
-        link(&Midstates::new(key), prev, record)
-    }
-
-    /// Verifies that `records`, starting from the zero genesis tag, reproduce
-    /// `links` exactly.
+    /// Verifies that `records`, appended one run long to a chain at the
+    /// zero genesis head, reproduce `links` exactly.
     ///
     /// # Errors
     ///
     /// Returns [`ChainVerifyError::LengthMismatch`] when counts differ, or
-    /// [`ChainVerifyError::TagMismatch`] identifying the first bad link.
+    /// [`ChainVerifyError::TagMismatch`] identifying the first bad link — a
+    /// record of another length than the first is one.
     pub fn verify_sequence<R: AsRef<[u8]>>(
         key: &[u8],
-        records: &[R],
-        links: &[ChainLink],
-    ) -> Result<(), ChainVerifyError> {
-        Self::verify_from(key, Digest::ZERO, records, links)
-    }
-
-    /// [`Self::verify_sequence`] from an arbitrary prior head. (A reader of
-    /// sealed segments holds no links to compare: it recomputes the run
-    /// with [`ChainKey`] and compares the head it reaches.)
-    ///
-    /// Links are recomputed two at a time: link `i + 1` is computed from
-    /// link `i`'s *stored* tag, so the two are independent and share the
-    /// SHA unit. Whenever link `i` verifies, that stored tag is the head
-    /// the one-at-a-time walk would have reached; when it does not, link
-    /// `i` is the one reported. Either way the answer is the serial walk's.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::verify_sequence`].
-    fn verify_from<R: AsRef<[u8]>>(
-        key: &[u8],
-        mut head: Digest,
         records: &[R],
         links: &[ChainLink],
     ) -> Result<(), ChainVerifyError> {
@@ -190,40 +212,22 @@ impl HashChain {
                 actual: records.len(),
             });
         }
-        let keyed = Midstates::new(key);
-        let check = |link: &ChainLink, tag: Digest| {
-            if tag == link.tag {
-                Ok(())
-            } else {
-                Err(ChainVerifyError::TagMismatch { seq: link.seq })
+        let mut chain = HashChain::new(key);
+        for (record, link) in records.iter().zip(links) {
+            let record = record.as_ref();
+            let fits = chain.record_len.map_or(true, |len| len == record.len());
+            if !fits || chain.append(record).tag != link.tag {
+                return Err(ChainVerifyError::TagMismatch { seq: link.seq });
             }
-        };
-        let (record_pairs, link_pairs) = (records.chunks_exact(2), links.chunks_exact(2));
-        let odd = record_pairs
-            .remainder()
-            .first()
-            .zip(link_pairs.remainder().first());
-        for (records, links) in record_pairs.zip(link_pairs) {
-            let (first, second) = link_pair(
-                &keyed,
-                (&head, records[0].as_ref()),
-                (&links[0].tag, records[1].as_ref()),
-            );
-            check(&links[0], first)?;
-            check(&links[1], second)?;
-            head = second;
-        }
-        if let Some((record, last)) = odd {
-            check(last, link(&keyed, &head, record.as_ref()))?;
         }
         Ok(())
     }
 }
 
-/// The chain key as a verifier holds it: ready to recompute a run of links
-/// from the head before it and say which head the run reaches. Nothing
-/// between two stored heads needs storing — a verifier compares what the
-/// run reaches with the head stored after it, and a reordered, dropped,
+/// The chain key as a verifier holds it: ready to MAC a run of records from
+/// the head before it and say which head the run reaches. Nothing between
+/// two stored heads needs storing — a verifier compares what the run
+/// reaches with the head stored after it, and a reordered, dropped,
 /// inserted or edited record reaches another head.
 ///
 /// # Examples
@@ -233,13 +237,12 @@ impl HashChain {
 ///
 /// let mut chain = HashChain::new(b"device-evidence-key");
 /// chain.append(b"write lba=4 len=8");
-/// let after_first = chain.head();
+/// let after_first = chain.seal();
 /// chain.append(b"trim  lba=4 len=8");
 ///
 /// let key = ChainKey::new(b"device-evidence-key");
-/// let rest: [&[u8]; 1] = [b"trim  lba=4 len=8"];
-/// assert_eq!(key.head_after(after_first, &rest), chain.head());
-/// assert_ne!(key.head_after(Digest::ZERO, &rest), chain.head());
+/// assert_eq!(key.head_after(after_first, [b"trim  lba=4 len=8"]), chain.head());
+/// assert_ne!(key.head_after(Digest::ZERO, [b"trim  lba=4 len=8"]), chain.head());
 /// ```
 #[derive(Clone)]
 pub struct ChainKey {
@@ -261,109 +264,29 @@ impl ChainKey {
         }
     }
 
-    /// The head the chain reaches from `head` over `records`, in order —
-    /// what [`HashChain::append`] leaves after appending them to a chain at
-    /// `head`.
-    pub fn head_after<R: AsRef<[u8]>>(&self, head: Digest, records: &[R]) -> Digest {
-        records.iter().fold(head, |head, record| {
-            link(&self.keyed, &head, record.as_ref())
-        })
-    }
-
-    /// [`Self::head_after`] of two independent runs, their links computed
-    /// side by side — one link of each at a time, on interleaved
-    /// compressions — while both last; the longer one finishes alone.
-    pub fn heads_after<R: AsRef<[u8]>, S: AsRef<[u8]>>(
-        &self,
-        (mut a, a_records): (Digest, &[R]),
-        (mut b, b_records): (Digest, &[S]),
-    ) -> (Digest, Digest) {
-        let both = a_records.len().min(b_records.len());
-        for (a_record, b_record) in a_records.iter().zip(b_records) {
-            (a, b) = link_pair(
-                &self.keyed,
-                (&a, a_record.as_ref()),
-                (&b, b_record.as_ref()),
-            );
+    /// The head a run of `images`, in order, reaches from `head`: one HMAC
+    /// over `head` and the images back to back, or `head` itself for no
+    /// image — what [`HashChain::seal`] returns after they are absorbed
+    /// into a chain at `head`. The images have one length, `N`.
+    pub fn head_after<const N: usize, I>(&self, head: Digest, images: I) -> Digest
+    where
+        I: IntoIterator,
+        I::Item: Borrow<[u8; N]>,
+    {
+        let mut run = None;
+        for image in images {
+            run.get_or_insert_with(|| self.run_from(&head))
+                .update(image.borrow());
         }
-        (
-            self.head_after(a, &a_records[both..]),
-            self.head_after(b, &b_records[both..]),
-        )
+        run.map_or(head, HmacSha256::finalize)
     }
-}
 
-/// The inner hash's message after the key block, `prev ‖ record`, already
-/// padded: the buffer and how many of its blocks it fills — one or two
-/// (the 36-byte chain image takes two). `None` when the record does not fit
-/// in two.
-fn padded_message(prev: &Digest, record: &[u8]) -> Option<([u8; 128], usize)> {
-    let len = prev.as_bytes().len() + record.len();
-    // The 0x80 marker and the 64-bit length follow the message.
-    let blocks = (len + 9).div_ceil(64);
-    if blocks > 2 {
-        return None;
-    }
-    let mut message = [0u8; 128];
-    message[..32].copy_from_slice(prev.as_bytes());
-    message[32..len].copy_from_slice(record);
-    message[len] = 0x80;
-    // The key block ahead of the message counts toward its length.
-    let bits = (64 + len as u64) * 8;
-    message[blocks * 64 - 8..blocks * 64].copy_from_slice(&bits.to_be_bytes());
-    Some((message, blocks))
-}
-
-/// The outer hash's one block after the key block: the inner digest spelled
-/// by the final inner state, padded.
-fn outer_block(inner: &[u32; 8]) -> [u8; 64] {
-    let mut block = [0u8; 64];
-    block[..32].copy_from_slice(state_digest(inner).as_bytes());
-    block[32] = 0x80;
-    block[56..].copy_from_slice(&((64 + 32) as u64 * 8).to_be_bytes());
-    block
-}
-
-/// One link, `HMAC(k, prev ‖ record)`, from the key's midstates: the
-/// message blocks on the stack and one outer block — three compressions
-/// for a chain image. A longer record takes the incremental HMAC.
-fn link(keyed: &Midstates, prev: &Digest, record: &[u8]) -> Digest {
-    let Some((message, blocks)) = padded_message(prev, record) else {
-        let mut mac = HmacSha256::from_midstates(keyed);
-        mac.update(prev.as_bytes());
-        mac.update(record);
-        return mac.finalize();
-    };
-    let mut inner = keyed.inner;
-    compress_blocks(&mut inner, &message[..blocks * 64]);
-    let mut outer = keyed.outer;
-    compress_blocks(&mut outer, &outer_block(&inner));
-    state_digest(&outer)
-}
-
-/// Two independent links, each [`link`]'s tag, on interleaved compressions
-/// when their messages fill the same number of blocks.
-fn link_pair(keyed: &Midstates, a: (&Digest, &[u8]), b: (&Digest, &[u8])) -> (Digest, Digest) {
-    match (padded_message(a.0, a.1), padded_message(b.0, b.1)) {
-        (Some((message_a, blocks)), Some((message_b, blocks_b))) if blocks == blocks_b => {
-            let (mut inner_a, mut inner_b) = (keyed.inner, keyed.inner);
-            let run = blocks * 64;
-            compress_pair(
-                &mut inner_a,
-                &message_a[..run],
-                &mut inner_b,
-                &message_b[..run],
-            );
-            let (mut outer_a, mut outer_b) = (keyed.outer, keyed.outer);
-            compress_pair(
-                &mut outer_a,
-                &outer_block(&inner_a),
-                &mut outer_b,
-                &outer_block(&inner_b),
-            );
-            (state_digest(&outer_a), state_digest(&outer_b))
-        }
-        _ => (link(keyed, a.0, a.1), link(keyed, b.0, b.1)),
+    /// A run's MAC before its first record: resumed from the key's
+    /// midstates, `head` absorbed.
+    fn run_from(&self, head: &Digest) -> HmacSha256 {
+        let mut mac = HmacSha256::from_midstates(&self.keyed);
+        mac.update(head.as_bytes());
+        mac
     }
 }
 
@@ -372,11 +295,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The one-link-at-a-time loop `verify_from` ran before links were
-    /// paired, over a keyed HMAC context cloned per link: the oracle.
-    fn verify_from_reference<R: AsRef<[u8]>>(
+    /// What a verifier that holds `links` checks, link by link, as one-shot
+    /// HMACs over the zero head and every record up to the link: the oracle.
+    fn verify_sequence_reference<R: AsRef<[u8]>>(
         key: &[u8],
-        mut head: Digest,
         records: &[R],
         links: &[ChainLink],
     ) -> Result<(), ChainVerifyError> {
@@ -386,29 +308,16 @@ mod tests {
                 actual: records.len(),
             });
         }
-        let keyed = HmacSha256::new(key);
+        let mut message = Digest::ZERO.as_bytes().to_vec();
         for (record, link) in records.iter().zip(links) {
-            let mut mac = keyed.clone();
-            mac.update(head.as_bytes());
-            mac.update(record.as_ref());
-            let expected = mac.finalize();
-            if expected != link.tag {
+            let record = record.as_ref();
+            message.extend_from_slice(record);
+            let one_length = record.len() == records[0].as_ref().len();
+            if !one_length || HmacSha256::mac(key, &message) != link.tag {
                 return Err(ChainVerifyError::TagMismatch { seq: link.seq });
             }
-            head = expected;
         }
         Ok(())
-    }
-
-    /// Record lengths on both sides of each layout boundary: one message
-    /// block (≤ 23 bytes after the 32-byte head), two (24‥87), and the
-    /// incremental fallback (≥ 88).
-    const RECORD_LENS: [usize; 7] = [0, 23, 24, 36, 87, 88, 150];
-
-    fn flipped(tag: Digest) -> Digest {
-        let mut bytes = *tag.as_bytes();
-        bytes[0] ^= 1;
-        Digest::from_bytes(bytes)
     }
 
     fn build(records: &[&[u8]]) -> (HashChain, Vec<ChainLink>) {
@@ -417,10 +326,32 @@ mod tests {
         (chain, links)
     }
 
+    /// `images` from `start` under `key`, by hand: one HMAC over the head
+    /// and the images back to back — or the head, for no image.
+    fn oracle(key: &[u8], start: Digest, images: &[[u8; 36]]) -> Digest {
+        if images.is_empty() {
+            return start;
+        }
+        let mut message = start.as_bytes().to_vec();
+        message.extend(images.iter().flatten());
+        HmacSha256::mac(key, &message)
+    }
+
+    /// `N` bytes.
+    fn arb_bytes<const N: usize>() -> impl Strategy<Value = [u8; N]> {
+        let bytes = proptest::collection::vec(any::<u8>(), N..N + 1);
+        bytes.prop_map(|bytes| bytes.try_into().expect("N bytes"))
+    }
+
+    fn arb_images() -> impl Strategy<Value = Vec<[u8; 36]>> {
+        proptest::collection::vec(arb_bytes::<36>(), 0..12)
+    }
+
     #[test]
     fn empty_chain_has_zero_head() {
-        let chain = HashChain::new(b"k");
+        let mut chain = HashChain::new(b"k");
         assert_eq!(chain.head(), Digest::ZERO);
+        assert_eq!(chain.seal(), Digest::ZERO);
         assert!(chain.is_empty());
         assert_eq!(chain.len(), 0);
     }
@@ -490,19 +421,19 @@ mod tests {
         assert!(HashChain::verify_sequence(b"other", &records, &links).is_err());
     }
 
+    /// A chain resumed at a sealed head runs on exactly as the sealing
+    /// chain does, and a verifier reaches both from that head.
     #[test]
     fn resume_continues_chain() {
         let mut chain = HashChain::new(b"k");
-        let l0 = chain.append(b"a");
-        let l1_expected_head = chain.head();
+        chain.append(b"a");
+        let sealed = chain.seal();
 
-        let mut resumed = HashChain::resume(b"k", l1_expected_head, chain.next_seq());
+        let mut resumed = HashChain::resume(b"k", sealed, chain.next_seq());
         let l1 = resumed.append(b"b");
         assert_eq!(l1.seq, 1);
-
-        // Segment verification from the prior head.
-        let records: Vec<&[u8]> = vec![b"b"];
-        assert!(HashChain::verify_from(b"k", l0.tag, &records, &[l1]).is_ok());
+        assert_eq!(l1, chain.append(b"b"));
+        assert_eq!(ChainKey::new(b"k").head_after(sealed, [b"b"]), l1.tag);
     }
 
     #[test]
@@ -511,178 +442,151 @@ mod tests {
         assert!(e.to_string().contains("sequence 7"));
     }
 
-    proptest! {
-        // Two runs recomputed side by side reach each its own head — the one
-        // `append` left — whatever their lengths and record layouts; a
-        // damaged run reaches another.
-        #[test]
-        fn paired_runs_reach_the_heads_append_leaves(
-            key in proptest::collection::vec(any::<u8>(), 0..100),
-            runs in proptest::collection::vec(
-                (
-                    any::<u8>(),
-                    proptest::collection::vec((0..RECORD_LENS.len(), any::<u8>()), 0..9),
-                ),
-                2..3,
-            ),
-            damage_at in any::<usize>(),
-        ) {
-            let verifier = ChainKey::new(&key);
-            let runs: Vec<(Digest, Vec<Vec<u8>>, Digest)> = runs
-                .iter()
-                .map(|(start, drawn)| {
-                    let start = Digest::from_bytes([*start; 32]);
-                    let records: Vec<Vec<u8>> = drawn
-                        .iter()
-                        .map(|&(len, fill)| (0..RECORD_LENS[len]).map(|i| fill ^ i as u8).collect())
-                        .collect();
-                    let mut chain = HashChain::resume(&key, start, 0);
-                    for record in &records {
-                        chain.append(record);
-                    }
-                    (start, records, chain.head())
-                })
-                .collect();
-            let [(a, a_records, a_end), (b, b_records, b_end)] = &runs[..] else {
-                unreachable!("two runs drawn")
-            };
-            prop_assert_eq!(verifier.head_after(*a, a_records), *a_end);
-            prop_assert_eq!(verifier.head_after(*b, b_records), *b_end);
-            prop_assert_eq!(verifier.heads_after((*a, a_records), (*b, b_records)), (*a_end, *b_end));
-            prop_assert_eq!(verifier.heads_after((*b, b_records), (*a, a_records)), (*b_end, *a_end));
-            if !a_records.is_empty() {
-                let at = damage_at % a_records.len();
-                let mut edited = a_records.clone();
-                match edited[at].first_mut() {
-                    Some(byte) => *byte ^= 1,
-                    None => edited[at].push(0),
-                }
-                let (mut dropped, mut swapped) = (a_records.clone(), a_records.clone());
-                dropped.remove(at);
-                swapped.swap(at, (at + 1) % a_records.len());
-                let mut damaged = vec![edited, dropped];
-                if swapped != *a_records {
-                    damaged.push(swapped);
-                }
-                for records in &damaged {
-                    let (reached, other) = verifier.heads_after((*a, records), (*b, b_records));
-                    prop_assert_ne!(reached, *a_end);
-                    prop_assert_eq!(other, *b_end);
-                }
-            }
-        }
+    /// The head MACs records back to back, so a record of another length
+    /// would let two record lists meet: a verifier names it as a bad link
+    /// ...
+    #[test]
+    fn a_record_of_another_length_is_refused() {
+        let (_, links) = build(&[b"ab", b"cd"]);
+        let split: Vec<&[u8]> = vec![b"abc", b"d"];
+        assert_eq!(
+            HashChain::verify_sequence(b"k", &split, &links),
+            Err(ChainVerifyError::TagMismatch { seq: 0 })
+        );
+        let shifted: Vec<&[u8]> = vec![b"ab", b"c"];
+        assert_eq!(
+            HashChain::verify_sequence(b"k", &shifted, &links),
+            Err(ChainVerifyError::TagMismatch { seq: 1 })
+        );
+    }
 
-        // The keyed-midstate links are plain RFC 2104 HMACs over
-        // `prev || record`, link by link, on both the append and the
-        // verify side.
+    /// ... and a chain refuses to absorb it.
+    #[test]
+    #[should_panic(expected = "every record of a chain has one length")]
+    fn absorbing_a_record_of_another_length_panics() {
+        build(&[b"ab", b"c"]);
+    }
+
+    proptest! {
+        // A run's head is one HMAC over the head before it and its images
+        // back to back, whether a verifier computes it (`head_after`) or a
+        // chain that absorbed the images seals it; a run of none leaves
+        // the head. Runs sealed one after another chain head to head.
         #[test]
         fn midstate_links_equal_one_shot_hmac(
             key in proptest::collection::vec(any::<u8>(), 0..100),
-            records in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 0..150),
-                1..12,
-            ),
-            resume_at in 0usize..12,
+            start in arb_bytes::<32>(),
+            runs in proptest::collection::vec(arb_images(), 1..4),
         ) {
-            let mut chain = HashChain::new(&key);
-            let mut prev = Digest::ZERO;
-            let mut links = Vec::new();
-            for record in &records {
-                let mut message = prev.as_bytes().to_vec();
-                message.extend_from_slice(record);
-                let link = chain.append(record);
-                prop_assert_eq!(link.tag, HmacSha256::mac(&key, &message));
-                prop_assert_eq!(link.tag, HashChain::link_tag(&key, &prev, record));
-                prev = link.tag;
-                links.push(link);
+            let verifier = ChainKey::new(&key);
+            let mut head = Digest::from_bytes(start);
+            let mut chain = HashChain::resume(&key, head, 0);
+            for images in &runs {
+                let expected = oracle(&key, head, images);
+                prop_assert_eq!(verifier.head_after(head, images), expected);
+                for image in images {
+                    chain.absorb(image);
+                }
+                prop_assert_eq!(chain.head(), expected);
+                prop_assert_eq!(chain.seal(), expected);
+                head = expected;
             }
-            prop_assert!(HashChain::verify_sequence(&key, &records, &links).is_ok());
-            let at = resume_at % records.len();
-            let head = if at == 0 { Digest::ZERO } else { links[at - 1].tag };
-            prop_assert!(HashChain::verify_from(&key, head, &records[at..], &links[at..]).is_ok());
-            let mut bad = links.clone();
-            bad[at].tag = Digest::ZERO;
-            prop_assert_eq!(
-                HashChain::verify_sequence(&key, &records, &bad),
-                Err(ChainVerifyError::TagMismatch { seq: at as u64 })
-            );
         }
 
-        // Every damage at every position of chains that mix the one-block,
-        // two-block and fallback layouts inside one pair: the paired
-        // verifier returns exactly the serial oracle's `Result`.
+        // Swapping two images, dropping one, inserting one or flipping any
+        // bit of one: every damaged run reaches another head.
         #[test]
-        fn pair_verifier_answers_as_the_serial_oracle(
+        fn a_run_reaches_the_head_append_leaves_and_no_damaged_run_does(
             key in proptest::collection::vec(any::<u8>(), 0..100),
-            start in proptest::option::of(any::<u8>()),
-            drawn in proptest::collection::vec((0..RECORD_LENS.len(), any::<u8>()), 0..10),
+            start in arb_bytes::<32>(),
+            images in arb_images(),
+            at in any::<usize>(),
+            other in any::<usize>(),
+            bit in 0usize..36 * 8,
+            inserted in arb_bytes::<36>(),
         ) {
-            let start = start.map_or(Digest::ZERO, |fill| Digest::from_bytes([fill; 32]));
-            let records: Vec<Vec<u8>> = drawn
-                .iter()
-                .map(|&(len, fill)| (0..RECORD_LENS[len]).map(|i| fill ^ i as u8).collect())
-                .collect();
-            let first_seq = 100;
-            let mut chain = HashChain::resume(&key, start, first_seq);
+            let (verifier, start) = (ChainKey::new(&key), Digest::from_bytes(start));
+            let mut chain = HashChain::resume(&key, start, 0);
+            let links: Vec<ChainLink> = images.iter().map(|image| chain.append(image)).collect();
+            let end = verifier.head_after(start, &images);
+            prop_assert_eq!(links.last().map_or(start, |link| link.tag), end);
+
+            let mut damaged = Vec::new();
+            let mut with_insert = images.clone();
+            with_insert.insert(at % (images.len() + 1), inserted);
+            damaged.push(with_insert);
+            if !images.is_empty() {
+                let (at, other) = (at % images.len(), other % images.len());
+                let mut flipped = images.clone();
+                flipped[at][bit / 8] ^= 1 << (bit % 8);
+                damaged.push(flipped);
+                let mut dropped = images.clone();
+                dropped.remove(at);
+                damaged.push(dropped);
+                let mut swapped = images.clone();
+                swapped.swap(at, other);
+                if swapped != images {
+                    damaged.push(swapped);
+                }
+            }
+            for run in &damaged {
+                prop_assert_ne!(verifier.head_after(start, run), end);
+            }
+        }
+
+        // Every damage at every position: `verify_sequence` returns exactly
+        // the one-shot oracle's `Result`, and names the lowest bad link.
+        #[test]
+        fn verify_sequence_answers_as_the_one_shot_oracle(
+            key in proptest::collection::vec(any::<u8>(), 0..100),
+            records in proptest::collection::vec(arb_bytes::<5>(), 0..10),
+        ) {
+            let mut chain = HashChain::new(&key);
             let links: Vec<ChainLink> = records.iter().map(|r| chain.append(r)).collect();
             let n = records.len();
+            let flipped = |tag: Digest| {
+                let mut bytes = *tag.as_bytes();
+                bytes[0] ^= 1;
+                Digest::from_bytes(bytes)
+            };
 
-            let mut cases = vec![
-                ("honest".to_string(), start, records.clone(), links.clone()),
-                ("wrong start".to_string(), flipped(start), records.clone(), links.clone()),
-            ];
+            let mut cases = vec![("honest".to_string(), records.clone(), links.clone())];
             for at in 0..n {
                 let mut mutated = records.clone();
-                match mutated[at].first_mut() {
-                    Some(byte) => *byte ^= 1,
-                    None => mutated[at].push(0),
-                }
-                cases.push((format!("record {at} flipped"), start, mutated, links.clone()));
+                mutated[at][0] ^= 1;
+                cases.push((format!("record {at} flipped"), mutated, links.clone()));
                 let mut forged = links.clone();
                 forged[at].tag = flipped(forged[at].tag);
-                cases.push((format!("tag {at} flipped"), start, records.clone(), forged));
-                let (mut fewer_records, mut fewer_links) = (records.clone(), links.clone());
-                fewer_records.remove(at);
-                fewer_links.remove(at);
-                cases.push((format!("link {at} dropped"), start, fewer_records, fewer_links.clone()));
-                cases.push((format!("links short at {at}"), start, records.clone(), fewer_links));
+                cases.push((format!("tag {at} flipped"), records.clone(), forged.clone()));
                 if at + 1 < n {
+                    forged[at + 1].tag = flipped(forged[at + 1].tag);
+                    cases.push((format!("tags {at}, {} flipped", at + 1), records.clone(), forged));
                     let (mut swapped_records, mut swapped_links) = (records.clone(), links.clone());
                     swapped_records.swap(at, at + 1);
                     swapped_links.swap(at, at + 1);
-                    cases.push((format!("links {at}, {} swapped", at + 1), start, swapped_records, swapped_links));
-                    let mut both = links.clone();
-                    both[at].tag = flipped(both[at].tag);
-                    both[at + 1].tag = flipped(both[at + 1].tag);
-                    cases.push((format!("tags {at}, {} flipped", at + 1), start, records.clone(), both));
+                    cases.push((format!("links {at}, {} swapped", at + 1), swapped_records, swapped_links));
                 }
+                let (mut fewer_records, mut fewer_links) = (records.clone(), links.clone());
+                fewer_records.remove(at);
+                fewer_links.remove(at);
+                cases.push((format!("link {at} dropped"), fewer_records, fewer_links.clone()));
+                cases.push((format!("links short at {at}"), records.clone(), fewer_links));
             }
-            for (case, head, records, links) in &cases {
+            for (case, records, links) in &cases {
                 prop_assert_eq!(
-                    HashChain::verify_from(&key, *head, records, links),
-                    verify_from_reference(&key, *head, records, links),
+                    HashChain::verify_sequence(&key, records, links),
+                    verify_sequence_reference(&key, records, links),
                     "{}", case
                 );
             }
-            prop_assert!(HashChain::verify_from(&key, start, &records, &links).is_ok());
-
-            // A lone bad tag is named wherever it sits in its pair, and of
-            // two bad tags the lower: the first of a pair, when both are.
+            prop_assert!(HashChain::verify_sequence(&key, &records, &links).is_ok());
             for at in 0..n {
-                let seq = first_seq + at as u64;
                 let mut forged = links.clone();
                 forged[at].tag = flipped(forged[at].tag);
                 prop_assert_eq!(
-                    HashChain::verify_from(&key, start, &records, &forged),
-                    Err(ChainVerifyError::TagMismatch { seq })
+                    HashChain::verify_sequence(&key, &records, &forged),
+                    Err(ChainVerifyError::TagMismatch { seq: at as u64 })
                 );
-                if at + 1 < n {
-                    forged[at + 1].tag = flipped(forged[at + 1].tag);
-                    prop_assert_eq!(
-                        HashChain::verify_from(&key, start, &records, &forged),
-                        Err(ChainVerifyError::TagMismatch { seq })
-                    );
-                }
             }
         }
     }

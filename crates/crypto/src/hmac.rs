@@ -1,6 +1,6 @@
 //! RFC 2104 / FIPS 198-1 HMAC-SHA-256.
 //!
-//! HMAC tags authenticate offloaded log segments and form the links of the
+//! HMAC tags authenticate offloaded log segments and form the heads of the
 //! [`crate::hashchain::HashChain`] evidence chain.
 
 use crate::sha256::{Digest, Sha256};
@@ -12,7 +12,7 @@ const BLOCK_SIZE: usize = 64;
 /// Keying runs the two pad-block compressions once; a keyed context that has
 /// absorbed no message yet can be cloned to MAC many messages under one key
 /// without repeating them. The evidence chain keeps only the two resulting
-/// midstates and builds each link's blocks itself.
+/// midstates and resumes a context from them for each run it MACs.
 ///
 /// # Examples
 ///

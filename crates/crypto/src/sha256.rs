@@ -211,7 +211,7 @@ impl Sha256 {
 }
 
 /// The digest a final chaining state spells, word by word big-endian.
-pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
+fn state_digest(state: &[u32; 8]) -> Digest {
     let mut out = [0u8; 32];
     for (i, word) in state.iter().enumerate() {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -224,7 +224,7 @@ pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
 /// Dispatches to the x86 SHA extensions when the CPU has them (the common
 /// case for the machines this simulator profiles on) and to the portable
 /// scalar rounds otherwise; both produce the same FIPS 180-4 digests.
-pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
     #[cfg(target_arch = "x86_64")]
     if shani::available() {
@@ -234,26 +234,6 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
         return;
     }
     scalar_blocks(state, blocks);
-}
-
-/// Compresses two independent chaining states over block runs of equal
-/// length: `a_blocks` into `a`, `b_blocks` into `b`. Each round of one
-/// stream waits on the round before it, so one stream leaves the SHA unit
-/// idle between rounds; on the SHA extensions the two streams' rounds
-/// interleave and fill those gaps. The portable fallback is two scalar
-/// compressions. Same states out as two [`compress_blocks`] calls.
-pub(crate) fn compress_pair(a: &mut [u32; 8], a_blocks: &[u8], b: &mut [u32; 8], b_blocks: &[u8]) {
-    assert_eq!(a_blocks.len(), b_blocks.len(), "equal block runs");
-    debug_assert_eq!(a_blocks.len() % 64, 0);
-    #[cfg(target_arch = "x86_64")]
-    if shani::available() {
-        // SAFETY: as in `compress_blocks`; both runs are the same whole
-        // number of blocks.
-        unsafe { shani::compress_pair(a, a_blocks, b, b_blocks) };
-        return;
-    }
-    scalar_blocks(a, a_blocks);
-    scalar_blocks(b, b_blocks);
 }
 
 /// The portable rounds over a whole number of blocks.
@@ -443,40 +423,6 @@ mod shani {
         }
         store_state(state, s);
     }
-
-    /// Compresses `a_blocks` into `a` and `b_blocks` into `b`, the two
-    /// streams' rounds and schedule steps interleaved four rounds at a time:
-    /// neither stream's `sha256rnds2` depends on the other's, so each issues
-    /// while the other's is still in flight.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have checked [`available`], and both lengths must be
-    /// the same multiple of 64.
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub unsafe fn compress_pair(
-        a: &mut [u32; 8],
-        a_blocks: &[u8],
-        b: &mut [u32; 8],
-        b_blocks: &[u8],
-    ) {
-        let (mut sa, mut sb) = (load_state(a), load_state(b));
-        for (block_a, block_b) in a_blocks.chunks_exact(64).zip(b_blocks.chunks_exact(64)) {
-            let (saved_a, saved_b) = (sa, sb);
-            let (mut ma, mut mb) = (
-                load_block(block_a.try_into().expect("64 bytes")),
-                load_block(block_b.try_into().expect("64 bytes")),
-            );
-            unrolled!(g => {
-                four_rounds(&mut sa, &mut ma, g);
-                four_rounds(&mut sb, &mut mb, g);
-            });
-            feed_forward(&mut sa, saved_a);
-            feed_forward(&mut sb, saved_b);
-        }
-        store_state(a, sa);
-        store_state(b, sb);
-    }
 }
 
 #[cfg(test)]
@@ -596,38 +542,5 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         // SAFETY: availability checked above; length is 10 whole blocks.
         unsafe { shani::compress_blocks(&mut state, &blocks) };
         assert_eq!(state, scalar);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn shani_pair_matches_scalar_rounds() {
-        if !shani::available() {
-            return;
-        }
-        let run = |salt: u32| -> Vec<u8> {
-            (0..256u32)
-                .map(|i| (i.wrapping_mul(37) ^ salt) as u8)
-                .collect()
-        };
-        let (run_a, run_b) = (run(0), run(0x5a));
-        let start_b = Sha256::digest(b"another starting state");
-        let start_b: [u32; 8] = std::array::from_fn(|i| {
-            u32::from_be_bytes(start_b.0[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
-        });
-        for blocks in 1..=4 {
-            let (a_blocks, b_blocks) = (&run_a[..blocks * 64], &run_b[..blocks * 64]);
-            let (mut shani_a, mut shani_b) = (H0, start_b);
-            // SAFETY: availability checked above; both runs are `blocks`
-            // whole blocks.
-            unsafe { shani::compress_pair(&mut shani_a, a_blocks, &mut shani_b, b_blocks) };
-            let (mut scalar_a, mut scalar_b) = (H0, start_b);
-            scalar_blocks(&mut scalar_a, a_blocks);
-            scalar_blocks(&mut scalar_b, b_blocks);
-            let (mut single_a, mut single_b) = (H0, start_b);
-            compress_blocks(&mut single_a, a_blocks);
-            compress_blocks(&mut single_b, b_blocks);
-            assert_eq!([shani_a, shani_b], [scalar_a, scalar_b], "{blocks} blocks");
-            assert_eq!([shani_a, shani_b], [single_a, single_b], "{blocks} blocks");
-        }
     }
 }
