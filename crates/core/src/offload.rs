@@ -898,6 +898,7 @@ mod tests {
     use crate::evidence::walk_segments;
     use crate::logrec::LogOp;
     use crate::remote_target::{LoopbackTarget, StoreAck};
+    use crate::segment::OpenedSegment;
     use rssd_crypto::{DeviceKeys, HashChain, KeyPurpose};
     use rssd_flash::{FlashGeometry, NandArray, NandTiming, SimClock};
     use rssd_ftl::{FtlConfig, InvalidateCause};
@@ -953,7 +954,8 @@ mod tests {
 
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Step {
-        /// One host overwrite is logged and the pending tail sealed.
+        /// A host read and an overwrite of one page are logged and the
+        /// pending tail — two records — sealed.
         Seal,
         /// The link is up, the backoff has run out: a background drain.
         ShipOk,
@@ -997,6 +999,9 @@ mod tests {
         engine: OffloadEngine,
         remote: ScriptedRemote,
         writes: u64,
+        /// Records logged and not lost to a power cut: the sequence the
+        /// chain appends at next.
+        durable_records: u64,
         /// Known gap (ROADMAP item 7): when a power cut leaves nothing in
         /// the spill region but entries the store already held (their acks
         /// were in flight), recovery re-stages none of them and nothing
@@ -1045,6 +1050,7 @@ mod tests {
                     forked: false,
                 },
                 writes: 0,
+                durable_records: 0,
                 stale_spill: false,
             }
         }
@@ -1062,6 +1068,7 @@ mod tests {
             };
             self.chain.absorb(&record.chain_image());
             self.pending.push(record);
+            self.durable_records += 1;
         }
 
         fn seal(&mut self) {
@@ -1083,11 +1090,10 @@ mod tests {
                     // The overwrite retains (and pins) the page's previous
                     // version.
                     self.writes += 1;
+                    let lpa = self.writes % Self::LPAS;
+                    self.log(LogOp::Read, lpa, None);
                     let data = vec![self.writes as u8; 256];
-                    let ticket = self
-                        .ftl
-                        .write_async(self.writes % Self::LPAS, data)
-                        .unwrap();
+                    let ticket = self.ftl.write_async(lpa, data).unwrap();
                     self.ftl.clock().advance_to(ticket.done_ns);
                     let retained = self.ftl.drain_stale_events();
                     assert_eq!(retained.len(), 1);
@@ -1134,15 +1140,16 @@ mod tests {
                     let stored = self.remote.stored_segments().len() as u64;
                     let spilled = self.engine.staged.iter().filter(|seg| seg.spilled).count();
                     let in_flight = self.engine.staged.len() - self.engine.unshipped().count();
-                    let _ = self.engine.power_cut(&mut self.ftl);
+                    let (lost, _) = self.engine.power_cut(&mut self.ftl);
+                    self.durable_records -= lost;
                     assert_eq!(self.ftl.pinned_pages(), 0, "the pin table is RAM");
 
                     let session = self.engine.session.clone();
                     let mut records = 0;
-                    let head =
-                        walk_segments(1, &self.verifier, &session, &mut self.remote, |_, _, _| {
-                            records += 1
-                        })
+                    let sink = |_: u64, _: &SegmentEnvelope, segment: &OpenedSegment| {
+                        records += segment.records().len() as u64
+                    };
+                    let head = walk_segments(1, &self.verifier, &session, &mut self.remote, sink)
                         .expect("the store verifies");
                     let stored_up_to = stored.checked_sub(1);
                     let head = self
@@ -1165,6 +1172,9 @@ mod tests {
 
         /// DESIGN §11's invariants, which hold between any two steps.
         fn check(&mut self, path: &[Step]) {
+            // The chain appends right behind the last record that survived
+            // every power cut.
+            assert_eq!(self.chain.next_seq(), self.durable_records, "{path:?}");
             // The store never saw a fork, and holds a prefix of the chain.
             assert!(!self.remote.forked, "{path:?}");
             let stored = self.remote.stored_segments();
