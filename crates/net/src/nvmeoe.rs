@@ -96,13 +96,16 @@ pub enum ProtocolError {
     Truncated,
     /// Unknown capsule kind id.
     UnknownKind(u8),
-    /// Encode-side: the payload exceeds [`CAPSULE_PAYLOAD`] and cannot ride
-    /// one Ethernet frame. (The header's length field is a `u32`; before
-    /// this error existed an oversized payload had its length silently
-    /// truncated instead of being rejected.)
+    /// The payload exceeds [`CAPSULE_PAYLOAD`] and cannot ride one Ethernet
+    /// frame: refused at encode (the header's length field is a `u32`;
+    /// before this error existed an oversized payload had its length
+    /// silently truncated instead of being rejected) and at decode, where
+    /// it is a fragment running into the next one's bytes.
     PayloadTooLarge(usize),
     /// Receive-side: a well-formed capsule, but not the segment fragment
-    /// awaited under its sequence number.
+    /// awaited under its sequence number — another transfer's, another
+    /// fragment's (a duplicate, or a sequence outside the transfer), or one
+    /// of another length, overlapping its neighbour or short of it.
     Unexpected,
 }
 
@@ -181,7 +184,9 @@ impl Capsule {
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError`] on malformed input.
+    /// Returns [`ProtocolError`] on malformed input, and
+    /// [`ProtocolError::PayloadTooLarge`] on a declared payload no capsule
+    /// may carry.
     pub fn from_wire(data: &Bytes) -> Result<Self, ProtocolError> {
         if data.len() < HEADER {
             return Err(ProtocolError::Truncated);
@@ -193,6 +198,9 @@ impl Capsule {
         let seq = u64::from_le_bytes(data[5..13].try_into().expect("8 bytes"));
         let segment_seq = u64::from_le_bytes(data[13..21].try_into().expect("8 bytes"));
         let len = u32::from_le_bytes(data[21..25].try_into().expect("4 bytes")) as usize;
+        if len > CAPSULE_PAYLOAD {
+            return Err(ProtocolError::PayloadTooLarge(len));
+        }
         if data.len() < HEADER + len {
             return Err(ProtocolError::Truncated);
         }
@@ -204,10 +212,11 @@ impl Capsule {
         })
     }
 
-    /// The payload, if this is fragment `seq` of segment `segment_seq`.
-    fn fragment_of(self, segment_seq: u64, seq: u64) -> Result<Bytes, ProtocolError> {
-        let awaited = (CapsuleKind::SegmentWrite, segment_seq, seq);
-        if (self.kind, self.segment_seq, self.seq) == awaited {
+    /// The payload, if this is fragment `seq` of segment `segment_seq`,
+    /// `len` bytes long.
+    fn fragment_of(self, segment_seq: u64, seq: u64, len: usize) -> Result<Bytes, ProtocolError> {
+        let awaited = (CapsuleKind::SegmentWrite, segment_seq, seq, len);
+        if (self.kind, self.segment_seq, self.seq, self.payload.len()) == awaited {
             Ok(self.payload)
         } else {
             Err(ProtocolError::Unexpected)
@@ -445,16 +454,19 @@ impl NvmeOeEndpoint {
         } else {
             payload.len().div_ceil(CAPSULE_PAYLOAD)
         };
+        // Fragment `i`'s share of the payload.
+        let share = |i: usize| {
+            let start = i * CAPSULE_PAYLOAD;
+            start..(start + CAPSULE_PAYLOAD).min(payload.len())
+        };
         // Build every fragment's frame once, under a stable capsule seq.
         let frames: Vec<EthernetFrame> = (0..fragment_count)
             .map(|i| {
-                let start = i * CAPSULE_PAYLOAD;
-                let end = (start + CAPSULE_PAYLOAD).min(payload.len());
                 let capsule = Capsule {
                     kind: CapsuleKind::SegmentWrite,
                     seq: self.next_seq + i as u64,
                     segment_seq,
-                    payload: payload.slice(start..end),
+                    payload: payload.slice(share(i)),
                 };
                 EthernetFrame::nvme_oe(
                     MacAddr::REMOTE,
@@ -501,8 +513,8 @@ impl NvmeOeEndpoint {
                 // as surely as one the link dropped.
                 let delivered = self.to_remote.transmit(frame, t).and_then(|arrival| {
                     let capsule = Capsule::from_wire(&received_as(frame));
-                    let fragment =
-                        capsule.and_then(|c| c.fragment_of(segment_seq, first_seq + i as u64));
+                    let (seq, len) = (first_seq + i as u64, share(i).len());
+                    let fragment = capsule.and_then(|c| c.fragment_of(segment_seq, seq, len));
                     Some((arrival, fragment.ok()?))
                 });
                 if let Some((arrival, fragment)) = delivered {
@@ -770,7 +782,7 @@ mod tests {
                 payload: payload.slice(..8),
             };
             let parsed = Capsule::from_wire(&garble(&fragment.to_wire().unwrap()));
-            assert_eq!(parsed.and_then(|c| c.fragment_of(9, 1)), Err(error));
+            assert_eq!(parsed.and_then(|c| c.fragment_of(9, 1, 8)), Err(error));
             let mut fabric = NvmeOeEndpoint::new(LinkConfig::datacenter_10g());
             let mut deliveries = 0;
             let received_as = |frame: &EthernetFrame| {
@@ -790,6 +802,98 @@ mod tests {
             assert_eq!(stats.retransmissions, 1, "one fragment resent");
             assert_eq!(stats.rto_timeouts, 1, "after one timeout");
             assert!(done > honest, "the resend costs time");
+        }
+    }
+
+    /// Hostile fragment sequence numbers in a three-fragment transfer: the
+    /// second fragment's first delivery arrives as a duplicate of the first,
+    /// under a sequence ahead of or behind the transfer's, or overlapping a
+    /// neighbour's bytes. Each is a typed error at the receiver — never a
+    /// panic — so a counted loss, and go-back-N resends the fragment and
+    /// delivers the payload exactly once.
+    #[test]
+    fn hostile_fragment_seqs_are_losses_and_go_back_n_delivers_exactly_once() {
+        const CP: usize = CAPSULE_PAYLOAD;
+        let payload = Bytes::from(
+            (0..(2 * CP + CP / 2) as u32)
+                .map(|i| (i * 13) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        // A segment-9 fragment's wire bytes, whatever its sequence and
+        // payload: what a hostile sender puts on the wire (`to_wire`
+        // refuses an oversized payload).
+        let raw = |seq: u64, bytes: &[u8]| {
+            let mut wire = MAGIC.to_vec();
+            wire.push(CapsuleKind::SegmentWrite.id());
+            wire.extend_from_slice(&seq.to_le_bytes());
+            wire.extend_from_slice(&9u64.to_le_bytes());
+            wire.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            wire.extend_from_slice(bytes);
+            Bytes::from(wire)
+        };
+        // (case, delivery it replaces, its bytes, the receiver's answer);
+        // the fragments are 0, 1 and 2, under capsule sequences 0, 1, 2.
+        let cases = [
+            (
+                "a duplicate of fragment 0",
+                1,
+                raw(0, &payload[..CP]),
+                ProtocolError::Unexpected,
+            ),
+            (
+                "a sequence past the transfer",
+                1,
+                raw(3, &payload[CP..2 * CP]),
+                ProtocolError::Unexpected,
+            ),
+            (
+                "a sequence before the transfer",
+                1,
+                raw(u64::MAX, &payload[CP..2 * CP]),
+                ProtocolError::Unexpected,
+            ),
+            (
+                "fragment 1 running into fragment 2",
+                1,
+                raw(1, &payload[CP..2 * CP + 100]),
+                ProtocolError::PayloadTooLarge(CP + 100),
+            ),
+            (
+                "fragment 2 reaching back into fragment 1",
+                2,
+                raw(2, &payload[2 * CP - 100..]),
+                ProtocolError::Unexpected,
+            ),
+            (
+                "fragment 1 short of fragment 2",
+                1,
+                raw(1, &payload[CP..2 * CP - 100]),
+                ProtocolError::Unexpected,
+            ),
+        ];
+        for (case, fragment, hostile, error) in cases {
+            let len = (payload.len() - fragment * CP).min(CP);
+            let parsed = Capsule::from_wire(&hostile);
+            let answer = parsed.and_then(|c| c.fragment_of(9, fragment as u64, len));
+            assert_eq!(answer, Err(error), "{case}");
+            let mut fabric = NvmeOeEndpoint::new(LinkConfig::datacenter_10g());
+            let mut deliveries = 0;
+            let received_as = |frame: &EthernetFrame| {
+                deliveries += 1;
+                if deliveries == fragment + 1 {
+                    hostile.clone()
+                } else {
+                    frame.payload.clone()
+                }
+            };
+            let (_, delivered) = fabric
+                .transfer_received(9, payload.clone(), 0, u32::MAX, received_as)
+                .expect("a hostile delivery is retransmitted");
+            assert_eq!(delivered, payload, "{case}");
+            let stats = fabric.stats();
+            assert_eq!(stats.segments, 1, "{case}: delivered once");
+            assert_eq!(stats.retransmissions, 1, "{case}: one fragment resent");
+            assert_eq!(stats.capsules_sent, 4, "{case}");
         }
     }
 
