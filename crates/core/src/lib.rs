@@ -6,10 +6,12 @@
 //! the prototype, structurally private here):
 //!
 //! * **Hardware-assisted logging** ([`logrec`]) — every storage operation is
-//!   appended, in arrival order, to a log whose records are chained with
-//!   HMACs ([`rssd_crypto::HashChain`]): the *trusted evidence chain*. It
-//!   leaves the device in sealed segments ([`segment`]: one writer,
-//!   [`SegmentEnvelope::seal`], and one door, [`SegmentEnvelope::open`]).
+//!   appended, in arrival order, to a log chained with HMACs
+//!   ([`rssd_crypto::HashChain`]): the *trusted evidence chain*, whose head
+//!   after each sealed segment is one HMAC over the head before it and the
+//!   segment's records. It leaves the device in sealed segments
+//!   ([`segment`]: one writer, [`SegmentEnvelope::seal`], and one door,
+//!   [`SegmentEnvelope::open`]).
 //! * **Conservative stale-data retention** — every page invalidated by an
 //!   overwrite or trim is pinned against garbage collection until it has
 //!   been offloaded remotely; nothing a ransomware encrypts or erases is
