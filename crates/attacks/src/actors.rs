@@ -4,10 +4,9 @@ use crate::fs::FileTable;
 use rssd_crypto::ChaCha20;
 use rssd_ssd::{BlockDevice, DeviceError};
 use rssd_trace::{synthesize_page, PayloadKind};
-use serde::{Deserialize, Serialize};
 
 /// What an attack did (ground truth for the evaluation).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AttackOutcome {
     /// Pages overwritten with ciphertext.
     pub pages_encrypted: u64,

@@ -3,10 +3,9 @@
 use crate::actors::AttackOutcome;
 use crate::fs::FileTable;
 use rssd_ssd::BlockDevice;
-use serde::{Deserialize, Serialize};
 
 /// Table 1's recovery grades (●, ◗, ❍ in the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RecoveryGrade {
     /// Every victim page recoverable (●).
     Full,
@@ -27,7 +26,7 @@ impl std::fmt::Display for RecoveryGrade {
 }
 
 /// Measured outcome of attacking one device model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DefenseOutcome {
     /// Device model name.
     pub model: String,

@@ -7,10 +7,9 @@
 
 use rssd_ssd::{BlockDevice, DeviceError};
 use rssd_trace::{synthesize_page, PayloadKind};
-use serde::{Deserialize, Serialize};
 
 /// One file: a named, contiguous page extent with known content seeds.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileMeta {
     /// File name.
     pub name: String,
@@ -37,7 +36,7 @@ impl FileMeta {
 }
 
 /// The victim "filesystem": a bump-allocated table of file extents.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FileTable {
     files: Vec<FileMeta>,
     next_lpa: u64,

@@ -30,10 +30,8 @@ pub mod rle;
 
 pub use entropy::shannon_entropy;
 
-use serde::{Deserialize, Serialize};
-
 /// Which codec to apply to a payload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Codec {
     /// Store the payload verbatim (used when data is incompressible).
     Store,
@@ -109,7 +107,7 @@ pub fn compress(codec: Codec, data: &[u8]) -> Vec<u8> {
 /// Like [`compress`], but appends the frame to `out` instead of allocating.
 /// The codec encodes straight into the buffer; only when it would expand the
 /// data is the attempt truncated away and the payload stored verbatim.
-pub fn compress_into(codec: Codec, data: &[u8], out: &mut Vec<u8>) {
+fn compress_into(codec: Codec, data: &[u8], out: &mut Vec<u8>) {
     frame_into(codec, data, out, |out| match codec {
         Codec::Store => {}
         Codec::Rle => rle::encode_into(data, out),

@@ -8,10 +8,9 @@
 
 use crate::logrec::{LogOp, LogRecord};
 use rssd_detect::{Ensemble, Verdict, WriteObservation};
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's attack models the history exhibits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AttackClass {
     /// No attack found.
     None,
@@ -39,7 +38,7 @@ impl std::fmt::Display for AttackClass {
 }
 
 /// The analyzer's findings.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 #[must_use]
 pub struct AnalysisReport {
     /// Ensemble verdict over the whole history.

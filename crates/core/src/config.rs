@@ -1,9 +1,7 @@
 //! RSSD device configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Tuning knobs for [`crate::RssdDevice`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RssdConfig {
     /// Device identity carried in every offloaded segment envelope.
     pub device_id: u64,

@@ -5,7 +5,7 @@
 use crate::config::RssdConfig;
 use crate::evidence::EvidenceReader;
 use crate::logrec::{LogOp, LogRecord};
-use crate::offload::{Batch, OffloadEngine};
+use crate::offload::{Admission, Batch, OffloadEngine};
 use crate::pool;
 use crate::remote_target::{RemoteError, RemoteTarget};
 use rssd_compress::shannon_entropy;
@@ -18,7 +18,6 @@ use rssd_ssd::{
     execute_batch, BlockDevice, BlockPolicy, CommandOutcome, CommandResult, DeviceError, IoCommand,
     LatencyStats,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 pub use crate::evidence::HistoryAudit;
@@ -28,7 +27,7 @@ pub use crate::offload::{OffloadHealth, OffloadStats};
 /// write) and the remote store survive; everything in controller RAM — the
 /// pending log tail, its retention pins, the read-correlation window and the
 /// remote version index — does not.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct CrashReport {
     /// Log records that had not been offloaded and died with the RAM.
@@ -54,7 +53,7 @@ impl CrashReport {
 
 /// Outcome of post-crash recovery: the volatile state rebuilt from the two
 /// durable halves (local flash, remote evidence chain).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct CrashRecovery {
     /// Offloaded segments walked and chain-verified.
@@ -117,16 +116,6 @@ pub struct RssdDevice<R: RemoteTarget> {
 impl<R: RemoteTarget> RssdDevice<R> {
     /// Read-before-overwrite correlation window recorded in log metadata.
     pub const READ_WINDOW_NS: u64 = 600 * 1_000_000_000;
-
-    /// Simulated latency a `Throttled` write pays per staged segment —
-    /// admission control's slope (40 µs per backlogged segment). Tuned so
-    /// a mid-outage device still delivers ≥ 25 % of healthy throughput
-    /// (the degradation bench gates this) while the slope stays steep
-    /// enough that hosts feel the backlog long before the Stalled cliff.
-    pub const THROTTLE_PENALTY_PER_STAGED_NS: u64 = 40_000;
-    /// Also offload whenever the pinned fraction of blocks exceeds this
-    /// (capacity-pressure trigger — the GC attack pushes on this).
-    const PINNED_FRACTION_WATERMARK: f64 = 0.25;
 
     /// Builds an RSSD over fresh NAND.
     ///
@@ -333,11 +322,10 @@ impl<R: RemoteTarget> RssdDevice<R> {
         self.ftl.spill_capacity_bytes()
     }
 
-    /// Backlog pressure in `[0, 1+]`: spill-region occupancy when a spill
-    /// region exists, RAM-staged depth against the soft cap otherwise
-    /// (whichever is higher — a full spill with a RAM tail is still full).
+    /// Backlog pressure in `[0, 1+]`: the worse of RAM-staged depth against
+    /// its soft cap and spill-region occupancy.
     pub fn backlog_pressure(&self) -> f64 {
-        self.engine.backlog_pressure(&self.ftl)
+        Admission::pressure(self.engine.backlog(&self.ftl))
     }
 
     /// Per-request latency distribution.
@@ -530,17 +518,15 @@ impl<R: RemoteTarget> RssdDevice<R> {
         }
     }
 
-    fn should_offload(&self) -> bool {
-        self.pending.retained >= self.config.segment_pages as u64
-            || self.pending.records.len() >= self.config.segment_pages * 8
-            || self.ftl.pinned_block_fraction() > Self::PINNED_FRACTION_WATERMARK
-    }
-
-    /// Background offload, if a threshold was crossed or a deferred retry
-    /// has come due. Failures are tolerated (the sealed segment stays staged
-    /// — and spilled to NAND if configured); retries honor the backoff.
+    /// Background offload, if the pending tail is due to seal
+    /// ([`Admission::seal_due`]) or a deferred retry has come due. Failures
+    /// are tolerated (the sealed segment stays staged — and spilled to NAND
+    /// if configured); retries honor the backoff.
     fn offload_if_due(&mut self) {
-        if self.should_offload() || self.engine.retry_due(self.ftl.clock().now_ns()) {
+        let seal_due = Admission::seal_due(&self.pending, self.config.segment_pages, || {
+            self.ftl.pinned_block_fraction()
+        });
+        if seal_due || self.engine.retry_due(self.ftl.clock().now_ns()) {
             let _ = self.offload(false);
         }
     }
@@ -599,8 +585,7 @@ impl<R: RemoteTarget> BlockPolicy for RssdDevice<R> {
                 }
             }
             OffloadHealth::Throttled => {
-                let penalty =
-                    Self::THROTTLE_PENALTY_PER_STAGED_NS * self.engine.staged_segments() as u64;
+                let penalty = Admission::penalty_ns(self.engine.staged_segments());
                 self.ftl.clock().advance(penalty);
                 self.engine.stats.throttled_writes += 1;
                 self.engine.stats.throttle_penalty_ns += penalty;
@@ -620,7 +605,7 @@ impl<R: RemoteTarget> BlockPolicy for RssdDevice<R> {
     /// retained data — if neither the remote nor the spill region can
     /// absorb it the device stalls instead.
     fn relieve(&mut self, attempt: u32) -> bool {
-        if attempt >= 4 {
+        if !Admission::relieve_again(attempt) {
             return false;
         }
         self.engine.stats.sync_offloads += 1;

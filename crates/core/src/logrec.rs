@@ -10,10 +10,8 @@
 //! is used in this workspace); every decoder is total — malformed input
 //! yields [`WireError`], never a panic.
 
-use serde::{Deserialize, Serialize};
-
 /// Operation class of a log record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LogOp {
     /// Host write that created a page version (may have invalidated an
     /// older one, in which case the old version is retained).
@@ -44,7 +42,7 @@ impl LogOp {
 }
 
 /// One entry of the hardware-assisted log.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogRecord {
     /// Evidence-chain sequence number (total order of operations).
     pub seq: u64,

@@ -25,7 +25,6 @@ use rssd_flash::Ppa;
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
 use rssd_obs::{ProfilerHandle, SinkHandle};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Offload-path health: a hysteresis state machine over backlog depth
@@ -35,9 +34,7 @@ use std::collections::VecDeque;
 /// stages sealed segments locally, `Throttled` charges writes a
 /// backlog-proportional latency penalty, and only `Stalled` refuses writes
 /// outright — after one last drain attempt.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OffloadHealth {
     /// No backlog, no recent failures: segments ship as they seal.
     #[default]
@@ -84,8 +81,133 @@ impl std::fmt::Display for OffloadHealth {
     }
 }
 
+/// What the health rule reads of the offload path: one copy of counts the
+/// engine and the FTL keep, taken where the health is recomputed (on a
+/// seal, a drain or a retirement — never per command).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Backlog {
+    /// Staged segments: unshipped, spilled, or with their acks in flight.
+    pub(crate) staged: usize,
+    /// Staged segments held in controller RAM only (not spilled).
+    pub(crate) ram_staged: usize,
+    /// Bytes of the NAND spill region in use, and its capacity (zero when
+    /// not configured).
+    pub(crate) spill_used: u64,
+    pub(crate) spill_capacity: u64,
+    /// Ship failures since the last acknowledged segment.
+    pub(crate) failure_streak: u32,
+}
+
+/// The admission rule: when the pending tail seals, when writes are slowed
+/// or refused, and how long a failed ship waits. Every threshold of the
+/// rule lives here and nowhere else; the device and the engine ask.
+pub(crate) struct Admission;
+
+impl Admission {
+    /// Records a pending tail may hold per page of a segment before it
+    /// seals (reads and fresh writes add records and no retained page).
+    const RECORDS_PER_PAGE: usize = 8;
+    /// The tail also seals whenever the pinned fraction of blocks exceeds
+    /// this (capacity-pressure trigger — the GC attack pushes on this).
+    const PINNED_FRACTION_WATERMARK: f64 = 0.25;
+    /// RAM-staged segments at which the RAM half of pressure reads 1.
+    const RAM_STAGE_SOFT_CAP: usize = 32;
+    /// Backlog pressure at which `Throttled` engages / releases.
+    const THROTTLE_ENTER: f64 = 0.50;
+    const THROTTLE_EXIT: f64 = 0.35;
+    /// Backlog pressure at which `Stalled` engages / releases.
+    const STALL_ENTER: f64 = 0.92;
+    const STALL_EXIT: f64 = 0.70;
+    /// Consecutive ship failures that force `Throttled` regardless of
+    /// backlog depth (a persistently failing wire deserves the slope too).
+    const THROTTLE_FAILURE_STREAK: u32 = 16;
+    /// The latency a `Throttled` write pays per staged segment. Tuned so a
+    /// mid-outage device keeps ≥ 25 % of healthy throughput (the degradation
+    /// bench gates this) and hosts feel the backlog long before `Stalled`.
+    const THROTTLE_PENALTY_PER_STAGED_NS: u64 = 40_000;
+    /// Synchronous offloads a write that found the device full of pinned
+    /// data may force before it is refused as stalled.
+    const RELIEF_ATTEMPTS: u32 = 4;
+    /// The background retry backoff's first step, doubled up to the cap.
+    const RETRY_BACKOFF_BASE_NS: u64 = 10_000_000;
+    const RETRY_BACKOFF_CAP_NS: u64 = 5_000_000_000;
+
+    /// Is the `pending` tail due to seal on a device of `segment_pages`-page
+    /// segments? The pinned-block fraction is read only when neither of the
+    /// tail's counts decides.
+    pub(crate) fn seal_due(
+        pending: &Batch,
+        segment_pages: usize,
+        pinned_block_fraction: impl FnOnce() -> f64,
+    ) -> bool {
+        pending.retained >= segment_pages as u64
+            || pending.records.len() >= segment_pages * Self::RECORDS_PER_PAGE
+            || pinned_block_fraction() > Self::PINNED_FRACTION_WATERMARK
+    }
+
+    /// Backlog pressure in `[0, 1+]`: the worse of RAM-staged depth against
+    /// the soft cap and spill-region occupancy (a full spill with a RAM
+    /// tail is still full).
+    pub(crate) fn pressure(backlog: Backlog) -> f64 {
+        let ram = backlog.ram_staged as f64 / Self::RAM_STAGE_SOFT_CAP as f64;
+        let spill = if backlog.spill_capacity == 0 {
+            0.0
+        } else {
+            backlog.spill_used as f64 / backlog.spill_capacity as f64
+        };
+        ram.max(spill)
+    }
+
+    /// The health state after `current` over `backlog`: the raw state of
+    /// the pressure and the failure streak, with hysteresis on the downward
+    /// transitions.
+    pub(crate) fn health(current: OffloadHealth, backlog: Backlog) -> OffloadHealth {
+        let pressure = Self::pressure(backlog);
+        let streak = backlog.failure_streak;
+        let raw = if pressure >= Self::STALL_ENTER {
+            OffloadHealth::Stalled
+        } else if pressure >= Self::THROTTLE_ENTER || streak >= Self::THROTTLE_FAILURE_STREAK {
+            OffloadHealth::Throttled
+        } else if backlog.staged > 0 || streak > 0 {
+            OffloadHealth::Buffering
+        } else {
+            OffloadHealth::Healthy
+        };
+        // Escalations apply immediately; de-escalations wait for the exit
+        // threshold so the state doesn't flap around a boundary.
+        if raw >= current {
+            return raw;
+        }
+        match current {
+            OffloadHealth::Stalled if pressure > Self::STALL_EXIT => current,
+            OffloadHealth::Throttled
+                if pressure >= Self::THROTTLE_EXIT && streak < Self::THROTTLE_FAILURE_STREAK =>
+            {
+                current
+            }
+            _ => raw,
+        }
+    }
+
+    /// The latency a `Throttled` write pays with `staged` segments staged.
+    pub(crate) fn penalty_ns(staged: usize) -> u64 {
+        Self::THROTTLE_PENALTY_PER_STAGED_NS * staged as u64
+    }
+
+    /// May a write that found the device full force another synchronous
+    /// offload, `attempt` (counting from 0) having been forced already?
+    pub(crate) fn relieve_again(attempt: u32) -> bool {
+        attempt < Self::RELIEF_ATTEMPTS
+    }
+
+    /// The backoff step after a failed ship that waited `step`.
+    fn next_backoff(step: u64) -> u64 {
+        (step * 2).min(Self::RETRY_BACKOFF_CAP_NS)
+    }
+}
+
 /// Offload-path counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct OffloadStats {
     /// Segments durably acknowledged by the remote.
@@ -373,20 +495,6 @@ pub(crate) struct OffloadEngine {
 }
 
 impl OffloadEngine {
-    // Documented where they are public: on `RssdDevice`.
-    pub(crate) const RAM_STAGE_SOFT_CAP: usize = 32;
-    pub(crate) const RETRY_BACKOFF_BASE_NS: u64 = 10_000_000;
-    pub(crate) const RETRY_BACKOFF_CAP_NS: u64 = 5_000_000_000;
-    /// Backlog pressure at which `Throttled` engages / releases.
-    const THROTTLE_ENTER: f64 = 0.50;
-    const THROTTLE_EXIT: f64 = 0.35;
-    /// Backlog pressure at which `Stalled` engages / releases.
-    const STALL_ENTER: f64 = 0.92;
-    const STALL_EXIT: f64 = 0.70;
-    /// Consecutive ship failures that force `Throttled` regardless of
-    /// backlog depth (a persistently failing wire deserves the slope too).
-    const THROTTLE_FAILURE_STREAK: u32 = 16;
-
     pub(crate) fn new(session: SecureSession, device_id: u64) -> Self {
         OffloadEngine {
             session,
@@ -394,7 +502,7 @@ impl OffloadEngine {
             staged: VecDeque::new(),
             consecutive_failures: 0,
             next_retry_at_ns: 0,
-            retry_backoff_ns: Self::RETRY_BACKOFF_BASE_NS,
+            retry_backoff_ns: Admission::RETRY_BACKOFF_BASE_NS,
             prev_segment_head: Digest::ZERO,
             next_segment_seq: 0,
             stats: OffloadStats::default(),
@@ -451,54 +559,27 @@ impl OffloadEngine {
             .find(|envelope| envelope.segment_seq() == segment_seq)
     }
 
-    /// See [`RssdDevice::backlog_pressure`](crate::RssdDevice::backlog_pressure).
-    pub(crate) fn backlog_pressure(&self, ftl: &Ftl) -> f64 {
-        let ram = self.staged.iter().filter(|s| !s.spilled).count() as f64
-            / Self::RAM_STAGE_SOFT_CAP as f64;
-        let capacity = ftl.spill_capacity_bytes();
-        let spill = if capacity == 0 {
-            0.0
-        } else {
-            ftl.spill_used_bytes() as f64 / capacity as f64
-        };
-        ram.max(spill)
+    /// What the health rule reads, as it stands now.
+    pub(crate) fn backlog(&self, ftl: &Ftl) -> Backlog {
+        Backlog {
+            staged: self.staged.len(),
+            ram_staged: self.staged.iter().filter(|s| !s.spilled).count(),
+            spill_used: ftl.spill_used_bytes(),
+            spill_capacity: ftl.spill_capacity_bytes(),
+            failure_streak: self.consecutive_failures,
+        }
     }
 
-    /// Recomputes the health state from backlog pressure and the failure
-    /// streak, with hysteresis on the downward transitions, and emits a
+    /// Recomputes the health state ([`Admission::health`]) and emits a
     /// trace instant when the state changes.
     fn update_health(&mut self, ftl: &Ftl) {
-        let pressure = self.backlog_pressure(ftl);
-        let streak = self.consecutive_failures;
-        let raw = if pressure >= Self::STALL_ENTER {
-            OffloadHealth::Stalled
-        } else if pressure >= Self::THROTTLE_ENTER || streak >= Self::THROTTLE_FAILURE_STREAK {
-            OffloadHealth::Throttled
-        } else if !self.staged.is_empty() || streak > 0 {
-            OffloadHealth::Buffering
-        } else {
-            OffloadHealth::Healthy
-        };
+        let backlog = self.backlog(ftl);
         let current = self.stats.health;
-        // Escalations apply immediately; de-escalations wait for the exit
-        // threshold so the state doesn't flap around a boundary.
-        let next = if raw >= current {
-            raw
-        } else {
-            match current {
-                OffloadHealth::Stalled if pressure > Self::STALL_EXIT => current,
-                OffloadHealth::Throttled
-                    if pressure >= Self::THROTTLE_EXIT
-                        && streak < Self::THROTTLE_FAILURE_STREAK =>
-                {
-                    current
-                }
-                _ => raw,
-            }
-        };
+        let next = Admission::health(current, backlog);
         if next != current {
             self.stats.health = next;
             self.stats.health_peak = self.stats.health_peak.max(next);
+            let pressure = Admission::pressure(backlog);
             trace(
                 &self.sink,
                 "health_transition",
@@ -507,8 +588,8 @@ impl OffloadEngine {
                     ("from", &current),
                     ("to", &next),
                     ("pressure", &format_args!("{pressure:.3}")),
-                    ("staged", &self.staged.len()),
-                    ("consecutive_failures", &streak),
+                    ("staged", &backlog.staged),
+                    ("consecutive_failures", &backlog.failure_streak),
                 ],
             );
         }
@@ -526,7 +607,7 @@ impl OffloadEngine {
 
     fn reset_backoff(&mut self) {
         self.consecutive_failures = 0;
-        self.retry_backoff_ns = Self::RETRY_BACKOFF_BASE_NS;
+        self.retry_backoff_ns = Admission::RETRY_BACKOFF_BASE_NS;
         self.next_retry_at_ns = 0;
     }
 
@@ -703,8 +784,7 @@ impl OffloadEngine {
                     );
                     self.spill_staged_tail(ftl);
                     self.next_retry_at_ns = now + self.retry_backoff_ns;
-                    self.retry_backoff_ns =
-                        (self.retry_backoff_ns * 2).min(Self::RETRY_BACKOFF_CAP_NS);
+                    self.retry_backoff_ns = Admission::next_backoff(self.retry_backoff_ns);
                     return Err(e);
                 }
             }
@@ -905,7 +985,7 @@ mod tests {
 
     /// Every ack takes this long to reach the device — longer than the
     /// backoff cap, so a retry can come due with acks still in flight.
-    const ACK_DELAY_NS: u64 = 2 * OffloadEngine::RETRY_BACKOFF_CAP_NS;
+    const ACK_DELAY_NS: u64 = 2 * Admission::RETRY_BACKOFF_CAP_NS;
 
     /// A continuity-checking store behind a scripted link.
     #[derive(Clone)]
@@ -1105,11 +1185,11 @@ mod tests {
                 }
                 Step::ShipOk => {
                     self.remote.up = true;
-                    self.background_drain(OffloadEngine::RETRY_BACKOFF_CAP_NS);
+                    self.background_drain(Admission::RETRY_BACKOFF_CAP_NS);
                 }
                 Step::ShipFail => {
                     self.remote.up = false;
-                    self.background_drain(OffloadEngine::RETRY_BACKOFF_CAP_NS);
+                    self.background_drain(Admission::RETRY_BACKOFF_CAP_NS);
                 }
                 Step::DeferredDrain => self.background_drain(0),
                 Step::AckPasses => {
@@ -1121,7 +1201,7 @@ mod tests {
                     for _ in 0..OUTAGE_BURST {
                         self.log(LogOp::Read, 0, None);
                         self.seal();
-                        self.background_drain(OffloadEngine::RETRY_BACKOFF_CAP_NS);
+                        self.background_drain(Admission::RETRY_BACKOFF_CAP_NS);
                     }
                 }
                 Step::HealForcedDrain => {
@@ -1221,8 +1301,12 @@ mod tests {
             }
             // With nothing moving, the health machine stays where it is.
             let health = self.engine.stats.health;
-            self.engine.update_health(&self.ftl);
-            assert_eq!(self.engine.stats.health, health, "chatter: {path:?}");
+            let backlog = self.engine.backlog(&self.ftl);
+            assert_eq!(
+                Admission::health(health, backlog),
+                health,
+                "chatter: {path:?}"
+            );
             assert!(self.engine.stats.health_peak >= health);
         }
     }
@@ -1257,5 +1341,185 @@ mod tests {
             });
             assert_eq!(seen, [[true; 4]], "every health state is reached");
         }
+    }
+
+    /// `RssdDevice::should_offload` as it stood before the rule moved into
+    /// [`Admission`], over the same quantities: the reference
+    /// `Admission::seal_due` is held to.
+    fn reference_should_offload(
+        retained: u64,
+        records: usize,
+        segment_pages: usize,
+        pinned_block_fraction: f64,
+    ) -> bool {
+        const PINNED_FRACTION_WATERMARK: f64 = 0.25;
+        retained >= segment_pages as u64
+            || records >= segment_pages * 8
+            || pinned_block_fraction > PINNED_FRACTION_WATERMARK
+    }
+
+    /// `OffloadEngine::update_health` (and the `backlog_pressure` it read)
+    /// as they stood before the rule moved into [`Admission`]: the state
+    /// the engine moved to from `current`.
+    fn reference_update_health(current: OffloadHealth, backlog: Backlog) -> OffloadHealth {
+        const RAM_STAGE_SOFT_CAP: usize = 32;
+        const THROTTLE_ENTER: f64 = 0.50;
+        const THROTTLE_EXIT: f64 = 0.35;
+        const STALL_ENTER: f64 = 0.92;
+        const STALL_EXIT: f64 = 0.70;
+        const THROTTLE_FAILURE_STREAK: u32 = 16;
+        let ram = backlog.ram_staged as f64 / RAM_STAGE_SOFT_CAP as f64;
+        let capacity = backlog.spill_capacity;
+        let spill = if capacity == 0 {
+            0.0
+        } else {
+            backlog.spill_used as f64 / capacity as f64
+        };
+        let pressure = ram.max(spill);
+        let streak = backlog.failure_streak;
+        let raw = if pressure >= STALL_ENTER {
+            OffloadHealth::Stalled
+        } else if pressure >= THROTTLE_ENTER || streak >= THROTTLE_FAILURE_STREAK {
+            OffloadHealth::Throttled
+        } else if backlog.staged != 0 || streak > 0 {
+            OffloadHealth::Buffering
+        } else {
+            OffloadHealth::Healthy
+        };
+        if raw >= current {
+            raw
+        } else {
+            match current {
+                OffloadHealth::Stalled if pressure > STALL_EXIT => current,
+                OffloadHealth::Throttled
+                    if pressure >= THROTTLE_EXIT && streak < THROTTLE_FAILURE_STREAK =>
+                {
+                    current
+                }
+                _ => raw,
+            }
+        }
+    }
+
+    /// Each of `thresholds`, its two neighbouring `f64`s, and the ends.
+    fn threshold_grid(thresholds: &[f64]) -> Vec<f64> {
+        let mut grid = vec![0.0, 1.0];
+        for &t in thresholds {
+            grid.extend([t.next_down(), t, t.next_up()]);
+        }
+        grid
+    }
+
+    const HEALTH_STATES: [OffloadHealth; 4] = [
+        OffloadHealth::Healthy,
+        OffloadHealth::Buffering,
+        OffloadHealth::Throttled,
+        OffloadHealth::Stalled,
+    ];
+
+    /// Every current state × failure streak around the forcing streak ×
+    /// no spill region or one × RAM-staged depth past the soft cap × spill
+    /// occupancy at, and a bit either side of, every threshold.
+    fn health_grid() -> Vec<(OffloadHealth, Backlog)> {
+        // A capacity of 2^54 bytes makes every f64 in [0.25, 1] an exact
+        // occupancy.
+        const CAPACITY: u64 = 1 << 54;
+        let mut spill = vec![(0, 0)];
+        for occupancy in threshold_grid(&[0.35, 0.50, 0.70, 0.92]) {
+            let used = (occupancy * CAPACITY as f64) as u64;
+            assert_eq!(used as f64 / CAPACITY as f64, occupancy);
+            spill.push((used, CAPACITY));
+        }
+        let mut grid = Vec::new();
+        for current in HEALTH_STATES {
+            for failure_streak in [0, 15, 16, 17] {
+                for ram_staged in 0..=40 {
+                    for staged in [ram_staged, ram_staged + 1] {
+                        for &(spill_used, spill_capacity) in &spill {
+                            let backlog = Backlog {
+                                staged,
+                                ram_staged,
+                                spill_used,
+                                spill_capacity,
+                                failure_streak,
+                            };
+                            grid.push((current, backlog));
+                        }
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    #[test]
+    fn admission_health_is_the_engine_rule_it_replaced() {
+        for (current, backlog) in health_grid() {
+            let next = Admission::health(current, backlog);
+            assert_eq!(
+                next,
+                reference_update_health(current, backlog),
+                "{current:?} {backlog:?}"
+            );
+            // No chatter: with nothing moving, the state stays put.
+            assert_eq!(Admission::health(next, backlog), next, "{backlog:?}");
+        }
+    }
+
+    #[test]
+    fn admission_seal_due_is_the_device_rule_it_replaced() {
+        let record = LogRecord {
+            seq: 0,
+            at_ns: 0,
+            op: LogOp::Read,
+            lpa: 0,
+            old_page_index: None,
+            entropy_mil: 0,
+            read_before: false,
+            old_data: None,
+        };
+        for segment_pages in [1, 2, 64] {
+            let pages = segment_pages as u64;
+            let records = segment_pages * 8;
+            for retained in [0, pages - 1, pages, pages + 1] {
+                for len in [0, records - 1, records, records + 1] {
+                    let pending = Batch {
+                        records: vec![record.clone(); len],
+                        retained,
+                    };
+                    for fraction in threshold_grid(&[0.25]) {
+                        let read = std::cell::Cell::new(false);
+                        let due = Admission::seal_due(&pending, segment_pages, || {
+                            read.set(true);
+                            fraction
+                        });
+                        let expected =
+                            reference_should_offload(retained, len, segment_pages, fraction);
+                        assert_eq!(due, expected, "{retained} {len} {fraction}");
+                        // The counts decide before the fraction is read.
+                        let counts_decide = retained >= pages || len >= records;
+                        assert_eq!(read.get(), !counts_decide, "{retained} {len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn admission_throttle_relief_and_backoff_are_the_rules_they_replaced() {
+        for staged in [0, 1, 31, 32, 1000] {
+            assert_eq!(Admission::penalty_ns(staged), 40_000 * staged as u64);
+        }
+        for attempt in 0..8 {
+            assert_eq!(Admission::relieve_again(attempt), attempt < 4);
+        }
+        let mut step = Admission::RETRY_BACKOFF_BASE_NS;
+        assert_eq!(step, 10_000_000);
+        for _ in 0..16 {
+            let next = Admission::next_backoff(step);
+            assert_eq!(next, (step * 2).min(5_000_000_000));
+            step = next;
+        }
+        assert_eq!(step, Admission::RETRY_BACKOFF_CAP_NS);
     }
 }

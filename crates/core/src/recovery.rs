@@ -8,10 +8,9 @@
 use crate::device::RssdDevice;
 use crate::remote_target::RemoteTarget;
 use rssd_ssd::BlockDevice;
-use serde::{Deserialize, Serialize};
 
 /// Result of a recovery run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct RecoveryReport {
     /// Pages successfully restored.
@@ -28,7 +27,8 @@ pub struct RecoveryReport {
 
 impl RecoveryReport {
     /// Fraction of requested pages recovered.
-    pub fn recovery_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn recovery_rate(&self) -> f64 {
         let total = self.pages_restored + self.pages_unrecoverable;
         if total == 0 {
             return 1.0;

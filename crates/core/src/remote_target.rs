@@ -4,7 +4,6 @@ use crate::logrec::WireError;
 use crate::segment::SegmentEnvelope;
 use rssd_crypto::Digest;
 use rssd_net::SecureSession;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Remote-side failures as seen by the offload engine.
@@ -52,7 +51,7 @@ impl std::fmt::Display for RemoteError {
 impl std::error::Error for RemoteError {}
 
 /// Acknowledgement of a durably stored segment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreAck {
     /// The acknowledged segment.
     pub segment_seq: u64,

@@ -37,12 +37,11 @@
 use crate::remote_target::{RemoteError, RemoteTarget, StoreAck};
 use crate::segment::SegmentEnvelope;
 use rssd_net::{LinkConfig, NvmeOeEndpoint, SecureSession, SharedLink, TransferStats};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// What the link conditions did to the offload stream — the counters the
 /// scenario matrix scores partition cells by.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct RemoteFaultStats {
     /// Transfers that exhausted the stall budget with store-and-forward
@@ -104,7 +103,7 @@ impl<R: RemoteTarget> WireRemote<R> {
     }
 
     /// Wraps `remote` behind an existing fabric.
-    pub fn with_fabric(remote: R, fabric: NvmeOeEndpoint) -> Self {
+    fn with_fabric(remote: R, fabric: NvmeOeEndpoint) -> Self {
         WireRemote {
             fabric,
             remote,

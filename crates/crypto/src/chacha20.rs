@@ -39,7 +39,7 @@ impl ChaCha20 {
     /// Creates a cipher with an explicit initial block counter (RFC 8439 §2.4
     /// uses counter 1 for AEAD payloads; RSSD seeks into segment keystreams by
     /// page index).
-    pub fn with_counter(key: &[u8; 32], nonce: &[u8; 12], counter: u32) -> Self {
+    fn with_counter(key: &[u8; 32], nonce: &[u8; 12], counter: u32) -> Self {
         let mut state = [0u32; 16];
         state[..4].copy_from_slice(&SIGMA);
         for i in 0..8 {
@@ -258,7 +258,7 @@ mod avx2 {
     /// The caller must have checked [`available`]; `src` must be readable and
     /// `dst` writable for 512 bytes, the two ranges identical or disjoint.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn xor_eight_blocks(state: &[u32; 16], src: *const u8, dst: *mut u8) {
+    pub(super) unsafe fn xor_eight_blocks(state: &[u32; 16], src: *const u8, dst: *mut u8) {
         // Per-lane rotate-left by 16 and 8 as byte shuffles (the shuffle works
         // within each 128-bit half, so the 16-byte pattern is repeated).
         let rot16 = _mm256_broadcastsi128_si256(_mm_set_epi8(

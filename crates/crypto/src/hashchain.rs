@@ -23,12 +23,11 @@
 
 use crate::hmac::{HmacSha256, Midstates};
 use crate::sha256::Digest;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
 /// One record's place in a chain that is never sealed: a sequence number
 /// plus the head the run reaches with that record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChainLink {
     /// Zero-based position of the record in the chain.
     pub seq: u64,

@@ -8,10 +8,9 @@
 //! encryption key) does not reveal the evidence-chain key.
 
 use crate::hmac::HmacSha256;
-use serde::{Deserialize, Serialize};
 
 /// What a derived key is used for. Each purpose yields an independent subkey.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KeyPurpose {
     /// Encrypting retained pages / log segments on the offload path.
     OffloadEncryption,

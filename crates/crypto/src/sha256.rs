@@ -3,7 +3,6 @@
 //! Used for page-content fingerprints in the hardware-assisted log and as the
 //! compression function underneath [`crate::hmac`] and [`crate::hashchain`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 256-bit SHA-256 digest.
@@ -19,7 +18,7 @@ use std::fmt;
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Digest([u8; 32]);
 
 impl Digest {
@@ -42,7 +41,8 @@ impl Digest {
     /// # Errors
     ///
     /// Returns `None` if `hex` is not exactly 64 hex characters.
-    pub fn from_hex(hex: &str) -> Option<Self> {
+    #[cfg(test)]
+    fn from_hex(hex: &str) -> Option<Self> {
         if hex.len() != 64 {
             return None;
         }
@@ -413,7 +413,7 @@ mod shani {
     /// The caller must have checked [`available`], and `blocks.len()` must be
     /// a multiple of 64.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
         let mut s = load_state(state);
         for block in blocks.chunks_exact(64) {
             let saved = s;

@@ -6,10 +6,9 @@ use crate::pattern::{OverwriteCorrelator, TrimSurgeDetector};
 use crate::timing::TimingProfiler;
 use crate::victims::VictimSet;
 use crate::Detector;
-use serde::{Deserialize, Serialize};
 
 /// Classification produced by the ensemble.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// Nothing notable.
     #[default]

@@ -1,7 +1,5 @@
 //! The detector input record.
 
-use serde::{Deserialize, Serialize};
-
 /// Entropy (bits/byte) at or above which an overwrite's payload reads as
 /// ciphertext. It is compared in one place,
 /// [`WriteObservation::is_encrypting_overwrite`].
@@ -9,7 +7,7 @@ pub const CIPHERTEXT_BITS: f64 = 7.2;
 
 /// One observed write or trim, as reconstructed from the hardware-assisted
 /// log (or observed inline by an in-device detector baseline).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WriteObservation {
     /// When the operation was issued.
     pub at_ns: u64,

@@ -36,7 +36,8 @@ impl TimingProfiler {
     }
 
     /// Distinct pages an encrypting overwrite holds now.
-    pub fn encrypted_pages(&self) -> usize {
+    #[cfg(test)]
+    fn encrypted_pages(&self) -> usize {
         self.victims.encrypted()
     }
 }

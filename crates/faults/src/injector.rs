@@ -23,10 +23,9 @@ use rssd_core::{HistoryAudit, OffloadStats, RemoteFaultStats};
 use rssd_flash::SimClock;
 use rssd_obs::SinkHandle;
 use rssd_ssd::{BlockDevice, CommandResult, DeviceError, IoCommand};
-use serde::{Deserialize, Serialize};
 
 /// One torn `submit_batch`: the persisted prefix and the lost suffix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TornBatch {
     /// Commands in the batch.
     pub batch_len: usize,

@@ -18,10 +18,8 @@
 //!   has a gap that `verified_history`, `audit_history` and
 //!   `RebuildImage::harvest` all refuse to paper over.
 
-use serde::{Deserialize, Serialize};
-
 /// What happens to offloads attempted during a partition window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PartitionMode {
     /// Offloads fail with `Unreachable`; data stays pinned on-device.
     Refuse,

@@ -47,7 +47,6 @@ use rssd_net::LinkConfig;
 use rssd_obs::{ProfilerHandle, SinkHandle};
 use rssd_ssd::DeviceError;
 use rssd_trace::{IoRecord, TraceProfile};
-use serde::{Deserialize, Serialize};
 
 /// Files in the hostage corpus. Sized so the victim set (files × pages)
 /// sits well clear of the long-horizon profiler's 64-page noise floor and
@@ -84,7 +83,7 @@ pub fn next_phase_ns(ns: u64) -> u64 {
 }
 
 /// How the host drives the device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Topology {
     /// One device, one depth-1 queue pair (the scalar-compatible path).
     Bare,
@@ -157,7 +156,7 @@ impl Topology {
 }
 
 /// The attack axis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ActorKind {
     /// No attack: the false-positive baseline.
     None,
@@ -197,7 +196,7 @@ impl ActorKind {
 
 /// The fault axis: a phase-relative plan, resolved into an absolute
 /// [`FaultSchedule`] once the attack's op window is known.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultPlan {
     /// No faults.
     None,
@@ -315,7 +314,7 @@ impl FaultPlan {
 }
 
 /// One cell of the scenario matrix.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// Trace profile name (Figure 2 axis), e.g. `"hm"`.
     pub profile: &'static str,
@@ -396,7 +395,7 @@ impl CellBody for MatrixCell<'_> {
 }
 
 /// The measured outcome of one scenario cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[must_use]
 pub struct Scorecard {
     /// Cell id (`profile/actor/fault/topology`).
@@ -510,7 +509,7 @@ impl Scorecard {
     }
 
     /// The scorecard as a bench row for `BENCH_scenarios.json`.
-    pub fn bench_row(&self) -> BenchRow {
+    fn bench_row(&self) -> BenchRow {
         BenchRow {
             config: self.cell.clone(),
             metrics: vec![
@@ -667,7 +666,7 @@ impl ScenarioMatrix {
 /// harnesses fold cell results through one audited path
 /// ([`MatrixSummary::absorb`]) instead of hand-summing fields (which drifts
 /// the moment a counter is added).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct MatrixSummary {
     /// Cards absorbed.

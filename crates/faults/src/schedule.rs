@@ -10,11 +10,10 @@
 //! same partition window, the same mid-rebuild shard death, every run.
 
 use crate::remote::PartitionMode;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled fault. `at_op` counts commands executed by the injector;
 /// the event fires immediately *before* the `at_op`-th command executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultEvent {
     /// Power is cut: the command at `at_op` (and everything after it) fails
     /// with `DeviceError::PowerLoss`. A cut landing inside a `submit_batch`
@@ -78,7 +77,7 @@ impl FaultEvent {
 }
 
 /// A named, ordered fault schedule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultSchedule {
     name: String,
     events: Vec<FaultEvent>,

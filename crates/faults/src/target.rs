@@ -19,7 +19,6 @@ use rssd_core::{
 use rssd_flash::{FlashGeometry, NandStats, NandTiming, SimClock};
 use rssd_ftl::FtlStats;
 use rssd_ssd::{BlockDevice, LatencyStats};
-use serde::{Deserialize, Serialize};
 
 /// Failures of fault-control operations.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,7 +58,7 @@ impl From<ArrayError> for FaultError {
 }
 
 /// What a power cycle (crash + recover) cost and rebuilt.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct PowerRestoreReport {
     /// Pending log records lost with the controller RAM.

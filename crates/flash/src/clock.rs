@@ -28,10 +28,6 @@ pub struct SimClock {
 
 /// Nanoseconds per simulated second.
 pub const NS_PER_SEC: u64 = 1_000_000_000;
-/// Nanoseconds per simulated millisecond.
-pub const NS_PER_MS: u64 = 1_000_000;
-/// Nanoseconds per simulated microsecond.
-pub const NS_PER_US: u64 = 1_000;
 /// Nanoseconds per simulated day (used by the retention experiments).
 pub const NS_PER_DAY: u64 = 86_400 * NS_PER_SEC;
 

@@ -1,6 +1,5 @@
 //! Flash array geometry and physical page addressing.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape of the simulated NAND array: channels × chips × planes × blocks ×
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// The defaults mirror the Cosmos+ OpenSSD class of device scaled down for
 /// simulation; experiments pick geometries sized to their workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FlashGeometry {
     /// Independent channels (parallel buses to flash).
     pub channels: u32,
@@ -39,7 +38,7 @@ impl FlashGeometry {
 
     /// A mid-size geometry for integration tests and benches:
     /// 4×2×2×64×64 × 4 KiB = 256 MiB.
-    pub fn bench_default() -> Self {
+    fn bench_default() -> Self {
         FlashGeometry {
             channels: 4,
             chips_per_channel: 2,
@@ -51,7 +50,8 @@ impl FlashGeometry {
     }
 
     /// Builds a geometry with roughly `capacity_bytes` total capacity by
-    /// scaling the number of blocks per plane of [`Self::bench_default`].
+    /// scaling the number of blocks per plane of the mid-size geometry
+    /// (4×2×2×64×64 × 4 KiB = 256 MiB).
     ///
     /// # Panics
     ///
@@ -160,7 +160,7 @@ impl FlashGeometry {
 }
 
 /// A physical page address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ppa {
     /// Channel index.
     pub channel: u32,

@@ -5,14 +5,13 @@ use crate::geometry::{FlashGeometry, Ppa};
 use crate::stats::NandStats;
 use crate::timing::{NandTiming, OpTicket, UnitPipelines};
 use rssd_obs::SinkHandle;
-use serde::{Deserialize, Serialize};
 
 /// Per-page out-of-band metadata, written atomically with the page data.
 ///
 /// Real NAND pages carry a spare area; FTLs use it for reverse-mapping and
 /// power-fail recovery. RSSD additionally relies on it to reconstruct the
 /// time order of operations: `seq` is a device-global monotone counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageOob {
     /// Logical page address this physical page was written for.
     pub lpa: u64,
@@ -23,7 +22,7 @@ pub struct PageOob {
 }
 
 /// State of one erase block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlockState {
     /// All pages erased; programming starts at page 0.
     Erased,
@@ -225,13 +224,6 @@ impl NandArray {
     pub fn block_state(&self, ppa: Ppa) -> Result<BlockState, NandError> {
         self.check_address(ppa)?;
         Ok(self.blocks[self.geometry.block_index(ppa) as usize].state)
-    }
-
-    /// The next programmable page index of the block containing `ppa`
-    /// (its write pointer).
-    pub fn write_pointer(&self, ppa: Ppa) -> Result<u32, NandError> {
-        self.check_address(ppa)?;
-        Ok(self.blocks[self.geometry.block_index(ppa) as usize].write_pointer)
     }
 
     /// P/E cycles consumed by the block containing `ppa`.

@@ -1,14 +1,12 @@
 //! Operation counters for the NAND array.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters of raw NAND operations and the simulated time they consumed.
 ///
 /// The lifetime experiment (E4) reads erase counts from here; the performance
 /// experiment (E3) compares busy time between device models; the queue-depth
 /// sweep reports per-channel utilization (busy_ns / wall_ns) from the
 /// channel-busy vector.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct NandStats {
     reads: u64,
@@ -48,24 +46,10 @@ impl NandStats {
         self.erases
     }
 
-    /// Cumulative simulated time spent in reads.
-    pub fn read_time_ns(&self) -> u64 {
-        self.read_time_ns
-    }
-
-    /// Cumulative simulated time spent in programs.
-    pub fn program_time_ns(&self) -> u64 {
-        self.program_time_ns
-    }
-
-    /// Cumulative simulated time spent in erases.
-    pub fn erase_time_ns(&self) -> u64 {
-        self.erase_time_ns
-    }
-
     /// Total simulated device busy time (sum of nominal op latencies; with
     /// pipelining this exceeds wall time when units overlap).
-    pub fn total_busy_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn total_busy_ns(&self) -> u64 {
         self.read_time_ns + self.program_time_ns + self.erase_time_ns
     }
 

@@ -20,10 +20,8 @@
 //! device paths block once per batch on the latest ticket). That is what
 //! lets independent channels, chips and planes genuinely overlap.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency parameters for the simulated NAND.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NandTiming {
     /// Page read (cell-to-register) latency in nanoseconds.
     pub read_ns: u64,
@@ -86,7 +84,7 @@ impl Default for NandTiming {
 
 /// A scheduled operation: when it starts occupying its first unit and when
 /// its result is available to the host side.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct OpTicket {
     /// Simulated time the operation first occupies a unit.

@@ -8,7 +8,6 @@
 
 use rssd_faults::Topology;
 use rssd_net::LinkConfig;
-use serde::{Deserialize, Serialize};
 
 /// The splitmix64 increment; the same golden-gamma constant the rest of the
 /// workspace uses for seed whitening.
@@ -53,7 +52,7 @@ pub(crate) fn member_unit(member_seed: u64, tag: u64) -> f64 {
 /// population, the member uplink and the array mix — is a constant of the
 /// type ([`FleetConfig::TENANTS`], [`FleetConfig::LINK`],
 /// [`FleetConfig::ARRAY_EVERY`], ...).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FleetConfig {
     /// Fleet size in members (devices or small arrays).
     pub members: usize,

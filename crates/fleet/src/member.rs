@@ -19,7 +19,6 @@ use rssd_ftl::FtlStats;
 use rssd_obs::{ProfileBreakdown, ProfilerHandle, SinkHandle, TraceEvent};
 use rssd_ssd::{BlockDevice, LatencyStats, QueuePairStats};
 use rssd_trace::{DiurnalLoad, IoRecord, PayloadKind, ReplayStats, TraceProfile, Zipf};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Attack cadence: one victim page read-encrypt-overwritten per tick.
@@ -46,7 +45,7 @@ impl fmt::Display for FleetError {
 impl std::error::Error for FleetError {}
 
 /// Per-member verdict and accounting, one row of the fleet scoreboard.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemberScorecard {
     /// Member id within the fleet.
     pub member: usize,

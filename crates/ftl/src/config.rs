@@ -1,9 +1,7 @@
 //! FTL configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Garbage-collection victim-selection policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GcPolicy {
     /// Pick the eligible block with the fewest valid pages.
     #[default]
@@ -38,7 +36,7 @@ pub(crate) const GC_RESERVED_BLOCKS: u32 = 2;
 /// };
 /// assert_eq!(config.spill_blocks, 0);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FtlConfig {
     /// Victim-selection policy.
     pub gc_policy: GcPolicy,

@@ -11,7 +11,6 @@ use rssd_flash::{
     BlockState, FlashGeometry, NandArray, NandError, OpTicket, PageOob, Ppa, SimClock,
 };
 use rssd_obs::SinkHandle;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
 /// Marks the first page of a spill-region entry.
@@ -20,7 +19,7 @@ const SPILL_MAGIC: u64 = 0x5253_5344_5350_4C31; // "RSSDSPL1"
 const SPILL_HEADER_BYTES: usize = 16;
 
 /// Why a physical page became stale.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InvalidateCause {
     /// The host overwrote the logical page with new content.
     Overwrite,
@@ -37,7 +36,7 @@ pub enum InvalidateCause {
 /// This is the raw feed RSSD's hardware-assisted log consumes: it preserves
 /// the logical address, the physical location of the stale data, the OOB
 /// metadata (write timestamp + global sequence number) and the cause.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StaleEvent {
     /// Logical page whose old version went stale.
     pub lpa: u64,
@@ -421,7 +420,8 @@ impl Ftl {
     }
 
     /// Is `ppa` pinned?
-    pub fn is_pinned(&self, ppa: Ppa) -> bool {
+    #[cfg(test)]
+    fn is_pinned(&self, ppa: Ppa) -> bool {
         self.pinned.contains(&self.geometry.page_index(ppa))
     }
 

@@ -82,7 +82,8 @@ impl MappingTable {
     }
 
     /// The LPA associated with physical page `ppa` (valid or stale), if any.
-    pub fn lpa_of(&self, ppa: Ppa) -> Option<u64> {
+    #[cfg(test)]
+    fn lpa_of(&self, ppa: Ppa) -> Option<u64> {
         self.p2l[self.geometry.page_index(ppa) as usize]
     }
 

@@ -1,14 +1,12 @@
 //! FTL-level statistics: write amplification, GC activity, trim counts.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters kept by the FTL, on top of the raw NAND counters.
 ///
 /// The lifetime experiment (E4) reports [`FtlStats::write_amplification`]
 /// for RSSD vs. the plain SSD: the paper's claim is that retention plus
 /// offload leaves WAF essentially unchanged, because retained pages are
 /// never *migrated*, only held until offload and then erased in place.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct FtlStats {
     /// Pages written on behalf of the host.

@@ -1,7 +1,6 @@
 //! Ethernet framing.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// EtherType used for NVMe-oE capsules (vendor-experimental range).
@@ -11,7 +10,7 @@ pub const ETHERTYPE_NVME_OE: u16 = 0x88B5;
 pub const MAX_PAYLOAD: usize = 9000;
 
 /// A 48-bit MAC address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {

@@ -32,11 +32,10 @@
 //! ```
 
 use crate::frame::EthernetFrame;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
 /// Link parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkConfig {
     /// Serialization bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: u64,
@@ -147,7 +146,8 @@ impl SimLink {
     }
 
     /// Frames dropped by loss injection.
-    pub fn frames_dropped(&self) -> u64 {
+    #[cfg(test)]
+    fn frames_dropped(&self) -> u64 {
         self.frames_dropped
     }
 
@@ -173,14 +173,16 @@ impl SimLink {
     }
 
     /// Payload + header bytes successfully carried.
-    pub fn bytes_carried(&self) -> u64 {
+    #[cfg(test)]
+    fn bytes_carried(&self) -> u64 {
         self.bytes_carried
     }
 
     /// Time the last bit of the latest reservation leaves the sender: the
     /// wire is idle from here on (zero on a link that has reserved nothing —
     /// an ideal one never does).
-    pub fn busy_until_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn busy_until_ns(&self) -> u64 {
         self.reserved.last().map_or(0, |&(_, end)| end)
     }
 
@@ -295,25 +297,15 @@ impl SharedLink {
         self.lock().frames_offered()
     }
 
-    /// Frames dropped by loss injection.
-    pub fn frames_dropped(&self) -> u64 {
-        self.lock().frames_dropped()
-    }
-
     /// Frames swallowed by blackout windows.
     pub fn frames_blackholed(&self) -> u64 {
         self.lock().frames_blackholed()
     }
 
     /// Header + payload bytes successfully carried.
-    pub fn bytes_carried(&self) -> u64 {
+    #[cfg(test)]
+    fn bytes_carried(&self) -> u64 {
         self.lock().bytes_carried()
-    }
-
-    /// Time the shared wire goes idle for good; see
-    /// [`SimLink::busy_until_ns`].
-    pub fn busy_until_ns(&self) -> u64 {
-        self.lock().busy_until_ns()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SimLink> {

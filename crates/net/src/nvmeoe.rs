@@ -29,7 +29,6 @@ use crate::frame::{EthernetFrame, MacAddr, MAX_PAYLOAD};
 use crate::link::{LinkConfig, SharedLink, SimLink};
 use bytes::Bytes;
 use rssd_obs::SinkHandle;
-use serde::{Deserialize, Serialize};
 
 /// Capsule header magic ("NVOE" + version 1).
 const MAGIC: [u8; 4] = *b"NVO\x01";
@@ -39,7 +38,7 @@ const HEADER: usize = 25;
 pub const CAPSULE_PAYLOAD: usize = MAX_PAYLOAD - HEADER;
 
 /// Capsule type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CapsuleKind {
     /// A fragment of an offloaded log segment, device → remote.
     SegmentWrite,
@@ -225,7 +224,7 @@ impl Capsule {
 }
 
 /// Transfer statistics for the offload-path experiment (E8).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct TransferStats {
     /// Segments fully transferred and acknowledged.
@@ -332,7 +331,7 @@ impl NvmeOeEndpoint {
     /// [`Self::DEFAULT_RTO_NS`] until the first RTT sample, then the RFC 6298
     /// estimate `SRTT + max(G, 4·RTTVAR)` clamped to
     /// [[`Self::MIN_RTO_NS`], [`Self::MAX_RTO_NS`]].
-    pub fn current_rto_ns(&self) -> u64 {
+    fn current_rto_ns(&self) -> u64 {
         if self.srtt_ns == 0 {
             Self::DEFAULT_RTO_NS
         } else {
@@ -342,13 +341,9 @@ impl NvmeOeEndpoint {
     }
 
     /// Smoothed round-trip time (zero until the first sample).
-    pub fn srtt_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn srtt_ns(&self) -> u64 {
         self.srtt_ns
-    }
-
-    /// Round-trip time variance.
-    pub fn rttvar_ns(&self) -> u64 {
-        self.rttvar_ns
     }
 
     /// Feeds one RTT measurement into the RFC 6298 estimator.
@@ -418,10 +413,11 @@ impl NvmeOeEndpoint {
     /// A retransmission round makes *progress* when it delivers at least
     /// one new fragment or the completing cumulative ack. After
     /// `max_stall_rounds` consecutive rounds without progress — each
-    /// waiting out the adaptive RTO ([`Self::current_rto_ns`]), doubled
-    /// per consecutive timeout up to [`Self::MAX_RTO_NS`] — the sender
-    /// gives up with [`TransferStalled`]: the segment is **not** delivered
-    /// and the caller still owns the payload.
+    /// waiting out the adaptive RTO (RFC 6298; [`Self::DEFAULT_RTO_NS`]
+    /// before the first RTT sample), doubled per consecutive timeout up to
+    /// [`Self::MAX_RTO_NS`] — the sender gives up with [`TransferStalled`]:
+    /// the segment is **not** delivered and the caller still owns the
+    /// payload.
     ///
     /// # Errors
     ///

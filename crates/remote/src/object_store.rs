@@ -1,11 +1,10 @@
 //! An S3-like object store with a simple latency model.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Latency model for the store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObjectStoreConfig {
     /// Fixed per-request latency (request processing, metadata).
     pub request_latency_ns: u64,
@@ -38,7 +37,7 @@ impl Default for ObjectStoreConfig {
 }
 
 /// Operation counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct ObjectStoreStats {
     /// PUT requests served.

@@ -13,12 +13,11 @@ use rssd_core::{
 use rssd_crypto::{DeviceKeys, Digest};
 use rssd_detect::{Ensemble, Verdict};
 use rssd_net::{LinkConfig, NvmeOeEndpoint, SecureSession, TransferStats};
-use serde::{Deserialize, Serialize};
 
 use crate::object_store::{ObjectStore, ObjectStoreConfig};
 
 /// Aggregated server-side observations (the operator's dashboard).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 #[must_use]
 pub struct ServerReport {
     /// Segments accepted and stored.

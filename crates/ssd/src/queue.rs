@@ -5,7 +5,6 @@
 //! log-linear histogram so million-request runs stay cheap.
 
 use rssd_obs::Histogram;
-use serde::{Deserialize, Serialize};
 
 /// Latency histogram with exact mean/min/max — `rssd-obs`'s log-linear
 /// [`Histogram`] (power-of-two octaves, 16 linear sub-buckets per octave,
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.count(), 2);
 /// assert!(stats.mean_ns() > 1_000.0);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct LatencyStats(Histogram);
 
@@ -49,12 +48,14 @@ impl LatencyStats {
     }
 
     /// Minimum latency (ns); 0 when empty.
-    pub fn min_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn min_ns(&self) -> u64 {
         self.0.min()
     }
 
     /// Maximum latency (ns).
-    pub fn max_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn max_ns(&self) -> u64 {
         self.0.max()
     }
 

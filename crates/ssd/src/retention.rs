@@ -20,11 +20,10 @@ use crate::nvme::{CommandOutcome, CommandResult, IoCommand};
 use crate::queue::LatencyStats;
 use rssd_flash::{FlashGeometry, NandArray, NandTiming, Ppa, SimClock};
 use rssd_ftl::{Ftl, FtlConfig, FtlStats, InvalidateCause};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Which stale pages are retained locally, and how.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetentionMode {
     /// Every stale page stays pinned in place (LocalSSD): each costs a full
     /// physical page of spare capacity.
@@ -39,7 +38,7 @@ pub enum RetentionMode {
 }
 
 /// Aggregate retention behaviour, reported to the Figure 2 bench.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[must_use]
 pub struct RetentionReport {
     /// Stale pages currently retained.

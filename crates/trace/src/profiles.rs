@@ -9,14 +9,13 @@
 
 use crate::record::PayloadKind;
 use crate::synth::{Workload, WorkloadBuilder};
-use serde::{Deserialize, Serialize};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 /// Reference device capacity the daily volumes are quoted against.
 pub const REFERENCE_CAPACITY_BYTES: f64 = 256.0 * GIB;
 
 /// A named, calibrated trace model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceProfile {
     /// Trace name as it appears in Figure 2.
     pub name: &'static str,
@@ -112,7 +111,7 @@ impl TraceProfile {
     }
 
     /// Daily write bytes scaled to a device of `capacity_bytes`.
-    pub fn daily_write_bytes(&self, capacity_bytes: u64) -> f64 {
+    fn daily_write_bytes(&self, capacity_bytes: u64) -> f64 {
         self.daily_write_gib * GIB * (capacity_bytes as f64 / REFERENCE_CAPACITY_BYTES)
     }
 

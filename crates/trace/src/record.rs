@@ -1,9 +1,7 @@
 //! I/O records and deterministic payload synthesis.
 
-use serde::{Deserialize, Serialize};
-
 /// The operation of one trace record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IoOp {
     /// Read `pages` logical pages starting at `lpa`.
     Read,
@@ -16,7 +14,7 @@ pub enum IoOp {
 /// What kind of content a write carries — this determines entropy and
 /// compressibility, which both the Figure 2 compression series and the
 /// entropy-based detectors depend on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PayloadKind {
     /// All-zero pages (sparse files, freshly formatted space).
     Zero,
@@ -29,7 +27,7 @@ pub enum PayloadKind {
 }
 
 /// One logical I/O request in a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoRecord {
     /// Simulated arrival time.
     pub at_ns: u64,

@@ -17,11 +17,10 @@ use rssd_ssd::{
     BlockDevice, CommandId, CommandOutcome, Completion, DeviceError, IoCommand, NvmeController,
     QueueId,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Aggregate results of a replay.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct ReplayStats {
     /// Records issued.
