@@ -1992,6 +1992,10 @@ mod tests {
         let run = |encoder| {
             let mut d = device();
             script(&mut d, encoder);
+            assert!(
+                !d.engine.lane_holds_encoder(),
+                "{encoder:?}: a frame left open"
+            );
             let on_helper = d.engine.lane_pages().1;
             (resealed_wire_images(&mut d), on_helper)
         };
@@ -2006,11 +2010,42 @@ mod tests {
 
     #[test]
     fn a_frame_compressed_on_the_lane_seals_the_inline_bytes() {
-        let segments = on_every_encoder(|d, encoder| {
-            overwrite_script(d, encoder, 0, 200);
+        let script = |d: &mut RssdDevice<LoopbackTarget>, encoder, from| {
+            overwrite_script(d, encoder, from, 200);
             d.flush_log().unwrap();
-        });
+        };
+        let segments = on_every_encoder(|d, encoder| script(d, encoder, 0));
         assert!(segments >= 10, "{segments} segments");
+
+        // Two devices on one pool item's thread, ten writes each in turn,
+        // so each seals while the other's frame is open, and one of them
+        // swapping its engine for a clone as it goes: they share the
+        // thread's pooled encoder, and each stores what it stores alone.
+        let alone = |encoder, from| {
+            let mut d = device();
+            script(&mut d, encoder, from);
+            resealed_wire_images(&mut d)
+        };
+        let together = pool::map(1, 1, |_| {
+            let (mut a, mut b) = (device(), device());
+            let mut both_open = 0;
+            for from in (0..200).step_by(10) {
+                overwrite_script(&mut a, Encoder::InItem, from, 10);
+                overwrite_script(&mut b, Encoder::Cloned, 1000 + from, 10);
+                both_open +=
+                    usize::from(a.engine.lane_holds_encoder() && b.engine.lane_holds_encoder());
+            }
+            assert!(
+                both_open >= 3,
+                "frames open at once after {both_open} turns"
+            );
+            a.flush_log().unwrap();
+            b.flush_log().unwrap();
+            assert!(!a.engine.lane_holds_encoder() && !b.engine.lane_holds_encoder());
+            (resealed_wire_images(&mut a), resealed_wire_images(&mut b))
+        });
+        let expected = (alone(Encoder::Here, 0), alone(Encoder::Cloned, 1000));
+        assert_eq!(together[0], expected);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use rssd_flash::Ppa;
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
 use rssd_obs::{ProfilerHandle, SinkHandle};
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Offload-path health: a hysteresis state machine over backlog depth
@@ -200,9 +201,16 @@ impl Admission {
         attempt < Self::RELIEF_ATTEMPTS
     }
 
-    /// The backoff step after a failed ship that waited `step`.
-    fn next_backoff(step: u64) -> u64 {
-        (step * 2).min(Self::RETRY_BACKOFF_CAP_NS)
+    /// How long background ships wait after the `streak`-th failure in a
+    /// row: the first step, doubled per failure before it, up to the cap
+    /// (a streak of 0 reads as 1).
+    fn backoff(streak: u32) -> u64 {
+        let doublings = streak.saturating_sub(1);
+        1u64.checked_shl(doublings)
+            .map_or(u64::MAX, |factor| {
+                Self::RETRY_BACKOFF_BASE_NS.saturating_mul(factor)
+            })
+            .min(Self::RETRY_BACKOFF_CAP_NS)
     }
 }
 
@@ -315,17 +323,73 @@ impl Batch {
 
 /// What the pre-image lane is asked to do with its frame.
 enum Job {
+    /// Open a frame on this encoder.
+    Open(Encoder),
     /// Append these pinned pages' bytes and encode what they settle.
     Push(Vec<u8>),
-    /// Finish the frame into this buffer (whatever it held before) and
-    /// hand the buffer back.
-    Finish(Vec<u8>),
-    /// Drop the frame.
+    /// Finish the frame and hand the encoder back, the frame in it.
+    Finish,
+    /// Drop the frame and hand the encoder back.
     Discard,
 }
 
+/// An open frame's encoder: a [`FrameStream`] (its 128 KiB LZ head table,
+/// its data and payload buffers) and the buffer the finished frame lands
+/// in. A frame takes one from its device's thread when it opens and gives
+/// it back when it is sealed or dropped, so a device between frames holds
+/// none, and the devices (or clones) a thread runs one after another share
+/// one. The thread keeps the last encoder given back until it ends.
+#[derive(Default)]
+struct Encoder {
+    stream: FrameStream,
+    frame: Vec<u8>,
+}
+
+thread_local! {
+    /// The encoder the last frame closed on this thread gave back.
+    static POOLED: Cell<Option<Encoder>> = const { Cell::new(None) };
+}
+
+impl Encoder {
+    /// This thread's pooled encoder, or a new one.
+    fn take() -> Encoder {
+        POOLED.take().unwrap_or_default()
+    }
+
+    /// Pools this encoder for the next frame opened on this thread.
+    fn give_back(self) {
+        POOLED.set(Some(self));
+    }
+
+    /// The lane's work: the open frame's encoder, fed job by job.
+    fn lane() -> Lane<Job, Encoder> {
+        const OPENED: &str = "a frame's jobs follow its open";
+        let mut open: Option<Encoder> = None;
+        Lane::start(move |job| match job {
+            Job::Open(encoder) => {
+                open = Some(encoder);
+                None
+            }
+            Job::Push(bytes) => {
+                open.as_mut().expect(OPENED).stream.push(&bytes);
+                None
+            }
+            Job::Finish => {
+                let mut encoder = open.take().expect(OPENED);
+                encoder.stream.finish(&mut encoder.frame);
+                Some(encoder)
+            }
+            Job::Discard => {
+                let mut encoder = open.take().expect(OPENED);
+                encoder.stream.clear();
+                Some(encoder)
+            }
+        })
+    }
+}
+
 /// The pending tail's pre-image frame: the one encoder of every frame a
-/// device seals. Its [`FrameStream`] runs on a [`Lane`] — a core of its own
+/// device seals. Its [`Encoder`] runs on a [`Lane`] — a core of its own
 /// when the machine has one to spare and the device is not a pool item,
 /// else the device's thread — and takes the frame's pages in order from the
 /// first, as they are pinned. A frame whose first pages it did not see (a
@@ -333,17 +397,16 @@ enum Job {
 /// same pinned bytes.
 #[derive(Default)]
 pub(crate) struct PreimageLane {
-    /// Started with the first frame the device opens or seals.
-    lane: Option<Lane<Job, Vec<u8>>>,
+    /// Started with the first frame the device opens.
+    lane: Option<Lane<Job, Encoder>>,
+    /// The lane holds an open frame's encoder.
+    open: bool,
     /// Pinned bytes not handed to the lane yet: it is woken once per
     /// [`Self::CHUNK`] bytes, not once per page.
     chunk: Vec<u8>,
     /// Retained pages of the open frame the lane has been given (the chunk
     /// included), first to last.
     pages: u64,
-    /// The last frame the lane finished: its buffer goes back with the
-    /// next [`Job::Finish`].
-    frame: Vec<u8>,
 }
 
 impl PreimageLane {
@@ -353,26 +416,15 @@ impl PreimageLane {
     /// once per four pages.
     const CHUNK: usize = 16 * 1024;
 
-    /// The lane, started on first use.
-    fn lane(&mut self) -> &mut Lane<Job, Vec<u8>> {
-        self.lane.get_or_insert_with(|| {
-            let mut stream = FrameStream::new();
-            Lane::start(move |job| match job {
-                Job::Push(bytes) => {
-                    stream.push(&bytes);
-                    None
-                }
-                Job::Finish(mut frame) => {
-                    frame.clear();
-                    stream.finish_into(&mut frame);
-                    Some(frame)
-                }
-                Job::Discard => {
-                    stream.clear();
-                    None
-                }
-            })
-        })
+    /// The lane, holding an open frame: started on first use, and handed
+    /// this thread's encoder when no frame is open.
+    fn open_lane(&mut self) -> &mut Lane<Job, Encoder> {
+        let lane = self.lane.get_or_insert_with(Encoder::lane);
+        if !self.open {
+            lane.send(Job::Open(Encoder::take()));
+            self.open = true;
+        }
+        lane
     }
 
     /// The open frame's `nth` retained page (counting from 0) was pinned
@@ -389,7 +441,7 @@ impl PreimageLane {
         self.pages += 1;
         if self.chunk.len() >= Self::CHUNK {
             let chunk = std::mem::take(&mut self.chunk);
-            self.lane().send(Job::Push(chunk));
+            self.open_lane().send(Job::Push(chunk));
         }
     }
 
@@ -397,29 +449,32 @@ impl PreimageLane {
     /// the metadata frame, and the next push opens the next frame.
     fn finish(&mut self) {
         let chunk = std::mem::take(&mut self.chunk);
-        let frame = std::mem::take(&mut self.frame);
-        let lane = self.lane();
+        let lane = self.open_lane();
         if !chunk.is_empty() {
             lane.send(Job::Push(chunk));
         }
-        lane.send(Job::Finish(frame));
+        lane.send(Job::Finish);
+        self.open = false;
         self.pages = 0;
     }
 
-    /// Waits for the frame [`Self::finish`] closed and appends it to `wire`.
+    /// Waits for the frame [`Self::finish`] closed, appends it to `wire`
+    /// and pools its encoder.
     fn append_finished(&mut self, wire: &mut Vec<u8>) {
-        self.frame = self.lane().reply();
-        wire.extend_from_slice(&self.frame);
+        let lane = self.lane.as_mut().expect("a finished frame's lane");
+        let encoder = lane.reply();
+        wire.extend_from_slice(&encoder.frame);
+        encoder.give_back();
     }
 
-    /// Drops the open frame, if any.
+    /// Drops the open frame, if any, and pools its encoder.
     fn discard(&mut self) {
-        if self.pages > 0 {
-            self.chunk.clear();
-            if let Some(lane) = &mut self.lane {
-                lane.send(Job::Discard);
-            }
-            self.pages = 0;
+        self.chunk = Vec::new();
+        self.pages = 0;
+        if std::mem::take(&mut self.open) {
+            let lane = self.lane.as_mut().expect("an open frame's lane");
+            lane.send(Job::Discard);
+            lane.reply().give_back();
         }
     }
 }
@@ -434,6 +489,7 @@ impl std::fmt::Debug for PreimageLane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreimageLane")
             .field("running", &self.lane.is_some())
+            .field("open", &self.open)
             .field("pages", &self.pages)
             .finish_non_exhaustive()
     }
@@ -475,11 +531,9 @@ pub(crate) struct OffloadEngine {
     /// Ship failures since the last acknowledged segment.
     consecutive_failures: u32,
     /// Background ship attempts are deferred until this simulated time
-    /// (capped exponential backoff). Forced attempts (flush, sync
-    /// backpressure, stalled-write drains) always go through.
+    /// ([`Admission::backoff`] of the failure streak). Forced attempts
+    /// (flush, sync backpressure, stalled-write drains) always go through.
     next_retry_at_ns: u64,
-    /// Current backoff step, doubled per failure up to the cap.
-    retry_backoff_ns: u64,
     /// Chain head before the first record still pending on the device.
     prev_segment_head: Digest,
     next_segment_seq: u64,
@@ -502,7 +556,6 @@ impl OffloadEngine {
             staged: VecDeque::new(),
             consecutive_failures: 0,
             next_retry_at_ns: 0,
-            retry_backoff_ns: Admission::RETRY_BACKOFF_BASE_NS,
             prev_segment_head: Digest::ZERO,
             next_segment_seq: 0,
             stats: OffloadStats::default(),
@@ -529,6 +582,12 @@ impl OffloadEngine {
     pub(crate) fn lane_pages(&self) -> (u64, Option<bool>) {
         let lane = &self.preimages.lane;
         (self.preimages.pages, lane.as_ref().map(Lane::on_helper))
+    }
+
+    /// Does the lane hold an encoder (a frame is open on it)?
+    #[cfg(test)]
+    pub(crate) fn lane_holds_encoder(&self) -> bool {
+        self.preimages.open
     }
 
     pub(crate) fn staged_segments(&self) -> usize {
@@ -607,7 +666,6 @@ impl OffloadEngine {
 
     fn reset_backoff(&mut self) {
         self.consecutive_failures = 0;
-        self.retry_backoff_ns = Admission::RETRY_BACKOFF_BASE_NS;
         self.next_retry_at_ns = 0;
     }
 
@@ -783,8 +841,7 @@ impl OffloadEngine {
                         ],
                     );
                     self.spill_staged_tail(ftl);
-                    self.next_retry_at_ns = now + self.retry_backoff_ns;
-                    self.retry_backoff_ns = Admission::next_backoff(self.retry_backoff_ns);
+                    self.next_retry_at_ns = now + Admission::backoff(self.consecutive_failures);
                     return Err(e);
                 }
             }
@@ -1329,7 +1386,8 @@ mod tests {
     /// build, where depth 6 takes minutes), with and without a spill
     /// region: no sampling. Each explored state is a clone, which starts
     /// its own pre-image lane at its first seal; the walk runs as a pool
-    /// item, so those lanes run on its thread and start none.
+    /// item, so those lanes run on its thread and start none, and every
+    /// frame they seal takes the thread's one pooled encoder.
     #[test]
     fn health_machine_holds_its_invariants_on_every_path() {
         let depth = if cfg!(debug_assertions) { 5 } else { 6 };
@@ -1513,13 +1571,19 @@ mod tests {
         for attempt in 0..8 {
             assert_eq!(Admission::relieve_again(attempt), attempt < 4);
         }
-        let mut step = Admission::RETRY_BACKOFF_BASE_NS;
-        assert_eq!(step, 10_000_000);
-        for _ in 0..16 {
-            let next = Admission::next_backoff(step);
-            assert_eq!(next, (step * 2).min(5_000_000_000));
-            step = next;
+        // The engine's old backoff field: the first step after a reset,
+        // doubled up to the cap after each failure, the wait charged at the
+        // failure being the step before it doubled.
+        let mut step = 10_000_000u64;
+        for streak in 0..=40u32 {
+            assert_eq!(Admission::backoff(streak), step, "streak {streak}");
+            if streak > 0 {
+                step = (step * 2).min(5_000_000_000);
+            }
         }
-        assert_eq!(step, Admission::RETRY_BACKOFF_CAP_NS);
+        assert_eq!(
+            Admission::backoff(u32::MAX),
+            Admission::RETRY_BACKOFF_CAP_NS
+        );
     }
 }

@@ -33,7 +33,9 @@ pub mod victims;
 
 pub use ensemble::{Ensemble, Verdict};
 pub use entropy::EntropyDetector;
-pub use observation::{merge_time_ordered, WriteObservation, CIPHERTEXT_BITS};
+pub use observation::{
+    merge_time_ordered, time_ordered, TimeOrdered, WriteObservation, CIPHERTEXT_BITS,
+};
 pub use pattern::{OverwriteCorrelator, TrimSurgeDetector};
 pub use timing::TimingProfiler;
 pub use victims::VictimSet;

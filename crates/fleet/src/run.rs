@@ -6,7 +6,7 @@ use crate::config::FleetConfig;
 use crate::member::{run_member, run_member_instrumented, FleetError, MemberObs, MemberOutcome};
 use crate::report::FleetReport;
 use rssd_core::{pool, OffloadStats};
-use rssd_detect::{merge_time_ordered, Ensemble, Verdict};
+use rssd_detect::{time_ordered, Ensemble, Verdict};
 use rssd_flash::NandStats;
 use rssd_ftl::FtlStats;
 use rssd_obs::{ProfileBreakdown, SinkHandle, TraceEvent};
@@ -175,9 +175,10 @@ impl Fleet {
             scorecards.push(card);
         }
 
-        let fused = merge_time_ordered(&streams);
+        // The fused feed is merged as the ensemble reads it: one head per
+        // member stream, no fused copy.
         let mut ensemble = Ensemble::new();
-        ensemble.observe_all(fused.iter());
+        ensemble.observe_all(time_ordered(&streams));
         ensemble.trace_verdict(sink, sim_end_ns);
 
         FleetReport {
