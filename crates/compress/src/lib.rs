@@ -115,18 +115,12 @@ fn compress_into(codec: Codec, data: &[u8], out: &mut Vec<u8>) {
     });
 }
 
-/// The header of `data`'s frame under `codec`.
-fn header(codec: Codec, data: &[u8]) -> [u8; FRAME_HEADER] {
-    let mut header = [codec.id(); FRAME_HEADER];
-    header[1..].copy_from_slice(&(data.len() as u32).to_le_bytes());
-    header
-}
-
 /// [`compress_into`] with the payload appended by `payload`, which is to
 /// encode `data` with `codec`.
 fn frame_into(codec: Codec, data: &[u8], out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     let frame_start = out.len();
-    out.extend_from_slice(&header(codec, data));
+    out.push(codec.id());
+    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     let payload_start = out.len();
     payload(out);
     if codec == Codec::Store || out.len() - payload_start >= data.len() {
@@ -221,20 +215,19 @@ pub fn compress_adaptive(data: &[u8]) -> Vec<u8> {
 /// codec's frame is built in place; the rare RLE-vs-LZ contest (run-dominated
 /// pages, where both frames are tiny) uses a scratch frame for the loser.
 pub fn compress_adaptive_into(data: &[u8], out: &mut Vec<u8>) {
-    adaptive_into(data, out, |out| compress_into(Codec::Lz77, data, out));
+    adaptive_into(data, out, |out| lz::encode_into(data, out));
 }
 
-/// [`compress_adaptive_into`] with the LZ77 frame (or its store fallback),
-/// when the gate wants one, appended by `lz_frame`, which is to frame
-/// `data`.
-fn adaptive_into(data: &[u8], out: &mut Vec<u8>, lz_frame: impl FnOnce(&mut Vec<u8>)) {
+/// [`compress_adaptive_into`] with the LZ77 payload, when the gate wants
+/// one, appended by `lz_payload`, which is to encode `data`.
+fn adaptive_into(data: &[u8], out: &mut Vec<u8>, lz_payload: impl FnOnce(&mut Vec<u8>)) {
     let (entropy_bits, run_fraction) = sampled_stats(data);
     if entropy_bits >= GATE_STORE_ENTROPY_BITS {
         compress_into(Codec::Store, data, out);
         return;
     }
     let frame_start = out.len();
-    lz_frame(out);
+    frame_into(Codec::Lz77, data, out, lz_payload);
     if run_fraction >= GATE_RLE_RUN_FRACTION {
         let rle_frame = compress(Codec::Rle, data);
         if rle_frame.len() < out.len() - frame_start {
@@ -246,15 +239,24 @@ fn adaptive_into(data: &[u8], out: &mut Vec<u8>, lz_frame: impl FnOnce(&mut Vec<
 
 /// [`compress_adaptive`] fed in pieces: the frame's bytes arrive by
 /// [`FrameStream::push`] and the LZ77 encoder runs behind them, as far as
-/// its frontier rule lets it (see [`lz`]), so [`FrameStream::finish`] is
-/// left the tail, the gate and the fallbacks. The frame it makes is, byte
-/// for byte, [`compress_adaptive`] of every byte pushed since the last
+/// its frontier rule lets it (see [`lz`]), so [`FrameStream::finish_into`]
+/// is left the tail, the gate and the fallbacks. The frame it appends is,
+/// byte for byte, [`compress_adaptive`] of every byte pushed since the last
 /// finish. The stream keeps its buffers and its own LZ head table from
 /// frame to frame.
-#[derive(Default)]
 pub struct FrameStream {
     data: Vec<u8>,
     lz: lz::Stream,
+}
+
+impl Default for FrameStream {
+    /// An empty stream.
+    fn default() -> Self {
+        FrameStream {
+            data: Vec::new(),
+            lz: lz::Stream::new(),
+        }
+    }
 }
 
 impl std::fmt::Debug for FrameStream {
@@ -276,22 +278,11 @@ impl FrameStream {
         self.lz.push(&self.data);
     }
 
-    /// Makes `frame` the frame of every byte pushed since the last finish
-    /// (what it held is dropped) and opens the next frame, empty. An LZ77
-    /// frame is the buffer the stream encoded into, header in place: it
-    /// trades places with `frame`'s, which the next frame encodes into.
-    pub fn finish(&mut self, frame: &mut Vec<u8>) {
+    /// Appends the frame of every byte pushed since the last finish to
+    /// `out` and opens the next frame, empty.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
         let (data, lz) = (&self.data, &mut self.lz);
-        frame.clear();
-        adaptive_into(data, frame, |frame| {
-            let encoded = lz.finish(data);
-            if encoded.len() - FRAME_HEADER >= data.len() {
-                compress_into(Codec::Store, data, frame);
-            } else {
-                encoded[..FRAME_HEADER].copy_from_slice(&header(Codec::Lz77, data));
-                std::mem::swap(frame, encoded);
-            }
-        });
+        adaptive_into(data, out, |out| lz.finish_into(data, out));
         self.clear();
     }
 
@@ -624,7 +615,7 @@ mod tests {
         }
 
         // Any split of any mix of page kinds into pushes, frame after frame
-        // on one stream: each finish makes `compress_adaptive`'s frame.
+        // on one stream: each finish appends `compress_adaptive`'s frame.
         #[test]
         fn a_frame_stream_is_the_one_shot_encoder(
             frames in proptest::collection::vec(
@@ -650,10 +641,10 @@ mod tests {
                     stream.push(&data[at..cut]);
                     at = cut;
                 }
-                // The finished frame replaces whatever the buffer held.
-                let mut frame = prefix.clone();
-                stream.finish(&mut frame);
-                prop_assert_eq!(&frame[..], &compress_adaptive(&data)[..], "{} bytes", data.len());
+                let mut out = prefix.clone();
+                stream.finish_into(&mut out);
+                prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+                prop_assert_eq!(&out[prefix.len()..], &compress_adaptive(&data)[..], "{} bytes", data.len());
             }
         }
 

@@ -44,7 +44,7 @@
 //! [`encode_into`] would, which is the same loop run to the end of the
 //! data in one call.
 
-use crate::{DecompressError, FRAME_HEADER};
+use crate::DecompressError;
 use std::cell::RefCell;
 
 const WINDOW: usize = 32 * 1024;
@@ -187,7 +187,7 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
 }
 
 thread_local! {
-    static HEADS: RefCell<HeadTable> = RefCell::new(HeadTable::default());
+    static HEADS: RefCell<HeadTable> = RefCell::new(HeadTable::new());
 }
 
 /// A hash-head table, reused by every frame encoded over it.
@@ -204,16 +204,14 @@ struct HeadTable {
     base: u32,
 }
 
-impl Default for HeadTable {
-    fn default() -> Self {
+impl HeadTable {
+    fn new() -> Self {
         HeadTable {
             slots: vec![0; HASH_SIZE],
             base: WINDOW as u32,
         }
     }
-}
 
-impl HeadTable {
     /// Opens a frame of at most `max_len` bytes and returns its base. The
     /// table is zeroed, and the base reset, only when the frame's slots or
     /// the base after it could wrap `u32`.
@@ -395,53 +393,50 @@ impl Frame {
 const STREAM_MAX: usize = 1 << 30;
 
 /// A resumable encoder: one frame at a time, fed in pieces, over a head
-/// table of its own. Each [`Stream::push`] and [`Stream::finish`] is handed
-/// all of the frame's bytes so far — what the previous call saw, extended —
-/// and the finished payload is the one [`encode_into`] gives for those
-/// bytes. The payload is written behind [`FRAME_HEADER`] reserved bytes,
-/// where the caller puts its frame header: the finished frame is the
-/// stream's buffer, not a copy of it.
-#[derive(Default)]
+/// table of its own. Each [`Stream::push`] and [`Stream::finish_into`] is
+/// handed all of the frame's bytes so far — what the previous call saw,
+/// extended — and the finished payload is the one [`encode_into`] gives
+/// for those bytes.
 pub(crate) struct Stream {
     heads: HeadTable,
     /// The open frame, if a push opened one.
     frame: Option<Frame>,
-    /// The reserved header bytes, then the open frame's payload so far.
-    buf: Vec<u8>,
+    /// The open frame's payload so far.
+    payload: Vec<u8>,
 }
 
 impl Stream {
-    fn open(&mut self, max_len: usize) -> Frame {
-        self.buf.clear();
-        self.buf.resize(FRAME_HEADER, 0);
-        Frame::open(&mut self.heads, max_len)
+    pub(crate) fn new() -> Self {
+        Stream {
+            heads: HeadTable::new(),
+            frame: None,
+            payload: Vec::new(),
+        }
     }
 
     /// Encodes every position of `data` whose encoding no later byte can
     /// change: those `FRONTIER_LAG` or more bytes before its end.
     pub(crate) fn push(&mut self, data: &[u8]) {
         assert!(data.len() <= STREAM_MAX, "LZ stream frame over 1 GiB");
-        let mut frame = match self.frame.take() {
-            Some(frame) => frame,
-            None => self.open(STREAM_MAX),
-        };
+        let heads = &mut self.heads;
+        let frame = self
+            .frame
+            .get_or_insert_with(|| Frame::open(heads, STREAM_MAX));
         let frontier = data.len().saturating_sub(FRONTIER_LAG);
-        frame.run(data, frontier, &mut self.heads.slots, &mut self.buf);
-        self.frame = Some(frame);
+        frame.run(data, frontier, &mut heads.slots, &mut self.payload);
     }
 
-    /// Finishes the frame over `data` and returns its buffer:
-    /// [`FRAME_HEADER`] reserved bytes, then the payload. The caller may
-    /// take the buffer (swapping another in); the next push opens the next
-    /// frame, over whatever buffer the stream then holds.
-    pub(crate) fn finish(&mut self, data: &[u8]) -> &mut Vec<u8> {
+    /// Finishes the frame over `data`, appends its payload to `out`, and
+    /// leaves the stream ready for the next frame.
+    pub(crate) fn finish_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
         assert!(data.len() <= STREAM_MAX, "LZ stream frame over 1 GiB");
         let frame = match self.frame.take() {
             Some(frame) => frame,
-            None => self.open(data.len()),
+            None => Frame::open(&mut self.heads, data.len()),
         };
-        frame.finish(data, &mut self.heads, &mut self.buf);
-        &mut self.buf
+        frame.finish(data, &mut self.heads, &mut self.payload);
+        out.extend_from_slice(&self.payload);
+        self.payload.clear();
     }
 
     /// Drops the open frame.
@@ -449,7 +444,7 @@ impl Stream {
         if let Some(frame) = self.frame.take() {
             self.heads.close(&frame);
         }
-        self.buf.clear();
+        self.payload.clear();
     }
 }
 
@@ -884,7 +879,7 @@ mod tests {
                 1..4,
             ),
         ) {
-            let mut stream = Stream::default();
+            let mut stream = Stream::new();
             for (parts, cuts, drop_first) in frames {
                 let data: Vec<u8> = parts
                     .iter()
@@ -901,11 +896,10 @@ mod tests {
                 for &cut in &cuts {
                     stream.push(&data[..cut]);
                 }
-                let frame = stream.finish(&data);
-                prop_assert_eq!(&frame[FRAME_HEADER..], &encode_reference(&data)[..], "{} bytes, cuts {:?}", data.len(), cuts);
-                // Whoever takes the finished buffer leaves another behind,
-                // holding anything.
-                *frame = b"stale".to_vec();
+                let mut out = b"head".to_vec();
+                stream.finish_into(&data, &mut out);
+                prop_assert_eq!(&out[..4], b"head");
+                prop_assert_eq!(&out[4..], &encode_reference(&data)[..], "{} bytes, cuts {:?}", data.len(), cuts);
             }
         }
     }

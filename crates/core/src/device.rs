@@ -2017,35 +2017,60 @@ mod tests {
         let segments = on_every_encoder(|d, encoder| script(d, encoder, 0));
         assert!(segments >= 10, "{segments} segments");
 
-        // Two devices on one pool item's thread, ten writes each in turn,
-        // so each seals while the other's frame is open, and one of them
-        // swapping its engine for a clone as it goes: they share the
-        // thread's pooled encoder, and each stores what it stores alone.
+        // Three devices on one pool item's thread, as an array's members
+        // are, ten writes each in turn, so each seals while the others'
+        // frames are open, and one of them swapping its engine for a clone
+        // as it goes: they share the thread's pooled encoders, and each
+        // stores what it stores alone.
         let alone = |encoder, from| {
             let mut d = device();
             script(&mut d, encoder, from);
             resealed_wire_images(&mut d)
         };
+        let shards = [
+            (Encoder::InItem, 0),
+            (Encoder::Cloned, 1000),
+            (Encoder::InItem, 2000),
+        ];
         let together = pool::map(1, 1, |_| {
-            let (mut a, mut b) = (device(), device());
-            let mut both_open = 0;
+            let mut devices = shards.map(|_| device());
+            let mut all_open = 0;
             for from in (0..200).step_by(10) {
-                overwrite_script(&mut a, Encoder::InItem, from, 10);
-                overwrite_script(&mut b, Encoder::Cloned, 1000 + from, 10);
-                both_open +=
-                    usize::from(a.engine.lane_holds_encoder() && b.engine.lane_holds_encoder());
+                for (d, &(encoder, first)) in devices.iter_mut().zip(&shards) {
+                    overwrite_script(d, encoder, first + from, 10);
+                }
+                all_open += usize::from(devices.iter().all(|d| d.engine.lane_holds_encoder()));
             }
-            assert!(
-                both_open >= 3,
-                "frames open at once after {both_open} turns"
-            );
-            a.flush_log().unwrap();
-            b.flush_log().unwrap();
-            assert!(!a.engine.lane_holds_encoder() && !b.engine.lane_holds_encoder());
-            (resealed_wire_images(&mut a), resealed_wire_images(&mut b))
+            assert!(all_open >= 3, "frames open at once after {all_open} turns");
+            for d in &mut devices {
+                d.flush_log().unwrap();
+                assert!(!d.engine.lane_holds_encoder());
+            }
+            devices.map(|mut d| resealed_wire_images(&mut d))
         });
-        let expected = (alone(Encoder::Here, 0), alone(Encoder::Cloned, 1000));
+        let expected = shards.map(|(_, from)| alone(Encoder::Here, from));
         assert_eq!(together[0], expected);
+
+        // Three frames open at once take three encoders from the thread,
+        // not one per seal, and give all three back.
+        let pooled = pool::map(1, 1, |_| {
+            let before = OffloadEngine::pooled_encoders();
+            let mut devices = [device(), device(), device()];
+            let mut all_open = false;
+            for from in (0..60).step_by(10) {
+                for d in &mut devices {
+                    overwrite_script(d, Encoder::InItem, from, 10);
+                }
+                all_open |= devices.iter().all(|d| d.engine.lane_holds_encoder());
+            }
+            assert!(all_open);
+            for d in &mut devices {
+                d.flush_log().unwrap();
+            }
+            (before, OffloadEngine::pooled_encoders())
+        });
+        let (before, after) = pooled[0];
+        assert_eq!(after, before.max(3), "pooled before {before}");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rssd_flash::Ppa;
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
 use rssd_obs::{ProfilerHandle, SinkHandle};
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Offload-path health: a hysteresis state machine over backlog depth
@@ -337,8 +337,10 @@ enum Job {
 /// its data and payload buffers) and the buffer the finished frame lands
 /// in. A frame takes one from its device's thread when it opens and gives
 /// it back when it is sealed or dropped, so a device between frames holds
-/// none, and the devices (or clones) a thread runs one after another share
-/// one. The thread keeps the last encoder given back until it ends.
+/// none. The thread's pool is a stack: the devices (or clones) it runs one
+/// after another share one encoder, and devices whose frames are open at
+/// once, such as an array's members, share as many as are open. The thread
+/// keeps what it was given back until it ends.
 #[derive(Default)]
 struct Encoder {
     stream: FrameStream,
@@ -346,19 +348,19 @@ struct Encoder {
 }
 
 thread_local! {
-    /// The encoder the last frame closed on this thread gave back.
-    static POOLED: Cell<Option<Encoder>> = const { Cell::new(None) };
+    /// The encoders frames closed on this thread gave back.
+    static POOLED: RefCell<Vec<Encoder>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Encoder {
-    /// This thread's pooled encoder, or a new one.
+    /// One of this thread's pooled encoders, or a new one.
     fn take() -> Encoder {
-        POOLED.take().unwrap_or_default()
+        POOLED.with_borrow_mut(Vec::pop).unwrap_or_default()
     }
 
     /// Pools this encoder for the next frame opened on this thread.
     fn give_back(self) {
-        POOLED.set(Some(self));
+        POOLED.with_borrow_mut(|pooled| pooled.push(self));
     }
 
     /// The lane's work: the open frame's encoder, fed job by job.
@@ -376,7 +378,8 @@ impl Encoder {
             }
             Job::Finish => {
                 let mut encoder = open.take().expect(OPENED);
-                encoder.stream.finish(&mut encoder.frame);
+                encoder.frame.clear();
+                encoder.stream.finish_into(&mut encoder.frame);
                 Some(encoder)
             }
             Job::Discard => {
@@ -588,6 +591,12 @@ impl OffloadEngine {
     #[cfg(test)]
     pub(crate) fn lane_holds_encoder(&self) -> bool {
         self.preimages.open
+    }
+
+    /// How many encoders this thread has pooled.
+    #[cfg(test)]
+    pub(crate) fn pooled_encoders() -> usize {
+        POOLED.with_borrow(Vec::len)
     }
 
     pub(crate) fn staged_segments(&self) -> usize {
@@ -1387,7 +1396,7 @@ mod tests {
     /// region: no sampling. Each explored state is a clone, which starts
     /// its own pre-image lane at its first seal; the walk runs as a pool
     /// item, so those lanes run on its thread and start none, and every
-    /// frame they seal takes the thread's one pooled encoder.
+    /// frame they seal takes one of the thread's pooled encoders.
     #[test]
     fn health_machine_holds_its_invariants_on_every_path() {
         let depth = if cfg!(debug_assertions) { 5 } else { 6 };
