@@ -59,12 +59,12 @@ pub struct StoreAck {
     pub durable_at_ns: u64,
 }
 
-/// The remote log store the device offloads to. Two stores implement it:
-/// [`LoopbackTarget`], the in-process shelf the tests and the fault matrix
-/// run on, and the log server in `rssd-remote`, the one that authenticates
-/// a segment and checks that it extends the stored chain before it acks —
-/// and so the one that vouches for what it hands back
-/// ([`Self::fetch_vouched`]).
+/// The remote log store the device offloads to. One shelf keeps the
+/// segments: [`LoopbackTarget`], which the tests and the fault matrix run
+/// on bare. The log server in `rssd-remote` is a door in front of it: it
+/// authenticates a segment and checks that it extends the stored chain
+/// before it shelves and acks it — and so it is the one store that
+/// vouches for what it hands back ([`Self::fetch_vouched`]).
 /// [`WireRemote`](crate::wire::WireRemote) carries every segment over the
 /// simulated NVMe-oE fabric to whichever store it wraps, and its link is
 /// the one place a network outage happens.

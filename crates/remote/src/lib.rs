@@ -3,19 +3,16 @@
 //! The paper offloads retained data and logs to "remote cloud/servers"
 //! (Amazon S3 and local storage servers in the prototype) and pushes
 //! ransomware *detection and analysis* to that remote compute. This crate
-//! provides:
-//!
-//! * [`object_store`] — an S3-like object store with a latency model.
-//! * [`server`] — the log server: receives segments over the simulated
-//!   NVMe-oE fabric, verifies evidence-chain continuity, stores them
-//!   durably, and (holding the operator-provisioned offload keys) runs the
-//!   [`rssd_detect`] ensemble over every arriving segment.
-//!
-//! [`RemoteLogServer`] implements [`rssd_core::RemoteTarget`], so an
-//! [`rssd_core::RssdDevice`] can be constructed directly over it.
+//! provides [`server`], the log server — a door in front of the core shelf
+//! ([`rssd_core::LoopbackTarget`]) that checks chain continuity,
+//! authenticates before it acks and runs the [`rssd_detect`] ensemble —
+//! and [`object_store`], the S3-like store's cost model, which prices each
+//! PUT. [`RemoteLogServer`] implements [`rssd_core::RemoteTarget`]; an
+//! [`rssd_core::RssdDevice`] reaches it over [`rssd_core::WireRemote`],
+//! the one network model.
 
 pub mod object_store;
 pub mod server;
 
-pub use object_store::{ObjectStore, ObjectStoreConfig, ObjectStoreStats};
+pub use object_store::{ObjectStoreConfig, ObjectStoreStats};
 pub use server::{RemoteLogServer, ServerReport};

@@ -1,20 +1,19 @@
-//! The remote log server.
-//!
-//! Receives segment envelopes over the simulated NVMe-oE fabric, enforces
-//! evidence-chain continuity (a device — or an attacker spoofing one —
-//! cannot silently rewind or skip history), authenticates each sealed
-//! payload *before* acknowledging it (the ack lets the device unpin), stores
-//! the sealed payloads in the object store, and runs the offloaded detection
-//! ensemble over the decrypted record metadata.
+//! The remote log server: a door in front of the core shelf
+//! ([`LoopbackTarget`]). It enforces evidence-chain continuity (a device —
+//! or an attacker spoofing one — cannot silently rewind or skip history),
+//! authenticates each sealed payload *before* acking it (the ack lets the
+//! device unpin) and vouches for what it opened, and runs the offloaded
+//! detection ensemble over the decrypted record metadata.
 
 use rssd_core::{
-    LogRecord, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope, StoreAck,
+    LoopbackTarget, OpenDepth, PostAttackAnalyzer, RemoteError, RemoteTarget, SegmentEnvelope,
+    StoreAck,
 };
 use rssd_crypto::{DeviceKeys, Digest};
 use rssd_detect::{Ensemble, Verdict};
-use rssd_net::{LinkConfig, NvmeOeEndpoint, SecureSession, TransferStats};
+use rssd_net::SecureSession;
 
-use crate::object_store::{ObjectStore, ObjectStoreConfig};
+use crate::object_store::{ObjectStoreConfig, ObjectStoreStats};
 
 /// Aggregated server-side observations (the operator's dashboard).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -26,103 +25,68 @@ pub struct ServerReport {
     /// payload failed to authenticate or parse — and so neither stored nor
     /// acknowledged.
     pub segments_rejected: u64,
-    /// Records fed to the detection ensemble.
+    /// Observations fed to the detection ensemble: one per logged write or
+    /// trim ([`PostAttackAnalyzer::observations`] drops reads).
     pub records_analyzed: u64,
     /// Current detection verdict.
     pub verdict: Verdict,
     /// Combined detection score.
     pub score: f64,
-    /// Time (ns) spent receiving + storing, summed.
+    /// Time (ns) spent storing accepted segments, summed; the wire's share
+    /// is in front of the server, in `WireRemote::transfer_stats`.
     pub ingest_time_ns: u64,
 }
 
 /// The remote log/detection server. Implements [`RemoteTarget`] so it plugs
-/// directly under an `RssdDevice`.
+/// under an `RssdDevice`, behind a `WireRemote`.
 #[derive(Debug)]
 pub struct RemoteLogServer {
-    fabric: NvmeOeEndpoint,
-    store: ObjectStore,
+    shelf: LoopbackTarget,
+    store: ObjectStoreConfig,
+    store_stats: ObjectStoreStats,
     session: SecureSession,
     ensemble: Ensemble,
     last_head: Option<Digest>,
-    segment_index: Vec<u64>,
     report: ServerReport,
-    external_fabric: bool,
 }
 
 impl RemoteLogServer {
-    /// Builds a server reachable over `link`, storing into an object store
-    /// with `store_config`, holding the operator-provisioned offload keys
-    /// derived from `keys`.
-    pub fn new(link: LinkConfig, store_config: ObjectStoreConfig, keys: &DeviceKeys) -> Self {
+    /// A server holding the operator-provisioned offload keys of `keys`.
+    fn new(store: ObjectStoreConfig, keys: &DeviceKeys) -> Self {
         RemoteLogServer {
-            fabric: NvmeOeEndpoint::new(link),
-            store: ObjectStore::new(store_config),
+            shelf: LoopbackTarget::new(),
+            store,
+            store_stats: ObjectStoreStats::default(),
             session: SecureSession::new(keys, 0),
             ensemble: Ensemble::new(),
             last_head: None,
-            segment_index: Vec::new(),
             report: ServerReport::default(),
-            external_fabric: false,
         }
     }
 
-    /// Convenience: datacenter link + local storage server.
+    /// A local storage server (cable it behind a datacenter link).
     pub fn datacenter(keys: &DeviceKeys) -> Self {
-        Self::new(
-            LinkConfig::datacenter_10g(),
-            ObjectStoreConfig::local_server(),
-            keys,
-        )
+        Self::new(ObjectStoreConfig::local_server(), keys)
     }
 
-    /// Convenience: WAN link + cloud object storage.
+    /// Cloud object storage (cable it behind a WAN link).
     pub fn cloud(keys: &DeviceKeys) -> Self {
-        Self::new(LinkConfig::wan_cloud(), ObjectStoreConfig::cloud(), keys)
+        Self::new(ObjectStoreConfig::cloud(), keys)
     }
 
-    /// Tells the server its envelopes already crossed a modeled wire
-    /// upstream — the device wrapped this server in
-    /// `rssd_core::WireRemote`, which charged the NVMe-oE transfer to the
-    /// simulated clock. Ingest then happens at `now_ns` without a second
-    /// fabric hop.
-    pub fn set_external_fabric(&mut self, external: bool) {
-        self.external_fabric = external;
-    }
+    /// Does nothing: the server has no fabric of its own to switch off,
+    /// since the wire is modelled once, by `rssd_core::WireRemote`. Kept
+    /// for the frozen benchmark's caller; ROADMAP 9(a) deletes it.
+    pub fn set_external_fabric(&mut self, _: bool) {}
 
     /// Current dashboard.
     pub fn report(&self) -> ServerReport {
         self.report.clone()
     }
 
-    /// NVMe-oE transfer statistics.
-    pub fn transfer_stats(&self) -> TransferStats {
-        self.fabric.stats()
-    }
-
     /// Object-store statistics.
-    pub fn store_stats(&self) -> crate::object_store::ObjectStoreStats {
-        self.store.stats()
-    }
-
-    /// Current offloaded-detection verdict.
-    pub fn verdict(&self) -> Verdict {
-        self.ensemble.verdict()
-    }
-
-    fn segment_key(seq: u64) -> String {
-        format!("segments/{seq:016x}")
-    }
-
-    /// Feeds an authenticated segment's records to the detection ensemble.
-    /// Detection reads record metadata only.
-    fn analyze_segment(&mut self, records: &[LogRecord]) {
-        for obs in PostAttackAnalyzer::observations(records) {
-            self.ensemble.observe(&obs);
-        }
-        self.report.records_analyzed = self.ensemble.observations();
-        self.report.verdict = self.ensemble.verdict();
-        self.report.score = self.ensemble.score();
+    pub fn store_stats(&self) -> ObjectStoreStats {
+        self.store_stats
     }
 }
 
@@ -159,43 +123,36 @@ impl RemoteTarget for RemoteLogServer {
                 });
             }
         };
-        // Transfer over the fabric (unless the wire was modeled upstream) for
-        // the arrival time, then persist the bytes just opened — the same
-        // refcounted wire image, never the fabric's copy of it — so every
-        // stored object passed the door (what `fetch_vouched` rests on).
-        let wire = envelope.to_wire_bytes();
-        let arrival_ns = if self.external_fabric {
-            now_ns
-        } else {
-            let seq = envelope.segment_seq();
-            self.fabric.transfer_segment(seq, wire.clone(), now_ns).0
-        };
-        let durable_at_ns =
-            self.store
-                .put(&Self::segment_key(envelope.segment_seq()), wire, arrival_ns);
-
+        let bytes = envelope.wire().len() as u64;
+        let durable_at_ns = now_ns + self.store.put_ns(bytes);
+        self.store_stats.puts += 1;
+        self.store_stats.stored_bytes += bytes;
         self.last_head = Some(envelope.chain_head());
-        self.segment_index.push(envelope.segment_seq());
         self.report.segments_stored += 1;
-        self.report.ingest_time_ns += durable_at_ns.saturating_sub(now_ns);
-        self.analyze_segment(segment.records());
-        Ok(StoreAck {
-            segment_seq: envelope.segment_seq(),
-            durable_at_ns,
-        })
+        self.report.ingest_time_ns += durable_at_ns - now_ns;
+        for obs in PostAttackAnalyzer::observations(segment.records()) {
+            self.ensemble.observe(&obs);
+        }
+        self.report.records_analyzed = self.ensemble.observations();
+        self.report.verdict = self.ensemble.verdict();
+        self.report.score = self.ensemble.score();
+        // Shelve the envelope just opened — its refcounted wire image — so
+        // every stored segment passed the door (what `fetch_vouched` rests
+        // on); the shelf acks at the time it is handed. The door never
+        // makes the shelf replace a segment: it accepts only one that
+        // extends the last head, and `OffloadEngine::seal` never seals an
+        // empty batch, so no accepted segment repeats a stored one's seq —
+        // and the shelf's ascending seqs are the arrival order.
+        self.shelf.store_segment(envelope, durable_at_ns)
     }
 
     fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
-        let (bytes, _) = self
-            .store
-            .get(&Self::segment_key(segment_seq), 0)
-            .ok_or(RemoteError::NoSuchSegment(segment_seq))?;
-        SegmentEnvelope::from_wire_image(bytes).ok_or(RemoteError::NoSuchSegment(segment_seq))
+        self.store_stats.gets += 1;
+        self.shelf.fetch_segment(segment_seq)
     }
 
-    /// Every stored object passed the door under this server's session
-    /// before `put`, and `get` hands back the same immutable bytes: the
-    /// server vouches for each to a reader that holds its keys.
+    /// Every shelved segment passed the door under this server's session,
+    /// and the shelf hands back its bytes: vouched to a holder of the keys.
     fn fetch_vouched(
         &mut self,
         segment_seq: u64,
@@ -206,22 +163,25 @@ impl RemoteTarget for RemoteLogServer {
     }
 
     fn stored_segments(&self) -> Vec<u64> {
-        self.segment_index.clone()
+        self.shelf.stored_segments()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rssd_core::{LoopbackTarget, RssdConfig, RssdDevice};
+    use rssd_core::{RssdConfig, RssdDevice, WireRemote};
     use rssd_flash::{FlashGeometry, NandTiming, SimClock};
+    use rssd_net::LinkConfig;
     use rssd_ssd::BlockDevice;
 
     fn keys() -> DeviceKeys {
         DeviceKeys::for_simulation(RssdConfig::default().key_seed)
     }
 
-    fn device_over_server() -> RssdDevice<RemoteLogServer> {
+    /// A device offloading to a datacenter server over the one modelled
+    /// wire.
+    fn device_over_server() -> RssdDevice<WireRemote<RemoteLogServer>> {
         RssdDevice::new(
             FlashGeometry::small_test(),
             NandTiming::instant(),
@@ -230,7 +190,10 @@ mod tests {
                 segment_pages: 8,
                 ..RssdConfig::default()
             },
-            RemoteLogServer::datacenter(&keys()),
+            WireRemote::new(
+                RemoteLogServer::datacenter(&keys()),
+                LinkConfig::datacenter_10g(),
+            ),
         )
     }
 
@@ -241,12 +204,12 @@ mod tests {
             d.write_page(i % 4, vec![(i % 7) as u8; 4096]).unwrap();
         }
         d.flush_log().unwrap();
-        let report = d.remote().report();
+        let report = d.remote().inner().report();
         assert!(report.segments_stored > 0);
         assert_eq!(report.segments_rejected, 0);
         assert!(report.records_analyzed > 0);
         assert!(d.remote().transfer_stats().payload_bytes > 0);
-        assert!(d.remote().store_stats().stored_bytes > 0);
+        assert!(d.remote().inner().store_stats().stored_bytes > 0);
     }
 
     #[test]
@@ -261,28 +224,14 @@ mod tests {
     #[test]
     fn wire_remote_carries_segments_to_real_server_on_one_wire() {
         // The full codesign path: offload engine → WireRemote (the modeled
-        // NVMe-oE wire) → log server ingesting without a second fabric hop.
-        let mut server = RemoteLogServer::datacenter(&keys());
-        server.set_external_fabric(true);
-        let mut d = RssdDevice::new(
-            FlashGeometry::small_test(),
-            NandTiming::instant(),
-            SimClock::new(),
-            RssdConfig {
-                segment_pages: 8,
-                ..RssdConfig::default()
-            },
-            rssd_core::WireRemote::new(server, rssd_net::LinkConfig::datacenter_10g()),
-        );
+        // NVMe-oE wire) → log server ingesting at arrival.
+        let mut d = device_over_server();
         d.write_page(3, vec![1; 4096]).unwrap();
         d.write_page(3, vec![2; 4096]).unwrap();
         d.flush_log().unwrap();
         assert!(d.remote().inner().report().segments_stored > 0);
         assert_eq!(d.remote().inner().report().segments_rejected, 0);
-        // Exactly one wire: WireRemote's fabric carried capsules, the
-        // server's internal fabric stayed idle.
         assert!(d.remote().transfer_stats().payload_bytes > 0);
-        assert_eq!(d.remote().inner().transfer_stats().payload_bytes, 0);
         assert_eq!(d.recover_page(3).unwrap(), vec![1; 4096]);
     }
 
@@ -291,9 +240,8 @@ mod tests {
         // The server's refusal crosses the wire as itself: the wire carried
         // the segment, so it is not an outage and nothing counts as refused.
         let segments = sealed_segments();
-        let mut server = RemoteLogServer::datacenter(&keys());
-        server.set_external_fabric(true);
-        let mut wired = rssd_core::WireRemote::new(server, rssd_net::LinkConfig::datacenter_10g());
+        let server = RemoteLogServer::datacenter(&keys());
+        let mut wired = WireRemote::new(server, LinkConfig::datacenter_10g());
         wired.store_segment(segments[0].clone(), 0).unwrap();
         assert_eq!(
             wired.store_segment(segments[2].clone(), 1),
@@ -322,10 +270,10 @@ mod tests {
         }
         d.flush_log().unwrap();
         assert_eq!(
-            d.remote().verdict(),
+            d.remote().inner().report().verdict,
             Verdict::Ransomware,
             "report: {:?}",
-            d.remote().report()
+            d.remote().inner().report()
         );
     }
 
@@ -506,9 +454,8 @@ mod tests {
         let segments = sealed_segments();
         let (first, second) = (segments[0].segment_seq(), segments[1].segment_seq());
         let session = SecureSession::new(&keys(), 0);
-        let mut server = RemoteLogServer::datacenter(&keys());
-        server.set_external_fabric(true);
-        let mut wired = rssd_core::WireRemote::new(server, rssd_net::LinkConfig::datacenter_10g());
+        let server = RemoteLogServer::datacenter(&keys());
+        let mut wired = WireRemote::new(server, LinkConfig::datacenter_10g());
         wired.store_segment(segments[0].clone(), 0).unwrap();
         assert_eq!(
             wired.fetch_vouched(first, &session),
@@ -584,13 +531,225 @@ mod tests {
         let segments = sealed_segments();
         let mut server = RemoteLogServer::datacenter(&keys());
         let seq = segments[0].segment_seq();
-        server.store_segment(segments[0].clone(), 0).unwrap();
+        let ack = server.store_segment(segments[0].clone(), 0).unwrap();
+        assert_eq!(
+            ack.durable_at_ns, 200_000,
+            "the local server's request cost"
+        );
+        let put = ObjectStoreStats {
+            puts: 1,
+            gets: 0,
+            stored_bytes: segments[0].wire().len() as u64,
+        };
+        assert_eq!(server.store_stats(), put);
         assert_eq!(server.fetch_segment(seq).unwrap(), segments[0]);
         assert_eq!(server.stored_segments(), vec![seq]);
         assert!(matches!(
             server.fetch_segment(99),
             Err(RemoteError::NoSuchSegment(99))
         ));
+        // Every fetch is a GET, the miss included.
+        assert_eq!(server.store_stats(), ObjectStoreStats { gets: 2, ..put });
+    }
+
+    /// What `ObjectStoreConfig` prices: a cloud server acks the same
+    /// segment later than a local one.
+    #[test]
+    fn cloud_is_slower_than_local() {
+        let segment = sealed_segments().swap_remove(0);
+        let bytes = segment.wire().len() as u64;
+        let mut cloud = RemoteLogServer::cloud(&keys());
+        let mut local = RemoteLogServer::datacenter(&keys());
+        let a = cloud
+            .store_segment(segment.clone(), 7)
+            .unwrap()
+            .durable_at_ns;
+        let b = local.store_segment(segment, 7).unwrap().durable_at_ns;
+        assert!(a > b);
+        assert_eq!((a, b), (7 + 10_000_000 + 2 * bytes, 7 + 200_000));
+        assert_eq!(cloud.report().ingest_time_ns, a - 7);
+    }
+
+    /// An ack lost on the wire makes the device re-send the last segment
+    /// the server stored. It no longer extends the head, so the door
+    /// refuses it, and the shelf keeps the copy it has: nothing is
+    /// replaced, and no byte is counted twice.
+    #[test]
+    fn a_resent_last_segment_is_refused_and_replaces_nothing() {
+        let segments = sealed_segments();
+        let mut server = RemoteLogServer::datacenter(&keys());
+        for segment in &segments[..2] {
+            server.store_segment(segment.clone(), 0).unwrap();
+        }
+        let (stats, stored) = (server.store_stats(), server.stored_segments());
+        let bytes = segments[..2].iter().map(|s| s.wire().len() as u64).sum();
+        assert_eq!((stats.puts, stats.stored_bytes), (2, bytes));
+        assert_eq!(
+            server.store_segment(segments[1].clone(), 5),
+            Err(RemoteError::ChainDiscontinuity {
+                expected: segments[1].chain_head(),
+                got: segments[1].prev_chain_head(),
+            })
+        );
+        assert_eq!(server.store_stats(), stats);
+        assert_eq!(server.stored_segments(), stored);
+        assert_eq!(server.report().segments_rejected, 1);
+        assert_eq!(
+            server.fetch_segment(segments[1].segment_seq()),
+            Ok(segments[1].clone())
+        );
+    }
+
+    /// Records every ack the store behind it gives.
+    struct Acks<R> {
+        inner: R,
+        acks: Vec<(u64, u64)>,
+    }
+
+    impl<R: RemoteTarget> RemoteTarget for Acks<R> {
+        fn store_segment(
+            &mut self,
+            envelope: SegmentEnvelope,
+            now_ns: u64,
+        ) -> Result<StoreAck, RemoteError> {
+            let ack = self.inner.store_segment(envelope, now_ns)?;
+            self.acks.push((ack.segment_seq, ack.durable_at_ns));
+            Ok(ack)
+        }
+        fn fetch_segment(&mut self, segment_seq: u64) -> Result<SegmentEnvelope, RemoteError> {
+            self.inner.fetch_segment(segment_seq)
+        }
+        fn fetch_vouched(
+            &mut self,
+            segment_seq: u64,
+            session: &SecureSession,
+        ) -> Result<(SegmentEnvelope, bool), RemoteError> {
+            self.inner.fetch_vouched(segment_seq, session)
+        }
+        fn stored_segments(&self) -> Vec<u64> {
+            self.inner.stored_segments()
+        }
+    }
+
+    /// A wired server's answers to one scripted device run.
+    #[derive(Debug, PartialEq)]
+    struct WiredAnswers {
+        /// `(segment_seq, durable_at_ns)` of every ack, in order.
+        acks: Vec<(u64, u64)>,
+        /// The final report: stored, rejected, analyzed, verdict, the
+        /// score's bits, ingest time.
+        report: (u64, u64, u64, Verdict, u64, u64),
+        store_stats: ObjectStoreStats,
+        stored: Vec<u64>,
+        /// `(segment_seq, wire length, vouched)` of every `fetch_vouched`
+        /// answer, and SHA-256 over the wire images fetched, in order.
+        vouched: Vec<(u64, usize, bool)>,
+        fetched: String,
+    }
+
+    /// Cables `server` behind `link`, as the benchmark does, and drives one
+    /// scripted run through it: a corpus, then a read-encrypt-overwrite of
+    /// half of it; then fetches every stored segment vouched.
+    fn wired_answers(server: RemoteLogServer, link: LinkConfig) -> WiredAnswers {
+        let mut d = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::mlc_default(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 8,
+                ..RssdConfig::default()
+            },
+            Acks {
+                inner: WireRemote::new(server, link),
+                acks: Vec::new(),
+            },
+        );
+        for lpa in 0..96u64 {
+            d.write_page(lpa, rssd_trace_page(lpa)).unwrap();
+        }
+        for lpa in 0..48u64 {
+            d.read_page(lpa).unwrap();
+            d.write_page(lpa, cipher_page(lpa)).unwrap();
+        }
+        d.flush_log().unwrap();
+        let mut remote = d.into_remote();
+        let session = SecureSession::new(&keys(), 0);
+        let mut fetched = rssd_crypto::Sha256::new();
+        let vouched = remote
+            .stored_segments()
+            .into_iter()
+            .map(|seq| {
+                let (envelope, vouched) = remote.fetch_vouched(seq, &session).unwrap();
+                fetched.update(envelope.wire());
+                (seq, envelope.wire().len(), vouched)
+            })
+            .collect();
+        let server = remote.inner.inner();
+        let report = server.report();
+        WiredAnswers {
+            acks: remote.acks,
+            report: (
+                report.segments_stored,
+                report.segments_rejected,
+                report.records_analyzed,
+                report.verdict,
+                report.score.to_bits(),
+                report.ingest_time_ns,
+            ),
+            store_stats: server.store_stats(),
+            stored: server.stored_segments(),
+            vouched,
+            fetched: fetched.finalize().to_string(),
+        }
+    }
+
+    /// The wired server's answers to the scripted run, pinned on a
+    /// datacenter server behind a 10 GbE link and a cloud server behind a
+    /// WAN link: the values the server with a private fabric switched off
+    /// gave, cabled the same way. The two runs differ only where the link
+    /// and the PUT cost do: the acks and the ingest time.
+    #[test]
+    fn the_wired_server_answers_a_scripted_run_as_pinned() {
+        let pinned = |acks: [u64; 7], ingest_time_ns| WiredAnswers {
+            acks: (0..7).zip(acks).collect(),
+            report: (
+                7,
+                0,
+                144,
+                Verdict::Ransomware,
+                4606281698874543309,
+                ingest_time_ns,
+            ),
+            store_stats: ObjectStoreStats {
+                puts: 7,
+                gets: 7,
+                stored_bytes: 6729,
+            },
+            stored: (0..7).collect(),
+            vouched: [1604, 1464, 725, 763, 726, 722, 725]
+                .into_iter()
+                .enumerate()
+                .map(|(seq, len)| (seq as u64, len, true))
+                .collect(),
+            fetched: "5099503aa08f34457fa2c932c0817140f3995b1caa10dfea677194968ef5efbb".into(),
+        };
+        let datacenter = [
+            32575489, 53565201, 58161218, 62757856, 67354435, 71951039, 76547650,
+        ];
+        let cloud = [
+            82290808, 103279232, 107868450, 112465438, 117061676, 121658244, 126254882,
+        ];
+        assert_eq!(
+            wired_answers(
+                RemoteLogServer::datacenter(&keys()),
+                LinkConfig::datacenter_10g()
+            ),
+            pinned(datacenter, 1_400_000)
+        );
+        assert_eq!(
+            wired_answers(RemoteLogServer::cloud(&keys()), LinkConfig::wan_cloud()),
+            pinned(cloud, 70_013_458)
+        );
     }
 
     #[test]

@@ -73,8 +73,7 @@ fn answers<R: RemoteTarget>(device: &mut RssdDevice<R>, end_ns: u64) -> Answers 
 #[test]
 fn a_walk_over_the_vouching_server_answers_what_a_walk_that_macs_every_byte_answers() {
     let keys = rssd_crypto::DeviceKeys::for_simulation(config().key_seed);
-    let mut server = RemoteLogServer::datacenter(&keys);
-    server.set_external_fabric(true);
+    let server = RemoteLogServer::datacenter(&keys);
     let mut served = device_over(WireRemote::new(server, LinkConfig::ideal()));
     // One segment per three overwrites, past two walk windows.
     for i in 0..8 + 3 * (2 * WINDOW as u64 + WINDOW as u64 / 2) {

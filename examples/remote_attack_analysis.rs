@@ -8,18 +8,23 @@
 //! ```
 
 use rssd_repro::attacks::{FileTable, TimingAttack};
-use rssd_repro::core::{PostAttackAnalyzer, RecoveryEngine, RssdConfig, RssdDevice};
+use rssd_repro::core::{PostAttackAnalyzer, RecoveryEngine, RssdConfig, RssdDevice, WireRemote};
 use rssd_repro::crypto::DeviceKeys;
 use rssd_repro::flash::{FlashGeometry, NandTiming, SimClock};
+use rssd_repro::net::LinkConfig;
 use rssd_repro::remote::RemoteLogServer;
 use rssd_repro::ssd::BlockDevice;
 use rssd_repro::trace::{replay, TraceProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- Provision the codesign: device + remote server share offload keys.
+    // --- Provision the codesign: device + remote server share offload keys,
+    // and a 10 GbE NVMe-oE link carries every segment between them.
     let config = RssdConfig::default();
     let keys = DeviceKeys::for_simulation(config.key_seed);
-    let server = RemoteLogServer::datacenter(&keys);
+    let server = WireRemote::new(
+        RemoteLogServer::datacenter(&keys),
+        LinkConfig::datacenter_10g(),
+    );
     let clock = SimClock::new();
     let mut device = RssdDevice::new(
         FlashGeometry::with_capacity(32 * 1024 * 1024),
@@ -58,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     device.flush_log().map_err(|e| e.to_string())?;
 
     // --- Offloaded detection on the remote server has seen it.
-    let report = device.remote().report();
+    let report = device.remote().inner().report();
     println!(
         "remote detection: verdict {:?} (score {:.2}) over {} offloaded records",
         report.verdict, report.score, report.records_analyzed
@@ -66,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "remote store: {} segments, {} bytes sealed, {} NVMe-oE capsules",
         report.segments_stored,
-        device.remote().store_stats().stored_bytes,
+        device.remote().inner().store_stats().stored_bytes,
         device.remote().transfer_stats().capsules_sent
     );
 

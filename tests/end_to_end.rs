@@ -25,27 +25,24 @@ fn geometry() -> FlashGeometry {
     FlashGeometry::with_capacity(16 * 1024 * 1024)
 }
 
-fn rssd_over_server(clock: SimClock) -> RssdDevice<RemoteLogServer> {
+fn rssd_over_server(clock: SimClock) -> RssdDevice<WireRemote<RemoteLogServer>> {
     let config = RssdConfig {
         segment_pages: 16,
         ..RssdConfig::default()
     };
-    let keys = DeviceKeys::for_simulation(config.key_seed);
-    RssdDevice::new(
-        geometry(),
-        NandTiming::mlc_default(),
-        clock,
-        config,
-        RemoteLogServer::datacenter(&keys),
-    )
+    let remote = wired_server(LinkConfig::datacenter_10g(), config.key_seed);
+    RssdDevice::new(geometry(), NandTiming::mlc_default(), clock, config, remote)
 }
 
 /// The log server's ensemble and the analyzer observe through one path, so
 /// once `flush_log` has shipped every record over an honest link, the
 /// server's running verdict and score equal the analyzer's over the
 /// verified history, to the bit.
-fn assert_one_derivation(device: &RssdDevice<RemoteLogServer>, report: &AnalysisReport) {
-    let server = device.remote().report();
+fn assert_one_derivation(
+    device: &RssdDevice<WireRemote<RemoteLogServer>>,
+    report: &AnalysisReport,
+) {
+    let server = device.remote().inner().report();
     assert_eq!(
         (server.verdict, server.score.to_bits()),
         (report.verdict, report.score.to_bits()),
@@ -68,7 +65,10 @@ fn classic_attack_detected_analyzed_recovered_over_real_stack() {
     device.flush_log().unwrap();
 
     // Remote detection fired.
-    assert_eq!(device.remote().verdict(), Verdict::Ransomware);
+    assert_eq!(
+        device.remote().inner().report().verdict,
+        Verdict::Ransomware
+    );
 
     // Verified history → analysis identifies class + victims.
     let history = device.verified_history().unwrap();
@@ -152,7 +152,10 @@ fn timing_attack_detected_remotely_despite_rate_limiting() {
     device.flush_log().unwrap();
 
     // Rate-limited or not, the long-horizon profiler on the remote sees it.
-    assert_eq!(device.remote().verdict(), Verdict::Ransomware);
+    assert_eq!(
+        device.remote().inner().report().verdict,
+        Verdict::Ransomware
+    );
 
     let result = evaluate_recovery(&mut device, &victims, &outcome);
     assert_eq!(result.grade, RecoveryGrade::Full);
@@ -174,10 +177,10 @@ fn benign_trace_does_not_false_positive() {
     drop(controller);
     device.flush_log().unwrap();
     assert_ne!(
-        device.remote().verdict(),
+        device.remote().inner().report().verdict,
         Verdict::Ransomware,
         "benign workload must not trigger: {:?}",
-        device.remote().report()
+        device.remote().inner().report()
     );
     let history = device.verified_history().unwrap();
     let report = PostAttackAnalyzer::new().analyze(&history, true);
@@ -227,10 +230,9 @@ fn a_half_correlated_history_scores_below_saturation_alike_on_both_paths() {
 }
 
 /// The log server behind the one modeled wire, as the benchmark cables it:
-/// the server ingests at arrival time without a second fabric hop.
+/// the server ingests at arrival time.
 fn wired_server(link: LinkConfig, key_seed: u64) -> WireRemote<RemoteLogServer> {
-    let mut server = RemoteLogServer::datacenter(&DeviceKeys::for_simulation(key_seed));
-    server.set_external_fabric(true);
+    let server = RemoteLogServer::datacenter(&DeviceKeys::for_simulation(key_seed));
     WireRemote::new(server, link)
 }
 
@@ -407,7 +409,10 @@ fn two_hosts_on_separate_queue_pairs_share_one_rssd() {
     device.flush_log().unwrap();
 
     // The remote detector saw the merged, per-command-logged stream.
-    assert_eq!(device.remote().verdict(), Verdict::Ransomware);
+    assert_eq!(
+        device.remote().inner().report().verdict,
+        Verdict::Ransomware
+    );
 
     // Per-queue blame lands on the attacker via the analyzer's victim list:
     // every flagged page is one the attacker's queue touched.
@@ -436,14 +441,8 @@ fn loopback_and_server_targets_behave_identically_for_recovery() {
         };
         let mut recovered = Vec::new();
         if use_server {
-            let keys = DeviceKeys::for_simulation(config.key_seed);
-            let mut d = RssdDevice::new(
-                geometry(),
-                NandTiming::instant(),
-                clock,
-                config,
-                RemoteLogServer::datacenter(&keys),
-            );
+            let remote = wired_server(LinkConfig::datacenter_10g(), config.key_seed);
+            let mut d = RssdDevice::new(geometry(), NandTiming::instant(), clock, config, remote);
             for i in 0..30u64 {
                 d.write_page(i % 5, vec![i as u8; 4096]).unwrap();
             }
