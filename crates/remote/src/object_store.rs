@@ -53,3 +53,47 @@ pub struct ObjectStoreStats {
     /// Bytes currently stored.
     pub stored_bytes: u64,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::tests::{keys, sealed_segments};
+    use crate::RemoteLogServer;
+    use rssd_core::{RemoteError, RemoteTarget};
+
+    /// A PUT is priced by the config and counted; the GET returns what was
+    /// put and is counted too.
+    #[test]
+    fn put_get_round_trip() {
+        let segment = sealed_segments().swap_remove(0);
+        let seq = segment.segment_seq();
+        let bytes = segment.wire().len() as u64;
+        let mut s = RemoteLogServer::datacenter(&keys());
+        let done = s.store_segment(segment.clone(), 0).unwrap().durable_at_ns;
+        assert!(done >= 200_000);
+        assert_eq!(done, ObjectStoreConfig::local_server().put_ns(bytes));
+        assert_eq!(s.fetch_segment(seq).unwrap(), segment);
+        assert_eq!(s.store_stats().puts, 1);
+        assert_eq!(s.store_stats().gets, 1);
+        assert_eq!(s.store_stats().stored_bytes, bytes);
+    }
+
+    /// A GET of what was never put finds nothing, and is still a GET.
+    #[test]
+    fn missing_get_is_none() {
+        assert_eq!(
+            ObjectStoreConfig::default(),
+            ObjectStoreConfig::local_server()
+        );
+        let mut s = RemoteLogServer::datacenter(&keys());
+        assert_eq!(s.fetch_segment(7), Err(RemoteError::NoSuchSegment(7)));
+        assert_eq!(
+            s.store_stats(),
+            ObjectStoreStats {
+                puts: 0,
+                gets: 1,
+                stored_bytes: 0,
+            }
+        );
+    }
+}

@@ -168,14 +168,14 @@ impl RemoteTarget for RemoteLogServer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rssd_core::{RssdConfig, RssdDevice, WireRemote};
     use rssd_flash::{FlashGeometry, NandTiming, SimClock};
     use rssd_net::LinkConfig;
     use rssd_ssd::BlockDevice;
 
-    fn keys() -> DeviceKeys {
+    pub(crate) fn keys() -> DeviceKeys {
         DeviceKeys::for_simulation(RssdConfig::default().key_seed)
     }
 
@@ -300,7 +300,7 @@ mod tests {
 
     /// Sealed segments from a real device (at least three), in chain order,
     /// to replay into a server by hand.
-    fn sealed_segments() -> Vec<SegmentEnvelope> {
+    pub(crate) fn sealed_segments() -> Vec<SegmentEnvelope> {
         let mut d = RssdDevice::new(
             FlashGeometry::small_test(),
             NandTiming::instant(),
