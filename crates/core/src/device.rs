@@ -423,7 +423,7 @@ impl<R: RemoteTarget> RssdDevice<R> {
     /// acknowledged in transit but never reached the store surfaces here as
     /// a chain gap instead of silently shortening the history.
     ///
-    /// The records are metadata only (`old_data: None`): every sealed
+    /// The records are metadata only (no record carries content): every sealed
     /// segment is authenticated whole — by this reader, or by a store that
     /// holds its offload keys and verified it at ingest — but only its
     /// metadata block is deciphered and decompressed. Page content comes
@@ -897,8 +897,7 @@ mod tests {
         for w in history.windows(2) {
             assert!(w[0].seq < w[1].seq);
         }
-        // The history is metadata only, offloaded or not ...
-        assert!(history.iter().all(|r| r.old_data.is_none()));
+        // The history names the retained versions, offloaded or not ...
         assert!(history
             .iter()
             .any(|r| r.op == LogOp::Write && r.old_page_index.is_some()));
@@ -1538,7 +1537,9 @@ mod tests {
         type Tamper = fn(&mut Vec<LogRecord>);
         let tampers: [(&str, Tamper); 3] = [
             ("swapped", |records| records.swap(0, 1)),
-            ("dropped", |records| drop(records.remove(0))),
+            ("dropped", |records| {
+                records.remove(0);
+            }),
             ("edited", |records| records[0].entropy_mil ^= 1),
         ];
         fn first_staged<R: RemoteTarget>(d: &mut RssdDevice<R>) -> &mut Vec<LogRecord> {

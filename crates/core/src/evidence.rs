@@ -12,20 +12,65 @@ use crate::versions::{Located, VersionIndex};
 use rssd_crypto::{ChainKey, DeviceKeys, Digest, KeyPurpose};
 use rssd_ftl::Ftl;
 use rssd_net::SecureSession;
+use std::mem::MaybeUninit;
+use std::sync::Mutex;
 
 /// Segments a walk fetches and opens at once: what bounds its in-flight
 /// memory (the window's metadata openings; the wire images are the store's).
 const WINDOW: usize = 64;
 
+/// What a walk does with the segments it verifies, in two parts: a stage on
+/// the pool item that opened a segment, once its records reached its head —
+/// work that needs nothing from any other segment — and a merge on the
+/// walk's thread, in chain order, once the segment also extends the running
+/// head. A closure over `(segment_seq, envelope, opened segment)` is a walk
+/// that only merges.
+pub(crate) trait Walk {
+    /// What a pool item stages its segment into.
+    type Place<'a>: Send
+    where
+        Self: 'a;
+
+    /// One place per segment of `window`, in order — asked on the walk's
+    /// thread before any of them opens, so of headers nothing has
+    /// authenticated yet.
+    fn places(&mut self, window: &[SegmentEnvelope]) -> Vec<Self::Place<'_>>;
+
+    /// Stages a segment that opened and whose records reached its head.
+    fn stage(place: Self::Place<'_>, segment: &OpenedSegment);
+
+    /// Takes, in chain order, a staged segment that also extends the
+    /// running head.
+    fn merge(&mut self, segment_seq: u64, envelope: &SegmentEnvelope, segment: &OpenedSegment);
+}
+
+impl<F: FnMut(u64, &SegmentEnvelope, &OpenedSegment)> Walk for F {
+    type Place<'a>
+        = ()
+    where
+        F: 'a;
+
+    fn places(&mut self, window: &[SegmentEnvelope]) -> Vec<()> {
+        vec![(); window.len()]
+    }
+
+    fn stage((): (), _: &OpenedSegment) {}
+
+    fn merge(&mut self, segment_seq: u64, envelope: &SegmentEnvelope, segment: &OpenedSegment) {
+        self(segment_seq, envelope, segment);
+    }
+}
+
 /// Walks every segment stored on `remote` in chain order — each through the
 /// one door, [`SegmentEnvelope::open`], which authenticates the payload and
 /// the header's heads and count — requiring each to extend the running head
 /// and its records, chained under `chain` from its `prev_chain_head`, to
-/// reach its `chain_head`, and hands each verified segment (its sequence,
-/// its envelope and what it opened to) to `sink`. Every walk opens to
-/// [`OpenDepth::Metadata`]: no pre-image is deciphered here — a reader that
-/// wants one keeps the envelope and opens it when asked (`LazyPreimages`,
-/// which authenticates it itself). Returns the verified chain head.
+/// reach its `chain_head`, and hands each verified segment to `walk`: its
+/// stage, then its merge (its sequence, its envelope and what it opened
+/// to). Every walk opens to [`OpenDepth::Metadata`]: no pre-image is
+/// deciphered here — a reader that wants one keeps the envelope and opens
+/// it when asked (`LazyPreimages`, which authenticates it itself). Returns
+/// the verified chain head.
 ///
 /// A segment its store vouches for ([`RemoteTarget::fetch_vouched`]: the
 /// store authenticated these bytes under `session`'s keys at ingest) enters
@@ -34,57 +79,69 @@ const WINDOW: usize = 64;
 /// continuity and the chain are checked alike.
 ///
 /// One [`WINDOW`] at a time: the caller fetches it (nothing past a failed
-/// fetch), [`pool::map`] fans the door and the chain over `workers` one
-/// segment an item — each segment's run is one HMAC from its own
-/// `prev_chain_head` ([`ChainKey::head_after`]) over the chain images its
-/// metadata block stores, which needs nothing from any other segment — and
-/// the caller merges in sequence order: continuity against the running
-/// head, then `sink`. Only continuity is sequential, so the answer is the
-/// same at any `workers`.
+/// fetch) and asks `walk` for its places, [`pool::map`] fans the door, the
+/// chain and the stage over `workers` one segment an item — each segment's
+/// run is one HMAC from its own `prev_chain_head` ([`ChainKey::head_after`])
+/// over the chain images its metadata block stores, which needs nothing
+/// from any other segment — and the caller merges in sequence order:
+/// continuity against the running head, then `walk`'s merge. Only
+/// continuity is sequential, so the answer is the same at any `workers`.
 ///
 /// # Errors
 ///
 /// The walk stops at the first verification failure and describes it —
 /// per segment, a failed fetch, then a failed open, then a break in
 /// continuity, then records that do not reach the segment's head. Only
-/// fully verified segments are ever delivered to `sink`, so everything sunk
-/// is trustworthy even then — an audit keeps that verified prefix as
-/// evidence while reporting the gap.
-pub(crate) fn walk_segments<R: RemoteTarget>(
+/// fully verified segments are ever merged, so everything merged is
+/// trustworthy even then — an audit keeps that verified prefix as evidence
+/// while reporting the gap.
+pub(crate) fn walk_segments<R: RemoteTarget, W: Walk>(
     workers: usize,
     chain: &ChainKey,
     session: &SecureSession,
     remote: &mut R,
-    mut sink: impl FnMut(u64, &SegmentEnvelope, &OpenedSegment),
+    walk: &mut W,
 ) -> Result<Digest, String> {
     let mut head = Digest::ZERO;
     for window in remote.stored_segments().chunks(WINDOW) {
-        let mut fetched = Vec::with_capacity(window.len());
+        let (mut envelopes, mut vouched) = (Vec::new(), Vec::new());
         let mut fetch_failure = None;
         for &seq in window {
             match remote.fetch_vouched(seq, session) {
-                Ok((envelope, vouched)) => fetched.push((seq, envelope, vouched)),
+                Ok((envelope, vouch)) => {
+                    envelopes.push(envelope);
+                    vouched.push(vouch);
+                }
                 Err(e) => {
                     fetch_failure = Some(format!("fetch segment {seq}: {e}"));
                     break;
                 }
             }
         }
+        // Each place is taken once, by its segment's item.
+        let places = walk.places(&envelopes).into_iter();
+        let places: Vec<_> = places.map(|place| Mutex::new(Some(place))).collect();
         // Per segment: the open, and beside it the head its records reach —
         // held back until the merge has checked continuity, which outranks
         // it.
-        let opened = pool::map(workers, fetched.len(), |at| {
-            let (seq, envelope, vouched) = &fetched[at];
-            let segment = if *vouched {
+        let opened = pool::map(workers, envelopes.len(), |at| {
+            let (seq, envelope) = (window[at], &envelopes[at]);
+            let segment = if vouched[at] {
                 envelope.open_vouched(session)
             } else {
                 envelope.open(session, OpenDepth::Metadata)
             };
             let segment = segment.map_err(|e| format!("open segment {seq}: {e}"))?;
             let reached = chain.head_after(envelope.prev_chain_head(), segment.chain_images());
+            if reached == envelope.chain_head() {
+                let place = places[at].lock().expect("one item a place").take();
+                W::stage(place.expect("one item a place"), &segment);
+            }
             Ok::<_, String>((segment, reached))
         });
-        for ((seq, envelope, _), opened) in fetched.iter().zip(opened) {
+        // The places borrow `walk`, which merges next.
+        drop(places);
+        for ((&seq, envelope), opened) in window.iter().zip(&envelopes).zip(opened) {
             let (segment, reached) = opened?;
             if envelope.prev_chain_head() != head {
                 return Err(format!("segment {seq} does not extend the chain"));
@@ -95,13 +152,68 @@ pub(crate) fn walk_segments<R: RemoteTarget>(
                 ));
             }
             head = reached;
-            sink(*seq, envelope, &segment);
+            walk.merge(seq, envelope, &segment);
         }
         if let Some(failure) = fetch_failure {
             return Err(failure);
         }
     }
     Ok(head)
+}
+
+/// The stored part of an audited history as the walk places it: each
+/// segment's records copied, on the pool item that opened them, straight
+/// into their slot behind the records before them, and counted once the
+/// merge takes the segment.
+struct Placed(Vec<LogRecord>);
+
+impl Walk for Placed {
+    type Place<'a> = &'a mut [MaybeUninit<LogRecord>];
+
+    fn places(&mut self, window: &[SegmentEnvelope]) -> Vec<Self::Place<'_>> {
+        // Sized by headers nothing has authenticated yet, each count
+        // bounded by what its segment's sealed bytes can describe: a lying
+        // count costs no more room than its bytes do, and opens to nothing.
+        let lens: Vec<usize> = window
+            .iter()
+            .map(|envelope| (envelope.record_count() as usize).min(envelope.record_capacity()))
+            .collect();
+        self.0.reserve(lens.iter().sum());
+        let mut spare = self.0.spare_capacity_mut();
+        lens.into_iter()
+            .map(|len| {
+                let (slot, rest) = std::mem::take(&mut spare).split_at_mut(len);
+                spare = rest;
+                slot
+            })
+            .collect()
+    }
+
+    fn stage(slot: Self::Place<'_>, segment: &OpenedSegment) {
+        assert_eq!(
+            slot.len(),
+            segment.records().len(),
+            "a slot fits its segment"
+        );
+        for (slot, record) in slot.iter_mut().zip(segment.records()) {
+            slot.write(*record);
+        }
+    }
+
+    fn merge(&mut self, _: u64, _: &SegmentEnvelope, segment: &OpenedSegment) {
+        let len = self.0.len() + segment.records().len();
+        // SAFETY: `places` carved a window's slots from the spare capacity
+        // behind `len`, in order, and nothing reallocates until the next
+        // window's `places`. The merge takes the window's segments in that
+        // order and stops at the first that fails, so this segment's slot
+        // starts at the old `len`. The merge takes only segments whose
+        // records reached their head — the condition its stage ran under —
+        // and the stage wrote the whole slot, which is exactly
+        // `records().len()` long (it asserts so; the door opens a segment
+        // only to the count its header names and never past its
+        // `record_capacity`, of which the slot is the smaller).
+        unsafe { self.0.set_len(len) };
+    }
 }
 
 /// A fault-tolerant read of the operation history: the longest verifiable
@@ -177,14 +289,14 @@ impl EvidenceReader {
         mut keep: impl FnMut(u64, &SegmentEnvelope, &[LogRecord]),
     ) -> Result<(Digest, u64, VersionIndex), String> {
         let (mut records, mut index) = (0, VersionIndex::default());
-        let sink = |segment_seq, envelope: &SegmentEnvelope, segment: &OpenedSegment| {
+        let mut sink = |segment_seq, envelope: &SegmentEnvelope, segment: &OpenedSegment| {
             records += segment.records().len() as u64;
             for (record, retained_len) in segment.records().iter().zip(segment.retained_len()) {
                 index.fold(segment_seq, record, retained_len.is_some());
             }
             keep(segment_seq, envelope, segment.records());
         };
-        let head = walk_segments(workers, &self.chain, &self.session, remote, sink)?;
+        let head = walk_segments(workers, &self.chain, &self.session, remote, &mut sink)?;
         Ok((head, records, index))
     }
 
@@ -205,9 +317,9 @@ impl EvidenceReader {
         pending: &Batch,
         live: Option<(u64, Digest)>,
     ) -> HistoryAudit {
-        let mut records: Vec<LogRecord> = Vec::new();
-        let sink = |_, _: &_, segment: &OpenedSegment| records.extend_from_slice(segment.records());
-        let walked = walk_segments(workers, &self.chain, &self.session, remote, sink);
+        let mut placed = Placed(Vec::new());
+        let walked = walk_segments(workers, &self.chain, &self.session, remote, &mut placed);
+        let mut records = placed.0;
         let local = engine
             .unshipped()
             .map(|seg| {
@@ -395,6 +507,7 @@ mod tests {
     use super::*;
     use crate::config::RssdConfig;
     use crate::device::RssdDevice;
+    use crate::logrec::WireError;
     use crate::rebuild::RebuildImage;
     use crate::recovery::RecoveryEngine;
     use crate::remote_target::{RemoteError, StoreAck};
@@ -666,8 +779,223 @@ mod tests {
     ) -> (Result<Digest, String>, Vec<u64>) {
         let mut sunk = Vec::new();
         let (key, session) = (&reader.chain, &reader.session);
-        let walked = walk_segments(workers, key, session, store, |seq, _, _| sunk.push(seq));
+        let mut sink = |seq, _: &_, _: &_| sunk.push(seq);
+        let walked = walk_segments(workers, key, session, store, &mut sink);
         (walked, sunk)
+    }
+
+    /// A history over more than two windows whose segments hold different
+    /// record counts: three overwrites a segment, as in
+    /// [`three_window_device`], and between them up to four reads.
+    fn varied_device() -> RssdDevice<Shelf> {
+        let mut device = RssdDevice::new(
+            FlashGeometry::small_test(),
+            NandTiming::instant(),
+            SimClock::new(),
+            RssdConfig {
+                segment_pages: 3,
+                ..RssdConfig::default()
+            },
+            Shelf::default(),
+        );
+        for i in 0..8 + 3 * (2 * WINDOW as u64 + 8) {
+            device.clock().advance(1_000);
+            let fill = ((i / 8) ^ (i % 8)) as u8;
+            device.write_page(i % 8, vec![fill; 4096]).unwrap();
+            for _ in 0..i * 7 % 5 {
+                device.read_page(i % 8).unwrap();
+            }
+        }
+        device.flush_log().unwrap();
+        let stored = device.remote().stored_segments().len();
+        assert!(stored > 2 * WINDOW, "{stored} segments span three windows");
+        device
+    }
+
+    /// The oracle: every segment of `store` opened on its own and its
+    /// records appended, in sequence order.
+    fn concatenated(store: &Shelf, reader: &EvidenceReader) -> Vec<LogRecord> {
+        let mut records = Vec::new();
+        for envelope in store.segments.values() {
+            let opened = envelope.open(&reader.session, OpenDepth::Metadata).unwrap();
+            records.extend_from_slice(opened.records());
+        }
+        records
+    }
+
+    /// The verdict of a walk over `store` on `workers` and the history it
+    /// placed.
+    fn placed(
+        store: &mut Shelf,
+        reader: &EvidenceReader,
+        workers: usize,
+    ) -> (Result<Digest, String>, Vec<LogRecord>) {
+        let mut placed = Placed(Vec::new());
+        let (key, session) = (&reader.chain, &reader.session);
+        let walked = walk_segments(workers, key, session, store, &mut placed);
+        (walked, placed.0)
+    }
+
+    /// The same walk with each verified segment's records appended on the
+    /// walk's thread — how the audit gathered its history before it placed
+    /// it.
+    fn appended(
+        store: &mut Shelf,
+        reader: &EvidenceReader,
+        workers: usize,
+    ) -> (Result<Digest, String>, Vec<LogRecord>) {
+        let mut records = Vec::new();
+        let (key, session) = (&reader.chain, &reader.session);
+        let mut sink =
+            |_, _: &_, segment: &OpenedSegment| records.extend_from_slice(segment.records());
+        let walked = walk_segments(workers, key, session, store, &mut sink);
+        (walked, records)
+    }
+
+    /// Over the first 0, 1, 64, 65 and 129 segments of a store, and over
+    /// the whole store through the audit, the history a walk places is its
+    /// segments' records concatenated, at one worker and at four.
+    #[test]
+    fn the_placed_history_is_its_segments_concatenated_at_1_and_4_workers() {
+        let mut device = varied_device();
+        let reader = EvidenceReader::new(&device.escrow_keys());
+        let stored = device.remote().stored_segments();
+        let counts: Vec<u32> = device
+            .remote()
+            .segments
+            .values()
+            .map(|envelope| {
+                assert!(envelope.record_count() as usize <= envelope.record_capacity());
+                envelope.record_count()
+            })
+            .collect();
+        assert!(counts.iter().min() < counts.iter().max(), "{counts:?}");
+        for n in [0, 1, WINDOW, WINDOW + 1, 2 * WINDOW + 1] {
+            let mut store = device.remote().clone();
+            store.segments.retain(|seq, _| stored[..n].contains(seq));
+            let oracle = concatenated(&store, &reader);
+            let head = stored[..n]
+                .last()
+                .map_or(Digest::ZERO, |seq| store.segments[seq].chain_head());
+            for workers in [1, 4] {
+                let arm = format!("{n} segments, {workers} workers");
+                assert_eq!(
+                    placed(&mut store, &reader, workers),
+                    (Ok(head), oracle.clone()),
+                    "{arm}"
+                );
+            }
+        }
+        let oracle = concatenated(device.remote(), &reader);
+        assert_eq!(
+            oracle.len() as u64,
+            device.chain_len(),
+            "nothing is left local"
+        );
+        for workers in [1, 4] {
+            let audit = device.audit_history_on(workers);
+            assert!(audit.verified, "{workers} workers: {:?}", audit.failure);
+            assert_eq!(audit.records, oracle, "{workers} workers");
+        }
+    }
+
+    /// Damaged at the last segment of a window, the first of the next or in
+    /// the middle of one, a store yields the same verified prefix and the
+    /// same failure whether the walk places the history or appends it.
+    #[test]
+    fn a_damaged_store_places_the_prefix_and_failure_the_appending_walk_gathers() {
+        use Damage::*;
+        use Reseal::*;
+        let device = varied_device();
+        let reader = EvidenceReader::new(&device.escrow_keys());
+        let honest = device.remote().clone();
+        let stored = honest.stored_segments();
+        for i in [WINDOW - 1, WINDOW, WINDOW + WINDOW / 2] {
+            let seq = stored[i];
+            let mut prefix = honest.clone();
+            prefix.segments.retain(|kept, _| stored[..i].contains(kept));
+            let prefix = concatenated(&prefix, &reader);
+            let damages = [
+                FlipPayload,
+                ForgeHead,
+                Remove,
+                RefuseFetch,
+                Resealed(SwapRecords),
+                Resealed(EditEntropy),
+            ];
+            for kind in damages {
+                let mut store = honest.clone();
+                damage(&mut store, &reader, kind, seq);
+                let gathered = appended(&mut store, &reader, 1);
+                assert!(gathered.0.is_err(), "{kind:?} at {i}");
+                assert_eq!(gathered.1, prefix, "{kind:?} at {i}");
+                for workers in [1, 4] {
+                    let arm = format!("{kind:?} at {i}, {workers} workers");
+                    assert_eq!(placed(&mut store, &reader, workers), gathered, "{arm}");
+                }
+            }
+        }
+    }
+
+    /// A store that serves, in the middle window, a segment whose header
+    /// claims `u32::MAX` records — the honest payload behind a lying count,
+    /// vouched for or not, or a block resealed by a key holder to claim as
+    /// many — gets the verified prefix and a typed failure from the audit,
+    /// and the history holds no room for the claim.
+    #[test]
+    fn a_header_claiming_u32_max_records_sizes_no_history() {
+        let mut device = varied_device();
+        let reader = EvidenceReader::new(&device.escrow_keys());
+        let appended_records = device.chain_len() as usize;
+        let stored = device.remote().stored_segments();
+        let i = WINDOW + WINDOW / 2;
+        let seq = stored[i];
+        let mut prefix = device.remote().clone();
+        prefix.segments.retain(|kept, _| stored[..i].contains(kept));
+        let prefix = concatenated(&prefix, &reader);
+        let honest = device.remote().segments[&seq].clone();
+        let (prev, head) = (honest.prev_chain_head(), honest.chain_head());
+        let relabelled =
+            SegmentEnvelope::new(1, seq, prev, head, u32::MAX, honest.sealed_payload());
+        let mut block = seq.to_le_bytes().to_vec();
+        block.extend_from_slice(&u32::MAX.to_le_bytes());
+        let opened = honest.open(&reader.session, OpenDepth::Metadata).unwrap();
+        for (record, len) in opened.records().iter().zip(opened.retained_len()) {
+            block.extend_from_slice(&record.chain_image());
+            block.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes());
+        }
+        let frame = rssd_compress::compress_adaptive(&block);
+        let mut plain = (frame.len() as u32).to_le_bytes().to_vec();
+        plain.extend_from_slice(&frame);
+        plain.extend_from_slice(&rssd_compress::compress_adaptive(&[]));
+        let resealed =
+            SegmentEnvelope::seal_plaintext(&reader.session, 1, seq, prev, head, u32::MAX, &plain);
+        let arms = [
+            (relabelled.clone(), false, WireError::BadPayload),
+            (relabelled, true, WireError::HeaderMismatch),
+            (resealed, false, WireError::Truncated),
+        ];
+        for (lying, vouch, refused) in arms {
+            assert!(lying.record_capacity() < 1 << 20, "{vouch}: {refused:?}");
+            device.remote_mut().segments.insert(seq, lying.clone());
+            device.remote_mut().vouch = vouch;
+            for workers in [1, 4] {
+                let arm = format!("vouch {vouch}, {refused:?}, {workers} workers");
+                let audit = device.audit_history_on(workers);
+                assert!(!audit.verified, "{arm}");
+                assert_eq!(
+                    audit.failure,
+                    Some(format!("open segment {seq}: {refused}")),
+                    "{arm}"
+                );
+                assert_eq!(audit.records, prefix, "{arm}");
+                let room = audit.records.capacity();
+                assert!(
+                    room <= 2 * appended_records + lying.record_capacity(),
+                    "{arm}: room for {room} records"
+                );
+            }
+        }
     }
 
     #[test]

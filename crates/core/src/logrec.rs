@@ -10,6 +10,8 @@
 //! is used in this workspace); every decoder is total — malformed input
 //! yields [`WireError`], never a panic.
 
+use std::convert::Infallible;
+
 /// Operation class of a log record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LogOp {
@@ -41,8 +43,8 @@ impl LogOp {
     }
 }
 
-/// One entry of the hardware-assisted log.
-#[derive(Clone, Debug, PartialEq)]
+/// One entry of the hardware-assisted log: 48 bytes, copied by value.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LogRecord {
     /// Evidence-chain sequence number (total order of operations).
     pub seq: u64,
@@ -58,14 +60,16 @@ pub struct LogRecord {
     pub entropy_mil: u16,
     /// Was this LPA read within the correlation window before the write?
     pub read_before: bool,
-    /// Retained content of the old page version. `None` in everything this
-    /// crate produces: the chain does not cover it (the segment MAC protects
-    /// content instead), a segment carries it beside the records
-    /// ([`SegmentBody::preimages`](crate::segment::SegmentBody)), and every
-    /// history the device returns is metadata only — content comes back via
-    /// `recover_page*` or a `RebuildImage`.
-    pub old_data: Option<Vec<u8>>,
+    /// Always `None`: no record carries page content, and the payload type
+    /// has no values. The chain does not cover content (the segment MAC
+    /// does), a segment carries it beside the records
+    /// ([`SegmentBody::preimages`](crate::segment::SegmentBody)), and it
+    /// comes back via `recover_page*` or a `RebuildImage`. The field is
+    /// kept, empty and zero-sized, for callers that still spell it out.
+    pub old_data: Option<Infallible>,
 }
+
+const _: () = assert!(std::mem::size_of::<LogRecord>() == 48);
 
 impl LogRecord {
     /// Entropy in bits/byte.
@@ -78,7 +82,6 @@ impl LogRecord {
 
     /// Canonical bytes covered by the evidence chain MAC, as a fixed-size
     /// image (no allocation — the chain walkers build one per record).
-    /// Excludes `old_data` (see field docs).
     pub fn chain_image(&self) -> [u8; Self::CHAIN_IMAGE_LEN] {
         let mut out = [0u8; Self::CHAIN_IMAGE_LEN];
         out[0] = self.op.id();
@@ -226,15 +229,23 @@ mod tests {
         SegmentEnvelope::seal_plaintext(&session(), 1, SEQ, Digest::ZERO, head, count, &plain)
     }
 
+    /// A record is its chain image: every field decodes back, of every
+    /// operation class, with and without an invalidated page.
     #[test]
-    fn chain_bytes_stable_under_data_attachment() {
-        let bare = record(5);
-        let full = LogRecord {
-            old_data: Some(vec![0xAB; 64]),
-            ..record(5)
-        };
-        assert_eq!(bare.chain_bytes(), full.chain_bytes());
-        assert_eq!(LogRecord::from_chain_image(&full.chain_image()), Ok(bare));
+    fn chain_image_decodes_to_the_record_it_was_taken_from() {
+        for op in [LogOp::Write, LogOp::Trim, LogOp::Read] {
+            for old_page_index in [None, Some(0), Some(u64::MAX - 1)] {
+                let taken = LogRecord {
+                    op,
+                    old_page_index,
+                    read_before: op == LogOp::Read,
+                    ..record(5)
+                };
+                let image = taken.chain_image();
+                assert_eq!(LogRecord::from_chain_image(&image), Ok(taken));
+                assert_eq!(taken.chain_bytes(), image);
+            }
+        }
     }
 
     #[test]

@@ -294,7 +294,7 @@ fn trace(sink: &SinkHandle, name: &str, at_ns: u64, args: &[(&str, &dyn std::fmt
     }
 }
 
-/// Consecutive log records, metadata only (`old_data: None`) — the one
+/// Consecutive log records (48-byte metadata values) — the one
 /// shape the device's pending tail, a staged segment and a history check
 /// share. Their chain links are not kept: a check recomputes the run from
 /// the head before it to the head after it.
@@ -1013,7 +1013,7 @@ impl OffloadEngine {
             }
             let mut batch = Batch::default();
             for record in segment.records() {
-                batch.push(record.clone());
+                batch.push(*record);
             }
             head = envelope.chain_head();
             self.stats.spill_replayed += 1;
@@ -1292,10 +1292,11 @@ mod tests {
 
                     let session = self.engine.session.clone();
                     let mut records = 0;
-                    let sink = |_: u64, _: &SegmentEnvelope, segment: &OpenedSegment| {
+                    let mut sink = |_: u64, _: &SegmentEnvelope, segment: &OpenedSegment| {
                         records += segment.records().len() as u64
                     };
-                    let head = walk_segments(1, &self.verifier, &session, &mut self.remote, sink)
+                    let remote = &mut self.remote;
+                    let head = walk_segments(1, &self.verifier, &session, remote, &mut sink)
                         .expect("the store verifies");
                     let stored_up_to = stored.checked_sub(1);
                     let head = self
@@ -1551,7 +1552,7 @@ mod tests {
             for retained in [0, pages - 1, pages, pages + 1] {
                 for len in [0, records - 1, records, records + 1] {
                     let pending = Batch {
-                        records: vec![record.clone(); len],
+                        records: vec![record; len],
                         retained,
                     };
                     for fraction in threshold_grid(&[0.25]) {

@@ -45,6 +45,13 @@ const fn metadata_len(count: usize) -> usize {
     BLOCK_HEAD + count * ENTRY_LEN
 }
 
+/// Most metadata-block bytes one sealed payload byte may stand for. No frame
+/// the codecs make expands further — RLE's densest pair, a 255-byte run
+/// from two bytes, is 127.5×, LZ77's densest sequence 68.5× — and the door
+/// refuses a block that does, so [`SegmentEnvelope::record_capacity`]
+/// bounds what a segment opens to before it is opened.
+const MAX_BLOCK_EXPANSION: usize = 128;
+
 /// Where the header bytes the tag covers begin: both chain heads and the
 /// record count (`segment_seq` enters the tag on its own; `device_id`, bound
 /// by the key, is the one field outside it).
@@ -71,7 +78,7 @@ pub enum OpenDepth {
 /// in one buffer with each record's share of it.
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentBody<'a> {
-    /// Records in chain order; their `old_data` is not read.
+    /// Records in chain order.
     pub records: &'a [LogRecord],
     /// The chain head after the last record (the head before the first, for
     /// no records): the header's `chain_head`.
@@ -229,7 +236,9 @@ impl SegmentEnvelope {
     /// [`WireError::BadPayload`] when the payload or header fails
     /// authentication, a frame fails to decompress, or bytes are left that
     /// the lengths do not account for; [`WireError::Truncated`] when a frame,
-    /// the metadata block or the pre-image region is shorter than announced;
+    /// the metadata block or the pre-image region is shorter than announced,
+    /// or the block names more records than the sealed bytes can describe
+    /// (`record_capacity`);
     /// [`WireError::UnknownOp`] on an unknown record class;
     /// [`WireError::HeaderMismatch`] when the header names another sequence
     /// or count than the authenticated payload holds.
@@ -302,8 +311,9 @@ impl SegmentEnvelope {
         let segment_seq = u64::from_le_bytes(metadata[..8].try_into().expect("8"));
         let count = u32::from_le_bytes(metadata[8..12].try_into().expect("4")) as usize;
         // A count the block cannot hold is malformed input (and must not
-        // drive preallocation).
-        if count > (metadata.len() - BLOCK_HEAD) / ENTRY_LEN {
+        // drive preallocation), and so is one the sealed bytes cannot
+        // describe (a walk sizes its slots by that before the open).
+        if count > (metadata.len() - BLOCK_HEAD) / ENTRY_LEN || count > self.record_capacity() {
             return Err(WireError::Truncated);
         }
         if metadata.len() > metadata_len(count) {
@@ -450,6 +460,17 @@ impl SegmentEnvelope {
         u32::from_le_bytes(self.wire[80..84].try_into().expect("4"))
     }
 
+    /// The most records the door lets this envelope open to — what its
+    /// sealed bytes can describe, whatever count its unauthenticated header
+    /// names: a bound a reader may size room by before the open.
+    pub(crate) fn record_capacity(&self) -> usize {
+        let block = self
+            .sealed_payload()
+            .len()
+            .saturating_mul(MAX_BLOCK_EXPANSION);
+        block / ENTRY_LEN
+    }
+
     /// compress → encrypt → MAC output.
     pub fn sealed_payload(&self) -> &[u8] {
         &self.wire[Self::WIRE_HEADER..]
@@ -507,7 +528,7 @@ pub struct OpenedSegment {
 }
 
 impl OpenedSegment {
-    /// Records in chain order, metadata only (`old_data: None`).
+    /// Records in chain order.
     pub fn records(&self) -> &[LogRecord] {
         &self.records
     }

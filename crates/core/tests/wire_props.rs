@@ -210,13 +210,31 @@ proptest! {
         }
     }
 
+    /// The chain covers every field a record holds: editing any one of
+    /// them moves its chain bytes.
     #[test]
-    fn chain_bytes_independent_of_old_data(record in arb_record(), data in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut with = record.clone();
-        with.old_data = Some(data);
-        let mut without = record;
-        without.old_data = None;
-        prop_assert_eq!(with.chain_bytes(), without.chain_bytes());
+    fn chain_bytes_move_with_every_field(record in arb_record(), bump in 1u64..u64::MAX) {
+        let next_op = match record.op {
+            LogOp::Write => LogOp::Trim,
+            LogOp::Trim => LogOp::Read,
+            LogOp::Read => LogOp::Write,
+        };
+        let old_page_index = match record.old_page_index {
+            Some(_) => None,
+            None => Some(bump % (u64::MAX - 1)),
+        };
+        let edits = [
+            LogRecord { seq: record.seq.wrapping_add(bump), ..record },
+            LogRecord { at_ns: record.at_ns.wrapping_add(bump), ..record },
+            LogRecord { op: next_op, ..record },
+            LogRecord { lpa: record.lpa.wrapping_add(bump), ..record },
+            LogRecord { old_page_index, ..record },
+            LogRecord { entropy_mil: record.entropy_mil.wrapping_add(1), ..record },
+            LogRecord { read_before: !record.read_before, ..record },
+        ];
+        for edited in edits {
+            prop_assert!(edited.chain_bytes() != record.chain_bytes(), "{:?}", edited);
+        }
     }
 
     /// The zero-copy writer (header written first, both frames compressed

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Offloaded detection on the remote server has seen it.
     let report = device.remote().inner().report();
     println!(
-        "remote detection: verdict {:?} (score {:.2}) over {} offloaded records",
+        "remote detection: verdict {:?} (score {:.2}) over {} observations",
         report.verdict, report.score, report.records_analyzed
     );
     println!(

@@ -190,7 +190,7 @@ fn run_pipelined<D: BlockDevice>(device: &mut D, ops: &[Op], chunk: usize) -> Ve
 
 /// Everything of a log record except its timestamp (the one field the
 /// timing model is allowed to change).
-fn record_shape(r: &LogRecord) -> (u64, String, u64, Option<u64>, u16, bool, Option<Vec<u8>>) {
+fn record_shape(r: &LogRecord) -> (u64, String, u64, Option<u64>, u16, bool) {
     (
         r.seq,
         format!("{:?}", r.op),
@@ -198,7 +198,6 @@ fn record_shape(r: &LogRecord) -> (u64, String, u64, Option<u64>, u16, bool, Opt
         r.old_page_index,
         r.entropy_mil,
         r.read_before,
-        r.old_data.clone(),
     )
 }
 
