@@ -170,8 +170,7 @@ struct SalvagedShard {
 }
 
 impl SalvagedShard {
-    /// Degraded read: the newest retained version, zeroes where the remote
-    /// retains nothing (matching unmapped-read semantics).
+    /// The newest retained version of `local`, if the remote retains one.
     ///
     /// "Newest retained" equals the pre-attack content only for pages the
     /// attack destroyed exactly once; a page overwritten or trimmed *again*
@@ -179,11 +178,24 @@ impl SalvagedShard {
     /// newest retained version. Point-in-time service of such pages goes
     /// through [`RssdArray::recover_before`] (and rebuilds pass a cut-off
     /// for the same reason).
-    fn read(&self, local: u64, page_size: usize) -> Vec<u8> {
-        self.image
-            .newest(local)
-            .map(<[u8]>::to_vec)
-            .unwrap_or_else(|| vec![0u8; page_size])
+    fn newest(&self, local: u64) -> Option<Vec<u8>> {
+        self.image.newest(local).map(<[u8]>::to_vec)
+    }
+
+    /// The answer to a command the shard cannot serve locally: a read gets
+    /// the newest retained version, zeroes where the remote retains nothing
+    /// (matching unmapped-read semantics); a flush has nothing to flush; a
+    /// write or trim is refused.
+    fn answer(&self, command: IoCommand, shard: usize, page_size: usize) -> CommandResult {
+        match command {
+            IoCommand::Read { lpa } => Ok(CommandOutcome::Read(
+                self.newest(lpa).unwrap_or_else(|| vec![0u8; page_size]),
+            )),
+            IoCommand::Flush => Ok(CommandOutcome::Flushed),
+            IoCommand::Write { .. } | IoCommand::Trim { .. } => {
+                Err(DeviceError::ShardFailed { shard })
+            }
+        }
     }
 }
 
@@ -221,6 +233,14 @@ impl<D> ShardState<D> {
         match self {
             ShardState::Live(d) | ShardState::Rebuilding { device: d, .. } => Some(d),
             ShardState::Degraded(_) => None,
+        }
+    }
+
+    /// The salvaged image, while degraded or rebuilding.
+    fn salvage(&self) -> Option<&SalvagedShard> {
+        match self {
+            ShardState::Degraded(salvage) | ShardState::Rebuilding { salvage, .. } => Some(salvage),
+            ShardState::Live(_) => None,
         }
     }
 }
@@ -401,18 +421,7 @@ impl<D: BlockDevice> RssdArray<D> {
             ShardState::Degraded(salvage) => {
                 let results = commands
                     .into_iter()
-                    .map(|command| {
-                        let result = match command {
-                            IoCommand::Read { lpa } => {
-                                Ok(CommandOutcome::Read(salvage.read(lpa, page_size)))
-                            }
-                            IoCommand::Flush => Ok(CommandOutcome::Flushed),
-                            IoCommand::Write { .. } | IoCommand::Trim { .. } => {
-                                Err(DeviceError::ShardFailed { shard })
-                            }
-                        };
-                        (result, start_ns)
-                    })
+                    .map(|command| (salvage.answer(command, shard, page_size), start_ns))
                     .collect();
                 (results, start_ns)
             }
@@ -444,12 +453,7 @@ impl<D: BlockDevice> RssdArray<D> {
                         online_slots.push(slot);
                         online_commands.push(command);
                     } else {
-                        let result = match command {
-                            IoCommand::Read { lpa } => {
-                                Ok(CommandOutcome::Read(salvage.read(lpa, page_size)))
-                            }
-                            _ => Err(DeviceError::ShardFailed { shard }),
-                        };
+                        let result = salvage.answer(command, shard, page_size);
                         results.push(Some((result, start_ns)));
                     }
                 }
@@ -599,15 +603,11 @@ impl<D: BlockDevice> BlockDevice for RssdArray<D> {
             return None;
         }
         let (shard, local) = self.layout.locate(lpa);
-        match &mut self.shards[shard] {
-            ShardState::Live(device) => device.recover_page(local),
-            ShardState::Degraded(salvage) => salvage.image.newest(local).map(<[u8]>::to_vec),
-            ShardState::Rebuilding {
-                device, salvage, ..
-            } => device
-                .recover_page(local)
-                .or_else(|| salvage.image.newest(local).map(<[u8]>::to_vec)),
-        }
+        let state = &mut self.shards[shard];
+        let answer = state
+            .device_mut()
+            .and_then(|device| device.recover_page(local));
+        answer.or_else(|| state.salvage()?.newest(local))
     }
 }
 

@@ -1,11 +1,10 @@
-//! Detector ensemble and verdicts.
+//! The detection ensemble: four scores from three pieces of state, and the
+//! verdict they add up to.
 
-use crate::entropy::EntropyDetector;
 use crate::observation::WriteObservation;
-use crate::pattern::{OverwriteCorrelator, TrimSurgeDetector};
-use crate::timing::TimingProfiler;
+use crate::pattern::{OverwriteWindow, TrimWindow};
+use crate::timing;
 use crate::victims::VictimSet;
-use crate::Detector;
 
 /// Classification produced by the ensemble.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -19,15 +18,16 @@ pub enum Verdict {
     Ransomware,
 }
 
-/// A weighted ensemble of the four detectors with a maximum-signal fallback:
-/// any single detector at full confidence forces a detection, because the
-/// attacks are designed so that each evades *most* detectors.
+/// A weighted ensemble of four scores with a maximum-signal fallback: any
+/// single score at full confidence forces a detection, because the attacks
+/// are designed so that each evades *most* of them. One overwrite window
+/// gives `entropy` and `overwrite-correlation`, the trim window
+/// `trim-surge`, and the one page table `timing-profile`.
 #[derive(Debug, Default)]
 pub struct Ensemble {
-    entropy: EntropyDetector,
-    correlator: OverwriteCorrelator,
-    trim_surge: TrimSurgeDetector,
-    timing: TimingProfiler,
+    overwrites: OverwriteWindow,
+    trims: TrimWindow,
+    victims: VictimSet,
     observations: u64,
 }
 
@@ -37,12 +37,11 @@ impl Ensemble {
         Self::default()
     }
 
-    /// Feeds one observation to every member.
+    /// Feeds one observation to every piece of state.
     pub fn observe(&mut self, obs: &WriteObservation) {
-        self.entropy.observe(obs);
-        self.correlator.observe(obs);
-        self.trim_surge.observe(obs);
-        self.timing.observe(obs);
+        self.overwrites.observe(obs);
+        self.trims.observe(obs);
+        self.victims.observe(obs);
         self.observations += 1;
     }
 
@@ -53,9 +52,9 @@ impl Ensemble {
         }
     }
 
-    /// The victim set the timing profiler keeps (the analyzer's report).
+    /// The page table the timing profile reads (the analyzer's report).
     pub fn victims(&self) -> &VictimSet {
-        &self.timing.victims
+        &self.victims
     }
 
     /// Observations consumed.
@@ -63,28 +62,28 @@ impl Ensemble {
         self.observations
     }
 
+    /// Each member's name and score.
+    fn members(&self) -> [(&'static str, f64); 4] {
+        [
+            ("entropy", self.overwrites.entropy()),
+            ("overwrite-correlation", self.overwrites.correlation()),
+            ("trim-surge", self.trims.score()),
+            ("timing-profile", timing::score(&self.victims)),
+        ]
+    }
+
     /// Combined score: weighted mean with a max-signal floor.
     pub fn score(&self) -> f64 {
-        let weighted = 0.30 * self.entropy.score()
-            + 0.30 * self.correlator.score()
-            + 0.20 * self.trim_surge.score()
-            + 0.20 * self.timing.score();
-        let strongest = self
-            .member_scores()
-            .into_iter()
-            .map(|(_, s)| s)
-            .fold(0.0f64, f64::max);
+        let scores = self.members().map(|(_, score)| score);
+        let [entropy, correlation, trims, timing] = scores;
+        let weighted = 0.30 * entropy + 0.30 * correlation + 0.20 * trims + 0.20 * timing;
+        let strongest = scores.into_iter().fold(0.0f64, f64::max);
         weighted.max(if strongest >= 0.99 { 0.9 } else { 0.0 })
     }
 
     /// Per-member scores (for the forensic report).
     pub fn member_scores(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            (self.entropy.name(), self.entropy.score()),
-            (self.correlator.name(), self.correlator.score()),
-            (self.trim_surge.name(), self.trim_surge.score()),
-            (self.timing.name(), self.timing.score()),
-        ]
+        self.members().to_vec()
     }
 
     /// Current verdict: `Ransomware` at ≥ 0.6, `Suspicious` at ≥ 0.3.
@@ -292,5 +291,307 @@ mod tests {
         let fused = ensemble_over(&merge_time_ordered(&streams));
         assert_eq!(fused.verdict(), Verdict::Benign);
         assert_eq!(fused.observations(), 2_000);
+    }
+}
+
+/// The ensemble before it fed three pieces of state, kept as the oracle:
+/// its four detectors and the rules of the page set they shared, verbatim
+/// but for their names and the trait they implemented (each `impl` is
+/// inherent here).
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet, VecDeque};
+
+    #[derive(Default)]
+    struct OldEntropy {
+        recent: VecDeque<bool>,
+        high_count: usize,
+    }
+
+    impl OldEntropy {
+        const WINDOW: usize = 256;
+        const MIN_SAMPLES: usize = 32;
+
+        fn name(&self) -> &'static str {
+            "entropy"
+        }
+
+        fn observe(&mut self, obs: &WriteObservation) {
+            if obs.is_trim || !obs.overwrote_valid {
+                return;
+            }
+            let high = obs.is_encrypting_overwrite();
+            self.recent.push_back(high);
+            if high {
+                self.high_count += 1;
+            }
+            if self.recent.len() > Self::WINDOW && self.recent.pop_front() == Some(true) {
+                self.high_count -= 1;
+            }
+        }
+
+        fn score(&self) -> f64 {
+            if self.recent.len() < Self::MIN_SAMPLES {
+                return 0.0;
+            }
+            self.high_count as f64 / self.recent.len() as f64
+        }
+    }
+
+    #[derive(Default)]
+    struct OldCorrelator {
+        recent: VecDeque<bool>,
+        correlated: usize,
+    }
+
+    impl OldCorrelator {
+        const WINDOW: usize = 256;
+        const MIN_SAMPLES: usize = 32;
+
+        fn name(&self) -> &'static str {
+            "overwrite-correlation"
+        }
+
+        fn observe(&mut self, obs: &WriteObservation) {
+            if obs.is_trim || !obs.overwrote_valid {
+                return;
+            }
+            self.recent.push_back(obs.read_before_overwrite);
+            if obs.read_before_overwrite {
+                self.correlated += 1;
+            }
+            if self.recent.len() > Self::WINDOW && self.recent.pop_front() == Some(true) {
+                self.correlated -= 1;
+            }
+        }
+
+        fn score(&self) -> f64 {
+            if self.recent.len() < Self::MIN_SAMPLES {
+                return 0.0;
+            }
+            self.correlated as f64 / self.recent.len() as f64
+        }
+    }
+
+    #[derive(Default)]
+    struct OldTrimSurge {
+        trim_times: VecDeque<u64>,
+    }
+
+    impl OldTrimSurge {
+        const WINDOW_NS: u64 = 60_000_000_000;
+        const SURGE_THRESHOLD: usize = 128;
+
+        fn name(&self) -> &'static str {
+            "trim-surge"
+        }
+
+        fn observe(&mut self, obs: &WriteObservation) {
+            if !obs.is_trim {
+                return;
+            }
+            self.trim_times.push_back(obs.at_ns);
+            while let Some(&front) = self.trim_times.front() {
+                if obs.at_ns.saturating_sub(front) > Self::WINDOW_NS {
+                    self.trim_times.pop_front();
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn score(&self) -> f64 {
+            (self.trim_times.len() as f64 / Self::SURGE_THRESHOLD as f64).min(1.0)
+        }
+    }
+
+    /// The victim set before it kept every seen page: page → held by an
+    /// encrypting overwrite (`false`: only trimmed).
+    #[derive(Default)]
+    struct OldVictims {
+        pages: HashMap<u64, bool>,
+        encrypted: usize,
+    }
+
+    impl OldVictims {
+        fn observe(&mut self, obs: &WriteObservation) {
+            if obs.is_trim {
+                self.pages.entry(obs.lpa).or_insert(false);
+            } else if obs.is_encrypting_overwrite() {
+                if self.pages.insert(obs.lpa, true) != Some(true) {
+                    self.encrypted += 1;
+                }
+            } else if self.pages.remove(&obs.lpa) == Some(true) {
+                self.encrypted -= 1;
+            }
+        }
+
+        fn sorted(&self) -> Vec<u64> {
+            let mut lpas: Vec<u64> = self.pages.keys().copied().collect();
+            lpas.sort_unstable();
+            lpas
+        }
+    }
+
+    /// The timing member, with its own set of every LPA written or trimmed.
+    #[derive(Default)]
+    struct OldTiming {
+        victims: OldVictims,
+        seen: HashSet<u64>,
+    }
+
+    impl OldTiming {
+        const SATURATION: f64 = 0.10;
+        const MIN_ENCRYPTED: usize = 64;
+
+        fn name(&self) -> &'static str {
+            "timing-profile"
+        }
+
+        fn observe(&mut self, obs: &WriteObservation) {
+            self.seen.insert(obs.lpa);
+            self.victims.observe(obs);
+        }
+
+        fn score(&self) -> f64 {
+            let encrypted = self.victims.encrypted;
+            if encrypted < Self::MIN_ENCRYPTED || self.seen.is_empty() {
+                return 0.0;
+            }
+            let coverage = encrypted as f64 / self.seen.len() as f64;
+            (coverage / Self::SATURATION).min(1.0)
+        }
+    }
+
+    #[derive(Default)]
+    struct OldEnsemble {
+        entropy: OldEntropy,
+        correlator: OldCorrelator,
+        trim_surge: OldTrimSurge,
+        timing: OldTiming,
+    }
+
+    impl OldEnsemble {
+        fn observe(&mut self, obs: &WriteObservation) {
+            self.entropy.observe(obs);
+            self.correlator.observe(obs);
+            self.trim_surge.observe(obs);
+            self.timing.observe(obs);
+        }
+
+        fn score(&self) -> f64 {
+            let weighted = 0.30 * self.entropy.score()
+                + 0.30 * self.correlator.score()
+                + 0.20 * self.trim_surge.score()
+                + 0.20 * self.timing.score();
+            let strongest = self
+                .member_scores()
+                .into_iter()
+                .map(|(_, s)| s)
+                .fold(0.0f64, f64::max);
+            weighted.max(if strongest >= 0.99 { 0.9 } else { 0.0 })
+        }
+
+        fn member_scores(&self) -> Vec<(&'static str, f64)> {
+            vec![
+                (self.entropy.name(), self.entropy.score()),
+                (self.correlator.name(), self.correlator.score()),
+                (self.trim_surge.name(), self.trim_surge.score()),
+                (self.timing.name(), self.timing.score()),
+            ]
+        }
+
+        fn verdict(&self) -> Verdict {
+            let s = self.score();
+            if s >= 0.6 {
+                Verdict::Ransomware
+            } else if s >= 0.3 {
+                Verdict::Suspicious
+            } else {
+                Verdict::Benign
+            }
+        }
+    }
+
+    /// Entropies on and either side of `CIPHERTEXT_BITS`, and far from it.
+    const ENTROPY: [f64; 5] = [4.0, 7.19, 7.2, 7.21, 7.9];
+    /// Gaps that stay inside the trim window.
+    const SHORT_GAP_NS: [u64; 3] = [0, 1, 1_000_000];
+    /// Gaps on and either side of the 60 s trim window, and far past it.
+    const LONG_GAP_NS: [u64; 5] = [
+        59_999_999_999,
+        60_000_000_000,
+        60_000_000_001,
+        61_000_000_000,
+        3_600_000_000_000,
+    ];
+
+    /// Streams of a cold background of 0–1 199 fresh writes to distinct
+    /// pages, then 700–1 000 fresh writes (a fifth), overwrites (half, with
+    /// and without a read before) and trims over a hot space of 8–256 pages:
+    /// long enough that the overwrite window slides, dense enough that the
+    /// trim window saturates when long gaps are rare (a per-stream rate of
+    /// 0–20 %), small enough that trims and rewrites meet encrypted, trimmed
+    /// and unseen pages, and over enough seen pages that the timing profile
+    /// scores below saturation.
+    fn streams() -> impl Strategy<Value = Vec<WriteObservation>> {
+        let step = (
+            0u8..10,
+            0u64..256,
+            0usize..5,
+            any::<bool>(),
+            0u32..1000,
+            0usize..5,
+        );
+        let shape = (0u64..1200, 8u64..257, 0u32..200);
+        (shape, proptest::collection::vec(step, 700..1001)).prop_map(
+            |((cold, pages, long_per_mille), steps)| {
+                let background =
+                    (0..cold).map(|lpa| WriteObservation::fresh_write(0, 256 + lpa, 4.0));
+                let mut at = 0;
+                let hot = steps
+                    .into_iter()
+                    .map(move |(kind, lpa, bits, read, roll, gap)| {
+                        at += if roll < long_per_mille {
+                            LONG_GAP_NS[gap]
+                        } else {
+                            SHORT_GAP_NS[gap % SHORT_GAP_NS.len()]
+                        };
+                        let (lpa, bits) = (lpa % pages, ENTROPY[bits]);
+                        match kind {
+                            0 | 1 => WriteObservation::fresh_write(at, lpa, bits),
+                            2..=6 => WriteObservation::overwrite(at, lpa, bits, read),
+                            _ => WriteObservation::trim(at, lpa),
+                        }
+                    });
+                background.chain(hot).collect()
+            },
+        )
+    }
+
+    fn bits(scores: Vec<(&'static str, f64)>) -> Vec<(&'static str, u64)> {
+        let bits = |(name, score): (_, f64)| (name, score.to_bits());
+        scores.into_iter().map(bits).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn the_ensemble_is_its_old_detectors_bit_for_bit_after_every_observation(
+            stream in streams()
+        ) {
+            let (mut ensemble, mut old) = (Ensemble::new(), OldEnsemble::default());
+            for obs in &stream {
+                ensemble.observe(obs);
+                old.observe(obs);
+                prop_assert_eq!(bits(ensemble.member_scores()), bits(old.member_scores()));
+                prop_assert_eq!(ensemble.score().to_bits(), old.score().to_bits());
+                prop_assert_eq!(ensemble.verdict(), old.verdict());
+                prop_assert_eq!(ensemble.victims().sorted(), old.timing.victims.sorted());
+                prop_assert_eq!(ensemble.victims().encrypted(), old.timing.victims.encrypted);
+                prop_assert_eq!(ensemble.victims().seen(), old.timing.seen.len());
+            }
+        }
     }
 }

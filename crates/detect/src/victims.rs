@@ -1,43 +1,67 @@
-//! The pages an attack holds.
+//! The one per-page table: every page seen, and the pages an attack holds.
 
 use crate::observation::WriteObservation;
 use std::collections::HashMap;
 
-/// The pages whose last write was an encrypting overwrite
+/// What the table knows of one page. Ordered so that a trim lifts a page to
+/// at least [`Page::Trimmed`] and never lowers it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Page {
+    /// Written or trimmed, and held by no attack.
+    Seen,
+    /// Trimmed since its last write, which was no encrypting overwrite.
+    Trimmed,
+    /// Last written by an encrypting overwrite.
+    Encrypted,
+}
+
+/// Every page written or trimmed, and which of them an attack holds: the
+/// pages whose last write was an encrypting overwrite
 /// ([`WriteObservation::is_encrypting_overwrite`]; any other write releases
-/// a page), in two views that differ only in trims: the analyzer's
+/// a page), in two views that differ only in trims. The analyzer's
 /// ([`VictimSet::sorted`]) also holds each page trimmed since its last
-/// write, the timing profiler's ([`VictimSet::encrypted`]) ignores trims.
+/// write; the timing profile's ([`VictimSet::encrypted`], read against
+/// [`VictimSet::seen`]) ignores trims.
 #[derive(Clone, Debug, Default)]
 pub struct VictimSet {
-    /// Page → held by an encrypting overwrite (`false`: only trimmed).
-    pages: HashMap<u64, bool>,
-    /// Pages mapped to `true`.
+    pages: HashMap<u64, Page>,
+    /// Pages in [`Page::Encrypted`].
     encrypted: usize,
 }
 
 impl VictimSet {
     /// Feeds one observation.
     pub fn observe(&mut self, obs: &WriteObservation) {
-        if obs.is_trim {
-            self.pages.entry(obs.lpa).or_insert(false);
+        let page = self.pages.entry(obs.lpa).or_insert(Page::Seen);
+        let was = *page;
+        *page = if obs.is_trim {
+            was.max(Page::Trimmed)
         } else if obs.is_encrypting_overwrite() {
-            if self.pages.insert(obs.lpa, true) != Some(true) {
-                self.encrypted += 1;
-            }
-        } else if self.pages.remove(&obs.lpa) == Some(true) {
-            self.encrypted -= 1;
-        }
+            Page::Encrypted
+        } else {
+            Page::Seen
+        };
+        self.encrypted += usize::from(*page == Page::Encrypted);
+        self.encrypted -= usize::from(was == Page::Encrypted);
     }
 
-    /// Pages held by an encrypting overwrite (the profiler's view).
+    /// Distinct pages ever written or trimmed.
+    pub fn seen(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Pages held by an encrypting overwrite (the timing profile's view).
     pub fn encrypted(&self) -> usize {
         self.encrypted
     }
 
     /// The analyzer's view in ascending page order — the recovery work list.
     pub fn sorted(&self) -> Vec<u64> {
-        let mut lpas: Vec<u64> = self.pages.keys().copied().collect();
+        let mut lpas: Vec<u64> = self
+            .pages
+            .iter()
+            .filter_map(|(&lpa, &page)| (page != Page::Seen).then_some(lpa))
+            .collect();
         lpas.sort_unstable();
         lpas
     }
@@ -108,18 +132,21 @@ mod tests {
             let mut set = VictimSet::default();
             let mut analyzer = BTreeSet::new();
             let mut profiler = HashSet::new();
+            let mut seen = HashSet::new();
             for obs in stream(seed, 1 + seed as usize % 200) {
                 set.observe(&obs);
                 analyzer_rule(&mut analyzer, &obs);
                 profiler_rule(&mut profiler, &obs);
+                seen.insert(obs.lpa);
                 assert_eq!(set.sorted(), analyzer.iter().copied().collect::<Vec<_>>());
                 let held: HashSet<u64> = set
                     .pages
                     .iter()
-                    .filter_map(|(&lpa, &encrypted)| encrypted.then_some(lpa))
+                    .filter_map(|(&lpa, &page)| (page == Page::Encrypted).then_some(lpa))
                     .collect();
                 assert_eq!(held, profiler, "seed {seed}, after {obs:?}");
                 assert_eq!(set.encrypted(), profiler.len());
+                assert_eq!(set.seen(), seen.len());
             }
         }
     }
@@ -134,5 +161,6 @@ mod tests {
         set.observe(&WriteObservation::fresh_write(3, 4, 7.9));
         set.observe(&WriteObservation::overwrite(4, 3, 4.0, false));
         assert_eq!((set.encrypted(), set.sorted()), (0, vec![]));
+        assert_eq!(set.seen(), 2);
     }
 }
